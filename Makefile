@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-seq bench-real fuzz-short chaos ci
+.PHONY: all build test race vet fmt-check bench bench-seq bench-real perf fuzz-short chaos ci
 
 all: build test
 
@@ -40,6 +40,16 @@ bench-seq:
 bench-real:
 	$(GO) run ./cmd/cudele-bench -backend real -scale 0.01 \
 		-datadir results/real/objects -json -outdir results/real fig3a
+
+# perf runs the repo's host-performance benchmark (BENCHMARK.json) the way
+# the driver does — one untraced 12-second run per workload — and prints
+# each workload's reported end-to-end medians. Numbers are this machine's;
+# compare two commits with alternating runs (benchmark/README.md).
+perf:
+	@for w in sim_storm real_rpc_write real_rpc_read real_decoupled real_io; do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 12 --trace 0 \
+			| grep -A9 ' end-to-end ' || exit 1; \
+	done
 
 # fuzz-short runs the journal fuzzers for a bounded burst — long enough
 # to hit mutated corpus inputs, short enough for CI.

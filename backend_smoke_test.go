@@ -2,11 +2,15 @@ package cudele
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"sort"
 	"testing"
+	"time"
 
 	"cudele/internal/client"
 	"cudele/internal/namespace"
+	"cudele/internal/policy"
 )
 
 // smokeWorkload runs a small deterministic mixed workload — RPC creates
@@ -158,5 +162,248 @@ func TestBackendSmokeLoopback(t *testing.T) {
 	})
 	if _, err := cl.MDS().Store().Resolve("/net/f.4"); err != nil {
 		t.Fatalf("file missing after loopback run: %v", err)
+	}
+}
+
+// stressConfig is the calibrated model with its per-operation service
+// times cut to microseconds, so the real-backend stress run spends its
+// time in the program and not in time.Sleep. Both backends use it.
+func stressConfig() Config {
+	cfg := DefaultConfig()
+	cfg.NetLatency = 0
+	cfg.ClientOpOverhead, cfg.ClientAppendTime = 0, 1
+	cfg.MDSOpTime, cfg.MDSLookupTime, cfg.MDSApplyTime = 2000, 1000, 1000
+	cfg.MDSMergeSetup, cfg.MDSCapRevokeTime, cfg.MDSSessionOverhead = 0, 0, 0
+	cfg.OSDOpLatency = 1000
+	cfg.MigrateRetryDelay, cfg.MergeRetryDelay = 200_000, 200_000
+	return cfg
+}
+
+// stressModes are the consistency cells whose composition runs decoupled
+// (strong consistency is the RPC clients' cell).
+var stressModes = []policy.Consistency{
+	policy.ConsInvisible, policy.ConsWeak, policy.ConsSpeculative, policy.ConsStrongEventual,
+}
+
+// stressWorkload drives every daemon of a two-rank cluster at once: four
+// clients mutate private directories by RPC (two per rank), four more
+// run a decoupled job and its Table I composition (one per consistency
+// cell), one directory is migrated online under its client's feet, and
+// the heat-driven balancer runs throughout. during, when non-nil, is
+// started once set-up is over and stopped (by the func it returns) when
+// the tasks have drained. stressWorkload returns the global namespace as
+// the sorted list of paths, each read from the rank that owns it.
+func stressWorkload(t *testing.T, cl *Cluster, during func() (stop func())) []string {
+	t.Helper()
+	const rpcClients, rpcOps, localOps = 4, 150, 60
+	cl.EnableHeat(time.Second)
+	rpc := make([]*Client, rpcClients)
+	for i := range rpc {
+		rpc[i] = cl.NewClient(fmt.Sprintf("rpc%d", i))
+	}
+	dec := make([]*Client, len(stressModes))
+	for j := range dec {
+		dec[j] = cl.NewClient(fmt.Sprintf("dec%d", j))
+	}
+	dirs := make([]Ino, rpcClients)
+	cl.Run(func(p Proc) {
+		for i, c := range rpc {
+			path := fmt.Sprintf("/r%d", i)
+			d, err := c.MkdirAll(p, path, 0755)
+			if err != nil {
+				t.Errorf("mkdir %s: %v", path, err)
+				return
+			}
+			dirs[i] = d
+			if err := cl.Monitor().Place(p, path, i%2); err != nil {
+				t.Errorf("place %s: %v", path, err)
+				return
+			}
+		}
+		for j, c := range dec {
+			path := fmt.Sprintf("/d%d", j)
+			if _, err := c.MkdirAll(p, path, 0755); err != nil {
+				t.Errorf("mkdir %s: %v", path, err)
+				return
+			}
+			if _, err := cl.DecouplePolicy(p, c, path, &Policy{
+				Consistency: stressModes[j], Durability: DurNone,
+				AllocatedInodes: 4 * localOps, Interfere: InterfereAllow, Rank: j % 2,
+			}); err != nil {
+				t.Errorf("decouple %s: %v", path, err)
+				return
+			}
+		}
+	})
+	if t.Failed() {
+		return nil
+	}
+	stop := func() {}
+	if during != nil {
+		stop = during()
+	}
+
+	bal := cl.StartBalancer(BalancerConfig{Interval: 300 * time.Microsecond, Rounds: 12})
+	for i, c := range rpc {
+		i, c := i, c
+		cl.Go(c.Name(), func(p Proc) {
+			fail := func(op string, k int, err error) bool {
+				if err != nil {
+					t.Errorf("%s: %s %d: %v", c.Name(), op, k, err)
+				}
+				return err != nil
+			}
+			for k := 0; k < rpcOps; k++ {
+				ino, err := c.Create(p, dirs[i], fmt.Sprintf("f%03d", k), 0644)
+				if fail("create", k, err) {
+					return
+				}
+				switch {
+				case k%5 == 4:
+					err = c.Unlink(p, dirs[i], fmt.Sprintf("f%03d", k))
+				case k%7 == 6:
+					err = c.Rename(p, dirs[i], fmt.Sprintf("f%03d", k), dirs[i], fmt.Sprintf("g%03d", k))
+				case k%11 == 10:
+					err = c.SetAttr(p, ino, 0600, 1, 1, uint64(k), int64(k))
+				}
+				if fail("mutate", k, err) {
+					return
+				}
+			}
+		})
+	}
+	for j, c := range dec {
+		j, c := j, c
+		cl.Go(c.Name(), func(p Proc) {
+			root, err := c.DecoupledRoot()
+			if err != nil {
+				t.Errorf("%s: %v", c.Name(), err)
+				return
+			}
+			sub, err := c.LocalMkdir(p, root, "sub", 0755)
+			if err != nil {
+				t.Errorf("%s: local mkdir: %v", c.Name(), err)
+				return
+			}
+			for k := 0; k < localOps; k++ {
+				parent := root
+				if k%3 == 0 {
+					parent = sub
+				}
+				if _, err := c.LocalCreate(p, parent, fmt.Sprintf("l%03d", k), 0644); err != nil {
+					t.Errorf("%s: local create %d: %v", c.Name(), k, err)
+					return
+				}
+			}
+			comp, err := CompileTableI(stressModes[j], DurNone)
+			if err == nil {
+				err = c.RunComposition(p, comp)
+			}
+			if err != nil {
+				t.Errorf("%s: composition: %v", c.Name(), err)
+			}
+		})
+	}
+	cl.Go("migrator", func(p Proc) {
+		// The freeze is refused while a merge is in flight on the source
+		// and while the balancer has the subtree; try again shortly.
+		var err error
+		for try := 0; try < 200; try++ {
+			if err = cl.Migrate(p, "/r0", 1); err == nil {
+				return
+			}
+			p.Sleep(200 * time.Microsecond)
+		}
+		t.Errorf("migrate /r0: %v", err)
+	})
+	cl.Go("balancer.wait", func(p Proc) { bal.Wait(p) })
+	cl.RunAll()
+	stop()
+
+	if err := cl.Runtime().LeakCheck(); err != nil {
+		t.Error(err)
+	}
+	if n := cl.Close(); n != 0 {
+		t.Errorf("close reaped %d tasks, want 0", n)
+	}
+	if cl.Metadata().Migrations() < 1 {
+		t.Errorf("no migration committed")
+	}
+	var paths []string
+	table := cl.Metadata().Table()
+	for r := 0; r < cl.Metadata().Ranks(); r++ {
+		r := r
+		if err := cl.Metadata().Rank(r).Store().Walk(RootIno, func(p string, _ *namespace.Inode) error {
+			if table.RankFor(p) == r {
+				paths = append(paths, p)
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("walk rank %d: %v", r, err)
+		}
+	}
+	sort.Strings(paths)
+	return paths
+}
+
+// TestBackendSmokeMultiRankStress is the lock-domain stress test: the
+// stress workload on the real backend — with /metrics scraped from an
+// outside goroutine the whole time, so Exclusive contends with every
+// domain — must end in the same namespace, path for path, as the same
+// workload on the simulator, with no task leaked. Run under -race it is
+// the check that every piece of daemon state is reached only inside its
+// owner's domain.
+func TestBackendSmokeMultiRankStress(t *testing.T) {
+	simPaths := stressWorkload(t, NewCluster(WithSeed(11), WithConfig(stressConfig()), WithMDSRanks(2)), nil)
+
+	cl := NewCluster(WithSeed(11), WithConfig(stressConfig()), WithMDSRanks(2), WithBackend(BackendReal))
+	admin, err := cl.ServeAdmin("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	scrapes := 0
+	scrape := func() (stop func()) {
+		quit, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-quit:
+					return
+				default:
+				}
+				resp, err := http.Get("http://" + admin.Addr() + "/metrics")
+				if err != nil {
+					t.Errorf("scrape: %v", err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					scrapes++
+				}
+			}
+		}()
+		return func() {
+			close(quit)
+			<-done
+		}
+	}
+	realPaths := stressWorkload(t, cl, scrape)
+	if scrapes == 0 {
+		t.Error("no /metrics scrape succeeded during the run")
+	}
+
+	if len(simPaths) < 500 {
+		t.Fatalf("sim namespace has only %d paths", len(simPaths))
+	}
+	if len(simPaths) != len(realPaths) {
+		t.Errorf("namespace size: sim %d paths, real %d paths", len(simPaths), len(realPaths))
+	}
+	for i := 0; i < len(simPaths) && i < len(realPaths); i++ {
+		if simPaths[i] != realPaths[i] {
+			t.Fatalf("namespace diverges at %d: sim %q, real %q", i, simPaths[i], realPaths[i])
+		}
 	}
 }

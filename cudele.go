@@ -283,7 +283,8 @@ func (cl *Cluster) Monitor() *monitor.Monitor { return cl.mon }
 
 // NewClient creates and mounts a client. Client names must be unique.
 // Each client gets its own portal — a routed endpoint over a
-// placement-table replica that the monitor keeps refreshed.
+// placement-table replica that the monitor keeps refreshed. It is
+// set-up code: call it from outside task context while no task runs.
 func (cl *Cluster) NewClient(name string) *Client {
 	if _, dup := cl.clients[name]; dup {
 		panic(fmt.Sprintf("cudele: duplicate client %q", name))
@@ -294,7 +295,7 @@ func (cl *Cluster) NewClient(name string) *Client {
 	if cl.rt.Kind() == BackendReal && cl.dataDir != "" {
 		c.SetLocalDir(filepath.Join(cl.dataDir, name))
 	}
-	c.Mount()
+	c.Mount(nil)
 	cl.clients[name] = c
 	return c
 }

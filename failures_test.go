@@ -109,7 +109,7 @@ func matrixClientCrash(t *testing.T, cons policy.Consistency, dur policy.Durabil
 				}
 			}
 			assertAllVisible(t, cl, "before the crash (strong = immediately visible)")
-			c.Crash()
+			c.Crash(p)
 			if err := c.Restart(p); err != nil {
 				t.Fatalf("restart: %v", err)
 			}
@@ -124,7 +124,7 @@ func matrixClientCrash(t *testing.T, cons policy.Consistency, dur policy.Durabil
 		case cudele.DurNone:
 			// Never persisted: the crash destroys the journal, recovery
 			// has nothing to load, and nothing may have leaked.
-			c.Crash()
+			c.Crash(p)
 			if err := c.Restart(p); err != nil {
 				t.Fatalf("restart: %v", err)
 			}
@@ -140,7 +140,7 @@ func matrixClientCrash(t *testing.T, cons policy.Consistency, dur policy.Durabil
 			if err := c.LocalPersist(p); err != nil {
 				t.Fatalf("local persist: %v", err)
 			}
-			c.Crash()
+			c.Crash(p)
 			if err := c.Restart(p); err != nil {
 				t.Fatalf("restart: %v", err)
 			}
@@ -158,7 +158,7 @@ func matrixClientCrash(t *testing.T, cons policy.Consistency, dur policy.Durabil
 			if err := c.GlobalPersist(p); err != nil {
 				t.Fatalf("global persist: %v", err)
 			}
-			c.Crash() // stays down forever
+			c.Crash(p) // stays down forever
 			events, err := rescuer.FetchGlobalJournal(p, "c0")
 			if err != nil || len(events) != matrixFiles {
 				t.Fatalf("fetch = %d events, %v; want %d", len(events), err, matrixFiles)
@@ -194,12 +194,12 @@ func matrixMDSCrash(t *testing.T, cons policy.Consistency, dur policy.Durability
 			if dur == cudele.DurGlobal {
 				cl.MDS().FlushJournal(p)
 			}
-			cl.MDS().Crash()
+			cl.MDS().Crash(p)
 			if err := cl.MDS().Restart(p); err != nil {
 				t.Fatalf("mds restart: %v", err)
 			}
-			c.Unmount()
-			c.Mount()
+			c.Unmount(p)
+			c.Mount(p)
 			if dur == cudele.DurGlobal {
 				assertAllVisible(t, cl, "after an MDS crash despite a journal flush")
 			} else {
@@ -220,7 +220,7 @@ func matrixMDSCrash(t *testing.T, cons policy.Consistency, dur policy.Durability
 		// The unmerged journal lives on the client, so an MDS crash
 		// cannot touch it — at any durability level. After the MDS
 		// recovers and the registration is replayed, the merge lands.
-		cl.MDS().Crash()
+		cl.MDS().Crash(p)
 		if err := cl.MDS().Restart(p); err != nil {
 			t.Fatalf("mds restart: %v", err)
 		}
@@ -231,8 +231,8 @@ func matrixMDSCrash(t *testing.T, cons policy.Consistency, dur policy.Durability
 		if lo != entry.GrantLo {
 			t.Fatalf("re-registration moved the grant: %d != %d", lo, entry.GrantLo)
 		}
-		c.Unmount()
-		c.Mount()
+		c.Unmount(p)
+		c.Mount(p)
 		n, err := c.VolatileApply(p)
 		if err != nil || n != matrixFiles {
 			t.Fatalf("merge after MDS recovery = %d, %v; want %d", n, err, matrixFiles)
@@ -283,7 +283,7 @@ func matrixCrashDuringGlobalPersist(t *testing.T, cons policy.Consistency, dur p
 				if err := c.GlobalPersist(p); err != nil {
 					t.Fatalf("persist retry: %v", err)
 				}
-				c.Crash() // stays down forever
+				c.Crash(p) // stays down forever
 				events, err := rescuer.FetchGlobalJournal(p, "c0")
 				if err != nil || len(events) != matrixFiles {
 					t.Fatalf("fetch = %d events, %v; want %d", len(events), err, matrixFiles)

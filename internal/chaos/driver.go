@@ -383,7 +383,7 @@ func (d *driver) drain(p runtime.Task) {
 // is exercised here: an acked Local Persist must restore exactly the
 // persisted journal.
 func (d *driver) crashClient(p runtime.Task) {
-	d.c.Crash()
+	d.c.Crash(p)
 	d.o.clientCrash()
 	d.cands = d.cands[:1]
 	d.scands = d.scands[:1]
@@ -420,7 +420,7 @@ func (d *driver) crashMDS(p runtime.Task) {
 	if d.plan.Migrate {
 		rank = d.cl.Metadata().Table().RankFor(mainPath)
 	}
-	srv.Crash()
+	srv.Crash(p)
 	d.o.mdsCrash()
 	if err := srv.Restart(p); err != nil {
 		d.violate("mds restart: %v", err)
@@ -451,8 +451,8 @@ func (d *driver) crashMDS(p runtime.Task) {
 		}
 	}
 	// The client survived but its session and caps died with the MDS.
-	d.c.Unmount()
-	d.c.Mount()
+	d.c.Unmount(p)
+	d.c.Mount(p)
 	if d.plan.Migrate {
 		// Remounting wiped the client's ino-to-path route hints; re-walk
 		// the workload root so ino-addressed RPCs route by path again.

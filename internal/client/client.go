@@ -4,9 +4,12 @@
 // Nonvolatile Apply, Local Persist, Global Persist — plus the namespace
 // sync used for partial results (§V-B3).
 //
-// All operations run inside simulation processes and charge calibrated
-// virtual time; the metadata itself (journals, namespaces, objects) is
-// real data manipulated for real.
+// All operations run inside tasks and charge calibrated time; the
+// metadata itself (journals, namespaces, objects) is real data
+// manipulated for real. A client's state belongs to its own lock domain
+// (runtime.Domain), which every task-taking operation enters and in
+// which its background tasks run, so on the real backend clients work in
+// parallel with each other and with the daemons they call.
 package client
 
 import (
@@ -34,8 +37,10 @@ import (
 // number of ranks.
 type Service interface {
 	transport.Endpoint
-	OpenSession(client string)
-	CloseSession(client string)
+	// Mount and Unmount open and close the named client's session from
+	// the client's task.
+	Mount(p runtime.Task, client string)
+	Unmount(p runtime.Task, client string)
 	SetStream(on bool)
 	// Refresh re-syncs the service's routing view after a redirect reply
 	// reported a newer cluster-map epoch. A single server no-ops.
@@ -77,6 +82,7 @@ type Stats struct {
 // Client is one storage client (application node).
 type Client struct {
 	eng  runtime.Runtime
+	dom  runtime.Domain
 	cfg  model.Config
 	name string
 	svc  Service
@@ -153,6 +159,7 @@ type decoupled struct {
 func New(eng runtime.Runtime, cfg model.Config, name string, svc Service, obj *rados.Cluster) *Client {
 	return &Client{
 		eng:        eng,
+		dom:        eng.NewDomain(name),
 		cfg:        cfg,
 		name:       name,
 		svc:        svc,
@@ -199,11 +206,17 @@ func (c *Client) CreateLatency() *stats.Histogram { return &c.createLatency }
 func (c *Client) LocalDisk() runtime.Pipe { return c.localDisk }
 
 // Mount opens the client's MDS session.
-func (c *Client) Mount() { c.svc.OpenSession(c.name) }
+func (c *Client) Mount(p runtime.Task) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
+	c.svc.Mount(p, c.name)
+}
 
 // Unmount closes the session and drops cached state.
-func (c *Client) Unmount() {
-	c.svc.CloseSession(c.name)
+func (c *Client) Unmount(p runtime.Task) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
+	c.svc.Unmount(p, c.name)
 	c.caps = make(map[namespace.Ino]bool)
 	c.shared = make(map[namespace.Ino]bool)
 	c.dcache = make(map[namespace.Ino]map[string]namespace.Ino)
@@ -229,11 +242,13 @@ type grantStub struct {
 // simulated local disk survives (that is what Local Persist buys), as do
 // global objects. The MDS-side session is reaped as a real MDS would
 // time it out.
-func (c *Client) Crash() {
+func (c *Client) Crash(p runtime.Task) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if fl := c.eng.Flight(); fl != nil {
 		fl.Record(int64(c.eng.Now()), c.name, "client", "crash", "")
 	}
-	c.svc.CloseSession(c.name)
+	c.svc.Unmount(p, c.name)
 	c.caps = make(map[namespace.Ino]bool)
 	c.shared = make(map[namespace.Ino]bool)
 	c.dcache = make(map[namespace.Ino]map[string]namespace.Ino)
@@ -257,10 +272,12 @@ func (c *Client) Crash() {
 // it. The journal starts empty; RecoverLocal reloads a locally persisted
 // image into it.
 func (c *Client) Restart(p runtime.Task) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if fl := c.eng.Flight(); fl != nil {
 		fl.Record(int64(p.Now()), c.name, "client", "restart", "")
 	}
-	c.Mount()
+	c.Mount(p)
 	stub := c.crashed
 	c.crashed = nil
 	if stub == nil {
@@ -361,6 +378,8 @@ func (c *Client) cacheDentry(dir namespace.Ino, name string, ino namespace.Ino) 
 // can check existence locally and send a single create RPC; otherwise it
 // must send a lookup RPC first.
 func (c *Client) Create(p runtime.Task, dir namespace.Ino, name string, mode uint32) (namespace.Ino, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	start := p.Now()
 	defer func() { c.createLatency.Observe(runtime.Duration(p.Now() - start)) }()
 	if c.caps[dir] && !c.shared[dir] {
@@ -391,6 +410,8 @@ func (c *Client) Create(p runtime.Task, dir namespace.Ino, name string, mode uin
 
 // Mkdir makes a directory via RPC.
 func (c *Client) Mkdir(p runtime.Task, dir namespace.Ino, name string, mode uint32) (namespace.Ino, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	r := c.submit(p, &mds.Request{Op: mds.OpMkdir, Parent: dir, Name: name, Mode: mode, Route: c.pathOf(dir)})
 	if r.Err != nil {
 		return 0, r.Err
@@ -402,6 +423,8 @@ func (c *Client) Mkdir(p runtime.Task, dir namespace.Ino, name string, mode uint
 
 // MkdirAll resolves or creates each directory along path via RPC.
 func (c *Client) MkdirAll(p runtime.Task, path string, mode uint32) (namespace.Ino, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	cur := namespace.RootIno
 	curPath := "/"
 	for it := namespace.SplitIter(path); ; {
@@ -436,6 +459,8 @@ func (c *Client) MkdirAll(p runtime.Task, path string, mode uint32) (namespace.I
 // Lookup resolves one dentry via RPC, bypassing the local cache (an
 // explicit stat(2)-like existence check).
 func (c *Client) Lookup(p runtime.Task, dir namespace.Ino, name string) (namespace.Ino, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	c.stats.RemoteLookups++
 	r := c.submit(p, &mds.Request{Op: mds.OpLookup, Parent: dir, Name: name, Route: c.pathOf(dir)})
 	if r.Err != nil {
@@ -449,6 +474,8 @@ func (c *Client) Lookup(p runtime.Task, dir namespace.Ino, name string) (namespa
 
 // Resolve walks a path on the server.
 func (c *Client) Resolve(p runtime.Task, path string) (namespace.Ino, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	r := c.submit(p, &mds.Request{Op: mds.OpResolve, Path: path, Route: path})
 	if r.Err != nil {
 		return 0, r.Err
@@ -461,12 +488,16 @@ func (c *Client) Resolve(p runtime.Task, path string) (namespace.Ino, error) {
 
 // ReadDir lists a directory via RPC (the heavy "ls" of §V-B3).
 func (c *Client) ReadDir(p runtime.Task, dir namespace.Ino) ([]string, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	r := c.submit(p, &mds.Request{Op: mds.OpReadDir, Parent: dir, Route: c.pathOf(dir)})
 	return r.Names, r.Err
 }
 
 // Unlink removes a file via RPC.
 func (c *Client) Unlink(p runtime.Task, dir namespace.Ino, name string) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	r := c.submit(p, &mds.Request{Op: mds.OpUnlink, Parent: dir, Name: name, Route: c.pathOf(dir)})
 	if r.Err == nil {
 		delete(c.dcache[dir], name)
@@ -477,6 +508,8 @@ func (c *Client) Unlink(p runtime.Task, dir namespace.Ino, name string) error {
 // Rename moves a dentry via RPC. Cross-rank renames are not supported:
 // the request routes by the source parent's subtree.
 func (c *Client) Rename(p runtime.Task, dir namespace.Ino, name string, newDir namespace.Ino, newName string) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	r := c.submit(p, &mds.Request{Op: mds.OpRename, Parent: dir, Name: name, NewParent: newDir, NewName: newName, Route: c.pathOf(dir)})
 	if r.Err == nil {
 		delete(c.dcache[dir], name)
@@ -487,12 +520,16 @@ func (c *Client) Rename(p runtime.Task, dir namespace.Ino, name string, newDir n
 
 // SetAttr updates attributes via RPC.
 func (c *Client) SetAttr(p runtime.Task, ino namespace.Ino, mode, uid, gid uint32, size uint64, mtime int64) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	r := c.submit(p, &mds.Request{Op: mds.OpSetAttr, Ino: ino, Mode: mode, UID: uid, GID: gid, Size: size, Mtime: mtime, Route: c.pathOf(ino)})
 	return r.Err
 }
 
 // Stat fetches attributes via RPC.
 func (c *Client) Stat(p runtime.Task, ino namespace.Ino) (*mds.Reply, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	r := c.submit(p, &mds.Request{Op: mds.OpGetAttr, Ino: ino, Route: c.pathOf(ino)})
 	if r.Err != nil {
 		return nil, r.Err

@@ -72,7 +72,7 @@ func TestLocalUnlinkAndReadDir(t *testing.T) {
 			t.Errorf("file b missing after merge: %v", err)
 		}
 	})
-	if err := (&Client{}).LocalUnlink(nil, 0, "x"); !errors.Is(err, ErrNotDecoupled) {
+	if err := cl.client("c1").LocalUnlink(nil, 0, "x"); !errors.Is(err, ErrNotDecoupled) {
 		t.Fatalf("undcoupled local unlink err = %v", err)
 	}
 }

@@ -31,7 +31,7 @@ func newCluster() *cluster {
 
 func (cl *cluster) client(name string) *Client {
 	c := New(cl.eng, model.Default(), name, cl.srv, cl.obj)
-	c.Mount()
+	c.Mount(nil)
 	return c
 }
 
@@ -573,7 +573,7 @@ func TestUnmountDropsState(t *testing.T) {
 		if !c.HoldsCap(dir) {
 			t.Error("no cap before unmount")
 		}
-		c.Unmount()
+		c.Unmount(p)
 		if c.HoldsCap(dir) {
 			t.Error("cap survived unmount")
 		}

@@ -24,6 +24,8 @@ func dataName(ino namespace.Ino) string {
 // The metadata update uses RPCs, so this is the POSIX-side data path;
 // decoupled jobs use LocalWriteFile.
 func (c *Client) WriteFile(p runtime.Task, ino namespace.Ino, data []byte) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	st, err := c.Stat(p, ino)
 	if err != nil {
 		return err
@@ -41,6 +43,8 @@ func (c *Client) WriteFile(p runtime.Task, ino namespace.Ino, data []byte) error
 // ReadFile returns the contents of file ino from the data pool. A file
 // that was created but never written reads back empty.
 func (c *Client) ReadFile(p runtime.Task, ino namespace.Ino) ([]byte, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	st, err := c.Stat(p, ino)
 	if err != nil {
 		return nil, err
@@ -68,6 +72,8 @@ func (c *Client) ReadFile(p runtime.Task, ino namespace.Ino) ([]byte, error) {
 // journal to merge later, exactly how BatchFS/DeltaFS-style systems
 // treat data vs metadata.
 func (c *Client) LocalWriteFile(p runtime.Task, ino namespace.Ino, data []byte) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if c.dec == nil {
 		return ErrNotDecoupled
 	}
@@ -96,6 +102,8 @@ func (c *Client) LocalWriteFile(p runtime.Task, ino namespace.Ino, data []byte) 
 // RemoveFileData deletes a file's contents from the data pool; unlink
 // paths call it to avoid leaking objects.
 func (c *Client) RemoveFileData(p runtime.Task, ino namespace.Ino) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	striper := rados.NewStriper(c.obj)
 	return striper.Remove(p, DataPool, dataName(ino))
 }

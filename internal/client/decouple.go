@@ -22,6 +22,8 @@ const ClientJournalPool = "cudele_client_journals"
 // starts an in-memory journal (paper §III). Subsequent Local* operations
 // run entirely client-side via Append Client Journal.
 func (c *Client) Decouple(p runtime.Task, path string, pol *policy.Policy) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	r := c.svc.Post(p, &mds.DecoupleMsg{Path: path, Policy: pol, Client: c.name}).(*mds.DecoupleReply)
 	if r.Err != nil {
 		return r.Err
@@ -33,6 +35,8 @@ func (c *Client) Decouple(p runtime.Task, path string, pol *policy.Policy) error
 // were registered externally — normally by the monitor on the client's
 // behalf (paper §III-C).
 func (c *Client) AdoptGrant(p runtime.Task, path string, lo namespace.Ino, n uint64) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	root, err := c.Resolve(p, path)
 	if err != nil {
 		return err
@@ -143,6 +147,8 @@ func (c *Client) appendEvent(p runtime.Task, ev *journal.Event) error {
 // insert plus a journal append. dir is the subtree root or a directory
 // previously created with LocalMkdir.
 func (c *Client) LocalCreate(p runtime.Task, dir namespace.Ino, name string, mode uint32) (namespace.Ino, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if c.dec == nil {
 		return 0, ErrNotDecoupled
 	}
@@ -171,6 +177,8 @@ func (c *Client) LocalCreate(p runtime.Task, dir namespace.Ino, name string, mod
 
 // LocalMkdir creates a directory in the decoupled subtree.
 func (c *Client) LocalMkdir(p runtime.Task, dir namespace.Ino, name string, mode uint32) (namespace.Ino, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if c.dec == nil {
 		return 0, ErrNotDecoupled
 	}
@@ -201,6 +209,8 @@ func (c *Client) LocalMkdir(p runtime.Task, dir namespace.Ino, name string, mode
 // strong-eventual cell; the stamp changes no calibrated cost (transfers
 // bill at nominal bytes, not encoded bytes).
 func (c *Client) LocalUnlink(p runtime.Task, dir namespace.Ino, name string) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if c.dec == nil {
 		return ErrNotDecoupled
 	}
@@ -255,6 +265,8 @@ func (c *Client) LocalReadDir(dir namespace.Ino) ([]string, error) {
 // the MDS merge scheduler under windowed flow control, and peak transfer
 // memory is one chunk, not the journal.
 func (c *Client) VolatileApply(p runtime.Task) (int, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if c.dec == nil {
 		return 0, ErrNotDecoupled
 	}
@@ -357,6 +369,8 @@ func (c *Client) volatileApplyChunked(p runtime.Task, chunk int) (int, error) {
 // encoded and billed chunk by chunk through a journal cursor, so the
 // write buffer held at any instant is one chunk.
 func (c *Client) LocalPersist(p runtime.Task) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if c.dec == nil {
 		return ErrNotDecoupled
 	}
@@ -415,6 +429,8 @@ func (c *Client) LocalJournalFile() ([]byte, bool) {
 // (paper §II-A: local durability means updates survive if the node
 // recovers).
 func (c *Client) RecoverLocal(p runtime.Task) (int, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if c.dec == nil {
 		return 0, ErrNotDecoupled
 	}
@@ -452,6 +468,8 @@ func (c *Client) RecoverLocal(p runtime.Task) (int, error) {
 // written as a sequence of chunk objects instead of one image, so the
 // in-flight buffer is one chunk; FetchGlobalJournal reads either layout.
 func (c *Client) GlobalPersist(p runtime.Task) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if c.dec == nil {
 		return ErrNotDecoupled
 	}
@@ -540,6 +558,8 @@ func journalChunkName(owner string, idx int) string {
 // whichever layout it used: the single striped image, or the chunk
 // sequence a streaming persist wrote.
 func (c *Client) FetchGlobalJournal(p runtime.Task, owner string) ([]*journal.Event, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	striper := rados.NewStriper(c.obj)
 	data, err := striper.Read(p, ClientJournalPool, owner)
 	if err == nil {
@@ -576,6 +596,8 @@ func (c *Client) FetchGlobalJournal(p runtime.Task, owner string) ([]*journal.Ev
 // written out so a restarted metadata server (Server.Recover) observes
 // the merged namespace.
 func (c *Client) NonvolatileApply(p runtime.Task) (int, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if c.dec == nil {
 		return 0, ErrNotDecoupled
 	}
@@ -741,6 +763,8 @@ func (c *Client) loadChain(p runtime.Task, shadow *namespace.Store, obj *namespa
 // composition — set on iff the composition contains it, so a previous
 // streaming composition cannot leak journaling into this one.
 func (c *Client) RunComposition(p runtime.Task, comp policy.Composition) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	c.svc.SetStream(comp.Contains(policy.MechStream))
 	for _, step := range comp {
 		if len(step.Parallel) == 1 {
@@ -749,7 +773,7 @@ func (c *Client) RunComposition(p runtime.Task, comp policy.Composition) error {
 			}
 			continue
 		}
-		g := c.eng.NewGroup()
+		g := c.dom.NewGroup()
 		errs := make([]error, len(step.Parallel))
 		for i, m := range step.Parallel {
 			i, m := i, m

@@ -29,13 +29,13 @@ func (c *Client) chargeLocalDisk(p runtime.Task, n int64) {
 }
 
 // persistLocal durably writes the journal image to the local directory
-// (write tmp → fsync → rename → fsync dir), outside the run lock.
+// (write tmp → fsync → rename → fsync dir), outside the client's lock domain.
 func (c *Client) persistLocal(p runtime.Task, data []byte) error {
 	if c.localDir == "" {
 		return nil
 	}
 	var err error
-	p.Runtime().Blocking(func() { err = writeDurable(c.localDir, "journal", data) })
+	p.Blocking(func() { err = writeDurable(c.localDir, "journal", data) })
 	return err
 }
 
@@ -45,7 +45,7 @@ func (c *Client) loadLocal(p runtime.Task) (data []byte, ok bool, err error) {
 	if c.localDir == "" {
 		return nil, false, nil
 	}
-	p.Runtime().Blocking(func() {
+	p.Blocking(func() {
 		data, err = os.ReadFile(filepath.Join(c.localDir, "journal"))
 	})
 	if os.IsNotExist(err) {

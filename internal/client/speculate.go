@@ -103,6 +103,8 @@ func (c *Client) FailRollbackAfter(n int) {
 // newest first, then clears the journal and undo log. The returned slice
 // is the rejected indices (nil when every prediction held).
 func (c *Client) SpeculativeApply(p runtime.Task) (int, []int, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if c.dec == nil {
 		return 0, nil, ErrNotDecoupled
 	}
@@ -287,6 +289,8 @@ func (c *Client) persistUndoGlobal(p runtime.Task, striper *rados.Striper) error
 // loser is a successful merge — so it equals the journal length on
 // success. On success the journal is cleared.
 func (c *Client) ConvergeApply(p runtime.Task) (int, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if c.dec == nil {
 		return 0, ErrNotDecoupled
 	}

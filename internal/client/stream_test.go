@@ -30,7 +30,7 @@ func newClusterCfg(cfg model.Config) *cluster {
 
 func (cl *cluster) clientCfg(name string, cfg model.Config) *Client {
 	c := New(cl.eng, cfg, name, cl.srv, cl.obj)
-	c.Mount()
+	c.Mount(nil)
 	return c
 }
 

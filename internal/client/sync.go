@@ -25,6 +25,8 @@ type syncState struct {
 // number of events shipped. The drain itself proceeds on an idle core and
 // completes asynchronously; drains are serialized with each other.
 func (c *Client) SyncNow(p runtime.Task) (pause runtime.Duration, synced int, err error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if c.dec == nil {
 		return 0, 0, ErrNotDecoupled
 	}
@@ -53,7 +55,7 @@ func (c *Client) SyncNow(p runtime.Task) (pause runtime.Duration, synced int, er
 	c.sync.visible = visible
 	svc := c.svc
 	route := c.dec.path
-	c.eng.Spawn(c.name+".syncdrain", func(bp runtime.Task) {
+	c.dom.Spawn(c.name+".syncdrain", func(bp runtime.Task) {
 		if prev != nil {
 			prev.Wait(bp) // drains are ordered
 		}
@@ -79,6 +81,8 @@ func (c *Client) SyncNow(p runtime.Task) (pause runtime.Duration, synced int, er
 // job end is on the critical path, which is why very large sync intervals
 // cost more than the optimum (paper Fig 6c).
 func (c *Client) WaitSyncDrain(p runtime.Task) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if c.sync == nil || c.sync.inFlight == nil {
 		return nil
 	}
@@ -92,6 +96,8 @@ func (c *Client) WaitSyncDrain(p runtime.Task) error {
 // WaitSyncVisible blocks until the most recent sync's updates have been
 // applied to the global namespace (end-users' ls sees them).
 func (c *Client) WaitSyncVisible(p runtime.Task) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if c.sync == nil || c.sync.visible == nil {
 		return nil
 	}

@@ -60,6 +60,8 @@ type ViewSource struct {
 // a reader or middleware. Conflicting creates resolve in favor of the
 // later journal (the decoupled results are authoritative, §III-C).
 func (c *Client) BuildView(p runtime.Task, sources []ViewSource) (*namespace.Store, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	// Start from a copy of the global namespace: walk it via RPCs the
 	// way a reader would. To keep RPC load realistic but bounded, the
 	// view copies the tree with one readdir per directory plus one

@@ -2,6 +2,7 @@ package mds
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"cudele/internal/model"
 	"cudele/internal/namespace"
@@ -24,6 +25,13 @@ type Cluster struct {
 
 	ranks []*Server
 
+	// dom is the control-plane lock domain: it owns the subtree registry
+	// and every write to the authoritative table. The monitor runs in it
+	// (Domain), so cluster-map changes exclude one another; ranks and
+	// client portals only ever read the table, which is safe from any
+	// domain (see transport.Table).
+	dom runtime.Domain
+
 	// table is the rank-side authoritative placement map; client
 	// portals hold replicas refreshed by the monitor. It is the routing
 	// projection of the subtree ownership entities below.
@@ -36,8 +44,9 @@ type Cluster struct {
 
 	// migrations counts committed online migrations and splits. While it
 	// is zero the ranks skip the stale-routing ownership check entirely,
-	// keeping never-migrated (calibrated) runs byte-identical.
-	migrations int
+	// keeping never-migrated (calibrated) runs byte-identical. Rank
+	// handlers read it from their own domains, hence atomic.
+	migrations atomic.Int64
 }
 
 // NewCluster builds n metadata ranks over one object store. n < 1 is
@@ -48,6 +57,7 @@ func NewCluster(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster, n int
 	}
 	c := &Cluster{
 		eng: eng, cfg: cfg, obj: obj,
+		dom:      eng.NewDomain("monitor"),
 		table:    transport.NewTable(),
 		subtrees: make(map[string]*Subtree),
 	}
@@ -55,7 +65,7 @@ func NewCluster(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster, n int
 	for i := 0; i < n; i++ {
 		s := NewRank(eng, cfg, obj, i)
 		s.SetOwnership(func(path string) (int, uint64, bool) {
-			if c.migrations == 0 {
+			if c.migrations.Load() == 0 {
 				return 0, 0, false
 			}
 			return c.table.RankFor(path), c.table.Epoch(), true
@@ -78,6 +88,9 @@ func (c *Cluster) Rank(i int) *Server { return c.ranks[i] }
 
 // Table returns the cluster's authoritative placement table.
 func (c *Cluster) Table() *transport.Table { return c.table }
+
+// Domain returns the control-plane lock domain, which the monitor shares.
+func (c *Cluster) Domain() runtime.Domain { return c.dom }
 
 // Endpoint returns the cluster-side routed endpoint (used by the
 // monitor, which always sees the authoritative table).
@@ -102,16 +115,11 @@ func (c *Cluster) SetHeat(h *obs.Heat) {
 // OpenSession opens the client's session on every rank: a mounted client
 // may touch any subtree, so each rank carries its bookkeeping overhead,
 // keeping per-rank service times comparable to the single-MDS system.
+// It is the set-up form, for callers outside task context; tasks use
+// Mount.
 func (c *Cluster) OpenSession(client string) {
 	for _, s := range c.ranks {
 		s.OpenSession(client)
-	}
-}
-
-// CloseSession closes the client's session on every rank.
-func (c *Cluster) CloseSession(client string) {
-	for _, s := range c.ranks {
-		s.CloseSession(client)
 	}
 }
 
@@ -121,21 +129,31 @@ func (c *Cluster) CloseSession(client string) {
 // copied through the same serialized form that recovery uses; the
 // source rank keeps its copy, which becomes stale and unreachable once
 // routing points at the new owner — exactly how CephFS subtree exports
-// hand off authority.
+// hand off authority. The copy and the table flip happen in one step
+// with both ranks and the control plane held together, so no request is
+// served between them.
 func (c *Cluster) Place(p runtime.Task, path string, rank int) error {
 	if rank < 0 || rank >= len(c.ranks) {
 		return fmt.Errorf("mds: place %s: rank %d out of range [0,%d)", path, rank, len(c.ranks))
 	}
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	src := c.ranks[c.table.RankFor(path)]
 	dst := c.ranks[rank]
-	if src != dst {
-		if err := exportSubtree(src.store, dst.store, path); err != nil {
-			return fmt.Errorf("mds: place %s on rank %d: %w", path, rank, err)
+	var err error
+	c.eng.Together(p, []runtime.Domain{c.dom, src.dom, dst.dom}, func() {
+		if src != dst {
+			if err = exportSubtree(src.store, dst.store, path); err != nil {
+				return
+			}
 		}
+		c.table.Place(path, rank)
+		st := c.SubtreeFor(path)
+		st.Rank, st.State, st.Epoch = rank, SubtreeOwned, c.table.Epoch()
+	})
+	if err != nil {
+		return fmt.Errorf("mds: place %s on rank %d: %w", path, rank, err)
 	}
-	c.table.Place(path, rank)
-	st := c.SubtreeFor(path)
-	st.Rank, st.State, st.Epoch = rank, SubtreeOwned, c.table.Epoch()
 	return nil
 }
 
@@ -148,7 +166,7 @@ func (c *Cluster) CommitMigration(path string, rank int, epoch uint64) {
 	st := c.SubtreeFor(path)
 	st.Rank, st.State, st.Epoch = rank, SubtreeOwned, epoch
 	st.Moves++
-	c.migrations++
+	c.migrations.Add(1)
 }
 
 // SplitCommit registers a directory-fragment split in the authoritative
@@ -156,14 +174,14 @@ func (c *Cluster) CommitMigration(path string, rank int, epoch uint64) {
 // the stale-routing bounce.
 func (c *Cluster) SplitCommit(dir string, ranks []int) {
 	c.table.SplitDir(dir, ranks)
-	c.migrations++
+	c.migrations.Add(1)
 }
 
 // ReplicateSubtree copies the subtree at path (with its ancestor chain)
 // from its owning rank onto dst's store without changing placement —
 // the setup step of a directory-fragment split, after which hash
 // routing lets every fragment rank serve its share of the dentries.
-func (c *Cluster) ReplicateSubtree(path string, dst int) error {
+func (c *Cluster) ReplicateSubtree(p runtime.Task, path string, dst int) error {
 	if dst < 0 || dst >= len(c.ranks) {
 		return fmt.Errorf("mds: replicate %s: rank %d out of range [0,%d)", path, dst, len(c.ranks))
 	}
@@ -171,7 +189,11 @@ func (c *Cluster) ReplicateSubtree(path string, dst int) error {
 	if src == c.ranks[dst] {
 		return nil
 	}
-	return exportSubtree(src.store, c.ranks[dst].store, path)
+	var err error
+	c.eng.Together(p, []runtime.Domain{src.dom, c.ranks[dst].dom}, func() {
+		err = exportSubtree(src.store, c.ranks[dst].store, path)
+	})
+	return err
 }
 
 // exportSubtree copies the directory chain from the root to path, and
@@ -253,11 +275,19 @@ func (pt *Portal) Call(p runtime.Task, msg any) any { return pt.router.Call(p, m
 // Post implements transport.Endpoint.
 func (pt *Portal) Post(p runtime.Task, msg any) any { return pt.router.Post(p, msg) }
 
-// OpenSession opens the client's session on every rank.
-func (pt *Portal) OpenSession(client string) { pt.cl.OpenSession(client) }
+// Mount opens the client's session on every rank, from the client's task.
+func (pt *Portal) Mount(p runtime.Task, client string) {
+	for _, s := range pt.cl.ranks {
+		s.Mount(p, client)
+	}
+}
 
-// CloseSession closes the client's session on every rank.
-func (pt *Portal) CloseSession(client string) { pt.cl.CloseSession(client) }
+// Unmount closes the client's session on every rank, from a task.
+func (pt *Portal) Unmount(p runtime.Task, client string) {
+	for _, s := range pt.cl.ranks {
+		s.Unmount(p, client)
+	}
+}
 
 // SetStream toggles journal streaming cluster-wide (the Stream
 // mechanism is a namespace-level durability setting).

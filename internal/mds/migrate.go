@@ -298,7 +298,7 @@ func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeR
 	// that touches the subtree ships with the manifest, so the importer's
 	// own journal series covers the subtree's recent history.
 	var tail []*journal.Event
-	if s.stream.enabled {
+	if s.streamOn.Load() {
 		for _, ev := range s.stream.jrnl.Events() {
 			if inos[namespace.Ino(ev.Parent)] || inos[namespace.Ino(ev.Ino)] {
 				tail = append(tail, ev)
@@ -613,7 +613,7 @@ func (s *Server) importCommit(p runtime.Task, m *ImportCommitMsg) *ImportCommitR
 	// charging the usual per-event journaling CPU. Replay after a crash
 	// tolerates these (the saved directory objects already contain the
 	// same state).
-	if s.stream.enabled && len(man.Tail) > 0 {
+	if s.streamOn.Load() && len(man.Tail) > 0 {
 		s.cpu.Acquire(p)
 		for _, ev := range man.Tail {
 			p.Sleep(s.cfg.MDSJournalOpTime)
@@ -652,7 +652,7 @@ func (is *importSched) ensureRunning() {
 		return
 	}
 	is.running = true
-	is.s.eng.Spawn(is.s.ep.Name()+".import", is.run)
+	is.s.dom.Spawn(is.s.ep.Name()+".import", is.run)
 }
 
 func (is *importSched) kick() {

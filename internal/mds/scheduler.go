@@ -206,7 +206,7 @@ func (ms *mergeSched) ensureRunning() {
 		return
 	}
 	ms.running = true
-	ms.s.eng.Spawn(ms.s.ep.Name()+".mergesched", ms.run)
+	ms.s.dom.Spawn(ms.s.ep.Name()+".mergesched", ms.run)
 }
 
 // kick wakes a parked scheduler proc.

@@ -4,19 +4,24 @@
 // decoupled client journals (Volatile Apply), and recovery from the
 // RADOS-resident metadata store (paper §II, §IV).
 //
-// A Server is one metadata rank. It is a simulation process: clients
-// send messages to its transport endpoint from their own sim processes;
-// the request is queued, served on the rank's CPU resource (charging
-// calibrated service times), and the reply carries capability state back
-// to the client. Cross-cutting pipeline stages — admission, accounting,
-// journaling, interference checks — are transport interceptors around
-// the table-driven op handlers (ops.go). Cluster composes N ranks behind
-// a routing table (cluster.go).
+// A Server is one metadata rank. Clients send messages to its transport
+// endpoint from their own tasks; the request is queued, served on the
+// rank's CPU resource (charging calibrated service times), and the reply
+// carries capability state back to the client. All of a rank's state
+// belongs to its lock domain (runtime.Domain): the wire runs handlers
+// inside it, the task-taking methods below enter it, and the rank's
+// background tasks are spawned in it, so on the real backend ranks run
+// in parallel with each other and with everything else. Cross-cutting
+// pipeline stages — admission, accounting, journaling, interference
+// checks — are transport interceptors around the table-driven op
+// handlers (ops.go). Cluster composes N ranks behind a routing table
+// (cluster.go).
 package mds
 
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"cudele/internal/model"
 	"cudele/internal/namespace"
@@ -130,6 +135,10 @@ type Server struct {
 	obj   *rados.Cluster
 	rank  int
 
+	// dom is the rank's lock domain; every field below belongs to it
+	// unless it says otherwise.
+	dom runtime.Domain
+
 	cpu runtime.Resource // single-threaded request pipeline, like CephFS
 
 	sessions map[string]bool
@@ -141,6 +150,10 @@ type Server struct {
 	owners map[namespace.Ino]string
 
 	stream *streamState
+	// streamOn is the Stream mechanism's switch. It is atomic, not part
+	// of the domain, because clients flip it from their own tasks at the
+	// start of a composition and set-up code flips it with no task.
+	streamOn atomic.Bool
 
 	merge *mergeSched // streamed (chunked) Volatile Apply scheduler
 
@@ -203,12 +216,14 @@ func NewRank(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster, rank int
 	if rank > 0 {
 		cpuName = fmt.Sprintf("mds%d.cpu", rank)
 	}
+	name := fmt.Sprintf("mds.%d", rank)
 	s := &Server{
 		eng:      eng,
 		cfg:      cfg,
 		store:    namespace.NewStore(),
 		obj:      obj,
 		rank:     rank,
+		dom:      eng.NewDomain(name),
 		cpu:      eng.NewResource(cpuName, 1),
 		sessions: make(map[string]bool),
 		caps:     make(map[namespace.Ino]*dirCaps),
@@ -225,9 +240,9 @@ func NewRank(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster, rank int
 	// The tracing interceptor wraps the whole message dispatcher, so
 	// every RPC and Post is spanned on the rank's track without any op
 	// handler knowing about it; with tracing off it is one nil check.
-	name := fmt.Sprintf("mds.%d", rank)
 	s.ep = transport.NewWire(name, cfg.NetLatency,
 		transport.Chain(s.handle, transport.Tracing(name, msgLabel)))
+	s.ep.Bind(s.dom)
 	return s
 }
 
@@ -496,14 +511,14 @@ func (s *Server) Metrics() Metrics { return s.metrics }
 func (s *Server) Config() model.Config { return s.cfg }
 
 // SetStream turns MDS journal streaming (the Stream mechanism) on or off.
-func (s *Server) SetStream(on bool) { s.stream.enabled = on }
+func (s *Server) SetStream(on bool) { s.streamOn.Store(on) }
 
 // Refresh implements the client Service interface: a single server has
 // no routing replica to re-sync.
 func (s *Server) Refresh() {}
 
 // StreamEnabled reports whether journal streaming is on.
-func (s *Server) StreamEnabled() bool { return s.stream.enabled }
+func (s *Server) StreamEnabled() bool { return s.streamOn.Load() }
 
 // Shutdown makes the server reject future requests.
 func (s *Server) Shutdown() { s.stopped = true }
@@ -514,7 +529,9 @@ func (s *Server) Shutdown() { s.stopped = true }
 // rejects requests until Restart. Streamed merges in flight are flagged
 // aborted so the scheduler retires them, freeing their admission slots
 // and unblocking any client parked in MergeWait with an error.
-func (s *Server) Crash() {
+func (s *Server) Crash(p runtime.Task) {
+	s.dom.Enter(p)
+	defer s.dom.Leave(p)
 	if fl := s.eng.Flight(); fl != nil {
 		fl.Record(int64(s.eng.Now()), s.ep.Name(), "mds", "crash", "")
 	}
@@ -532,9 +549,7 @@ func (s *Server) Crash() {
 	// flight keeps writing through the old state (those writes hit the
 	// wire before the crash), but its bookkeeping can no longer leak into
 	// the fresh journal.
-	enabled := s.stream.enabled
 	s.stream = newStreamState(s)
-	s.stream.enabled = enabled
 
 	// Retire in-flight streamed merges on the old scheduler, then start
 	// fresh. finish() still decrements this server's mergeQueue, so the
@@ -569,6 +584,8 @@ func (s *Server) Crash() {
 // accepts requests again. The fresh journal's segment objects continue
 // the rank's series after the recovered ones instead of overwriting them.
 func (s *Server) Restart(p runtime.Task) error {
+	s.dom.Enter(p)
+	defer s.dom.Leave(p)
 	if fl := s.eng.Flight(); fl != nil {
 		fl.Record(int64(p.Now()), s.ep.Name(), "mds", "restart", "")
 	}
@@ -580,9 +597,24 @@ func (s *Server) Restart(p runtime.Task) error {
 	return nil
 }
 
+// Mount opens client's session from a task (the client's own).
+func (s *Server) Mount(p runtime.Task, client string) {
+	s.dom.Enter(p)
+	defer s.dom.Leave(p)
+	s.OpenSession(client)
+}
+
+// Unmount closes client's session from a task.
+func (s *Server) Unmount(p runtime.Task, client string) {
+	s.dom.Enter(p)
+	defer s.dom.Leave(p)
+	s.CloseSession(client)
+}
+
 // OpenSession registers a client session. Additional active sessions add
 // per-op bookkeeping overhead (lock contention, cap accounting), which is
-// what limits scaling beyond pure CPU saturation (paper §II-A).
+// what limits scaling beyond pure CPU saturation (paper §II-A). It is the
+// set-up form, for callers outside task context; tasks use Mount.
 func (s *Server) OpenSession(client string) {
 	s.sessions[client] = true
 }
@@ -658,7 +690,7 @@ func (s *Server) journaling(next transport.Handler) transport.Handler {
 	return func(p runtime.Task, msg any) any {
 		req := msg.(*Request)
 		reply := next(p, msg).(*Reply)
-		if reply.Err == nil && s.stream.enabled && req.Op.Mutates() {
+		if reply.Err == nil && s.streamOn.Load() && req.Op.Mutates() {
 			s.cpu.Acquire(p)
 			p.Sleep(s.cfg.MDSJournalOpTime)
 			s.stream.record(p, req)

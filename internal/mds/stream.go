@@ -26,15 +26,14 @@ func journalObjectName(rank, index int) string {
 // two tunables from the paper (§II-A, Fig 3a) are the segment size
 // (events per segment) and the dispatch size (segments pushed at once).
 type streamState struct {
-	s       *Server
-	enabled bool
+	s *Server
 
 	jrnl  *journal.Journal
 	queue []*journal.Segment // sealed, awaiting dispatch
 
 	// enc amortizes the payload scratch buffer across every segment this
-	// rank dispatches. Sharing it between segwrite processes is safe:
-	// only one sim process runs at a time and Encode never yields.
+	// rank dispatches. Sharing it between segwrite tasks is safe: they
+	// run in the rank's domain and Encode never yields.
 	enc journal.Encoder
 
 	dispatching bool
@@ -115,7 +114,7 @@ func (st *streamState) kick() {
 		return
 	}
 	st.dispatching = true
-	st.s.eng.Spawn("mds.dispatch", st.dispatchLoop)
+	st.s.dom.Spawn("mds.dispatch", st.dispatchLoop)
 }
 
 // dispatchLoop drains the segment queue in batches of up to DispatchSize.
@@ -143,7 +142,7 @@ func (st *streamState) dispatchLoop(p runtime.Task) {
 
 		// The writes themselves go out in parallel ("dispatched at
 		// once") and do not hold the CPU.
-		g := st.s.eng.NewGroup()
+		g := st.s.dom.NewGroup()
 		striper := rados.NewStriper(st.s.obj)
 		for _, seg := range batch {
 			seg := seg
@@ -186,6 +185,8 @@ func (st *streamState) dispatchLoop(p runtime.Task) {
 // FlushJournal seals and dispatches any buffered segments, waiting until
 // the journal is safe in the object store.
 func (s *Server) FlushJournal(p runtime.Task) {
+	s.dom.Enter(p)
+	defer s.dom.Leave(p)
 	if seg := s.stream.jrnl.Seal(); seg != nil {
 		s.stream.queue = append(s.stream.queue, seg)
 	}
@@ -210,6 +211,8 @@ func (s *Server) TrimJournal() {
 // representation: one object per directory, dentries in omap-style
 // payloads (paper §IV-A). The journal can be trimmed afterwards.
 func (s *Server) SaveStore(p runtime.Task) error {
+	s.dom.Enter(p)
+	defer s.dom.Leave(p)
 	for _, ino := range s.store.Dirs() {
 		data, err := s.store.EncodeDir(ino)
 		if err != nil {
@@ -230,6 +233,8 @@ func (s *Server) SaveStore(p runtime.Task) error {
 // updates into the object store, the restarted MDS notices and replays
 // them onto its in-memory store.
 func (s *Server) Recover(p runtime.Task) error {
+	s.dom.Enter(p)
+	defer s.dom.Leave(p)
 	fresh := namespace.NewStore()
 
 	// Load directory objects; parents may appear after children in the

@@ -73,7 +73,7 @@ func (c *Cluster) Subtrees() []*Subtree {
 
 // Migrations reports the number of committed subtree migrations across
 // the cluster's lifetime.
-func (c *Cluster) Migrations() int { return c.migrations }
+func (c *Cluster) Migrations() int { return int(c.migrations.Load()) }
 
 // cleanSubtreePath normalizes a subtree path the way the routing table
 // does, so entity keys and table keys always agree.

@@ -107,7 +107,7 @@ func (m *Monitor) StartBalancer(h *obs.Heat, cfg BalancerConfig) *Balancer {
 		done:  m.eng.NewSignal(),
 		split: make(map[string]bool),
 	}
-	m.eng.Spawn("monitor.balancer", b.run)
+	m.dom.Spawn("monitor.balancer", b.run)
 	return b
 }
 

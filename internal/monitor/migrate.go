@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cudele/internal/mds"
+	"cudele/internal/namespace"
 	"cudele/internal/runtime"
 	"cudele/internal/transport"
 )
@@ -39,6 +40,8 @@ func (m *Monitor) migrateRetryDelay() runtime.Duration {
 // mid-stream failure aborts the migration, leaving the source
 // authoritative; the caller may retry later.
 func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
+	m.dom.Enter(p)
+	defer m.dom.Leave(p)
 	if dst < 0 || dst >= m.cl.Ranks() {
 		return fmt.Errorf("monitor: migrate %s: rank %d out of range [0,%d)",
 			path, dst, m.cl.Ranks())
@@ -51,6 +54,14 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 	dstEp := m.cl.Rank(dst).Endpoint()
 	retry := m.migrateRetryDelay()
 	st := m.cl.SubtreeFor(path)
+	if st.State != mds.SubtreeOwned {
+		// One handoff per subtree at a time. The rank-side freeze check
+		// cannot enforce this alone: it yields before it marks the
+		// subtree frozen, so a second migration could slip through and
+		// its abort would thaw the first one's pruned source.
+		return fmt.Errorf("monitor: migrate %s to rank %d: subtree is %v: %w",
+			path, dst, st.State, namespace.ErrBusy)
+	}
 
 	abort := func(importID uint64, cause error) error {
 		if importID != 0 {
@@ -149,6 +160,8 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 // rank restarted and lost its volatile registrations. The grant the
 // client already holds stays valid.
 func (m *Monitor) Reattach(p runtime.Task, path string) error {
+	m.dom.Enter(p)
+	defer m.dom.Leave(p)
 	e, ok := m.subtrees[path]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSubtree, path)
@@ -161,6 +174,8 @@ func (m *Monitor) Reattach(p runtime.Task, path string) error {
 // rank receives a full replica of the subtree, then dentry-hash routing
 // spreads its children. One cluster-map change, like any placement.
 func (m *Monitor) SplitDir(p runtime.Task, dir string, ranks []int) error {
+	m.dom.Enter(p)
+	defer m.dom.Leave(p)
 	if len(ranks) < 2 {
 		return fmt.Errorf("monitor: split %s: need at least 2 ranks, got %d", dir, len(ranks))
 	}
@@ -171,7 +186,7 @@ func (m *Monitor) SplitDir(p runtime.Task, dir string, ranks []int) error {
 		}
 	}
 	for _, r := range ranks {
-		if err := m.cl.ReplicateSubtree(dir, r); err != nil {
+		if err := m.cl.ReplicateSubtree(p, dir, r); err != nil {
 			return fmt.Errorf("monitor: split %s: %w", dir, err)
 		}
 	}

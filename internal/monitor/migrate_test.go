@@ -169,6 +169,31 @@ func TestMigrateConcurrentSiblings(t *testing.T) {
 	}
 }
 
+// TestMigrateSameSubtreeTwiceAtOnce: of two migrations of one subtree
+// started together, one commits and the other is refused as busy — it
+// must not freeze the subtree a second time, because its abort would thaw
+// the source the first migration has already pruned.
+func TestMigrateSameSubtreeTwiceAtOnce(t *testing.T) {
+	eng, cl, m := newTestCluster(2)
+	populate(t, eng, cl.Rank(0), "/a/job", 20)
+	var err1, err2 error
+	eng.Spawn("mig1", func(p runtime.Task) { err1 = m.Migrate(p, "/a/job", 1) })
+	eng.Spawn("mig2", func(p runtime.Task) { err2 = m.Migrate(p, "/a/job", 1) })
+	eng.RunAll()
+	if err1 != nil || !errors.Is(err2, namespace.ErrBusy) {
+		t.Fatalf("migrations returned %v and %v, want nil and busy", err1, err2)
+	}
+	if cl.Migrations() != 1 {
+		t.Errorf("migrations = %d, want 1", cl.Migrations())
+	}
+	if _, err := cl.Rank(1).Store().Resolve("/a/job/f00"); err != nil {
+		t.Errorf("dst resolve: %v", err)
+	}
+	if cl.Rank(0).Frozen("/a/job") || cl.Rank(1).Frozen("/a/job") {
+		t.Error("subtree left frozen")
+	}
+}
+
 // TestMigratePreservesRegistration: a decoupled subtree's policy, owner,
 // and exact inode grant move with it, and Reattach re-installs them
 // after the new owner restarts.
@@ -202,7 +227,7 @@ func TestMigratePreservesRegistration(t *testing.T) {
 	}
 	// Crash + restart the new owner; Reattach restores the registration.
 	run(t, eng, func(p runtime.Task) {
-		cl.Rank(1).Crash()
+		cl.Rank(1).Crash(p)
 		if err := cl.Rank(1).Restart(p); err != nil {
 			t.Fatalf("restart: %v", err)
 		}

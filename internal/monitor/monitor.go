@@ -40,9 +40,13 @@ type Entry struct {
 	Rank    int
 }
 
-// Monitor manages cluster state changes.
+// Monitor manages cluster state changes. Its state, together with the
+// metadata cluster's authoritative table and subtree registry, belongs
+// to the cluster's control-plane lock domain, which every task-taking
+// method enters.
 type Monitor struct {
 	eng      runtime.Runtime
+	dom      runtime.Domain
 	cl       *mds.Cluster
 	epoch    uint64
 	migSeq   uint64 // last assigned migration sequence (export records)
@@ -54,6 +58,7 @@ type Monitor struct {
 func New(eng runtime.Runtime, cl *mds.Cluster) *Monitor {
 	return &Monitor{
 		eng:      eng,
+		dom:      cl.Domain(),
 		cl:       cl,
 		subtrees: make(map[string]*Entry),
 		subs:     make(map[string]*transport.Table),
@@ -102,6 +107,8 @@ func (m *Monitor) Register(p runtime.Task, path, policiesText, owner string) (*E
 // once, covering the policy distribution and any subtree placement it
 // implies, and the new map is pushed to every subscriber.
 func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy, owner string) (*Entry, error) {
+	m.dom.Enter(p)
+	defer m.dom.Leave(p)
 	if err := pol.Validate(); err != nil {
 		return nil, err
 	}
@@ -148,6 +155,8 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 // namespace's semantics. Placement is left alone: pinning a subtree to a
 // rank is orthogonal to its consistency/durability policy.
 func (m *Monitor) Unregister(p runtime.Task, path string) error {
+	m.dom.Enter(p)
+	defer m.dom.Leave(p)
 	if _, ok := m.subtrees[path]; !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSubtree, path)
 	}
@@ -164,6 +173,8 @@ func (m *Monitor) Unregister(p runtime.Task, path string) error {
 // Place pins the subtree at path to a metadata rank without touching its
 // policy — the explicit placement knob (ceph.dir.pin in CephFS terms).
 func (m *Monitor) Place(p runtime.Task, path string, rank int) error {
+	m.dom.Enter(p)
+	defer m.dom.Leave(p)
 	p.Sleep(commitLatency)
 	m.epoch++
 	if err := m.cl.Place(p, path, rank); err != nil {

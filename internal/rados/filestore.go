@@ -25,7 +25,7 @@ import (
 // not a single write call.
 //
 // Put and Remove are safe to call concurrently (the object store calls
-// them outside the runtime's run lock, via Runtime.Blocking). Two
+// them outside its lock domain, via Task.Blocking). Two
 // concurrent Puts of the same object each build a complete image under
 // a unique tmp name and the later rename wins, so the file is always
 // some complete version.

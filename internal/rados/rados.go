@@ -45,9 +45,12 @@ type OSD struct {
 	Disk runtime.Pipe
 }
 
-// Cluster is the simulated object store.
+// Cluster is the simulated object store. Its state belongs to one lock
+// domain that every task-taking method enters, so on the real backend
+// object operations exclude one another but not the daemons calling them.
 type Cluster struct {
 	eng  runtime.Runtime
+	dom  runtime.Domain
 	cfg  model.Config
 	osds []*OSD
 	net  runtime.Pipe
@@ -73,6 +76,7 @@ type Cluster struct {
 func New(e runtime.Runtime, cfg model.Config) *Cluster {
 	c := &Cluster{
 		eng:     e,
+		dom:     e.NewDomain("rados"),
 		cfg:     cfg,
 		net:     e.NewPipe("rados.net", cfg.NetBandwidth),
 		pgs:     128,
@@ -170,8 +174,8 @@ func (c *Cluster) opLatency(p runtime.Task) {
 }
 
 // persist write-through persists oid's current in-memory image. The
-// copies are taken under the runtime's single-task discipline; the
-// fsync runs outside it (Blocking) so other tasks overlap the I/O.
+// copies are taken inside the store's domain; the fsync runs outside it
+// (Blocking) so other tasks overlap the I/O.
 func (c *Cluster) persist(p runtime.Task, oid ObjectID) error {
 	if c.store == nil {
 		return nil
@@ -189,7 +193,7 @@ func (c *Cluster) persist(p runtime.Task, oid ObjectID) error {
 		}
 	}
 	var err error
-	p.Runtime().Blocking(func() { err = c.store.Put(oid, data, omap) })
+	p.Blocking(func() { err = c.store.Put(oid, data, omap) })
 	return err
 }
 
@@ -199,7 +203,7 @@ func (c *Cluster) persistRemove(p runtime.Task, oid ObjectID) error {
 		return nil
 	}
 	var err error
-	p.Runtime().Blocking(func() { err = c.store.Remove(oid) })
+	p.Blocking(func() { err = c.store.Remove(oid) })
 	return err
 }
 
@@ -220,6 +224,8 @@ func (c *Cluster) getOrCreate(oid ObjectID) *object {
 // An armed fault injector may fail the write cleanly (nothing persisted)
 // or tear it (a prefix persisted, then an error).
 func (c *Cluster) Write(p runtime.Task, oid ObjectID, data []byte) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	c.writes++
 	c.bytesWrit += uint64(len(data))
 	c.chargeWrite(p, oid, int64(len(data)))
@@ -247,6 +253,8 @@ func (c *Cluster) Write(p runtime.Task, oid ObjectID, data []byte) error {
 // simulation carry the paper's transfer costs without materializing
 // padding.
 func (c *Cluster) WriteBilled(p runtime.Task, oid ObjectID, data []byte, billed int64) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if billed < int64(len(data)) {
 		billed = int64(len(data))
 	}
@@ -273,6 +281,8 @@ func (c *Cluster) WriteBilled(p runtime.Task, oid ObjectID, data []byte, billed 
 
 // Append appends data to oid, creating it if needed.
 func (c *Cluster) Append(p runtime.Task, oid ObjectID, data []byte) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	c.writes++
 	c.bytesWrit += uint64(len(data))
 	c.chargeWrite(p, oid, int64(len(data)))
@@ -296,6 +306,8 @@ func (c *Cluster) Append(p runtime.Task, oid ObjectID, data []byte) error {
 
 // Read returns a copy of oid's contents.
 func (c *Cluster) Read(p runtime.Task, oid ObjectID) ([]byte, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	o := c.get(oid)
 	if o == nil {
 		c.opLatency(p) // a miss still costs a round trip
@@ -311,6 +323,8 @@ func (c *Cluster) Read(p runtime.Task, oid ObjectID) ([]byte, error) {
 
 // Stat returns the byte size of oid.
 func (c *Cluster) Stat(p runtime.Task, oid ObjectID) (int, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	c.opLatency(p)
 	o := c.get(oid)
 	if o == nil {
@@ -321,6 +335,8 @@ func (c *Cluster) Stat(p runtime.Task, oid ObjectID) (int, error) {
 
 // Remove deletes oid. Removing a missing object returns ErrNotFound.
 func (c *Cluster) Remove(p runtime.Task, oid ObjectID) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	c.opLatency(p)
 	if c.get(oid) == nil {
 		return fmt.Errorf("remove %v: %w", oid, ErrNotFound)
@@ -332,6 +348,8 @@ func (c *Cluster) Remove(p runtime.Task, oid ObjectID) error {
 
 // Exists reports whether oid exists, charging one round trip.
 func (c *Cluster) Exists(p runtime.Task, oid ObjectID) bool {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	c.opLatency(p)
 	return c.get(oid) != nil
 }
@@ -341,6 +359,8 @@ func (c *Cluster) Exists(p runtime.Task, oid ObjectID) bool {
 // Omap updates are atomic: an injected fault fails the whole batch
 // cleanly, never a torn subset.
 func (c *Cluster) OmapSet(p runtime.Task, oid ObjectID, kv map[string][]byte) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	var n int64
 	for k, v := range kv {
 		n += int64(len(k) + len(v))
@@ -367,6 +387,8 @@ func (c *Cluster) OmapSet(p runtime.Task, oid ObjectID, kv map[string][]byte) er
 
 // OmapGet returns the value stored under key in oid's omap.
 func (c *Cluster) OmapGet(p runtime.Task, oid ObjectID, key string) ([]byte, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	o := c.get(oid)
 	if o == nil || o.omap == nil {
 		c.opLatency(p)
@@ -387,6 +409,8 @@ func (c *Cluster) OmapGet(p runtime.Task, oid ObjectID, key string) ([]byte, err
 
 // OmapRemove deletes key from oid's omap.
 func (c *Cluster) OmapRemove(p runtime.Task, oid ObjectID, key string) error {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	c.opLatency(p)
 	o := c.get(oid)
 	if o == nil || o.omap == nil {
@@ -401,6 +425,8 @@ func (c *Cluster) OmapRemove(p runtime.Task, oid ObjectID, key string) error {
 
 // OmapList returns oid's omap keys in sorted order, charging a scan.
 func (c *Cluster) OmapList(p runtime.Task, oid ObjectID) ([]string, error) {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	o := c.get(oid)
 	if o == nil {
 		c.opLatency(p)
@@ -420,6 +446,8 @@ func (c *Cluster) OmapList(p runtime.Task, oid ObjectID) ([]string, error) {
 // List returns the names of all objects in pool, sorted. It charges one
 // round trip per placement-group scan, approximating a pool listing.
 func (c *Cluster) List(p runtime.Task, pool string) []string {
+	c.dom.Enter(p)
+	defer c.dom.Leave(p)
 	if c.store == nil {
 		p.Sleep(c.cfg.OSDOpLatency * runtime.Duration(len(c.osds)))
 	}

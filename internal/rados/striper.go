@@ -32,8 +32,9 @@ func stripeName(name string, idx int) string {
 // and reports the first stripe failure, if any — later stripes may have
 // landed regardless, exactly like a real parallel push.
 func (s *Striper) Write(p runtime.Task, pool, name string, data []byte) error {
-	eng := p.Runtime()
-	g := eng.NewGroup()
+	s.c.dom.Enter(p)
+	defer s.c.dom.Leave(p)
+	g := s.c.dom.NewGroup()
 	var firstErr error
 	for idx, off := 0, 0; off < len(data); idx, off = idx+1, off+s.unit {
 		end := off + s.unit
@@ -62,6 +63,8 @@ func (s *Striper) Write(p runtime.Task, pool, name string, data []byte) error {
 // stripe; the remaining stripes exist only to carry their share of the
 // transfer cost, so Read reassembles the payload unchanged.
 func (s *Striper) WriteBilled(p runtime.Task, pool, name string, data []byte, billed int64) error {
+	s.c.dom.Enter(p)
+	defer s.c.dom.Leave(p)
 	if billed < int64(len(data)) {
 		billed = int64(len(data))
 	}
@@ -70,8 +73,7 @@ func (s *Striper) WriteBilled(p runtime.Task, pool, name string, data []byte, bi
 		stripes = 1
 	}
 	per := billed / int64(stripes)
-	eng := p.Runtime()
-	g := eng.NewGroup()
+	g := s.c.dom.NewGroup()
 	var firstErr error
 	for idx := 0; idx < stripes; idx++ {
 		idx := idx
@@ -95,8 +97,8 @@ func (s *Striper) WriteBilled(p runtime.Task, pool, name string, data []byte, bi
 // Read reassembles the logical object written by Write. Stripes are read
 // in parallel.
 func (s *Striper) Read(p runtime.Task, pool, name string) ([]byte, error) {
-	eng := p.Runtime()
-
+	s.c.dom.Enter(p)
+	defer s.c.dom.Leave(p)
 	// Discover the stripe count first (cheap stats until a miss).
 	var n int
 	for {
@@ -111,7 +113,7 @@ func (s *Striper) Read(p runtime.Task, pool, name string) ([]byte, error) {
 		return nil, fmt.Errorf("striper read %s/%s: %w", pool, name, ErrNotFound)
 	}
 	chunks := make([][]byte, n)
-	g := eng.NewGroup()
+	g := s.c.dom.NewGroup()
 	var firstErr error
 	for i := 0; i < n; i++ {
 		i := i
@@ -137,6 +139,8 @@ func (s *Striper) Read(p runtime.Task, pool, name string) ([]byte, error) {
 
 // Remove deletes every stripe of the logical object.
 func (s *Striper) Remove(p runtime.Task, pool, name string) error {
+	s.c.dom.Enter(p)
+	defer s.c.dom.Leave(p)
 	removed := 0
 	for i := 0; ; i++ {
 		oid := ObjectID{Pool: pool, Name: stripeName(name, i)}

@@ -4,25 +4,39 @@
 // transport) runs on it unchanged through the interfaces in
 // internal/runtime.
 //
-// # Serialization discipline
+// # Lock domains
 //
 // The protocol code was written for the simulator's cooperative model:
-// exactly one task executes at a time and every shared structure
-// (namespace stores, journals, session maps, merge scheduler state) is
-// mutated without locks, relying on yield points for atomicity. The
-// real backend preserves that contract with a run lock — a GIL — that
-// a task holds while executing and releases whenever it sleeps, blocks
-// on a signal or resource, or enters Runtime.Blocking for true I/O
-// (fsync, socket round trips). Tasks therefore interleave only at the
-// same points they could in the simulator, all protocol state stays
-// race-free under `go test -race`, and real concurrency still happens
-// where it matters: in the kernel, across sleeps and disk flushes.
+// one task executes at a time and every shared structure (namespace
+// stores, journals, session maps, merge scheduler state) is mutated
+// without locks, relying on yield points for atomicity. The real backend
+// keeps that contract per daemon instead of per cluster. Every daemon —
+// each metadata rank, the monitor, the object store, each client — owns
+// a Domain, a lock that a task holds while it executes inside the
+// daemon; tasks spawned from outside any daemon run in the engine's
+// root domain, so harness code between client calls excludes other
+// harness code exactly as it always did. Tasks in different domains run
+// truly in parallel.
+//
+// A task holds exactly one domain lock at a time. Enter releases the
+// domain the task is in before taking the next, Leave goes back the same
+// way, and Sleep, parking on a signal or resource, and Task.Blocking
+// release whichever domain is current and retake it afterwards. With one
+// lock per task there is no lock order to violate, and every
+// cross-daemon call is a yield point: the state of the domain a task
+// left may have changed when it returns — as it may across any Sleep in
+// the simulator. The two operations that need several domains at once,
+// Together and Exclusive, take them in creation order.
+//
+// Signals, groups, resources and pipes are fired and waited across
+// domains, so each carries its own small lock; no task waits for a
+// domain lock while holding one of those.
 //
 // Sleeps are real: Duration values that the simulator charges as
-// virtual time become wall-clock time.Sleep here. That is load-bearing
+// virtual time become wall-clock sleeps here. That is load-bearing
 // beyond fidelity — protocol loops poll with short sleeps (journal
 // flush waits, merge window retries), and a no-op sleep would spin
-// forever while holding the run lock.
+// forever while holding the domain.
 package realrt
 
 import (
@@ -42,18 +56,12 @@ import (
 // errTaskKilled unwinds a task goroutine that Shutdown is reaping.
 var errTaskKilled = new(int)
 
-// Engine is the real backend's runtime: a wall clock, a run lock, and
-// a registry of live tasks.
+// Engine is the real backend's runtime: a wall clock, the lock domains,
+// and a registry of live tasks.
 type Engine struct {
-	// mu is the run lock (the GIL): held by the one task currently
-	// executing protocol code. It guards no engine fields.
-	mu sync.Mutex
-
-	// state guards the task registry and the quiescence accounting, and
-	// is what cond waits on. It is separate from the run lock so that
-	// Spawn works from task context (realCall spawns a handler task
-	// while holding the run lock) — Spawn only needs state. Lock order
-	// is strictly mu → state; nothing takes mu while holding state.
+	// state guards the task registry, the domain list and the quiescence
+	// accounting, and is what cond waits on. It is a leaf: nothing takes
+	// a domain lock while holding it.
 	state sync.Mutex
 	cond  *sync.Cond
 
@@ -62,11 +70,42 @@ type Engine struct {
 	tracer *trace.Recorder
 	flight *obs.Flight
 
+	// root is the domain of tasks spawned through Engine.Spawn.
+	root *Domain
+	// domains lists every domain in creation order, the order Together
+	// and Exclusive lock in.
+	domains []*Domain
+
 	live     map[*Task]struct{}
 	nlive    int // tasks spawned and not yet finished
 	nblocked int // tasks parked on a signal/resource with no timer pending
 
 	net *loopback // optional loopback-TCP round tripper, nil when off
+}
+
+// lockedSource makes the engine's random source safe to draw from in
+// several domains at once.
+type lockedSource struct {
+	mu  sync.Mutex
+	src rand.Source64
+}
+
+func (s *lockedSource) Int63() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.src.Int63()
+}
+
+func (s *lockedSource) Uint64() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.src.Uint64()
+}
+
+func (s *lockedSource) Seed(seed int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.src.Seed(seed)
 }
 
 // New returns an engine whose clock starts now and whose random source
@@ -77,10 +116,11 @@ type Engine struct {
 func New(seed int64) *Engine {
 	e := &Engine{
 		start: time.Now(),
-		rng:   rand.New(rand.NewSource(seed)),
+		rng:   rand.New(&lockedSource{src: rand.NewSource(seed).(rand.Source64)}),
 		live:  make(map[*Task]struct{}),
 	}
 	e.cond = sync.NewCond(&e.state)
+	e.root = e.newDomain("root")
 	return e
 }
 
@@ -90,8 +130,8 @@ func (e *Engine) Kind() runtime.Kind { return runtime.RealKind }
 // Now returns wall-clock nanoseconds since the engine was created.
 func (e *Engine) Now() runtime.Time { return runtime.Time(time.Since(e.start)) }
 
-// Rand returns the engine's random source. Tasks run serialized under
-// the run lock, so task-context use needs no extra locking.
+// Rand returns the engine's random source. Its source is locked, so
+// tasks in different domains may draw concurrently.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Tracer returns the span recorder; nil means tracing is off.
@@ -108,29 +148,77 @@ func (e *Engine) Flight() *obs.Flight { return e.flight }
 // the recorder itself is safe for concurrent use.
 func (e *Engine) SetFlight(f *obs.Flight) { e.flight = f }
 
-// Exclusive implements runtime.Runtime: fn runs holding the run lock,
-// so no task executes protocol code concurrently. For external callers
-// (admin scrape goroutines), never from task context — a task already
-// holds the run lock and would deadlock.
-func (e *Engine) Exclusive(fn func()) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	fn()
+// Domain is one lock domain of the real backend.
+type Domain struct {
+	eng  *Engine
+	name string // for diagnostics
+	id   int    // index in eng.domains
+	mu   sync.Mutex
 }
 
-// Spawn implements runtime.Runtime: fn runs as a goroutine that obeys
-// the run-lock discipline.
-func (e *Engine) Spawn(name string, fn func(t runtime.Task)) {
+func (e *Engine) newDomain(name string) *Domain {
+	d := &Domain{eng: e, name: name}
+	e.state.Lock()
+	d.id = len(e.domains)
+	e.domains = append(e.domains, d)
+	e.state.Unlock()
+	return d
+}
+
+// NewDomain implements runtime.Runtime.
+func (e *Engine) NewDomain(name string) runtime.Domain { return e.newDomain(name) }
+
+// Enter implements runtime.Domain: the task gives up the domain it is
+// in and takes d, unless it is in d already.
+func (d *Domain) Enter(t runtime.Task) {
+	if t == nil {
+		return
+	}
+	tt := task(t)
+	tt.mayYield("Enter")
+	cur := tt.cur()
+	tt.doms = append(tt.doms, d)
+	if cur != d {
+		cur.mu.Unlock()
+		d.mu.Lock()
+	}
+}
+
+// Leave implements runtime.Domain: the inverse of the matching Enter.
+func (d *Domain) Leave(t runtime.Task) {
+	if t == nil {
+		return
+	}
+	tt := task(t)
+	n := len(tt.doms)
+	if n < 2 || tt.doms[n-1] != d {
+		panic(fmt.Sprintf("realrt: %s leaves domain %q without a matching Enter", tt.name, d.name))
+	}
+	tt.doms = tt.doms[:n-1]
+	if prev := tt.doms[n-2]; prev != d {
+		d.mu.Unlock()
+		prev.mu.Lock()
+	}
+}
+
+// Spawn implements runtime.Domain: fn runs as a goroutine that starts
+// inside d.
+func (d *Domain) Spawn(name string, fn func(t runtime.Task)) {
+	e := d.eng
 	t := &Task{eng: e, name: name, resume: make(chan struct{}, 1)}
+	t.stack[0] = d
+	t.doms = t.stack[:1]
 	e.state.Lock()
 	e.nlive++
 	e.live[t] = struct{}{}
 	e.state.Unlock()
 	go func() {
-		e.mu.Lock()
+		d.mu.Lock()
 		defer func() {
 			r := recover()
-			e.mu.Unlock()
+			// A killed task unwinds from wherever it was parked, so the
+			// domain to release is its current one, not necessarily d.
+			t.cur().mu.Unlock()
 			e.state.Lock()
 			e.nlive--
 			delete(e.live, t)
@@ -147,22 +235,99 @@ func (e *Engine) Spawn(name string, fn func(t runtime.Task)) {
 	}()
 }
 
-// Blocking implements runtime.Runtime: fn runs with the run lock
-// released, so real I/O overlaps other tasks' execution. fn must not
-// touch protocol state.
+// NewGroup implements runtime.Domain.
+func (d *Domain) NewGroup() runtime.Group { return &Group{dom: d} }
+
+// Spawn implements runtime.Runtime: fn runs as a goroutine in the root
+// domain.
+func (e *Engine) Spawn(name string, fn func(t runtime.Task)) { e.root.Spawn(name, fn) }
+
+// byCreation returns doms as concrete domains, deduplicated and in
+// creation order.
+func byCreation(doms []runtime.Domain) []*Domain {
+	out := make([]*Domain, 0, len(doms))
+	for _, rd := range doms {
+		d, ok := rd.(*Domain)
+		if !ok {
+			panic(fmt.Sprintf("realrt: domain %T is not a real-backend domain", rd))
+		}
+		out = append(out, d)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	n := 0
+	for i, d := range out {
+		if i == 0 || d != out[i-1] {
+			out[n] = d
+			n++
+		}
+	}
+	return out[:n]
+}
+
+// Together implements runtime.Runtime.
+func (e *Engine) Together(t runtime.Task, doms []runtime.Domain, fn func()) {
+	tt := task(t)
+	tt.mayYield("Together")
+	set := byCreation(doms)
+	cur := tt.cur()
+	cur.mu.Unlock()
+	for _, d := range set {
+		d.mu.Lock()
+	}
+	tt.together = true
+	defer func() {
+		tt.together = false
+		for _, d := range set {
+			d.mu.Unlock()
+		}
+		cur.mu.Lock()
+	}()
+	fn()
+}
+
+// Exclusive implements runtime.Runtime: fn runs holding every domain
+// lock, so no task executes protocol code concurrently. For external
+// callers (admin scrape goroutines), never from task context — a task
+// already holds a domain lock and would deadlock.
+func (e *Engine) Exclusive(fn func()) {
+	var held []*Domain
+	for {
+		// Domains created while earlier ones were being locked come
+		// later in creation order; keep going until none are left.
+		e.state.Lock()
+		more := e.domains[len(held):]
+		e.state.Unlock()
+		if len(more) == 0 {
+			break
+		}
+		for _, d := range more {
+			d.mu.Lock()
+		}
+		held = append(held, more...)
+	}
+	defer func() {
+		for _, d := range held {
+			d.mu.Unlock()
+		}
+	}()
+	fn()
+}
+
+// Blocking runs fn with the root domain released. It serves harness
+// tasks in the root domain that have no task handle at hand; code that
+// has one — all protocol code — calls Task.Blocking, which releases
+// whichever domain the task is in.
 func (e *Engine) Blocking(fn func()) {
-	e.mu.Unlock()
-	defer e.mu.Lock()
+	e.root.mu.Unlock()
+	defer e.root.mu.Lock()
 	fn()
 }
 
 // NewSignal implements runtime.Runtime.
-func (e *Engine) NewSignal() runtime.Signal { return &Signal{eng: e} }
+func (e *Engine) NewSignal() runtime.Signal { return &Signal{} }
 
 // NewGroup implements runtime.Runtime.
-func (e *Engine) NewGroup() runtime.Group {
-	return &Group{eng: e, done: &Signal{eng: e}}
-}
+func (e *Engine) NewGroup() runtime.Group { return e.root.NewGroup() }
 
 // NewResource implements runtime.Runtime.
 func (e *Engine) NewResource(name string, capacity int) runtime.Resource {
@@ -213,9 +378,10 @@ func (e *Engine) LeakCheck() error {
 
 // Shutdown reaps every live task: blocked and sleeping tasks are woken
 // with a kill flag that unwinds their stacks, and the call blocks until
-// all task goroutines have exited. It also closes the loopback-TCP
-// endpoint if one was enabled. It returns the number of tasks that were
-// live when reaping began; a fully drained run returns 0.
+// all task goroutines have exited, each releasing the domain it was in.
+// It also closes the loopback-TCP endpoint if one was enabled. It
+// returns the number of tasks that were live when reaping began; a
+// fully drained run returns 0.
 func (e *Engine) Shutdown() int {
 	e.state.Lock()
 	reaped := e.nlive
@@ -243,12 +409,22 @@ func (e *Engine) Shutdown() int {
 	return reaped
 }
 
-// Task is one goroutine obeying the engine's run-lock discipline. All
+// Task is one goroutine obeying the engine's domain discipline. All
 // methods must be called from the task's own goroutine, which holds the
-// run lock except while parked.
+// lock of its current domain except while parked.
 type Task struct {
 	eng  *Engine
 	name string
+	// doms is the stack of domains the task has entered, innermost
+	// last; the task holds the lock of the last one only. stack backs it
+	// for the usual nesting depth.
+	doms  []*Domain
+	stack [8]*Domain
+	// together is set while the task runs a Together body, which holds
+	// several domain locks and therefore must not yield.
+	together bool
+	// timer is reused by every positive Sleep.
+	timer *time.Timer
 	// resume carries wakeups (capacity 1: a parked task consumes at
 	// most one token per park, and duplicate wakes are dropped).
 	resume chan struct{}
@@ -269,60 +445,109 @@ func (t *Task) Now() runtime.Time { return t.eng.Now() }
 // Runtime implements runtime.Task.
 func (t *Task) Runtime() runtime.Runtime { return t.eng }
 
-// Sleep suspends the task for wall duration d, releasing the run lock.
+// cur returns the domain the task is in.
+func (t *Task) cur() *Domain { return t.doms[len(t.doms)-1] }
+
+// mayYield panics when the task is about to give up its domain inside a
+// Together body, which holds several.
+func (t *Task) mayYield(op string) {
+	if t.together {
+		panic(fmt.Sprintf("realrt: %s calls %s inside Together", t.name, op))
+	}
+}
+
+// Sleep suspends the task for wall duration d, releasing its domain.
 func (t *Task) Sleep(d runtime.Duration) {
 	if t.killed.Load() {
 		panic(errTaskKilled)
 	}
-	e := t.eng
-	e.mu.Unlock()
-	if d <= 0 {
-		// Yield: hand the lock to whoever is waiting for it.
-		e.mu.Lock()
-		return
+	t.mayYield("Sleep")
+	cur := t.cur()
+	cur.mu.Unlock()
+	if d > 0 {
+		if t.timer == nil {
+			t.timer = time.NewTimer(d)
+		} else {
+			// The previous sleep drained the channel, or was killed and
+			// never returns here, so Reset needs no Stop-and-drain.
+			t.timer.Reset(d)
+		}
+		select {
+		case <-t.timer.C:
+		case <-t.resume: // Shutdown kill
+			t.timer.Stop()
+		}
 	}
-	timer := time.NewTimer(d)
-	select {
-	case <-timer.C:
-	case <-t.resume: // Shutdown kill
-	}
-	timer.Stop()
-	e.mu.Lock()
+	// d <= 0 is a yield: the unlock above lets a waiter take the domain.
+	cur.mu.Lock()
 	if t.killed.Load() {
 		panic(errTaskKilled)
 	}
 }
 
-// Yield gives other runnable tasks a chance to take the run lock.
+// Yield gives other tasks of the domain a chance to take its lock.
 func (t *Task) Yield() { t.Sleep(0) }
+
+// Blocking implements runtime.Task: fn runs with the task's domain
+// released, so real I/O overlaps the domain's other tasks. fn must not
+// touch protocol state.
+func (t *Task) Blocking(fn func()) {
+	t.mayYield("Blocking")
+	cur := t.cur()
+	cur.mu.Unlock()
+	defer cur.mu.Lock()
+	fn()
+}
 
 // String implements fmt.Stringer.
 func (t *Task) String() string { return fmt.Sprintf("task(%s)", t.name) }
 
-// block parks the task until wake, releasing the run lock. The caller
-// must have registered the task somewhere a future wake will find it;
-// a task parked with no such registration only RunAll's quiescence
-// accounting and Shutdown can reach.
-func (t *Task) block() {
+// mayPark is the check a task makes before it queues itself on a signal
+// or resource: a task Shutdown is reaping unwinds instead.
+func (t *Task) mayPark() {
 	if t.killed.Load() {
 		panic(errTaskKilled)
 	}
+	t.mayYield("a wait")
+}
+
+// markParked counts the task as blocked. Callers do it under the lock
+// of the signal or resource they just queued the task on, before that
+// lock is released, so whoever later dequeues the task finds it marked
+// and its wake keeps the quiescence accounting exact.
+func (t *Task) markParked() {
 	e := t.eng
 	e.state.Lock()
 	t.parked = true
 	e.nblocked++
 	e.cond.Broadcast() // nblocked may now equal nlive: RunAll quiesces
 	e.state.Unlock()
-	e.mu.Unlock()
+}
+
+// park blocks a task that markParked has counted until wake, releasing
+// its domain. A task parked with no registration a future wake will
+// find only RunAll's quiescence accounting and Shutdown can reach.
+func (t *Task) park() {
+	cur := t.cur()
+	cur.mu.Unlock()
 	<-t.resume
-	e.mu.Lock()
+	cur.mu.Lock()
 	if t.killed.Load() {
+		// The kill's wake may have come before markParked and left its
+		// token behind; settle the count before unwinding.
+		e := t.eng
+		e.state.Lock()
+		if t.parked {
+			t.parked = false
+			e.nblocked--
+		}
+		e.state.Unlock()
 		panic(errTaskKilled)
 	}
 }
 
 // wake unparks a blocked task; duplicate wakes are dropped. Safe to
-// call with or without the run lock (it takes only the state lock).
+// call from any goroutine (it takes only the state lock).
 func (t *Task) wake() {
 	e := t.eng
 	e.state.Lock()

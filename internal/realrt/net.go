@@ -4,6 +4,8 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"cudele/internal/runtime"
 )
 
 // frameSize is the fixed size of a loopback round-trip frame. Protocol
@@ -36,10 +38,21 @@ func (e *Engine) EnableLoopback() error {
 	return nil
 }
 
+// NetHop is the real backend's wire hop (see transport.Wire): with the
+// loopback option on, one socket round trip outside t's domain; without
+// it nothing, because the call into the callee's domain that follows is
+// the in-process hop.
+func (e *Engine) NetHop(t runtime.Task) {
+	if e.net == nil {
+		return
+	}
+	t.Blocking(func() { e.NetRoundTrip() })
+}
+
 // NetRoundTrip sends one fixed-size frame to the loopback echo server
 // and waits for it to come back. It reports whether the loopback option
-// is enabled; callers must invoke it outside the run lock (inside
-// Runtime.Blocking), since it performs real socket I/O.
+// is enabled; task callers must invoke it inside Task.Blocking, since it
+// performs real socket I/O.
 func (e *Engine) NetRoundTrip() (bool, error) {
 	lb := e.net
 	if lb == nil {

@@ -2,6 +2,8 @@ package realrt
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"cudele/internal/runtime"
 )
@@ -15,11 +17,11 @@ func task(t runtime.Task) *Task {
 	return tt
 }
 
-// Signal is the real backend's one-shot condition. All methods are
-// called with the run lock held (from task context), so the fields need
-// no extra locking; the park/unpark protocol is Task.block/Task.wake.
+// Signal is the real backend's one-shot condition. It is fired and
+// waited from any domain, so mu guards its fields; the park/unpark
+// protocol is Task.markParked/park/wake.
 type Signal struct {
-	eng     *Engine
+	mu      sync.Mutex
 	fired   bool
 	val     any
 	waiters []*Task
@@ -27,49 +29,67 @@ type Signal struct {
 
 // Fire releases all current and future waiters, handing them val.
 func (s *Signal) Fire(val any) {
+	s.mu.Lock()
 	if s.fired {
+		s.mu.Unlock()
 		panic("realrt: Signal fired twice")
 	}
 	s.fired = true
 	s.val = val
-	for _, w := range s.waiters {
+	waiters := s.waiters
+	s.waiters = nil
+	s.mu.Unlock()
+	for _, w := range waiters {
 		w.wake()
 	}
-	s.waiters = nil
 }
 
 // Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
+func (s *Signal) Fired() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fired
+}
 
 // Wait blocks t until the signal fires and returns the fired value.
 func (s *Signal) Wait(t runtime.Task) any {
+	tt := task(t)
+	tt.mayPark()
+	s.mu.Lock()
 	if !s.fired {
-		tt := task(t)
 		s.waiters = append(s.waiters, tt)
-		tt.block()
+		tt.markParked()
+		s.mu.Unlock()
+		tt.park()
+		s.mu.Lock()
 	}
-	return s.val
+	val := s.val
+	s.mu.Unlock()
+	return val
 }
 
-// Group mirrors sim.Group on the real backend.
+// Group mirrors sim.Group on the real backend; its tasks start in dom.
 type Group struct {
-	eng  *Engine
-	n    int
-	done *Signal
+	dom  *Domain
+	n    atomic.Int64
+	done Signal
 }
 
 // Add registers delta more tasks the group will wait for.
-func (g *Group) Add(delta int) {
-	g.n += delta
-	if g.n < 0 {
+func (g *Group) Add(delta int) { g.add(delta) }
+
+// add adjusts the count and returns the new value.
+func (g *Group) add(delta int) int64 {
+	n := g.n.Add(int64(delta))
+	if n < 0 {
 		panic("realrt: Group counter below zero")
 	}
+	return n
 }
 
 // Done marks one task finished, firing the completion signal at zero.
 func (g *Group) Done() {
-	g.Add(-1)
-	if g.n == 0 && !g.done.Fired() {
+	if g.add(-1) == 0 && !g.done.Fired() {
 		g.done.Fire(nil)
 	}
 }
@@ -77,7 +97,7 @@ func (g *Group) Done() {
 // Go spawns fn as a task tracked by the group.
 func (g *Group) Go(name string, fn func(t runtime.Task)) {
 	g.Add(1)
-	g.eng.Spawn(name, func(t runtime.Task) {
+	g.dom.Spawn(name, func(t runtime.Task) {
 		defer g.Done()
 		fn(t)
 	})
@@ -85,21 +105,23 @@ func (g *Group) Go(name string, fn func(t runtime.Task)) {
 
 // Wait blocks t until the group count reaches zero.
 func (g *Group) Wait(t runtime.Task) {
-	if g.n == 0 {
+	if g.n.Load() == 0 {
 		return
 	}
 	g.done.Wait(t)
 }
 
 // Resource is the real backend's FIFO server. Same shape and accounting
-// as sim.Resource, but the busy-time integral runs on wall time. All
-// methods execute with the run lock held.
+// as sim.Resource, but the busy-time integral runs on wall time. It is
+// acquired and released from any domain, so mu guards its fields.
 type Resource struct {
 	eng      *Engine
 	name     string
 	capacity int
-	inUse    int
-	queue    []*Task
+
+	mu    sync.Mutex
+	inUse int
+	queue []*Task
 
 	busyArea   float64 // integral of inUse over time, unit·seconds
 	lastChange runtime.Time
@@ -114,11 +136,21 @@ func (r *Resource) Name() string { return r.name }
 func (r *Resource) Capacity() int { return r.capacity }
 
 // InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
+func (r *Resource) InUse() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.inUse
+}
 
 // QueueLen returns the number of tasks waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.queue)
+}
 
+// account folds the time since the last change into the busy integral.
+// Caller holds r.mu.
 func (r *Resource) account() {
 	now := r.eng.Now()
 	r.busyArea += float64(r.inUse) * (now - r.lastChange).Seconds()
@@ -128,21 +160,30 @@ func (r *Resource) account() {
 // Acquire takes one unit, blocking t in FIFO order until one is free.
 func (r *Resource) Acquire(t runtime.Task) {
 	tt := task(t)
+	tt.mayPark()
+	r.mu.Lock()
 	r.acquires++
 	if r.inUse < r.capacity && len(r.queue) == 0 {
 		r.account()
 		r.inUse++
+		r.mu.Unlock()
 		return
 	}
 	start := r.eng.Now()
 	r.queue = append(r.queue, tt)
-	tt.block()
+	tt.markParked()
+	r.mu.Unlock()
+	tt.park()
 	// Woken by Release with the unit already transferred to us.
+	r.mu.Lock()
 	r.waitTotal += runtime.Duration(r.eng.Now() - start)
+	r.mu.Unlock()
 }
 
 // TryAcquire takes one unit if immediately available.
 func (r *Resource) TryAcquire() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.inUse < r.capacity && len(r.queue) == 0 {
 		r.account()
 		r.inUse++
@@ -153,18 +194,22 @@ func (r *Resource) TryAcquire() bool {
 
 // Release returns one unit and hands it to the head waiter, if any.
 func (r *Resource) Release() {
+	r.mu.Lock()
 	if r.inUse <= 0 {
+		r.mu.Unlock()
 		panic(fmt.Sprintf("realrt: resource %q released below zero", r.name))
 	}
 	if len(r.queue) > 0 {
 		// Transfer the unit directly: inUse stays constant.
 		next := r.queue[0]
 		r.queue = r.queue[1:]
+		r.mu.Unlock()
 		next.wake()
 		return
 	}
 	r.account()
 	r.inUse--
+	r.mu.Unlock()
 }
 
 // Use acquires one unit, holds it for service duration d, then releases.
@@ -176,6 +221,12 @@ func (r *Resource) Use(t runtime.Task, d runtime.Duration) {
 
 // Utilization returns mean busy fraction since the engine started.
 func (r *Resource) Utilization() float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.utilization()
+}
+
+func (r *Resource) utilization() float64 {
 	r.account()
 	elapsed := r.eng.Now().Seconds()
 	if elapsed <= 0 {
@@ -186,12 +237,16 @@ func (r *Resource) Utilization() float64 {
 
 // UtilizationMark snapshots the accounting state at the current time.
 func (r *Resource) UtilizationMark() runtime.ResourceMark {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.account()
 	return runtime.ResourceMark{At: r.eng.Now(), BusyArea: r.busyArea}
 }
 
 // UtilizationSince returns the mean busy fraction between mark and now.
 func (r *Resource) UtilizationSince(mark runtime.ResourceMark) float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.account()
 	dt := (r.eng.Now() - mark.At).Seconds()
 	if dt <= 0 {
@@ -201,10 +256,16 @@ func (r *Resource) UtilizationSince(mark runtime.ResourceMark) float64 {
 }
 
 // Acquires returns the total number of grants requested.
-func (r *Resource) Acquires() uint64 { return r.acquires }
+func (r *Resource) Acquires() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.acquires
+}
 
 // MeanWait returns the mean queueing delay across all acquires.
 func (r *Resource) MeanWait() runtime.Duration {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.acquires == 0 {
 		return 0
 	}
@@ -213,6 +274,8 @@ func (r *Resource) MeanWait() runtime.Duration {
 
 // Snapshot returns a copy of the accounting state.
 func (r *Resource) Snapshot() runtime.ResourceSnapshot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.account()
 	return runtime.ResourceSnapshot{
 		Name:        r.name,
@@ -222,7 +285,7 @@ func (r *Resource) Snapshot() runtime.ResourceSnapshot {
 		Acquires:    r.acquires,
 		BusyArea:    r.busyArea,
 		WaitTotal:   r.waitTotal,
-		Utilization: r.Utilization(),
+		Utilization: r.utilization(),
 		At:          r.eng.Now(),
 	}
 }
@@ -234,7 +297,7 @@ func (r *Resource) Snapshot() runtime.ResourceSnapshot {
 type Pipe struct {
 	res  *Resource
 	rate float64
-	sent uint64
+	sent atomic.Uint64
 }
 
 // Transfer moves n bytes through the pipe.
@@ -242,7 +305,7 @@ func (pp *Pipe) Transfer(t runtime.Task, n int64) {
 	if n < 0 {
 		panic("realrt: negative transfer size")
 	}
-	pp.sent += uint64(n)
+	pp.sent.Add(uint64(n))
 	d := runtime.Duration(float64(n) / pp.rate * 1e9)
 	pp.res.Use(t, d)
 }
@@ -251,7 +314,7 @@ func (pp *Pipe) Transfer(t runtime.Task, n int64) {
 func (pp *Pipe) Rate() float64 { return pp.rate }
 
 // Bytes returns the total bytes pushed through the pipe.
-func (pp *Pipe) Bytes() uint64 { return pp.sent }
+func (pp *Pipe) Bytes() uint64 { return pp.sent.Load() }
 
 // Utilization returns the pipe's busy fraction since engine start.
 func (pp *Pipe) Utilization() float64 { return pp.res.Utilization() }

@@ -1,7 +1,7 @@
 // Contract tests: every execution backend must present the same
 // semantics through the runtime interfaces — spawn, sleep ordering,
 // signal fire/wait, group join, resource FIFO queueing, pipe transfer,
-// leak accounting, shutdown reaping. The simulated backend additionally
+// lock domains, leak accounting, shutdown reaping. The simulated backend additionally
 // guarantees exact virtual timestamps; these tests assert only what
 // both backends promise (ordering and completion), which is exactly the
 // contract the protocol stack is allowed to rely on.
@@ -236,7 +236,7 @@ func TestContractBlocking(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
 		var ran bool
 		rt.Spawn("io", func(p runtime.Task) {
-			p.Runtime().Blocking(func() { ran = true })
+			p.Blocking(func() { ran = true })
 		})
 		rt.RunAll()
 		rt.Shutdown()
@@ -298,4 +298,179 @@ func TestContractRandDeterministicPerSeed(t *testing.T) {
 			t.Fatalf("same seed drew %d then %d", a, b)
 		}
 	})
+}
+
+// TestContractDomainExcludes: tasks inside one domain — spawned there or
+// entered from the root — never interleave between yield points, so
+// unsynchronised read-modify-writes lose no update.
+func TestContractDomainExcludes(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
+		d := rt.NewDomain("d")
+		const tasks, rounds = 4, 50
+		counter := 0
+		body := func(p runtime.Task) {
+			for i := 0; i < rounds; i++ {
+				v := counter
+				counter = v + 1
+				p.Sleep(time.Microsecond)
+			}
+		}
+		g := d.NewGroup()
+		for i := 0; i < tasks/2; i++ {
+			g.Go("resident", body)
+			rt.Spawn("visitor", func(p runtime.Task) {
+				d.Enter(p)
+				defer d.Leave(p)
+				body(p)
+			})
+		}
+		joined := false
+		rt.Spawn("waiter", func(p runtime.Task) {
+			g.Wait(p)
+			joined = true
+		})
+		rt.RunAll()
+		if err := rt.LeakCheck(); err != nil {
+			t.Fatal(err)
+		}
+		rt.Shutdown()
+		if counter != tasks*rounds {
+			t.Fatalf("counter = %d, want %d", counter, tasks*rounds)
+		}
+		if !joined {
+			t.Fatal("domain group Wait did not return")
+		}
+	})
+}
+
+// TestContractDomainNesting: Enter is re-entrant, Enter/Leave pairs nest
+// across domains, and a task may sleep, park and block at any depth.
+func TestContractDomainNesting(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
+		a, b := rt.NewDomain("a"), rt.NewDomain("b")
+		sig := rt.NewSignal()
+		var inA, inB int
+		rt.Spawn("nester", func(p runtime.Task) {
+			a.Enter(p)
+			a.Enter(p)
+			inA++
+			b.Enter(p)
+			inB++
+			p.Sleep(time.Millisecond)
+			sig.Wait(p)
+			p.Blocking(func() {})
+			a.Enter(p)
+			inA++
+			a.Leave(p)
+			inB++
+			b.Leave(p)
+			a.Leave(p)
+			inA++
+			a.Leave(p)
+		})
+		b.Spawn("firer", func(p runtime.Task) {
+			p.Sleep(2 * time.Millisecond)
+			inB++
+			sig.Fire(nil)
+		})
+		rt.RunAll()
+		if err := rt.LeakCheck(); err != nil {
+			t.Fatal(err)
+		}
+		rt.Shutdown()
+		if inA != 3 || inB != 3 {
+			t.Fatalf("inA = %d, inB = %d, want 3 and 3", inA, inB)
+		}
+	})
+}
+
+// TestContractTogether: the body runs once, with both domains' state
+// its own, and the task is back where it was afterwards.
+func TestContractTogether(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
+		a, b := rt.NewDomain("a"), rt.NewDomain("b")
+		var x, y, moved int
+		a.Spawn("a", func(p runtime.Task) {
+			for i := 0; i < 20; i++ {
+				x++
+				p.Sleep(time.Microsecond)
+			}
+		})
+		b.Spawn("b", func(p runtime.Task) {
+			for i := 0; i < 20; i++ {
+				y++
+				p.Sleep(time.Microsecond)
+			}
+		})
+		rt.Spawn("mover", func(p runtime.Task) {
+			for i := 0; i < 20; i++ {
+				rt.Together(p, []runtime.Domain{b, a}, func() { x, y = y, x })
+				moved++
+				p.Sleep(time.Microsecond)
+			}
+		})
+		rt.RunAll()
+		rt.Shutdown()
+		if x+y != 40 || moved != 20 {
+			t.Fatalf("x+y = %d, moved = %d, want 40 and 20", x+y, moved)
+		}
+	})
+}
+
+// TestContractSimDomainIsFree: on the simulator a domain changes
+// nothing — the same schedule produces the same interleaving and the
+// same final time with and without Enter/Leave around every step — and
+// costs no allocation.
+func TestContractSimDomainIsFree(t *testing.T) {
+	run := func(useDomains bool) (order []string, end runtime.Time) {
+		eng := sim.NewEngine(7)
+		d := eng.NewDomain("d")
+		for _, name := range []string{"a", "b", "c"} {
+			name := name
+			spawn := eng.Spawn
+			if useDomains {
+				spawn = d.Spawn
+			}
+			spawn(name, func(p runtime.Task) {
+				for i := 0; i < 3; i++ {
+					if useDomains {
+						d.Enter(p)
+					}
+					order = append(order, name)
+					p.Sleep(time.Duration(len(name)+i) * time.Millisecond)
+					if useDomains {
+						d.Leave(p)
+					}
+				}
+			})
+		}
+		end = eng.RunAll()
+		eng.Shutdown()
+		return order, end
+	}
+	plain, plainEnd := run(false)
+	withDom, domEnd := run(true)
+	if plainEnd != domEnd || len(plain) != len(withDom) {
+		t.Fatalf("domains changed the run: end %v vs %v, %d vs %d steps", plainEnd, domEnd, len(plain), len(withDom))
+	}
+	for i := range plain {
+		if plain[i] != withDom[i] {
+			t.Fatalf("domains changed the order at step %d: %v vs %v", i, plain, withDom)
+		}
+	}
+
+	eng := sim.NewEngine(7)
+	var allocs float64
+	eng.Spawn("t", func(p runtime.Task) {
+		allocs = testing.AllocsPerRun(100, func() {
+			d := eng.NewDomain("rank")
+			d.Enter(p)
+			d.Leave(p)
+		})
+	})
+	eng.RunAll()
+	eng.Shutdown()
+	if allocs != 0 {
+		t.Fatalf("sim NewDomain+Enter+Leave allocates %.1f objects, want 0", allocs)
+	}
 }

@@ -11,12 +11,18 @@
 //     the clock is wall time, and durability means fsynced files.
 //
 // The contract both backends honor (and that contract_test.go checks):
-// at most one task executes protocol code at a time. The simulator gets
-// this for free (the engine resumes one process at a time); the real
-// backend serializes tasks with a run lock that is released whenever a
-// task sleeps, blocks, or enters Blocking. Protocol state therefore
-// needs no fine-grained locking in either mode, and the simulated
-// schedule stays byte-identical to what it was before the seam existed.
+// every piece of protocol state belongs to one lock Domain — a metadata
+// rank, the monitor, the object store, a client, or the root domain of
+// harness code — and at most one task executes inside a domain at a
+// time. The simulator gets this for free (the engine resumes one process
+// at a time, so its domains are no-ops); the real backend gives each
+// domain a lock that a task holds while inside it and releases whenever
+// it sleeps, parks, enters Blocking, or enters another domain. A task
+// holds exactly one domain lock at a time, so no lock order exists to
+// get wrong, and every cross-daemon call is a yield point — the same
+// places the simulator already yields at a Sleep. Protocol state needs
+// no fine-grained locking in either mode, and the simulated schedule
+// stays byte-identical to what it was before the seam existed.
 package runtime
 
 import (
@@ -39,10 +45,8 @@ func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 // literals and formatting work unchanged on both backends.
 type Duration = time.Duration
 
-// Kind discriminates the backends for the rare call sites that must
-// branch — e.g. transport.Wire substitutes a real message round trip
-// for the simulated latency charge — without import cycles or
-// type assertions on concrete engines.
+// Kind names the backend, for callers that choose one (the facade's
+// WithBackend) or report which one ran.
 type Kind int
 
 const (
@@ -77,6 +81,11 @@ type Task interface {
 	Sleep(d Duration)
 	// Yield gives other runnable tasks a chance to run.
 	Yield()
+	// Blocking runs fn outside the domain discipline: the real backend
+	// releases the task's current domain around fn so true I/O (fsync,
+	// socket round trips) does not stall the domain's other tasks; the
+	// simulator calls fn inline. fn must not touch protocol state.
+	Blocking(fn func())
 	// Runtime returns the runtime that owns this task.
 	Runtime() Runtime
 }
@@ -87,9 +96,9 @@ type Runtime interface {
 	Clock
 	// Kind reports which backend this is.
 	Kind() Kind
-	// Rand returns the runtime's deterministic random source. Both
-	// backends serialize task execution, so tasks may use it without
-	// extra locking; never use it from outside a task.
+	// Rand returns the runtime's seeded random source. Tasks of any
+	// domain may draw from it (the real backend's source is locked);
+	// never use it from outside a task.
 	Rand() *rand.Rand
 	// Tracer returns the span recorder; nil means tracing is disabled.
 	Tracer() *trace.Recorder
@@ -102,30 +111,37 @@ type Runtime interface {
 	// Like SetTracer, install it before spawning tasks.
 	SetFlight(f *obs.Flight)
 
-	// Spawn starts a new task executing fn.
+	// Spawn starts a new task executing fn in the root domain — the
+	// domain of harness code, so tasks spawned from outside any daemon
+	// exclude each other between their calls into daemons.
 	Spawn(name string, fn func(t Task))
+	// NewDomain creates a lock domain (see Domain). The simulator returns
+	// one shared no-op.
+	NewDomain(name string) Domain
+	// Together runs fn with every listed domain held at once — for the
+	// few control-plane steps that touch two daemons' state in one move
+	// (subtree placement copies between two ranks' stores). The real
+	// backend releases t's current domain, takes the listed ones in
+	// creation order (the order Exclusive uses, so the two cannot
+	// deadlock) and restores t's domain afterwards; fn must not sleep,
+	// park or enter a domain. The simulator calls fn inline.
+	Together(t Task, doms []Domain, fn func())
 	// NewSignal creates a one-shot condition.
 	NewSignal() Signal
-	// NewGroup creates a task completion group.
+	// NewGroup creates a task completion group whose tasks start in the
+	// root domain.
 	NewGroup() Group
 	// NewResource creates a FIFO server with the given capacity.
 	NewResource(name string, capacity int) Resource
 	// NewPipe creates a bandwidth pipe (rate in bytes per second).
 	NewPipe(name string, rate float64) Pipe
 
-	// Blocking runs fn outside the runtime's single-task discipline:
-	// the real backend releases its run lock around fn so true I/O
-	// (fsync, socket round trips) does not stall every other task; the
-	// simulator calls fn inline. fn must not touch protocol state.
-	Blocking(fn func())
-
-	// Exclusive runs fn from OUTSIDE task context with the same
-	// exclusion guarantee tasks enjoy: no task executes protocol code
-	// while fn runs. The real backend takes the run lock around fn; the
-	// simulator calls fn inline (and panics if the event loop is
-	// running, since external callers cannot interleave with it safely).
-	// The admin endpoint uses this to scrape live cluster state from an
-	// HTTP handler goroutine.
+	// Exclusive runs fn from OUTSIDE task context with no task inside any
+	// domain while fn runs. The real backend takes every domain lock, in
+	// creation order, around fn; the simulator calls fn inline (and
+	// panics if the event loop is running, since external callers cannot
+	// interleave with it safely). The admin endpoint uses this to scrape
+	// live cluster state from an HTTP handler goroutine.
 	Exclusive(fn func())
 
 	// RunAll drives the runtime until no task can make further
@@ -141,8 +157,32 @@ type Runtime interface {
 	Shutdown() int
 }
 
+// Domain is a lock domain: the unit of mutual exclusion. Each daemon
+// owns one and enters it at every exported operation that touches its
+// state; background tasks of the daemon are spawned inside it.
+//
+// Enter is re-entrant per task and Enter/Leave calls nest. On the real
+// backend Enter releases the domain the task was in before taking the
+// new one, and Leave hands the task back the other way, so a task never
+// holds two domain locks and the state of the domain it left may change
+// while it is away. A nil task stands for a caller outside task context
+// that already excludes every task — set-up code before tasks run, or
+// code under Exclusive — and makes Enter and Leave no-ops.
+type Domain interface {
+	// Enter moves t into the domain.
+	Enter(t Task)
+	// Leave returns t to the domain it was in before the matching Enter.
+	Leave(t Task)
+	// Spawn starts a new task executing fn inside the domain.
+	Spawn(name string, fn func(t Task))
+	// NewGroup creates a completion group whose tasks start inside the
+	// domain.
+	NewGroup() Group
+}
+
 // Signal is a one-shot condition: tasks Wait on it and are all released
 // when Fire is called, receiving the fired value. Firing twice panics.
+// Signals, groups, resources and pipes may be used from any domain.
 type Signal interface {
 	Fire(val any)
 	Fired() bool

@@ -231,9 +231,25 @@ func (e *Engine) Spawn(name string, fn func(t runtime.Task)) {
 	e.Go(name, func(p *Proc) { fn(p) })
 }
 
-// Blocking implements runtime.Runtime. The simulator has no real I/O
-// to overlap, so fn runs inline; it must not touch simulation state.
-func (e *Engine) Blocking(fn func()) { fn() }
+// domain is the simulator's one lock domain: the engine resumes one
+// process at a time, so entering and leaving need do nothing and every
+// NewDomain call returns the same value — no allocation, no event, no
+// change to any schedule.
+type domain Engine
+
+func (d *domain) Enter(runtime.Task)      {}
+func (d *domain) Leave(runtime.Task)      {}
+func (d *domain) NewGroup() runtime.Group { return NewGroup((*Engine)(d)) }
+func (d *domain) Spawn(name string, fn func(t runtime.Task)) {
+	(*Engine)(d).Spawn(name, fn)
+}
+
+// NewDomain implements runtime.Runtime.
+func (e *Engine) NewDomain(string) runtime.Domain { return (*domain)(e) }
+
+// Together implements runtime.Runtime: one process runs at a time, so
+// fn already has every domain to itself.
+func (e *Engine) Together(_ runtime.Task, _ []runtime.Domain, fn func()) { fn() }
 
 // NewSignal implements runtime.Runtime.
 func (e *Engine) NewSignal() runtime.Signal { return NewSignal(e) }
@@ -413,6 +429,10 @@ func (p *Proc) Sleep(d Duration) {
 
 // Yield gives other ready events a chance to run at the current time.
 func (p *Proc) Yield() { p.Sleep(0) }
+
+// Blocking implements runtime.Task. The simulator has no real I/O to
+// overlap, so fn runs inline; it must not touch simulation state.
+func (p *Proc) Blocking(fn func()) { fn() }
 
 // String implements fmt.Stringer.
 func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }

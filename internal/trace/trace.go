@@ -64,7 +64,7 @@ type SpanID int
 //
 // All methods are safe for concurrent use. The simulated engine runs one
 // process at a time and never contends, but the real execution backend
-// records from many goroutines (handler tasks spawned per message), so
+// records from many goroutines (tasks of every lock domain), so
 // the buffers are guarded by a mutex. Readers (Spans, Instants) return
 // stable copies; recording while exporting is race-free, though spans
 // recorded after the snapshot are naturally absent from it.

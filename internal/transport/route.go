@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"cudele/internal/runtime"
 )
@@ -13,7 +15,19 @@ import (
 // refreshes on every cluster-map change, stamped with the map epoch.
 // Paths with no placement fall through to rank 0, which is why a
 // single-rank deployment behaves exactly like the unrouted system.
+//
+// A table is read from every daemon's domain — rank handlers resolve
+// ownership, client portals route and refresh — while the monitor
+// publishes into it, so its contents are an immutable snapshot behind an
+// atomic pointer: readers load it without locking or allocating, and
+// every mutation (rare, control-plane) installs a modified copy.
 type Table struct {
+	snap atomic.Pointer[tableSnap]
+	mu   sync.Mutex // serializes mutators' copy-and-install
+}
+
+// tableSnap is one immutable version of a table's contents.
+type tableSnap struct {
 	epoch  uint64
 	places map[string]int
 
@@ -25,24 +39,53 @@ type Table struct {
 
 // NewTable returns an empty table: everything routes to rank 0.
 func NewTable() *Table {
-	return &Table{places: make(map[string]int)}
+	t := &Table{}
+	t.snap.Store(&tableSnap{})
+	return t
+}
+
+// mutate installs a copy of the current snapshot changed by edit. The
+// copy shares the maps edit does not replace.
+func (t *Table) mutate(edit func(s *tableSnap)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	next := *t.snap.Load()
+	edit(&next)
+	t.snap.Store(&next)
+}
+
+// copyPlaces returns a private copy of s's placement map.
+func (s *tableSnap) copyPlaces() map[string]int {
+	out := make(map[string]int, len(s.places)+1)
+	for p, r := range s.places {
+		out[p] = r
+	}
+	return out
 }
 
 // Epoch returns the cluster-map epoch the table was last synced at.
-func (t *Table) Epoch() uint64 { return t.epoch }
+func (t *Table) Epoch() uint64 { return t.snap.Load().epoch }
 
 // SetEpoch stamps the table with a cluster-map epoch.
-func (t *Table) SetEpoch(e uint64) { t.epoch = e }
+func (t *Table) SetEpoch(e uint64) {
+	t.mutate(func(s *tableSnap) { s.epoch = e })
+}
 
 // Place assigns the subtree rooted at path to rank.
 func (t *Table) Place(path string, rank int) {
-	t.places[clean(path)] = rank
+	t.mutate(func(s *tableSnap) {
+		s.places = s.copyPlaces()
+		s.places[clean(path)] = rank
+	})
 }
 
 // Remove drops the subtree's placement; it routes to rank 0 again (or to
 // its nearest placed ancestor).
 func (t *Table) Remove(path string) {
-	delete(t.places, clean(path))
+	t.mutate(func(s *tableSnap) {
+		s.places = s.copyPlaces()
+		delete(s.places, clean(path))
+	})
 }
 
 // RankFor returns the rank owning path: the longest placed prefix wins,
@@ -50,7 +93,9 @@ func (t *Table) Remove(path string) {
 // Unplaced paths belong to rank 0. Paths strictly under a split
 // directory that is at least as deep as the best placed prefix route by
 // dentry-fragment hash instead.
-func (t *Table) RankFor(path string) int {
+func (t *Table) RankFor(path string) int { return t.snap.Load().rankFor(path) }
+
+func (t *tableSnap) rankFor(path string) int {
 	path = clean(path)
 	best, bestLen := 0, -1
 	for prefix, rank := range t.places {
@@ -72,15 +117,16 @@ func (t *Table) RankFor(path string) int {
 // split directory report "<dir>#<frag>" so each fragment's heat is its
 // own cell.
 func (t *Table) SubtreeFor(path string) string {
+	s := t.snap.Load()
 	path = clean(path)
 	best, bestLen := "/", -1
-	for prefix := range t.places {
+	for prefix := range s.places {
 		if len(prefix) > bestLen && hasPathPrefix(path, prefix) {
 			best, bestLen = prefix, len(prefix)
 		}
 	}
-	if dir, comp := t.fragFor(path, bestLen); dir != "" {
-		return fmt.Sprintf("%s#%d", dir, FragIndex(comp, len(t.frags[dir])))
+	if dir, comp := s.fragFor(path, bestLen); dir != "" {
+		return fmt.Sprintf("%s#%d", dir, FragIndex(comp, len(s.frags[dir])))
 	}
 	return best
 }
@@ -90,7 +136,7 @@ func (t *Table) SubtreeFor(path string) string {
 // prefix (placedLen) — plus the first path component below it, which is
 // the dentry whose hash picks the fragment. ("", "") when no split
 // applies.
-func (t *Table) fragFor(path string, placedLen int) (dir, comp string) {
+func (t *tableSnap) fragFor(path string, placedLen int) (dir, comp string) {
 	bestLen := -1
 	for d := range t.frags {
 		if len(d) >= placedLen && len(d) > bestLen &&
@@ -132,23 +178,28 @@ func FragIndex(name string, ways int) int {
 // single-element ranks removes the split.
 func (t *Table) SplitDir(dir string, ranks []int) {
 	dir = clean(dir)
-	if len(ranks) < 2 {
-		delete(t.frags, dir)
-		return
-	}
-	if t.frags == nil {
-		t.frags = make(map[string][]int)
-	}
-	t.frags[dir] = append([]int(nil), ranks...)
+	t.mutate(func(s *tableSnap) {
+		frags := make(map[string][]int, len(s.frags)+1)
+		for d, r := range s.frags {
+			frags[d] = r
+		}
+		if len(ranks) < 2 {
+			delete(frags, dir)
+		} else {
+			frags[dir] = append([]int(nil), ranks...)
+		}
+		s.frags = frags
+	})
 }
 
 // FragSplits returns a copy of the split-directory map.
 func (t *Table) FragSplits() map[string][]int {
-	if len(t.frags) == 0 {
+	frags := t.snap.Load().frags
+	if len(frags) == 0 {
 		return nil
 	}
-	out := make(map[string][]int, len(t.frags))
-	for d, ranks := range t.frags {
+	out := make(map[string][]int, len(frags))
+	for d, ranks := range frags {
 		out[d] = append([]int(nil), ranks...)
 	}
 	return out
@@ -157,21 +208,23 @@ func (t *Table) FragSplits() map[string][]int {
 // RankForEntry returns the rank owning dentry name of directory dir,
 // honoring a registered split before falling back to subtree placement.
 func (t *Table) RankForEntry(dir, name string) int {
+	s := t.snap.Load()
 	dir = clean(dir)
-	if ranks, ok := t.frags[dir]; ok {
+	if ranks, ok := s.frags[dir]; ok {
 		return ranks[FragIndex(name, len(ranks))]
 	}
 	if dir == "/" {
-		return t.RankFor("/" + name)
+		return s.rankFor("/" + name)
 	}
-	return t.RankFor(dir + "/" + name)
+	return s.rankFor(dir + "/" + name)
 }
 
 // Placements returns a copy of the path→rank map, sorted iteration being
 // the caller's concern.
 func (t *Table) Placements() map[string]int {
-	out := make(map[string]int, len(t.places))
-	for p, r := range t.places {
+	places := t.snap.Load().places
+	out := make(map[string]int, len(places))
+	for p, r := range places {
 		out[p] = r
 	}
 	return out
@@ -179,8 +232,9 @@ func (t *Table) Placements() map[string]int {
 
 // Paths returns the placed paths in sorted order, for display.
 func (t *Table) Paths() []string {
-	out := make([]string, 0, len(t.places))
-	for p := range t.places {
+	places := t.snap.Load().places
+	out := make([]string, 0, len(places))
+	for p := range places {
 		out = append(out, p)
 	}
 	sort.Strings(out)
@@ -188,11 +242,12 @@ func (t *Table) Paths() []string {
 }
 
 // CopyFrom replaces the table's contents with src's placements, splits,
-// and epoch — the monitor's publish step.
+// and epoch — the monitor's publish step. Snapshots are immutable, so
+// the replica simply adopts src's current one.
 func (t *Table) CopyFrom(src *Table) {
-	t.places = src.Placements()
-	t.frags = src.FragSplits()
-	t.epoch = src.epoch
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.snap.Store(src.snap.Load())
 }
 
 func clean(p string) string {

@@ -70,17 +70,24 @@ type Endpoint interface {
 }
 
 // Wire is the concrete endpoint for one server: a request/reply link
-// with symmetric latency. On the simulated backend, Call charges lat of
-// virtual time each way and runs the handler inline in the caller's
-// process — exactly the pre-seam behavior, so simulated schedules are
-// unchanged. On the real backend, Call is an in-process message
-// round trip: the handler runs in its own spawned task and the reply
-// comes back over a runtime signal (with an optional loopback-TCP
-// round trip when the engine has one enabled), so a handler that parks
-// mid-request — MergeWait does — never wedges the endpoint.
+// with symmetric latency. The handler runs inline in the caller's task,
+// inside the server's lock domain — the wire is where a task crosses
+// from one daemon into another. On the simulator the domain is a no-op
+// and Call charges lat of virtual time each way, so simulated schedules
+// are unchanged. On the real backend the caller gives up its own domain
+// for the server's (that hand-over is the in-process message hop; with
+// loopback TCP enabled each direction also makes a real socket round
+// trip) and holds it only while it runs: a handler that parks
+// mid-request — MergeWait does — releases the domain, so it never
+// wedges the endpoint.
 type Wire struct {
 	name string
 	lat  runtime.Duration
+
+	// dom is the server's lock domain: bound by the server that owns the
+	// wire, or created from the first caller's runtime for a wire that
+	// stands alone.
+	dom atomic.Pointer[runtime.Domain]
 
 	// h is the interceptor-wrapped handler. It is an atomic pointer so
 	// Wrap — a mutation after construction — is safe against Calls
@@ -92,7 +99,7 @@ type Wire struct {
 }
 
 // NewWire builds an endpoint that charges lat on each direction of a
-// Call and runs h in the calling process.
+// Call and runs h in the calling task.
 func NewWire(name string, lat runtime.Duration, h Handler) *Wire {
 	w := &Wire{name: name, lat: lat}
 	w.h.Store(&h)
@@ -101,6 +108,24 @@ func NewWire(name string, lat runtime.Duration, h Handler) *Wire {
 
 // Name implements Endpoint.
 func (w *Wire) Name() string { return w.name }
+
+// Bind makes d the domain handlers run in. A server binds its own
+// domain before serving, so its handlers and its other entry points
+// exclude each other.
+func (w *Wire) Bind(d runtime.Domain) { w.dom.Store(&d) }
+
+// domain returns the wire's domain, creating one on first use when no
+// server bound its own.
+func (w *Wire) domain(p runtime.Task) runtime.Domain {
+	if d := w.dom.Load(); d != nil {
+		return *d
+	}
+	d := p.Runtime().NewDomain(w.name)
+	if w.dom.CompareAndSwap(nil, &d) {
+		return d
+	}
+	return *w.dom.Load()
+}
 
 // Wrap composes an interceptor around the wire's handler, outermost.
 // Chaos harnesses use it to slide a fault interceptor under an already
@@ -114,56 +139,35 @@ func (w *Wire) Wrap(ic Interceptor) {
 	w.h.Store(&h)
 }
 
-// handler returns the current interceptor chain.
-func (w *Wire) handler() Handler { return *w.h.Load() }
+// netHopper is the capability of a runtime whose wire hop is real: it
+// performs the hop itself (realrt: the optional loopback-TCP round trip)
+// in place of the modeled latency charge.
+type netHopper interface {
+	NetHop(t runtime.Task)
+}
+
+// hop charges one direction of a Call.
+func (w *Wire) hop(p runtime.Task) {
+	if nh, ok := p.Runtime().(netHopper); ok {
+		nh.NetHop(p)
+		return
+	}
+	p.Sleep(w.lat)
+}
 
 // Call implements Endpoint: request on the wire, handler, reply on the
 // wire.
 func (w *Wire) Call(p runtime.Task, msg any) any {
-	rt := p.Runtime()
-	if rt.Kind() == runtime.RealKind {
-		return w.realCall(p, msg)
-	}
-	p.Sleep(w.lat)
-	reply := w.handler()(p, msg)
-	p.Sleep(w.lat)
+	w.hop(p)
+	reply := w.Post(p, msg)
+	w.hop(p)
 	return reply
 }
 
-// netRoundTripper is implemented by real engines that can put a kernel
-// socket round trip on the wire (realrt's loopback-TCP option).
-type netRoundTripper interface {
-	NetRoundTrip() (bool, error)
-}
-
-// realCall is the real backend's Call: deliver the message to a
-// handler task, park until the reply signal fires. When the engine has
-// loopback TCP enabled, each direction additionally performs one real
-// socket round trip (outside the run lock); protocol messages carry
-// live pointers and are not serialized — the frame buys real network
-// stack latency, not transport of the payload.
-func (w *Wire) realCall(p runtime.Task, msg any) any {
-	rt := p.Runtime()
-	nrt, _ := rt.(netRoundTripper)
-	if nrt != nil {
-		rt.Blocking(func() { nrt.NetRoundTrip() })
-	}
-	h := w.handler()
-	reply := rt.NewSignal()
-	rt.Spawn(w.name+".handle", func(t runtime.Task) {
-		reply.Fire(h(t, msg))
-	})
-	out := reply.Wait(p)
-	if nrt != nil {
-		rt.Blocking(func() { nrt.NetRoundTrip() })
-	}
-	return out
-}
-
-// Post implements Endpoint: the handler self-charges all costs. It runs
-// the handler inline on both backends — on the real one, a handler that
-// parks simply parks the posting task, and the run lock is released at
-// every park and sleep, so other tasks keep the endpoint moving.
+// Post implements Endpoint: the handler self-charges all costs.
 func (w *Wire) Post(p runtime.Task, msg any) any {
-	return w.handler()(p, msg)
+	d := w.domain(p)
+	d.Enter(p)
+	defer d.Leave(p)
+	return (*w.h.Load())(p, msg)
 }

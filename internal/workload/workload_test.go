@@ -29,7 +29,7 @@ func newHarness() *harness {
 
 func (h *harness) client(name string) *client.Client {
 	c := client.New(h.eng, model.Default(), name, h.srv, h.obj)
-	c.Mount()
+	c.Mount(nil)
 	return c
 }
 

@@ -213,3 +213,76 @@ func TestBalancerConverges(t *testing.T) {
 		t.Errorf("final imbalance = %.3f, want < 1.5\n%s", last.Imbalance, b)
 	}
 }
+
+// TestMigrateUnderStormReal is the placement-table race test: on the
+// real backend two clients storm one rank each while the subtree of one
+// of them migrates there and back. The ranks' ownership checks, the
+// clients' routing and refreshes, and the monitor's publishes all touch
+// placement tables from different lock domains at once; under -race this
+// fails unless tables and the migration count are safe to share. Nothing
+// may be lost either.
+func TestMigrateUnderStormReal(t *testing.T) {
+	cl := NewCluster(WithSeed(5), WithConfig(stressConfig()), WithMDSRanks(2), WithBackend(BackendReal))
+	defer cl.Close()
+	clients := []*Client{cl.NewClient("c0"), cl.NewClient("c1")}
+	dirs := make([]Ino, len(clients))
+	cl.Run(func(p Proc) {
+		for i, c := range clients {
+			path := fmt.Sprintf("/s%d", i)
+			d, err := c.MkdirAll(p, path, 0755)
+			if err != nil {
+				t.Errorf("mkdir %s: %v", path, err)
+				return
+			}
+			dirs[i] = d
+			if err := cl.Monitor().Place(p, path, i); err != nil {
+				t.Errorf("place %s: %v", path, err)
+			}
+		}
+	})
+	const files = 400
+	for i, c := range clients {
+		i, c := i, c
+		cl.Go(c.Name(), func(p Proc) {
+			for k := 0; k < files; k++ {
+				if _, err := c.Create(p, dirs[i], fmt.Sprintf("f%04d", k), 0644); err != nil {
+					t.Errorf("%s: create %d: %v", c.Name(), k, err)
+					return
+				}
+			}
+		})
+	}
+	cl.Go("migrator", func(p Proc) {
+		for _, dst := range []int{1, 0} {
+			if err := cl.Migrate(p, "/s0", dst); err != nil {
+				t.Errorf("migrate /s0 to rank %d: %v", dst, err)
+				return
+			}
+		}
+	})
+	cl.RunAll()
+	if err := cl.Runtime().LeakCheck(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cl.Metadata().Migrations(); got != 2 {
+		t.Errorf("migrations = %d, want 2", got)
+	}
+	for i := range clients {
+		path := fmt.Sprintf("/s%d", i)
+		store := cl.Metadata().Rank(cl.Metadata().Table().RankFor(path)).Store()
+		in, err := store.Resolve(path)
+		if err != nil {
+			t.Fatalf("resolve %s on its owner: %v", path, err)
+		}
+		names, err := store.ReadDir(in.Ino)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(names) != files {
+			t.Errorf("%s has %d entries, want %d", path, len(names), files)
+		}
+	}
+	if clients[0].Stats().Redirects == 0 {
+		t.Error("no request bounced: the migrations did not overlap the storm")
+	}
+}

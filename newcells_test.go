@@ -62,7 +62,7 @@ func TestSpeculativeRollbackCrashRecovery(t *testing.T) {
 		if _, _, err := c.SpeculativeApply(p); err == nil {
 			t.Fatal("mid-rollback crash hook did not surface an error")
 		}
-		c.Crash()
+		c.Crash(p)
 		if err := c.Restart(p); err != nil {
 			t.Fatalf("restart: %v", err)
 		}
@@ -128,7 +128,7 @@ func TestSpeculativeTornUndoPersist(t *testing.T) {
 		if err := c.GlobalPersist(p); err != nil {
 			t.Fatalf("persist retry: %v", err)
 		}
-		c.Crash() // stays down forever
+		c.Crash(p) // stays down forever
 		events, err := rescuer.FetchGlobalJournal(p, "c0")
 		if err != nil || len(events) != 5 {
 			t.Fatalf("fetch = %d events, %v; want 5", len(events), err)

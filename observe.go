@@ -107,8 +107,8 @@ func (cl *Cluster) Flight() *Flight { return cl.rt.Flight() }
 
 // adminSource adapts a Cluster to obs.Source. Scrapes run under
 // Runtime.Exclusive, so an HTTP handler goroutine reads cluster state
-// with the same exclusion protocol tasks enjoy — valid only on the real
-// backend, whose run lock external callers may take.
+// with no task inside any daemon — valid only on the real backend, whose
+// lock domains external callers may take.
 type adminSource struct{ cl *Cluster }
 
 // Metrics implements obs.Source: a fresh pull-time collection per scrape.
@@ -131,7 +131,7 @@ func (s adminSource) Heat() ([]obs.HeatCell, error) {
 // AdminSource returns the cluster as an admin-endpoint scrape source,
 // for installing into an obs.Admin that outlives individual clusters.
 // Real backend only: scrapes serialize against running tasks via the
-// run lock, which the simulator cannot offer concurrent callers.
+// lock domains, which the simulator cannot offer concurrent callers.
 func (cl *Cluster) AdminSource() obs.Source {
 	if cl.Backend() != BackendReal {
 		panic("cudele: AdminSource requires BackendReal")
