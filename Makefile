@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-seq bench-real perf fuzz-short chaos ci
+.PHONY: all build test race vet fmt-check bench bench-seq bench-check bench-real perf fuzz-short chaos ci
 
 all: build test
 
@@ -32,6 +32,20 @@ bench:
 
 bench-seq:
 	$(GO) run ./cmd/cudele-bench -scale 0.05 -parallel 1 -json -outdir results all
+
+# bench-check is the refactoring gate: regenerate every table into a temp
+# dir at the baselines' scale and diff each BENCH_*.json against results/,
+# ignoring only the wall_clock_seconds line. Any other difference — a
+# simulated-time cell, a counter, a note, a missing or extra table — fails.
+bench-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/cudele-bench -scale 0.05 -json -outdir "$$tmp" all > /dev/null && \
+	fail=0 && \
+	for f in $$( (cd results && ls BENCH_*.json; cd "$$tmp" && ls BENCH_*.json) | sort -u); do \
+		if ! diff -u -I '"wall_clock_seconds"' results/$$f "$$tmp/$$f"; then fail=1; fi; \
+	done; \
+	if [ $$fail -ne 0 ]; then echo "bench-check: tables differ from results/"; exit 1; fi; \
+	echo "bench-check: all $$(ls results/BENCH_*.json | wc -l) tables byte-identical to results/ (wall_clock_seconds aside)"
 
 # bench-real runs fig3a on the real backend (goroutines, wall clocks,
 # fsynced object files) side by side with its simulated prediction. The

@@ -71,11 +71,12 @@ type Stats struct {
 	Rejected      uint64 // -EBUSY replies from blocked subtrees
 	Redirects     uint64 // bounced requests retried after a table refresh
 
-	// PeakTransferBytes is the largest single buffer a durability
-	// mechanism has put on the wire or disk at once: the whole journal's
-	// nominal footprint on the one-shot paths, one chunk's on the
-	// streamed paths. The merge pipeline's memory-boundedness claim is
-	// read off this counter.
+	// PeakTransferBytes is the largest single buffer a merge or persist
+	// mechanism has put on the wire or disk at once, in nominal bytes
+	// (events x JournalEventBytes, the unit every transfer is billed in —
+	// never encoded bytes): the whole journal one-shot, one chunk
+	// streamed. The merge pipeline's memory-boundedness claim is read off
+	// this counter.
 	PeakTransferBytes uint64
 }
 
@@ -183,6 +184,24 @@ func (c *Client) redirectDelay() runtime.Duration {
 		return d
 	}
 	return 2 * time.Millisecond
+}
+
+// followRedirects issues send and, while the reply it reports is a
+// bounce — the subtree is frozen mid-migration, or our routing table is
+// stale — re-issues it after a short delay and a table refresh: the
+// paper's client-transparent handoff. A bounced message never reached
+// its handler, so re-sending it is safe.
+func (c *Client) followRedirects(p runtime.Task, send func() error) {
+	err := send()
+	for tries := 0; tries < redirectRetryMax; tries++ {
+		if _, ok := transport.IsRedirect(err); !ok {
+			return
+		}
+		c.stats.Redirects++
+		p.Sleep(c.redirectDelay())
+		c.svc.Refresh()
+		err = send()
+	}
 }
 
 // noteTransfer records one transfer buffer's size for the peak stat.
@@ -334,21 +353,12 @@ func (c *Client) submit(p runtime.Task, req *mds.Request) *mds.Reply {
 	}
 	p.Sleep(c.cfg.ClientOpOverhead)
 	req.Client = c.name
-	c.stats.RPCs++
-	reply := c.svc.Call(p, req).(*mds.Reply)
-	// A bounced request — the subtree is frozen mid-migration, or our
-	// routing table is stale — is retried after a short delay and a
-	// table refresh, the paper's client-transparent handoff.
-	for tries := 0; tries < redirectRetryMax; tries++ {
-		if _, ok := transport.IsRedirect(reply.Err); !ok {
-			break
-		}
-		c.stats.Redirects++
-		p.Sleep(c.redirectDelay())
-		c.svc.Refresh()
+	var reply *mds.Reply
+	c.followRedirects(p, func() error {
 		c.stats.RPCs++
 		reply = c.svc.Call(p, req).(*mds.Reply)
-	}
+		return reply.Err
+	})
 	rec.End(span, int64(p.Now()))
 	c.latency.Observe(runtime.Duration(p.Now() - start))
 	if reply.CapGranted {

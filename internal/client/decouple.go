@@ -270,29 +270,11 @@ func (c *Client) VolatileApply(p runtime.Task) (int, error) {
 	if c.dec == nil {
 		return 0, ErrNotDecoupled
 	}
-	chunk := c.cfg.MergeChunkEvents
-	if chunk > 0 && c.dec.jrnl.Len() > 0 {
-		return c.volatileApplyChunked(p, chunk)
-	}
-	c.noteTransfer(c.JournalNominalBytes())
-	merge := func() *mds.MergeReply {
-		return c.svc.Post(p, &mds.MergeMsg{
-			Source:       c.dec.jrnl.InlineCursor(),
-			NominalBytes: c.JournalNominalBytes(),
-			Route:        c.dec.path,
-		}).(*mds.MergeReply)
-	}
-	r := merge()
-	// A bounce means the subtree is frozen or has migrated; the handler
-	// never ran, so the journal cursor is untouched — refresh and retry.
-	for tries := 0; tries < redirectRetryMax; tries++ {
-		if _, ok := transport.IsRedirect(r.Err); !ok {
-			break
-		}
-		c.stats.Redirects++
-		p.Sleep(c.redirectDelay())
-		c.svc.Refresh()
-		r = merge()
+	var r *mds.MergeReply
+	if chunk := c.cfg.MergeChunkEvents; chunk > 0 && c.dec.jrnl.Len() > 0 {
+		r = c.streamJournal(p, chunk)
+	} else {
+		r = c.shipJournal(p, mds.MergeBlind)
 	}
 	if r.Err != nil {
 		return r.Applied, r.Err
@@ -301,40 +283,51 @@ func (c *Client) VolatileApply(p runtime.Task) (int, error) {
 	return r.Applied, nil
 }
 
-// volatileApplyChunked is the streamed merge: open (with admission
+// shipJournal is the one-shot merge behind VolatileApply, SpeculativeApply
+// and ConvergeApply: the whole journal in one MergeMsg, applied by the
+// MDS in the given mode. The MDS pulls the events through a cursor while
+// the call blocks, so no flat copy of the journal is made.
+func (c *Client) shipJournal(p runtime.Task, mode mds.MergeMode) *mds.MergeReply {
+	bytes := c.JournalNominalBytes()
+	c.noteTransfer(bytes)
+	var r *mds.MergeReply
+	c.followRedirects(p, func() error {
+		// A bounced merge never ran, so the journal is untouched and a
+		// retry ships it again from the start.
+		r = c.svc.Post(p, &mds.MergeMsg{
+			Source:       c.dec.jrnl.InlineCursor(),
+			NominalBytes: bytes,
+			Mode:         mode,
+			Route:        c.dec.path,
+		}).(*mds.MergeReply)
+		return r.Err
+	})
+	return r
+}
+
+// streamJournal is the streamed merge: open (with admission
 // backpressure), send windowed chunks, wait for the drain.
-func (c *Client) volatileApplyChunked(p runtime.Task, chunk int) (int, error) {
+func (c *Client) streamJournal(p runtime.Task, chunk int) *mds.MergeReply {
 	evBytes := int64(c.cfg.JournalEventBytes)
-	openMerge := func() *mds.MergeOpenReply {
-		return transport.SendWindowed(p, c.svc, &mds.MergeOpenMsg{
+	var open *mds.MergeOpenReply
+	// A bounced open retries against refreshed routing; once admitted the
+	// stream cannot be bounced mid-flight (a merge in progress blocks the
+	// subtree's freeze).
+	c.followRedirects(p, func() error {
+		open = transport.SendWindowed(p, c.svc, &mds.MergeOpenMsg{
 			Client:      c.name,
 			Route:       c.dec.path,
 			TotalEvents: c.dec.jrnl.Len(),
 			TotalBytes:  c.JournalNominalBytes(),
 		}, c.cfg.MergeRetryDelay).(*mds.MergeOpenReply)
-	}
-	open := openMerge()
-	// A bounced open retries against refreshed routing; once admitted the
-	// stream cannot be bounced mid-flight (a merge in progress blocks the
-	// subtree's freeze).
-	for tries := 0; tries < redirectRetryMax; tries++ {
-		if _, ok := transport.IsRedirect(open.Err); !ok {
-			break
-		}
-		c.stats.Redirects++
-		p.Sleep(c.redirectDelay())
-		c.svc.Refresh()
-		open = openMerge()
-	}
+		return open.Err
+	})
 	if open.Err != nil {
-		return 0, open.Err
+		return &mds.MergeReply{Err: open.Err}
 	}
 	cur := c.dec.jrnl.Cursor()
-	for seq := 0; ; seq++ {
+	for seq := 0; cur.Remaining() > 0; seq++ {
 		evs := cur.Next(chunk)
-		if evs == nil {
-			break
-		}
 		bytes := int64(len(evs)) * evBytes
 		c.noteTransfer(bytes)
 		r := transport.SendWindowed(p, c.svc, &mds.MergeChunkMsg{
@@ -352,69 +345,50 @@ func (c *Client) volatileApplyChunked(p runtime.Task, chunk int) (int, error) {
 			// its admission slot and inflating the merge queue for the
 			// rest of the run.
 			c.svc.Post(p, &mds.MergeAbortMsg{ID: open.ID, Route: c.dec.path})
-			return 0, r.Err
+			return &mds.MergeReply{Err: r.Err}
 		}
 	}
-	w := c.svc.Post(p, &mds.MergeWaitMsg{ID: open.ID, Route: c.dec.path}).(*mds.MergeReply)
-	if w.Err != nil {
-		return w.Applied, w.Err
+	return c.svc.Post(p, &mds.MergeWaitMsg{ID: open.ID, Route: c.dec.path}).(*mds.MergeReply)
+}
+
+// persistChunk is the persist mechanisms' chunk length in events:
+// MergeChunkEvents, or — streaming off, the calibrated default — the
+// whole journal, so a one-shot persist is a persist of one chunk.
+func (c *Client) persistChunk() int {
+	if n := c.cfg.MergeChunkEvents; n > 0 {
+		return n
 	}
-	c.dec.jrnl.Reset()
-	return w.Applied, nil
+	return c.dec.jrnl.Len()
 }
 
 // LocalPersist serializes the journal to the client's local disk. The
 // transfer cost is the disk's write bandwidth over the journal's nominal
-// footprint (paper §III-A). With MergeChunkEvents > 0 the image is
-// encoded and billed chunk by chunk through a journal cursor, so the
-// write buffer held at any instant is one chunk.
+// footprint (paper §III-A), billed one chunk at a time. The image is
+// encoded into a fresh buffer and installed only once the whole encode
+// has succeeded, so a failed persist leaves the previous recovery image
+// untouched.
 func (c *Client) LocalPersist(p runtime.Task) error {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
 	if c.dec == nil {
 		return ErrNotDecoupled
 	}
-	chunk := c.cfg.MergeChunkEvents
-	if chunk <= 0 {
-		data, err := c.dec.jrnl.Export()
-		if err != nil {
-			return err
-		}
-		c.noteTransfer(c.JournalNominalBytes())
-		c.chargeLocalDisk(p, c.JournalNominalBytes())
-		c.localFiles["journal"] = data
-		if err := c.persistUndoLocal(p); err != nil {
-			return err
-		}
-		return c.persistLocal(p, data)
+	data, err := c.dec.jrnl.Export()
+	if err != nil {
+		return err
 	}
-	// Encode into a fresh buffer and install it only once the whole encode
-	// has succeeded: reusing the previous image's backing array would
-	// corrupt the stored recovery image if an event fails mid-encode.
-	evBytes := int64(c.cfg.JournalEventBytes)
-	var enc journal.Encoder
-	file := journal.AppendHeader(nil)
-	cur := c.dec.jrnl.InlineCursor()
-	for {
-		evs := cur.Next(chunk)
-		if evs == nil {
-			break
-		}
-		mark := len(file)
-		for _, ev := range evs {
-			var err error
-			if file, err = enc.AppendEvent(file, ev); err != nil {
-				return err
-			}
-		}
-		c.noteTransfer(int64(len(file) - mark))
-		c.chargeLocalDisk(p, int64(len(evs))*evBytes)
+	// At least one pass, so an empty journal still touches the disk.
+	chunk, evBytes := c.persistChunk(), int64(c.cfg.JournalEventBytes)
+	for first, left := true, c.dec.jrnl.Len(); first || left > 0; first, left = false, left-chunk {
+		bytes := int64(min(left, chunk)) * evBytes
+		c.noteTransfer(bytes)
+		c.chargeLocalDisk(p, bytes)
 	}
-	c.localFiles["journal"] = file
+	c.localFiles["journal"] = data
 	if err := c.persistUndoLocal(p); err != nil {
 		return err
 	}
-	return c.persistLocal(p, file)
+	return c.persistLocal(p, data)
 }
 
 // LocalJournalFile returns the bytes written by LocalPersist, as a
@@ -462,11 +436,23 @@ func (c *Client) RecoverLocal(p runtime.Task) (int, error) {
 	return j.Len(), nil
 }
 
+// journalChunkName is the logical object name of chunk idx of owner's
+// globally persisted journal: the head under the bare owner name, the
+// tail under numbered names beside it.
+func journalChunkName(owner string, idx int) string {
+	if idx == 0 {
+		return owner
+	}
+	return fmt.Sprintf("%s/c%06d", owner, idx)
+}
+
 // GlobalPersist pushes the serialized journal into the object store,
-// striped in parallel to exploit the cluster's collective bandwidth
-// (paper §V-A). With MergeChunkEvents > 0 the journal is encoded and
-// written as a sequence of chunk objects instead of one image, so the
-// in-flight buffer is one chunk; FetchGlobalJournal reads either layout.
+// each chunk striped in parallel to exploit the cluster's collective
+// bandwidth (paper §V-A). The persisted image has one layout, written
+// here and read by FetchGlobalJournal: a head chunk carrying the file
+// header — written even for an empty journal, so the name exists — then
+// a tail of further chunks, whose concatenation decodes as one journal
+// file. With streaming off the head is the whole image.
 func (c *Client) GlobalPersist(p runtime.Task) error {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
@@ -474,112 +460,53 @@ func (c *Client) GlobalPersist(p runtime.Task) error {
 		return ErrNotDecoupled
 	}
 	striper := rados.NewStriper(c.obj)
-	chunk := c.cfg.MergeChunkEvents
-	if chunk <= 0 {
-		data, err := c.dec.jrnl.Export()
+	chunk, evBytes := c.persistChunk(), int64(c.cfg.JournalEventBytes)
+	cur := c.dec.jrnl.InlineCursor()
+	idx := 0
+	for left := c.dec.jrnl.Len(); idx == 0 || left > 0; idx, left = idx+1, left-chunk {
+		n := min(left, chunk)
+		buf, err := cur.Export(n, idx == 0)
 		if err != nil {
 			return err
 		}
-		c.noteTransfer(c.JournalNominalBytes())
-		if err := striper.WriteBilled(p, ClientJournalPool, c.name, data,
-			c.JournalNominalBytes()); err != nil {
+		bytes := int64(n) * evBytes
+		c.noteTransfer(bytes)
+		if err := striper.WriteBilled(p, ClientJournalPool, journalChunkName(c.name, idx), buf, bytes); err != nil {
 			return fmt.Errorf("global persist: %w", err)
 		}
-		return c.persistUndoGlobal(p, striper)
 	}
-	evBytes := int64(c.cfg.JournalEventBytes)
-	var enc journal.Encoder
-	cur := c.dec.jrnl.Cursor()
-	last := 0
-	for idx := 0; ; idx++ {
-		evs := cur.Next(chunk)
-		if evs == nil && idx > 0 {
-			last = idx - 1
-			break
-		}
-		var buf []byte
-		if idx == 0 {
-			// The first chunk carries the image header, so the
-			// concatenated chunks decode as one journal file. A chunk is
-			// written even for an empty journal, so the name exists.
-			buf = journal.AppendHeader(nil)
-		}
-		for _, ev := range evs {
-			var err error
-			if buf, err = enc.AppendEvent(buf, ev); err != nil {
-				return err
+	// Trim the tail an earlier, longer persist left beyond the chunks just
+	// written: the reader would append it to the image and decode phantom
+	// events. Probing a name that does not exist is free, so a persist
+	// with nothing stale charges no extra time.
+	for ; ; idx++ {
+		if err := striper.Remove(p, ClientJournalPool, journalChunkName(c.name, idx)); err != nil {
+			if errors.Is(err, rados.ErrNotFound) {
+				break
 			}
+			return err
 		}
-		c.noteTransfer(int64(len(buf)))
-		if err := striper.WriteBilled(p, ClientJournalPool, journalChunkName(c.name, idx),
-			buf, int64(len(evs))*evBytes); err != nil {
-			return fmt.Errorf("global persist: %w", err)
-		}
-		if evs == nil {
-			last = idx
-			break
-		}
-	}
-	if err := c.removeStalePersist(p, striper, last); err != nil {
-		return err
 	}
 	return c.persistUndoGlobal(p, striper)
 }
 
-// removeStalePersist deletes what an earlier, larger Global Persist left
-// behind beyond the chunks just written: FetchGlobalJournal reassembles
-// chunk objects up to the first gap and prefers the single-image layout
-// outright, so a stale chunk tail would be appended to the recovered
-// image (decoding as phantom events) and a stale single image would
-// shadow the fresh chunks entirely. Probing a name that does not exist
-// is free, so a persist with nothing stale charges no extra time.
-func (c *Client) removeStalePersist(p runtime.Task, striper *rados.Striper, last int) error {
-	for idx := last + 1; ; idx++ {
-		if err := striper.Remove(p, ClientJournalPool, journalChunkName(c.name, idx)); err != nil {
-			if errors.Is(err, rados.ErrNotFound) {
-				break // first gap: nothing stale beyond it
-			}
-			return err
-		}
-	}
-	if err := striper.Remove(p, ClientJournalPool, c.name); err != nil && !errors.Is(err, rados.ErrNotFound) {
-		return err
-	}
-	return nil
-}
-
-// journalChunkName is the logical object name of one chunk of a chunked
-// Global Persist.
-func journalChunkName(owner string, idx int) string {
-	return fmt.Sprintf("%s/c%06d", owner, idx)
-}
-
-// FetchGlobalJournal reads back a journal persisted by GlobalPersist,
-// whichever layout it used: the single striped image, or the chunk
-// sequence a streaming persist wrote.
+// FetchGlobalJournal reads back a journal persisted by GlobalPersist:
+// the head chunk, then tail chunks up to the first gap.
 func (c *Client) FetchGlobalJournal(p runtime.Task, owner string) ([]*journal.Event, error) {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
 	striper := rados.NewStriper(c.obj)
-	data, err := striper.Read(p, ClientJournalPool, owner)
-	if err == nil {
-		return journal.Decode(data)
-	}
-	if !errors.Is(err, rados.ErrNotFound) {
+	image, err := striper.Read(p, ClientJournalPool, owner)
+	if err != nil {
 		return nil, err
 	}
-	// Chunked layout: concatenate chunk objects until the first gap.
-	var image []byte
-	for idx := 0; ; idx++ {
-		part, rerr := striper.Read(p, ClientJournalPool, journalChunkName(owner, idx))
-		if rerr != nil {
-			if !errors.Is(rerr, rados.ErrNotFound) {
-				return nil, rerr
-			}
-			if idx == 0 {
-				return nil, err // neither layout exists
-			}
+	for idx := 1; ; idx++ {
+		part, err := striper.Read(p, ClientJournalPool, journalChunkName(owner, idx))
+		if errors.Is(err, rados.ErrNotFound) {
 			break
+		}
+		if err != nil {
+			return nil, err
 		}
 		image = append(image, part...)
 	}
@@ -613,17 +540,14 @@ func (c *Client) NonvolatileApply(p runtime.Task) (int, error) {
 		}
 	}
 
-	// Iterate the journal through a bounded-memory cursor: the batch size
+	// Iterate the journal through a bounded-memory cursor: the run length
 	// only bounds the gather buffer — every per-event cost below is
-	// charged identically regardless of where batches fall.
-	batch := c.cfg.MergeChunkEvents
-	if batch <= 0 {
-		batch = 256
-	}
+	// charged identically regardless of where runs fall.
+	const run = 256
 	applied := 0
 	touched := map[namespace.Ino]bool{namespace.RootIno: true}
 	cur := c.dec.jrnl.InlineCursor()
-	for evs := cur.Next(batch); evs != nil; evs = cur.Next(batch) {
+	for evs := cur.Next(run); evs != nil; evs = cur.Next(run) {
 		if err := c.nonvolatileBatch(p, shadow, evs, rootOID, touched, &applied); err != nil {
 			return applied, err
 		}

@@ -17,7 +17,7 @@ func (c *Client) FillMetrics(reg *trace.Registry) {
 	reg.Counter("cudele_client_rpcs_total", "Metadata RPCs sent.", float64(c.stats.RPCs), who)
 	reg.Counter("cudele_client_journal_appends_total", "Events appended to the client journal.", float64(c.stats.Appends), who)
 	reg.Counter("cudele_client_rejected_total", "-EBUSY replies from blocked subtrees.", float64(c.stats.Rejected), who)
-	reg.Gauge("cudele_client_peak_transfer_bytes", "Largest single journal transfer buffer (whole journal one-shot, one chunk streamed).", float64(c.stats.PeakTransferBytes), who)
+	reg.Gauge("cudele_client_peak_transfer_bytes", "Largest single journal transfer buffer in nominal bytes (whole journal one-shot, one chunk streamed).", float64(c.stats.PeakTransferBytes), who)
 
 	reg.Histogram("cudele_client_rpc_latency_seconds", "RPC round-trip latency.", &c.latency, who)
 	reg.Histogram("cudele_client_create_latency_seconds", "Whole-Create latency (lookup + create RPCs).", &c.createLatency, who)

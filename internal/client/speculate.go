@@ -9,7 +9,6 @@ import (
 	"cudele/internal/policy"
 	"cudele/internal/rados"
 	"cudele/internal/runtime"
-	"cudele/internal/transport"
 )
 
 // The client halves of the two policy cells beyond the paper's Table I.
@@ -111,33 +110,12 @@ func (c *Client) SpeculativeApply(p runtime.Task) (int, []int, error) {
 	if c.dec.mode != policy.ConsSpeculative {
 		return 0, nil, fmt.Errorf("client: speculative apply in %v mode", c.dec.mode)
 	}
-	evs := c.dec.jrnl.Events()
-	bytes := c.JournalNominalBytes()
-	c.noteTransfer(bytes)
-	merge := func() *mds.MergeReply {
-		return c.svc.Post(p, &mds.MergeMsg{
-			Events:       evs,
-			NominalBytes: bytes,
-			Mode:         mds.MergeSpeculative,
-			Route:        c.dec.path,
-		}).(*mds.MergeReply)
-	}
-	r := merge()
-	// A bounce (frozen subtree, stale routing mid-migration) means
-	// validation never ran; refresh and retry with the same snapshot.
-	for tries := 0; tries < redirectRetryMax; tries++ {
-		if _, ok := transport.IsRedirect(r.Err); !ok {
-			break
-		}
-		c.stats.Redirects++
-		p.Sleep(c.redirectDelay())
-		c.svc.Refresh()
-		r = merge()
-	}
+	ops := c.dec.jrnl.Len()
+	r := c.shipJournal(p, mds.MergeSpeculative)
 	if r.Err != nil {
 		return r.Applied, r.Conflicts, r.Err
 	}
-	if err := c.rollbackSpec(evs, r.Conflicts); err != nil {
+	if err := c.rollbackSpec(ops, r.Conflicts); err != nil {
 		return r.Applied, r.Conflicts, err
 	}
 	c.dec.jrnl.Reset()
@@ -145,12 +123,13 @@ func (c *Client) SpeculativeApply(p runtime.Task) (int, []int, error) {
 	return r.Applied, r.Conflicts, nil
 }
 
-// rollbackSpec undoes the journal ops at the given indices from the
-// client-local image, newest first so a rejected mkdir's rejected
-// children are gone before the directory itself is removed. The journal
-// and undo log are left intact on error (the mid-rollback crash shape);
-// SpeculativeApply resets them only after a complete rollback.
-func (c *Client) rollbackSpec(ops []*journal.Event, conflicts []int) error {
+// rollbackSpec undoes the ops at the given indices of the journal just
+// shipped (ops events long) from the client-local image, newest first so
+// a rejected mkdir's rejected children are gone before the directory
+// itself is removed. The journal and undo log are left intact on error
+// (the mid-rollback crash shape); SpeculativeApply resets them only after
+// a complete rollback.
+func (c *Client) rollbackSpec(ops int, conflicts []int) error {
 	if len(conflicts) == 0 {
 		return nil
 	}
@@ -163,9 +142,9 @@ func (c *Client) rollbackSpec(ops []*journal.Event, conflicts []int) error {
 	done := 0
 	for i := len(conflicts) - 1; i >= 0; i-- {
 		idx := conflicts[i]
-		if idx < 0 || idx >= len(ops) || idx >= len(undos) {
+		if idx < 0 || idx >= ops || idx >= len(undos) {
 			return fmt.Errorf("client: rollback index %d out of range (%d ops, %d undos)",
-				idx, len(ops), len(undos))
+				idx, ops, len(undos))
 		}
 		if budget >= 0 && done >= budget {
 			return fmt.Errorf("client: crashed mid-rollback after %d undos", done)
@@ -294,26 +273,7 @@ func (c *Client) ConvergeApply(p runtime.Task) (int, error) {
 	if c.dec == nil {
 		return 0, ErrNotDecoupled
 	}
-	bytes := c.JournalNominalBytes()
-	c.noteTransfer(bytes)
-	merge := func() *mds.MergeReply {
-		return c.svc.Post(p, &mds.MergeMsg{
-			Source:       c.dec.jrnl.InlineCursor(),
-			NominalBytes: bytes,
-			Mode:         mds.MergeConverge,
-			Route:        c.dec.path,
-		}).(*mds.MergeReply)
-	}
-	r := merge()
-	for tries := 0; tries < redirectRetryMax; tries++ {
-		if _, ok := transport.IsRedirect(r.Err); !ok {
-			break
-		}
-		c.stats.Redirects++
-		p.Sleep(c.redirectDelay())
-		c.svc.Refresh()
-		r = merge()
-	}
+	r := c.shipJournal(p, mds.MergeConverge)
 	if r.Err != nil {
 		return r.Applied, r.Err
 	}

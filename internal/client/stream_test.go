@@ -181,15 +181,21 @@ func TestLocalPersistChunkedMatchesOneShot(t *testing.T) {
 	if !bytes.Equal(fa, fb) {
 		t.Fatalf("chunked journal image differs from one-shot: %d vs %d bytes", len(fb), len(fa))
 	}
+	// Peak transfer is nominal bytes on every path — the unit the disk is
+	// billed in — so one full chunk's footprint exactly, not its (far
+	// smaller) encoded size.
 	evBytes := uint64(model.Default().JournalEventBytes)
-	if got, limit := b.Stats().PeakTransferBytes, uint64(chunk)*evBytes; got > limit {
-		t.Errorf("chunked persist peak transfer = %d, want <= %d", got, limit)
+	if got, want := b.Stats().PeakTransferBytes, uint64(chunk)*evBytes; got != want {
+		t.Errorf("chunked persist peak transfer = %d, want %d", got, want)
+	}
+	if got, want := a.Stats().PeakTransferBytes, uint64(files+2)*evBytes; got != want {
+		t.Errorf("one-shot persist peak transfer = %d, want %d", got, want)
 	}
 }
 
 func TestGlobalPersistChunkedFetch(t *testing.T) {
-	// Chunked Global Persist writes a chunk-object sequence; any client
-	// fetches it back as the same event stream.
+	// Chunked Global Persist writes a head chunk and a tail of chunk
+	// objects; any client fetches them back as the same event stream.
 	const files = 20
 	const chunk = 7
 	cfg := chunkedConfig(chunk)
@@ -213,8 +219,8 @@ func TestGlobalPersistChunkedFetch(t *testing.T) {
 		}
 	})
 	evBytes := uint64(cfg.JournalEventBytes)
-	if got, limit := c.Stats().PeakTransferBytes, uint64(chunk)*evBytes; got > limit {
-		t.Errorf("chunked persist peak transfer = %d, want <= %d", got, limit)
+	if got, want := c.Stats().PeakTransferBytes, uint64(chunk)*evBytes; got != want {
+		t.Errorf("chunked persist peak transfer = %d nominal bytes, want %d", got, want)
 	}
 }
 
@@ -237,88 +243,63 @@ func TestGlobalPersistChunkedEmptyJournal(t *testing.T) {
 	})
 }
 
-func TestGlobalPersistChunkedShrinkNoStaleTail(t *testing.T) {
-	// A chunked persist of a short journal after a longer one (the
-	// global_persist -> apply -> new-work cycle) overwrites only the first
-	// chunks; the stale tail of the earlier persist must be deleted, or
-	// FetchGlobalJournal appends it to the image and decodes phantom
-	// events.
-	const chunk = 7
-	cfg := chunkedConfig(chunk)
-	cl := newClusterCfg(cfg)
-	c := cl.clientCfg("c0", cfg)
-	other := cl.clientCfg("c1", cfg)
-	cl.run(t, func(p runtime.Task) {
-		decoupledWorkload(t, p, c, 20) // 22 events: four chunk objects
-		if err := c.GlobalPersist(p); err != nil {
-			t.Errorf("first persist: %v", err)
-			return
-		}
-		// The journal drains (as Volatile Apply would) and a little new
-		// work arrives: the second persist writes one chunk object.
-		j, _ := c.Journal()
-		j.Reset()
-		root, _ := c.DecoupledRoot()
-		for i := 0; i < 3; i++ {
-			if _, err := c.LocalCreate(p, root, fmt.Sprintf("late%d", i), 0644); err != nil {
-				t.Fatalf("late create %d: %v", i, err)
-			}
-		}
-		if err := c.GlobalPersist(p); err != nil {
-			t.Errorf("second persist: %v", err)
-			return
-		}
-		events, err := other.FetchGlobalJournal(p, "c0")
-		if err != nil {
-			t.Errorf("fetch: %v", err)
-			return
-		}
-		if !reflect.DeepEqual(events, j.Events()) {
-			t.Errorf("fetched %d events, want the %d from the second persist only", len(events), j.Len())
-		}
-	})
-}
-
-func TestGlobalPersistLayoutChangeNoStaleImage(t *testing.T) {
-	// The same owner may persist under either layout over time (tunable
-	// change across restarts). Whichever persist ran last must win the
-	// fetch: a chunked persist deletes the stale single image it would
-	// otherwise be shadowed by, and a one-shot persist overwrites the
-	// image the fetch prefers.
-	oneshotCfg := model.Default()
-	chunked := chunkedConfig(5)
-
-	for _, dir := range []struct {
-		name          string
-		first, second model.Config
+func TestPersistSequenceLastPersistWins(t *testing.T) {
+	// The same owner persists twice, under any two chunk sizes (the
+	// tunable may change across restarts) and any two journal lengths (the
+	// global_persist -> apply -> new-work cycle). There is one persisted
+	// layout — head chunk plus tail chunks — so whichever persist ran last
+	// must be exactly what a reader gets back: no phantom tail left by a
+	// longer or finer-chunked predecessor, no stale head shadowing the
+	// fresh chunks. The locally persisted image must agree.
+	const whole = 0 // MergeChunkEvents 0: the journal is one chunk
+	for _, tc := range []struct {
+		name                     string
+		firstChunk, firstFiles   int
+		secondChunk, secondFiles int
 	}{
-		{"oneshot-then-chunked", oneshotCfg, chunked},
-		{"chunked-then-oneshot", chunked, oneshotCfg},
+		{"whole-then-1", whole, 12, 1, 4},
+		{"1-then-whole", 1, 12, whole, 4},
+		{"256-then-7", 256, 4, 7, 20},
+		{"7-then-256", 7, 20, 256, 4},
+		{"whole-then-shorter-whole", whole, 20, whole, 3},
 	} {
-		t.Run(dir.name, func(t *testing.T) {
-			cl := newClusterCfg(chunked)
-			a := cl.clientCfg("c0", dir.first)
-			b := cl.clientCfg("c0", dir.second)
-			reader := cl.clientCfg("c1", chunked)
+		t.Run(tc.name, func(t *testing.T) {
+			cl := newClusterCfg(model.Default())
+			a := cl.clientCfg("c0", chunkedConfig(tc.firstChunk))
+			b := cl.clientCfg("c0", chunkedConfig(tc.secondChunk))
+			reader := cl.clientCfg("c1", model.Default())
 			cl.run(t, func(p runtime.Task) {
-				decoupledWorkload(t, p, a, 12)
-				if err := a.GlobalPersist(p); err != nil {
-					t.Errorf("first persist: %v", err)
-					return
-				}
-				decoupledWorkload(t, p, b, 4)
-				if err := b.GlobalPersist(p); err != nil {
-					t.Errorf("second persist: %v", err)
-					return
-				}
-				events, err := reader.FetchGlobalJournal(p, "c0")
-				if err != nil {
-					t.Errorf("fetch: %v", err)
-					return
+				for _, step := range []struct {
+					c     *Client
+					files int
+				}{{a, tc.firstFiles}, {b, tc.secondFiles}} {
+					decoupledWorkload(t, p, step.c, step.files)
+					if err := step.c.LocalPersist(p); err != nil {
+						t.Fatalf("local persist: %v", err)
+					}
+					if err := step.c.GlobalPersist(p); err != nil {
+						t.Fatalf("global persist: %v", err)
+					}
 				}
 				j, _ := b.Journal()
-				if !reflect.DeepEqual(events, j.Events()) {
-					t.Errorf("fetched %d events, want the last persist's %d", len(events), j.Len())
+				want := j.Events()
+				if len(want) != tc.secondFiles+2 {
+					t.Fatalf("second journal holds %d events, want %d", len(want), tc.secondFiles+2)
+				}
+				fetched, err := reader.FetchGlobalJournal(p, "c0")
+				if err != nil {
+					t.Fatalf("fetch: %v", err)
+				}
+				if !reflect.DeepEqual(fetched, want) {
+					t.Errorf("fetched %d events, want exactly the last persist's %d", len(fetched), len(want))
+				}
+				j.Reset()
+				if n, err := b.RecoverLocal(p); err != nil || n != len(want) {
+					t.Fatalf("recover local = %d, %v; want %d", n, err, len(want))
+				}
+				j, _ = b.Journal()
+				if !reflect.DeepEqual(j.Events(), want) {
+					t.Errorf("locally recovered journal differs from the last persist")
 				}
 			})
 		})

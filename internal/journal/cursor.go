@@ -22,6 +22,8 @@ type Cursor struct {
 	// because the receiver buffers chunks beyond the call.
 	buf   []*Event
 	reuse bool
+
+	enc Encoder // amortizes Export's payload staging across runs
 }
 
 // Cursor returns a cursor positioned at the journal's first untrimmed
@@ -121,4 +123,59 @@ func (c *Cursor) Next(max int) []*Event {
 		c.buf = out
 	}
 	return out
+}
+
+// walk visits the next run of up to max events in append order, one
+// segment-aliased slice at a time — no gathering, so a run of any length
+// costs no buffer.
+func (c *Cursor) walk(max int, visit func([]*Event) error) error {
+	for max > 0 {
+		evs := c.segment()
+		if evs == nil {
+			break
+		}
+		take := min(max, len(evs)-c.off)
+		if err := visit(evs[c.off : c.off+take]); err != nil {
+			return err
+		}
+		c.off += take
+		max -= take
+	}
+	return nil
+}
+
+// Export encodes the next run of up to max events into one exactly sized
+// buffer, led by the journal file header when header is set. A sequence
+// of runs whose first carries the header concatenates to the image a
+// whole-journal Export produces, so "one-shot" is just a run as long as
+// the journal.
+func (c *Cursor) Export(max int, header bool) ([]byte, error) {
+	size := 0
+	if header {
+		size = MagicLen
+	}
+	seg, off := c.seg, c.off
+	c.walk(max, func(evs []*Event) error {
+		for _, ev := range evs {
+			size += recordSize(ev)
+		}
+		return nil
+	})
+	c.seg, c.off = seg, off // sized; now encode the same run
+	out := make([]byte, 0, size)
+	if header {
+		out = AppendHeader(out)
+	}
+	err := c.walk(max, func(evs []*Event) (err error) {
+		for _, ev := range evs {
+			if out, err = c.enc.AppendEvent(out, ev); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

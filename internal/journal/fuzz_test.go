@@ -75,10 +75,10 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzCursorExport guards the chunked Global Persist layout: re-encoding
-// a journal through Cursor batches of any size must produce exactly the
-// bytes of a one-shot Export, since FetchGlobalJournal decodes the chunk
-// concatenation as one image.
+// FuzzCursorExport guards the Global Persist layout: re-encoding a
+// journal through Cursor batches of any size must produce exactly the
+// bytes of a whole-journal Export, since FetchGlobalJournal decodes the
+// head + tail chunk concatenation as one image.
 func FuzzCursorExport(f *testing.F) {
 	full, err := Encode([]*Event{
 		{Type: EvCreate, Seq: 0, Client: "client.0", Parent: 1, Name: "f0", Ino: 10, Mode: 0644},
@@ -133,6 +133,21 @@ func FuzzCursorExport(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("cursor re-encode (chunk=%d) differs from Export: %d vs %d bytes",
 				chunk, len(got), len(want))
+		}
+		// The persist writer's own primitive: runs exported chunk by chunk,
+		// header on the first, concatenate to the same image.
+		var runs []byte
+		ec := j.InlineCursor()
+		for first := true; first || ec.Remaining() > 0; first = false {
+			part, err := ec.Export(chunk, first)
+			if err != nil {
+				t.Fatalf("export run: %v", err)
+			}
+			runs = append(runs, part...)
+		}
+		if !bytes.Equal(runs, got) {
+			t.Fatalf("chunked Cursor.Export (chunk=%d) differs from the re-encode: %d vs %d bytes",
+				chunk, len(runs), len(got))
 		}
 	})
 }

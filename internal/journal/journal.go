@@ -141,43 +141,12 @@ func (j *Journal) Reset() {
 	j.total = 0
 }
 
-// Export encodes all untrimmed events as a complete journal image. The
-// image is built segment by segment through a cursor — exactly sized up
-// front, with no intermediate flat copy of the event slice.
+// Export encodes all untrimmed events as a complete journal image,
+// exactly sized up front, with no intermediate flat copy of the event
+// slice: one cursor run as long as the journal.
 func (j *Journal) Export() ([]byte, error) {
-	size := MagicLen
-	cnt := func(evs []*Event) {
-		for _, ev := range evs {
-			size += recordSize(ev)
-		}
-	}
-	for _, s := range j.segments {
-		cnt(s.Events)
-	}
-	if j.cur != nil {
-		cnt(j.cur.Events)
-	}
-	out := make([]byte, 0, size)
-	out = AppendHeader(out)
-	var enc Encoder
-	cur := j.InlineCursor()
-	for {
-		evs := cur.Next(exportRun)
-		if evs == nil {
-			return out, nil
-		}
-		for _, ev := range evs {
-			var err error
-			if out, err = enc.AppendEvent(out, ev); err != nil {
-				return nil, err
-			}
-		}
-	}
+	return j.InlineCursor().Export(j.Len(), true)
 }
-
-// exportRun is the cursor run length Export iterates with; it only
-// bounds the gather buffer, not the output image.
-const exportRun = 256
 
 // Import creates a journal from an encoded image, preserving event order.
 // Sequence numbers are re-stamped contiguously from zero.

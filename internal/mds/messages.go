@@ -66,17 +66,41 @@ type MergeOpenMsg struct {
 	TotalBytes  int64
 }
 
-// MergeOpenReply answers a MergeOpenMsg.
-type MergeOpenReply struct {
-	ID           uint64 // stream id for subsequent MergeChunkMsg
-	Window       int    // chunks the MDS will buffer before backpressure
+// StreamOpenReply answers the open of a windowed stream (MergeOpenMsg,
+// ImportOpenMsg).
+type StreamOpenReply struct {
+	ID           uint64 // stream id for the chunks that follow
+	Window       int    // chunks the rank will buffer before backpressure
 	Backpressure bool   // admission queue full; retry after a delay
-	QueueDepth   int    // merge jobs admitted at reply time
+	QueueDepth   int    // jobs admitted at reply time
 	Err          error
 }
 
 // Backpressured implements transport.Flow.
-func (r *MergeOpenReply) Backpressured() bool { return r.Backpressure }
+func (r *StreamOpenReply) Backpressured() bool { return r.Backpressure }
+
+// StreamChunkReply answers one chunk of a windowed stream (MergeChunkMsg,
+// ImportChunkMsg).
+type StreamChunkReply struct {
+	Backpressure bool // window full; chunk not accepted, retry it
+	Window       int  // buffered chunks after this one
+	Err          error
+}
+
+// Backpressured implements transport.Flow.
+func (r *StreamChunkReply) Backpressured() bool { return r.Backpressure }
+
+// StreamAbortReply answers the abandonment of a windowed stream
+// (MergeAbortMsg, ImportAbortMsg).
+type StreamAbortReply struct{ Err error }
+
+// Both stream kinds answer with the shared scheduler's replies.
+type (
+	MergeOpenReply   = StreamOpenReply
+	MergeChunkReply  = StreamChunkReply
+	ImportOpenReply  = StreamOpenReply
+	ImportChunkReply = StreamChunkReply
+)
 
 // MergeChunkMsg ships one chunk of a streamed merge. It embeds
 // transport.StreamInfo, so interceptors (tracing) see it as a generic
@@ -86,16 +110,6 @@ type MergeChunkMsg struct {
 	Route  string
 	Events []*journal.Event
 }
-
-// MergeChunkReply answers a MergeChunkMsg.
-type MergeChunkReply struct {
-	Backpressure bool // window full; chunk not accepted, retry it
-	Window       int  // buffered chunks after this one
-	Err          error
-}
-
-// Backpressured implements transport.Flow.
-func (r *MergeChunkReply) Backpressured() bool { return r.Backpressure }
 
 // MergeWaitMsg blocks until a streamed merge has applied its final chunk
 // and reports the merge result as a MergeReply.
@@ -110,11 +124,6 @@ type MergeWaitMsg struct {
 type MergeAbortMsg struct {
 	ID    uint64
 	Route string
-}
-
-// MergeAbortReply answers a MergeAbortMsg.
-type MergeAbortReply struct {
-	Err error
 }
 
 // DecoupleMsg attaches a policy to a subtree and reserves its inode

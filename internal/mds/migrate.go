@@ -109,41 +109,22 @@ type ExportAbortMsg struct{ Path string }
 // ExportAbortReply answers an ExportAbortMsg.
 type ExportAbortReply struct{ Err error }
 
-// ImportOpenMsg opens an import session on the destination rank. The
-// importer bounds concurrent admissions (MigrateAdmitMax) and buffers
-// chunks in a flow-control window, exactly like the merge scheduler.
+// ImportOpenMsg opens an import session on the destination rank: a
+// stream on the rank's second scheduler (scheduler.go), which bounds
+// concurrent admissions (MigrateAdmitMax) and buffers chunks in a
+// flow-control window. It is answered with a StreamOpenReply.
 type ImportOpenMsg struct {
 	Path      string
 	TotalDirs int
 }
 
-// ImportOpenReply answers an ImportOpenMsg.
-type ImportOpenReply struct {
-	ID           uint64
-	Window       int
-	Backpressure bool
-	Err          error
-}
-
-// Backpressured implements transport.Flow.
-func (r *ImportOpenReply) Backpressured() bool { return r.Backpressure }
-
-// ImportChunkMsg ships one chunk of encoded directory objects.
+// ImportChunkMsg ships one chunk of encoded directory objects; Bytes is
+// their total length. It is answered with a StreamChunkReply.
 type ImportChunkMsg struct {
 	transport.StreamInfo
 	Path string
 	Objs [][]byte
 }
-
-// ImportChunkReply answers an ImportChunkMsg.
-type ImportChunkReply struct {
-	Backpressure bool
-	Window       int
-	Err          error
-}
-
-// Backpressured implements transport.Flow.
-func (r *ImportChunkReply) Backpressured() bool { return r.Backpressure }
 
 // ImportCommitMsg completes an import: waits for buffered chunks to
 // drain, installs the subtree's policy/owner/grant verbatim (so the
@@ -162,11 +143,8 @@ type ImportCommitReply struct {
 
 // ImportAbortMsg abandons an import session; buffered and already
 // installed state is left as a harmless unreachable copy (routing never
-// pointed at the importer).
+// pointed at the importer). It is answered with a StreamAbortReply.
 type ImportAbortMsg struct{ ID uint64 }
-
-// ImportAbortReply answers an ImportAbortMsg.
-type ImportAbortReply struct{ Err error }
 
 // AttachMsg installs a subtree's policy, owner, and an exact inode
 // grant on a rank without allocating a fresh range — the re-attach path
@@ -457,155 +435,74 @@ func (s *Server) exportAbort(p runtime.Task, m *ExportAbortMsg) *ExportAbortRepl
 
 // --- importing rank ---
 
-// importJob is one admitted import session on the destination rank.
-type importJob struct {
-	id        uint64
-	path      string
-	win       *transport.Window
-	installed int
-	err       error
-	last      bool
-	aborted   bool
-	done      runtime.Signal
+// newImportSched is the directory-object instantiation of the stream
+// scheduler: an admitted import costs only its wire hop, and each chunk's
+// objects install into the live store at the per-directory CPU cost.
+func newImportSched(s *Server) *streamSched {
+	admitMax := s.cfg.MigrateAdmitMax
+	if admitMax <= 0 {
+		admitMax = 2
+	}
+	return newStreamSched(s, streamKind{
+		name:         "import",
+		admitMax:     admitMax,
+		window:       s.cfg.MigrateWindowChunks,
+		admit:        func(runtime.Task) { s.metrics.Imports++ },
+		service:      s.importService,
+		chunks:       &s.metrics.ImportChunks,
+		backpressure: &s.metrics.ImportBackpressure,
+	})
 }
 
-// importSched is one rank's import scheduler: bounded admission plus a
-// window per job, drained by a single installer proc — the merge
-// scheduler's shape applied to directory objects.
-type importSched struct {
-	s         *Server
-	jobs      []*importJob
-	nextID    uint64
-	admitting int
-	running   bool
-	idle      runtime.Signal
-	finished  map[uint64]*importJob
-}
-
-func newImportSched(s *Server) *importSched {
-	return &importSched{s: s, finished: make(map[uint64]*importJob)}
-}
-
-func (is *importSched) find(id uint64) *importJob {
-	for _, j := range is.jobs {
-		if j.id == id {
-			return j
+// importService installs one chunk's directory objects.
+func (s *Server) importService(p runtime.Task, job *streamJob, sc transport.StreamChunk) {
+	objs := sc.(*ImportChunkMsg).Objs
+	if len(objs) == 0 {
+		return
+	}
+	s.cpu.Acquire(p)
+	defer s.cpu.Release()
+	for _, data := range objs {
+		p.Sleep(s.migrateDirCPU())
+		obj, err := namespace.DecodeDir(data)
+		if err == nil {
+			err = s.store.InstallDir(obj)
 		}
+		if err != nil {
+			job.err = fmt.Errorf("import install: %w", err)
+			return
+		}
+		job.done++
 	}
-	return nil
-}
-
-// importAdmitMax returns the concurrent-import bound.
-func (s *Server) importAdmitMax() int {
-	if s.cfg.MigrateAdmitMax > 0 {
-		return s.cfg.MigrateAdmitMax
-	}
-	return 2
-}
-
-// importOpen is the ImportOpenMsg handler: admission control, mirroring
-// mergeOpen (slot reserved before the first yield).
-func (s *Server) importOpen(p runtime.Task, m *ImportOpenMsg) *ImportOpenReply {
-	if s.stopped {
-		return &ImportOpenReply{Err: ErrShutdown}
-	}
-	is := s.imports
-	if len(is.jobs)+is.admitting >= s.importAdmitMax() {
-		s.metrics.ImportBackpressure++
-		return &ImportOpenReply{Backpressure: true}
-	}
-	is.admitting++
-	p.Sleep(s.cfg.NetLatency)
-	is.admitting--
-
-	win := s.cfg.MigrateWindowChunks
-	if win < 1 {
-		win = 4
-	}
-	is.nextID++
-	job := &importJob{
-		id:   is.nextID,
-		path: cleanSubtreePath(m.Path),
-		win:  transport.NewWindow(win),
-		done: s.eng.NewSignal(),
-	}
-	is.jobs = append(is.jobs, job)
-	s.metrics.Imports++
-	is.ensureRunning()
-	return &ImportOpenReply{ID: job.id, Window: win}
-}
-
-// importChunk is the ImportChunkMsg handler: accept the chunk into the
-// job's window or answer with backpressure.
-func (s *Server) importChunk(p runtime.Task, m *ImportChunkMsg) *ImportChunkReply {
-	if s.stopped {
-		return &ImportChunkReply{Err: ErrShutdown}
-	}
-	job := s.imports.find(m.ID)
-	if job == nil {
-		return &ImportChunkReply{Err: fmt.Errorf("mds: import stream %d: %w", m.ID, namespace.ErrInval)}
-	}
-	if job.win.Len() >= job.win.Limit() {
-		s.metrics.ImportBackpressure++
-		return &ImportChunkReply{Backpressure: true, Window: job.win.Len()}
-	}
-	p.Sleep(s.cfg.NetLatency)
-	var bytes int64
-	for _, o := range m.Objs {
-		bytes += int64(len(o))
-	}
-	if bytes > 0 {
-		s.obj.Net().Transfer(p, bytes)
-	}
-	// Re-verify after the wire yield, like mergeChunk.
-	if job.aborted {
-		return &ImportChunkReply{Err: ErrNotExporting}
-	}
-	if !job.win.TryPush(p.Now(), m) {
-		s.metrics.ImportBackpressure++
-		return &ImportChunkReply{Backpressure: true, Window: job.win.Len()}
-	}
-	s.metrics.ImportChunks++
-	s.imports.kick()
-	return &ImportChunkReply{Window: job.win.Len()}
 }
 
 // importCommit is the ImportCommitMsg handler: wait for the install
 // proc to drain the job, then adopt the subtree's policy, owner, grant,
 // and journal tail.
 func (s *Server) importCommit(p runtime.Task, m *ImportCommitMsg) *ImportCommitReply {
-	is := s.imports
-	job := is.find(m.ID)
-	if job == nil {
-		job = is.finished[m.ID]
+	installed, err := s.imports.wait(p, m.ID)
+	if err == nil && s.stopped {
+		err = ErrShutdown
 	}
-	if job == nil {
-		return &ImportCommitReply{Err: fmt.Errorf("mds: import stream %d: %w", m.ID, namespace.ErrInval)}
-	}
-	job.done.Wait(p)
-	delete(is.finished, m.ID)
-	if job.err != nil {
-		return &ImportCommitReply{Installed: job.installed, Err: job.err}
-	}
-	if s.stopped {
-		return &ImportCommitReply{Installed: job.installed, Err: ErrShutdown}
+	if err != nil {
+		return &ImportCommitReply{Installed: installed, Err: err}
 	}
 
 	man := m.Manifest
 	root, err := s.store.Resolve(man.Path)
 	if err != nil {
-		return &ImportCommitReply{Installed: job.installed, Err: err}
+		return &ImportCommitReply{Installed: installed, Err: err}
 	}
 	if man.Policy != nil {
 		if err := s.store.SetPolicy(root.Ino, man.Policy); err != nil {
-			return &ImportCommitReply{Installed: job.installed, Err: err}
+			return &ImportCommitReply{Installed: installed, Err: err}
 		}
 	}
 	if man.Owner != "" {
 		s.owners[root.Ino] = man.Owner
 		if man.GrantLo != 0 && man.GrantN > 0 {
 			if err := s.store.ReserveRange(man.GrantLo, man.GrantN); err != nil {
-				return &ImportCommitReply{Installed: job.installed, Err: err}
+				return &ImportCommitReply{Installed: installed, Err: err}
 			}
 		}
 	}
@@ -629,117 +526,9 @@ func (s *Server) importCommit(p runtime.Task, m *ImportCommitMsg) *ImportCommitR
 	}
 	if fl := s.eng.Flight(); fl != nil {
 		fl.Record(int64(p.Now()), s.ep.Name(), "mds", "import.commit",
-			fmt.Sprintf("%s dirs=%d tail=%d", man.Path, job.installed, len(man.Tail)))
+			fmt.Sprintf("%s dirs=%d tail=%d", man.Path, installed, len(man.Tail)))
 	}
-	return &ImportCommitReply{Installed: job.installed}
-}
-
-// importAbort is the ImportAbortMsg handler.
-func (s *Server) importAbort(p runtime.Task, m *ImportAbortMsg) *ImportAbortReply {
-	is := s.imports
-	if job := is.find(m.ID); job != nil {
-		job.aborted = true
-		is.ensureRunning()
-		return &ImportAbortReply{}
-	}
-	delete(is.finished, m.ID)
-	return &ImportAbortReply{}
-}
-
-func (is *importSched) ensureRunning() {
-	if is.running {
-		is.kick()
-		return
-	}
-	is.running = true
-	is.s.dom.Spawn(is.s.ep.Name()+".import", is.run)
-}
-
-func (is *importSched) kick() {
-	if is.idle != nil {
-		idle := is.idle
-		is.idle = nil
-		idle.Fire(nil)
-	}
-}
-
-func (is *importSched) pick() *importJob {
-	for _, j := range is.jobs {
-		if j.win.Len() > 0 {
-			return j
-		}
-	}
-	return nil
-}
-
-// run is the installer proc: pop one chunk, install its directory
-// objects into the live store at the per-directory CPU cost.
-func (is *importSched) run(p runtime.Task) {
-	s := is.s
-	for {
-		is.retireAborted(p)
-		job := is.pick()
-		if job == nil {
-			if len(is.jobs) == 0 {
-				is.running = false
-				return
-			}
-			is.idle = s.eng.NewSignal()
-			is.idle.Wait(p)
-			continue
-		}
-		payload, _, _ := job.win.Pop(p.Now())
-		chunk := payload.(*ImportChunkMsg)
-		if chunk.Last {
-			job.last = true
-		}
-		if job.err == nil && len(chunk.Objs) > 0 {
-			s.cpu.Acquire(p)
-			for _, data := range chunk.Objs {
-				p.Sleep(s.migrateDirCPU())
-				obj, err := namespace.DecodeDir(data)
-				if err == nil {
-					err = s.store.InstallDir(obj)
-				}
-				if err != nil {
-					job.err = fmt.Errorf("import install: %w", err)
-					break
-				}
-				job.installed++
-			}
-			s.cpu.Release()
-		}
-		if job.last && job.win.Len() == 0 {
-			is.finish(job)
-		}
-	}
-}
-
-func (is *importSched) retireAborted(p runtime.Task) {
-	for i := 0; i < len(is.jobs); {
-		job := is.jobs[i]
-		if !job.aborted {
-			i++
-			continue
-		}
-		for job.win.Len() > 0 {
-			job.win.Pop(p.Now())
-		}
-		is.finish(job)
-	}
-}
-
-func (is *importSched) finish(job *importJob) {
-	for i, j := range is.jobs {
-		if j == job {
-			is.jobs = append(is.jobs[:i], is.jobs[i+1:]...)
-			break
-		}
-	}
-	job.done.Fire(nil)
-	if !job.aborted {
-		is.finished[job.id] = job
-	}
+	return &ImportCommitReply{Installed: installed}
 }
 
 // --- attach ---

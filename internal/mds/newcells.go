@@ -3,31 +3,14 @@ package mds
 import (
 	"cudele/internal/journal"
 	"cudele/internal/namespace"
-	"cudele/internal/runtime"
 )
 
-// The merge paths for the two policy cells beyond the paper's Table I:
-// speculative_apply (ConsSpeculative) validates each client prediction
-// against the current global view and reports the losers back for
-// rollback; converge_apply (ConsStrongEventual) merges through the
-// namespace CRDT resolver so concurrent merges commute. Both share
-// Volatile Apply's cost model — network transfer, merge-queue congestion,
-// chunked CPU — so the new cells are comparable to the original nine in
-// every bench table.
-
-// SpeculativeApply posts a speculative merge of events to this rank and
-// returns the applied count plus the indices of rejected predictions. A
-// convenience wrapper mirroring VolatileApply.
-func (s *Server) SpeculativeApply(p runtime.Task, events []*journal.Event, nominalBytes int64) (int, []int, error) {
-	r := s.ep.Post(p, &MergeMsg{Events: events, NominalBytes: nominalBytes, Mode: MergeSpeculative}).(*MergeReply)
-	return r.Applied, r.Conflicts, r.Err
-}
-
-// ConvergeApply posts a strong-eventual merge of events to this rank.
-func (s *Server) ConvergeApply(p runtime.Task, events []*journal.Event, nominalBytes int64) (int, error) {
-	r := s.ep.Post(p, &MergeMsg{Events: events, NominalBytes: nominalBytes, Mode: MergeConverge}).(*MergeReply)
-	return r.Applied, r.Err
-}
+// The merge steps of the two policy cells beyond the paper's Table I
+// (merge.go composes them into the shared merge loop): speculative_apply
+// (ConsSpeculative) validates each client prediction against the current
+// global view and reports the losers back for rollback; converge_apply
+// (ConsStrongEventual) merges through the namespace CRDT resolver so
+// concurrent merges commute.
 
 // speculativeValidate is the MDS-side prediction check: does this event
 // still apply cleanly against the live global view? A missing parent is
@@ -69,95 +52,12 @@ func (s *Server) speculativeValidate(ev *journal.Event) bool {
 	return true // alloc/export/undo records never conflict
 }
 
-// speculativeApply is the MergeMsg handler body for Mode=MergeSpeculative.
-// Events are validated and applied serially under the same congestion
-// model as volatileApply; rejected indices come back in ascending order.
-func (s *Server) speculativeApply(p runtime.Task, evs []*journal.Event, nominalBytes int64) (int, []int, error) {
-	if s.stopped {
-		return 0, nil, ErrShutdown
-	}
-	s.mergeQueue++
-	defer func() { s.mergeQueue-- }()
-
-	p.Sleep(s.cfg.NetLatency)
-	if nominalBytes > 0 {
-		s.obj.Net().Transfer(p, nominalBytes)
-	}
-	s.cpu.Use(p, s.cfg.MDSMergeSetup)
-	s.metrics.MergeJobs++
-
-	applied := 0
-	var conflicts []int
-	for off := 0; off < len(evs); off += mergeChunk {
-		end := off + mergeChunk
-		if end > len(evs) {
-			end = len(evs)
-		}
-		chunk := evs[off:end]
-		per := s.mergeApplyCost()
-		s.cpu.Acquire(p)
-		p.Sleep(per * runtime.Duration(len(chunk)))
-		for i, ev := range chunk {
-			if !s.speculativeValidate(ev) {
-				conflicts = append(conflicts, off+i)
-				s.metrics.MergeConflicts++
-				continue
-			}
-			if err := s.store.ApplyEvent(ev); err != nil {
-				s.cpu.Release()
-				return applied, conflicts, err
-			}
-			applied++
-			s.metrics.Merged++
-		}
-		s.cpu.Release()
-	}
-	return applied, conflicts, nil
-}
-
 // seMerger lazily wraps the rank's store in the strong-eventual CRDT
-// resolver. It is reset on Crash together with the store it renders.
+// resolver. It is reset whenever the store it renders is replaced (Crash,
+// Recover).
 func (s *Server) seMerger() *namespace.SEMerger {
 	if s.se == nil {
 		s.se = namespace.NewSEMerger(s.store)
 	}
 	return s.se
-}
-
-// convergeApply is the MergeMsg handler body for Mode=MergeConverge:
-// volatileApply's cost model with the CRDT resolver as the target. Every
-// event is "applied" — absorbing a tie-break loser IS the merge — so
-// Applied == len(events) on success regardless of race outcomes.
-func (s *Server) convergeApply(p runtime.Task, src eventSource, nominalBytes int64) (int, error) {
-	if s.stopped {
-		return 0, ErrShutdown
-	}
-	s.mergeQueue++
-	defer func() { s.mergeQueue-- }()
-
-	p.Sleep(s.cfg.NetLatency)
-	if nominalBytes > 0 {
-		s.obj.Net().Transfer(p, nominalBytes)
-	}
-	s.cpu.Use(p, s.cfg.MDSMergeSetup)
-	s.metrics.MergeJobs++
-
-	merger := s.seMerger()
-	applied := 0
-	for src.Remaining() > 0 {
-		chunk := src.Next(mergeChunk)
-		per := s.mergeApplyCost()
-		s.cpu.Acquire(p)
-		p.Sleep(per * runtime.Duration(len(chunk)))
-		for _, ev := range chunk {
-			if err := merger.ApplyEvent(ev); err != nil {
-				s.cpu.Release()
-				return applied, err
-			}
-			applied++
-			s.metrics.Merged++
-		}
-		s.cpu.Release()
-	}
-	return applied, nil
 }

@@ -3,40 +3,62 @@ package mds
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cudele/internal/namespace"
 	"cudele/internal/runtime"
 	"cudele/internal/transport"
 )
 
-// The merge scheduler is the streamed (chunked) Volatile Apply path.
-// Where the one-shot handler (merge.go) lets every arriving journal
-// start merging at once — so N simultaneous journals each pay the full
-// N-way congestion premium for their entire length — the scheduler
-// admits at most MergeAdmitMax jobs, buffers each job's chunks in a
-// bounded flow-control window, and round-robins the MDS CPU across the
+// The stream scheduler is the receiving side of every windowed chunk
+// stream a rank accepts. A rank runs two: streamed Volatile Apply
+// (journal chunks, below) and subtree import (directory-object chunks,
+// migrate.go). Where the one-shot merge (merge.go) lets every arriving
+// journal start at once — so N simultaneous journals each pay the full
+// N-way congestion premium for their entire length — a scheduler admits
+// a bounded number of jobs, buffers each job's chunks in a bounded
+// flow-control window, and round-robins the rank's CPU across the
 // admitted jobs one chunk at a time. Arrivals beyond the admission bound
-// and chunks beyond a job's window get backpressure replies; the client
-// retries after MergeRetryDelay. Everything runs on simulated time, so
-// the schedule is deterministic.
+// and chunks beyond a job's window get backpressure replies; the sender
+// retries after a delay. Everything runs on simulated time, so the
+// schedule is deterministic.
 
-// mergeJob is one admitted streamed merge.
-type mergeJob struct {
+// streamKind is what differs between a rank's two schedulers.
+type streamKind struct {
+	name     string // proc-name suffix and error label
+	admitMax int    // concurrently admitted jobs; 0 means unbounded
+	window   int    // chunks buffered per job before backpressure
+
+	// admit runs once per admitted open, after the open crossed the wire:
+	// kind-specific setup cost and accounting.
+	admit func(p runtime.Task)
+	// service applies one buffered chunk, advancing job.done or setting
+	// job.err. It is only called while job.err is nil.
+	service func(p runtime.Task, job *streamJob, chunk transport.StreamChunk)
+	// retire, when set, runs as a job leaves the scheduler, drained or
+	// aborted.
+	retire func()
+
+	chunks, backpressure *uint64 // the kind's Metrics counters
+}
+
+// streamJob is one admitted stream.
+type streamJob struct {
 	id      uint64
-	client  string
 	win     *transport.Window
-	applied int
+	done    int // items applied so far
 	err     error
 	last    bool // final chunk has been received
-	aborted bool // client abandoned the stream; discard and retire
-	done    runtime.Signal
+	aborted bool // sender abandoned the stream; discard and retire
+	fin     runtime.Signal
 	maxWait runtime.Duration // longest any of this job's chunks sat buffered
 }
 
-// mergeSched is one rank's merge scheduler.
-type mergeSched struct {
-	s      *Server
-	jobs   []*mergeJob // admitted, in admission order
+// streamSched is one rank's scheduler for one stream kind.
+type streamSched struct {
+	s *Server
+	streamKind
+	jobs   []*streamJob // admitted, in admission order
 	nextID uint64
 	rr     int // round-robin position in jobs
 
@@ -50,23 +72,39 @@ type mergeSched struct {
 	running bool           // scheduler proc is alive
 	idle    runtime.Signal // non-nil while the proc is parked awaiting chunks
 
-	// finished holds completed jobs until their MergeWaitMsg arrives.
-	finished map[uint64]*mergeJob
+	// finished holds completed jobs until their wait message arrives.
+	finished map[uint64]*streamJob
 
 	// waits collects each completed job's max chunk wait — the fairness
 	// record: round-robin interleaving keeps the spread between jobs
-	// small even when their journals differ in size.
+	// small even when their streams differ in size.
 	waits    []runtime.Duration
 	peakJobs int
 }
 
-func newMergeSched(s *Server) *mergeSched {
-	return &mergeSched{s: s, finished: make(map[uint64]*mergeJob)}
+func newStreamSched(s *Server, kind streamKind) *streamSched {
+	if kind.window < 1 {
+		kind.window = 4
+	}
+	return &streamSched{s: s, streamKind: kind, finished: make(map[uint64]*streamJob)}
+}
+
+// ErrStreamAborted marks a stream its sender abandoned midway.
+var ErrStreamAborted = errors.New("mds: stream aborted by sender")
+
+// unknown is the typed error for a stream id this scheduler does not
+// hold. On a stopped rank that is a symptom, not the cause: Crash
+// replaced the scheduler the id belonged to.
+func (ss *streamSched) unknown(id uint64) error {
+	if ss.s.stopped {
+		return ErrShutdown
+	}
+	return fmt.Errorf("mds: %s stream %d: %w", ss.name, id, namespace.ErrInval)
 }
 
 // find returns the admitted job with the given stream id.
-func (ms *mergeSched) find(id uint64) *mergeJob {
-	for _, j := range ms.jobs {
+func (ss *streamSched) find(id uint64) *streamJob {
+	for _, j := range ss.jobs {
 		if j.id == id {
 			return j
 		}
@@ -74,226 +112,202 @@ func (ms *mergeSched) find(id uint64) *mergeJob {
 	return nil
 }
 
-// mergeOpen is the MergeOpenMsg handler: admission control. A rejected
-// open costs the MDS nothing — the client pays the retry delay — so
-// bounded admission caps the congestion multiplier every admitted job's
-// events are priced at.
-func (s *Server) mergeOpen(p runtime.Task, m *MergeOpenMsg) *MergeOpenReply {
+// open is admission control. A rejected open costs the rank nothing —
+// the sender pays the retry delay — so bounded admission caps the
+// congestion multiplier every admitted job's items are priced at.
+func (ss *streamSched) open(p runtime.Task) *StreamOpenReply {
+	s := ss.s
 	if s.stopped {
-		return &MergeOpenReply{Err: ErrShutdown}
+		return &StreamOpenReply{Err: ErrShutdown}
 	}
-	ms := s.merge
-	if max := s.cfg.MergeAdmitMax; max > 0 && len(ms.jobs)+ms.admitting >= max {
-		s.metrics.MergeBackpressure++
-		return &MergeOpenReply{Backpressure: true, QueueDepth: len(ms.jobs) + ms.admitting}
+	if depth := len(ss.jobs) + ss.admitting; ss.admitMax > 0 && depth >= ss.admitMax {
+		*ss.backpressure++
+		return &StreamOpenReply{Backpressure: true, QueueDepth: depth}
 	}
-	ms.admitting++
+	ss.admitting++
+	p.Sleep(s.cfg.NetLatency) // the open crosses the wire like a one-shot header
+	ss.admit(p)
+	ss.admitting--
 
-	// The open request crosses the wire like the one-shot merge header
-	// does; session/inode-range validation before any chunk applies.
-	p.Sleep(s.cfg.NetLatency)
-	s.cpu.Use(p, s.cfg.MDSMergeSetup)
-	s.metrics.MergeJobs++
-	ms.admitting--
-
-	win := s.cfg.MergeWindowChunks
-	if win < 1 {
-		win = 4
+	ss.nextID++
+	job := &streamJob{id: ss.nextID, win: transport.NewWindow(ss.window), fin: s.eng.NewSignal()}
+	ss.jobs = append(ss.jobs, job)
+	if len(ss.jobs) > ss.peakJobs {
+		ss.peakJobs = len(ss.jobs)
 	}
-	ms.nextID++
-	job := &mergeJob{
-		id:     ms.nextID,
-		client: m.Client,
-		win:    transport.NewWindow(win),
-		done:   s.eng.NewSignal(),
-	}
-	ms.jobs = append(ms.jobs, job)
-	if len(ms.jobs) > ms.peakJobs {
-		ms.peakJobs = len(ms.jobs)
-	}
-	s.mergeQueue++
-	ms.ensureRunning()
-	return &MergeOpenReply{ID: job.id, Window: win, QueueDepth: len(ms.jobs)}
+	ss.ensureRunning()
+	return &StreamOpenReply{ID: job.id, Window: ss.window, QueueDepth: len(ss.jobs)}
 }
 
-// mergeChunk is the MergeChunkMsg handler: accept the chunk into the
-// job's window — charging the per-chunk wire cost on the shared fabric —
-// or answer with backpressure when the window is full.
-func (s *Server) mergeChunk(p runtime.Task, m *MergeChunkMsg) *MergeChunkReply {
+// push accepts a chunk into its job's window — charging the per-chunk
+// wire cost on the shared fabric — or answers with backpressure when the
+// window is full.
+func (ss *streamSched) push(p runtime.Task, chunk transport.StreamChunk) *StreamChunkReply {
+	s, info := ss.s, chunk.Stream()
 	if s.stopped {
-		return &MergeChunkReply{Err: ErrShutdown}
+		return &StreamChunkReply{Err: ErrShutdown}
 	}
-	job := s.merge.find(m.ID)
+	job := ss.find(info.ID)
 	if job == nil {
-		return &MergeChunkReply{Err: fmt.Errorf("mds: merge stream %d: %w", m.ID, namespace.ErrInval)}
+		return &StreamChunkReply{Err: ss.unknown(info.ID)}
 	}
 	if job.win.Len() >= job.win.Limit() {
-		s.metrics.MergeBackpressure++
-		return &MergeChunkReply{Backpressure: true, Window: job.win.Len()}
+		*ss.backpressure++
+		return &StreamChunkReply{Backpressure: true, Window: job.win.Len()}
 	}
 	// Per-chunk wire billing: latency plus this chunk's bytes on the
 	// shared fabric, pipelining the network under the CPU of earlier
 	// chunks.
 	p.Sleep(s.cfg.NetLatency)
-	if m.Bytes > 0 {
-		s.obj.Net().Transfer(p, m.Bytes)
+	if info.Bytes > 0 {
+		s.obj.Net().Transfer(p, info.Bytes)
 	}
 	// The wire yield above may have let the stream abort or another
 	// sender fill the window: re-verify rather than assume the pre-check
 	// still holds. The chunk crossed the wire either way, so these
 	// rejections are not free like the pre-check one.
 	if job.aborted {
-		return &MergeChunkReply{Err: ErrMergeAborted}
+		return &StreamChunkReply{Err: ErrStreamAborted}
 	}
-	if !job.win.TryPush(p.Now(), m) {
-		s.metrics.MergeBackpressure++
-		return &MergeChunkReply{Backpressure: true, Window: job.win.Len()}
+	if !job.win.TryPush(p.Now(), chunk) {
+		*ss.backpressure++
+		return &StreamChunkReply{Backpressure: true, Window: job.win.Len()}
 	}
-	s.metrics.MergeChunks++
-	s.merge.kick()
-	return &MergeChunkReply{Window: job.win.Len()}
+	*ss.chunks++
+	ss.kick()
+	return &StreamChunkReply{Window: job.win.Len()}
 }
 
-// mergeWait is the MergeWaitMsg handler: block the client until its
-// streamed merge drains, then surface the result.
-func (s *Server) mergeWait(p runtime.Task, m *MergeWaitMsg) *MergeReply {
-	ms := s.merge
-	job := ms.find(m.ID)
+// wait blocks the sender until its stream drains, then surfaces the
+// result and drops the completion record.
+func (ss *streamSched) wait(p runtime.Task, id uint64) (done int, err error) {
+	job := ss.find(id)
 	if job == nil {
-		job = ms.finished[m.ID]
+		job = ss.finished[id]
 	}
 	if job == nil {
-		return &MergeReply{Err: fmt.Errorf("mds: merge stream %d: %w", m.ID, namespace.ErrInval)}
+		return 0, ss.unknown(id)
 	}
-	job.done.Wait(p)
-	delete(ms.finished, m.ID)
-	return &MergeReply{Applied: job.applied, Err: job.err}
+	job.fin.Wait(p)
+	delete(ss.finished, id)
+	return job.done, job.err
 }
 
-// ErrMergeAborted marks a streamed merge its client abandoned mid-stream.
-var ErrMergeAborted = errors.New("mds: merge aborted by client")
+// abort flags a stream its sender is abandoning after an error. The
+// scheduler proc discards the buffered chunks and retires the job,
+// releasing its admission slot. It works on a stopped rank too — that is
+// exactly when senders abort.
+func (ss *streamSched) abort(p runtime.Task, id uint64) *StreamAbortReply {
+	p.Sleep(ss.s.cfg.NetLatency)
+	if job := ss.find(id); job != nil {
+		ss.flagAborted(job, ErrStreamAborted)
+		ss.ensureRunning()
+		return &StreamAbortReply{}
+	}
+	if _, ok := ss.finished[id]; ok {
+		// The stream drained before the abort arrived. The sender is not
+		// going to wait for it, so drop the completion record.
+		delete(ss.finished, id)
+		return &StreamAbortReply{}
+	}
+	return &StreamAbortReply{Err: ss.unknown(id)}
+}
 
-// mergeAbort is the MergeAbortMsg handler: the client hit an error and is
-// abandoning the stream. The job is flagged; the scheduler proc discards
-// its buffered chunks and retires it, releasing the admission slot and
-// the merge-queue congestion share. It works on a stopped server too —
-// that is exactly when clients abort.
-func (s *Server) mergeAbort(p runtime.Task, m *MergeAbortMsg) *MergeAbortReply {
-	p.Sleep(s.cfg.NetLatency)
-	ms := s.merge
-	if job := ms.find(m.ID); job != nil {
-		job.aborted = true
-		if job.err == nil {
-			job.err = ErrMergeAborted
-		}
-		ms.ensureRunning()
-		return &MergeAbortReply{}
+func (ss *streamSched) flagAborted(job *streamJob, cause error) {
+	job.aborted = true
+	if job.err == nil {
+		job.err = cause
 	}
-	if _, ok := ms.finished[m.ID]; ok {
-		// The merge drained before the abort arrived. The client is not
-		// going to send a MergeWaitMsg, so drop the completion record.
-		delete(ms.finished, m.ID)
-		return &MergeAbortReply{}
+}
+
+// crash retires every in-flight job with ErrShutdown — unblocking senders
+// parked in wait — and returns the fresh scheduler that replaces this one.
+// retire hooks still run against the server, so shared accounting (the
+// merge queue's congestion share) drains to zero.
+func (ss *streamSched) crash() *streamSched {
+	for _, job := range ss.jobs {
+		ss.flagAborted(job, ErrShutdown)
 	}
-	return &MergeAbortReply{Err: fmt.Errorf("mds: merge stream %d: %w", m.ID, namespace.ErrInval)}
+	ss.ensureRunning()
+	return newStreamSched(ss.s, ss.streamKind)
 }
 
 // ensureRunning spawns the scheduler proc if it is not alive, or wakes
 // it if it is parked.
-func (ms *mergeSched) ensureRunning() {
-	if ms.running {
-		ms.kick()
+func (ss *streamSched) ensureRunning() {
+	if ss.running {
+		ss.kick()
 		return
 	}
-	ms.running = true
-	ms.s.dom.Spawn(ms.s.ep.Name()+".mergesched", ms.run)
+	ss.running = true
+	ss.s.dom.Spawn(ss.s.ep.Name()+"."+ss.name, ss.run)
 }
 
 // kick wakes a parked scheduler proc.
-func (ms *mergeSched) kick() {
-	if ms.idle != nil {
-		idle := ms.idle
-		ms.idle = nil
+func (ss *streamSched) kick() {
+	if ss.idle != nil {
+		idle := ss.idle
+		ss.idle = nil
 		idle.Fire(nil)
 	}
 }
 
 // pick returns the next job with a buffered chunk, round-robin from the
 // last serviced position, or nil when every window is empty.
-func (ms *mergeSched) pick() *mergeJob {
-	n := len(ms.jobs)
+func (ss *streamSched) pick() *streamJob {
+	n := len(ss.jobs)
 	for i := 0; i < n; i++ {
-		job := ms.jobs[(ms.rr+i)%n]
+		job := ss.jobs[(ss.rr+i)%n]
 		if job.win.Len() > 0 {
-			ms.rr = (ms.rr + i + 1) % n
+			ss.rr = (ss.rr + i + 1) % n
 			return job
 		}
 	}
 	return nil
 }
 
-// run is the scheduler proc: one chunk from one job per iteration, at
-// the congestion-priced per-event cost, until no admitted jobs remain.
-// The proc exits when the rank has no streamed merges, so an idle rank
-// leaks no goroutine (sim.Engine.LeakCheck stays clean).
-func (ms *mergeSched) run(p runtime.Task) {
-	s := ms.s
+// run is the scheduler proc: one chunk from one job per iteration until
+// no admitted jobs remain. The proc exits when the rank has no streams
+// of this kind, so an idle rank leaks no goroutine (sim.Engine.LeakCheck
+// stays clean).
+func (ss *streamSched) run(p runtime.Task) {
 	for {
-		ms.retireAborted(p)
-		job := ms.pick()
+		ss.retireAborted(p)
+		job := ss.pick()
 		if job == nil {
-			if len(ms.jobs) == 0 {
-				ms.running = false
+			if len(ss.jobs) == 0 {
+				ss.running = false
 				return
 			}
 			// Admitted jobs exist but every window is empty: park until
 			// the next chunk arrives.
-			ms.idle = s.eng.NewSignal()
-			ms.idle.Wait(p)
+			ss.idle = ss.s.eng.NewSignal()
+			ss.idle.Wait(p)
 			continue
 		}
 		payload, waited, _ := job.win.Pop(p.Now())
 		if waited > job.maxWait {
 			job.maxWait = waited
 		}
-		chunk := payload.(*MergeChunkMsg)
-		if chunk.Last {
+		chunk := payload.(transport.StreamChunk)
+		if chunk.Stream().Last {
 			job.last = true
 		}
-		if job.err == nil && len(chunk.Events) > 0 {
-			rec := s.eng.Tracer()
-			span := rec.Begin(int64(p.Now()), s.ep.Name(), "mds", "merge.apply")
-			per := s.mergeApplyCost()
-			before := job.applied
-			s.cpu.Acquire(p)
-			p.Sleep(per * runtime.Duration(len(chunk.Events)))
-			for _, ev := range chunk.Events {
-				if err := s.store.ApplyEvent(ev); err != nil {
-					job.err = fmt.Errorf("volatile apply: %w", err)
-					break
-				}
-				job.applied++
-				s.metrics.Merged++
-			}
-			s.cpu.Release()
-			rec.End(span, int64(p.Now()))
-			if s.heat != nil && job.applied > before {
-				s.heat.RecordMerge(int64(p.Now()), s.heatSubtree(chunk.Route), s.rank,
-					job.applied-before, chunk.Bytes)
-			}
+		if job.err == nil {
+			ss.service(p, job, chunk)
 		}
 		if job.last && job.win.Len() == 0 {
-			ms.finish(job)
+			ss.finish(job)
 		}
 	}
 }
 
-// retireAborted discards and finishes jobs whose client abandoned the
+// retireAborted discards and finishes jobs whose sender abandoned the
 // stream, so their admission slots free up and the proc never parks on
 // chunks that will not come.
-func (ms *mergeSched) retireAborted(p runtime.Task) {
-	for i := 0; i < len(ms.jobs); {
-		job := ms.jobs[i]
+func (ss *streamSched) retireAborted(p runtime.Task) {
+	for i := 0; i < len(ss.jobs); {
+		job := ss.jobs[i]
 		if !job.aborted {
 			i++
 			continue
@@ -301,49 +315,89 @@ func (ms *mergeSched) retireAborted(p runtime.Task) {
 		for job.win.Len() > 0 {
 			job.win.Pop(p.Now())
 		}
-		ms.finish(job) // removes jobs[i]; re-examine the same index
+		ss.finish(job) // removes jobs[i]; re-examine the same index
 	}
 }
 
 // finish retires a drained job: release its admission slot, record its
-// fairness sample, and release the waiting client. Aborted jobs are no
-// fairness sample and get no completion record — their client is gone.
-func (ms *mergeSched) finish(job *mergeJob) {
-	for i, j := range ms.jobs {
+// fairness sample, and release the waiting sender. Aborted jobs are no
+// fairness sample and get no completion record — their sender is gone.
+func (ss *streamSched) finish(job *streamJob) {
+	for i, j := range ss.jobs {
 		if j == job {
-			ms.jobs = append(ms.jobs[:i], ms.jobs[i+1:]...)
+			ss.jobs = append(ss.jobs[:i], ss.jobs[i+1:]...)
 			break
 		}
 	}
-	ms.s.mergeQueue--
-	job.done.Fire(nil)
+	if ss.retire != nil {
+		ss.retire()
+	}
+	job.fin.Fire(nil)
 	if job.aborted {
 		return
 	}
-	ms.waits = append(ms.waits, job.maxWait)
-	ms.finished[job.id] = job
+	ss.waits = append(ss.waits, job.maxWait)
+	ss.finished[job.id] = job
+}
+
+// fairness reports the spread of waits and how many jobs it covers.
+func (ss *streamSched) fairness() (spread runtime.Duration, jobs int) {
+	if len(ss.waits) == 0 {
+		return 0, 0
+	}
+	return slices.Max(ss.waits) - slices.Min(ss.waits), len(ss.waits)
+}
+
+// --- streamed Volatile Apply: the journal-chunk instantiation ---
+
+func newMergeSched(s *Server) *streamSched {
+	return newStreamSched(s, streamKind{
+		name:     "mergesched",
+		admitMax: s.cfg.MergeAdmitMax,
+		window:   s.cfg.MergeWindowChunks,
+		admit: func(p runtime.Task) {
+			// Session/inode-range validation before any chunk applies; the
+			// job prices every concurrent merge from here on.
+			s.cpu.Use(p, s.cfg.MDSMergeSetup)
+			s.metrics.MergeJobs++
+			s.mergeQueue++
+		},
+		service:      s.mergeService,
+		retire:       func() { s.mergeQueue-- },
+		chunks:       &s.metrics.MergeChunks,
+		backpressure: &s.metrics.MergeBackpressure,
+	})
+}
+
+// mergeService applies one journal chunk as a single run at the
+// congestion-priced per-event cost.
+func (s *Server) mergeService(p runtime.Task, job *streamJob, sc transport.StreamChunk) {
+	chunk := sc.(*MergeChunkMsg)
+	if len(chunk.Events) == 0 {
+		return
+	}
+	rec := s.eng.Tracer()
+	span := rec.Begin(int64(p.Now()), s.ep.Name(), "mds", "merge.apply")
+	var r MergeReply
+	s.applyRun(p, MergeBlind, chunk.Events, 0, &r)
+	job.done, job.err = job.done+r.Applied, r.Err
+	rec.End(span, int64(p.Now()))
+	if s.heat != nil && r.Applied > 0 {
+		s.heat.RecordMerge(int64(p.Now()), s.heatSubtree(chunk.Route), s.rank, r.Applied, chunk.Bytes)
+	}
+}
+
+// mergeWait is the MergeWaitMsg handler.
+func (s *Server) mergeWait(p runtime.Task, m *MergeWaitMsg) *MergeReply {
+	applied, err := s.merge.wait(p, m.ID)
+	return &MergeReply{Applied: applied, Err: err}
 }
 
 // MergeFairness reports the spread between the largest and smallest
 // per-job max chunk wait across completed streamed merges — the fairness
 // metric the round-robin scheduler bounds — and how many streamed jobs
 // completed. Zero jobs yields a zero spread.
-func (s *Server) MergeFairness() (spread runtime.Duration, jobs int) {
-	ws := s.merge.waits
-	if len(ws) == 0 {
-		return 0, 0
-	}
-	lo, hi := ws[0], ws[0]
-	for _, w := range ws[1:] {
-		if w < lo {
-			lo = w
-		}
-		if w > hi {
-			hi = w
-		}
-	}
-	return hi - lo, len(ws)
-}
+func (s *Server) MergeFairness() (spread runtime.Duration, jobs int) { return s.merge.fairness() }
 
 // MergePeakJobs reports the most streamed merges ever admitted at once.
 func (s *Server) MergePeakJobs() int { return s.merge.peakJobs }

@@ -33,291 +33,453 @@ func streamEvents(prefix string, base uint64, n int) []*journal.Event {
 	return evs
 }
 
-// chunkOf wraps a slice of events as one stream chunk.
-func chunkOf(id uint64, seq int, evs []*journal.Event, last bool) *MergeChunkMsg {
-	return &MergeChunkMsg{
-		StreamInfo: transport.StreamInfo{ID: id, Seq: seq, Items: len(evs),
-			Bytes: int64(len(evs)) * 2500, Last: last},
-		Events: evs,
+// streamDirs builds n encoded root-level directory objects, the import
+// stream's items, named like streamEvents names its files.
+func streamDirs(t *testing.T, prefix string, base uint64, n int) [][]byte {
+	t.Helper()
+	scratch := namespace.NewStore()
+	objs := make([][]byte, 0, n)
+	for i := 0; i < n; i++ {
+		ino := namespace.Ino(base + uint64(i))
+		if _, err := scratch.Mkdir(namespace.RootIno, fmt.Sprintf("%s%d", prefix, i),
+			namespace.CreateAttrs{Ino: ino, Mode: 0755}); err != nil {
+			t.Fatalf("forge dir: %v", err)
+		}
+		data, err := scratch.EncodeDir(ino)
+		if err != nil {
+			t.Fatalf("forge dir: %v", err)
+		}
+		objs = append(objs, data)
+	}
+	return objs
+}
+
+// streamCase drives one of a rank's two stream kinds through the
+// scheduler's handlers, so every scheduler behaviour is asserted for
+// journal chunks and directory-object chunks alike.
+type streamCase struct {
+	name  string
+	sched func(s *Server) *streamSched
+	// tune sets the kind's admission bound and window size.
+	tune func(cfg *model.Config, admitMax, window int)
+	// chunk builds a chunk of n items named prefix0..prefix(n-1); billed
+	// chunks carry their wire bytes, unbilled ones stay off the fabric.
+	chunk func(t *testing.T, id uint64, seq int, prefix string, base uint64, n int, last, billed bool) transport.StreamChunk
+	// sharesQueue is set when admitted jobs count toward MergeQueue.
+	sharesQueue bool
+}
+
+func info(id uint64, seq, n int, bytes int64, last, billed bool) transport.StreamInfo {
+	if !billed {
+		bytes = 0
+	}
+	return transport.StreamInfo{ID: id, Seq: seq, Items: n, Bytes: bytes, Last: last}
+}
+
+var streamCases = []streamCase{
+	{
+		name:  "merge",
+		sched: func(s *Server) *streamSched { return s.merge },
+		tune: func(cfg *model.Config, admitMax, window int) {
+			cfg.MergeAdmitMax, cfg.MergeWindowChunks = admitMax, window
+		},
+		chunk: func(t *testing.T, id uint64, seq int, prefix string, base uint64, n int, last, billed bool) transport.StreamChunk {
+			return &MergeChunkMsg{StreamInfo: info(id, seq, n, int64(n)*2500, last, billed),
+				Events: streamEvents(prefix, base, n)}
+		},
+		sharesQueue: true,
+	},
+	{
+		name:  "import",
+		sched: func(s *Server) *streamSched { return s.imports },
+		tune: func(cfg *model.Config, admitMax, window int) {
+			cfg.MigrateAdmitMax, cfg.MigrateWindowChunks = admitMax, window
+		},
+		chunk: func(t *testing.T, id uint64, seq int, prefix string, base uint64, n int, last, billed bool) transport.StreamChunk {
+			objs := streamDirs(t, prefix, base, n)
+			var bytes int64
+			for _, o := range objs {
+				bytes += int64(len(o))
+			}
+			return &ImportChunkMsg{StreamInfo: info(id, seq, n, bytes, last, billed), Objs: objs}
+		},
+	},
+}
+
+// eachStreamKind runs fn once per stream kind on a fresh rank whose
+// admission bound and window are set for that kind (0 keeps the default).
+func eachStreamKind(t *testing.T, admitMax, window int, fn func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server)) {
+	for _, k := range streamCases {
+		t.Run(k.name, func(t *testing.T) {
+			cfg := model.Default()
+			k.tune(&cfg, admitMax, window)
+			eng, s := newTestServerCfg(cfg)
+			fn(t, k, eng, s)
+		})
 	}
 }
 
-func TestMergeStreamAdmissionBackpressure(t *testing.T) {
-	cfg := model.Default()
-	cfg.MergeAdmitMax = 1
-	eng, s := newTestServerCfg(cfg)
-	run(t, eng, func(p runtime.Task) {
-		open1 := s.mergeOpen(p, &MergeOpenMsg{Client: "a", TotalEvents: 4})
-		if open1.Err != nil || open1.Backpressure {
-			t.Fatalf("first open = %+v", open1)
-		}
-		// The admission slot is taken: a second open is turned away for
-		// free and must not consume an ID or window.
-		open2 := s.mergeOpen(p, &MergeOpenMsg{Client: "b", TotalEvents: 4})
-		if open2.Err != nil || !open2.Backpressure {
-			t.Fatalf("second open = %+v, want backpressure", open2)
-		}
-		if open2.QueueDepth != 1 {
-			t.Errorf("queue depth = %d, want 1", open2.QueueDepth)
-		}
-
-		// Drain the first job; the slot frees and the next open is
-		// admitted.
-		r := s.mergeChunk(p, chunkOf(open1.ID, 0, streamEvents("a", 1<<41, 4), true))
-		if r.Err != nil || r.Backpressure {
-			t.Fatalf("chunk = %+v", r)
-		}
-		w := s.mergeWait(p, &MergeWaitMsg{ID: open1.ID})
-		if w.Err != nil || w.Applied != 4 {
-			t.Fatalf("wait = %+v", w)
-		}
-		open3 := s.mergeOpen(p, &MergeOpenMsg{Client: "b", TotalEvents: 1})
-		if open3.Err != nil || open3.Backpressure {
-			t.Fatalf("open after drain = %+v", open3)
-		}
-		r = s.mergeChunk(p, chunkOf(open3.ID, 0, streamEvents("b", 1<<42, 1), true))
+// pushRetry sends a chunk until the window accepts it.
+func pushRetry(t *testing.T, p runtime.Task, ss *streamSched, c transport.StreamChunk) {
+	t.Helper()
+	for {
+		r := ss.push(p, c)
 		if r.Err != nil {
-			t.Fatalf("chunk: %v", r.Err)
+			t.Fatalf("chunk %d err = %v", c.Stream().Seq, r.Err)
 		}
-		if w := s.mergeWait(p, &MergeWaitMsg{ID: open3.ID}); w.Err != nil || w.Applied != 1 {
-			t.Fatalf("wait = %+v", w)
+		if !r.Backpressure {
+			return
 		}
-	})
-	if got := s.Metrics().MergeBackpressure; got != 1 {
-		t.Errorf("backpressure count = %d, want 1", got)
-	}
-	if got := s.Metrics().MergeChunks; got != 2 {
-		t.Errorf("chunk count = %d, want 2", got)
-	}
-	if _, err := s.Store().Resolve("/a3"); err != nil {
-		t.Errorf("merged file missing: %v", err)
-	}
-}
-
-func TestMergeStreamWindowBackpressure(t *testing.T) {
-	cfg := model.Default()
-	cfg.MergeWindowChunks = 1
-	eng, s := newTestServerCfg(cfg)
-	run(t, eng, func(p runtime.Task) {
-		open := s.mergeOpen(p, &MergeOpenMsg{Client: "a"})
-		if open.Err != nil || open.Window != 1 {
-			t.Fatalf("open = %+v, want window 1", open)
-		}
-		// First chunk is accepted; it sits in the window because the
-		// scheduler proc has not run yet at this instant.
-		big := streamEvents("a", 1<<41, 256)
-		if r := s.mergeChunk(p, chunkOf(open.ID, 0, big, false)); r.Err != nil || r.Backpressure {
-			t.Fatalf("chunk 0 = %+v", r)
-		}
-		// The window (capacity 1) is full: the next chunk bounces, and
-		// the rejection costs no simulated time.
-		before := p.Now()
-		r := s.mergeChunk(p, chunkOf(open.ID, 1, streamEvents("a", 1<<42, 1), true))
-		if r.Err != nil || !r.Backpressure {
-			t.Fatalf("chunk 1 = %+v, want backpressure", r)
-		}
-		if p.Now() != before {
-			t.Errorf("backpressured chunk advanced time by %v", p.Now()-before)
-		}
-		// Give the scheduler a moment to pop chunk 0, then retry.
 		p.Sleep(runtime.Duration(time.Millisecond))
-		r = s.mergeChunk(p, chunkOf(open.ID, 1, streamEvents("a", 1<<42, 1), true))
-		if r.Err != nil || r.Backpressure {
-			t.Fatalf("retry = %+v", r)
-		}
-		if w := s.mergeWait(p, &MergeWaitMsg{ID: open.ID}); w.Err != nil || w.Applied != 257 {
-			t.Fatalf("wait = %+v", w)
-		}
-	})
-	if got := s.Metrics().MergeBackpressure; got != 1 {
-		t.Errorf("backpressure count = %d, want 1", got)
 	}
 }
 
-func TestMergeStreamRoundRobinFairness(t *testing.T) {
-	eng, s := newTestServerCfg(model.Default())
-	run(t, eng, func(p runtime.Task) {
-		openA := s.mergeOpen(p, &MergeOpenMsg{Client: "a"})
-		openB := s.mergeOpen(p, &MergeOpenMsg{Client: "b"})
-		if openA.Err != nil || openB.Err != nil {
-			t.Fatalf("opens = %v, %v", openA.Err, openB.Err)
-		}
-		// Interleave two chunks per job; the scheduler services the
-		// buffered windows round-robin, one chunk at a time.
-		a := streamEvents("a", 1<<41, 512)
-		b := streamEvents("b", 1<<42, 512)
-		for seq := 0; seq < 2; seq++ {
-			last := seq == 1
-			if r := s.mergeChunk(p, chunkOf(openA.ID, seq, a[seq*256:(seq+1)*256], last)); r.Err != nil || r.Backpressure {
-				t.Fatalf("a chunk %d = %+v", seq, r)
-			}
-			if r := s.mergeChunk(p, chunkOf(openB.ID, seq, b[seq*256:(seq+1)*256], last)); r.Err != nil || r.Backpressure {
-				t.Fatalf("b chunk %d = %+v", seq, r)
-			}
-		}
-		if w := s.mergeWait(p, &MergeWaitMsg{ID: openA.ID}); w.Err != nil || w.Applied != 512 {
-			t.Fatalf("wait a = %+v", w)
-		}
-		if w := s.mergeWait(p, &MergeWaitMsg{ID: openB.ID}); w.Err != nil || w.Applied != 512 {
-			t.Fatalf("wait b = %+v", w)
-		}
-	})
-	for _, name := range []string{"/a511", "/b511"} {
-		if _, err := s.Store().Resolve(name); err != nil {
-			t.Errorf("%s missing: %v", name, err)
-		}
-	}
-	spread, jobs := s.MergeFairness()
-	if jobs != 2 {
-		t.Fatalf("fairness jobs = %d, want 2", jobs)
-	}
-	// Round-robin interleaving keeps the two equal-size jobs' buffering
-	// within one chunk-apply of each other (~21 ms at the calibrated
-	// 82 us/event), far under the ~84 ms a run-to-completion schedule
-	// would charge the second job.
-	if limit := runtime.Duration(30 * time.Millisecond); spread > limit {
-		t.Errorf("chunk-wait spread = %v, want <= %v", spread, limit)
-	}
-	if got := s.MergePeakJobs(); got != 2 {
-		t.Errorf("peak jobs = %d, want 2", got)
-	}
-	if s.MergeQueue() != 0 {
-		t.Errorf("merge queue not drained: %d", s.MergeQueue())
+func wantDone(t *testing.T, p runtime.Task, ss *streamSched, id uint64, want int) {
+	t.Helper()
+	if done, err := ss.wait(p, id); err != nil || done != want {
+		t.Fatalf("wait stream %d = %d, %v; want %d", id, done, err, want)
 	}
 }
 
-func TestMergeStreamWindowRaceBackpressure(t *testing.T) {
+func TestStreamAdmissionBackpressure(t *testing.T) {
+	eachStreamKind(t, 1, 0, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
+		run(t, eng, func(p runtime.Task) {
+			ss := k.sched(s)
+			open1 := ss.open(p)
+			if open1.Err != nil || open1.Backpressure {
+				t.Fatalf("first open = %+v", open1)
+			}
+			// The admission slot is taken: a second open is turned away for
+			// free and must not consume an ID or window.
+			open2 := ss.open(p)
+			if open2.Err != nil || !open2.Backpressure {
+				t.Fatalf("second open = %+v, want backpressure", open2)
+			}
+			if open2.QueueDepth != 1 {
+				t.Errorf("queue depth = %d, want 1", open2.QueueDepth)
+			}
+
+			// Drain the first job; the slot frees and the next open is
+			// admitted.
+			if r := ss.push(p, k.chunk(t, open1.ID, 0, "a", 1<<41, 4, true, true)); r.Err != nil || r.Backpressure {
+				t.Fatalf("chunk = %+v", r)
+			}
+			wantDone(t, p, ss, open1.ID, 4)
+			open3 := ss.open(p)
+			if open3.Err != nil || open3.Backpressure {
+				t.Fatalf("open after drain = %+v", open3)
+			}
+			if r := ss.push(p, k.chunk(t, open3.ID, 0, "b", 1<<42, 1, true, true)); r.Err != nil {
+				t.Fatalf("chunk: %v", r.Err)
+			}
+			wantDone(t, p, ss, open3.ID, 1)
+		})
+		if got := *k.sched(s).backpressure; got != 1 {
+			t.Errorf("backpressure count = %d, want 1", got)
+		}
+		if got := *k.sched(s).chunks; got != 2 {
+			t.Errorf("chunk count = %d, want 2", got)
+		}
+		if _, err := s.Store().Resolve("/a3"); err != nil {
+			t.Errorf("streamed item missing: %v", err)
+		}
+	})
+}
+
+func TestStreamWindowBackpressure(t *testing.T) {
+	eachStreamKind(t, 0, 1, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
+		run(t, eng, func(p runtime.Task) {
+			ss := k.sched(s)
+			open := ss.open(p)
+			if open.Err != nil || open.Window != 1 {
+				t.Fatalf("open = %+v, want window 1", open)
+			}
+			// First chunk is accepted; it sits in the window because the
+			// scheduler proc has not run yet at this instant.
+			if r := ss.push(p, k.chunk(t, open.ID, 0, "a", 1<<41, 256, false, true)); r.Err != nil || r.Backpressure {
+				t.Fatalf("chunk 0 = %+v", r)
+			}
+			// The window (capacity 1) is full: the next chunk bounces, and
+			// the rejection costs no simulated time.
+			tail := k.chunk(t, open.ID, 1, "b", 1<<42, 1, true, true)
+			before := p.Now()
+			if r := ss.push(p, tail); r.Err != nil || !r.Backpressure {
+				t.Fatalf("chunk 1 = %+v, want backpressure", r)
+			}
+			if p.Now() != before {
+				t.Errorf("backpressured chunk advanced time by %v", p.Now()-before)
+			}
+			// Give the scheduler a moment to pop chunk 0, then retry.
+			p.Sleep(runtime.Duration(time.Millisecond))
+			if r := ss.push(p, tail); r.Err != nil || r.Backpressure {
+				t.Fatalf("retry = %+v", r)
+			}
+			wantDone(t, p, ss, open.ID, 257)
+		})
+		if got := *k.sched(s).backpressure; got != 1 {
+			t.Errorf("backpressure count = %d, want 1", got)
+		}
+	})
+}
+
+func TestStreamRoundRobinFairness(t *testing.T) {
+	eachStreamKind(t, 0, 0, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
+		run(t, eng, func(p runtime.Task) {
+			ss := k.sched(s)
+			openA, openB := ss.open(p), ss.open(p)
+			if openA.Err != nil || openB.Err != nil || openB.Backpressure {
+				t.Fatalf("opens = %+v, %+v", openA, openB)
+			}
+			// Interleave two chunks per job; the scheduler services the
+			// buffered windows round-robin, one chunk at a time.
+			for seq := 0; seq < 2; seq++ {
+				base := uint64(seq * 256)
+				for _, j := range []struct {
+					id     uint64
+					prefix string
+					base   uint64
+				}{{openA.ID, fmt.Sprintf("a%d-", seq), 1<<41 + base}, {openB.ID, fmt.Sprintf("b%d-", seq), 1<<42 + base}} {
+					if r := ss.push(p, k.chunk(t, j.id, seq, j.prefix, j.base, 256, seq == 1, true)); r.Err != nil || r.Backpressure {
+						t.Fatalf("%s chunk = %+v", j.prefix, r)
+					}
+				}
+			}
+			wantDone(t, p, ss, openA.ID, 512)
+			wantDone(t, p, ss, openB.ID, 512)
+		})
+		for _, name := range []string{"/a1-255", "/b1-255"} {
+			if _, err := s.Store().Resolve(name); err != nil {
+				t.Errorf("%s missing: %v", name, err)
+			}
+		}
+		spread, jobs := k.sched(s).fairness()
+		if jobs != 2 {
+			t.Fatalf("fairness jobs = %d, want 2", jobs)
+		}
+		// Round-robin interleaving keeps the two equal-size jobs' buffering
+		// within one chunk service of each other (~21 ms at the calibrated
+		// 82 us/item), far under the ~84 ms a run-to-completion schedule
+		// would charge the second job.
+		if limit := runtime.Duration(30 * time.Millisecond); spread > limit {
+			t.Errorf("chunk-wait spread = %v, want <= %v", spread, limit)
+		}
+		if got := k.sched(s).peakJobs; got != 2 {
+			t.Errorf("peak jobs = %d, want 2", got)
+		}
+		if s.MergeQueue() != 0 {
+			t.Errorf("merge queue not drained: %d", s.MergeQueue())
+		}
+	})
+}
+
+func TestStreamWindowRaceBackpressure(t *testing.T) {
 	// Two senders race chunks into a window of one. Both pass the free
 	// pre-check while the window is empty, then yield on the wire; only
 	// one buffer slot exists, so exactly one chunk may be accepted — the
 	// loser must get a backpressure reply, not a silent drop that the
 	// reply reports as acceptance.
-	cfg := model.Default()
-	cfg.MergeWindowChunks = 1
-	eng, s := newTestServerCfg(cfg)
-	run(t, eng, func(p runtime.Task) {
-		open := s.mergeOpen(p, &MergeOpenMsg{Client: "a"})
-		if open.Err != nil || open.Backpressure {
-			t.Fatalf("open = %+v", open)
-		}
-		evs := streamEvents("a", 1<<41, 2)
-		var msgs [2]*MergeChunkMsg
-		var replies [2]*MergeChunkReply
-		for i := range msgs {
-			// Bytes 0 keeps both chunks off the shared fabric so they
-			// finish their wire yield at the same instant.
-			msgs[i] = &MergeChunkMsg{
-				StreamInfo: transport.StreamInfo{ID: open.ID, Seq: i, Items: 1},
-				Events:     evs[i : i+1],
+	eachStreamKind(t, 0, 1, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
+		run(t, eng, func(p runtime.Task) {
+			ss := k.sched(s)
+			open := ss.open(p)
+			if open.Err != nil || open.Backpressure {
+				t.Fatalf("open = %+v", open)
 			}
-		}
-		g := eng.NewGroup()
-		for i := range msgs {
-			i := i
-			g.Go(fmt.Sprintf("send%d", i), func(sp runtime.Task) {
-				replies[i] = s.mergeChunk(sp, msgs[i])
-			})
-		}
-		g.Wait(p)
-		bounced := -1
-		for i, r := range replies {
-			if r.Err != nil {
-				t.Fatalf("chunk %d err = %v", i, r.Err)
+			// Unbilled chunks stay off the shared fabric, so both finish
+			// their wire yield at the same instant.
+			msgs := [2]transport.StreamChunk{
+				k.chunk(t, open.ID, 0, "x", 1<<41, 1, false, false),
+				k.chunk(t, open.ID, 1, "y", 1<<42, 1, false, false),
 			}
-			if r.Backpressure {
-				if bounced != -1 {
-					t.Fatalf("both chunks backpressured")
+			var replies [2]*StreamChunkReply
+			g := eng.NewGroup()
+			for i := range msgs {
+				i := i
+				g.Go(fmt.Sprintf("send%d", i), func(sp runtime.Task) {
+					replies[i] = ss.push(sp, msgs[i])
+				})
+			}
+			g.Wait(p)
+			bounced := -1
+			for i, r := range replies {
+				if r.Err != nil {
+					t.Fatalf("chunk %d err = %v", i, r.Err)
 				}
-				bounced = i
+				if r.Backpressure {
+					if bounced != -1 {
+						t.Fatalf("both chunks backpressured")
+					}
+					bounced = i
+				}
 			}
-		}
-		if bounced == -1 {
-			t.Fatalf("no chunk backpressured; one was silently dropped")
-		}
-		// The loser retries until the window drains; nothing was lost.
-		for {
-			r := s.mergeChunk(p, msgs[bounced])
-			if r.Err != nil {
-				t.Fatalf("retry err = %v", r.Err)
+			if bounced == -1 {
+				t.Fatalf("no chunk backpressured; one was silently dropped")
 			}
-			if !r.Backpressure {
-				break
+			// The loser retries until the window drains; nothing was lost.
+			pushRetry(t, p, ss, msgs[bounced])
+			pushRetry(t, p, ss, k.chunk(t, open.ID, 2, "z", 1<<43, 1, true, true))
+			wantDone(t, p, ss, open.ID, 3)
+		})
+	})
+}
+
+func TestStreamAbortReleasesAdmission(t *testing.T) {
+	// A sender that aborts mid-stream must not park the scheduler or pin
+	// its admission slot (and, for merges, its merge-queue share) for the
+	// rest of the run.
+	eachStreamKind(t, 1, 0, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
+		run(t, eng, func(p runtime.Task) {
+			ss := k.sched(s)
+			open := ss.open(p)
+			if open.Err != nil || open.Backpressure {
+				t.Fatalf("open = %+v", open)
 			}
-			p.Sleep(runtime.Duration(time.Millisecond))
-		}
-		last := chunkOf(open.ID, 2, streamEvents("a", 1<<42, 1), true)
-		for {
-			r := s.mergeChunk(p, last)
-			if r.Err != nil {
-				t.Fatalf("last chunk err = %v", r.Err)
+			// A buffered chunk that will never be followed by the last one.
+			if r := ss.push(p, k.chunk(t, open.ID, 0, "a", 1<<41, 4, false, true)); r.Err != nil || r.Backpressure {
+				t.Fatalf("chunk = %+v", r)
 			}
-			if !r.Backpressure {
-				break
+			if k.sharesQueue && s.MergeQueue() != 1 {
+				t.Errorf("merge queue with one admitted stream = %d, want 1", s.MergeQueue())
 			}
-			p.Sleep(runtime.Duration(time.Millisecond))
-		}
-		if w := s.mergeWait(p, &MergeWaitMsg{ID: open.ID}); w.Err != nil || w.Applied != 3 {
-			t.Fatalf("wait = %+v, want 3 applied", w)
+			if r := ss.abort(p, open.ID); r.Err != nil {
+				t.Fatalf("abort = %v", r.Err)
+			}
+			p.Sleep(runtime.Duration(10 * time.Millisecond)) // let the scheduler retire the job
+			if got := s.MergeQueue(); got != 0 {
+				t.Errorf("merge queue after abort = %d, want 0", got)
+			}
+			// The admission slot is free again and the stream id is gone.
+			open2 := ss.open(p)
+			if open2.Err != nil || open2.Backpressure {
+				t.Fatalf("open after abort = %+v", open2)
+			}
+			if r := ss.push(p, k.chunk(t, open2.ID, 0, "b", 1<<42, 2, true, true)); r.Err != nil || r.Backpressure {
+				t.Fatalf("chunk after abort = %+v", r)
+			}
+			wantDone(t, p, ss, open2.ID, 2)
+			if _, err := ss.wait(p, open.ID); !errors.Is(err, namespace.ErrInval) {
+				t.Errorf("wait on aborted stream = %v, want ErrInval", err)
+			}
+			if r := ss.abort(p, open.ID); !errors.Is(r.Err, namespace.ErrInval) {
+				t.Errorf("double abort = %v, want ErrInval", r.Err)
+			}
+		})
+		// The aborted job is not a fairness sample; only the completed one is.
+		if _, jobs := k.sched(s).fairness(); jobs != 1 {
+			t.Errorf("fairness jobs = %d, want 1", jobs)
 		}
 	})
 }
 
-func TestMergeStreamAbortReleasesAdmission(t *testing.T) {
-	// A client that aborts mid-stream must not park the scheduler or pin
-	// its admission slot and merge-queue share for the rest of the run.
-	cfg := model.Default()
-	cfg.MergeAdmitMax = 1
-	eng, s := newTestServerCfg(cfg)
-	run(t, eng, func(p runtime.Task) {
-		open := s.mergeOpen(p, &MergeOpenMsg{Client: "a"})
-		if open.Err != nil || open.Backpressure {
-			t.Fatalf("open = %+v", open)
-		}
-		// A buffered chunk that will never be followed by the last one.
-		if r := s.mergeChunk(p, chunkOf(open.ID, 0, streamEvents("a", 1<<41, 4), false)); r.Err != nil || r.Backpressure {
-			t.Fatalf("chunk = %+v", r)
-		}
-		if r := s.mergeAbort(p, &MergeAbortMsg{ID: open.ID}); r.Err != nil {
-			t.Fatalf("abort = %v", r.Err)
-		}
-		p.Sleep(runtime.Duration(10 * time.Millisecond)) // let the scheduler retire the job
-		if got := s.MergeQueue(); got != 0 {
-			t.Errorf("merge queue after abort = %d, want 0", got)
-		}
-		// The admission slot is free again and the stream id is gone.
-		open2 := s.mergeOpen(p, &MergeOpenMsg{Client: "b"})
-		if open2.Err != nil || open2.Backpressure {
-			t.Fatalf("open after abort = %+v", open2)
-		}
-		if r := s.mergeChunk(p, chunkOf(open2.ID, 0, streamEvents("b", 1<<42, 2), true)); r.Err != nil || r.Backpressure {
-			t.Fatalf("chunk after abort = %+v", r)
-		}
-		if w := s.mergeWait(p, &MergeWaitMsg{ID: open2.ID}); w.Err != nil || w.Applied != 2 {
-			t.Fatalf("wait after abort = %+v", w)
-		}
-		if w := s.mergeWait(p, &MergeWaitMsg{ID: open.ID}); !errors.Is(w.Err, namespace.ErrInval) {
-			t.Errorf("wait on aborted stream = %v, want ErrInval", w.Err)
-		}
-		if r := s.mergeAbort(p, &MergeAbortMsg{ID: open.ID}); !errors.Is(r.Err, namespace.ErrInval) {
-			t.Errorf("double abort = %v, want ErrInval", r.Err)
-		}
+func TestStreamAbortDuringWireYield(t *testing.T) {
+	// A chunk that is on the wire when its stream aborts must be refused
+	// with the typed abort error, not buffered into a job that is about
+	// to be retired.
+	eachStreamKind(t, 0, 0, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
+		run(t, eng, func(p runtime.Task) {
+			ss := k.sched(s)
+			open := ss.open(p)
+			var r *StreamChunkReply
+			g := eng.NewGroup()
+			g.Go("send", func(sp runtime.Task) {
+				r = ss.push(sp, k.chunk(t, open.ID, 0, "a", 1<<41, 64, false, true))
+			})
+			g.Go("abort", func(sp runtime.Task) { ss.abort(sp, open.ID) })
+			g.Wait(p)
+			if !errors.Is(r.Err, ErrStreamAborted) {
+				t.Errorf("chunk into aborting stream = %+v, want ErrStreamAborted", r)
+			}
+		})
 	})
-	// The aborted job is not a fairness sample; only the completed merge is.
-	if _, jobs := s.MergeFairness(); jobs != 1 {
-		t.Errorf("fairness jobs = %d, want 1", jobs)
-	}
 }
 
-func TestMergeStreamUnknownID(t *testing.T) {
+func TestStreamUnknownID(t *testing.T) {
+	// Both kinds answer an id they do not hold with the same typed error —
+	// and, once the rank has stopped, with ErrShutdown: Crash replaced the
+	// scheduler the id belonged to, so "invalid" would blame the sender.
+	eachStreamKind(t, 0, 0, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
+		run(t, eng, func(p runtime.Task) {
+			ss := k.sched(s)
+			if r := ss.push(p, k.chunk(t, 99, 0, "x", 1<<41, 1, true, true)); !errors.Is(r.Err, namespace.ErrInval) {
+				t.Errorf("chunk for unknown stream = %v, want ErrInval", r.Err)
+			}
+			if _, err := ss.wait(p, 99); !errors.Is(err, namespace.ErrInval) {
+				t.Errorf("wait for unknown stream = %v, want ErrInval", err)
+			}
+			if r := ss.abort(p, 99); !errors.Is(r.Err, namespace.ErrInval) {
+				t.Errorf("abort of unknown stream = %v, want ErrInval", r.Err)
+			}
+
+			open := ss.open(p)
+			s.Crash(p)
+			ss = k.sched(s) // the replacement scheduler
+			if _, err := ss.wait(p, open.ID); !errors.Is(err, ErrShutdown) {
+				t.Errorf("wait after crash = %v, want ErrShutdown", err)
+			}
+			if r := ss.abort(p, open.ID); !errors.Is(r.Err, ErrShutdown) {
+				t.Errorf("abort after crash = %v, want ErrShutdown", r.Err)
+			}
+		})
+	})
+	// The handlers surface the same errors through their replies.
 	eng, s := newTestServerCfg(model.Default())
 	run(t, eng, func(p runtime.Task) {
-		r := s.mergeChunk(p, chunkOf(99, 0, streamEvents("x", 1<<41, 1), true))
-		if !errors.Is(r.Err, namespace.ErrInval) {
-			t.Errorf("chunk for unknown stream = %v, want ErrInval", r.Err)
+		if w := s.mergeWait(p, &MergeWaitMsg{ID: 99}); !errors.Is(w.Err, namespace.ErrInval) {
+			t.Errorf("merge wait = %v, want ErrInval", w.Err)
 		}
-		w := s.mergeWait(p, &MergeWaitMsg{ID: 99})
-		if !errors.Is(w.Err, namespace.ErrInval) {
-			t.Errorf("wait for unknown stream = %v, want ErrInval", w.Err)
+		if c := s.importCommit(p, &ImportCommitMsg{ID: 99}); !errors.Is(c.Err, namespace.ErrInval) {
+			t.Errorf("import commit = %v, want ErrInval", c.Err)
 		}
+		s.Crash(p)
+		if w := s.mergeWait(p, &MergeWaitMsg{ID: 99}); !errors.Is(w.Err, ErrShutdown) {
+			t.Errorf("merge wait after crash = %v, want ErrShutdown", w.Err)
+		}
+		if c := s.importCommit(p, &ImportCommitMsg{ID: 99}); !errors.Is(c.Err, ErrShutdown) {
+			t.Errorf("import commit after crash = %v, want ErrShutdown", c.Err)
+		}
+	})
+}
+
+func TestStreamCrashRetiresJobs(t *testing.T) {
+	// A rank crash retires every in-flight stream: a sender parked in wait
+	// is released with ErrShutdown, buffered chunks are discarded, and the
+	// restarted rank starts with every admission slot free.
+	eachStreamKind(t, 1, 0, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
+		run(t, eng, func(p runtime.Task) {
+			ss := k.sched(s)
+			open := ss.open(p)
+			if r := ss.push(p, k.chunk(t, open.ID, 0, "a", 1<<41, 8, false, true)); r.Err != nil || r.Backpressure {
+				t.Fatalf("chunk = %+v", r)
+			}
+			var waitErr error
+			g := eng.NewGroup()
+			g.Go("wait", func(sp runtime.Task) { _, waitErr = ss.wait(sp, open.ID) })
+			g.Go("crash", func(sp runtime.Task) {
+				sp.Sleep(runtime.Duration(5 * time.Millisecond))
+				s.Crash(sp)
+			})
+			g.Wait(p)
+			if !errors.Is(waitErr, ErrShutdown) {
+				t.Errorf("wait across crash = %v, want ErrShutdown", waitErr)
+			}
+			if got := s.MergeQueue(); got != 0 {
+				t.Errorf("merge queue after crash = %d, want 0", got)
+			}
+			if r := k.sched(s).open(p); !errors.Is(r.Err, ErrShutdown) {
+				t.Errorf("open on crashed rank = %+v, want ErrShutdown", r)
+			}
+			if err := s.Restart(p); err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			ss = k.sched(s)
+			open2 := ss.open(p)
+			if open2.Err != nil || open2.Backpressure {
+				t.Fatalf("open after restart = %+v", open2)
+			}
+			if r := ss.push(p, k.chunk(t, open2.ID, 0, "b", 1<<42, 2, true, true)); r.Err != nil || r.Backpressure {
+				t.Fatalf("chunk after restart = %+v", r)
+			}
+			wantDone(t, p, ss, open2.ID, 2)
+		})
 	})
 }

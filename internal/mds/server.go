@@ -114,7 +114,7 @@ type Metrics struct {
 	Merged       uint64 // events merged via Volatile Apply
 	MergeJobs    uint64 // client journals merged
 	// MergeConflicts counts speculative predictions rejected at
-	// validation time (newcells.go).
+	// validation time (merge.go).
 	MergeConflicts uint64
 	// Streamed-merge pipeline counters (scheduler.go).
 	MergeChunks       uint64 // chunks accepted into merge windows
@@ -155,7 +155,9 @@ type Server struct {
 	// start of a composition and set-up code flips it with no task.
 	streamOn atomic.Bool
 
-	merge *mergeSched // streamed (chunked) Volatile Apply scheduler
+	// merge and imports are the rank's two windowed-stream schedulers:
+	// streamed (chunked) Volatile Apply and subtree import.
+	merge, imports *streamSched
 
 	// se is the lazily created strong-eventual merge resolver over
 	// store; nil until the first MergeConverge message, wiped with the
@@ -166,11 +168,10 @@ type Server struct {
 
 	// frozen marks subtree paths mid-export: requests into them bounce
 	// with a Frozen redirect until the migration commits or aborts.
-	// exports holds the live export sessions; imports is the
-	// destination-side scheduler. All volatile — a crash wipes them.
+	// exports holds the live export sessions. All volatile — a crash
+	// wipes them.
 	frozen  map[string]bool
 	exports map[string]*exportState
-	imports *importSched
 
 	// resolveOwner is the cluster-installed ownership oracle for the
 	// stale-routing bounce: it returns the owning rank and table epoch
@@ -359,45 +360,15 @@ func (s *Server) handle(p runtime.Task, msg any) any {
 	case *Request:
 		return s.rpc(p, m)
 	case *MergeMsg:
-		var src eventSource = &sliceSource{evs: m.Events}
-		if m.Events == nil && m.Source != nil {
-			src = m.Source
-		}
-		var applied int
-		var conflicts []int
-		var err error
-		switch m.Mode {
-		case MergeSpeculative:
-			// Validation reports absolute journal indices, so the
-			// events must be addressable as one flat slice.
-			evs := m.Events
-			if evs == nil && m.Source != nil {
-				for {
-					batch := m.Source.Next(mergeChunk)
-					if batch == nil {
-						break
-					}
-					evs = append(evs, batch...)
-				}
-			}
-			applied, conflicts, err = s.speculativeApply(p, evs, m.NominalBytes)
-		case MergeConverge:
-			applied, err = s.convergeApply(p, src, m.NominalBytes)
-		default:
-			applied, err = s.volatileApply(p, src, m.NominalBytes)
-		}
-		if s.heat != nil && applied > 0 {
-			s.heat.RecordMerge(int64(p.Now()), s.heatSubtree(m.Route), s.rank, applied, m.NominalBytes)
-		}
-		return &MergeReply{Applied: applied, Conflicts: conflicts, Err: err}
+		return s.mergeOneShot(p, m)
 	case *MergeOpenMsg:
-		return s.mergeOpen(p, m)
+		return s.merge.open(p)
 	case *MergeChunkMsg:
-		return s.mergeChunk(p, m)
+		return s.merge.push(p, m)
 	case *MergeWaitMsg:
 		return s.mergeWait(p, m)
 	case *MergeAbortMsg:
-		return s.mergeAbort(p, m)
+		return s.merge.abort(p, m.ID)
 	case *DecoupleMsg:
 		lo, n, err := s.decouple(p, m.Path, m.Policy, m.Client)
 		return &DecoupleReply{Lo: lo, N: n, Err: err}
@@ -414,13 +385,13 @@ func (s *Server) handle(p runtime.Task, msg any) any {
 	case *ExportAbortMsg:
 		return s.exportAbort(p, m)
 	case *ImportOpenMsg:
-		return s.importOpen(p, m)
+		return s.imports.open(p)
 	case *ImportChunkMsg:
-		return s.importChunk(p, m)
+		return s.imports.push(p, m)
 	case *ImportCommitMsg:
 		return s.importCommit(p, m)
 	case *ImportAbortMsg:
-		return s.importAbort(p, m)
+		return s.imports.abort(p, m.ID)
 	case *AttachMsg:
 		return s.attach(p, m)
 	}
@@ -551,32 +522,16 @@ func (s *Server) Crash(p runtime.Task) {
 	// the fresh journal.
 	s.stream = newStreamState(s)
 
-	// Retire in-flight streamed merges on the old scheduler, then start
-	// fresh. finish() still decrements this server's mergeQueue, so the
-	// congestion share drains to zero.
-	for _, job := range s.merge.jobs {
-		job.aborted = true
-		if job.err == nil {
-			job.err = ErrShutdown
-		}
-	}
-	s.merge.ensureRunning()
-	s.merge = newMergeSched(s)
-
 	// Migration state is volatile: export sessions and freezes die with
 	// the rank (the monitor's orchestration sees ErrShutdown or a missing
-	// session and aborts); in-flight imports are retired the same way
-	// streamed merges are.
+	// session and aborts).
 	s.frozen = nil
 	s.exports = nil
-	for _, job := range s.imports.jobs {
-		job.aborted = true
-		if job.err == nil {
-			job.err = ErrShutdown
-		}
-	}
-	s.imports.ensureRunning()
-	s.imports = newImportSched(s)
+
+	// Retire in-flight streamed merges and imports on the old schedulers,
+	// then start fresh.
+	s.merge = s.merge.crash()
+	s.imports = s.imports.crash()
 }
 
 // Restart brings a crashed rank back: the metadata store is rebuilt from

@@ -3,6 +3,7 @@ package mds
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -561,6 +562,97 @@ func TestMergeCongestion(t *testing.T) {
 	}
 	if twenty < 0.4*one {
 		t.Fatalf("20-journal merge rate %.0f/s collapsed too far below single %.0f/s", twenty, one)
+	}
+}
+
+func TestMergeModesShareOneCostModel(t *testing.T) {
+	// Blind, validated and convergent merge are one delivery loop with a
+	// different per-event step, so the same conflict-free journal must
+	// cost exactly the same simulated time and move the same counters in
+	// all three modes — whether it arrives as a flat slice or a cursor.
+	const n = 700 // crosses two apply-run boundaries
+	type outcome struct {
+		elapsed           runtime.Time
+		applied           int
+		mergeJobs, merged uint64
+	}
+	merge := func(mode MergeMode, cursor bool) outcome {
+		eng, s := newTestServer()
+		j := journal.New(128)
+		for _, ev := range streamEvents("f", 1<<41, n) {
+			j.Append(ev)
+		}
+		var out outcome
+		run(t, eng, func(p runtime.Task) {
+			msg := &MergeMsg{NominalBytes: int64(n) * 2500, Mode: mode}
+			if cursor {
+				msg.Source = j.InlineCursor()
+			} else {
+				msg.Events = j.Events()
+			}
+			start := p.Now()
+			r := s.Post(p, msg).(*MergeReply)
+			if r.Err != nil || len(r.Conflicts) != 0 {
+				t.Errorf("mode %d merge = %+v", mode, r)
+			}
+			out.elapsed, out.applied = p.Now()-start, r.Applied
+		})
+		out.mergeJobs, out.merged = s.Metrics().MergeJobs, s.Metrics().Merged
+		if _, err := s.Store().Resolve(fmt.Sprintf("/f%d", n-1)); err != nil {
+			t.Errorf("mode %d: merged file missing: %v", mode, err)
+		}
+		return out
+	}
+	want := merge(MergeBlind, false)
+	if want.applied != n || want.mergeJobs != 1 || want.merged != n {
+		t.Fatalf("blind merge = %+v", want)
+	}
+	for _, tc := range []struct {
+		name   string
+		mode   MergeMode
+		cursor bool
+	}{
+		{"blind/cursor", MergeBlind, true},
+		{"speculative/slice", MergeSpeculative, false},
+		{"speculative/cursor", MergeSpeculative, true},
+		{"converge/slice", MergeConverge, false},
+		{"converge/cursor", MergeConverge, true},
+	} {
+		if got := merge(tc.mode, tc.cursor); got != want {
+			t.Errorf("%s = %+v, want the blind slice merge's %+v", tc.name, got, want)
+		}
+	}
+}
+
+func TestSpeculativeConflictsAreJournalIndices(t *testing.T) {
+	// Rejected predictions come back as indices into the whole journal,
+	// ascending, wherever apply-run boundaries fall and whichever form
+	// the journal arrived in — the client undoes exactly these ops.
+	const n = 600
+	taken := []int{3, 255, 256, 599}
+	for _, cursor := range []bool{false, true} {
+		eng, s := newTestServer()
+		evs := streamEvents("f", 1<<41, n)
+		j := journal.New(100)
+		for _, ev := range evs {
+			j.Append(ev)
+		}
+		run(t, eng, func(p runtime.Task) {
+			for _, idx := range taken { // another client got there first
+				s.Submit(p, &Request{Op: OpCreate, Client: "other", Parent: namespace.RootIno, Name: evs[idx].Name, Mode: 0644})
+			}
+			msg := &MergeMsg{Mode: MergeSpeculative, Events: evs}
+			if cursor {
+				msg.Events, msg.Source = nil, j.InlineCursor()
+			}
+			r := s.Post(p, msg).(*MergeReply)
+			if r.Err != nil || r.Applied != n-len(taken) || !reflect.DeepEqual(r.Conflicts, taken) {
+				t.Errorf("cursor=%v: applied %d, conflicts %v, err %v; want %d, %v", cursor, r.Applied, r.Conflicts, r.Err, n-len(taken), taken)
+			}
+		})
+		if got := s.Metrics().MergeConflicts; got != uint64(len(taken)) {
+			t.Errorf("cursor=%v: conflict counter = %d, want %d", cursor, got, len(taken))
+		}
 	}
 }
 

@@ -295,6 +295,7 @@ func (s *Server) Recover(p runtime.Task) error {
 	}
 
 	s.store = fresh
+	s.se = nil // the resolver rendered into the replaced store
 	s.caps = make(map[namespace.Ino]*dirCaps)
 	s.recoveredSegs = nseg
 	return nil
