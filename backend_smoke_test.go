@@ -407,3 +407,110 @@ func TestBackendSmokeMultiRankStress(t *testing.T) {
 		}
 	}
 }
+
+// TestBackendSmokeListWhileMutating is the shared-snapshot race test: on
+// the real backend one client lists a directory in a loop while a second
+// creates, renames (onto new and onto existing names) and unlinks in it.
+// Listings are handed out as the rank's own snapshot slice, so under
+// -race this fails if the rank ever edits a snapshot it has given away;
+// and every listing, the one held from the previous round included, must
+// be sorted, duplicate-free and contain the files nobody touches.
+func TestBackendSmokeListWhileMutating(t *testing.T) {
+	cl := NewCluster(WithSeed(3), WithConfig(stressConfig()), WithBackend(BackendReal))
+	defer cl.Close()
+	lister, mutator := cl.NewClient("lister"), cl.NewClient("mutator")
+	const kept, rounds = 40, 400
+	var dir Ino
+	cl.Run(func(p Proc) {
+		var err error
+		if dir, err = mutator.MkdirAll(p, "/d", 0755); err != nil {
+			t.Fatalf("mkdir: %v", err)
+		}
+		for i := 0; i < kept; i++ {
+			if _, err := mutator.Create(p, dir, fmt.Sprintf("keep%03d", i), 0644); err != nil {
+				t.Fatalf("create: %v", err)
+			}
+		}
+	})
+	if t.Failed() {
+		return
+	}
+
+	check := func(names []string) {
+		n := 0
+		for i, name := range names {
+			if i > 0 && names[i-1] >= name {
+				t.Errorf("listing out of order or duplicated at %d: %q then %q", i, names[i-1], name)
+				return
+			}
+			if len(name) == 7 && name[:4] == "keep" {
+				n++
+			}
+		}
+		if n != kept {
+			t.Errorf("listing has %d of the %d untouched files", n, kept)
+		}
+	}
+	done := make(chan struct{})
+	listings := 0
+	cl.Go("lister", func(p Proc) {
+		var prev []string
+		for {
+			names, err := lister.ReadDir(p, dir)
+			if err != nil {
+				t.Errorf("readdir: %v", err)
+				return
+			}
+			check(names)
+			if prev != nil {
+				check(prev)
+			}
+			prev = names
+			listings++
+			select {
+			case <-done:
+				if len(names) != kept+rounds/2 {
+					t.Errorf("final listing has %d entries, want %d", len(names), kept+rounds/2)
+				}
+				return
+			default:
+			}
+			if t.Failed() {
+				return
+			}
+		}
+	})
+	cl.Go("mutator", func(p Proc) {
+		defer close(done)
+		for i := 0; i < rounds; i++ {
+			a, b := fmt.Sprintf("a%04d", i), fmt.Sprintf("b%04d", i/2)
+			if _, err := mutator.Create(p, dir, a, 0644); err != nil {
+				t.Errorf("create %s: %v", a, err)
+				return
+			}
+			// Even rounds rename onto a new name, odd rounds onto the
+			// name the round before left behind.
+			if err := mutator.Rename(p, dir, a, dir, b); err != nil {
+				t.Errorf("rename %s -> %s: %v", a, b, err)
+				return
+			}
+			if i%4 == 3 {
+				if err := mutator.Unlink(p, dir, b); err != nil {
+					t.Errorf("unlink %s: %v", b, err)
+					return
+				}
+				if _, err := mutator.Create(p, dir, b, 0644); err != nil {
+					t.Errorf("re-create %s: %v", b, err)
+					return
+				}
+			}
+		}
+	})
+	cl.RunAll()
+	if err := cl.Runtime().LeakCheck(); err != nil {
+		t.Fatal(err)
+	}
+	if listings < 2 {
+		t.Errorf("only %d listings overlapped the mutations", listings)
+	}
+}

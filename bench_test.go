@@ -181,44 +181,6 @@ func BenchmarkAblationDispatchSize(b *testing.B) {
 
 // --- Substrate micro-benchmarks (real wall-clock costs) ---
 
-// BenchmarkJournalEncode measures the journal codec's write path.
-func BenchmarkJournalEncode(b *testing.B) {
-	events := make([]*journal.Event, 1000)
-	for i := range events {
-		events[i] = &journal.Event{
-			Type: journal.EvCreate, Seq: uint64(i), Client: "client.0",
-			Parent: 1, Name: fmt.Sprintf("file%06d", i), Ino: uint64(1000 + i), Mode: 0644,
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := journal.Encode(events); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkJournalDecode measures the journal codec's read path.
-func BenchmarkJournalDecode(b *testing.B) {
-	events := make([]*journal.Event, 1000)
-	for i := range events {
-		events[i] = &journal.Event{
-			Type: journal.EvCreate, Seq: uint64(i), Client: "client.0",
-			Parent: 1, Name: fmt.Sprintf("file%06d", i), Ino: uint64(1000 + i), Mode: 0644,
-		}
-	}
-	data, err := journal.Encode(events)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := journal.Decode(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkNamespaceCreate measures raw metadata-store inserts.
 func BenchmarkNamespaceCreate(b *testing.B) {
 	s := namespace.NewStore()

@@ -496,7 +496,11 @@ func (c *Client) Resolve(p runtime.Task, path string) (namespace.Ino, error) {
 	return r.Ino, nil
 }
 
-// ReadDir lists a directory via RPC (the heavy "ls" of §V-B3).
+// ReadDir lists a directory via RPC (the heavy "ls" of §V-B3). The names
+// are sorted. The slice is the rank's listing snapshot, shared with every
+// other reader of that listing (namespace.Store.ReadDir): do not sort,
+// store into or append in place to it. It never changes after it is
+// returned; a caller that keeps it keeps the directory as it was.
 func (c *Client) ReadDir(p runtime.Task, dir namespace.Ino) ([]string, error) {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)

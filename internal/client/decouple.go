@@ -245,7 +245,8 @@ func (c *Client) LocalLookup(dir namespace.Ino, name string) (namespace.Ino, err
 }
 
 // LocalReadDir lists a decoupled directory from the client-local image —
-// no RPC needed.
+// no RPC needed. The slice is the local store's listing snapshot, under
+// the same read-only contract as ReadDir's.
 func (c *Client) LocalReadDir(dir namespace.Ino) ([]string, error) {
 	if c.dec == nil {
 		return nil, ErrNotDecoupled

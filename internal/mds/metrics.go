@@ -31,6 +31,12 @@ func (s *Server) FillMetrics(reg *trace.Registry) {
 	reg.Counter("cudele_mds_merge_chunks_total", "Streamed merge chunks accepted into flow-control windows.", float64(s.metrics.MergeChunks), daemon)
 	reg.Counter("cudele_mds_merge_backpressure_total", "Merge opens and chunks answered with backpressure.", float64(s.metrics.MergeBackpressure), daemon)
 
+	// Served-from-snapshot listings are the difference of the two; both
+	// restart with the rank's in-memory store (Crash, Recover).
+	lists := s.store.ListStats()
+	reg.Counter("cudele_mds_dir_listings_total", "Ordered directory listings: readdir requests, tree walks, directory-object encodes, scrubs.", float64(lists.Listings), daemon)
+	reg.Counter("cudele_mds_dir_listing_rebuilds_total", "Listings of a directory that changed since its last one, which collected and sorted its names again.", float64(lists.Rebuilds), daemon)
+
 	reg.Gauge("cudele_mds_journal_events", "Untrimmed events in the MDS journal.", float64(s.stream.jrnl.Len()), daemon)
 	reg.Gauge("cudele_mds_merge_queue_depth", "Client journals queued for Volatile Apply.", float64(s.mergeQueue), daemon)
 	reg.Gauge("cudele_mds_merge_active_jobs", "Streamed merges admitted by the scheduler at collection time.", float64(len(s.merge.jobs)), daemon)

@@ -87,7 +87,10 @@ type Reply struct {
 	Size  uint64
 	Mtime int64
 
-	Names []string // OpReadDir
+	// Names is the OpReadDir listing, sorted. It is the store's shared
+	// listing snapshot, not a copy (namespace.Store.ReadDir): read-only
+	// for the receiver, and never changed once sent.
+	Names []string
 
 	// CapGranted tells the client it now holds the read-caching
 	// capability on the request's parent directory: it may satisfy

@@ -14,6 +14,7 @@ import (
 	"cudele/internal/rados"
 	"cudele/internal/runtime"
 	"cudele/internal/sim"
+	"cudele/internal/trace"
 )
 
 func newTestServer() (runtime.Runtime, *Server) {
@@ -101,6 +102,36 @@ func TestSubmitAllOps(t *testing.T) {
 	}
 	if m.ByOp[OpCreate] != 1 || m.ByOp[OpRename] != 1 {
 		t.Fatalf("by-op = %v", m.ByOp)
+	}
+}
+
+// TestListingMetrics: the listing counters say how many readdirs the
+// snapshot served — ten listings around one create sort twice.
+func TestListingMetrics(t *testing.T) {
+	eng, s := newTestServer()
+	s.OpenSession("c0")
+	run(t, eng, func(p runtime.Task) {
+		for i := 0; i < 10; i++ {
+			if i == 5 {
+				if cr := s.Submit(p, &Request{Op: OpCreate, Client: "c0", Parent: namespace.RootIno, Name: "f"}); cr.Err != nil {
+					t.Fatalf("create: %v", cr.Err)
+				}
+			}
+			if rd := s.Submit(p, &Request{Op: OpReadDir, Client: "c0", Parent: namespace.RootIno}); rd.Err != nil {
+				t.Fatalf("readdir: %v", rd.Err)
+			}
+		}
+	})
+	reg := trace.NewRegistry()
+	s.FillMetrics(reg)
+	daemon := trace.KV{Key: "daemon", Val: s.ep.Name()}
+	for name, want := range map[string]float64{
+		"cudele_mds_dir_listings_total":         10,
+		"cudele_mds_dir_listing_rebuilds_total": 2,
+	} {
+		if got, ok := reg.Value(name, daemon); !ok || got != want {
+			t.Errorf("%s = %v (exported: %v), want %v", name, got, ok, want)
+		}
 	}
 }
 

@@ -51,21 +51,15 @@ func (s *Store) Check() []Problem {
 		}
 		reachable[dir.Ino] = true
 		if !dir.IsDir() {
-			if len(dir.children) > 0 {
+			if dir.NumChildren() > 0 {
 				problems = append(problems, Problem{
 					Kind: "file-children", Ino: dir.Ino, Path: path,
-					Info: fmt.Sprintf("regular file with %d dentries", len(dir.children)),
+					Info: fmt.Sprintf("regular file with %d dentries", dir.NumChildren()),
 				})
 			}
 			return
 		}
-		names := make([]string, 0, len(dir.children))
-		for name := range dir.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ci := dir.children[name]
+		_ = dir.frag.each(&s.lists, func(name string, ci Ino) error {
 			childPath := path + "/" + name
 			if path == "/" {
 				childPath = "/" + name
@@ -76,7 +70,7 @@ func (s *Store) Check() []Problem {
 					Kind: "dangling-dentry", Ino: ci, Path: childPath,
 					Info: "dentry references missing inode",
 				})
-				continue
+				return nil
 			}
 			if child.Parent != dir.Ino {
 				problems = append(problems, Problem{
@@ -91,7 +85,8 @@ func (s *Store) Check() []Problem {
 				})
 			}
 			walk(child, childPath)
-		}
+			return nil
+		})
 	}
 	root, ok := s.inodes[RootIno]
 	if !ok {
@@ -189,12 +184,12 @@ func (s *Store) Repair() []string {
 			if err != nil {
 				continue
 			}
-			delete(parent.children, parts[len(parts)-1])
+			parent.frag.unlink(parts[len(parts)-1])
 			actions = append(actions, fmt.Sprintf("removed dangling dentry %s", p.Path))
 		case "file-children":
 			in := s.inodes[p.Ino]
 			if in != nil {
-				in.children = nil
+				in.frag = nil // files keep no fragment; its snapshot goes with it
 				actions = append(actions, fmt.Sprintf("cleared dentries on file ino %d", p.Ino))
 			}
 		}
@@ -217,15 +212,12 @@ func (s *Store) Repair() []string {
 			}
 		}
 		name := fmt.Sprintf("ino-%d", p.Ino)
-		if _, exists := lost.children[name]; exists {
+		if _, exists := lost.frag.lookup(name); exists {
 			continue
 		}
 		in.Parent = lost.Ino
 		in.Name = name
-		if lost.children == nil {
-			lost.children = make(map[string]Ino)
-		}
-		lost.children[name] = in.Ino
+		lost.dentries().link(name, in.Ino)
 		actions = append(actions, fmt.Sprintf("moved orphan ino %d to /lost+found/%s", p.Ino, name))
 	}
 	s.version++

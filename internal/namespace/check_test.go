@@ -49,14 +49,14 @@ func TestCheckOrphan(t *testing.T) {
 func TestCheckDanglingDentry(t *testing.T) {
 	s := buildSample(t)
 	root := s.Root()
-	root.children["phantom"] = 777 // no such inode
+	root.frag.link("phantom", 777) // no such inode
 	problems := s.Check()
 	if countKind(problems, "dangling-dentry") != 1 {
 		t.Fatalf("problems = %v", problems)
 	}
 	s.Repair()
 	s.MustHealthy()
-	if _, ok := root.children["phantom"]; ok {
+	if _, ok := root.frag.lookup("phantom"); ok {
 		t.Fatal("dangling dentry survived repair")
 	}
 }
@@ -81,7 +81,7 @@ func TestCheckBadParentAndName(t *testing.T) {
 func TestCheckFileWithChildren(t *testing.T) {
 	s := buildSample(t)
 	in, _ := s.Resolve("/proj/README")
-	in.children = map[string]Ino{"impossible": 5}
+	in.dentries().link("impossible", 5)
 	problems := s.Check()
 	if countKind(problems, "file-children") != 1 {
 		t.Fatalf("problems = %v", problems)
@@ -95,7 +95,7 @@ func TestCheckDupIno(t *testing.T) {
 	// Two dentries referencing the same inode.
 	f, _ := s.Resolve("/proj/README")
 	root := s.Root()
-	root.children["hardlinkish"] = f.Ino
+	root.frag.link("hardlinkish", f.Ino)
 	problems := s.Check()
 	if countKind(problems, "dup-ino") != 1 {
 		t.Fatalf("problems = %v", problems)

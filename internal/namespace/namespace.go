@@ -61,6 +61,10 @@ var (
 // this Store keeps one fragment per directory). Following the paper's
 // "large inodes" design (§IV-C), subtree policies live directly in the
 // inode.
+//
+// The struct is 80 bytes, the top of an allocator size class, and every
+// create allocates one: anything a directory alone needs goes into its
+// dirFrag, not here (TestInodeSize pins the size).
 type Inode struct {
 	Ino    Ino
 	Parent Ino // parent directory; RootIno's parent is itself
@@ -72,8 +76,8 @@ type Inode struct {
 	Size   uint64
 	Mtime  int64
 
-	// children maps dentry name to child inode (directories only).
-	children map[string]Ino
+	// frag holds the dentries (directories only; files keep nil).
+	frag *dirFrag
 
 	// Policy is the Cudele subtree policy stored in the large inode,
 	// nil when the subtree inherits from its parent.
@@ -84,7 +88,104 @@ type Inode struct {
 func (in *Inode) IsDir() bool { return in.Type == TypeDir }
 
 // NumChildren returns the number of dentries of a directory inode.
-func (in *Inode) NumChildren() int { return len(in.children) }
+func (in *Inode) NumChildren() int { return in.frag.len() }
+
+// dirFrag is a directory's fragment: the dentry map and, once the
+// directory has been listed, an ordered snapshot of its names.
+//
+// The snapshot is immutable. link and unlink — the only writers of the
+// map — drop it and the next listing builds a new one, so a slice handed
+// out earlier keeps describing the directory as it was. It is never
+// edited in place: a sorted insert would make a create O(n) in its
+// directory, and a directory nobody lists should pay nothing for being
+// listable. It lives and dies with its inode; a table keyed by Ino would
+// outlive PruneSubtree and serve a stale listing when a migration brings
+// the same inode numbers back.
+type dirFrag struct {
+	ents map[string]Ino
+	// names is the sorted dentry names with cap == len, nil when the
+	// directory changed since it was last listed (or never was).
+	names []string
+}
+
+func newDirFrag() *dirFrag { return &dirFrag{ents: make(map[string]Ino)} }
+
+// dentries returns the inode's fragment for writing, creating it when a
+// hand-built or repaired inode has none.
+func (in *Inode) dentries() *dirFrag {
+	if in.frag == nil {
+		in.frag = newDirFrag()
+	}
+	return in.frag
+}
+
+func (f *dirFrag) len() int {
+	if f == nil {
+		return 0
+	}
+	return len(f.ents)
+}
+
+func (f *dirFrag) lookup(name string) (Ino, bool) {
+	if f == nil {
+		return 0, false
+	}
+	ino, ok := f.ents[name]
+	return ino, ok
+}
+
+// link adds or repoints dentry name. With unlink it is the only code
+// that writes a dentry map, so no mutation can forget the invalidation.
+func (f *dirFrag) link(name string, ino Ino) {
+	f.ents[name] = ino
+	f.names = nil
+}
+
+// unlink removes dentry name.
+func (f *dirFrag) unlink(name string) {
+	delete(f.ents, name)
+	f.names = nil
+}
+
+// ListStats counts ordered directory listings: every ReadDir, Walk step,
+// EncodeDir and Check visit is one listing, and a rebuild is a listing
+// that found no snapshot and had to collect and sort the names. The
+// difference is the listings served from a snapshot.
+type ListStats struct {
+	Listings uint64
+	Rebuilds uint64
+}
+
+// list returns the fragment's names in sorted order, from the snapshot
+// when there is one. The result is shared: callers must not write to it.
+func (f *dirFrag) list(st *ListStats) []string {
+	st.Listings++
+	if f == nil {
+		return nil
+	}
+	if f.names == nil {
+		st.Rebuilds++
+		names := make([]string, 0, len(f.ents))
+		for name := range f.ents {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		f.names = names[:len(names):len(names)]
+	}
+	return f.names
+}
+
+// each calls fn for every dentry in name order and stops at the first
+// error. fn may link or unlink: the iteration runs over the snapshot
+// taken at entry.
+func (f *dirFrag) each(st *ListStats, fn func(name string, ino Ino) error) error {
+	for _, name := range f.list(st) {
+		if err := fn(name, f.ents[name]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Store is the namespace metadata store.
 type Store struct {
@@ -99,6 +200,8 @@ type Store struct {
 	reserved []inoRange
 
 	version uint64 // bumped on every mutation
+
+	lists ListStats
 }
 
 type inoRange struct{ lo, hi Ino } // half-open [lo, hi)
@@ -110,18 +213,21 @@ func NewStore() *Store {
 		nextIno: RootIno + 1,
 	}
 	s.inodes[RootIno] = &Inode{
-		Ino:      RootIno,
-		Parent:   RootIno,
-		Name:     "/",
-		Type:     TypeDir,
-		Mode:     0755,
-		children: make(map[string]Ino),
+		Ino:    RootIno,
+		Parent: RootIno,
+		Name:   "/",
+		Type:   TypeDir,
+		Mode:   0755,
+		frag:   newDirFrag(),
 	}
 	return s
 }
 
 // Version returns the store's mutation counter.
 func (s *Store) Version() uint64 { return s.version }
+
+// ListStats returns the store's cumulative listing counters.
+func (s *Store) ListStats() ListStats { return s.lists }
 
 // Len returns the number of inodes, including the root.
 func (s *Store) Len() int { return len(s.inodes) }
@@ -150,7 +256,7 @@ func (s *Store) Lookup(parent Ino, name string) (*Inode, error) {
 	if !dir.IsDir() {
 		return nil, fmt.Errorf("lookup %q in inode %d: %w", name, parent, ErrNotDir)
 	}
-	ci, ok := dir.children[name]
+	ci, ok := dir.frag.lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("lookup %q in inode %d: %w", name, parent, ErrNotExist)
 	}
@@ -315,10 +421,7 @@ func (s *Store) ReserveRange(lo Ino, n uint64) error {
 func (s *Store) ReservedRanges() int { return len(s.reserved) }
 
 func (s *Store) insertChild(dir *Inode, in *Inode) {
-	if dir.children == nil {
-		dir.children = make(map[string]Ino)
-	}
-	dir.children[in.Name] = in.Ino
+	dir.dentries().link(in.Name, in.Ino)
 	s.inodes[in.Ino] = in
 	s.version++
 }
@@ -345,7 +448,7 @@ func (s *Store) createCommon(parent Ino, name string, typ FileType, attrs Create
 	if !dir.IsDir() {
 		return nil, fmt.Errorf("create %q in inode %d: %w", name, parent, ErrNotDir)
 	}
-	if _, exists := dir.children[name]; exists {
+	if _, exists := dir.frag.lookup(name); exists {
 		return nil, fmt.Errorf("create %q in inode %d: %w", name, parent, ErrExist)
 	}
 	ino := attrs.Ino
@@ -365,7 +468,7 @@ func (s *Store) createCommon(parent Ino, name string, typ FileType, attrs Create
 		Mtime:  attrs.Mtime,
 	}
 	if typ == TypeDir {
-		in.children = make(map[string]Ino)
+		in.frag = newDirFrag()
 	}
 	s.insertChild(dir, in)
 	return in, nil
@@ -416,7 +519,7 @@ func (s *Store) Unlink(parent Ino, name string) error {
 		return fmt.Errorf("unlink %q: %w", name, ErrIsDir)
 	}
 	dir, _ := s.Get(parent)
-	delete(dir.children, name)
+	dir.frag.unlink(name)
 	delete(s.inodes, victim.Ino)
 	s.version++
 	return nil
@@ -431,11 +534,11 @@ func (s *Store) Rmdir(parent Ino, name string) error {
 	if !victim.IsDir() {
 		return fmt.Errorf("rmdir %q: %w", name, ErrNotDir)
 	}
-	if len(victim.children) > 0 {
+	if victim.NumChildren() > 0 {
 		return fmt.Errorf("rmdir %q: %w", name, ErrNotEmpty)
 	}
 	dir, _ := s.Get(parent)
-	delete(dir.children, name)
+	dir.frag.unlink(name)
 	delete(s.inodes, victim.Ino)
 	s.version++
 	return nil
@@ -480,7 +583,7 @@ func (s *Store) Rename(srcParent Ino, srcName string, dstParent Ino, dstName str
 		}
 	}
 	// Replace semantics for an existing destination.
-	if exIno, exists := dstDir.children[dstName]; exists {
+	if exIno, exists := dstDir.frag.lookup(dstName); exists {
 		ex, err := s.Get(exIno)
 		if err != nil {
 			return err
@@ -490,19 +593,16 @@ func (s *Store) Rename(srcParent Ino, srcName string, dstParent Ino, dstName str
 			return fmt.Errorf("rename %q over directory: %w", srcName, ErrIsDir)
 		case !ex.IsDir() && src.IsDir():
 			return fmt.Errorf("rename directory over %q: %w", dstName, ErrNotDir)
-		case ex.IsDir() && len(ex.children) > 0:
+		case ex.IsDir() && ex.NumChildren() > 0:
 			return fmt.Errorf("rename over %q: %w", dstName, ErrNotEmpty)
 		}
 		delete(s.inodes, ex.Ino)
 	}
 	srcDir, _ := s.Get(srcParent)
-	delete(srcDir.children, srcName)
+	srcDir.frag.unlink(srcName)
 	src.Parent = dstParent
 	src.Name = dstName
-	if dstDir.children == nil {
-		dstDir.children = make(map[string]Ino)
-	}
-	dstDir.children[dstName] = src.Ino
+	dstDir.dentries().link(dstName, src.Ino)
 	s.version++
 	return nil
 }
@@ -520,6 +620,14 @@ func (s *Store) SetAttr(ino Ino, mode, uid, gid uint32, size uint64, mtime int64
 }
 
 // ReadDir returns the dentry names of directory ino in sorted order.
+//
+// The slice is the directory's listing snapshot, shared with every other
+// reader of the same listing: treat it as read-only (do not sort, store
+// into or reslice-and-append through it; cap == len, so a plain append
+// copies). It is never changed after it is returned — a later create,
+// unlink or rename in the directory makes the next ReadDir build a new
+// slice — so a caller that keeps it keeps a consistent, older listing.
+// An unchanged directory is listed without sorting or allocating.
 func (s *Store) ReadDir(ino Ino) ([]string, error) {
 	dir, err := s.Get(ino)
 	if err != nil {
@@ -528,12 +636,7 @@ func (s *Store) ReadDir(ino Ino) ([]string, error) {
 	if !dir.IsDir() {
 		return nil, fmt.Errorf("readdir inode %d: %w", ino, ErrNotDir)
 	}
-	names := make([]string, 0, len(dir.children))
-	for name := range dir.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
+	return dir.frag.list(&s.lists), nil
 }
 
 // Walk visits every inode under root (inclusive) in depth-first, sorted
@@ -557,18 +660,13 @@ func (s *Store) walk(p string, ino Ino, fn func(string, *Inode) error) error {
 	if !in.IsDir() {
 		return nil
 	}
-	names, _ := s.ReadDir(ino)
-	for _, name := range names {
-		child := in.children[name]
+	return in.frag.each(&s.lists, func(name string, child Ino) error {
 		cp := p + "/" + name
 		if p == "/" {
 			cp = "/" + name
 		}
-		if err := s.walk(cp, child, fn); err != nil {
-			return err
-		}
-	}
-	return nil
+		return s.walk(cp, child, fn)
+	})
 }
 
 // PruneSubtree detaches the directory at absolute path p from its parent
@@ -594,7 +692,7 @@ func (s *Store) PruneSubtree(p string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	delete(parent.children, root.Name)
+	parent.frag.unlink(root.Name)
 	for _, ino := range victims {
 		delete(s.inodes, ino)
 	}

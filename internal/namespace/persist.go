@@ -69,17 +69,16 @@ func (s *Store) EncodeDir(ino Ino) ([]byte, error) {
 	if !dir.IsDir() {
 		return nil, fmt.Errorf("encode dir %d: %w", ino, ErrNotDir)
 	}
-	body := make([]byte, 0, 64+32*len(dir.children))
+	body := make([]byte, 0, 64+32*dir.NumChildren())
 	body = putUvar(body, uint64(dir.Ino))
 	body = putUvar(body, uint64(dir.Parent))
 	body = putStr(body, dir.Name)
 	body = putUvar(body, uint64(dir.Mode))
-	names, _ := s.ReadDir(ino)
-	body = putUvar(body, uint64(len(names)))
-	for _, name := range names {
-		child, err := s.Get(dir.children[name])
+	body = putUvar(body, uint64(dir.NumChildren()))
+	err = dir.frag.each(&s.lists, func(name string, ci Ino) error {
+		child, err := s.Get(ci)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		body = putStr(body, name)
 		body = putUvar(body, uint64(child.Ino))
@@ -89,6 +88,10 @@ func (s *Store) EncodeDir(ino Ino) ([]byte, error) {
 		body = putUvar(body, uint64(child.GID))
 		body = putUvar(body, child.Size)
 		body = putUvar(body, uint64(child.Mtime))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := make([]byte, 0, len(dirMagic)+len(body)+4)
 	out = append(out, dirMagic...)
@@ -219,7 +222,7 @@ func (s *Store) InstallDir(d *DirObject) error {
 		dir = &Inode{
 			Ino: d.Ino, Parent: d.Parent, Name: d.Name,
 			Type: TypeDir, Mode: d.Mode,
-			children: make(map[string]Ino),
+			frag: newDirFrag(),
 		}
 		s.insertChild(parent, dir)
 	}
@@ -229,18 +232,19 @@ func (s *Store) InstallDir(d *DirObject) error {
 	for _, e := range d.Entries {
 		incoming[e.Name] = e
 	}
-	for name, ci := range dir.children {
+	frag := dir.dentries()
+	for name, ci := range frag.ents {
 		if _, ok := incoming[name]; !ok {
 			child, _ := s.Get(ci)
 			if child != nil && child.IsDir() {
 				continue // directory contents live in their own object
 			}
-			delete(dir.children, name)
+			frag.unlink(name)
 			delete(s.inodes, ci)
 		}
 	}
 	for _, e := range d.Entries {
-		if existing, ok := dir.children[e.Name]; ok {
+		if existing, ok := frag.lookup(e.Name); ok {
 			in, _ := s.Get(existing)
 			if in != nil {
 				in.Mode, in.UID, in.GID, in.Size, in.Mtime = e.Mode, e.UID, e.GID, e.Size, e.Mtime
@@ -252,7 +256,7 @@ func (s *Store) InstallDir(d *DirObject) error {
 			Mode: e.Mode, UID: e.UID, GID: e.GID, Size: e.Size, Mtime: e.Mtime,
 		}
 		if e.Type == TypeDir {
-			in.children = make(map[string]Ino)
+			in.frag = newDirFrag()
 		}
 		s.insertChild(dir, in)
 	}
@@ -271,11 +275,11 @@ func (s *Store) Dirs() []Ino {
 		queue = queue[1:]
 		out = append(out, ino)
 		dir, err := s.Get(ino)
-		if err != nil {
+		if err != nil || dir.frag == nil {
 			continue
 		}
 		var subdirs []Ino
-		for _, ci := range dir.children {
+		for _, ci := range dir.frag.ents {
 			if child, _ := s.Get(ci); child != nil && child.IsDir() {
 				subdirs = append(subdirs, ci)
 			}

@@ -36,7 +36,9 @@
 // virtual time become wall-clock sleeps here. That is load-bearing
 // beyond fidelity — protocol loops poll with short sleeps (journal
 // flush waits, merge window retries), and a no-op sleep would spin
-// forever while holding the domain.
+// forever while holding the domain. A sleep too short for a timer to
+// honour (spinBelow) is still a sleep: the task watches the clock with
+// its domain released.
 package realrt
 
 import (
@@ -423,7 +425,7 @@ type Task struct {
 	// together is set while the task runs a Together body, which holds
 	// several domain locks and therefore must not yield.
 	together bool
-	// timer is reused by every positive Sleep.
+	// timer is reused by every Sleep of spinBelow or longer.
 	timer *time.Timer
 	// resume carries wakeups (capacity 1: a parked task consumes at
 	// most one token per park, and duplicate wakes are dropped).
@@ -456,7 +458,21 @@ func (t *Task) mayYield(op string) {
 	}
 }
 
-// Sleep suspends the task for wall duration d, releasing its domain.
+// spinBelow is the shortest sleep worth a timer. Arming one, parking and
+// being handed back to a thread costs about a microsecond whatever was
+// asked for (the benchmark's realrt.sleep_min_us probe read 0.70 us for
+// Sleep(1) through the timer), so anything shorter would oversleep by
+// more than its length and pay a goroutine hand-off for it. Below this
+// the task watches the clock instead.
+const spinBelow = time.Microsecond
+
+// Sleep suspends the task for wall duration d, releasing its domain: it
+// returns no earlier than d after the call, other tasks may run in the
+// domain meanwhile (so the domain's state may have changed on return),
+// and a task Shutdown is reaping unwinds out of it. d <= 0 only yields.
+// A sleep shorter than spinBelow spins on the monotonic clock with the
+// domain released; a longer one parks on the task's timer. Neither
+// allocates.
 func (t *Task) Sleep(d runtime.Duration) {
 	if t.killed.Load() {
 		panic(errTaskKilled)
@@ -464,7 +480,14 @@ func (t *Task) Sleep(d runtime.Duration) {
 	t.mayYield("Sleep")
 	cur := t.cur()
 	cur.mu.Unlock()
-	if d > 0 {
+	switch {
+	case d <= 0:
+		// A yield: the unlock above lets a waiter take the domain.
+	case d < spinBelow:
+		// Now is a monotonic reading (time.Since of the engine's start).
+		for end := t.eng.Now() + runtime.Time(d); t.eng.Now() < end; {
+		}
+	default:
 		if t.timer == nil {
 			t.timer = time.NewTimer(d)
 		} else {
@@ -478,7 +501,6 @@ func (t *Task) Sleep(d runtime.Duration) {
 			t.timer.Stop()
 		}
 	}
-	// d <= 0 is a yield: the unlock above lets a waiter take the domain.
 	cur.mu.Lock()
 	if t.killed.Load() {
 		panic(errTaskKilled)

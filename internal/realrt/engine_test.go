@@ -321,18 +321,87 @@ func TestNilTaskIsOutsideTaskContext(t *testing.T) {
 	d.Leave(nil)
 }
 
-// TestSleepDoesNotAllocate guards the per-task timer: after the first
-// sleep created it, positive sleeps reuse it.
+// sleepLengths are one sleep on either side of spinBelow's two regimes
+// and one in the middle of the spinning one.
+var sleepLengths = []time.Duration{1, 500, 5 * time.Microsecond}
+
+// TestSleepContract holds the spinning and the timed sleep to one
+// contract: Sleep(d) returns no earlier than d, and releases the domain
+// so that a task waiting for it gets in.
+func TestSleepContract(t *testing.T) {
+	for _, d := range sleepLengths {
+		e := New(1)
+		dom := e.newDomain("d")
+		var entered atomic.Bool
+		dom.Spawn("holder", func(p runtime.Task) {
+			// The only point at which this task gives up dom is inside
+			// Sleep, so the resident can only have run during one.
+			deadline := time.Now().Add(10 * time.Second)
+			for !entered.Load() {
+				t0 := time.Now()
+				p.Sleep(d)
+				if got := time.Since(t0); got < d {
+					t.Errorf("Sleep(%v) returned after %v", d, got)
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Errorf("no task entered the domain during 10 s of Sleep(%v)", d)
+					return
+				}
+			}
+		})
+		dom.Spawn("resident", func(runtime.Task) { entered.Store(true) })
+		e.RunAll()
+		if n := e.Shutdown(); n != 0 {
+			t.Fatalf("Sleep(%v): shutdown reaped %d tasks", d, n)
+		}
+		assertAllFree(t, e)
+	}
+}
+
+// TestSleepDoesNotAllocate: a short sleep spins, a long one reuses the
+// per-task timer its first call created.
 func TestSleepDoesNotAllocate(t *testing.T) {
-	e := New(1)
-	var allocs float64
-	e.Spawn("sleeper", func(p runtime.Task) {
-		allocs = testing.AllocsPerRun(200, func() { p.Sleep(1) })
-	})
-	e.RunAll()
-	e.Shutdown()
-	if allocs != 0 {
-		t.Fatalf("Sleep(1) allocates %.1f objects per call, want 0", allocs)
+	for _, d := range sleepLengths {
+		e := New(1)
+		var allocs float64
+		e.Spawn("sleeper", func(p runtime.Task) {
+			allocs = testing.AllocsPerRun(200, func() { p.Sleep(d) })
+		})
+		e.RunAll()
+		e.Shutdown()
+		if allocs != 0 {
+			t.Fatalf("Sleep(%v) allocates %.1f objects per call, want 0", d, allocs)
+		}
+	}
+}
+
+// TestShutdownUnwindsShortSleepers kills tasks that do nothing but
+// sleep, two domains deep: a spinning sleep has no wakeup to receive, so
+// it must notice the kill itself, and leave every lock free.
+func TestShutdownUnwindsShortSleepers(t *testing.T) {
+	for _, d := range sleepLengths {
+		e := New(1)
+		a, b := e.newDomain("a"), e.newDomain("b")
+		asleep := make(chan struct{})
+		e.Spawn("sleeper", func(p runtime.Task) {
+			a.Enter(p)
+			defer a.Leave(p)
+			b.Enter(p)
+			defer b.Leave(p)
+			close(asleep)
+			for {
+				p.Sleep(d)
+			}
+		})
+		<-asleep
+		if n := e.Shutdown(); n != 1 {
+			t.Fatalf("Sleep(%v): shutdown reaped %d tasks, want 1", d, n)
+		}
+		if err := e.LeakCheck(); err != nil {
+			t.Fatal(err)
+		}
+		assertAllFree(t, e)
 	}
 }
 

@@ -343,6 +343,40 @@ func TestContractDomainExcludes(t *testing.T) {
 	})
 }
 
+// TestContractSleepYieldsDomain: Sleep(d) lasts at least d on the
+// backend's clock, however short d is, and gives up the task's domain
+// for that time — a task that holds a domain except while asleep is
+// what lets a second task of the domain run at all.
+func TestContractSleepYieldsDomain(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
+		for _, d := range []time.Duration{1, 500, 5 * time.Microsecond} {
+			dom := rt.NewDomain("d")
+			var entered atomic.Bool
+			sleeps := 0
+			dom.Spawn("holder", func(p runtime.Task) {
+				for !entered.Load() && sleeps < 10_000_000 {
+					t0 := p.Now()
+					p.Sleep(d)
+					if got := time.Duration(p.Now() - t0); got < d {
+						t.Errorf("Sleep(%v) lasted %v", d, got)
+						return
+					}
+					sleeps++
+				}
+			})
+			dom.Spawn("resident", func(runtime.Task) { entered.Store(true) })
+			rt.RunAll()
+			if err := rt.LeakCheck(); err != nil {
+				t.Fatal(err)
+			}
+			if !entered.Load() {
+				t.Fatalf("no task entered the domain during %d calls of Sleep(%v)", sleeps, d)
+			}
+		}
+		rt.Shutdown()
+	})
+}
+
 // TestContractDomainNesting: Enter is re-entrant, Enter/Leave pairs nest
 // across domains, and a task may sleep, park and block at any depth.
 func TestContractDomainNesting(t *testing.T) {
