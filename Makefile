@@ -71,11 +71,13 @@ fuzz-short:
 	$(GO) test ./internal/journal -run='^FuzzDecode$$' -fuzz=FuzzDecode -fuzztime=10s
 	$(GO) test ./internal/journal -run='^FuzzCursorExport$$' -fuzz=FuzzCursorExport -fuzztime=10s
 
-# chaos runs the seeded fault-injection harness — 64 consecutive seeds
-# cover every cell of the consistency x durability matrix several times —
-# with the race detector on. A failing seed prints its fault plan and
-# reproduces exactly with: go run ./cmd/cudele-bench -chaos-replay SEED
+# chaos runs the seeded fault-injection harness — 1 500 consecutive
+# seeds, a hundred per cell of the fifteen-cell consistency x durability
+# wheel, about 400 of them migrating the subtree mid-run — with the race
+# detector on (~10 s on two cores). A failing seed prints its fault plan,
+# leaves a flight dump in chaos-dumps/, and reproduces exactly with:
+# go run ./cmd/cudele-bench -chaos-replay SEED
 chaos:
-	$(GO) run -race ./cmd/cudele-bench -chaos 64 -seed 1
+	$(GO) run -race ./cmd/cudele-bench -chaos 1500 -seed 1 -chaos-dumps chaos-dumps
 
 ci: fmt-check vet build test

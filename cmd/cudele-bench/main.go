@@ -34,7 +34,8 @@
 // committed sim baselines.
 //
 // -chaos N runs N seeded fault-injection schedules (starting at -seed,
-// cycling through all nine consistency x durability cells) against the
+// walking all fifteen consistency x durability cells — Table I plus
+// speculative and strong-eventual — every fifteen seeds) against the
 // policy-contract checker instead of the experiments, and exits non-zero
 // if any schedule violates its contract. A failing seed reproduces
 // exactly with -chaos-replay SEED, which runs that one schedule and
@@ -42,9 +43,6 @@
 // recorder, the failure report includes the last events (ops, faults,
 // crashes) each daemon saw before the violation. -chaos-dumps DIR
 // additionally writes one flight-dump file per failing seed.
-// -chaos-cycle 2 widens the seed-to-cell mapping to fifteen cells —
-// the nine originals plus speculative and strong-eventual crossed with
-// every durability level; cycle-2 failures replay with the same flag.
 //
 // -heat enables per-subtree heat accounting on every run. Like -trace
 // and -metrics it is passive: tables are byte-identical with it on.
@@ -100,7 +98,6 @@ func main() {
 	chaosN := flag.Int("chaos", 0, "run N fault-injection schedules (seeds -seed..-seed+N-1) instead of experiments")
 	chaosReplay := flag.Int64("chaos-replay", 0, "replay one fault-injection schedule by seed and print its plan")
 	chaosDumps := flag.String("chaos-dumps", "", "chaos mode: write one flight-recorder dump file per failing seed into this directory")
-	chaosCycle := flag.Int("chaos-cycle", 1, "chaos mode: seed-to-cell cycle (1 = the nine Table I cells, 2 = fifteen cells incl. speculative and strong-eventual)")
 	backendName := flag.String("backend", "sim", "execution backend: sim (deterministic simulator) or real (goroutines, wall clock, fsync)")
 	dataDir := flag.String("datadir", "", "real backend: directory for fsynced object files (default: a fresh temp dir)")
 	heat := flag.Bool("heat", false, "enable per-subtree heat accounting on every run (passive: tables are byte-identical)")
@@ -125,20 +122,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cudele-bench: -admin-linger requires -admin")
 		os.Exit(2)
 	}
-	if *chaosDumps != "" && *chaosN == 0 && *chaosReplay == 0 {
+	// Seed 0 is a schedule like any other, so "replay requested" is the
+	// flag's presence, not a non-zero value.
+	replay := false
+	flag.Visit(func(f *flag.Flag) { replay = replay || f.Name == "chaos-replay" })
+	if *chaosDumps != "" && *chaosN == 0 && !replay {
 		fmt.Fprintln(os.Stderr, "cudele-bench: -chaos-dumps requires -chaos or -chaos-replay")
 		os.Exit(2)
 	}
-	if *chaosCycle < 1 || *chaosCycle > 2 {
-		fmt.Fprintln(os.Stderr, "cudele-bench: -chaos-cycle must be 1 or 2")
-		os.Exit(2)
-	}
 
-	if *chaosReplay != 0 {
-		os.Exit(runChaos(chaos.Seeds(*chaosReplay, 1), 1, *chaosCycle, true, *chaosDumps))
+	if replay {
+		os.Exit(reportChaos(chaos.RunMany(chaos.Seeds(*chaosReplay, 1), 1), true, *chaosDumps))
 	}
 	if *chaosN > 0 {
-		os.Exit(runChaos(chaos.Seeds(*seed, *chaosN), *parallel, *chaosCycle, false, *chaosDumps))
+		os.Exit(reportChaos(chaos.RunMany(chaos.Seeds(*seed, *chaosN), *parallel), false, *chaosDumps))
 	}
 
 	if *list {
@@ -262,16 +259,16 @@ func main() {
 	os.Exit(exit)
 }
 
-// runChaos executes the fault-injection schedules and reports verdicts.
-// With verbose set (replay mode) the plan prints even on success, so a
-// passing replay still shows what was exercised. With dumpDir set, each
-// failing seed's fault plan, violations, and flight-recorder dump are
-// written to chaos-flight-<seed>.txt there (the CI failure artifact).
-func runChaos(seeds []int64, workers, cycle int, verbose bool, dumpDir string) int {
-	results := chaos.RunManyCycle(seeds, workers, cycle)
+// reportChaos prints the verdicts of fault-injection schedules and
+// returns the exit code. With verbose set (replay mode) the plan prints
+// even on success, so a passing replay still shows what was exercised.
+// With dumpDir set, each failing seed's fault plan, violations, and
+// flight-recorder dump are written to chaos-flight-<seed>.txt there (the
+// CI failure artifact).
+func reportChaos(results []chaos.Result, verbose bool, dumpDir string) int {
 	if verbose {
 		for _, r := range results {
-			fmt.Printf("%s\n\n", r.PlanText)
+			fmt.Printf("%s\n", r.PlanText)
 		}
 	}
 	failed := chaos.Report(os.Stdout, results)
@@ -301,11 +298,7 @@ func writeChaosDumps(dir string, results []chaos.Result) error {
 			fmt.Fprintf(&b, "violation: %s\n", v)
 		}
 		fmt.Fprintf(&b, "\nflight recorder (last events before the violation):\n%s", r.FlightDump)
-		if r.Cycle >= 2 {
-			fmt.Fprintf(&b, "\nreproduce: cudele-bench -chaos-cycle %d -chaos-replay %d\n", r.Cycle, r.Seed)
-		} else {
-			fmt.Fprintf(&b, "\nreproduce: cudele-bench -chaos-replay %d\n", r.Seed)
-		}
+		fmt.Fprintf(&b, "\nreproduce: %s\n", r.ReplayCommand())
 		path := filepath.Join(dir, fmt.Sprintf("chaos-flight-%d.txt", r.Seed))
 		if err := os.WriteFile(path, []byte(b.String()), 0644); err != nil {
 			return err

@@ -16,7 +16,7 @@
 //	ConsInvisible  updates never leak into the global namespace pre-merge
 //	ConsStrong     acked updates are immediately visible
 //
-// Cycle 2 extends the matrix with the two cells beyond Table I:
+// The wheel also covers the two cells beyond Table I:
 //
 //	ConsSpeculative    a merge applies exactly the ops whose predictions
 //	                   held (the oracle mirrors the validation), and every
@@ -27,7 +27,9 @@
 //
 // plus global invariants: no phantom namespace entries, inode grants
 // respected, merge-scheduler slots freed, no leaked simulation
-// processes.
+// processes. What differs between cells is one table (cells.go): a
+// weighted op mix, where creates land, how merges validate, and the
+// named contracts the cell carries.
 //
 // Schedules are fully deterministic: the same seed produces a
 // byte-identical plan, schedule, and verdict at any worker count, so a
@@ -64,32 +66,11 @@ const (
 type Plan struct {
 	Seed int64
 
-	// Cycle versions the seed-to-cell mapping. Cycle 1 (the default) is
-	// the original 3x3 matrix: cell = seed%9, and every schedule is
-	// byte-identical with earlier harness versions. Cycle 2 widens the
-	// wheel to 15 cells: seeds 0-8 (mod 15) keep the 3x3 mapping, seeds
-	// 9-14 cover speculative and strong-eventual across all three
-	// durability levels.
-	Cycle int
-
-	// Cell of the policy matrix under test. Consecutive seeds cycle
-	// through every cell of the plan's cycle, so any Cycle-width run of
-	// contiguous seeds gives full matrix coverage.
+	// Cell of the policy matrix under test. Consecutive seeds walk the
+	// fifteen-cell wheel, so any fifteen contiguous seeds cover the whole
+	// matrix.
 	Cons policy.Consistency
 	Dur  policy.Durability
-
-	// Interfere is the workload weight of interfering RPC operations on
-	// speculative schedules: ops that mutate the decoupled subtree
-	// through the strong path so client predictions get falsified and
-	// the rollback machinery actually fires. Zero outside
-	// ConsSpeculative. Draw-free: it never touches the plan's rng.
-	Interfere float64
-
-	// Permute arms the merge-order permutation check on strong-eventual
-	// schedules: every merged batch is captured, and the final verify
-	// replays the batches in several permutations, demanding a
-	// byte-identical namespace image from each. Draw-free.
-	Permute bool
 
 	// Ops is the workload length in operations.
 	Ops int
@@ -132,52 +113,19 @@ type Plan struct {
 	TornCommit bool
 }
 
-// NewPlan derives a cycle-1 schedule from a seed. The generator draws
-// from its own rand source; the simulation's engine stream is untouched.
-func NewPlan(seed int64) *Plan { return NewPlanCycle(seed, 1) }
-
-// planCells is the width of each cycle's cell wheel.
-func planCells(cycle int) int {
-	if cycle >= 2 {
-		return policy.NumConsistencies * policy.NumDurabilities
-	}
-	return 9
-}
-
-// NewPlanCycle derives a schedule from a seed under the given cycle's
-// seed-to-cell mapping. Cycle 1 plans are byte-identical with NewPlan of
-// every earlier harness version; cycle 2 adds the speculative and
-// strong-eventual cells. Both cycles consume the seed's rand stream in
-// exactly the same order — the new-cell knobs (Interfere, Permute) are
-// derived without drawing — so a seed's ops/fault/transport schedule is
-// the same in every cycle and only the cell under test changes.
-func NewPlanCycle(seed int64, cycle int) *Plan {
-	if cycle < 1 {
-		cycle = 1
-	}
+// NewPlan derives a schedule from a seed. The generator draws from its
+// own rand source; the simulation's engine stream is untouched. The cell
+// is seed mod 15: cells 0-8 walk Table I (consistency fastest), 9-11 are
+// speculative and 12-14 strong-eventual across the three durabilities.
+func NewPlan(seed int64) *Plan {
 	rng := rand.New(rand.NewSource(seed))
-	n := int64(planCells(cycle))
+	n := int64(policy.NumConsistencies * policy.NumDurabilities)
 	cell := int((seed%n + n) % n)
-	p := &Plan{
-		Seed:  seed,
-		Cycle: cycle,
-	}
-	switch {
-	case cell < 9:
-		p.Cons = policy.Consistency(cell % 3)
-		p.Dur = policy.Durability(cell / 3)
-	case cell < 12:
-		p.Cons = policy.ConsSpeculative
-		p.Dur = policy.Durability(cell - 9)
-	default:
-		p.Cons = policy.ConsStrongEventual
-		p.Dur = policy.Durability(cell - 12)
-	}
-	if p.Cons == policy.ConsSpeculative {
-		p.Interfere = 0.3
-	}
-	if p.Cons == policy.ConsStrongEventual {
-		p.Permute = true
+	p := &Plan{Seed: seed}
+	if cell < 9 {
+		p.Cons, p.Dur = policy.Consistency(cell%3), policy.Durability(cell/3)
+	} else {
+		p.Cons, p.Dur = policy.Consistency(cell/3), policy.Durability(cell%3)
 	}
 	p.Ops = 40 + rng.Intn(41)
 	p.Chunked = rng.Float64() < 0.5
@@ -204,9 +152,8 @@ func NewPlanCycle(seed int64, cycle int) *Plan {
 		return p.Faults.Faults[i].At < p.Faults.Faults[j].At
 	})
 	p.Background = p.Chunked && !mdsCrash
-	// Migration draws come strictly after every pre-existing draw, so the
-	// non-migrate three quarters of the seed space keeps byte-identical
-	// schedules (and verdicts) with earlier harness versions.
+	// Migration draws come after every other draw, so a seed's ops and
+	// fault schedule do not depend on whether it migrates.
 	p.Migrate = rng.Float64() < 0.25
 	if p.Migrate {
 		for i, n := 0, 1+rng.Intn(2); i < n; i++ {
@@ -227,18 +174,11 @@ func (p *Plan) Cell() string { return p.Cons.String() + "/" + p.Dur.String() }
 func (p *Plan) String() string {
 	s := fmt.Sprintf(
 		"seed=%d cell=%s ops=%d chunked=%v background=%v transport=%v "+
-			"rados(err=%.2f torn=%.2f max=%d)\n%s",
+			"rados(err=%.2f torn=%.2f max=%d)\n%s\n",
 		p.Seed, p.Cell(), p.Ops, p.Chunked, p.Background, p.Transport,
 		p.WriteErrProb, p.TornProb, p.MaxWriteFaults, p.Faults.String())
 	if p.Migrate {
 		s += fmt.Sprintf("migrate: at=%v torn-commit=%v\n", p.MigrateAt, p.TornCommit)
-	}
-	// Cycle-1 plans keep their historical rendering byte-for-byte.
-	if p.Cycle >= 2 {
-		if !strings.HasSuffix(s, "\n") {
-			s += "\n"
-		}
-		s += fmt.Sprintf("cycle=%d interfere=%.2f permute=%v\n", p.Cycle, p.Interfere, p.Permute)
 	}
 	return s
 }
@@ -246,7 +186,6 @@ func (p *Plan) String() string {
 // Result is one schedule's verdict.
 type Result struct {
 	Seed        int64
-	Cycle       int // cell cycle the schedule ran under (0/1 = the original nine)
 	Cell        string
 	Ops         int
 	CrashFaults int
@@ -272,48 +211,32 @@ func (r Result) Passed() bool { return len(r.Violations) == 0 }
 // signal.
 const maxViolations = 16
 
-// Run executes one cycle-1 chaos schedule and returns its verdict.
-// Everything — cluster, engine, rand sources, oracle — is built fresh
-// from the seed, so concurrent Runs never share state.
-func Run(seed int64) Result { return RunCycle(seed, 1) }
-
-// RunCycle executes one chaos schedule under the given cell cycle.
-func RunCycle(seed int64, cycle int) Result {
-	plan := NewPlanCycle(seed, cycle)
-	d := newDriver(plan)
-	return d.run()
+// ReplayCommand is the command line that reproduces the schedule.
+func (r Result) ReplayCommand() string {
+	return fmt.Sprintf("cudele-bench -chaos-replay %d", r.Seed)
 }
 
-// RunMany executes cycle-1 schedules for every seed on a worker pool
-// and returns results in seed order. Each schedule is an independent
+// Run executes one chaos schedule and returns its verdict. Everything —
+// cluster, engine, rand sources, oracle — is built fresh from the seed,
+// so concurrent Runs never share state.
+func Run(seed int64) Result { return newDriver(NewPlan(seed)).run() }
+
+// RunMany executes the schedule of every seed on a worker pool and
+// returns results in seed order. Each schedule is an independent
 // simulation, so the verdicts are byte-identical at any worker count.
 func RunMany(seeds []int64, workers int) []Result {
-	return RunManyCycle(seeds, workers, 1)
-}
-
-// RunManyCycle is RunMany under the given cell cycle.
-func RunManyCycle(seeds []int64, workers, cycle int) []Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
 	out := make([]Result, len(seeds))
-	if workers <= 1 {
-		for i, s := range seeds {
-			out[i] = RunCycle(s, cycle)
-		}
-		return out
-	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, len(seeds)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i] = RunCycle(seeds[i], cycle)
+				out[i] = Run(seeds[i])
 			}
 		}()
 	}
@@ -326,7 +249,7 @@ func RunManyCycle(seeds []int64, workers, cycle int) []Result {
 }
 
 // Seeds returns n consecutive seeds starting at base — the harness
-// default, cycling through all nine policy cells every nine seeds.
+// default, walking all fifteen policy cells every fifteen seeds.
 func Seeds(base int64, n int) []int64 {
 	out := make([]int64, n)
 	for i := range out {
@@ -339,8 +262,12 @@ func Seeds(base int64, n int) []int64 {
 // (fault plan, violations, replay command) for every failure. It
 // returns the number of failed schedules.
 func Report(w io.Writer, results []Result) int {
-	fmt.Fprintf(w, "%-8s %-18s %4s %6s %6s %6s %4s %9s  %s\n",
-		"seed", "cell", "ops", "crash", "io", "merge", "mig", "virt(s)", "verdict")
+	cw := len("cell")
+	for _, r := range results {
+		cw = max(cw, len(r.Cell))
+	}
+	fmt.Fprintf(w, "%-8s %-*s %4s %6s %6s %6s %4s %9s  %s\n",
+		"seed", cw, "cell", "ops", "crash", "io", "merge", "mig", "virt(s)", "verdict")
 	failed := 0
 	for _, r := range results {
 		verdict := "ok"
@@ -348,8 +275,8 @@ func Report(w io.Writer, results []Result) int {
 			verdict = fmt.Sprintf("FAIL (%d violations)", len(r.Violations))
 			failed++
 		}
-		fmt.Fprintf(w, "%-8d %-18s %4d %6d %6d %6d %4d %9.4f  %s\n",
-			r.Seed, r.Cell, r.Ops, r.CrashFaults, r.WriteFaults, r.Merges,
+		fmt.Fprintf(w, "%-8d %-*s %4d %6d %6d %6d %4d %9.4f  %s\n",
+			r.Seed, cw, r.Cell, r.Ops, r.CrashFaults, r.WriteFaults, r.Merges,
 			r.Migrations, r.VirtualSec, verdict)
 	}
 	for _, r := range results {
@@ -366,11 +293,7 @@ func Report(w io.Writer, results []Result) int {
 				fmt.Fprintf(w, "    %s\n", line)
 			}
 		}
-		if r.Cycle >= 2 {
-			fmt.Fprintf(w, "  reproduce: cudele-bench -chaos-cycle %d -chaos-replay %d\n", r.Cycle, r.Seed)
-		} else {
-			fmt.Fprintf(w, "  reproduce: cudele-bench -chaos-replay %d\n", r.Seed)
-		}
+		fmt.Fprintf(w, "  reproduce: %s\n", r.ReplayCommand())
 	}
 	if failed == 0 {
 		fmt.Fprintf(w, "chaos: %d/%d schedules passed\n", len(results), len(results))

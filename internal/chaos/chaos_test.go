@@ -6,14 +6,15 @@ import (
 	"testing"
 )
 
-// TestSmoke runs a batch of consecutive seeds — cycling through all nine
-// policy cells — and fails with the full report (fault plans, violations,
-// replay commands) if any schedule breaks its contract. CI runs a larger
-// batch through cudele-bench; this keeps `go test` self-contained.
+// TestSmoke runs a batch of consecutive seeds — ten per cell of the
+// fifteen-cell wheel — and fails with the full report (fault plans,
+// violations, replay commands) if any schedule breaks its contract. CI
+// runs a larger batch through cudele-bench; this keeps `go test`
+// self-contained.
 func TestSmoke(t *testing.T) {
-	n := 90
+	n := 150
 	if testing.Short() {
-		n = 18
+		n = 30
 	}
 	results := RunMany(Seeds(1, n), 0)
 	var buf bytes.Buffer
@@ -22,19 +23,19 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
-// TestMigrationSchedules hunts down seeds whose plans migrate the main
-// subtree mid-run — including ones that also crash the owning rank and
-// ones that tear the export-commit record — and runs them all. This is
-// the crash-matrix guarantee for online migration: whatever the handoff
-// was doing when the fault struck, every Table-I contract still holds.
+// TestMigrationSchedules runs every plan in seeds 1..1500 that migrates
+// the main subtree mid-run — including ones that also crash the owning
+// rank and ones that tear the export-commit record. This is the
+// crash-matrix guarantee for online migration: whatever the handoff was
+// doing when the fault struck, every contract still holds.
 func TestMigrationSchedules(t *testing.T) {
-	want := 24
+	last := int64(1500)
 	if testing.Short() {
-		want = 8
+		last = 150
 	}
 	var seeds []int64
 	var withCrash, withTorn int
-	for s := int64(1); len(seeds) < want && s < 10000; s++ {
+	for s := int64(1); s <= last; s++ {
 		p := NewPlan(s)
 		if !p.Migrate {
 			continue
@@ -50,12 +51,9 @@ func TestMigrationSchedules(t *testing.T) {
 			}
 		}
 	}
-	if len(seeds) < want {
-		t.Fatalf("found only %d migration plans in 10000 seeds", len(seeds))
-	}
 	if withCrash == 0 || withTorn == 0 {
-		t.Fatalf("coverage hole: %d plans with an MDS crash, %d with a torn commit record",
-			withCrash, withTorn)
+		t.Fatalf("coverage hole in %d migration plans: %d with an MDS crash, %d with a torn commit record",
+			len(seeds), withCrash, withTorn)
 	}
 	results := RunMany(seeds, 0)
 	var buf bytes.Buffer
@@ -102,67 +100,39 @@ func TestPlanDeterministic(t *testing.T) {
 	}
 }
 
-// TestSeedsCoverMatrix asserts nine consecutive seeds hit all nine cells
-// of the consistency x durability matrix.
+// TestSeedsCoverMatrix asserts fifteen consecutive seeds hit all fifteen
+// cells: the nine of Table I plus speculative and strong-eventual
+// crossed with every durability level.
 func TestSeedsCoverMatrix(t *testing.T) {
 	cells := make(map[string]bool)
-	for _, seed := range Seeds(1, 9) {
-		cells[NewPlan(seed).Cell()] = true
-	}
-	if len(cells) != 9 {
-		t.Errorf("9 consecutive seeds cover %d cells, want 9: %v", len(cells), cells)
-	}
-}
-
-// TestPlanCycleOneByteIdentical pins the compatibility contract for the
-// versioned cell cycle: cycle 1 is the default, and its plans — including
-// their printed form, which seeds the replay commands in CI history — are
-// byte-identical to what NewPlan always produced.
-func TestPlanCycleOneByteIdentical(t *testing.T) {
-	for _, seed := range Seeds(0, 40) {
-		a, b := NewPlan(seed), NewPlanCycle(seed, 1)
-		if a.String() != b.String() {
-			t.Fatalf("seed %d: cycle-1 plan differs from NewPlan:\n%s\nvs\n%s", seed, a, b)
-		}
-		if a.Cell() != b.Cell() {
-			t.Fatalf("seed %d: cycle-1 cell %s != %s", seed, b.Cell(), a.Cell())
-		}
-	}
-}
-
-// TestPlanCycleTwoCoversAllCells asserts fifteen consecutive seeds under
-// cycle 2 hit all fifteen cells — the nine Table-I cells plus speculative
-// and strong-eventual crossed with every durability level.
-func TestPlanCycleTwoCoversAllCells(t *testing.T) {
-	cells := make(map[string]bool)
 	for _, seed := range Seeds(1, 15) {
-		cells[NewPlanCycle(seed, 2).Cell()] = true
+		cells[NewPlan(seed).Cell()] = true
 	}
 	if len(cells) != 15 {
 		t.Errorf("15 consecutive seeds cover %d cells, want 15: %v", len(cells), cells)
 	}
-	for _, want := range []string{
-		"speculative/none", "speculative/local", "speculative/global",
-		"strong-eventual/none", "strong-eventual/local", "strong-eventual/global",
-	} {
-		if !cells[want] {
-			t.Errorf("cycle 2 missing cell %s", want)
-		}
-	}
 }
 
-// TestCycleTwoSmoke runs consecutive seeds under the fifteen-cell cycle,
-// exercising the speculative rollback and strong-eventual convergence
-// contracts alongside the original nine cells.
-func TestCycleTwoSmoke(t *testing.T) {
-	n := 90
-	if testing.Short() {
-		n = 30
+// TestPlanStringLines asserts every part of a printed plan sits on its
+// own line, with and without crash faults and migrations.
+func TestPlanStringLines(t *testing.T) {
+	var empty, faults, migrate bool
+	for _, seed := range Seeds(0, 200) {
+		p := NewPlan(seed)
+		empty = empty || len(p.Faults.Faults) == 0
+		faults = faults || len(p.Faults.Faults) > 0
+		migrate = migrate || p.Migrate
+		for _, line := range strings.Split(p.String(), "\n") {
+			if i := strings.Index(line, "migrate:"); i > 0 {
+				t.Fatalf("seed %d: migrate: glued onto %q", seed, line)
+			}
+		}
+		if !strings.HasSuffix(p.String(), "\n") {
+			t.Fatalf("seed %d: plan text does not end its last line:\n%q", seed, p.String())
+		}
 	}
-	results := RunManyCycle(Seeds(1, n), 0, 2)
-	var buf bytes.Buffer
-	if failed := Report(&buf, results); failed > 0 {
-		t.Errorf("%d cycle-2 schedules failed:\n%s", failed, buf.String())
+	if !empty || !faults || !migrate {
+		t.Fatalf("200 seeds missed a shape: empty=%v faults=%v migrate=%v", empty, faults, migrate)
 	}
 }
 
@@ -192,21 +162,17 @@ func TestReportFailureBlock(t *testing.T) {
 	}
 }
 
-// TestReportCycleTwoReplayCommand asserts a cycle-2 failure's replay
-// command carries the -chaos-cycle flag — without it the seed would
-// replay under the nine-cell mapping and exercise the wrong cell.
-func TestReportCycleTwoReplayCommand(t *testing.T) {
-	r := Result{
-		Seed:       7,
-		Cycle:      2,
-		Cell:       NewPlanCycle(7, 2).Cell(),
-		Violations: []string{"example violation"},
-		PlanText:   NewPlanCycle(7, 2).String(),
-	}
+// TestReportColumnsAlign asserts the verdict column starts at the same
+// offset in the header and in every row, whatever the cell name's length.
+func TestReportColumnsAlign(t *testing.T) {
 	var buf bytes.Buffer
-	Report(&buf, []Result{r})
-	if !strings.Contains(buf.String(), "reproduce: cudele-bench -chaos-cycle 2 -chaos-replay 7") {
-		t.Errorf("cycle-2 report missing cycle-aware replay command:\n%s", buf.String())
+	Report(&buf, RunMany(Seeds(1, 15), 0))
+	lines := strings.Split(buf.String(), "\n")
+	want := strings.Index(lines[0], "verdict")
+	for _, line := range lines[1:16] {
+		if got := strings.LastIndex(line, "ok"); got != want {
+			t.Fatalf("verdict at column %d, header has it at %d:\n%s\n%s", got, want, lines[0], line)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"cudele/internal/journal"
 )
@@ -77,10 +79,18 @@ func newOracle() *oracle {
 	}
 }
 
-// ackJournal records a decoupled create/mkdir acked into the client
-// journal.
-func (o *oracle) ackJournal(u update) {
-	o.pset[u.path] = u
+// ackJournal records a decoupled op acked into the client journal.
+// Creates and mkdirs enter the phantom bound; an unlink does not displace
+// the create it removes (the entry may legitimately stay visible if the
+// unlink is lost with the client before merging). A provisional ack
+// (speculative cells) does not displace an entry already there — an
+// interfering twin owns the path until a merge accepts this op, and a
+// rejected op is scrubbed again at merge time, restoring the phantom
+// bound's full strength.
+func (o *oracle) ackJournal(u update, provisional bool) {
+	if _, taken := o.pset[u.path]; !u.unlink && !(provisional && taken) {
+		o.pset[u.path] = u
+	}
 	o.journal = append(o.journal, u)
 }
 
@@ -94,18 +104,55 @@ func (o *oracle) ackRPC(u update, journaled bool) {
 	}
 }
 
-// mergeOK: the journal was acked into the MDS in-memory store. Updates
-// land in journal order, so an unlink removes whatever the same batch
-// created before it.
-func (o *oracle) mergeOK() {
-	for _, u := range o.journal {
-		if u.unlink {
+// land makes a merged batch visible, in batch order: an unlink removes
+// whatever the same batch created before it, every other accepted op
+// becomes visible under its acked inode. Ops at the rejected indices
+// change nothing visible; with scrub set (a client merge, not a
+// re-merged image) they also leave the phantom bound — their paths must
+// never appear in the namespace, unless an interfering twin with a
+// different inode owns the path.
+func (o *oracle) land(batch []update, rejected []int, scrub bool) {
+	for i, u := range batch {
+		switch {
+		case slices.Contains(rejected, i):
+			if cur, ok := o.pset[u.path]; scrub && ok && cur.ino == u.ino {
+				delete(o.pset, u.path)
+			}
+		case u.unlink:
 			delete(o.mdsMem, u.path)
+		default:
+			o.pset[u.path] = u
+			o.mdsMem[u.path] = u
+		}
+	}
+}
+
+// specMirror replays the MDS's speculative validation over the oracle's
+// model of the global view (mdsMem plus the subtree root) and returns
+// the indices the real merge must reject — conflict prediction, not
+// conflict observation. Accepted ops extend the model as they land, so
+// rejection cascades below a rejected mkdir exactly like the real
+// validator's missing-parent rule.
+func (o *oracle) specMirror(ops []update, root string) []int {
+	kind := map[string]bool{root: true} // path -> is-directory
+	for p, u := range o.mdsMem {
+		kind[p] = u.dir
+	}
+	var rej []int
+	for i, u := range ops {
+		parent := u.path[:strings.LastIndexByte(u.path, '/')]
+		isDir, ok := kind[parent]
+		if !ok || !isDir {
+			rej = append(rej, i)
 			continue
 		}
-		o.mdsMem[u.path] = u
+		if _, exists := kind[u.path]; exists {
+			rej = append(rej, i)
+			continue
+		}
+		kind[u.path] = u.dir
 	}
-	o.journal = nil
+	return rej
 }
 
 // localPersistOK snapshots the journal as the local-disk image.
@@ -128,13 +175,7 @@ func (o *oracle) globalPersistOK() {
 
 // globalPersistFail: the persist errored mid-write; whatever image the
 // store holds is no longer trustworthy.
-func (o *oracle) globalPersistFail() {
-	if o.global == globalNone {
-		o.global = globalDirty
-		return
-	}
-	o.global = globalDirty
-}
+func (o *oracle) globalPersistFail() { o.global = globalDirty }
 
 // flushOK: a FlushJournal ack moved the MDS journal tail to durable.
 func (o *oracle) flushOK() {
@@ -160,36 +201,15 @@ func (o *oracle) mdsCrash() {
 	o.mdsTail = nil
 }
 
-// adoptGlobal marks the acked global image merged into the MDS.
-func (o *oracle) adoptGlobal() {
-	for _, u := range o.globalImage {
-		if u.unlink {
-			delete(o.mdsMem, u.path)
-			continue
-		}
-		o.mdsMem[u.path] = u
-	}
-}
-
-// visiblePaths returns mdsMem's paths sorted, so violation output is
+// sortedKeys returns m's keys sorted, so violation output is
 // deterministic.
-func (o *oracle) visiblePaths() []string {
-	paths := make([]string, 0, len(o.mdsMem))
-	for p := range o.mdsMem {
-		paths = append(paths, p)
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(paths)
-	return paths
-}
-
-// ackedPaths returns pset's paths sorted.
-func (o *oracle) ackedPaths() []string {
-	paths := make([]string, 0, len(o.pset))
-	for p := range o.pset {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
+	sort.Strings(keys)
+	return keys
 }
 
 // matchGlobal checks a fetched journal image against the acked global

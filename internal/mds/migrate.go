@@ -203,32 +203,34 @@ func (s *Server) frozenCovers(path string) bool {
 	return false
 }
 
-// exportFreeze is the ExportFreezeMsg handler: quiesce and snapshot the
-// subtree. Freezing refuses while any Volatile Apply is in flight — a
-// merge applied mid-export would corrupt the streamed image — and the
-// monitor simply aborts and retries the migration later.
-func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeReply {
+// exportBusy is the reason the subtree at path cannot freeze right now,
+// nil when it can. A merge applied mid-export would corrupt the streamed
+// image, so freezing refuses while any Volatile Apply is in flight — a
+// streamed merge counts from the moment its open is admitted, before its
+// setup cost is paid — and the monitor simply aborts and retries the
+// migration later.
+func (s *Server) exportBusy(path string) error {
 	if s.stopped {
-		return &ExportFreezeReply{Err: ErrShutdown}
+		return ErrShutdown
 	}
-	if s.mergeQueue != 0 {
-		return &ExportFreezeReply{Err: fmt.Errorf("mds: %d merges in flight: %w",
-			s.mergeQueue, namespace.ErrBusy)}
+	if n := s.mergeQueue + s.merge.admitting; n != 0 {
+		return fmt.Errorf("mds: %d merges in flight: %w", n, namespace.ErrBusy)
 	}
-	path := cleanSubtreePath(m.Path)
 	if s.frozenCovers(path) {
-		return &ExportFreezeReply{Err: fmt.Errorf("mds: export %s: %w", path, namespace.ErrBusy)}
+		return fmt.Errorf("mds: export %s: %w", path, namespace.ErrBusy)
 	}
-	s.cpu.Acquire(p)
-	defer s.cpu.Release()
-	p.Sleep(s.serviceTime(OpResolve))
+	return nil
+}
 
+// exportWalk snapshots the subtree at path as an export session and the
+// set of inodes under it. It never yields.
+func (s *Server) exportWalk(path string) (*exportState, map[namespace.Ino]bool, error) {
 	root, err := s.store.Resolve(path)
 	if err != nil {
-		return &ExportFreezeReply{Err: err}
+		return nil, nil, err
 	}
 	if !root.IsDir() || root.Ino == namespace.RootIno {
-		return &ExportFreezeReply{Err: fmt.Errorf("mds: export %s: %w", path, namespace.ErrInval)}
+		return nil, nil, fmt.Errorf("mds: export %s: %w", path, namespace.ErrInval)
 	}
 
 	ex := &exportState{path: path, root: root.Ino}
@@ -240,7 +242,7 @@ func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeR
 		}
 		return nil
 	}); err != nil {
-		return &ExportFreezeReply{Err: err}
+		return nil, nil, err
 	}
 	// The ancestor chain (namespace root first) leads the stream: the
 	// importer may never have seen the subtree's ancestry, and InstallDir
@@ -251,25 +253,67 @@ func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeR
 	for ino := root.Ino; ino != namespace.RootIno; {
 		in, err := s.store.Get(ino)
 		if err != nil {
-			return &ExportFreezeReply{Err: err}
+			return nil, nil, err
 		}
 		chain = append([]namespace.Ino{in.Parent}, chain...)
 		ino = in.Parent
 	}
 	ex.dirs = append(chain, ex.dirs...)
+	ex.manifest = ExportManifest{
+		Path:   path,
+		Root:   root.Ino,
+		Dirs:   len(ex.dirs),
+		Inodes: len(inos),
+		Policy: root.Policy,
+		Owner:  s.owners[root.Ino],
+	}
+	return ex, inos, nil
+}
+
+// exportFreeze is the ExportFreezeMsg handler: quiesce and snapshot the
+// subtree. The handler yields — waiting for the rank's CPU, paying the
+// resolve, revoking caps — and until the subtree is marked frozen every
+// yield lets a merge be admitted or an RPC change the subtree. So the
+// snapshot is taken, and the busy check repeated, after the last yield:
+// between them and the freeze mark the handler does not yield.
+func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeReply {
+	path := cleanSubtreePath(m.Path)
+	if err := s.exportBusy(path); err != nil {
+		return &ExportFreezeReply{Err: err} // refused before it costs the rank anything
+	}
+	s.cpu.Acquire(p)
+	defer s.cpu.Release()
+	p.Sleep(s.serviceTime(OpResolve))
 
 	// Revoke every capability under the subtree: clients lose their
 	// read-caching caps mid-freeze and re-acquire them from the new
-	// owner after the handoff. Revocation is real MDS work.
+	// owner after the handoff. Revocation is real MDS work, so each one
+	// yields; walk again until a pass revokes nothing, and that walk is
+	// current.
+	var ex *exportState
+	var inos map[namespace.Ino]bool
 	revoked := 0
-	for ino, dc := range s.caps {
-		if !inos[ino] || (dc.holder == "" && !dc.shared) {
-			continue
+	for {
+		var err error
+		if ex, inos, err = s.exportWalk(path); err != nil {
+			return &ExportFreezeReply{Err: err}
 		}
-		p.Sleep(s.cfg.MDSCapRevokeTime)
-		s.metrics.CapRevokes++
-		revoked++
-		delete(s.caps, ino)
+		before := revoked
+		for ino, dc := range s.caps {
+			if !inos[ino] || (dc.holder == "" && !dc.shared) {
+				continue
+			}
+			p.Sleep(s.cfg.MDSCapRevokeTime)
+			s.metrics.CapRevokes++
+			revoked++
+			delete(s.caps, ino)
+		}
+		if revoked == before {
+			break
+		}
+	}
+	if err := s.exportBusy(path); err != nil {
+		return &ExportFreezeReply{Err: err}
 	}
 
 	// The journal tail: every untrimmed event of this rank's journal
@@ -284,18 +328,7 @@ func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeR
 		}
 	}
 
-	ex.manifest = ExportManifest{
-		Path:   path,
-		Root:   root.Ino,
-		Dirs:   len(ex.dirs),
-		Inodes: len(inos),
-		Caps:   revoked,
-		Policy: root.Policy,
-		Tail:   tail,
-	}
-	if owner, ok := s.owners[root.Ino]; ok {
-		ex.manifest.Owner = owner
-	}
+	ex.manifest.Caps, ex.manifest.Tail = revoked, tail
 	if s.frozen == nil {
 		s.frozen = make(map[string]bool)
 	}

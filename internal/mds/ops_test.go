@@ -42,7 +42,7 @@ func TestOpTableComplete(t *testing.T) {
 		}
 		// Every mutating op must journal: requestEvent is the stream
 		// mechanism's view of the table.
-		ev := requestEvent(&Request{Op: op, Name: "x", NewName: "y"})
+		ev := requestEvent(&Request{Op: op, Name: "x", NewName: "y"}, &Reply{})
 		if info.mutates && op != OpRmdir && ev == nil {
 			t.Errorf("mutating op %s produces no journal event", info.name)
 		}

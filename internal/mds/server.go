@@ -224,7 +224,7 @@ func NewRank(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster, rank int
 	s := &Server{
 		eng:      eng,
 		cfg:      cfg,
-		store:    namespace.NewStore(),
+		store:    newRankStore(rank),
 		obj:      obj,
 		rank:     rank,
 		dom:      eng.NewDomain(name),
@@ -232,9 +232,6 @@ func NewRank(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster, rank int
 		sessions: make(map[string]bool),
 		caps:     make(map[namespace.Ino]*dirCaps),
 		owners:   make(map[namespace.Ino]string),
-	}
-	if rank > 0 {
-		s.store.SetInoFloor(rankInoFloor(rank))
 	}
 	s.stream = newStreamState(s)
 	s.merge = newMergeSched(s)
@@ -327,6 +324,15 @@ func (s *Server) heatSubtree(route string) string {
 // are 2^32 inodes wide, far below the 2^40 client-grant space.
 func rankInoFloor(r int) namespace.Ino {
 	return namespace.Ino(uint64(r) << 32)
+}
+
+// newRankStore is an empty store that allocates server-assigned inodes
+// from rank r's band — what a rank starts with, crashes to, and recovers
+// into.
+func newRankStore(r int) *namespace.Store {
+	st := namespace.NewStore()
+	st.SetInoFloor(rankInoFloor(r))
+	return st
 }
 
 // Rank returns the server's rank number.
@@ -513,11 +519,8 @@ func (s *Server) Crash(p runtime.Task) {
 	s.sessions = make(map[string]bool)
 	s.caps = make(map[namespace.Ino]*dirCaps)
 	s.owners = make(map[namespace.Ino]string)
-	s.store = namespace.NewStore()
+	s.store = newRankStore(s.rank)
 	s.se = nil // the CRDT summaries rendered into the lost store die with it
-	if s.rank > 0 {
-		s.store.SetInoFloor(rankInoFloor(s.rank))
-	}
 
 	// Replace the stream state outright: a dispatch batch already in
 	// flight keeps writing through the old state (those writes hit the
@@ -651,7 +654,7 @@ func (s *Server) journaling(next transport.Handler) transport.Handler {
 		if reply.Err == nil && s.streamOn.Load() && req.Op.Mutates() {
 			s.cpu.Acquire(p)
 			p.Sleep(s.cfg.MDSJournalOpTime)
-			s.stream.record(p, req)
+			s.stream.record(p, req, reply)
 			s.cpu.Release()
 			p.Sleep(s.cfg.MDSJournalLatency)
 		}

@@ -57,9 +57,11 @@ func newStreamState(s *Server) *streamState {
 
 // record converts a successful mutation into a journal event and appends
 // it. Sealed segments are queued for dispatch. Runs in the requesting
-// client's process, off the MDS CPU.
-func (st *streamState) record(p runtime.Task, req *Request) {
-	ev := requestEvent(req)
+// client's process, off the MDS CPU. A create or mkdir carries the inode
+// the rank assigned: replay reinstalls it and never allocates, so every
+// later event naming that inode as its parent still finds it.
+func (st *streamState) record(p runtime.Task, req *Request, reply *Reply) {
+	ev := requestEvent(req, reply)
 	if ev == nil {
 		return
 	}
@@ -77,8 +79,8 @@ func (st *streamState) record(p runtime.Task, req *Request) {
 	}
 }
 
-// requestEvent maps an RPC to its journal event.
-func requestEvent(req *Request) *journal.Event {
+// requestEvent maps an RPC and its successful reply to the journal event.
+func requestEvent(req *Request, reply *Reply) *journal.Event {
 	switch req.Op {
 	case OpCreate, OpMkdir:
 		t := journal.EvCreate
@@ -87,7 +89,7 @@ func requestEvent(req *Request) *journal.Event {
 		}
 		return &journal.Event{
 			Type: t, Client: req.Client,
-			Parent: uint64(req.Parent), Name: req.Name,
+			Parent: uint64(req.Parent), Name: req.Name, Ino: uint64(reply.Ino),
 			Mode: req.Mode, UID: req.UID, GID: req.GID,
 		}
 	case OpUnlink:
@@ -235,7 +237,7 @@ func (s *Server) SaveStore(p runtime.Task) error {
 func (s *Server) Recover(p runtime.Task) error {
 	s.dom.Enter(p)
 	defer s.dom.Leave(p)
-	fresh := namespace.NewStore()
+	fresh := newRankStore(s.rank)
 
 	// Load directory objects; parents may appear after children in the
 	// listing, so iterate until no progress.
