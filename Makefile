@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-seq bench-check bench-real perf fuzz-short chaos ci
+.PHONY: all build test race vet fmt-check bench bench-seq bench-check bench-real perf perf-counts fuzz-short chaos ci
 
 all: build test
 
@@ -64,6 +64,18 @@ perf:
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds 12 --trace 0 \
 			| grep -A9 ' end-to-end ' || exit 1; \
 	done
+
+# perf-counts is the machine-independent slice of a performance gate: one
+# second's repetitions of sim_storm at seed 1 must simulate exactly the
+# virtual time and protocol counters committed in
+# results/PERF_COUNTS_sim_storm.json, on any machine. A host-speed change
+# to sim, transport, mds, journal or rados that moves one of them changed
+# the schedule, not just the cost of running it.
+perf-counts:
+	@bash benchmark/run.sh --workload sim_storm --seed 1 --seconds 1 --trace 0 \
+		| sed -n 's/^#side \({"virtual_s":[^}]*}\).*/\1}/p' \
+		| diff -u results/PERF_COUNTS_sim_storm.json - \
+		&& echo "perf-counts: sim_storm virtual time and counters equal results/PERF_COUNTS_sim_storm.json"
 
 # fuzz-short runs the journal fuzzers for a bounded burst — long enough
 # to hit mutated corpus inputs, short enough for CI.

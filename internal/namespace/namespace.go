@@ -254,14 +254,29 @@ func (s *Store) Lookup(parent Ino, name string) (*Inode, error) {
 		return nil, err
 	}
 	if !dir.IsDir() {
-		return nil, fmt.Errorf("lookup %q in inode %d: %w", name, parent, ErrNotDir)
+		return nil, &lookupError{name, parent, ErrNotDir}
 	}
 	ci, ok := dir.frag.lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("lookup %q in inode %d: %w", name, parent, ErrNotExist)
+		return nil, &lookupError{name, parent, ErrNotExist}
 	}
 	return s.Get(ci)
 }
+
+// lookupError is a failed Lookup. Its text is rendered only when someone
+// prints it: the frequent caller, a client's existence check before a
+// create, asks errors.Is(err, ErrNotExist) and drops the error.
+type lookupError struct {
+	name   string
+	parent Ino
+	err    error // ErrNotExist or ErrNotDir
+}
+
+func (e *lookupError) Error() string {
+	return fmt.Sprintf("lookup %q in inode %d: %v", e.name, e.parent, e.err)
+}
+
+func (e *lookupError) Unwrap() error { return e.err }
 
 // SplitPath cleans p and splits it into components. The root is the empty
 // list.

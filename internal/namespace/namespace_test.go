@@ -50,6 +50,24 @@ func TestCreateDuplicate(t *testing.T) {
 	}
 }
 
+// TestLookupMissError: a miss renders its text lazily, and that text and
+// the sentinel it wraps are what fmt.Errorf with %w produced before.
+func TestLookupMissError(t *testing.T) {
+	s := NewStore()
+	f, _ := s.Create(RootIno, "f", CreateAttrs{})
+	for _, c := range []struct {
+		parent Ino
+		name   string
+		is     error
+	}{{RootIno, `no"pe`, ErrNotExist}, {f.Ino, "x", ErrNotDir}} {
+		_, err := s.Lookup(c.parent, c.name)
+		want := fmt.Errorf("lookup %q in inode %d: %w", c.name, c.parent, c.is)
+		if !errors.Is(err, c.is) || err.Error() != want.Error() {
+			t.Errorf("lookup %q in %d: err = %v, want %v", c.name, c.parent, err, want)
+		}
+	}
+}
+
 func TestCreateBadNames(t *testing.T) {
 	s := NewStore()
 	for _, name := range []string{"", "a/b"} {

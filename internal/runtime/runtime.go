@@ -14,10 +14,11 @@
 // every piece of protocol state belongs to one lock Domain — a metadata
 // rank, the monitor, the object store, a client, or the root domain of
 // harness code — and at most one task executes inside a domain at a
-// time. The simulator gets this for free (the engine resumes one process
-// at a time, so its domains are no-ops); the real backend gives each
-// domain a lock that a task holds while inside it and releases whenever
-// it sleeps, parks, enters Blocking, or enters another domain. A task
+// time. The simulator gets this for free (each process is a coroutine
+// the event loop switches into, one at a time, so its domains are
+// no-ops); the real backend gives each domain a lock that a task holds
+// while inside it and releases whenever it sleeps, parks, enters
+// Blocking, or enters another domain. A task
 // holds exactly one domain lock at a time, so no lock order exists to
 // get wrong, and every cross-daemon call is a yield point — the same
 // places the simulator already yields at a Sleep. Protocol state needs

@@ -6,14 +6,16 @@
 // daemons, monitor) is modeled as sim processes that execute the real
 // metadata code paths while charging virtual time to simulated devices.
 //
-// Only one process runs at a time; the engine and the running process hand
-// control back and forth over unbuffered channels, so simulations are fully
-// deterministic for a given seed and schedule.
+// Only one process runs at a time: each is an iter.Pull coroutine that the
+// event loop switches into and that switches back when it blocks, so
+// simulations are fully deterministic for a given seed and schedule.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
@@ -107,10 +109,7 @@ type Engine struct {
 	queue   eventQueue
 	rng     *rand.Rand
 	running bool
-
-	// yielded is signaled by a process when it blocks or finishes,
-	// returning control to the engine loop.
-	yielded chan struct{}
+	until   Time // bound of the Run in progress; Sleep's inline advance stays inside it
 
 	procs   int // live process count, for leak detection
 	live    map[*Proc]struct{}
@@ -139,9 +138,8 @@ type Engine struct {
 // source is seeded deterministically with seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		rng:     rand.New(rand.NewSource(seed)),
-		yielded: make(chan struct{}),
-		live:    make(map[*Proc]struct{}),
+		rng:  rand.New(rand.NewSource(seed)),
+		live: make(map[*Proc]struct{}),
 	}
 }
 
@@ -193,33 +191,46 @@ func (e *Engine) Schedule(d Duration, fn func()) {
 // Go spawns a new process executing fn. The process starts when the engine
 // next reaches the current virtual time in its event loop.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
 	e.procs++
 	e.live[p] = struct{}{}
 	e.Schedule(0, func() {
 		p.started = true
-		go func() {
+		next, _ := iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
 			defer func() {
-				r := recover()
 				p.done = true
 				e.procs--
 				delete(e.live, p)
-				e.yielded <- struct{}{}
-				if r != nil && r != errProcKilled {
-					panic(r)
+				// iter.Pull re-raises this in whoever called next, so a
+				// process panic surfaces in Run's caller, naming the process.
+				if r := recover(); r != nil && r != errProcKilled {
+					panic(&ProcPanic{Proc: name, Value: r, Stack: debug.Stack()})
 				}
 			}()
 			fn(p)
-		}()
-		// Wait for the new goroutine to block or finish.
-		<-e.yielded
+		})
+		p.wake = func() { next() }
+		p.wake()
 	})
 	return p
 }
+
+// ProcPanic is the value Run panics with when a process panicked: iter.Pull
+// carries the panic (or a runtime.Goexit, as from t.Fatal) out of the
+// coroutine into the goroutine driving the event loop.
+type ProcPanic struct {
+	Proc  string
+	Value any    // the process's own panic value
+	Stack []byte // the process's stack, which the hand-over would lose
+}
+
+func (pp *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: proc %q panicked: %v\n\n%s", pp.Proc, pp.Value, pp.Stack)
+}
+
+// Unwrap exposes a panic value that is an error to errors.Is and errors.As.
+func (pp *ProcPanic) Unwrap() error { err, _ := pp.Value.(error); return err }
 
 // Kind implements runtime.Runtime: this is the simulated backend.
 func (e *Engine) Kind() runtime.Kind { return runtime.SimKind }
@@ -231,7 +242,7 @@ func (e *Engine) Spawn(name string, fn func(t runtime.Task)) {
 	e.Go(name, func(p *Proc) { fn(p) })
 }
 
-// domain is the simulator's one lock domain: the engine resumes one
+// domain is the simulator's one lock domain: the engine runs one
 // process at a time, so entering and leaving need do nothing and every
 // NewDomain call returns the same value — no allocation, no event, no
 // change to any schedule.
@@ -274,8 +285,12 @@ func (e *Engine) Run(until Time) Time {
 	if e.running {
 		panic("sim: Engine.Run re-entered")
 	}
-	e.running = true
-	defer func() { e.running = false }()
+	e.running, e.until = true, until
+	// Deferred so both still happen when a process panic passes through.
+	defer func() {
+		e.running = false
+		e.finalizeAccounting()
+	}()
 	for len(e.queue) > 0 && !e.stopped {
 		if e.queue[0].at > until {
 			// Leave it queued so a later Run can continue.
@@ -287,7 +302,6 @@ func (e *Engine) Run(until Time) Time {
 		}
 		ev.fn()
 	}
-	e.finalizeAccounting()
 	return e.now
 }
 
@@ -312,13 +326,13 @@ func (e *Engine) Stop() { e.stopped = true }
 // errProcKilled unwinds a process goroutine that Shutdown is reaping.
 var errProcKilled = new(int)
 
-// Shutdown stops the engine and reaps every live process so no goroutine
-// outlives the simulation: blocked processes are resumed with a kill
-// signal that unwinds their stacks, and spawned-but-never-started
+// Shutdown stops the engine and reaps every live process so no coroutine
+// outlives the simulation: blocked processes are woken with a kill
+// flag that unwinds their stacks, and spawned-but-never-started
 // processes are discarded. It must be called from outside the event loop
 // (never from a simulation process) and is the intended way to discard an
 // engine — especially when many engines run back to back, where parked
-// goroutines would otherwise accumulate. It returns the number of
+// coroutines would otherwise accumulate. It returns the number of
 // processes reaped; a well-formed, fully drained simulation returns 0.
 func (e *Engine) Shutdown() int {
 	if e.running {
@@ -330,21 +344,19 @@ func (e *Engine) Shutdown() int {
 		for p := range e.live {
 			reaped++
 			if !p.started {
-				// Its goroutine was never created; just unregister.
+				// Its coroutine was never created; just unregister.
 				p.done = true
 				e.procs--
 				delete(e.live, p)
 				continue
 			}
-			// The process is blocked in Proc.block waiting on resume.
-			// Wake it with the kill flag set; block panics with
-			// errProcKilled, the goroutine's deferred handler swallows
-			// it and signals yielded. If a deferred function blocks
-			// again, the process stays live and is killed again on the
-			// next pass.
+			// The process is parked in Proc.block. Wake it with the kill
+			// flag set; block panics with errProcKilled and the
+			// coroutine's deferred handler swallows it. If a deferred
+			// function blocks again, the process stays live and is
+			// killed again on the next pass.
 			p.killed = true
-			p.resume <- struct{}{}
-			<-e.yielded
+			p.wake()
 			break // e.live changed; restart the iteration
 		}
 	}
@@ -376,16 +388,21 @@ func (e *Engine) LeakCheck() error {
 	return fmt.Errorf("sim: %d leaked process(es): %s", e.procs, strings.Join(names, ", "))
 }
 
-// Proc is a simulation process: a goroutine that alternates control with
-// the engine. All Proc methods must be called from the process's own
-// goroutine.
+// Proc is a simulation process: a coroutine that alternates control with
+// the engine. All Proc methods must be called from the process itself.
 type Proc struct {
-	eng     *Engine
-	name    string
-	resume  chan struct{}
-	started bool
-	done    bool
-	killed  bool
+	eng  *Engine
+	name string
+	// wake continues the parked process from engine context (inside an
+	// event) and returns when it blocks again or finishes. It is built
+	// once, at start, so scheduling it allocates nothing.
+	wake func()
+	// yield parks the process and switches back to whoever called wake.
+	yield     func(struct{}) bool
+	waitStart Time // when the process queued on a Resource (at most one at a time)
+	started   bool
+	done      bool
+	killed    bool
 }
 
 // Name returns the process name given to Engine.Go.
@@ -403,27 +420,26 @@ func (p *Proc) Now() Time { return p.eng.now }
 // block yields control to the engine and waits until some event calls
 // p.wake.
 func (p *Proc) block() {
-	p.eng.yielded <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.killed {
 		panic(errProcKilled)
 	}
 }
 
-// wake resumes a blocked process from engine context (inside an event) and
-// waits for it to block again or finish.
-func (p *Proc) wake() {
-	p.resume <- struct{}{}
-	<-p.eng.yielded
-}
-
-// Sleep suspends the process for virtual duration d.
+// Sleep suspends the process for virtual duration d. A d <= 0 still
+// yields, so equal-time events interleave fairly.
 func (p *Proc) Sleep(d Duration) {
-	if d <= 0 {
-		// Still yield so equal-time events interleave fairly.
-		d = 0
+	e, at := p.eng, p.eng.now+Time(max(d, 0))
+	// When nothing queued is due at or before the wake (an equal-time
+	// event has a lower seq and goes first), the wake is inside the
+	// running Run's bound and the loop was not stopped, this wake is the
+	// event Run would pop next: take its (time, seq) slot in place.
+	if !e.stopped && at <= e.until && (len(e.queue) == 0 || e.queue[0].at > at) {
+		e.seq++
+		e.now = at
+		return
 	}
-	p.eng.Schedule(d, p.wake)
+	e.Schedule(d, p.wake)
 	p.block()
 }
 

@@ -39,7 +39,6 @@ func (s *Signal) Fire(val interface{}) {
 	s.fired = true
 	s.val = val
 	for _, w := range s.waiters {
-		w := w
 		s.eng.Schedule(0, w.wake)
 	}
 	s.waiters = nil
@@ -74,7 +73,6 @@ type Resource struct {
 	lastChange Time
 	acquires   uint64
 	waitTotal  Duration
-	waitStart  map[*Proc]Time
 }
 
 // NewResource creates a resource with the given capacity (>= 1).
@@ -82,12 +80,7 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic(fmt.Sprintf("sim: resource %q capacity %d < 1", name, capacity))
 	}
-	r := &Resource{
-		eng:       e,
-		name:      name,
-		capacity:  capacity,
-		waitStart: make(map[*Proc]Time),
-	}
+	r := &Resource{eng: e, name: name, capacity: capacity}
 	e.resources = append(e.resources, r)
 	return r
 }
@@ -120,11 +113,10 @@ func (r *Resource) Acquire(t runtime.Task) {
 		return
 	}
 	r.queue = append(r.queue, p)
-	r.waitStart[p] = r.eng.now
+	p.waitStart = r.eng.now
 	p.block()
 	// Woken by Release with the unit already transferred to us.
-	r.waitTotal += Duration(r.eng.now - r.waitStart[p])
-	delete(r.waitStart, p)
+	r.waitTotal += Duration(r.eng.now - p.waitStart)
 }
 
 // TryAcquire takes one unit if immediately available and reports success.
@@ -144,9 +136,9 @@ func (r *Resource) Release() {
 	}
 	if len(r.queue) > 0 {
 		// Transfer the unit directly: inUse stays constant, so no
-		// accounting edge.
+		// accounting edge. Shifting down keeps the backing array.
 		next := r.queue[0]
-		r.queue = r.queue[1:]
+		r.queue = r.queue[:copy(r.queue, r.queue[1:])]
 		r.eng.Schedule(0, next.wake)
 		return
 	}
@@ -194,7 +186,8 @@ func (r *Resource) UtilizationMark() ResourceMark {
 	return ResourceMark{At: r.eng.now, BusyArea: r.busyArea}
 }
 
-// Acquires returns the total number of Acquire/TryAcquire grants requested.
+// Acquires returns the total number of Acquire calls, granted at once or
+// queued; TryAcquire is not counted.
 func (r *Resource) Acquires() uint64 { return r.acquires }
 
 // ResourceSnapshot is a copy of a resource's utilization accounting at a
@@ -223,8 +216,7 @@ func (r *Resource) Snapshot() ResourceSnapshot {
 	}
 }
 
-// MeanWait returns the mean queueing delay of completed Acquire calls that
-// had to wait.
+// MeanWait returns the mean queueing delay across all acquires.
 func (r *Resource) MeanWait() Duration {
 	if r.acquires == 0 {
 		return 0
