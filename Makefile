@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-seq bench-check bench-real perf perf-counts fuzz-short chaos ci
+.PHONY: all build test race vet fmt-check loc bench bench-seq bench-check bench-real perf perf-counts fuzz-short chaos ci
 
 all: build test
 
@@ -23,6 +23,15 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# loc prints the two sums a simplicity PR is judged by: non-test code lines
+# (not blank, not a whole-line comment) of the protocol packages, and of
+# those plus the three neighbours they share code with — so code moved next
+# door does not count as removed.
+LOC = cat $$(ls $(1:%=internal/%/*.go) | grep -v _test.go) | grep -vcE '^\s*(//.*)?$$'
+loc:
+	@echo "client + mds + chaos: $$($(call LOC,client mds chaos))"
+	@echo "client + mds + chaos + namespace + rados + transport: $$($(call LOC,client mds chaos namespace rados transport))"
 
 # bench regenerates every table at a CI-friendly scale, in parallel, and
 # refreshes the machine-readable baselines under results/. The tables are

@@ -58,7 +58,7 @@ const matrixFiles = 20
 // policy, 20 files created into the client journal, and asserts the
 // consistency half of the contract: nothing is visible before a merge.
 func setupDecoupled(t *testing.T, p cudele.Proc, cl *cudele.Cluster, c *cudele.Client,
-	cons policy.Consistency, dur policy.Durability) (*cudele.Entry, *cudele.Policy) {
+	cons policy.Consistency, dur policy.Durability) {
 	t.Helper()
 	if _, err := c.MkdirAll(p, "/job", 0755); err != nil {
 		t.Fatalf("mkdir /job: %v", err)
@@ -67,8 +67,7 @@ func setupDecoupled(t *testing.T, p cudele.Proc, cl *cudele.Cluster, c *cudele.C
 		t.Fatalf("save store: %v", err)
 	}
 	pol := &cudele.Policy{Consistency: cons, Durability: dur, AllocatedInodes: 100}
-	entry, err := cl.DecouplePolicy(p, c, "/job", pol)
-	if err != nil {
+	if _, err := cl.DecouplePolicy(p, c, "/job", pol); err != nil {
 		t.Fatalf("decouple: %v", err)
 	}
 	root, _ := c.DecoupledRoot()
@@ -80,7 +79,6 @@ func setupDecoupled(t *testing.T, p cudele.Proc, cl *cudele.Cluster, c *cudele.C
 	if _, err := cl.MDS().Store().Resolve("/job/f0"); err == nil {
 		t.Fatal("decoupled update visible before merge")
 	}
-	return entry, pol
 }
 
 // assertAllVisible checks every created file resolves in the MDS store.
@@ -216,20 +214,19 @@ func matrixMDSCrash(t *testing.T, cons policy.Consistency, dur policy.Durability
 		return
 	}
 	cl.Run(func(p cudele.Proc) {
-		entry, pol := setupDecoupled(t, p, cl, c, cons, dur)
+		setupDecoupled(t, p, cl, c, cons, dur)
 		// The unmerged journal lives on the client, so an MDS crash
 		// cannot touch it — at any durability level. After the MDS
-		// recovers and the registration is replayed, the merge lands.
+		// recovers and the monitor re-attaches the registration with the
+		// grant the client holds, the merge lands. (A fresh Decouple
+		// would be handed a range never issued before: see
+		// TestGrantNeverReissued.)
 		cl.MDS().Crash(p)
 		if err := cl.MDS().Restart(p); err != nil {
 			t.Fatalf("mds restart: %v", err)
 		}
-		lo, _, err := cl.MDS().Decouple(p, "/job", pol, "c0")
-		if err != nil {
-			t.Fatalf("re-register: %v", err)
-		}
-		if lo != entry.GrantLo {
-			t.Fatalf("re-registration moved the grant: %d != %d", lo, entry.GrantLo)
+		if err := cl.Reattach(p, "/job"); err != nil {
+			t.Fatalf("re-attach: %v", err)
 		}
 		c.Unmount(p)
 		c.Mount(p)

@@ -84,6 +84,15 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 		"cudele_mds_requests_total",
 		"cudele_rados_writes_total",
 		"cudele_client_rpc_latency_seconds",
+		// Migration, redirects and speculation are exported even while
+		// zero, so a dashboard can tell "none happened" from "not wired".
+		"cudele_mds_bounced_total",
+		"cudele_mds_exports_total",
+		"cudele_mds_imports_total",
+		"cudele_mds_import_chunks_total",
+		"cudele_mds_import_backpressure_total",
+		"cudele_mds_merge_conflicts_total",
+		"cudele_client_redirects_total",
 	} {
 		if !strings.Contains(dump, want) {
 			t.Errorf("metrics dump missing %q", want)

@@ -44,9 +44,7 @@ type parentRef struct {
 }
 
 // registration remembers one subtree registration so an MDS
-// crash+restart can re-attach it and assert the grant is identical
-// (re-attach order determines the grant, so replaying registrations in
-// original order must reproduce it exactly).
+// crash+restart can re-attach it with the grant its client holds.
 type registration struct {
 	path  string
 	pol   *policy.Policy
@@ -410,9 +408,8 @@ func (d *driver) crashClient(p runtime.Task) {
 	}
 }
 
-// crashMDS kills and restarts the rank owning the main subtree, replays
-// that rank's registrations in their original order, and asserts each
-// re-attach reproduces the original inode grant. On migration schedules
+// crashMDS kills and restarts the rank owning the main subtree and
+// re-attaches that rank's registrations. On migration schedules
 // the crash follows ownership — a crash mid-handoff strikes the source
 // (routing has not flipped yet), one after commit strikes the importer.
 func (d *driver) crashMDS(p runtime.Task) {
@@ -432,24 +429,11 @@ func (d *driver) crashMDS(p runtime.Task) {
 		if d.cl.Metadata().Table().RankFor(reg.path) != rank {
 			continue // registration lives on a rank that did not crash
 		}
-		if d.plan.Migrate {
-			// The grant may have been allocated by the other rank and
-			// carried over by a migration; a fresh Decouple on this rank
-			// could not reproduce it, so re-install it exactly — the same
-			// recovery path the monitor's Reattach uses.
-			if err := srv.Attach(p, reg.path, reg.pol, reg.owner, reg.lo, reg.n); err != nil {
-				d.violate("re-attach %s: %v", reg.path, err)
-			}
-			continue
-		}
-		lo, n, err := srv.Decouple(p, reg.path, reg.pol, reg.owner)
-		if err != nil {
-			d.violate("re-decouple %s: %v", reg.path, err)
-			continue
-		}
-		if lo != reg.lo || n != reg.n {
-			d.violate("re-decouple %s: grant (%d,%d), want (%d,%d)",
-				reg.path, uint64(lo), n, uint64(reg.lo), reg.n)
+		// Re-install the registration with the grant the client already
+		// holds — the recovery path the monitor's Reattach uses. A fresh
+		// Decouple would, rightly, be handed a range never issued before.
+		if err := srv.Attach(p, reg.path, reg.pol, reg.owner, reg.lo, reg.n); err != nil {
+			d.violate("re-attach %s: %v", reg.path, err)
 		}
 	}
 	// The client survived but its session and caps died with the MDS.

@@ -110,9 +110,14 @@ type Client struct {
 	// Decoupled-namespace state.
 	dec *decoupled
 
-	// crashed stashes the durable facts of the decoupled subtree across a
-	// Crash, so Restart can re-attach to the same grant.
-	crashed *grantStub
+	// crashed is what survives a Crash about the decoupled subtree, so
+	// Restart can re-attach to the same grant: the registration (path,
+	// inode grant, consistency cell) lives on the monitor and MDS, not in
+	// the client process. The allocation cursor is kept too — inodes
+	// already drawn may be durable somewhere (a persisted journal, a
+	// merged namespace), so a restarted client must never hand them out a
+	// second time. The journal, local image and undo log are gone.
+	crashed *decoupled
 
 	// failRollback, when non-nil, makes the next speculative rollback
 	// die after that many undos (test hook; see FailRollbackAfter).
@@ -158,7 +163,7 @@ type decoupled struct {
 // New creates a client attached to a metadata service and object store.
 // svc may be a single *mds.Server or a routed *mds.Portal.
 func New(eng runtime.Runtime, cfg model.Config, name string, svc Service, obj *rados.Cluster) *Client {
-	return &Client{
+	c := &Client{
 		eng:        eng,
 		dom:        eng.NewDomain(name),
 		cfg:        cfg,
@@ -167,11 +172,18 @@ func New(eng runtime.Runtime, cfg model.Config, name string, svc Service, obj *r
 		obj:        obj,
 		localDisk:  eng.NewPipe(name+".disk", cfg.LocalDiskBandwidth),
 		localFiles: make(map[string][]byte),
-		caps:       make(map[namespace.Ino]bool),
-		shared:     make(map[namespace.Ino]bool),
-		dcache:     make(map[namespace.Ino]map[string]namespace.Ino),
-		paths:      map[namespace.Ino]string{namespace.RootIno: "/"},
 	}
+	c.dropCaches()
+	return c
+}
+
+// dropCaches empties the RPC-path state — capabilities, dentry cache,
+// route hints — to what a client with no session knows.
+func (c *Client) dropCaches() {
+	c.caps = make(map[namespace.Ino]bool)
+	c.shared = make(map[namespace.Ino]bool)
+	c.dcache = make(map[namespace.Ino]map[string]namespace.Ino)
+	c.paths = map[namespace.Ino]string{namespace.RootIno: "/"}
 }
 
 // Name returns the client's session name.
@@ -236,24 +248,7 @@ func (c *Client) Unmount(p runtime.Task) {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
 	c.svc.Unmount(p, c.name)
-	c.caps = make(map[namespace.Ino]bool)
-	c.shared = make(map[namespace.Ino]bool)
-	c.dcache = make(map[namespace.Ino]map[string]namespace.Ino)
-	c.paths = map[namespace.Ino]string{namespace.RootIno: "/"}
-}
-
-// grantStub is what survives a client crash about its decoupled subtree:
-// the registration (policy, inode grant) lives on the monitor and MDS,
-// not in the client process, so a reborn client re-attaches to the same
-// range. The allocation cursor is preserved too — inodes already drawn
-// may be durable somewhere (a persisted journal, a merged namespace), so
-// a restarted client must never hand them out a second time.
-type grantStub struct {
-	path    string
-	grantLo uint64
-	grantN  uint64
-	next    uint64
-	mode    policy.Consistency
+	c.dropCaches()
 }
 
 // Crash models the client process dying: the session, RPC caches, and
@@ -268,18 +263,10 @@ func (c *Client) Crash(p runtime.Task) {
 		fl.Record(int64(c.eng.Now()), c.name, "client", "crash", "")
 	}
 	c.svc.Unmount(p, c.name)
-	c.caps = make(map[namespace.Ino]bool)
-	c.shared = make(map[namespace.Ino]bool)
-	c.dcache = make(map[namespace.Ino]map[string]namespace.Ino)
-	c.paths = map[namespace.Ino]string{namespace.RootIno: "/"}
+	c.dropCaches()
 	if c.dec != nil {
-		c.crashed = &grantStub{
-			path:    c.dec.path,
-			grantLo: c.dec.grantLo,
-			grantN:  c.dec.grantN,
-			next:    c.dec.next,
-			mode:    c.dec.mode,
-		}
+		c.dec.jrnl, c.dec.store, c.dec.undo = nil, nil, nil
+		c.crashed = c.dec
 	}
 	c.dec = nil
 	c.sync = nil
@@ -297,29 +284,16 @@ func (c *Client) Restart(p runtime.Task) error {
 		fl.Record(int64(p.Now()), c.name, "client", "restart", "")
 	}
 	c.Mount(p)
-	stub := c.crashed
+	old := c.crashed
 	c.crashed = nil
-	if stub == nil {
+	if old == nil {
 		return nil
 	}
-	root, err := c.Resolve(p, stub.path)
-	if err != nil {
+	if err := c.AdoptGrant(p, old.path, namespace.Ino(old.grantLo), old.grantN); err != nil {
 		return err
 	}
-	c.dec = &decoupled{
-		path:    stub.path,
-		root:    root,
-		jrnl:    journal.New(c.cfg.SegmentEvents),
-		grantLo: stub.grantLo,
-		grantN:  stub.grantN,
-		next:    stub.next,
-		store:   namespace.NewStore(),
-		mode:    stub.mode,
-	}
-	if stub.mode == policy.ConsSpeculative {
-		c.dec.undo = journal.New(c.cfg.SegmentEvents)
-	}
-	return nil
+	c.dec.next = old.next
+	return c.SetMergeMode(old.mode)
 }
 
 // notePath remembers an inode's path for route hints.

@@ -3,6 +3,8 @@ package client
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -316,6 +318,66 @@ func TestLocalPersistRecover(t *testing.T) {
 		if n, err := c.VolatileApply(p); err != nil || n != 10 {
 			t.Errorf("post-recovery merge = %d, %v", n, err)
 		}
+	})
+}
+
+// TestLocalPersistFileSurvivesFailedPersist: with a real local directory
+// the Local Persist file goes through the object store's durable-write
+// protocol, so a persist that dies before its rename — a killed writer's
+// tmp litter, a tmp file that cannot be created — leaves the previously
+// committed image as what RecoverLocal reads, and the next persist
+// commits over the litter. (The protocol's own failure paths are driven
+// in rados.TestReplaceProtocolFailures.)
+func TestLocalPersistFileSurvivesFailedPersist(t *testing.T) {
+	dir := t.TempDir()
+	cl := newCluster()
+	c := cl.client("c0")
+	c.SetLocalDir(dir)
+	cl.run(t, func(p runtime.Task) {
+		c.MkdirAll(p, "/job", 0755)
+		c.Decouple(p, "/job", decouplePolicy(policy.ConsInvisible, policy.DurLocal, 100))
+		root, _ := c.DecoupledRoot()
+		persist := func(upTo int) error {
+			for i := c.dec.jrnl.Len(); i < upTo; i++ {
+				c.LocalCreate(p, root, fmt.Sprintf("f%d", i), 0644)
+			}
+			return c.LocalPersist(p)
+		}
+		recovered := func(when string, want int) {
+			t.Helper()
+			delete(c.localFiles, "journal") // only the file on disk is left
+			if n, err := c.RecoverLocal(p); err != nil || n != want {
+				t.Errorf("%s: recovered %d events, %v; want %d", when, n, err, want)
+			}
+		}
+		if err := persist(3); err != nil {
+			t.Fatalf("first persist: %v", err)
+		}
+		recovered("committed image", 3)
+
+		// A writer killed between fsync(tmp) and rename leaves this.
+		tmp := filepath.Join(dir, "journal.tmp")
+		if err := os.WriteFile(tmp, []byte("half of the next image"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recovered("beside a dead writer's tmp file", 3)
+		if err := persist(5); err != nil {
+			t.Fatalf("persist over tmp litter: %v", err)
+		}
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Errorf("tmp file left after a committed persist: %v", err)
+		}
+		recovered("second image", 5)
+
+		// A persist that cannot even fill its tmp file reports the error
+		// and commits nothing.
+		if err := os.MkdirAll(filepath.Join(tmp, "x"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := persist(8); err == nil {
+			t.Error("persist with an unwritable tmp file succeeded")
+		}
+		recovered("after a failed persist", 5)
 	})
 }
 

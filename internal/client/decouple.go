@@ -168,7 +168,7 @@ func (c *Client) LocalCreate(p runtime.Task, dir namespace.Ino, name string, mod
 	if err := c.appendEvent(p, ev); err != nil {
 		return 0, err
 	}
-	if err := c.recordUndo(journal.EvCreate, ino, c.dec.globalParent(dir), name, nil); err != nil {
+	if err := c.recordUndo(ev, nil); err != nil {
 		return 0, err
 	}
 	c.stats.Creates++
@@ -198,7 +198,7 @@ func (c *Client) LocalMkdir(p runtime.Task, dir namespace.Ino, name string, mode
 	if err := c.appendEvent(p, ev); err != nil {
 		return 0, err
 	}
-	if err := c.recordUndo(journal.EvMkdir, ino, c.dec.globalParent(dir), name, nil); err != nil {
+	if err := c.recordUndo(ev, nil); err != nil {
 		return 0, err
 	}
 	return namespace.Ino(ino), nil
@@ -222,13 +222,14 @@ func (c *Client) LocalUnlink(p runtime.Task, dir namespace.Ino, name string) err
 	if err := c.dec.store.Unlink(c.dec.localParent(dir), name); err != nil {
 		return err
 	}
-	if err := c.appendEvent(p, &journal.Event{
+	ev := &journal.Event{
 		Type: journal.EvUnlink, Parent: c.dec.globalParent(dir), Name: name,
 		Mtime: int64(p.Now()),
-	}); err != nil {
+	}
+	if err := c.appendEvent(p, ev); err != nil {
 		return err
 	}
-	return c.recordUndo(journal.EvUnlink, uint64(vcopy.Ino), c.dec.globalParent(dir), name, &vcopy)
+	return c.recordUndo(ev, &vcopy)
 }
 
 // LocalLookup resolves one dentry in the client-local image of the
@@ -266,28 +267,47 @@ func (c *Client) LocalReadDir(dir namespace.Ino) ([]string, error) {
 // the MDS merge scheduler under windowed flow control, and peak transfer
 // memory is one chunk, not the journal.
 func (c *Client) VolatileApply(p runtime.Task) (int, error) {
+	r := c.merge(p, mds.MergeBlind)
+	return r.Applied, r.Err
+}
+
+// merge is the one merge mechanism behind VolatileApply, SpeculativeApply
+// and ConvergeApply: ship the journal in the given mode, undo locally
+// whatever the MDS rejected, and only then clear the journal and the
+// undo log — together, so the two stay index for index. An error leaves
+// both as they were.
+func (c *Client) merge(p runtime.Task, mode mds.MergeMode) *mds.MergeReply {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
 	if c.dec == nil {
-		return 0, ErrNotDecoupled
+		return &mds.MergeReply{Err: ErrNotDecoupled}
 	}
+	if mode == mds.MergeSpeculative && c.dec.mode != policy.ConsSpeculative {
+		return &mds.MergeReply{Err: fmt.Errorf("client: speculative apply in %v mode", c.dec.mode)}
+	}
+	ops := c.dec.jrnl.Len()
 	var r *mds.MergeReply
-	if chunk := c.cfg.MergeChunkEvents; chunk > 0 && c.dec.jrnl.Len() > 0 {
+	if chunk := c.cfg.MergeChunkEvents; mode == mds.MergeBlind && chunk > 0 && ops > 0 {
 		r = c.streamJournal(p, chunk)
 	} else {
-		r = c.shipJournal(p, mds.MergeBlind)
+		r = c.shipJournal(p, mode)
 	}
-	if r.Err != nil {
-		return r.Applied, r.Err
+	if r.Err == nil {
+		r.Err = c.rollbackSpec(ops, r.Conflicts)
 	}
-	c.dec.jrnl.Reset()
-	return r.Applied, nil
+	if r.Err == nil {
+		c.dec.jrnl.Reset()
+		if c.dec.undo != nil {
+			c.dec.undo.Reset()
+		}
+	}
+	return r
 }
 
-// shipJournal is the one-shot merge behind VolatileApply, SpeculativeApply
-// and ConvergeApply: the whole journal in one MergeMsg, applied by the
-// MDS in the given mode. The MDS pulls the events through a cursor while
-// the call blocks, so no flat copy of the journal is made.
+// shipJournal is the one-shot arrival model: the whole journal in one
+// MergeMsg, applied by the MDS in the given mode. The MDS pulls the
+// events through a cursor while the call blocks, so no flat copy of the
+// journal is made.
 func (c *Client) shipJournal(p runtime.Task, mode mds.MergeMode) *mds.MergeReply {
 	bytes := c.JournalNominalBytes()
 	c.noteTransfer(bytes)

@@ -4,13 +4,14 @@ import (
 	"os"
 	"path/filepath"
 
+	"cudele/internal/rados"
 	"cudele/internal/runtime"
 )
 
 // This file is the real backend's Local Persist target: when a local
 // directory is configured (SetLocalDir), the client journal is written
-// to a real file with the same write→fsync→rename protocol the object
-// store's FileStore uses, instead of charging the simulated disk pipe.
+// to a real file with the write→fsync→rename protocol of the object
+// store's FileStore, instead of charging the simulated disk pipe.
 // The in-memory copy (localFiles) stays authoritative for lookups;
 // the file is what survives a process kill, which is exactly the
 // paper's definition of local durability.
@@ -29,13 +30,19 @@ func (c *Client) chargeLocalDisk(p runtime.Task, n int64) {
 }
 
 // persistLocal durably writes the journal image to the local directory
-// (write tmp → fsync → rename → fsync dir), outside the client's lock domain.
+// through the object store's one durable-write protocol
+// (rados.FileStore.WriteFile), outside the client's lock domain.
 func (c *Client) persistLocal(p runtime.Task, data []byte) error {
 	if c.localDir == "" {
 		return nil
 	}
 	var err error
-	p.Blocking(func() { err = writeDurable(c.localDir, "journal", data) })
+	p.Blocking(func() {
+		var fs *rados.FileStore
+		if fs, err = rados.OpenFileStore(c.localDir); err == nil {
+			err = fs.WriteFile("journal", data)
+		}
+	})
 	return err
 }
 
@@ -52,44 +59,4 @@ func (c *Client) loadLocal(p runtime.Task) (data []byte, ok bool, err error) {
 		return nil, false, nil
 	}
 	return data, err == nil, err
-}
-
-// writeDurable commits data to dir/name atomically and durably.
-func writeDurable(dir, name string, data []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	final := filepath.Join(dir, name)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -17,6 +17,7 @@ func (c *Client) FillMetrics(reg *trace.Registry) {
 	reg.Counter("cudele_client_rpcs_total", "Metadata RPCs sent.", float64(c.stats.RPCs), who)
 	reg.Counter("cudele_client_journal_appends_total", "Events appended to the client journal.", float64(c.stats.Appends), who)
 	reg.Counter("cudele_client_rejected_total", "-EBUSY replies from blocked subtrees.", float64(c.stats.Rejected), who)
+	reg.Counter("cudele_client_redirects_total", "Bounced requests retried after a routing-table refresh.", float64(c.stats.Redirects), who)
 	reg.Gauge("cudele_client_peak_transfer_bytes", "Largest single journal transfer buffer in nominal bytes (whole journal one-shot, one chunk streamed).", float64(c.stats.PeakTransferBytes), who)
 
 	reg.Histogram("cudele_client_rpc_latency_seconds", "RPC round-trip latency.", &c.latency, who)

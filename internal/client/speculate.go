@@ -54,26 +54,34 @@ func (c *Client) MergeMode() policy.Consistency {
 	return c.dec.mode
 }
 
-// recordUndo appends one undo entry mirroring the journal op just
-// appended: Mode carries the undone op's type, Size its journal index,
-// and for an unlink the victim's attributes ride along so rollback can
-// re-create it. Undo appends are client-memory bookkeeping and charge no
+// recordUndo appends the undo entry of the journal op ev just appended:
+// Mode carries the undone op's type and Size its journal index — the
+// undo log is index for index with the journal, so that is the undo
+// log's own next sequence number. victim is a copy of the inode the op
+// removed or overwrote, nil when it did neither; its attributes ride
+// along so rollback can put them back (journal.Event documents the
+// fields). Undo appends are client-memory bookkeeping and charge no
 // simulated time beyond the op's own append. No-op outside speculative
 // mode, so every other cell's costs and bytes are untouched.
-func (c *Client) recordUndo(op journal.EventType, ino, parent uint64, name string, victim *namespace.Inode) error {
+func (c *Client) recordUndo(ev *journal.Event, victim *namespace.Inode) error {
 	if c.dec.mode != policy.ConsSpeculative || c.dec.undo == nil {
 		return nil
 	}
-	ev := &journal.Event{
+	u := &journal.Event{
 		Type: journal.EvUndo, Client: c.name,
-		Ino: ino, Parent: parent, Name: name,
-		Mode: uint32(op), Size: uint64(c.dec.jrnl.Len() - 1),
+		Ino: ev.Ino, Parent: ev.Parent, Name: ev.Name,
+		Mode: uint32(ev.Type), Size: c.dec.undo.NextSeq(),
 	}
 	if victim != nil {
-		ev.UID, ev.GID, ev.Mtime = victim.UID, victim.GID, victim.Mtime
-		ev.NewParent = uint64(victim.Mode)
+		u.Ino, u.NewParent = uint64(victim.Ino), uint64(victim.Mode)
+		u.UID, u.GID, u.Mtime = victim.UID, victim.GID, victim.Mtime
+		if ev.Type == journal.EvSetAttr {
+			// A setattr names no dentry: the record is named after the
+			// inode, and Parent is free to carry the previous size.
+			u.Name, u.Parent = victim.Name, victim.Size
+		}
 	}
-	_, err := c.dec.undo.Append(ev)
+	_, err := c.dec.undo.Append(u)
 	return err
 }
 
@@ -102,33 +110,16 @@ func (c *Client) FailRollbackAfter(n int) {
 // newest first, then clears the journal and undo log. The returned slice
 // is the rejected indices (nil when every prediction held).
 func (c *Client) SpeculativeApply(p runtime.Task) (int, []int, error) {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	if c.dec == nil {
-		return 0, nil, ErrNotDecoupled
-	}
-	if c.dec.mode != policy.ConsSpeculative {
-		return 0, nil, fmt.Errorf("client: speculative apply in %v mode", c.dec.mode)
-	}
-	ops := c.dec.jrnl.Len()
-	r := c.shipJournal(p, mds.MergeSpeculative)
-	if r.Err != nil {
-		return r.Applied, r.Conflicts, r.Err
-	}
-	if err := c.rollbackSpec(ops, r.Conflicts); err != nil {
-		return r.Applied, r.Conflicts, err
-	}
-	c.dec.jrnl.Reset()
-	c.dec.undo.Reset()
-	return r.Applied, r.Conflicts, nil
+	r := c.merge(p, mds.MergeSpeculative)
+	return r.Applied, r.Conflicts, r.Err
 }
 
 // rollbackSpec undoes the ops at the given indices of the journal just
 // shipped (ops events long) from the client-local image, newest first so
 // a rejected mkdir's rejected children are gone before the directory
 // itself is removed. The journal and undo log are left intact on error
-// (the mid-rollback crash shape); SpeculativeApply resets them only after
-// a complete rollback.
+// (the mid-rollback crash shape); merge resets them only after a
+// complete rollback.
 func (c *Client) rollbackSpec(ops int, conflicts []int) error {
 	if len(conflicts) == 0 {
 		return nil
@@ -165,6 +156,8 @@ func (c *Client) rollbackSpec(ops int, conflicts []int) error {
 				Ino: namespace.Ino(u.Ino), Mode: uint32(u.NewParent),
 				UID: u.UID, GID: u.GID, Mtime: u.Mtime,
 			})
+		case journal.EvSetAttr:
+			err = c.dec.store.SetAttr(namespace.Ino(u.Ino), uint32(u.NewParent), u.UID, u.GID, u.Parent, u.Mtime)
 		default:
 			err = fmt.Errorf("client: undo of %v not supported", journal.EventType(u.Mode))
 		}
@@ -185,62 +178,71 @@ func (c *Client) rebuildSpeculative() error {
 	c.dec.store = namespace.NewStore()
 	c.dec.undo = journal.New(c.cfg.SegmentEvents)
 	for idx, ev := range c.dec.jrnl.Events() {
-		parent := c.dec.localParent(namespace.Ino(ev.Parent))
-		undo := &journal.Event{
-			Type: journal.EvUndo, Client: c.name,
-			Ino: ev.Ino, Parent: ev.Parent, Name: ev.Name,
-			Mode: uint32(ev.Type), Size: uint64(idx),
+		victim, err := c.dec.applyLocal(ev)
+		if err == nil {
+			err = c.recordUndo(ev, victim)
 		}
-		switch ev.Type {
-		case journal.EvCreate:
-			if _, err := c.dec.store.Create(parent, ev.Name, namespace.CreateAttrs{
-				Ino: namespace.Ino(ev.Ino), Mode: ev.Mode, UID: ev.UID, GID: ev.GID, Mtime: ev.Mtime,
-			}); err != nil {
-				return fmt.Errorf("client: rebuild op %d: %w", idx, err)
-			}
-		case journal.EvMkdir:
-			if _, err := c.dec.store.Mkdir(parent, ev.Name, namespace.CreateAttrs{
-				Ino: namespace.Ino(ev.Ino), Mode: ev.Mode, UID: ev.UID, GID: ev.GID, Mtime: ev.Mtime,
-			}); err != nil {
-				return fmt.Errorf("client: rebuild op %d: %w", idx, err)
-			}
-		case journal.EvUnlink:
-			victim, err := c.dec.store.Lookup(parent, ev.Name)
-			if err != nil {
-				return fmt.Errorf("client: rebuild op %d: %w", idx, err)
-			}
-			undo.Ino = uint64(victim.Ino)
-			undo.UID, undo.GID, undo.Mtime = victim.UID, victim.GID, victim.Mtime
-			undo.NewParent = uint64(victim.Mode)
-			if err := c.dec.store.Unlink(parent, ev.Name); err != nil {
-				return fmt.Errorf("client: rebuild op %d: %w", idx, err)
-			}
-		default:
-			return fmt.Errorf("client: rebuild: unexpected %v in speculative journal", ev.Type)
-		}
-		if _, err := c.dec.undo.Append(undo); err != nil {
-			return err
+		if err != nil {
+			return fmt.Errorf("client: rebuild op %d: %w", idx, err)
 		}
 	}
 	return nil
 }
 
-// persistUndoLocal writes the undo log beside the locally persisted
-// journal. No-op outside speculative mode, keeping every other cell's
-// persisted bytes and disk time identical.
-func (c *Client) persistUndoLocal(p runtime.Task) error {
+// applyLocal replays one journaled op onto the client-local image the
+// way the Local* operation that journaled it applied it, and returns a
+// copy of the inode the op removed or overwrote — what its undo record
+// carries — nil for an op that did neither.
+func (d *decoupled) applyLocal(ev *journal.Event) (victim *namespace.Inode, err error) {
+	parent := d.localParent(namespace.Ino(ev.Parent))
+	attrs := namespace.CreateAttrs{
+		Ino: namespace.Ino(ev.Ino), Mode: ev.Mode, UID: ev.UID, GID: ev.GID, Mtime: ev.Mtime,
+	}
+	switch ev.Type {
+	case journal.EvCreate:
+		_, err = d.store.Create(parent, ev.Name, attrs)
+	case journal.EvMkdir:
+		_, err = d.store.Mkdir(parent, ev.Name, attrs)
+	case journal.EvUnlink:
+		if victim, err = d.store.Lookup(parent, ev.Name); err == nil {
+			v := *victim
+			victim, err = &v, d.store.Unlink(parent, ev.Name)
+		}
+	case journal.EvSetAttr:
+		if victim, err = d.store.Get(namespace.Ino(ev.Ino)); err == nil {
+			v := *victim
+			victim, err = &v, d.store.SetAttr(v.Ino, ev.Mode, ev.UID, ev.GID, ev.Size, ev.Mtime)
+		}
+	default:
+		err = fmt.Errorf("unexpected %v in speculative journal", ev.Type)
+	}
+	return victim, err
+}
+
+// exportUndo is the undo log's persisted image and its nominal size,
+// noted as a transfer; ok is false outside speculative mode, so every
+// other cell's persisted bytes and disk time are untouched.
+func (c *Client) exportUndo() (data []byte, bytes int64, ok bool, err error) {
 	if c.dec.mode != policy.ConsSpeculative || c.dec.undo == nil {
-		return nil
+		return nil, 0, false, nil
 	}
-	data, err := c.dec.undo.Export()
-	if err != nil {
-		return err
+	if data, err = c.dec.undo.Export(); err != nil {
+		return nil, 0, false, err
 	}
-	bytes := int64(c.dec.undo.Len()) * int64(c.cfg.JournalEventBytes)
+	bytes = int64(c.dec.undo.Len()) * int64(c.cfg.JournalEventBytes)
 	c.noteTransfer(bytes)
-	c.chargeLocalDisk(p, bytes)
-	c.localFiles["undo"] = data
-	return nil
+	return data, bytes, true, nil
+}
+
+// persistUndoLocal writes the undo log beside the locally persisted
+// journal.
+func (c *Client) persistUndoLocal(p runtime.Task) error {
+	data, bytes, ok, err := c.exportUndo()
+	if ok {
+		c.chargeLocalDisk(p, bytes)
+		c.localFiles["undo"] = data
+	}
+	return err
 }
 
 // persistUndoGlobal pushes the undo log into the object store next to
@@ -248,19 +250,13 @@ func (c *Client) persistUndoLocal(p runtime.Task) error {
 // injector can tear it like any other global persist — recovery is
 // indifferent, since rebuildSpeculative never reads it back.
 func (c *Client) persistUndoGlobal(p runtime.Task, striper *rados.Striper) error {
-	if c.dec.mode != policy.ConsSpeculative || c.dec.undo == nil {
-		return nil
+	data, bytes, ok, err := c.exportUndo()
+	if ok {
+		if err = striper.WriteBilled(p, ClientJournalPool, c.name+UndoObjectSuffix, data, bytes); err != nil {
+			err = fmt.Errorf("global persist undo: %w", err)
+		}
 	}
-	data, err := c.dec.undo.Export()
-	if err != nil {
-		return err
-	}
-	bytes := int64(c.dec.undo.Len()) * int64(c.cfg.JournalEventBytes)
-	c.noteTransfer(bytes)
-	if err := striper.WriteBilled(p, ClientJournalPool, c.name+UndoObjectSuffix, data, bytes); err != nil {
-		return fmt.Errorf("global persist undo: %w", err)
-	}
-	return nil
+	return err
 }
 
 // ConvergeApply ships the journal through the MDS's strong-eventual CRDT
@@ -268,15 +264,6 @@ func (c *Client) persistUndoGlobal(p runtime.Task, striper *rados.Striper) error
 // loser is a successful merge — so it equals the journal length on
 // success. On success the journal is cleared.
 func (c *Client) ConvergeApply(p runtime.Task) (int, error) {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	if c.dec == nil {
-		return 0, ErrNotDecoupled
-	}
-	r := c.shipJournal(p, mds.MergeConverge)
-	if r.Err != nil {
-		return r.Applied, r.Err
-	}
-	c.dec.jrnl.Reset()
-	return r.Applied, nil
+	r := c.merge(p, mds.MergeConverge)
+	return r.Applied, r.Err
 }

@@ -73,8 +73,11 @@ func (t EventType) Valid() bool { return t > EvInvalid && t < evMax }
 //	Undo: speculative-mode rollback bookkeeping. Parent+Name name the
 //	  dentry the undone op touched, Ino its inode, Mode the EventType of
 //	  the op being undone, Size the op's index in the client journal.
-//	  For an undone unlink, UID/GID/Mtime carry the victim's original
-//	  attributes so rollback can re-create it. A namespace store treats
+//	  For an undone unlink, UID/GID/Mtime and NewParent (the mode) carry
+//	  the victim's original attributes so rollback can re-create it. For
+//	  an undone setattr they carry the attributes it replaced, Parent the
+//	  previous size and Name the inode's own name (a setattr names no
+//	  dentry), so rollback can put them back. A namespace store treats
 //	  it as a no-op on replay.
 type Event struct {
 	Type      EventType

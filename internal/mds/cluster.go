@@ -196,15 +196,15 @@ func (c *Cluster) ReplicateSubtree(p runtime.Task, path string, dst int) error {
 	return err
 }
 
-// exportSubtree copies the directory chain from the root to path, and
-// every directory underneath path, from src to dst via the serialized
-// directory-object form.
+// exportSubtree copies the subtree at path, led by its ancestor chain so
+// the path resolves, from src to dst via the serialized directory-object
+// form.
 func exportSubtree(src, dst *namespace.Store, path string) error {
-	rootIn, err := src.Resolve(path)
+	dirs, err := src.SubtreeDirs(path)
 	if err != nil {
 		return err
 	}
-	install := func(ino namespace.Ino) error {
+	for _, ino := range dirs {
 		data, err := src.EncodeDir(ino)
 		if err != nil {
 			return err
@@ -213,33 +213,11 @@ func exportSubtree(src, dst *namespace.Store, path string) error {
 		if err != nil {
 			return err
 		}
-		return dst.InstallDir(obj)
-	}
-	// Ancestor chain, root first.
-	var chain []namespace.Ino
-	for ino := rootIn.Ino; ; {
-		chain = append([]namespace.Ino{ino}, chain...)
-		if ino == namespace.RootIno {
-			break
-		}
-		in, err := src.Get(ino)
-		if err != nil {
-			return err
-		}
-		ino = in.Parent
-	}
-	for _, ino := range chain {
-		if err := install(ino); err != nil {
+		if err := dst.InstallDir(obj); err != nil {
 			return err
 		}
 	}
-	// The subtree's own directories, parents before children.
-	return src.Walk(rootIn.Ino, func(_ string, in *namespace.Inode) error {
-		if !in.IsDir() || in.Ino == rootIn.Ino {
-			return nil
-		}
-		return install(in.Ino)
-	})
+	return nil
 }
 
 // Portal is one client's view of the metadata cluster: a routed endpoint

@@ -4,6 +4,7 @@ import (
 	"cudele/internal/journal"
 	"cudele/internal/namespace"
 	"cudele/internal/policy"
+	"cudele/internal/runtime"
 	"cudele/internal/transport"
 )
 
@@ -12,6 +13,28 @@ import (
 // ways; the control and bulk messages below go through Endpoint.Post and
 // charge their own calibrated costs (a journal merge's network cost is
 // its byte transfer, not an RPC round trip).
+
+// message is what every endpoint message knows about itself, declared
+// next to its type: adding a message is one type in one place.
+type message interface {
+	// label names the message's span and flight-recorder event.
+	label() string
+	// route is the namespace path a router picks the owning rank by;
+	// empty routes to rank 0. Migration control messages are posted to
+	// explicit rank endpoints, so theirs only shows in flight dumps.
+	route() string
+	// serve runs the message's handler on rank s.
+	serve(s *Server, p runtime.Task) any
+}
+
+// refusable is a workload message that a rank bounces when the subtree it
+// addresses is frozen for export or owned elsewhere (Server.bounce);
+// refused builds the message's own reply type around the redirect.
+// Control traffic does not implement it and always passes.
+type refusable interface {
+	message
+	refused(err error) any
+}
 
 // MergeMode selects how a MergeMsg's events are applied. The zero value
 // is the paper's blind Volatile Apply, so every pre-existing sender and
@@ -47,6 +70,11 @@ type MergeMsg struct {
 	Route string
 }
 
+func (m *MergeMsg) label() string                       { return "merge" }
+func (m *MergeMsg) route() string                       { return m.Route }
+func (m *MergeMsg) serve(s *Server, p runtime.Task) any { return s.mergeOneShot(p, m) }
+func (m *MergeMsg) refused(err error) any               { return &MergeReply{Err: err} }
+
 // MergeReply answers a MergeMsg or a MergeWaitMsg.
 type MergeReply struct {
 	Applied int
@@ -65,6 +93,11 @@ type MergeOpenMsg struct {
 	TotalEvents int
 	TotalBytes  int64
 }
+
+func (m *MergeOpenMsg) label() string                       { return "merge.open" }
+func (m *MergeOpenMsg) route() string                       { return m.Route }
+func (m *MergeOpenMsg) serve(s *Server, p runtime.Task) any { return s.merge.open(p) }
+func (m *MergeOpenMsg) refused(err error) any               { return &MergeOpenReply{Err: err} }
 
 // StreamOpenReply answers the open of a windowed stream (MergeOpenMsg,
 // ImportOpenMsg).
@@ -111,11 +144,22 @@ type MergeChunkMsg struct {
 	Events []*journal.Event
 }
 
+func (m *MergeChunkMsg) label() string                       { return "merge.chunk" }
+func (m *MergeChunkMsg) route() string                       { return m.Route }
+func (m *MergeChunkMsg) serve(s *Server, p runtime.Task) any { return s.merge.push(p, m) }
+
 // MergeWaitMsg blocks until a streamed merge has applied its final chunk
 // and reports the merge result as a MergeReply.
 type MergeWaitMsg struct {
 	ID    uint64
 	Route string
+}
+
+func (m *MergeWaitMsg) label() string { return "merge.wait" }
+func (m *MergeWaitMsg) route() string { return m.Route }
+func (m *MergeWaitMsg) serve(s *Server, p runtime.Task) any {
+	applied, err := s.merge.wait(p, m.ID)
+	return &MergeReply{Applied: applied, Err: err}
 }
 
 // MergeAbortMsg abandons a streamed merge after a client-side error, so
@@ -126,6 +170,10 @@ type MergeAbortMsg struct {
 	Route string
 }
 
+func (m *MergeAbortMsg) label() string                       { return "merge.abort" }
+func (m *MergeAbortMsg) route() string                       { return m.Route }
+func (m *MergeAbortMsg) serve(s *Server, p runtime.Task) any { return s.merge.abort(p, m.ID) }
+
 // DecoupleMsg attaches a policy to a subtree and reserves its inode
 // grant (sent by the monitor on a client's behalf).
 type DecoupleMsg struct {
@@ -133,6 +181,10 @@ type DecoupleMsg struct {
 	Policy *policy.Policy
 	Client string
 }
+
+func (m *DecoupleMsg) label() string                       { return "decouple" }
+func (m *DecoupleMsg) route() string                       { return m.Path }
+func (m *DecoupleMsg) serve(s *Server, p runtime.Task) any { return s.decouple(p, m) }
 
 // DecoupleReply answers a DecoupleMsg.
 type DecoupleReply struct {
@@ -146,6 +198,12 @@ type RecoupleMsg struct {
 	Path string
 }
 
+func (m *RecoupleMsg) label() string { return "recouple" }
+func (m *RecoupleMsg) route() string { return m.Path }
+func (m *RecoupleMsg) serve(s *Server, p runtime.Task) any {
+	return &RecoupleReply{Err: s.recouple(p, m.Path)}
+}
+
 // RecoupleReply answers a RecoupleMsg.
 type RecoupleReply struct {
 	Err error
@@ -155,42 +213,8 @@ type RecoupleReply struct {
 // key function a transport.Router uses to pick the owning rank. Messages
 // without a route (empty string) belong to rank 0.
 func RouteOf(msg any) string {
-	switch m := msg.(type) {
-	case *Request:
-		return m.Route
-	case *MergeMsg:
-		return m.Route
-	case *MergeOpenMsg:
-		return m.Route
-	case *MergeChunkMsg:
-		return m.Route
-	case *MergeWaitMsg:
-		return m.Route
-	case *MergeAbortMsg:
-		return m.Route
-	case *DecoupleMsg:
-		return m.Path
-	case *RecoupleMsg:
-		return m.Path
-	// Migration control messages are posted to explicit rank endpoints
-	// by the monitor, never routed; the route here is for observability
-	// (flight-recorder detail strings).
-	case *ExportFreezeMsg:
-		return m.Path
-	case *ExportSaveMsg:
-		return m.Path
-	case *ExportReadMsg:
-		return m.Path
-	case *ExportCommitMsg:
-		return m.Path
-	case *ExportAbortMsg:
-		return m.Path
-	case *ImportOpenMsg:
-		return m.Path
-	case *ImportChunkMsg:
-		return m.Path
-	case *AttachMsg:
-		return m.Path
+	if m, ok := msg.(message); ok {
+		return m.route()
 	}
 	return ""
 }

@@ -30,6 +30,13 @@ func (s *Server) FillMetrics(reg *trace.Registry) {
 
 	reg.Counter("cudele_mds_merge_chunks_total", "Streamed merge chunks accepted into flow-control windows.", float64(s.metrics.MergeChunks), daemon)
 	reg.Counter("cudele_mds_merge_backpressure_total", "Merge opens and chunks answered with backpressure.", float64(s.metrics.MergeBackpressure), daemon)
+	reg.Counter("cudele_mds_merge_conflicts_total", "Speculative predictions rejected at merge validation.", float64(s.metrics.MergeConflicts), daemon)
+
+	reg.Counter("cudele_mds_bounced_total", "Requests and merges answered with a WrongRank redirect (frozen or foreign subtree).", float64(s.metrics.Bounced), daemon)
+	reg.Counter("cudele_mds_exports_total", "Subtrees frozen for export on this rank.", float64(s.metrics.Exports), daemon)
+	reg.Counter("cudele_mds_imports_total", "Import sessions admitted on this rank.", float64(s.metrics.Imports), daemon)
+	reg.Counter("cudele_mds_import_chunks_total", "Directory-object chunks accepted into import windows.", float64(s.metrics.ImportChunks), daemon)
+	reg.Counter("cudele_mds_import_backpressure_total", "Import opens and chunks answered with backpressure.", float64(s.metrics.ImportBackpressure), daemon)
 
 	// Served-from-snapshot listings are the difference of the two; both
 	// restart with the rank's in-memory store (Crash, Recover).

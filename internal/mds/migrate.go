@@ -39,6 +39,10 @@ var ErrNotExporting = errors.New("mds: no export session for subtree")
 // and an export session (directory list, journal tail) is prepared.
 type ExportFreezeMsg struct{ Path string }
 
+func (m *ExportFreezeMsg) label() string                       { return "export.freeze" }
+func (m *ExportFreezeMsg) route() string                       { return m.Path }
+func (m *ExportFreezeMsg) serve(s *Server, p runtime.Task) any { return s.exportFreeze(p, m) }
+
 // ExportManifest summarizes a frozen subtree for the importer.
 type ExportManifest struct {
 	Path    string
@@ -66,6 +70,10 @@ type ExportReadMsg struct {
 	Chunk int // chunk index, sequential from 0
 }
 
+func (m *ExportReadMsg) label() string                       { return "export.read" }
+func (m *ExportReadMsg) route() string                       { return m.Path }
+func (m *ExportReadMsg) serve(s *Server, p runtime.Task) any { return s.exportRead(p, m) }
+
 // ExportReadReply carries one chunk of encoded directory objects.
 type ExportReadReply struct {
 	Objs [][]byte
@@ -78,6 +86,10 @@ type ExportReadReply struct {
 // before the freeze survive any crash regardless of which rank dies
 // next.
 type ExportSaveMsg struct{ Path string }
+
+func (m *ExportSaveMsg) label() string                       { return "export.save" }
+func (m *ExportSaveMsg) route() string                       { return m.Path }
+func (m *ExportSaveMsg) serve(s *Server, p runtime.Task) any { return s.exportSave(p, m) }
 
 // ExportSaveReply answers an ExportSaveMsg.
 type ExportSaveReply struct {
@@ -95,6 +107,10 @@ type ExportCommitMsg struct {
 	Dst  int    // destination rank, recorded for the audit trail
 }
 
+func (m *ExportCommitMsg) label() string                       { return "export.commit" }
+func (m *ExportCommitMsg) route() string                       { return m.Path }
+func (m *ExportCommitMsg) serve(s *Server, p runtime.Task) any { return s.exportCommit(p, m) }
+
 // ExportCommitReply answers an ExportCommitMsg.
 type ExportCommitReply struct {
 	Pruned int
@@ -105,6 +121,10 @@ type ExportCommitReply struct {
 // Safe to send to a rank that crashed mid-export: the session is
 // volatile, so an unknown path is acknowledged as already aborted.
 type ExportAbortMsg struct{ Path string }
+
+func (m *ExportAbortMsg) label() string                       { return "export.abort" }
+func (m *ExportAbortMsg) route() string                       { return m.Path }
+func (m *ExportAbortMsg) serve(s *Server, p runtime.Task) any { return s.exportAbort(p, m) }
 
 // ExportAbortReply answers an ExportAbortMsg.
 type ExportAbortReply struct{ Err error }
@@ -118,6 +138,10 @@ type ImportOpenMsg struct {
 	TotalDirs int
 }
 
+func (m *ImportOpenMsg) label() string                       { return "import.open" }
+func (m *ImportOpenMsg) route() string                       { return m.Path }
+func (m *ImportOpenMsg) serve(s *Server, p runtime.Task) any { return s.imports.open(p) }
+
 // ImportChunkMsg ships one chunk of encoded directory objects; Bytes is
 // their total length. It is answered with a StreamChunkReply.
 type ImportChunkMsg struct {
@@ -125,6 +149,10 @@ type ImportChunkMsg struct {
 	Path string
 	Objs [][]byte
 }
+
+func (m *ImportChunkMsg) label() string                       { return "import.chunk" }
+func (m *ImportChunkMsg) route() string                       { return m.Path }
+func (m *ImportChunkMsg) serve(s *Server, p runtime.Task) any { return s.imports.push(p, m) }
 
 // ImportCommitMsg completes an import: waits for buffered chunks to
 // drain, installs the subtree's policy/owner/grant verbatim (so the
@@ -134,6 +162,10 @@ type ImportCommitMsg struct {
 	ID       uint64
 	Manifest ExportManifest
 }
+
+func (m *ImportCommitMsg) label() string                       { return "import.commit" }
+func (m *ImportCommitMsg) route() string                       { return "" }
+func (m *ImportCommitMsg) serve(s *Server, p runtime.Task) any { return s.importCommit(p, m) }
 
 // ImportCommitReply answers an ImportCommitMsg.
 type ImportCommitReply struct {
@@ -145,6 +177,10 @@ type ImportCommitReply struct {
 // installed state is left as a harmless unreachable copy (routing never
 // pointed at the importer). It is answered with a StreamAbortReply.
 type ImportAbortMsg struct{ ID uint64 }
+
+func (m *ImportAbortMsg) label() string                       { return "import.abort" }
+func (m *ImportAbortMsg) route() string                       { return "" }
+func (m *ImportAbortMsg) serve(s *Server, p runtime.Task) any { return s.imports.abort(p, m.ID) }
 
 // AttachMsg installs a subtree's policy, owner, and an exact inode
 // grant on a rank without allocating a fresh range — the re-attach path
@@ -159,6 +195,10 @@ type AttachMsg struct {
 	N      uint64
 }
 
+func (m *AttachMsg) label() string                       { return "attach" }
+func (m *AttachMsg) route() string                       { return m.Path }
+func (m *AttachMsg) serve(s *Server, p runtime.Task) any { return s.attach(p, m) }
+
 // AttachReply answers an AttachMsg.
 type AttachReply struct{ Err error }
 
@@ -166,9 +206,7 @@ type AttachReply struct{ Err error }
 
 // exportState is one live export session on the source rank.
 type exportState struct {
-	path     string
-	root     namespace.Ino
-	dirs     []namespace.Ino // breadth-first, parents before children
+	dirs     []namespace.Ino // namespace.Store.SubtreeDirs: install order
 	manifest ExportManifest
 }
 
@@ -195,8 +233,7 @@ func (s *Server) frozenCovers(path string) bool {
 		return false
 	}
 	for f := range s.frozen {
-		if f == path || (len(path) > len(f) &&
-			(f == "/" || (path[:len(f)] == f && path[len(f)] == '/'))) {
+		if transport.HasPathPrefix(path, f) {
 			return true
 		}
 	}
@@ -223,7 +260,10 @@ func (s *Server) exportBusy(path string) error {
 }
 
 // exportWalk snapshots the subtree at path as an export session and the
-// set of inodes under it. It never yields.
+// set of inodes under it. It never yields. The session streams the
+// ancestor chain ahead of the subtree's own directories (SubtreeDirs);
+// ancestors are not part of the export itself — they stay owned by this
+// rank and are outside the inode set, cap revocation, and the prune.
 func (s *Server) exportWalk(path string) (*exportState, map[namespace.Ino]bool, error) {
 	root, err := s.store.Resolve(path)
 	if err != nil {
@@ -232,42 +272,22 @@ func (s *Server) exportWalk(path string) (*exportState, map[namespace.Ino]bool, 
 	if !root.IsDir() || root.Ino == namespace.RootIno {
 		return nil, nil, fmt.Errorf("mds: export %s: %w", path, namespace.ErrInval)
 	}
-
-	ex := &exportState{path: path, root: root.Ino}
-	inos := make(map[namespace.Ino]bool)
-	if err := s.store.Walk(root.Ino, func(_ string, in *namespace.Inode) error {
-		inos[in.Ino] = true
-		if in.IsDir() {
-			ex.dirs = append(ex.dirs, in.Ino)
-		}
-		return nil
-	}); err != nil {
+	inos, err := s.store.SubtreeInos(path)
+	if err != nil {
 		return nil, nil, err
 	}
-	// The ancestor chain (namespace root first) leads the stream: the
-	// importer may never have seen the subtree's ancestry, and InstallDir
-	// requires each directory's parent to exist. Ancestors are not part
-	// of the export itself — they stay owned by this rank and are
-	// excluded from the inode set, cap revocation, and the prune.
-	var chain []namespace.Ino
-	for ino := root.Ino; ino != namespace.RootIno; {
-		in, err := s.store.Get(ino)
-		if err != nil {
-			return nil, nil, err
-		}
-		chain = append([]namespace.Ino{in.Parent}, chain...)
-		ino = in.Parent
+	dirs, err := s.store.SubtreeDirs(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	ex.dirs = append(chain, ex.dirs...)
-	ex.manifest = ExportManifest{
+	return &exportState{dirs: dirs, manifest: ExportManifest{
 		Path:   path,
 		Root:   root.Ino,
-		Dirs:   len(ex.dirs),
+		Dirs:   len(dirs),
 		Inodes: len(inos),
 		Policy: root.Policy,
 		Owner:  s.owners[root.Ino],
-	}
-	return ex, inos, nil
+	}}, inos, nil
 }
 
 // exportFreeze is the ExportFreezeMsg handler: quiesce and snapshot the
@@ -277,7 +297,7 @@ func (s *Server) exportWalk(path string) (*exportState, map[namespace.Ino]bool, 
 // snapshot is taken, and the busy check repeated, after the last yield:
 // between them and the freeze mark the handler does not yield.
 func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeReply {
-	path := cleanSubtreePath(m.Path)
+	path := transport.Clean(m.Path)
 	if err := s.exportBusy(path); err != nil {
 		return &ExportFreezeReply{Err: err} // refused before it costs the rank anything
 	}
@@ -349,23 +369,15 @@ func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeR
 // directory objects durably to the metadata pool. After this, every
 // update acknowledged before the freeze is crash-safe on both sides.
 func (s *Server) exportSave(p runtime.Task, m *ExportSaveMsg) *ExportSaveReply {
-	ex := s.exports[cleanSubtreePath(m.Path)]
+	ex := s.exports[transport.Clean(m.Path)]
 	if ex == nil {
 		return &ExportSaveReply{Err: ErrNotExporting}
 	}
-	saved := 0
-	for _, ino := range ex.dirs {
-		data, err := s.store.EncodeDir(ino)
-		if err != nil {
-			return &ExportSaveReply{Saved: saved, Err: err}
-		}
-		oid := rados.ObjectID{Pool: namespace.ObjectPool, Name: namespace.DirObjectName(ino)}
-		if err := s.obj.Write(p, oid, data); err != nil {
-			return &ExportSaveReply{Saved: saved, Err: fmt.Errorf("export save: %w", err)}
-		}
-		saved++
+	saved, err := s.saveDirs(p, ex.dirs)
+	if err != nil {
+		err = fmt.Errorf("export save: %w", err)
 	}
-	return &ExportSaveReply{Saved: saved}
+	return &ExportSaveReply{Saved: saved, Err: err}
 }
 
 // exportRead is the ExportReadMsg handler: encode the next chunk of
@@ -374,7 +386,7 @@ func (s *Server) exportRead(p runtime.Task, m *ExportReadMsg) *ExportReadReply {
 	if s.stopped {
 		return &ExportReadReply{Err: ErrShutdown}
 	}
-	ex := s.exports[cleanSubtreePath(m.Path)]
+	ex := s.exports[transport.Clean(m.Path)]
 	if ex == nil {
 		return &ExportReadReply{Err: ErrNotExporting}
 	}
@@ -412,7 +424,7 @@ func (s *Server) exportCommit(p runtime.Task, m *ExportCommitMsg) *ExportCommitR
 	if s.stopped {
 		return &ExportCommitReply{Err: ErrShutdown}
 	}
-	path := cleanSubtreePath(m.Path)
+	path := transport.Clean(m.Path)
 	ex := s.exports[path]
 	if ex == nil {
 		return &ExportCommitReply{Err: ErrNotExporting}
@@ -421,7 +433,7 @@ func (s *Server) exportCommit(p runtime.Task, m *ExportCommitMsg) *ExportCommitR
 		Type:      journal.EvExport,
 		Seq:       m.Seq,
 		Name:      path,
-		Ino:       uint64(ex.root),
+		Ino:       uint64(ex.manifest.Root),
 		Parent:    uint64(s.rank),
 		NewParent: uint64(m.Dst),
 	}
@@ -440,7 +452,7 @@ func (s *Server) exportCommit(p runtime.Task, m *ExportCommitMsg) *ExportCommitR
 	if err != nil {
 		return &ExportCommitReply{Err: err}
 	}
-	delete(s.owners, ex.root)
+	delete(s.owners, ex.manifest.Root)
 	delete(s.exports, path)
 	// The freeze deliberately persists: routing points at this rank
 	// until the monitor publishes the new epoch, and a request served
@@ -457,7 +469,7 @@ func (s *Server) exportCommit(p runtime.Task, m *ExportCommitMsg) *ExportCommitR
 // exportAbort is the ExportAbortMsg handler: thaw and keep everything.
 // Unknown sessions (wiped by a crash) acknowledge as already aborted.
 func (s *Server) exportAbort(p runtime.Task, m *ExportAbortMsg) *ExportAbortReply {
-	path := cleanSubtreePath(m.Path)
+	path := transport.Clean(m.Path)
 	delete(s.frozen, path)
 	delete(s.exports, path)
 	if fl := s.eng.Flight(); fl != nil {
@@ -523,21 +535,11 @@ func (s *Server) importCommit(p runtime.Task, m *ImportCommitMsg) *ImportCommitR
 
 	man := m.Manifest
 	root, err := s.store.Resolve(man.Path)
+	if err == nil {
+		err = s.adopt(root.Ino, man.Policy, man.Owner, man.GrantLo, man.GrantN)
+	}
 	if err != nil {
 		return &ImportCommitReply{Installed: installed, Err: err}
-	}
-	if man.Policy != nil {
-		if err := s.store.SetPolicy(root.Ino, man.Policy); err != nil {
-			return &ImportCommitReply{Installed: installed, Err: err}
-		}
-	}
-	if man.Owner != "" {
-		s.owners[root.Ino] = man.Owner
-		if man.GrantLo != 0 && man.GrantN > 0 {
-			if err := s.store.ReserveRange(man.GrantLo, man.GrantN); err != nil {
-				return &ImportCommitReply{Installed: installed, Err: err}
-			}
-		}
 	}
 	// Append the shipped journal tail to this rank's own journal series,
 	// charging the usual per-event journaling CPU. Replay after a crash
@@ -581,25 +583,12 @@ func (s *Server) attach(p runtime.Task, m *AttachMsg) *AttachReply {
 	defer s.cpu.Release()
 	p.Sleep(s.serviceTime(OpResolve))
 	in, err := s.store.Resolve(m.Path)
-	if err != nil {
-		return &AttachReply{Err: err}
+	if err == nil {
+		err = s.adopt(in.Ino, m.Policy, m.Client, m.Lo, m.N)
 	}
-	if m.Policy != nil {
-		if err := s.store.SetPolicy(in.Ino, m.Policy); err != nil {
-			return &AttachReply{Err: err}
-		}
-	}
-	if m.Client != "" {
-		s.owners[in.Ino] = m.Client
-	}
-	if m.Lo != 0 && m.N > 0 {
-		if err := s.store.ReserveRange(m.Lo, m.N); err != nil {
-			return &AttachReply{Err: err}
-		}
-	}
-	return &AttachReply{}
+	return &AttachReply{Err: err}
 }
 
 // Frozen reports whether any subtree covering path is frozen on this
 // rank (exported mid-flight).
-func (s *Server) Frozen(path string) bool { return s.frozenCovers(cleanSubtreePath(path)) }
+func (s *Server) Frozen(path string) bool { return s.frozenCovers(transport.Clean(path)) }

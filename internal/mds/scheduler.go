@@ -387,12 +387,6 @@ func (s *Server) mergeService(p runtime.Task, job *streamJob, sc transport.Strea
 	}
 }
 
-// mergeWait is the MergeWaitMsg handler.
-func (s *Server) mergeWait(p runtime.Task, m *MergeWaitMsg) *MergeReply {
-	applied, err := s.merge.wait(p, m.ID)
-	return &MergeReply{Applied: applied, Err: err}
-}
-
 // MergeFairness reports the spread between the largest and smallest
 // per-job max chunk wait across completed streamed merges — the fairness
 // metric the round-robin scheduler bounds — and how many streamed jobs

@@ -423,15 +423,16 @@ func TestStreamUnknownID(t *testing.T) {
 	})
 	// The handlers surface the same errors through their replies.
 	eng, s := newTestServerCfg(model.Default())
+	mergeWait := func(p runtime.Task) *MergeReply { return (&MergeWaitMsg{ID: 99}).serve(s, p).(*MergeReply) }
 	run(t, eng, func(p runtime.Task) {
-		if w := s.mergeWait(p, &MergeWaitMsg{ID: 99}); !errors.Is(w.Err, namespace.ErrInval) {
+		if w := mergeWait(p); !errors.Is(w.Err, namespace.ErrInval) {
 			t.Errorf("merge wait = %v, want ErrInval", w.Err)
 		}
 		if c := s.importCommit(p, &ImportCommitMsg{ID: 99}); !errors.Is(c.Err, namespace.ErrInval) {
 			t.Errorf("import commit = %v, want ErrInval", c.Err)
 		}
 		s.Crash(p)
-		if w := s.mergeWait(p, &MergeWaitMsg{ID: 99}); !errors.Is(w.Err, ErrShutdown) {
+		if w := mergeWait(p); !errors.Is(w.Err, ErrShutdown) {
 			t.Errorf("merge wait after crash = %v, want ErrShutdown", w.Err)
 		}
 		if c := s.importCommit(p, &ImportCommitMsg{ID: 99}); !errors.Is(c.Err, ErrShutdown) {

@@ -11,11 +11,15 @@
 // belongs to its lock domain (runtime.Domain): the wire runs handlers
 // inside it, the task-taking methods below enter it, and the rank's
 // background tasks are spawned in it, so on the real backend ranks run
-// in parallel with each other and with everything else. Cross-cutting
-// pipeline stages — admission, accounting, journaling, interference
-// checks — are transport interceptors around the table-driven op
-// handlers (ops.go). Cluster composes N ranks behind a routing table
-// (cluster.go).
+// in parallel with each other and with everything else.
+//
+// Every message type implements the unexported message interface next to
+// its declaration (messages.go, migrate.go): its span label, its routing
+// key and its handler, so the dispatcher behind the wire is one interface
+// call. An RPC's whole pipeline — admission, accounting, CPU, service
+// time, interference check, table-driven op handler (ops.go), journaling
+// — is serveRPC, read top to bottom. Cluster composes N ranks behind a
+// routing table (cluster.go).
 package mds
 
 import (
@@ -74,6 +78,11 @@ type Request struct {
 	Size  uint64
 	Mtime int64
 }
+
+func (m *Request) label() string                       { return "rpc." + m.Op.String() }
+func (m *Request) route() string                       { return m.Route }
+func (m *Request) serve(s *Server, p runtime.Task) any { return s.serveRPC(p, m) }
+func (m *Request) refused(err error) any               { return &Reply{Err: err} }
 
 // Reply is the MDS's answer.
 type Reply struct {
@@ -199,10 +208,15 @@ type Server struct {
 	// past them so the rank's on-store series stays append-only.
 	recoveredSegs int
 
-	// rpc is the interceptor pipeline around the op handlers; ep is the
-	// rank's wire endpoint (network latency on Call).
-	rpc transport.Handler
-	ep  *transport.Wire
+	// grantSlot is the next unissued slot of this rank's client-grant
+	// band (grantAt). It only grows: the ranges a rank has handed out are
+	// a durable registry, like recoveredSegs — a recouple, an export or a
+	// Crash forgets the owner, not that a client may still hold inodes
+	// drawn from the range.
+	grantSlot uint64
+
+	// ep is the rank's wire endpoint (network latency on Call).
+	ep *transport.Wire
 }
 
 // New creates a single metadata rank (rank 0) over the given object
@@ -236,57 +250,20 @@ func NewRank(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster, rank int
 	s.stream = newStreamState(s)
 	s.merge = newMergeSched(s)
 	s.imports = newImportSched(s)
-	s.rpc = transport.Chain(s.dispatchOp,
-		s.admission, s.accounting, s.journaling, s.execution, s.interference)
 	// The tracing interceptor wraps the whole message dispatcher, so
 	// every RPC and Post is spanned on the rank's track without any op
 	// handler knowing about it; with tracing off it is one nil check.
 	s.ep = transport.NewWire(name, cfg.NetLatency,
-		transport.Chain(s.handle, transport.Tracing(name, msgLabel)))
+		transport.Chain(s.handle, transport.Tracing(name, labelOf)))
 	s.ep.Bind(s.dom)
 	return s
 }
 
-// msgLabel names the span for one endpoint message. Only called when
-// tracing is enabled.
-func msgLabel(msg any) string {
-	switch m := msg.(type) {
-	case *Request:
-		return "rpc." + m.Op.String()
-	case *MergeMsg:
-		return "merge"
-	case *MergeOpenMsg:
-		return "merge.open"
-	case *MergeChunkMsg:
-		return "merge.chunk"
-	case *MergeWaitMsg:
-		return "merge.wait"
-	case *MergeAbortMsg:
-		return "merge.abort"
-	case *DecoupleMsg:
-		return "decouple"
-	case *RecoupleMsg:
-		return "recouple"
-	case *ExportFreezeMsg:
-		return "export.freeze"
-	case *ExportSaveMsg:
-		return "export.save"
-	case *ExportReadMsg:
-		return "export.read"
-	case *ExportCommitMsg:
-		return "export.commit"
-	case *ExportAbortMsg:
-		return "export.abort"
-	case *ImportOpenMsg:
-		return "import.open"
-	case *ImportChunkMsg:
-		return "import.chunk"
-	case *ImportCommitMsg:
-		return "import.commit"
-	case *ImportAbortMsg:
-		return "import.abort"
-	case *AttachMsg:
-		return "attach"
+// labelOf names the span and flight-recorder event for one endpoint
+// message. Only called when tracing or the flight recorder is enabled.
+func labelOf(msg any) string {
+	if m, ok := msg.(message); ok {
+		return m.label()
 	}
 	return fmt.Sprintf("msg.%T", msg)
 }
@@ -360,115 +337,62 @@ func (s *Server) InjectFaults(ic transport.Interceptor) { s.ep.Wrap(ic) }
 // handle is the rank's message dispatcher behind the wire.
 func (s *Server) handle(p runtime.Task, msg any) any {
 	if fl := s.eng.Flight(); fl != nil {
-		fl.Record(int64(p.Now()), s.ep.Name(), "mds", msgLabel(msg), flightDetail(msg))
+		fl.Record(int64(p.Now()), s.ep.Name(), "mds", labelOf(msg), flightDetail(msg))
 	}
-	if bounced := s.bounce(msg); bounced != nil {
-		return bounced
+	m, ok := msg.(message)
+	if !ok {
+		return &Reply{Err: fmt.Errorf("mds: unknown message %T: %w", msg, namespace.ErrInval)}
 	}
-	switch m := msg.(type) {
-	case *Request:
-		return s.rpc(p, m)
-	case *MergeMsg:
-		return s.mergeOneShot(p, m)
-	case *MergeOpenMsg:
-		return s.merge.open(p)
-	case *MergeChunkMsg:
-		return s.merge.push(p, m)
-	case *MergeWaitMsg:
-		return s.mergeWait(p, m)
-	case *MergeAbortMsg:
-		return s.merge.abort(p, m.ID)
-	case *DecoupleMsg:
-		lo, n, err := s.decouple(p, m.Path, m.Policy, m.Client)
-		return &DecoupleReply{Lo: lo, N: n, Err: err}
-	case *RecoupleMsg:
-		return &RecoupleReply{Err: s.recouple(p, m.Path)}
-	case *ExportFreezeMsg:
-		return s.exportFreeze(p, m)
-	case *ExportSaveMsg:
-		return s.exportSave(p, m)
-	case *ExportReadMsg:
-		return s.exportRead(p, m)
-	case *ExportCommitMsg:
-		return s.exportCommit(p, m)
-	case *ExportAbortMsg:
-		return s.exportAbort(p, m)
-	case *ImportOpenMsg:
-		return s.imports.open(p)
-	case *ImportChunkMsg:
-		return s.imports.push(p, m)
-	case *ImportCommitMsg:
-		return s.importCommit(p, m)
-	case *ImportAbortMsg:
-		return s.imports.abort(p, m.ID)
-	case *AttachMsg:
-		return s.attach(p, m)
+	if r, ok := msg.(refusable); ok {
+		if werr := s.bounce(r); werr != nil {
+			return r.refused(werr)
+		}
 	}
-	return &Reply{Err: fmt.Errorf("mds: unknown message %T: %w", msg, namespace.ErrInval)}
+	return m.serve(s, p)
 }
 
-// bounce answers workload messages addressed to a subtree this rank has
-// frozen for export — or, once any migration has happened, does not own
-// at all (a stale client table) — with a typed WrongRank redirect
-// instead of serving them. Control traffic (decouple, attach, export,
-// import) passes through. The check costs no simulated time and, on a
-// cluster that has never migrated, reduces to one map-length test, so
-// calibrated runs are untouched.
-func (s *Server) bounce(msg any) any {
-	switch msg.(type) {
-	case *Request, *MergeMsg, *MergeOpenMsg:
-	default:
-		return nil
-	}
-	checkOwner := false
+// bounce is the redirect for a workload message addressed to a subtree
+// this rank has frozen for export — or, once any migration has happened,
+// does not own at all (a stale client table) — nil when the rank should
+// serve it. The check costs no simulated time and, on a cluster that has
+// never migrated, reduces to one map-length test, so calibrated runs are
+// untouched.
+func (s *Server) bounce(msg refusable) error {
+	migrated := false
 	if s.resolveOwner != nil {
-		_, _, checkOwner = s.resolveOwner("/")
+		_, _, migrated = s.resolveOwner("/")
 	}
-	if len(s.frozen) == 0 && !checkOwner {
+	if len(s.frozen) == 0 && !migrated {
 		return nil
 	}
-	route := RouteOf(msg)
+	route := msg.route()
+	if req, ok := msg.(*Request); ok && route == "" && req.Parent != 0 {
+		// Routed by parent-inode hint only: recover the path server-side
+		// so the ownership check still applies.
+		route, _ = s.store.PathOf(req.Parent)
+	}
 	if route == "" {
-		// Requests routed by parent-inode hint only: recover the path
-		// server-side so the ownership check still applies.
-		if req, ok := msg.(*Request); ok && req.Parent != 0 {
-			if p, err := s.store.PathOf(req.Parent); err == nil {
-				route = p
+		return nil
+	}
+	frozen := s.frozenCovers(transport.Clean(route))
+	rank, epoch := s.rank, uint64(0)
+	if s.resolveOwner != nil {
+		if r, e, ok := s.resolveOwner(route); ok {
+			epoch = e
+			if !frozen {
+				rank = r
 			}
 		}
-		if route == "" {
-			return nil
-		}
 	}
-	var werr *transport.WrongRankError
-	if s.frozenCovers(cleanSubtreePath(route)) {
-		werr = &transport.WrongRankError{Path: route, Rank: s.rank, Frozen: true}
-	} else if checkOwner {
-		if rank, e, ok := s.resolveOwner(route); ok && rank != s.rank {
-			werr = &transport.WrongRankError{Path: route, Rank: rank, Epoch: e}
-		}
-	}
-	if werr == nil {
+	if !frozen && rank == s.rank {
 		return nil
 	}
-	if s.resolveOwner != nil {
-		if _, e, ok := s.resolveOwner(route); ok {
-			werr.Epoch = e
-		}
-	}
+	werr := &transport.WrongRankError{Path: route, Rank: rank, Epoch: epoch, Frozen: frozen}
 	s.metrics.Bounced++
 	if fl := s.eng.Flight(); fl != nil {
 		fl.Record(int64(s.eng.Now()), s.ep.Name(), "mds", "bounce", werr.Error())
 	}
-	switch msg.(type) {
-	case *Request:
-		return &Reply{Err: werr}
-	case *MergeMsg:
-		return &MergeReply{Err: werr}
-	case *MergeOpenMsg:
-		return &MergeOpenReply{Err: werr}
-	}
-	return nil
+	return werr
 }
 
 // SetOwnership installs the cluster's ownership oracle for the
@@ -619,92 +543,56 @@ func (s *Server) Submit(p runtime.Task, req *Request) *Reply {
 	return s.ep.Call(p, req).(*Reply)
 }
 
-// --- pipeline interceptors, outermost first ---
-
-// admission rejects requests once the server is shut down.
-func (s *Server) admission(next transport.Handler) transport.Handler {
-	return func(p runtime.Task, msg any) any {
-		if s.stopped {
-			return &Reply{Err: ErrShutdown}
-		}
-		return next(p, msg)
+// serveRPC is the whole pipeline of one metadata RPC, in the order the
+// request meets the rank. Every sleep, CPU acquisition and random draw
+// below is part of the calibrated schedule: reordering them moves every
+// table.
+func (s *Server) serveRPC(p runtime.Task, req *Request) *Reply {
+	if s.stopped {
+		return &Reply{Err: ErrShutdown}
 	}
-}
-
-// accounting counts requests by op.
-func (s *Server) accounting(next transport.Handler) transport.Handler {
-	return func(p runtime.Task, msg any) any {
-		req := msg.(*Request)
-		s.metrics.Requests++
-		if int(req.Op) < len(s.metrics.ByOp) {
-			s.metrics.ByOp[req.Op]++
-		}
-		return next(p, msg)
+	s.metrics.Requests++
+	if int(req.Op) < len(s.metrics.ByOp) {
+		s.metrics.ByOp[req.Op]++
 	}
-}
 
-// journaling appends successful mutations to the MDS journal after the
-// op completes: encoding and segment bookkeeping steal MDS CPU
-// (MDSJournalOpTime), and the client additionally waits for the safe ack
-// (MDSJournalLatency, latency only).
-func (s *Server) journaling(next transport.Handler) transport.Handler {
-	return func(p runtime.Task, msg any) any {
-		req := msg.(*Request)
-		reply := next(p, msg).(*Reply)
-		if reply.Err == nil && s.streamOn.Load() && req.Op.Mutates() {
-			s.cpu.Acquire(p)
-			p.Sleep(s.cfg.MDSJournalOpTime)
-			s.stream.record(p, req, reply)
-			s.cpu.Release()
-			p.Sleep(s.cfg.MDSJournalLatency)
-		}
-		return reply
+	// The rank's CPU is held for the whole request body — service time,
+	// interference check, op handler — like CephFS's single-threaded
+	// pipeline.
+	arrive := p.Now()
+	s.cpu.Acquire(p)
+	if s.heat != nil {
+		// Queue wait is the time spent behind other requests for the
+		// rank's CPU — the saturation signal a balancer watches.
+		s.heat.RecordOp(int64(p.Now()), s.heatSubtree(req.Route), s.rank,
+			req.Op.Mutates(), runtime.Duration(p.Now()-arrive))
 	}
-}
+	p.Sleep(s.serviceTime(req.Op))
+	var reply *Reply
+	if req.Op.Mutates() {
+		reply = s.checkInterfere(p, req)
+	}
+	switch {
+	case reply != nil: // rejected by an interfere-block policy
+	case req.Op >= opMax || opTable[req.Op].handler == nil:
+		reply = &Reply{Err: fmt.Errorf("mds: %v: %w", req.Op, namespace.ErrInval)}
+	default:
+		reply = opTable[req.Op].handler(s, p, req)
+	}
+	s.cpu.Release()
 
-// execution holds the rank's CPU for the whole request body — service
-// time, interference check, op handler — like CephFS's single-threaded
-// pipeline.
-func (s *Server) execution(next transport.Handler) transport.Handler {
-	return func(p runtime.Task, msg any) any {
-		req := msg.(*Request)
-		arrive := p.Now()
+	// A successful mutation is appended to the MDS journal after the op
+	// completes: encoding and segment bookkeeping steal MDS CPU
+	// (MDSJournalOpTime), and the client additionally waits for the safe
+	// ack (MDSJournalLatency, latency only).
+	if reply.Err == nil && s.streamOn.Load() && req.Op.Mutates() {
 		s.cpu.Acquire(p)
-		if s.heat != nil {
-			// Queue wait is the time spent behind other requests for the
-			// rank's CPU — the saturation signal a balancer watches.
-			s.heat.RecordOp(int64(p.Now()), s.heatSubtree(req.Route), s.rank,
-				req.Op.Mutates(), runtime.Duration(p.Now()-arrive))
-		}
-		p.Sleep(s.serviceTime(req.Op))
-		reply := next(p, msg)
+		p.Sleep(s.cfg.MDSJournalOpTime)
+		s.stream.record(p, req, reply)
 		s.cpu.Release()
-		return reply
+		p.Sleep(s.cfg.MDSJournalLatency)
 	}
-}
-
-// interference applies the interfere policy: a mutation into a decoupled
-// subtree owned by a different client may be rejected with -EBUSY (paper
-// §III-C).
-func (s *Server) interference(next transport.Handler) transport.Handler {
-	return func(p runtime.Task, msg any) any {
-		req := msg.(*Request)
-		if req.Op.Mutates() {
-			if rej := s.checkInterfere(p, req); rej != nil {
-				return rej
-			}
-		}
-		return next(p, msg)
-	}
-}
-
-// dispatchOp is the pipeline's terminal stage: the table-driven handler.
-func (s *Server) dispatchOp(p runtime.Task, msg any) any {
-	req := msg.(*Request)
-	if req.Op >= opMax || opTable[req.Op].handler == nil {
-		return &Reply{Err: fmt.Errorf("mds: %v: %w", req.Op, namespace.ErrInval)}
-	}
-	return opTable[req.Op].handler(s, p, req)
+	return reply
 }
 
 func inodeReply(in *namespace.Inode) *Reply {
@@ -748,31 +636,64 @@ func (s *Server) Decouple(p runtime.Task, path string, pol *policy.Policy, clien
 	return r.Lo, r.N, r.Err
 }
 
+// grantSlots is how many grant slots fit in one rank's band.
+const grantSlots = 1 << 10
+
+// grantAt is the first inode of slot in this rank's client-grant band:
+// far from server-assigned numbers, like CephFS prealloc ranges, 2^34
+// inodes per rank in slots of 2^24.
+func (s *Server) grantAt(slot uint64) namespace.Ino {
+	return namespace.Ino(uint64(1)<<40 + uint64(s.rank)<<34 + slot<<24)
+}
+
 // decouple is the DecoupleMsg handler body.
-func (s *Server) decouple(p runtime.Task, path string, pol *policy.Policy, client string) (lo namespace.Ino, n uint64, err error) {
+func (s *Server) decouple(p runtime.Task, m *DecoupleMsg) *DecoupleReply {
 	s.cpu.Acquire(p)
 	defer s.cpu.Release()
 	p.Sleep(s.serviceTime(OpResolve))
 
-	in, err := s.store.Resolve(path)
+	in, err := s.store.Resolve(m.Path)
 	if err != nil {
-		return 0, 0, err
+		return &DecoupleReply{Err: err}
 	}
-	if err := s.store.SetPolicy(in.Ino, pol); err != nil {
-		return 0, 0, err
-	}
-	grant := pol.AllocatedInodes
+	grant := m.Policy.AllocatedInodes
 	if grant <= 0 {
 		grant = s.cfg.AllocatedInodesDefault
 	}
-	// Grant a range far from server-assigned numbers, like CephFS
-	// prealloc ranges. Each rank grants from its own band.
-	lo = namespace.Ino(uint64(1)<<40 + uint64(s.rank)<<34 + uint64(len(s.owners))<<24)
-	if err := s.store.ReserveRange(lo, uint64(grant)); err != nil {
-		return 0, 0, err
+	lo, n := s.grantAt(s.grantSlot), uint64(grant)
+	if lo+namespace.Ino(n) > s.grantAt(grantSlots) {
+		return &DecoupleReply{Err: fmt.Errorf("mds: rank %d grant band: %w", s.rank, namespace.ErrNoSpace)}
 	}
-	s.owners[in.Ino] = client
-	return lo, uint64(grant), nil
+	if err := s.adopt(in.Ino, m.Policy, m.Client, lo, n); err != nil {
+		return &DecoupleReply{Err: err}
+	}
+	return &DecoupleReply{Lo: lo, N: n}
+}
+
+// adopt is everything a rank takes on about a decoupled subtree, whether
+// it decouples it (decouple), imports it (importCommit) or gets it back
+// after a restart (attach): the policy in the root's large inode, the
+// client's inode grant reserved in the allocator, and the owner for the
+// interfere check. A grant inside this rank's own band also moves
+// grantSlot past it, so no later decouple here can be handed the range.
+func (s *Server) adopt(root namespace.Ino, pol *policy.Policy, owner string, lo namespace.Ino, n uint64) error {
+	if pol != nil {
+		if err := s.store.SetPolicy(root, pol); err != nil {
+			return err
+		}
+	}
+	if lo != 0 && n > 0 {
+		if err := s.store.ReserveRange(lo, n); err != nil {
+			return err
+		}
+		if base := s.grantAt(0); lo >= base && lo < s.grantAt(grantSlots) {
+			s.grantSlot = max(s.grantSlot, uint64(lo+namespace.Ino(n)-1-base)>>24+1)
+		}
+	}
+	if owner != "" {
+		s.owners[root] = owner
+	}
+	return nil
 }
 
 // Recouple clears the subtree's policy and owner registration.

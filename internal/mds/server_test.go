@@ -521,6 +521,26 @@ func TestDecoupleErrors(t *testing.T) {
 		if err := s.Recouple(p, "/missing"); !errors.Is(err, namespace.ErrNotExist) {
 			t.Errorf("recouple missing path err = %v", err)
 		}
+
+		// The grant slot moves past a range attached inside this rank's
+		// band (a subtree migrating home, a re-attach on a reborn rank),
+		// ignores one from another rank's band, and a band that has run
+		// out refuses instead of spilling into the next rank's.
+		s.Submit(p, &Request{Op: OpMkdir, Client: "c", Parent: namespace.RootIno, Name: "d"})
+		foreign := namespace.Ino(1<<40 + 1<<34)
+		if err := s.Attach(p, "/d", pol, "c", foreign, 10); err != nil || s.grantSlot != 0 {
+			t.Errorf("attach of a rank-1 grant: %v, slot %d; want slot 0", err, s.grantSlot)
+		}
+		if err := s.Attach(p, "/d", pol, "c", s.grantAt(5), 1<<24+1); err != nil || s.grantSlot != 7 {
+			t.Errorf("attach of slots 5-6: %v, slot %d; want 7", err, s.grantSlot)
+		}
+		if lo, _, err := s.Decouple(p, "/d", pol, "c"); err != nil || lo != s.grantAt(7) {
+			t.Errorf("decouple after attach = %d, %v; want slot 7 (%d)", lo, err, s.grantAt(7))
+		}
+		s.grantSlot = grantSlots
+		if _, _, err := s.Decouple(p, "/d", pol, "c"); !errors.Is(err, namespace.ErrNoSpace) {
+			t.Errorf("decouple on an exhausted band err = %v, want ErrNoSpace", err)
+		}
 	})
 }
 

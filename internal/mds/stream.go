@@ -215,18 +215,27 @@ func (s *Server) TrimJournal() {
 func (s *Server) SaveStore(p runtime.Task) error {
 	s.dom.Enter(p)
 	defer s.dom.Leave(p)
-	for _, ino := range s.store.Dirs() {
-		data, err := s.store.EncodeDir(ino)
-		if err != nil {
-			return err
-		}
-		oid := rados.ObjectID{Pool: namespace.ObjectPool, Name: namespace.DirObjectName(ino)}
-		if err := s.obj.Write(p, oid, data); err != nil {
-			return fmt.Errorf("mds save: %w", err)
-		}
+	if _, err := s.saveDirs(p, s.store.Dirs()); err != nil {
+		return fmt.Errorf("mds save: %w", err)
 	}
 	s.TrimJournal()
 	return nil
+}
+
+// saveDirs writes the directory objects of dirs to the metadata pool, in
+// order, and reports how many made it before the first error.
+func (s *Server) saveDirs(p runtime.Task, dirs []namespace.Ino) (int, error) {
+	for i, ino := range dirs {
+		data, err := s.store.EncodeDir(ino)
+		if err == nil {
+			oid := rados.ObjectID{Pool: namespace.ObjectPool, Name: namespace.DirObjectName(ino)}
+			err = s.obj.Write(p, oid, data)
+		}
+		if err != nil {
+			return i, err
+		}
+	}
+	return len(dirs), nil
 }
 
 // Recover rebuilds the in-memory metadata store from RADOS, then replays

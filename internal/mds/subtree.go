@@ -3,6 +3,8 @@ package mds
 import (
 	"fmt"
 	"sort"
+
+	"cudele/internal/transport"
 )
 
 // SubtreeState is the ownership lifecycle state of a placed subtree.
@@ -52,7 +54,7 @@ type Subtree struct {
 // record from the routing table's current resolution if none exists yet
 // (setup-time placements predate the entity registry).
 func (c *Cluster) SubtreeFor(path string) *Subtree {
-	path = cleanSubtreePath(path)
+	path = transport.Clean(path)
 	if st, ok := c.subtrees[path]; ok {
 		return st
 	}
@@ -74,18 +76,3 @@ func (c *Cluster) Subtrees() []*Subtree {
 // Migrations reports the number of committed subtree migrations across
 // the cluster's lifetime.
 func (c *Cluster) Migrations() int { return int(c.migrations.Load()) }
-
-// cleanSubtreePath normalizes a subtree path the way the routing table
-// does, so entity keys and table keys always agree.
-func cleanSubtreePath(p string) string {
-	if p == "" {
-		return "/"
-	}
-	if p[0] != '/' {
-		p = "/" + p
-	}
-	for len(p) > 1 && p[len(p)-1] == '/' {
-		p = p[:len(p)-1]
-	}
-	return p
-}

@@ -119,7 +119,13 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 	}
 
 	// 5. Destination adopts the subtree's policy, owner, grant, and
-	// journal tail. Routing still points at the source.
+	// journal tail. Routing still points at the source. The source rank
+	// knows who owns a decoupled subtree but not which inode range that
+	// client was granted; the registry does, and the importer's allocator
+	// must reserve the range the client still draws from.
+	if e, ok := m.subtrees[path]; ok {
+		fr.Manifest.GrantLo, fr.Manifest.GrantN = e.GrantLo, e.GrantN
+	}
 	st.State = mds.SubtreeImporting
 	ic := dstEp.Post(p, &mds.ImportCommitMsg{ID: or.ID, Manifest: fr.Manifest}).(*mds.ImportCommitReply)
 	if ic.Err != nil {

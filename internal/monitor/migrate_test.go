@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"cudele/internal/mds"
@@ -71,6 +72,36 @@ func TestMigrateMovesOwnership(t *testing.T) {
 	// Neither side is left frozen.
 	if cl.Rank(0).Frozen("/a/job") || cl.Rank(1).Frozen("/a/job") {
 		t.Errorf("subtree still frozen after commit")
+	}
+}
+
+// TestMigrateAndPlaceLandTheSameImage: an online migration and a set-up
+// placement carry a subtree through the same directory objects in the
+// same order (namespace.Store.SubtreeDirs), so the image each lands on
+// the destination rank is the same — over a tree wider than one migration
+// chunk, with nested and sibling directories.
+func TestMigrateAndPlaceLandTheSameImage(t *testing.T) {
+	landed := func(move func(p runtime.Task, cl *mds.Cluster, m *Monitor) error) *namespace.Store {
+		eng, cl, m := newTestCluster(2)
+		populate(t, eng, cl.Rank(0), "/a/keep", 2)
+		for i := 0; i < 20; i++ {
+			populate(t, eng, cl.Rank(0), fmt.Sprintf("/a/job/d%02d/leaf", i), 3)
+		}
+		populate(t, eng, cl.Rank(0), "/a/job", 5)
+		run(t, eng, func(p runtime.Task) {
+			if err := move(p, cl, m); err != nil {
+				t.Fatalf("move: %v", err)
+			}
+		})
+		return cl.Rank(1).Store()
+	}
+	migrated := landed(func(p runtime.Task, cl *mds.Cluster, m *Monitor) error { return m.Migrate(p, "/a/job", 1) })
+	placed := landed(func(p runtime.Task, cl *mds.Cluster, m *Monitor) error { return cl.Place(p, "/a/job", 1) })
+	if in, err := migrated.Resolve("/a/job/d19/leaf/f20"); err != nil || in.IsDir() {
+		t.Fatalf("migrated image lacks the deepest file: %v", err)
+	}
+	if !namespace.Equal(migrated, placed) {
+		t.Error("Monitor.Migrate and Cluster.Place landed different images of the same subtree")
 	}
 }
 

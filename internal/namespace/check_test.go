@@ -107,9 +107,10 @@ func TestCheckReservedOverlap(t *testing.T) {
 	s.ReserveRange(100, 50)
 	s.ReserveRange(120, 50) // overlaps
 	s.ReserveRange(500, 10) // fine
+	s.ReserveRange(500, 10) // the same grant re-installed: recorded once
 	problems := s.Check()
-	if countKind(problems, "reserved-overlap") != 1 {
-		t.Fatalf("problems = %v", problems)
+	if countKind(problems, "reserved-overlap") != 1 || s.ReservedRanges() != 3 {
+		t.Fatalf("%d ranges, problems = %v", s.ReservedRanges(), problems)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -423,12 +424,17 @@ func (s *Store) inReserved(ino Ino) bool {
 }
 
 // ReserveRange records [lo, lo+n) as granted to a decoupled client so the
-// server-side allocator skips it.
+// server-side allocator skips it. Recording a range the store already
+// holds is a no-op: a re-attach, a retried import or a subtree migrating
+// home re-installs the grant its client held all along. Any other
+// overlap is kept, and Check reports it.
 func (s *Store) ReserveRange(lo Ino, n uint64) error {
 	if lo == 0 || n == 0 {
 		return fmt.Errorf("reserve [%d,+%d): %w", lo, n, ErrInval)
 	}
-	s.reserved = append(s.reserved, inoRange{lo: lo, hi: lo + Ino(n)})
+	if r := (inoRange{lo: lo, hi: lo + Ino(n)}); !slices.Contains(s.reserved, r) {
+		s.reserved = append(s.reserved, r)
+	}
 	return nil
 }
 
@@ -728,6 +734,37 @@ func (s *Store) SubtreeInos(p string) (map[Ino]bool, error) {
 		return nil
 	})
 	return set, err
+}
+
+// SubtreeDirs returns the directories whose objects carry the subtree at
+// absolute path p into another store, in install order: the ancestor
+// chain from the namespace root down to the subtree's parent — the other
+// store may never have seen the ancestry, and InstallDir needs each
+// directory's parent in place — then the subtree's own directories in
+// Walk order, parents before children.
+func (s *Store) SubtreeDirs(p string) ([]Ino, error) {
+	root, err := s.Resolve(p)
+	if err != nil {
+		return nil, err
+	}
+	if !root.IsDir() {
+		return nil, fmt.Errorf("subtree %q: %w", p, ErrNotDir)
+	}
+	var dirs []Ino
+	for in := root; in.Ino != RootIno; {
+		if in, err = s.Get(in.Parent); err != nil {
+			return nil, err
+		}
+		dirs = append(dirs, in.Ino)
+	}
+	slices.Reverse(dirs)
+	err = s.Walk(root.Ino, func(_ string, in *Inode) error {
+		if in.IsDir() {
+			dirs = append(dirs, in.Ino)
+		}
+		return nil
+	})
+	return dirs, err
 }
 
 // ApplyEvent implements journal.Target: it replays one journal event onto

@@ -2,6 +2,9 @@ package namespace
 
 import (
 	"errors"
+	"maps"
+	"path"
+	"slices"
 	"testing"
 
 	"cudele/internal/policy"
@@ -121,5 +124,93 @@ func TestPolicySubtrees(t *testing.T) {
 	got, err := s.PolicySubtrees()
 	if err != nil || len(got) != 2 || got[0] != "/x/y" || got[1] != "/z" {
 		t.Fatalf("subtrees = %v, %v", got, err)
+	}
+}
+
+// TestSubtreeDirsOrder: SubtreeDirs is the one order directory objects
+// carry a subtree to another store in — the ancestor chain root-first,
+// then the subtree's directories depth-first in sorted order — and
+// installing exactly those objects, in that order, into an empty store
+// reproduces the subtree and nothing beside it.
+func TestSubtreeDirsOrder(t *testing.T) {
+	src := NewStore()
+	for _, dir := range []string{
+		"/top/job/b/deep", "/top/job/a/x", "/top/job/a/y", "/top/job/c",
+		"/top/sibling/s", "/other",
+	} {
+		if _, err := src.MkdirAll(dir, CreateAttrs{Mode: 0755}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, file := range []string{"/top/job/f", "/top/job/a/x/g", "/top/job/b/deep/h", "/top/sibling/s/no"} {
+		dir, _ := src.Resolve(path.Dir(file))
+		if _, err := src.Create(dir.Ino, path.Base(file), CreateAttrs{Mode: 0644}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dirs, err := src.SubtreeDirs("/top/job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ino := range dirs {
+		p, _ := src.PathOf(ino)
+		got = append(got, p)
+	}
+	want := []string{"/", "/top", // ancestors, root first
+		"/top/job", "/top/job/a", "/top/job/a/x", "/top/job/a/y", "/top/job/b", "/top/job/b/deep", "/top/job/c"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("SubtreeDirs(/top/job) =\n %v\nwant\n %v", got, want)
+	}
+
+	dst := NewStore()
+	for _, ino := range dirs {
+		data, err := src.EncodeDir(ino)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, err := DecodeDir(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.InstallDir(obj); err != nil {
+			t.Fatalf("install %s: %v", DirObjectName(ino), err)
+		}
+	}
+	// The ancestors' objects name their other children too: those arrive
+	// as empty dentries, which is what a stale, unreachable copy is. Under
+	// the subtree root the two stores must agree inode for inode.
+	inos, err := src.SubtreeInos("/top/job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved, err := dst.SubtreeInos("/top/job")
+	if err != nil || !maps.Equal(inos, moved) {
+		t.Fatalf("installed subtree holds inodes %v (%v), source %v", moved, err, inos)
+	}
+	if _, err := src.PruneSubtree("/top/sibling"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.PruneSubtree("/other"); err != nil {
+		t.Fatal(err)
+	}
+	for _, stale := range []string{"/top/sibling", "/other"} {
+		if _, err := dst.PruneSubtree(stale); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !Equal(src, dst) {
+		t.Error("the store filled from SubtreeDirs' objects differs from the source subtree")
+	}
+
+	if dirs, err := src.SubtreeDirs("/"); err != nil || len(dirs) != len(src.Dirs()) || dirs[0] != RootIno {
+		t.Errorf("SubtreeDirs(/) = %v, %v; want every directory, root first", dirs, err)
+	}
+	if _, err := src.SubtreeDirs("/top/job/f"); !errors.Is(err, ErrNotDir) {
+		t.Errorf("SubtreeDirs of a file = %v, want ErrNotDir", err)
+	}
+	if _, err := src.SubtreeDirs("/nope"); !errors.Is(err, ErrNotExist) {
+		t.Errorf("SubtreeDirs of a missing path = %v, want ErrNotExist", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -13,7 +14,8 @@ import (
 )
 
 // FileStore persists objects as files under a data directory — the real
-// backend's durability layer. Every update follows the same protocol:
+// backend's durability layer. Every update follows the same protocol,
+// written once, in replace:
 //
 //	write <object>.tmpN  →  fsync(tmp)  →  rename(tmp, <object>)  →  fsync(dir)
 //
@@ -37,7 +39,7 @@ type FileStore struct {
 	// (unique tmp names + atomic rename).
 	mu sync.Mutex
 
-	// CrashAfterTmpWrite, when true, makes Put stop after the tmp file
+	// CrashAfterTmpWrite, when true, makes a write stop after the tmp file
 	// is written and fsynced — before the rename — and return
 	// ErrSimulatedCrash. It models a kill at the most dangerous moment
 	// of a GlobalPersist; the kill-during-persist test uses it.
@@ -82,32 +84,52 @@ func parseFileName(name string) (ObjectID, bool) {
 	return ObjectID{Pool: p, Name: n}, true
 }
 
-// Put durably replaces oid's on-disk image with data+omap.
+// Put durably replaces oid's on-disk image with data+omap. Concurrent
+// Puts each fill a tmp file nobody else names.
 func (fs *FileStore) Put(oid ObjectID, data []byte, omap map[string][]byte) error {
-	final := filepath.Join(fs.dir, fileName(oid))
-	tmp := fmt.Sprintf("%s.tmp%d", final, fs.seq.Add(1))
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	name := fileName(oid)
+	return fs.replace(name, fmt.Sprintf("%s.tmp%d", name, fs.seq.Add(1)), os.O_EXCL, func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(&storedObject{Data: data, Omap: omap})
+	})
+}
+
+// WriteFile durably replaces the plain file name in the store's directory
+// with data — for a file with one writer that is not an object, the
+// client's Local Persist image. The tmp name is fixed, so a tmp file a
+// killed writer left behind is overwritten, not accumulated.
+func (fs *FileStore) WriteFile(name string, data []byte) error {
+	return fs.replace(name, name+".tmp", os.O_TRUNC, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// replace is the durable-write protocol, the only code in the repository
+// that makes a file durable: create tmp (flag says how: O_EXCL for a
+// unique name, O_TRUNC for a reused one), fill it, fsync it, rename it
+// over name — the commit point — and fsync the directory. Any failure
+// before the rename removes the tmp file and leaves the previous image
+// in place; the body goes straight from fill into the file, so nothing is
+// buffered twice.
+func (fs *FileStore) replace(name, tmp string, flag int, fill func(w io.Writer) error) error {
+	final, tmp := filepath.Join(fs.dir, name), filepath.Join(fs.dir, tmp)
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|flag, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := gob.NewEncoder(f).Encode(&storedObject{Data: data, Omap: omap}); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if err = fill(f); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if fs.CrashAfterTmpWrite {
+	if err == nil && fs.CrashAfterTmpWrite {
 		return ErrSimulatedCrash
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}

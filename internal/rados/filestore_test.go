@@ -3,6 +3,7 @@ package rados
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -248,5 +249,96 @@ func TestFileStoreRemove(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, fileName(oid))); !os.IsNotExist(err) {
 		t.Fatalf("file still present after Remove: %v", err)
+	}
+}
+
+// TestReplaceProtocolFailures drives the one durable-write protocol
+// through its three ways of not committing, in both shapes it is called
+// in — an object Put (unique tmp name, O_EXCL) and a plain single-writer
+// file (the client's Local Persist image: fixed tmp name, O_TRUNC). A
+// fill that fails and a rename that fails leave the committed image as it
+// was and no tmp file; the crash failpoint leaves the old image and the
+// fsynced tmp file, which the next write of that shape survives.
+func TestReplaceProtocolFailures(t *testing.T) {
+	text := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
+	}
+	for _, shape := range []struct {
+		name  string
+		write func(fs *FileStore, fill func(io.Writer) error) error
+	}{
+		{"object", func(fs *FileStore, fill func(io.Writer) error) error {
+			return fs.replace("img", fmt.Sprintf("img.tmp%d", fs.seq.Add(1)), os.O_EXCL, fill)
+		}},
+		{"local-persist", func(fs *FileStore, fill func(io.Writer) error) error {
+			return fs.replace("img", "img.tmp", os.O_TRUNC, fill) // WriteFile, with a fill that can fail
+		}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			fs, err := OpenFileStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(when, wantImage string, wantTmp int) {
+				t.Helper()
+				got, err := os.ReadFile(filepath.Join(fs.Dir(), "img"))
+				if err != nil || string(got) != wantImage {
+					t.Errorf("%s: committed image = %q, %v; want %q", when, got, err, wantImage)
+				}
+				tmps, _ := filepath.Glob(filepath.Join(fs.Dir(), "*.tmp*"))
+				if len(tmps) != wantTmp {
+					t.Errorf("%s: %d tmp files left (%v), want %d", when, len(tmps), tmps, wantTmp)
+				}
+			}
+			if err := shape.write(fs, text("v1")); err != nil {
+				t.Fatal(err)
+			}
+			check("first write", "v1", 0)
+
+			boom := errors.New("fill failed")
+			if err := shape.write(fs, func(w io.Writer) error {
+				io.WriteString(w, "half of v")
+				return boom
+			}); !errors.Is(err, boom) {
+				t.Errorf("failing fill returned %v", err)
+			}
+			check("failing fill", "v1", 0)
+
+			fs.CrashAfterTmpWrite = true
+			if err := shape.write(fs, text("v2")); !errors.Is(err, ErrSimulatedCrash) {
+				t.Errorf("failpoint returned %v", err)
+			}
+			check("crash before rename", "v1", 1)
+			fs.CrashAfterTmpWrite = false
+			if err := shape.write(fs, text("v3")); err != nil {
+				t.Errorf("write after a crash left a tmp file: %v", err)
+			}
+			want := 1 // a dead Put's tmp stays until Load sweeps it
+			if shape.name == "local-persist" {
+				want = 0 // the fixed tmp name was reused
+			}
+			check("write after crash", "v3", want)
+
+			// A rename that cannot succeed: the target name is a non-empty
+			// directory. The image written before must survive beside it.
+			if err := os.MkdirAll(filepath.Join(fs.Dir(), "blocked", "x"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.replace("blocked", "blocked.tmp", os.O_TRUNC, text("never")); err == nil {
+				t.Error("rename over a non-empty directory succeeded")
+			}
+			check("failing rename", "v3", want)
+		})
+	}
+
+	fs, err := OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("journal", []byte("image")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(fs.Dir(), "journal")); err != nil || string(got) != "image" {
+		t.Errorf("WriteFile round trip = %q, %v", got, err)
 	}
 }

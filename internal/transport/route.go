@@ -75,7 +75,7 @@ func (t *Table) SetEpoch(e uint64) {
 func (t *Table) Place(path string, rank int) {
 	t.mutate(func(s *tableSnap) {
 		s.places = s.copyPlaces()
-		s.places[clean(path)] = rank
+		s.places[Clean(path)] = rank
 	})
 }
 
@@ -84,7 +84,7 @@ func (t *Table) Place(path string, rank int) {
 func (t *Table) Remove(path string) {
 	t.mutate(func(s *tableSnap) {
 		s.places = s.copyPlaces()
-		delete(s.places, clean(path))
+		delete(s.places, Clean(path))
 	})
 }
 
@@ -96,10 +96,10 @@ func (t *Table) Remove(path string) {
 func (t *Table) RankFor(path string) int { return t.snap.Load().rankFor(path) }
 
 func (t *tableSnap) rankFor(path string) int {
-	path = clean(path)
+	path = Clean(path)
 	best, bestLen := 0, -1
 	for prefix, rank := range t.places {
-		if len(prefix) > bestLen && hasPathPrefix(path, prefix) {
+		if len(prefix) > bestLen && HasPathPrefix(path, prefix) {
 			best, bestLen = rank, len(prefix)
 		}
 	}
@@ -118,10 +118,10 @@ func (t *tableSnap) rankFor(path string) int {
 // own cell.
 func (t *Table) SubtreeFor(path string) string {
 	s := t.snap.Load()
-	path = clean(path)
+	path = Clean(path)
 	best, bestLen := "/", -1
 	for prefix := range s.places {
-		if len(prefix) > bestLen && hasPathPrefix(path, prefix) {
+		if len(prefix) > bestLen && HasPathPrefix(path, prefix) {
 			best, bestLen = prefix, len(prefix)
 		}
 	}
@@ -140,7 +140,7 @@ func (t *tableSnap) fragFor(path string, placedLen int) (dir, comp string) {
 	bestLen := -1
 	for d := range t.frags {
 		if len(d) >= placedLen && len(d) > bestLen &&
-			hasPathPrefix(path, d) && len(path) > len(d) {
+			HasPathPrefix(path, d) && len(path) > len(d) {
 			dir, bestLen = d, len(d)
 		}
 	}
@@ -177,7 +177,7 @@ func FragIndex(name string, ways int) int {
 // name n of dir routes to ranks[FragIndex(n, len(ranks))]. An empty or
 // single-element ranks removes the split.
 func (t *Table) SplitDir(dir string, ranks []int) {
-	dir = clean(dir)
+	dir = Clean(dir)
 	t.mutate(func(s *tableSnap) {
 		frags := make(map[string][]int, len(s.frags)+1)
 		for d, r := range s.frags {
@@ -209,7 +209,7 @@ func (t *Table) FragSplits() map[string][]int {
 // honoring a registered split before falling back to subtree placement.
 func (t *Table) RankForEntry(dir, name string) int {
 	s := t.snap.Load()
-	dir = clean(dir)
+	dir = Clean(dir)
 	if ranks, ok := s.frags[dir]; ok {
 		return ranks[FragIndex(name, len(ranks))]
 	}
@@ -250,21 +250,26 @@ func (t *Table) CopyFrom(src *Table) {
 	t.snap.Store(src.snap.Load())
 }
 
-func clean(p string) string {
+// Clean normalizes a subtree path to the form the table keys use: one
+// leading slash, no trailing ones, "/" for the empty path. Every holder
+// of subtree paths (the table, the cluster's ownership registry, a rank's
+// freeze marks) cleans with it, so their keys always agree.
+func Clean(p string) string {
 	if p == "" {
 		return "/"
 	}
-	if !strings.HasPrefix(p, "/") {
+	if p[0] != '/' {
 		p = "/" + p
 	}
-	if len(p) > 1 {
-		p = strings.TrimRight(p, "/")
+	for len(p) > 1 && p[len(p)-1] == '/' {
+		p = p[:len(p)-1]
 	}
 	return p
 }
 
-// hasPathPrefix reports whether path is prefix or lives under it.
-func hasPathPrefix(path, prefix string) bool {
+// HasPathPrefix reports whether path is prefix or lives under it, on
+// component boundaries ("/job1" does not cover "/job10").
+func HasPathPrefix(path, prefix string) bool {
 	if prefix == "/" {
 		return true
 	}

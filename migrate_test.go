@@ -109,8 +109,9 @@ func TestStaleTableRedirect(t *testing.T) {
 }
 
 // TestMigrateDecoupledClient: a decoupled subtree migrates while its
-// client is between merges; the next Volatile Apply lands on the new
-// owner with the same grant and the merged namespace is intact.
+// client is between merges; the importer reserves the grant the client
+// still draws from, the next Volatile Apply lands on the new owner with
+// that grant, and the merged namespace is intact.
 func TestMigrateDecoupledClient(t *testing.T) {
 	cl := NewCluster(WithMDSRanks(2))
 	c := cl.NewClient("client.0")
@@ -139,11 +140,14 @@ func TestMigrateDecoupledClient(t *testing.T) {
 				t.Fatalf("local create: %v", err)
 			}
 		}
-		if _, err := c.VolatileApply(p); err != nil {
-			t.Fatalf("apply after migrate: %v", err)
+		if n, err := c.VolatileApply(p); err != nil || n != 10 {
+			t.Fatalf("apply after migrate = %d, %v; want all 10 events", n, err)
 		}
 	})
 	store := cl.Metadata().Rank(1).Store()
+	if got := store.ReservedRanges(); got != 1 {
+		t.Errorf("importer reserves %d inode ranges, want the migrated subtree's grant", got)
+	}
 	in, err := store.Resolve("/dec")
 	if err != nil {
 		t.Fatalf("dst resolve: %v", err)
