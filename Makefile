@@ -75,16 +75,30 @@ perf:
 	done
 
 # perf-counts is the machine-independent slice of a performance gate: one
-# second's repetitions of sim_storm at seed 1 must simulate exactly the
+# second's repetitions of a workload at seed 1 must produce exactly the
 # virtual time and protocol counters committed in
-# results/PERF_COUNTS_sim_storm.json, on any machine. A host-speed change
-# to sim, transport, mds, journal or rados that moves one of them changed
-# the schedule, not just the cost of running it.
+# results/PERF_COUNTS_<workload>.json, on any machine. For sim_storm a
+# host-speed change to sim, transport, mds, journal or rados that moves one
+# of them changed the schedule, not just the cost of running it; for
+# real_decoupled an extra RPC, revoke or merged event on the decoupled path
+# shows the same way, and its file also carries a ceiling on alloc_b_per_op
+# (the value when it was committed + 2 %; the metric repeats within 0.1 %),
+# so an accidental allocation per operation fails here instead of landing.
+# The target only reads the "#side" line every benchmark run prints.
 perf-counts:
-	@bash benchmark/run.sh --workload sim_storm --seed 1 --seconds 1 --trace 0 \
-		| sed -n 's/^#side \({"virtual_s":[^}]*}\).*/\1}/p' \
-		| diff -u results/PERF_COUNTS_sim_storm.json - \
-		&& echo "perf-counts: sim_storm virtual time and counters equal results/PERF_COUNTS_sim_storm.json"
+	@for w in sim_storm real_decoupled; do \
+		f=results/PERF_COUNTS_$$w.json; \
+		side=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | grep '^#side ') || exit 1; \
+		want=$$(sed 's/,"alloc_b_per_op_max":[0-9.]*//' $$f); \
+		got=$$(echo "$$side" | sed 's/^#side \({"virtual_s":[^}]*}\).*/\1}/'); \
+		if [ "$$got" != "$$want" ]; then \
+			printf 'perf-counts: %s differs from %s\n-%s\n+%s\n' $$w $$f "$$want" "$$got"; exit 1; fi; \
+		max=$$(sed -n 's/.*"alloc_b_per_op_max":\([0-9.]*\).*/\1/p' $$f); \
+		alloc=$$(echo "$$side" | sed 's/.*"alloc_b_per_op":\([0-9.]*\).*/\1/'); \
+		if [ -n "$$max" ] && ! awk "BEGIN{exit !($$alloc <= $$max)}"; then \
+			echo "perf-counts: $$w alloc_b_per_op $$alloc exceeds the ceiling $$max in $$f"; exit 1; fi; \
+		echo "perf-counts: $$w virtual time and counters equal $$f$${max:+, alloc_b_per_op $$alloc <= $$max}"; \
+	done
 
 # fuzz-short runs the journal fuzzers for a bounded burst — long enough
 # to hit mutated corpus inputs, short enough for CI.

@@ -36,6 +36,7 @@ package cudele
 import (
 	"fmt"
 	"path/filepath"
+	"sync"
 
 	"cudele/internal/client"
 	"cudele/internal/mds"
@@ -66,6 +67,17 @@ type (
 		objects *rados.Cluster
 		meta    *mds.Cluster
 		mon     *monitor.Monitor
+
+		// setup orders set-up code against admin scrapes. NewClient and
+		// EnableHeat write daemon state while holding no lock domain —
+		// a nil task stands for "nothing else runs" — and that stopped
+		// being true when the admin endpoint brought a goroutine that
+		// is not a task: a scrape reads the same state under
+		// Runtime.Exclusive. Both sides take this lock, a scrape inside
+		// Exclusive. It cannot be Exclusive on both sides: a caller that
+		// is itself a task holds its domain, and Exclusive would wait
+		// for that lock forever.
+		setup sync.Mutex
 
 		clients map[string]*client.Client
 
@@ -284,8 +296,10 @@ func (cl *Cluster) Monitor() *monitor.Monitor { return cl.mon }
 // NewClient creates and mounts a client. Client names must be unique.
 // Each client gets its own portal — a routed endpoint over a
 // placement-table replica that the monitor keeps refreshed. It is
-// set-up code: call it from outside task context while no task runs.
+// set-up code: call it while no task runs, or from the only one that does.
 func (cl *Cluster) NewClient(name string) *Client {
+	cl.setup.Lock()
+	defer cl.setup.Unlock()
 	if _, dup := cl.clients[name]; dup {
 		panic(fmt.Sprintf("cudele: duplicate client %q", name))
 	}

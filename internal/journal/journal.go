@@ -55,7 +55,10 @@ func (j *Journal) Append(ev *Event) (*Segment, error) {
 	j.nextSeq++
 	j.total++
 	if j.cur == nil {
-		j.cur = &Segment{Index: j.nextIdx}
+		// Sized once: a segment fills to segSize, and growing to it by
+		// doubling allocates twice the slots. The cap bounds what a
+		// journal with huge segments pays for a segment it may not fill.
+		j.cur = &Segment{Index: j.nextIdx, Events: make([]*Event, 0, min(j.segSize, 1024))}
 		j.nextIdx++
 	}
 	j.cur.Events = append(j.cur.Events, ev)

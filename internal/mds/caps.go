@@ -3,6 +3,7 @@ package mds
 import (
 	"cudele/internal/namespace"
 	"cudele/internal/runtime"
+	"cudele/internal/trace"
 )
 
 // Capability state per directory inode. CephFS keeps clients and MDS
@@ -46,10 +47,15 @@ func (s *Server) updateCaps(p runtime.Task, dir namespace.Ino, client string, re
 	default:
 		// False sharing: revoke the holder's cap, mark the directory
 		// shared. Revocation is real MDS work (paper Fig 3c).
-		span := p.Runtime().Tracer().Begin(int64(p.Now()),
-			s.ep.Name(), "caps", "cap.revoke")
+		rec := p.Runtime().Tracer()
+		var span trace.SpanID
+		if rec != nil {
+			span = rec.Begin(int64(p.Now()), s.ep.Name(), "caps", "cap.revoke")
+		}
 		p.Sleep(s.cfg.MDSCapRevokeTime)
-		p.Runtime().Tracer().End(span, int64(p.Now()))
+		if rec != nil {
+			rec.End(span, int64(p.Now()))
+		}
 		s.metrics.CapRevokes++
 		dc.holder = ""
 		dc.shared = true

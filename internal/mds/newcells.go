@@ -18,17 +18,15 @@ import (
 // rolled-back mkdir are rejected without any dependency tracking.
 func (s *Server) speculativeValidate(ev *journal.Event) bool {
 	st := s.store
+	parent := namespace.Ino(ev.Parent)
 	switch ev.Type {
 	case journal.EvCreate, journal.EvMkdir:
-		dir, err := st.Get(namespace.Ino(ev.Parent))
-		if err != nil || !dir.IsDir() {
-			return false
-		}
-		_, err = st.Lookup(namespace.Ino(ev.Parent), ev.Name)
-		return err != nil // an existing dentry falsifies the prediction
+		dir, err := st.Get(parent)
+		// An existing dentry falsifies the prediction.
+		return err == nil && dir.IsDir() && st.Child(parent, ev.Name) == nil
 	case journal.EvUnlink, journal.EvRmdir:
-		in, err := st.Lookup(namespace.Ino(ev.Parent), ev.Name)
-		if err != nil {
+		in := st.Child(parent, ev.Name)
+		if in == nil {
 			return false
 		}
 		if ev.Type == journal.EvUnlink {
@@ -36,15 +34,9 @@ func (s *Server) speculativeValidate(ev *journal.Event) bool {
 		}
 		return in.IsDir() && in.NumChildren() == 0
 	case journal.EvRename:
-		if _, err := st.Lookup(namespace.Ino(ev.Parent), ev.Name); err != nil {
-			return false
-		}
-		dir, err := st.Get(namespace.Ino(ev.NewParent))
-		if err != nil || !dir.IsDir() {
-			return false
-		}
-		_, err = st.Lookup(namespace.Ino(ev.NewParent), ev.NewName)
-		return err != nil
+		dst, err := st.Get(namespace.Ino(ev.NewParent))
+		return err == nil && dst.IsDir() && st.Child(parent, ev.Name) != nil &&
+			st.Child(dst.Ino, ev.NewName) == nil
 	case journal.EvSetAttr:
 		_, err := st.Get(namespace.Ino(ev.Ino))
 		return err == nil

@@ -277,11 +277,10 @@ func (s *Server) Recover(p runtime.Task) error {
 	}
 
 	// Replay streamed journal segments from the object store.
-	replay := p.Runtime().Tracer().Begin(int64(p.Now()),
-		s.ep.Name(), "journal", "journal.replay")
-	defer func(rec *trace.Recorder) {
-		rec.End(replay, int64(p.Now()))
-	}(p.Runtime().Tracer())
+	if rec := p.Runtime().Tracer(); rec != nil {
+		replay := rec.Begin(int64(p.Now()), s.ep.Name(), "journal", "journal.replay")
+		defer func() { rec.End(replay, int64(p.Now())) }()
+	}
 	striper := rados.NewStriper(s.obj)
 	nseg := 0
 	for idx := 0; ; idx++ {

@@ -39,7 +39,7 @@ func (s *Store) Check() []Problem {
 	var problems []Problem
 
 	// Walk the tree from the root, validating dentries.
-	reachable := make(map[Ino]bool, len(s.inodes))
+	reachable := make(map[Ino]bool, s.inodes.len())
 	var walk func(dir *Inode, path string)
 	walk = func(dir *Inode, path string) {
 		if reachable[dir.Ino] {
@@ -64,8 +64,8 @@ func (s *Store) Check() []Problem {
 			if path == "/" {
 				childPath = "/" + name
 			}
-			child, ok := s.inodes[ci]
-			if !ok {
+			child := s.inodes.get(ci)
+			if child == nil {
 				problems = append(problems, Problem{
 					Kind: "dangling-dentry", Ino: ci, Path: childPath,
 					Info: "dentry references missing inode",
@@ -88,24 +88,24 @@ func (s *Store) Check() []Problem {
 			return nil
 		})
 	}
-	root, ok := s.inodes[RootIno]
-	if !ok {
+	root := s.inodes.get(RootIno)
+	if root == nil {
 		return []Problem{{Kind: "no-root", Ino: RootIno, Info: "store has no root inode"}}
 	}
 	walk(root, "/")
 
 	// Anything not reached is orphaned.
-	var orphans []Ino
-	for ino := range s.inodes {
-		if !reachable[ino] {
-			orphans = append(orphans, ino)
+	var orphans []*Inode
+	s.inodes.each(func(in *Inode) {
+		if !reachable[in.Ino] {
+			orphans = append(orphans, in)
 		}
-	}
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i] < orphans[j] })
-	for _, ino := range orphans {
+	})
+	sort.Slice(orphans, func(i, j int) bool { return orphans[i].Ino < orphans[j].Ino })
+	for _, in := range orphans {
 		problems = append(problems, Problem{
-			Kind: "orphan-inode", Ino: ino,
-			Info: fmt.Sprintf("name=%q parent=%d not reachable from root", s.inodes[ino].Name, s.inodes[ino].Parent),
+			Kind: "orphan-inode", Ino: in.Ino,
+			Info: fmt.Sprintf("name=%q parent=%d not reachable from root", in.Name, in.Parent),
 		})
 	}
 
@@ -156,7 +156,7 @@ func (s *Store) Repair() []string {
 	for _, p := range problems {
 		switch p.Kind {
 		case "bad-parent", "bad-name":
-			in := s.inodes[p.Ino]
+			in := s.inodes.get(p.Ino)
 			if in == nil {
 				continue
 			}
@@ -187,7 +187,7 @@ func (s *Store) Repair() []string {
 			parent.frag.unlink(parts[len(parts)-1])
 			actions = append(actions, fmt.Sprintf("removed dangling dentry %s", p.Path))
 		case "file-children":
-			in := s.inodes[p.Ino]
+			in := s.inodes.get(p.Ino)
 			if in != nil {
 				in.frag = nil // files keep no fragment; its snapshot goes with it
 				actions = append(actions, fmt.Sprintf("cleared dentries on file ino %d", p.Ino))
@@ -200,7 +200,7 @@ func (s *Store) Repair() []string {
 		if p.Kind != "orphan-inode" {
 			continue
 		}
-		in := s.inodes[p.Ino]
+		in := s.inodes.get(p.Ino)
 		if in == nil {
 			continue
 		}

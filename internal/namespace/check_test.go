@@ -31,7 +31,7 @@ func countKind(problems []Problem, kind string) int {
 func TestCheckOrphan(t *testing.T) {
 	s := buildSample(t)
 	// Inject an inode with no dentry.
-	s.inodes[999] = &Inode{Ino: 999, Parent: RootIno, Name: "ghost", Type: TypeFile}
+	s.inodes.put(&Inode{Ino: 999, Parent: RootIno, Name: "ghost", Type: TypeFile})
 	problems := s.Check()
 	if countKind(problems, "orphan-inode") != 1 {
 		t.Fatalf("problems = %v", problems)
@@ -116,7 +116,7 @@ func TestCheckReservedOverlap(t *testing.T) {
 
 func TestCheckNoRoot(t *testing.T) {
 	s := NewStore()
-	delete(s.inodes, RootIno)
+	s.inodes.del(RootIno)
 	problems := s.Check()
 	if len(problems) != 1 || problems[0].Kind != "no-root" {
 		t.Fatalf("problems = %v", problems)
@@ -125,7 +125,7 @@ func TestCheckNoRoot(t *testing.T) {
 
 func TestMustHealthyPanics(t *testing.T) {
 	s := buildSample(t)
-	s.inodes[999] = &Inode{Ino: 999, Name: "ghost", Type: TypeFile}
+	s.inodes.put(&Inode{Ino: 999, Name: "ghost", Type: TypeFile})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("MustHealthy did not panic on unhealthy store")

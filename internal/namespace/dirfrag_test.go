@@ -25,9 +25,10 @@ func TestInodeSize(t *testing.T) {
 // invalidate.
 func checkListings(t *testing.T, s *Store, step string) {
 	t.Helper()
-	for ino, in := range s.inodes {
+	s.inodes.each(func(in *Inode) {
+		ino := in.Ino
 		if !in.IsDir() {
-			continue
+			return
 		}
 		want := make([]string, 0, in.frag.len())
 		if in.frag != nil {
@@ -47,7 +48,7 @@ func checkListings(t *testing.T, s *Store, step string) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: ReadDir(%d) = %v, dentry map has %v", step, ino, got, want)
 		}
-	}
+	})
 }
 
 // TestListingFollowsEveryMutation drives random mutations of every kind
@@ -126,7 +127,7 @@ func TestListingFollowsEveryMutation(t *testing.T) {
 				in, _ := s.Get(d)
 				in.frag.link("dangling", 1<<40)
 				orphan := s.AllocIno()
-				s.inodes[orphan] = &Inode{Ino: orphan, Parent: 1 << 41, Name: "orphan"}
+				s.inodes.put(&Inode{Ino: orphan, Parent: 1 << 41, Name: "orphan"})
 				s.Repair()
 				s.MustHealthy()
 			case 11:

@@ -7,6 +7,14 @@
 // journal.Target, so journal replay — the shared recovery code path behind
 // Volatile Apply, Nonvolatile Apply, and Stream recovery — is simply
 // Store.ApplyEvent in a loop.
+//
+// Inodes are found by number through a paged index (inotable.go), dentries
+// by name through their directory's fragment (dirFrag). A Store has no
+// lock of its own and even its reads write the index's remembered page: it
+// belongs to one lock domain at a time — the daemon's whose store it is —
+// or is read under Runtime.Exclusive.
+//
+// SEMerger (semerge.go) layers strong-eventual merging on a Store.
 package namespace
 
 import (
@@ -190,7 +198,7 @@ func (f *dirFrag) each(st *ListStats, fn func(name string, ino Ino) error) error
 
 // Store is the namespace metadata store.
 type Store struct {
-	inodes map[Ino]*Inode
+	inodes inoTable
 
 	// nextIno is the store's own allocation pointer for server-assigned
 	// inode numbers.
@@ -210,17 +218,17 @@ type inoRange struct{ lo, hi Ino } // half-open [lo, hi)
 // NewStore creates a store containing only the root directory.
 func NewStore() *Store {
 	s := &Store{
-		inodes:  make(map[Ino]*Inode),
+		inodes:  newInoTable(),
 		nextIno: RootIno + 1,
 	}
-	s.inodes[RootIno] = &Inode{
+	s.inodes.put(&Inode{
 		Ino:    RootIno,
 		Parent: RootIno,
 		Name:   "/",
 		Type:   TypeDir,
 		Mode:   0755,
 		frag:   newDirFrag(),
-	}
+	})
 	return s
 }
 
@@ -231,12 +239,12 @@ func (s *Store) Version() uint64 { return s.version }
 func (s *Store) ListStats() ListStats { return s.lists }
 
 // Len returns the number of inodes, including the root.
-func (s *Store) Len() int { return len(s.inodes) }
+func (s *Store) Len() int { return s.inodes.len() }
 
 // Get returns the inode numbered ino.
 func (s *Store) Get(ino Ino) (*Inode, error) {
-	in, ok := s.inodes[ino]
-	if !ok {
+	in := s.inodes.get(ino)
+	if in == nil {
 		return nil, fmt.Errorf("inode %d: %w", ino, ErrNotExist)
 	}
 	return in, nil
@@ -262,6 +270,21 @@ func (s *Store) Lookup(parent Ino, name string) (*Inode, error) {
 		return nil, &lookupError{name, parent, ErrNotExist}
 	}
 	return s.Get(ci)
+}
+
+// Child returns the inode that dentry name of directory parent points at,
+// nil when there is no such dentry or parent is no directory. It is Lookup
+// for a caller that only asks whether: a miss builds no error.
+func (s *Store) Child(parent Ino, name string) *Inode {
+	dir := s.inodes.get(parent)
+	if dir == nil || !dir.IsDir() {
+		return nil
+	}
+	ci, ok := dir.frag.lookup(name)
+	if !ok {
+		return nil
+	}
+	return s.inodes.get(ci)
 }
 
 // lookupError is a failed Lookup. Its text is rendered only when someone
@@ -395,7 +418,7 @@ func (s *Store) AllocIno() Ino {
 	for {
 		ino := s.nextIno
 		s.nextIno++
-		if _, used := s.inodes[ino]; used {
+		if s.inodes.get(ino) != nil {
 			continue
 		}
 		if s.inReserved(ino) {
@@ -443,7 +466,7 @@ func (s *Store) ReservedRanges() int { return len(s.reserved) }
 
 func (s *Store) insertChild(dir *Inode, in *Inode) {
 	dir.dentries().link(in.Name, in.Ino)
-	s.inodes[in.Ino] = in
+	s.inodes.put(in)
 	s.version++
 }
 
@@ -475,7 +498,7 @@ func (s *Store) createCommon(parent Ino, name string, typ FileType, attrs Create
 	ino := attrs.Ino
 	if ino == 0 {
 		ino = s.AllocIno()
-	} else if _, used := s.inodes[ino]; used {
+	} else if s.inodes.get(ino) != nil {
 		return nil, fmt.Errorf("create %q: inode %d: %w", name, ino, ErrExist)
 	}
 	in := &Inode{
@@ -541,7 +564,7 @@ func (s *Store) Unlink(parent Ino, name string) error {
 	}
 	dir, _ := s.Get(parent)
 	dir.frag.unlink(name)
-	delete(s.inodes, victim.Ino)
+	s.inodes.del(victim.Ino)
 	s.version++
 	return nil
 }
@@ -560,7 +583,7 @@ func (s *Store) Rmdir(parent Ino, name string) error {
 	}
 	dir, _ := s.Get(parent)
 	dir.frag.unlink(name)
-	delete(s.inodes, victim.Ino)
+	s.inodes.del(victim.Ino)
 	s.version++
 	return nil
 }
@@ -617,7 +640,7 @@ func (s *Store) Rename(srcParent Ino, srcName string, dstParent Ino, dstName str
 		case ex.IsDir() && ex.NumChildren() > 0:
 			return fmt.Errorf("rename over %q: %w", dstName, ErrNotEmpty)
 		}
-		delete(s.inodes, ex.Ino)
+		s.inodes.del(ex.Ino)
 	}
 	srcDir, _ := s.Get(srcParent)
 	srcDir.frag.unlink(srcName)
@@ -715,7 +738,7 @@ func (s *Store) PruneSubtree(p string) (int, error) {
 	}
 	parent.frag.unlink(root.Name)
 	for _, ino := range victims {
-		delete(s.inodes, ino)
+		s.inodes.del(ino)
 	}
 	s.version++
 	return len(victims), nil

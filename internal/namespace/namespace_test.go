@@ -68,6 +68,27 @@ func TestLookupMissError(t *testing.T) {
 	}
 }
 
+// TestChildAllocatesNothing pins Child as the existence probe: it agrees
+// with Lookup on a hit, a miss, a parent that is a file and one that is
+// missing, and none of the four allocates.
+func TestChildAllocatesNothing(t *testing.T) {
+	s := NewStore()
+	d, _ := s.Mkdir(RootIno, "d", CreateAttrs{})
+	f, _ := s.Create(d.Ino, "f", CreateAttrs{})
+	for _, c := range []struct {
+		parent Ino
+		name   string
+	}{{d.Ino, "f"}, {d.Ino, "nope"}, {f.Ino, "x"}, {999, "x"}} {
+		want, _ := s.Lookup(c.parent, c.name)
+		if got := s.Child(c.parent, c.name); got != want {
+			t.Errorf("Child(%d, %q) = %v, Lookup finds %v", c.parent, c.name, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { s.Child(c.parent, c.name) }); allocs != 0 {
+			t.Errorf("Child(%d, %q) allocates %.0f times, want 0", c.parent, c.name, allocs)
+		}
+	}
+}
+
 func TestCreateBadNames(t *testing.T) {
 	s := NewStore()
 	for _, name := range []string{"", "a/b"} {

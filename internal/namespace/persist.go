@@ -240,7 +240,7 @@ func (s *Store) InstallDir(d *DirObject) error {
 				continue // directory contents live in their own object
 			}
 			frag.unlink(name)
-			delete(s.inodes, ci)
+			s.inodes.del(ci)
 		}
 	}
 	for _, e := range d.Entries {

@@ -8,8 +8,9 @@
 // update. Because the summaries only grow by commutative, associative,
 // idempotent joins, merging client journals in ANY order converges to the
 // same rendered namespace — the obligation of Verifying Strong Eventual
-// Consistency (arXiv 1707.01747), asserted end-to-end by the chaos
-// harness's merge-order permutation schedules.
+// Consistency (arXiv 1707.01747), checked on generated histories by
+// TestSEMergeLaws and end-to-end by the chaos harness's merge-order
+// permutation schedules.
 //
 // Conflict resolution rules:
 //
@@ -28,6 +29,13 @@
 //     (higher-tag) re-mkdir resurrects the surviving children in every
 //     merge order.
 //
+// The summaries are kept per logical directory (seDir), in a tree that
+// mirrors the paths ever named, and an event's parent inode leads straight
+// to its directory's node: merging an event looks one short name up in one
+// map and resolves the rendered parent in the store; it builds, splits and
+// hashes no path. semerge_ref_test.go keeps the path-keyed merger this
+// replaced as the reference the tests drive it against.
+//
 // Renames and setattrs are not supported in strong-eventual mode: a
 // rename is not commutative as a single event, so clients must decompose
 // it into unlink+create halves, which then resolve by the ordinary
@@ -37,6 +45,7 @@ package namespace
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"cudele/internal/journal"
@@ -70,9 +79,11 @@ type seFile struct {
 	mtime int64
 }
 
-// seEntry is the CRDT summary for one dentry path. Each component only
-// ever max-merges, so applying the same events in any order or any number
-// of times yields the same summary.
+// seEntry is the CRDT summary for one name in one logical directory.
+// Each component only ever max-merges, so applying the same events in any
+// order or any number of times yields the same summary. An entry with
+// nothing summarized is a placeholder on the way to a deeper directory
+// node; it is never rendered.
 type seEntry struct {
 	hasFile bool
 	fileTag SETag
@@ -83,6 +94,40 @@ type seEntry struct {
 
 	hasTomb bool
 	tombTag SETag
+
+	// sub is the directory node at this entry's path, nil until a mkdir
+	// or a store directory names it.
+	sub *seDir
+}
+
+func (e *seEntry) summarized() bool { return e.hasFile || e.hasDir || e.hasTomb }
+
+// seDir is one logical directory: the summaries of every name merged
+// under it. Its path is its identity — renames are unsupported, so a path
+// never comes to mean another directory — and is built once, when the
+// node is: no event joins, splits or hashes a path.
+type seDir struct {
+	path    string
+	entries map[string]*seEntry
+}
+
+// entry returns name's summary, an empty one when name is new.
+func (d *seDir) entry(name string) *seEntry {
+	e := d.entries[name]
+	if e == nil {
+		e = &seEntry{}
+		d.entries[name] = e
+	}
+	return e
+}
+
+// dir returns the node of the directory that e, the entry for name in
+// parent, stands for.
+func (e *seEntry) dir(parent *seDir, name string) *seDir {
+	if e.sub == nil {
+		e.sub = &seDir{path: seJoin(parent.path, name), entries: make(map[string]*seEntry)}
+	}
+	return e.sub
 }
 
 type seKind uint8
@@ -117,19 +162,14 @@ func (e *seEntry) decide() seKind {
 type SEMerger struct {
 	store *Store
 
-	// entries maps a dentry's absolute path to its CRDT summary. Paths
-	// are stable identities here because renames are unsupported.
-	entries map[string]*seEntry
+	// root is the node of "/"; every other node hangs off the entry that
+	// names it in its parent's node.
+	root *seDir
 
-	// children maps a directory path to the set of child names ever
-	// summarized under it, so a resurrected directory can re-render its
-	// surviving children.
-	children map[string]map[string]bool
-
-	// paths maps every inode seen (store directories at construction,
-	// plus each merged mkdir's inode, winner or loser) to its logical
-	// dentry path, so later events can name it as a parent.
-	paths map[Ino]string
+	// dirs maps every directory inode seen (store directories at
+	// construction, plus each merged mkdir's inode, winner or loser) to
+	// its logical directory, so later events can name it as a parent.
+	dirs map[Ino]*seDir
 }
 
 // NewSEMerger wraps st for strong-eventual merging. Directories already
@@ -137,14 +177,13 @@ type SEMerger struct {
 // parents.
 func NewSEMerger(st *Store) *SEMerger {
 	m := &SEMerger{
-		store:    st,
-		entries:  make(map[string]*seEntry),
-		children: make(map[string]map[string]bool),
-		paths:    make(map[Ino]string),
+		store: st,
+		root:  &seDir{path: "/", entries: make(map[string]*seEntry)},
+		dirs:  make(map[Ino]*seDir),
 	}
 	st.Walk(RootIno, func(p string, in *Inode) error {
 		if in.IsDir() {
-			m.paths[in.Ino] = p
+			m.dirs[in.Ino] = m.dirAt(p)
 		}
 		return nil
 	})
@@ -158,76 +197,66 @@ func seJoin(parent, name string) string {
 	return parent + "/" + name
 }
 
-func seSplit(key string) (parent, name string) {
-	i := strings.LastIndexByte(key, '/')
-	parent, name = key[:i], key[i+1:]
-	if parent == "" {
-		parent = "/"
+// dirAt returns the node of the directory at absolute path p, creating it
+// and, as placeholders, the entries that lead to it.
+func (m *SEMerger) dirAt(p string) *seDir {
+	d := m.root
+	for it := SplitIter(p); ; {
+		comp, ok := it.Next()
+		if !ok {
+			return d
+		}
+		d = d.entry(comp).dir(d, comp)
 	}
-	return parent, name
 }
 
-// parentPath resolves an event's parent inode to its logical path,
+// parentDir resolves an event's parent inode to its logical directory,
 // falling back to the store for directories that appeared after the
 // merger was built (e.g. a subtree root decoupled later).
-func (m *SEMerger) parentPath(ino Ino) (string, bool) {
-	if p, ok := m.paths[ino]; ok {
-		return p, true
+func (m *SEMerger) parentDir(ino Ino) *seDir {
+	if d := m.dirs[ino]; d != nil {
+		return d
 	}
 	in, err := m.store.Get(ino)
 	if err != nil || !in.IsDir() {
-		return "", false
+		return nil
 	}
 	p, err := m.store.PathOf(ino)
 	if err != nil {
-		return "", false
+		return nil
 	}
-	m.paths[ino] = p
-	return p, true
-}
-
-func (m *SEMerger) entry(key string) *seEntry {
-	e := m.entries[key]
-	if e == nil {
-		e = &seEntry{}
-		m.entries[key] = e
-	}
-	return e
-}
-
-func (m *SEMerger) link(parent, name string) {
-	set := m.children[parent]
-	if set == nil {
-		set = make(map[string]bool)
-		m.children[parent] = set
-	}
-	set[name] = true
+	d := m.dirAt(p)
+	m.dirs[ino] = d
+	return d
 }
 
 // ApplyEvent merges one journal event. It implements journal.Target, so the
 // MDS's converge_apply mechanism reuses the ordinary replay loop. Events
 // that lose their tie-break are absorbed silently (that IS the merge);
-// only structurally impossible events (unknown parent inode, renames,
-// setattrs) error.
+// only structurally impossible events (unknown parent inode, a name no
+// dentry can carry, renames, setattrs) error.
 func (m *SEMerger) ApplyEvent(ev *journal.Event) error {
 	switch ev.Type {
-	case journal.EvCreate, journal.EvMkdir:
-		pp, ok := m.parentPath(Ino(ev.Parent))
-		if !ok {
+	case journal.EvCreate, journal.EvMkdir, journal.EvUnlink, journal.EvRmdir:
+		dir := m.parentDir(Ino(ev.Parent))
+		if dir == nil {
 			return fmt.Errorf("converge %s %q: parent inode %d never seen: %w",
 				ev.Type, ev.Name, ev.Parent, ErrNotExist)
 		}
-		key := seJoin(pp, ev.Name)
+		if strings.Contains(ev.Name, "/") {
+			return fmt.Errorf("converge %s %q: %w", ev.Type, ev.Name, ErrInval)
+		}
 		tag := SETag{Mtime: ev.Mtime, Client: ev.Client, Seq: ev.Seq}
-		e := m.entry(key)
-		if ev.Type == journal.EvMkdir {
+		e := dir.entry(ev.Name)
+		switch ev.Type {
+		case journal.EvMkdir:
 			if ev.Ino != 0 {
-				m.paths[Ino(ev.Ino)] = key
+				m.dirs[Ino(ev.Ino)] = e.dir(dir, ev.Name)
 			}
 			if !e.hasDir || tag.After(e.dirTag) {
 				e.hasDir, e.dirTag = true, tag
 			}
-		} else {
+		case journal.EvCreate:
 			if ev.Ino == 0 {
 				return fmt.Errorf("converge create %q: %w: strong-eventual creates need a client-assigned inode",
 					ev.Name, ErrInval)
@@ -236,23 +265,12 @@ func (m *SEMerger) ApplyEvent(ev *journal.Event) error {
 				e.hasFile, e.fileTag = true, tag
 				e.file = seFile{ino: Ino(ev.Ino), mode: ev.Mode, uid: ev.UID, gid: ev.GID, mtime: ev.Mtime}
 			}
+		default:
+			if !e.hasTomb || tag.After(e.tombTag) {
+				e.hasTomb, e.tombTag = true, tag
+			}
 		}
-		m.link(pp, ev.Name)
-		return m.materialize(key)
-	case journal.EvUnlink, journal.EvRmdir:
-		pp, ok := m.parentPath(Ino(ev.Parent))
-		if !ok {
-			return fmt.Errorf("converge %s %q: parent inode %d never seen: %w",
-				ev.Type, ev.Name, ev.Parent, ErrNotExist)
-		}
-		key := seJoin(pp, ev.Name)
-		tag := SETag{Mtime: ev.Mtime, Client: ev.Client, Seq: ev.Seq}
-		e := m.entry(key)
-		if !e.hasTomb || tag.After(e.tombTag) {
-			e.hasTomb, e.tombTag = true, tag
-		}
-		m.link(pp, ev.Name)
-		return m.materialize(key)
+		return m.materialize(dir, ev.Name, e)
 	case journal.EvAllocRange:
 		return m.store.ReserveRange(Ino(ev.Ino), ev.Size)
 	case journal.EvExport, journal.EvUndo:
@@ -264,33 +282,30 @@ func (m *SEMerger) ApplyEvent(ev *journal.Event) error {
 
 var _ journal.Target = (*SEMerger)(nil)
 
-// materialize reconciles the store with the summary at key. If the
-// parent directory is not currently rendered, nothing happens now; the
-// parent's own materialization recurses into its children when it
-// (re)appears.
-func (m *SEMerger) materialize(key string) error {
-	e := m.entries[key]
-	if e == nil {
-		return nil
-	}
-	pp, name := seSplit(key)
-	pin, err := m.store.Resolve(pp)
+// materialize reconciles the store with e, the summary of name in dir. If
+// dir is not currently rendered, nothing happens now; its own
+// materialization recurses into its entries when it (re)appears. The
+// rendered directory is resolved from the store each time: RPC handlers
+// write the same store between merges, so an inode remembered here could
+// be stale.
+func (m *SEMerger) materialize(dir *seDir, name string, e *seEntry) error {
+	pin, err := m.store.Resolve(dir.path)
 	if err != nil || !pin.IsDir() {
 		return nil
 	}
-	cur, _ := m.store.Lookup(pin.Ino, name)
+	cur := m.store.Child(pin.Ino, name)
 	switch e.decide() {
 	case seAbsent:
 		if cur == nil {
 			return nil
 		}
-		return m.removeRendered(key, cur, pin.Ino, name)
+		return m.removeRendered(dir, name, cur, pin.Ino)
 	case seIsFile:
 		if cur != nil {
 			if !cur.IsDir() && cur.Ino == e.file.ino {
 				return nil // already the winning create
 			}
-			if err := m.removeRendered(key, cur, pin.Ino, name); err != nil {
+			if err := m.removeRendered(dir, name, cur, pin.Ino); err != nil {
 				return err
 			}
 		}
@@ -304,7 +319,7 @@ func (m *SEMerger) materialize(key string) error {
 			return nil // structural merge: keep the rendered directory
 		}
 		if cur != nil {
-			if err := m.removeRendered(key, cur, pin.Ino, name); err != nil {
+			if err := m.removeRendered(dir, name, cur, pin.Ino); err != nil {
 				return err
 			}
 		}
@@ -313,15 +328,20 @@ func (m *SEMerger) materialize(key string) error {
 		if _, err := m.store.Mkdir(pin.Ino, name, CreateAttrs{Mode: 0755}); err != nil {
 			return err
 		}
+		if e.sub == nil {
+			return nil
+		}
 		// Resurrect surviving children, in sorted order so the store's
 		// mutation sequence stays deterministic.
-		names := make([]string, 0, len(m.children[key]))
-		for cn := range m.children[key] {
-			names = append(names, cn)
+		names := make([]string, 0, len(e.sub.entries))
+		for cn, ce := range e.sub.entries {
+			if ce.summarized() {
+				names = append(names, cn)
+			}
 		}
 		sort.Strings(names)
 		for _, cn := range names {
-			if err := m.materialize(seJoin(key, cn)); err != nil {
+			if err := m.materialize(e.sub, cn, e.sub.entries[cn]); err != nil {
 				return err
 			}
 		}
@@ -330,14 +350,14 @@ func (m *SEMerger) materialize(key string) error {
 	return nil
 }
 
-// removeRendered drops the currently rendered entry at key from the
-// store. Summaries are never dropped, so a pruned subtree can be
+// removeRendered drops cur, the currently rendered entry for name in dir
+// (inode parent), from the store. Summaries are never dropped, so a pruned subtree can be
 // resurrected by a later winning mkdir in any merge order.
-func (m *SEMerger) removeRendered(key string, cur *Inode, parent Ino, name string) error {
+func (m *SEMerger) removeRendered(dir *seDir, name string, cur *Inode, parent Ino) error {
 	if !cur.IsDir() {
 		return m.store.Unlink(parent, name)
 	}
-	_, err := m.store.PruneSubtree(key)
+	_, err := m.store.PruneSubtree(seJoin(dir.path, name))
 	return err
 }
 
@@ -348,15 +368,20 @@ func (m *SEMerger) removeRendered(key string, cur *Inode, parent Ino, name strin
 // attributes. Two stores merged from any permutations of the same client
 // journals must render byte-identical images.
 func SEImageOf(st *Store, root Ino) (string, error) {
-	var b strings.Builder
+	var b []byte
 	err := st.Walk(root, func(p string, in *Inode) error {
+		b = append(b, p...)
 		if in.IsDir() {
-			fmt.Fprintf(&b, "%s/\n", p)
-		} else {
-			fmt.Fprintf(&b, "%s ino=%d mode=%o uid=%d gid=%d mtime=%d\n",
-				p, in.Ino, in.Mode, in.UID, in.GID, in.Mtime)
+			b = append(b, "/\n"...)
+			return nil
 		}
+		b = strconv.AppendUint(append(b, " ino="...), uint64(in.Ino), 10)
+		b = strconv.AppendUint(append(b, " mode="...), uint64(in.Mode), 8)
+		b = strconv.AppendUint(append(b, " uid="...), uint64(in.UID), 10)
+		b = strconv.AppendUint(append(b, " gid="...), uint64(in.GID), 10)
+		b = strconv.AppendInt(append(b, " mtime="...), in.Mtime, 10)
+		b = append(b, '\n')
 		return nil
 	})
-	return b.String(), err
+	return string(b), err
 }

@@ -1,6 +1,7 @@
 package namespace
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -180,6 +181,15 @@ func TestSEMergeRejectsRename(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("rename accepted in strong-eventual mode")
+	}
+	// A name no dentry can carry is refused before it is summarized: a
+	// summary that can never render would fail its directory's every
+	// resurrection.
+	err = m.ApplyEvent(&journal.Event{
+		Type: journal.EvCreate, Client: "client.a", Parent: 1, Name: "a/b", Ino: 100,
+	})
+	if !errors.Is(err, ErrInval) || len(m.root.entries) != 0 {
+		t.Fatalf("create of \"a/b\": err = %v with %d names summarized, want ErrInval and none", err, len(m.root.entries))
 	}
 }
 

@@ -48,6 +48,8 @@ func (cl *Cluster) Tracer() *Recorder { return cl.rt.Tracer() }
 // simulation (or between runs); it reads existing counters and cannot
 // perturb virtual time.
 func (cl *Cluster) CollectMetrics() *Registry {
+	cl.setup.Lock() // a scrape may run while set-up code adds a client
+	defer cl.setup.Unlock()
 	reg := trace.NewRegistry()
 	cl.meta.FillMetrics(reg)
 	cl.objects.FillMetrics(reg)
@@ -72,6 +74,8 @@ func (cl *Cluster) CollectMetrics() *Registry {
 // accounted sim run stays byte-identical to an unaccounted one. Call
 // before Run; call at most once per cluster.
 func (cl *Cluster) EnableHeat(halfLife time.Duration) *Heat {
+	cl.setup.Lock() // a /heat scrape reads cl.heat
+	defer cl.setup.Unlock()
 	h := obs.NewHeat(halfLife)
 	cl.heat = h
 	cl.meta.SetHeat(h)
@@ -123,6 +127,8 @@ func (s adminSource) Metrics() (*trace.Registry, error) {
 func (s adminSource) Heat() ([]obs.HeatCell, error) {
 	var cells []obs.HeatCell
 	s.cl.rt.Exclusive(func() {
+		s.cl.setup.Lock()
+		defer s.cl.setup.Unlock()
 		cells = s.cl.heat.Snapshot(int64(s.cl.rt.Now()))
 	})
 	return cells, nil

@@ -116,3 +116,55 @@ func TestBackendSmokeObservability(t *testing.T) {
 		t.Errorf("post-run /metrics = %d with %d bytes", code, len(body))
 	}
 }
+
+// TestNewClientWhileScraping creates clients while the admin endpoint is
+// being scraped. NewClient is set-up code that holds no lock domain — it
+// opens the client's session on every rank from outside task context — and
+// a scrape is not a task, so nothing ordered the two until set-up code and
+// scrapes took the cluster's set-up lock (run under -race -count=20: at the
+// parent of that change, about one run in ten of the smoke test above
+// reported the session map written by one and read by the other).
+func TestNewClientWhileScraping(t *testing.T) {
+	cl := NewCluster(WithSeed(7), WithBackend(BackendReal), WithMDSRanks(2))
+	defer cl.Close()
+	admin, err := cl.ServeAdmin("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+
+	stop := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		defer func() { scraped <- n }()
+		for {
+			for _, path := range []string{"/metrics", "/heat"} {
+				resp, err := http.Get("http://" + admin.Addr() + path)
+				if err != nil {
+					t.Errorf("GET %s: %v", path, err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				n++
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	cl.EnableHeat(time.Minute) // after ServeAdmin: /heat reads what this writes
+	for i := 0; i < 50; i++ {
+		cl.NewClient(fmt.Sprintf("c%02d", i))
+	}
+	close(stop)
+	if n := <-scraped; n == 0 {
+		t.Error("no scrape completed")
+	}
+	if got := cl.MDS().Sessions(); got != 50 {
+		t.Errorf("rank 0 has %d sessions, want 50", got)
+	}
+}
