@@ -3,7 +3,9 @@ package cudele
 import (
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
+	"path/filepath"
 	"sort"
 	"testing"
 	"time"
@@ -125,7 +127,35 @@ func TestBackendSmokeRealWithDataDir(t *testing.T) {
 			t.Errorf("global persist: %v", err)
 		}
 	})
+	// The object log's counters are exported with a data dir, and every
+	// acknowledged record sat behind a commit; without one they are absent.
+	logMetrics := []string{"cudele_rados_log_records_total", "cudele_rados_log_commits_total",
+		"cudele_rados_log_bytes_total", "cudele_rados_log_checkpoints_total", "cudele_rados_log_size_bytes"}
+	reg := cl.CollectMetrics()
+	for _, name := range logMetrics {
+		if _, ok := reg.Value(name); !ok {
+			t.Errorf("metrics with a data dir are missing %s", name)
+		}
+	}
+	if st := cl.Objects().Stats(); st.Records == 0 || st.Commits == 0 || st.Commits > st.Records || st.LogSize == 0 {
+		t.Errorf("object log stats after a global persist: %+v", st.LogStats)
+	}
 	cl.Close()
+	// Objects are records in one log, never files of their own.
+	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if rel, _ := filepath.Rel(dir, path); err == nil && !d.IsDir() && rel != filepath.Join("objects", "objects.log") {
+			t.Errorf("data dir holds %s; want objects/objects.log and nothing else", rel)
+		}
+		return err
+	})
+	bare := NewCluster(WithSeed(3), WithBackend(BackendReal))
+	reg = bare.CollectMetrics()
+	bare.Close()
+	for _, name := range logMetrics {
+		if _, ok := reg.Value(name); ok {
+			t.Errorf("metrics without a data dir include %s", name)
+		}
+	}
 
 	// A fresh cluster over the same data dir must see the persisted
 	// objects (recovery happens in AttachStore via NewCluster).

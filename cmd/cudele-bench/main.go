@@ -25,7 +25,7 @@
 // passive: tables are byte-identical with these flags on or off.
 //
 // -backend real executes the workload on real goroutines, wall clocks,
-// and (with -datadir, default a temp dir) fsynced object files instead
+// and (with -datadir, default a temp dir) an fsynced object log instead
 // of the simulator, side by side with the simulated prediction for the
 // same grid point. Only fig3a supports real mode; "all" under
 // -backend=real means "all real-capable experiments". Real tables carry
@@ -99,7 +99,7 @@ func main() {
 	chaosReplay := flag.Int64("chaos-replay", 0, "replay one fault-injection schedule by seed and print its plan")
 	chaosDumps := flag.String("chaos-dumps", "", "chaos mode: write one flight-recorder dump file per failing seed into this directory")
 	backendName := flag.String("backend", "sim", "execution backend: sim (deterministic simulator) or real (goroutines, wall clock, fsync)")
-	dataDir := flag.String("datadir", "", "real backend: directory for fsynced object files (default: a fresh temp dir)")
+	dataDir := flag.String("datadir", "", "real backend: directory for the fsynced object log (default: a fresh temp dir)")
 	heat := flag.Bool("heat", false, "enable per-subtree heat accounting on every run (passive: tables are byte-identical)")
 	adminAddr := flag.String("admin", "", "real backend: serve /metrics, /heat, /healthz, /debug/pprof on this address (:0 for an ephemeral port)")
 	adminLinger := flag.Duration("admin-linger", 0, "keep the -admin endpoint serving this long after the last experiment")

@@ -35,8 +35,8 @@
 //
 // -backend selects the execution backend: "sim" (the default; virtual
 // time, deterministic, objects in memory) or "real" (goroutines and
-// wall clocks). With -backend=real, -datadir DIR keeps RADOS objects as
-// fsynced files under DIR, so object state (persisted client journals,
+// wall clocks). With -backend=real, -datadir DIR keeps RADOS objects in
+// an fsynced log under DIR, so object state (persisted client journals,
 // globally persisted metadata) survives across invocations.
 //
 // -admin ADDR (real backend only) serves the cluster's live admin
@@ -87,7 +87,7 @@ func parseFlags(argv []string) (*options, error) {
 	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
 	fs.IntVar(&o.ranks, "ranks", 1, "metadata ranks")
 	backend := fs.String("backend", "sim", "execution backend: sim (deterministic simulator) or real (goroutines, wall clock)")
-	fs.StringVar(&o.dataDir, "datadir", "", "real backend only: directory for fsynced object files (RADOS object state survives across runs)")
+	fs.StringVar(&o.dataDir, "datadir", "", "real backend only: directory for the fsynced object log (RADOS object state survives across runs)")
 	fs.StringVar(&o.adminAddr, "admin", "", "real backend only: serve /metrics, /heat, /healthz, /debug/pprof on this address (:0 for an ephemeral port)")
 	fs.BoolVar(&o.rebalance, "rebalance", false, "run the heat-driven subtree balancer during the session (default off; prints its convergence table at exit)")
 	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the session to this file")

@@ -160,7 +160,7 @@ const (
 	// time, calibrated device costs, byte-identical results per seed.
 	BackendSim = runtime.SimKind
 	// BackendReal runs tasks as goroutines on wall time; with a data
-	// dir, RADOS objects live as fsynced files (see WithDataDir).
+	// dir, RADOS objects live in an fsynced log (see WithDataDir).
 	BackendReal = runtime.RealKind
 )
 
@@ -207,9 +207,11 @@ func WithMDSRanks(n int) Option { return func(o *clusterOpts) { o.ranks = n } }
 func WithBackend(b Backend) Option { return func(o *clusterOpts) { o.backend = b } }
 
 // WithDataDir roots the real backend's durability on dir: RADOS objects
-// become fsynced files under dir/objects (write→fsync→rename, so
-// DurGlobal survives a kill), and each client's Local Persist target is
-// a real file under dir/<client>. It is ignored on the sim backend.
+// are logged to dir/objects/objects.log and a mutation is acknowledged
+// only after an fsync that covers its record (so DurGlobal survives a
+// kill), and each client's Local Persist target is a real file under
+// dir/<client>. One live cluster per dir. It is ignored on the sim
+// backend.
 func WithDataDir(dir string) Option { return func(o *clusterOpts) { o.dataDir = dir } }
 
 // WithLoopbackNet adds a loopback-TCP round trip to every metadata Call

@@ -44,7 +44,7 @@ type Options struct {
 	Admin *obs.Admin
 
 	// DataDir, when non-empty, roots the real backend's durability: each
-	// real run gets its own subdirectory for fsynced object files and
+	// real run gets its own subdirectory for its fsynced object log and
 	// client journals. Only RunReal reads it; the registered experiments
 	// are all pure simulations.
 	DataDir string

@@ -47,7 +47,7 @@ type jobConfig struct {
 
 	// backend selects the execution backend; the zero value is the
 	// simulator, so every registered experiment is untouched. dataDir,
-	// on the real backend, roots this run's fsynced object files.
+	// on the real backend, roots this run's fsynced object log.
 	backend cudele.Backend
 	dataDir string
 }

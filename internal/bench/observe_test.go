@@ -98,6 +98,11 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 			t.Errorf("metrics dump missing %q", want)
 		}
 	}
+	// The object log's counters belong to an attached FileStore; the
+	// simulator has none, and its export must not grow them.
+	if strings.Contains(dump, "cudele_rados_log_") {
+		t.Error("simulated run exports object-log metrics; they are for a cluster with a data dir")
+	}
 }
 
 // TestSinkDeterministicAcrossWorkers pins the export side of the

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -23,10 +24,28 @@ func TestFig3aRealSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-backend smoke takes wall-clock seconds")
 	}
-	opts := Options{Scale: 0.001, Seed: 1, DataDir: t.TempDir()}
+	opts := Options{Scale: 0.001, Seed: 1, DataDir: t.TempDir(), Sink: NewSink()}
 	res, err := RunReal("fig3a", opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The measured runs have a data dir, so their export carries the
+	// object log's counters; the simulated predictions beside them do not.
+	var mb bytes.Buffer
+	if err := opts.Sink.WriteMetrics(&mb); err != nil {
+		t.Fatal(err)
+	}
+	dump := mb.String()
+	for _, name := range []string{
+		"cudele_rados_log_records_total", "cudele_rados_log_commits_total", "cudele_rados_log_bytes_total",
+		"cudele_rados_log_checkpoints_total", "cudele_rados_log_size_bytes",
+	} {
+		if !strings.Contains(dump, name+`{run="fig3a-real/real/`) {
+			t.Errorf("metrics dump of the real runs is missing %s", name)
+		}
+		if strings.Contains(dump, name+`{run="fig3a-real/sim/`) {
+			t.Errorf("a simulated prediction exports %s", name)
+		}
 	}
 	if res.ID != "fig3a-real" {
 		t.Fatalf("result id = %q", res.ID)

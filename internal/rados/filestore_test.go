@@ -33,7 +33,7 @@ func TestFileStorePutLoadRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("object %v missing after reload (got %d objects)", oid, len(loaded))
 	}
-	if string(so.Data) != "payload" || string(so.Omap["k"]) != "v" {
+	if string(so.data) != "payload" || string(so.omap["k"]) != "v" {
 		t.Fatalf("reloaded object corrupted: %+v", so)
 	}
 }
@@ -43,11 +43,20 @@ func TestFileStoreNameEscaping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Names with separators, commas, and escapes must round-trip.
+	// Names are bytes in a record, never file names: separators, commas
+	// and escapes must round-trip, and so must the names recovery used to
+	// mistake for its own litter (anything containing ".tmp" was deleted
+	// by Load) or that collide with the log's own file name.
 	oids := []ObjectID{
 		{Pool: "a/b", Name: "x,y"},
 		{Pool: "p", Name: "weird %2F name"},
 		{Pool: "p,q", Name: "../escape"},
+		{Pool: "p", Name: "x.tmp"},
+		{Pool: "journals", Name: "a.tmp7/b"},
+		{Pool: "p", Name: "objects.log"},
+		{Pool: "p", Name: "objects.log.tmp"},
+		{Pool: "p", Name: ""},
+		{Pool: "", Name: ""},
 	}
 	for i, oid := range oids {
 		if err := fs.Put(oid, []byte{byte(i)}, nil); err != nil {
@@ -61,18 +70,23 @@ func TestFileStoreNameEscaping(t *testing.T) {
 	if len(loaded) != len(oids) {
 		t.Fatalf("loaded %d objects, want %d", len(loaded), len(oids))
 	}
+	if entries, _ := os.ReadDir(fs.Dir()); len(entries) != 1 || entries[0].Name() != logName {
+		t.Fatalf("data dir holds %v, want only %s", entries, logName)
+	}
 	for i, oid := range oids {
 		so := loaded[oid]
-		if so == nil || len(so.Data) != 1 || so.Data[0] != byte(i) {
+		if so == nil || len(so.data) != 1 || so.data[0] != byte(i) {
 			t.Fatalf("object %v did not round-trip: %+v", oid, so)
 		}
 	}
 }
 
 // TestFileStoreCrashBeforeRename is the torn-write test at the store
-// layer: a Put that dies after writing its tmp file but before the
-// rename must leave the previous committed image untouched, and the tmp
-// litter must be swept on recovery.
+// layer, at both commit points. A Put that dies mid-commit leaves a torn
+// record at the log's tail, and a checkpoint that dies after writing its
+// tmp file but before the rename leaves that file: either way recovery
+// must see the previous committed image and sweep the litter — truncate
+// the tail, remove the tmp file.
 func TestFileStoreCrashBeforeRename(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := OpenFileStore(dir)
@@ -83,46 +97,60 @@ func TestFileStoreCrashBeforeRename(t *testing.T) {
 	if err := fs.Put(oid, []byte("v1"), nil); err != nil {
 		t.Fatal(err)
 	}
-	fs.CrashAfterTmpWrite = true
+	committed := fs.Stats().LogSize
+	// reopen recovers the directory a crashed handle left and checks
+	// that only the old complete image is there and the litter is swept.
+	reopen := func() *FileStore {
+		t.Helper()
+		fs, err := OpenFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := fs.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(loaded[oid].data); got != "v1" {
+			t.Fatalf("recovered %q, want the pre-crash image \"v1\"", got)
+		}
+		entries, _ := os.ReadDir(dir)
+		if len(entries) != 1 || entries[0].Name() != logName {
+			t.Fatalf("data dir holds %v after recovery, want only %s", entries, logName)
+		}
+		if info, _ := entries[0].Info(); info.Size() != committed {
+			t.Fatalf("log is %d bytes after recovery, want the %d committed ones", info.Size(), committed)
+		}
+		return fs
+	}
+
+	fs.crashBeforeCommit = true
 	if err := fs.Put(oid, []byte("v2"), nil); !errors.Is(err, ErrSimulatedCrash) {
 		t.Fatalf("crashing Put returned %v, want ErrSimulatedCrash", err)
 	}
-	// The tmp file exists (the crash happened mid-protocol)...
-	entries, _ := os.ReadDir(dir)
-	var tmps int
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp") {
-			tmps++
-		}
+	if err := fs.Put(oid, []byte("v3"), nil); !errors.Is(err, ErrSimulatedCrash) {
+		t.Fatalf("Put after the crash returned %v, want the sticky ErrSimulatedCrash", err)
 	}
-	if tmps == 0 {
-		t.Fatal("no tmp file left by the simulated crash")
+	// The torn record is on disk (the crash happened mid-protocol).
+	if info, err := os.Stat(filepath.Join(dir, logName)); err != nil || info.Size() <= committed {
+		t.Fatalf("no torn tail left by the simulated crash: %v, %v", info, err)
 	}
-	// ...and recovery sees only the old complete image.
-	fs2, err := OpenFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
+	fs = reopen()
+
+	fs.crashBeforeCommit = true
+	if err := fs.checkpoint(map[ObjectID]*object{oid: {data: []byte("v4")}}); !errors.Is(err, ErrSimulatedCrash) {
+		t.Fatalf("crashing checkpoint returned %v, want ErrSimulatedCrash", err)
 	}
-	loaded, err := fs2.Load()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, logName+".tmp")); err != nil {
+		t.Fatalf("no tmp file left by the simulated crash: %v", err)
 	}
-	if got := string(loaded[oid].Data); got != "v1" {
-		t.Fatalf("recovered %q, want the pre-crash image \"v1\"", got)
-	}
-	// The sweep removed the litter.
-	entries, _ = os.ReadDir(dir)
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp") {
-			t.Fatalf("tmp file %s survived recovery", e.Name())
-		}
-	}
+	reopen()
 }
 
 // TestKillDuringGlobalPersist is the end-to-end acceptance test: a
-// client GlobalPersist is killed mid-object-write (after tmp, before
-// rename); a fresh cluster recovering from the same directory must see
-// no torn object — every recovered image is a complete previous version.
+// client GlobalPersist is killed mid-object-write (its record torn, its
+// commit never acknowledged); a fresh cluster recovering from the same
+// directory must see no torn object — every recovered image is a
+// complete previous version.
 func TestKillDuringGlobalPersist(t *testing.T) {
 	dir := t.TempDir()
 
@@ -145,8 +173,9 @@ func TestKillDuringGlobalPersist(t *testing.T) {
 	eng.RunAll()
 	eng.Shutdown()
 
-	// Second run over the same directory: the overwrite is killed after
-	// the tmp write, the moment a real SIGKILL would be most damaging.
+	// Second run over the same directory: the overwrite is killed with
+	// its record partly written, the moment a real SIGKILL would be most
+	// damaging.
 	eng2 := realrt.New(2)
 	c2 := New(eng2, model.Default())
 	fs2, err := OpenFileStore(dir)
@@ -156,7 +185,7 @@ func TestKillDuringGlobalPersist(t *testing.T) {
 	if err := c2.AttachStore(fs2); err != nil {
 		t.Fatal(err)
 	}
-	fs2.CrashAfterTmpWrite = true
+	fs2.crashBeforeCommit = true
 	eng2.Spawn("doomed", func(p runtime.Task) {
 		if err := c2.Write(p, oid, []byte("torn-v2")); !errors.Is(err, ErrSimulatedCrash) {
 			t.Errorf("doomed write returned %v, want ErrSimulatedCrash", err)
@@ -191,8 +220,9 @@ func TestKillDuringGlobalPersist(t *testing.T) {
 }
 
 // TestFileStoreConcurrentPuts hammers the store from many goroutines;
-// with -race it proves Put's unique-tmp protocol needs no file-level
-// locking, and afterwards every object decodes to a complete image.
+// with -race it proves stage and Commit guard the log's tail, afterwards
+// every object decodes to a complete image, and the writers shared
+// Syncs: that is the group commit.
 func TestFileStoreConcurrentPuts(t *testing.T) {
 	fs, err := OpenFileStore(t.TempDir())
 	if err != nil {
@@ -223,65 +253,79 @@ func TestFileStoreConcurrentPuts(t *testing.T) {
 		t.Fatalf("loaded %d objects, want 4", len(loaded))
 	}
 	for oid, so := range loaded {
-		if len(so.Data) < 100 || len(so.Data) > 100+versions {
-			t.Fatalf("object %v has torn size %d", oid, len(so.Data))
+		if len(so.data) < 100 || len(so.data) > 100+versions {
+			t.Fatalf("object %v has torn size %d", oid, len(so.data))
 		}
+	}
+	if st := fs.Stats(); st.Records != writers*versions || st.Commits >= st.Records {
+		t.Fatalf("%d records needed %d commits: concurrent writers did not share a Sync", st.Records, st.Commits)
 	}
 }
 
-// TestFileStoreRemove checks deletion is durable and tolerant of
-// missing files.
+// TestFileStoreRemove checks deletion is durable — a removed object
+// stays removed after a reload — and tolerant of missing objects.
 func TestFileStoreRemove(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := OpenFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oid := ObjectID{Pool: "p", Name: "gone"}
-	if err := fs.Put(oid, []byte("x"), nil); err != nil {
+	remove := func(oid ObjectID) error {
+		lsn, err := fs.stage(recRemove, oid, nil, nil)
+		if err != nil {
+			return err
+		}
+		return fs.Commit(lsn)
+	}
+	oid, kept := ObjectID{Pool: "p", Name: "gone"}, ObjectID{Pool: "p", Name: "kept"}
+	for _, o := range []ObjectID{oid, kept} {
+		if err := fs.Put(o, []byte("x"), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := remove(oid); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Remove(oid); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Remove(oid); err != nil { // second remove: no-op
+	if err := remove(oid); err != nil { // second remove: no-op
 		t.Fatalf("removing a missing object: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, fileName(oid))); !os.IsNotExist(err) {
-		t.Fatalf("file still present after Remove: %v", err)
+	fs2, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := fs2.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded) != 1 || loaded[kept] == nil {
+		t.Fatalf("reload holds %d objects (removed one present: %v), want only %v", len(loaded), loaded[oid] != nil, kept)
 	}
 }
 
-// TestReplaceProtocolFailures drives the one durable-write protocol
-// through its three ways of not committing, in both shapes it is called
-// in — an object Put (unique tmp name, O_EXCL) and a plain single-writer
-// file (the client's Local Persist image: fixed tmp name, O_TRUNC). A
-// fill that fails and a rename that fails leave the committed image as it
-// was and no tmp file; the crash failpoint leaves the old image and the
-// fsynced tmp file, which the next write of that shape survives.
+// TestReplaceProtocolFailures drives the durable whole-file write
+// through its three ways of not committing, for both files it is used
+// on — the object log, which a checkpoint replaces, and the client's
+// Local Persist image. A fill that fails and a rename that fails leave
+// the committed image as it was and no tmp file; the crash failpoint
+// leaves the old image and the fsynced tmp file, which the next write
+// reuses.
 func TestReplaceProtocolFailures(t *testing.T) {
 	text := func(s string) func(io.Writer) error {
 		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
 	}
-	for _, shape := range []struct {
-		name  string
-		write func(fs *FileStore, fill func(io.Writer) error) error
-	}{
-		{"object", func(fs *FileStore, fill func(io.Writer) error) error {
-			return fs.replace("img", fmt.Sprintf("img.tmp%d", fs.seq.Add(1)), os.O_EXCL, fill)
-		}},
-		{"local-persist", func(fs *FileStore, fill func(io.Writer) error) error {
-			return fs.replace("img", "img.tmp", os.O_TRUNC, fill) // WriteFile, with a fill that can fail
-		}},
+	for _, shape := range []struct{ name, img string }{
+		{"object", logName},
+		{"local-persist", "journal"}, // WriteFile, with a fill that can fail
 	} {
 		t.Run(shape.name, func(t *testing.T) {
+			write := func(fs *FileStore, fill func(io.Writer) error) error { return fs.replace(shape.img, fill) }
 			fs, err := OpenFileStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
 			check := func(when, wantImage string, wantTmp int) {
 				t.Helper()
-				got, err := os.ReadFile(filepath.Join(fs.Dir(), "img"))
+				got, err := os.ReadFile(filepath.Join(fs.Dir(), shape.img))
 				if err != nil || string(got) != wantImage {
 					t.Errorf("%s: committed image = %q, %v; want %q", when, got, err, wantImage)
 				}
@@ -290,13 +334,13 @@ func TestReplaceProtocolFailures(t *testing.T) {
 					t.Errorf("%s: %d tmp files left (%v), want %d", when, len(tmps), tmps, wantTmp)
 				}
 			}
-			if err := shape.write(fs, text("v1")); err != nil {
+			if err := write(fs, text("v1")); err != nil {
 				t.Fatal(err)
 			}
 			check("first write", "v1", 0)
 
 			boom := errors.New("fill failed")
-			if err := shape.write(fs, func(w io.Writer) error {
+			if err := write(fs, func(w io.Writer) error {
 				io.WriteString(w, "half of v")
 				return boom
 			}); !errors.Is(err, boom) {
@@ -304,30 +348,26 @@ func TestReplaceProtocolFailures(t *testing.T) {
 			}
 			check("failing fill", "v1", 0)
 
-			fs.CrashAfterTmpWrite = true
-			if err := shape.write(fs, text("v2")); !errors.Is(err, ErrSimulatedCrash) {
+			fs.crashBeforeCommit = true
+			if err := write(fs, text("v2")); !errors.Is(err, ErrSimulatedCrash) {
 				t.Errorf("failpoint returned %v", err)
 			}
 			check("crash before rename", "v1", 1)
-			fs.CrashAfterTmpWrite = false
-			if err := shape.write(fs, text("v3")); err != nil {
+			fs.crashBeforeCommit = false
+			if err := write(fs, text("v3")); err != nil {
 				t.Errorf("write after a crash left a tmp file: %v", err)
 			}
-			want := 1 // a dead Put's tmp stays until Load sweeps it
-			if shape.name == "local-persist" {
-				want = 0 // the fixed tmp name was reused
-			}
-			check("write after crash", "v3", want)
+			check("write after crash", "v3", 0) // the fixed tmp name was reused
 
 			// A rename that cannot succeed: the target name is a non-empty
 			// directory. The image written before must survive beside it.
 			if err := os.MkdirAll(filepath.Join(fs.Dir(), "blocked", "x"), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := fs.replace("blocked", "blocked.tmp", os.O_TRUNC, text("never")); err == nil {
+			if err := fs.replace("blocked", text("never")); err == nil {
 				t.Error("rename over a non-empty directory succeeded")
 			}
-			check("failing rename", "v3", want)
+			check("failing rename", "v3", 0)
 		})
 	}
 

@@ -27,4 +27,15 @@ func (c *Cluster) FillMetrics(reg *trace.Registry) {
 		reg.Gauge("cudele_rados_osd_disk_utilization", "Mean busy fraction of one OSD's disk channel.",
 			disk.Utilization, trace.KV{Key: "osd", Val: strconv.Itoa(osd.ID)})
 	}
+
+	// Only with a store attached, so the simulator's export is unchanged.
+	// records / commits is the group-commit factor.
+	if c.store != nil {
+		log := c.store.Stats()
+		reg.Counter("cudele_rados_log_records_total", "Mutations appended to the object log.", float64(log.Records))
+		reg.Counter("cudele_rados_log_commits_total", "Group commits: one write and Sync of the object log each.", float64(log.Commits))
+		reg.Counter("cudele_rados_log_bytes_total", "Bytes appended to the object log.", float64(log.Bytes))
+		reg.Counter("cudele_rados_log_checkpoints_total", "Times the object log was rewritten as an image of the live objects.", float64(log.Checkpoints))
+		reg.Gauge("cudele_rados_log_size_bytes", "Current length of the object log.", float64(log.LogSize))
+	}
 }

@@ -61,9 +61,9 @@ type Cluster struct {
 	// faults, when non-nil, may fail or tear writes (see fault.go).
 	faults *FaultInjector
 
-	// store, when non-nil, write-through persists every object to real
-	// files (see filestore.go). Reads stay in memory; simulated device
-	// charges are skipped because the fsync is the real cost.
+	// store, when non-nil, logs every mutation to a real file (see
+	// filestore.go). Reads stay in memory; simulated device charges are
+	// skipped because the fsync is the real cost.
 	store *FileStore
 
 	// statistics
@@ -173,37 +173,23 @@ func (c *Cluster) opLatency(p runtime.Task) {
 	p.Sleep(c.cfg.OSDOpLatency)
 }
 
-// persist write-through persists oid's current in-memory image. The
-// copies are taken inside the store's domain; the fsync runs outside it
-// (Blocking) so other tasks overlap the I/O.
-func (c *Cluster) persist(p runtime.Task, oid ObjectID) error {
+// log makes the mutation the caller has just applied to memory durable:
+// its record is staged here, inside the store's domain, so the log keeps
+// the order memory saw, and committed outside it (Blocking), so other
+// tasks overlap the fsync — and share it. A log that has outgrown its
+// last checkpoint is compacted first, from the memory image.
+func (c *Cluster) log(p runtime.Task, kind byte, oid ObjectID, kv map[string][]byte, tail []byte) error {
 	if c.store == nil {
 		return nil
 	}
-	o := c.get(oid)
-	if o == nil {
-		return nil
+	lsn, err := c.store.stage(kind, oid, kv, tail)
+	if err == nil && c.store.checkpointDue() {
+		err = c.store.checkpoint(c.objects)
 	}
-	data := append([]byte(nil), o.data...)
-	var omap map[string][]byte
-	if o.omap != nil {
-		omap = make(map[string][]byte, len(o.omap))
-		for k, v := range o.omap {
-			omap[k] = append([]byte(nil), v...)
-		}
+	if err != nil {
+		return err
 	}
-	var err error
-	p.Blocking(func() { err = c.store.Put(oid, data, omap) })
-	return err
-}
-
-// persistRemove durably removes oid's on-disk image.
-func (c *Cluster) persistRemove(p runtime.Task, oid ObjectID) error {
-	if c.store == nil {
-		return nil
-	}
-	var err error
-	p.Blocking(func() { err = c.store.Remove(oid) })
+	p.Blocking(func() { err = c.store.Commit(lsn) })
 	return err
 }
 
@@ -220,38 +206,18 @@ func (c *Cluster) getOrCreate(oid ObjectID) *object {
 	return o
 }
 
-// Write stores data as the full contents of oid, creating it if needed.
-// An armed fault injector may fail the write cleanly (nothing persisted)
-// or tear it (a prefix persisted, then an error).
+// Write stores data as the full contents of oid, creating it if needed:
+// a WriteBilled that bills what it stores.
 func (c *Cluster) Write(p runtime.Task, oid ObjectID, data []byte) error {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	c.writes++
-	c.bytesWrit += uint64(len(data))
-	c.chargeWrite(p, oid, int64(len(data)))
-	outcome, torn := c.faults.writeOutcome(oid, len(data))
-	switch outcome {
-	case faultError:
-		c.writeFaults++
-		c.recordFault(p, "write", oid)
-		return faultErrf("write", oid)
-	case faultTorn:
-		c.writeFaults++
-		c.recordFault(p, "torn-write", oid)
-		o := c.getOrCreate(oid)
-		o.data = append(o.data[:0], data[:torn]...)
-		return faultErrf("torn write", oid)
-	}
-	o := c.getOrCreate(oid)
-	o.data = append(o.data[:0], data...)
-	return c.persist(p, oid)
+	return c.WriteBilled(p, oid, data, 0)
 }
 
 // WriteBilled stores data as oid's contents but charges the devices as if
 // billed bytes were transferred. The metadata journal's 2.5 KB/event
 // footprint (paper §V-A) dwarfs its information content; billing lets the
 // simulation carry the paper's transfer costs without materializing
-// padding.
+// padding. An armed fault injector may fail the write cleanly (nothing
+// persisted) or tear it (a prefix persisted, then an error).
 func (c *Cluster) WriteBilled(p runtime.Task, oid ObjectID, data []byte, billed int64) error {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
@@ -272,11 +238,12 @@ func (c *Cluster) WriteBilled(p runtime.Task, oid ObjectID, data []byte, billed 
 		c.recordFault(p, "torn-write", oid)
 		o := c.getOrCreate(oid)
 		o.data = append(o.data[:0], data[:torn]...)
+		c.log(p, recWrite, oid, nil, data[:torn]) // the torn prefix is what was stored; the fault is the error
 		return faultErrf("torn write", oid)
 	}
 	o := c.getOrCreate(oid)
 	o.data = append(o.data[:0], data...)
-	return c.persist(p, oid)
+	return c.log(p, recWrite, oid, nil, data)
 }
 
 // Append appends data to oid, creating it if needed.
@@ -297,11 +264,12 @@ func (c *Cluster) Append(p runtime.Task, oid ObjectID, data []byte) error {
 		c.recordFault(p, "torn-append", oid)
 		o := c.getOrCreate(oid)
 		o.data = append(o.data, data[:torn]...)
+		c.log(p, recAppend, oid, nil, data[:torn])
 		return faultErrf("torn append", oid)
 	}
 	o := c.getOrCreate(oid)
 	o.data = append(o.data, data...)
-	return c.persist(p, oid)
+	return c.log(p, recAppend, oid, nil, data)
 }
 
 // Read returns a copy of oid's contents.
@@ -343,7 +311,7 @@ func (c *Cluster) Remove(p runtime.Task, oid ObjectID) error {
 	}
 	c.deletes++
 	delete(c.objects, oid)
-	return c.persistRemove(p, oid)
+	return c.log(p, recRemove, oid, nil, nil)
 }
 
 // Exists reports whether oid exists, charging one round trip.
@@ -382,7 +350,7 @@ func (c *Cluster) OmapSet(p runtime.Task, oid ObjectID, kv map[string][]byte) er
 		copy(val, v)
 		o.omap[k] = val
 	}
-	return c.persist(p, oid)
+	return c.log(p, recOmapSet, oid, kv, nil)
 }
 
 // OmapGet returns the value stored under key in oid's omap.
@@ -420,7 +388,7 @@ func (c *Cluster) OmapRemove(p runtime.Task, oid ObjectID, key string) error {
 		return fmt.Errorf("omap-remove %v[%q]: %w", oid, key, ErrNotFound)
 	}
 	delete(o.omap, key)
-	return c.persist(p, oid)
+	return c.log(p, recOmapRemove, oid, nil, []byte(key))
 }
 
 // OmapList returns oid's omap keys in sorted order, charging a scan.
@@ -467,11 +435,17 @@ type Stats struct {
 	BytesRead, BytesWritten uint64
 	Objects                 int
 	WriteFaults             uint64
+	LogStats                // the attached FileStore's; zero on the simulator
 }
 
 // Stats returns a snapshot of cumulative counters.
 func (c *Cluster) Stats() Stats {
+	var log LogStats
+	if c.store != nil {
+		log = c.store.Stats()
+	}
 	return Stats{
+		LogStats:     log,
 		Reads:        c.reads,
 		Writes:       c.writes,
 		Deletes:      c.deletes,
