@@ -124,7 +124,7 @@ type Client struct {
 	failRollback *int
 
 	// Namespace-sync state (partial updates, §V-B3).
-	sync *syncState
+	sync syncState
 
 	stats Stats
 
@@ -269,7 +269,7 @@ func (c *Client) Crash(p runtime.Task) {
 		c.crashed = c.dec
 	}
 	c.dec = nil
-	c.sync = nil
+	c.sync = syncState{}
 }
 
 // Restart brings a crashed client back: a fresh mount, and — when a

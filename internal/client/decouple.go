@@ -50,7 +50,7 @@ func (c *Client) AdoptGrant(p runtime.Task, path string, lo namespace.Ino, n uin
 		grantN:  n,
 		store:   namespace.NewStore(),
 	}
-	c.sync = nil
+	c.sync = syncState{}
 	return nil
 }
 

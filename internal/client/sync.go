@@ -30,9 +30,6 @@ func (c *Client) SyncNow(p runtime.Task) (pause runtime.Duration, synced int, er
 	if c.dec == nil {
 		return 0, 0, ErrNotDecoupled
 	}
-	if c.sync == nil {
-		c.sync = &syncState{}
-	}
 	events := c.dec.jrnl.Events()
 	delta := events[c.sync.synced:]
 	if len(delta) == 0 {
@@ -80,39 +77,27 @@ func (c *Client) SyncNow(p runtime.Task) (pause runtime.Duration, synced int, er
 // their disk+network transfer to the metadata server. The final drain at
 // job end is on the critical path, which is why very large sync intervals
 // cost more than the optimum (paper Fig 6c).
-func (c *Client) WaitSyncDrain(p runtime.Task) error {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	if c.sync == nil || c.sync.inFlight == nil {
-		return nil
-	}
-	v := c.sync.inFlight.Wait(p)
-	if err, ok := v.(error); ok && err != nil {
-		return err
-	}
-	return nil
-}
+func (c *Client) WaitSyncDrain(p runtime.Task) error { return c.waitSync(p, &c.sync.inFlight) }
 
 // WaitSyncVisible blocks until the most recent sync's updates have been
 // applied to the global namespace (end-users' ls sees them).
-func (c *Client) WaitSyncVisible(p runtime.Task) error {
+func (c *Client) WaitSyncVisible(p runtime.Task) error { return c.waitSync(p, &c.sync.visible) }
+
+// waitSync waits, inside the client's domain, on the signal *stage holds
+// by then (none before the first sync) and returns the error it fired
+// with, if any.
+func (c *Client) waitSync(p runtime.Task, stage *runtime.Signal) error {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
-	if c.sync == nil || c.sync.visible == nil {
+	if *stage == nil {
 		return nil
 	}
-	v := c.sync.visible.Wait(p)
-	if err, ok := v.(error); ok && err != nil {
-		return err
-	}
-	return nil
+	err, _ := (*stage).Wait(p).(error)
+	return err
 }
 
 // SyncStats reports the number of sync pauses and the total time the
 // client spent paused.
 func (c *Client) SyncStats() (pauses int, paused runtime.Duration) {
-	if c.sync == nil {
-		return 0, 0
-	}
 	return c.sync.pauses, c.sync.paused
 }

@@ -579,14 +579,9 @@ func (s *Server) attach(p runtime.Task, m *AttachMsg) *AttachReply {
 	if s.stopped {
 		return &AttachReply{Err: ErrShutdown}
 	}
-	s.cpu.Acquire(p)
-	defer s.cpu.Release()
-	p.Sleep(s.serviceTime(OpResolve))
-	in, err := s.store.Resolve(m.Path)
-	if err == nil {
-		err = s.adopt(in.Ino, m.Policy, m.Client, m.Lo, m.N)
-	}
-	return &AttachReply{Err: err}
+	return &AttachReply{Err: s.onSubtree(p, m.Path, func(root namespace.Ino) error {
+		return s.adopt(root, m.Policy, m.Client, m.Lo, m.N)
+	})}
 }
 
 // Frozen reports whether any subtree covering path is frozen on this

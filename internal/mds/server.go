@@ -646,28 +646,39 @@ func (s *Server) grantAt(slot uint64) namespace.Ino {
 	return namespace.Ino(uint64(1)<<40 + uint64(s.rank)<<34 + slot<<24)
 }
 
-// decouple is the DecoupleMsg handler body.
-func (s *Server) decouple(p runtime.Task, m *DecoupleMsg) *DecoupleReply {
+// onSubtree is how the control-plane handlers that name a subtree by path
+// run: holding the rank's CPU, one resolve charged, fn on the subtree's
+// root inode.
+func (s *Server) onSubtree(p runtime.Task, path string, fn func(root namespace.Ino) error) error {
 	s.cpu.Acquire(p)
 	defer s.cpu.Release()
 	p.Sleep(s.serviceTime(OpResolve))
-
-	in, err := s.store.Resolve(m.Path)
+	in, err := s.store.Resolve(path)
 	if err != nil {
-		return &DecoupleReply{Err: err}
+		return err
 	}
-	grant := m.Policy.AllocatedInodes
-	if grant <= 0 {
-		grant = s.cfg.AllocatedInodesDefault
-	}
-	lo, n := s.grantAt(s.grantSlot), uint64(grant)
-	if lo+namespace.Ino(n) > s.grantAt(grantSlots) {
-		return &DecoupleReply{Err: fmt.Errorf("mds: rank %d grant band: %w", s.rank, namespace.ErrNoSpace)}
-	}
-	if err := s.adopt(in.Ino, m.Policy, m.Client, lo, n); err != nil {
-		return &DecoupleReply{Err: err}
-	}
-	return &DecoupleReply{Lo: lo, N: n}
+	return fn(in.Ino)
+}
+
+// decouple is the DecoupleMsg handler body.
+func (s *Server) decouple(p runtime.Task, m *DecoupleMsg) *DecoupleReply {
+	r := &DecoupleReply{}
+	r.Err = s.onSubtree(p, m.Path, func(root namespace.Ino) error {
+		grant := m.Policy.AllocatedInodes
+		if grant <= 0 {
+			grant = s.cfg.AllocatedInodesDefault
+		}
+		lo, n := s.grantAt(s.grantSlot), uint64(grant)
+		if lo+namespace.Ino(n) > s.grantAt(grantSlots) {
+			return fmt.Errorf("mds: rank %d grant band: %w", s.rank, namespace.ErrNoSpace)
+		}
+		if err := s.adopt(root, m.Policy, m.Client, lo, n); err != nil {
+			return err
+		}
+		r.Lo, r.N = lo, n
+		return nil
+	})
+	return r
 }
 
 // adopt is everything a rank takes on about a decoupled subtree, whether
@@ -703,15 +714,10 @@ func (s *Server) Recouple(p runtime.Task, path string) error {
 
 // recouple is the RecoupleMsg handler body.
 func (s *Server) recouple(p runtime.Task, path string) error {
-	s.cpu.Acquire(p)
-	defer s.cpu.Release()
-	p.Sleep(s.serviceTime(OpResolve))
-	in, err := s.store.Resolve(path)
-	if err != nil {
-		return err
-	}
-	delete(s.owners, in.Ino)
-	return s.store.SetPolicy(in.Ino, nil)
+	return s.onSubtree(p, path, func(root namespace.Ino) error {
+		delete(s.owners, root)
+		return s.store.SetPolicy(root, nil)
+	})
 }
 
 // Owner returns the client that decoupled the subtree rooted at ino.

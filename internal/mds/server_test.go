@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -339,6 +340,56 @@ func TestSaveStoreRecover(t *testing.T) {
 	}
 	if !namespace.Equal(before, s.Store()) {
 		t.Fatal("recovered store differs")
+	}
+}
+
+// TestRecoverInstallsParentsFirst: after two renames the pool lists /c/b/a
+// leaf first (2.… < 3.… < 4.…), and a's parent inode exists only once c's
+// object has installed b — Recover's one pass has to be parents-first. An
+// object whose parent is neither in the pool nor in the fresh store is the
+// orphan error, naming the object.
+func TestRecoverInstallsParentsFirst(t *testing.T) {
+	eng, s := newTestServer()
+	s.OpenSession("c0")
+	done := false
+	run(t, eng, func(p runtime.Task) {
+		var dirs [3]namespace.Ino // a, b, c
+		for i, name := range []string{"a", "b", "c"} {
+			dirs[i] = s.Submit(p, &Request{Op: OpMkdir, Client: "c0", Parent: namespace.RootIno, Name: name, Mode: 0755}).Ino
+		}
+		s.Submit(p, &Request{Op: OpCreate, Client: "c0", Parent: dirs[0], Name: "f", Mode: 0644})
+		for i, name := range []string{"a", "b"} {
+			r := s.Submit(p, &Request{Op: OpRename, Client: "c0", Parent: namespace.RootIno, Name: name, NewParent: dirs[i+1], NewName: name})
+			if r.Err != nil || dirs[i] >= dirs[i+1] {
+				t.Errorf("rename %s: %v (inos %v)", name, r.Err, dirs)
+				return
+			}
+		}
+		if err := s.SaveStore(p); err != nil {
+			t.Errorf("save: %v", err)
+			return
+		}
+		before := s.Store()
+		if err := s.Recover(p); err != nil {
+			t.Errorf("recover: %v", err)
+			return
+		}
+		if _, err := s.Store().Resolve("/c/b/a/f"); err != nil || !namespace.Equal(before, s.Store()) {
+			t.Errorf("recovered store differs (resolve: %v)", err)
+		}
+
+		// Lose b's object: a has nothing to hang from.
+		if err := s.obj.Remove(p, rados.ObjectID{Pool: namespace.ObjectPool, Name: namespace.DirObjectName(dirs[1])}); err != nil {
+			t.Errorf("remove: %v", err)
+		}
+		err := s.Recover(p)
+		if want := "orphan directory object " + namespace.DirObjectName(dirs[0]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("recover without the parent's object: %v, want %q", err, want)
+		}
+		done = true
+	})
+	if !done {
+		t.Fatal("the test task did not finish")
 	}
 }
 

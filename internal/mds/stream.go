@@ -1,8 +1,10 @@
 package mds
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"cudele/internal/journal"
 	"cudele/internal/namespace"
@@ -248,10 +250,13 @@ func (s *Server) Recover(p runtime.Task) error {
 	defer s.dom.Leave(p)
 	fresh := newRankStore(s.rank)
 
-	// Load directory objects; parents may appear after children in the
-	// listing, so iterate until no progress.
+	// Load directory objects and install parents before children: an
+	// object's depth is the length of its chain of Parent links that are
+	// objects too. The root is its own parent; a chain longer than the
+	// listing is a cycle, whose members sort last and fail to install.
 	names := s.obj.List(p, namespace.ObjectPool)
-	pending := make(map[string]*namespace.DirObject, len(names))
+	objs := make([]*namespace.DirObject, 0, len(names))
+	byIno := make(map[namespace.Ino]*namespace.DirObject, len(names))
 	for _, name := range names {
 		data, err := s.obj.Read(p, rados.ObjectID{Pool: namespace.ObjectPool, Name: name})
 		if err != nil {
@@ -261,18 +266,21 @@ func (s *Server) Recover(p runtime.Task) error {
 		if err != nil {
 			return fmt.Errorf("mds recover: object %s: %w", name, err)
 		}
-		pending[name] = obj
+		objs = append(objs, obj)
+		byIno[obj.Ino] = obj
 	}
-	for len(pending) > 0 {
-		progress := false
-		for name, obj := range pending {
-			if err := fresh.InstallDir(obj); err == nil {
-				delete(pending, name)
-				progress = true
-			}
+	depth := make(map[*namespace.DirObject]int, len(objs))
+	for _, obj := range objs {
+		d := 0
+		for a := obj; a.Parent != a.Ino && byIno[a.Parent] != nil && d <= len(objs); a = byIno[a.Parent] {
+			d++
 		}
-		if !progress {
-			return fmt.Errorf("mds recover: %d orphan directory objects", len(pending))
+		depth[obj] = d
+	}
+	slices.SortStableFunc(objs, func(a, b *namespace.DirObject) int { return cmp.Compare(depth[a], depth[b]) })
+	for _, obj := range objs {
+		if err := fresh.InstallDir(obj); err != nil {
+			return fmt.Errorf("mds recover: orphan directory object %s: %w", namespace.DirObjectName(obj.Ino), err)
 		}
 	}
 

@@ -238,7 +238,7 @@ func (d *Domain) Spawn(name string, fn func(t runtime.Task)) {
 }
 
 // NewGroup implements runtime.Domain.
-func (d *Domain) NewGroup() runtime.Group { return &Group{dom: d} }
+func (d *Domain) NewGroup() runtime.Group { return runtime.NewGroup(new(sync.Mutex), d) }
 
 // Spawn implements runtime.Runtime: fn runs as a goroutine in the root
 // domain.
@@ -326,25 +326,19 @@ func (e *Engine) Blocking(fn func()) {
 }
 
 // NewSignal implements runtime.Runtime.
-func (e *Engine) NewSignal() runtime.Signal { return &Signal{} }
+func (e *Engine) NewSignal() runtime.Signal { return runtime.NewSignal(new(sync.Mutex)) }
 
 // NewGroup implements runtime.Runtime.
 func (e *Engine) NewGroup() runtime.Group { return e.root.NewGroup() }
 
 // NewResource implements runtime.Runtime.
 func (e *Engine) NewResource(name string, capacity int) runtime.Resource {
-	if capacity < 1 {
-		panic(fmt.Sprintf("realrt: resource %q capacity %d < 1", name, capacity))
-	}
-	return &Resource{eng: e, name: name, capacity: capacity}
+	return newResource(e, name, capacity)
 }
 
 // NewPipe implements runtime.Runtime.
 func (e *Engine) NewPipe(name string, rate float64) runtime.Pipe {
-	if rate <= 0 {
-		panic(fmt.Sprintf("realrt: pipe %q rate %v <= 0", name, rate))
-	}
-	return &Pipe{res: &Resource{eng: e, name: name, capacity: 1}, rate: rate}
+	return runtime.NewPipe(newResource(e, name, 1), rate)
 }
 
 // RunAll blocks until every task has finished or the remaining tasks
@@ -395,7 +389,7 @@ func (e *Engine) Shutdown() int {
 		e.state.Unlock()
 		for _, t := range targets {
 			t.killed.Store(true)
-			t.wake()
+			t.Wake()
 		}
 		e.state.Lock()
 		if e.nlive == 0 {
@@ -524,40 +518,38 @@ func (t *Task) Blocking(fn func()) {
 // String implements fmt.Stringer.
 func (t *Task) String() string { return fmt.Sprintf("task(%s)", t.name) }
 
-// mayPark is the check a task makes before it queues itself on a signal
-// or resource: a task Shutdown is reaping unwinds instead.
-func (t *Task) mayPark() {
+// MayPark is the check a task makes before it queues itself on a signal
+// or resource: a task Shutdown is reaping unwinds instead. With Park and
+// Wake it implements runtime.Parker, the kernel under the shared Signal,
+// Group and Pipe and under Resource.
+func (t *Task) MayPark() {
 	if t.killed.Load() {
 		panic(errTaskKilled)
 	}
 	t.mayYield("a wait")
 }
 
-// markParked counts the task as blocked. Callers do it under the lock
-// of the signal or resource they just queued the task on, before that
-// lock is released, so whoever later dequeues the task finds it marked
-// and its wake keeps the quiescence accounting exact.
-func (t *Task) markParked() {
+// Park blocks the task until Wake, releasing its domain. The caller has
+// queued the task on a signal or resource and holds l, that object's
+// lock: the task is counted as blocked before l is released, so whoever
+// later dequeues it finds it marked and its Wake keeps the quiescence
+// accounting exact. A task parked with no registration a future Wake
+// will find only RunAll's quiescence accounting and Shutdown can reach.
+func (t *Task) Park(l sync.Locker) {
 	e := t.eng
 	e.state.Lock()
 	t.parked = true
 	e.nblocked++
 	e.cond.Broadcast() // nblocked may now equal nlive: RunAll quiesces
 	e.state.Unlock()
-}
-
-// park blocks a task that markParked has counted until wake, releasing
-// its domain. A task parked with no registration a future wake will
-// find only RunAll's quiescence accounting and Shutdown can reach.
-func (t *Task) park() {
+	l.Unlock()
 	cur := t.cur()
 	cur.mu.Unlock()
 	<-t.resume
 	cur.mu.Lock()
 	if t.killed.Load() {
-		// The kill's wake may have come before markParked and left its
-		// token behind; settle the count before unwinding.
-		e := t.eng
+		// The kill's Wake may have come before the count above and left
+		// its token behind; settle the count before unwinding.
 		e.state.Lock()
 		if t.parked {
 			t.parked = false
@@ -566,11 +558,12 @@ func (t *Task) park() {
 		e.state.Unlock()
 		panic(errTaskKilled)
 	}
+	l.Lock()
 }
 
-// wake unparks a blocked task; duplicate wakes are dropped. Safe to
+// Wake unparks a blocked task; duplicate wakes are dropped. Safe to
 // call from any goroutine (it takes only the state lock).
-func (t *Task) wake() {
+func (t *Task) Wake() {
 	e := t.eng
 	e.state.Lock()
 	if t.parked {

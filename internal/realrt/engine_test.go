@@ -1,6 +1,7 @@
 package realrt
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -433,4 +434,38 @@ func TestGroupAcrossDomains(t *testing.T) {
 	if sum != 36 {
 		t.Fatalf("sum = %d, want 36", sum)
 	}
+}
+
+// TestNetHopFailureStopsTheTask: a hop whose round trip fails used to be
+// dropped, so the Call went on and its latency had no network in it. With
+// the listener gone the next hop has to dial, the dial is refused, and
+// the calling task panics naming the hop — holding its domain again, so
+// the unwind releases it.
+func TestNetHopFailureStopsTheTask(t *testing.T) {
+	e := New(1)
+	if err := e.EnableLoopback(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after any
+	e.Spawn("caller", func(p runtime.Task) {
+		defer func() { after = recover() }()
+		func() {
+			defer func() { before = recover() }()
+			e.NetHop(p)
+		}()
+		e.net.close()
+		e.NetHop(p)
+	})
+	e.RunAll()
+	if before != nil {
+		t.Fatalf("hop over a live listener panicked: %v", before)
+	}
+	msg, _ := after.(string)
+	if !strings.HasPrefix(msg, "realrt: loopback hop: ") || len(msg) == len("realrt: loopback hop: ") {
+		t.Fatalf("hop over a closed listener: recovered %v, want a realrt: loopback hop: <err> panic", after)
+	}
+	if n := e.Shutdown(); n != 0 {
+		t.Fatalf("shutdown reaped %d tasks", n)
+	}
+	assertAllFree(t, e)
 }

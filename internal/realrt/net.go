@@ -1,6 +1,7 @@
 package realrt
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -41,12 +42,18 @@ func (e *Engine) EnableLoopback() error {
 // NetHop is the real backend's wire hop (see transport.Wire): with the
 // loopback option on, one socket round trip outside t's domain; without
 // it nothing, because the call into the callee's domain that follows is
-// the in-process hop.
+// the in-process hop. The wire has no error path, and a Call that went on
+// without its hop would report a latency with no network in it, so a
+// failed round trip panics in t and the run stops.
 func (e *Engine) NetHop(t runtime.Task) {
 	if e.net == nil {
 		return
 	}
-	t.Blocking(func() { e.NetRoundTrip() })
+	var err error
+	task(t).Blocking(func() { _, err = e.NetRoundTrip() })
+	if err != nil {
+		panic(fmt.Sprintf("realrt: loopback hop: %v", err))
+	}
 }
 
 // NetRoundTrip sends one fixed-size frame to the loopback echo server

@@ -8,6 +8,7 @@
 package runtime_test
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -507,4 +508,154 @@ func TestContractSimDomainIsFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("sim NewDomain+Enter+Leave allocates %.1f objects, want 0", allocs)
 	}
+}
+
+// panics runs fn and returns what it panicked with, nil if it returned.
+func panics(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
+}
+
+// TestContractMisusePanics: the misuse each backend's own tests used to
+// pin separately — a second Fire, a Release nobody holds, a group counted
+// below zero, a resource with no capacity, a pipe with no rate, a negative
+// transfer — panics on both, and leaves the object as it was.
+func TestContractMisusePanics(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
+		sig := rt.NewSignal()
+		sig.Fire("first")
+		pipe := rt.NewPipe("net", 1<<20)
+		for name, fn := range map[string]func(){
+			"second Fire":        func() { sig.Fire("second") },
+			"Release below zero": rt.NewResource("idle", 1).Release,
+			"group below zero":   func() { rt.NewGroup().Add(-1) },
+			"capacity 0":         func() { rt.NewResource("none", 0) },
+			"rate 0":             func() { rt.NewPipe("none", 0) },
+			"rate < 0":           func() { rt.NewPipe("none", -1) },
+		} {
+			if panics(fn) == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}
+		var got any
+		rt.Spawn("t", func(p runtime.Task) {
+			if panics(func() { pipe.Transfer(p, -1) }) == nil {
+				t.Error("negative Transfer did not panic")
+			}
+			got = sig.Wait(p)
+		})
+		rt.RunAll()
+		if err := rt.LeakCheck(); err != nil {
+			t.Fatal(err)
+		}
+		rt.Shutdown()
+		if got != "first" || pipe.Bytes() != 0 {
+			t.Fatalf("after the misuse: signal value %v, pipe bytes %d; want first and 0", got, pipe.Bytes())
+		}
+	})
+}
+
+// TestContractGroupAfterZero: a group's completion fires once, the first
+// time the count reaches zero. Using the group again neither fires it a
+// second time (a double Fire would panic in Done) nor parks a waiter.
+func TestContractGroupAfterZero(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
+		g := rt.NewGroup()
+		rounds := 0
+		rt.Spawn("driver", func(p runtime.Task) {
+			g.Wait(p) // never used: nothing pending
+			for i := 0; i < 2; i++ {
+				g.Go("w", func(p runtime.Task) { p.Sleep(time.Millisecond) })
+				g.Wait(p)
+				rounds++
+				p.Sleep(5 * time.Millisecond) // the second round's worker finishes on its own
+			}
+		})
+		rt.RunAll()
+		if err := rt.LeakCheck(); err != nil {
+			t.Fatal(err)
+		}
+		rt.Shutdown()
+		if rounds != 2 {
+			t.Fatalf("driver finished %d rounds, want 2", rounds)
+		}
+	})
+}
+
+// TestContractQueueAccounting: while a task queues, TryAcquire is refused
+// and the queue shows in QueueLen and Snapshot; once the resource drains,
+// the waits are in WaitTotal and MeanWait and a unit can be tried for.
+func TestContractQueueAccounting(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
+		res := rt.NewResource("cpu", 1)
+		const hold = 10 * time.Millisecond
+		for i := 0; i < 2; i++ {
+			rt.Spawn("user", func(p runtime.Task) { res.Use(p, hold) })
+		}
+		rt.Spawn("probe", func(p runtime.Task) {
+			p.Sleep(hold / 2) // one user holds the unit, the other queues
+			s := res.Snapshot()
+			if res.TryAcquire() || res.QueueLen() != 1 || res.InUse() != 1 || s.QueueLen != 1 || s.InUse != 1 {
+				t.Errorf("mid-run: TryAcquire granted or queue %d, in use %d, snapshot %+v", res.QueueLen(), res.InUse(), s)
+			}
+		})
+		rt.RunAll()
+		if err := rt.LeakCheck(); err != nil {
+			t.Fatal(err)
+		}
+		rt.Shutdown()
+		s := res.Snapshot()
+		if s.Acquires != 2 || s.QueueLen != 0 || s.InUse != 0 || s.Name != "cpu" || s.Capacity != 1 {
+			t.Fatalf("drained snapshot %+v", s)
+		}
+		// The second user waited out most of the first one's hold.
+		if s.WaitTotal < hold/2 || res.MeanWait() != s.WaitTotal/2 {
+			t.Fatalf("wait total %v, mean %v, want >= %v and half of it", s.WaitTotal, res.MeanWait(), hold/2)
+		}
+		if s.BusyArea < (2*hold).Seconds()*0.9 || s.Utilization <= 0 || s.Utilization > 1 {
+			t.Fatalf("busy area %v, utilization %v after two holds of %v", s.BusyArea, s.Utilization, hold)
+		}
+		if !res.TryAcquire() || res.TryAcquire() || res.Acquires() != 2 {
+			t.Fatalf("idle capacity-1 resource: want one TryAcquire granted, uncounted (acquires %d)", res.Acquires())
+		}
+	})
+}
+
+// TestContractOneImplementation: Signal, Group and Pipe are written once,
+// in this package, so both backends hand out the same concrete types. A
+// second copy growing back in a backend fails here.
+func TestContractOneImplementation(t *testing.T) {
+	s, r := sim.NewEngine(1), realrt.New(1)
+	defer r.Shutdown()
+	for _, pair := range [][2]any{
+		{s.NewSignal(), r.NewSignal()},
+		{s.NewGroup(), r.NewGroup()},
+		{s.NewDomain("d").NewGroup(), r.NewDomain("d").NewGroup()},
+		{s.NewPipe("p", 1), r.NewPipe("p", 1)},
+	} {
+		st, rt := reflect.TypeOf(pair[0]), reflect.TypeOf(pair[1])
+		if st != rt || st.Elem().PkgPath() != "cudele/internal/runtime" {
+			t.Errorf("sim hands out %v, realrt %v; want one type of internal/runtime", st, rt)
+		}
+	}
+}
+
+// TestContractFastPathsDoNotAllocate: an uncontended Acquire+Release and
+// a Wait on a fired signal allocate nothing on either backend.
+func TestContractFastPathsDoNotAllocate(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
+		res, sig := rt.NewResource("cpu", 1), rt.NewSignal()
+		sig.Fire(nil)
+		rt.Spawn("t", func(p runtime.Task) {
+			if n := testing.AllocsPerRun(100, func() { res.Acquire(p); res.Release() }); n != 0 {
+				t.Errorf("Acquire+Release allocates %.1f objects, want 0", n)
+			}
+			if n := testing.AllocsPerRun(100, func() { sig.Wait(p) }); n != 0 {
+				t.Errorf("Wait on a fired signal allocates %.1f objects, want 0", n)
+			}
+		})
+		rt.RunAll()
+		rt.Shutdown()
+	})
 }

@@ -24,6 +24,14 @@
 // places the simulator already yields at a Sleep. Protocol state needs
 // no fine-grained locking in either mode, and the simulated schedule
 // stays byte-identical to what it was before the seam existed.
+//
+// The blocking primitives are written once, here (prim.go): Signal,
+// Group, Pipe, and the Ledger that is a Resource's queue, busy-time
+// integral and reporting methods. What a backend writes is the kernel
+// under them — a Clock, a sync.Locker per object (NoLock where one task
+// runs at a time), its tasks' Parker methods — plus Domain, Spawn and the
+// three queueing calls of its Resource, which stay per backend so that
+// they reach the backend's clock and lock without a dynamic call.
 package runtime
 
 import (

@@ -18,6 +18,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"cudele/internal/obs"
@@ -310,7 +311,7 @@ func (e *Engine) Run(until Time) Time {
 // complete through e.now whenever the event loop is not running.
 func (e *Engine) finalizeAccounting() {
 	for _, r := range e.resources {
-		r.account()
+		r.Account(e.now)
 	}
 }
 
@@ -398,11 +399,10 @@ type Proc struct {
 	// once, at start, so scheduling it allocates nothing.
 	wake func()
 	// yield parks the process and switches back to whoever called wake.
-	yield     func(struct{}) bool
-	waitStart Time // when the process queued on a Resource (at most one at a time)
-	started   bool
-	done      bool
-	killed    bool
+	yield   func(struct{}) bool
+	started bool
+	done    bool
+	killed  bool
 }
 
 // Name returns the process name given to Engine.Go.
@@ -425,6 +425,13 @@ func (p *Proc) block() {
 		panic(errProcKilled)
 	}
 }
+
+// MayPark, Park and Wake implement runtime.Parker, the kernel under the
+// shared Signal, Group and Pipe. Wake is an event like any other, so
+// wakes run in the order they were made and after the waker yields.
+func (p *Proc) MayPark()         {}
+func (p *Proc) Park(sync.Locker) { p.block() }
+func (p *Proc) Wake()            { p.eng.Schedule(0, p.wake) }
 
 // Sleep suspends the process for virtual duration d. A d <= 0 still
 // yields, so equal-time events interleave fairly.

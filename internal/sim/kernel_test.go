@@ -27,7 +27,7 @@ func randomProgramHash(t *testing.T, seed int64, slice Duration) uint64 {
 	log := func(who, step string) { fmt.Fprintf(h, "%d %s %s\n", int64(e.Now()), who, step) }
 
 	res := []*Resource{NewResource(e, "r0", 1), NewResource(e, "r1", 2), NewResource(e, "r2", 1)}
-	sigs := make([]*Signal, 24)
+	sigs := make([]Signal, 24)
 	for i := range sigs {
 		sigs[i] = NewSignal(e)
 	}
@@ -316,8 +316,8 @@ func TestProcPanicSurfacesInRun(t *testing.T) {
 		t.Fatal("RunAll returned")
 	}()
 	e.Exclusive(func() {}) // panics if Run left the loop marked running
-	if r.lastChange != 5 || r.busyArea != Time(5).Seconds() {
-		t.Fatalf("accounting not finalized: lastChange %d, busyArea %v", r.lastChange, r.busyArea)
+	if s := r.Snapshot(); s.At != 5 || s.BusyArea != Time(5).Seconds() {
+		t.Fatalf("accounting not finalized: at %d, busyArea %v", s.At, s.BusyArea)
 	}
 	if e.Now() != 5 || e.LiveProcs() != 1 {
 		t.Fatalf("now %v, live %d", e.Now(), e.LiveProcs())

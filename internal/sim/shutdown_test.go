@@ -144,3 +144,21 @@ func TestScheduleAllocs(t *testing.T) {
 		t.Fatalf("Schedule+Run of 64 events allocates %.1f times, want <=1", avg)
 	}
 }
+
+// BenchmarkResourceAcquireRelease measures an uncontended Acquire+Release
+// from inside a process: the path every simulated CPU charge takes, and
+// the one the queueing calls stay per backend for (DESIGN.md, "Execution
+// backends").
+func BenchmarkResourceAcquireRelease(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(1)
+	r := NewResource(e, "cpu", 1)
+	e.Go("bench", func(p *Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.Acquire(p)
+			r.Release()
+		}
+	})
+	e.RunAll()
+}

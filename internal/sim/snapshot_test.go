@@ -52,10 +52,11 @@ func TestRunFinalizesAccounting(t *testing.T) {
 	e.Schedule(4*time.Second, func() {})
 	e.RunAll()
 
-	// Bypass Snapshot: the engine's end-of-run finalization must have
-	// integrated through t=4s already. 1 unit x 4s / (2 cap x 4s) = 0.5.
-	if got := r.busyArea; got < 3.999 || got > 4.001 {
-		t.Fatalf("raw busyArea = %v, want ~4 after Run finalization", got)
+	// The engine's end-of-run finalization integrated through t=4s (the
+	// Snapshot adds nothing at the same instant). 1 unit x 4s / (2 cap x
+	// 4s) = 0.5.
+	if got := r.Snapshot().BusyArea; got < 3.999 || got > 4.001 {
+		t.Fatalf("busyArea = %v, want ~4 after Run finalization", got)
 	}
 	if u := r.Utilization(); u < 0.499 || u > 0.501 {
 		t.Fatalf("utilization = %v, want 0.5", u)
