@@ -21,8 +21,11 @@
 // clock and writes one Chrome trace-event JSON, loadable in Perfetto
 // (ui.perfetto.dev); each run becomes its own process group. -metrics FILE
 // writes a Prometheus text dump of every daemon's counters, histograms,
-// and device utilizations, one `run` label per simulation. Observation is
-// passive: tables are byte-identical with these flags on or off.
+// and device utilizations, one `run` label per simulation. Both cover
+// every experiment: each builds its clusters through one harness
+// (internal/bench/session.go), which is where observation attaches.
+// Observation is passive: tables are byte-identical with these flags on
+// or off.
 //
 // -backend real executes the workload on real goroutines, wall clocks,
 // and (with -datadir, default a temp dir) an fsynced object log instead
@@ -44,8 +47,10 @@
 // crashes) each daemon saw before the violation. -chaos-dumps DIR
 // additionally writes one flight-dump file per failing seed.
 //
-// -heat enables per-subtree heat accounting on every run. Like -trace
-// and -metrics it is passive: tables are byte-identical with it on.
+// -heat enables per-subtree heat accounting on every run of every
+// experiment (heatskew and rebalance read heat themselves and keep their
+// own half-life). Like -trace and -metrics it is passive: tables are
+// byte-identical with it on.
 //
 // -admin ADDR (real backend only) serves a live admin endpoint while the
 // experiments run: /metrics (Prometheus text), /heat (the decayed

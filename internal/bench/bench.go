@@ -149,13 +149,6 @@ func (r *Result) CSV() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Experiment is a registered experiment.
 type Experiment struct {
 	ID    string

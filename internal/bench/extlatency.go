@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"cudele"
 	"cudele/internal/stats"
-	"cudele/internal/workload"
 )
 
 func init() {
@@ -23,66 +21,25 @@ func ExtLatency(opts Options) (*Result, error) {
 	perDir := opts.scaled(1000, 20)
 	nClients := 6
 
-	run := func(interfere, block bool) (*stats.Histogram, error) {
-		cfg := cudele.DefaultConfig()
-		cl := cudele.NewCluster(cudele.WithSeed(opts.Seed), cudele.WithConfig(cfg))
-		cl.MDS().SetStream(true)
-		clients := make([]*cudele.Client, nClients)
-		for i := range clients {
-			clients[i] = cl.NewClient(fmt.Sprintf("client.%d", i))
-		}
-		intr := cl.NewClient("intruder")
-		eng := cl.Runtime()
-		var setupErr error
-		cl.Go("main", func(p cudele.Proc) {
-			dirs := make([]cudele.Ino, nClients)
-			for i, c := range clients {
-				d, err := c.Mkdir(p, cudele.RootIno, fmt.Sprintf("dir%d", i), 0755)
-				if err != nil {
-					setupErr = err
-					return
-				}
-				dirs[i] = d
-				if block {
-					pol := &cudele.Policy{
-						Consistency: cudele.ConsStrong, Durability: cudele.DurGlobal,
-						AllocatedInodes: 100, Interfere: cudele.InterfereBlock,
-					}
-					if _, err := cl.Monitor().RegisterPolicy(p, fmt.Sprintf("/dir%d", i), pol, c.Name()); err != nil {
-						setupErr = err
-						return
-					}
-				}
-			}
-			for i, c := range clients {
-				i, c := i, c
-				eng.Spawn(c.Name(), func(cp cudele.Proc) {
-					workload.CreateMany(cp, c, dirs[i], perClient, "f")
-				})
-			}
-			if interfere {
-				eng.Spawn("intruder", func(ip cudele.Proc) {
-					ip.Sleep(2 * time.Second)
-					workload.Interfere(ip, intr, dirs, perDir)
-				})
-			}
-		})
-		cl.RunAll()
-		if setupErr != nil {
-			return nil, setupErr
-		}
-		merged := &stats.Histogram{}
-		for _, c := range clients {
-			merged.Merge(c.CreateLatency())
-		}
-		return merged, reap(cl)
-	}
-
 	regimes := []struct{ interfere, block bool }{
 		{false, false}, {true, false}, {true, true},
 	}
 	hists, err := runGrid(opts, len(regimes), func(i int) (*stats.Histogram, error) {
-		return run(regimes[i].interfere, regimes[i].block)
+		jc := jobConfig{clients: nClients, perClient: perClient, journal: true, blockPolicy: regimes[i].block}
+		if regimes[i].interfere {
+			jc.interfereAt = 2 // seconds
+			jc.interfereFixed = true
+			jc.interferePerDir = perDir
+		}
+		res, err := runCreateJob(opts, runSpec{name: fmt.Sprintf("ext-latency/run%03d", i), seed: opts.Seed}, jc)
+		if err != nil {
+			return nil, err
+		}
+		merged := &stats.Histogram{}
+		for _, c := range res.clients {
+			merged.Merge(c.CreateLatency())
+		}
+		return merged, nil
 	})
 	if err != nil {
 		return nil, err

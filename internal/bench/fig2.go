@@ -24,80 +24,71 @@ type fig2PhaseRow struct {
 // journaling on and reports, per phase, the metadata op rate and the
 // utilization of the MDS CPU, the fabric, and the OSD disks. The paper's
 // claim: the create-heavy untar phase has the highest combined resource
-// usage because of consistency/durability demands. Its single simulation
-// is a 1-run grid so it shares the runner's leak checking.
+// usage because of consistency/durability demands.
 func Fig2(opts Options) (*Result, error) {
-	grids, err := runGrid(opts, 1, func(int) ([]fig2PhaseRow, error) {
-		return fig2Run(opts)
-	})
+	rows, err := fig2Run(opts)
 	if err != nil {
 		return nil, err
 	}
-	return fig2Render(grids[0])
+	return fig2Render(rows)
 }
 
 func fig2Run(opts Options) ([]fig2PhaseRow, error) {
-	cfg := cudele.DefaultConfig()
-	// Scale the segment size with the workload so journal segments seal
-	// (and stream to the object store) at a proportional rate.
-	cfg.SegmentEvents = opts.scaled(1024, 64)
-	cl := cudele.NewCluster(cudele.WithSeed(opts.Seed), cudele.WithConfig(cfg))
-	opts.Sink.start("fig2/run000", cl)
-	cl.MDS().SetStream(true)
-	c := cl.NewClient("client.0")
+	spec := runSpec{name: "fig2/run000", seed: opts.Seed, config: func(cfg *cudele.Config) {
+		// Scale the segment size with the workload so journal segments seal
+		// (and stream to the object store) at a proportional rate.
+		cfg.SegmentEvents = opts.scaled(1024, 64)
+	}}
+	return runSession(opts, spec, func(s *session) ([]fig2PhaseRow, error) {
+		cl := s.cl
+		cl.MDS().SetStream(true)
+		c := s.clients(1)[0]
 
-	var rows []fig2PhaseRow
-	var runErr error
-
-	cl.Run(func(p cudele.Proc) {
-		root, err := c.Mkdir(p, cudele.RootIno, "linux-build", 0755)
-		if err != nil {
-			runErr = err
-			return
-		}
-		for _, ph := range workload.CompilePhases() {
-			ph.Units = opts.scaled(ph.Units, 8)
-			// Phase setup (working directory, draining the previous
-			// phase's journal) stays outside the measurement window.
-			phaseDir, err := c.Mkdir(p, root, ph.Name, 0755)
+		var rows []fig2PhaseRow
+		_, err := s.phase("main", func(p cudele.Proc) error {
+			root, err := c.Mkdir(p, cudele.RootIno, "linux-build", 0755)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
-			cl.MDS().FlushJournal(p)
-			cpuMark := cl.MDS().CPU().UtilizationMark()
-			netMark := cl.Objects().Net().UtilizationMark()
-			diskMarks := make([]sim.ResourceMark, 0, len(cl.Objects().OSDs()))
-			for _, osd := range cl.Objects().OSDs() {
-				diskMarks = append(diskMarks, osd.Disk.UtilizationMark())
-			}
-			start := p.Now()
+			for _, ph := range workload.CompilePhases() {
+				ph.Units = opts.scaled(ph.Units, 8)
+				// Phase setup (working directory, draining the previous
+				// phase's journal) stays outside the measurement window.
+				phaseDir, err := c.Mkdir(p, root, ph.Name, 0755)
+				if err != nil {
+					return err
+				}
+				cl.MDS().FlushJournal(p)
+				cpuMark := cl.MDS().CPU().UtilizationMark()
+				netMark := cl.Objects().Net().UtilizationMark()
+				diskMarks := make([]sim.ResourceMark, 0, len(cl.Objects().OSDs()))
+				for _, osd := range cl.Objects().OSDs() {
+					diskMarks = append(diskMarks, osd.Disk.UtilizationMark())
+				}
+				start := p.Now()
 
-			ops, err := workload.RunPhase(p, c, phaseDir, ph)
-			if err != nil {
-				runErr = fmt.Errorf("phase %s: %w", ph.Name, err)
-				return
-			}
+				ops, err := workload.RunPhase(p, c, phaseDir, ph)
+				if err != nil {
+					return fmt.Errorf("phase %s: %w", ph.Name, err)
+				}
 
-			secs := (p.Now() - start).Seconds()
-			disk := 0.0
-			for i, osd := range cl.Objects().OSDs() {
-				disk += osd.Disk.UtilizationSince(diskMarks[i])
+				secs := (p.Now() - start).Seconds()
+				disk := 0.0
+				for i, osd := range cl.Objects().OSDs() {
+					disk += osd.Disk.UtilizationSince(diskMarks[i])
+				}
+				disk /= float64(len(cl.Objects().OSDs()))
+				rows = append(rows, fig2PhaseRow{
+					name: ph.Name, ops: ops, secs: secs,
+					cpu:  cl.MDS().CPU().UtilizationSince(cpuMark),
+					net:  cl.Objects().Net().UtilizationSince(netMark),
+					disk: disk,
+				})
 			}
-			disk /= float64(len(cl.Objects().OSDs()))
-			rows = append(rows, fig2PhaseRow{
-				name: ph.Name, ops: ops, secs: secs,
-				cpu:  cl.MDS().CPU().UtilizationSince(cpuMark),
-				net:  cl.Objects().Net().UtilizationSince(netMark),
-				disk: disk,
-			})
-		}
+			return nil
+		})
+		return rows, err
 	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	opts.Sink.finish("fig2/run000", cl)
-	return rows, reap(cl)
 }
 
 func fig2Render(rows []fig2PhaseRow) (*Result, error) {

@@ -7,7 +7,6 @@ import (
 	"cudele"
 	"cudele/internal/mds"
 	"cudele/internal/stats"
-	"cudele/internal/workload"
 )
 
 func init() {
@@ -19,9 +18,25 @@ func init() {
 // clientCounts is the paper's x-axis for the scaling figures.
 var clientCounts = []int{1, 2, 5, 10, 15, 20}
 
-// Fig3a scales parallel creates under four journal configurations:
-// journaling off and dispatch sizes 1, 10, and 30 segments (plus the
-// paper's "realistic" 40). The y-value is the slowest client's slowdown,
+// fig3aConfig is one journal configuration of Fig 3a.
+type fig3aConfig struct {
+	label    string
+	journal  bool
+	dispatch int
+}
+
+// fig3aConfigs are Fig 3a's columns: journaling off and dispatch sizes 1,
+// 10 and 30 segments, plus the paper's "realistic" 40.
+var fig3aConfigs = []fig3aConfig{
+	{"no journal", false, 0},
+	{"1 segment", true, 1},
+	{"10 segments", true, 10},
+	{"30 segments", true, 30},
+	{"40 segments", true, 40},
+}
+
+// Fig3a scales parallel creates under the fig3aConfigs journal
+// configurations. The y-value is the slowest client's slowdown,
 // normalized to 1 client with journaling off (~654 creates/s). The grid —
 // the baseline plus clientCounts x configs in row-major order — runs on
 // the worker pool.
@@ -29,22 +44,10 @@ func Fig3a(opts Options) (*Result, error) {
 	perClient := opts.scaled(100_000, 200)
 	segEvents := opts.scaled(1024, 64)
 
-	type config struct {
-		label    string
-		journal  bool
-		dispatch int
-	}
-	configs := []config{
-		{"no journal", false, 0},
-		{"1 segment", true, 1},
-		{"10 segments", true, 10},
-		{"30 segments", true, 30},
-		{"40 segments", true, 40},
-	}
-
+	configs := fig3aConfigs
 	type spec struct {
 		clients int
-		cfg     config
+		cfg     fig3aConfig
 	}
 	specs := []spec{{clients: 1}} // index 0: 1-client journal-off baseline
 	for _, n := range clientCounts {
@@ -54,14 +57,13 @@ func Fig3a(opts Options) (*Result, error) {
 	}
 	times, err := runGrid(opts, len(specs), func(i int) (float64, error) {
 		sp := specs[i]
-		jc := jobConfig{seed: opts.Seed, clients: sp.clients, perClient: perClient,
-			sink: opts.Sink, heat: opts.Heat, run: fmt.Sprintf("fig3a/run%03d", i)}
+		jc := jobConfig{clients: sp.clients, perClient: perClient}
 		if i > 0 {
 			jc.journal = sp.cfg.journal
 			jc.dispatch = sp.cfg.dispatch
 			jc.segEvents = segEvents
 		}
-		res, err := runCreateJob(jc)
+		res, err := runCreateJob(opts, runSpec{name: fmt.Sprintf("fig3a/run%03d", i), seed: opts.Seed}, jc)
 		if err != nil {
 			return 0, err
 		}
@@ -127,9 +129,8 @@ func fig3bRuns(opts Options, blockPolicy bool) (noInterf, interf map[int][]float
 	times, err := runGrid(opts, len(specs), func(i int) (float64, error) {
 		sp := specs[i]
 		jc := jobConfig{
-			seed: opts.Seed + int64(sp.trial)*101, clients: sp.clients, perClient: perClient,
+			clients: sp.clients, perClient: perClient,
 			journal: true, dispatch: 40, segEvents: segEvents,
-			sink: opts.Sink, heat: opts.Heat, run: fmt.Sprintf("%s/run%03d", id, i),
 		}
 		if i > 0 {
 			jc.jitter = time.Second
@@ -139,7 +140,9 @@ func fig3bRuns(opts Options, blockPolicy bool) (noInterf, interf map[int][]float
 			jc.interferePerDir = perDir
 			jc.blockPolicy = blockPolicy
 		}
-		res, err := runCreateJob(jc)
+		res, err := runCreateJob(opts, runSpec{
+			name: fmt.Sprintf("%s/run%03d", id, i), seed: opts.Seed + int64(sp.trial)*101,
+		}, jc)
 		if err != nil {
 			return 0, err
 		}
@@ -213,72 +216,26 @@ func Fig3c(opts Options) (*Result, error) {
 	sampleEvery := interfereAt / 4.0
 
 	runTraced := func(run int, interfere bool) (*fig3cSampled, error) {
-		jc := jobConfig{
-			seed: opts.Seed, clients: nClients, perClient: perClient,
-			journal: true, dispatch: 40,
-		}
-		if interfere {
-			jc.interfereAt = interfereAt
-			jc.interferePerDir = perDir
-		}
-		cfg := cudele.DefaultConfig()
-		cfg.DispatchSize = jc.dispatch
-		cfg.SegmentEvents = opts.scaled(1024, 64)
-		cl := cudele.NewCluster(cudele.WithSeed(jc.seed), cudele.WithConfig(cfg))
-		runName := fmt.Sprintf("fig3c/run%03d", run)
-		opts.Sink.start(runName, cl)
-		cl.MDS().SetStream(true)
-
 		out := &fig3cSampled{requests: &stats.Series{}, lookups: &stats.Series{}}
-		done := false
-		eng := cl.Runtime()
-
-		clients := make([]*cudele.Client, nClients)
-		for i := range clients {
-			clients[i] = cl.NewClient(fmt.Sprintf("client.%d", i))
-		}
-		intr := cl.NewClient("intruder")
-
-		cl.Go("main", func(p cudele.Proc) {
-			dirs := make([]cudele.Ino, nClients)
-			for i, c := range clients {
-				d, err := c.Mkdir(p, cudele.RootIno, fmt.Sprintf("dir%d", i), 0755)
-				if err != nil {
-					return
-				}
-				dirs[i] = d
-			}
-			// Sampler.
-			eng.Spawn("sampler", func(sp cudele.Proc) {
-				for !done {
+		jc := jobConfig{
+			clients: nClients, perClient: perClient,
+			journal: true, dispatch: 40, segEvents: opts.scaled(1024, 64),
+			sampler: func(sp cudele.Proc, cl *cudele.Cluster, done func() bool) {
+				for !done() {
 					m := cl.MDS().Metrics()
 					out.requests.Add(sp.Now().Seconds(), float64(m.Requests))
 					out.lookups.Add(sp.Now().Seconds(), float64(m.ByOp[mds.OpLookup]))
 					sp.Sleep(time.Duration(sampleEvery * 1e9))
 				}
-			})
-			if interfere {
-				eng.Spawn("intruder", func(ip cudele.Proc) {
-					ip.Sleep(time.Duration(interfereAt * 1e9))
-					workload.Interfere(ip, intr, dirs, perDir)
-				})
-			}
-			grp := eng.NewGroup()
-			for i, c := range clients {
-				i, c := i, c
-				grp.Go(c.Name(), func(cp cudele.Proc) {
-					workload.CreateMany(cp, c, dirs[i], perClient, "f")
-				})
-			}
-			grp.Wait(p)
-			done = true
-		})
-		cl.RunAll()
-		opts.Sink.finish(runName, cl)
-		if err := reap(cl); err != nil {
-			return nil, err
+			},
 		}
-		return out, nil
+		if interfere {
+			jc.interfereAt = interfereAt
+			jc.interfereFixed = true
+			jc.interferePerDir = perDir
+		}
+		_, err := runCreateJob(opts, runSpec{name: fmt.Sprintf("fig3c/run%03d", run), seed: opts.Seed}, jc)
+		return out, err
 	}
 
 	traces, err := runGrid(opts, 2, func(i int) (*fig3cSampled, error) {

@@ -11,47 +11,44 @@ func init() {
 	register("fig5", "Per-mechanism overhead for 100K creates (Fig 5)", Fig5)
 }
 
-// mechCluster builds a cluster with one decoupled client that has already
-// appended n creates to its journal (untimed unless timed is captured by
-// the caller inside fn).
-func withDecoupledJournal(seed int64, n int, fn func(cl *cudele.Cluster, c *cudele.Client, p cudele.Proc, appendSecs float64) error) error {
-	cl := cudele.NewCluster(cudele.WithSeed(seed))
-	c := cl.NewClient("client.0")
-	var err error
-	cl.Run(func(p cudele.Proc) {
-		if _, err = c.MkdirAll(p, "/job", 0755); err != nil {
-			return
-		}
-		// Seed the object store so Nonvolatile Apply has directory
-		// objects to read.
-		if err = cl.MDS().SaveStore(p); err != nil {
-			return
-		}
-		pol := &cudele.Policy{
-			Consistency: cudele.ConsInvisible, Durability: cudele.DurNone,
-			AllocatedInodes: n + 10,
-		}
-		if _, err = cl.DecouplePolicy(p, c, "/job", pol); err != nil {
-			return
-		}
-		root, _ := c.DecoupledRoot()
-		start := p.Now()
-		if _, err = workload.CreateManyLocal(p, c, root, n, "f"); err != nil {
-			return
-		}
-		appendSecs := (p.Now() - start).Seconds()
-		err = fn(cl, c, p, appendSecs)
+// withDecoupledJournal runs fn on a cluster with one decoupled client that
+// has already appended n creates to its journal; appendSecs is what the
+// appends took.
+func withDecoupledJournal(opts Options, run string, n int, fn func(c *cudele.Client, p cudele.Proc, appendSecs float64) error) error {
+	_, err := runSession(opts, runSpec{name: run, seed: opts.Seed}, func(s *session) (float64, error) {
+		c := s.clients(1)[0]
+		return s.phase("main", func(p cudele.Proc) error {
+			if _, err := c.MkdirAll(p, "/job", 0755); err != nil {
+				return err
+			}
+			// Seed the object store so Nonvolatile Apply has directory
+			// objects to read.
+			if err := s.cl.MDS().SaveStore(p); err != nil {
+				return err
+			}
+			pol := &cudele.Policy{
+				Consistency: cudele.ConsInvisible, Durability: cudele.DurNone,
+				AllocatedInodes: n + 10,
+			}
+			if _, err := s.cl.DecouplePolicy(p, c, "/job", pol); err != nil {
+				return err
+			}
+			root, _ := c.DecoupledRoot()
+			start := p.Now()
+			if _, err := workload.CreateManyLocal(p, c, root, n, "f"); err != nil {
+				return err
+			}
+			return fn(c, p, (p.Now() - start).Seconds())
+		})
 	})
-	if err != nil {
-		return err
-	}
-	return reap(cl)
+	return err
 }
 
 // rpcCreateTime runs n RPC creates on a fresh cluster and returns the
 // elapsed seconds.
-func rpcCreateTime(seed int64, n, segEvents int, journal bool) (float64, error) {
-	res, err := runCreateJob(jobConfig{seed: seed, clients: 1, perClient: n, journal: journal, dispatch: 40, segEvents: segEvents})
+func rpcCreateTime(opts Options, run string, n, segEvents int, journal bool) (float64, error) {
+	res, err := runCreateJob(opts, runSpec{name: run, seed: opts.Seed},
+		jobConfig{clients: 1, perClient: n, journal: journal, dispatch: 40, segEvents: segEvents})
 	if err != nil {
 		return 0, err
 	}
@@ -74,9 +71,10 @@ func Fig5(opts Options) (*Result, error) {
 
 	parts, err := runGrid(opts, 4, func(i int) (fig5Times, error) {
 		var t fig5Times
+		run := fmt.Sprintf("fig5/run%03d", i)
 		switch i {
 		case 0: // non-destructive persists, then volatile apply
-			err := withDecoupledJournal(opts.Seed, n, func(cl *cudele.Cluster, c *cudele.Client, p cudele.Proc, appendSecs float64) error {
+			err := withDecoupledJournal(opts, run, n, func(c *cudele.Client, p cudele.Proc, appendSecs float64) error {
 				t.append_ = appendSecs
 				start := p.Now()
 				if err := c.LocalPersist(p); err != nil {
@@ -97,7 +95,7 @@ func Fig5(opts Options) (*Result, error) {
 			})
 			return t, err
 		case 1: // destructive nonvolatile apply on its own journal
-			err := withDecoupledJournal(opts.Seed, n, func(cl *cudele.Cluster, c *cudele.Client, p cudele.Proc, _ float64) error {
+			err := withDecoupledJournal(opts, run, n, func(c *cudele.Client, p cudele.Proc, _ float64) error {
 				start := p.Now()
 				if _, err := c.NonvolatileApply(p); err != nil {
 					return err
@@ -108,11 +106,11 @@ func Fig5(opts Options) (*Result, error) {
 			return t, err
 		case 2:
 			var err error
-			t.rpc, err = rpcCreateTime(opts.Seed, n, segEvents, false)
+			t.rpc, err = rpcCreateTime(opts, run, n, segEvents, false)
 			return t, err
 		default:
 			var err error
-			t.rpcJournal, err = rpcCreateTime(opts.Seed, n, segEvents, true)
+			t.rpcJournal, err = rpcCreateTime(opts, run, n, segEvents, true)
 			return t, err
 		}
 	})

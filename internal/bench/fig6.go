@@ -7,71 +7,12 @@ import (
 	"cudele"
 	"cudele/internal/sim"
 	"cudele/internal/stats"
-	"cudele/internal/workload"
 )
 
 func init() {
 	register("fig6a", "Parallel creates: decoupled namespaces vs RPCs (Fig 6a)", Fig6a)
 	register("fig6b", "Blocking interfering clients with the Cudele API (Fig 6b)", Fig6b)
 	register("fig6c", "Namespace-sync interval vs overhead (Fig 6c)", Fig6c)
-}
-
-// decoupledJob runs n clients that each decouple a private subtree and
-// create perClient files locally; with merge, each ships its journal to
-// the MDS the moment it finishes (so journals land together, the paper's
-// pessimistic arrival model). It returns the total job seconds.
-func decoupledJob(seed int64, n, perClient int, merge bool, stagger time.Duration) (float64, error) {
-	cl := cudele.NewCluster(cudele.WithSeed(seed))
-	cl.MDS().SetStream(true)
-	clients := make([]*cudele.Client, n)
-	for i := range clients {
-		clients[i] = cl.NewClient(fmt.Sprintf("client.%d", i))
-	}
-	var jobErr error
-	eng := cl.Runtime()
-	cl.Go("setup", func(p cudele.Proc) {
-		for i, c := range clients {
-			path := fmt.Sprintf("/job%d", i)
-			if _, err := c.MkdirAll(p, path, 0755); err != nil {
-				jobErr = err
-				return
-			}
-			pol := &cudele.Policy{
-				Consistency: cudele.ConsInvisible, Durability: cudele.DurNone,
-				AllocatedInodes: perClient + 10,
-			}
-			if merge {
-				pol.Consistency = cudele.ConsWeak
-			}
-			if _, err := cl.DecouplePolicy(p, c, path, pol); err != nil {
-				jobErr = err
-				return
-			}
-		}
-		for i, c := range clients {
-			i, c := i, c
-			eng.Spawn(c.Name(), func(cp cudele.Proc) {
-				if stagger > 0 {
-					cp.Sleep(time.Duration(i) * stagger)
-				}
-				root, _ := c.DecoupledRoot()
-				if _, err := workload.CreateManyLocal(cp, c, root, perClient, "f"); err != nil {
-					jobErr = err
-					return
-				}
-				if merge {
-					if _, err := c.VolatileApply(cp); err != nil {
-						jobErr = err
-					}
-				}
-			})
-		}
-	})
-	total := cl.RunAll()
-	if jobErr != nil {
-		return 0, jobErr
-	}
-	return total, reap(cl)
 }
 
 // Fig6a compares three subtree semantics for the parallel-create
@@ -85,27 +26,32 @@ func Fig6a(opts Options) (*Result, error) {
 	// Grid: index 0 is the 1-client RPC baseline; then per client count the
 	// three semantics (rpcs, create+merge, create) in row-major order.
 	const perRow = 3
+	rpcs := func(spec runSpec, clients int) (*jobResult, error) {
+		return runCreateJob(opts, spec, jobConfig{clients: clients, perClient: perClient,
+			journal: true, dispatch: 40, segEvents: segEvents})
+	}
 	runs, err := runGrid(opts, 1+perRow*len(clientCounts), func(i int) (float64, error) {
+		spec := runSpec{name: fmt.Sprintf("fig6a/run%03d", i), seed: opts.Seed}
 		if i == 0 {
-			base, err := runCreateJob(jobConfig{seed: opts.Seed, clients: 1, perClient: perClient, journal: true, dispatch: 40, segEvents: segEvents})
+			base, err := rpcs(spec, 1)
 			if err != nil {
 				return 0, err
 			}
 			return base.slowest(), nil
 		}
 		n := clientCounts[(i-1)/perRow]
-		switch (i - 1) % perRow {
-		case 0:
-			rpc, err := runCreateJob(jobConfig{seed: opts.Seed, clients: n, perClient: perClient, journal: true, dispatch: 40, segEvents: segEvents})
+		if (i-1)%perRow == 0 {
+			rpc, err := rpcs(spec, n)
 			if err != nil {
 				return 0, err
 			}
 			return rpc.total, nil
-		case 1:
-			return decoupledJob(opts.Seed, n, perClient, true, 0)
-		default:
-			return decoupledJob(opts.Seed, n, perClient, false, 0)
 		}
+		// Journals land the moment the creates finish: the paper's
+		// pessimistic arrival model.
+		storm := decoupledStorm{clients: n, perClient: perClient, journal: true, merge: (i-1)%perRow == 1}
+		res, err := runSession(opts, spec, storm.run)
+		return res.total, err
 	})
 	if err != nil {
 		return nil, err
@@ -203,64 +149,54 @@ func Fig6c(opts Options) (*Result, error) {
 		shipped int
 	}
 	syncRuns, err := runGrid(opts, len(intervals), func(gi int) (syncRun, error) {
-		interval := intervals[gi]
-		cl := cudele.NewCluster(cudele.WithSeed(opts.Seed))
-		c := cl.NewClient("client.0")
-		var runErr error
-		var pauses int
-		var shipped int
-		var total float64
-		cl.Run(func(p cudele.Proc) {
-			if _, err := c.MkdirAll(p, "/exp", 0755); err != nil {
-				runErr = err
-				return
-			}
-			pol := &cudele.Policy{
-				Consistency: cudele.ConsInvisible, Durability: cudele.DurLocal,
-				AllocatedInodes: n + 10,
-			}
-			if _, err := cl.DecouplePolicy(p, c, "/exp", pol); err != nil {
-				runErr = err
-				return
-			}
-			root, _ := c.DecoupledRoot()
-			lastSync := p.Now()
-			step := time.Duration(interval * 1e9)
-			for i := 0; i < n; i++ {
-				if _, err := c.LocalCreate(p, root, fmt.Sprintf("f%07d", i), 0644); err != nil {
-					runErr = err
-					return
+		step := time.Duration(intervals[gi] * 1e9)
+		spec := runSpec{name: fmt.Sprintf("fig6c/run%03d", gi), seed: opts.Seed}
+		return runSession(opts, spec, func(s *session) (syncRun, error) {
+			c := s.clients(1)[0]
+			var sr syncRun
+			_, err := s.phase("main", func(p cudele.Proc) error {
+				if _, err := c.MkdirAll(p, "/exp", 0755); err != nil {
+					return err
 				}
-				if p.Now()-lastSync >= sim.Time(step) {
-					if _, k, err := c.SyncNow(p); err != nil {
-						runErr = err
-						return
-					} else {
-						shipped += k
+				pol := &cudele.Policy{
+					Consistency: cudele.ConsInvisible, Durability: cudele.DurLocal,
+					AllocatedInodes: n + 10,
+				}
+				if _, err := s.cl.DecouplePolicy(p, c, "/exp", pol); err != nil {
+					return err
+				}
+				root, _ := c.DecoupledRoot()
+				lastSync := p.Now()
+				for i := 0; i < n; i++ {
+					if _, err := c.LocalCreate(p, root, fmt.Sprintf("f%07d", i), 0644); err != nil {
+						return err
 					}
-					lastSync = p.Now()
+					if p.Now()-lastSync >= sim.Time(step) {
+						_, k, err := c.SyncNow(p)
+						if err != nil {
+							return err
+						}
+						sr.shipped += k
+						lastSync = p.Now()
+					}
 				}
-			}
-			// Final sync and drain are on the critical path.
-			if _, k, err := c.SyncNow(p); err != nil {
-				runErr = err
-				return
-			} else {
-				shipped += k
-			}
-			if err := c.WaitSyncDrain(p); err != nil {
-				runErr = err
-				return
-			}
-			// The job is done once the final drain lands; the MDS
-			// keeps applying partial updates in the background.
-			total = p.Now().Seconds()
-			pauses, _ = c.SyncStats()
+				// Final sync and drain are on the critical path.
+				_, k, err := c.SyncNow(p)
+				if err != nil {
+					return err
+				}
+				sr.shipped += k
+				if err := c.WaitSyncDrain(p); err != nil {
+					return err
+				}
+				// The job is done once the final drain lands; the MDS
+				// keeps applying partial updates in the background.
+				sr.total = p.Now().Seconds()
+				sr.pauses, _ = c.SyncStats()
+				return nil
+			})
+			return sr, err
 		})
-		if runErr != nil {
-			return syncRun{}, runErr
-		}
-		return syncRun{total: total, pauses: pauses, shipped: shipped}, reap(cl)
 	})
 	if err != nil {
 		return nil, err

@@ -8,24 +8,25 @@ import (
 )
 
 // TestHeatDoesNotPerturb extends the observation contract to heat
-// accounting: the same experiment, same seed, same scale must render a
+// accounting: every experiment, same seed, same scale, must render a
 // byte-identical table with -heat on — the accountant reads the virtual
 // clock but never charges time or consumes randomness.
 func TestHeatDoesNotPerturb(t *testing.T) {
-	opts := Options{Scale: 0.002, Seed: 1, Workers: 2}
-	plain, err := Run("fig3a", opts)
+	plain, err := plainTables()
 	if err != nil {
 		t.Fatal(err)
 	}
-	heated := opts
-	heated.Heat = true
-	accounted, err := Run("fig3a", heated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Render() != accounted.Render() {
-		t.Fatalf("heat accounting perturbed the table:\n--- without heat ---\n%s\n--- with heat ---\n%s",
-			plain.Render(), accounted.Render())
+	for _, id := range IDs() {
+		heated := tinyOpts
+		heated.Heat = true
+		accounted, err := Run(id, heated)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if plain[id] != accounted.Render() {
+			t.Errorf("heat accounting perturbed %s:\n--- without heat ---\n%s\n--- with heat ---\n%s",
+				id, plain[id], accounted.Render())
+		}
 	}
 }
 
@@ -54,7 +55,7 @@ func TestHeatSkewDeterministic(t *testing.T) {
 // on one of four ranks ≈ 2.5x even).
 func TestHeatSkewExposesImbalance(t *testing.T) {
 	opts := Options{Scale: 0.002, Seed: 1}
-	out, err := heatSkewRun(nil, "", opts.Seed, opts.scaled(20_000, 200), 0, 0, nil, "")
+	out, err := heatSkewRun(opts, runSpec{}, opts.scaled(20_000, 200), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"cudele"
 	"cudele/internal/obs"
-	"cudele/internal/workload"
 )
 
 func init() {
@@ -50,91 +49,34 @@ type heatSample struct {
 // imbalance factor at that period, so the table can show the skew
 // building as the hot rank's backlog outlives the cold ranks'. The
 // sampler mutates shared state without locks, so it is sim-only; real
-// runs pass 0.
-func heatSkewRun(sink *Sink, run string, seed int64, perClient int, sampleEvery time.Duration,
-	backend cudele.Backend, admin *obs.Admin, dataDir string) (heatSkewOut, error) {
-	copts := []cudele.Option{cudele.WithSeed(seed), cudele.WithMDSRanks(heatSkewRanks)}
-	if backend == cudele.BackendReal {
-		copts = append(copts, cudele.WithBackend(cudele.BackendReal))
-		if dataDir != "" {
-			copts = append(copts, cudele.WithDataDir(dataDir))
-		}
-	}
-	cl := cudele.NewCluster(copts...)
-	sink.start(run, cl)
-	cl.EnableHeat(10 * time.Minute)
-	if admin != nil && backend == cudele.BackendReal {
-		admin.SetSource(cl.AdminSource())
-	}
-
-	cs := make([]*cudele.Client, len(heatSkewPlacement))
-	for i := range cs {
-		cs[i] = cl.NewClient(fmt.Sprintf("client.%d", i))
-	}
-	var jobErr error
-	var finished int
-	var samples []heatSample
-	eng := cl.Runtime()
-	cl.Go("setup", func(p cudele.Proc) {
-		for i, c := range cs {
-			path := fmt.Sprintf("/job%d", i)
-			if _, err := c.MkdirAll(p, path, 0755); err != nil {
-				jobErr = err
-				return
-			}
-			if err := cl.Monitor().Place(p, path, heatSkewPlacement[i]); err != nil {
-				jobErr = err
-				return
-			}
-		}
-		for i, c := range cs {
-			i, c := i, c
-			eng.Spawn(c.Name(), func(cp cudele.Proc) {
-				if sampleEvery > 0 {
-					defer func() { finished++ }()
-				}
-				dir, err := c.Resolve(cp, fmt.Sprintf("/job%d", i))
-				if err != nil {
-					jobErr = err
+// runs pass 0. The spec names the run, its backend and its data dir; the
+// ranks and the half-life are the experiment's.
+func heatSkewRun(opts Options, spec runSpec, perClient int, sampleEvery time.Duration) (heatSkewOut, error) {
+	spec.seed = opts.Seed
+	spec.ranks = heatSkewRanks
+	spec.halfLife = 10 * time.Minute
+	var out heatSkewOut
+	storm := placedStorm{placement: heatSkewPlacement, perClient: perClient}
+	if sampleEvery > 0 {
+		storm.sampler = func(sp cudele.Proc, cl *cudele.Cluster, done func() bool) {
+			for {
+				sp.Sleep(sampleEvery)
+				out.samples = append(out.samples, heatSample{
+					sec: sp.Now().Seconds(), imb: imbalanceOf(rankLoads(cl, heatSkewRanks)),
+				})
+				if done() {
 					return
 				}
-				if _, _, err := workload.CreateMany(cp, c, dir, perClient, "f"); err != nil {
-					jobErr = err
-				}
-			})
+			}
 		}
-		if sampleEvery > 0 {
-			eng.Spawn("heat.sampler", func(sp cudele.Proc) {
-				for {
-					sp.Sleep(sampleEvery)
-					loads := make([]float64, heatSkewRanks)
-					for _, cell := range cl.Heat().Snapshot(int64(sp.Now())) {
-						if cell.Rank >= 0 && cell.Rank < heatSkewRanks {
-							loads[cell.Rank] += cell.Load
-						}
-					}
-					samples = append(samples, heatSample{
-						sec: sp.Now().Seconds(), imb: imbalanceOf(loads),
-					})
-					if finished >= len(cs) {
-						return
-					}
-				}
-			})
-		}
+	}
+	return runSession(opts, spec, func(s *session) (heatSkewOut, error) {
+		var err error
+		out.total, _, err = storm.run(s)
+		out.report = s.cl.HeatReport()
+		out.requests = rankRequests(s.cl, heatSkewRanks)
+		return out, err
 	})
-	out := heatSkewOut{total: cl.RunAll()}
-	out.samples = samples
-	if jobErr != nil {
-		return heatSkewOut{}, jobErr
-	}
-	out.report = cl.HeatReport()
-	out.requests = make([]uint64, heatSkewRanks)
-	for i := 0; i < heatSkewRanks; i++ {
-		out.requests[i] = cl.Metadata().Rank(i).Metrics().Requests
-	}
-	sink.finish(run, cl)
-	return out, reap(cl)
 }
 
 // subtreesOnRank counts how many placed subtrees heatSkewPlacement pins
@@ -161,8 +103,7 @@ func HeatSkew(opts Options) (*Result, error) {
 	// dominates), so a per-create sampling period keeps the trajectory at
 	// roughly ten points at any scale.
 	sampleEvery := time.Duration(perClient) * 200 * time.Microsecond
-	out, err := heatSkewRun(opts.Sink, "heatskew", opts.Seed, perClient, sampleEvery,
-		cudele.BackendSim, nil, "")
+	out, err := heatSkewRun(opts, runSpec{name: "heatskew"}, perClient, sampleEvery)
 	if err != nil {
 		return nil, err
 	}
@@ -234,17 +175,15 @@ func addHeatRows(r *Result, out heatSkewOut) {
 // admin endpoint is armed, the live /heat source while it executes.
 func heatSkewReal(opts Options) (*Result, error) {
 	perClient := opts.scaled(20_000, 200)
-	sim, err := heatSkewRun(opts.Sink, "heatskew-real/sim", opts.Seed, perClient, 0,
-		cudele.BackendSim, nil, "")
+	sim, err := heatSkewRun(opts, runSpec{name: "heatskew-real/sim"}, perClient, 0)
 	if err != nil {
 		return nil, err
 	}
-	dataDir := ""
+	spec := runSpec{name: "heatskew-real/real", backend: cudele.BackendReal}
 	if opts.DataDir != "" {
-		dataDir = filepath.Join(opts.DataDir, "heatskew")
+		spec.dataDir = filepath.Join(opts.DataDir, "heatskew")
 	}
-	real, err := heatSkewRun(opts.Sink, "heatskew-real/real", opts.Seed, perClient, 0,
-		cudele.BackendReal, opts.Admin, dataDir)
+	real, err := heatSkewRun(opts, spec, perClient, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cudele"
-	"cudele/internal/workload"
 )
 
 func init() {
@@ -36,93 +35,41 @@ type mergeScaleOut struct {
 	waitJobs     int     // streamed jobs the spread covers
 }
 
-func mergeScaleRun(sink *Sink, seed int64, n, perClient int, mode string) (mergeScaleOut, error) {
-	cfg := cudele.DefaultConfig()
-	if mode == "chunked-fair" {
-		cfg.MergeChunkEvents = 256
-		cfg.MergeAdmitMax = 2
-	}
-	var stagger time.Duration
-	if mode == "staggered" {
+func mergeScaleRun(opts Options, n, perClient int, mode string) (mergeScaleOut, error) {
+	storm := decoupledStorm{clients: n, perClient: perClient, merge: true}
+	spec := runSpec{name: fmt.Sprintf("mergescale/n%d/%s", n, mode), seed: opts.Seed}
+	switch mode {
+	case "chunked-fair":
+		spec.config = func(cfg *cudele.Config) {
+			cfg.MergeChunkEvents = 256
+			cfg.MergeAdmitMax = 2
+		}
+	case "staggered":
 		// The oracle interval: one merge's setup plus its uncongested
 		// apply time, so each journal lands as the previous one drains.
-		stagger = cfg.MDSMergeSetup + time.Duration(perClient)*cfg.MDSApplyTime
+		cfg := cudele.DefaultConfig()
+		storm.stagger = cfg.MDSMergeSetup + time.Duration(perClient)*cfg.MDSApplyTime
 	}
-
-	cl := cudele.NewCluster(cudele.WithSeed(seed), cudele.WithConfig(cfg))
-	run := fmt.Sprintf("mergescale/n%d/%s", n, mode)
-	sink.start(run, cl)
-	clients := make([]*cudele.Client, n)
-	for i := range clients {
-		clients[i] = cl.NewClient(fmt.Sprintf("client.%d", i))
-	}
-	var jobErr error
-	done := make([]float64, n)
-	latency := make([]float64, n)
-	eng := cl.Runtime()
-	cl.Go("setup", func(p cudele.Proc) {
-		for i, c := range clients {
-			path := fmt.Sprintf("/job%d", i)
-			if _, err := c.MkdirAll(p, path, 0755); err != nil {
-				jobErr = err
-				return
-			}
-			pol := &cudele.Policy{
-				Consistency: cudele.ConsWeak, Durability: cudele.DurNone,
-				AllocatedInodes: perClient + 10,
-			}
-			if _, err := cl.DecouplePolicy(p, c, path, pol); err != nil {
-				jobErr = err
-				return
-			}
+	return runSession(opts, spec, func(s *session) (mergeScaleOut, error) {
+		res, err := storm.run(s)
+		if err != nil {
+			return mergeScaleOut{}, err
 		}
-		for i, c := range clients {
-			i, c := i, c
-			eng.Spawn(c.Name(), func(cp cudele.Proc) {
-				root, _ := c.DecoupledRoot()
-				if _, err := workload.CreateManyLocal(cp, c, root, perClient, "f"); err != nil {
-					jobErr = err
-					return
-				}
-				if stagger > 0 {
-					cp.Sleep(time.Duration(i) * stagger)
-				}
-				start := cp.Now()
-				if _, err := c.VolatileApply(cp); err != nil {
-					jobErr = err
-					return
-				}
-				done[i] = cp.Now().Seconds()
-				latency[i] = (cp.Now() - start).Seconds()
-			})
+		out := mergeScaleOut{slowest: res.done[0]}
+		earliest := res.done[0]
+		for i, c := range res.clients {
+			out.slowest = max(out.slowest, res.done[i])
+			earliest = min(earliest, res.done[i])
+			out.meanMerge += res.latency[i] / float64(n)
+			out.peakBytes = max(out.peakBytes, c.Stats().PeakTransferBytes)
 		}
+		out.doneSpread = out.slowest - earliest
+		out.backpressure = s.cl.MDS().Metrics().MergeBackpressure
+		spread, jobs := s.cl.MDS().MergeFairness()
+		out.waitSpread = time.Duration(spread).Seconds()
+		out.waitJobs = jobs
+		return out, nil
 	})
-	cl.RunAll()
-	if jobErr != nil {
-		return mergeScaleOut{}, jobErr
-	}
-
-	out := mergeScaleOut{slowest: done[0]}
-	earliest := done[0]
-	for i := 0; i < n; i++ {
-		if done[i] > out.slowest {
-			out.slowest = done[i]
-		}
-		if done[i] < earliest {
-			earliest = done[i]
-		}
-		out.meanMerge += latency[i] / float64(n)
-		if pb := clients[i].Stats().PeakTransferBytes; pb > out.peakBytes {
-			out.peakBytes = pb
-		}
-	}
-	out.doneSpread = out.slowest - earliest
-	out.backpressure = cl.MDS().Metrics().MergeBackpressure
-	spread, jobs := cl.MDS().MergeFairness()
-	out.waitSpread = time.Duration(spread).Seconds()
-	out.waitJobs = jobs
-	sink.finish(run, cl)
-	return out, reap(cl)
 }
 
 // MergeScale measures what the merge scheduler buys when N decoupled
@@ -138,7 +85,7 @@ func MergeScale(opts Options) (*Result, error) {
 	perRow := len(mergeScaleModes)
 	outs, err := runGrid(opts, perRow*len(mergeScaleClients), func(i int) (mergeScaleOut, error) {
 		n := mergeScaleClients[i/perRow]
-		return mergeScaleRun(opts.Sink, opts.Seed, n, perClient, mergeScaleModes[i%perRow])
+		return mergeScaleRun(opts, n, perClient, mergeScaleModes[i%perRow])
 	})
 	if err != nil {
 		return nil, err

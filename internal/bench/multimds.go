@@ -1,11 +1,6 @@
 package bench
 
-import (
-	"fmt"
-
-	"cudele"
-	"cudele/internal/workload"
-)
+import "fmt"
 
 func init() {
 	register("multimds", "RPC create throughput vs metadata ranks (subtree partitioning)", MultiMDS)
@@ -25,56 +20,23 @@ type multiMDSOut struct {
 // multiMDSRun drives `clients` RPC clients, each creating perClient files
 // in a private subtree pinned round-robin across `ranks` metadata ranks,
 // and returns the total job seconds and mean MDS CPU utilization.
-func multiMDSRun(sink *Sink, seed int64, ranks, clients, perClient int) (multiMDSOut, error) {
-	cl := cudele.NewCluster(cudele.WithSeed(seed), cudele.WithMDSRanks(ranks))
-	run := fmt.Sprintf("multimds/r%d", ranks)
-	sink.start(run, cl)
-	cs := make([]*cudele.Client, clients)
-	for i := range cs {
-		cs[i] = cl.NewClient(fmt.Sprintf("client.%d", i))
+func multiMDSRun(opts Options, ranks, clients, perClient int) (multiMDSOut, error) {
+	storm := placedStorm{placement: make([]int, clients), perClient: perClient}
+	for i := range storm.placement {
+		storm.placement[i] = i % ranks
 	}
-	var jobErr error
-	eng := cl.Runtime()
-	cl.Go("setup", func(p cudele.Proc) {
-		for i, c := range cs {
-			path := fmt.Sprintf("/job%d", i)
-			if _, err := c.MkdirAll(p, path, 0755); err != nil {
-				jobErr = err
-				return
-			}
-			if err := cl.Monitor().Place(p, path, i%ranks); err != nil {
-				jobErr = err
-				return
-			}
+	spec := runSpec{name: fmt.Sprintf("multimds/r%d", ranks), seed: opts.Seed, ranks: ranks}
+	return runSession(opts, spec, func(s *session) (multiMDSOut, error) {
+		total, _, err := storm.run(s)
+		// Mean CPU busy fraction across ranks: with round-robin subtree
+		// placement every rank carries ~1/R of the load, so this column shows
+		// the single rank saturated and the load spreading as ranks are added.
+		util := 0.0
+		for i := 0; i < ranks; i++ {
+			util += s.cl.Metadata().Rank(i).CPU().Snapshot().Utilization
 		}
-		for i, c := range cs {
-			i, c := i, c
-			eng.Spawn(c.Name(), func(cp cudele.Proc) {
-				dir, err := c.Resolve(cp, fmt.Sprintf("/job%d", i))
-				if err != nil {
-					jobErr = err
-					return
-				}
-				if _, _, err := workload.CreateMany(cp, c, dir, perClient, "f"); err != nil {
-					jobErr = err
-				}
-			})
-		}
+		return multiMDSOut{total: total, mdsUtil: util / float64(ranks)}, err
 	})
-	total := cl.RunAll()
-	if jobErr != nil {
-		return multiMDSOut{}, jobErr
-	}
-	// Mean CPU busy fraction across ranks: with round-robin subtree
-	// placement every rank carries ~1/R of the load, so this column shows
-	// the single rank saturated and the load spreading as ranks are added.
-	util := 0.0
-	for i := 0; i < ranks; i++ {
-		util += cl.Metadata().Rank(i).CPU().Snapshot().Utilization
-	}
-	util /= float64(ranks)
-	sink.finish(run, cl)
-	return multiMDSOut{total: total, mdsUtil: util}, reap(cl)
 }
 
 // MultiMDS shows the scaling path the paper names in §VI: a single MDS
@@ -93,7 +55,7 @@ func MultiMDS(opts Options) (*Result, error) {
 		Columns: []string{"mds ranks", "runtime (s)", "creates/s", "speedup", "mean MDS CPU"},
 	}
 	outs, err := runGrid(opts, len(multiMDSRanks), func(i int) (multiMDSOut, error) {
-		return multiMDSRun(opts.Sink, opts.Seed, multiMDSRanks[i], clients, perClient)
+		return multiMDSRun(opts, multiMDSRanks[i], clients, perClient)
 	})
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cudele"
-	"cudele/internal/journal"
 	"cudele/internal/policy"
 )
 
@@ -29,31 +28,30 @@ type newCellsOut struct {
 	stormRPC int     // per-op round trips the storm strategy paid
 }
 
-// newCellsSetup builds a cluster with /job decoupled under the cell's
-// policy and an interferer client. Strong cells decouple too: that is
-// what arms the MDS journal stream for their durability levels.
-func newCellsSetup(seed int64, cons policy.Consistency, dur policy.Durability,
-	inodes int) (*cudele.Cluster, *cudele.Client, *cudele.Client, cudele.Ino, error) {
-	cl := cudele.NewCluster(cudele.WithSeed(seed))
-	c := cl.NewClient("c0")
-	intr := cl.NewClient("intr")
-	var job cudele.Ino
-	var err error
-	cl.Run(func(p cudele.Proc) {
+// newCellsSetup is a cell's first phase: it decouples /job under the
+// cell's policy and mounts an interferer client. Strong cells decouple
+// too: that is what arms the MDS journal stream for their durability
+// levels.
+func newCellsSetup(s *session, cons policy.Consistency, dur policy.Durability,
+	inodes int) (c, intr *cudele.Client, job cudele.Ino, err error) {
+	c = s.cl.NewClient("c0")
+	intr = s.cl.NewClient("intr")
+	_, err = s.phase("main", func(p cudele.Proc) error {
+		var err error
 		if job, err = c.MkdirAll(p, "/job", 0755); err != nil {
-			return
+			return err
 		}
-		cl.MDS().SaveStore(p) // seed the object store for nonvolatile paths
-		_, err = cl.DecouplePolicy(p, c, "/job", &cudele.Policy{
+		// Seed the object store for nonvolatile paths.
+		if err := s.cl.MDS().SaveStore(p); err != nil {
+			return err
+		}
+		_, err = s.cl.DecouplePolicy(p, c, "/job", &cudele.Policy{
 			Consistency: cons, Durability: dur,
 			AllocatedInodes: inodes, Interfere: cudele.InterfereAllow,
 		})
+		return err
 	})
-	if err != nil {
-		reap(cl)
-		return nil, nil, nil, 0, err
-	}
-	return cl, c, intr, job, nil
+	return c, intr, job, err
 }
 
 // newCellsPersist runs the cell's client-journal durability mechanism —
@@ -85,78 +83,76 @@ func newCellsPersist(p cudele.Proc, c *cudele.Client, cons policy.Consistency,
 // all N optimistically and ships one validated merge: the MDS rejects
 // exactly the stolen names in the reply and the client rolls them back,
 // with no per-op round trip and no quiescent-interferer assumption.
-func newCellsBurst(seed int64, cons policy.Consistency, dur policy.Durability,
+func newCellsBurst(opts Options, run string, cons policy.Consistency, dur policy.Durability,
 	n int) (newCellsOut, error) {
-	cl, c, intr, job, err := newCellsSetup(seed, cons, dur, n+16)
-	if err != nil {
-		return newCellsOut{}, err
-	}
-	name := func(i int) string { return fmt.Sprintf("f%05d", i) }
-	var out newCellsOut
-	cl.Run(func(p cudele.Proc) {
-		for i := 0; i < n; i += 10 {
-			if _, err = intr.Create(p, job, name(i), 0600); err != nil {
-				return
-			}
+	return runSession(opts, runSpec{name: run, seed: opts.Seed}, func(s *session) (newCellsOut, error) {
+		c, intr, job, err := newCellsSetup(s, cons, dur, n+16)
+		if err != nil {
+			return newCellsOut{}, err
 		}
-		start := p.Now()
-		switch cons {
-		case cudele.ConsStrong:
-			for i := 0; i < n; i++ {
-				out.burstRPC++ // a rejection is a round trip too
-				if _, cerr := c.Create(p, job, name(i), 0644); cerr != nil && i%10 != 0 {
-					err = fmt.Errorf("burst: rpc create %s: %w", name(i), cerr)
-					return
+		name := func(i int) string { return fmt.Sprintf("f%05d", i) }
+		var out newCellsOut
+		_, err = s.phase("main", func(p cudele.Proc) error {
+			for i := 0; i < n; i += 10 {
+				if _, err := intr.Create(p, job, name(i), 0600); err != nil {
+					return err
 				}
 			}
-		case cudele.ConsSpeculative:
-			root, _ := c.DecoupledRoot()
-			for i := 0; i < n; i++ {
-				if _, err = c.LocalCreate(p, root, name(i), 0644); err != nil {
-					return
+			start := p.Now()
+			switch cons {
+			case cudele.ConsStrong:
+				for i := 0; i < n; i++ {
+					out.burstRPC++ // a rejection is a round trip too
+					if _, err := c.Create(p, job, name(i), 0644); err != nil && i%10 != 0 {
+						return fmt.Errorf("burst: rpc create %s: %w", name(i), err)
+					}
+				}
+			case cudele.ConsSpeculative:
+				root, _ := c.DecoupledRoot()
+				for i := 0; i < n; i++ {
+					if _, err := c.LocalCreate(p, root, name(i), 0644); err != nil {
+						return err
+					}
+				}
+				if err := newCellsPersist(p, c, cons, dur); err != nil {
+					return err
+				}
+				_, conflicts, err := c.SpeculativeApply(p)
+				if err != nil {
+					return err
+				}
+				if len(conflicts) != (n+9)/10 {
+					return fmt.Errorf("burst: %d conflicts, want %d", len(conflicts), (n+9)/10)
+				}
+			default: // blind-merge cells pre-validate each name
+				root, _ := c.DecoupledRoot()
+				for i := 0; i < n; i++ {
+					out.burstRPC++
+					if _, err := c.Lookup(p, job, name(i)); err == nil {
+						continue // taken by the interferer
+					}
+					if _, err := c.LocalCreate(p, root, name(i), 0644); err != nil {
+						return err
+					}
+				}
+				if err := newCellsPersist(p, c, cons, dur); err != nil {
+					return err
+				}
+				var err error
+				if cons == cudele.ConsStrongEventual {
+					_, err = c.ConvergeApply(p)
+				} else {
+					_, err = c.VolatileApply(p)
+				}
+				if err != nil {
+					return err
 				}
 			}
-			if err = newCellsPersist(p, c, cons, dur); err != nil {
-				return
-			}
-			var conflicts []int
-			if _, conflicts, err = c.SpeculativeApply(p); err != nil {
-				return
-			}
-			if len(conflicts) != (n+9)/10 {
-				err = fmt.Errorf("burst: %d conflicts, want %d", len(conflicts), (n+9)/10)
-				return
-			}
-		default: // blind-merge cells pre-validate each name
-			root, _ := c.DecoupledRoot()
-			for i := 0; i < n; i++ {
-				out.burstRPC++
-				if _, lerr := c.Lookup(p, job, name(i)); lerr == nil {
-					continue // taken by the interferer
-				}
-				if _, err = c.LocalCreate(p, root, name(i), 0644); err != nil {
-					return
-				}
-			}
-			if err = newCellsPersist(p, c, cons, dur); err != nil {
-				return
-			}
-			if cons == cudele.ConsStrongEventual {
-				_, err = c.ConvergeApply(p)
-			} else {
-				_, err = c.VolatileApply(p)
-			}
-			if err != nil {
-				return
-			}
-		}
-		out.burstSec = (p.Now() - start).Seconds()
+			out.burstSec = (p.Now() - start).Seconds()
+			return nil
+		})
+		return out, err
 	})
-	if err != nil {
-		reap(cl)
-		return newCellsOut{}, err
-	}
-	return out, reap(cl)
 }
 
 // newCellsStorm is the lossy merge storm: batches of creates whose merge
@@ -170,84 +166,87 @@ func newCellsBurst(seed int64, cons policy.Consistency, dur policy.Durability,
 // verdict was in the lost reply, so they sweep too. Strong-eventual just
 // retransmits the whole batch: converging merges are idempotent, so the
 // re-send costs one more merge and zero per-op round trips.
-func newCellsStorm(seed int64, cons policy.Consistency, dur policy.Durability,
+func newCellsStorm(opts Options, run string, cons policy.Consistency, dur policy.Durability,
 	batches, perBatch int) (newCellsOut, error) {
-	cl, c, _, job, err := newCellsSetup(seed, cons, dur, batches*perBatch+16)
-	if err != nil {
-		return newCellsOut{}, err
-	}
-	evBytes := int64(cl.Config().JournalEventBytes)
-	name := func(b, i int) string { return fmt.Sprintf("s%03d_%04d", b, i) }
-	var out newCellsOut
-	cl.Run(func(p cudele.Proc) {
-		start := p.Now()
-		for b := 0; b < batches; b++ {
-			if cons == cudele.ConsStrong {
-				for i := 0; i < perBatch; i++ {
-					if _, err = c.Create(p, job, name(b, i), 0644); err != nil {
-						return
-					}
-					out.stormRPC++
-					if _, rerr := c.Create(p, job, name(b, i), 0644); rerr == nil {
-						err = fmt.Errorf("storm: retransmitted create did not reject")
-						return
-					}
-					out.stormRPC++
-				}
-				continue
-			}
-			root, _ := c.DecoupledRoot()
-			for i := 0; i < perBatch; i++ {
-				if _, err = c.LocalCreate(p, root, name(b, i), 0644); err != nil {
-					return
-				}
-			}
-			if err = newCellsPersist(p, c, cons, dur); err != nil {
-				return
-			}
-			switch cons {
-			case cudele.ConsStrongEventual:
-				var evs []*journal.Event
-				if evs, err = c.JournalEvents(); err != nil {
-					return
-				}
-				if _, err = c.ConvergeApply(p); err != nil {
-					return
-				}
-				// The retransmit: replaying the same batch through the
-				// resolver is a no-op on the image.
-				if _, err = cl.MDS().ConvergeApply(p, evs, int64(len(evs))*evBytes); err != nil {
-					return
-				}
-			case cudele.ConsSpeculative:
-				if _, _, err = c.SpeculativeApply(p); err != nil {
-					return
-				}
-				for i := 0; i < perBatch; i++ {
-					out.stormRPC++
-					if _, err = c.Lookup(p, job, name(b, i)); err != nil {
-						return
-					}
-				}
-			default:
-				if _, err = c.VolatileApply(p); err != nil {
-					return
-				}
-				for i := 0; i < perBatch; i++ {
-					out.stormRPC++
-					if _, err = c.Lookup(p, job, name(b, i)); err != nil {
-						return
-					}
-				}
-			}
+	return runSession(opts, runSpec{name: run, seed: opts.Seed}, func(s *session) (newCellsOut, error) {
+		c, _, job, err := newCellsSetup(s, cons, dur, batches*perBatch+16)
+		if err != nil {
+			return newCellsOut{}, err
 		}
-		out.stormSec = (p.Now() - start).Seconds()
+		evBytes := int64(s.cl.Config().JournalEventBytes)
+		name := func(b, i int) string { return fmt.Sprintf("s%03d_%04d", b, i) }
+		var out newCellsOut
+		// verify is the per-op sweep a cell pays when it cannot re-send a
+		// batch: one lookup round trip per name.
+		verify := func(p cudele.Proc, b int) error {
+			for i := 0; i < perBatch; i++ {
+				out.stormRPC++
+				if _, err := c.Lookup(p, job, name(b, i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		_, err = s.phase("main", func(p cudele.Proc) error {
+			start := p.Now()
+			for b := 0; b < batches; b++ {
+				if cons == cudele.ConsStrong {
+					for i := 0; i < perBatch; i++ {
+						if _, err := c.Create(p, job, name(b, i), 0644); err != nil {
+							return err
+						}
+						out.stormRPC++
+						if _, err := c.Create(p, job, name(b, i), 0644); err == nil {
+							return fmt.Errorf("storm: retransmitted create did not reject")
+						}
+						out.stormRPC++
+					}
+					continue
+				}
+				root, _ := c.DecoupledRoot()
+				for i := 0; i < perBatch; i++ {
+					if _, err := c.LocalCreate(p, root, name(b, i), 0644); err != nil {
+						return err
+					}
+				}
+				if err := newCellsPersist(p, c, cons, dur); err != nil {
+					return err
+				}
+				switch cons {
+				case cudele.ConsStrongEventual:
+					evs, err := c.JournalEvents()
+					if err != nil {
+						return err
+					}
+					if _, err := c.ConvergeApply(p); err != nil {
+						return err
+					}
+					// The retransmit: replaying the same batch through the
+					// resolver is a no-op on the image.
+					if _, err := s.cl.MDS().ConvergeApply(p, evs, int64(len(evs))*evBytes); err != nil {
+						return err
+					}
+				case cudele.ConsSpeculative:
+					if _, _, err := c.SpeculativeApply(p); err != nil {
+						return err
+					}
+					if err := verify(p, b); err != nil {
+						return err
+					}
+				default:
+					if _, err := c.VolatileApply(p); err != nil {
+						return err
+					}
+					if err := verify(p, b); err != nil {
+						return err
+					}
+				}
+			}
+			out.stormSec = (p.Now() - start).Seconds()
+			return nil
+		})
+		return out, err
 	})
-	if err != nil {
-		reap(cl)
-		return newCellsOut{}, err
-	}
-	return out, reap(cl)
 }
 
 // NewCells prices the two cells beyond Table I against all nine original
@@ -267,22 +266,23 @@ func NewCells(opts Options) (*Result, error) {
 	batches := 8
 	perBatch := opts.scaled(250, 250)
 
+	// Each cell is two runs, burst then storm, adjacent in the grid.
 	perRow := len(newCellsDur)
-	outs, err := runGrid(opts, len(newCellsCons)*perRow, func(i int) (newCellsOut, error) {
-		cons, dur := newCellsCons[i/perRow], newCellsDur[i%perRow]
-		b, err := newCellsBurst(opts.Seed, cons, dur, burstN)
-		if err != nil {
-			return newCellsOut{}, err
+	runs, err := runGrid(opts, 2*len(newCellsCons)*perRow, func(i int) (newCellsOut, error) {
+		cons, dur := newCellsCons[i/2/perRow], newCellsDur[i/2%perRow]
+		run := fmt.Sprintf("newcells/run%03d", i)
+		if i%2 == 0 {
+			return newCellsBurst(opts, run, cons, dur, burstN)
 		}
-		s, err := newCellsStorm(opts.Seed, cons, dur, batches, perBatch)
-		if err != nil {
-			return newCellsOut{}, err
-		}
-		b.stormSec, b.stormRPC = s.stormSec, s.stormRPC
-		return b, nil
+		return newCellsStorm(opts, run, cons, dur, batches, perBatch)
 	})
 	if err != nil {
 		return nil, err
+	}
+	outs := make([]newCellsOut, len(runs)/2)
+	for i := range outs {
+		outs[i] = runs[2*i]
+		outs[i].stormSec, outs[i].stormRPC = runs[2*i+1].stormSec, runs[2*i+1].stormRPC
 	}
 
 	r := &Result{

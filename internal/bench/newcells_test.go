@@ -19,11 +19,11 @@ func TestNewCellsBeatEveryOriginal(t *testing.T) {
 	var originals, specs, ses []cellOut
 	for _, cons := range newCellsCons {
 		for _, dur := range newCellsDur {
-			b, err := newCellsBurst(1, cons, dur, burstN)
+			b, err := newCellsBurst(Options{Seed: 1}, "", cons, dur, burstN)
 			if err != nil {
 				t.Fatalf("burst %v/%v: %v", cons, dur, err)
 			}
-			s, err := newCellsStorm(1, cons, dur, batches, perBatch)
+			s, err := newCellsStorm(Options{Seed: 1}, "", cons, dur, batches, perBatch)
 			if err != nil {
 				t.Fatalf("storm %v/%v: %v", cons, dur, err)
 			}

@@ -3,7 +3,9 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -21,34 +23,55 @@ type chromeDoc struct {
 	} `json:"traceEvents"`
 }
 
+// tinyOpts is the scale the non-perturbation tests sweep every table at.
+var tinyOpts = Options{Scale: 0.002, Seed: 1, Workers: 2}
+
+// plainTables renders every experiment once with observation off, for
+// the observed sweeps to compare against.
+var plainTables = sync.OnceValues(func() (map[string]string, error) {
+	out := make(map[string]string)
+	for _, id := range IDs() {
+		r, err := Run(id, tinyOpts)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", id, err)
+		}
+		out[id] = r.Render()
+	}
+	return out, nil
+})
+
 // TestTracingDoesNotPerturb is the tentpole invariant: observation must
-// not change the simulation. The same experiment, same seed, same scale
+// not change the simulation. Every experiment, same seed, same scale,
 // must render a byte-identical table whether or not a sink is attached —
-// tracing charges no virtual time and consumes no randomness. The traced
-// run must also actually observe something: a parseable Chrome trace
-// with spans from at least the transport, journal, and rados subsystems,
-// and a metrics dump that includes MDS CPU utilization.
+// tracing charges no virtual time and consumes no randomness — and every
+// experiment that builds a cluster must register its runs with the sink.
+// The traced fig3a must also actually observe something: a parseable
+// Chrome trace with spans from at least the transport, journal, and rados
+// subsystems, and a metrics dump that includes MDS CPU utilization.
 func TestTracingDoesNotPerturb(t *testing.T) {
-	opts := Options{Scale: 0.002, Seed: 1, Workers: 2}
-	plain, err := Run("fig3a", opts)
+	plain, err := plainTables()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	traced := opts
-	traced.Sink = NewSink()
-	observed, err := Run("fig3a", traced)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if plain.Render() != observed.Render() {
-		t.Fatalf("tracing perturbed the table:\n--- without sink ---\n%s\n--- with sink ---\n%s",
-			plain.Render(), observed.Render())
-	}
-
-	if n := traced.Sink.Runs(); n == 0 {
-		t.Fatal("sink registered no runs")
+	var traced Options
+	for _, id := range IDs() {
+		opts := tinyOpts
+		opts.Sink = NewSink()
+		observed, err := Run(id, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if plain[id] != observed.Render() {
+			t.Errorf("tracing perturbed %s:\n--- without sink ---\n%s\n--- with sink ---\n%s",
+				id, plain[id], observed.Render())
+		}
+		// table1 compiles policies; it builds no cluster.
+		if n := opts.Sink.Runs(); n == 0 && id != "table1" {
+			t.Errorf("%s: sink registered no runs", id)
+		}
+		if id == "fig3a" {
+			traced = opts
+		}
 	}
 
 	// The trace must be valid Chrome trace-event JSON with spans from at
@@ -111,9 +134,9 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 // because exports sort runs by name and each run is itself
 // deterministic.
 func TestSinkDeterministicAcrossWorkers(t *testing.T) {
-	exportAt := func(workers int) (string, string) {
+	exportAt := func(id string, workers int) (string, string) {
 		opts := Options{Scale: 0.002, Seed: 1, Workers: workers, Sink: NewSink()}
-		if _, err := Run("multimds", opts); err != nil {
+		if _, err := Run(id, opts); err != nil {
 			t.Fatal(err)
 		}
 		var tb, mb bytes.Buffer
@@ -125,12 +148,14 @@ func TestSinkDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return tb.String(), mb.String()
 	}
-	seqTrace, seqMetrics := exportAt(1)
-	parTrace, parMetrics := exportAt(4)
-	if seqTrace != parTrace {
-		t.Error("trace JSON differs between sequential and parallel execution")
-	}
-	if seqMetrics != parMetrics {
-		t.Error("metrics dump differs between sequential and parallel execution")
+	for _, id := range []string{"multimds", "fig6a"} {
+		seqTrace, seqMetrics := exportAt(id, 1)
+		parTrace, parMetrics := exportAt(id, 4)
+		if seqTrace != parTrace {
+			t.Errorf("%s: trace JSON differs between sequential and parallel execution", id)
+		}
+		if seqMetrics != parMetrics {
+			t.Errorf("%s: metrics dump differs between sequential and parallel execution", id)
+		}
 	}
 }

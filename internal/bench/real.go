@@ -50,19 +50,11 @@ func fig3aReal(opts Options) (*Result, error) {
 	perClient := opts.scaled(100_000, 200)
 	segEvents := opts.scaled(1024, 64)
 
-	type config struct {
-		label    string
-		journal  bool
-		dispatch int
-	}
-	configs := []config{
-		{"no journal", false, 0},
-		{"1 segment", true, 1},
-		{"30 segments", true, 30},
-	}
+	// Three of Fig 3a's five journal configurations.
+	configs := []fig3aConfig{fig3aConfigs[0], fig3aConfigs[1], fig3aConfigs[3]}
 	type spec struct {
 		clients int
-		cfg     config
+		cfg     fig3aConfig
 	}
 	var specs []spec
 	for _, n := range realClientCounts {
@@ -73,21 +65,16 @@ func fig3aReal(opts Options) (*Result, error) {
 
 	job := func(i int, backend cudele.Backend) (float64, error) {
 		sp := specs[i]
-		jc := jobConfig{
-			seed: opts.Seed, clients: sp.clients, perClient: perClient,
+		run := runSpec{name: fmt.Sprintf("fig3a-real/%s/run%02d", backend, i), seed: opts.Seed, backend: backend}
+		if backend == cudele.BackendReal && opts.DataDir != "" {
+			// Each run owns a fresh subdirectory: recovery would
+			// otherwise reload the previous run's objects.
+			run.dataDir = filepath.Join(opts.DataDir, fmt.Sprintf("run%02d", i))
+		}
+		res, err := runCreateJob(opts, run, jobConfig{
+			clients: sp.clients, perClient: perClient,
 			journal: sp.cfg.journal, dispatch: sp.cfg.dispatch, segEvents: segEvents,
-			backend: backend, heat: opts.Heat,
-			sink: opts.Sink, run: fmt.Sprintf("fig3a-real/%s/run%02d", backend, i),
-		}
-		if backend == cudele.BackendReal {
-			jc.admin = opts.Admin
-			if opts.DataDir != "" {
-				// Each run owns a fresh subdirectory: recovery would
-				// otherwise reload the previous run's objects.
-				jc.dataDir = filepath.Join(opts.DataDir, fmt.Sprintf("run%02d", i))
-			}
-		}
-		res, err := runCreateJob(jc)
+		})
 		if err != nil {
 			return 0, err
 		}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cudele"
-	"cudele/internal/workload"
 )
 
 func init() {
@@ -41,80 +40,39 @@ type rebalanceOut struct {
 // in-flight requests bounce with a redirect and retry transparently.
 // Without it, the run is the frozen control the convergence is judged
 // against.
-func rebalanceRun(sink *Sink, run string, seed int64, perClient int, balance bool) (rebalanceOut, error) {
-	cl := cudele.NewCluster(cudele.WithSeed(seed), cudele.WithMDSRanks(rebalanceRanks))
-	sink.start(run, cl)
+func rebalanceRun(opts Options, run string, perClient int, balance bool) (rebalanceOut, error) {
 	const interval = 40 * time.Millisecond
-	cl.EnableHeat(3 * interval)
-
-	cs := make([]*cudele.Client, rebalanceSubtrees)
-	for i := range cs {
-		cs[i] = cl.NewClient(fmt.Sprintf("client.%d", i))
-	}
-	var jobErr error
-	eng := cl.Runtime()
-	cl.Go("setup", func(p cudele.Proc) {
-		for i, c := range cs {
-			path := fmt.Sprintf("/job%d", i)
-			if _, err := c.MkdirAll(p, path, 0755); err != nil {
-				jobErr = err
-				return
-			}
-			if err := cl.Monitor().Place(p, path, 0); err != nil {
-				jobErr = err
-				return
-			}
-		}
-		for i, c := range cs {
-			i, c := i, c
-			eng.Spawn(c.Name(), func(cp cudele.Proc) {
-				dir, err := c.Resolve(cp, fmt.Sprintf("/job%d", i))
-				if err != nil {
-					jobErr = err
-					return
-				}
-				if _, _, err := workload.CreateMany(cp, c, dir, perClient, "f"); err != nil {
-					jobErr = err
-				}
-			})
-		}
-	})
-	out := rebalanceOut{}
+	storm := placedStorm{placement: make([]int, rebalanceSubtrees), perClient: perClient}
 	if balance {
-		out.balancer = cl.StartBalancer(cudele.BalancerConfig{
+		storm.balancer = &cudele.BalancerConfig{
 			Interval:  interval,
 			Rounds:    12,
 			Threshold: 1.25,
 			MaxMoves:  2,
-		})
-	}
-	out.total = cl.RunAll()
-	if jobErr != nil {
-		return rebalanceOut{}, jobErr
-	}
-	// HeatReport's imbalance only counts ranks with cells; an idle rank
-	// (the frozen control's 1-3) must count as imbalance, so aggregate
-	// over the dense rank vector instead.
-	loads := make([]float64, rebalanceRanks)
-	for _, cell := range cl.Heat().Snapshot(int64(cl.Runtime().Now())) {
-		if cell.Rank >= 0 && cell.Rank < rebalanceRanks {
-			loads[cell.Rank] += cell.Load
 		}
 	}
-	out.imbalance = imbalanceOf(loads)
-	out.requests = make([]uint64, rebalanceRanks)
-	for i := 0; i < rebalanceRanks; i++ {
-		out.requests[i] = cl.Metadata().Rank(i).Metrics().Requests
-	}
-	out.perRank = make([]int, rebalanceRanks)
-	for _, st := range cl.Subtrees() {
-		if strings.HasPrefix(st.Path, "/job") && st.Rank >= 0 && st.Rank < rebalanceRanks {
-			out.perRank[st.Rank]++
+	spec := runSpec{name: run, seed: opts.Seed, ranks: rebalanceRanks, halfLife: 3 * interval}
+	return runSession(opts, spec, func(s *session) (rebalanceOut, error) {
+		total, bal, err := storm.run(s)
+		if err != nil {
+			return rebalanceOut{}, err
 		}
-	}
-	out.migrations = cl.Metadata().Migrations()
-	sink.finish(run, cl)
-	return out, reap(cl)
+		cl := s.cl
+		out := rebalanceOut{total: total, balancer: bal}
+		// HeatReport's imbalance only counts ranks with cells; an idle rank
+		// (the frozen control's 1-3) must count as imbalance, so aggregate
+		// over the dense rank vector instead.
+		out.imbalance = imbalanceOf(rankLoads(cl, rebalanceRanks))
+		out.requests = rankRequests(cl, rebalanceRanks)
+		out.perRank = make([]int, rebalanceRanks)
+		for _, st := range cl.Subtrees() {
+			if strings.HasPrefix(st.Path, "/job") && st.Rank >= 0 && st.Rank < rebalanceRanks {
+				out.perRank[st.Rank]++
+			}
+		}
+		out.migrations = cl.Metadata().Migrations()
+		return out, nil
+	})
 }
 
 // Rebalance is the elastic-metadata experiment: every subtree starts on
@@ -127,9 +85,9 @@ func Rebalance(opts Options) (*Result, error) {
 	perClient := opts.scaled(20_000, 480)
 	outs, err := runGrid(opts, 2, func(i int) (rebalanceOut, error) {
 		if i == 0 {
-			return rebalanceRun(opts.Sink, "rebalance/balanced", opts.Seed, perClient, true)
+			return rebalanceRun(opts, "rebalance/balanced", perClient, true)
 		}
-		return rebalanceRun(opts.Sink, "rebalance/frozen", opts.Seed, perClient, false)
+		return rebalanceRun(opts, "rebalance/frozen", perClient, false)
 	})
 	if err != nil {
 		return nil, err

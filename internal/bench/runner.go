@@ -3,13 +3,11 @@ package bench
 import (
 	"runtime"
 	"sync"
-
-	"cudele"
 )
 
 // This file is the parallel run scheduler. Every experiment is a grid of
-// fully independent deterministic simulations (each run builds its own
-// cluster and sim.Engine from an explicit seed), so cross-run parallelism
+// fully independent deterministic simulations (each run is one session:
+// its own cluster and sim.Engine from an explicit seed, see session.go), so cross-run parallelism
 // cannot perturb any simulated result: runGrid executes the grid on a
 // worker pool and reassembles results in grid order, making rendered
 // tables byte-identical for every worker count. In-run parallelism would
@@ -64,15 +62,4 @@ func runGrid[T any](opts Options, n int, run func(i int) (T, error)) ([]T, error
 		}
 	}
 	return out, nil
-}
-
-// reap asserts that a drained cluster leaked no simulation processes and
-// releases the engine's goroutines. Every run helper calls it so the
-// worker pool cannot accumulate parked goroutines across the dozens of
-// runs in a full `cudele-bench all` — and so a leak in any experiment
-// fails loudly instead of hiding in a worker.
-func reap(cl *cudele.Cluster) error {
-	err := cl.Runtime().LeakCheck()
-	cl.Runtime().Shutdown()
-	return err
 }

@@ -81,9 +81,9 @@ func TestRunGridConcurrency(t *testing.T) {
 }
 
 // equivalenceIDs is the fast subset of experiments the parallel/sequential
-// equivalence test renders. Together they cover every run helper:
-// runCreateJob, decoupledJob, withDecoupledJournal, multiMDSRun, the
-// fig3c/fig6c inline runs, and the ext-latency histogram runs.
+// equivalence test renders. Together they cover the three workload
+// shapes (runCreateJob with and without a sampler, placedStorm,
+// decoupledStorm) and the scripted single-client runs of fig5 and fig6c.
 var equivalenceIDs = []string{"fig3a", "fig3c", "fig5", "fig6a", "fig6c", "multimds", "ext-latency"}
 
 // TestParallelEquivalence is the tentpole guarantee: rendered tables are

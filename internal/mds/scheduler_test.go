@@ -484,3 +484,54 @@ func TestStreamCrashRetiresJobs(t *testing.T) {
 		})
 	})
 }
+
+// TestOneShotMergeIsNotAOneChunkStream pins why the two arrival models
+// stay two (DESIGN.md, "Merge pipeline"): a lone client's journal short
+// enough to be one apply run one-shot and one chunk streamed finishes
+// exactly one NetLatency later as a window-1 stream. What the difference
+// measures is the stream's second wire crossing — the open crosses once,
+// the chunk once more, where the one-shot MergeMsg crosses once with the
+// journal aboard — with everything else equal: the same transfer on the
+// fabric, the same MDSMergeSetup, the same run priced at a merge queue of
+// one. So collapsing one-shot into the stream would move every calibrated
+// merge time; under contention the two differ further (when a job joins
+// mergeQueue, which task holds the CPU per run).
+func TestOneShotMergeIsNotAOneChunkStream(t *testing.T) {
+	const n = applyRunLen - 56
+	cfg := model.Default()
+	cfg.MergeWindowChunks = 1
+	bytes := int64(n) * int64(cfg.JournalEventBytes)
+	merge := func(stream func(p runtime.Task, s *Server) (int, error)) runtime.Duration {
+		eng, s := newTestServerCfg(cfg)
+		var took runtime.Duration
+		run(t, eng, func(p runtime.Task) {
+			applied, err := stream(p, s)
+			if err != nil || applied != n {
+				t.Fatalf("merged %d events, %v; want %d", applied, err, n)
+			}
+			took = runtime.Duration(p.Now())
+		})
+		return took
+	}
+	oneShot := merge(func(p runtime.Task, s *Server) (int, error) {
+		return s.VolatileApply(p, streamEvents("f", 1<<41, n), bytes)
+	})
+	streamed := merge(func(p runtime.Task, s *Server) (int, error) {
+		open := s.Post(p, &MergeOpenMsg{Client: "c", TotalEvents: n, TotalBytes: bytes}).(*MergeOpenReply)
+		if open.Err != nil || open.Backpressure {
+			t.Fatalf("open = %+v", open)
+		}
+		chunk := s.Post(p, &MergeChunkMsg{
+			StreamInfo: transport.StreamInfo{ID: open.ID, Items: n, Bytes: bytes, Last: true},
+			Events:     streamEvents("f", 1<<41, n),
+		}).(*MergeChunkReply)
+		if chunk.Err != nil || chunk.Backpressure {
+			t.Fatalf("chunk = %+v", chunk)
+		}
+		r := s.Post(p, &MergeWaitMsg{ID: open.ID}).(*MergeReply)
+		return r.Applied, r.Err
+	})
+	if got := streamed - oneShot; got != cfg.NetLatency {
+		t.Errorf("streamed %v - one-shot %v = %v, want exactly NetLatency %v", streamed, oneShot, got, cfg.NetLatency)
+	}
+}
