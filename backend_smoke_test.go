@@ -13,6 +13,7 @@ import (
 	"cudele/internal/client"
 	"cudele/internal/namespace"
 	"cudele/internal/policy"
+	"cudele/internal/trace"
 )
 
 // smokeWorkload runs a small deterministic mixed workload — RPC creates
@@ -192,6 +193,53 @@ func TestBackendSmokeLoopback(t *testing.T) {
 	})
 	if _, err := cl.MDS().Store().Resolve("/net/f.4"); err != nil {
 		t.Fatalf("file missing after loopback run: %v", err)
+	}
+}
+
+// TestLoopbackRoundTripsEqualRPCs counts instead of timing: over the
+// loopback wire every metadata RPC is exactly one socket round trip — the
+// frame is the request, its echo the reply — and nothing else makes one.
+// Without the option, on either backend, the metric is not exported.
+func TestLoopbackRoundTripsEqualRPCs(t *testing.T) {
+	const n = 40
+	cl := NewCluster(WithSeed(5), WithBackend(BackendReal), WithLoopbackNet())
+	defer cl.Close()
+	c := cl.NewClient("c0")
+	rpcs := func() float64 {
+		v, _ := cl.CollectMetrics().Value("cudele_client_rpcs_total", trace.KV{Key: "client", Val: "c0"})
+		return v
+	}
+	var afterMkdir float64
+	cl.Run(func(p Proc) {
+		d, err := c.MkdirAll(p, "/net", 0755)
+		if err != nil {
+			t.Errorf("mkdirall: %v", err)
+			return
+		}
+		afterMkdir = rpcs()
+		for i := 0; i < n; i++ {
+			if _, err := c.Create(p, d, fmt.Sprintf("f.%d", i), 0644); err != nil {
+				t.Errorf("create: %v", err)
+				return
+			}
+		}
+	})
+	trips, ok := cl.CollectMetrics().Value("cudele_net_round_trips_total")
+	if !ok {
+		t.Fatal("cudele_net_round_trips_total is not exported with the loopback wire on")
+	}
+	// A create is one RPC once the directory's capability is held; the
+	// first also looks the name up.
+	if total := rpcs(); afterMkdir == 0 || total < afterMkdir+n || total > afterMkdir+n+1 || trips != total {
+		t.Fatalf("%d creates after MkdirAll's %v RPCs: %v RPCs and %v round trips, want %v or one more, of each",
+			n, afterMkdir, total, trips, afterMkdir+n)
+	}
+	for _, backend := range []Backend{BackendSim, BackendReal} {
+		plain := NewCluster(WithSeed(5), WithBackend(backend))
+		if _, ok := plain.CollectMetrics().Value("cudele_net_round_trips_total"); ok {
+			t.Errorf("backend %v without the loopback wire exports cudele_net_round_trips_total", backend)
+		}
+		plain.Close()
 	}
 }
 

@@ -207,16 +207,19 @@ func WithMDSRanks(n int) Option { return func(o *clusterOpts) { o.ranks = n } }
 func WithBackend(b Backend) Option { return func(o *clusterOpts) { o.backend = b } }
 
 // WithDataDir roots the real backend's durability on dir: RADOS objects
-// are logged to dir/objects/objects.log and a mutation is acknowledged
-// only after an fsync that covers its record (so DurGlobal survives a
+// are logged to dir/objects/objects.log and a mutation — or a mechanism
+// that pipelines many, like Nonvolatile Apply — is acknowledged only
+// after an fsync that covers its records (so DurGlobal survives a
 // kill), and each client's Local Persist target is a real file under
 // dir/<client>. One live cluster per dir. It is ignored on the sim
 // backend.
 func WithDataDir(dir string) Option { return func(o *clusterOpts) { o.dataDir = dir } }
 
-// WithLoopbackNet adds a loopback-TCP round trip to every metadata Call
-// on the real backend, so measured latencies include a real kernel
-// network stack. Ignored on the sim backend.
+// WithLoopbackNet adds one loopback-TCP round trip to every metadata Call
+// on the real backend — the frame is the request, its echo the reply —
+// so measured latencies include a real kernel network stack, once per
+// Call as the model charges it. CollectMetrics then exports the count as
+// cudele_net_round_trips_total. Ignored on the sim backend.
 func WithLoopbackNet() Option { return func(o *clusterOpts) { o.loopback = true } }
 
 // NewCluster builds a cluster with 1 monitor, the configured number of

@@ -552,7 +552,11 @@ func (c *Client) FetchGlobalJournal(p runtime.Task, owner string) ([]*journal.Ev
 // the dominant cost is the four object-store round trips per update, not
 // bandwidth. After the last update the materialized directory objects are
 // written out so a restarted metadata server (Server.Recover) observes
-// the merged namespace.
+// the merged namespace. Every push goes through one pipeline: the
+// mechanism is acknowledged when it returns, so it waits for the disk
+// once, and the journal is cleared only after that Flush — a crash or a
+// failed Flush leaves the journal, and a re-run replays it over whatever
+// prefix of the pushes survived.
 func (c *Client) NonvolatileApply(p runtime.Task) (int, error) {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
@@ -560,15 +564,9 @@ func (c *Client) NonvolatileApply(p runtime.Task) (int, error) {
 		return 0, ErrNotDecoupled
 	}
 	shadow := namespace.NewStore()
-	rootOID := rados.ObjectID{Pool: namespace.ObjectPool, Name: namespace.DirObjectName(namespace.RootIno)}
-
-	// Seed the shadow store from the root object if present.
-	if data, err := c.obj.Read(p, rootOID); err == nil {
-		if obj, derr := namespace.DecodeDir(data); derr == nil {
-			if err := c.loadChain(p, shadow, obj); err != nil {
-				return 0, err
-			}
-		}
+	rootOID := dirObject(namespace.RootIno)
+	if err := c.loadChain(p, shadow, namespace.RootIno); err != nil {
+		return 0, err
 	}
 
 	// Iterate the journal through a bounded-memory cursor: the run length
@@ -576,81 +574,75 @@ func (c *Client) NonvolatileApply(p runtime.Task) (int, error) {
 	// charged identically regardless of where runs fall.
 	const run = 256
 	applied := 0
+	// touched holds the directories the final pass writes out, each of
+	// them loaded from its object above or below, or made by the journal.
 	touched := map[namespace.Ino]bool{namespace.RootIno: true}
+	pl := c.obj.Pipeline()
 	cur := c.dec.jrnl.InlineCursor()
 	for evs := cur.Next(run); evs != nil; evs = cur.Next(run) {
-		if err := c.nonvolatileBatch(p, shadow, evs, rootOID, touched, &applied); err != nil {
-			return applied, err
+		for _, ev := range evs {
+			dirIno := namespace.Ino(ev.Parent)
+			dirOID := dirObject(dirIno)
+
+			// Make sure the affected directory is materialized in the
+			// shadow store: first touch loads its object and the ancestor
+			// chain. That its inode is there is not enough — its parent's
+			// object put it there, empty, and writing that image out would
+			// drop every entry the directory already held.
+			if !touched[dirIno] {
+				if err := c.loadChain(p, shadow, dirIno); err != nil {
+					return applied, err
+				}
+			}
+
+			// Pull both objects that may be affected — every update, as
+			// the journal tool does (paper §V-A): the experiment
+			// directory and the root.
+			c.obj.OmapGet(p, dirOID, ev.Name)
+			c.obj.OmapGet(p, rootOID, "rstat")
+
+			if err := shadow.ApplyEvent(ev); err != nil {
+				return applied, fmt.Errorf("nonvolatile apply: %w", err)
+			}
+			applied++
+			touched[dirIno] = true
+			if ev.Type == journal.EvMkdir {
+				touched[namespace.Ino(ev.Ino)] = true
+			}
+
+			// Push both back (the updated dentry and the root's recursive
+			// stats).
+			if err := pl.OmapSet(p, dirOID,
+				map[string][]byte{ev.Name: encodeDentry(shadow, dirIno, ev.Name)}); err != nil {
+				return applied, fmt.Errorf("nonvolatile apply: %w", err)
+			}
+			if err := pl.OmapSet(p, rootOID,
+				map[string][]byte{"rstat": rstat(shadow)}); err != nil {
+				return applied, fmt.Errorf("nonvolatile apply: %w", err)
+			}
 		}
 	}
 
 	// Materialize the final directory objects for recovery.
 	for ino := range touched {
-		if _, err := shadow.Get(ino); err != nil {
-			continue // directory was removed by the journal
-		}
 		data, err := shadow.EncodeDir(ino)
 		if err != nil {
-			continue // a touched inode may be a file's parent only
+			continue // removed by the journal, or touched only as a file's parent
 		}
-		if err := c.obj.Write(p, rados.ObjectID{
-			Pool: namespace.ObjectPool,
-			Name: namespace.DirObjectName(ino),
-		}, data); err != nil {
+		if err := pl.Write(p, dirObject(ino), data); err != nil {
 			return applied, fmt.Errorf("nonvolatile apply: %w", err)
 		}
+	}
+	if err := pl.Flush(p); err != nil {
+		return applied, fmt.Errorf("nonvolatile apply: %w", err)
 	}
 	c.dec.jrnl.Reset()
 	return applied, nil
 }
 
-// nonvolatileBatch replays one cursor run of journal events with the
-// per-update pull/apply/push round trips of Nonvolatile Apply.
-func (c *Client) nonvolatileBatch(p runtime.Task, shadow *namespace.Store, evs []*journal.Event,
-	rootOID rados.ObjectID, touched map[namespace.Ino]bool, applied *int) error {
-	for _, ev := range evs {
-		dirIno := namespace.Ino(ev.Parent)
-		dirOID := rados.ObjectID{Pool: namespace.ObjectPool, Name: namespace.DirObjectName(dirIno)}
-
-		// Make sure the affected directory is materialized in the
-		// shadow store (first touch loads the ancestor chain).
-		if _, err := shadow.Get(dirIno); err != nil {
-			if data, rerr := c.obj.Read(p, dirOID); rerr == nil {
-				if obj, derr := namespace.DecodeDir(data); derr == nil {
-					if cerr := c.loadChain(p, shadow, obj); cerr != nil {
-						return cerr
-					}
-				}
-			}
-		}
-
-		// Pull both objects that may be affected — every update, as
-		// the journal tool does (paper §V-A): the experiment
-		// directory and the root.
-		c.obj.OmapGet(p, dirOID, ev.Name)
-		c.obj.OmapGet(p, rootOID, "rstat")
-
-		if err := shadow.ApplyEvent(ev); err != nil {
-			return fmt.Errorf("nonvolatile apply: %w", err)
-		}
-		*applied++
-		touched[dirIno] = true
-		if ev.Type == journal.EvMkdir {
-			touched[namespace.Ino(ev.Ino)] = true
-		}
-
-		// Push both back (the updated dentry and the root's recursive
-		// stats).
-		if err := c.obj.OmapSet(p, dirOID,
-			map[string][]byte{ev.Name: encodeDentry(shadow, dirIno, ev.Name)}); err != nil {
-			return fmt.Errorf("nonvolatile apply: %w", err)
-		}
-		if err := c.obj.OmapSet(p, rootOID,
-			map[string][]byte{"rstat": rstat(shadow)}); err != nil {
-			return fmt.Errorf("nonvolatile apply: %w", err)
-		}
-	}
-	return nil
+// dirObject names the metadata-pool object that holds directory ino.
+func dirObject(ino namespace.Ino) rados.ObjectID {
+	return rados.ObjectID{Pool: namespace.ObjectPool, Name: namespace.DirObjectName(ino)}
 }
 
 // encodeDentry renders one dentry's omap value for the push-back.
@@ -672,36 +664,46 @@ func rstat(s *namespace.Store) []byte {
 // form an absurdly long — or infinite — chain must not hang the client.
 const maxChainDepth = 4096
 
-// loadChain installs obj into the shadow store, first loading any missing
-// ancestors from the object store. The walk is iterative: ancestors are
-// collected leaf-to-root, then installed root-first, so chain depth costs
-// no stack. Cycles in Parent pointers (corrupt objects) and chains past
-// maxChainDepth are reported as errors rather than looping forever.
-func (c *Client) loadChain(p runtime.Task, shadow *namespace.Store, obj *namespace.DirObject) error {
-	chain := []*namespace.DirObject{obj}
-	seen := map[namespace.Ino]bool{obj.Ino: true}
-	for cur := obj; cur.Ino != namespace.RootIno; cur = chain[len(chain)-1] {
-		if _, err := shadow.Get(cur.Parent); err == nil {
+// loadChain materializes directory ino in the shadow store from its
+// object, first loading any missing ancestors. The walk is iterative:
+// objects are collected leaf-to-root, then installed root-first, so chain
+// depth costs no stack. Only a leaf with no object is an empty start (the
+// journal is about to create it): replaying over a directory that failed
+// to read or decode would end by writing back an image without the
+// entries it held, so that is an error, as are a missing ancestor, a
+// cycle in Parent pointers (corrupt objects) and a chain past
+// maxChainDepth.
+func (c *Client) loadChain(p runtime.Task, shadow *namespace.Store, ino namespace.Ino) error {
+	var chain []*namespace.DirObject
+	seen := map[namespace.Ino]bool{}
+	for {
+		data, err := c.obj.Read(p, dirObject(ino))
+		if len(chain) == 0 && errors.Is(err, rados.ErrNotFound) {
+			return nil
+		}
+		var obj *namespace.DirObject
+		if err == nil {
+			obj, err = namespace.DecodeDir(data)
+		}
+		if err != nil {
+			return fmt.Errorf("nonvolatile apply: directory object %d: %w", ino, err)
+		}
+		seen[obj.Ino] = true
+		chain = append(chain, obj)
+		if obj.Ino == namespace.RootIno {
+			break
+		}
+		if _, err := shadow.Get(obj.Parent); err == nil {
 			break // ancestor already materialized
 		}
-		if seen[cur.Parent] {
-			return fmt.Errorf("nonvolatile apply: ancestor cycle at %d: %w", cur.Parent, namespace.ErrInval)
+		if seen[obj.Parent] {
+			return fmt.Errorf("nonvolatile apply: ancestor cycle at %d: %w", obj.Parent, namespace.ErrInval)
 		}
 		if len(chain) >= maxChainDepth {
 			return fmt.Errorf("nonvolatile apply: ancestor chain deeper than %d at %d: %w",
-				maxChainDepth, cur.Ino, namespace.ErrInval)
+				maxChainDepth, obj.Ino, namespace.ErrInval)
 		}
-		parentOID := rados.ObjectID{Pool: namespace.ObjectPool, Name: namespace.DirObjectName(cur.Parent)}
-		data, rerr := c.obj.Read(p, parentOID)
-		if rerr != nil {
-			return fmt.Errorf("nonvolatile apply: missing ancestor %d: %w", cur.Parent, rerr)
-		}
-		pobj, derr := namespace.DecodeDir(data)
-		if derr != nil {
-			return derr
-		}
-		seen[pobj.Ino] = true
-		chain = append(chain, pobj)
+		ino = obj.Parent
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
 		if err := shadow.InstallDir(chain[i]); err != nil {

@@ -3,6 +3,8 @@ package mds
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"cudele/internal/namespace"
 	"cudele/internal/policy"
 	"cudele/internal/rados"
+	"cudele/internal/realrt"
 	"cudele/internal/runtime"
 	"cudele/internal/sim"
 	"cudele/internal/trace"
@@ -309,6 +312,63 @@ func TestStreamDispatchAndFlush(t *testing.T) {
 	if s.JournalLen() != 0 {
 		t.Fatalf("journal len after trim = %d", s.JournalLen())
 	}
+}
+
+// TestSaveStoreCommitsOnce: on a data dir SaveStore's N directory objects
+// are N log records and one wait for the disk, a second server over the
+// same directory recovers the namespace from them, and a save whose Flush
+// fails (the data dir is gone) says so.
+func TestSaveStoreCommitsOnce(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "objects")
+	open := func() (*realrt.Engine, *rados.Cluster, *Server) {
+		eng := realrt.New(17)
+		t.Cleanup(func() { eng.Shutdown() })
+		obj := rados.New(eng, model.Default())
+		fs, err := rados.OpenFileStore(dir)
+		if err == nil {
+			err = obj.AttachStore(fs)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, obj, New(eng, model.Default(), obj)
+	}
+	eng, obj, s := open()
+	s.OpenSession("c0")
+	const dirs = 6
+	run(t, eng, func(p runtime.Task) {
+		for i := 0; i < dirs; i++ {
+			d := s.Submit(p, &Request{Op: OpMkdir, Client: "c0", Parent: namespace.RootIno, Name: fmt.Sprintf("d%d", i), Mode: 0755})
+			s.Submit(p, &Request{Op: OpCreate, Client: "c0", Parent: d.Ino, Name: "f", Mode: 0644})
+		}
+		before := obj.Stats()
+		if err := s.SaveStore(p); err != nil {
+			t.Errorf("save: %v", err)
+			return
+		}
+		after := obj.Stats()
+		if recs, commits := after.Records-before.Records, after.Commits-before.Commits; recs != dirs+1 || commits != 1 {
+			t.Errorf("saving %d directories and the root: %d records in %d commits, want %d in 1", dirs, recs, commits, dirs+1)
+		}
+	})
+	eng2, _, s2 := open()
+	run(t, eng2, func(p runtime.Task) {
+		if err := s2.Recover(p); err != nil {
+			t.Errorf("recover: %v", err)
+		}
+	})
+	if !namespace.Equal(s.Store(), s2.Store()) {
+		t.Error("the namespace recovered from the data dir differs from the one saved")
+	}
+	run(t, eng, func(p runtime.Task) {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Error(err)
+			return
+		}
+		if n, err := s.saveDirs(p, s.Store().Dirs()); err == nil || n != 0 {
+			t.Errorf("save with the data dir gone = %d, %v; want 0 and the Flush's error", n, err)
+		}
+	})
 }
 
 func TestSaveStoreRecover(t *testing.T) {

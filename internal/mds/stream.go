@@ -225,19 +225,26 @@ func (s *Server) SaveStore(p runtime.Task) error {
 }
 
 // saveDirs writes the directory objects of dirs to the metadata pool, in
-// order, and reports how many made it before the first error.
-func (s *Server) saveDirs(p runtime.Task, dirs []namespace.Ino) (int, error) {
-	for i, ino := range dirs {
-		data, err := s.store.EncodeDir(ino)
-		if err == nil {
+// order, through one pipeline — one wait for the disk, not one per
+// directory — and reports how many are durable: those written before the
+// first error, none if the Flush that covers them failed.
+func (s *Server) saveDirs(p runtime.Task, dirs []namespace.Ino) (saved int, err error) {
+	pl := s.obj.Pipeline()
+	for _, ino := range dirs {
+		var data []byte
+		if data, err = s.store.EncodeDir(ino); err == nil {
 			oid := rados.ObjectID{Pool: namespace.ObjectPool, Name: namespace.DirObjectName(ino)}
-			err = s.obj.Write(p, oid, data)
+			err = pl.Write(p, oid, data)
 		}
 		if err != nil {
-			return i, err
+			break
 		}
+		saved++
 	}
-	return len(dirs), nil
+	if ferr := pl.Flush(p); ferr != nil {
+		return 0, ferr
+	}
+	return saved, err
 }
 
 // Recover rebuilds the in-memory metadata store from RADOS, then replays

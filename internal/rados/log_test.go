@@ -440,7 +440,7 @@ func TestLogCheckpointCrashes(t *testing.T) {
 // group. (It checks the outcome; a stage moved outside the domain would
 // reorder only if the scheduler preempted a task between leaving the
 // domain and taking the staging lock, too rare a window for a test to be
-// the argument. That argument is the code's shape: see Cluster.log.)
+// the argument. That argument is the code's shape: see Pipeline.log.)
 func TestLogOrderIsMemoryOrder(t *testing.T) {
 	dir := t.TempDir()
 	c, _ := newLogCluster(t, 30, dir)

@@ -173,12 +173,30 @@ func (c *Cluster) opLatency(p runtime.Task) {
 	p.Sleep(c.cfg.OSDOpLatency)
 }
 
-// log makes the mutation the caller has just applied to memory durable:
-// its record is staged here, inside the store's domain, so the log keeps
-// the order memory saw, and committed outside it (Blocking), so other
-// tasks overlap the fsync — and share it. A log that has outgrown its
-// last checkpoint is compacted first, from the memory image.
-func (c *Cluster) log(p runtime.Task, kind byte, oid ObjectID, kv map[string][]byte, tail []byte) error {
+// Pipeline makes mutations whose durability is deferred to one Flush, the
+// way librados splits aio_operate from aio_flush: each call charges,
+// draws its fault, changes memory and stages its log record exactly as the
+// Cluster method of the same name does, and returns without waiting for
+// the disk. Nothing made through a pipeline is acknowledged before its
+// Flush returns nil; a crash before that leaves a prefix of the staged
+// records, never a gap. A handle belongs to one task. The one thing
+// deferral asks of the caller: a payload of largeRecord bytes or more is
+// written from the caller's slice, so it stays unchanged until Flush
+// returns. The Cluster's own mutating methods are pipelines of one.
+type Pipeline struct {
+	c   *Cluster
+	lsn int64 // of the last record staged through this handle
+}
+
+// Pipeline returns a handle that defers durability to its Flush.
+func (c *Cluster) Pipeline() *Pipeline { return &Pipeline{c: c} }
+
+// log stages the record of the mutation the caller has just applied to
+// memory: here, inside the store's domain, so the log keeps the order
+// memory saw. A log that has outgrown its last checkpoint is compacted
+// first, from the memory image.
+func (pl *Pipeline) log(kind byte, oid ObjectID, kv map[string][]byte, tail []byte) error {
+	c := pl.c
 	if c.store == nil {
 		return nil
 	}
@@ -186,10 +204,33 @@ func (c *Cluster) log(p runtime.Task, kind byte, oid ObjectID, kv map[string][]b
 	if err == nil && c.store.checkpointDue() {
 		err = c.store.checkpoint(c.objects)
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		pl.lsn = lsn
 	}
-	p.Blocking(func() { err = c.store.Commit(lsn) })
+	return err
+}
+
+// Flush returns once everything staged through pl is durable: one Commit,
+// outside every domain (Blocking), so other tasks overlap the fsync — and
+// share it. Without a store, or with nothing staged, it returns before
+// touching the task: the simulator gains no yield point.
+func (pl *Pipeline) Flush(p runtime.Task) error {
+	store, lsn := pl.c.store, pl.lsn
+	if store == nil || lsn == 0 {
+		return nil
+	}
+	var err error
+	p.Blocking(func() { err = store.Commit(lsn) })
+	return err
+}
+
+// ack ends a pipeline of one: the mutation's own error, else its Flush's.
+// A torn write is flushed too — the prefix is what was stored; the fault
+// is the error.
+func (pl *Pipeline) ack(p runtime.Task, err error) error {
+	if ferr := pl.Flush(p); err == nil {
+		err = ferr
+	}
 	return err
 }
 
@@ -212,6 +253,11 @@ func (c *Cluster) Write(p runtime.Task, oid ObjectID, data []byte) error {
 	return c.WriteBilled(p, oid, data, 0)
 }
 
+// Write is Cluster.Write, durable at Flush.
+func (pl *Pipeline) Write(p runtime.Task, oid ObjectID, data []byte) error {
+	return pl.WriteBilled(p, oid, data, 0)
+}
+
 // WriteBilled stores data as oid's contents but charges the devices as if
 // billed bytes were transferred. The metadata journal's 2.5 KB/event
 // footprint (paper §V-A) dwarfs its information content; billing lets the
@@ -219,6 +265,13 @@ func (c *Cluster) Write(p runtime.Task, oid ObjectID, data []byte) error {
 // padding. An armed fault injector may fail the write cleanly (nothing
 // persisted) or tear it (a prefix persisted, then an error).
 func (c *Cluster) WriteBilled(p runtime.Task, oid ObjectID, data []byte, billed int64) error {
+	pl := Pipeline{c: c}
+	return pl.ack(p, pl.WriteBilled(p, oid, data, billed))
+}
+
+// WriteBilled is Cluster.WriteBilled, durable at Flush.
+func (pl *Pipeline) WriteBilled(p runtime.Task, oid ObjectID, data []byte, billed int64) error {
+	c := pl.c
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
 	if billed < int64(len(data)) {
@@ -238,16 +291,23 @@ func (c *Cluster) WriteBilled(p runtime.Task, oid ObjectID, data []byte, billed 
 		c.recordFault(p, "torn-write", oid)
 		o := c.getOrCreate(oid)
 		o.data = append(o.data[:0], data[:torn]...)
-		c.log(p, recWrite, oid, nil, data[:torn]) // the torn prefix is what was stored; the fault is the error
+		pl.log(recWrite, oid, nil, data[:torn]) // the torn prefix is what was stored; the fault is the error
 		return faultErrf("torn write", oid)
 	}
 	o := c.getOrCreate(oid)
 	o.data = append(o.data[:0], data...)
-	return c.log(p, recWrite, oid, nil, data)
+	return pl.log(recWrite, oid, nil, data)
 }
 
 // Append appends data to oid, creating it if needed.
 func (c *Cluster) Append(p runtime.Task, oid ObjectID, data []byte) error {
+	pl := Pipeline{c: c}
+	return pl.ack(p, pl.Append(p, oid, data))
+}
+
+// Append is Cluster.Append, durable at Flush.
+func (pl *Pipeline) Append(p runtime.Task, oid ObjectID, data []byte) error {
+	c := pl.c
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
 	c.writes++
@@ -264,12 +324,12 @@ func (c *Cluster) Append(p runtime.Task, oid ObjectID, data []byte) error {
 		c.recordFault(p, "torn-append", oid)
 		o := c.getOrCreate(oid)
 		o.data = append(o.data, data[:torn]...)
-		c.log(p, recAppend, oid, nil, data[:torn])
+		pl.log(recAppend, oid, nil, data[:torn])
 		return faultErrf("torn append", oid)
 	}
 	o := c.getOrCreate(oid)
 	o.data = append(o.data, data...)
-	return c.log(p, recAppend, oid, nil, data)
+	return pl.log(recAppend, oid, nil, data)
 }
 
 // Read returns a copy of oid's contents.
@@ -303,6 +363,13 @@ func (c *Cluster) Stat(p runtime.Task, oid ObjectID) (int, error) {
 
 // Remove deletes oid. Removing a missing object returns ErrNotFound.
 func (c *Cluster) Remove(p runtime.Task, oid ObjectID) error {
+	pl := Pipeline{c: c}
+	return pl.ack(p, pl.Remove(p, oid))
+}
+
+// Remove is Cluster.Remove, durable at Flush.
+func (pl *Pipeline) Remove(p runtime.Task, oid ObjectID) error {
+	c := pl.c
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
 	c.opLatency(p)
@@ -311,7 +378,7 @@ func (c *Cluster) Remove(p runtime.Task, oid ObjectID) error {
 	}
 	c.deletes++
 	delete(c.objects, oid)
-	return c.log(p, recRemove, oid, nil, nil)
+	return pl.log(recRemove, oid, nil, nil)
 }
 
 // Exists reports whether oid exists, charging one round trip.
@@ -327,6 +394,13 @@ func (c *Cluster) Exists(p runtime.Task, oid ObjectID) bool {
 // Omap updates are atomic: an injected fault fails the whole batch
 // cleanly, never a torn subset.
 func (c *Cluster) OmapSet(p runtime.Task, oid ObjectID, kv map[string][]byte) error {
+	pl := Pipeline{c: c}
+	return pl.ack(p, pl.OmapSet(p, oid, kv))
+}
+
+// OmapSet is Cluster.OmapSet, durable at Flush.
+func (pl *Pipeline) OmapSet(p runtime.Task, oid ObjectID, kv map[string][]byte) error {
+	c := pl.c
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
 	var n int64
@@ -350,7 +424,7 @@ func (c *Cluster) OmapSet(p runtime.Task, oid ObjectID, kv map[string][]byte) er
 		copy(val, v)
 		o.omap[k] = val
 	}
-	return c.log(p, recOmapSet, oid, kv, nil)
+	return pl.log(recOmapSet, oid, kv, nil)
 }
 
 // OmapGet returns the value stored under key in oid's omap.
@@ -377,6 +451,13 @@ func (c *Cluster) OmapGet(p runtime.Task, oid ObjectID, key string) ([]byte, err
 
 // OmapRemove deletes key from oid's omap.
 func (c *Cluster) OmapRemove(p runtime.Task, oid ObjectID, key string) error {
+	pl := Pipeline{c: c}
+	return pl.ack(p, pl.OmapRemove(p, oid, key))
+}
+
+// OmapRemove is Cluster.OmapRemove, durable at Flush.
+func (pl *Pipeline) OmapRemove(p runtime.Task, oid ObjectID, key string) error {
+	c := pl.c
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
 	c.opLatency(p)
@@ -388,7 +469,7 @@ func (c *Cluster) OmapRemove(p runtime.Task, oid ObjectID, key string) error {
 		return fmt.Errorf("omap-remove %v[%q]: %w", oid, key, ErrNotFound)
 	}
 	delete(o.omap, key)
-	return c.log(p, recOmapRemove, oid, nil, []byte(key))
+	return pl.log(recOmapRemove, oid, nil, []byte(key))
 }
 
 // OmapList returns oid's omap keys in sorted order, charging a scan.

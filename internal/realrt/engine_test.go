@@ -1,6 +1,7 @@
 package realrt
 
 import (
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -407,21 +408,25 @@ func TestShutdownUnwindsShortSleepers(t *testing.T) {
 }
 
 // TestGroupAcrossDomains joins tasks that finish in a different domain
-// than the waiter's.
+// than the waiter's. The waiter starts them while it holds their domain:
+// started from outside, the first worker (it does not sleep) could finish
+// and bring the group to zero — which fires it, once — before the second
+// was added, and the waiter then summed a partial result.
 func TestGroupAcrossDomains(t *testing.T) {
 	e := New(1)
 	d := e.newDomain("d")
 	g := d.NewGroup()
 	results := make([]int, 8)
-	for i := range results {
-		i := i
-		g.Go("w", func(p runtime.Task) {
-			p.Sleep(time.Duration(i) * 100 * time.Microsecond)
-			results[i] = i + 1
-		})
-	}
 	sum := 0
 	e.Spawn("waiter", func(p runtime.Task) {
+		d.Enter(p)
+		for i := range results {
+			g.Go("w", func(p runtime.Task) {
+				p.Sleep(time.Duration(i) * 100 * time.Microsecond)
+				results[i] = i + 1
+			})
+		}
+		d.Leave(p)
 		g.Wait(p)
 		for _, r := range results {
 			sum += r
@@ -468,4 +473,42 @@ func TestNetHopFailureStopsTheTask(t *testing.T) {
 		t.Fatalf("shutdown reaped %d tasks", n)
 	}
 	assertAllFree(t, e)
+}
+
+// TestEnableLoopbackTwice: a second EnableLoopback used to overwrite the
+// first endpoint without closing it, so its listener and pooled
+// connections outlived Shutdown. Now it is an error that leaves the first
+// endpoint serving, and after Shutdown nothing listens on its address.
+func TestEnableLoopbackTwice(t *testing.T) {
+	e := New(1)
+	if err := e.EnableLoopback(); err != nil {
+		t.Fatal(err)
+	}
+	first := e.net
+	addr := first.ln.Addr().String()
+	if err := e.EnableLoopback(); err == nil {
+		t.Fatal("a second EnableLoopback succeeded")
+	}
+	if e.net != first {
+		t.Fatal("the failed second EnableLoopback replaced the endpoint")
+	}
+	for i := 0; i < 3; i++ {
+		if on, err := e.NetRoundTrip(); !on || err != nil {
+			t.Fatalf("round trip %d over the first endpoint = %v, %v", i, on, err)
+		}
+	}
+	if got := first.trips.Load(); got != 3 {
+		t.Fatalf("counted %d round trips, want 3", got)
+	}
+	e.Shutdown()
+	if c, err := net.Dial("tcp", addr); err == nil {
+		c.Close()
+		t.Fatalf("%s still accepts connections after Shutdown", addr)
+	}
+	first.mu.Lock()
+	pooled := len(first.conns)
+	first.mu.Unlock()
+	if pooled != 0 {
+		t.Fatalf("%d pooled connections survived Shutdown", pooled)
+	}
 }

@@ -1,19 +1,23 @@
 package realrt
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"cudele/internal/runtime"
+	"cudele/internal/trace"
 )
 
 // frameSize is the fixed size of a loopback round-trip frame. Protocol
 // messages carry live pointers (journal events, namespace inodes) and
 // cannot be serialized, so the loopback option does not ship payloads;
-// it puts a real kernel socket round trip on every Call so measured
-// latency includes a real network stack instead of nothing.
+// it puts one real kernel socket round trip on every Call — the frame
+// for the request, its echo for the reply — so measured latency includes
+// a real network stack instead of nothing.
 const frameSize = 64
 
 // loopback is a TCP echo endpoint on 127.0.0.1 plus a small pool of
@@ -21,14 +25,20 @@ const frameSize = 64
 type loopback struct {
 	ln net.Listener
 
+	trips atomic.Uint64 // completed round trips
+
 	mu    sync.Mutex
 	conns []net.Conn
 }
 
 // EnableLoopback starts a loopback-TCP echo listener and routes every
 // transport Call's round trip through it (see Wire). Call once, before
-// spawning tasks; Shutdown closes the listener.
+// spawning tasks — a second call is an error, the first listener stays —
+// and Shutdown closes it.
 func (e *Engine) EnableLoopback() error {
+	if e.net != nil {
+		return errors.New("realrt: loopback already enabled")
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -39,12 +49,13 @@ func (e *Engine) EnableLoopback() error {
 	return nil
 }
 
-// NetHop is the real backend's wire hop (see transport.Wire): with the
-// loopback option on, one socket round trip outside t's domain; without
-// it nothing, because the call into the callee's domain that follows is
-// the in-process hop. The wire has no error path, and a Call that went on
-// without its hop would report a latency with no network in it, so a
-// failed round trip panics in t and the run stops.
+// NetHop is the real backend's wire for one Call (see transport.Wire):
+// with the loopback option on, one socket round trip outside t's domain
+// — request out, reply back; without it nothing, because the call into
+// the callee's domain that follows is the in-process hop. The wire has no
+// error path, and a Call that went on without its hop would report a
+// latency with no network in it, so a failed round trip panics in t and
+// the run stops.
 func (e *Engine) NetHop(t runtime.Task) {
 	if e.net == nil {
 		return
@@ -79,7 +90,16 @@ func (e *Engine) NetRoundTrip() (bool, error) {
 		return true, err
 	}
 	lb.put(c)
+	lb.trips.Add(1)
 	return true, nil
+}
+
+// FillMetrics exports the loopback's round-trip count, and nothing when
+// the option is off, so a run without it exports what it always did.
+func (e *Engine) FillMetrics(reg *trace.Registry) {
+	if lb := e.net; lb != nil {
+		reg.Counter("cudele_net_round_trips_total", "Loopback-TCP round trips completed: one per metadata Call.", float64(lb.trips.Load()))
+	}
 }
 
 func (lb *loopback) serve() {

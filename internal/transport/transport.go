@@ -60,7 +60,8 @@ type Endpoint interface {
 	// Name identifies the endpoint ("mds.0", "mds").
 	Name() string
 	// Call sends a request and waits for the reply, charging one network
-	// hop each way around the handler (the RPCs mechanism).
+	// round trip (the RPCs mechanism): a modeled hop each way around the
+	// handler, or a real wire's round trip ahead of it.
 	Call(p runtime.Task, msg any) any
 	// Post hands a message to the endpoint without charging wire
 	// latency; the handler manages all timing itself. Bulk transfers
@@ -76,10 +77,10 @@ type Endpoint interface {
 // and Call charges lat of virtual time each way, so simulated schedules
 // are unchanged. On the real backend the caller gives up its own domain
 // for the server's (that hand-over is the in-process message hop; with
-// loopback TCP enabled each direction also makes a real socket round
-// trip) and holds it only while it runs: a handler that parks
-// mid-request — MergeWait does — releases the domain, so it never
-// wedges the endpoint.
+// loopback TCP enabled a Call first makes one real socket round trip,
+// whose frame and echo stand for the request and the reply) and holds
+// it only while it runs: a handler that parks mid-request — MergeWait
+// does — releases the domain, so it never wedges the endpoint.
 type Wire struct {
 	name string
 	lat  runtime.Duration
@@ -139,28 +140,25 @@ func (w *Wire) Wrap(ic Interceptor) {
 	w.h.Store(&h)
 }
 
-// netHopper is the capability of a runtime whose wire hop is real: it
-// performs the hop itself (realrt: the optional loopback-TCP round trip)
-// in place of the modeled latency charge.
+// netHopper is the capability of a runtime whose wire is real: NetHop
+// carries one Call's request and reply (realrt: the optional
+// loopback-TCP round trip) in place of the two modeled latency charges.
 type netHopper interface {
 	NetHop(t runtime.Task)
 }
 
-// hop charges one direction of a Call.
-func (w *Wire) hop(p runtime.Task) {
+// Call implements Endpoint: request on the wire, handler, reply on the
+// wire. A real wire makes its one round trip before the handler, not
+// around it: a reply cannot leave before the handler has finished, so
+// overlapping the two would under-report the Call.
+func (w *Wire) Call(p runtime.Task, msg any) any {
 	if nh, ok := p.Runtime().(netHopper); ok {
 		nh.NetHop(p)
-		return
+		return w.Post(p, msg)
 	}
 	p.Sleep(w.lat)
-}
-
-// Call implements Endpoint: request on the wire, handler, reply on the
-// wire.
-func (w *Wire) Call(p runtime.Task, msg any) any {
-	w.hop(p)
 	reply := w.Post(p, msg)
-	w.hop(p)
+	p.Sleep(w.lat)
 	return reply
 }
 

@@ -80,6 +80,60 @@ func TestWireTiming(t *testing.T) {
 	}
 }
 
+// hopRuntime is the simulator with the NetHop capability added, the way
+// the real backend has it: the hop is counted and charges no modeled
+// latency.
+type hopRuntime struct {
+	runtime.Runtime
+	hops int
+}
+
+func (r *hopRuntime) NetHop(runtime.Task) { r.hops++ }
+
+type hopTask struct {
+	runtime.Task
+	rt *hopRuntime
+}
+
+func (t hopTask) Runtime() runtime.Runtime { return t.rt }
+
+// TestWireRealCallHopsOnce: on a runtime whose wire is real a Call makes
+// exactly one hop — the round trip is the request and the reply — before
+// the handler runs, charges none of the modeled latency, and a Post makes
+// none.
+func TestWireRealCallHopsOnce(t *testing.T) {
+	eng := sim.NewEngine(1)
+	rt := &hopRuntime{Runtime: eng}
+	work := runtime.Duration(300 * time.Microsecond)
+	hopsAtHandler := -1
+	w := NewWire("mds.0", runtime.Duration(50*time.Microsecond), func(p runtime.Task, msg any) any {
+		hopsAtHandler = rt.hops
+		p.Sleep(work)
+		return msg
+	})
+	eng.Spawn("t", func(p runtime.Task) {
+		p = hopTask{p, rt}
+		start := p.Now()
+		if out := w.Call(p, "m"); out != "m" {
+			t.Errorf("call reply = %v", out)
+		}
+		if rt.hops != 1 || hopsAtHandler != 1 {
+			t.Errorf("Call made %d hops, %d of them before the handler; want 1 and 1", rt.hops, hopsAtHandler)
+		}
+		if took := runtime.Duration(p.Now() - start); took != work {
+			t.Errorf("Call took %v, want %v: a real wire charges no modeled latency", took, work)
+		}
+		w.Post(p, "m")
+		if rt.hops != 1 {
+			t.Errorf("Post hopped: %d hops after it, want 1", rt.hops)
+		}
+	})
+	eng.RunAll()
+	if hopsAtHandler < 0 {
+		t.Fatal("the handler never ran")
+	}
+}
+
 func TestTableLongestPrefix(t *testing.T) {
 	tb := NewTable()
 	if got := tb.RankFor("/anything"); got != 0 {

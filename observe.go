@@ -62,6 +62,11 @@ func (cl *Cluster) CollectMetrics() *Registry {
 	for _, name := range names {
 		cl.clients[name].FillMetrics(reg)
 	}
+	// Last, and only a runtime with a real wire has any: the simulator's
+	// export keeps its order.
+	if rt, ok := cl.rt.(interface{ FillMetrics(*trace.Registry) }); ok {
+		rt.FillMetrics(reg)
+	}
 	return reg
 }
 
