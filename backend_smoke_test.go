@@ -243,6 +243,73 @@ func TestLoopbackRoundTripsEqualRPCs(t *testing.T) {
 	}
 }
 
+// TestRealBackendExportsParkCounts: the real backend's engine counts its
+// waits — parks, and parks whose wakeup did not come within the poll
+// window so the task blocked in the scheduler — and exports both whatever
+// else is on; the simulator exports neither, so its export order is what
+// it was. Two clients read one rank whose service times are a nanosecond,
+// one call in fifty a listing long enough for the other client to fall
+// asleep on the rank's domain: the shape in which blocking at once convoys
+// on the rank's CPU. Parks per RPC is logged and not asserted: it is the
+// scheduler's number (about 0.6 when every park blocked at once, well
+// under 0.2 since a parking task polls first).
+func TestRealBackendExportsParkCounts(t *testing.T) {
+	const clients, calls, files = 2, 2000, 1000
+	cfg := stressConfig()
+	cfg.MDSOpTime, cfg.MDSLookupTime = 1, 1
+	for _, backend := range []Backend{BackendReal, BackendSim} {
+		cl := NewCluster(WithSeed(9), WithBackend(backend), WithConfig(cfg))
+		st := cl.MDS().Store()
+		dir, err := st.MkdirAll("/tree", namespace.CreateAttrs{Mode: 0755})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < files; f++ {
+			if _, err := st.Create(dir.Ino, fmt.Sprintf("f%d", f), namespace.CreateAttrs{Mode: 0644}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cs := make([]*Client, clients) // set-up code: all of it before any task runs
+		for i := range cs {
+			cs[i] = cl.NewClient(fmt.Sprintf("c%d", i))
+		}
+		for i, c := range cs {
+			cl.Go(c.Name(), func(p Proc) {
+				for k := 0; k < calls; k++ {
+					var err error
+					if k%50 == 49 {
+						_, err = c.ReadDir(p, dir.Ino)
+					} else {
+						_, err = c.Lookup(p, dir.Ino, fmt.Sprintf("f%d", (k+i)%files))
+					}
+					if err != nil {
+						t.Errorf("call %d: %v", k, err)
+						return
+					}
+				}
+			})
+		}
+		cl.RunAll()
+		reg := cl.CollectMetrics()
+		parks, okParks := reg.Value("cudele_realrt_parks_total")
+		blocked, okBlocked := reg.Value("cudele_realrt_parks_blocked_total")
+		if backend == BackendSim {
+			if okParks || okBlocked {
+				t.Errorf("the simulator exports the real backend's park counts")
+			}
+		} else if !okParks || !okBlocked || blocked > parks {
+			t.Errorf("real backend: parks %v (exported %v), blocked %v (exported %v); want both exported, blocked <= parks",
+				parks, okParks, blocked, okBlocked)
+		} else {
+			t.Logf("%d RPCs: %v parks (%.2f per RPC), %v of them blocked in the scheduler",
+				clients*calls, parks, parks/(clients*calls), blocked)
+		}
+		if n := cl.Close(); n != 0 {
+			t.Errorf("backend %v: close reaped %d tasks, want 0", backend, n)
+		}
+	}
+}
+
 // stressConfig is the calibrated model with its per-operation service
 // times cut to microseconds, so the real-backend stress run spends its
 // time in the program and not in time.Sleep. Both backends use it.

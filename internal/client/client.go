@@ -333,8 +333,12 @@ func (c *Client) submit(p runtime.Task, req *mds.Request) *mds.Reply {
 		reply = c.svc.Call(p, req).(*mds.Reply)
 		return reply.Err
 	})
-	rec.End(span, int64(p.Now()))
-	c.latency.Observe(runtime.Duration(p.Now() - start))
+	// One reading ends both the span and the histogram's interval: on the
+	// real backend each is a time.Since, and with no recorder End's
+	// argument was read for nothing.
+	end := p.Now()
+	rec.End(span, int64(end))
+	c.latency.Observe(runtime.Duration(end - start))
 	if reply.CapGranted {
 		c.caps[req.Parent] = true
 	}

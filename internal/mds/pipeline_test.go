@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cudele/internal/namespace"
+	"cudele/internal/obs"
 	"cudele/internal/policy"
 	"cudele/internal/runtime"
 )
@@ -87,4 +88,49 @@ func TestServeRPCSchedule(t *testing.T) {
 			})
 		})
 	}
+}
+
+// clockCounter is a task that counts the reads of its clock (the client
+// package's tests have the same one).
+type clockCounter struct {
+	runtime.Task
+	reads int
+}
+
+func (c *clockCounter) Now() runtime.Time {
+	c.reads++
+	return c.Task.Now()
+}
+
+// countedCPU lets a clockCounter through the rank's CPU, whose queueing
+// calls take only the backend's own task type.
+type countedCPU struct{ runtime.Resource }
+
+func (r countedCPU) Acquire(t runtime.Task) { r.Resource.Acquire(t.(*clockCounter).Task) }
+
+// TestServeRPCReadsClockOnlyForHeat: the arrival time is the heat
+// plane's queue-wait measurement and nobody else's, so with heat off one
+// RPC reads the task's clock not at all (on the real backend each read is
+// a time.Since on the rank's serial path), and with heat on twice —
+// arrival, and one reading after the CPU is granted that stamps the
+// record and ends the wait.
+func TestServeRPCReadsClockOnlyForHeat(t *testing.T) {
+	eng, s := newTestServer()
+	s.OpenSession("c0")
+	s.cpu = countedCPU{s.cpu}
+	run(t, eng, func(p runtime.Task) {
+		counted := &clockCounter{Task: p}
+		req := &Request{Op: OpLookup, Client: "c0", Parent: namespace.RootIno, Name: "nope"}
+		if r := s.serveRPC(counted, req); !errors.Is(r.Err, namespace.ErrNotExist) || counted.reads != 0 {
+			t.Errorf("heat off: serveRPC read the clock %d times (reply error %v), want 0", counted.reads, r.Err)
+		}
+		heat := obs.NewHeat(0)
+		s.SetHeat(heat, nil)
+		if r := s.serveRPC(counted, req); !errors.Is(r.Err, namespace.ErrNotExist) || counted.reads != 2 {
+			t.Errorf("heat on: serveRPC read the clock %d times (reply error %v), want 2", counted.reads, r.Err)
+		}
+		if cells := heat.Snapshot(int64(p.Now())); len(cells) != 1 || cells[0].Reads == 0 || cells[0].WaitSeconds != 0 {
+			t.Errorf("heat on: cells = %+v, want one cell with the read and no queue wait", cells)
+		}
+	})
 }

@@ -559,13 +559,17 @@ func (s *Server) serveRPC(p runtime.Task, req *Request) *Reply {
 	// The rank's CPU is held for the whole request body — service time,
 	// interference check, op handler — like CephFS's single-threaded
 	// pipeline.
-	arrive := p.Now()
+	var arrive runtime.Time
+	if s.heat != nil { // with heat off nobody reads the arrival time
+		arrive = p.Now()
+	}
 	s.cpu.Acquire(p)
 	if s.heat != nil {
 		// Queue wait is the time spent behind other requests for the
 		// rank's CPU — the saturation signal a balancer watches.
-		s.heat.RecordOp(int64(p.Now()), s.heatSubtree(req.Route), s.rank,
-			req.Op.Mutates(), runtime.Duration(p.Now()-arrive))
+		now := p.Now()
+		s.heat.RecordOp(int64(now), s.heatSubtree(req.Route), s.rank,
+			req.Op.Mutates(), runtime.Duration(now-arrive))
 	}
 	p.Sleep(s.serviceTime(req.Op))
 	var reply *Reply

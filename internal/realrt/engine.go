@@ -32,6 +32,29 @@
 // domains, so each carries its own small lock; no task waits for a
 // domain lock while holding one of those.
 //
+// # Waiting
+//
+// Every wait on one of those objects is Task.Park, and it goes: counted
+// blocked, poll, block. The task marks itself parked and joins the
+// engine's blocked count while it still holds the object's lock, so
+// whoever dequeues it finds the mark; then, with that lock and its domain
+// released, it yields its P once, watches its wakeup token for pollWindow,
+// and only then blocks on the token in the scheduler. RunAll's quiescence
+// and Shutdown's reaping see one state, parked, whichever phase the task
+// is in; Park and Wake take no engine-wide lock.
+//
+// The poll exists because a release hands its unit to the head waiter
+// whether or not that task is awake to use it. A rank's CPU is held across
+// a service-time Sleep, which gives up the rank's domain for an instant; a
+// second client walks in, finds the CPU busy and parks. If it blocks at
+// once, the CPU is handed to a goroutine that needs a scheduler wake-up
+// before it runs, the first client is back with its next request before
+// that has happened, finds the CPU owned, and blocks too: from then on
+// every request is served by a task that was asleep when it got the unit —
+// a lock convoy, one wake-up per request, which no request ends. A waiter
+// still polling when the unit arrives runs at once on its own P, and the
+// convoy does not sustain itself.
+//
 // Sleeps are real: Duration values that the simulator charges as
 // virtual time become wall-clock sleeps here. That is load-bearing
 // beyond fidelity — protocol loops poll with short sleeps (journal
@@ -44,6 +67,7 @@ package realrt
 import (
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -61,9 +85,11 @@ var errTaskKilled = new(int)
 // Engine is the real backend's runtime: a wall clock, the lock domains,
 // and a registry of live tasks.
 type Engine struct {
-	// state guards the task registry, the domain list and the quiescence
-	// accounting, and is what cond waits on. It is a leaf: nothing takes
-	// a domain lock while holding it.
+	// state guards the task registry and the domain list, and is what
+	// cond waits on. It is a leaf: nothing takes a domain lock while
+	// holding it. Park and Wake do not take it: the quiescence counts
+	// below are atomic, and a park touches state only to broadcast that
+	// the last running task has blocked.
 	state sync.Mutex
 	cond  *sync.Cond
 
@@ -78,9 +104,17 @@ type Engine struct {
 	// and Exclusive lock in.
 	domains []*Domain
 
-	live     map[*Task]struct{}
-	nlive    int // tasks spawned and not yet finished
-	nblocked int // tasks parked on a signal/resource with no timer pending
+	live map[*Task]struct{}
+	// polls is whether a parking task watches for its wakeup before it
+	// blocks: with one P the waker cannot run while it does.
+	polls bool
+
+	nlive    atomic.Int64 // len(live), for Park to read without state
+	nblocked atomic.Int64 // tasks parked on a signal/resource with no wakeup in flight
+	// parks counts Park calls and parksBlocked those whose wakeup did not
+	// come within pollWindow, so the task fell through to the scheduler.
+	parks        atomic.Uint64
+	parksBlocked atomic.Uint64
 
 	net *loopback // optional loopback-TCP round tripper, nil when off
 }
@@ -120,6 +154,7 @@ func New(seed int64) *Engine {
 		start: time.Now(),
 		rng:   rand.New(&lockedSource{src: rand.NewSource(seed).(rand.Source64)}),
 		live:  make(map[*Task]struct{}),
+		polls: goruntime.GOMAXPROCS(0) > 1,
 	}
 	e.cond = sync.NewCond(&e.state)
 	e.root = e.newDomain("root")
@@ -211,7 +246,7 @@ func (d *Domain) Spawn(name string, fn func(t runtime.Task)) {
 	t.stack[0] = d
 	t.doms = t.stack[:1]
 	e.state.Lock()
-	e.nlive++
+	e.nlive.Add(1)
 	e.live[t] = struct{}{}
 	e.state.Unlock()
 	go func() {
@@ -222,7 +257,7 @@ func (d *Domain) Spawn(name string, fn func(t runtime.Task)) {
 			// domain to release is its current one, not necessarily d.
 			t.cur().mu.Unlock()
 			e.state.Lock()
-			e.nlive--
+			e.nlive.Add(-1)
 			delete(e.live, t)
 			e.cond.Broadcast()
 			e.state.Unlock()
@@ -349,7 +384,7 @@ func (e *Engine) NewPipe(name string, rate float64) runtime.Pipe {
 // own. It returns the wall time since the engine started.
 func (e *Engine) RunAll() runtime.Time {
 	e.state.Lock()
-	for e.nlive > 0 && e.nblocked < e.nlive {
+	for len(e.live) > 0 && e.nblocked.Load() < int64(len(e.live)) {
 		e.cond.Wait()
 	}
 	e.state.Unlock()
@@ -361,7 +396,7 @@ func (e *Engine) RunAll() runtime.Time {
 func (e *Engine) LeakCheck() error {
 	e.state.Lock()
 	defer e.state.Unlock()
-	if e.nlive == 0 {
+	if len(e.live) == 0 {
 		return nil
 	}
 	names := make([]string, 0, len(e.live))
@@ -369,7 +404,7 @@ func (e *Engine) LeakCheck() error {
 		names = append(names, t.name)
 	}
 	sort.Strings(names)
-	return fmt.Errorf("realrt: %d leaked task(s): %s", e.nlive, strings.Join(names, ", "))
+	return fmt.Errorf("realrt: %d leaked task(s): %s", len(names), strings.Join(names, ", "))
 }
 
 // Shutdown reaps every live task: blocked and sleeping tasks are woken
@@ -380,19 +415,22 @@ func (e *Engine) LeakCheck() error {
 // fully drained run returns 0.
 func (e *Engine) Shutdown() int {
 	e.state.Lock()
-	reaped := e.nlive
-	for e.nlive > 0 {
+	reaped := len(e.live)
+	for len(e.live) > 0 {
 		targets := make([]*Task, 0, len(e.live))
 		for t := range e.live {
 			targets = append(targets, t)
 		}
 		e.state.Unlock()
 		for _, t := range targets {
+			// A parked task is uncounted and woken; a sleeping one is
+			// not parked, and the token is what ends its sleep.
 			t.killed.Store(true)
 			t.Wake()
+			t.token()
 		}
 		e.state.Lock()
-		if e.nlive == 0 {
+		if len(e.live) == 0 {
 			break
 		}
 		e.cond.Wait()
@@ -421,14 +459,15 @@ type Task struct {
 	together bool
 	// timer is reused by every Sleep of spinBelow or longer.
 	timer *time.Timer
-	// resume carries wakeups (capacity 1: a parked task consumes at
-	// most one token per park, and duplicate wakes are dropped).
+	// resume carries wakeups. Capacity 1: a park is sent one token, by
+	// the Wake that found the task parked, and Shutdown's kill adds one
+	// that a task consumes at most once before it unwinds.
 	resume chan struct{}
 	// parked is true while the task is blocked on a signal/resource.
-	// Its waker clears it (and the engine's blocked count) under the
-	// state lock at wake time, so quiescence accounting never counts a
-	// task that already has a wakeup in flight.
-	parked bool
+	// Its waker clears it (and the engine's blocked count) before it
+	// sends the token, so quiescence accounting never counts a task that
+	// already has a wakeup in flight.
+	parked atomic.Bool
 	killed atomic.Bool
 }
 
@@ -529,48 +568,99 @@ func (t *Task) MayPark() {
 	t.mayYield("a wait")
 }
 
-// Park blocks the task until Wake, releasing its domain. The caller has
+// pollWindow is how long a parking task watches for its wakeup before it
+// blocks in the scheduler (see "Waiting" in the package comment). It has
+// to outlast the usual hold of what is waited for — an RPC's turn on a
+// rank's CPU is a microsecond or two — and is otherwise as short as it can
+// be: a poll whose wakeup is not coming burns a P for its length. What it
+// saves is a wake-up through the scheduler. On the 2-vCPU sandbox, go1.24:
+// BenchmarkHandOffParked, a hand-off to a parked task whose waker keeps
+// running, reads 101-112 us when the wakee has blocked and 1.2-3.9 us when
+// it is still polling; BenchmarkHandOffPingPong, where the waker parks next
+// and a blocked wakee inherits its P, 0.37-0.65 us blocking and 0.45-1.07
+// polling. The host benchmark's real_rpc_read by window (op_p50_us / K
+// ops/s, 12 s runs; blocking at once 3.5-4.2 / 325-392): 0 (yield, look
+// once, block) 1.32-1.47 / 453-483, 1 us 1.40-1.54 / 462-526, 2 us
+// 1.47-1.49 / 511-531, 4 us 1.39-1.87 / 479-557, 8 us 1.35-1.78 /
+// 432-533, 16 us 1.70-1.71 / 452-548. Before the yield in poll, 1 and 2 us
+// were worse than blocking at once and the plateau began at 4 us
+// (DESIGN.md, "The wait under every primitive", has both sweeps).
+const pollWindow = 4 * time.Microsecond
+
+// Park suspends the task until Wake, releasing its domain. The caller has
 // queued the task on a signal or resource and holds l, that object's
 // lock: the task is counted as blocked before l is released, so whoever
 // later dequeues it finds it marked and its Wake keeps the quiescence
 // accounting exact. A task parked with no registration a future Wake
 // will find only RunAll's quiescence accounting and Shutdown can reach.
+//
+// The wait has two phases, both with l and the domain released and the
+// task already counted: it polls resume for pollWindow, then blocks on
+// it. RunAll and Shutdown cannot tell them apart.
 func (t *Task) Park(l sync.Locker) {
 	e := t.eng
-	e.state.Lock()
-	t.parked = true
-	e.nblocked++
-	e.cond.Broadcast() // nblocked may now equal nlive: RunAll quiesces
-	e.state.Unlock()
+	t.parked.Store(true) // before the count: a kill's Wake in between undoes both
+	e.parks.Add(1)
+	if e.nblocked.Add(1) >= e.nlive.Load() {
+		// The last running task has blocked: RunAll quiesces. Taking
+		// state puts the broadcast after a RunAll that read the old count
+		// has begun to wait.
+		e.state.Lock()
+		e.cond.Broadcast()
+		e.state.Unlock()
+	}
 	l.Unlock()
 	cur := t.cur()
 	cur.mu.Unlock()
-	<-t.resume
+	if !t.poll() {
+		e.parksBlocked.Add(1)
+		<-t.resume
+	}
 	cur.mu.Lock()
 	if t.killed.Load() {
 		// The kill's Wake may have come before the count above and left
-		// its token behind; settle the count before unwinding.
-		e.state.Lock()
-		if t.parked {
-			t.parked = false
-			e.nblocked--
+		// only its token; settle the count before unwinding.
+		if t.parked.CompareAndSwap(true, false) {
+			e.nblocked.Add(-1)
 		}
-		e.state.Unlock()
 		panic(errTaskKilled)
 	}
 	l.Lock()
 }
 
-// Wake unparks a blocked task; duplicate wakes are dropped. Safe to
-// call from any goroutine (it takes only the state lock).
-func (t *Task) Wake() {
-	e := t.eng
-	e.state.Lock()
-	if t.parked {
-		t.parked = false
-		e.nblocked--
+// poll takes the task's wakeup if it arrives within pollWindow. It yields
+// first: a task this one has just woken sits in this P's run-next slot,
+// where another P may take it only after microseconds, and it is the task
+// most likely to send the wakeup.
+func (t *Task) poll() bool {
+	if !t.eng.polls {
+		return false
 	}
-	e.state.Unlock()
+	goruntime.Gosched()
+	for end := t.eng.Now() + runtime.Time(pollWindow); ; {
+		select {
+		case <-t.resume:
+			return true
+		default:
+		}
+		if t.eng.Now() >= end {
+			return false
+		}
+	}
+}
+
+// Wake unparks a blocked task. Only the call that finds the task parked
+// sends the token, so a duplicate leaves nothing behind for the task's
+// next Park. Safe to call from any goroutine; it takes no lock.
+func (t *Task) Wake() {
+	if t.parked.CompareAndSwap(true, false) {
+		t.eng.nblocked.Add(-1)
+		t.token()
+	}
+}
+
+// token puts a wakeup in resume unless one is waiting there.
+func (t *Task) token() {
 	select {
 	case t.resume <- struct{}{}:
 	default:

@@ -94,9 +94,12 @@ func (e *Engine) NetRoundTrip() (bool, error) {
 	return true, nil
 }
 
-// FillMetrics exports the loopback's round-trip count, and nothing when
-// the option is off, so a run without it exports what it always did.
+// FillMetrics exports the engine's wait counters — on every real run;
+// the simulator's engine has no FillMetrics, so its export is what it
+// always was — and the loopback's round-trip count when that option is on.
 func (e *Engine) FillMetrics(reg *trace.Registry) {
+	reg.Counter("cudele_realrt_parks_total", "Waits on a signal, group, pipe or resource that found it unavailable and parked the task.", float64(e.parks.Load()))
+	reg.Counter("cudele_realrt_parks_blocked_total", "Parks whose wakeup did not arrive within the poll window, so the task blocked in the scheduler.", float64(e.parksBlocked.Load()))
 	if lb := e.net; lb != nil {
 		reg.Counter("cudele_net_round_trips_total", "Loopback-TCP round trips completed: one per metadata Call.", float64(lb.trips.Load()))
 	}

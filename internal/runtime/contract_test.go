@@ -8,6 +8,8 @@
 package runtime_test
 
 import (
+	"os"
+	"os/exec"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -210,6 +212,46 @@ func TestContractResourceFIFO(t *testing.T) {
 		if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 			t.Fatalf("grant order = %v, want [0 1 2]", order)
 		}
+	})
+}
+
+// TestContractHandOffFIFOToFreshWaiters is the FIFO contract with no time
+// between the arrivals and the release: three contenders queue back to
+// back, each as soon as it sees the one before it queued, and the holder
+// lets go the moment it sees all three. On the real backend the hand-offs
+// find waiters that have only just parked — polling, blocked, or between
+// the two — and the grants must still follow arrival.
+func TestContractHandOffFIFOToFreshWaiters(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
+		for round := 0; round < 50; round++ {
+			res := rt.NewResource("cpu", 1)
+			var order []int
+			rt.Spawn("holder", func(p runtime.Task) {
+				res.Acquire(p)
+				for res.QueueLen() < 3 {
+					p.Sleep(time.Microsecond)
+				}
+				res.Release()
+			})
+			for i := 0; i < 3; i++ {
+				rt.Spawn("contender", func(p runtime.Task) {
+					for res.InUse() == 0 || res.QueueLen() != i {
+						p.Sleep(time.Microsecond)
+					}
+					res.Acquire(p)
+					order = append(order, i)
+					res.Release()
+				})
+			}
+			rt.RunAll()
+			if err := rt.LeakCheck(); err != nil {
+				t.Fatal(err)
+			}
+			if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+				t.Fatalf("round %d: grant order = %v, want [0 1 2]", round, order)
+			}
+		}
+		rt.Shutdown()
 	})
 }
 
@@ -658,4 +700,34 @@ func TestContractFastPathsDoNotAllocate(t *testing.T) {
 		rt.RunAll()
 		rt.Shutdown()
 	})
+}
+
+// TestSuiteOnOneP runs the contract again with GOMAXPROCS=1, where the
+// real backend's parking tasks must not poll for their wakeup — the waker
+// cannot run while they do, and every wait would last until the
+// scheduler's 10 ms preemption. The bound on the wall time is loose,
+// several times what the contract takes with every P; a suite that stalls
+// per park misses it by far more.
+func TestSuiteOnOneP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-runs the package's tests")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Skip(err)
+	}
+	run := func(env ...string) time.Duration {
+		cmd := exec.Command(exe, "-test.skip=^TestSuiteOnOneP$", "-test.count=1")
+		cmd.Env = append(os.Environ(), env...)
+		t0 := time.Now()
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("contract with %v: %v\n%s", env, err, out)
+		}
+		return time.Since(t0)
+	}
+	every, one := run(), run("GOMAXPROCS=1")
+	t.Logf("contract: %v with every P, %v with one", every, one)
+	if limit := 5*every + 5*time.Second; one > limit {
+		t.Fatalf("contract took %v with GOMAXPROCS=1, want under %v (%v with every P)", one, limit, every)
+	}
 }

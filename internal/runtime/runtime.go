@@ -198,7 +198,14 @@ type Signal interface {
 	Wait(t Task) any
 }
 
-// Group waits for a set of tasks to finish, like a WaitGroup.
+// Group waits for a set of tasks to finish, like a WaitGroup, once: its
+// completion is a Signal that fires the first time the count returns to
+// zero and stays fired. Add everything that is to be waited for before
+// that — start the tasks from one task, or while holding their domain —
+// and make a new group for the next batch. A group used again after it
+// has completed still counts, and still panics below zero, but a Wait on
+// it while the count is above zero returns at once instead of parking
+// (TestContractGroupAfterZero pins this on both backends).
 type Group interface {
 	Add(delta int)
 	Done()

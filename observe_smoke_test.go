@@ -1,6 +1,7 @@
 package cudele
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -112,8 +113,15 @@ func TestBackendSmokeObservability(t *testing.T) {
 		t.Errorf("live imbalance = %g, want > 0", live.Imbalance)
 	}
 
-	if code, body := fetch("/metrics"); code != 200 || len(body) == 0 {
+	code, body = fetch("/metrics")
+	if code != 200 || len(body) == 0 {
 		t.Errorf("post-run /metrics = %d with %d bytes", code, len(body))
+	}
+	// The engine's wait counters need no option: a real run always has them.
+	for _, name := range []string{"cudele_realrt_parks_total", "cudele_realrt_parks_blocked_total"} {
+		if !bytes.Contains(body, []byte("\n"+name+" ")) {
+			t.Errorf("/metrics on the real backend has no %s sample", name)
+		}
 	}
 }
 
