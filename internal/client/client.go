@@ -102,10 +102,13 @@ type Client struct {
 	shared map[namespace.Ino]bool
 	dcache map[namespace.Ino]map[string]namespace.Ino
 
-	// paths remembers the full path of inodes the client has resolved
-	// or created, so requests carry a route hint for the rank-routing
-	// layer. Unknown inodes route to rank 0.
+	// paths remembers the full path of directories the client has
+	// resolved or created, and files maps each file it created to its
+	// parent's path and its name, so requests carry a route hint for the
+	// rank-routing layer. A file's path is joined only when a request
+	// routes by it. Unknown inodes route to rank 0.
 	paths map[namespace.Ino]string
+	files map[namespace.Ino]fileHint
 
 	// Decoupled-namespace state.
 	dec *decoupled
@@ -184,6 +187,15 @@ func (c *Client) dropCaches() {
 	c.shared = make(map[namespace.Ino]bool)
 	c.dcache = make(map[namespace.Ino]map[string]namespace.Ino)
 	c.paths = map[namespace.Ino]string{namespace.RootIno: "/"}
+	c.files = make(map[namespace.Ino]fileHint)
+}
+
+// fileHint is a created file's route hint: its parent directory and its
+// name, joined into a path only when a request addressed to the file
+// routes by it.
+type fileHint struct {
+	dir  namespace.Ino
+	name string
 }
 
 // Name returns the client's session name.
@@ -225,9 +237,6 @@ func (c *Client) noteTransfer(bytes int64) {
 
 // Stats returns a snapshot of client counters.
 func (c *Client) Stats() Stats { return c.stats }
-
-// Latency returns the client's RPC round-trip histogram.
-func (c *Client) Latency() *stats.Histogram { return &c.latency }
 
 // CreateLatency returns the histogram of whole Create operations (lookup
 // RPC, when one is needed, plus the create RPC).
@@ -296,15 +305,24 @@ func (c *Client) Restart(p runtime.Task) error {
 	return c.SetMergeMode(old.mode)
 }
 
-// notePath remembers an inode's path for route hints.
+// notePath remembers a directory's path for route hints.
 func (c *Client) notePath(ino namespace.Ino, path string) {
 	if path != "" {
 		c.paths[ino] = path
 	}
 }
 
-// pathOf returns the known path of an inode, "" when unknown.
-func (c *Client) pathOf(ino namespace.Ino) string { return c.paths[ino] }
+// pathOf returns the known path of an inode, "" when unknown. A created
+// file's is its parent's path joined with its name.
+func (c *Client) pathOf(ino namespace.Ino) string {
+	if p, ok := c.paths[ino]; ok {
+		return p
+	}
+	if h, ok := c.files[ino]; ok {
+		return c.childPath(h.dir, h.name)
+	}
+	return ""
+}
 
 // childPath joins a known directory path with a child name; unknown
 // parents yield "" (route to rank 0).
@@ -319,6 +337,13 @@ func (c *Client) childPath(dir namespace.Ino, name string) string {
 // submit sends one RPC, charging client-side overhead, and folds the
 // reply's capability bits into local state.
 func (c *Client) submit(p runtime.Task, req *mds.Request) *mds.Reply {
+	reply, _ := c.call(p, req)
+	return reply
+}
+
+// call is submit that also returns the clock reading that ended the RPC,
+// for a caller timing a whole operation that ends with it.
+func (c *Client) call(p runtime.Task, req *mds.Request) (*mds.Reply, runtime.Time) {
 	start := p.Now()
 	rec := c.eng.Tracer()
 	span := trace.SpanID(-1)
@@ -349,7 +374,7 @@ func (c *Client) submit(p runtime.Task, req *mds.Request) *mds.Reply {
 	if errors.Is(reply.Err, namespace.ErrBusy) {
 		c.stats.Rejected++
 	}
-	return reply
+	return reply, end
 }
 
 func (c *Client) cacheDentry(dir namespace.Ino, name string, ino namespace.Ino) {
@@ -368,8 +393,11 @@ func (c *Client) cacheDentry(dir namespace.Ino, name string, ino namespace.Ino) 
 func (c *Client) Create(p runtime.Task, dir namespace.Ino, name string, mode uint32) (namespace.Ino, error) {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
+	// The operation ends with its last RPC, so that RPC's closing clock
+	// reading ends the interval too; one with no RPC took no time.
 	start := p.Now()
-	defer func() { c.createLatency.Observe(runtime.Duration(p.Now() - start)) }()
+	end := start
+	defer func() { c.createLatency.Observe(runtime.Duration(end - start)) }()
 	if c.caps[dir] && !c.shared[dir] {
 		// Local existence check against the cached dentries.
 		c.stats.LocalLookups++
@@ -378,7 +406,8 @@ func (c *Client) Create(p runtime.Task, dir namespace.Ino, name string, mode uin
 		}
 	} else {
 		c.stats.RemoteLookups++
-		lk := c.submit(p, &mds.Request{Op: mds.OpLookup, Parent: dir, Name: name, Route: c.pathOf(dir)})
+		var lk *mds.Reply
+		lk, end = c.call(p, &mds.Request{Op: mds.OpLookup, Parent: dir, Name: name, Route: c.pathOf(dir)})
 		if lk.Err == nil {
 			return 0, fmt.Errorf("create %q: %w", name, namespace.ErrExist)
 		}
@@ -386,13 +415,17 @@ func (c *Client) Create(p runtime.Task, dir namespace.Ino, name string, mode uin
 			return 0, lk.Err
 		}
 	}
-	r := c.submit(p, &mds.Request{Op: mds.OpCreate, Parent: dir, Name: name, Mode: mode, Route: c.pathOf(dir)})
+	route := c.pathOf(dir)
+	var r *mds.Reply
+	r, end = c.call(p, &mds.Request{Op: mds.OpCreate, Parent: dir, Name: name, Mode: mode, Route: route})
 	if r.Err != nil {
 		return 0, r.Err
 	}
 	c.stats.Creates++
 	c.cacheDentry(dir, name, r.Ino)
-	c.notePath(r.Ino, c.childPath(dir, name))
+	if route != "" { // a file under an unknown parent keeps routing to rank 0
+		c.files[r.Ino] = fileHint{dir, name}
+	}
 	return r.Ino, nil
 }
 

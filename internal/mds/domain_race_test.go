@@ -25,8 +25,9 @@ func fastJitterConfig() model.Config {
 
 // TestServiceTimeDrawsAcrossRanks has two ranks of a real-backend
 // cluster serve requests at the same time. Each request draws its
-// service-time jitter from the engine's random source, so under -race
-// this fails unless that source is safe to share between domains.
+// service-time jitter from its rank's domain source, which has no lock,
+// so under -race this fails if two ranks share one source or a rank
+// draws outside its domain.
 func TestServiceTimeDrawsAcrossRanks(t *testing.T) {
 	eng := realrt.New(1)
 	cfg := fastJitterConfig()

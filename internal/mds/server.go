@@ -518,7 +518,10 @@ func (s *Server) CloseSession(client string) {
 func (s *Server) Sessions() int { return len(s.sessions) }
 
 // serviceTime is the MDS CPU cost of one request, with uniform noise of
-// +-MDSOpJitter to model cache misses and allocator variance.
+// +-MDSOpJitter to model cache misses and allocator variance. The noise
+// is drawn from the rank's domain source: on the simulator that is the
+// engine's, so the draw order is the calibrated one; on the real backend
+// it is the rank's own, and ranks serving in parallel share no lock.
 func (s *Server) serviceTime(op Op) runtime.Duration {
 	base := s.cfg.MDSOpTime
 	if op < opMax && opTable[op].lookup {
@@ -529,7 +532,7 @@ func (s *Server) serviceTime(op Op) runtime.Duration {
 		base += runtime.Duration(n-1) * s.cfg.MDSSessionOverhead
 	}
 	if j := s.cfg.MDSOpJitter; j > 0 {
-		noise := 1 + j*(2*s.eng.Rand().Float64()-1)
+		noise := 1 + j*(2*s.dom.Rand().Float64()-1)
 		base = runtime.Duration(float64(base) * noise)
 	}
 	return base

@@ -32,9 +32,11 @@
 // The summaries are kept per logical directory (seDir), in a tree that
 // mirrors the paths ever named, and an event's parent inode leads straight
 // to its directory's node: merging an event looks one short name up in one
-// map and resolves the rendered parent in the store; it builds, splits and
-// hashes no path. semerge_ref_test.go keeps the path-keyed merger this
-// replaced as the reference the tests drive it against.
+// map and reads the rendered parent's inode off the node, where it stays
+// pinned until someone else writes the store or the merger prunes a
+// directory; it builds, splits and hashes no path. semerge_ref_test.go
+// keeps the path-keyed merger this replaced as the reference the tests
+// drive it against.
 //
 // Renames and setattrs are not supported in strong-eventual mode: a
 // rename is not commutative as a single event, so clients must decompose
@@ -47,6 +49,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"cudele/internal/journal"
 )
@@ -109,17 +112,34 @@ func (e *seEntry) summarized() bool { return e.hasFile || e.hasDir || e.hasTomb 
 type seDir struct {
 	path    string
 	entries map[string]*seEntry
+
+	// pin is the inode the directory was rendered at when the merger's
+	// epoch was pinEpoch; 0 when not looked up in that epoch.
+	pin      Ino
+	pinEpoch uint64
 }
 
-// entry returns name's summary, an empty one when name is new.
-func (d *seDir) entry(name string) *seEntry {
+// entry returns name's summary in d, an empty one from the merger's slab
+// when name is new.
+func (m *SEMerger) entry(d *seDir, name string) *seEntry {
 	e := d.entries[name]
 	if e == nil {
-		e = &seEntry{}
+		if len(m.slab) == 0 {
+			m.slab = make([]seEntry, seSlab)
+		}
+		e = &m.slab[0]
+		m.slab = m.slab[1:]
 		d.entries[name] = e
 	}
 	return e
 }
+
+// seSlab is how many summaries one slab allocation carves: summaries are
+// never freed, so carving them from shared arrays loses nothing. A slab
+// plus the 8-byte header the allocator puts on a pointerful object over
+// 512 bytes fills one 8 KB size class (51 summaries of 160 bytes); 64
+// would spill into the 10 880-byte class and waste 10 bytes a summary.
+const seSlab = (8<<10 - 8) / int(unsafe.Sizeof(seEntry{}))
 
 // dir returns the node of the directory that e, the entry for name in
 // parent, stands for.
@@ -170,6 +190,17 @@ type SEMerger struct {
 	// construction, plus each merged mkdir's inode, winner or loser) to
 	// its logical directory, so later events can name it as a parent.
 	dirs map[Ino]*seDir
+
+	// epoch dates every seDir.pin: a pin is good while its epoch is the
+	// merger's. The epoch advances when the store's version is not ver,
+	// the version the merger's own last mutation left — an RPC handler
+	// or another merge wrote the store, and may have removed or replaced
+	// any directory — and when the merger prunes a rendered directory
+	// itself. Its other writes (files, a new directory) move no directory
+	// a pin names.
+	epoch, ver uint64
+
+	slab []seEntry // summaries not yet handed out (entry)
 }
 
 // NewSEMerger wraps st for strong-eventual merging. Directories already
@@ -180,6 +211,7 @@ func NewSEMerger(st *Store) *SEMerger {
 		store: st,
 		root:  &seDir{path: "/", entries: make(map[string]*seEntry)},
 		dirs:  make(map[Ino]*seDir),
+		ver:   st.Version(),
 	}
 	st.Walk(RootIno, func(p string, in *Inode) error {
 		if in.IsDir() {
@@ -206,7 +238,7 @@ func (m *SEMerger) dirAt(p string) *seDir {
 		if !ok {
 			return d
 		}
-		d = d.entry(comp).dir(d, comp)
+		d = m.entry(d, comp).dir(d, comp)
 	}
 }
 
@@ -247,7 +279,7 @@ func (m *SEMerger) ApplyEvent(ev *journal.Event) error {
 			return fmt.Errorf("converge %s %q: %w", ev.Type, ev.Name, ErrInval)
 		}
 		tag := SETag{Mtime: ev.Mtime, Client: ev.Client, Seq: ev.Seq}
-		e := dir.entry(ev.Name)
+		e := m.entry(dir, ev.Name)
 		switch ev.Type {
 		case journal.EvMkdir:
 			if ev.Ino != 0 {
@@ -282,50 +314,76 @@ func (m *SEMerger) ApplyEvent(ev *journal.Event) error {
 
 var _ journal.Target = (*SEMerger)(nil)
 
+// rendered returns the inode dir is rendered at in the store, false when
+// it is not rendered. A pin from the current epoch answers without a
+// walk; otherwise the path is resolved and pinned.
+func (m *SEMerger) rendered(dir *seDir) (Ino, bool) {
+	if v := m.store.Version(); v != m.ver {
+		m.epoch++
+		m.ver = v
+	}
+	if dir.pin != 0 && dir.pinEpoch == m.epoch {
+		return dir.pin, true
+	}
+	in, err := m.store.Resolve(dir.path)
+	if err != nil || !in.IsDir() {
+		return 0, false
+	}
+	dir.pin, dir.pinEpoch = in.Ino, m.epoch
+	return in.Ino, true
+}
+
+// wrote records that the store's current version is the merger's own
+// doing, so it does not age the pins.
+func (m *SEMerger) wrote() { m.ver = m.store.Version() }
+
 // materialize reconciles the store with e, the summary of name in dir. If
 // dir is not currently rendered, nothing happens now; its own
 // materialization recurses into its entries when it (re)appears. The
-// rendered directory is resolved from the store each time: RPC handlers
-// write the same store between merges, so an inode remembered here could
-// be stale.
+// rendered directory comes from rendered: RPC handlers write the same
+// store between merges, so an inode pinned before they did is looked up
+// again.
 func (m *SEMerger) materialize(dir *seDir, name string, e *seEntry) error {
-	pin, err := m.store.Resolve(dir.path)
-	if err != nil || !pin.IsDir() {
+	pin, ok := m.rendered(dir)
+	if !ok {
 		return nil
 	}
-	cur := m.store.Child(pin.Ino, name)
+	cur := m.store.Child(pin, name)
 	switch e.decide() {
 	case seAbsent:
 		if cur == nil {
 			return nil
 		}
-		return m.removeRendered(dir, name, cur, pin.Ino)
+		return m.removeRendered(dir, name, cur, pin)
 	case seIsFile:
 		if cur != nil {
 			if !cur.IsDir() && cur.Ino == e.file.ino {
 				return nil // already the winning create
 			}
-			if err := m.removeRendered(dir, name, cur, pin.Ino); err != nil {
+			if err := m.removeRendered(dir, name, cur, pin); err != nil {
 				return err
 			}
 		}
-		_, err := m.store.Create(pin.Ino, name, CreateAttrs{
+		_, err := m.store.Create(pin, name, CreateAttrs{
 			Ino: e.file.ino, Mode: e.file.mode, UID: e.file.uid,
 			GID: e.file.gid, Mtime: e.file.mtime,
 		})
+		m.wrote()
 		return err
 	case seIsDir:
 		if cur != nil && cur.IsDir() {
 			return nil // structural merge: keep the rendered directory
 		}
 		if cur != nil {
-			if err := m.removeRendered(dir, name, cur, pin.Ino); err != nil {
+			if err := m.removeRendered(dir, name, cur, pin); err != nil {
 				return err
 			}
 		}
 		// Directory inodes are rendered with server-assigned numbers:
 		// the directory's identity is its path, not its inode.
-		if _, err := m.store.Mkdir(pin.Ino, name, CreateAttrs{Mode: 0755}); err != nil {
+		_, err := m.store.Mkdir(pin, name, CreateAttrs{Mode: 0755})
+		m.wrote()
+		if err != nil {
 			return err
 		}
 		if e.sub == nil {
@@ -352,12 +410,18 @@ func (m *SEMerger) materialize(dir *seDir, name string, e *seEntry) error {
 
 // removeRendered drops cur, the currently rendered entry for name in dir
 // (inode parent), from the store. Summaries are never dropped, so a pruned subtree can be
-// resurrected by a later winning mkdir in any merge order.
+// resurrected by a later winning mkdir in any merge order. A pruned
+// directory takes every directory under it along, so a prune ages every
+// pin.
 func (m *SEMerger) removeRendered(dir *seDir, name string, cur *Inode, parent Ino) error {
+	var err error
 	if !cur.IsDir() {
-		return m.store.Unlink(parent, name)
+		err = m.store.Unlink(parent, name)
+	} else {
+		_, err = m.store.PruneSubtree(seJoin(dir.path, name))
+		m.epoch++
 	}
-	_, err := m.store.PruneSubtree(seJoin(dir.path, name))
+	m.wrote()
 	return err
 }
 

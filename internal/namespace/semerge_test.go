@@ -149,6 +149,45 @@ func TestSEMergeDirResurrectionKeepsChildren(t *testing.T) {
 	}
 }
 
+// TestSEMergeConvergePruneThenResurrect: within one merge, a file that
+// beats a directory prunes the rendered directory, and a later mkdir that
+// beats the file renders it again at a new inode. The surviving child and
+// every later child must land in that new inode: the merger remembers
+// where each directory is rendered, and its own prune has to make it
+// forget.
+func TestSEMergeConvergePruneThenResurrect(t *testing.T) {
+	st := NewStore()
+	m := NewSEMerger(st)
+	var first Ino
+	for i, ev := range []*journal.Event{
+		{Type: journal.EvMkdir, Seq: 0, Client: "client.a", Parent: 1, Name: "d", Ino: 100, Mtime: 10},
+		{Type: journal.EvCreate, Seq: 1, Client: "client.a", Parent: 100, Name: "fa", Ino: 101, Mtime: 11},
+		{Type: journal.EvCreate, Seq: 0, Client: "client.b", Parent: 1, Name: "d", Ino: 200, Mtime: 20},
+		{Type: journal.EvMkdir, Seq: 0, Client: "client.c", Parent: 1, Name: "d", Ino: 300, Mtime: 30},
+		{Type: journal.EvCreate, Seq: 1, Client: "client.c", Parent: 300, Name: "fc", Ino: 301, Mtime: 31},
+	} {
+		if err := m.ApplyEvent(ev); err != nil {
+			t.Fatalf("event %d (%v %s): %v", i, ev.Type, ev.Name, err)
+		}
+		if i == 1 {
+			d, _ := st.Resolve("/d")
+			first = d.Ino
+		}
+	}
+	d, err := st.Resolve("/d")
+	if err != nil || !d.IsDir() || d.Ino == first {
+		t.Fatalf("/d = %+v, %v; want a directory rendered anew (first at inode %d)", d, err, first)
+	}
+	for _, name := range []string{"fa", "fc"} {
+		if c := st.Child(d.Ino, name); c == nil {
+			t.Errorf("/d/%s is not in the resurrected directory", name)
+		}
+	}
+	if problems := st.Check(); len(problems) != 0 {
+		t.Fatalf("store check after the merge: %v", problems)
+	}
+}
+
 func TestSEMergeIdempotent(t *testing.T) {
 	evs := []*journal.Event{
 		{Type: journal.EvMkdir, Seq: 0, Client: "client.a", Parent: 1, Name: "d", Ino: 100, Mtime: 10},

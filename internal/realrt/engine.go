@@ -167,8 +167,9 @@ func (e *Engine) Kind() runtime.Kind { return runtime.RealKind }
 // Now returns wall-clock nanoseconds since the engine was created.
 func (e *Engine) Now() runtime.Time { return runtime.Time(time.Since(e.start)) }
 
-// Rand returns the engine's random source. Its source is locked, so
-// tasks in different domains may draw concurrently.
+// Rand returns the engine's random source, for harness code. Its source
+// is locked, so tasks in different domains may draw concurrently; a
+// daemon draws from its Domain.Rand, which takes no lock.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Tracer returns the span recorder; nil means tracing is off.
@@ -191,10 +192,13 @@ type Domain struct {
 	name string // for diagnostics
 	id   int    // index in eng.domains
 	mu   sync.Mutex
+	// rng is the domain's own random source, drawn only by the task
+	// holding mu, so it needs no lock of its own.
+	rng *rand.Rand
 }
 
 func (e *Engine) newDomain(name string) *Domain {
-	d := &Domain{eng: e, name: name}
+	d := &Domain{eng: e, name: name, rng: rand.New(rand.NewSource(e.rng.Int63()))}
 	e.state.Lock()
 	d.id = len(e.domains)
 	e.domains = append(e.domains, d)
@@ -274,6 +278,10 @@ func (d *Domain) Spawn(name string, fn func(t runtime.Task)) {
 
 // NewGroup implements runtime.Domain.
 func (d *Domain) NewGroup() runtime.Group { return runtime.NewGroup(new(sync.Mutex), d) }
+
+// Rand implements runtime.Domain: the domain's own source, seeded from the
+// engine's when the domain was created.
+func (d *Domain) Rand() *rand.Rand { return d.rng }
 
 // Spawn implements runtime.Runtime: fn runs as a goroutine in the root
 // domain.

@@ -94,6 +94,24 @@ func TestDomainsOverlap(t *testing.T) {
 	}
 }
 
+// TestDomainRandLeavesEngineSource: a domain takes one number from the
+// engine's source when it is created and none afterwards, so the harness
+// sequence does not depend on how much the daemons draw.
+func TestDomainRandLeavesEngineSource(t *testing.T) {
+	next := func(draws int) int64 {
+		e := New(3)
+		defer e.Shutdown()
+		d := e.newDomain("mds.0")
+		for i := 0; i < draws; i++ {
+			d.Rand().Uint64()
+		}
+		return e.Rand().Int63()
+	}
+	if a, b := next(0), next(1000); a != b {
+		t.Fatalf("engine draw after 0 domain draws = %d, after 1000 = %d", a, b)
+	}
+}
+
 // TestEnterReentrant nests Enter calls, including re-entry of a domain
 // already on the stack, and checks after each step that exactly the
 // innermost domain is held.

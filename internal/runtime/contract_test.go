@@ -8,6 +8,7 @@
 package runtime_test
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"reflect"
@@ -341,6 +342,66 @@ func TestContractRandDeterministicPerSeed(t *testing.T) {
 			t.Fatalf("same seed drew %d then %d", a, b)
 		}
 	})
+}
+
+// TestContractDomainRandSimIsEngineSource: on the simulator every
+// domain's source is the engine's, so a draw through a domain takes the
+// engine's next number and draws keep one global order — the order every
+// calibrated schedule was recorded with.
+func TestContractDomainRandSimIsEngineSource(t *testing.T) {
+	eng, ref := sim.NewEngine(7), sim.NewEngine(7)
+	a, b := eng.NewDomain("a"), eng.NewDomain("b")
+	if a.Rand() != eng.Rand() || b.Rand() != eng.Rand() {
+		t.Fatal("sim domain Rand is not the engine's source")
+	}
+	for i, d := range []runtime.Domain{a, b, a, a, b} {
+		if got, want := d.Rand().Int63(), ref.Rand().Int63(); got != want {
+			t.Fatalf("draw %d through a domain = %d, engine sequence has %d", i, got, want)
+		}
+	}
+}
+
+// TestContractDomainRandRealIsPerDomain: on the real backend each domain
+// owns a source seeded from the engine's when the domain is created, so
+// the same seed and creation order give the same sequences, and two ranks
+// serving in parallel draw from their own sources under -race with no
+// report — which a source shared unlocked between them would give.
+func TestContractDomainRandRealIsPerDomain(t *testing.T) {
+	first := func() [2]int64 {
+		e := realrt.New(7)
+		defer e.Shutdown()
+		a, b := e.NewDomain("a"), e.NewDomain("b")
+		if a.Rand() == b.Rand() || a.Rand() == e.Rand() {
+			t.Fatal("real domains share a random source")
+		}
+		return [2]int64{a.Rand().Int63(), b.Rand().Int63()}
+	}
+	if x, y := first(), first(); x != y || x[0] == x[1] {
+		t.Fatalf("first draws %v then %v: want equal per seed and distinct per domain", x, y)
+	}
+
+	e := realrt.New(7)
+	const perRank = 5000
+	var sums [2]int64
+	for r := range sums {
+		d := e.NewDomain(fmt.Sprintf("mds.%d", r))
+		d.Spawn("serve", func(p runtime.Task) {
+			for i := 0; i < perRank; i++ {
+				sums[r] += d.Rand().Int63n(1000)
+				if i%64 == 0 {
+					p.Sleep(0) // give the domain up, as a request's service time does
+				}
+			}
+		})
+	}
+	e.RunAll()
+	if err := e.LeakCheck(); err != nil {
+		t.Fatal(err)
+	}
+	e.Shutdown()
+	if sums[0] == 0 || sums[1] == 0 {
+		t.Fatalf("draw sums %v: a rank drew nothing", sums)
+	}
 }
 
 // TestContractDomainExcludes: tasks inside one domain — spawned there or

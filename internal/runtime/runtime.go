@@ -105,9 +105,10 @@ type Runtime interface {
 	Clock
 	// Kind reports which backend this is.
 	Kind() Kind
-	// Rand returns the runtime's seeded random source. Tasks of any
-	// domain may draw from it (the real backend's source is locked);
-	// never use it from outside a task.
+	// Rand returns the runtime's seeded random source, for harness code:
+	// tasks of any domain may draw from it (the real backend's source is
+	// locked); never use it from outside a task. Protocol code draws from
+	// its daemon's Domain.Rand instead.
 	Rand() *rand.Rand
 	// Tracer returns the span recorder; nil means tracing is disabled.
 	Tracer() *trace.Recorder
@@ -187,6 +188,13 @@ type Domain interface {
 	// NewGroup creates a completion group whose tasks start inside the
 	// domain.
 	NewGroup() Group
+	// Rand returns the domain's random source; only a task inside the
+	// domain may draw from it. On the simulator it is the engine's one
+	// source, so draws keep their order across domains. On the real
+	// backend it is the domain's own, unlocked, seeded from the engine's
+	// source when the domain was created: daemons that draw on every
+	// request share no lock for it.
+	Rand() *rand.Rand
 }
 
 // Signal is a one-shot condition: tasks Wait on it and are all released

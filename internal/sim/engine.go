@@ -252,6 +252,7 @@ type domain Engine
 func (d *domain) Enter(runtime.Task)      {}
 func (d *domain) Leave(runtime.Task)      {}
 func (d *domain) NewGroup() runtime.Group { return NewGroup((*Engine)(d)) }
+func (d *domain) Rand() *rand.Rand        { return d.rng }
 func (d *domain) Spawn(name string, fn func(t runtime.Task)) {
 	(*Engine)(d).Spawn(name, fn)
 }

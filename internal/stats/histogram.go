@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -33,17 +34,47 @@ type Histogram struct {
 // subBuckets is the number of buckets per power of two.
 const subBuckets = 4
 
+// numBuckets is the histogram's bucket count; the top bucket also holds
+// every sample beyond its nominal upper edge.
+const numBuckets = len(Histogram{}.counts)
+
+// log2Bucket is the bucket of us >= 1 microseconds by definition:
+// floor(log2(us) * subBuckets), clamped to the top bucket.
+func log2Bucket(us int64) int {
+	return min(int(math.Log2(float64(us))*subBuckets), numBuckets-1)
+}
+
+// bucketStart[i] is the first whole microsecond log2Bucket puts in bucket
+// i, computed once from that definition so the integer search in bucketOf
+// gives the same bucket for every sample.
+var bucketStart = func() (start [numBuckets]int64) {
+	for i := 1; i < numBuckets; i++ {
+		us := int64(math.Exp2(float64(i) / subBuckets))
+		for us > 1 && log2Bucket(us-1) >= i {
+			us--
+		}
+		for log2Bucket(us) < i {
+			us++
+		}
+		start[i] = us
+	}
+	return start
+}()
+
+// bucketOf is log2Bucket of d's whole microseconds (bucket 0 below one)
+// without a logarithm: a sample in [2^k, 2^(k+1)) us lies in one of the
+// subBuckets buckets from k*subBuckets, and bucketStart picks which.
 func bucketOf(d time.Duration) int {
 	us := d.Microseconds()
 	if us < 1 {
 		return 0
 	}
-	b := int(math.Log2(float64(us)) * subBuckets)
-	if b < 0 {
-		b = 0
+	b := (bits.Len64(uint64(us)) - 1) * subBuckets
+	if b >= numBuckets-1 {
+		return numBuckets - 1
 	}
-	if b >= len(Histogram{}.counts) {
-		b = len(Histogram{}.counts) - 1
+	for b < numBuckets-1 && us >= bucketStart[b+1] {
+		b++
 	}
 	return b
 }

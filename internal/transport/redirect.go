@@ -35,8 +35,13 @@ func (e *WrongRankError) Error() string {
 }
 
 // IsRedirect reports whether err is (or wraps) a WrongRankError and
-// returns it.
+// returns it. A nil err — every served RPC — returns before the errors.As
+// target is declared: the target escapes, so declaring it costs a heap
+// allocation.
 func IsRedirect(err error) (*WrongRankError, bool) {
+	if err == nil {
+		return nil, false
+	}
 	var wr *WrongRankError
 	if errors.As(err, &wr) {
 		return wr, true

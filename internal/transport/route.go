@@ -1,8 +1,9 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,13 +29,24 @@ type Table struct {
 
 // tableSnap is one immutable version of a table's contents.
 type tableSnap struct {
-	epoch  uint64
-	places map[string]int
+	epoch uint64
+
+	// places holds the placed subtrees longest path first (equal lengths
+	// in path order), so the first one that covers a path is its longest
+	// placed prefix: two distinct prefixes that both cover one path on
+	// component boundaries differ in length.
+	places []placement
 
 	// frags maps a split directory to the ranks its dentry fragments
 	// hash onto: dentry name → frags[dir][FragIndex(name, len(...))].
 	// Splitting lets one hot directory span ranks (CephFS dirfrags).
 	frags map[string][]int
+}
+
+// placement is one placed subtree: its clean path and its rank.
+type placement struct {
+	path string
+	rank int
 }
 
 // NewTable returns an empty table: everything routes to rank 0.
@@ -45,7 +57,7 @@ func NewTable() *Table {
 }
 
 // mutate installs a copy of the current snapshot changed by edit. The
-// copy shares the maps edit does not replace.
+// copy shares the slice and map edit does not replace.
 func (t *Table) mutate(edit func(s *tableSnap)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -54,13 +66,26 @@ func (t *Table) mutate(edit func(s *tableSnap)) {
 	t.snap.Store(&next)
 }
 
-// copyPlaces returns a private copy of s's placement map.
-func (s *tableSnap) copyPlaces() map[string]int {
-	out := make(map[string]int, len(s.places)+1)
-	for p, r := range s.places {
-		out[p] = r
+// withoutPlace returns a private copy of s's placements minus path's.
+func (s *tableSnap) withoutPlace(path string) []placement {
+	out := make([]placement, 0, len(s.places)+1)
+	for _, pl := range s.places {
+		if pl.path != path {
+			out = append(out, pl)
+		}
 	}
 	return out
+}
+
+// placed returns the placement covering path with the longest prefix,
+// nil when none does.
+func (s *tableSnap) placed(path string) *placement {
+	for i := range s.places {
+		if HasPathPrefix(path, s.places[i].path) {
+			return &s.places[i]
+		}
+	}
+	return nil
 }
 
 // Epoch returns the cluster-map epoch the table was last synced at.
@@ -73,19 +98,23 @@ func (t *Table) SetEpoch(e uint64) {
 
 // Place assigns the subtree rooted at path to rank.
 func (t *Table) Place(path string, rank int) {
+	path = Clean(path)
 	t.mutate(func(s *tableSnap) {
-		s.places = s.copyPlaces()
-		s.places[Clean(path)] = rank
+		s.places = append(s.withoutPlace(path), placement{path, rank})
+		slices.SortFunc(s.places, func(a, b placement) int {
+			if c := cmp.Compare(len(b.path), len(a.path)); c != 0 {
+				return c
+			}
+			return strings.Compare(a.path, b.path)
+		})
 	})
 }
 
 // Remove drops the subtree's placement; it routes to rank 0 again (or to
 // its nearest placed ancestor).
 func (t *Table) Remove(path string) {
-	t.mutate(func(s *tableSnap) {
-		s.places = s.copyPlaces()
-		delete(s.places, Clean(path))
-	})
+	path = Clean(path)
+	t.mutate(func(s *tableSnap) { s.places = s.withoutPlace(path) })
 }
 
 // RankFor returns the rank owning path: the longest placed prefix wins,
@@ -98,10 +127,8 @@ func (t *Table) RankFor(path string) int { return t.snap.Load().rankFor(path) }
 func (t *tableSnap) rankFor(path string) int {
 	path = Clean(path)
 	best, bestLen := 0, -1
-	for prefix, rank := range t.places {
-		if len(prefix) > bestLen && HasPathPrefix(path, prefix) {
-			best, bestLen = rank, len(prefix)
-		}
+	if pl := t.placed(path); pl != nil {
+		best, bestLen = pl.rank, len(pl.path)
 	}
 	if dir, comp := t.fragFor(path, bestLen); dir != "" {
 		ranks := t.frags[dir]
@@ -120,10 +147,8 @@ func (t *Table) SubtreeFor(path string) string {
 	s := t.snap.Load()
 	path = Clean(path)
 	best, bestLen := "/", -1
-	for prefix := range s.places {
-		if len(prefix) > bestLen && HasPathPrefix(path, prefix) {
-			best, bestLen = prefix, len(prefix)
-		}
+	if pl := s.placed(path); pl != nil {
+		best, bestLen = pl.path, len(pl.path)
 	}
 	if dir, comp := s.fragFor(path, bestLen); dir != "" {
 		return fmt.Sprintf("%s#%d", dir, FragIndex(comp, len(s.frags[dir])))
@@ -137,6 +162,9 @@ func (t *Table) SubtreeFor(path string) string {
 // the dentry whose hash picks the fragment. ("", "") when no split
 // applies.
 func (t *tableSnap) fragFor(path string, placedLen int) (dir, comp string) {
+	if len(t.frags) == 0 { // the usual table: skip the map walk
+		return "", ""
+	}
 	bestLen := -1
 	for d := range t.frags {
 		if len(d) >= placedLen && len(d) > bestLen &&
@@ -219,25 +247,14 @@ func (t *Table) RankForEntry(dir, name string) int {
 	return s.rankFor(dir + "/" + name)
 }
 
-// Placements returns a copy of the path→rank map, sorted iteration being
-// the caller's concern.
-func (t *Table) Placements() map[string]int {
-	places := t.snap.Load().places
-	out := make(map[string]int, len(places))
-	for p, r := range places {
-		out[p] = r
-	}
-	return out
-}
-
 // Paths returns the placed paths in sorted order, for display.
 func (t *Table) Paths() []string {
 	places := t.snap.Load().places
-	out := make([]string, 0, len(places))
-	for p := range places {
-		out = append(out, p)
+	out := make([]string, len(places))
+	for i, pl := range places {
+		out[i] = pl.path
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
