@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check loc bench bench-seq bench-check bench-real perf perf-counts fuzz-short chaos ci
+.PHONY: all build test race vet fmt-check loc surface bench bench-seq bench-check bench-real perf perf-counts fuzz-short chaos ci
 
 all: build test
 
@@ -36,6 +36,45 @@ loc:
 	@echo "client + mds + chaos + namespace + rados + transport: $$($(call LOC,client mds chaos namespace rados transport))"
 	@echo "sim + realrt + runtime: $$($(call LOC,sim realrt runtime))"
 	@echo "bench: $$($(call LOC,bench))"
+
+# surface holds the internal packages to the API the binaries link. It
+# builds every main with inlining off, so each function a main reaches is
+# a symbol of it, and lists every top-level func declared outside tests
+# under internal/ as go tool nm names it (type parameters dropped). A
+# declared function no main links must be in results/SURFACE_KEEP.txt
+# ("symbol reason" per line) and every entry there must be such a
+# function: a difference in either direction fails, so a deletion and a
+# new unlinked function both show up here.
+MAINS = cmd/cudele cmd/cudele-bench cmd/journal-tool benchmark \
+	examples/homedirs examples/quickstart examples/checkpoint examples/partialresults
+surface:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for m in $(MAINS); do \
+		$(GO) build -gcflags=all=-l -o "$$tmp/main" ./$$m && $(GO) tool nm "$$tmp/main" >> "$$tmp/nm" || exit 1; \
+	done; \
+	awk '$$NF ~ /^cudele\/internal\// { print $$NF }' "$$tmp/nm" | \
+		sed -e ':a' -e 's/\[[^][]*\]//g' -e 'ta' -e 's/\.init\.[0-9]*$$/.init/' | sort -u > "$$tmp/linked"; \
+	awk 'FNR == 1 { dir = FILENAME; sub(/\/[^\/]*$$/, "", dir) } \
+		name != "" && /^}/ { print name, FNR - start + 1; name = "" } \
+		/^func / { \
+			s = $$0; sub(/^func /, "", s); recv = ""; \
+			if (s ~ /^\(/) { \
+				recv = s; sub(/\).*/, "", recv); sub(/^\(([A-Za-z0-9_]+ )?/, "", recv); sub(/\[.*/, "", recv); \
+				sub(/^[^)]*\) */, "", s); \
+				recv = recv ~ /^\*/ ? "(" recv ")." : recv "."; \
+			} \
+			sub(/[^A-Za-z0-9_].*/, "", s); name = "cudele/" dir "." recv s; start = FNR; \
+			if ($$0 ~ /}$$/) { print name, 1; name = "" } \
+		}' $$(ls internal/*/*.go | grep -v _test.go) | sort -u -k1,1 > "$$tmp/decls"; \
+	awk 'NR == FNR { linked[$$1] = 1; next } !($$1 in linked)' "$$tmp/linked" "$$tmp/decls" > "$$tmp/unlinked"; \
+	grep -v '^#' results/SURFACE_KEEP.txt | cut -d' ' -f1 | sort > "$$tmp/keep"; \
+	cut -d' ' -f1 "$$tmp/unlinked" | sort > "$$tmp/found"; \
+	if ! diff -u --label results/SURFACE_KEEP.txt --label unlinked "$$tmp/keep" "$$tmp/found"; then \
+		echo "surface: the functions no main links differ from results/SURFACE_KEEP.txt"; \
+		echo "  (-: listed but linked or gone, so drop the line; +: unlinked, so delete it or list it with its reason)"; \
+		exit 1; \
+	fi; \
+	echo "surface: $$(wc -l < "$$tmp/unlinked") of $$(wc -l < "$$tmp/decls") functions under internal/ ($$(awk '{ n += $$2 } END { print n + 0 }' "$$tmp/unlinked") lines) are linked by no main, each listed with its reason in results/SURFACE_KEEP.txt"
 
 # bench regenerates every table at a CI-friendly scale, in parallel, and
 # refreshes the machine-readable baselines under results/. The tables are

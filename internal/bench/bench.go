@@ -50,9 +50,6 @@ type Options struct {
 	DataDir string
 }
 
-// DefaultOptions is paper scale.
-func DefaultOptions() Options { return Options{Scale: 1.0, Seed: 1} }
-
 // scaled returns n scaled down, with a floor to keep workloads
 // meaningful.
 func (o Options) scaled(n, floor int) int {

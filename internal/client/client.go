@@ -242,9 +242,6 @@ func (c *Client) Stats() Stats { return c.stats }
 // RPC, when one is needed, plus the create RPC).
 func (c *Client) CreateLatency() *stats.Histogram { return &c.createLatency }
 
-// LocalDisk exposes the client's disk pipe for utilization reporting.
-func (c *Client) LocalDisk() runtime.Pipe { return c.localDisk }
-
 // Mount opens the client's MDS session.
 func (c *Client) Mount(p runtime.Task) {
 	c.dom.Enter(p)

@@ -17,7 +17,7 @@ func TestNameAndLocalDisk(t *testing.T) {
 	if c.Name() != "c0" {
 		t.Fatalf("name = %q", c.Name())
 	}
-	if c.LocalDisk() == nil {
+	if c.localDisk == nil {
 		t.Fatal("no local disk pipe")
 	}
 }

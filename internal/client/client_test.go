@@ -184,10 +184,10 @@ func TestDecoupleLocalCreate(t *testing.T) {
 			t.Errorf("decouple: %v", err)
 			return
 		}
-		if !c.Decoupled() {
-			t.Error("not decoupled")
+		root, err := c.DecoupledRoot()
+		if err != nil {
+			t.Errorf("not decoupled: %v", err)
 		}
-		root, _ := c.DecoupledRoot()
 		start := p.Now()
 		for i := 0; i < 500; i++ {
 			if _, err := c.LocalCreate(p, root, fmt.Sprintf("f%d", i), 0644); err != nil {

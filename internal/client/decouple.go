@@ -54,9 +54,6 @@ func (c *Client) AdoptGrant(p runtime.Task, path string, lo namespace.Ino, n uin
 	return nil
 }
 
-// Decoupled reports whether the client has a decoupled subtree.
-func (c *Client) Decoupled() bool { return c.dec != nil }
-
 // DecoupledRoot returns the global inode of the decoupled subtree's root.
 func (c *Client) DecoupledRoot() (namespace.Ino, error) {
 	if c.dec == nil {

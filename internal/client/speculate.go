@@ -85,17 +85,6 @@ func (c *Client) recordUndo(ev *journal.Event, victim *namespace.Inode) error {
 	return err
 }
 
-// UndoLog returns the client's undo journal (speculative mode only).
-func (c *Client) UndoLog() (*journal.Journal, error) {
-	if c.dec == nil {
-		return nil, ErrNotDecoupled
-	}
-	if c.dec.undo == nil {
-		return nil, fmt.Errorf("client: no undo log outside %v", policy.ConsSpeculative)
-	}
-	return c.dec.undo, nil
-}
-
 // FailRollbackAfter arms the mid-rollback crash hook: the next rollback
 // errors out after n undos, leaving the journal and undo log un-reset,
 // exactly as a process death there would. One-shot: the hook disarms

@@ -134,13 +134,6 @@ func (e *Encoder) Encode(events []*Event) ([]byte, error) {
 	return out, nil
 }
 
-// AppendEvent encodes ev as one record and appends it to b. One-shot
-// convenience; hot paths hold an Encoder to reuse its scratch buffer.
-func AppendEvent(b []byte, ev *Event) ([]byte, error) {
-	var e Encoder
-	return e.AppendEvent(b, ev)
-}
-
 // AppendHeader appends the journal file header to b. Chunked exporters
 // use it to start an image they then grow record by record; the result
 // decodes identically to a one-shot Encode of the same events.

@@ -122,8 +122,9 @@ func TestEncodeAllocBudget(t *testing.T) {
 	}
 }
 
-// TestEncoderMatchesOneShot guards that the reusable Encoder emits byte-
-// identical output to the one-shot helpers, event by event.
+// TestEncoderMatchesOneShot guards that a reused Encoder emits byte-
+// identical output to a fresh one per event: its scratch buffer carries
+// nothing from one event into the next.
 func TestEncoderMatchesOneShot(t *testing.T) {
 	evs := benchEvents(32)
 	var enc Encoder
@@ -133,12 +134,13 @@ func TestEncoderMatchesOneShot(t *testing.T) {
 		if reused, err = enc.AppendEvent(reused, ev); err != nil {
 			t.Fatal(err)
 		}
-		if oneshot, err = AppendEvent(oneshot, ev); err != nil {
+		var fresh Encoder
+		if oneshot, err = fresh.AppendEvent(oneshot, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if string(reused) != string(oneshot) {
-		t.Fatal("reusable Encoder output differs from one-shot AppendEvent")
+		t.Fatal("reused Encoder output differs from a fresh Encoder's")
 	}
 }
 
@@ -152,8 +154,9 @@ func TestRecordSizeExact(t *testing.T) {
 		{Type: EvSetAttr, Ino: 300, Mtime: 1 << 42},
 		{Type: EvAllocRange, Ino: 1000, Size: 1 << 20},
 	}
+	var enc Encoder
 	for i, ev := range cases {
-		b, err := AppendEvent(nil, ev)
+		b, err := enc.AppendEvent(nil, ev)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}

@@ -11,15 +11,6 @@ type Segment struct {
 	Sealed bool
 }
 
-// EncodedLen returns the real encoded byte length of the segment.
-func (s *Segment) EncodedLen() (int, error) {
-	b, err := Encode(s.Events)
-	if err != nil {
-		return 0, err
-	}
-	return len(b), nil
-}
-
 // Journal is an in-memory, append-ordered metadata journal divided into
 // segments. It is a "pile system": writes are cheap appends; readers must
 // replay state (paper §IV-B). Both decoupled clients and the MDS keep one.

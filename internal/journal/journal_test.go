@@ -338,10 +338,13 @@ func TestReplayAndApply(t *testing.T) {
 		t.Fatalf("replay = %d,%v", n, err)
 	}
 	data, _ := j.Export()
-	tgt2 := &countTarget{}
-	n, err = Apply(data, tgt2)
+	events, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err = Replay(events, &countTarget{})
 	if err != nil || n != 3 {
-		t.Fatalf("apply = %d,%v", n, err)
+		t.Fatalf("replay of the exported image = %d,%v", n, err)
 	}
 }
 
@@ -374,14 +377,14 @@ func TestSegmentEncodedLen(t *testing.T) {
 	if s == nil {
 		t.Fatal("no sealed segment")
 	}
-	n, err := s.EncodedLen()
-	if err != nil || n <= MagicLen {
-		t.Fatalf("encoded len = %d,%v", n, err)
+	if b, err := Encode(s.Events); err != nil || len(s.Events) != 2 || len(b) <= MagicLen {
+		t.Fatalf("sealed segment of %d events encodes to %d bytes, %v", len(s.Events), len(b), err)
 	}
 }
 
 func TestAppendEventRejectsInvalid(t *testing.T) {
-	_, err := AppendEvent(nil, &Event{Type: EvCreate})
+	var enc Encoder
+	_, err := enc.AppendEvent(nil, &Event{Type: EvCreate})
 	if err == nil {
 		t.Fatal("invalid event encoded")
 	}

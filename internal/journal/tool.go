@@ -7,8 +7,8 @@ import (
 )
 
 // This file implements the operations of the CephFS journal tool that
-// Cudele's client library is based on (paper §IV-B): inspect, export,
-// import, erase, and apply.
+// Cudele's client library is based on (paper §IV-B): inspect, erase and
+// dump.
 
 // Summary describes an encoded journal, as printed by "journal-tool
 // inspect".
@@ -90,16 +90,6 @@ func Erase(data []byte, from, to uint64) ([]byte, int, error) {
 		return nil, 0, err
 	}
 	return out, erased, nil
-}
-
-// Apply decodes data and replays it onto target, returning the number of
-// events applied ("journal-tool event apply").
-func Apply(data []byte, target Target) (int, error) {
-	events, err := Decode(data)
-	if err != nil {
-		return 0, err
-	}
-	return Replay(events, target)
 }
 
 // Dump renders every event line by line ("journal-tool event get list").

@@ -40,7 +40,7 @@ func TestServiceTimeDrawsAcrossRanks(t *testing.T) {
 				rep := srv.Submit(p, &Request{Op: OpCreate, Client: "c", Parent: namespace.RootIno,
 					Name: fmt.Sprintf("f%d", i), Mode: 0644})
 				if rep.Err != nil {
-					t.Errorf("rank %d create %d: %v", srv.Rank(), i, rep.Err)
+					t.Errorf("rank %d create %d: %v", r, i, rep.Err)
 					return
 				}
 			}

@@ -392,6 +392,3 @@ func (s *Server) mergeService(p runtime.Task, job *streamJob, sc transport.Strea
 // metric the round-robin scheduler bounds — and how many streamed jobs
 // completed. Zero jobs yields a zero spread.
 func (s *Server) MergeFairness() (spread runtime.Duration, jobs int) { return s.merge.fairness() }
-
-// MergePeakJobs reports the most streamed merges ever admitted at once.
-func (s *Server) MergePeakJobs() int { return s.merge.peakJobs }

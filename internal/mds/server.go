@@ -312,9 +312,6 @@ func newRankStore(r int) *namespace.Store {
 	return st
 }
 
-// Rank returns the server's rank number.
-func (s *Server) Rank() int { return s.rank }
-
 // Name implements transport.Endpoint.
 func (s *Server) Name() string { return s.ep.Name() }
 
@@ -410,9 +407,6 @@ func (s *Server) CPU() runtime.Resource { return s.cpu }
 
 // Metrics returns a snapshot of the server counters.
 func (s *Server) Metrics() Metrics { return s.metrics }
-
-// Config returns the server's calibration config.
-func (s *Server) Config() model.Config { return s.cfg }
 
 // SetStream turns MDS journal streaming (the Stream mechanism) on or off.
 func (s *Server) SetStream(on bool) { s.streamOn.Store(on) }

@@ -17,8 +17,8 @@ import (
 // segments.
 const JournalPool = "cephfs_journal"
 
-// journalObjectName names one streamed journal segment object. Each rank
-// streams into its own object series; rank 0 uses the legacy names.
+// journalObjectName names one streamed journal segment object. Each rank,
+// rank 0 included, streams into its own series, mds<rank>_journal.<index>.
 func journalObjectName(rank, index int) string {
 	return fmt.Sprintf("mds%d_journal.%08d", rank, index)
 }

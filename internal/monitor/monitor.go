@@ -68,9 +68,6 @@ func New(eng runtime.Runtime, cl *mds.Cluster) *Monitor {
 // Epoch returns the current cluster-map epoch, bumped on every change.
 func (m *Monitor) Epoch() uint64 { return m.epoch }
 
-// Cluster returns the metadata cluster the monitor governs.
-func (m *Monitor) Cluster() *mds.Cluster { return m.cl }
-
 // Subscribe registers a routing-table replica (normally a client portal's)
 // to be refreshed on every cluster-map change, and syncs it immediately.
 func (m *Monitor) Subscribe(id string, t *transport.Table) {

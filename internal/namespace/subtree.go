@@ -32,15 +32,6 @@ func (s *Store) SetPolicy(ino Ino, pol *policy.Policy) error {
 	return nil
 }
 
-// SetPolicyPath attaches pol to the directory at absolute path p.
-func (s *Store) SetPolicyPath(p string, pol *policy.Policy) error {
-	in, err := s.Resolve(p)
-	if err != nil {
-		return err
-	}
-	return s.SetPolicy(in.Ino, pol)
-}
-
 // EffectivePolicy resolves the policy governing ino: the nearest ancestor
 // (or self) with an attached policy. Inodes outside any policy subtree get
 // the global default (stock CephFS semantics). With the embeddable-policy
@@ -93,17 +84,4 @@ func (s *Store) PolicyRoot(ino Ino) (Ino, error) {
 			return 0, err
 		}
 	}
-}
-
-// PolicySubtrees lists the paths of all inodes with attached policies, in
-// sorted order (the monitor uses this to render cluster state).
-func (s *Store) PolicySubtrees() ([]string, error) {
-	var out []string
-	err := s.Walk(RootIno, func(p string, in *Inode) error {
-		if in.Policy != nil {
-			out = append(out, p)
-		}
-		return nil
-	})
-	return out, err
 }

@@ -18,7 +18,8 @@ func TestSetPolicyAndEffective(t *testing.T) {
 		Durability:      policy.DurLocal,
 		AllocatedInodes: 1000,
 	}
-	if err := s.SetPolicyPath("/home/alice", batchfs); err != nil {
+	alice, _ := s.Resolve("/home/alice")
+	if err := s.SetPolicy(alice.Ino, batchfs); err != nil {
 		t.Fatalf("set policy: %v", err)
 	}
 
@@ -64,14 +65,15 @@ func TestNestedPoliciesInherit(t *testing.T) {
 	// it sets; the inode grant is inherited when unset.
 	s := NewStore()
 	s.MkdirAll("/posix/ramdisk", CreateAttrs{})
-	s.SetPolicyPath("/posix", &policy.Policy{
+	posix, _ := s.Resolve("/posix")
+	in, _ := s.Resolve("/posix/ramdisk")
+	s.SetPolicy(posix.Ino, &policy.Policy{
 		Consistency: policy.ConsStrong, Durability: policy.DurGlobal,
 		AllocatedInodes: 777,
 	})
-	s.SetPolicyPath("/posix/ramdisk", &policy.Policy{
+	s.SetPolicy(in.Ino, &policy.Policy{
 		Consistency: policy.ConsStrong, Durability: policy.DurNone,
 	})
-	in, _ := s.Resolve("/posix/ramdisk")
 	eff, err := s.EffectivePolicy(in.Ino)
 	if err != nil {
 		t.Fatalf("effective: %v", err)
@@ -97,9 +99,6 @@ func TestSetPolicyErrors(t *testing.T) {
 	if err := s.SetPolicy(RootIno, bad); err == nil {
 		t.Fatal("invalid policy accepted")
 	}
-	if err := s.SetPolicyPath("/nowhere", policy.Default()); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("set policy on missing path err = %v", err)
-	}
 }
 
 func TestClearPolicy(t *testing.T) {
@@ -112,18 +111,6 @@ func TestClearPolicy(t *testing.T) {
 	eff, _ := s.EffectivePolicy(d.Ino)
 	if eff.Consistency != policy.ConsStrong {
 		t.Fatalf("after clear = %v", eff.Consistency)
-	}
-}
-
-func TestPolicySubtrees(t *testing.T) {
-	s := NewStore()
-	s.MkdirAll("/x/y", CreateAttrs{})
-	s.MkdirAll("/z", CreateAttrs{})
-	s.SetPolicyPath("/x/y", &policy.Policy{Consistency: policy.ConsWeak, AllocatedInodes: 5})
-	s.SetPolicyPath("/z", &policy.Policy{Consistency: policy.ConsInvisible, AllocatedInodes: 5})
-	got, err := s.PolicySubtrees()
-	if err != nil || len(got) != 2 || got[0] != "/x/y" || got[1] != "/z" {
-		t.Fatalf("subtrees = %v, %v", got, err)
 	}
 }
 

@@ -84,14 +84,6 @@ func NewHeat(halfLife time.Duration) *Heat {
 	}
 }
 
-// HalfLife returns the accountant's decay half-life.
-func (h *Heat) HalfLife() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.halfLifeNS)
-}
-
 // cell returns the (subtree, rank) cell, decayed to now, creating it on
 // first touch. Caller holds h.mu.
 func (h *Heat) cell(now int64, subtree string, rank int) *heatCell {

@@ -91,9 +91,6 @@ func TestHeatNilDisabled(t *testing.T) {
 	if got := h.Snapshot(0); got != nil {
 		t.Errorf("nil heat snapshot = %v, want nil", got)
 	}
-	if got := h.HalfLife(); got != 0 {
-		t.Errorf("nil heat half-life = %v, want 0", got)
-	}
 }
 
 // TestHeatRecordSteadyStateAllocs asserts the record path is

@@ -101,16 +101,6 @@ func (p *Policy) Composition() (Composition, error) {
 	return comp, nil
 }
 
-// Decoupled reports whether the subtree is decoupled from the global
-// namespace (its composition writes a client journal instead of RPCs).
-func (p *Policy) Decoupled() bool {
-	comp, err := p.Composition()
-	if err != nil {
-		return false
-	}
-	return comp.Contains(MechAppendClientJournal)
-}
-
 // Validate checks the policy for consistency. A zero inode grant is
 // allowed and means "inherit the parent subtree's grant" (or the default).
 // The rank's upper bound depends on the cluster size, so the monitor

@@ -230,15 +230,6 @@ func (c Composition) String() string {
 	return strings.Join(steps, "+")
 }
 
-// Mechanisms returns every mechanism in the composition, in step order.
-func (c Composition) Mechanisms() []Mechanism {
-	var out []Mechanism
-	for _, st := range c {
-		out = append(out, st.Parallel...)
-	}
-	return out
-}
-
 // Contains reports whether m appears anywhere in the composition.
 func (c Composition) Contains(m Mechanism) bool {
 	for _, st := range c {

@@ -149,15 +149,15 @@ func TestPolicyDefault(t *testing.T) {
 	if p.AllocatedInodes != 100 || p.Interfere != InterfereAllow {
 		t.Fatalf("defaults = %+v", p)
 	}
-	if p.Decoupled() {
+	if comp.Contains(MechAppendClientJournal) {
 		t.Fatal("default policy should not be decoupled")
 	}
 }
 
 func TestPolicyDecoupled(t *testing.T) {
 	p := &Policy{Consistency: ConsInvisible, Durability: DurLocal, AllocatedInodes: 10}
-	if !p.Decoupled() {
-		t.Fatal("invisible/local should be decoupled")
+	if comp, err := p.Composition(); err != nil || !comp.Contains(MechAppendClientJournal) {
+		t.Fatalf("invisible/local composes %v, %v; want a client journal: decoupled", comp, err)
 	}
 }
 

@@ -17,9 +17,8 @@ func TestAccessors(t *testing.T) {
 	if c.Net() == nil {
 		t.Fatal("no fabric pipe")
 	}
-	s := NewStriper(c)
-	if s.Unit() != model.Default().StripeUnit {
-		t.Fatalf("unit = %d", s.Unit())
+	if s := NewStriper(c); s.unit != model.Default().StripeUnit {
+		t.Fatalf("unit = %d", s.unit)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 //
 //	stage  (inside the caller's lock domain) append the record to the
 //	       staging buffer and take its LSN, so log order is memory order —
-//	       which deltas (append, omap-set) need and whole images did not
+//	       which deltas (omap-set, omap-remove) need and whole images did not
 //	Commit (outside it) whoever gets the commit lock first writes and
 //	       syncs everything staged; the committers queued behind that
 //	       leader find their LSN already durable — the group commit
@@ -112,12 +112,12 @@ const (
 // little-endian, with uvarint counts and uvarint-prefixed strings; len
 // counts the bytes after the CRC, and the CRC covers len and those bytes
 // (so a zero-filled tail is not a valid empty frame). The tail runs to
-// the end of the frame: the data of a put, write or append, the key of an
+// the end of the frame: the data of a put or write, the key of an
 // omap-remove.
 const (
 	recPut        byte = iota + 1 // data and the whole omap: Put, and every record of a checkpoint
 	recWrite                      // replace the data, keep the omap
-	recAppend                     // the appended bytes only
+	_                             // 3 was an append (the appended bytes); no store writes it, replay rejects it
 	recOmapSet                    // the pairs set
 	recOmapRemove                 // the key removed
 	recRemove                     // the object is gone
@@ -138,9 +138,6 @@ func OpenFileStore(dir string) (*FileStore, error) {
 	}
 	return &FileStore{dir: dir, largeRecord: largeRecord, ckptFloor: ckptFloor}, nil
 }
-
-// Dir returns the store's root directory.
-func (fs *FileStore) Dir() string { return fs.dir }
 
 // Stats returns the log's counters.
 func (fs *FileStore) Stats() LogStats {
@@ -254,8 +251,6 @@ func applyRecord(objs map[ObjectID]*object, body []byte) error {
 		o.data, o.omap = append(o.data[:0], body...), kv
 	case recWrite:
 		o.data = append(o.data[:0], body...)
-	case recAppend:
-		o.data = append(o.data, body...)
 	case recOmapSet:
 		if o.omap == nil {
 			o.omap = make(map[string][]byte, len(kv))

@@ -70,7 +70,7 @@ func TestFileStoreNameEscaping(t *testing.T) {
 	if len(loaded) != len(oids) {
 		t.Fatalf("loaded %d objects, want %d", len(loaded), len(oids))
 	}
-	if entries, _ := os.ReadDir(fs.Dir()); len(entries) != 1 || entries[0].Name() != logName {
+	if entries, _ := os.ReadDir(fs.dir); len(entries) != 1 || entries[0].Name() != logName {
 		t.Fatalf("data dir holds %v, want only %s", entries, logName)
 	}
 	for i, oid := range oids {
@@ -325,11 +325,11 @@ func TestReplaceProtocolFailures(t *testing.T) {
 			}
 			check := func(when, wantImage string, wantTmp int) {
 				t.Helper()
-				got, err := os.ReadFile(filepath.Join(fs.Dir(), shape.img))
+				got, err := os.ReadFile(filepath.Join(fs.dir, shape.img))
 				if err != nil || string(got) != wantImage {
 					t.Errorf("%s: committed image = %q, %v; want %q", when, got, err, wantImage)
 				}
-				tmps, _ := filepath.Glob(filepath.Join(fs.Dir(), "*.tmp*"))
+				tmps, _ := filepath.Glob(filepath.Join(fs.dir, "*.tmp*"))
 				if len(tmps) != wantTmp {
 					t.Errorf("%s: %d tmp files left (%v), want %d", when, len(tmps), tmps, wantTmp)
 				}
@@ -361,7 +361,7 @@ func TestReplaceProtocolFailures(t *testing.T) {
 
 			// A rename that cannot succeed: the target name is a non-empty
 			// directory. The image written before must survive beside it.
-			if err := os.MkdirAll(filepath.Join(fs.Dir(), "blocked", "x"), 0o755); err != nil {
+			if err := os.MkdirAll(filepath.Join(fs.dir, "blocked", "x"), 0o755); err != nil {
 				t.Fatal(err)
 			}
 			if err := fs.replace("blocked", text("never")); err == nil {
@@ -378,7 +378,7 @@ func TestReplaceProtocolFailures(t *testing.T) {
 	if err := fs.WriteFile("journal", []byte("image")); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := os.ReadFile(filepath.Join(fs.Dir(), "journal")); err != nil || string(got) != "image" {
+	if got, err := os.ReadFile(filepath.Join(fs.dir, "journal")); err != nil || string(got) != "image" {
 		t.Errorf("WriteFile round trip = %q, %v", got, err)
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cudele/internal/model"
@@ -149,12 +151,9 @@ func runLogHistory(t *testing.T, rng *rand.Rand, c *Cluster, state map[ObjectID]
 			var err error
 			var apply func()
 			switch op := rng.Intn(10); {
-			case op < 3:
-				data := randPayload(rng)
-				err, apply = c.Write(p, oid, data), func() { create().data = bytes.Clone(data) }
 			case op < 5:
 				data := randPayload(rng)
-				err, apply = c.Append(p, oid, data), func() { create().data = append(create().data, data...) }
+				err, apply = c.Write(p, oid, data), func() { create().data = bytes.Clone(data) }
 			case op < 7:
 				var kv map[string][]byte // nil, empty, or one to three pairs
 				if k := rng.Intn(5); k > 0 {
@@ -263,8 +262,19 @@ func TestLogEveryPrefixRecovers(t *testing.T) {
 				}
 				ends := frameEnds(log)
 				boundary := map[int64]bool{0: true}
+				kinds := map[byte]bool{log[8]: true}
 				for _, e := range ends {
 					boundary[e] = true
+					if e+8 < int64(len(log)) {
+						kinds[log[e+8]] = true
+					}
+				}
+				// Between them the two logs hold every kind a store writes:
+				// the plain one each mutation's kind and no other, the
+				// checkpointed one the image's puts.
+				mutationKinds := map[byte]bool{recWrite: true, recOmapSet: true, recOmapRemove: true, recRemove: true}
+				if ckptFloor == 700 && !kinds[recPut] || ckptFloor != 700 && !maps.Equal(kinds, mutationKinds) {
+					t.Fatalf("the log holds record kinds %v", kinds)
 				}
 				for _, s := range snaps {
 					if !boundary[s.at] {
@@ -434,26 +444,27 @@ func TestLogCheckpointCrashes(t *testing.T) {
 }
 
 // TestLogOrderIsMemoryOrder runs the stage/Commit pair from several tasks
-// at once: tasks racing to append to the same objects — deltas, which do
-// not commute — and a striped write of large records beside them must
-// recover to exactly what memory held, whichever committer led each
-// group. (It checks the outcome; a stage moved outside the domain would
-// reorder only if the scheduler preempted a task between leaving the
-// domain and taking the staging lock, too rare a window for a test to be
-// the argument. That argument is the code's shape: see Pipeline.log.)
+// at once: tasks racing to write the same objects and to set the same
+// omap key — records that do not commute — and a striped write of large
+// records beside them must recover to exactly what memory held, whichever
+// committer led each group. (It checks the outcome; a stage moved outside
+// the domain would reorder only if the scheduler preempted a task between
+// leaving the domain and taking the staging lock, too rare a window for a
+// test to be the argument. That argument is the code's shape: see
+// Pipeline.log.)
 func TestLogOrderIsMemoryOrder(t *testing.T) {
 	dir := t.TempDir()
 	c, _ := newLogCluster(t, 30, dir)
 	eng := c.eng.(*realrt.Engine)
-	const writers, appends = 4, 40
+	const writers, rounds = 4, 40
 	for w := 0; w < writers; w++ {
-		eng.Spawn(fmt.Sprintf("appender%d", w), func(p runtime.Task) {
-			for i := 0; i < appends; i++ {
+		eng.Spawn(fmt.Sprintf("writer%d", w), func(p runtime.Task) {
+			for i := 0; i < rounds; i++ {
 				oid := ObjectID{"shared", fmt.Sprint(i % 2)}
-				if err := c.Append(p, oid, []byte(fmt.Sprintf("[%d.%d]", w, i))); err != nil {
-					t.Errorf("append: %v", err)
+				if err := c.Write(p, oid, []byte(fmt.Sprintf("[%d.%d]", w, i))); err != nil {
+					t.Errorf("write: %v", err)
 				}
-				if err := c.OmapSet(p, oid, map[string][]byte{"last": {byte(w), byte(i)}}); err != nil {
+				if err := c.OmapSet(p, oid, map[string][]byte{"last": {byte(w), byte(i)}, fmt.Sprintf("%d.%d", w, i): nil}); err != nil {
 					t.Errorf("omap-set: %v", err)
 				}
 			}
@@ -467,8 +478,8 @@ func TestLogOrderIsMemoryOrder(t *testing.T) {
 	})
 	eng.RunAll()
 	memory := cloneState(c.objects)
-	if got := len(memory[ObjectID{"shared", "0"}].data) + len(memory[ObjectID{"shared", "1"}].data); got < writers*appends*len("[0.0]") {
-		t.Fatalf("memory holds %d appended bytes: the writers did not run", got)
+	if got := len(memory[ObjectID{"shared", "0"}].omap) + len(memory[ObjectID{"shared", "1"}].omap); got != writers*rounds+2 {
+		t.Fatalf("memory holds %d omap keys: the writers did not run", got)
 	}
 	recovered, _ := newLogCluster(t, 31, dir)
 	if err := diffState(recovered.objects, memory); err != nil {
@@ -504,7 +515,6 @@ func FuzzLogReplay(f *testing.F) {
 	for _, rec := range [][]byte{
 		testFrame(f, recPut, oid, kv, []byte("data")),
 		testFrame(f, recWrite, oid, nil, []byte("w")),
-		testFrame(f, recAppend, oid, nil, []byte("a")),
 		testFrame(f, recOmapSet, oid, kv, nil),
 		testFrame(f, recOmapRemove, oid, nil, []byte("k")),
 		testFrame(f, recRemove, oid, nil, nil),
@@ -516,6 +526,7 @@ func FuzzLogReplay(f *testing.F) {
 	f.Add(all)
 	f.Add(all[:len(all)-3])                                                          // a torn tail
 	f.Add(append(bytes.Clone(all), testFrame(f, 99, oid, nil, nil)...))              // CRC-valid, unknown kind
+	f.Add(append(bytes.Clone(all), testFrame(f, 3, oid, nil, []byte("a"))...))       // CRC-valid, the retired append
 	f.Add(append(bytes.Clone(all), 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4, 5))           // a length no file has
 	f.Add(rawFrame(append([]byte{recOmapSet, 1, 'p', 1, 'o'}, 0xFF, 0xFF, 0xFF, 1))) // more pairs than bytes
 	f.Add(rawFrame(nil))
@@ -571,5 +582,21 @@ func TestLogReplayRejectsCorruption(t *testing.T) {
 		if err != nil || valid != len(good) || len(objs) != 1 {
 			t.Errorf("%s: replay kept %d bytes, %d objects, %v; want the %d good bytes", name, valid, len(objs), err, len(good))
 		}
+	}
+}
+
+// TestLogReplayRejectsRetiredKind: kind 3 was an append, which no store
+// writes any more. Its slot stays reserved — the kinds after it keep their
+// numbers — so a log holding one is corrupt, not read as another kind.
+func TestLogReplayRejectsRetiredKind(t *testing.T) {
+	if recPut != 1 || recWrite != 2 || recOmapSet != 4 || recOmapRemove != 5 || recRemove != 6 {
+		t.Fatalf("record kinds renumbered: put %d write %d omap-set %d omap-remove %d remove %d",
+			recPut, recWrite, recOmapSet, recOmapRemove, recRemove)
+	}
+	good := testFrame(t, recWrite, ObjectID{"p", "o"}, nil, []byte("w"))
+	_, valid, err := replay(append(bytes.Clone(good), testFrame(t, 3, ObjectID{"p", "o"}, nil, []byte("a"))...))
+	want := fmt.Sprintf("%s is corrupt at offset %d: unknown record kind 3", logName, len(good))
+	if err == nil || valid != len(good) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("replay kept %d bytes with error %v; want %d bytes and %q", valid, err, len(good), want)
 	}
 }

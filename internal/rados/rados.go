@@ -299,39 +299,6 @@ func (pl *Pipeline) WriteBilled(p runtime.Task, oid ObjectID, data []byte, bille
 	return pl.log(recWrite, oid, nil, data)
 }
 
-// Append appends data to oid, creating it if needed.
-func (c *Cluster) Append(p runtime.Task, oid ObjectID, data []byte) error {
-	pl := Pipeline{c: c}
-	return pl.ack(p, pl.Append(p, oid, data))
-}
-
-// Append is Cluster.Append, durable at Flush.
-func (pl *Pipeline) Append(p runtime.Task, oid ObjectID, data []byte) error {
-	c := pl.c
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	c.writes++
-	c.bytesWrit += uint64(len(data))
-	c.chargeWrite(p, oid, int64(len(data)))
-	outcome, torn := c.faults.writeOutcome(oid, len(data))
-	switch outcome {
-	case faultError:
-		c.writeFaults++
-		c.recordFault(p, "append", oid)
-		return faultErrf("append", oid)
-	case faultTorn:
-		c.writeFaults++
-		c.recordFault(p, "torn-append", oid)
-		o := c.getOrCreate(oid)
-		o.data = append(o.data, data[:torn]...)
-		pl.log(recAppend, oid, nil, data[:torn])
-		return faultErrf("torn append", oid)
-	}
-	o := c.getOrCreate(oid)
-	o.data = append(o.data, data...)
-	return pl.log(recAppend, oid, nil, data)
-}
-
 // Read returns a copy of oid's contents.
 func (c *Cluster) Read(p runtime.Task, oid ObjectID) ([]byte, error) {
 	c.dom.Enter(p)
@@ -379,14 +346,6 @@ func (pl *Pipeline) Remove(p runtime.Task, oid ObjectID) error {
 	c.deletes++
 	delete(c.objects, oid)
 	return pl.log(recRemove, oid, nil, nil)
-}
-
-// Exists reports whether oid exists, charging one round trip.
-func (c *Cluster) Exists(p runtime.Task, oid ObjectID) bool {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	c.opLatency(p)
-	return c.get(oid) != nil
 }
 
 // OmapSet stores key/value pairs in oid's omap, creating the object if
@@ -470,26 +429,6 @@ func (pl *Pipeline) OmapRemove(p runtime.Task, oid ObjectID, key string) error {
 	}
 	delete(o.omap, key)
 	return pl.log(recOmapRemove, oid, nil, []byte(key))
-}
-
-// OmapList returns oid's omap keys in sorted order, charging a scan.
-func (c *Cluster) OmapList(p runtime.Task, oid ObjectID) ([]string, error) {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	o := c.get(oid)
-	if o == nil {
-		c.opLatency(p)
-		return nil, fmt.Errorf("omap-list %v: %w", oid, ErrNotFound)
-	}
-	var n int64
-	keys := make([]string, 0, len(o.omap))
-	for k := range o.omap {
-		keys = append(keys, k)
-		n += int64(len(k))
-	}
-	sort.Strings(keys)
-	c.chargeRead(p, oid, n)
-	return keys, nil
 }
 
 // List returns the names of all objects in pool, sorted. It charges one

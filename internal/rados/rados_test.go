@@ -56,19 +56,6 @@ func TestWriteOverwrites(t *testing.T) {
 	})
 }
 
-func TestAppend(t *testing.T) {
-	e, c := newTestCluster(t)
-	oid := ObjectID{Pool: "meta", Name: "log"}
-	run(t, e, func(p runtime.Task) {
-		c.Append(p, oid, []byte("ab"))
-		c.Append(p, oid, []byte("cd"))
-		got, _ := c.Read(p, oid)
-		if string(got) != "abcd" {
-			t.Errorf("appended = %q, want abcd", got)
-		}
-	})
-}
-
 func TestReadMissing(t *testing.T) {
 	e, c := newTestCluster(t)
 	run(t, e, func(p runtime.Task) {
@@ -98,14 +85,14 @@ func TestRemoveAndExists(t *testing.T) {
 	oid := ObjectID{Pool: "meta", Name: "obj"}
 	run(t, e, func(p runtime.Task) {
 		c.Write(p, oid, []byte("x"))
-		if !c.Exists(p, oid) {
-			t.Error("object missing after write")
+		if _, err := c.Stat(p, oid); err != nil {
+			t.Errorf("object missing after write: %v", err)
 		}
 		if err := c.Remove(p, oid); err != nil {
 			t.Errorf("remove: %v", err)
 		}
-		if c.Exists(p, oid) {
-			t.Error("object exists after remove")
+		if _, err := c.Stat(p, oid); !errors.Is(err, ErrNotFound) {
+			t.Errorf("stat after remove err = %v, want ErrNotFound", err)
 		}
 		if err := c.Remove(p, oid); !errors.Is(err, ErrNotFound) {
 			t.Errorf("second remove err = %v, want ErrNotFound", err)
@@ -138,9 +125,8 @@ func TestOmap(t *testing.T) {
 		if err != nil || string(v) != "1" {
 			t.Errorf("omap get a = %q,%v", v, err)
 		}
-		keys, err := c.OmapList(p, oid)
-		if err != nil || len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-			t.Errorf("omap list = %v,%v", keys, err)
+		if v, err := c.OmapGet(p, oid, "b"); err != nil || string(v) != "2" {
+			t.Errorf("omap get b = %q,%v", v, err)
 		}
 		if err := c.OmapRemove(p, oid, "a"); err != nil {
 			t.Errorf("omap remove: %v", err)

@@ -20,9 +20,6 @@ func NewStriper(c *Cluster) *Striper {
 	return &Striper{c: c, unit: c.cfg.StripeUnit}
 }
 
-// Unit returns the stripe object size in bytes.
-func (s *Striper) Unit() int { return s.unit }
-
 func stripeName(name string, idx int) string {
 	return fmt.Sprintf("%s.%010d", name, idx)
 }

@@ -548,9 +548,6 @@ func (t *Task) Sleep(d runtime.Duration) {
 	}
 }
 
-// Yield gives other tasks of the domain a chance to take its lock.
-func (t *Task) Yield() { t.Sleep(0) }
-
 // Blocking implements runtime.Task: fn runs with the task's domain
 // released, so real I/O overlaps the domain's other tasks. fn must not
 // touch protocol state.

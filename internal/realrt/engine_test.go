@@ -48,7 +48,7 @@ func TestDomainExcludes(t *testing.T) {
 			v := counter
 			counter = v + 1
 			inside.Add(-1)
-			p.Yield()
+			p.Sleep(0)
 		}
 	}
 	for i := 0; i < tasks/2; i++ {
@@ -187,9 +187,9 @@ func TestForeignDomainReleased(t *testing.T) {
 	})
 	d.Spawn("resident", func(p runtime.Task) {
 		slept.Store(true)
-		p.Yield()
+		p.Sleep(0)
 		sig.Fire(nil)
-		p.Yield()
+		p.Sleep(0)
 		close(ioDone)
 	})
 	e.RunAll()
@@ -294,13 +294,13 @@ func TestTogether(t *testing.T) {
 	a.Spawn("a", func(p runtime.Task) {
 		for i := 0; i < rounds; i++ {
 			x++
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 	b.Spawn("b", func(p runtime.Task) {
 		for i := 0; i < rounds; i++ {
 			y++
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 	var sleepPanicked bool

@@ -310,7 +310,7 @@ func BenchmarkHandOffParked(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cpu.Acquire(t) // round 0: free; later: behind the wakee, which lets go at once
 				held.Add(1)
-				for cpu.QueueLen() == 0 {
+				for cpu.Snapshot().QueueLen == 0 {
 				}
 				if !e.polls { // let the wakee reach the scheduler
 					for end := time.Now().Add(20 * time.Microsecond); time.Now().Before(end); {

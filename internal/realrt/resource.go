@@ -47,13 +47,6 @@ func (r *Resource) Acquire(t runtime.Task) {
 	r.mu.Unlock()
 }
 
-// TryAcquire takes one unit if immediately available.
-func (r *Resource) TryAcquire() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.Admit(r.eng.Now())
-}
-
 // Release returns one unit and hands it to the head waiter, if any.
 func (r *Resource) Release() {
 	r.mu.Lock()

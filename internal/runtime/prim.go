@@ -10,8 +10,8 @@ import (
 // the state and reporting half of every Resource (the Ledger). They are
 // written over the kernel a backend states in a few calls: a Clock, one
 // sync.Locker per object, and its tasks' Parker methods. A backend keeps
-// the three queueing calls of its Resource (Acquire, TryAcquire, Release)
-// so that those read its clock and take its lock without a dynamic call.
+// the two queueing calls of its Resource (Acquire, Release) so that those
+// read its clock and take its lock without a dynamic call.
 
 // Parker is the blocking half of a backend's task, which every Task a
 // backend hands out also implements.
@@ -124,7 +124,7 @@ func (g *group) Wait(t Task) {
 // Ledger is a Resource's state — units in use, the FIFO of waiters, the
 // busy-time integral — and every reporting method of the Resource
 // interface. A backend's Resource embeds one and adds the queueing calls,
-// built from Request, Admit, Enqueue, Waited, Vacate and HandOff; those take the
+// built from Request, Enqueue, Waited, Vacate and HandOff; those take the
 // time from the caller and expect the caller to hold the ledger's lock.
 type Ledger struct {
 	clock    Clock
@@ -156,21 +156,16 @@ func (l *Ledger) Account(now Time) {
 	l.lastChange = now
 }
 
-// Admit takes a unit if one is free and no task queues for it.
-func (l *Ledger) Admit(now Time) bool {
+// Request counts an Acquire, whether or not it has to queue, and takes a
+// unit if one is free and no task queues for it.
+func (l *Ledger) Request(now Time) bool {
+	l.acquires++
 	if l.inUse < l.capacity && len(l.queue) == 0 {
 		l.Account(now)
 		l.inUse++
 		return true
 	}
 	return false
-}
-
-// Request is Admit for an Acquire, which is counted whether or not it
-// has to queue.
-func (l *Ledger) Request(now Time) bool {
-	l.acquires++
-	return l.Admit(now)
 }
 
 // Enqueue puts p at the tail of the FIFO; the caller parks it next.
@@ -204,45 +199,6 @@ func (l *Ledger) HandOff() Parker {
 
 // Name returns the resource name.
 func (l *Ledger) Name() string { return l.name }
-
-// Capacity returns the configured capacity.
-func (l *Ledger) Capacity() int { return l.capacity }
-
-// InUse returns the number of units currently held.
-func (l *Ledger) InUse() int {
-	l.lock.Lock()
-	defer l.lock.Unlock()
-	return l.inUse
-}
-
-// QueueLen returns the number of tasks waiting to acquire.
-func (l *Ledger) QueueLen() int {
-	l.lock.Lock()
-	defer l.lock.Unlock()
-	return len(l.queue)
-}
-
-// Acquires returns the total number of Acquire calls, granted at once or
-// queued; TryAcquire is not counted.
-func (l *Ledger) Acquires() uint64 {
-	l.lock.Lock()
-	defer l.lock.Unlock()
-	return l.acquires
-}
-
-// MeanWait returns the mean queueing delay across all acquires.
-func (l *Ledger) MeanWait() Duration {
-	l.lock.Lock()
-	defer l.lock.Unlock()
-	if l.acquires == 0 {
-		return 0
-	}
-	return l.waitTotal / Duration(l.acquires)
-}
-
-// Utilization returns the mean busy fraction (busy unit·time over
-// capacity·time) from the runtime's start to now.
-func (l *Ledger) Utilization() float64 { return l.Snapshot().Utilization }
 
 // UtilizationMark snapshots the accounting state at the current time.
 func (l *Ledger) UtilizationMark() ResourceMark {
@@ -287,7 +243,6 @@ func (l *Ledger) Snapshot() ResourceSnapshot {
 type pipe struct {
 	res  Resource
 	rate float64 // bytes per second
-	sent atomic.Uint64
 }
 
 // NewPipe returns a Pipe that serializes transfers through res, a
@@ -303,13 +258,9 @@ func (pp *pipe) Transfer(t Task, n int64) {
 	if n < 0 {
 		panic("runtime: negative transfer size")
 	}
-	pp.sent.Add(uint64(n))
 	pp.res.Use(t, Duration(float64(n)/pp.rate*1e9))
 }
 
-func (pp *pipe) Rate() float64                           { return pp.rate }
-func (pp *pipe) Bytes() uint64                           { return pp.sent.Load() }
-func (pp *pipe) Utilization() float64                    { return pp.res.Utilization() }
 func (pp *pipe) UtilizationMark() ResourceMark           { return pp.res.UtilizationMark() }
 func (pp *pipe) UtilizationSince(m ResourceMark) float64 { return pp.res.UtilizationSince(m) }
 func (pp *pipe) Snapshot() ResourceSnapshot              { return pp.res.Snapshot() }

@@ -30,7 +30,7 @@
 // integral and reporting methods. What a backend writes is the kernel
 // under them — a Clock, a sync.Locker per object (NoLock where one task
 // runs at a time), its tasks' Parker methods — plus Domain, Spawn and the
-// three queueing calls of its Resource, which stay per backend so that
+// two queueing calls of its Resource, which stay per backend so that
 // they reach the backend's clock and lock without a dynamic call.
 package runtime
 
@@ -86,10 +86,9 @@ type Task interface {
 	Clock
 	// Name returns the name given at spawn.
 	Name() string
-	// Sleep suspends the task for d (virtual or wall nanoseconds).
+	// Sleep suspends the task for d (virtual or wall nanoseconds); Sleep(0)
+	// gives other runnable tasks a chance to run.
 	Sleep(d Duration)
-	// Yield gives other runnable tasks a chance to run.
-	Yield()
 	// Blocking runs fn outside the domain discipline: the real backend
 	// releases the task's current domain around fn so true I/O (fsync,
 	// socket round trips) does not stall the domain's other tasks; the
@@ -224,26 +223,20 @@ type Group interface {
 }
 
 // Resource is a server with integer capacity and a FIFO queue; it
-// tracks busy time so utilization can be reported.
+// tracks busy time so utilization can be reported. Snapshot carries every
+// counter: capacity, units in use, queue length, acquires, total wait and
+// mean utilization.
 type Resource interface {
 	Name() string
-	Capacity() int
-	InUse() int
-	QueueLen() int
 	// Acquire takes one unit, blocking t in FIFO order until one frees.
 	Acquire(t Task)
-	// TryAcquire takes a unit if immediately available.
-	TryAcquire() bool
 	// Release returns one unit, handing it to the head waiter if any.
 	Release()
 	// Use acquires, holds for service duration d, then releases.
 	Use(t Task, d Duration)
-	Utilization() float64
 	UtilizationMark() ResourceMark
 	UtilizationSince(mark ResourceMark) float64
 	Snapshot() ResourceSnapshot
-	Acquires() uint64
-	MeanWait() Duration
 }
 
 // Pipe models a store-and-forward link or device with fixed bandwidth
@@ -252,9 +245,6 @@ type Pipe interface {
 	// Transfer moves n bytes through the pipe, blocking t for queueing
 	// plus n/rate seconds of service time.
 	Transfer(t Task, n int64)
-	Rate() float64
-	Bytes() uint64
-	Utilization() float64
 	UtilizationMark() ResourceMark
 	UtilizationSince(mark ResourceMark) float64
 	Snapshot() ResourceSnapshot

@@ -451,9 +451,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.block()
 }
 
-// Yield gives other ready events a chance to run at the current time.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Blocking implements runtime.Task. The simulator has no real I/O to
 // overlap, so fn runs inline; it must not touch simulation state.
 func (p *Proc) Blocking(fn func()) { fn() }

@@ -194,24 +194,9 @@ func TestResourceUtilization(t *testing.T) {
 		p.Sleep(10 * time.Millisecond) // idle tail
 	})
 	e.RunAll()
-	u := r.Utilization()
+	u := r.Snapshot().Utilization
 	if u < 0.74 || u > 0.76 {
 		t.Fatalf("utilization = %v, want 0.75", u)
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e, "x", 1)
-	if !r.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("second TryAcquire succeeded at capacity")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after Release failed")
 	}
 }
 
@@ -238,8 +223,8 @@ func TestPipeTransferTime(t *testing.T) {
 	if got := done.Seconds(); got < 0.499 || got > 0.501 {
 		t.Fatalf("transfer finished at %vs, want 0.5s", got)
 	}
-	if pipe.Bytes() != 50e6 {
-		t.Fatalf("pipe bytes = %d", pipe.Bytes())
+	if s := pipe.Snapshot(); s.Acquires != 1 || s.BusyArea < 0.499 || s.BusyArea > 0.501 {
+		t.Fatalf("pipe snapshot %+v, want one transfer busy for 0.5s", s)
 	}
 }
 
@@ -316,7 +301,7 @@ func TestUtilizationWindow(t *testing.T) {
 	if winU < 0.99 || winU > 1.01 {
 		t.Fatalf("windowed utilization = %v, want 1.0", winU)
 	}
-	total := r.Utilization()
+	total := r.Snapshot().Utilization
 	if total < 0.49 || total > 0.51 {
 		t.Fatalf("total utilization = %v, want 0.5", total)
 	}

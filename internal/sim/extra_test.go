@@ -46,34 +46,35 @@ func TestProcAccessors(t *testing.T) {
 		if !strings.Contains(p.String(), "worker") {
 			t.Errorf("string = %q", p.String())
 		}
-		p.Yield()
+		p.Sleep(0)
 	})
 	e.RunAll()
 }
 
+// TestResourceAccessors: the simulator's Snapshot reads exact values — an
+// uncontended use waits for nothing.
 func TestResourceAccessors(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "disk", 2)
-	if r.Name() != "disk" || r.Capacity() != 2 {
-		t.Fatalf("accessors: %q %d", r.Name(), r.Capacity())
+	if s := r.Snapshot(); s.Name != "disk" || s.Capacity != 2 {
+		t.Fatalf("snapshot %+v", s)
 	}
 	e.Go("a", func(p *Proc) {
 		r.Acquire(p)
-		if r.InUse() != 1 {
-			t.Errorf("in use = %d", r.InUse())
+		if s := r.Snapshot(); s.InUse != 1 {
+			t.Errorf("in use = %d", s.InUse)
 		}
 		p.Sleep(time.Millisecond)
 		r.Release()
 	})
 	e.RunAll()
-	if r.Acquires() != 1 {
-		t.Fatalf("acquires = %d", r.Acquires())
-	}
-	if r.MeanWait() != 0 {
-		t.Fatalf("mean wait = %v for uncontended use", r.MeanWait())
+	if s := r.Snapshot(); s.Acquires != 1 || s.WaitTotal != 0 {
+		t.Fatalf("acquires = %d, wait = %v for one uncontended use", s.Acquires, s.WaitTotal)
 	}
 }
 
+// TestResourceQueueLenAndMeanWait: a probe outside any process sees the
+// queued waiter, and the waiter's wait is exactly the rest of the hold.
 func TestResourceQueueLenAndMeanWait(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "cpu", 1)
@@ -85,8 +86,8 @@ func TestResourceQueueLenAndMeanWait(t *testing.T) {
 	})
 	probed := false
 	e.Schedule(5*time.Millisecond, func() {
-		if r.QueueLen() != 1 {
-			t.Errorf("queue len = %d, want 1", r.QueueLen())
+		if s := r.Snapshot(); s.QueueLen != 1 {
+			t.Errorf("queue len = %d, want 1", s.QueueLen)
 		}
 		probed = true
 	})
@@ -94,8 +95,8 @@ func TestResourceQueueLenAndMeanWait(t *testing.T) {
 	if !probed {
 		t.Fatal("probe never ran")
 	}
-	if r.MeanWait() <= 0 {
-		t.Fatalf("mean wait = %v, want > 0", r.MeanWait())
+	if s := r.Snapshot(); s.WaitTotal != 9*time.Millisecond || s.Acquires != 2 {
+		t.Fatalf("wait total = %v over %d acquires, want 9ms over 2", s.WaitTotal, s.Acquires)
 	}
 }
 
@@ -122,9 +123,6 @@ func TestNewPipeBadRatePanics(t *testing.T) {
 func TestPipeAccessorsAndNegativeTransfer(t *testing.T) {
 	e := NewEngine(1)
 	pp := NewPipe(e, "nic", 1e6)
-	if pp.Rate() != 1e6 {
-		t.Fatalf("rate = %v", pp.Rate())
-	}
 	mark := pp.UtilizationMark()
 	e.Go("w", func(p *Proc) {
 		pp.Transfer(p, 1e6)
@@ -133,8 +131,8 @@ func TestPipeAccessorsAndNegativeTransfer(t *testing.T) {
 		}
 	})
 	e.RunAll()
-	if pp.Utilization() < 0.99 {
-		t.Fatalf("pipe utilization = %v", pp.Utilization())
+	if u := pp.Snapshot().Utilization; u < 0.99 {
+		t.Fatalf("pipe utilization = %v", u)
 	}
 	e.Go("neg", func(p *Proc) {
 		defer func() {

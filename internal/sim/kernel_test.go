@@ -14,7 +14,7 @@ import (
 )
 
 // randomProgramHash runs a seeded program of ten root processes mixing
-// Sleep, Yield, Resource.Use, Signal, Group.Go and Schedule, logs every
+// Sleep, Sleep(0), Resource.Use, Signal, Group.Go and Schedule, logs every
 // step as (now, proc, step) and returns the FNV-1a hash of the log. Every
 // choice draws from the engine's random source, so one reordered event
 // shifts all later draws and changes the hash. slice > 0 drives the loop
@@ -44,7 +44,7 @@ func randomProgramHash(t *testing.T, seed int64, slice Duration) uint64 {
 					p.Sleep(dur())
 					log(name, "sleep")
 				case k == 2:
-					p.Yield()
+					p.Sleep(0)
 					log(name, "yield")
 				case k < 5:
 					r := res[rng.Intn(len(res))]
@@ -214,7 +214,7 @@ func TestSleepInlineAdvanceEdges(t *testing.T) {
 		for _, name := range []string{"a", "b"} {
 			e.Go(name, func(p *Proc) {
 				log = append(log, name+"0")
-				p.Yield()
+				p.Sleep(0)
 				log = append(log, name+"1")
 				p.Sleep(0)
 				log = append(log, name+"2")

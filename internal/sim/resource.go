@@ -70,9 +70,6 @@ func (r *Resource) Acquire(t runtime.Task) {
 	}
 }
 
-// TryAcquire takes one unit if immediately available and reports success.
-func (r *Resource) TryAcquire() bool { return r.Admit(r.eng.now) }
-
 // Release returns one unit and hands it to the head waiter, if any.
 func (r *Resource) Release() {
 	if !r.Vacate(r.eng.now) {

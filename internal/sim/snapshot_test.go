@@ -58,7 +58,7 @@ func TestRunFinalizesAccounting(t *testing.T) {
 	if got := r.Snapshot().BusyArea; got < 3.999 || got > 4.001 {
 		t.Fatalf("busyArea = %v, want ~4 after Run finalization", got)
 	}
-	if u := r.Utilization(); u < 0.499 || u > 0.501 {
+	if u := r.Snapshot().Utilization; u < 0.499 || u > 0.501 {
 		t.Fatalf("utilization = %v, want 0.5", u)
 	}
 	e.Shutdown()

@@ -1,6 +1,6 @@
 // Package stats provides the small numeric helpers the benchmark harness
-// uses: means, standard deviations, normalization, and time series built
-// from sampled counters.
+// uses: means, standard deviations, and time series built from sampled
+// counters.
 package stats
 
 import (
@@ -32,47 +32,6 @@ func StdDev(vals []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(vals)))
-}
-
-// Min returns the smallest value; it panics on an empty slice.
-func Min(vals []float64) float64 {
-	if len(vals) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest value; it panics on an empty slice.
-func Max(vals []float64) float64 {
-	if len(vals) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Normalize divides every value by base, the way the paper normalizes its
-// figures to a 1-client baseline. It panics if base is zero.
-func Normalize(vals []float64, base float64) []float64 {
-	if base == 0 {
-		panic("stats: normalize by zero")
-	}
-	out := make([]float64, len(vals))
-	for i, v := range vals {
-		out[i] = v / base
-	}
-	return out
 }
 
 // Series is a sampled time series.

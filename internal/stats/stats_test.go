@@ -27,35 +27,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	vals := []float64{3, -1, 7, 2}
-	if Min(vals) != -1 || Max(vals) != 7 {
-		t.Fatalf("min/max = %v/%v", Min(vals), Max(vals))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Min(empty) did not panic")
-		}
-	}()
-	Min(nil)
-}
-
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4, 8}, 2)
-	want := []float64{1, 2, 4}
-	for i := range want {
-		if !almost(got[i], want[i]) {
-			t.Fatalf("normalize = %v", got)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Normalize by zero did not panic")
-		}
-	}()
-	Normalize([]float64{1}, 0)
-}
-
 func TestSlowdown(t *testing.T) {
 	if !almost(Slowdown(30, 10), 3) {
 		t.Fatal("slowdown wrong")

@@ -2,10 +2,8 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // This file renders a Recorder as Chrome trace-event JSON — the
@@ -203,13 +201,4 @@ func (lp *lanePacker) place(begin, end Time) int {
 	}
 	lp.lanes = append(lp.lanes, []Time{end})
 	return len(lp.lanes)
-}
-
-// ChromeString renders the trace to a string, for tests and small dumps.
-func (r *Recorder) ChromeString() string {
-	var b strings.Builder
-	if err := r.WriteChrome(&b); err != nil {
-		return fmt.Sprintf("trace: %v", err)
-	}
-	return b.String()
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -32,7 +33,7 @@ func parseChrome(t *testing.T, s string) *chromeDoc {
 
 func TestWriteChromeEmpty(t *testing.T) {
 	var r *Recorder
-	doc := parseChrome(t, r.ChromeString())
+	doc := parseChrome(t, chromeString(r))
 	if len(doc.TraceEvents) != 0 {
 		t.Fatalf("empty trace has %d events", len(doc.TraceEvents))
 	}
@@ -45,7 +46,7 @@ func TestWriteChromeBasics(t *testing.T) {
 	r.Add(0, 4_000, "client.0", "transport", "rpc.create")
 	r.Instant(1_500, "mds.0", "mds", "cap.revoke")
 
-	out := r.ChromeString()
+	out := chromeString(r)
 	doc := parseChrome(t, out)
 
 	// 2 process_name metadata + 3 spans + 1 instant.
@@ -90,7 +91,7 @@ func TestLanePackingNestsAndSeparates(t *testing.T) {
 	r.Add(50, 150, "mds.0", "transport", "cross") // overlaps outer, no nest -> new lane
 	r.Add(120, 130, "mds.0", "rados", "later")    // after outer ends -> lane 1 again
 
-	doc := parseChrome(t, r.ChromeString())
+	doc := parseChrome(t, chromeString(r))
 	tids := map[string]int{}
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph == "X" {
@@ -115,7 +116,7 @@ func TestChromeDeterministic(t *testing.T) {
 		r.Add(5, 9, "b", "x", "s1", KV{"k", "v"}, KV{"a", "b"})
 		r.Add(1, 4, "a", "x", "s2")
 		r.Instant(2, "c", "y", "i1")
-		return r.ChromeString()
+		return chromeString(r)
 	}
 	if a, b := build(), build(); a != b {
 		t.Fatalf("non-deterministic chrome output:\n%s\n---\n%s", a, b)
@@ -126,7 +127,7 @@ func TestChromeDeterministic(t *testing.T) {
 func TestChromeOpenSpanClamped(t *testing.T) {
 	r := New()
 	r.Begin(100, "mds.0", "transport", "hung")
-	out := r.ChromeString()
+	out := chromeString(r)
 	doc := parseChrome(t, out)
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph == "X" && ev.Dur != 0 {
@@ -136,4 +137,13 @@ func TestChromeOpenSpanClamped(t *testing.T) {
 	if !strings.Contains(out, "hung") {
 		t.Fatal("open span missing from output")
 	}
+}
+
+// chromeString renders r's trace to a string.
+func chromeString(r *Recorder) string {
+	var b strings.Builder
+	if err := r.WriteChrome(&b); err != nil {
+		return fmt.Sprintf("trace: %v", err)
+	}
+	return b.String()
 }

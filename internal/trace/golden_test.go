@@ -46,8 +46,8 @@ func goldenRegistry(perm bool) *Registry {
 // and asserts label-permuted registrations render identically — the
 // determinism the live /metrics endpoint and CI artifact diffs rely on.
 func TestPrometheusGolden(t *testing.T) {
-	got := goldenRegistry(false).PrometheusString()
-	if permuted := goldenRegistry(true).PrometheusString(); permuted != got {
+	got := prometheusString(goldenRegistry(false))
+	if permuted := prometheusString(goldenRegistry(true)); permuted != got {
 		t.Fatalf("label permutation changed the rendered text:\n--- in order ---\n%s\n--- permuted ---\n%s", got, permuted)
 	}
 

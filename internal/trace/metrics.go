@@ -207,10 +207,3 @@ func (reg *Registry) WritePrometheus(w io.Writer) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// PrometheusString renders the registry to a string.
-func (reg *Registry) PrometheusString() string {
-	var b strings.Builder
-	_ = reg.WritePrometheus(&b)
-	return b.String()
-}

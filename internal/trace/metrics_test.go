@@ -14,7 +14,7 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	reg.Counter("cudele_mds_requests_total", "Requests served.", 7, KV{"daemon", "mds.1"})
 	reg.Gauge("cudele_mds_cpu_utilization", "Busy fraction.", 0.625, KV{"daemon", "mds.0"})
 
-	out := reg.PrometheusString()
+	out := prometheusString(reg)
 	for _, want := range []string{
 		"# HELP cudele_mds_requests_total Requests served.",
 		"# TYPE cudele_mds_requests_total counter",
@@ -40,7 +40,7 @@ func TestRegistryHistogramSummary(t *testing.T) {
 	}
 	reg := NewRegistry()
 	reg.Histogram("cudele_client_rpc_latency_seconds", "RPC round trips.", h, KV{"daemon", "client.0"})
-	out := reg.PrometheusString()
+	out := prometheusString(reg)
 	for _, want := range []string{
 		"# TYPE cudele_client_rpc_latency_seconds summary",
 		`cudele_client_rpc_latency_seconds{daemon="client.0",quantile="0.5"}`,
@@ -69,8 +69,8 @@ func TestRegistryAppendAddsLabelsAndValueLookup(t *testing.T) {
 	if _, ok := all.Value("util", KV{"daemon", "mds.0"}, KV{"run", "fig3a/003"}); !ok {
 		t.Fatal("label order changed lookup result")
 	}
-	if !strings.Contains(all.PrometheusString(), `util{daemon="mds.0",run="fig3a/003"} 0.5`) {
-		t.Fatalf("merged labels wrong:\n%s", all.PrometheusString())
+	if !strings.Contains(prometheusString(all), `util{daemon="mds.0",run="fig3a/003"} 0.5`) {
+		t.Fatalf("merged labels wrong:\n%s", prometheusString(all))
 	}
 }
 
@@ -91,9 +91,16 @@ func TestRegistryDeterministicAcrossFillOrder(t *testing.T) {
 				f()
 			}
 		}
-		return reg.PrometheusString()
+		return prometheusString(reg)
 	}
 	if a, b := build(false), build(true); a != b {
 		t.Fatalf("fill order leaked into output:\n%s\n---\n%s", a, b)
 	}
+}
+
+// prometheusString renders reg in the text exposition format.
+func prometheusString(reg *Registry) string {
+	var b strings.Builder
+	_ = reg.WritePrometheus(&b)
+	return b.String()
 }

@@ -77,9 +77,6 @@ type Recorder struct {
 // New returns an enabled recorder.
 func New() *Recorder { return &Recorder{} }
 
-// Enabled reports whether the recorder records (nil receivers do not).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Begin opens a span and returns its id. Disabled recorders return -1.
 func (r *Recorder) Begin(at Time, proc, cat, name string, args ...KV) SpanID {
 	if r == nil {

@@ -110,13 +110,6 @@ func (t *Table) Place(path string, rank int) {
 	})
 }
 
-// Remove drops the subtree's placement; it routes to rank 0 again (or to
-// its nearest placed ancestor).
-func (t *Table) Remove(path string) {
-	path = Clean(path)
-	t.mutate(func(s *tableSnap) { s.places = s.withoutPlace(path) })
-}
-
 // RankFor returns the rank owning path: the longest placed prefix wins,
 // with component-boundary matching ("/job1" does not own "/job10").
 // Unplaced paths belong to rank 0. Paths strictly under a split
@@ -233,20 +226,6 @@ func (t *Table) FragSplits() map[string][]int {
 	return out
 }
 
-// RankForEntry returns the rank owning dentry name of directory dir,
-// honoring a registered split before falling back to subtree placement.
-func (t *Table) RankForEntry(dir, name string) int {
-	s := t.snap.Load()
-	dir = Clean(dir)
-	if ranks, ok := s.frags[dir]; ok {
-		return ranks[FragIndex(name, len(ranks))]
-	}
-	if dir == "/" {
-		return s.rankFor("/" + name)
-	}
-	return s.rankFor(dir + "/" + name)
-}
-
 // Paths returns the placed paths in sorted order, for display.
 func (t *Table) Paths() []string {
 	places := t.snap.Load().places
@@ -314,10 +293,6 @@ func NewRouter(name string, table *Table, ranks []Endpoint, key func(msg any) st
 
 // Name implements Endpoint.
 func (r *Router) Name() string { return r.name }
-
-// Table returns the router's placement table (a replica to subscribe to
-// cluster-map updates).
-func (r *Router) Table() *Table { return r.table }
 
 // pick resolves the owning rank's endpoint for a message.
 func (r *Router) pick(msg any) Endpoint {

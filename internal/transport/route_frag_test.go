@@ -57,8 +57,11 @@ func TestSplitDirRouting(t *testing.T) {
 	if got := tb.RankFor("/hot/child/deep/er"); got != want {
 		t.Errorf("RankFor(/hot/child/deep/er) = %d, want frag rank %d", got, want)
 	}
-	if got := tb.RankForEntry("/hot", "child"); got != want {
-		t.Errorf("RankForEntry(/hot, child) = %d, want %d", got, want)
+	// Every entry of the split directory routes by its own name's hash.
+	for _, name := range []string{"a", "b", "file.0001", "ckpt"} {
+		if got, w := tb.RankFor("/hot"+"/"+name), []int{1, 2, 3}[FragIndex(name, 3)]; got != w {
+			t.Errorf("RankFor(/hot/%s) = %d, want frag rank %d", name, got, w)
+		}
 	}
 	wantCell := fmt.Sprintf("/hot#%d", FragIndex("child", 3))
 	if got := tb.SubtreeFor("/hot/child"); got != wantCell {

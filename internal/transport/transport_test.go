@@ -160,10 +160,6 @@ func TestTableLongestPrefix(t *testing.T) {
 			t.Errorf("RankFor(%q) = %d, want %d", c.path, got, c.want)
 		}
 	}
-	tb.Remove("/job/deep")
-	if got := tb.RankFor("/job/deep/a"); got != 1 {
-		t.Errorf("after remove, RankFor = %d, want 1 (parent placement)", got)
-	}
 }
 
 func TestTableCopyFrom(t *testing.T) {
