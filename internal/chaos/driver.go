@@ -43,16 +43,6 @@ type parentRef struct {
 	path string
 }
 
-// registration remembers one subtree registration so an MDS
-// crash+restart can re-attach it with the grant its client holds.
-type registration struct {
-	path  string
-	pol   *policy.Policy
-	owner string
-	lo    namespace.Ino
-	n     uint64
-}
-
 // maxParents caps how many directories the workload creates into, so
 // candidate sets stay small and journals stay self-contained without
 // deep nesting.
@@ -74,7 +64,6 @@ type driver struct {
 	res  Result
 
 	inj     *rados.FaultInjector
-	regs    []registration
 	parents []parentRef // where creates may land (cell.place); [0] is the subtree root
 	nameSeq int
 	bgSeq   int
@@ -278,12 +267,10 @@ func (d *driver) setup(p runtime.Task) bool {
 		AllocatedInodes: chaosGrant,
 		Interfere:       policy.InterfereAllow,
 	}
-	e, err := d.cl.DecouplePolicy(p, d.c, mainPath, pol)
-	if err != nil {
+	if _, err := d.cl.DecouplePolicy(p, d.c, mainPath, pol); err != nil {
 		d.violate("setup: decouple %s: %v", mainPath, err)
 		return false
 	}
-	d.regs = append(d.regs, registration{mainPath, pol, d.c.Name(), e.GrantLo, e.GrantN})
 	root, err := d.c.DecoupledRoot()
 	if err != nil {
 		d.violate("setup: decoupled root: %v", err)
@@ -301,12 +288,10 @@ func (d *driver) setup(p runtime.Task) bool {
 			AllocatedInodes: chaosGrant,
 			Interfere:       policy.InterfereAllow,
 		}
-		be, err := d.cl.DecouplePolicy(p, d.bg, bgPath, bpol)
-		if err != nil {
+		if _, err := d.cl.DecouplePolicy(p, d.bg, bgPath, bpol); err != nil {
 			d.violate("setup: decouple %s: %v", bgPath, err)
 			return false
 		}
-		d.regs = append(d.regs, registration{bgPath, bpol, d.bg.Name(), be.GrantLo, be.GrantN})
 		if d.bgRoot, err = d.bg.DecoupledRoot(); err != nil {
 			d.violate("setup: background root: %v", err)
 			return false
@@ -425,15 +410,19 @@ func (d *driver) crashMDS(p runtime.Task) {
 		d.violate("mds restart: %v", err)
 		return
 	}
-	for _, reg := range d.regs {
-		if d.cl.Metadata().Table().RankFor(reg.path) != rank {
+	paths := []string{mainPath}
+	if d.plan.Background {
+		paths = append(paths, bgPath)
+	}
+	for _, path := range paths {
+		if d.cl.Metadata().Table().RankFor(path) != rank {
 			continue // registration lives on a rank that did not crash
 		}
 		// Re-install the registration with the grant the client already
-		// holds — the recovery path the monitor's Reattach uses. A fresh
-		// Decouple would, rightly, be handed a range never issued before.
-		if err := srv.Attach(p, reg.path, reg.pol, reg.owner, reg.lo, reg.n); err != nil {
-			d.violate("re-attach %s: %v", reg.path, err)
+		// holds. A fresh Decouple would, rightly, be handed a range never
+		// issued before.
+		if err := d.cl.Reattach(p, path); err != nil {
+			d.violate("re-attach %s: %v", path, err)
 		}
 	}
 	// The client survived but its session and caps died with the MDS.
@@ -892,19 +881,20 @@ func (d *driver) checkPhantoms() {
 // checkGrants asserts every granted inode lies inside its
 // registration's range.
 func (d *driver) checkGrants() {
-	inRange := func(what, path string, ino uint64, reg registration) {
-		if lo, hi := uint64(reg.lo), uint64(reg.lo)+reg.n; ino < lo || ino >= hi {
+	inRange := func(what, path string, ino uint64, subtree string) {
+		e, _ := d.cl.Monitor().Lookup(subtree)
+		if lo, hi := uint64(e.GrantLo), uint64(e.GrantLo)+e.GrantN; ino < lo || ino >= hi {
 			d.violate("%s %s ino %d outside grant [%d,%d)", what, path, ino, lo, hi)
 		}
 	}
 	for _, path := range sortedKeys(d.o.pset) {
 		if u := d.o.pset[path]; u.granted {
-			inRange("update", path, u.ino, d.regs[0])
+			inRange("update", path, u.ino, mainPath)
 		}
 	}
 	if d.plan.Background {
 		for _, path := range sortedKeys(d.bgSet) {
-			inRange("background update", path, d.bgSet[path], d.regs[1])
+			inRange("background update", path, d.bgSet[path], bgPath)
 		}
 	}
 }

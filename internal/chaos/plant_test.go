@@ -120,8 +120,9 @@ var plants = map[string]plant{
 		cons: policy.ConsInvisible,
 		plant: func(t *testing.T, d *driver) {
 			// An acked, journaled, never-merged create shows up globally.
-			reg, root := d.regs[0], mainRoot(t, d)
-			u := update{path: mainPath + "/planted", ino: uint64(reg.lo) + reg.n - 1,
+			reg, _ := d.cl.Monitor().Lookup(mainPath)
+			root := mainRoot(t, d)
+			u := update{path: mainPath + "/planted", ino: uint64(reg.GrantLo) + reg.GrantN - 1,
 				parent: uint64(root), name: "planted", granted: true}
 			d.o.ackJournal(u, false)
 			_, err := d.mds().Store().Create(root, u.name, namespace.CreateAttrs{Ino: namespace.Ino(u.ino)})
@@ -143,8 +144,9 @@ var plants = map[string]plant{
 		plant: func(t *testing.T, d *driver) {
 			// An acked update (since lost with its client) whose inode was
 			// never part of the registration's grant.
-			reg, path := d.regs[0], mainPath+"/lost"
-			d.o.pset[path] = update{path: path, ino: uint64(reg.lo) + reg.n, granted: true}
+			reg, _ := d.cl.Monitor().Lookup(mainPath)
+			path := mainPath + "/lost"
+			d.o.pset[path] = update{path: path, ino: uint64(reg.GrantLo) + reg.GrantN, granted: true}
 		},
 	},
 	"no-duplicate-inode": {
