@@ -119,7 +119,7 @@ type Client struct {
 	// the client process. The allocation cursor is kept too — inodes
 	// already drawn may be durable somewhere (a persisted journal, a
 	// merged namespace), so a restarted client must never hand them out a
-	// second time. The journal, local image and undo log are gone.
+	// second time. The journal, local image and pre-images are gone.
 	crashed *decoupled
 
 	// failRollback, when non-nil, makes the next speculative rollback
@@ -157,10 +157,18 @@ type decoupled struct {
 	// (blind, speculative, or convergent). The zero value ConsInvisible
 	// merges blind, so pre-existing flows are untouched.
 	mode policy.Consistency
-	// undo is the speculative-mode undo log: one EvUndo record per
-	// journaled op, indexed 1:1 with the journal, consulted when the MDS
-	// rejects predictions at merge time. nil outside ConsSpeculative.
-	undo *journal.Journal
+	// undo holds, in ConsSpeculative, one pre-image per journaled op,
+	// index for index with the journal: nil for a create or mkdir, a copy
+	// of the inode an unlink removed or a setattr overwrote. Rollback puts
+	// the rejected ops' pre-images back. Empty in every other cell.
+	undo []*namespace.Inode
+}
+
+// clearJournal empties the journal and its pre-images together.
+func (d *decoupled) clearJournal() {
+	d.jrnl.Reset()
+	clear(d.undo)
+	d.undo = d.undo[:0]
 }
 
 // New creates a client attached to a metadata service and object store.

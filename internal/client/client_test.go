@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -378,6 +379,46 @@ func TestLocalPersistFileSurvivesFailedPersist(t *testing.T) {
 			t.Error("persist with an unwritable tmp file succeeded")
 		}
 		recovered("after a failed persist", 5)
+	})
+}
+
+// TestFailedLocalPersistIsNotRecoverable: a Local Persist whose durable
+// write fails acknowledged nothing, so a crashed client's RecoverLocal
+// must find no persisted journal — not the image the failed persist
+// encoded. Here the local directory lies under a regular file, which is
+// gone again by the time the client restarts, so the disk holds no
+// journal and recovery consults the client's own record of what it made
+// durable.
+func TestFailedLocalPersistIsNotRecoverable(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cl := newCluster()
+	c := cl.client("c0")
+	c.SetLocalDir(filepath.Join(file, "dir"))
+	cl.run(t, func(p runtime.Task) {
+		c.MkdirAll(p, "/job", 0755)
+		if err := c.Decouple(p, "/job", decouplePolicy(policy.ConsInvisible, policy.DurLocal, 100)); err != nil {
+			t.Fatalf("decouple: %v", err)
+		}
+		root, _ := c.DecoupledRoot()
+		for i := 0; i < 3; i++ {
+			c.LocalCreate(p, root, fmt.Sprintf("f%d", i), 0644)
+		}
+		if err := c.LocalPersist(p); err == nil {
+			t.Fatal("local persist under a regular file succeeded")
+		}
+		c.Crash(p)
+		if err := os.Remove(file); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Restart(p); err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		if n, err := c.RecoverLocal(p); err == nil || !strings.Contains(err.Error(), "no persisted journal") {
+			t.Errorf("recover after a failed persist = %d events, %v; want no persisted journal", n, err)
+		}
 	})
 }
 

@@ -88,21 +88,12 @@ func (c *Client) LocalWriteFile(p runtime.Task, ino namespace.Ino, data []byte) 
 	if err := striper.Write(p, DataPool, dataName(ino), data); err != nil {
 		return fmt.Errorf("local write file %d: %w", ino, err)
 	}
-	// Track the size locally and journal the attribute update; the undo
-	// entry keeps the attributes it replaced.
-	prev := *in
-	if err := c.dec.store.SetAttr(in.Ino, in.Mode, in.UID, in.GID, uint64(len(data)), int64(p.Now())); err != nil {
-		return err
-	}
-	ev := &journal.Event{
+	// Track the size locally and journal the attribute update.
+	return c.applyAndAppend(p, &journal.Event{
 		Type: journal.EvSetAttr, Ino: uint64(ino),
 		Mode: in.Mode, UID: in.UID, GID: in.GID,
 		Size: uint64(len(data)), Mtime: int64(p.Now()),
-	}
-	if err := c.appendEvent(p, ev); err != nil {
-		return err
-	}
-	return c.recordUndo(ev, &prev)
+	})
 }
 
 // RemoveFileData deletes a file's contents from the data pool; unlink

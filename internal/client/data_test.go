@@ -132,11 +132,11 @@ func TestRemoveFileData(t *testing.T) {
 }
 
 // TestSpeculativeWriteFileRollback: a speculative LocalWriteFile journals
-// a setattr, so it records an undo entry like every other speculative op —
-// the undo log stays index for index with the journal — and a rejected
-// one is rolled back to the attributes it overwrote. Without the entry
-// the rollback of any later op ran off the end of the undo log
-// ("rollback index 3 out of range (4 ops, 2 undos)"), and RecoverLocal
+// a setattr, so it keeps a pre-image like every other speculative op —
+// the pre-images stay index for index with the journal — and a rejected
+// one is rolled back to the attributes it overwrote. When the write kept
+// no undo entry, the rollback of any later op ran off the end of the undo
+// log ("rollback index 3 out of range (4 ops, 2 undos)"), and RecoverLocal
 // refused a journal holding a setattr.
 func TestSpeculativeWriteFileRollback(t *testing.T) {
 	setup := func(t *testing.T, p runtime.Task, c *Client, dur policy.Durability) (job, root namespace.Ino) {
@@ -162,8 +162,8 @@ func TestSpeculativeWriteFileRollback(t *testing.T) {
 	}
 	assertCleared := func(t *testing.T, c *Client) {
 		t.Helper()
-		if j, u := c.dec.jrnl.Len(), c.dec.undo.Len(); j != 0 || u != 0 {
-			t.Errorf("after the merge the journal holds %d events and the undo log %d, want both empty", j, u)
+		if j, u := c.dec.jrnl.Len(), len(c.dec.undo); j != 0 || u != 0 {
+			t.Errorf("after the merge the journal holds %d events and %d pre-images, want both empty", j, u)
 		}
 	}
 
@@ -188,8 +188,8 @@ func TestSpeculativeWriteFileRollback(t *testing.T) {
 			c.LocalWriteFile(p, x, []byte("data"))
 			c.LocalWriteFile(p, old, []byte("a longer v2"))
 			c.LocalCreate(p, root, "y", 0644)
-			if j, u := c.dec.jrnl.Len(), c.dec.undo.Len(); j != 4 || u != 4 {
-				t.Fatalf("journal holds %d events, undo log %d; want 4 and 4", j, u)
+			if j, u := c.dec.jrnl.Len(), len(c.dec.undo); j != 4 || u != 4 {
+				t.Fatalf("journal holds %d events and %d pre-images; want 4 and 4", j, u)
 			}
 			if err := intr.Unlink(p, job, "old"); err != nil {
 				t.Fatalf("interfering unlink: %v", err)
@@ -219,7 +219,7 @@ func TestSpeculativeWriteFileRollback(t *testing.T) {
 	})
 
 	// Recovered: the client dies after a local persist; the reborn
-	// client's image and undo log are rebuilt from the journal, setattr
+	// client's image and pre-images are rebuilt from the journal, setattr
 	// included, and the merge rolls back the create the interferer beat
 	// and the write to it.
 	t.Run("recovered", func(t *testing.T) {

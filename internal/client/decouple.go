@@ -127,9 +127,11 @@ func (d *decoupled) globalParent(dir namespace.Ino) uint64 {
 }
 
 // appendEvent charges the Append Client Journal cost and records the
-// event. Events are not checked against the global namespace — the
-// metadata server will blindly apply them at merge time (paper §III-A).
-func (c *Client) appendEvent(p runtime.Task, ev *journal.Event) error {
+// event, and in the speculative cell its pre-image beside it, so the
+// journal and the pre-images stay index for index. Events are not
+// checked against the global namespace — the metadata server will
+// blindly apply them at merge time (paper §III-A).
+func (c *Client) appendEvent(p runtime.Task, ev *journal.Event, pre *namespace.Inode) error {
 	// Guarded, not left to Begin and End's own nil checks: their time
 	// arguments are evaluated first, and on the real backend each is a
 	// clock read per append.
@@ -146,8 +148,21 @@ func (c *Client) appendEvent(p runtime.Task, ev *journal.Event) error {
 	if _, err := c.dec.jrnl.Append(ev); err != nil {
 		return err
 	}
+	if c.dec.mode == policy.ConsSpeculative {
+		c.dec.undo = append(c.dec.undo, pre)
+	}
 	c.stats.Appends++
 	return nil
+}
+
+// applyAndAppend is a Local* operation's body: apply ev to the
+// client-local image, then journal it.
+func (c *Client) applyAndAppend(p runtime.Task, ev *journal.Event) error {
+	pre, err := c.dec.applyLocal(ev)
+	if err != nil {
+		return err
+	}
+	return c.appendEvent(p, ev, pre)
 }
 
 // LocalCreate creates a file in the decoupled subtree: a local-image
@@ -163,19 +178,11 @@ func (c *Client) LocalCreate(p runtime.Task, dir namespace.Ino, name string, mod
 	if err != nil {
 		return 0, err
 	}
-	if _, err := c.dec.store.Create(c.dec.localParent(dir), name,
-		namespace.CreateAttrs{Ino: namespace.Ino(ino), Mode: mode}); err != nil {
-		return 0, err
-	}
-	ev := &journal.Event{
+	if err := c.applyAndAppend(p, &journal.Event{
 		Type: journal.EvCreate, Ino: ino,
 		Parent: c.dec.globalParent(dir), Name: name, Mode: mode,
 		Mtime: int64(p.Now()),
-	}
-	if err := c.appendEvent(p, ev); err != nil {
-		return 0, err
-	}
-	if err := c.recordUndo(ev, nil); err != nil {
+	}); err != nil {
 		return 0, err
 	}
 	c.stats.Creates++
@@ -193,19 +200,11 @@ func (c *Client) LocalMkdir(p runtime.Task, dir namespace.Ino, name string, mode
 	if err != nil {
 		return 0, err
 	}
-	if _, err := c.dec.store.Mkdir(c.dec.localParent(dir), name,
-		namespace.CreateAttrs{Ino: namespace.Ino(ino), Mode: mode}); err != nil {
-		return 0, err
-	}
-	ev := &journal.Event{
+	if err := c.applyAndAppend(p, &journal.Event{
 		Type: journal.EvMkdir, Ino: ino,
 		Parent: c.dec.globalParent(dir), Name: name, Mode: mode,
 		Mtime: int64(p.Now()),
-	}
-	if err := c.appendEvent(p, ev); err != nil {
-		return 0, err
-	}
-	if err := c.recordUndo(ev, nil); err != nil {
+	}); err != nil {
 		return 0, err
 	}
 	return namespace.Ino(ino), nil
@@ -221,22 +220,10 @@ func (c *Client) LocalUnlink(p runtime.Task, dir namespace.Ino, name string) err
 	if c.dec == nil {
 		return ErrNotDecoupled
 	}
-	victim, err := c.dec.store.Lookup(c.dec.localParent(dir), name)
-	if err != nil {
-		return err
-	}
-	vcopy := *victim
-	if err := c.dec.store.Unlink(c.dec.localParent(dir), name); err != nil {
-		return err
-	}
-	ev := &journal.Event{
+	return c.applyAndAppend(p, &journal.Event{
 		Type: journal.EvUnlink, Parent: c.dec.globalParent(dir), Name: name,
 		Mtime: int64(p.Now()),
-	}
-	if err := c.appendEvent(p, ev); err != nil {
-		return err
-	}
-	return c.recordUndo(ev, &vcopy)
+	})
 }
 
 // LocalLookup resolves one dentry in the client-local image of the
@@ -280,9 +267,8 @@ func (c *Client) VolatileApply(p runtime.Task) (int, error) {
 
 // merge is the one merge mechanism behind VolatileApply, SpeculativeApply
 // and ConvergeApply: ship the journal in the given mode, undo locally
-// whatever the MDS rejected, and only then clear the journal and the
-// undo log — together, so the two stay index for index. An error leaves
-// both as they were.
+// whatever the MDS rejected, and only then clear the journal and its
+// pre-images. An error leaves both as they were.
 func (c *Client) merge(p runtime.Task, mode mds.MergeMode) *mds.MergeReply {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
@@ -303,10 +289,7 @@ func (c *Client) merge(p runtime.Task, mode mds.MergeMode) *mds.MergeReply {
 		r.Err = c.rollbackSpec(ops, r.Conflicts)
 	}
 	if r.Err == nil {
-		c.dec.jrnl.Reset()
-		if c.dec.undo != nil {
-			c.dec.undo.Reset()
-		}
+		c.dec.clearJournal()
 	}
 	return r
 }
@@ -392,9 +375,9 @@ func (c *Client) persistChunk() int {
 // LocalPersist serializes the journal to the client's local disk. The
 // transfer cost is the disk's write bandwidth over the journal's nominal
 // footprint (paper §III-A), billed one chunk at a time. The image is
-// encoded into a fresh buffer and installed only once the whole encode
-// has succeeded, so a failed persist leaves the previous recovery image
-// untouched.
+// encoded into a fresh buffer and installed as the recovery image only
+// once it is durable, so a failed persist leaves the previous recovery
+// image untouched.
 func (c *Client) LocalPersist(p runtime.Task) error {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
@@ -412,11 +395,11 @@ func (c *Client) LocalPersist(p runtime.Task) error {
 		c.noteTransfer(bytes)
 		c.chargeLocalDisk(p, bytes)
 	}
-	c.localFiles["journal"] = data
-	if err := c.persistUndoLocal(p); err != nil {
+	if err := c.persistLocal(p, data); err != nil {
 		return err
 	}
-	return c.persistLocal(p, data)
+	c.localFiles["journal"] = data
+	return nil
 }
 
 // LocalJournalFile returns the bytes written by LocalPersist, as a
@@ -453,9 +436,8 @@ func (c *Client) RecoverLocal(p runtime.Task) (int, error) {
 		return 0, err
 	}
 	c.dec.jrnl = j
-	// Speculative mode rebuilds the local image and undo log from the
-	// recovered journal itself: the ops are the authoritative record, so
-	// a torn or missing persisted undo image cannot corrupt recovery.
+	// Speculative mode rebuilds the local image and the pre-images from
+	// the recovered journal itself: the ops are the record.
 	if c.dec.mode == policy.ConsSpeculative {
 		if err := c.rebuildSpeculative(); err != nil {
 			return 0, err
@@ -515,7 +497,7 @@ func (c *Client) GlobalPersist(p runtime.Task) error {
 			return err
 		}
 	}
-	return c.persistUndoGlobal(p, striper)
+	return nil
 }
 
 // FetchGlobalJournal reads back a journal persisted by GlobalPersist:
@@ -633,7 +615,7 @@ func (c *Client) NonvolatileApply(p runtime.Task) (int, error) {
 	if err := pl.Flush(p); err != nil {
 		return applied, fmt.Errorf("nonvolatile apply: %w", err)
 	}
-	c.dec.jrnl.Reset()
+	c.dec.clearJournal()
 	return applied, nil
 }
 

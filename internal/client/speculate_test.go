@@ -1,0 +1,206 @@
+package client
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"cudele/internal/journal"
+	"cudele/internal/namespace"
+	"cudele/internal/policy"
+	"cudele/internal/runtime"
+)
+
+// imageOf renders every inode of a client-local image with the
+// attributes rollback must restore, in walk order.
+func imageOf(t *testing.T, s *namespace.Store) string {
+	t.Helper()
+	var b strings.Builder
+	err := s.Walk(namespace.RootIno, func(path string, in *namespace.Inode) error {
+		fmt.Fprintf(&b, "%s ino=%d %v mode=%o uid=%d gid=%d size=%d mtime=%d\n",
+			path, in.Ino, in.Type, in.Mode, in.UID, in.GID, in.Size, in.Mtime)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walk: %v", err)
+	}
+	return b.String()
+}
+
+// specFile is a file the speculative client's image holds: its inode,
+// global parent and name; fresh when created in the current batch, and
+// stolen when an interferer then took its name globally.
+type specFile struct {
+	ino           namespace.Ino
+	dir           namespace.Ino
+	name          string
+	fresh, stolen bool
+}
+
+// TestSpeculativeRollbackEqualsAcceptedReplay: after a speculative merge
+// the client's local image must be exactly what replaying only the
+// accepted ops onto an empty image gives — every rejected create, mkdir,
+// unlink and write undone, attributes and sizes included. Seeded batches
+// of LocalCreate, LocalMkdir, LocalUnlink and LocalWriteFile run against
+// an interferer that takes names the client is creating (rejecting the
+// create or mkdir and, through a missing parent, everything under it)
+// and unlinks files of earlier batches (rejecting the client's writes
+// and unlinks of them). In the "recovered" variant the client persists
+// its first batch locally, crashes and recovers before that merge, so
+// its image and pre-images are rebuilt from the journal.
+func TestSpeculativeRollbackEqualsAcceptedReplay(t *testing.T) {
+	for _, variant := range []string{"live", "recovered"} {
+		crash := variant == "recovered"
+		t.Run(variant, func(t *testing.T) {
+			rejected := map[journal.EventType]int{}
+			for seed := int64(1); seed <= 30; seed++ {
+				specRollbackRun(t, seed, crash, rejected)
+			}
+			// Four batches of a few ops reach every rollback arm; crashing
+			// before the first merge leaves no earlier file to unlink.
+			want := []journal.EventType{journal.EvCreate, journal.EvMkdir, journal.EvSetAttr, journal.EvUnlink}
+			if crash {
+				want = want[:3]
+			}
+			for _, typ := range want {
+				if rejected[typ] == 0 {
+					t.Errorf("no %v was rejected in 30 seeds: the test does not reach its rollback", typ)
+				}
+			}
+		})
+	}
+}
+
+func specRollbackRun(t *testing.T, seed int64, crash bool, rejected map[journal.EventType]int) {
+	rng := rand.New(rand.NewSource(seed))
+	cl := newCluster()
+	c, intr := cl.client("c0"), cl.client("intr")
+	cl.run(t, func(p runtime.Task) {
+		if _, err := c.MkdirAll(p, "/job", 0755); err != nil {
+			t.Fatalf("seed %d: mkdirall: %v", seed, err)
+		}
+		if err := c.Decouple(p, "/job", decouplePolicy(policy.ConsSpeculative, policy.DurLocal, 1000)); err != nil {
+			t.Fatalf("seed %d: decouple: %v", seed, err)
+		}
+		if err := c.SetMergeMode(policy.ConsSpeculative); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		root, _ := c.DecoupledRoot()
+		var accepted []*journal.Event
+		names := 0
+		fresh := func() string { names++; return fmt.Sprintf("n%d", names) }
+		gone := map[namespace.Ino]bool{} // unlinked globally by the interferer
+		for batch := 0; batch < 4; batch++ {
+			// What the image holds at the start of the batch exists
+			// globally too, since only accepted ops remain in it.
+			dirs, files := []namespace.Ino{root}, []specFile(nil)
+			global := map[namespace.Ino]bool{root: true}
+			c.dec.store.Walk(namespace.RootIno, func(_ string, in *namespace.Inode) error {
+				switch {
+				case in.Ino == namespace.RootIno:
+				case in.IsDir():
+					dirs = append(dirs, in.Ino)
+					global[in.Ino] = true
+				default:
+					files = append(files, specFile{ino: in.Ino, dir: namespace.Ino(c.dec.globalParent(in.Parent)), name: in.Name})
+				}
+				return nil
+			})
+			for _, f := range files {
+				if !gone[f.ino] && rng.Float64() < 0.2 {
+					if err := intr.Unlink(p, f.dir, f.name); err != nil {
+						t.Fatalf("seed %d: interfering unlink of %s: %v", seed, f.name, err)
+					}
+					gone[f.ino] = true
+				}
+			}
+			for op := 0; op < 3+rng.Intn(8); op++ {
+				var unlinkable []int
+				for i, f := range files {
+					if !(f.fresh && f.stolen) { // the global name is someone else's
+						unlinkable = append(unlinkable, i)
+					}
+				}
+				dir, steal := dirs[rng.Intn(len(dirs))], rng.Float64() < 0.3
+				switch r := rng.Intn(100); {
+				case r < 35 || len(files) == 0:
+					name := fresh()
+					ino, err := c.LocalCreate(p, dir, name, 0644)
+					if err != nil {
+						t.Fatalf("seed %d: local create: %v", seed, err)
+					}
+					f := specFile{ino: ino, dir: dir, name: name, fresh: true, stolen: steal && global[dir]}
+					if f.stolen {
+						if _, err := intr.Create(p, dir, name, 0600); err != nil {
+							t.Fatalf("seed %d: interfering create: %v", seed, err)
+						}
+					}
+					files = append(files, f)
+				case r < 50:
+					name := fresh()
+					ino, err := c.LocalMkdir(p, dir, name, 0755)
+					if err != nil {
+						t.Fatalf("seed %d: local mkdir: %v", seed, err)
+					}
+					if steal && global[dir] {
+						if _, err := intr.Mkdir(p, dir, name, 0700); err != nil {
+							t.Fatalf("seed %d: interfering mkdir: %v", seed, err)
+						}
+					}
+					dirs = append(dirs, ino)
+				case r < 75 || len(unlinkable) == 0:
+					f := files[rng.Intn(len(files))]
+					if err := c.LocalWriteFile(p, f.ino, make([]byte, 1+rng.Intn(64))); err != nil {
+						t.Fatalf("seed %d: local write: %v", seed, err)
+					}
+				default:
+					i := unlinkable[rng.Intn(len(unlinkable))]
+					if err := c.LocalUnlink(p, files[i].dir, files[i].name); err != nil {
+						t.Fatalf("seed %d: local unlink: %v", seed, err)
+					}
+					files = append(files[:i], files[i+1:]...)
+				}
+			}
+
+			if crash && batch == 0 {
+				if err := c.LocalPersist(p); err != nil {
+					t.Fatalf("seed %d: local persist: %v", seed, err)
+				}
+				c.Crash(p)
+				if err := c.Restart(p); err != nil {
+					t.Fatalf("seed %d: restart: %v", seed, err)
+				}
+				if _, err := c.RecoverLocal(p); err != nil {
+					t.Fatalf("seed %d: recover: %v", seed, err)
+				}
+			}
+			events, _ := c.JournalEvents()
+			if len(c.dec.undo) != len(events) {
+				t.Fatalf("seed %d batch %d: %d pre-images for %d journaled ops", seed, batch, len(c.dec.undo), len(events))
+			}
+			_, rej, err := c.SpeculativeApply(p)
+			if err != nil {
+				t.Fatalf("seed %d batch %d: merge: %v", seed, batch, err)
+			}
+			for i, ev := range events {
+				if len(rej) > 0 && rej[0] == i {
+					rejected[ev.Type]++
+					rej = rej[1:]
+					continue
+				}
+				accepted = append(accepted, ev)
+			}
+			replay := &decoupled{root: root, store: namespace.NewStore()}
+			for _, ev := range accepted {
+				if _, err := replay.applyLocal(ev); err != nil {
+					t.Fatalf("seed %d batch %d: replaying accepted %v: %v", seed, batch, ev, err)
+				}
+			}
+			if got, want := imageOf(t, c.dec.store), imageOf(t, replay.store); got != want {
+				t.Fatalf("seed %d batch %d: the rolled-back image differs from a replay of the accepted ops:\n%s\nwant:\n%s",
+					seed, batch, got, want)
+			}
+		}
+	})
+}

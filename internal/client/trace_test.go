@@ -42,13 +42,13 @@ func TestAppendEventTracingDisabled(t *testing.T) {
 			return &journal.Event{Type: journal.EvCreate, Parent: uint64(root), Name: name, Ino: 1 << 40}
 		}
 		counted := &clockCounter{Task: p}
-		if err := c.appendEvent(counted, event("off")); err != nil || counted.reads != 0 {
+		if err := c.appendEvent(counted, event("off"), nil); err != nil || counted.reads != 0 {
 			t.Errorf("tracing off: appendEvent read the clock %d times (err %v), want 0", counted.reads, err)
 		}
 		rec := trace.New()
 		cl.eng.SetTracer(rec)
 		begin := p.Now()
-		if err := c.appendEvent(counted, event("on")); err != nil || counted.reads != 2 {
+		if err := c.appendEvent(counted, event("on"), nil); err != nil || counted.reads != 2 {
 			t.Errorf("tracing on: appendEvent read the clock %d times (err %v), want 2", counted.reads, err)
 		}
 		spans := rec.Spans()

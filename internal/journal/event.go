@@ -31,7 +31,6 @@ const (
 	EvSetAttr              // update inode attributes
 	EvAllocRange           // record an inode-number range grant
 	EvExport               // subtree export-commit record (migration)
-	EvUndo                 // speculative-mode per-op undo record
 	evMax
 )
 
@@ -45,7 +44,6 @@ var eventTypeNames = [...]string{
 	EvSetAttr:    "setattr",
 	EvAllocRange: "alloc",
 	EvExport:     "export",
-	EvUndo:       "undo",
 }
 
 func (t EventType) String() string {
@@ -70,15 +68,6 @@ func (t EventType) Valid() bool { return t > EvInvalid && t < evMax }
 //	  Parent the source rank, NewParent the destination rank, Seq the
 //	  monitor-assigned migration sequence. Written as the export-commit
 //	  record; a namespace store treats it as a no-op on replay.
-//	Undo: speculative-mode rollback bookkeeping. Parent+Name name the
-//	  dentry the undone op touched, Ino its inode, Mode the EventType of
-//	  the op being undone, Size the op's index in the client journal.
-//	  For an undone unlink, UID/GID/Mtime and NewParent (the mode) carry
-//	  the victim's original attributes so rollback can re-create it. For
-//	  an undone setattr they carry the attributes it replaced, Parent the
-//	  previous size and Name the inode's own name (a setattr names no
-//	  dentry), so rollback can put them back. A namespace store treats
-//	  it as a no-op on replay.
 type Event struct {
 	Type      EventType
 	Seq       uint64 // per-producer sequence number
@@ -130,10 +119,6 @@ func (e *Event) Validate() error {
 		if e.Name == "" {
 			return fmt.Errorf("%w: export with empty path", ErrBadEvent)
 		}
-	case EvUndo:
-		if e.Name == "" {
-			return fmt.Errorf("%w: undo with empty name", ErrBadEvent)
-		}
 	}
 	return nil
 }
@@ -159,9 +144,6 @@ func (e *Event) String() string {
 	case EvExport:
 		return fmt.Sprintf("%-7s seq=%d subtree=%q root=%d rank %d -> %d",
 			e.Type, e.Seq, e.Name, e.Ino, e.Parent, e.NewParent)
-	case EvUndo:
-		return fmt.Sprintf("%-7s seq=%d client=%s undoes=%s[%d] parent=%d name=%q ino=%d",
-			e.Type, e.Seq, e.Client, EventType(e.Mode), e.Size, e.Parent, e.Name, e.Ino)
 	}
 	return fmt.Sprintf("%-7s seq=%d", e.Type, e.Seq)
 }

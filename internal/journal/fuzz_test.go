@@ -2,9 +2,27 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 )
+
+// recordOfType is a one-record journal image whose record carries type
+// byte typ under a valid length prefix and CRC.
+func recordOfType(tb testing.TB, typ byte) []byte {
+	img, err := Encode([]*Event{{Type: EvCreate, Client: "client.0", Parent: 1, Name: "f0", Ino: 10}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body := img[MagicLen:]
+	plen, n := binary.Uvarint(body)
+	payload := body[n : n+int(plen)]
+	payload[0] = typ
+	binary.LittleEndian.PutUint32(body[n+int(plen):], crc32.Checksum(payload, castagnoli))
+	return img
+}
 
 // FuzzDecode guards the codec against truncation, CRC, and bounds
 // regressions: Decode must never panic on arbitrary input, and any image
@@ -26,13 +44,18 @@ func FuzzDecode(f *testing.F) {
 		{Type: EvSetAttr, Seq: 5, Client: "client.0", Ino: 10, Mode: 0600, UID: 7, GID: 8, Size: 99, Mtime: -3},
 		{Type: EvAllocRange, Seq: 6, Client: "client.2", Ino: 1 << 33, Size: 100000},
 		{Type: EvExport, Seq: 7, Name: "/spec", Ino: 12, Parent: 0, NewParent: 1},
-		{Type: EvUndo, Seq: 8, Client: "client.0", Parent: 1, Name: "f0", Ino: 10, Mode: uint32(EvCreate), Size: 0},
-		{Type: EvUndo, Seq: 9, Client: "client.1", Parent: 1, Name: "g", Ino: 13, Mode: uint32(EvUnlink), Size: 2, UID: 7, GID: 8, Mtime: 42},
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(full)
+	// A record of type 9, which an older build wrote as a speculative undo
+	// record: a well-framed record of no known type is malformed.
+	stale := recordOfType(f, 9)
+	if _, err := Decode(stale); !errors.Is(err, ErrBadEvent) {
+		f.Fatalf("decode of a type-9 record = %v, want ErrBadEvent", err)
+	}
+	f.Add(stale)
 	// Mutated seeds: truncations, a flipped CRC byte, bad magic.
 	f.Add(full[:len(full)-1])
 	f.Add(full[:MagicLen+1])

@@ -32,9 +32,6 @@ func New(segSize int) *Journal {
 	return &Journal{segSize: segSize}
 }
 
-// NextSeq returns the sequence number the next appended event receives.
-func (j *Journal) NextSeq() uint64 { return j.nextSeq }
-
 // Append stamps ev with the next sequence number and appends it. If the
 // append seals the current segment, the sealed segment is returned so the
 // owner can queue it for dispatch; otherwise Append returns nil.

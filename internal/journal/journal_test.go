@@ -209,8 +209,8 @@ func TestJournalSequenceNumbers(t *testing.T) {
 			t.Fatalf("event %d seq = %d", i, ev.Seq)
 		}
 	}
-	if j.NextSeq() != 5 {
-		t.Fatalf("next seq = %d", j.NextSeq())
+	if j.nextSeq != 5 {
+		t.Fatalf("next seq = %d", j.nextSeq)
 	}
 }
 
@@ -237,8 +237,8 @@ func TestJournalReset(t *testing.T) {
 		j.Append(mkCreate(1, "f"))
 	}
 	j.Reset()
-	if j.Len() != 0 || j.NextSeq() != 0 || j.Total() != 0 {
-		t.Fatalf("reset journal: len=%d seq=%d", j.Len(), j.NextSeq())
+	if j.Len() != 0 || j.nextSeq != 0 || j.Total() != 0 {
+		t.Fatalf("reset journal: len=%d seq=%d", j.Len(), j.nextSeq)
 	}
 	s, _ := j.Append(mkCreate(1, "g"))
 	_ = s

@@ -41,7 +41,7 @@ func (s *Server) speculativeValidate(ev *journal.Event) bool {
 		_, err := st.Get(namespace.Ino(ev.Ino))
 		return err == nil
 	}
-	return true // alloc/export/undo records never conflict
+	return true // alloc/export records never conflict
 }
 
 // seMerger lazily wraps the rank's store in the strong-eventual CRDT

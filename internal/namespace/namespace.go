@@ -833,11 +833,6 @@ func (s *Store) ApplyEvent(ev *journal.Event) error {
 		// Export-commit records mark an ownership handoff, not a
 		// namespace mutation; replay skips them.
 		return nil
-	case journal.EvUndo:
-		// Undo records are speculative-mode client bookkeeping; the
-		// merged namespace never sees the rolled-back op, so replay
-		// skips them too.
-		return nil
 	}
 	return fmt.Errorf("apply %v: %w", ev.Type, ErrInval)
 }

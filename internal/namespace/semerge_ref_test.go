@@ -150,7 +150,7 @@ func (m *refSEMerger) ApplyEvent(ev *journal.Event) error {
 		return m.materialize(key)
 	case journal.EvAllocRange:
 		return m.store.ReserveRange(Ino(ev.Ino), ev.Size)
-	case journal.EvExport, journal.EvUndo:
+	case journal.EvExport:
 		return nil
 	}
 	return fmt.Errorf("converge %v: %w: unsupported in strong-eventual mode (decompose into unlink+create)",

@@ -157,7 +157,7 @@ const (
 	// MechSpeculativeApply replays the client journal onto the MDS's
 	// in-memory store with per-event validation: events whose prediction
 	// fails (name taken, parent rolled back) are rejected and the client
-	// rolls them back from its undo log.
+	// rolls them back from the pre-images it keeps beside the journal.
 	MechSpeculativeApply
 	// MechConvergeApply replays the client journal through the MDS's
 	// commutative (CRDT-style) merger: conflicting updates are resolved

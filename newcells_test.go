@@ -57,7 +57,7 @@ func TestSpeculativeRollbackCrashRecovery(t *testing.T) {
 			t.Fatalf("local persist: %v", err)
 		}
 		// Crash mid-rollback: the hook kills the rollback after one undo,
-		// leaving the journal and undo log un-reset.
+		// leaving the journal and its pre-images un-reset.
 		c.FailRollbackAfter(0)
 		if _, _, err := c.SpeculativeApply(p); err == nil {
 			t.Fatal("mid-rollback crash hook did not surface an error")
@@ -100,12 +100,12 @@ func TestSpeculativeRollbackCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestSpeculativeTornUndoPersist tears the global persist of the undo
-// object. The persist must fail (the ack is the durability point), a
-// retry on a healed store must succeed, and rescue recovery needs only
-// the journal image: the undo log is derivable, so a torn copy is
-// irrelevant.
-func TestSpeculativeTornUndoPersist(t *testing.T) {
+// TestSpeculativeTornJournalPersist tears a speculative client's global
+// persist of its journal image. The persist must fail (the ack is the
+// durability point), a retry on a healed store must succeed, and rescue
+// recovery needs only that image: rollback's pre-images live in client
+// memory and are derivable from the journal, so nothing else is persisted.
+func TestSpeculativeTornJournalPersist(t *testing.T) {
 	cl := cudele.NewCluster()
 	c := cl.NewClient("c0")
 	intr := cl.NewClient("intr")
@@ -117,13 +117,12 @@ func TestSpeculativeTornUndoPersist(t *testing.T) {
 		inj.TornWriteProb = 1
 		inj.Match = func(oid rados.ObjectID) bool {
 			// The striper appends a ".%010d" stripe index to the logical
-			// object name.
-			return oid.Pool == client.ClientJournalPool &&
-				strings.Contains(oid.Name, client.UndoObjectSuffix+".")
+			// object name; the journal image's head is the client's name.
+			return oid.Pool == client.ClientJournalPool && strings.HasPrefix(oid.Name, "c0.")
 		}
 		cl.Objects().SetFaults(inj)
 		if err := c.GlobalPersist(p); !errors.Is(err, rados.ErrIO) {
-			t.Fatalf("persist with a torn undo write = %v; want an injected I/O error", err)
+			t.Fatalf("persist with a torn journal write = %v; want an injected I/O error", err)
 		}
 		if err := c.GlobalPersist(p); err != nil {
 			t.Fatalf("persist retry: %v", err)
