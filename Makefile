@@ -26,14 +26,16 @@ fmt-check:
 
 # loc prints the sums a simplicity PR is judged by: non-test code lines
 # (not blank, not a whole-line comment) of the protocol packages, of
-# those plus the three neighbours they share code with — so code moved next
-# door does not count as removed — of the two execution backends plus
-# the runtime seam they share, for the same reason, and of the evaluation
-# harness (internal/bench), the repo's largest package.
+# those plus the four neighbours they share code with (the monitor, which
+# owns the subtree records the ranks serve, and namespace, rados and
+# transport) — so code moved next door does not count as removed — of the
+# two execution backends plus the runtime seam they share, for the same
+# reason, and of the evaluation harness (internal/bench), the repo's
+# largest package.
 LOC = cat $$(ls $(1:%=internal/%/*.go) | grep -v _test.go) | grep -vcE '^\s*(//.*)?$$'
 loc:
 	@echo "client + mds + chaos: $$($(call LOC,client mds chaos))"
-	@echo "client + mds + chaos + namespace + rados + transport: $$($(call LOC,client mds chaos namespace rados transport))"
+	@echo "client + mds + chaos + monitor + namespace + rados + transport: $$($(call LOC,client mds chaos monitor namespace rados transport))"
 	@echo "sim + realrt + runtime: $$($(call LOC,sim realrt runtime))"
 	@echo "bench: $$($(call LOC,bench))"
 

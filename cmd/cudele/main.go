@@ -396,7 +396,10 @@ func execute(cl *cudele.Cluster, c *cudele.Client, p cudele.Proc, line string) e
 		if err := cl.Migrate(p, args[0], rank); err != nil {
 			return err
 		}
-		st := cl.Metadata().SubtreeFor(args[0])
+		var st cudele.Subtree // a no-op migration onto the owner leaves no record
+		if rec, ok := cl.Monitor().Subtree(args[0]); ok {
+			st = *rec
+		}
 		fmt.Printf("migrated %s to rank %d (epoch %d, move %d)\n", args[0], rank, st.Epoch, st.Moves)
 	case "recouple":
 		if err := need(1); err != nil {

@@ -114,12 +114,11 @@ type (
 	// Ino is an inode number.
 	Ino = namespace.Ino
 
-	// Entry is a monitor registration for a decoupled subtree.
-	Entry = monitor.Entry
-
-	// Subtree is a first-class subtree ownership record: the unit of
-	// placement, migration, and balancing.
-	Subtree = mds.Subtree
+	// Subtree is the monitor's one record of a subtree: its lifecycle
+	// state, epoch and migration count, and its policy registration (nil
+	// Policy when it is only placed or migrated). Its rank is
+	// Metadata().Table().RankFor(path).
+	Subtree = monitor.Subtree
 
 	// Balancer is a running heat-driven balancer (see StartBalancer).
 	Balancer = monitor.Balancer
@@ -353,7 +352,7 @@ func (cl *Cluster) Close() int { return cl.rt.Shutdown() }
 // Decouple registers the subtree at path with the monitor using a
 // policies file (the paper's (path, policies.yml) API) and attaches the
 // resulting grant to client c.
-func (cl *Cluster) Decouple(p Proc, c *Client, path, policiesText string) (*Entry, error) {
+func (cl *Cluster) Decouple(p Proc, c *Client, path, policiesText string) (*Subtree, error) {
 	e, err := cl.mon.Register(p, path, policiesText, c.Name())
 	if err != nil {
 		return nil, err
@@ -368,7 +367,7 @@ func (cl *Cluster) Decouple(p Proc, c *Client, path, policiesText string) (*Entr
 }
 
 // DecouplePolicy is Decouple with an already-built Policy.
-func (cl *Cluster) DecouplePolicy(p Proc, c *Client, path string, pol *Policy) (*Entry, error) {
+func (cl *Cluster) DecouplePolicy(p Proc, c *Client, path string, pol *Policy) (*Subtree, error) {
 	e, err := cl.mon.RegisterPolicy(p, path, pol, c.Name())
 	if err != nil {
 		return nil, err
@@ -420,9 +419,9 @@ func (cl *Cluster) StartBalancer(cfg BalancerConfig) *Balancer {
 	return cl.mon.StartBalancer(cl.heat, cfg)
 }
 
-// Subtrees lists the metadata cluster's subtree ownership records,
-// sorted by path.
-func (cl *Cluster) Subtrees() []*Subtree { return cl.meta.Subtrees() }
+// Subtrees lists the monitor's subtree records, registered or only
+// placed, sorted by path.
+func (cl *Cluster) Subtrees() []*Subtree { return cl.mon.Subtrees() }
 
 // MustComposition parses a mechanism-composition DSL string and panics on
 // error; it is a convenience for examples and tests.

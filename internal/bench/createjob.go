@@ -7,6 +7,7 @@ import (
 
 	"cudele"
 	"cudele/internal/namespace"
+	"cudele/internal/obs"
 	"cudele/internal/workload"
 )
 
@@ -221,16 +222,11 @@ func rankRequests(cl *cudele.Cluster, ranks int) []uint64 {
 	return out
 }
 
-// rankLoads sums the heat map's cells into a dense per-rank load vector,
-// so an idle rank counts as a zero rather than going missing.
-func rankLoads(cl *cudele.Cluster, ranks int) []float64 {
-	loads := make([]float64, ranks)
-	for _, cell := range cl.Heat().Snapshot(int64(cl.Runtime().Now())) {
-		if cell.Rank >= 0 && cell.Rank < ranks {
-			loads[cell.Rank] += cell.Load
-		}
-	}
-	return loads
+// heatImbalance is the balancer's view of the heat map now: max/mean
+// rank load, counting an idle rank as a zero rather than leaving it out
+// (HeatReport's imbalance only counts ranks with cells).
+func heatImbalance(cl *cudele.Cluster, ranks int) float64 {
+	return obs.Imbalance(obs.RankLoads(cl.Heat().Snapshot(int64(cl.Runtime().Now())), ranks))
 }
 
 // decoupledStorm is the decoupled create storm: each client decouples a

@@ -62,7 +62,7 @@ func heatSkewRun(opts Options, spec runSpec, perClient int, sampleEvery time.Dur
 			for {
 				sp.Sleep(sampleEvery)
 				out.samples = append(out.samples, heatSample{
-					sec: sp.Now().Seconds(), imb: imbalanceOf(rankLoads(cl, heatSkewRanks)),
+					sec: sp.Now().Seconds(), imb: heatImbalance(cl, heatSkewRanks),
 				})
 				if done() {
 					return
@@ -126,22 +126,6 @@ func HeatSkew(opts Options) (*Result, error) {
 	}
 	r.Notef("runtime %.2fs; heat shares track raw request shares because the decay half-life dwarfs the run", out.total)
 	return r, nil
-}
-
-// imbalanceOf is max/mean over a dense per-rank load vector, counting
-// idle ranks (the balancer's view of the same signal).
-func imbalanceOf(loads []float64) float64 {
-	max, total := 0.0, 0.0
-	for _, l := range loads {
-		total += l
-		if l > max {
-			max = l
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return max / (total / float64(len(loads)))
 }
 
 // addHeatRows renders one run's per-rank table rows.

@@ -59,15 +59,13 @@ func rebalanceRun(opts Options, run string, perClient int, balance bool) (rebala
 		}
 		cl := s.cl
 		out := rebalanceOut{total: total, balancer: bal}
-		// HeatReport's imbalance only counts ranks with cells; an idle rank
-		// (the frozen control's 1-3) must count as imbalance, so aggregate
-		// over the dense rank vector instead.
-		out.imbalance = imbalanceOf(rankLoads(cl, rebalanceRanks))
+		// The frozen control's idle ranks 1-3 must count as imbalance.
+		out.imbalance = heatImbalance(cl, rebalanceRanks)
 		out.requests = rankRequests(cl, rebalanceRanks)
 		out.perRank = make([]int, rebalanceRanks)
 		for _, st := range cl.Subtrees() {
-			if strings.HasPrefix(st.Path, "/job") && st.Rank >= 0 && st.Rank < rebalanceRanks {
-				out.perRank[st.Rank]++
+			if strings.HasPrefix(st.Path, "/job") {
+				out.perRank[cl.Metadata().Table().RankFor(st.Path)]++
 			}
 		}
 		out.migrations = cl.Metadata().Migrations()

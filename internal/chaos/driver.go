@@ -11,6 +11,7 @@ import (
 	"cudele/internal/client"
 	"cudele/internal/journal"
 	"cudele/internal/mds"
+	"cudele/internal/monitor"
 	"cudele/internal/namespace"
 	"cudele/internal/obs"
 	"cudele/internal/policy"
@@ -189,7 +190,8 @@ func (d *driver) midMigration() bool {
 	if !d.plan.Migrate {
 		return false
 	}
-	return d.cl.Metadata().SubtreeFor(mainPath).State != mds.SubtreeOwned
+	st, ok := d.cl.Monitor().Subtree(mainPath)
+	return ok && st.State != monitor.SubtreeOwned
 }
 
 // streamOn reports whether RPC updates are journaled by the MDS.

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	gopath "path"
-	"time"
 
 	"cudele/internal/journal"
 	"cudele/internal/mds"
@@ -209,15 +208,6 @@ type fileHint struct {
 // Name returns the client's session name.
 func (c *Client) Name() string { return c.name }
 
-// redirectDelay is the pause before refreshing the routing table and
-// retrying a bounced request.
-func (c *Client) redirectDelay() runtime.Duration {
-	if d := c.cfg.MigrateRetryDelay; d > 0 {
-		return d
-	}
-	return 2 * time.Millisecond
-}
-
 // followRedirects issues send and, while the reply it reports is a
 // bounce — the subtree is frozen mid-migration, or our routing table is
 // stale — re-issues it after a short delay and a table refresh: the
@@ -230,7 +220,7 @@ func (c *Client) followRedirects(p runtime.Task, send func() error) {
 			return
 		}
 		c.stats.Redirects++
-		p.Sleep(c.redirectDelay())
+		p.Sleep(c.cfg.MigrateRetryDelay)
 		c.svc.Refresh()
 		err = send()
 	}

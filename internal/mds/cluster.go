@@ -25,22 +25,18 @@ type Cluster struct {
 
 	ranks []*Server
 
-	// dom is the control-plane lock domain: it owns the subtree registry
-	// and every write to the authoritative table. The monitor runs in it
-	// (Domain), so cluster-map changes exclude one another; ranks and
-	// client portals only ever read the table, which is safe from any
-	// domain (see transport.Table).
+	// dom is the control-plane lock domain: it owns every write to the
+	// authoritative table. The monitor runs in it (Domain), so
+	// cluster-map changes exclude one another; ranks and client portals
+	// only ever read the table, which is safe from any domain (see
+	// transport.Table).
 	dom runtime.Domain
 
-	// table is the rank-side authoritative placement map; client
-	// portals hold replicas refreshed by the monitor. It is the routing
-	// projection of the subtree ownership entities below.
+	// table is the rank-side authoritative placement map — the one record
+	// of which rank owns a subtree; client portals hold replicas
+	// refreshed by the monitor.
 	table  *transport.Table
 	router *transport.Router
-
-	// subtrees is the first-class ownership registry: one entity per
-	// placed subtree, carrying its lifecycle state (subtree.go).
-	subtrees map[string]*Subtree
 
 	// migrations counts committed online migrations and splits. While it
 	// is zero the ranks skip the stale-routing ownership check entirely,
@@ -57,9 +53,8 @@ func NewCluster(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster, n int
 	}
 	c := &Cluster{
 		eng: eng, cfg: cfg, obj: obj,
-		dom:      eng.NewDomain("monitor"),
-		table:    transport.NewTable(),
-		subtrees: make(map[string]*Subtree),
+		dom:   eng.NewDomain("monitor"),
+		table: transport.NewTable(),
 	}
 	eps := make([]transport.Endpoint, n)
 	for i := 0; i < n; i++ {
@@ -148,8 +143,6 @@ func (c *Cluster) Place(p runtime.Task, path string, rank int) error {
 			}
 		}
 		c.table.Place(path, rank)
-		st := c.SubtreeFor(path)
-		st.Rank, st.State, st.Epoch = rank, SubtreeOwned, c.table.Epoch()
 	})
 	if err != nil {
 		return fmt.Errorf("mds: place %s on rank %d: %w", path, rank, err)
@@ -158,16 +151,17 @@ func (c *Cluster) Place(p runtime.Task, path string, rank int) error {
 }
 
 // CommitMigration finalizes a committed online migration in the
-// authoritative state: the entity returns to owned on the new rank and
-// the routing table repoints. The monitor calls this between the
-// export-commit record landing and the epoch publish.
-func (c *Cluster) CommitMigration(path string, rank int, epoch uint64) {
+// authoritative table: routing repoints at the new rank. The monitor
+// calls this between the export-commit record landing and the epoch
+// publish.
+func (c *Cluster) CommitMigration(path string, rank int) {
 	c.table.Place(path, rank)
-	st := c.SubtreeFor(path)
-	st.Rank, st.State, st.Epoch = rank, SubtreeOwned, epoch
-	st.Moves++
 	c.migrations.Add(1)
 }
+
+// Migrations reports the number of committed subtree migrations across
+// the cluster's lifetime.
+func (c *Cluster) Migrations() int { return int(c.migrations.Load()) }
 
 // SplitCommit registers a directory-fragment split in the authoritative
 // table. Like CommitMigration it flips the migrations flag, enabling

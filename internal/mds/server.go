@@ -253,8 +253,7 @@ func NewRank(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster, rank int
 	// The tracing interceptor wraps the whole message dispatcher, so
 	// every RPC and Post is spanned on the rank's track without any op
 	// handler knowing about it; with tracing off it is one nil check.
-	s.ep = transport.NewWire(name, cfg.NetLatency,
-		transport.Chain(s.handle, transport.Tracing(name, labelOf)))
+	s.ep = transport.NewWire(name, cfg.NetLatency, transport.Tracing(name, labelOf)(s.handle))
 	s.ep.Bind(s.dom)
 	return s
 }

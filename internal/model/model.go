@@ -172,9 +172,9 @@ type Config struct {
 	// --- Subtree migration (online export/import) ---
 	//
 	// Migration only runs when explicitly requested (Monitor.Migrate or
-	// the balancer), so unlike the Merge* knobs the zero values select
-	// built-in defaults rather than disabling the feature; no calibrated
-	// baseline is affected either way.
+	// the balancer), so unlike the Merge* knobs a zero size or CPU cost
+	// selects a built-in default rather than disabling the feature; no
+	// calibrated baseline is affected either way.
 
 	// MigrateChunkDirs is the number of encoded directory objects per
 	// export chunk streamed from the exporting to the importing rank.
@@ -191,8 +191,7 @@ type Config struct {
 	MigrateAdmitMax int
 
 	// MigrateRetryDelay is how long a backpressured export sender (or a
-	// client bounced off a frozen subtree) waits before retrying. 0
-	// means the default (2ms).
+	// client bounced off a frozen subtree) waits before retrying.
 	MigrateRetryDelay time.Duration
 
 	// MigrateDirCPU is the exporting/importing rank's CPU time to encode
@@ -279,6 +278,7 @@ func Default() Config {
 		MergeWindowChunks: 4,
 		MergeAdmitMax:     0,
 		MergeRetryDelay:   2 * time.Millisecond,
+		MigrateRetryDelay: 2 * time.Millisecond,
 
 		ForkBase:           80 * time.Millisecond,
 		ForkCopyBandwidth:  8e9,

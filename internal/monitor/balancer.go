@@ -125,48 +125,19 @@ func (b *Balancer) run(p runtime.Task) {
 	for round := 0; round < b.cfg.Rounds; round++ {
 		p.Sleep(b.cfg.Interval)
 		cells := b.heat.Snapshot(int64(p.Now()))
-		loads := make([]float64, b.mon.cl.Ranks())
-		for _, c := range cells {
-			if c.Rank >= 0 && c.Rank < len(loads) {
-				loads[c.Rank] += c.Load
-			}
-		}
-		rep := obs.NewReport(cells)
-		imb := imbalanceOver(loads)
+		// Every cluster rank counts: an idle rank is the best migration
+		// target, not invisible.
+		loads := obs.RankLoads(cells, b.mon.cl.Ranks())
+		imb := obs.Imbalance(loads)
 		b.samples = append(b.samples, BalanceSample{
 			TimeMS: float64(p.Now()) / 1e6, Imbalance: imb,
 			Loads: append([]float64(nil), loads...),
 		})
-		// NewReport's imbalance only sees ranks with cells; ours counts
-		// every cluster rank (an idle rank is the best migration target,
-		// not invisible). Use the wider of the two to decide.
-		if rep.Imbalance > imb {
-			imb = rep.Imbalance
-		}
 		if imb < b.cfg.Threshold {
 			continue
 		}
 		b.balance(p, cells, loads, imb)
 	}
-}
-
-// imbalanceOver is max/mean over a dense per-rank load vector, counting
-// idle ranks (unlike obs.NewReport, which only sees ranks with cells).
-func imbalanceOver(loads []float64) float64 {
-	if len(loads) == 0 {
-		return 0
-	}
-	max, total := 0.0, 0.0
-	for _, l := range loads {
-		total += l
-		if l > max {
-			max = l
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return max / (total / float64(len(loads)))
 }
 
 // movable reports whether a heat cell names a subtree the balancer may

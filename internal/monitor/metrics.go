@@ -9,6 +9,6 @@ import (
 // subtrees and table subscribers.
 func (m *Monitor) FillMetrics(reg *trace.Registry) {
 	reg.Counter("cudele_mon_epoch", "Cluster-map epoch, bumped on every change.", float64(m.epoch))
-	reg.Gauge("cudele_mon_subtrees", "Registered decoupled subtrees.", float64(len(m.subtrees)))
+	reg.Gauge("cudele_mon_subtrees", "Registered decoupled subtrees.", float64(len(m.registered())))
 	reg.Gauge("cudele_mon_subscribers", "Placement-table subscribers.", float64(len(m.subs)))
 }

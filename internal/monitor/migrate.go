@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"time"
 
 	"cudele/internal/mds"
 	"cudele/internal/namespace"
@@ -24,14 +23,6 @@ import (
 // whatever it installed as an unreachable stale copy, exactly like a
 // pre-publish crash.
 
-// migrateRetryDelay is the backoff for windowed sends during migration.
-func (m *Monitor) migrateRetryDelay() runtime.Duration {
-	if d := m.cl.Config().MigrateRetryDelay; d > 0 {
-		return d
-	}
-	return 2 * time.Millisecond
-}
-
 // Migrate moves ownership of the subtree at path to rank dst online:
 // clients keep operating (requests into the frozen subtree bounce with a
 // redirect) and every update acknowledged before the freeze is durable
@@ -52,9 +43,9 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 	}
 	src := m.cl.Rank(srcRank).Endpoint()
 	dstEp := m.cl.Rank(dst).Endpoint()
-	retry := m.migrateRetryDelay()
-	st := m.cl.SubtreeFor(path)
-	if st.State != mds.SubtreeOwned {
+	retry := m.cl.Config().MigrateRetryDelay
+	st := m.record(path)
+	if st.State != SubtreeOwned {
 		// One handoff per subtree at a time. The rank-side freeze check
 		// cannot enforce this alone: it yields before it marks the
 		// subtree frozen, so a second migration could slip through and
@@ -68,7 +59,7 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 			dstEp.Post(p, &mds.ImportAbortMsg{ID: importID})
 		}
 		src.Post(p, &mds.ExportAbortMsg{Path: path})
-		st.State = mds.SubtreeOwned
+		st.State = SubtreeOwned
 		if fl := m.eng.Flight(); fl != nil {
 			fl.Record(int64(p.Now()), "monitor", "monitor", "migrate.abort",
 				fmt.Sprintf("%s rank %d -> %d: %v", path, srcRank, dst, cause))
@@ -77,10 +68,10 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 	}
 
 	// 1. Freeze the subtree on the owner and collect its manifest.
-	st.State = mds.SubtreeExporting
+	st.State = SubtreeExporting
 	fr := src.Post(p, &mds.ExportFreezeMsg{Path: path}).(*mds.ExportFreezeReply)
 	if fr.Err != nil {
-		st.State = mds.SubtreeOwned
+		st.State = SubtreeOwned
 		return fmt.Errorf("monitor: migrate %s to rank %d: %w", path, dst, fr.Err)
 	}
 
@@ -122,11 +113,10 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 	// journal tail. Routing still points at the source. The source rank
 	// knows who owns a decoupled subtree but not which inode range that
 	// client was granted; the registry does, and the importer's allocator
-	// must reserve the range the client still draws from.
-	if e, ok := m.subtrees[path]; ok {
-		fr.Manifest.GrantLo, fr.Manifest.GrantN = e.GrantLo, e.GrantN
-	}
-	st.State = mds.SubtreeImporting
+	// must reserve the range the client still draws from (zero when the
+	// subtree is not registered).
+	fr.Manifest.GrantLo, fr.Manifest.GrantN = st.GrantLo, st.GrantN
+	st.State = SubtreeImporting
 	ic := dstEp.Post(p, &mds.ImportCommitMsg{ID: or.ID, Manifest: fr.Manifest}).(*mds.ImportCommitReply)
 	if ic.Err != nil {
 		return abort(or.ID, ic.Err)
@@ -144,10 +134,9 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 	// 7. Publish the new map: the routing linearization point.
 	p.Sleep(commitLatency)
 	m.epoch++
-	m.cl.CommitMigration(path, dst, m.epoch)
-	if e, ok := m.subtrees[path]; ok {
-		e.Rank, e.Epoch = dst, m.epoch
-	}
+	m.cl.CommitMigration(path, dst)
+	m.placed(path)
+	st.Moves++
 	m.publish()
 	// Thaw the source last: its freeze outlived the prune so that
 	// requests arriving before the publish bounced as Frozen instead of
@@ -168,12 +157,12 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 func (m *Monitor) Reattach(p runtime.Task, path string) error {
 	m.dom.Enter(p)
 	defer m.dom.Leave(p)
-	e, ok := m.subtrees[path]
+	st, ok := m.Lookup(path)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSubtree, path)
 	}
 	rank := m.cl.Table().RankFor(path)
-	return m.cl.Rank(rank).Attach(p, path, e.Policy, e.Owner, e.GrantLo, e.GrantN)
+	return m.cl.Rank(rank).Attach(p, path, st.Policy, st.Owner, st.GrantLo, st.GrantN)
 }
 
 // SplitDir fragments the directory at dir across the given ranks: each

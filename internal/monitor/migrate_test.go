@@ -56,9 +56,9 @@ func TestMigrateMovesOwnership(t *testing.T) {
 	if _, err := cl.Rank(0).Store().Resolve("/a"); err != nil {
 		t.Errorf("src parent resolve: %v", err)
 	}
-	st := cl.SubtreeFor("/a/job")
-	if st.Rank != 1 || st.State != mds.SubtreeOwned || st.Moves != 1 {
-		t.Errorf("entity = %+v, want rank 1, owned, 1 move", st)
+	st, ok := m.Subtree("/a/job")
+	if !ok || st.State != SubtreeOwned || st.Moves != 1 || st.Epoch != m.Epoch() {
+		t.Errorf("record = %+v, want owned, 1 move, epoch %d", st, m.Epoch())
 	}
 	if cl.Migrations() != 1 {
 		t.Errorf("migrations = %d, want 1", cl.Migrations())
@@ -231,7 +231,7 @@ func TestMigrateSameSubtreeTwiceAtOnce(t *testing.T) {
 func TestMigratePreservesRegistration(t *testing.T) {
 	eng, cl, m := newTestCluster(2)
 	populate(t, eng, cl.Rank(0), "/a/dec", 3)
-	var e *Entry
+	var e *Subtree
 	run(t, eng, func(p runtime.Task) {
 		var err error
 		e, err = m.Register(p, "/a/dec",
@@ -253,8 +253,9 @@ func TestMigratePreservesRegistration(t *testing.T) {
 	if in.Policy == nil {
 		t.Errorf("dst lost the policy")
 	}
-	if got, _ := m.Lookup("/a/dec"); got.Rank != 1 || got.GrantLo != e.GrantLo {
-		t.Errorf("entry = %+v, want rank 1 grant %d", got, e.GrantLo)
+	if got, _ := m.Lookup("/a/dec"); got != e || cl.Table().RankFor("/a/dec") != 1 || got.GrantLo != e.GrantLo {
+		t.Errorf("record = %+v at rank %d, want the registered record at rank 1 with grant %d",
+			got, cl.Table().RankFor("/a/dec"), e.GrantLo)
 	}
 	// Crash + restart the new owner; Reattach restores the registration.
 	run(t, eng, func(p runtime.Task) {

@@ -10,6 +10,7 @@ package monitor
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -29,28 +30,65 @@ var ErrUnknownSubtree = errors.New("monitor: unknown subtree")
 // distribution to the daemons.
 const commitLatency = 2 * time.Millisecond
 
-// Entry is one registered subtree in the monitor's map.
-type Entry struct {
-	Path    string
+// SubtreeState is the ownership lifecycle state of a subtree. Ownership
+// always cycles owned → exporting (on the migration source, mirrored as
+// importing on the destination) → owned; aborts return the subtree to
+// owned on the source without an epoch change.
+type SubtreeState uint8
+
+const (
+	// SubtreeOwned: exactly one rank serves the subtree.
+	SubtreeOwned SubtreeState = iota
+	// SubtreeExporting: the owner has frozen the subtree and is
+	// streaming it to another rank; requests bounce with a Frozen
+	// redirect until the handoff commits or aborts.
+	SubtreeExporting
+	// SubtreeImporting: the destination is installing streamed state;
+	// it does not serve the subtree until the monitor publishes the new
+	// epoch.
+	SubtreeImporting
+)
+
+func (st SubtreeState) String() string {
+	switch st {
+	case SubtreeOwned:
+		return "owned"
+	case SubtreeExporting:
+		return "exporting"
+	case SubtreeImporting:
+		return "importing"
+	}
+	return fmt.Sprintf("SubtreeState(%d)", uint8(st))
+}
+
+// Subtree is the monitor's one record of a subtree: the unit of
+// placement, migration, balancing and policy registration. Which rank
+// owns it is not stored here — the routing table (Table().RankFor) is
+// the only record of that.
+type Subtree struct {
+	Path  string
+	State SubtreeState // lifecycle position
+	Epoch uint64       // cluster-map epoch of the record's last change
+	Moves int          // committed migrations of this subtree
+
+	// The registration; a nil Policy means the subtree is only placed or
+	// migrated.
 	Policy  *policy.Policy
 	Owner   string
-	Epoch   uint64
 	GrantLo namespace.Ino
 	GrantN  uint64
-	Rank    int
 }
 
 // Monitor manages cluster state changes. Its state, together with the
-// metadata cluster's authoritative table and subtree registry, belongs
-// to the cluster's control-plane lock domain, which every task-taking
-// method enters.
+// metadata cluster's authoritative table, belongs to the cluster's
+// control-plane lock domain, which every task-taking method enters.
 type Monitor struct {
 	eng      runtime.Runtime
 	dom      runtime.Domain
 	cl       *mds.Cluster
 	epoch    uint64
 	migSeq   uint64 // last assigned migration sequence (export records)
-	subtrees map[string]*Entry
+	subtrees map[string]*Subtree
 	subs     map[string]*transport.Table
 }
 
@@ -60,7 +98,7 @@ func New(eng runtime.Runtime, cl *mds.Cluster) *Monitor {
 		eng:      eng,
 		dom:      cl.Domain(),
 		cl:       cl,
-		subtrees: make(map[string]*Entry),
+		subtrees: make(map[string]*Subtree),
 		subs:     make(map[string]*transport.Table),
 	}
 }
@@ -91,7 +129,7 @@ func (m *Monitor) publish() {
 // Register parses policiesText (the policies.yml of §III-C), stamps it
 // with a new epoch, distributes it, and reserves the subtree's inode
 // grant. Registering the same path again replaces its policy.
-func (m *Monitor) Register(p runtime.Task, path, policiesText, owner string) (*Entry, error) {
+func (m *Monitor) Register(p runtime.Task, path, policiesText, owner string) (*Subtree, error) {
 	pol, err := policy.ParseFile(policiesText)
 	if err != nil {
 		return nil, err
@@ -103,7 +141,7 @@ func (m *Monitor) Register(p runtime.Task, path, policiesText, owner string) (*E
 // registration is one cluster-map change: the epoch is bumped exactly
 // once, covering the policy distribution and any subtree placement it
 // implies, and the new map is pushed to every subscriber.
-func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy, owner string) (*Entry, error) {
+func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy, owner string) (*Subtree, error) {
 	m.dom.Enter(p)
 	defer m.dom.Leave(p)
 	if err := pol.Validate(); err != nil {
@@ -122,7 +160,7 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 	pol.Version = m.epoch
 
 	oldRank := m.cl.Table().RankFor(path)
-	if _, had := m.subtrees[path]; had && target != oldRank {
+	if _, had := m.Lookup(path); had && target != oldRank {
 		// The subtree moves: clear its registration on the old owner
 		// before the export, so a single rank never holds a policy for
 		// a subtree it no longer serves.
@@ -134,27 +172,27 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 		if err := m.cl.Place(p, path, target); err != nil {
 			return nil, err
 		}
+		m.placed(path)
 	}
 	r := m.cl.Endpoint().Post(p, &mds.DecoupleMsg{Path: path, Policy: pol, Client: owner}).(*mds.DecoupleReply)
 	if r.Err != nil {
 		return nil, r.Err
 	}
-	e := &Entry{
-		Path: path, Policy: pol, Owner: owner,
-		Epoch: m.epoch, GrantLo: r.Lo, GrantN: r.N, Rank: target,
-	}
-	m.subtrees[path] = e
+	st := m.record(path)
+	st.Policy, st.Owner, st.GrantLo, st.GrantN, st.Epoch = pol, owner, r.Lo, r.N, m.epoch
 	m.publish()
-	return e, nil
+	return st, nil
 }
 
 // Unregister removes the subtree's policy and returns it to the global
 // namespace's semantics. Placement is left alone: pinning a subtree to a
-// rank is orthogonal to its consistency/durability policy.
+// rank is orthogonal to its consistency/durability policy, so the record
+// stays, without a registration.
 func (m *Monitor) Unregister(p runtime.Task, path string) error {
 	m.dom.Enter(p)
 	defer m.dom.Leave(p)
-	if _, ok := m.subtrees[path]; !ok {
+	st, ok := m.Lookup(path)
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSubtree, path)
 	}
 	p.Sleep(commitLatency)
@@ -162,7 +200,7 @@ func (m *Monitor) Unregister(p runtime.Task, path string) error {
 	if err := m.cl.Endpoint().Post(p, &mds.RecoupleMsg{Path: path}).(*mds.RecoupleReply).Err; err != nil {
 		return err
 	}
-	delete(m.subtrees, path)
+	st.Policy, st.Owner, st.GrantLo, st.GrantN, st.Epoch = nil, "", 0, 0, m.epoch
 	m.publish()
 	return nil
 }
@@ -177,41 +215,72 @@ func (m *Monitor) Place(p runtime.Task, path string, rank int) error {
 	if err := m.cl.Place(p, path, rank); err != nil {
 		return err
 	}
-	if e, ok := m.subtrees[path]; ok {
-		e.Rank = rank
-	}
+	m.placed(path)
 	m.publish()
 	return nil
 }
 
-// Lookup returns the registered entry for path.
-func (m *Monitor) Lookup(path string) (*Entry, bool) {
-	e, ok := m.subtrees[path]
-	return e, ok
+// record returns path's subtree record, creating an owned one on first
+// use.
+func (m *Monitor) record(path string) *Subtree {
+	path = transport.Clean(path)
+	st, ok := m.subtrees[path]
+	if !ok {
+		st = &Subtree{Path: path}
+		m.subtrees[path] = st
+	}
+	return st
 }
 
-// Subtrees lists registered entries sorted by path.
-func (m *Monitor) Subtrees() []*Entry {
-	out := make([]*Entry, 0, len(m.subtrees))
-	for _, e := range m.subtrees {
-		out = append(out, e)
+// placed stamps path's record owned at the current epoch: the routing
+// table has just moved it.
+func (m *Monitor) placed(path string) {
+	st := m.record(path)
+	st.State, st.Epoch = SubtreeOwned, m.epoch
+}
+
+// Subtree returns path's record, registered or not, without creating
+// one.
+func (m *Monitor) Subtree(path string) (*Subtree, bool) {
+	st, ok := m.subtrees[transport.Clean(path)]
+	return st, ok
+}
+
+// Lookup returns path's record if it carries a registered policy.
+func (m *Monitor) Lookup(path string) (*Subtree, bool) {
+	if st, ok := m.Subtree(path); ok && st.Policy != nil {
+		return st, true
+	}
+	return nil, false
+}
+
+// Subtrees lists every subtree record, registered or not, sorted by path.
+func (m *Monitor) Subtrees() []*Subtree {
+	out := make([]*Subtree, 0, len(m.subtrees))
+	for _, st := range m.subtrees {
+		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
 }
 
+// registered lists the records that carry a policy, sorted by path.
+func (m *Monitor) registered() []*Subtree {
+	return slices.DeleteFunc(m.Subtrees(), func(st *Subtree) bool { return st.Policy == nil })
+}
+
 // Describe renders the cluster map for operators.
 func (m *Monitor) Describe() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "epoch %d, %d rank(s), %d subtree(s)\n",
-		m.epoch, m.cl.Ranks(), len(m.subtrees))
-	for _, e := range m.Subtrees() {
-		comp, _ := e.Policy.Composition()
+	reg := m.registered()
+	fmt.Fprintf(&b, "epoch %d, %d rank(s), %d subtree(s)\n", m.epoch, m.cl.Ranks(), len(reg))
+	for _, st := range reg {
+		comp, _ := st.Policy.Composition()
 		fmt.Fprintf(&b, "  %-20s owner=%-10s epoch=%-3d rank=%d inodes=[%d,+%d) %s\n",
-			e.Path, e.Owner, e.Epoch, e.Rank, e.GrantLo, e.GrantN, comp)
+			st.Path, st.Owner, st.Epoch, m.cl.Table().RankFor(st.Path), st.GrantLo, st.GrantN, comp)
 	}
 	for _, path := range m.cl.Table().Paths() {
-		if _, ok := m.subtrees[path]; !ok {
+		if _, ok := m.Lookup(path); !ok {
 			fmt.Fprintf(&b, "  %-20s pinned rank=%d\n", path, m.cl.Table().RankFor(path))
 		}
 	}

@@ -190,8 +190,35 @@ type HeatReport struct {
 	Imbalance float64    `json:"imbalance"`
 }
 
+// RankLoads sums a snapshot's cells into a dense per-rank load vector
+// over ranks 0..ranks-1, so an idle rank counts as a zero rather than
+// going missing; a cell outside that range is dropped.
+func RankLoads(cells []HeatCell, ranks int) []float64 {
+	loads := make([]float64, ranks)
+	for _, c := range cells {
+		if c.Rank >= 0 && c.Rank < ranks {
+			loads[c.Rank] += c.Load
+		}
+	}
+	return loads
+}
+
+// Imbalance is max/mean over a dense per-rank load vector — the factor a
+// balancer acts on, counting idle ranks. No load at all is 0.
+func Imbalance(loads []float64) float64 {
+	hi, total := 0.0, 0.0
+	for _, l := range loads {
+		total += l
+		hi = max(hi, l)
+	}
+	if total == 0 {
+		return 0
+	}
+	return hi / (total / float64(len(loads)))
+}
+
 // NewReport aggregates a snapshot into per-rank loads and the imbalance
-// factor.
+// factor over the ranks that have cells.
 func NewReport(cells []HeatCell) HeatReport {
 	byRank := map[int]float64{}
 	for _, c := range cells {

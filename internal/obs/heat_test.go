@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -134,6 +135,34 @@ func TestHeatReportImbalance(t *testing.T) {
 	}
 	if rep := NewReport(nil); rep.Imbalance != 0 || len(rep.Ranks) != 0 {
 		t.Errorf("empty report = %+v, want zero", rep)
+	}
+}
+
+// TestRankLoadsImbalance pins the balancer's load signal: a dense
+// per-rank vector in which an idle rank counts, and max/mean over it.
+func TestRankLoadsImbalance(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cells     []HeatCell
+		ranks     int
+		loads     []float64
+		imbalance float64
+	}{
+		{"idle rank counts", []HeatCell{{Rank: 0, Load: 3}, {Rank: 0, Load: 1}, {Rank: 1, Load: 2}},
+			3, []float64{4, 2, 0}, 2},
+		{"out-of-range rank dropped", []HeatCell{{Rank: 0, Load: 1}, {Rank: 1, Load: 1}, {Rank: 2, Load: 50}, {Rank: -1, Load: 50}},
+			2, []float64{1, 1}, 1},
+		{"all-zero loads", []HeatCell{{Rank: 0}, {Rank: 1}}, 2, []float64{0, 0}, 0},
+		{"no ranks", nil, 0, []float64{}, 0},
+		{"one loaded rank of four", []HeatCell{{Rank: 2, Load: 7}}, 4, []float64{0, 0, 7, 0}, 4},
+	} {
+		loads := RankLoads(tc.cells, tc.ranks)
+		if !slices.Equal(loads, tc.loads) {
+			t.Errorf("%s: RankLoads = %v, want %v", tc.name, loads, tc.loads)
+		}
+		if got := Imbalance(loads); got != tc.imbalance {
+			t.Errorf("%s: Imbalance(%v) = %g, want %g", tc.name, loads, got, tc.imbalance)
+		}
 	}
 }
 

@@ -204,7 +204,7 @@ func TestBalancerConverges(t *testing.T) {
 	}
 	moved := 0
 	for _, st := range cl.Subtrees() {
-		if st.Rank == 1 {
+		if cl.Metadata().Table().RankFor(st.Path) == 1 {
 			moved++
 		}
 	}

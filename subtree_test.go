@@ -1,0 +1,91 @@
+package cudele
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"cudele/internal/monitor"
+)
+
+// TestSubtreeRecordIsOneAndCurrent: the monitor keeps one record per
+// subtree. A registration is that record, its epoch is the epoch of the
+// change that last touched it, its move count counts committed
+// migrations, and its rank is whatever the routing table says.
+func TestSubtreeRecordIsOneAndCurrent(t *testing.T) {
+	cl := NewCluster(WithMDSRanks(2))
+	c := cl.NewClient("client.0")
+	mon, table := cl.Monitor(), cl.Metadata().Table()
+	record := func(path string) *Subtree {
+		t.Helper()
+		for _, st := range cl.Subtrees() {
+			if st.Path == path {
+				return st
+			}
+		}
+		t.Fatalf("no record for %s", path)
+		return nil
+	}
+	check := func(step string, reg *Subtree, moves int) {
+		t.Helper()
+		if got, ok := mon.Lookup("/a/dec"); !ok || got != reg || record("/a/dec") != reg {
+			t.Errorf("after %s: Lookup = %p, %v and the listed record is %p; want the registration %p",
+				step, got, ok, record("/a/dec"), reg)
+		}
+		if reg.Epoch != mon.Epoch() {
+			t.Errorf("after %s: record epoch %d, monitor epoch %d", step, reg.Epoch, mon.Epoch())
+		}
+		if reg.Moves != moves {
+			t.Errorf("after %s: record moves %d, want %d", step, reg.Moves, moves)
+		}
+		want := fmt.Sprintf("epoch=%-3d rank=%d ", mon.Epoch(), table.RankFor("/a/dec"))
+		if desc := mon.Describe(); !strings.Contains(desc, want) {
+			t.Errorf("after %s: Describe lacks %q (the monitor's epoch, the table's rank):\n%s", step, want, desc)
+		}
+	}
+	cl.Run(func(p Proc) {
+		if _, err := c.MkdirAll(p, "/a/dec", 0755); err != nil {
+			t.Fatalf("mkdirall: %v", err)
+		}
+		if err := mon.Place(p, "/a", 1); err != nil {
+			t.Fatalf("place /a: %v", err)
+		}
+		if st := record("/a"); st.Epoch != mon.Epoch() {
+			t.Errorf("after place: /a record epoch %d, monitor epoch %d", st.Epoch, mon.Epoch())
+		}
+
+		reg, err := cl.DecouplePolicy(p, c, "/a/dec", &Policy{
+			Consistency: ConsWeak, Durability: DurNone, AllocatedInodes: 100,
+		})
+		if err != nil {
+			t.Fatalf("decouple: %v", err)
+		}
+		check("register", reg, 0)
+		if err := mon.Place(p, "/a/dec", 0); err != nil {
+			t.Fatalf("place /a/dec: %v", err)
+		}
+		check("place", reg, 0)
+		if err := cl.Migrate(p, "/a/dec", 1); err != nil {
+			t.Fatalf("migrate: %v", err)
+		}
+		check("migrate", reg, 1)
+		if got := table.RankFor("/a/dec"); got != 1 {
+			t.Errorf("table routes /a/dec to rank %d after the migration, want 1", got)
+		}
+
+		if err := cl.Recouple(p, "/a/dec"); err != nil {
+			t.Fatalf("recouple: %v", err)
+		}
+		if _, ok := mon.Lookup("/a/dec"); ok {
+			t.Error("Lookup still finds a registration after Unregister")
+		}
+		if st, ok := mon.Subtree("/a/dec"); !ok || st.State != monitor.SubtreeOwned || st.Epoch != mon.Epoch() || st.Moves != 1 {
+			t.Errorf("record after Unregister = %+v, %v; want kept, owned, at the monitor's epoch %d, 1 move",
+				st, ok, mon.Epoch())
+		}
+		if err := cl.Reattach(p, "/a/dec"); !errors.Is(err, monitor.ErrUnknownSubtree) {
+			t.Errorf("Reattach after Unregister = %v, want ErrUnknownSubtree", err)
+		}
+	})
+}
