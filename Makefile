@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check loc surface bench bench-seq bench-check bench-real perf perf-counts fuzz-short chaos ci
+.PHONY: all build test race vet fmt-check loc surface bench bench-seq bench-check bench-real perf perf-counts fuzz-short chaos chaos-cmp ci
 
 all: build test
 
@@ -165,5 +165,26 @@ fuzz-short:
 # go run ./cmd/cudele-bench -chaos-replay SEED
 chaos:
 	$(GO) run -race ./cmd/cudele-bench -chaos 1500 -seed 1 -chaos-dumps chaos-dumps
+
+# chaos-cmp is a refactor's byte-identity check on the fault schedules:
+# the chaos report is a pure function of the code, so any schedule a
+# change moved shows as a differing row. It builds cmd/cudele-bench from
+# the working tree and from PARENT (default HEAD, exported with git
+# archive into a temp dir), runs the 1 500-seed sweep with each build, and
+# fails unless the two reports are byte-identical, printing the first
+# differing rows.
+PARENT ?= HEAD
+chaos-cmp:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/parent" && git archive "$(PARENT)" | tar -x -C "$$tmp/parent" && \
+	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/parent-bench" ./cmd/cudele-bench) && \
+	$(GO) build -o "$$tmp/change-bench" ./cmd/cudele-bench || exit 1; \
+	"$$tmp/parent-bench" -chaos 1500 -seed 1 > "$$tmp/parent.txt"; \
+	"$$tmp/change-bench" -chaos 1500 -seed 1 > "$$tmp/change.txt"; \
+	if ! cmp -s "$$tmp/parent.txt" "$$tmp/change.txt"; then \
+		diff "$$tmp/parent.txt" "$$tmp/change.txt" | head -n 20; \
+		echo "chaos-cmp: the chaos report differs from $(PARENT)'s"; exit 1; \
+	fi; \
+	echo "chaos-cmp: the chaos report is byte-identical to $(PARENT)'s ($$(tail -n 1 "$$tmp/change.txt"))"
 
 ci: fmt-check vet build test

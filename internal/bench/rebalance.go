@@ -45,10 +45,9 @@ func rebalanceRun(opts Options, run string, perClient int, balance bool) (rebala
 	storm := placedStorm{placement: make([]int, rebalanceSubtrees), perClient: perClient}
 	if balance {
 		storm.balancer = &cudele.BalancerConfig{
-			Interval:  interval,
-			Rounds:    12,
-			Threshold: 1.25,
-			MaxMoves:  2,
+			Interval: interval,
+			Rounds:   12,
+			MaxMoves: 2,
 		}
 	}
 	spec := runSpec{name: run, seed: opts.Seed, ranks: rebalanceRanks, halfLife: 3 * interval}

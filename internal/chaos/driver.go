@@ -325,19 +325,11 @@ func (d *driver) setup(p runtime.Task) bool {
 		d.cl.Objects().SetFaults(d.inj)
 	}
 	if d.plan.Transport {
-		d.srv.InjectFaults(transport.NewFaultInterceptor(d.plan.Seed^0x77697265, transport.FaultConfig{
-			DropProb:        0.2,
-			MaxRetransmits:  3,
-			RetransmitDelay: runtime.Duration(1e6),
-			DelayProb:       0.2,
-			MaxExtraDelay:   runtime.Duration(2e6),
-			DuplicateProb:   0.2,
-			DuplicateOK: func(msg any) bool {
-				// Double delivery is only injected for read-only RPCs,
-				// whose handlers are idempotent by construction.
-				req, ok := msg.(*mds.Request)
-				return ok && !req.Op.Mutates()
-			},
+		d.srv.InjectFaults(transport.NewFaultInterceptor(d.plan.Seed^0x77697265, func(msg any) bool {
+			// Double delivery is only injected for read-only RPCs, whose
+			// handlers are idempotent by construction.
+			req, ok := msg.(*mds.Request)
+			return ok && !req.Op.Mutates()
 		}))
 	}
 	d.plan.Faults.Arm(d.cl.Engine(), func(f sim.Fault) {

@@ -29,23 +29,6 @@ import (
 	"cudele/internal/transport"
 )
 
-// Service is the client's contract with the metadata service: a message
-// endpoint plus session, stream, and routing-refresh control. Both a
-// single *mds.Server and a multi-rank *mds.Portal satisfy it; the client
-// never holds a concrete server, so it works unchanged against any
-// number of ranks.
-type Service interface {
-	transport.Endpoint
-	// Mount and Unmount open and close the named client's session from
-	// the client's task.
-	Mount(p runtime.Task, client string)
-	Unmount(p runtime.Task, client string)
-	SetStream(on bool)
-	// Refresh re-syncs the service's routing view after a redirect reply
-	// reported a newer cluster-map epoch. A single server no-ops.
-	Refresh()
-}
-
 // redirectRetryMax bounds retries of a bounced request, guarding against
 // a routing bug looping forever; a real migration resolves in a handful
 // of retry delays.
@@ -85,7 +68,7 @@ type Client struct {
 	dom  runtime.Domain
 	cfg  model.Config
 	name string
-	svc  Service
+	svc  *mds.Portal
 	obj  *rados.Cluster
 
 	// localDisk models the node's own disk (Local Persist target).
@@ -170,9 +153,9 @@ func (d *decoupled) clearJournal() {
 	d.undo = d.undo[:0]
 }
 
-// New creates a client attached to a metadata service and object store.
-// svc may be a single *mds.Server or a routed *mds.Portal.
-func New(eng runtime.Runtime, cfg model.Config, name string, svc Service, obj *rados.Cluster) *Client {
+// New creates a client attached to the metadata service, through its own
+// portal, and to the object store.
+func New(eng runtime.Runtime, cfg model.Config, name string, svc *mds.Portal, obj *rados.Cluster) *Client {
 	c := &Client{
 		eng:        eng,
 		dom:        eng.NewDomain(name),

@@ -46,7 +46,7 @@ func TestLocalUnlinkAndReadDir(t *testing.T) {
 	c := cl.client("c0")
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/j", 0755)
-		c.Decouple(p, "/j", decouplePolicy(policy.ConsWeak, policy.DurNone, 100))
+		decouple(p, c, "/j", decouplePolicy(policy.ConsWeak, policy.DurNone, 100))
 		root, _ := c.DecoupledRoot()
 		c.LocalCreate(p, root, "a", 0644)
 		c.LocalCreate(p, root, "b", 0644)
@@ -82,7 +82,7 @@ func TestLocalMkdirDeepNesting(t *testing.T) {
 	c := cl.client("c0")
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/j", 0755)
-		c.Decouple(p, "/j", decouplePolicy(policy.ConsWeak, policy.DurNone, 1000))
+		decouple(p, c, "/j", decouplePolicy(policy.ConsWeak, policy.DurNone, 1000))
 		root, _ := c.DecoupledRoot()
 		cur := root
 		// A deep chain of decoupled directories.
@@ -117,7 +117,7 @@ func TestJournalNominalBytes(t *testing.T) {
 	}
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/j", 0755)
-		c.Decouple(p, "/j", decouplePolicy(policy.ConsInvisible, policy.DurNone, 100))
+		decouple(p, c, "/j", decouplePolicy(policy.ConsInvisible, policy.DurNone, 100))
 		root, _ := c.DecoupledRoot()
 		for i := 0; i < 4; i++ {
 			c.LocalCreate(p, root, fmt.Sprintf("f%d", i), 0644)
@@ -151,7 +151,7 @@ func TestWaitSyncDrainOnly(t *testing.T) {
 	c := cl.client("c0")
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/j", 0755)
-		c.Decouple(p, "/j", decouplePolicy(policy.ConsInvisible, policy.DurNone, 60000))
+		decouple(p, c, "/j", decouplePolicy(policy.ConsInvisible, policy.DurNone, 60000))
 		root, _ := c.DecoupledRoot()
 		for i := 0; i < 50000; i++ {
 			c.LocalCreate(p, root, fmt.Sprintf("f%d", i), 0644)
@@ -186,7 +186,7 @@ func TestNonvolatileApplyDeepChain(t *testing.T) {
 			t.Fatalf("save: %v", err)
 		}
 		pol := decouplePolicy(policy.ConsWeak, policy.DurGlobal, 100)
-		if err := c.Decouple(p, "/a/b/c", pol); err != nil {
+		if err := decouple(p, c, "/a/b/c", pol); err != nil {
 			t.Fatalf("decouple: %v", err)
 		}
 		if _, err := c.LocalCreate(p, deep, "leaf", 0644); err != nil {

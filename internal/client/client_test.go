@@ -15,28 +15,25 @@ import (
 	"cudele/internal/policy"
 	"cudele/internal/rados"
 	"cudele/internal/runtime"
-	"cudele/internal/sim"
 )
 
+// cluster is a one-rank metadata service; srv is its rank.
 type cluster struct {
 	eng runtime.Runtime
 	obj *rados.Cluster
+	mc  *mds.Cluster
 	srv *mds.Server
 }
 
-func newCluster() *cluster {
-	eng := sim.NewEngine(23)
-	cfg := model.Default()
-	obj := rados.New(eng, cfg)
-	srv := mds.New(eng, cfg, obj)
-	return &cluster{eng: eng, obj: obj, srv: srv}
+func newCluster() *cluster { return newClusterCfg(model.Default()) }
+
+// clusterOver builds the one-rank metadata service over obj.
+func clusterOver(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster) *cluster {
+	mc := mds.NewCluster(eng, cfg, obj, 1)
+	return &cluster{eng: eng, obj: obj, mc: mc, srv: mc.Rank(0)}
 }
 
-func (cl *cluster) client(name string) *Client {
-	c := New(cl.eng, model.Default(), name, cl.srv, cl.obj)
-	c.Mount(nil)
-	return c
-}
+func (cl *cluster) client(name string) *Client { return cl.clientCfg(name, model.Default()) }
 
 func (cl *cluster) run(t *testing.T, fn func(p runtime.Task)) {
 	t.Helper()
@@ -175,12 +172,22 @@ func decouplePolicy(cons policy.Consistency, dur policy.Durability, inodes int) 
 	return &policy.Policy{Consistency: cons, Durability: dur, AllocatedInodes: inodes}
 }
 
+// decouple registers pol on the subtree at path for c the way the monitor
+// does, with a DecoupleMsg to the owning rank, and attaches the grant.
+func decouple(p runtime.Task, c *Client, path string, pol *policy.Policy) error {
+	r := c.svc.Post(p, &mds.DecoupleMsg{Path: path, Policy: pol, Client: c.name}).(*mds.DecoupleReply)
+	if r.Err != nil {
+		return r.Err
+	}
+	return c.AdoptGrant(p, path, r.Lo, r.N)
+}
+
 func TestDecoupleLocalCreate(t *testing.T) {
 	cl := newCluster()
 	c := cl.client("c0")
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/job", 0755)
-		err := c.Decouple(p, "/job", decouplePolicy(policy.ConsInvisible, policy.DurNone, 1000))
+		err := decouple(p, c, "/job", decouplePolicy(policy.ConsInvisible, policy.DurNone, 1000))
 		if err != nil {
 			t.Errorf("decouple: %v", err)
 			return
@@ -221,7 +228,7 @@ func TestGrantExhaustion(t *testing.T) {
 	c := cl.client("c0")
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/job", 0755)
-		c.Decouple(p, "/job", decouplePolicy(policy.ConsInvisible, policy.DurNone, 3))
+		decouple(p, c, "/job", decouplePolicy(policy.ConsInvisible, policy.DurNone, 3))
 		root, _ := c.DecoupledRoot()
 		for i := 0; i < 3; i++ {
 			if _, err := c.LocalCreate(p, root, fmt.Sprintf("f%d", i), 0644); err != nil {
@@ -264,7 +271,7 @@ func TestVolatileApplyMergesIntoGlobal(t *testing.T) {
 	c := cl.client("c0")
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/job", 0755)
-		c.Decouple(p, "/job", decouplePolicy(policy.ConsWeak, policy.DurNone, 1000))
+		decouple(p, c, "/job", decouplePolicy(policy.ConsWeak, policy.DurNone, 1000))
 		root, _ := c.DecoupledRoot()
 		sub, _ := c.LocalMkdir(p, root, "sub", 0755)
 		for i := 0; i < 20; i++ {
@@ -295,7 +302,7 @@ func TestLocalPersistRecover(t *testing.T) {
 	c := cl.client("c0")
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/job", 0755)
-		c.Decouple(p, "/job", decouplePolicy(policy.ConsInvisible, policy.DurLocal, 100))
+		decouple(p, c, "/job", decouplePolicy(policy.ConsInvisible, policy.DurLocal, 100))
 		root, _ := c.DecoupledRoot()
 		for i := 0; i < 10; i++ {
 			c.LocalCreate(p, root, fmt.Sprintf("f%d", i), 0644)
@@ -336,7 +343,7 @@ func TestLocalPersistFileSurvivesFailedPersist(t *testing.T) {
 	c.SetLocalDir(dir)
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/job", 0755)
-		c.Decouple(p, "/job", decouplePolicy(policy.ConsInvisible, policy.DurLocal, 100))
+		decouple(p, c, "/job", decouplePolicy(policy.ConsInvisible, policy.DurLocal, 100))
 		root, _ := c.DecoupledRoot()
 		persist := func(upTo int) error {
 			for i := c.dec.jrnl.Len(); i < upTo; i++ {
@@ -399,7 +406,7 @@ func TestFailedLocalPersistIsNotRecoverable(t *testing.T) {
 	c.SetLocalDir(filepath.Join(file, "dir"))
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/job", 0755)
-		if err := c.Decouple(p, "/job", decouplePolicy(policy.ConsInvisible, policy.DurLocal, 100)); err != nil {
+		if err := decouple(p, c, "/job", decouplePolicy(policy.ConsInvisible, policy.DurLocal, 100)); err != nil {
 			t.Fatalf("decouple: %v", err)
 		}
 		root, _ := c.DecoupledRoot()
@@ -428,7 +435,7 @@ func TestGlobalPersistFetch(t *testing.T) {
 	other := cl.client("c1")
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/job", 0755)
-		c.Decouple(p, "/job", decouplePolicy(policy.ConsInvisible, policy.DurGlobal, 100))
+		decouple(p, c, "/job", decouplePolicy(policy.ConsInvisible, policy.DurGlobal, 100))
 		root, _ := c.DecoupledRoot()
 		for i := 0; i < 5; i++ {
 			c.LocalCreate(p, root, fmt.Sprintf("f%d", i), 0644)
@@ -455,7 +462,7 @@ func TestNonvolatileApplyThenRecover(t *testing.T) {
 			t.Errorf("save store: %v", err)
 			return
 		}
-		c.Decouple(p, "/job", decouplePolicy(policy.ConsWeak, policy.DurGlobal, 100))
+		decouple(p, c, "/job", decouplePolicy(policy.ConsWeak, policy.DurGlobal, 100))
 		root, _ := c.DecoupledRoot()
 		for i := 0; i < 10; i++ {
 			c.LocalCreate(p, root, fmt.Sprintf("f%d", i), 0644)
@@ -487,7 +494,7 @@ func TestNonvolatileApplyCost(t *testing.T) {
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/job", 0755)
 		cl.srv.SaveStore(p)
-		c.Decouple(p, "/job", decouplePolicy(policy.ConsWeak, policy.DurGlobal, 200))
+		decouple(p, c, "/job", decouplePolicy(policy.ConsWeak, policy.DurGlobal, 200))
 		root, _ := c.DecoupledRoot()
 		const n = 100
 		for i := 0; i < n; i++ {
@@ -512,7 +519,7 @@ func TestRunCompositionBatchFS(t *testing.T) {
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/batch", 0755)
 		pol := decouplePolicy(policy.ConsWeak, policy.DurLocal, 100)
-		c.Decouple(p, "/batch", pol)
+		decouple(p, c, "/batch", pol)
 		root, _ := c.DecoupledRoot()
 		for i := 0; i < 10; i++ {
 			c.LocalCreate(p, root, fmt.Sprintf("f%d", i), 0644)
@@ -538,7 +545,7 @@ func TestRunCompositionParallelStep(t *testing.T) {
 	c := cl.client("c0")
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/j", 0755)
-		c.Decouple(p, "/j", decouplePolicy(policy.ConsInvisible, policy.DurNone, 100))
+		decouple(p, c, "/j", decouplePolicy(policy.ConsInvisible, policy.DurNone, 100))
 		root, _ := c.DecoupledRoot()
 		for i := 0; i < 10; i++ {
 			c.LocalCreate(p, root, fmt.Sprintf("f%d", i), 0644)
@@ -580,7 +587,7 @@ func TestNamespaceSync(t *testing.T) {
 	c := cl.client("c0")
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/exp", 0755)
-		c.Decouple(p, "/exp", decouplePolicy(policy.ConsInvisible, policy.DurLocal, 10000))
+		decouple(p, c, "/exp", decouplePolicy(policy.ConsInvisible, policy.DurLocal, 10000))
 		root, _ := c.DecoupledRoot()
 		for i := 0; i < 1000; i++ {
 			c.LocalCreate(p, root, fmt.Sprintf("f%d", i), 0644)
@@ -627,7 +634,7 @@ func TestSyncDrainOrdering(t *testing.T) {
 	c := cl.client("c0")
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/exp", 0755)
-		c.Decouple(p, "/exp", decouplePolicy(policy.ConsInvisible, policy.DurNone, 10000))
+		decouple(p, c, "/exp", decouplePolicy(policy.ConsInvisible, policy.DurNone, 10000))
 		root, _ := c.DecoupledRoot()
 		for i := 0; i < 100; i++ {
 			c.LocalCreate(p, root, fmt.Sprintf("a%d", i), 0644)
@@ -656,7 +663,7 @@ func TestBlockedSubtreeRejection(t *testing.T) {
 		owner.MkdirAll(p, "/mine", 0755)
 		pol := decouplePolicy(policy.ConsInvisible, policy.DurLocal, 100)
 		pol.Interfere = policy.InterfereBlock
-		owner.Decouple(p, "/mine", pol)
+		decouple(p, owner, "/mine", pol)
 		dir, _ := intruder.Resolve(p, "/mine")
 		if _, err := intruder.Create(p, dir, "x", 0644); !errors.Is(err, namespace.ErrBusy) {
 			t.Errorf("intruder create err = %v, want ErrBusy", err)

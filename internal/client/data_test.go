@@ -71,7 +71,7 @@ func TestLocalWriteFileMerges(t *testing.T) {
 	payload := []byte("checkpoint bytes")
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/job", 0755)
-		c.Decouple(p, "/job", decouplePolicy(policy.ConsWeak, policy.DurNone, 100))
+		decouple(p, c, "/job", decouplePolicy(policy.ConsWeak, policy.DurNone, 100))
 		root, _ := c.DecoupledRoot()
 		ino, _ := c.LocalCreate(p, root, "ckpt", 0644)
 		if err := c.LocalWriteFile(p, ino, payload); err != nil {
@@ -104,7 +104,7 @@ func TestLocalWriteFileErrors(t *testing.T) {
 			t.Errorf("not decoupled err = %v", err)
 		}
 		c.MkdirAll(p, "/job", 0755)
-		c.Decouple(p, "/job", decouplePolicy(policy.ConsInvisible, policy.DurNone, 100))
+		decouple(p, c, "/job", decouplePolicy(policy.ConsInvisible, policy.DurNone, 100))
 		root, _ := c.DecoupledRoot()
 		sub, _ := c.LocalMkdir(p, root, "sub", 0755)
 		if err := c.LocalWriteFile(p, sub, nil); !errors.Is(err, namespace.ErrIsDir) {
@@ -142,7 +142,7 @@ func TestSpeculativeWriteFileRollback(t *testing.T) {
 	setup := func(t *testing.T, p runtime.Task, c *Client, dur policy.Durability) (job, root namespace.Ino) {
 		job, err := c.MkdirAll(p, "/job", 0755)
 		if err == nil {
-			err = c.Decouple(p, "/job", decouplePolicy(policy.ConsSpeculative, dur, 100))
+			err = decouple(p, c, "/job", decouplePolicy(policy.ConsSpeculative, dur, 100))
 		}
 		if err == nil {
 			err = c.SetMergeMode(policy.ConsSpeculative)

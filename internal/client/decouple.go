@@ -18,23 +18,11 @@ import (
 // journals into.
 const ClientJournalPool = "cudele_client_journals"
 
-// Decouple detaches the subtree at path for exclusive local processing:
-// the MDS attaches the policy, grants an inode range, and the client
-// starts an in-memory journal (paper §III). Subsequent Local* operations
-// run entirely client-side via Append Client Journal.
-func (c *Client) Decouple(p runtime.Task, path string, pol *policy.Policy) error {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	r := c.svc.Post(p, &mds.DecoupleMsg{Path: path, Policy: pol, Client: c.name}).(*mds.DecoupleReply)
-	if r.Err != nil {
-		return r.Err
-	}
-	return c.AdoptGrant(p, path, r.Lo, r.N)
-}
-
-// AdoptGrant attaches a decoupled subtree whose policy and inode grant
-// were registered externally — normally by the monitor on the client's
-// behalf (paper §III-C).
+// AdoptGrant detaches the subtree at path for exclusive local
+// processing, on the policy and inode grant the monitor registered on the
+// client's behalf (paper §III-C): the client starts an in-memory journal,
+// and subsequent Local* operations run entirely client-side via Append
+// Client Journal.
 func (c *Client) AdoptGrant(p runtime.Task, path string, lo namespace.Ino, n uint64) error {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"cudele/internal/mds"
 	"cudele/internal/model"
 	"cudele/internal/policy"
 	"cudele/internal/rados"
@@ -37,7 +36,7 @@ func jobWithJournal(t *testing.T, cl *cluster, c *Client, p runtime.Task, n int)
 // journalCreates decouples /job and journals n local creates.
 func journalCreates(t *testing.T, c *Client, p runtime.Task, n int) bool {
 	t.Helper()
-	if err := c.Decouple(p, "/job", decouplePolicy(policy.ConsWeak, policy.DurGlobal, 1000)); err != nil {
+	if err := decouple(p, c, "/job", decouplePolicy(policy.ConsWeak, policy.DurGlobal, 1000)); err != nil {
 		t.Errorf("decouple: %v", err)
 		return false
 	}
@@ -132,7 +131,7 @@ func durableCluster(t *testing.T, dir string) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &cluster{eng: eng, obj: obj, srv: mds.New(eng, cfg, obj)}
+	return clusterOver(eng, cfg, obj)
 }
 
 // recoveredFiles restarts the metadata server from the object store and

@@ -26,7 +26,7 @@ import (
 
 // SetMergeMode selects the consistency cell for the decoupled subtree's
 // merge path; ConsSpeculative keeps pre-images for rollback. Called by
-// the API layer right after Decouple/AdoptGrant, on an empty journal.
+// the API layer right after AdoptGrant, on an empty journal.
 func (c *Client) SetMergeMode(mode policy.Consistency) error {
 	if c.dec == nil {
 		return ErrNotDecoupled

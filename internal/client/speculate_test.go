@@ -80,7 +80,7 @@ func specRollbackRun(t *testing.T, seed int64, crash bool, rejected map[journal.
 		if _, err := c.MkdirAll(p, "/job", 0755); err != nil {
 			t.Fatalf("seed %d: mkdirall: %v", seed, err)
 		}
-		if err := c.Decouple(p, "/job", decouplePolicy(policy.ConsSpeculative, policy.DurLocal, 1000)); err != nil {
+		if err := decouple(p, c, "/job", decouplePolicy(policy.ConsSpeculative, policy.DurLocal, 1000)); err != nil {
 			t.Fatalf("seed %d: decouple: %v", seed, err)
 		}
 		if err := c.SetMergeMode(policy.ConsSpeculative); err != nil {

@@ -23,13 +23,11 @@ import (
 // exercising the opt-in chunked merge pipeline (MergeChunkEvents > 0).
 func newClusterCfg(cfg model.Config) *cluster {
 	eng := sim.NewEngine(23)
-	obj := rados.New(eng, cfg)
-	srv := mds.New(eng, cfg, obj)
-	return &cluster{eng: eng, obj: obj, srv: srv}
+	return clusterOver(eng, cfg, rados.New(eng, cfg))
 }
 
 func (cl *cluster) clientCfg(name string, cfg model.Config) *Client {
-	c := New(cl.eng, cfg, name, cl.srv, cl.obj)
+	c := New(cl.eng, cfg, name, cl.mc.Portal(), cl.obj)
 	c.Mount(nil)
 	return c
 }
@@ -47,7 +45,7 @@ func chunkedConfig(chunk int) model.Config {
 func decoupledWorkload(t *testing.T, p runtime.Task, c *Client, files int) {
 	t.Helper()
 	c.MkdirAll(p, "/job", 0755)
-	if err := c.Decouple(p, "/job", decouplePolicy(policy.ConsWeak, policy.DurNone, 10000)); err != nil {
+	if err := decouple(p, c, "/job", decouplePolicy(policy.ConsWeak, policy.DurNone, 10000)); err != nil {
 		t.Fatalf("decouple: %v", err)
 	}
 	root, _ := c.DecoupledRoot()
@@ -231,7 +229,7 @@ func TestGlobalPersistChunkedEmptyJournal(t *testing.T) {
 	other := cl.clientCfg("c1", cfg)
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/job", 0755)
-		c.Decouple(p, "/job", decouplePolicy(policy.ConsInvisible, policy.DurGlobal, 100))
+		decouple(p, c, "/job", decouplePolicy(policy.ConsInvisible, policy.DurGlobal, 100))
 		if err := c.GlobalPersist(p); err != nil {
 			t.Errorf("empty persist: %v", err)
 			return
@@ -385,7 +383,7 @@ func TestConcurrentVolatileApplyDeterministicAndFair(t *testing.T) {
 		if _, err := c.MkdirAll(p, path, 0755); err != nil {
 			return err
 		}
-		if err := c.Decouple(p, path, decouplePolicy(policy.ConsWeak, policy.DurNone, 10000)); err != nil {
+		if err := decouple(p, c, path, decouplePolicy(policy.ConsWeak, policy.DurNone, 10000)); err != nil {
 			return err
 		}
 		root, _ := c.DecoupledRoot()
@@ -479,7 +477,7 @@ func TestNonvolatileApplyDeepAncestorChain(t *testing.T) {
 			t.Errorf("save store: %v", err)
 			return
 		}
-		c.Decouple(p, deep, decouplePolicy(policy.ConsWeak, policy.DurGlobal, 100))
+		decouple(p, c, deep, decouplePolicy(policy.ConsWeak, policy.DurGlobal, 100))
 		root, _ := c.DecoupledRoot()
 		for i := 0; i < 3; i++ {
 			c.LocalCreate(p, root, fmt.Sprintf("f%d", i), 0644)
@@ -533,7 +531,7 @@ func TestNonvolatileApplyAncestorCycle(t *testing.T) {
 			Name: namespace.DirObjectName(bIno)}, bData)
 
 		c.MkdirAll(p, "/job", 0755)
-		c.Decouple(p, "/job", decouplePolicy(policy.ConsWeak, policy.DurGlobal, 100))
+		decouple(p, c, "/job", decouplePolicy(policy.ConsWeak, policy.DurGlobal, 100))
 		j, _ := c.Journal()
 		j.Append(&journal.Event{Type: journal.EvCreate, Client: "c0",
 			Parent: uint64(aIno), Name: "x", Ino: uint64(aIno) + 100, Mode: 0644})

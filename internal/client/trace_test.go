@@ -9,6 +9,7 @@ import (
 	"cudele/internal/policy"
 	"cudele/internal/runtime"
 	"cudele/internal/trace"
+	"cudele/internal/transport"
 )
 
 // clockCounter is a task that counts the reads of its clock.
@@ -33,7 +34,7 @@ func TestAppendEventTracingDisabled(t *testing.T) {
 	c := cl.client("c0")
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/job", 0755)
-		if err := c.Decouple(p, "/job", decouplePolicy(policy.ConsInvisible, policy.DurNone, 100)); err != nil {
+		if err := decouple(p, c, "/job", decouplePolicy(policy.ConsInvisible, policy.DurNone, 100)); err != nil {
 			t.Errorf("decouple: %v", err)
 			return
 		}
@@ -62,10 +63,8 @@ func TestAppendEventTracingDisabled(t *testing.T) {
 // uncounted hands the rank the client's own task: a simulated resource
 // takes only the simulator's task type, and the reads under test are
 // submit's.
-type uncounted struct{ Service }
-
-func (u uncounted) Call(p runtime.Task, msg any) any {
-	return u.Service.Call(p.(*clockCounter).Task, msg)
+func uncounted(next transport.Handler) transport.Handler {
+	return func(p runtime.Task, msg any) any { return next(p.(*clockCounter).Task, msg) }
 }
 
 // TestSubmitReadsClockTwice: one RPC reads the client's clock when it
@@ -75,7 +74,7 @@ func (u uncounted) Call(p runtime.Task, msg any) any {
 func TestSubmitReadsClockTwice(t *testing.T) {
 	cl := newCluster()
 	c := cl.client("c0")
-	c.svc = uncounted{c.svc}
+	cl.srv.InjectFaults(uncounted)
 	cl.run(t, func(p runtime.Task) {
 		counted := &clockCounter{Task: p}
 		lookup := func() {

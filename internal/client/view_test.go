@@ -15,7 +15,7 @@ func TestSnapshot(t *testing.T) {
 	c := cl.client("c0")
 	cl.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/job", 0755)
-		c.Decouple(p, "/job", decouplePolicy(policy.ConsInvisible, policy.DurNone, 100))
+		decouple(p, c, "/job", decouplePolicy(policy.ConsInvisible, policy.DurNone, 100))
 		root, _ := c.DecoupledRoot()
 		sub, _ := c.LocalMkdir(p, root, "sub", 0755)
 		c.LocalCreate(p, root, "a", 0644)
@@ -62,7 +62,7 @@ func TestBuildViewOverlaysPersistedJournals(t *testing.T) {
 		for i, c := range []*Client{a, b} {
 			path := fmt.Sprintf("/job%d", i)
 			c.MkdirAll(p, path, 0755)
-			c.Decouple(p, path, decouplePolicy(policy.ConsInvisible, policy.DurGlobal, 100))
+			decouple(p, c, path, decouplePolicy(policy.ConsInvisible, policy.DurGlobal, 100))
 			root, _ := c.DecoupledRoot()
 			for k := 0; k < 5; k++ {
 				c.LocalCreate(p, root, fmt.Sprintf("out%d", k), 0644)

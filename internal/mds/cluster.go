@@ -58,13 +58,7 @@ func NewCluster(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster, n int
 	}
 	eps := make([]transport.Endpoint, n)
 	for i := 0; i < n; i++ {
-		s := NewRank(eng, cfg, obj, i)
-		s.SetOwnership(func(path string) (int, uint64, bool) {
-			if c.migrations.Load() == 0 {
-				return 0, 0, false
-			}
-			return c.table.RankFor(path), c.table.Epoch(), true
-		})
+		s := newRank(c, i)
 		c.ranks = append(c.ranks, s)
 		eps[i] = s.Endpoint()
 	}
@@ -103,18 +97,7 @@ func (c *Cluster) SetStream(on bool) {
 // subtree. Pass nil to disable accounting.
 func (c *Cluster) SetHeat(h *obs.Heat) {
 	for _, s := range c.ranks {
-		s.SetHeat(h, c.table.SubtreeFor)
-	}
-}
-
-// OpenSession opens the client's session on every rank: a mounted client
-// may touch any subtree, so each rank carries its bookkeeping overhead,
-// keeping per-rank service times comparable to the single-MDS system.
-// It is the set-up form, for callers outside task context; tasks use
-// Mount.
-func (c *Cluster) OpenSession(client string) {
-	for _, s := range c.ranks {
-		s.OpenSession(client)
+		s.heat = h
 	}
 }
 
@@ -215,8 +198,8 @@ func exportSubtree(src, dst *namespace.Store, path string) error {
 }
 
 // Portal is one client's view of the metadata cluster: a routed endpoint
-// over a placement-table replica, plus the session fan-out. It
-// implements the client package's Service interface.
+// over a placement-table replica, plus the session fan-out. It is the
+// only way a client reaches the metadata service.
 type Portal struct {
 	cl     *Cluster
 	table  *transport.Table
@@ -247,7 +230,10 @@ func (pt *Portal) Call(p runtime.Task, msg any) any { return pt.router.Call(p, m
 // Post implements transport.Endpoint.
 func (pt *Portal) Post(p runtime.Task, msg any) any { return pt.router.Post(p, msg) }
 
-// Mount opens the client's session on every rank, from the client's task.
+// Mount opens the client's session on every rank, from the client's
+// task: a mounted client may touch any subtree, so each rank carries its
+// bookkeeping overhead, keeping per-rank service times comparable to the
+// single-MDS system.
 func (pt *Portal) Mount(p runtime.Task, client string) {
 	for _, s := range pt.cl.ranks {
 		s.Mount(p, client)

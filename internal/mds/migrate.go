@@ -210,14 +210,6 @@ type exportState struct {
 	manifest ExportManifest
 }
 
-// migrateChunkDirs returns the per-chunk directory-object count.
-func (s *Server) migrateChunkDirs() int {
-	if s.cfg.MigrateChunkDirs > 0 {
-		return s.cfg.MigrateChunkDirs
-	}
-	return 16
-}
-
 // migrateDirCPU is the CPU cost to encode or install one directory
 // object during migration.
 func (s *Server) migrateDirCPU() runtime.Duration {
@@ -390,7 +382,7 @@ func (s *Server) exportRead(p runtime.Task, m *ExportReadMsg) *ExportReadReply {
 	if ex == nil {
 		return &ExportReadReply{Err: ErrNotExporting}
 	}
-	k := s.migrateChunkDirs()
+	k := s.cfg.MigrateChunkDirs
 	lo := m.Chunk * k
 	if lo < 0 || lo >= len(ex.dirs) {
 		// An empty subtree (one dir) streams a single chunk; past-the-end
@@ -484,13 +476,9 @@ func (s *Server) exportAbort(p runtime.Task, m *ExportAbortMsg) *ExportAbortRepl
 // scheduler: an admitted import costs only its wire hop, and each chunk's
 // objects install into the live store at the per-directory CPU cost.
 func newImportSched(s *Server) *streamSched {
-	admitMax := s.cfg.MigrateAdmitMax
-	if admitMax <= 0 {
-		admitMax = 2
-	}
 	return newStreamSched(s, streamKind{
 		name:         "import",
-		admitMax:     admitMax,
+		admitMax:     s.cfg.MigrateAdmitMax,
 		window:       s.cfg.MigrateWindowChunks,
 		admit:        func(runtime.Task) { s.metrics.Imports++ },
 		service:      s.importService,

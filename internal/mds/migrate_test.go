@@ -123,7 +123,7 @@ func TestFreezeExportsDirMadeMeanwhile(t *testing.T) {
 // recovered store allocates from the rank's own band.
 func TestRestartedRankKeepsAckedInodes(t *testing.T) {
 	eng := sim.NewEngine(17)
-	s := NewRank(eng, model.Default(), rados.New(eng, model.Default()), 1)
+	s := NewCluster(eng, model.Default(), rados.New(eng, model.Default()), 2).Rank(1)
 	s.OpenSession("c0")
 	s.SetStream(true)
 	acked := map[string]namespace.Ino{}

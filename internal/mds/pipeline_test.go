@@ -38,7 +38,7 @@ func TestServeRPCSchedule(t *testing.T) {
 			setup: func(p runtime.Task, s *Server) *Request {
 				mk := s.Submit(p, &Request{Op: OpMkdir, Client: "c0", Parent: namespace.RootIno, Name: "d"})
 				pol := &policy.Policy{Consistency: policy.ConsWeak, Interfere: policy.InterfereBlock, AllocatedInodes: 10}
-				if _, _, err := s.Decouple(p, "/d", pol, "c0"); mk.Err != nil || err != nil {
+				if _, _, err := decouple(p, s, "/d", pol, "c0"); mk.Err != nil || err != nil {
 					t.Fatalf("setup: mkdir %v, decouple %v", mk.Err, err)
 				}
 				return &Request{Op: OpCreate, Client: "c1", Parent: mk.Ino, Name: "f"}
@@ -125,7 +125,7 @@ func TestServeRPCReadsClockOnlyForHeat(t *testing.T) {
 			t.Errorf("heat off: serveRPC read the clock %d times (reply error %v), want 0", counted.reads, r.Err)
 		}
 		heat := obs.NewHeat(0)
-		s.SetHeat(heat, nil)
+		s.c.SetHeat(heat)
 		if r := s.serveRPC(counted, req); !errors.Is(r.Err, namespace.ErrNotExist) || counted.reads != 2 {
 			t.Errorf("heat on: serveRPC read the clock %d times (reply error %v), want 2", counted.reads, r.Err)
 		}

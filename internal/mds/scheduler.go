@@ -83,9 +83,6 @@ type streamSched struct {
 }
 
 func newStreamSched(s *Server, kind streamKind) *streamSched {
-	if kind.window < 1 {
-		kind.window = 4
-	}
 	return &streamSched{s: s, streamKind: kind, finished: make(map[uint64]*streamJob)}
 }
 

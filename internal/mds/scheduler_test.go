@@ -17,8 +17,7 @@ import (
 
 func newTestServerCfg(cfg model.Config) (runtime.Runtime, *Server) {
 	eng := sim.NewEngine(17)
-	obj := rados.New(eng, cfg)
-	return eng, New(eng, cfg, obj)
+	return eng, NewCluster(eng, cfg, rados.New(eng, cfg), 1).Rank(0)
 }
 
 // streamEvents builds n root-level creates with a distinct name prefix so
@@ -107,7 +106,7 @@ var streamCases = []streamCase{
 }
 
 // eachStreamKind runs fn once per stream kind on a fresh rank whose
-// admission bound and window are set for that kind (0 keeps the default).
+// admission bound (0 is unbounded) and window are set for that kind.
 func eachStreamKind(t *testing.T, admitMax, window int, fn func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server)) {
 	for _, k := range streamCases {
 		t.Run(k.name, func(t *testing.T) {
@@ -142,7 +141,7 @@ func wantDone(t *testing.T, p runtime.Task, ss *streamSched, id uint64, want int
 }
 
 func TestStreamAdmissionBackpressure(t *testing.T) {
-	eachStreamKind(t, 1, 0, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
+	eachStreamKind(t, 1, 4, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
 		run(t, eng, func(p runtime.Task) {
 			ss := k.sched(s)
 			open1 := ss.open(p)
@@ -223,7 +222,7 @@ func TestStreamWindowBackpressure(t *testing.T) {
 }
 
 func TestStreamRoundRobinFairness(t *testing.T) {
-	eachStreamKind(t, 0, 0, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
+	eachStreamKind(t, 0, 4, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
 		run(t, eng, func(p runtime.Task) {
 			ss := k.sched(s)
 			openA, openB := ss.open(p), ss.open(p)
@@ -327,7 +326,7 @@ func TestStreamAbortReleasesAdmission(t *testing.T) {
 	// A sender that aborts mid-stream must not park the scheduler or pin
 	// its admission slot (and, for merges, its merge-queue share) for the
 	// rest of the run.
-	eachStreamKind(t, 1, 0, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
+	eachStreamKind(t, 1, 4, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
 		run(t, eng, func(p runtime.Task) {
 			ss := k.sched(s)
 			open := ss.open(p)
@@ -375,7 +374,7 @@ func TestStreamAbortDuringWireYield(t *testing.T) {
 	// A chunk that is on the wire when its stream aborts must be refused
 	// with the typed abort error, not buffered into a job that is about
 	// to be retired.
-	eachStreamKind(t, 0, 0, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
+	eachStreamKind(t, 0, 4, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
 		run(t, eng, func(p runtime.Task) {
 			ss := k.sched(s)
 			open := ss.open(p)
@@ -397,7 +396,7 @@ func TestStreamUnknownID(t *testing.T) {
 	// Both kinds answer an id they do not hold with the same typed error —
 	// and, once the rank has stopped, with ErrShutdown: Crash replaced the
 	// scheduler the id belonged to, so "invalid" would blame the sender.
-	eachStreamKind(t, 0, 0, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
+	eachStreamKind(t, 0, 4, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
 		run(t, eng, func(p runtime.Task) {
 			ss := k.sched(s)
 			if r := ss.push(p, k.chunk(t, 99, 0, "x", 1<<41, 1, true, true)); !errors.Is(r.Err, namespace.ErrInval) {
@@ -445,7 +444,7 @@ func TestStreamCrashRetiresJobs(t *testing.T) {
 	// A rank crash retires every in-flight stream: a sender parked in wait
 	// is released with ErrShutdown, buffered chunks are discarded, and the
 	// restarted rank starts with every admission slot free.
-	eachStreamKind(t, 1, 0, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
+	eachStreamKind(t, 1, 4, func(t *testing.T, k streamCase, eng runtime.Runtime, s *Server) {
 		run(t, eng, func(p runtime.Task) {
 			ss := k.sched(s)
 			open := ss.open(p)

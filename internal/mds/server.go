@@ -139,8 +139,9 @@ type Metrics struct {
 	Bounced            uint64 // requests answered with a WrongRank redirect
 }
 
-// Server is one simulated metadata rank.
+// Server is one metadata rank of a Cluster.
 type Server struct {
+	c     *Cluster // the cluster this rank belongs to
 	eng   runtime.Runtime
 	cfg   model.Config
 	store *namespace.Store
@@ -185,21 +186,11 @@ type Server struct {
 	frozen  map[string]bool
 	exports map[string]*exportState
 
-	// resolveOwner is the cluster-installed ownership oracle for the
-	// stale-routing bounce: it returns the owning rank and table epoch
-	// for a path, with ok=false while no migration or split has ever
-	// happened (the check is then skipped entirely, keeping calibrated
-	// runs byte-identical). nil on standalone servers.
-	resolveOwner func(path string) (rank int, epoch uint64, ok bool)
-
 	metrics Metrics
 
 	// heat is the per-subtree load accountant; nil (the default) means
 	// heat accounting is off and the record sites cost one nil check.
-	// subtreeOf maps a request route to its placed subtree (the heat
-	// cell key); nil folds everything into "/".
-	heat      *obs.Heat
-	subtreeOf func(string) string
+	heat *obs.Heat
 
 	stopped bool
 
@@ -219,30 +210,26 @@ type Server struct {
 	ep *transport.Wire
 }
 
-// New creates a single metadata rank (rank 0) over the given object
-// store. The store starts with just the root directory; use Recover to
-// load state from RADOS.
-func New(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster) *Server {
-	return NewRank(eng, cfg, obj, 0)
-}
-
-// NewRank creates the metadata server for one rank of a multi-rank
-// deployment. Ranks other than 0 allocate server-assigned inode numbers
-// from a disjoint band so partitions of one namespace never collide.
-func NewRank(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster, rank int) *Server {
+// newRank creates the metadata server for rank of cluster c, over the
+// cluster's object store. The store starts with just the root directory;
+// use Recover to load state from RADOS. Ranks other than 0 allocate
+// server-assigned inode numbers from a disjoint band so partitions of
+// one namespace never collide.
+func newRank(c *Cluster, rank int) *Server {
 	cpuName := "mds.cpu"
 	if rank > 0 {
 		cpuName = fmt.Sprintf("mds%d.cpu", rank)
 	}
 	name := fmt.Sprintf("mds.%d", rank)
 	s := &Server{
-		eng:      eng,
-		cfg:      cfg,
+		c:        c,
+		eng:      c.eng,
+		cfg:      c.cfg,
 		store:    newRankStore(rank),
-		obj:      obj,
+		obj:      c.obj,
 		rank:     rank,
-		dom:      eng.NewDomain(name),
-		cpu:      eng.NewResource(cpuName, 1),
+		dom:      c.eng.NewDomain(name),
+		cpu:      c.eng.NewResource(cpuName, 1),
 		sessions: make(map[string]bool),
 		caps:     make(map[namespace.Ino]*dirCaps),
 		owners:   make(map[namespace.Ino]string),
@@ -253,7 +240,7 @@ func NewRank(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster, rank int
 	// The tracing interceptor wraps the whole message dispatcher, so
 	// every RPC and Post is spanned on the rank's track without any op
 	// handler knowing about it; with tracing off it is one nil check.
-	s.ep = transport.NewWire(name, cfg.NetLatency, transport.Tracing(name, labelOf)(s.handle))
+	s.ep = transport.NewWire(name, c.cfg.NetLatency, transport.Tracing(name, labelOf)(s.handle))
 	s.ep.Bind(s.dom)
 	return s
 }
@@ -279,22 +266,9 @@ func flightDetail(msg any) string {
 	return RouteOf(msg)
 }
 
-// SetHeat installs the heat accountant (nil disables accounting).
-// subtreeOf maps a request route to the placed subtree that owns it —
-// the heat cell key — so load aggregates per policy subtree; nil folds
-// every route into "/".
-func (s *Server) SetHeat(h *obs.Heat, subtreeOf func(string) string) {
-	s.heat = h
-	s.subtreeOf = subtreeOf
-}
-
-// heatSubtree resolves a route to its heat cell subtree.
-func (s *Server) heatSubtree(route string) string {
-	if s.subtreeOf == nil {
-		return "/"
-	}
-	return s.subtreeOf(route)
-}
+// heatSubtree resolves a route to its heat cell key: the placed subtree
+// that owns it, so load aggregates per policy subtree.
+func (s *Server) heatSubtree(route string) string { return s.c.table.SubtreeFor(route) }
 
 // rankInoFloor is the base of rank r's server-assigned inode band. Bands
 // are 2^32 inodes wide, far below the 2^40 client-grant space.
@@ -351,13 +325,10 @@ func (s *Server) handle(p runtime.Task, msg any) any {
 // this rank has frozen for export — or, once any migration has happened,
 // does not own at all (a stale client table) — nil when the rank should
 // serve it. The check costs no simulated time and, on a cluster that has
-// never migrated, reduces to one map-length test, so calibrated runs are
-// untouched.
+// never migrated, reduces to the cluster's migration count and one
+// map-length test, so calibrated runs are untouched.
 func (s *Server) bounce(msg refusable) error {
-	migrated := false
-	if s.resolveOwner != nil {
-		_, _, migrated = s.resolveOwner("/")
-	}
+	migrated := s.c.migrations.Load() != 0
 	if len(s.frozen) == 0 && !migrated {
 		return nil
 	}
@@ -372,12 +343,10 @@ func (s *Server) bounce(msg refusable) error {
 	}
 	frozen := s.frozenCovers(transport.Clean(route))
 	rank, epoch := s.rank, uint64(0)
-	if s.resolveOwner != nil {
-		if r, e, ok := s.resolveOwner(route); ok {
-			epoch = e
-			if !frozen {
-				rank = r
-			}
+	if migrated {
+		epoch = s.c.table.Epoch()
+		if !frozen {
+			rank = s.c.table.RankFor(route)
 		}
 	}
 	if !frozen && rank == s.rank {
@@ -389,12 +358,6 @@ func (s *Server) bounce(msg refusable) error {
 		fl.Record(int64(s.eng.Now()), s.ep.Name(), "mds", "bounce", werr.Error())
 	}
 	return werr
-}
-
-// SetOwnership installs the cluster's ownership oracle for the
-// stale-routing bounce.
-func (s *Server) SetOwnership(resolve func(path string) (rank int, epoch uint64, ok bool)) {
-	s.resolveOwner = resolve
 }
 
 // Store exposes the in-memory metadata store. Benchmarks and the monitor
@@ -409,10 +372,6 @@ func (s *Server) Metrics() Metrics { return s.metrics }
 
 // SetStream turns MDS journal streaming (the Stream mechanism) on or off.
 func (s *Server) SetStream(on bool) { s.streamOn.Store(on) }
-
-// Refresh implements the client Service interface: a single server has
-// no routing replica to re-sync.
-func (s *Server) Refresh() {}
 
 // StreamEnabled reports whether journal streaming is on.
 func (s *Server) StreamEnabled() bool { return s.streamOn.Load() }
@@ -626,14 +585,6 @@ func (s *Server) checkInterfere(p runtime.Task, req *Request) *Reply {
 	p.Sleep(s.cfg.MDSRejectTime)
 	s.metrics.Rejected++
 	return &Reply{Err: fmt.Errorf("mds: subtree decoupled by %s: %w", owner, namespace.ErrBusy)}
-}
-
-// Decouple attaches pol to the subtree at path, records client as its
-// owner, and reserves an inode range for it. It is invoked via the
-// monitor. The returned lo is the first inode of the grant.
-func (s *Server) Decouple(p runtime.Task, path string, pol *policy.Policy, client string) (lo namespace.Ino, n uint64, err error) {
-	r := s.ep.Post(p, &DecoupleMsg{Path: path, Policy: pol, Client: client}).(*DecoupleReply)
-	return r.Lo, r.N, r.Err
 }
 
 // grantSlots is how many grant slots fit in one rank's band.

@@ -21,10 +21,13 @@ import (
 	"cudele/internal/trace"
 )
 
-func newTestServer() (runtime.Runtime, *Server) {
-	eng := sim.NewEngine(17)
-	obj := rados.New(eng, model.Default())
-	return eng, New(eng, model.Default(), obj)
+func newTestServer() (runtime.Runtime, *Server) { return newTestServerCfg(model.Default()) }
+
+// decouple registers pol on the subtree at path for client the way the
+// monitor does, with a DecoupleMsg, and returns the inode grant.
+func decouple(p runtime.Task, s *Server, path string, pol *policy.Policy, client string) (namespace.Ino, uint64, error) {
+	r := s.Post(p, &DecoupleMsg{Path: path, Policy: pol, Client: client}).(*DecoupleReply)
+	return r.Lo, r.N, r.Err
 }
 
 func run(t *testing.T, eng runtime.Runtime, fn func(p runtime.Task)) {
@@ -331,7 +334,7 @@ func TestSaveStoreCommitsOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return eng, obj, New(eng, model.Default(), obj)
+		return eng, obj, NewCluster(eng, model.Default(), obj, 1).Rank(0)
 	}
 	eng, obj, s := open()
 	s.OpenSession("c0")
@@ -563,7 +566,7 @@ func TestDecoupleAndInterfereBlock(t *testing.T) {
 			Consistency: policy.ConsInvisible, Durability: policy.DurLocal,
 			AllocatedInodes: 1000, Interfere: policy.InterfereBlock,
 		}
-		lo, n, err := s.Decouple(p, "/mine", pol, "owner")
+		lo, n, err := decouple(p, s, "/mine", pol, "owner")
 		if err != nil || n != 1000 || lo == 0 {
 			t.Errorf("decouple = %d,%d,%v", lo, n, err)
 			return
@@ -610,7 +613,7 @@ func TestDecoupleAllowLetsWritesThrough(t *testing.T) {
 			Consistency: policy.ConsInvisible, Durability: policy.DurNone,
 			AllocatedInodes: 100, Interfere: policy.InterfereAllow,
 		}
-		if _, _, err := s.Decouple(p, "/mine", pol, "owner"); err != nil {
+		if _, _, err := decouple(p, s, "/mine", pol, "owner"); err != nil {
 			t.Errorf("decouple: %v", err)
 			return
 		}
@@ -626,7 +629,7 @@ func TestDecoupleErrors(t *testing.T) {
 	eng, s := newTestServer()
 	run(t, eng, func(p runtime.Task) {
 		pol := policy.Default()
-		if _, _, err := s.Decouple(p, "/missing", pol, "c"); !errors.Is(err, namespace.ErrNotExist) {
+		if _, _, err := decouple(p, s, "/missing", pol, "c"); !errors.Is(err, namespace.ErrNotExist) {
 			t.Errorf("decouple missing path err = %v", err)
 		}
 		if err := s.Recouple(p, "/missing"); !errors.Is(err, namespace.ErrNotExist) {
@@ -645,11 +648,11 @@ func TestDecoupleErrors(t *testing.T) {
 		if err := s.Attach(p, "/d", pol, "c", s.grantAt(5), 1<<24+1); err != nil || s.grantSlot != 7 {
 			t.Errorf("attach of slots 5-6: %v, slot %d; want 7", err, s.grantSlot)
 		}
-		if lo, _, err := s.Decouple(p, "/d", pol, "c"); err != nil || lo != s.grantAt(7) {
+		if lo, _, err := decouple(p, s, "/d", pol, "c"); err != nil || lo != s.grantAt(7) {
 			t.Errorf("decouple after attach = %d, %v; want slot 7 (%d)", lo, err, s.grantAt(7))
 		}
 		s.grantSlot = grantSlots
-		if _, _, err := s.Decouple(p, "/d", pol, "c"); !errors.Is(err, namespace.ErrNoSpace) {
+		if _, _, err := decouple(p, s, "/d", pol, "c"); !errors.Is(err, namespace.ErrNoSpace) {
 			t.Errorf("decouple on an exhausted band err = %v, want ErrNoSpace", err)
 		}
 	})
@@ -659,7 +662,7 @@ func TestSessionOverheadSlowsOps(t *testing.T) {
 	timeFor := func(sessions int) runtime.Time {
 		eng := sim.NewEngine(1)
 		obj := rados.New(eng, model.Default())
-		s := New(eng, model.Default(), obj)
+		s := NewCluster(eng, model.Default(), obj, 1).Rank(0)
 		for i := 0; i < sessions; i++ {
 			s.OpenSession(fmt.Sprintf("c%d", i))
 		}
@@ -693,7 +696,7 @@ func TestMergeCongestion(t *testing.T) {
 	perEventRate := func(jobs int) float64 {
 		eng := sim.NewEngine(1)
 		obj := rados.New(eng, model.Default())
-		s := New(eng, model.Default(), obj)
+		s := NewCluster(eng, model.Default(), obj, 1).Rank(0)
 		const per = 5000
 		g := eng.NewGroup()
 		for c := 0; c < jobs; c++ {

@@ -154,8 +154,7 @@ type Config struct {
 
 	// MergeWindowChunks is the flow-control window of a streamed merge:
 	// how many chunks the MDS will buffer per merge job before answering
-	// with backpressure. 0 means the default window (4). Only meaningful
-	// when MergeChunkEvents > 0.
+	// with backpressure. Only meaningful when MergeChunkEvents > 0.
 	MergeWindowChunks int
 
 	// MergeAdmitMax bounds how many merge jobs the scheduler admits
@@ -172,22 +171,19 @@ type Config struct {
 	// --- Subtree migration (online export/import) ---
 	//
 	// Migration only runs when explicitly requested (Monitor.Migrate or
-	// the balancer), so unlike the Merge* knobs a zero size or CPU cost
-	// selects a built-in default rather than disabling the feature; no
-	// calibrated baseline is affected either way.
+	// the balancer), so no calibrated baseline depends on these knobs.
 
 	// MigrateChunkDirs is the number of encoded directory objects per
 	// export chunk streamed from the exporting to the importing rank.
-	// 0 means the default (16).
 	MigrateChunkDirs int
 
 	// MigrateWindowChunks is the importer's flow-control window: chunks
-	// buffered per import before backpressure. 0 means the default (4).
+	// buffered per import before backpressure.
 	MigrateWindowChunks int
 
 	// MigrateAdmitMax bounds concurrent imports a rank admits; opens
-	// beyond it get a backpressure reply and retry. 0 means the default
-	// (2).
+	// beyond it get a backpressure reply and retry. 0 means unbounded
+	// admission, as for MergeAdmitMax.
 	MigrateAdmitMax int
 
 	// MigrateRetryDelay is how long a backpressured export sender (or a
@@ -195,8 +191,8 @@ type Config struct {
 	MigrateRetryDelay time.Duration
 
 	// MigrateDirCPU is the exporting/importing rank's CPU time to encode
-	// or install one directory object during migration. 0 means the
-	// default (MDSApplyTime).
+	// or install one directory object during migration. 0 means
+	// MDSApplyTime.
 	MigrateDirCPU time.Duration
 
 	// --- Namespace sync (Fig 6c) ---
@@ -278,7 +274,11 @@ func Default() Config {
 		MergeWindowChunks: 4,
 		MergeAdmitMax:     0,
 		MergeRetryDelay:   2 * time.Millisecond,
-		MigrateRetryDelay: 2 * time.Millisecond,
+
+		MigrateChunkDirs:    16,
+		MigrateWindowChunks: 4,
+		MigrateAdmitMax:     2,
+		MigrateRetryDelay:   2 * time.Millisecond,
 
 		ForkBase:           80 * time.Millisecond,
 		ForkCopyBandwidth:  8e9,
@@ -313,14 +313,14 @@ func (c Config) Validate() error {
 		{c.AllocatedInodesDefault > 0, "AllocatedInodesDefault"},
 		{c.ForkCopyBandwidth > 0, "ForkCopyBandwidth"},
 		{c.SyncDrainBandwidth > 0, "SyncDrainBandwidth"},
-		// Zero disables chunking/admission bounding; negatives are nonsense.
+		{c.MergeWindowChunks > 0, "MergeWindowChunks"},
+		{c.MigrateChunkDirs > 0, "MigrateChunkDirs"},
+		{c.MigrateWindowChunks > 0, "MigrateWindowChunks"},
+		// Zero disables chunking/admission bounding, or (MigrateDirCPU)
+		// selects MDSApplyTime; negatives are nonsense.
 		{c.MergeChunkEvents >= 0, "MergeChunkEvents"},
-		{c.MergeWindowChunks >= 0, "MergeWindowChunks"},
 		{c.MergeAdmitMax >= 0, "MergeAdmitMax"},
 		{c.MergeRetryDelay >= 0, "MergeRetryDelay"},
-		// Zero selects built-in migration defaults; negatives are nonsense.
-		{c.MigrateChunkDirs >= 0, "MigrateChunkDirs"},
-		{c.MigrateWindowChunks >= 0, "MigrateWindowChunks"},
 		{c.MigrateAdmitMax >= 0, "MigrateAdmitMax"},
 		{c.MigrateRetryDelay >= 0, "MigrateRetryDelay"},
 		{c.MigrateDirCPU >= 0, "MigrateDirCPU"},

@@ -65,6 +65,9 @@ func TestValidateCatchesZeroFields(t *testing.T) {
 		func(c *Config) { c.AllocatedInodesDefault = 0 },
 		func(c *Config) { c.ForkCopyBandwidth = 0 },
 		func(c *Config) { c.SyncDrainBandwidth = 0 },
+		func(c *Config) { c.MergeWindowChunks = 0 },
+		func(c *Config) { c.MigrateWindowChunks = 0 },
+		func(c *Config) { c.MigrateChunkDirs = 0 },
 	}
 	for i, mutate := range fields {
 		c := Default()

@@ -20,6 +20,19 @@ import (
 // The balancer is entirely opt-in: nothing constructs one unless
 // StartBalancer is called, so calibrated baselines never see it.
 
+// The balancer's fixed policy. It acts when the imbalance factor (max
+// rank load / mean rank load) reaches imbalanceThreshold and the hot-cold
+// load difference reaches minLoadGap — below it migration overhead
+// outweighs the spread. When the hottest rank's load is concentrated in
+// one cell beyond splitFactor and no movable cell fits, the cell's
+// directory is fragmented splitWays ways instead.
+const (
+	imbalanceThreshold = 1.25
+	minLoadGap         = 1
+	splitFactor        = 0.8
+	splitWays          = 2
+)
+
 // BalancerConfig tunes one balancer run. Zero values select defaults.
 type BalancerConfig struct {
 	// Interval between heat samples. Default 1s.
@@ -27,20 +40,8 @@ type BalancerConfig struct {
 	// Rounds bounds the proc's lifetime so a simulated run drains; each
 	// round is one sample plus at most MaxMoves actions. Default 8.
 	Rounds int
-	// Threshold is the imbalance factor (max rank load / mean rank load)
-	// above which the balancer acts. Default 1.25.
-	Threshold float64
-	// MinGap is the minimum hot-cold load difference worth acting on;
-	// below it migration overhead outweighs the spread. Default 1.
-	MinGap float64
 	// MaxMoves caps migrations per round. Default 1.
 	MaxMoves int
-	// SplitFactor: when the hottest rank's load is concentrated in one
-	// cell beyond this fraction and no movable cell fits, the cell's
-	// directory is fragmented instead. Default 0.8.
-	SplitFactor float64
-	// SplitWays is the fragment fan-out of such a split. Default 2.
-	SplitWays int
 }
 
 func (c *BalancerConfig) defaults() {
@@ -50,20 +51,8 @@ func (c *BalancerConfig) defaults() {
 	if c.Rounds <= 0 {
 		c.Rounds = 8
 	}
-	if c.Threshold <= 0 {
-		c.Threshold = 1.25
-	}
-	if c.MinGap <= 0 {
-		c.MinGap = 1
-	}
 	if c.MaxMoves <= 0 {
 		c.MaxMoves = 1
-	}
-	if c.SplitFactor <= 0 {
-		c.SplitFactor = 0.8
-	}
-	if c.SplitWays < 2 {
-		c.SplitWays = 2
 	}
 }
 
@@ -133,7 +122,7 @@ func (b *Balancer) run(p runtime.Task) {
 			TimeMS: float64(p.Now()) / 1e6, Imbalance: imb,
 			Loads: append([]float64(nil), loads...),
 		})
-		if imb < b.cfg.Threshold {
+		if imb < imbalanceThreshold {
 			continue
 		}
 		b.balance(p, cells, loads, imb)
@@ -162,7 +151,7 @@ func (b *Balancer) balance(p runtime.Task, cells []obs.HeatCell, loads []float64
 			}
 		}
 		gap := loads[hot] - loads[cold]
-		if gap < b.cfg.MinGap {
+		if gap < minLoadGap {
 			return
 		}
 		// The best export shrinks the gap without inverting it: the
@@ -206,11 +195,11 @@ func (b *Balancer) balance(p runtime.Task, cells []obs.HeatCell, loads []float64
 			continue
 		}
 		// Nothing fits: if one cell dominates the hot rank, fragment it.
-		if dom == nil || loads[hot] == 0 || dom.Load/loads[hot] < b.cfg.SplitFactor ||
+		if dom == nil || loads[hot] == 0 || dom.Load/loads[hot] < splitFactor ||
 			b.split[dom.Subtree] {
 			return
 		}
-		targets := coldestRanks(loads, b.cfg.SplitWays)
+		targets := coldestRanks(loads, splitWays)
 		err := b.mon.SplitDir(p, dom.Subtree, targets)
 		ev := BalanceEvent{
 			TimeMS: float64(p.Now()) / 1e6, Kind: "split",

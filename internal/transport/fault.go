@@ -7,67 +7,48 @@ import (
 	"cudele/internal/runtime"
 )
 
-// FaultConfig tunes the message-fault interceptor. All probabilities
-// default to zero — an interceptor built from the zero config delivers
-// every message untouched, so wiring it in costs nothing until a chaos
-// harness arms it.
-type FaultConfig struct {
-	// DropProb is the chance one transmission of a message is lost. Loss
-	// is modeled as bounded retransmission: the sender pays
-	// RetransmitDelay per lost copy, and after MaxRetransmits the message
-	// goes through regardless. Delivery stays exactly-once — the fault is
-	// in the timing, never in the protocol's visible semantics — so runs
-	// always terminate.
-	DropProb        float64
-	MaxRetransmits  int              // per message; <=0 means 3
-	RetransmitDelay runtime.Duration // per lost copy; <=0 means 2ms
-
-	// DelayProb is the chance a message is delayed by a uniform extra
-	// latency in (0, MaxExtraDelay].
-	DelayProb     float64
-	MaxExtraDelay runtime.Duration
-
-	// DuplicateProb is the chance a message is delivered twice (the
-	// retransmission arriving after the original). Only messages
-	// DuplicateOK approves are duplicated; with a nil predicate nothing
-	// is — double delivery is only safe for idempotent handlers.
-	DuplicateProb float64
-	DuplicateOK   func(msg any) bool
-}
+// The message-fault interceptor's schedule. Loss is modeled as bounded
+// retransmission: each transmission of a message is lost with dropProb,
+// the sender pays retransmitDelay per lost copy, and after
+// maxRetransmits the message goes through regardless. Delivery stays
+// exactly-once — the fault is in the timing, never in the protocol's
+// visible semantics — so runs always terminate. A message is delayed
+// with delayProb by a uniform extra latency in (0, maxExtraDelay], and
+// delivered twice with duplicateProb (the retransmission arriving after
+// the original).
+const (
+	dropProb        = 0.2
+	maxRetransmits  = 3
+	retransmitDelay = runtime.Duration(1e6)
+	delayProb       = 0.2
+	maxExtraDelay   = runtime.Duration(2e6)
+	duplicateProb   = 0.2
+)
 
 // NewFaultInterceptor builds a message-fault interceptor seeded with its
 // own rand.Source — it never draws from an engine's stream, so arming it
-// cannot perturb the calibrated model's jitter. Compose it into a wire's
-// handler chain with Chain.
-func NewFaultInterceptor(seed int64, cfg FaultConfig) Interceptor {
+// cannot perturb the calibrated model's jitter. Only messages duplicateOK
+// approves are duplicated; with a nil predicate nothing is — double
+// delivery is only safe for idempotent handlers. Compose it into a wire's
+// handler chain with Chain or Wire.Wrap.
+func NewFaultInterceptor(seed int64, duplicateOK func(msg any) bool) Interceptor {
 	rng := rand.New(rand.NewSource(seed))
 	return func(next Handler) Handler {
 		return func(p runtime.Task, msg any) any {
 			fl := p.Runtime().Flight()
-			if cfg.DropProb > 0 {
-				max := cfg.MaxRetransmits
-				if max <= 0 {
-					max = 3
+			for i := 0; i < maxRetransmits && rng.Float64() < dropProb; i++ {
+				if fl != nil {
+					fl.Record(int64(p.Now()), p.Name(), "net", "drop", fmt.Sprintf("%T", msg))
 				}
-				delay := cfg.RetransmitDelay
-				if delay <= 0 {
-					delay = runtime.Duration(2e6)
-				}
-				for i := 0; i < max && rng.Float64() < cfg.DropProb; i++ {
-					if fl != nil {
-						fl.Record(int64(p.Now()), p.Name(), "net", "drop", fmt.Sprintf("%T", msg))
-					}
-					p.Sleep(delay)
-				}
+				p.Sleep(retransmitDelay)
 			}
-			if cfg.DelayProb > 0 && cfg.MaxExtraDelay > 0 && rng.Float64() < cfg.DelayProb {
+			if rng.Float64() < delayProb {
 				if fl != nil {
 					fl.Record(int64(p.Now()), p.Name(), "net", "delay", fmt.Sprintf("%T", msg))
 				}
-				p.Sleep(runtime.Duration(rng.Int63n(int64(cfg.MaxExtraDelay)) + 1))
+				p.Sleep(runtime.Duration(rng.Int63n(int64(maxExtraDelay)) + 1))
 			}
-			if cfg.DuplicateProb > 0 && cfg.DuplicateOK != nil &&
-				cfg.DuplicateOK(msg) && rng.Float64() < cfg.DuplicateProb {
+			if duplicateOK != nil && duplicateOK(msg) && rng.Float64() < duplicateProb {
 				if fl != nil {
 					fl.Record(int64(p.Now()), p.Name(), "net", "duplicate", fmt.Sprintf("%T", msg))
 				}

@@ -4,10 +4,10 @@
 // interference checks), and a routing layer that maps namespace paths to
 // metadata ranks.
 //
-// Clients never hold a concrete server; they talk to an Endpoint. A
-// single-rank deployment wires the client straight to one server's Wire;
-// a multi-rank deployment interposes a Router that picks the owning rank
-// from a replicated placement Table.
+// Clients never hold a concrete server; they talk to an Endpoint: a
+// Router that picks the owning rank's Wire from a replicated placement
+// Table, whatever the number of ranks (with one, every message lands on
+// rank 0).
 package transport
 
 import (

@@ -7,6 +7,7 @@ import (
 	"cudele/internal/client"
 	"cudele/internal/mds"
 	"cudele/internal/model"
+	"cudele/internal/monitor"
 	"cudele/internal/namespace"
 	"cudele/internal/policy"
 	"cudele/internal/rados"
@@ -14,9 +15,12 @@ import (
 	"cudele/internal/sim"
 )
 
+// harness is a one-rank metadata service and its monitor; srv is the rank.
 type harness struct {
 	eng runtime.Runtime
+	mc  *mds.Cluster
 	srv *mds.Server
+	mon *monitor.Monitor
 	obj *rados.Cluster
 }
 
@@ -24,11 +28,25 @@ func newHarness() *harness {
 	eng := sim.NewEngine(31)
 	cfg := model.Default()
 	obj := rados.New(eng, cfg)
-	return &harness{eng: eng, srv: mds.New(eng, cfg, obj), obj: obj}
+	mc := mds.NewCluster(eng, cfg, obj, 1)
+	return &harness{eng: eng, mc: mc, srv: mc.Rank(0), mon: monitor.New(eng, mc), obj: obj}
+}
+
+// decouple registers pol on the subtree at path with the monitor, on
+// c's behalf, and attaches the grant to c.
+func (h *harness) decouple(t *testing.T, p runtime.Task, c *client.Client, path string, pol *policy.Policy) {
+	t.Helper()
+	st, err := h.mon.RegisterPolicy(p, path, pol, c.Name())
+	if err == nil {
+		err = c.AdoptGrant(p, path, st.GrantLo, st.GrantN)
+	}
+	if err != nil {
+		t.Errorf("decouple %s: %v", path, err)
+	}
 }
 
 func (h *harness) client(name string) *client.Client {
-	c := client.New(h.eng, model.Default(), name, h.srv, h.obj)
+	c := client.New(h.eng, model.Default(), name, h.mc.Portal(), h.obj)
 	c.Mount(nil)
 	return c
 }
@@ -65,7 +83,7 @@ func TestCreateManyBusySkipped(t *testing.T) {
 			Consistency: policy.ConsInvisible, Durability: policy.DurLocal,
 			AllocatedInodes: 100, Interfere: policy.InterfereBlock,
 		}
-		owner.Decouple(p, "/mine", pol)
+		h.decouple(t, p, owner, "/mine", pol)
 		dir, _ := intruder.Resolve(p, "/mine")
 		created, busy, err := CreateMany(p, intruder, dir, 10, "x")
 		if err != nil || created != 0 || busy != 10 {
@@ -79,7 +97,7 @@ func TestCreateManyLocal(t *testing.T) {
 	c := h.client("c0")
 	h.run(t, func(p runtime.Task) {
 		c.MkdirAll(p, "/job", 0755)
-		c.Decouple(p, "/job", &policy.Policy{
+		h.decouple(t, p, c, "/job", &policy.Policy{
 			Consistency: policy.ConsInvisible, Durability: policy.DurNone,
 			AllocatedInodes: 100,
 		})

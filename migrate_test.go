@@ -193,10 +193,9 @@ func TestBalancerConverges(t *testing.T) {
 		}
 	})
 	b := cl.StartBalancer(BalancerConfig{
-		Interval:  10 * time.Millisecond,
-		Rounds:    8,
-		Threshold: 1.3,
-		MaxMoves:  2,
+		Interval: 10 * time.Millisecond,
+		Rounds:   8,
+		MaxMoves: 2,
 	})
 	cl.RunAll()
 	if len(b.Events()) == 0 {
