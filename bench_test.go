@@ -7,9 +7,6 @@ import (
 
 	"cudele"
 	"cudele/internal/bench"
-	"cudele/internal/journal"
-	"cudele/internal/namespace"
-	"cudele/internal/policy"
 )
 
 // Each table and figure of the paper's evaluation has a benchmark that
@@ -177,109 +174,4 @@ func BenchmarkAblationDispatchSize(b *testing.B) {
 			b.ReportMetric(virt/float64(b.N), "virt-s")
 		})
 	}
-}
-
-// --- Substrate micro-benchmarks (real wall-clock costs) ---
-
-// BenchmarkNamespaceCreate measures raw metadata-store inserts.
-func BenchmarkNamespaceCreate(b *testing.B) {
-	s := namespace.NewStore()
-	dir, _ := s.Mkdir(namespace.RootIno, "d", namespace.CreateAttrs{Mode: 0755})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Create(dir.Ino, fmt.Sprintf("f%d", i), namespace.CreateAttrs{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNamespaceReplay measures journal replay onto a store (the
-// Volatile Apply hot path).
-func BenchmarkNamespaceReplay(b *testing.B) {
-	events := make([]*journal.Event, 1000)
-	for i := range events {
-		events[i] = &journal.Event{
-			Type: journal.EvCreate, Client: "c",
-			Parent: uint64(namespace.RootIno), Name: fmt.Sprintf("f%06d", i),
-			Ino: uint64(1000 + i), Mode: 0644,
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := namespace.NewStore()
-		if _, err := journal.Replay(events, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPolicyCompile measures the Table I compiler.
-func BenchmarkPolicyCompile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for c := policy.ConsInvisible; c <= policy.ConsStrong; c++ {
-			for d := policy.DurNone; d <= policy.DurGlobal; d++ {
-				if _, err := policy.Compile(c, d); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkPoliciesFileParse measures the policies-file parser.
-func BenchmarkPoliciesFileParse(b *testing.B) {
-	text := "consistency: weak\ndurability: local\nallocated_inodes: 100000\ninterfere: block\n"
-	for i := 0; i < b.N; i++ {
-		if _, err := policy.ParseFile(text); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulatedRPCCreate measures the simulator's cost to execute
-// one full RPC create (events, resources, channel handoffs).
-func BenchmarkSimulatedRPCCreate(b *testing.B) {
-	cl := cudele.NewCluster()
-	c := cl.NewClient("c0")
-	eng := cl.Runtime()
-	var dir cudele.Ino
-	cl.Go("setup", func(p cudele.Proc) {
-		dir, _ = c.Mkdir(p, cudele.RootIno, "d", 0755)
-	})
-	cl.RunAll()
-	b.ResetTimer()
-	eng.Spawn("bench", func(p cudele.Proc) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Create(p, dir, fmt.Sprintf("f%d", i), 0644); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	eng.RunAll()
-}
-
-// BenchmarkSimulatedLocalCreate measures the simulator's cost of one
-// decoupled create (append client journal).
-func BenchmarkSimulatedLocalCreate(b *testing.B) {
-	cl := cudele.NewCluster()
-	c := cl.NewClient("c0")
-	eng := cl.Runtime()
-	cl.Go("setup", func(p cudele.Proc) {
-		c.MkdirAll(p, "/j", 0755)
-		cl.DecouplePolicy(p, c, "/j", &cudele.Policy{
-			Consistency: cudele.ConsInvisible, Durability: cudele.DurNone,
-			AllocatedInodes: b.N + 10,
-		})
-	})
-	cl.RunAll()
-	b.ResetTimer()
-	eng.Spawn("bench", func(p cudele.Proc) {
-		root, _ := c.DecoupledRoot()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.LocalCreate(p, root, fmt.Sprintf("f%d", i), 0644); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	eng.RunAll()
 }

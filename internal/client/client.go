@@ -141,8 +141,8 @@ type decoupled struct {
 	mode policy.Consistency
 	// undo holds, in ConsSpeculative, one pre-image per journaled op,
 	// index for index with the journal: nil for a create or mkdir, a copy
-	// of the inode an unlink removed or a setattr overwrote. Rollback puts
-	// the rejected ops' pre-images back. Empty in every other cell.
+	// of the inode an unlink removed. Rollback puts the rejected unlinks'
+	// pre-images back. Empty in every other cell.
 	undo []*namespace.Inode
 }
 

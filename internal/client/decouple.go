@@ -423,14 +423,19 @@ func (c *Client) RecoverLocal(p runtime.Task) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.dec.jrnl = j
 	// Speculative mode rebuilds the local image and the pre-images from
-	// the recovered journal itself: the ops are the record.
-	if c.dec.mode == policy.ConsSpeculative {
-		if err := c.rebuildSpeculative(); err != nil {
+	// the recovered journal itself: the ops are the record. The rebuild
+	// runs on a copy of the context, installed whole only once it
+	// succeeds, so a failed recovery leaves the context as it found it
+	// rather than a journal beside fewer pre-images.
+	next := *c.dec
+	next.jrnl = j
+	if next.mode == policy.ConsSpeculative {
+		if err := next.rebuildSpeculative(); err != nil {
 			return 0, err
 		}
 	}
+	*c.dec = next
 	return j.Len(), nil
 }
 

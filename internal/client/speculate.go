@@ -65,9 +65,9 @@ func (c *Client) SpeculativeApply(p runtime.Task) (int, []int, error) {
 // shipped (ops events long) from the client-local image, newest first so
 // a rejected mkdir's rejected children are gone before the directory
 // itself is removed. A create or mkdir is undone by removing its dentry;
-// an unlink or setattr by putting its pre-image back. The journal and
-// pre-images are left intact on error (the mid-rollback crash shape);
-// merge resets them only after a complete rollback.
+// an unlink by putting its pre-image back. The journal and pre-images are
+// left intact on error (the mid-rollback crash shape); merge resets them
+// only after a complete rollback.
 func (c *Client) rollbackSpec(ops int, conflicts []int) error {
 	if len(conflicts) == 0 {
 		return nil
@@ -96,17 +96,13 @@ func (c *Client) rollbackSpec(ops int, conflicts []int) error {
 			err = c.dec.store.Unlink(parent, ev.Name)
 		case ev.Type == journal.EvMkdir:
 			err = c.dec.store.Rmdir(parent, ev.Name)
-		case pre == nil:
-			err = fmt.Errorf("client: no pre-image to undo %v", ev.Type)
+		case ev.Type == journal.EvUnlink && pre != nil:
+			// The unlinked inode comes back under its name, attributes and all.
+			_, err = c.dec.store.Create(parent, ev.Name, namespace.CreateAttrs{
+				Ino: pre.Ino, Mode: pre.Mode, UID: pre.UID, GID: pre.GID, Mtime: pre.Mtime,
+			})
 		default:
-			// An unlinked inode comes back under its name, then the
-			// unlinked or overwritten inode gets its attributes back.
-			if ev.Type == journal.EvUnlink {
-				_, err = c.dec.store.Create(parent, ev.Name, namespace.CreateAttrs{Ino: pre.Ino})
-			}
-			if err == nil {
-				err = c.dec.store.SetAttr(pre.Ino, pre.Mode, pre.UID, pre.GID, pre.Size, pre.Mtime)
-			}
+			err = fmt.Errorf("client: no pre-image to undo %v", ev.Type)
 		}
 		if err != nil {
 			return fmt.Errorf("client: rollback op %d: %w", idx, err)
@@ -117,47 +113,41 @@ func (c *Client) rollbackSpec(ops int, conflicts []int) error {
 }
 
 // rebuildSpeculative reconstructs the local image and the pre-images
-// from the recovered journal after a crash. The rebuilt state re-enters
+// from d's journal, recovered after a crash. The rebuilt state re-enters
 // the ordinary merge/validate/rollback cycle, so ops the MDS rejects are
 // rolled back again rather than resurrected.
-func (c *Client) rebuildSpeculative() error {
-	c.dec.store = namespace.NewStore()
-	c.dec.undo = nil
-	for idx, ev := range c.dec.jrnl.Events() {
-		pre, err := c.dec.applyLocal(ev)
+func (d *decoupled) rebuildSpeculative() error {
+	d.store, d.undo = namespace.NewStore(), nil
+	for idx, ev := range d.jrnl.Events() {
+		pre, err := d.applyLocal(ev)
 		if err != nil {
 			return fmt.Errorf("client: rebuild op %d: %w", idx, err)
 		}
-		c.dec.undo = append(c.dec.undo, pre)
+		d.undo = append(d.undo, pre)
 	}
 	return nil
 }
 
-// applyLocal applies one journaled op to the client-local image — the
-// one path for a Local* operation and for a rebuild from a recovered
-// journal — and returns the op's pre-image: in the speculative cell, a
-// copy of the inode an unlink removed or a setattr overwrote; nil for a
+// applyLocal applies one journaled op — a create, mkdir or unlink — to
+// the client-local image, the one path for a Local* operation and for a
+// rebuild from a recovered journal, and returns the op's pre-image: in
+// the speculative cell, a copy of the inode an unlink removed; nil for a
 // create or mkdir, and in every other cell, which rolls nothing back.
 func (d *decoupled) applyLocal(ev *journal.Event) (pre *namespace.Inode, err error) {
 	parent := d.localParent(namespace.Ino(ev.Parent))
 	attrs := namespace.CreateAttrs{
 		Ino: namespace.Ino(ev.Ino), Mode: ev.Mode, UID: ev.UID, GID: ev.GID, Mtime: ev.Mtime,
 	}
-	var in *namespace.Inode
 	switch ev.Type {
 	case journal.EvCreate:
 		_, err = d.store.Create(parent, ev.Name, attrs)
 	case journal.EvMkdir:
 		_, err = d.store.Mkdir(parent, ev.Name, attrs)
 	case journal.EvUnlink:
+		var in *namespace.Inode
 		if in, err = d.store.Lookup(parent, ev.Name); err == nil {
 			pre = d.preImage(in)
 			err = d.store.Unlink(parent, ev.Name)
-		}
-	case journal.EvSetAttr:
-		if in, err = d.store.Get(attrs.Ino); err == nil {
-			pre = d.preImage(in)
-			err = d.store.SetAttr(in.Ino, ev.Mode, ev.UID, ev.GID, ev.Size, ev.Mtime)
 		}
 	default:
 		err = fmt.Errorf("unexpected %v in a decoupled journal", ev.Type)

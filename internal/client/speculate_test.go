@@ -40,15 +40,15 @@ type specFile struct {
 
 // TestSpeculativeRollbackEqualsAcceptedReplay: after a speculative merge
 // the client's local image must be exactly what replaying only the
-// accepted ops onto an empty image gives — every rejected create, mkdir,
-// unlink and write undone, attributes and sizes included. Seeded batches
-// of LocalCreate, LocalMkdir, LocalUnlink and LocalWriteFile run against
-// an interferer that takes names the client is creating (rejecting the
-// create or mkdir and, through a missing parent, everything under it)
-// and unlinks files of earlier batches (rejecting the client's writes
-// and unlinks of them). In the "recovered" variant the client persists
-// its first batch locally, crashes and recovers before that merge, so
-// its image and pre-images are rebuilt from the journal.
+// accepted ops onto an empty image gives — every rejected create, mkdir
+// and unlink undone, attributes included. Seeded batches of LocalCreate,
+// LocalMkdir and LocalUnlink run against an interferer that takes names
+// the client is creating (rejecting the create or mkdir and, through a
+// missing parent, everything under it) and unlinks files of earlier
+// batches (rejecting the client's unlinks of them). In the "recovered"
+// variant the client persists its first batch locally, crashes and
+// recovers before that merge, so its image and pre-images are rebuilt
+// from the journal.
 func TestSpeculativeRollbackEqualsAcceptedReplay(t *testing.T) {
 	for _, variant := range []string{"live", "recovered"} {
 		crash := variant == "recovered"
@@ -57,13 +57,9 @@ func TestSpeculativeRollbackEqualsAcceptedReplay(t *testing.T) {
 			for seed := int64(1); seed <= 30; seed++ {
 				specRollbackRun(t, seed, crash, rejected)
 			}
-			// Four batches of a few ops reach every rollback arm; crashing
-			// before the first merge leaves no earlier file to unlink.
-			want := []journal.EventType{journal.EvCreate, journal.EvMkdir, journal.EvSetAttr, journal.EvUnlink}
-			if crash {
-				want = want[:3]
-			}
-			for _, typ := range want {
+			// Four batches of a few ops reach every rollback arm, in both
+			// variants: the interferer's unlinks start from the second batch.
+			for _, typ := range []journal.EventType{journal.EvCreate, journal.EvMkdir, journal.EvUnlink} {
 				if rejected[typ] == 0 {
 					t.Errorf("no %v was rejected in 30 seeds: the test does not reach its rollback", typ)
 				}
@@ -124,7 +120,7 @@ func specRollbackRun(t *testing.T, seed int64, crash bool, rejected map[journal.
 				}
 				dir, steal := dirs[rng.Intn(len(dirs))], rng.Float64() < 0.3
 				switch r := rng.Intn(100); {
-				case r < 35 || len(files) == 0:
+				case r < 35 || len(files) == 0 || r >= 50 && len(unlinkable) == 0:
 					name := fresh()
 					ino, err := c.LocalCreate(p, dir, name, 0644)
 					if err != nil {
@@ -149,11 +145,6 @@ func specRollbackRun(t *testing.T, seed int64, crash bool, rejected map[journal.
 						}
 					}
 					dirs = append(dirs, ino)
-				case r < 75 || len(unlinkable) == 0:
-					f := files[rng.Intn(len(files))]
-					if err := c.LocalWriteFile(p, f.ino, make([]byte, 1+rng.Intn(64))); err != nil {
-						t.Fatalf("seed %d: local write: %v", seed, err)
-					}
 				default:
 					i := unlinkable[rng.Intn(len(unlinkable))]
 					if err := c.LocalUnlink(p, files[i].dir, files[i].name); err != nil {
@@ -201,6 +192,67 @@ func specRollbackRun(t *testing.T, seed int64, crash bool, rejected map[journal.
 				t.Fatalf("seed %d batch %d: the rolled-back image differs from a replay of the accepted ops:\n%s\nwant:\n%s",
 					seed, batch, got, want)
 			}
+		}
+	})
+}
+
+// TestFailedRecoverLocalLeavesContext: a recovery whose rebuild fails
+// installs none of what it recovered. The client merges a, then journals
+// a create of b and an unlink of a, persists locally and restarts. The
+// rebuild replays onto an empty image, where a does not exist, so it fails
+// at op 1. Installing the journal before the rebuild left two journaled
+// events beside one pre-image and an image holding b; a later rejected op
+// would then have restored another op's pre-image.
+func TestFailedRecoverLocalLeavesContext(t *testing.T) {
+	cl := newCluster()
+	c := cl.client("c0")
+	cl.run(t, func(p runtime.Task) {
+		if _, err := c.MkdirAll(p, "/job", 0755); err != nil {
+			t.Fatalf("mkdirall: %v", err)
+		}
+		if err := decouple(p, c, "/job", decouplePolicy(policy.ConsSpeculative, policy.DurLocal, 100)); err != nil {
+			t.Fatalf("decouple: %v", err)
+		}
+		if err := c.SetMergeMode(policy.ConsSpeculative); err != nil {
+			t.Fatal(err)
+		}
+		root, _ := c.DecoupledRoot()
+		if _, err := c.LocalCreate(p, root, "a", 0644); err != nil {
+			t.Fatalf("local create a: %v", err)
+		}
+		if _, rej, err := c.SpeculativeApply(p); err != nil || len(rej) != 0 {
+			t.Fatalf("first merge rejected %v, %v", rej, err)
+		}
+		if _, err := c.LocalCreate(p, root, "b", 0644); err != nil {
+			t.Fatalf("local create b: %v", err)
+		}
+		if err := c.LocalUnlink(p, root, "a"); err != nil {
+			t.Fatalf("local unlink a: %v", err)
+		}
+		if err := c.LocalPersist(p); err != nil {
+			t.Fatalf("local persist: %v", err)
+		}
+		c.Crash(p)
+		if err := c.Restart(p); err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		before := imageOf(t, c.dec.store)
+
+		if _, err := c.RecoverLocal(p); err == nil {
+			t.Fatal("recovering a journal that unlinks a merged file succeeded; want the rebuild to fail")
+		}
+		if j, u := c.dec.jrnl.Len(), len(c.dec.undo); j != 0 || u != 0 {
+			t.Fatalf("the failed recovery left %d journaled events beside %d pre-images, want the empty context Restart made", j, u)
+		}
+		if got := imageOf(t, c.dec.store); got != before {
+			t.Fatalf("the failed recovery changed the local image:\n%s\nwant:\n%s", got, before)
+		}
+		// The context still works: an op journals with its pre-image and merges.
+		if _, err := c.LocalCreate(p, root, "c", 0644); err != nil {
+			t.Fatalf("local create c: %v", err)
+		}
+		if n, rej, err := c.SpeculativeApply(p); err != nil || n != 1 || len(rej) != 0 {
+			t.Fatalf("merge after the failed recovery = %d applied, rejected %v, %v; want 1 applied", n, rej, err)
 		}
 	})
 }
