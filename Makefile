@@ -149,13 +149,16 @@ perf-counts:
 		echo "perf-counts: $$w equals $$f on all $$n keys it names$${max:+, alloc_b_per_op $$alloc <= $$max}"; \
 	done
 
-# fuzz-short runs the journal fuzzers and the object log's for a bounded
-# burst each — long enough to hit mutated corpus inputs, short enough for
-# CI (three targets, about 35 s).
+# fuzz-short runs every decode-boundary fuzzer — the journal's, the object
+# log's, the directory objects' and the policies file's — for a bounded
+# burst each: long enough to hit mutated corpus inputs, short enough for
+# CI (five targets, about a minute).
 fuzz-short:
 	$(GO) test ./internal/journal -run='^FuzzDecode$$' -fuzz=FuzzDecode -fuzztime=10s
 	$(GO) test ./internal/journal -run='^FuzzCursorExport$$' -fuzz=FuzzCursorExport -fuzztime=10s
 	$(GO) test ./internal/rados -run='^FuzzLogReplay$$' -fuzz=FuzzLogReplay -fuzztime=10s
+	$(GO) test ./internal/namespace -run='^FuzzDecodeDir$$' -fuzz=FuzzDecodeDir -fuzztime=10s
+	$(GO) test ./internal/policy -run='^FuzzParseFile$$' -fuzz=FuzzParseFile -fuzztime=10s
 
 # chaos runs the seeded fault-injection harness — 1 500 consecutive
 # seeds, a hundred per cell of the fifteen-cell consistency x durability

@@ -401,12 +401,6 @@ func (cl *Cluster) Reattach(p Proc, path string) error {
 	return cl.mon.Reattach(p, path)
 }
 
-// SplitDir fragments the directory at dir across the given metadata
-// ranks by dentry hash — the single-hot-directory relief valve.
-func (cl *Cluster) SplitDir(p Proc, dir string, ranks []int) error {
-	return cl.mon.SplitDir(p, dir, ranks)
-}
-
 // StartBalancer spawns the monitor's heat-driven balancer, which
 // periodically samples the heat map and exports subtrees off overloaded
 // ranks. EnableHeat must have been called first. The balancer runs

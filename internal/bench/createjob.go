@@ -7,7 +7,6 @@ import (
 
 	"cudele"
 	"cudele/internal/namespace"
-	"cudele/internal/obs"
 	"cudele/internal/workload"
 )
 
@@ -220,13 +219,6 @@ func rankRequests(cl *cudele.Cluster, ranks int) []uint64 {
 		out[i] = cl.Metadata().Rank(i).Metrics().Requests
 	}
 	return out
-}
-
-// heatImbalance is the balancer's view of the heat map now: max/mean
-// rank load, counting an idle rank as a zero rather than leaving it out
-// (HeatReport's imbalance only counts ranks with cells).
-func heatImbalance(cl *cudele.Cluster, ranks int) float64 {
-	return obs.Imbalance(obs.RankLoads(cl.Heat().Snapshot(int64(cl.Runtime().Now())), ranks))
 }
 
 // decoupledStorm is the decoupled create storm: each client decouples a

@@ -62,7 +62,7 @@ func heatSkewRun(opts Options, spec runSpec, perClient int, sampleEvery time.Dur
 			for {
 				sp.Sleep(sampleEvery)
 				out.samples = append(out.samples, heatSample{
-					sec: sp.Now().Seconds(), imb: heatImbalance(cl, heatSkewRanks),
+					sec: sp.Now().Seconds(), imb: cl.HeatReport().Imbalance,
 				})
 				if done() {
 					return

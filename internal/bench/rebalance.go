@@ -59,7 +59,7 @@ func rebalanceRun(opts Options, run string, perClient int, balance bool) (rebala
 		cl := s.cl
 		out := rebalanceOut{total: total, balancer: bal}
 		// The frozen control's idle ranks 1-3 must count as imbalance.
-		out.imbalance = heatImbalance(cl, rebalanceRanks)
+		out.imbalance = cl.HeatReport().Imbalance
 		out.requests = rankRequests(cl, rebalanceRanks)
 		out.perRank = make([]int, rebalanceRanks)
 		for _, st := range cl.Subtrees() {
@@ -95,27 +95,22 @@ func Rebalance(opts Options) (*Result, error) {
 		ID: "rebalance",
 		Title: fmt.Sprintf("heat-driven rebalancing: %d clients x %d creates, all subtrees placed on rank 0 of %d",
 			rebalanceSubtrees, perClient, rebalanceRanks),
-		Columns: []string{"round", "t (ms)", "imbalance", "rank loads", "moves", "splits"},
+		Columns: []string{"round", "t (ms)", "imbalance", "rank loads", "moves"},
 	}
-	moves, splits := 0, 0
+	moves := 0
 	samples := bal.balancer.Samples()
 	events := bal.balancer.Events()
 	evIdx := 0
 	for i, s := range samples {
-		// Actions run between a sample and the next; the moves/splits
-		// columns are cumulative successful actions up to each row.
+		// Migrations run between a sample and the next; the moves
+		// column is cumulative successful migrations up to each row.
 		next := math.Inf(1)
 		if i+1 < len(samples) {
 			next = samples[i+1].TimeMS
 		}
 		for evIdx < len(events) && events[evIdx].TimeMS < next {
 			if events[evIdx].Err == "" {
-				switch events[evIdx].Kind {
-				case "migrate":
-					moves++
-				case "split":
-					splits++
-				}
+				moves++
 			}
 			evIdx++
 		}
@@ -124,7 +119,7 @@ func Rebalance(opts Options) (*Result, error) {
 			loads[ri] = f0(l)
 		}
 		r.AddRow(fmt.Sprintf("%d", i+1), f1(s.TimeMS), f2x(s.Imbalance),
-			strings.Join(loads, "/"), fmt.Sprintf("%d", moves), fmt.Sprintf("%d", splits))
+			strings.Join(loads, "/"), fmt.Sprintf("%d", moves))
 	}
 	final := samples[len(samples)-1].Imbalance
 	dist := make([]string, rebalanceRanks)

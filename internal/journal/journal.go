@@ -8,7 +8,6 @@ import "fmt"
 type Segment struct {
 	Index  int
 	Events []*Event
-	Sealed bool
 }
 
 // Journal is an in-memory, append-ordered metadata journal divided into
@@ -58,7 +57,6 @@ func (j *Journal) Append(ev *Event) (*Segment, error) {
 
 func (j *Journal) seal() *Segment {
 	s := j.cur
-	s.Sealed = true
 	j.segments = append(j.segments, s)
 	j.cur = nil
 	return s

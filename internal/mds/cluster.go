@@ -38,10 +38,10 @@ type Cluster struct {
 	table  *transport.Table
 	router *transport.Router
 
-	// migrations counts committed online migrations and splits. While it
-	// is zero the ranks skip the stale-routing ownership check entirely,
-	// keeping never-migrated (calibrated) runs byte-identical. Rank
-	// handlers read it from their own domains, hence atomic.
+	// migrations counts committed online migrations. While it is zero
+	// the ranks skip the stale-routing ownership check entirely, keeping
+	// never-migrated (calibrated) runs byte-identical. Rank handlers read
+	// it from their own domains, hence atomic.
 	migrations atomic.Int64
 }
 
@@ -145,33 +145,6 @@ func (c *Cluster) CommitMigration(path string, rank int) {
 // Migrations reports the number of committed subtree migrations across
 // the cluster's lifetime.
 func (c *Cluster) Migrations() int { return int(c.migrations.Load()) }
-
-// SplitCommit registers a directory-fragment split in the authoritative
-// table. Like CommitMigration it flips the migrations flag, enabling
-// the stale-routing bounce.
-func (c *Cluster) SplitCommit(dir string, ranks []int) {
-	c.table.SplitDir(dir, ranks)
-	c.migrations.Add(1)
-}
-
-// ReplicateSubtree copies the subtree at path (with its ancestor chain)
-// from its owning rank onto dst's store without changing placement —
-// the setup step of a directory-fragment split, after which hash
-// routing lets every fragment rank serve its share of the dentries.
-func (c *Cluster) ReplicateSubtree(p runtime.Task, path string, dst int) error {
-	if dst < 0 || dst >= len(c.ranks) {
-		return fmt.Errorf("mds: replicate %s: rank %d out of range [0,%d)", path, dst, len(c.ranks))
-	}
-	src := c.ranks[c.table.RankFor(path)]
-	if src == c.ranks[dst] {
-		return nil
-	}
-	var err error
-	c.eng.Together(p, []runtime.Domain{src.dom, c.ranks[dst].dom}, func() {
-		err = exportSubtree(src.store, c.ranks[dst].store, path)
-	})
-	return err
-}
 
 // exportSubtree copies the subtree at path, led by its ancestor chain so
 // the path resolves, from src to dst via the serialized directory-object

@@ -103,9 +103,7 @@ func (m *MergeOpenMsg) refused(err error) any               { return &MergeOpenR
 // ImportOpenMsg).
 type StreamOpenReply struct {
 	ID           uint64 // stream id for the chunks that follow
-	Window       int    // chunks the rank will buffer before backpressure
 	Backpressure bool   // admission queue full; retry after a delay
-	QueueDepth   int    // jobs admitted at reply time
 	Err          error
 }
 
@@ -116,7 +114,6 @@ func (r *StreamOpenReply) Backpressured() bool { return r.Backpressure }
 // ImportChunkMsg).
 type StreamChunkReply struct {
 	Backpressure bool // window full; chunk not accepted, retry it
-	Window       int  // buffered chunks after this one
 	Err          error
 }
 

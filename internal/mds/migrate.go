@@ -48,8 +48,6 @@ type ExportManifest struct {
 	Path    string
 	Root    namespace.Ino
 	Dirs    int // directory objects to stream
-	Inodes  int // inodes under the subtree
-	Caps    int // capabilities revoked at freeze
 	Policy  *policy.Policy
 	Owner   string // decoupling client, "" when not decoupled
 	GrantLo namespace.Ino
@@ -133,10 +131,7 @@ type ExportAbortReply struct{ Err error }
 // stream on the rank's second scheduler (scheduler.go), which bounds
 // concurrent admissions (MigrateAdmitMax) and buffers chunks in a
 // flow-control window. It is answered with a StreamOpenReply.
-type ImportOpenMsg struct {
-	Path      string
-	TotalDirs int
-}
+type ImportOpenMsg struct{ Path string }
 
 func (m *ImportOpenMsg) label() string                       { return "import.open" }
 func (m *ImportOpenMsg) route() string                       { return m.Path }
@@ -276,7 +271,6 @@ func (s *Server) exportWalk(path string) (*exportState, map[namespace.Ino]bool, 
 		Path:   path,
 		Root:   root.Ino,
 		Dirs:   len(dirs),
-		Inodes: len(inos),
 		Policy: root.Policy,
 		Owner:  s.owners[root.Ino],
 	}}, inos, nil
@@ -340,7 +334,7 @@ func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeR
 		}
 	}
 
-	ex.manifest.Caps, ex.manifest.Tail = revoked, tail
+	ex.manifest.Tail = tail
 	if s.frozen == nil {
 		s.frozen = make(map[string]bool)
 	}
@@ -537,13 +531,7 @@ func (s *Server) importCommit(p runtime.Task, m *ImportCommitMsg) *ImportCommitR
 		s.cpu.Acquire(p)
 		for _, ev := range man.Tail {
 			p.Sleep(s.cfg.MDSJournalOpTime)
-			if seg, err := s.stream.jrnl.Append(ev); err == nil {
-				s.metrics.Journaled++
-				if seg != nil {
-					s.stream.queue = append(s.stream.queue, seg)
-					s.stream.kick()
-				}
-			}
+			s.stream.journalEvent(ev)
 		}
 		s.cpu.Release()
 	}

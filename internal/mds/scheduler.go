@@ -119,7 +119,7 @@ func (ss *streamSched) open(p runtime.Task) *StreamOpenReply {
 	}
 	if depth := len(ss.jobs) + ss.admitting; ss.admitMax > 0 && depth >= ss.admitMax {
 		*ss.backpressure++
-		return &StreamOpenReply{Backpressure: true, QueueDepth: depth}
+		return &StreamOpenReply{Backpressure: true}
 	}
 	ss.admitting++
 	p.Sleep(s.cfg.NetLatency) // the open crosses the wire like a one-shot header
@@ -133,7 +133,7 @@ func (ss *streamSched) open(p runtime.Task) *StreamOpenReply {
 		ss.peakJobs = len(ss.jobs)
 	}
 	ss.ensureRunning()
-	return &StreamOpenReply{ID: job.id, Window: ss.window, QueueDepth: len(ss.jobs)}
+	return &StreamOpenReply{ID: job.id}
 }
 
 // push accepts a chunk into its job's window — charging the per-chunk
@@ -150,7 +150,7 @@ func (ss *streamSched) push(p runtime.Task, chunk transport.StreamChunk) *Stream
 	}
 	if job.win.Len() >= job.win.Limit() {
 		*ss.backpressure++
-		return &StreamChunkReply{Backpressure: true, Window: job.win.Len()}
+		return &StreamChunkReply{Backpressure: true}
 	}
 	// Per-chunk wire billing: latency plus this chunk's bytes on the
 	// shared fabric, pipelining the network under the CPU of earlier
@@ -168,11 +168,11 @@ func (ss *streamSched) push(p runtime.Task, chunk transport.StreamChunk) *Stream
 	}
 	if !job.win.TryPush(p.Now(), chunk) {
 		*ss.backpressure++
-		return &StreamChunkReply{Backpressure: true, Window: job.win.Len()}
+		return &StreamChunkReply{Backpressure: true}
 	}
 	*ss.chunks++
 	ss.kick()
-	return &StreamChunkReply{Window: job.win.Len()}
+	return &StreamChunkReply{}
 }
 
 // wait blocks the sender until its stream drains, then surfaces the

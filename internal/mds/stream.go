@@ -57,28 +57,36 @@ func newStreamState(s *Server) *streamState {
 	}
 }
 
-// record converts a successful mutation into a journal event and appends
-// it. Sealed segments are queued for dispatch. Runs in the requesting
-// client's process, off the MDS CPU. A create or mkdir carries the inode
-// the rank assigned: replay reinstalls it and never allocates, so every
-// later event naming that inode as its parent still finds it.
+// record converts a successful mutation into a journal event and
+// journals it. Runs in the requesting client's process, off the MDS CPU.
+// A create or mkdir carries the inode the rank assigned: replay
+// reinstalls it and never allocates, so every later event naming that
+// inode as its parent still finds it.
 func (st *streamState) record(p runtime.Task, req *Request, reply *Reply) {
 	ev := requestEvent(req, reply)
-	if ev == nil {
+	if ev == nil || !st.journalEvent(ev) {
 		return
 	}
-	seg, err := st.jrnl.Append(ev)
-	if err != nil {
-		return // invalid events are not journaled
-	}
-	st.s.metrics.Journaled++
 	if rec := p.Runtime().Tracer(); rec != nil {
 		rec.Instant(int64(p.Now()), st.s.ep.Name(), "journal", "journal.append")
 	}
+}
+
+// journalEvent appends ev to the rank's journal, counts it, and queues
+// the segment the append sealed, if any, for dispatch. It is the one
+// journal append on a rank. An invalid event is not journaled, and it
+// reports false.
+func (st *streamState) journalEvent(ev *journal.Event) bool {
+	seg, err := st.jrnl.Append(ev)
+	if err != nil {
+		return false
+	}
+	st.s.metrics.Journaled++
 	if seg != nil {
 		st.queue = append(st.queue, seg)
 		st.kick()
 	}
+	return true
 }
 
 // requestEvent maps an RPC and its successful reply to the journal event.

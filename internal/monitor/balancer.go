@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -14,8 +13,7 @@ import (
 // every Interval and, when the rank-load imbalance factor crosses the
 // threshold, exports subtree cells from the hottest rank to the coldest
 // (CephFS's CPU-threshold balancer shape, driven by our decayed-counter
-// load signal instead of instantaneous CPU). A single cell so hot that
-// no migration can help is fragmented across the coldest ranks instead.
+// load signal instead of instantaneous CPU).
 //
 // The balancer is entirely opt-in: nothing constructs one unless
 // StartBalancer is called, so calibrated baselines never see it.
@@ -23,14 +21,10 @@ import (
 // The balancer's fixed policy. It acts when the imbalance factor (max
 // rank load / mean rank load) reaches imbalanceThreshold and the hot-cold
 // load difference reaches minLoadGap — below it migration overhead
-// outweighs the spread. When the hottest rank's load is concentrated in
-// one cell beyond splitFactor and no movable cell fits, the cell's
-// directory is fragmented splitWays ways instead.
+// outweighs the spread.
 const (
 	imbalanceThreshold = 1.25
 	minLoadGap         = 1
-	splitFactor        = 0.8
-	splitWays          = 2
 )
 
 // BalancerConfig tunes one balancer run. Zero values select defaults.
@@ -63,13 +57,12 @@ type BalanceSample struct {
 	Loads     []float64 `json:"loads"` // decayed load per rank, index = rank
 }
 
-// BalanceEvent is one action the balancer took.
+// BalanceEvent is one migration the balancer attempted.
 type BalanceEvent struct {
 	TimeMS    float64 `json:"time_ms"`
-	Kind      string  `json:"kind"` // "migrate" or "split"
 	Path      string  `json:"path"`
 	From      int     `json:"from"`
-	To        int     `json:"to"` // first target rank of a split
+	To        int     `json:"to"`
 	Imbalance float64 `json:"imbalance"`
 	Err       string  `json:"err,omitempty"`
 }
@@ -82,7 +75,6 @@ type Balancer struct {
 	done    runtime.Signal
 	samples []BalanceSample
 	events  []BalanceEvent
-	split   map[string]bool // dirs already fragmented this run
 }
 
 // StartBalancer spawns the balancer proc consuming the given heat
@@ -91,11 +83,7 @@ type Balancer struct {
 // (cudele.EnableHeat installs it).
 func (m *Monitor) StartBalancer(h *obs.Heat, cfg BalancerConfig) *Balancer {
 	cfg.defaults()
-	b := &Balancer{
-		mon: m, heat: h, cfg: cfg,
-		done:  m.eng.NewSignal(),
-		split: make(map[string]bool),
-	}
+	b := &Balancer{mon: m, heat: h, cfg: cfg, done: m.eng.NewSignal()}
 	m.dom.Spawn("monitor.balancer", b.run)
 	return b
 }
@@ -106,7 +94,7 @@ func (b *Balancer) Wait(p runtime.Task) { b.done.Wait(p) }
 // Samples returns the per-round balance observations, oldest first.
 func (b *Balancer) Samples() []BalanceSample { return b.samples }
 
-// Events returns the actions taken, oldest first.
+// Events returns the migrations attempted, oldest first.
 func (b *Balancer) Events() []BalanceEvent { return b.events }
 
 func (b *Balancer) run(p runtime.Task) {
@@ -130,15 +118,13 @@ func (b *Balancer) run(p runtime.Task) {
 }
 
 // movable reports whether a heat cell names a subtree the balancer may
-// export: a real placed subtree (not the root catch-all) and not a
-// directory fragment (fragments are already spread by hash).
+// export: a real placed subtree, not the root catch-all.
 func movable(subtree string) bool {
-	return subtree != "" && subtree != "/" && !strings.Contains(subtree, "#")
+	return subtree != "" && subtree != "/"
 }
 
 // balance performs up to MaxMoves exports from the hottest rank to the
-// coldest; when one cell dominates the hot rank and cannot move without
-// overshooting, its directory is fragmented across the coldest ranks.
+// coldest, and stops when no movable cell fits.
 func (b *Balancer) balance(p runtime.Task, cells []obs.HeatCell, loads []float64, imb float64) {
 	for move := 0; move < b.cfg.MaxMoves; move++ {
 		hot, cold := 0, 0
@@ -157,7 +143,6 @@ func (b *Balancer) balance(p runtime.Task, cells []obs.HeatCell, loads []float64
 		// The best export shrinks the gap without inverting it: the
 		// largest movable cell on the hot rank with load ≤ gap/2.
 		var pick *obs.HeatCell
-		var dom *obs.HeatCell // hottest movable cell regardless of fit
 		for i := range cells {
 			c := &cells[i]
 			if c.Rank != hot || !movable(c.Subtree) {
@@ -169,69 +154,29 @@ func (b *Balancer) balance(p runtime.Task, cells []obs.HeatCell, loads []float64
 			if b.mon.cl.Table().RankFor(c.Subtree) != c.Rank {
 				continue
 			}
-			if dom == nil || c.Load > dom.Load {
-				dom = c
-			}
 			if c.Load <= gap/2 && (pick == nil || c.Load > pick.Load) {
 				pick = c
 			}
 		}
-		if pick != nil && pick.Load > 0 {
-			err := b.mon.Migrate(p, pick.Subtree, cold)
-			ev := BalanceEvent{
-				TimeMS: float64(p.Now()) / 1e6, Kind: "migrate",
-				Path: pick.Subtree, From: hot, To: cold, Imbalance: imb,
-			}
-			if err != nil {
-				ev.Err = err.Error()
-			}
-			b.events = append(b.events, ev)
-			if err != nil {
-				return // busy subtree; try again next round
-			}
-			loads[hot] -= pick.Load
-			loads[cold] += pick.Load
-			pick.Rank = cold
-			continue
-		}
-		// Nothing fits: if one cell dominates the hot rank, fragment it.
-		if dom == nil || loads[hot] == 0 || dom.Load/loads[hot] < splitFactor ||
-			b.split[dom.Subtree] {
+		if pick == nil || pick.Load <= 0 {
 			return
 		}
-		targets := coldestRanks(loads, splitWays)
-		err := b.mon.SplitDir(p, dom.Subtree, targets)
+		err := b.mon.Migrate(p, pick.Subtree, cold)
 		ev := BalanceEvent{
-			TimeMS: float64(p.Now()) / 1e6, Kind: "split",
-			Path: dom.Subtree, From: hot, To: targets[0], Imbalance: imb,
+			TimeMS: float64(p.Now()) / 1e6, Path: pick.Subtree,
+			From: hot, To: cold, Imbalance: imb,
 		}
 		if err != nil {
 			ev.Err = err.Error()
 		}
 		b.events = append(b.events, ev)
-		if err == nil {
-			b.split[dom.Subtree] = true
-			share := dom.Load / float64(len(targets))
-			loads[hot] -= dom.Load
-			for _, t := range targets {
-				loads[t] += share
-			}
+		if err != nil {
+			return // busy subtree; try again next round
 		}
-		return
+		loads[hot] -= pick.Load
+		loads[cold] += pick.Load
+		pick.Rank = cold
 	}
-}
-
-// coldestRanks returns the n coldest rank indices, coldest first.
-func coldestRanks(loads []float64, n int) []int {
-	idx := make([]int, len(loads))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool { return loads[idx[i]] < loads[idx[j]] })
-	if n > len(idx) {
-		n = len(idx)
-	}
-	return idx[:n]
 }
 
 // String renders a convergence table for operators and bench output.
@@ -242,8 +187,8 @@ func (b *Balancer) String() string {
 		fmt.Fprintf(&sb, "  t=%8.1fms imbalance=%.3f loads=%v\n", s.TimeMS, s.Imbalance, s.Loads)
 	}
 	for _, e := range b.events {
-		fmt.Fprintf(&sb, "  t=%8.1fms %s %s rank %d -> %d (imb %.3f) %s\n",
-			e.TimeMS, e.Kind, e.Path, e.From, e.To, e.Imbalance, e.Err)
+		fmt.Fprintf(&sb, "  t=%8.1fms migrate %s rank %d -> %d (imb %.3f) %s\n",
+			e.TimeMS, e.Path, e.From, e.To, e.Imbalance, e.Err)
 	}
 	return sb.String()
 }

@@ -83,7 +83,7 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 
 	// 3. Open the import session (bounded admission on the destination).
 	or := transport.SendWindowed(p, dstEp,
-		&mds.ImportOpenMsg{Path: path, TotalDirs: fr.Manifest.Dirs}, retry).(*mds.ImportOpenReply)
+		&mds.ImportOpenMsg{Path: path}, retry).(*mds.ImportOpenReply)
 	if or.Err != nil {
 		return abort(0, or.Err)
 	}
@@ -163,35 +163,4 @@ func (m *Monitor) Reattach(p runtime.Task, path string) error {
 	}
 	rank := m.cl.Table().RankFor(path)
 	return m.cl.Rank(rank).Attach(p, path, st.Policy, st.Owner, st.GrantLo, st.GrantN)
-}
-
-// SplitDir fragments the directory at dir across the given ranks: each
-// rank receives a full replica of the subtree, then dentry-hash routing
-// spreads its children. One cluster-map change, like any placement.
-func (m *Monitor) SplitDir(p runtime.Task, dir string, ranks []int) error {
-	m.dom.Enter(p)
-	defer m.dom.Leave(p)
-	if len(ranks) < 2 {
-		return fmt.Errorf("monitor: split %s: need at least 2 ranks, got %d", dir, len(ranks))
-	}
-	for _, r := range ranks {
-		if r < 0 || r >= m.cl.Ranks() {
-			return fmt.Errorf("monitor: split %s: rank %d out of range [0,%d)",
-				dir, r, m.cl.Ranks())
-		}
-	}
-	for _, r := range ranks {
-		if err := m.cl.ReplicateSubtree(p, dir, r); err != nil {
-			return fmt.Errorf("monitor: split %s: %w", dir, err)
-		}
-	}
-	p.Sleep(commitLatency)
-	m.epoch++
-	m.cl.SplitCommit(dir, ranks)
-	m.publish()
-	if fl := m.eng.Flight(); fl != nil {
-		fl.Record(int64(p.Now()), "monitor", "monitor", "split.commit",
-			fmt.Sprintf("%s across %v epoch=%d", dir, ranks, m.epoch))
-	}
-	return nil
 }

@@ -275,35 +275,3 @@ func TestMigratePreservesRegistration(t *testing.T) {
 		t.Errorf("owner after reattach = %q, %v", owner, ok)
 	}
 }
-
-// TestSplitDirReplicates: a monitor-driven dirfrag split replicates the
-// directory to every fragment rank and installs hash routing in one
-// epoch.
-func TestSplitDirReplicates(t *testing.T) {
-	eng, cl, m := newTestCluster(3)
-	populate(t, eng, cl.Rank(0), "/a/hot", 10)
-	epoch0 := m.Epoch()
-	run(t, eng, func(p runtime.Task) {
-		if err := m.SplitDir(p, "/a/hot", []int{0, 1, 2}); err != nil {
-			t.Fatalf("split: %v", err)
-		}
-		if err := m.SplitDir(p, "/a/hot", []int{0}); err == nil {
-			t.Errorf("single-rank split accepted")
-		}
-	})
-	if m.Epoch() != epoch0+1 {
-		t.Errorf("epoch = %d, want %d", m.Epoch(), epoch0+1)
-	}
-	for r := 1; r < 3; r++ {
-		if _, err := cl.Rank(r).Store().Resolve("/a/hot/f00"); err != nil {
-			t.Errorf("rank %d missing replica: %v", r, err)
-		}
-	}
-	splits := cl.Table().FragSplits()
-	if len(splits["/a/hot"]) != 3 {
-		t.Errorf("splits = %v, want /a/hot across 3 ranks", splits)
-	}
-	if cl.Migrations() != 1 {
-		t.Errorf("migrations = %d, want 1 (split counts)", cl.Migrations())
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
+	"strings"
 )
 
 // This file serializes directories for the RADOS-resident metadata store:
@@ -120,7 +121,7 @@ func (r *dirReader) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if r.off+int(n) > len(r.buf) {
+	if n > uint64(len(r.buf)-r.off) {
 		return "", fmt.Errorf("decode dir: truncated string: %w", ErrInval)
 	}
 	s := string(r.buf[r.off : r.off+int(n)])
@@ -128,7 +129,11 @@ func (r *dirReader) str() (string, error) {
 	return s, nil
 }
 
-// DecodeDir parses a directory object produced by EncodeDir.
+// DecodeDir parses a directory object produced by EncodeDir. An object
+// no sound store encodes fails with ErrInval: inode 0 anywhere, or an
+// entry that is not a file or directory, has no valid dentry name, or
+// names the root, the directory itself or its parent — installing one
+// would replace a directory inode with its own child.
 func DecodeDir(data []byte) (*DirObject, error) {
 	if len(data) < len(dirMagic)+4 {
 		return nil, fmt.Errorf("decode dir: short object: %w", ErrInval)
@@ -148,6 +153,9 @@ func DecodeDir(data []byte) (*DirObject, error) {
 		return nil, err
 	}
 	d.Ino = Ino(v)
+	if d.Ino == 0 {
+		return nil, fmt.Errorf("decode dir: inode 0: %w", ErrInval)
+	}
 	if v, err = r.uvar(); err != nil {
 		return nil, err
 	}
@@ -196,6 +204,11 @@ func DecodeDir(data []byte) (*DirObject, error) {
 			return nil, err
 		}
 		e.Mtime = int64(v)
+		if e.Name == "" || strings.Contains(e.Name, "/") || e.Type > TypeDir ||
+			e.Ino == 0 || e.Ino == RootIno || e.Ino == d.Ino || e.Ino == d.Parent {
+			return nil, fmt.Errorf("decode dir %d: bad entry %q (ino %d, type %d): %w",
+				d.Ino, e.Name, e.Ino, e.Type, ErrInval)
+		}
 		d.Entries = append(d.Entries, e)
 	}
 	return &d, nil

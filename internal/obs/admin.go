@@ -14,10 +14,11 @@ import (
 // Source is what the admin endpoint scrapes: a live cluster (or the
 // most recently finished one). Metrics must return a freshly collected
 // registry each call — the endpoint is refreshable mid-run — and Heat
-// the current decayed heat snapshot (nil when heat accounting is off).
+// the report over the current decayed heat snapshot (the zero report
+// when heat accounting is off).
 type Source interface {
 	Metrics() (*trace.Registry, error)
-	Heat() ([]HeatCell, error)
+	Heat() (HeatReport, error)
 }
 
 // Admin is the real-backend HTTP admin listener. It serves:
@@ -110,16 +111,19 @@ func (a *Admin) handleHeat(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "no active run", http.StatusServiceUnavailable)
 		return
 	}
-	cells, err := src.Heat()
+	rep, err := src.Heat()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if cells == nil {
-		cells = []HeatCell{}
+	if rep.Cells == nil {
+		rep.Cells = []HeatCell{}
+	}
+	if rep.Ranks == nil {
+		rep.Ranks = []RankLoad{}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(NewReport(cells))
+	_ = enc.Encode(rep)
 }

@@ -26,11 +26,11 @@ func (s *fakeSource) Metrics() (*trace.Registry, error) {
 	return reg, nil
 }
 
-func (s *fakeSource) Heat() ([]HeatCell, error) {
+func (s *fakeSource) Heat() (HeatReport, error) {
 	if s.heatErr != nil {
-		return nil, s.heatErr
+		return HeatReport{}, s.heatErr
 	}
-	return []HeatCell{{Subtree: "/job0", Rank: 0, Writes: 10, Load: 10}}, nil
+	return NewReport([]HeatCell{{Subtree: "/job0", Rank: 0, Writes: 10, Load: 10}}, 1), nil
 }
 
 func get(t *testing.T, url string) (int, string) {

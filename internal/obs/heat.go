@@ -181,9 +181,9 @@ type RankLoad struct {
 }
 
 // HeatReport is the /heat endpoint's document: the full cell map, the
-// per-rank aggregation, and the imbalance factor (max rank load over
-// mean rank load — 1.0 is perfectly balanced) that a balancer would act
-// on.
+// per-rank aggregation over every rank of the cluster, and the imbalance
+// factor (max rank load over mean rank load, idle ranks counted — 1.0 is
+// perfectly balanced) that the balancer acts on.
 type HeatReport struct {
 	Cells     []HeatCell `json:"cells"`
 	Ranks     []RankLoad `json:"ranks"`
@@ -217,32 +217,22 @@ func Imbalance(loads []float64) float64 {
 	return hi / (total / float64(len(loads)))
 }
 
-// NewReport aggregates a snapshot into per-rank loads and the imbalance
-// factor over the ranks that have cells.
-func NewReport(cells []HeatCell) HeatReport {
-	byRank := map[int]float64{}
-	for _, c := range cells {
-		byRank[c.Rank] += c.Load
-	}
-	ranks := make([]RankLoad, 0, len(byRank))
+// NewReport aggregates a snapshot over ranks 0..ranks-1 into per-rank
+// loads and shares and the imbalance factor. Both come from RankLoads and
+// Imbalance, the balancer's own signal, so a report and the balancer
+// never disagree about an idle rank.
+func NewReport(cells []HeatCell, ranks int) HeatReport {
+	loads := RankLoads(cells, ranks)
 	total := 0.0
-	for r, l := range byRank {
-		ranks = append(ranks, RankLoad{Rank: r, Load: l})
+	for _, l := range loads {
 		total += l
 	}
-	sort.Slice(ranks, func(i, j int) bool { return ranks[i].Rank < ranks[j].Rank })
-	maxLoad := 0.0
-	for i := range ranks {
+	rep := HeatReport{Cells: cells, Ranks: make([]RankLoad, ranks), Imbalance: Imbalance(loads)}
+	for r, l := range loads {
+		rep.Ranks[r] = RankLoad{Rank: r, Load: l}
 		if total > 0 {
-			ranks[i].Share = ranks[i].Load / total
+			rep.Ranks[r].Share = l / total
 		}
-		if ranks[i].Load > maxLoad {
-			maxLoad = ranks[i].Load
-		}
-	}
-	rep := HeatReport{Cells: cells, Ranks: ranks}
-	if n := len(ranks); n > 0 && total > 0 {
-		rep.Imbalance = maxLoad / (total / float64(n))
 	}
 	return rep
 }

@@ -111,7 +111,8 @@ func TestHeatRecordSteadyStateAllocs(t *testing.T) {
 }
 
 // TestHeatReportImbalance pins the report aggregation: per-rank loads,
-// shares, and the max/mean imbalance factor.
+// shares, and the max/mean imbalance factor over every rank, an idle one
+// included.
 func TestHeatReportImbalance(t *testing.T) {
 	cells := []HeatCell{
 		{Subtree: "/a", Rank: 0, Load: 300},
@@ -119,9 +120,9 @@ func TestHeatReportImbalance(t *testing.T) {
 		{Subtree: "/c", Rank: 1, Load: 100},
 		{Subtree: "/d", Rank: 2, Load: 100},
 	}
-	rep := NewReport(cells)
-	if len(rep.Ranks) != 3 {
-		t.Fatalf("report has %d ranks, want 3", len(rep.Ranks))
+	rep := NewReport(cells, 4)
+	if len(rep.Ranks) != 4 {
+		t.Fatalf("report has %d ranks, want 4", len(rep.Ranks))
 	}
 	if got := rep.Ranks[0].Load; got != 400 {
 		t.Errorf("rank 0 load = %g, want 400", got)
@@ -129,12 +130,15 @@ func TestHeatReportImbalance(t *testing.T) {
 	if got := rep.Ranks[0].Share; math.Abs(got-400.0/600.0) > 1e-12 {
 		t.Errorf("rank 0 share = %g, want %g", got, 400.0/600.0)
 	}
-	// max 400 over mean 200 = 2.0
-	if got := rep.Imbalance; math.Abs(got-2.0) > 1e-12 {
-		t.Errorf("imbalance = %g, want 2.0", got)
+	if idle := rep.Ranks[3]; idle.Rank != 3 || idle.Load != 0 || idle.Share != 0 {
+		t.Errorf("idle rank 3 = %+v, want rank 3 with no load", idle)
 	}
-	if rep := NewReport(nil); rep.Imbalance != 0 || len(rep.Ranks) != 0 {
-		t.Errorf("empty report = %+v, want zero", rep)
+	// max 400 over mean 150 (the idle rank counts) = 8/3
+	if got := rep.Imbalance; math.Abs(got-8.0/3.0) > 1e-12 {
+		t.Errorf("imbalance = %g, want %g", got, 8.0/3.0)
+	}
+	if rep := NewReport(nil, 2); rep.Imbalance != 0 || len(rep.Ranks) != 2 || rep.Ranks[1].Share != 0 {
+		t.Errorf("empty report = %+v, want two idle ranks, imbalance 0", rep)
 	}
 }
 

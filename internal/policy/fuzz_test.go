@@ -1,0 +1,47 @@
+package policy
+
+import "testing"
+
+// FuzzParseFile guards the policies-file parser, the decode boundary of
+// every decouple: ParseFile must never panic, and a policy it accepts
+// must pass Validate and compile to a mechanism composition.
+func FuzzParseFile(f *testing.F) {
+	// Seeds: the policies texts the tests and examples decouple with,
+	// every key, explicit mechanism DSL, and the error shapes the parser
+	// rejects.
+	for _, text := range []string{
+		"",
+		"consistency: weak\ndurability: local\nallocated_inodes: 1000\n",
+		"consistency: weak\ndurability: none\nallocated_inodes: 500\n",
+		"consistency: strong\ndurability: global\n",
+		"consistency: weak\ndurability: local\nallocated_inodes: 2000\ninterfere: block\n",
+		"\nconsistency: invisible\ndurability: local\nallocated_inodes: 10\n",
+		"\n# BatchFS-style subtree\nconsistency: weak\ndurability: local\nallocated_inodes: 200000\ninterfere: block\n",
+		"consistency: append_client_journal\ndurability: global_persist||local_persist\n",
+		"consistency: weak\ndurability: global\nallocated_inodes: 100\nmds_rank: 3\n",
+		"interfere: block\n",
+		"consistency weak",
+		"consistency: sorta",
+		"allocated_inodes: -5",
+		"mds_rank: -1",
+		"favourite_colour: blue",
+		"consistency: rpcs\ndurability: local_persist||stream\n",
+		Default().String(),
+		PresetDeltaFS.String(),
+	} {
+		f.Add(text)
+	}
+
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := ParseFile(text)
+		if err != nil {
+			return // rejected input; only panics are bugs here
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("accepted policy fails Validate: %v\n%q", err, text)
+		}
+		if _, err := p.Composition(); err != nil {
+			t.Fatalf("accepted policy does not compile: %v\n%q", err, text)
+		}
+	})
+}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -36,11 +35,6 @@ type tableSnap struct {
 	// placed prefix: two distinct prefixes that both cover one path on
 	// component boundaries differ in length.
 	places []placement
-
-	// frags maps a split directory to the ranks its dentry fragments
-	// hash onto: dentry name → frags[dir][FragIndex(name, len(...))].
-	// Splitting lets one hot directory span ranks (CephFS dirfrags).
-	frags map[string][]int
 }
 
 // placement is one placed subtree: its clean path and its rank.
@@ -57,7 +51,7 @@ func NewTable() *Table {
 }
 
 // mutate installs a copy of the current snapshot changed by edit. The
-// copy shares the slice and map edit does not replace.
+// copy shares the slice edit does not replace.
 func (t *Table) mutate(edit func(s *tableSnap)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -112,118 +106,23 @@ func (t *Table) Place(path string, rank int) {
 
 // RankFor returns the rank owning path: the longest placed prefix wins,
 // with component-boundary matching ("/job1" does not own "/job10").
-// Unplaced paths belong to rank 0. Paths strictly under a split
-// directory that is at least as deep as the best placed prefix route by
-// dentry-fragment hash instead.
-func (t *Table) RankFor(path string) int { return t.snap.Load().rankFor(path) }
-
-func (t *tableSnap) rankFor(path string) int {
-	path = Clean(path)
-	best, bestLen := 0, -1
-	if pl := t.placed(path); pl != nil {
-		best, bestLen = pl.rank, len(pl.path)
+// Unplaced paths belong to rank 0.
+func (t *Table) RankFor(path string) int {
+	if pl := t.snap.Load().placed(Clean(path)); pl != nil {
+		return pl.rank
 	}
-	if dir, comp := t.fragFor(path, bestLen); dir != "" {
-		ranks := t.frags[dir]
-		return ranks[FragIndex(comp, len(ranks))]
-	}
-	return best
+	return 0
 }
 
 // SubtreeFor returns the placed subtree that owns path — the longest
 // placed prefix, mirroring RankFor's resolution — or "/" when no
 // placement covers it. Heat accounting keys cells by this, so load
-// aggregates per policy subtree instead of per leaf path. Paths under a
-// split directory report "<dir>#<frag>" so each fragment's heat is its
-// own cell.
+// aggregates per policy subtree instead of per leaf path.
 func (t *Table) SubtreeFor(path string) string {
-	s := t.snap.Load()
-	path = Clean(path)
-	best, bestLen := "/", -1
-	if pl := s.placed(path); pl != nil {
-		best, bestLen = pl.path, len(pl.path)
+	if pl := t.snap.Load().placed(Clean(path)); pl != nil {
+		return pl.path
 	}
-	if dir, comp := s.fragFor(path, bestLen); dir != "" {
-		return fmt.Sprintf("%s#%d", dir, FragIndex(comp, len(s.frags[dir])))
-	}
-	return best
-}
-
-// fragFor returns the deepest split directory that path lives strictly
-// under — provided that split is at least as deep as the best placed
-// prefix (placedLen) — plus the first path component below it, which is
-// the dentry whose hash picks the fragment. ("", "") when no split
-// applies.
-func (t *tableSnap) fragFor(path string, placedLen int) (dir, comp string) {
-	if len(t.frags) == 0 { // the usual table: skip the map walk
-		return "", ""
-	}
-	bestLen := -1
-	for d := range t.frags {
-		if len(d) >= placedLen && len(d) > bestLen &&
-			HasPathPrefix(path, d) && len(path) > len(d) {
-			dir, bestLen = d, len(d)
-		}
-	}
-	if dir == "" {
-		return "", ""
-	}
-	rest := path[len(dir):]
-	if dir == "/" {
-		rest = path
-	}
-	rest = strings.TrimPrefix(rest, "/")
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		rest = rest[:i]
-	}
-	return dir, rest
-}
-
-// FragIndex hashes a dentry name onto one of ways fragments (FNV-1a).
-// Deterministic across every replica of the table, so any holder routes
-// a dentry to the same fragment.
-func FragIndex(name string, ways int) int {
-	if ways <= 1 {
-		return 0
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
-	}
-	return int(h % uint32(ways))
-}
-
-// SplitDir registers a directory as fragment-split across ranks: dentry
-// name n of dir routes to ranks[FragIndex(n, len(ranks))]. An empty or
-// single-element ranks removes the split.
-func (t *Table) SplitDir(dir string, ranks []int) {
-	dir = Clean(dir)
-	t.mutate(func(s *tableSnap) {
-		frags := make(map[string][]int, len(s.frags)+1)
-		for d, r := range s.frags {
-			frags[d] = r
-		}
-		if len(ranks) < 2 {
-			delete(frags, dir)
-		} else {
-			frags[dir] = append([]int(nil), ranks...)
-		}
-		s.frags = frags
-	})
-}
-
-// FragSplits returns a copy of the split-directory map.
-func (t *Table) FragSplits() map[string][]int {
-	frags := t.snap.Load().frags
-	if len(frags) == 0 {
-		return nil
-	}
-	out := make(map[string][]int, len(frags))
-	for d, ranks := range frags {
-		out[d] = append([]int(nil), ranks...)
-	}
-	return out
+	return "/"
 }
 
 // Paths returns the placed paths in sorted order, for display.
@@ -237,8 +136,8 @@ func (t *Table) Paths() []string {
 	return out
 }
 
-// CopyFrom replaces the table's contents with src's placements, splits,
-// and epoch — the monitor's publish step. Snapshots are immutable, so
+// CopyFrom replaces the table's contents with src's placements and
+// epoch — the monitor's publish step. Snapshots are immutable, so
 // the replica simply adopts src's current one.
 func (t *Table) CopyFrom(src *Table) {
 	t.mu.Lock()

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -13,7 +14,6 @@ import (
 // checked against.
 type mapTable struct {
 	places map[string]int
-	frags  map[string][]int
 }
 
 func (t *mapTable) rankFor(path string) int {
@@ -23,10 +23,6 @@ func (t *mapTable) rankFor(path string) int {
 		if len(prefix) > bestLen && HasPathPrefix(path, prefix) {
 			best, bestLen = rank, len(prefix)
 		}
-	}
-	if dir, comp := t.fragFor(path, bestLen); dir != "" {
-		ranks := t.frags[dir]
-		return ranks[FragIndex(comp, len(ranks))]
 	}
 	return best
 }
@@ -39,35 +35,10 @@ func (t *mapTable) subtreeFor(path string) string {
 			best, bestLen = prefix, len(prefix)
 		}
 	}
-	if dir, comp := t.fragFor(path, bestLen); dir != "" {
-		return fmt.Sprintf("%s#%d", dir, FragIndex(comp, len(t.frags[dir])))
-	}
 	return best
 }
 
-func (t *mapTable) fragFor(path string, placedLen int) (dir, comp string) {
-	bestLen := -1
-	for d := range t.frags {
-		if len(d) >= placedLen && len(d) > bestLen &&
-			HasPathPrefix(path, d) && len(path) > len(d) {
-			dir, bestLen = d, len(d)
-		}
-	}
-	if dir == "" {
-		return "", ""
-	}
-	rest := path[len(dir):]
-	if dir == "/" {
-		rest = path
-	}
-	rest = strings.TrimPrefix(rest, "/")
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		rest = rest[:i]
-	}
-	return dir, rest
-}
-
-// routeDirs are the directories generated tables place and split: "/",
+// routeDirs are the directories generated tables place: "/",
 // nested prefixes, and siblings that share a string prefix but not a
 // component ("/job1" and "/job10").
 var routeDirs = []string{
@@ -88,38 +59,26 @@ var routeQueries = func() []string {
 }()
 
 // TestRouteScanMatchesMapWalk drives generated tables — placements
-// added and moved, with and without "/" placed, directories split
-// at, above and below the best placement and then unsplit — through the
-// table and through the map walk it replaced, and wants the same rank and
-// the same subtree for every query after every step.
+// added and moved, with and without "/" placed — through the table and
+// through the map walk it replaced, and wants the same rank and the same
+// subtree for every query after every step.
 func TestRouteScanMatchesMapWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for table := 0; table < 300; table++ {
 		tb := NewTable()
-		ref := &mapTable{places: map[string]int{}, frags: map[string][]int{}}
+		ref := &mapTable{places: map[string]int{}}
 		for step := 0; step < 12; step++ {
-			dir := routeDirs[rng.Intn(len(routeDirs))]
-			switch op := rng.Intn(10); {
-			case op < 7:
-				rank := rng.Intn(4)
-				tb.Place(dir, rank)
-				ref.places[Clean(dir)] = rank
-			case op < 9:
-				ranks := []int{rng.Intn(4), rng.Intn(4), rng.Intn(4)}[:2+rng.Intn(2)]
-				tb.SplitDir(dir, ranks)
-				ref.frags[Clean(dir)] = ranks
-			default:
-				tb.SplitDir(dir, nil)
-				delete(ref.frags, Clean(dir))
-			}
+			dir, rank := routeDirs[rng.Intn(len(routeDirs))], rng.Intn(4)
+			tb.Place(dir, rank)
+			ref.places[Clean(dir)] = rank
 			for _, q := range routeQueries {
 				if got, want := tb.RankFor(q), ref.rankFor(q); got != want {
-					t.Fatalf("table %d step %d: RankFor(%q) = %d, map walk %d (places %v, splits %v)",
-						table, step, q, got, want, ref.places, ref.frags)
+					t.Fatalf("table %d step %d: RankFor(%q) = %d, map walk %d (places %v)",
+						table, step, q, got, want, ref.places)
 				}
 				if got, want := tb.SubtreeFor(q), ref.subtreeFor(q); got != want {
-					t.Fatalf("table %d step %d: SubtreeFor(%q) = %q, map walk %q (places %v, splits %v)",
-						table, step, q, got, want, ref.places, ref.frags)
+					t.Fatalf("table %d step %d: SubtreeFor(%q) = %q, map walk %q (places %v)",
+						table, step, q, got, want, ref.places)
 				}
 			}
 		}
@@ -136,6 +95,28 @@ func TestRoutePathsSorted(t *testing.T) {
 	tb.Place("/b", 2) // a move keeps one entry
 	if got := strings.Join(tb.Paths(), " "); got != "/ /a /b /b/c" {
 		t.Fatalf("Paths = %s, want / /a /b /b/c", got)
+	}
+}
+
+// TestWrongRankError pins the redirect error type clients retry on.
+func TestWrongRankError(t *testing.T) {
+	frozen := &WrongRankError{Path: "/job", Epoch: 7, Frozen: true}
+	moved := &WrongRankError{Path: "/job", Rank: 2, Epoch: 9}
+	for _, err := range []error{frozen, moved} {
+		wrapped := fmt.Errorf("rpc: %w", err)
+		got, ok := IsRedirect(wrapped)
+		if !ok || got != err {
+			t.Errorf("IsRedirect(%v) = %v, %v", wrapped, got, ok)
+		}
+	}
+	if _, ok := IsRedirect(errors.New("plain")); ok {
+		t.Errorf("plain error classified as redirect")
+	}
+	if _, ok := IsRedirect(nil); ok {
+		t.Errorf("nil classified as redirect")
+	}
+	if frozen.Error() == moved.Error() {
+		t.Errorf("frozen and moved redirects should render differently")
 	}
 }
 

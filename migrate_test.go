@@ -217,6 +217,46 @@ func TestBalancerConverges(t *testing.T) {
 	}
 }
 
+// TestHeatReportCountsIdleRanks: the heat report and the balancer read
+// one imbalance. Fifty creates into /job on a four-rank cluster load rank
+// 0 alone, which is max/mean = 4.00 with the three idle ranks counted —
+// the factor the balancer acts on. A report over only the ranks that have
+// heat cells called that cluster balanced (1.00).
+func TestHeatReportCountsIdleRanks(t *testing.T) {
+	cl := NewCluster(WithMDSRanks(4))
+	if rep := cl.HeatReport(); rep.Cells != nil || rep.Ranks != nil || rep.Imbalance != 0 {
+		t.Errorf("heat off: report = %+v, want the zero report", rep)
+	}
+	cl.EnableHeat(time.Minute)
+	c := cl.NewClient("c0")
+	cl.Run(func(p Proc) {
+		dir, err := c.MkdirAll(p, "/job", 0755)
+		if err != nil {
+			t.Errorf("mkdirall: %v", err)
+			return
+		}
+		for i := 0; i < 50; i++ {
+			if _, err := c.Create(p, dir, fmt.Sprintf("f%02d", i), 0644); err != nil {
+				t.Errorf("create: %v", err)
+				return
+			}
+		}
+	})
+	rep := cl.HeatReport()
+	if got := fmt.Sprintf("%.2f", rep.Imbalance); got != "4.00" {
+		t.Errorf("imbalance = %s, want 4.00 (one busy rank of four)", got)
+	}
+	if len(rep.Ranks) != 4 {
+		t.Fatalf("report has %d ranks, want 4: %+v", len(rep.Ranks), rep.Ranks)
+	}
+	for r, rl := range rep.Ranks {
+		busy := r == 0
+		if rl.Rank != r || (rl.Load > 0) != busy || (busy && rl.Share != 1) || (!busy && rl.Share != 0) {
+			t.Errorf("rank %d = %+v, want rank 0 to carry every share", r, rl)
+		}
+	}
+}
+
 // TestMigrateUnderStormReal is the placement-table race test: on the
 // real backend two clients storm one rank each while the subtree of one
 // of them migrates there and back. The ranks' ownership checks, the

@@ -91,10 +91,14 @@ func (cl *Cluster) EnableHeat(halfLife time.Duration) *Heat {
 func (cl *Cluster) Heat() *Heat { return cl.heat }
 
 // HeatReport snapshots the heat accountant at the current runtime time
-// and aggregates it into per-rank loads and the imbalance factor. The
-// zero report is returned when heat accounting is off.
+// and aggregates it over every metadata rank into per-rank loads and the
+// imbalance factor the balancer acts on. The zero report is returned
+// when heat accounting is off.
 func (cl *Cluster) HeatReport() obs.HeatReport {
-	return obs.NewReport(cl.heat.Snapshot(int64(cl.rt.Now())))
+	if cl.heat == nil {
+		return obs.HeatReport{}
+	}
+	return obs.NewReport(cl.heat.Snapshot(int64(cl.rt.Now())), cl.meta.Ranks())
 }
 
 // EnableFlightRecorder attaches a chaos flight recorder to the cluster's
@@ -127,16 +131,15 @@ func (s adminSource) Metrics() (*trace.Registry, error) {
 	return reg, nil
 }
 
-// Heat implements obs.Source: the current decayed heat snapshot, nil
-// when heat accounting is off.
-func (s adminSource) Heat() ([]obs.HeatCell, error) {
-	var cells []obs.HeatCell
+// Heat implements obs.Source: the cluster's current HeatReport.
+func (s adminSource) Heat() (obs.HeatReport, error) {
+	var rep obs.HeatReport
 	s.cl.rt.Exclusive(func() {
 		s.cl.setup.Lock()
 		defer s.cl.setup.Unlock()
-		cells = s.cl.heat.Snapshot(int64(s.cl.rt.Now()))
+		rep = s.cl.HeatReport()
 	})
-	return cells, nil
+	return rep, nil
 }
 
 // AdminSource returns the cluster as an admin-endpoint scrape source,
