@@ -126,8 +126,9 @@ perf:
 # exactly for its workload. For sim_storm a host-speed change to sim,
 # transport, mds, journal or rados that moves one of them changed the
 # schedule, not just the cost of running it; for real_decoupled an extra
-# RPC, revoke or merged event on the decoupled path shows the same way;
-# real_io names four (its segment and object-write counts depend on which
+# RPC, revoke or merged event on the decoupled path shows the same way,
+# and for real_rpc_write and real_rpc_read a misrouted or redirected
+# request moves mds_requests or client_rpcs; real_io names four (its segment and object-write counts depend on which
 # client finishes first and seals the partial segment). A file may also
 # carry a ceiling on alloc_b_per_op (the value when it was committed + 2 %;
 # the metric repeats within 0.1 %), so an accidental allocation per

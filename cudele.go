@@ -298,18 +298,16 @@ func (cl *Cluster) Objects() *rados.Cluster { return cl.objects }
 func (cl *Cluster) Monitor() *monitor.Monitor { return cl.mon }
 
 // NewClient creates and mounts a client. Client names must be unique.
-// Each client gets its own portal — a routed endpoint over a
-// placement-table replica that the monitor keeps refreshed. It is
-// set-up code: call it while no task runs, or from the only one that does.
+// Each client gets its own portal, which routes by the metadata
+// cluster's placement table. It is set-up code: call it while no task
+// runs, or from the only one that does.
 func (cl *Cluster) NewClient(name string) *Client {
 	cl.setup.Lock()
 	defer cl.setup.Unlock()
 	if _, dup := cl.clients[name]; dup {
 		panic(fmt.Sprintf("cudele: duplicate client %q", name))
 	}
-	portal := cl.meta.Portal()
-	cl.mon.Subscribe(name, portal.Table())
-	c := client.New(cl.rt, cl.cfg, name, portal, cl.objects)
+	c := client.New(cl.rt, cl.cfg, name, cl.meta.Portal(), cl.objects)
 	if cl.rt.Kind() == BackendReal && cl.dataDir != "" {
 		c.SetLocalDir(filepath.Join(cl.dataDir, name))
 	}
@@ -389,7 +387,7 @@ func (cl *Cluster) Recouple(p Proc, path string) error {
 // Migrate moves ownership of the subtree at path to metadata rank dst
 // online: the source freezes and streams the subtree while clients keep
 // operating (bounced requests retry transparently), and ownership flips
-// only when the monitor publishes the new cluster-map epoch.
+// only when the export has committed, with a new cluster-map epoch.
 func (cl *Cluster) Migrate(p Proc, path string, dst int) error {
 	return cl.mon.Migrate(p, path, dst)
 }

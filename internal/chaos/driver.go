@@ -182,10 +182,10 @@ func (d *driver) mds() *mds.Server {
 }
 
 // midMigration reports whether the main subtree is mid-handoff — frozen,
-// streaming, or in the prune-to-publish window. In that window no single
-// store is authoritative (the source may already be pruned while routing
-// still points at it), so store-reading checks defer to the next op
-// boundary after the handoff commits or aborts.
+// streaming, or between the source's prune and the table flip. In that
+// window no single store is authoritative (the source may already be
+// pruned while routing still points at it), so store-reading checks
+// defer to the next op boundary after the handoff commits or aborts.
 func (d *driver) midMigration() bool {
 	if !d.plan.Migrate {
 		return false

@@ -51,7 +51,7 @@ type Stats struct {
 	RPCs          uint64 // total RPCs sent
 	Appends       uint64 // journal events appended locally
 	Rejected      uint64 // -EBUSY replies from blocked subtrees
-	Redirects     uint64 // bounced requests retried after a table refresh
+	Redirects     uint64 // bounced requests retried
 
 	// PeakTransferBytes is the largest single buffer a merge or persist
 	// mechanism has put on the wire or disk at once, in nominal bytes
@@ -192,10 +192,10 @@ type fileHint struct {
 func (c *Client) Name() string { return c.name }
 
 // followRedirects issues send and, while the reply it reports is a
-// bounce — the subtree is frozen mid-migration, or our routing table is
-// stale — re-issues it after a short delay and a table refresh: the
-// paper's client-transparent handoff. A bounced message never reached
-// its handler, so re-sending it is safe.
+// bounce — the subtree is frozen mid-migration, or the request was routed
+// before a migration committed — re-issues it after a short delay, routed
+// by the table as it is then: the paper's client-transparent handoff. A
+// bounced message never reached its handler, so re-sending it is safe.
 func (c *Client) followRedirects(p runtime.Task, send func() error) {
 	err := send()
 	for tries := 0; tries < redirectRetryMax; tries++ {
@@ -204,7 +204,6 @@ func (c *Client) followRedirects(p runtime.Task, send func() error) {
 		}
 		c.stats.Redirects++
 		p.Sleep(c.cfg.MigrateRetryDelay)
-		c.svc.Refresh()
 		err = send()
 	}
 }

@@ -309,7 +309,7 @@ func (c *Client) shipJournal(p runtime.Task, mode mds.MergeMode) *mds.MergeReply
 func (c *Client) streamJournal(p runtime.Task, chunk int) *mds.MergeReply {
 	evBytes := int64(c.cfg.JournalEventBytes)
 	var open *mds.MergeOpenReply
-	// A bounced open retries against refreshed routing; once admitted the
+	// A bounced open retries against the current routing; once admitted the
 	// stream cannot be bounced mid-flight (a merge in progress blocks the
 	// subtree's freeze).
 	c.followRedirects(p, func() error {

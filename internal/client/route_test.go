@@ -63,7 +63,6 @@ func TestRouteFileHintsJoinOnDemand(t *testing.T) {
 			t.Errorf("place: %v", err)
 			return
 		}
-		portal.Refresh()
 
 		// A parent the client knows no path for: today's hint was none.
 		delete(c.paths, a)
@@ -104,7 +103,7 @@ func TestRouteFileHintsJoinOnDemand(t *testing.T) {
 				if got := c.pathOf(ino); got != want {
 					t.Errorf("route of %s/%s = %q, want %q", dirPath, name, got, want)
 				}
-				rank := portal.Table().RankFor(want)
+				rank := mc.Table().RankFor(want)
 				if got := reaches(p, ino); got != rank {
 					t.Errorf("%s: SetAttr+Stat reached rank %d, want %d", want, got, rank)
 				}

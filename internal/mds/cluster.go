@@ -26,20 +26,20 @@ type Cluster struct {
 	ranks []*Server
 
 	// dom is the control-plane lock domain: it owns every write to the
-	// authoritative table. The monitor runs in it (Domain), so
-	// cluster-map changes exclude one another; ranks and client portals
-	// only ever read the table, which is safe from any domain (see
+	// placement table. The monitor runs in it (Domain), so cluster-map
+	// changes exclude one another; ranks and client portals only ever
+	// read the table, which is safe from any domain (see
 	// transport.Table).
 	dom runtime.Domain
 
-	// table is the rank-side authoritative placement map — the one record
-	// of which rank owns a subtree; client portals hold replicas
-	// refreshed by the monitor.
+	// table is the placement map — the one record of which rank owns a
+	// subtree. The ranks check ownership against it, and the monitor and
+	// every client portal route through router, which reads it.
 	table  *transport.Table
 	router *transport.Router
 
 	// migrations counts committed online migrations. While it is zero
-	// the ranks skip the stale-routing ownership check entirely, keeping
+	// the ranks skip the routed-before-commit ownership check, keeping
 	// never-migrated (calibrated) runs byte-identical. Rank handlers read
 	// it from their own domains, hence atomic.
 	migrations atomic.Int64
@@ -75,14 +75,14 @@ func (c *Cluster) Config() model.Config { return c.cfg }
 // Rank returns the i'th metadata server.
 func (c *Cluster) Rank(i int) *Server { return c.ranks[i] }
 
-// Table returns the cluster's authoritative placement table.
+// Table returns the cluster's placement table.
 func (c *Cluster) Table() *transport.Table { return c.table }
 
 // Domain returns the control-plane lock domain, which the monitor shares.
 func (c *Cluster) Domain() runtime.Domain { return c.dom }
 
-// Endpoint returns the cluster-side routed endpoint (used by the
-// monitor, which always sees the authoritative table).
+// Endpoint returns the cluster's routed endpoint, the one every portal
+// forwards through.
 func (c *Cluster) Endpoint() transport.Endpoint { return c.router }
 
 // SetStream toggles journal streaming on every rank.
@@ -93,8 +93,8 @@ func (c *Cluster) SetStream(on bool) {
 }
 
 // SetHeat installs one heat accountant on every rank, keyed by the
-// cluster's authoritative placement table so cells aggregate per placed
-// subtree. Pass nil to disable accounting.
+// cluster's placement table so cells aggregate per placed subtree. Pass
+// nil to disable accounting.
 func (c *Cluster) SetHeat(h *obs.Heat) {
 	for _, s := range c.ranks {
 		s.heat = h
@@ -102,14 +102,13 @@ func (c *Cluster) SetHeat(h *obs.Heat) {
 }
 
 // Place exports the subtree rooted at path to the given rank and
-// records the placement in the authoritative table. The subtree's
-// directory objects (plus the ancestor chain, so the path resolves) are
-// copied through the same serialized form that recovery uses; the
-// source rank keeps its copy, which becomes stale and unreachable once
-// routing points at the new owner — exactly how CephFS subtree exports
-// hand off authority. The copy and the table flip happen in one step
-// with both ranks and the control plane held together, so no request is
-// served between them.
+// records the placement in the table. The subtree's directory objects
+// (plus the ancestor chain, so the path resolves) are copied through the
+// same serialized form that recovery uses; the source rank keeps its
+// copy, which becomes stale and unreachable once routing points at the
+// new owner — exactly how CephFS subtree exports hand off authority. The
+// copy and the table flip happen in one step with both ranks and the
+// control plane held together, so no request is served between them.
 func (c *Cluster) Place(p runtime.Task, path string, rank int) error {
 	if rank < 0 || rank >= len(c.ranks) {
 		return fmt.Errorf("mds: place %s: rank %d out of range [0,%d)", path, rank, len(c.ranks))
@@ -133,10 +132,9 @@ func (c *Cluster) Place(p runtime.Task, path string, rank int) error {
 	return nil
 }
 
-// CommitMigration finalizes a committed online migration in the
-// authoritative table: routing repoints at the new rank. The monitor
-// calls this between the export-commit record landing and the epoch
-// publish.
+// CommitMigration finalizes a committed online migration in the table:
+// routing repoints at the new rank. The monitor calls this once the
+// export-commit record has landed.
 func (c *Cluster) CommitMigration(path string, rank int) {
 	c.table.Place(path, rank)
 	c.migrations.Add(1)
@@ -170,38 +168,25 @@ func exportSubtree(src, dst *namespace.Store, path string) error {
 	return nil
 }
 
-// Portal is one client's view of the metadata cluster: a routed endpoint
-// over a placement-table replica, plus the session fan-out. It is the
-// only way a client reaches the metadata service.
+// Portal is one client's view of the metadata cluster: the cluster's
+// routed endpoint, so a client routes by the same table the ranks check,
+// plus the session fan-out. It is the only way a client reaches the
+// metadata service.
 type Portal struct {
-	cl     *Cluster
-	table  *transport.Table
-	router *transport.Router
+	cl *Cluster
 }
 
-// Portal builds a fresh client view seeded from the authoritative
-// table. Subscribe the portal's Table to the monitor to keep it synced.
-func (c *Cluster) Portal() *Portal {
-	t := transport.NewTable()
-	t.CopyFrom(c.table)
-	eps := make([]transport.Endpoint, len(c.ranks))
-	for i, s := range c.ranks {
-		eps[i] = s.Endpoint()
-	}
-	return &Portal{cl: c, table: t, router: transport.NewRouter("mds", t, eps, RouteOf)}
-}
-
-// Table returns the portal's placement-table replica.
-func (pt *Portal) Table() *transport.Table { return pt.table }
+// Portal builds a client view of the cluster.
+func (c *Cluster) Portal() *Portal { return &Portal{cl: c} }
 
 // Name implements transport.Endpoint.
-func (pt *Portal) Name() string { return pt.router.Name() }
+func (pt *Portal) Name() string { return pt.cl.router.Name() }
 
 // Call implements transport.Endpoint.
-func (pt *Portal) Call(p runtime.Task, msg any) any { return pt.router.Call(p, msg) }
+func (pt *Portal) Call(p runtime.Task, msg any) any { return pt.cl.router.Call(p, msg) }
 
 // Post implements transport.Endpoint.
-func (pt *Portal) Post(p runtime.Task, msg any) any { return pt.router.Post(p, msg) }
+func (pt *Portal) Post(p runtime.Task, msg any) any { return pt.cl.router.Post(p, msg) }
 
 // Mount opens the client's session on every rank, from the client's
 // task: a mounted client may touch any subtree, so each rank carries its
@@ -223,8 +208,3 @@ func (pt *Portal) Unmount(p runtime.Task, client string) {
 // SetStream toggles journal streaming cluster-wide (the Stream
 // mechanism is a namespace-level durability setting).
 func (pt *Portal) SetStream(on bool) { pt.cl.SetStream(on) }
-
-// Refresh re-syncs the portal's routing replica from the authoritative
-// table — the client's reaction to a redirect reply: by the time a rank
-// bounces a request, the monitor has already published the newer map.
-func (pt *Portal) Refresh() { pt.table.CopyFrom(pt.cl.table) }

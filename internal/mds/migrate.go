@@ -18,9 +18,9 @@ import (
 // windowed/backpressured chunk machinery the merge scheduler uses; the
 // export-commit record makes the handoff crash-adjudicable. The monitor
 // orchestrates the protocol (monitor.Migrate) and owns the routing
-// linearization point: ownership changes only when a new epoch is
-// published, so any crash or abort before that leaves the source
-// authoritative and the destination holding a harmless stale copy.
+// linearization point: ownership changes only when it flips the table,
+// so any crash or abort before that leaves the source authoritative and
+// the destination holding a harmless stale copy.
 
 // MigrationPool is the RADOS pool holding export-commit records.
 const MigrationPool = "cudele_migration"
@@ -441,10 +441,10 @@ func (s *Server) exportCommit(p runtime.Task, m *ExportCommitMsg) *ExportCommitR
 	delete(s.owners, ex.manifest.Root)
 	delete(s.exports, path)
 	// The freeze deliberately persists: routing points at this rank
-	// until the monitor publishes the new epoch, and a request served
-	// from the pruned store would see a spurious ErrNotExist. The
-	// monitor thaws the subtree (ExportAbortMsg) right after publish;
-	// from then on stale routes bounce with the new epoch instead.
+	// until the monitor flips the table, and a request served from the
+	// pruned store would see a spurious ErrNotExist. The monitor thaws
+	// the subtree (ExportAbortMsg) right after the flip; from then on a
+	// request routed before it bounces with the new owner instead.
 	if fl := s.eng.Flight(); fl != nil {
 		fl.Record(int64(p.Now()), s.ep.Name(), "mds", "export.commit",
 			fmt.Sprintf("%s seq=%d pruned=%d -> rank %d", path, m.Seq, pruned, m.Dst))

@@ -142,36 +142,3 @@ func TestClusterRankInoBandsDisjoint(t *testing.T) {
 		}
 	})
 }
-
-// TestPortalReplicaRouting checks that a portal built before a placement
-// keeps routing by its replica until the table is refreshed — and follows
-// the move once CopyFrom lands, the monitor's publish path.
-func TestPortalReplicaRouting(t *testing.T) {
-	eng, cl := newTestCluster(9, 2)
-	run(t, eng, func(p runtime.Task) {
-		if _, err := cl.Rank(0).Store().MkdirAll("/d", namespace.CreateAttrs{Mode: 0755}); err != nil {
-			t.Fatalf("mkdir: %v", err)
-		}
-		portal := cl.Portal()
-		if err := cl.Place(p, "/d", 1); err != nil {
-			t.Fatalf("place: %v", err)
-		}
-		if got := portal.Table().RankFor("/d"); got != 0 {
-			t.Fatalf("stale replica already routes /d to rank %d", got)
-		}
-		portal.Table().CopyFrom(cl.Table())
-		if got := portal.Table().RankFor("/d"); got != 1 {
-			t.Fatalf("refreshed replica routes /d to rank %d, want 1", got)
-		}
-		in, _ := cl.Rank(1).Store().Resolve("/d")
-		before := cl.Rank(1).Metrics().Requests
-		r := portal.Call(p, &Request{Op: OpCreate, Client: "c0",
-			Parent: in.Ino, Name: "f", Mode: 0644, Route: "/d"}).(*Reply)
-		if r.Err != nil {
-			t.Fatalf("portal create: %v", r.Err)
-		}
-		if cl.Rank(1).Metrics().Requests != before+1 {
-			t.Error("portal request did not land on rank 1")
-		}
-	})
-}

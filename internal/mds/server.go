@@ -323,10 +323,11 @@ func (s *Server) handle(p runtime.Task, msg any) any {
 
 // bounce is the redirect for a workload message addressed to a subtree
 // this rank has frozen for export — or, once any migration has happened,
-// does not own at all (a stale client table) — nil when the rank should
-// serve it. The check costs no simulated time and, on a cluster that has
-// never migrated, reduces to the cluster's migration count and one
-// map-length test, so calibrated runs are untouched.
+// does not own at all (routed before a migration committed, served after)
+// — nil when the rank should serve it. The check costs no simulated time
+// and, on a cluster that has never migrated, reduces to the cluster's
+// migration count and one map-length test, so calibrated runs are
+// untouched.
 func (s *Server) bounce(msg refusable) error {
 	migrated := s.c.migrations.Load() != 0
 	if len(s.frozen) == 0 && !migrated {
@@ -342,17 +343,14 @@ func (s *Server) bounce(msg refusable) error {
 		return nil
 	}
 	frozen := s.frozenCovers(transport.Clean(route))
-	rank, epoch := s.rank, uint64(0)
-	if migrated {
-		epoch = s.c.table.Epoch()
-		if !frozen {
-			rank = s.c.table.RankFor(route)
-		}
+	rank := s.rank
+	if migrated && !frozen {
+		rank = s.c.table.RankFor(route)
 	}
 	if !frozen && rank == s.rank {
 		return nil
 	}
-	werr := &transport.WrongRankError{Path: route, Rank: rank, Epoch: epoch, Frozen: frozen}
+	werr := &transport.WrongRankError{Path: route, Rank: rank, Frozen: frozen}
 	s.metrics.Bounced++
 	if fl := s.eng.Flight(); fl != nil {
 		fl.Record(int64(s.eng.Now()), s.ep.Name(), "mds", "bounce", werr.Error())

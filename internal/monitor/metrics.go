@@ -6,9 +6,8 @@ import (
 
 // FillMetrics copies the monitor's cluster-map state into a metric
 // registry: the current epoch and the number of registered (decoupled)
-// subtrees and table subscribers.
+// subtrees.
 func (m *Monitor) FillMetrics(reg *trace.Registry) {
 	reg.Counter("cudele_mon_epoch", "Cluster-map epoch, bumped on every change.", float64(m.epoch))
 	reg.Gauge("cudele_mon_subtrees", "Registered decoupled subtrees.", float64(len(m.registered())))
-	reg.Gauge("cudele_mon_subscribers", "Placement-table subscribers.", float64(len(m.subs)))
 }

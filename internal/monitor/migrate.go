@@ -15,13 +15,13 @@ import (
 //	freeze (src)  → save (src, durable)  → open (dst, admission)
 //	→ chunk loop: read (src) / chunk (dst, windowed)
 //	→ import commit (dst)  → export commit (src, journaled record)
-//	→ epoch++ / publish (monitor)
+//	→ epoch++ / table flip (monitor)
 //
-// Routing changes only at publish — that is the linearization point. A
+// Routing changes only at the flip — that is the linearization point. A
 // failure anywhere before the export-commit record lands aborts both
 // sides: the source thaws and stays authoritative; the destination keeps
 // whatever it installed as an unreachable stale copy, exactly like a
-// pre-publish crash.
+// crash before the flip.
 
 // Migrate moves ownership of the subtree at path to rank dst online:
 // clients keep operating (requests into the frozen subtree bounce with a
@@ -131,15 +131,14 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 		return abort(or.ID, ec.Err)
 	}
 
-	// 7. Publish the new map: the routing linearization point.
+	// 7. Flip the routing table: the linearization point.
 	p.Sleep(commitLatency)
 	m.epoch++
 	m.cl.CommitMigration(path, dst)
 	m.placed(path)
 	st.Moves++
-	m.publish()
 	// Thaw the source last: its freeze outlived the prune so that
-	// requests arriving before the publish bounced as Frozen instead of
+	// requests arriving before the flip bounced as Frozen instead of
 	// being served ErrNotExist from the pruned store.
 	src.Post(p, &mds.ExportAbortMsg{Path: path})
 	if fl := m.eng.Flight(); fl != nil {

@@ -3,8 +3,8 @@
 // parses it, versions it, distributes it to the metadata servers, and
 // returns the subtree's inode grant. In a multi-rank cluster the monitor
 // also owns subtree placement: a policy's mds_rank pins the subtree to a
-// metadata rank, and the monitor pushes the resulting routing table to
-// every subscribed client portal.
+// metadata rank in the cluster's routing table, the one table the ranks
+// check and every client portal routes by.
 package monitor
 
 import (
@@ -44,8 +44,8 @@ const (
 	// redirect until the handoff commits or aborts.
 	SubtreeExporting
 	// SubtreeImporting: the destination is installing streamed state;
-	// it does not serve the subtree until the monitor publishes the new
-	// epoch.
+	// it does not serve the subtree until the monitor flips the routing
+	// table.
 	SubtreeImporting
 )
 
@@ -89,7 +89,6 @@ type Monitor struct {
 	epoch    uint64
 	migSeq   uint64 // last assigned migration sequence (export records)
 	subtrees map[string]*Subtree
-	subs     map[string]*transport.Table
 }
 
 // New creates a monitor governing a metadata cluster.
@@ -99,32 +98,11 @@ func New(eng runtime.Runtime, cl *mds.Cluster) *Monitor {
 		dom:      cl.Domain(),
 		cl:       cl,
 		subtrees: make(map[string]*Subtree),
-		subs:     make(map[string]*transport.Table),
 	}
 }
 
 // Epoch returns the current cluster-map epoch, bumped on every change.
 func (m *Monitor) Epoch() uint64 { return m.epoch }
-
-// Subscribe registers a routing-table replica (normally a client portal's)
-// to be refreshed on every cluster-map change, and syncs it immediately.
-func (m *Monitor) Subscribe(id string, t *transport.Table) {
-	m.subs[id] = t
-	t.CopyFrom(m.cl.Table())
-}
-
-// Unsubscribe drops a replica from the refresh list.
-func (m *Monitor) Unsubscribe(id string) { delete(m.subs, id) }
-
-// publish stamps the authoritative table with the current epoch and
-// refreshes every subscribed replica.
-func (m *Monitor) publish() {
-	t := m.cl.Table()
-	t.SetEpoch(m.epoch)
-	for _, sub := range m.subs {
-		sub.CopyFrom(t)
-	}
-}
 
 // Register parses policiesText (the policies.yml of §III-C), stamps it
 // with a new epoch, distributes it, and reserves the subtree's inode
@@ -140,7 +118,7 @@ func (m *Monitor) Register(p runtime.Task, path, policiesText, owner string) (*S
 // RegisterPolicy is Register with an already-parsed policy. One
 // registration is one cluster-map change: the epoch is bumped exactly
 // once, covering the policy distribution and any subtree placement it
-// implies, and the new map is pushed to every subscriber.
+// implies.
 func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy, owner string) (*Subtree, error) {
 	m.dom.Enter(p)
 	defer m.dom.Leave(p)
@@ -180,7 +158,6 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 	}
 	st := m.record(path)
 	st.Policy, st.Owner, st.GrantLo, st.GrantN, st.Epoch = pol, owner, r.Lo, r.N, m.epoch
-	m.publish()
 	return st, nil
 }
 
@@ -201,7 +178,6 @@ func (m *Monitor) Unregister(p runtime.Task, path string) error {
 		return err
 	}
 	st.Policy, st.Owner, st.GrantLo, st.GrantN, st.Epoch = nil, "", 0, 0, m.epoch
-	m.publish()
 	return nil
 }
 
@@ -216,7 +192,6 @@ func (m *Monitor) Place(p runtime.Task, path string, rank int) error {
 		return err
 	}
 	m.placed(path)
-	m.publish()
 	return nil
 }
 

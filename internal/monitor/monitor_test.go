@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"cudele/internal/mds"
 	"cudele/internal/model"
@@ -169,12 +170,10 @@ func TestLookup(t *testing.T) {
 func TestReRegisterMovesRankAndPropagates(t *testing.T) {
 	// Satellite of the multi-rank refactor: re-registering the same path
 	// with a new mds_rank is ONE cluster-map change — the epoch bumps
-	// exactly once, and the new rank/placement map reaches subscribers
-	// (client portals) and the metadata ranks.
+	// exactly once, and the new placement reaches the routing table and
+	// the metadata ranks.
 	eng, cl, m := newTestCluster(2)
 	mkdirs(t, eng, cl.Rank(0), "/d")
-	portal := cl.Portal()
-	m.Subscribe("client.0", portal.Table())
 	run(t, eng, func(p runtime.Task) {
 		if _, err := m.Register(p, "/d", "consistency: weak\ndurability: none", "c0"); err != nil {
 			t.Fatalf("register: %v", err)
@@ -189,16 +188,8 @@ func TestReRegisterMovesRankAndPropagates(t *testing.T) {
 		if m.Epoch() != 2 || e.Epoch != 2 {
 			t.Errorf("epoch after re-register = %d (entry %d), want exactly 2", m.Epoch(), e.Epoch)
 		}
-		// The authoritative table and the subscribed replica both carry
-		// the new placement at the new epoch.
 		if got := cl.Table().RankFor("/d"); got != 1 {
 			t.Errorf("cluster table routes /d to rank %d", got)
-		}
-		if got := portal.Table().RankFor("/d"); got != 1 {
-			t.Errorf("subscribed portal routes /d to rank %d", got)
-		}
-		if portal.Table().Epoch() != 2 {
-			t.Errorf("portal table epoch = %d, want 2", portal.Table().Epoch())
 		}
 		// The MDS ranks see the handoff: rank 1 owns the subtree's
 		// policy, rank 0 no longer does.
@@ -217,6 +208,52 @@ func TestReRegisterMovesRankAndPropagates(t *testing.T) {
 			t.Error("rank 0 still registered as the subtree's policy owner")
 		}
 	})
+}
+
+// TestRegistrationWindowRoutesToOwner: a create routed as soon as a
+// registration's mds_rank move shows in the cluster's table — after the
+// placement, before the registration has returned — lands on the new
+// owner. It fails if a portal routes by anything that lags the cluster's
+// table, such as a copy refreshed only when the registration ends: rank 0
+// then serves and acknowledges the create from its stale copy of /d.
+func TestRegistrationWindowRoutesToOwner(t *testing.T) {
+	eng, cl, m := newTestCluster(2)
+	mkdirs(t, eng, cl.Rank(0), "/d")
+	in, err := cl.Rank(0).Store().Resolve("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < cl.Ranks(); r++ {
+		cl.Rank(r).OpenSession("c0")
+	}
+	portal := cl.Portal()
+	var reply *mds.Reply
+	eng.Spawn("register", func(p runtime.Task) {
+		if _, err := m.Register(p, "/d", "mds_rank: 1", "c0"); err != nil {
+			t.Errorf("register: %v", err)
+		}
+	})
+	eng.Spawn("create", func(p runtime.Task) {
+		for polls := 0; cl.Table().RankFor("/d") != 1; polls++ {
+			if polls == 1_000_000 {
+				t.Error("the table never placed /d on rank 1")
+				return
+			}
+			p.Sleep(time.Microsecond)
+		}
+		reply = portal.Call(p, &mds.Request{Op: mds.OpCreate, Client: "c0",
+			Parent: in.Ino, Name: "f", Mode: 0644, Route: "/d"}).(*mds.Reply)
+	})
+	eng.RunAll()
+	if reply == nil || reply.Err != nil {
+		t.Fatalf("create in the registration window: %+v", reply)
+	}
+	if _, err := cl.Rank(1).Store().Lookup(in.Ino, "f"); err != nil {
+		t.Errorf("acknowledged create is missing from the owner, rank 1: %v", err)
+	}
+	if _, err := cl.Rank(0).Store().Lookup(in.Ino, "f"); err == nil {
+		t.Error("acknowledged create landed in rank 0's stale copy of /d")
+	}
 }
 
 func TestRegisterRankOutOfRange(t *testing.T) {

@@ -10,15 +10,15 @@ import (
 	"cudele/internal/runtime"
 )
 
-// Table maps namespace subtrees to metadata ranks. The monitor owns the
-// authoritative copy; ranks and clients hold replicas that the monitor
-// refreshes on every cluster-map change, stamped with the map epoch.
-// Paths with no placement fall through to rank 0, which is why a
-// single-rank deployment behaves exactly like the unrouted system.
+// Table maps namespace subtrees to metadata ranks. A metadata cluster
+// holds exactly one: the ranks check ownership against it and every
+// client portal routes by it. Paths with no placement fall through to
+// rank 0, which is why a single-rank deployment behaves exactly like the
+// unrouted system.
 //
 // A table is read from every daemon's domain — rank handlers resolve
-// ownership, client portals route and refresh — while the monitor
-// publishes into it, so its contents are an immutable snapshot behind an
+// ownership, client portals route — while the control plane places
+// subtrees in it, so its contents are an immutable snapshot behind an
 // atomic pointer: readers load it without locking or allocating, and
 // every mutation (rare, control-plane) installs a modified copy.
 type Table struct {
@@ -28,8 +28,6 @@ type Table struct {
 
 // tableSnap is one immutable version of a table's contents.
 type tableSnap struct {
-	epoch uint64
-
 	// places holds the placed subtrees longest path first (equal lengths
 	// in path order), so the first one that covers a path is its longest
 	// placed prefix: two distinct prefixes that both cover one path on
@@ -82,14 +80,6 @@ func (s *tableSnap) placed(path string) *placement {
 	return nil
 }
 
-// Epoch returns the cluster-map epoch the table was last synced at.
-func (t *Table) Epoch() uint64 { return t.snap.Load().epoch }
-
-// SetEpoch stamps the table with a cluster-map epoch.
-func (t *Table) SetEpoch(e uint64) {
-	t.mutate(func(s *tableSnap) { s.epoch = e })
-}
-
 // Place assigns the subtree rooted at path to rank.
 func (t *Table) Place(path string, rank int) {
 	path = Clean(path)
@@ -134,15 +124,6 @@ func (t *Table) Paths() []string {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// CopyFrom replaces the table's contents with src's placements and
-// epoch — the monitor's publish step. Snapshots are immutable, so
-// the replica simply adopts src's current one.
-func (t *Table) CopyFrom(src *Table) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.snap.Store(src.snap.Load())
 }
 
 // Clean normalizes a subtree path to the form the table keys use: one

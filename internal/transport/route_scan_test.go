@@ -100,8 +100,8 @@ func TestRoutePathsSorted(t *testing.T) {
 
 // TestWrongRankError pins the redirect error type clients retry on.
 func TestWrongRankError(t *testing.T) {
-	frozen := &WrongRankError{Path: "/job", Epoch: 7, Frozen: true}
-	moved := &WrongRankError{Path: "/job", Rank: 2, Epoch: 9}
+	frozen := &WrongRankError{Path: "/job", Frozen: true}
+	moved := &WrongRankError{Path: "/job", Rank: 2}
 	for _, err := range []error{frozen, moved} {
 		wrapped := fmt.Errorf("rpc: %w", err)
 		got, ok := IsRedirect(wrapped)

@@ -5,7 +5,7 @@
 // metadata ranks.
 //
 // Clients never hold a concrete server; they talk to an Endpoint: a
-// Router that picks the owning rank's Wire from a replicated placement
+// Router that picks the owning rank's Wire from the cluster's placement
 // Table, whatever the number of ranks (with one, every message lands on
 // rank 0).
 package transport

@@ -162,25 +162,6 @@ func TestTableLongestPrefix(t *testing.T) {
 	}
 }
 
-func TestTableCopyFrom(t *testing.T) {
-	master := NewTable()
-	master.Place("/a", 1)
-	master.SetEpoch(7)
-	replica := NewTable()
-	replica.CopyFrom(master)
-	if replica.Epoch() != 7 || replica.RankFor("/a/x") != 1 {
-		t.Fatalf("replica epoch=%d rank=%d", replica.Epoch(), replica.RankFor("/a/x"))
-	}
-	// Replicas are snapshots: later master edits do not leak through.
-	master.Place("/b", 1)
-	if replica.RankFor("/b") != 0 {
-		t.Fatal("replica aliased the master's map")
-	}
-	if len(master.Paths()) != 2 || master.Paths()[0] != "/a" {
-		t.Fatalf("paths = %v", master.Paths())
-	}
-}
-
 func TestRouterPicksOwningRank(t *testing.T) {
 	type msg struct{ route string }
 	var hits [2][]string

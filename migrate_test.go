@@ -73,11 +73,11 @@ func TestMigrateClientTransparent(t *testing.T) {
 	}
 }
 
-// TestStaleTableRedirect is the satellite regression test: a client
-// whose routing replica is no longer refreshed (unsubscribed) keeps
-// working after a migration via the typed ErrWrongRank redirect — the
-// bounce carries the new epoch, the client refreshes and retries.
-func TestStaleTableRedirect(t *testing.T) {
+// TestCreateIntoFrozenSubtreeRedirects: a create sent while its subtree
+// is frozen for an in-flight migration bounces with the typed
+// ErrWrongRank redirect, and the client retries until the migration has
+// committed and the create lands on the new owner.
+func TestCreateIntoFrozenSubtreeRedirects(t *testing.T) {
 	cl := NewCluster(WithMDSRanks(2))
 	c := cl.NewClient("client.0")
 	var dir Ino
@@ -90,22 +90,39 @@ func TestStaleTableRedirect(t *testing.T) {
 			t.Fatalf("create: %v", err)
 		}
 	})
-	// Freeze the client's routing view, then move the subtree under it.
-	cl.Monitor().Unsubscribe("client.0")
-	cl.Run(func(p Proc) {
+	cl.Go("migrate", func(p Proc) {
 		if err := cl.Migrate(p, "/job", 1); err != nil {
-			t.Fatalf("migrate: %v", err)
-		}
-		if _, err := c.Create(p, dir, "after", 0644); err != nil {
-			t.Fatalf("create after migrate: %v", err)
+			t.Errorf("migrate: %v", err)
 		}
 	})
+	cl.Go("create", func(p Proc) {
+		if !waitFrozen(p, cl, "/job") {
+			t.Error("/job never froze on rank 0")
+			return
+		}
+		if _, err := c.Create(p, dir, "after", 0644); err != nil {
+			t.Errorf("create during migration: %v", err)
+		}
+	})
+	cl.RunAll()
 	if got := c.Stats().Redirects; got == 0 {
-		t.Fatalf("redirects = 0, want a stale-table bounce and retry")
+		t.Fatalf("redirects = 0, want a bounce off the frozen subtree and a retry")
 	}
 	if _, err := cl.Metadata().Rank(1).Store().Resolve("/job/after"); err != nil {
-		t.Fatalf("new owner missing post-migration create: %v", err)
+		t.Fatalf("new owner missing the create sent mid-migration: %v", err)
 	}
+}
+
+// waitFrozen polls, in virtual microseconds, until rank 0 has frozen
+// path for export; false if it never does within a virtual second.
+func waitFrozen(p Proc, cl *Cluster, path string) bool {
+	for polls := 0; !cl.Metadata().Rank(0).Frozen(path); polls++ {
+		if polls == 1_000_000 {
+			return false
+		}
+		p.Sleep(time.Microsecond)
+	}
+	return true
 }
 
 // TestMigrateDecoupledClient: a decoupled subtree migrates while its
@@ -260,9 +277,9 @@ func TestHeatReportCountsIdleRanks(t *testing.T) {
 // TestMigrateUnderStormReal is the placement-table race test: on the
 // real backend two clients storm one rank each while the subtree of one
 // of them migrates there and back. The ranks' ownership checks, the
-// clients' routing and refreshes, and the monitor's publishes all touch
-// placement tables from different lock domains at once; under -race this
-// fails unless tables and the migration count are safe to share. Nothing
+// clients' routing and the monitor's table flips all touch the placement
+// table from different lock domains at once; under -race this fails
+// unless the table and the migration count are safe to share. Nothing
 // may be lost either.
 func TestMigrateUnderStormReal(t *testing.T) {
 	cl := NewCluster(WithSeed(5), WithConfig(stressConfig()), WithMDSRanks(2), WithBackend(BackendReal))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"cudele"
 	"cudele/internal/client"
@@ -149,10 +150,11 @@ func TestSpeculativeTornJournalPersist(t *testing.T) {
 	}
 }
 
-// TestSpeculativeMergeDuringMigration migrates the decoupled subtree
-// between the client's journal writes and its merge: the merge hits the
-// old owner, bounces with a wrong-rank redirect, and the client's
-// refresh-and-retry loop lands the validated merge on the new owner.
+// TestSpeculativeMergeDuringMigration sends the client's speculative
+// merge while its decoupled subtree is frozen for a migration: the merge
+// bounces off the old owner with a wrong-rank redirect, and the client's
+// retry loop lands the validated merge on the new owner once the
+// migration has committed.
 func TestSpeculativeMergeDuringMigration(t *testing.T) {
 	cl := cudele.NewCluster(cudele.WithMDSRanks(2))
 	c := cl.NewClient("c0")
@@ -172,22 +174,32 @@ func TestSpeculativeMergeDuringMigration(t *testing.T) {
 				t.Fatalf("local create: %v", err)
 			}
 		}
-		// Freeze the client's routing view so the merge is guaranteed to
-		// hit the old owner and bounce.
-		cl.Monitor().Unsubscribe("c0")
+	})
+	cl.Go("migrate", func(p cudele.Proc) {
 		if err := cl.Migrate(p, "/job", 1); err != nil {
-			t.Fatalf("migrate: %v", err)
+			t.Errorf("migrate: %v", err)
+		}
+	})
+	cl.Go("merge", func(p cudele.Proc) {
+		for polls := 0; !cl.Metadata().Rank(0).Frozen("/job"); polls++ {
+			if polls == 1_000_000 {
+				t.Error("/job never froze on rank 0")
+				return
+			}
+			p.Sleep(time.Microsecond)
 		}
 		applied, conflicts, err := c.SpeculativeApply(p)
 		if err != nil {
-			t.Fatalf("speculative apply across migration: %v", err)
+			t.Errorf("speculative apply across migration: %v", err)
+			return
 		}
 		if applied != 8 || len(conflicts) != 0 {
-			t.Fatalf("applied %d with conflicts %v; want 8 clean", applied, conflicts)
+			t.Errorf("applied %d with conflicts %v; want 8 clean", applied, conflicts)
 		}
 	})
+	cl.RunAll()
 	if got := c.Stats().Redirects; got == 0 {
-		t.Error("merge after migration never bounced: the redirect path was not exercised")
+		t.Error("merge during migration never bounced: the redirect path was not exercised")
 	}
 	store := cl.Metadata().Rank(1).Store()
 	for i := 0; i < 8; i++ {
