@@ -43,10 +43,15 @@ loc:
 # builds every main with inlining off, so each function a main reaches is
 # a symbol of it, and lists every top-level func declared outside tests
 # under internal/ as go tool nm names it (type parameters dropped). A
-# declared function no main links must be in results/SURFACE_KEEP.txt
-# ("symbol reason" per line) and every entry there must be such a
-# function: a difference in either direction fails, so a deletion and a
-# new unlinked function both show up here.
+# second pass lists every top-level var (single and var (...) forms): the
+# linker drops a statically initialised var nothing references, so nm
+# names one only when some main links it. A var whose initializer runs
+# code (errors.New, a func literal called in place) is always kept by its
+# package's init, so this check cannot flag it. A declared function or
+# var no main links must be in results/SURFACE_KEEP.txt ("symbol reason"
+# per line) and every entry there must be such a declaration: a
+# difference in either direction fails, so a deletion and a new unlinked
+# function or var both show up here.
 MAINS = cmd/cudele cmd/cudele-bench cmd/journal-tool benchmark \
 	examples/homedirs examples/quickstart examples/checkpoint examples/partialresults
 surface:
@@ -68,15 +73,26 @@ surface:
 			sub(/[^A-Za-z0-9_].*/, "", s); name = "cudele/" dir "." recv s; start = FNR; \
 			if ($$0 ~ /}$$/) { print name, 1; name = "" } \
 		}' $$(ls internal/*/*.go | grep -v _test.go) | sort -u -k1,1 > "$$tmp/decls"; \
+	awk 'FNR == 1 { dir = FILENAME; sub(/\/[^\/]*$$/, "", dir); blk = 0 } \
+		blk && /^\)/ { blk = 0 } \
+		/^var \($$/ { blk = 1; next } \
+		/^var / || (blk && /^\t[A-Za-z_]/) { \
+			s = $$0; sub(/^(var |\t)/, "", s); \
+			if (match(s, /^[A-Za-z_][A-Za-z0-9_]*(, [A-Za-z_][A-Za-z0-9_]*)*/)) { \
+				n = split(substr(s, 1, RLENGTH), v, /, /); \
+				for (i = 1; i <= n; i++) if (v[i] != "_") print "cudele/" dir "." v[i]; \
+			} \
+		}' $$(ls internal/*/*.go | grep -v _test.go) | sort -u > "$$tmp/vars"; \
 	awk 'NR == FNR { linked[$$1] = 1; next } !($$1 in linked)' "$$tmp/linked" "$$tmp/decls" > "$$tmp/unlinked"; \
+	awk 'NR == FNR { linked[$$1] = 1; next } !($$1 in linked)' "$$tmp/linked" "$$tmp/vars" > "$$tmp/unlinkedvars"; \
 	grep -v '^#' results/SURFACE_KEEP.txt | cut -d' ' -f1 | sort > "$$tmp/keep"; \
-	cut -d' ' -f1 "$$tmp/unlinked" | sort > "$$tmp/found"; \
+	cut -d' ' -f1 "$$tmp/unlinked" "$$tmp/unlinkedvars" | sort > "$$tmp/found"; \
 	if ! diff -u --label results/SURFACE_KEEP.txt --label unlinked "$$tmp/keep" "$$tmp/found"; then \
-		echo "surface: the functions no main links differ from results/SURFACE_KEEP.txt"; \
+		echo "surface: the functions and vars no main links differ from results/SURFACE_KEEP.txt"; \
 		echo "  (-: listed but linked or gone, so drop the line; +: unlinked, so delete it or list it with its reason)"; \
 		exit 1; \
 	fi; \
-	echo "surface: $$(wc -l < "$$tmp/unlinked") of $$(wc -l < "$$tmp/decls") functions under internal/ ($$(awk '{ n += $$2 } END { print n + 0 }' "$$tmp/unlinked") lines) are linked by no main, each listed with its reason in results/SURFACE_KEEP.txt"
+	echo "surface: $$(wc -l < "$$tmp/unlinked") of $$(wc -l < "$$tmp/decls") functions ($$(awk '{ n += $$2 } END { print n + 0 }' "$$tmp/unlinked") lines) and $$(wc -l < "$$tmp/unlinkedvars") of $$(wc -l < "$$tmp/vars") package-level vars under internal/ are linked by no main, each listed with its reason in results/SURFACE_KEEP.txt"
 
 # bench regenerates every table at a CI-friendly scale, in parallel, and
 # refreshes the machine-readable baselines under results/. The tables are

@@ -298,8 +298,8 @@ func (cl *Cluster) Objects() *rados.Cluster { return cl.objects }
 func (cl *Cluster) Monitor() *monitor.Monitor { return cl.mon }
 
 // NewClient creates and mounts a client. Client names must be unique.
-// Each client gets its own portal, which routes by the metadata
-// cluster's placement table. It is set-up code: call it while no task
+// Every client sends through the metadata cluster, which routes by its
+// placement table. It is set-up code: call it while no task
 // runs, or from the only one that does.
 func (cl *Cluster) NewClient(name string) *Client {
 	cl.setup.Lock()
@@ -307,7 +307,7 @@ func (cl *Cluster) NewClient(name string) *Client {
 	if _, dup := cl.clients[name]; dup {
 		panic(fmt.Sprintf("cudele: duplicate client %q", name))
 	}
-	c := client.New(cl.rt, cl.cfg, name, cl.meta.Portal(), cl.objects)
+	c := client.New(cl.rt, cl.cfg, name, cl.meta, cl.objects)
 	if cl.rt.Kind() == BackendReal && cl.dataDir != "" {
 		c.SetLocalDir(filepath.Join(cl.dataDir, name))
 	}
@@ -355,10 +355,7 @@ func (cl *Cluster) Decouple(p Proc, c *Client, path, policiesText string) (*Subt
 	if err != nil {
 		return nil, err
 	}
-	if err := c.AdoptGrant(p, path, e.GrantLo, e.GrantN); err != nil {
-		return nil, err
-	}
-	if err := c.SetMergeMode(e.Policy.Consistency); err != nil {
+	if err := c.AdoptGrant(p, path, e.GrantLo, e.GrantN, e.Policy.Consistency); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -370,10 +367,7 @@ func (cl *Cluster) DecouplePolicy(p Proc, c *Client, path string, pol *Policy) (
 	if err != nil {
 		return nil, err
 	}
-	if err := c.AdoptGrant(p, path, e.GrantLo, e.GrantN); err != nil {
-		return nil, err
-	}
-	if err := c.SetMergeMode(pol.Consistency); err != nil {
+	if err := c.AdoptGrant(p, path, e.GrantLo, e.GrantN, pol.Consistency); err != nil {
 		return nil, err
 	}
 	return e, nil

@@ -762,7 +762,7 @@ func (d *driver) verifyGlobal(p runtime.Task) {
 	}
 	evs, err := d.c.FetchGlobalJournal(p, d.c.Name())
 	remerge := func() *mds.MergeReply {
-		return d.mds().Post(p, &mds.MergeMsg{Events: evs, Mode: d.cell.mode,
+		return d.mds().Post(p, &mds.MergeMsg{Source: journal.CursorOver(evs), Mode: d.cell.mode,
 			NominalBytes: int64(len(evs)) * int64(d.cl.Config().JournalEventBytes),
 		}).(*mds.MergeReply)
 	}

@@ -68,7 +68,7 @@ type Client struct {
 	dom  runtime.Domain
 	cfg  model.Config
 	name string
-	svc  *mds.Portal
+	svc  *mds.Cluster
 	obj  *rados.Cluster
 
 	// localDisk models the node's own disk (Local Persist target).
@@ -153,9 +153,9 @@ func (d *decoupled) clearJournal() {
 	d.undo = d.undo[:0]
 }
 
-// New creates a client attached to the metadata service, through its own
-// portal, and to the object store.
-func New(eng runtime.Runtime, cfg model.Config, name string, svc *mds.Portal, obj *rados.Cluster) *Client {
+// New creates a client attached to the metadata cluster, which routes
+// its messages by the placement table, and to the object store.
+func New(eng runtime.Runtime, cfg model.Config, name string, svc *mds.Cluster, obj *rados.Cluster) *Client {
 	c := &Client{
 		eng:        eng,
 		dom:        eng.NewDomain(name),
@@ -275,11 +275,11 @@ func (c *Client) Restart(p runtime.Task) error {
 	if old == nil {
 		return nil
 	}
-	if err := c.AdoptGrant(p, old.path, namespace.Ino(old.grantLo), old.grantN); err != nil {
+	if err := c.AdoptGrant(p, old.path, namespace.Ino(old.grantLo), old.grantN, old.mode); err != nil {
 		return err
 	}
 	c.dec.next = old.next
-	return c.SetMergeMode(old.mode)
+	return nil
 }
 
 // notePath remembers a directory's path for route hints.

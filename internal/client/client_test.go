@@ -179,7 +179,7 @@ func decouple(p runtime.Task, c *Client, path string, pol *policy.Policy) error 
 	if r.Err != nil {
 		return r.Err
 	}
-	return c.AdoptGrant(p, path, r.Lo, r.N)
+	return c.AdoptGrant(p, path, r.Lo, r.N, pol.Consistency)
 }
 
 func TestDecoupleLocalCreate(t *testing.T) {

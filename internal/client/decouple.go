@@ -22,8 +22,9 @@ const ClientJournalPool = "cudele_client_journals"
 // processing, on the policy and inode grant the monitor registered on the
 // client's behalf (paper §III-C): the client starts an in-memory journal,
 // and subsequent Local* operations run entirely client-side via Append
-// Client Journal.
-func (c *Client) AdoptGrant(p runtime.Task, path string, lo namespace.Ino, n uint64) error {
+// Client Journal. mode is the subtree's consistency cell, which selects
+// the merge path (blind, speculative, or convergent).
+func (c *Client) AdoptGrant(p runtime.Task, path string, lo namespace.Ino, n uint64, mode policy.Consistency) error {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
 	root, err := c.Resolve(p, path)
@@ -37,6 +38,7 @@ func (c *Client) AdoptGrant(p runtime.Task, path string, lo namespace.Ino, n uin
 		grantLo: uint64(lo),
 		grantN:  n,
 		store:   namespace.NewStore(),
+		mode:    mode,
 	}
 	c.sync = syncState{}
 	return nil

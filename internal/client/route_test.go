@@ -25,8 +25,7 @@ func TestRouteFileHintsJoinOnDemand(t *testing.T) {
 	cfg := model.Default()
 	obj := rados.New(eng, cfg)
 	mc := mds.NewCluster(eng, cfg, obj, 2)
-	portal := mc.Portal()
-	c := New(eng, cfg, "c0", portal, obj)
+	c := New(eng, cfg, "c0", mc, obj)
 	c.Mount(nil)
 
 	// served returns how many SetAttr and GetAttr requests each rank has

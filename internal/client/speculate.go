@@ -24,17 +24,6 @@ import (
 // CRDT resolver, so concurrent clients can merge in any order and the
 // global namespace converges.
 
-// SetMergeMode selects the consistency cell for the decoupled subtree's
-// merge path; ConsSpeculative keeps pre-images for rollback. Called by
-// the API layer right after AdoptGrant, on an empty journal.
-func (c *Client) SetMergeMode(mode policy.Consistency) error {
-	if c.dec == nil {
-		return ErrNotDecoupled
-	}
-	c.dec.mode = mode
-	return nil
-}
-
 // MergeMode reports the decoupled subtree's consistency cell.
 func (c *Client) MergeMode() policy.Consistency {
 	if c.dec == nil {

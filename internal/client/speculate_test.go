@@ -79,9 +79,6 @@ func specRollbackRun(t *testing.T, seed int64, crash bool, rejected map[journal.
 		if err := decouple(p, c, "/job", decouplePolicy(policy.ConsSpeculative, policy.DurLocal, 1000)); err != nil {
 			t.Fatalf("seed %d: decouple: %v", seed, err)
 		}
-		if err := c.SetMergeMode(policy.ConsSpeculative); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
 		root, _ := c.DecoupledRoot()
 		var accepted []*journal.Event
 		names := 0
@@ -212,9 +209,6 @@ func TestFailedRecoverLocalLeavesContext(t *testing.T) {
 		}
 		if err := decouple(p, c, "/job", decouplePolicy(policy.ConsSpeculative, policy.DurLocal, 100)); err != nil {
 			t.Fatalf("decouple: %v", err)
-		}
-		if err := c.SetMergeMode(policy.ConsSpeculative); err != nil {
-			t.Fatal(err)
 		}
 		root, _ := c.DecoupledRoot()
 		if _, err := c.LocalCreate(p, root, "a", 0644); err != nil {

@@ -27,7 +27,7 @@ func newClusterCfg(cfg model.Config) *cluster {
 }
 
 func (cl *cluster) clientCfg(name string, cfg model.Config) *Client {
-	c := New(cl.eng, cfg, name, cl.mc.Portal(), cl.obj)
+	c := New(cl.eng, cfg, name, cl.mc, cl.obj)
 	c.Mount(nil)
 	return c
 }

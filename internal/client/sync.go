@@ -1,6 +1,7 @@
 package client
 
 import (
+	"cudele/internal/journal"
 	"cudele/internal/mds"
 	"cudele/internal/runtime"
 )
@@ -67,7 +68,7 @@ func (c *Client) SyncNow(p runtime.Task) (pause runtime.Duration, synced int, er
 		// Partial updates become visible in the global namespace.
 		// The transfer cost was charged above, so the apply ships
 		// zero nominal bytes.
-		r := svc.Post(bp, &mds.MergeMsg{Events: delta, NominalBytes: 0, Route: route}).(*mds.MergeReply)
+		r := svc.Post(bp, &mds.MergeMsg{Source: journal.CursorOver(delta), NominalBytes: 0, Route: route}).(*mds.MergeReply)
 		visible.Fire(r.Err)
 	})
 	return pause, len(delta), nil

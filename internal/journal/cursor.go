@@ -37,6 +37,12 @@ func (j *Journal) Cursor() *Cursor { return &Cursor{j: j} }
 // retain the slice.
 func (j *Journal) InlineCursor() *Cursor { return &Cursor{j: j, reuse: true} }
 
+// CursorOver returns an inline cursor over a flat run of events: a
+// journal of one open segment holding evs, which it aliases.
+func CursorOver(evs []*Event) *Cursor {
+	return (&Journal{cur: &Segment{Events: evs}}).InlineCursor()
+}
+
 // segment returns the cursor's current segment events, nil when the
 // cursor is exhausted.
 func (c *Cursor) segment() []*Event {

@@ -27,14 +27,14 @@ type Cluster struct {
 
 	// dom is the control-plane lock domain: it owns every write to the
 	// placement table. The monitor runs in it (Domain), so cluster-map
-	// changes exclude one another; ranks and client portals only ever
-	// read the table, which is safe from any domain (see
+	// changes exclude one another; ranks and clients only ever read the
+	// table, which is safe from any domain (see
 	// transport.Table).
 	dom runtime.Domain
 
 	// table is the placement map — the one record of which rank owns a
 	// subtree. The ranks check ownership against it, and the monitor and
-	// every client portal route through router, which reads it.
+	// every client route through router, which reads it.
 	table  *transport.Table
 	router *transport.Router
 
@@ -60,7 +60,7 @@ func NewCluster(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster, n int
 	for i := 0; i < n; i++ {
 		s := newRank(c, i)
 		c.ranks = append(c.ranks, s)
-		eps[i] = s.Endpoint()
+		eps[i] = s.ep
 	}
 	c.router = transport.NewRouter("mds", c.table, eps, RouteOf)
 	return c
@@ -81,11 +81,39 @@ func (c *Cluster) Table() *transport.Table { return c.table }
 // Domain returns the control-plane lock domain, which the monitor shares.
 func (c *Cluster) Domain() runtime.Domain { return c.dom }
 
-// Endpoint returns the cluster's routed endpoint, the one every portal
-// forwards through.
-func (c *Cluster) Endpoint() transport.Endpoint { return c.router }
+// Name implements transport.Endpoint: the cluster is the client's routed
+// endpoint, so a client routes by the same table the ranks check.
+func (c *Cluster) Name() string { return c.router.Name() }
 
-// SetStream toggles journal streaming on every rank.
+// Call implements transport.Endpoint.
+func (c *Cluster) Call(p runtime.Task, msg any) any { return c.router.Call(p, msg) }
+
+// Post implements transport.Endpoint.
+func (c *Cluster) Post(p runtime.Task, msg any) any { return c.router.Post(p, msg) }
+
+// Mount opens the client's session on every rank, from the client's
+// task, inside each rank's domain: a mounted client may touch any
+// subtree, so each rank carries its bookkeeping overhead, keeping
+// per-rank service times comparable to the single-MDS system.
+func (c *Cluster) Mount(p runtime.Task, client string) {
+	for _, s := range c.ranks {
+		s.dom.Enter(p)
+		s.OpenSession(client)
+		s.dom.Leave(p)
+	}
+}
+
+// Unmount closes the client's session on every rank, from a task.
+func (c *Cluster) Unmount(p runtime.Task, client string) {
+	for _, s := range c.ranks {
+		s.dom.Enter(p)
+		s.CloseSession(client)
+		s.dom.Leave(p)
+	}
+}
+
+// SetStream toggles journal streaming on every rank (the Stream
+// mechanism is a namespace-level durability setting).
 func (c *Cluster) SetStream(on bool) {
 	for _, s := range c.ranks {
 		s.SetStream(on)
@@ -167,44 +195,3 @@ func exportSubtree(src, dst *namespace.Store, path string) error {
 	}
 	return nil
 }
-
-// Portal is one client's view of the metadata cluster: the cluster's
-// routed endpoint, so a client routes by the same table the ranks check,
-// plus the session fan-out. It is the only way a client reaches the
-// metadata service.
-type Portal struct {
-	cl *Cluster
-}
-
-// Portal builds a client view of the cluster.
-func (c *Cluster) Portal() *Portal { return &Portal{cl: c} }
-
-// Name implements transport.Endpoint.
-func (pt *Portal) Name() string { return pt.cl.router.Name() }
-
-// Call implements transport.Endpoint.
-func (pt *Portal) Call(p runtime.Task, msg any) any { return pt.cl.router.Call(p, msg) }
-
-// Post implements transport.Endpoint.
-func (pt *Portal) Post(p runtime.Task, msg any) any { return pt.cl.router.Post(p, msg) }
-
-// Mount opens the client's session on every rank, from the client's
-// task: a mounted client may touch any subtree, so each rank carries its
-// bookkeeping overhead, keeping per-rank service times comparable to the
-// single-MDS system.
-func (pt *Portal) Mount(p runtime.Task, client string) {
-	for _, s := range pt.cl.ranks {
-		s.Mount(p, client)
-	}
-}
-
-// Unmount closes the client's session on every rank, from a task.
-func (pt *Portal) Unmount(p runtime.Task, client string) {
-	for _, s := range pt.cl.ranks {
-		s.Unmount(p, client)
-	}
-}
-
-// SetStream toggles journal streaming cluster-wide (the Stream
-// mechanism is a namespace-level durability setting).
-func (pt *Portal) SetStream(on bool) { pt.cl.SetStream(on) }

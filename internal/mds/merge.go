@@ -22,31 +22,6 @@ import (
 // keeping simulation overhead low.
 const applyRunLen = 256
 
-// eventSource is where a one-shot merge pulls its events from: either a
-// journal.Cursor (bounded-memory iteration over a live journal) or a
-// flat slice that arrived in the message. Runs are exactly
-// min(max, Remaining()) long either way, so the merge's CPU schedule is
-// independent of the source.
-type eventSource interface {
-	Remaining() int
-	Next(max int) []*journal.Event
-}
-
-// sliceSource adapts a flat event slice to the eventSource contract.
-type sliceSource struct {
-	evs []*journal.Event
-	off int
-}
-
-func (s *sliceSource) Remaining() int { return len(s.evs) - s.off }
-
-func (s *sliceSource) Next(max int) []*journal.Event {
-	end := min(s.off+max, len(s.evs))
-	out := s.evs[s.off:end]
-	s.off = end
-	return out
-}
-
 // errConflict is the validating step's verdict on a falsified
 // prediction: the event is skipped and its index reported, not a failure.
 var errConflict = errors.New("mds: speculative prediction conflicts")
@@ -126,10 +101,7 @@ func (s *Server) mergeOneShot(p runtime.Task, m *MergeMsg) *MergeReply {
 	s.cpu.Use(p, s.cfg.MDSMergeSetup)
 	s.metrics.MergeJobs++
 
-	var src eventSource = &sliceSource{evs: m.Events}
-	if m.Events == nil && m.Source != nil {
-		src = m.Source
-	}
+	src := m.Source
 	r := &MergeReply{}
 	for base := 0; r.Err == nil && src.Remaining() > 0; {
 		run := src.Next(applyRunLen)
@@ -177,5 +149,5 @@ func (s *Server) ConvergeApply(p runtime.Task, events []*journal.Event, nominalB
 }
 
 func (s *Server) postMerge(p runtime.Task, events []*journal.Event, nominalBytes int64, mode MergeMode) *MergeReply {
-	return s.ep.Post(p, &MergeMsg{Events: events, NominalBytes: nominalBytes, Mode: mode}).(*MergeReply)
+	return s.ep.Post(p, &MergeMsg{Source: journal.CursorOver(events), NominalBytes: nominalBytes, Mode: mode}).(*MergeReply)
 }

@@ -55,12 +55,11 @@ const (
 )
 
 // MergeMsg ships a decoupled client's journal for Volatile Apply in one
-// message (the calibrated all-at-once arrival model). Exactly one of
-// Events and Source carries the journal: Source lets the sender hand
-// over a bounded-memory cursor instead of a flat event copy, since the
-// handler runs synchronously in the sender's process.
+// message (the calibrated all-at-once arrival model). Source is a
+// bounded-memory cursor over the journal rather than a flat event copy,
+// since the handler runs synchronously in the sender's process; a flat
+// run of events ships as journal.CursorOver.
 type MergeMsg struct {
-	Events       []*journal.Event
 	Source       *journal.Cursor
 	NominalBytes int64
 	// Mode selects blind, speculative, or convergent apply.

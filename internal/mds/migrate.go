@@ -180,7 +180,7 @@ func (m *ImportAbortMsg) serve(s *Server, p runtime.Task) any { return s.imports
 // AttachMsg installs a subtree's policy, owner, and an exact inode
 // grant on a rank without allocating a fresh range — the re-attach path
 // after a migration or a rank restart, where the client must keep the
-// grant it already holds. Attach is a control message: it bypasses the
+// grant it already holds. It is a control message: it bypasses the
 // freeze/ownership bounce.
 type AttachMsg struct {
 	Path   string
@@ -543,12 +543,6 @@ func (s *Server) importCommit(p runtime.Task, m *ImportCommitMsg) *ImportCommitR
 }
 
 // --- attach ---
-
-// Attach installs a subtree policy/owner/grant verbatim on this rank
-// (monitor re-attach path).
-func (s *Server) Attach(p runtime.Task, path string, pol *policy.Policy, client string, lo namespace.Ino, n uint64) error {
-	return s.ep.Post(p, &AttachMsg{Path: path, Policy: pol, Client: client, Lo: lo, N: n}).(*AttachReply).Err
-}
 
 // attach is the AttachMsg handler body.
 func (s *Server) attach(p runtime.Task, m *AttachMsg) *AttachReply {

@@ -88,7 +88,7 @@ func TestClusterRoutesPlacedSubtree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("subtree not exported to rank 1: %v", err)
 		}
-		r := cl.Endpoint().Call(p, &Request{
+		r := cl.Call(p, &Request{
 			Op: OpCreate, Client: "c0", Parent: in.Ino, Name: "f", Mode: 0644,
 			Route: "/proj",
 		}).(*Reply)
@@ -126,10 +126,10 @@ func TestClusterRankInoBandsDisjoint(t *testing.T) {
 		if err := cl.Place(p, "/b", 1); err != nil {
 			t.Fatalf("place: %v", err)
 		}
-		r0 := cl.Endpoint().Call(p, &Request{Op: OpCreate, Client: "c0",
+		r0 := cl.Call(p, &Request{Op: OpCreate, Client: "c0",
 			Parent: namespace.RootIno, Name: "f0", Mode: 0644, Route: "/"}).(*Reply)
 		bIno, _ := cl.Rank(1).Store().Resolve("/b")
-		r1 := cl.Endpoint().Call(p, &Request{Op: OpCreate, Client: "c0",
+		r1 := cl.Call(p, &Request{Op: OpCreate, Client: "c0",
 			Parent: bIno.Ino, Name: "f1", Mode: 0644, Route: "/b"}).(*Reply)
 		if r0.Err != nil || r1.Err != nil {
 			t.Fatalf("creates: %v, %v", r0.Err, r1.Err)

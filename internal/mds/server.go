@@ -296,9 +296,6 @@ func (s *Server) Call(p runtime.Task, msg any) any { return s.ep.Call(p, msg) }
 // own calibrated costs (bulk merges, control traffic).
 func (s *Server) Post(p runtime.Task, msg any) any { return s.ep.Post(p, msg) }
 
-// Endpoint returns the rank's wire endpoint.
-func (s *Server) Endpoint() transport.Endpoint { return s.ep }
-
 // InjectFaults composes a fault interceptor around the rank's wire, so a
 // chaos harness can drop, delay, or duplicate messages to this rank.
 // Never called on calibrated runs — the wire is untouched by default.
@@ -432,24 +429,10 @@ func (s *Server) Restart(p runtime.Task) error {
 	return nil
 }
 
-// Mount opens client's session from a task (the client's own).
-func (s *Server) Mount(p runtime.Task, client string) {
-	s.dom.Enter(p)
-	defer s.dom.Leave(p)
-	s.OpenSession(client)
-}
-
-// Unmount closes client's session from a task.
-func (s *Server) Unmount(p runtime.Task, client string) {
-	s.dom.Enter(p)
-	defer s.dom.Leave(p)
-	s.CloseSession(client)
-}
-
 // OpenSession registers a client session. Additional active sessions add
 // per-op bookkeeping overhead (lock contention, cap accounting), which is
 // what limits scaling beyond pure CPU saturation (paper §II-A). It is the
-// set-up form, for callers outside task context; tasks use Mount.
+// set-up form, for callers outside task context; tasks use Cluster.Mount.
 func (s *Server) OpenSession(client string) {
 	s.sessions[client] = true
 }
@@ -567,15 +550,11 @@ func (s *Server) checkInterfere(p runtime.Task, req *Request) *Reply {
 		return nil
 	}
 	root, err := s.store.PolicyRoot(parent)
-	if err != nil || root == namespace.RootIno {
+	if err != nil || root.Ino == namespace.RootIno {
 		return nil
 	}
-	owner, ok := s.owners[root]
-	if !ok || owner == req.Client {
-		return nil
-	}
-	pol, err := s.store.EffectivePolicy(root)
-	if err != nil || pol.Interfere != policy.InterfereBlock {
+	owner, ok := s.owners[root.Ino]
+	if !ok || owner == req.Client || root.Policy.Interfere != policy.InterfereBlock {
 		return nil
 	}
 	// Rejecting still costs cycles; when the MDS is underloaded this
@@ -654,11 +633,6 @@ func (s *Server) adopt(root namespace.Ino, pol *policy.Policy, owner string, lo 
 		s.owners[root] = owner
 	}
 	return nil
-}
-
-// Recouple clears the subtree's policy and owner registration.
-func (s *Server) Recouple(p runtime.Task, path string) error {
-	return s.ep.Post(p, &RecoupleMsg{Path: path}).(*RecoupleReply).Err
 }
 
 // recouple is the RecoupleMsg handler body.

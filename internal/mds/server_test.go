@@ -590,7 +590,7 @@ func TestDecoupleAndInterfereBlock(t *testing.T) {
 			t.Errorf("owner create err = %v", r.Err)
 		}
 		// Recouple clears the block.
-		if err := s.Recouple(p, "/mine"); err != nil {
+		if err := s.Post(p, &RecoupleMsg{Path: "/mine"}).(*RecoupleReply).Err; err != nil {
 			t.Errorf("recouple: %v", err)
 		}
 		r = s.Submit(p, &Request{Op: OpCreate, Client: "intruder", Parent: d.Ino, Name: "x"})
@@ -632,7 +632,7 @@ func TestDecoupleErrors(t *testing.T) {
 		if _, _, err := decouple(p, s, "/missing", pol, "c"); !errors.Is(err, namespace.ErrNotExist) {
 			t.Errorf("decouple missing path err = %v", err)
 		}
-		if err := s.Recouple(p, "/missing"); !errors.Is(err, namespace.ErrNotExist) {
+		if err := s.Post(p, &RecoupleMsg{Path: "/missing"}).(*RecoupleReply).Err; !errors.Is(err, namespace.ErrNotExist) {
 			t.Errorf("recouple missing path err = %v", err)
 		}
 
@@ -641,11 +641,14 @@ func TestDecoupleErrors(t *testing.T) {
 		// ignores one from another rank's band, and a band that has run
 		// out refuses instead of spilling into the next rank's.
 		s.Submit(p, &Request{Op: OpMkdir, Client: "c", Parent: namespace.RootIno, Name: "d"})
+		attach := func(lo namespace.Ino, n uint64) error {
+			return s.Post(p, &AttachMsg{Path: "/d", Policy: pol, Client: "c", Lo: lo, N: n}).(*AttachReply).Err
+		}
 		foreign := namespace.Ino(1<<40 + 1<<34)
-		if err := s.Attach(p, "/d", pol, "c", foreign, 10); err != nil || s.grantSlot != 0 {
+		if err := attach(foreign, 10); err != nil || s.grantSlot != 0 {
 			t.Errorf("attach of a rank-1 grant: %v, slot %d; want slot 0", err, s.grantSlot)
 		}
-		if err := s.Attach(p, "/d", pol, "c", s.grantAt(5), 1<<24+1); err != nil || s.grantSlot != 7 {
+		if err := attach(s.grantAt(5), 1<<24+1); err != nil || s.grantSlot != 7 {
 			t.Errorf("attach of slots 5-6: %v, slot %d; want 7", err, s.grantSlot)
 		}
 		if lo, _, err := decouple(p, s, "/d", pol, "c"); err != nil || lo != s.grantAt(7) {
@@ -734,7 +737,8 @@ func TestMergeModesShareOneCostModel(t *testing.T) {
 	// Blind, validated and convergent merge are one delivery loop with a
 	// different per-event step, so the same conflict-free journal must
 	// cost exactly the same simulated time and move the same counters in
-	// all three modes — whether it arrives as a flat slice or a cursor.
+	// all three modes — whether it arrives as a flat slice
+	// (journal.CursorOver) or as the journal's own segmented cursor.
 	const n = 700 // crosses two apply-run boundaries
 	type outcome struct {
 		elapsed           runtime.Time
@@ -753,7 +757,7 @@ func TestMergeModesShareOneCostModel(t *testing.T) {
 			if cursor {
 				msg.Source = j.InlineCursor()
 			} else {
-				msg.Events = j.Events()
+				msg.Source = journal.CursorOver(j.Events())
 			}
 			start := p.Now()
 			r := s.Post(p, msg).(*MergeReply)
@@ -806,9 +810,9 @@ func TestSpeculativeConflictsAreJournalIndices(t *testing.T) {
 			for _, idx := range taken { // another client got there first
 				s.Submit(p, &Request{Op: OpCreate, Client: "other", Parent: namespace.RootIno, Name: evs[idx].Name, Mode: 0644})
 			}
-			msg := &MergeMsg{Mode: MergeSpeculative, Events: evs}
+			msg := &MergeMsg{Mode: MergeSpeculative, Source: journal.CursorOver(evs)}
 			if cursor {
-				msg.Events, msg.Source = nil, j.InlineCursor()
+				msg.Source = j.InlineCursor()
 			}
 			r := s.Post(p, msg).(*MergeReply)
 			if r.Err != nil || r.Applied != n-len(taken) || !reflect.DeepEqual(r.Conflicts, taken) {

@@ -41,8 +41,7 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 	if srcRank == dst {
 		return nil
 	}
-	src := m.cl.Rank(srcRank).Endpoint()
-	dstEp := m.cl.Rank(dst).Endpoint()
+	src, dstEp := m.cl.Rank(srcRank), m.cl.Rank(dst)
 	retry := m.cl.Config().MigrateRetryDelay
 	st := m.record(path)
 	if st.State != SubtreeOwned {
@@ -116,7 +115,6 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 	// must reserve the range the client still draws from (zero when the
 	// subtree is not registered).
 	fr.Manifest.GrantLo, fr.Manifest.GrantN = st.GrantLo, st.GrantN
-	st.State = SubtreeImporting
 	ic := dstEp.Post(p, &mds.ImportCommitMsg{ID: or.ID, Manifest: fr.Manifest}).(*mds.ImportCommitReply)
 	if ic.Err != nil {
 		return abort(or.ID, ic.Err)
@@ -161,5 +159,6 @@ func (m *Monitor) Reattach(p runtime.Task, path string) error {
 		return fmt.Errorf("%w: %s", ErrUnknownSubtree, path)
 	}
 	rank := m.cl.Table().RankFor(path)
-	return m.cl.Rank(rank).Attach(p, path, st.Policy, st.Owner, st.GrantLo, st.GrantN)
+	return m.cl.Rank(rank).Post(p, &mds.AttachMsg{Path: path, Policy: st.Policy,
+		Client: st.Owner, Lo: st.GrantLo, N: st.GrantN}).(*mds.AttachReply).Err
 }

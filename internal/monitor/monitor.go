@@ -4,7 +4,7 @@
 // returns the subtree's inode grant. In a multi-rank cluster the monitor
 // also owns subtree placement: a policy's mds_rank pins the subtree to a
 // metadata rank in the cluster's routing table, the one table the ranks
-// check and every client portal routes by.
+// check and every client routes by.
 package monitor
 
 import (
@@ -31,22 +31,19 @@ var ErrUnknownSubtree = errors.New("monitor: unknown subtree")
 const commitLatency = 2 * time.Millisecond
 
 // SubtreeState is the ownership lifecycle state of a subtree. Ownership
-// always cycles owned → exporting (on the migration source, mirrored as
-// importing on the destination) → owned; aborts return the subtree to
-// owned on the source without an epoch change.
+// always cycles owned → exporting → owned: a record is exporting from the
+// freeze to the table flip; aborts return the subtree to owned on the
+// source without an epoch change.
 type SubtreeState uint8
 
 const (
 	// SubtreeOwned: exactly one rank serves the subtree.
 	SubtreeOwned SubtreeState = iota
 	// SubtreeExporting: the owner has frozen the subtree and is
-	// streaming it to another rank; requests bounce with a Frozen
+	// streaming it to another rank, which does not serve it until the
+	// monitor flips the routing table; requests bounce with a Frozen
 	// redirect until the handoff commits or aborts.
 	SubtreeExporting
-	// SubtreeImporting: the destination is installing streamed state;
-	// it does not serve the subtree until the monitor flips the routing
-	// table.
-	SubtreeImporting
 )
 
 func (st SubtreeState) String() string {
@@ -55,8 +52,6 @@ func (st SubtreeState) String() string {
 		return "owned"
 	case SubtreeExporting:
 		return "exporting"
-	case SubtreeImporting:
-		return "importing"
 	}
 	return fmt.Sprintf("SubtreeState(%d)", uint8(st))
 }
@@ -142,7 +137,7 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 		// The subtree moves: clear its registration on the old owner
 		// before the export, so a single rank never holds a policy for
 		// a subtree it no longer serves.
-		if err := m.cl.Rank(oldRank).Recouple(p, path); err != nil {
+		if err := m.cl.Rank(oldRank).Post(p, &mds.RecoupleMsg{Path: path}).(*mds.RecoupleReply).Err; err != nil {
 			return nil, err
 		}
 	}
@@ -152,7 +147,7 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 		}
 		m.placed(path)
 	}
-	r := m.cl.Endpoint().Post(p, &mds.DecoupleMsg{Path: path, Policy: pol, Client: owner}).(*mds.DecoupleReply)
+	r := m.cl.Post(p, &mds.DecoupleMsg{Path: path, Policy: pol, Client: owner}).(*mds.DecoupleReply)
 	if r.Err != nil {
 		return nil, r.Err
 	}
@@ -174,7 +169,7 @@ func (m *Monitor) Unregister(p runtime.Task, path string) error {
 	}
 	p.Sleep(commitLatency)
 	m.epoch++
-	if err := m.cl.Endpoint().Post(p, &mds.RecoupleMsg{Path: path}).(*mds.RecoupleReply).Err; err != nil {
+	if err := m.cl.Post(p, &mds.RecoupleMsg{Path: path}).(*mds.RecoupleReply).Err; err != nil {
 		return err
 	}
 	st.Policy, st.Owner, st.GrantLo, st.GrantN, st.Epoch = nil, "", 0, 0, m.epoch

@@ -213,7 +213,7 @@ func TestReRegisterMovesRankAndPropagates(t *testing.T) {
 // TestRegistrationWindowRoutesToOwner: a create routed as soon as a
 // registration's mds_rank move shows in the cluster's table — after the
 // placement, before the registration has returned — lands on the new
-// owner. It fails if a portal routes by anything that lags the cluster's
+// owner. It fails if a client routes by anything that lags the cluster's
 // table, such as a copy refreshed only when the registration ends: rank 0
 // then serves and acknowledges the create from its stale copy of /d.
 func TestRegistrationWindowRoutesToOwner(t *testing.T) {
@@ -226,7 +226,6 @@ func TestRegistrationWindowRoutesToOwner(t *testing.T) {
 	for r := 0; r < cl.Ranks(); r++ {
 		cl.Rank(r).OpenSession("c0")
 	}
-	portal := cl.Portal()
 	var reply *mds.Reply
 	eng.Spawn("register", func(p runtime.Task) {
 		if _, err := m.Register(p, "/d", "mds_rank: 1", "c0"); err != nil {
@@ -241,7 +240,7 @@ func TestRegistrationWindowRoutesToOwner(t *testing.T) {
 			}
 			p.Sleep(time.Microsecond)
 		}
-		reply = portal.Call(p, &mds.Request{Op: mds.OpCreate, Client: "c0",
+		reply = cl.Call(p, &mds.Request{Op: mds.OpCreate, Client: "c0",
 			Parent: in.Ino, Name: "f", Mode: 0644, Route: "/d"}).(*mds.Reply)
 	})
 	eng.RunAll()

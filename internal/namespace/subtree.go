@@ -8,7 +8,7 @@ import (
 
 // This file implements recursive subtree policies: Cudele stores
 // consistency/durability policies in "large inodes" and resolves the
-// effective policy of any inode by walking toward the root (paper §IV-C).
+// policy governing any inode by walking toward the root (paper §IV-C).
 // Subtrees without policies inherit the semantics of their parent.
 
 // SetPolicy attaches pol to the directory inode ino, making it the root of
@@ -32,56 +32,19 @@ func (s *Store) SetPolicy(ino Ino, pol *policy.Policy) error {
 	return nil
 }
 
-// EffectivePolicy resolves the policy governing ino: the nearest ancestor
-// (or self) with an attached policy. Inodes outside any policy subtree get
-// the global default (stock CephFS semantics). With the embeddable-policy
-// extension, nested policies are merged child-over-parent via
-// policy.Inherit.
-func (s *Store) EffectivePolicy(ino Ino) (*policy.Policy, error) {
-	// Collect attached policies from ino up to the root.
-	var chain []*policy.Policy
+// PolicyRoot returns the inode that owns the policy governing ino: the
+// nearest ancestor (or self) with an attached policy, or the root inode
+// when no subtree policy applies. Nested policies do not merge: the
+// governing root's Policy is the whole policy.
+func (s *Store) PolicyRoot(ino Ino) (*Inode, error) {
 	cur, err := s.Get(ino)
 	if err != nil {
 		return nil, err
 	}
-	for {
-		if cur.Policy != nil {
-			chain = append(chain, cur.Policy)
-		}
-		if cur.Ino == RootIno {
-			break
-		}
-		cur, err = s.Get(cur.Parent)
-		if err != nil {
+	for cur.Policy == nil && cur.Ino != RootIno {
+		if cur, err = s.Get(cur.Parent); err != nil {
 			return nil, err
 		}
 	}
-	// Fold outermost-first so inner subtrees override outer ones.
-	eff := policy.Default()
-	for i := len(chain) - 1; i >= 0; i-- {
-		eff = policy.Inherit(eff, chain[i])
-	}
-	return eff, nil
-}
-
-// PolicyRoot returns the inode that owns the policy governing ino: the
-// nearest ancestor (or self) with an attached policy, or RootIno when no
-// subtree policy applies.
-func (s *Store) PolicyRoot(ino Ino) (Ino, error) {
-	cur, err := s.Get(ino)
-	if err != nil {
-		return 0, err
-	}
-	for {
-		if cur.Policy != nil {
-			return cur.Ino, nil
-		}
-		if cur.Ino == RootIno {
-			return RootIno, nil
-		}
-		cur, err = s.Get(cur.Parent)
-		if err != nil {
-			return 0, err
-		}
-	}
+	return cur, nil
 }

@@ -26,19 +26,19 @@ func TestSetPolicyAndEffective(t *testing.T) {
 	// The subtree root and everything under it resolve to the policy.
 	for _, p := range []string{"/home/alice", "/home/alice/job"} {
 		in, _ := s.Resolve(p)
-		eff, err := s.EffectivePolicy(in.Ino)
+		root, err := s.PolicyRoot(in.Ino)
 		if err != nil {
-			t.Fatalf("effective(%s): %v", p, err)
+			t.Fatalf("policy root(%s): %v", p, err)
 		}
-		if eff.Consistency != policy.ConsWeak || eff.Durability != policy.DurLocal {
-			t.Fatalf("effective(%s) = %v/%v", p, eff.Consistency, eff.Durability)
+		if root.Policy != batchfs {
+			t.Fatalf("policy root(%s) = %d with %v, want /home/alice's", p, root.Ino, root.Policy)
 		}
 	}
-	// Outside the subtree, the default applies.
+	// Outside the subtree no policy governs: the global namespace's
+	// semantics apply.
 	home, _ := s.Resolve("/home")
-	eff, _ := s.EffectivePolicy(home.Ino)
-	if eff.Consistency != policy.ConsStrong || eff.Durability != policy.DurGlobal {
-		t.Fatalf("outside policy = %v/%v", eff.Consistency, eff.Durability)
+	if root, _ := s.PolicyRoot(home.Ino); root.Ino != RootIno || root.Policy != nil {
+		t.Fatalf("outside policy root = %d with %v", root.Ino, root.Policy)
 	}
 }
 
@@ -50,39 +50,23 @@ func TestPolicyRoot(t *testing.T) {
 	s.SetPolicy(b.Ino, &policy.Policy{Consistency: policy.ConsInvisible, AllocatedInodes: 10})
 
 	root, err := s.PolicyRoot(c.Ino)
-	if err != nil || root != b.Ino {
-		t.Fatalf("policy root = %d, %v; want %d", root, err, b.Ino)
+	if err != nil || root.Ino != b.Ino {
+		t.Fatalf("policy root = %v, %v; want %d", root, err, b.Ino)
 	}
 	a, _ := s.Resolve("/a")
 	root, _ = s.PolicyRoot(a.Ino)
-	if root != RootIno {
-		t.Fatalf("policy root outside subtree = %d", root)
+	if root.Ino != RootIno {
+		t.Fatalf("policy root outside subtree = %d", root.Ino)
 	}
-}
 
-func TestNestedPoliciesInherit(t *testing.T) {
-	// Embeddable-policies extension: a child subtree overrides only what
-	// it sets; the inode grant is inherited when unset.
-	s := NewStore()
-	s.MkdirAll("/posix/ramdisk", CreateAttrs{})
-	posix, _ := s.Resolve("/posix")
-	in, _ := s.Resolve("/posix/ramdisk")
-	s.SetPolicy(posix.Ino, &policy.Policy{
-		Consistency: policy.ConsStrong, Durability: policy.DurGlobal,
-		AllocatedInodes: 777,
-	})
-	s.SetPolicy(in.Ino, &policy.Policy{
-		Consistency: policy.ConsStrong, Durability: policy.DurNone,
-	})
-	eff, err := s.EffectivePolicy(in.Ino)
-	if err != nil {
-		t.Fatalf("effective: %v", err)
+	// Nested policies do not merge: the nearest root governs whole, and
+	// an outer root's fields never fill an inner one's unset ones.
+	s.SetPolicy(a.Ino, &policy.Policy{Consistency: policy.ConsWeak, AllocatedInodes: 777, Interfere: policy.InterfereBlock})
+	if root, _ = s.PolicyRoot(c.Ino); root.Ino != b.Ino || root.Policy.AllocatedInodes != 10 || root.Policy.Interfere != policy.InterfereAllow {
+		t.Fatalf("nested policy root = %d with %+v, want /a/b's own", root.Ino, root.Policy)
 	}
-	if eff.Durability != policy.DurNone {
-		t.Fatalf("child durability = %v, want none", eff.Durability)
-	}
-	if eff.AllocatedInodes != 777 {
-		t.Fatalf("child inode grant = %d, want inherited 777", eff.AllocatedInodes)
+	if _, err := s.PolicyRoot(9999); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("policy root of a missing inode err = %v", err)
 	}
 }
 
@@ -108,9 +92,8 @@ func TestClearPolicy(t *testing.T) {
 	if err := s.SetPolicy(d.Ino, nil); err != nil {
 		t.Fatalf("clear: %v", err)
 	}
-	eff, _ := s.EffectivePolicy(d.Ino)
-	if eff.Consistency != policy.ConsStrong {
-		t.Fatalf("after clear = %v", eff.Consistency)
+	if root, _ := s.PolicyRoot(d.Ino); root.Ino != RootIno || root.Policy != nil {
+		t.Fatalf("after clear the policy root = %d with %v", root.Ino, root.Policy)
 	}
 }
 

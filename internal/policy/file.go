@@ -53,6 +53,8 @@ type Policy struct {
 
 	// ConsistencyComp and DurabilityComp, when non-nil, override the
 	// compiled compositions (the policies-file values may be raw DSL).
+	// ParseFile then sets Consistency to the cell a consistency
+	// composition implements, since a client merges by that level.
 	ConsistencyComp Composition
 	DurabilityComp  Composition
 
@@ -102,7 +104,8 @@ func (p *Policy) Composition() (Composition, error) {
 }
 
 // Validate checks the policy for consistency. A zero inode grant is
-// allowed and means "inherit the parent subtree's grant" (or the default).
+// allowed and means the cluster's default grant (AllocatedInodesDefault);
+// a nested subtree never takes its parent's.
 // The rank's upper bound depends on the cluster size, so the monitor
 // checks it at registration time.
 func (p *Policy) Validate() error {
@@ -171,7 +174,7 @@ func ParseFile(text string) (*Policy, error) {
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
 			}
-			p.ConsistencyComp = comp
+			p.ConsistencyComp, p.Consistency = comp, cellOf(comp)
 		case "durability":
 			if d, err := ParseDurability(value); err == nil {
 				p.Durability = d
@@ -209,40 +212,3 @@ func ParseFile(text string) (*Policy, error) {
 	}
 	return p, nil
 }
-
-// Inherit returns the effective policy for a child subtree under the
-// embeddable-policies extension (paper §VII future work): the child keeps
-// its parent's guarantees except for fields the child explicitly sets.
-// child may be nil, meaning "inherit everything".
-func Inherit(parent, child *Policy) *Policy {
-	if parent == nil {
-		parent = Default()
-	}
-	if child == nil {
-		cp := *parent
-		return &cp
-	}
-	out := *child
-	if out.AllocatedInodes == 0 {
-		out.AllocatedInodes = parent.AllocatedInodes
-	}
-	return &out
-}
-
-// Presets for the real-world systems of Figure 1 / Figure 5.
-var (
-	// PresetPOSIX is stock CephFS/IndexFS: strong consistency, global
-	// durability (RPCs + Stream).
-	PresetPOSIX = &Policy{Consistency: ConsStrong, Durability: DurGlobal,
-		AllocatedInodes: DefaultAllocatedInodes}
-	// PresetBatchFS: weak consistency, local durability.
-	PresetBatchFS = &Policy{Consistency: ConsWeak, Durability: DurLocal,
-		AllocatedInodes: DefaultAllocatedInodes}
-	// PresetDeltaFS: invisible consistency, local durability.
-	PresetDeltaFS = &Policy{Consistency: ConsInvisible, Durability: DurLocal,
-		AllocatedInodes: DefaultAllocatedInodes}
-	// PresetRAMDisk: weak consistency, no durability (decoupled,
-	// memory-only, merged on demand).
-	PresetRAMDisk = &Policy{Consistency: ConsWeak, Durability: DurNone,
-		AllocatedInodes: DefaultAllocatedInodes}
-)

@@ -27,7 +27,7 @@ func FuzzParseFile(f *testing.F) {
 		"favourite_colour: blue",
 		"consistency: rpcs\ndurability: local_persist||stream\n",
 		Default().String(),
-		PresetDeltaFS.String(),
+		(&Policy{Consistency: ConsInvisible, Durability: DurLocal, AllocatedInodes: DefaultAllocatedInodes}).String(),
 	} {
 		f.Add(text)
 	}

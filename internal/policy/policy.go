@@ -70,7 +70,7 @@ func (c Consistency) String() string {
 	return fmt.Sprintf("Consistency(%d)", uint8(c))
 }
 
-// ParseConsistency recognizes the three consistency names.
+// ParseConsistency recognizes the five consistency names.
 func ParseConsistency(s string) (Consistency, error) {
 	for c, name := range consNames {
 		if name == s {
@@ -320,6 +320,23 @@ func Compile(c Consistency, d Durability) (Composition, error) {
 		return seq(MechAppendClientJournal, MechGlobalPersist, MechConvergeApply), nil
 	}
 	return nil, fmt.Errorf("%w: (%v, %v)", ErrParse, c, d)
+}
+
+// cellOf is Compile's inverse on the consistency axis: the level a
+// composition implements, read off the mechanism that merges (or does
+// not merge) the subtree's updates. A client picks its merge path by it.
+func cellOf(c Composition) Consistency {
+	switch {
+	case c.Contains(MechSpeculativeApply):
+		return ConsSpeculative
+	case c.Contains(MechConvergeApply):
+		return ConsStrongEventual
+	case c.Contains(MechVolatileApply) || c.Contains(MechNonvolatileApply):
+		return ConsWeak
+	case c.Contains(MechRPCs):
+		return ConsStrong
+	}
+	return ConsInvisible
 }
 
 // ValidateComposition rejects compositions the paper calls out as making

@@ -211,6 +211,26 @@ func TestParseFileExplicitDSL(t *testing.T) {
 	if comp.String() != "append_client_journal+global_persist||local_persist" {
 		t.Fatalf("composition = %q", comp)
 	}
+	if p.Consistency != ConsInvisible {
+		t.Fatalf("consistency = %v, want the invisible cell the composition implements", p.Consistency)
+	}
+}
+
+// TestCellOfInvertsCompile: the consistency level ParseFile records for a
+// composition is the one Compile built it from, in every Table I cell and
+// the two beyond it; Nonvolatile Apply merges like Volatile Apply.
+func TestCellOfInvertsCompile(t *testing.T) {
+	for _, c := range AllConsistencies() {
+		for _, d := range AllDurabilities() {
+			comp, _ := Compile(c, d)
+			if got := cellOf(comp); got != c {
+				t.Errorf("cellOf(%q) = %v, want %v", comp, got, c)
+			}
+		}
+	}
+	if got := cellOf(seq(MechAppendClientJournal, MechNonvolatileApply)); got != ConsWeak {
+		t.Errorf("cellOf(nonvolatile apply) = %v, want weak", got)
+	}
 }
 
 func TestParseFileErrors(t *testing.T) {
@@ -242,54 +262,6 @@ func TestPolicyStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPresets(t *testing.T) {
-	cases := []struct {
-		p    *Policy
-		want string
-	}{
-		{PresetPOSIX, "rpcs+stream"},
-		{PresetBatchFS, "append_client_journal+local_persist+volatile_apply"},
-		{PresetDeltaFS, "append_client_journal+local_persist"},
-		{PresetRAMDisk, "append_client_journal+volatile_apply"},
-	}
-	for _, c := range cases {
-		comp, err := c.p.Composition()
-		if err != nil {
-			t.Errorf("preset %v: %v", c.p, err)
-			continue
-		}
-		if comp.String() != c.want {
-			t.Errorf("preset composition = %q, want %q", comp, c.want)
-		}
-	}
-}
-
-func TestInherit(t *testing.T) {
-	parent := &Policy{Consistency: ConsStrong, Durability: DurGlobal, AllocatedInodes: 500}
-	// nil child inherits everything.
-	got := Inherit(parent, nil)
-	if got.Consistency != ConsStrong || got.AllocatedInodes != 500 {
-		t.Fatalf("nil child inherit = %+v", got)
-	}
-	if got == parent {
-		t.Fatal("Inherit returned the parent pointer, want a copy")
-	}
-	// Child with explicit fields keeps them but inherits the grant.
-	child := &Policy{Consistency: ConsStrong, Durability: DurNone}
-	got = Inherit(parent, child)
-	if got.Durability != DurNone {
-		t.Fatalf("child durability overridden: %+v", got)
-	}
-	if got.AllocatedInodes != 500 {
-		t.Fatalf("child did not inherit inode grant: %+v", got)
-	}
-	// nil parent falls back to defaults.
-	got = Inherit(nil, nil)
-	if got.AllocatedInodes != 100 {
-		t.Fatalf("nil parent inherit = %+v", got)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	p := Default()
 	if err := p.Validate(); err != nil {
@@ -299,7 +271,7 @@ func TestValidate(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Fatal("negative inode grant accepted")
 	}
-	p.AllocatedInodes = 0 // zero means "inherit"
+	p.AllocatedInodes = 0 // zero means the cluster's default grant
 	if err := p.Validate(); err != nil {
 		t.Fatalf("zero inode grant rejected: %v", err)
 	}

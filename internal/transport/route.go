@@ -12,12 +12,12 @@ import (
 
 // Table maps namespace subtrees to metadata ranks. A metadata cluster
 // holds exactly one: the ranks check ownership against it and every
-// client portal routes by it. Paths with no placement fall through to
+// client routes by it. Paths with no placement fall through to
 // rank 0, which is why a single-rank deployment behaves exactly like the
 // unrouted system.
 //
 // A table is read from every daemon's domain — rank handlers resolve
-// ownership, client portals route — while the control plane places
+// ownership, clients route — while the control plane places
 // subtrees in it, so its contents are an immutable snapshot behind an
 // atomic pointer: readers load it without locking or allocating, and
 // every mutation (rare, control-plane) installs a modified copy.

@@ -38,7 +38,7 @@ func (h *harness) decouple(t *testing.T, p runtime.Task, c *client.Client, path 
 	t.Helper()
 	st, err := h.mon.RegisterPolicy(p, path, pol, c.Name())
 	if err == nil {
-		err = c.AdoptGrant(p, path, st.GrantLo, st.GrantN)
+		err = c.AdoptGrant(p, path, st.GrantLo, st.GrantN, pol.Consistency)
 	}
 	if err != nil {
 		t.Errorf("decouple %s: %v", path, err)
@@ -46,7 +46,7 @@ func (h *harness) decouple(t *testing.T, p runtime.Task, c *client.Client, path 
 }
 
 func (h *harness) client(name string) *client.Client {
-	c := client.New(h.eng, model.Default(), name, h.mc.Portal(), h.obj)
+	c := client.New(h.eng, model.Default(), name, h.mc, h.obj)
 	c.Mount(nil)
 	return c
 }
