@@ -79,10 +79,16 @@ type Client struct {
 	localDir string
 
 	// RPC-path state: which directories we hold the read-caching cap
-	// on, which are known shared, and our local dentry cache.
+	// on, which are known shared, and our local dentry cache. The cache
+	// holds no shared directory: its one reader is the cap-held
+	// existence check, which a shared directory never takes again.
 	caps   map[namespace.Ino]bool
 	shared map[namespace.Ino]bool
 	dcache map[namespace.Ino]map[string]namespace.Ino
+
+	// req is the request buffer an RPC method fills in place (enter,
+	// leave); nil while one holds it.
+	req *mds.Request
 
 	// paths remembers the full path of directories the client has
 	// resolved or created, and files maps each file it created to its
@@ -165,6 +171,7 @@ func New(eng runtime.Runtime, cfg model.Config, name string, svc *mds.Cluster, o
 		obj:        obj,
 		localDisk:  eng.NewPipe(name+".disk", cfg.LocalDiskBandwidth),
 		localFiles: make(map[string][]byte),
+		req:        new(mds.Request),
 	}
 	c.dropCaches()
 	return c
@@ -311,6 +318,32 @@ func (c *Client) childPath(dir namespace.Ino, name string) string {
 	return gopath.Join(base, name)
 }
 
+// enter begins an RPC method: it enters the client's domain and takes
+// the request buffer, emptied, to fill in place — or a fresh request
+// while another task's RPC holds the buffer: on the real backend a Call
+// gives up the client's domain, so a second task can enter the client
+// mid-RPC. The reply lives in the request (mds.Request), so the method
+// reads it before leave gives the request back.
+func (c *Client) enter(p runtime.Task) *mds.Request {
+	c.dom.Enter(p)
+	req := c.req
+	if req == nil {
+		return new(mds.Request)
+	}
+	c.req = nil
+	*req = mds.Request{}
+	return req
+}
+
+// leave ends an RPC method: the request goes back as the buffer, unless
+// one is back already, and the task leaves the client's domain.
+func (c *Client) leave(p runtime.Task, req *mds.Request) {
+	if c.req == nil {
+		c.req = req
+	}
+	c.dom.Leave(p)
+}
+
 // submit sends one RPC, charging client-side overhead, and folds the
 // reply's capability bits into local state.
 func (c *Client) submit(p runtime.Task, req *mds.Request) *mds.Reply {
@@ -347,6 +380,7 @@ func (c *Client) call(p runtime.Task, req *mds.Request) (*mds.Reply, runtime.Tim
 	if reply.CapLost {
 		delete(c.caps, req.Parent)
 		c.shared[req.Parent] = true
+		delete(c.dcache, req.Parent)
 	}
 	if errors.Is(reply.Err, namespace.ErrBusy) {
 		c.stats.Rejected++
@@ -355,6 +389,9 @@ func (c *Client) call(p runtime.Task, req *mds.Request) (*mds.Reply, runtime.Tim
 }
 
 func (c *Client) cacheDentry(dir namespace.Ino, name string, ino namespace.Ino) {
+	if c.shared[dir] {
+		return
+	}
 	m := c.dcache[dir]
 	if m == nil {
 		m = make(map[string]namespace.Ino)
@@ -368,8 +405,8 @@ func (c *Client) cacheDentry(dir namespace.Ino, name string, ino namespace.Ino) 
 // can check existence locally and send a single create RPC; otherwise it
 // must send a lookup RPC first.
 func (c *Client) Create(p runtime.Task, dir namespace.Ino, name string, mode uint32) (namespace.Ino, error) {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
+	req := c.enter(p)
+	defer c.leave(p, req)
 	// The operation ends with its last RPC, so that RPC's closing clock
 	// reading ends the interval too; one with no RPC took no time.
 	start := p.Now()
@@ -383,8 +420,9 @@ func (c *Client) Create(p runtime.Task, dir namespace.Ino, name string, mode uin
 		}
 	} else {
 		c.stats.RemoteLookups++
+		req.Op, req.Parent, req.Name, req.Route = mds.OpLookup, dir, name, c.pathOf(dir)
 		var lk *mds.Reply
-		lk, end = c.call(p, &mds.Request{Op: mds.OpLookup, Parent: dir, Name: name, Route: c.pathOf(dir)})
+		lk, end = c.call(p, req)
 		if lk.Err == nil {
 			return 0, fmt.Errorf("create %q: %w", name, namespace.ErrExist)
 		}
@@ -393,8 +431,9 @@ func (c *Client) Create(p runtime.Task, dir namespace.Ino, name string, mode uin
 		}
 	}
 	route := c.pathOf(dir)
+	req.Op, req.Parent, req.Name, req.Mode, req.Route = mds.OpCreate, dir, name, mode, route
 	var r *mds.Reply
-	r, end = c.call(p, &mds.Request{Op: mds.OpCreate, Parent: dir, Name: name, Mode: mode, Route: route})
+	r, end = c.call(p, req)
 	if r.Err != nil {
 		return 0, r.Err
 	}
@@ -408,9 +447,10 @@ func (c *Client) Create(p runtime.Task, dir namespace.Ino, name string, mode uin
 
 // Mkdir makes a directory via RPC.
 func (c *Client) Mkdir(p runtime.Task, dir namespace.Ino, name string, mode uint32) (namespace.Ino, error) {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	r := c.submit(p, &mds.Request{Op: mds.OpMkdir, Parent: dir, Name: name, Mode: mode, Route: c.pathOf(dir)})
+	req := c.enter(p)
+	defer c.leave(p, req)
+	req.Op, req.Parent, req.Name, req.Mode, req.Route = mds.OpMkdir, dir, name, mode, c.pathOf(dir)
+	r := c.submit(p, req)
 	if r.Err != nil {
 		return 0, r.Err
 	}
@@ -421,8 +461,8 @@ func (c *Client) Mkdir(p runtime.Task, dir namespace.Ino, name string, mode uint
 
 // MkdirAll resolves or creates each directory along path via RPC.
 func (c *Client) MkdirAll(p runtime.Task, path string, mode uint32) (namespace.Ino, error) {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
+	req := c.enter(p)
+	defer c.leave(p, req)
 	cur := namespace.RootIno
 	curPath := "/"
 	for it := namespace.SplitIter(path); ; {
@@ -430,7 +470,8 @@ func (c *Client) MkdirAll(p runtime.Task, path string, mode uint32) (namespace.I
 		if !ok {
 			break
 		}
-		lk := c.submit(p, &mds.Request{Op: mds.OpLookup, Parent: cur, Name: comp, Route: curPath})
+		*req = mds.Request{Op: mds.OpLookup, Parent: cur, Name: comp, Route: curPath}
+		lk := c.submit(p, req)
 		if lk.Err == nil {
 			if !lk.IsDir {
 				return 0, fmt.Errorf("mkdirall %q: %q: %w", path, comp, namespace.ErrNotDir)
@@ -443,7 +484,8 @@ func (c *Client) MkdirAll(p runtime.Task, path string, mode uint32) (namespace.I
 		if !errors.Is(lk.Err, namespace.ErrNotExist) {
 			return 0, lk.Err
 		}
-		mk := c.submit(p, &mds.Request{Op: mds.OpMkdir, Parent: cur, Name: comp, Mode: mode, Route: curPath})
+		req.Op, req.Mode = mds.OpMkdir, mode
+		mk := c.submit(p, req)
 		if mk.Err != nil {
 			return 0, mk.Err
 		}
@@ -457,10 +499,11 @@ func (c *Client) MkdirAll(p runtime.Task, path string, mode uint32) (namespace.I
 // Lookup resolves one dentry via RPC, bypassing the local cache (an
 // explicit stat(2)-like existence check).
 func (c *Client) Lookup(p runtime.Task, dir namespace.Ino, name string) (namespace.Ino, error) {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
+	req := c.enter(p)
+	defer c.leave(p, req)
 	c.stats.RemoteLookups++
-	r := c.submit(p, &mds.Request{Op: mds.OpLookup, Parent: dir, Name: name, Route: c.pathOf(dir)})
+	req.Op, req.Parent, req.Name, req.Route = mds.OpLookup, dir, name, c.pathOf(dir)
+	r := c.submit(p, req)
 	if r.Err != nil {
 		return 0, r.Err
 	}
@@ -472,9 +515,10 @@ func (c *Client) Lookup(p runtime.Task, dir namespace.Ino, name string) (namespa
 
 // Resolve walks a path on the server.
 func (c *Client) Resolve(p runtime.Task, path string) (namespace.Ino, error) {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	r := c.submit(p, &mds.Request{Op: mds.OpResolve, Path: path, Route: path})
+	req := c.enter(p)
+	defer c.leave(p, req)
+	req.Op, req.Path, req.Route = mds.OpResolve, path, path
+	r := c.submit(p, req)
 	if r.Err != nil {
 		return 0, r.Err
 	}
@@ -490,17 +534,19 @@ func (c *Client) Resolve(p runtime.Task, path string) (namespace.Ino, error) {
 // store into or append in place to it. It never changes after it is
 // returned; a caller that keeps it keeps the directory as it was.
 func (c *Client) ReadDir(p runtime.Task, dir namespace.Ino) ([]string, error) {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	r := c.submit(p, &mds.Request{Op: mds.OpReadDir, Parent: dir, Route: c.pathOf(dir)})
+	req := c.enter(p)
+	defer c.leave(p, req)
+	req.Op, req.Parent, req.Route = mds.OpReadDir, dir, c.pathOf(dir)
+	r := c.submit(p, req)
 	return r.Names, r.Err
 }
 
 // Unlink removes a file via RPC.
 func (c *Client) Unlink(p runtime.Task, dir namespace.Ino, name string) error {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	r := c.submit(p, &mds.Request{Op: mds.OpUnlink, Parent: dir, Name: name, Route: c.pathOf(dir)})
+	req := c.enter(p)
+	defer c.leave(p, req)
+	req.Op, req.Parent, req.Name, req.Route = mds.OpUnlink, dir, name, c.pathOf(dir)
+	r := c.submit(p, req)
 	if r.Err == nil {
 		delete(c.dcache[dir], name)
 	}
@@ -510,9 +556,10 @@ func (c *Client) Unlink(p runtime.Task, dir namespace.Ino, name string) error {
 // Rename moves a dentry via RPC. Cross-rank renames are not supported:
 // the request routes by the source parent's subtree.
 func (c *Client) Rename(p runtime.Task, dir namespace.Ino, name string, newDir namespace.Ino, newName string) error {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	r := c.submit(p, &mds.Request{Op: mds.OpRename, Parent: dir, Name: name, NewParent: newDir, NewName: newName, Route: c.pathOf(dir)})
+	req := c.enter(p)
+	defer c.leave(p, req)
+	req.Op, req.Parent, req.Name, req.NewParent, req.NewName, req.Route = mds.OpRename, dir, name, newDir, newName, c.pathOf(dir)
+	r := c.submit(p, req)
 	if r.Err == nil {
 		delete(c.dcache[dir], name)
 		c.cacheDentry(newDir, newName, 0)
@@ -522,21 +569,27 @@ func (c *Client) Rename(p runtime.Task, dir namespace.Ino, name string, newDir n
 
 // SetAttr updates attributes via RPC.
 func (c *Client) SetAttr(p runtime.Task, ino namespace.Ino, mode, uid, gid uint32, size uint64, mtime int64) error {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	r := c.submit(p, &mds.Request{Op: mds.OpSetAttr, Ino: ino, Mode: mode, UID: uid, GID: gid, Size: size, Mtime: mtime, Route: c.pathOf(ino)})
+	req := c.enter(p)
+	defer c.leave(p, req)
+	req.Op, req.Ino, req.Route = mds.OpSetAttr, ino, c.pathOf(ino)
+	req.Mode, req.UID, req.GID, req.Size, req.Mtime = mode, uid, gid, size, mtime
+	r := c.submit(p, req)
 	return r.Err
 }
 
 // Stat fetches attributes via RPC.
 func (c *Client) Stat(p runtime.Task, ino namespace.Ino) (*mds.Reply, error) {
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	r := c.submit(p, &mds.Request{Op: mds.OpGetAttr, Ino: ino, Route: c.pathOf(ino)})
+	req := c.enter(p)
+	defer c.leave(p, req)
+	req.Op, req.Ino, req.Route = mds.OpGetAttr, ino, c.pathOf(ino)
+	r := c.submit(p, req)
 	if r.Err != nil {
 		return nil, r.Err
 	}
-	return r, nil
+	// A copy: the reply lives in the request buffer, which the client's
+	// next RPC fills again.
+	reply := *r
+	return &reply, nil
 }
 
 // HoldsCap reports whether the client believes it holds the read cap on

@@ -115,15 +115,15 @@ func TestRouteFileHintsJoinOnDemand(t *testing.T) {
 	}
 }
 
-// TestCapHeldCreateAllocations pins what one RPC create costs the heap
-// when the client holds the directory's capability, on the simulator:
-// the request, the reply and the inode; the amortised growth of the maps
-// a create adds to rounds away. A route joined per create (a buffer and a
-// string) or an escaping errors.As target per RPC shows up here
-// (DESIGN.md, "What one RPC costs on the real backend").
-func TestCapHeldCreateAllocations(t *testing.T) {
+// createAllocs measures what one RPC create into a fresh directory costs
+// the heap on the simulator, after warm creates have grown the maps a
+// create adds to, so their amortised growth rounds away. With shared set,
+// a second client creates in the directory first, so every create sends a
+// lookup RPC before the create RPC.
+func createAllocs(t *testing.T, shared bool) float64 {
+	t.Helper()
 	cl := newCluster()
-	c := cl.client("c0")
+	c, other := cl.client("c0"), cl.client("c1")
 	const warm, runs = 1000, 2000
 	names := make([]string, warm+runs+1)
 	for i := range names {
@@ -136,6 +136,9 @@ func TestCapHeldCreateAllocations(t *testing.T) {
 			t.Errorf("mkdir: %v", err)
 			return
 		}
+		if shared {
+			other.Create(p, dir, "intruder", 0644)
+		}
 		next := 0
 		create := func() {
 			if _, err := c.Create(p, dir, names[next], 0644); err != nil {
@@ -146,12 +149,34 @@ func TestCapHeldCreateAllocations(t *testing.T) {
 		for next < warm {
 			create()
 		}
-		if !c.HoldsCap(dir) {
-			t.Error("client holds no capability on its directory")
+		if c.HoldsCap(dir) == shared {
+			t.Errorf("client holds the capability: %v, want %v", c.HoldsCap(dir), !shared)
 		}
 		allocs = testing.AllocsPerRun(runs, create)
 	})
-	if allocs != 3 {
-		t.Fatalf("a cap-held Create allocates %.0f objects, want 3", allocs)
+	return allocs
+}
+
+// TestCapHeldCreateAllocations pins what one RPC create costs the heap
+// when the client holds the directory's capability: the inode, and
+// nothing else — the rank answers inside the request, and the request is
+// the client's reused buffer. A request or reply allocated per RPC, a
+// route joined per create (a buffer and a string) or an escaping
+// errors.As target per RPC shows up here (DESIGN.md, "What one RPC costs
+// on the real backend").
+func TestCapHeldCreateAllocations(t *testing.T) {
+	if allocs := createAllocs(t, false); allocs != 1 {
+		t.Fatalf("a cap-held Create allocates %.0f objects, want 1", allocs)
+	}
+}
+
+// TestCapLessCreateAllocations pins a Create in a shared directory — a
+// lookup RPC, then the create RPC, in the one request buffer: the
+// lookup's not-found error, the errors.As target the redirect check
+// declares for it, and the inode. A request or reply per RPC, or a dentry
+// cached for the shared directory, shows up here.
+func TestCapLessCreateAllocations(t *testing.T) {
+	if allocs := createAllocs(t, true); allocs != 3 {
+		t.Fatalf("a cap-less Create allocates %.0f objects, want 3", allocs)
 	}
 }

@@ -15,7 +15,9 @@ type opInfo struct {
 	name    string
 	mutates bool
 	lookup  bool // billed at MDSLookupTime instead of MDSOpTime
-	handler func(s *Server, p runtime.Task, req *Request) *Reply
+	// handler answers inside the request: serveRPC has emptied
+	// req.reply, and the handler fills it and returns the op's error.
+	handler func(s *Server, p runtime.Task, req *Request) error
 }
 
 // opTable is the single source of truth for op metadata. Every Op below
@@ -44,41 +46,30 @@ func (o Op) String() string {
 // journals, and is subject to the interfere policy).
 func (o Op) Mutates() bool { return o < opMax && opTable[o].mutates }
 
-func handleLookup(s *Server, p runtime.Task, req *Request) *Reply {
-	in, err := s.store.Lookup(req.Parent, req.Name)
-	if err != nil {
-		return &Reply{Err: err}
-	}
-	return inodeReply(in)
+func handleLookup(s *Server, p runtime.Task, req *Request) error {
+	return req.reply.inode(s.store.Lookup(req.Parent, req.Name))
 }
 
-func handleResolve(s *Server, p runtime.Task, req *Request) *Reply {
-	in, err := s.store.Resolve(req.Path)
-	if err != nil {
-		return &Reply{Err: err}
-	}
-	return inodeReply(in)
+func handleResolve(s *Server, p runtime.Task, req *Request) error {
+	return req.reply.inode(s.store.Resolve(req.Path))
 }
 
-func handleGetAttr(s *Server, p runtime.Task, req *Request) *Reply {
-	in, err := s.store.Get(req.Ino)
-	if err != nil {
-		return &Reply{Err: err}
-	}
-	return inodeReply(in)
+func handleGetAttr(s *Server, p runtime.Task, req *Request) error {
+	return req.reply.inode(s.store.Get(req.Ino))
 }
 
-func handleReadDir(s *Server, p runtime.Task, req *Request) *Reply {
+func handleReadDir(s *Server, p runtime.Task, req *Request) error {
 	names, err := s.store.ReadDir(req.Parent)
 	if err != nil {
-		return &Reply{Err: err}
+		return err
 	}
-	return &Reply{Names: names}
+	req.reply.Names = names
+	return nil
 }
 
 // handleCreate serves both OpCreate and OpMkdir; the two differ only in
 // the inode type inserted.
-func handleCreate(s *Server, p runtime.Task, req *Request) *Reply {
+func handleCreate(s *Server, p runtime.Task, req *Request) error {
 	attrs := namespace.CreateAttrs{
 		Mode: req.Mode, UID: req.UID, GID: req.GID,
 		Mtime: int64(p.Now()),
@@ -91,41 +82,37 @@ func handleCreate(s *Server, p runtime.Task, req *Request) *Reply {
 		in, err = s.store.Create(req.Parent, req.Name, attrs)
 	}
 	if err != nil {
-		return &Reply{Err: err}
+		return err
 	}
-	reply := inodeReply(in)
-	s.updateCaps(p, req.Parent, req.Client, reply)
-	return reply
+	req.reply.inode(in, nil)
+	s.updateCaps(p, req.Parent, req.Client, &req.reply)
+	return nil
 }
 
-func handleSetAttr(s *Server, p runtime.Task, req *Request) *Reply {
+func handleSetAttr(s *Server, p runtime.Task, req *Request) error {
 	if err := s.store.SetAttr(req.Ino, req.Mode, req.UID, req.GID, req.Size, req.Mtime); err != nil {
-		return &Reply{Err: err}
+		return err
 	}
-	return &Reply{Ino: req.Ino}
+	req.reply.Ino = req.Ino
+	return nil
 }
 
-func handleUnlink(s *Server, p runtime.Task, req *Request) *Reply {
+func handleUnlink(s *Server, p runtime.Task, req *Request) error {
 	if err := s.store.Unlink(req.Parent, req.Name); err != nil {
-		return &Reply{Err: err}
+		return err
 	}
-	reply := &Reply{}
-	s.updateCaps(p, req.Parent, req.Client, reply)
-	return reply
+	s.updateCaps(p, req.Parent, req.Client, &req.reply)
+	return nil
 }
 
-func handleRmdir(s *Server, p runtime.Task, req *Request) *Reply {
-	if err := s.store.Rmdir(req.Parent, req.Name); err != nil {
-		return &Reply{Err: err}
-	}
-	return &Reply{}
+func handleRmdir(s *Server, p runtime.Task, req *Request) error {
+	return s.store.Rmdir(req.Parent, req.Name)
 }
 
-func handleRename(s *Server, p runtime.Task, req *Request) *Reply {
+func handleRename(s *Server, p runtime.Task, req *Request) error {
 	if err := s.store.Rename(req.Parent, req.Name, req.NewParent, req.NewName); err != nil {
-		return &Reply{Err: err}
+		return err
 	}
-	reply := &Reply{}
-	s.updateCaps(p, req.Parent, req.Client, reply)
-	return reply
+	s.updateCaps(p, req.Parent, req.Client, &req.reply)
+	return nil
 }

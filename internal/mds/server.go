@@ -77,14 +77,24 @@ type Request struct {
 	GID   uint32
 	Size  uint64
 	Mtime int64
+
+	// reply is the storage the rank answers in: the *Reply a Call
+	// returns points here, so an RPC allocates no reply of its own. It is
+	// the sender's until the request is filled again. No handler or
+	// interceptor keeps the request or its reply after it returns.
+	reply Reply
 }
 
 func (m *Request) label() string                       { return "rpc." + m.Op.String() }
 func (m *Request) route() string                       { return m.Route }
 func (m *Request) serve(s *Server, p runtime.Task) any { return s.serveRPC(p, m) }
-func (m *Request) refused(err error) any               { return &Reply{Err: err} }
+func (m *Request) refused(err error) any {
+	m.reply = Reply{Err: err}
+	return &m.reply
+}
 
-// Reply is the MDS's answer.
+// Reply is the MDS's answer. A rank writes it into the request it
+// answers, so it is valid until the sender fills that request again.
 type Reply struct {
 	Err error
 
@@ -474,7 +484,7 @@ func (s *Server) serviceTime(op Op) runtime.Duration {
 // Submit sends one RPC to the server from the calling client process: one
 // network hop in, FIFO service on the MDS CPU, one network hop back
 // (paper §II: the RPCs mechanism). It is a convenience wrapper over the
-// rank's endpoint.
+// rank's endpoint. The reply is req's own storage (Request.reply).
 func (s *Server) Submit(p runtime.Task, req *Request) *Reply {
 	return s.ep.Call(p, req).(*Reply)
 }
@@ -482,10 +492,14 @@ func (s *Server) Submit(p runtime.Task, req *Request) *Reply {
 // serveRPC is the whole pipeline of one metadata RPC, in the order the
 // request meets the rank. Every sleep, CPU acquisition and random draw
 // below is part of the calibrated schedule: reordering them moves every
-// table.
+// table. The reply is the request's own storage, emptied first, so a
+// second delivery of the same request leaves nothing of the first.
 func (s *Server) serveRPC(p runtime.Task, req *Request) *Reply {
+	reply := &req.reply
+	*reply = Reply{}
 	if s.stopped {
-		return &Reply{Err: ErrShutdown}
+		reply.Err = ErrShutdown
+		return reply
 	}
 	s.metrics.Requests++
 	if int(req.Op) < len(s.metrics.ByOp) {
@@ -508,24 +522,25 @@ func (s *Server) serveRPC(p runtime.Task, req *Request) *Reply {
 			req.Op.Mutates(), runtime.Duration(now-arrive))
 	}
 	p.Sleep(s.serviceTime(req.Op))
-	var reply *Reply
+	var err error
 	if req.Op.Mutates() {
-		reply = s.checkInterfere(p, req)
+		err = s.checkInterfere(p, req)
 	}
 	switch {
-	case reply != nil: // rejected by an interfere-block policy
+	case err != nil: // rejected by an interfere-block policy
 	case req.Op >= opMax || opTable[req.Op].handler == nil:
-		reply = &Reply{Err: fmt.Errorf("mds: %v: %w", req.Op, namespace.ErrInval)}
+		err = fmt.Errorf("mds: %v: %w", req.Op, namespace.ErrInval)
 	default:
-		reply = opTable[req.Op].handler(s, p, req)
+		err = opTable[req.Op].handler(s, p, req)
 	}
+	reply.Err = err
 	s.cpu.Release()
 
 	// A successful mutation is appended to the MDS journal after the op
 	// completes: encoding and segment bookkeeping steal MDS CPU
 	// (MDSJournalOpTime), and the client additionally waits for the safe
 	// ack (MDSJournalLatency, latency only).
-	if reply.Err == nil && s.streamOn.Load() && req.Op.Mutates() {
+	if err == nil && s.streamOn.Load() && req.Op.Mutates() {
 		s.cpu.Acquire(p)
 		p.Sleep(s.cfg.MDSJournalOpTime)
 		s.stream.record(p, req, reply)
@@ -535,16 +550,18 @@ func (s *Server) serveRPC(p runtime.Task, req *Request) *Reply {
 	return reply
 }
 
-func inodeReply(in *namespace.Inode) *Reply {
-	return &Reply{
-		Ino: in.Ino, IsDir: in.IsDir(),
-		Mode: in.Mode, UID: in.UID, GID: in.GID,
-		Size: in.Size, Mtime: in.Mtime,
+// inode fills r with in's attributes when err is nil, and returns err.
+func (r *Reply) inode(in *namespace.Inode, err error) error {
+	if err == nil {
+		r.Ino, r.IsDir = in.Ino, in.IsDir()
+		r.Mode, r.UID, r.GID = in.Mode, in.UID, in.GID
+		r.Size, r.Mtime = in.Size, in.Mtime
 	}
+	return err
 }
 
 // checkInterfere rejects mutations into a blocked decoupled subtree.
-func (s *Server) checkInterfere(p runtime.Task, req *Request) *Reply {
+func (s *Server) checkInterfere(p runtime.Task, req *Request) error {
 	parent := req.Parent
 	if parent == 0 {
 		return nil
@@ -561,7 +578,7 @@ func (s *Server) checkInterfere(p runtime.Task, req *Request) *Reply {
 	// overhead is visible (paper §V-B2).
 	p.Sleep(s.cfg.MDSRejectTime)
 	s.metrics.Rejected++
-	return &Reply{Err: fmt.Errorf("mds: subtree decoupled by %s: %w", owner, namespace.ErrBusy)}
+	return fmt.Errorf("mds: subtree decoupled by %s: %w", owner, namespace.ErrBusy)
 }
 
 // grantSlots is how many grant slots fit in one rank's band.
