@@ -60,7 +60,7 @@ func smokeWorkload(t *testing.T, cl *Cluster) []string {
 			t.Errorf("local create: %v", err)
 			return
 		}
-		if _, err := c1.VolatileApply(p); err != nil {
+		if _, _, err := c1.Merge(p); err != nil {
 			t.Errorf("merge: %v", err)
 			return
 		}

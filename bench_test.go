@@ -131,7 +131,7 @@ func BenchmarkAblationMergeArrival(b *testing.B) {
 						for f := 0; f < perClient; f++ {
 							c.LocalCreate(cp, root, fmt.Sprintf("f%d", f), 0644)
 						}
-						c.VolatileApply(cp)
+						c.Merge(cp)
 					})
 				}
 			})

@@ -64,7 +64,6 @@ import (
 
 	"cudele"
 	"cudele/internal/namespace"
-	"cudele/internal/policy"
 )
 
 // options is the parsed command line.
@@ -334,28 +333,17 @@ func execute(cl *cudele.Cluster, c *cudele.Client, p cudele.Proc, line string) e
 		}
 		fmt.Printf("%s %s (ino %d, decoupled)\n", cmd, args[0], ino)
 	case "merge":
-		// Dispatch on the decoupled subtree's consistency cell so the
-		// shell exercises the same merge path the policy compiled to.
-		switch c.MergeMode() {
-		case policy.ConsSpeculative:
-			n, conflicts, err := c.SpeculativeApply(p)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("merged %d event(s), %d rolled back\n", n, len(conflicts))
-		case policy.ConsStrongEventual:
-			n, err := c.ConvergeApply(p)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("merged %d event(s) (convergent)\n", n)
-		default:
-			n, err := c.VolatileApply(p)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("merged %d event(s)\n", n)
+		// The client merges in the cell its subtree was registered in, so
+		// the shell exercises the merge path the policy compiled to.
+		n, rejected, err := c.Merge(p)
+		if err != nil {
+			return err
 		}
+		fmt.Printf("merged %d event(s)", n)
+		if len(rejected) > 0 {
+			fmt.Printf(", %d rolled back", len(rejected))
+		}
+		fmt.Println()
 	case "persist":
 		if err := need(1); err != nil {
 			return err

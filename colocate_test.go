@@ -50,7 +50,7 @@ func TestColocatedRuntimes(t *testing.T) {
 				t.Errorf("hpc persist: %v", err)
 				return
 			}
-			if _, err := hpc.VolatileApply(cp); err != nil {
+			if _, _, err := hpc.Merge(cp); err != nil {
 				t.Errorf("hpc merge: %v", err)
 				return
 			}

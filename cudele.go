@@ -351,14 +351,11 @@ func (cl *Cluster) Close() int { return cl.rt.Shutdown() }
 // policies file (the paper's (path, policies.yml) API) and attaches the
 // resulting grant to client c.
 func (cl *Cluster) Decouple(p Proc, c *Client, path, policiesText string) (*Subtree, error) {
-	e, err := cl.mon.Register(p, path, policiesText, c.Name())
+	pol, err := policy.ParseFile(policiesText)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.AdoptGrant(p, path, e.GrantLo, e.GrantN, e.Policy.Consistency); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return cl.DecouplePolicy(p, c, path, pol)
 }
 
 // DecouplePolicy is Decouple with an already-built Policy.

@@ -69,7 +69,7 @@ func TestDecoupledMergeEqualsRPCNamespace(t *testing.T) {
 					c.LocalCreate(p, root, fmt.Sprintf("f%04d", i), 0644)
 				}
 				c.LocalCreate(p, sub, "deep", 0644)
-				if _, err := c.VolatileApply(p); err != nil {
+				if _, _, err := c.Merge(p); err != nil {
 					t.Errorf("merge: %v", err)
 				}
 			} else {
@@ -184,7 +184,7 @@ func TestDynamicSemanticsChange(t *testing.T) {
 			c.LocalCreate(p, root, fmt.Sprintf("part-%05d", i), 0644)
 		}
 		// Merge, then tighten semantics to POSIX.
-		if _, err := c.VolatileApply(p); err != nil {
+		if _, _, err := c.Merge(p); err != nil {
 			t.Errorf("merge: %v", err)
 			return
 		}

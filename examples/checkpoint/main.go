@@ -84,7 +84,7 @@ func runJob(mode string) float64 {
 					if err := c.LocalPersist(cp); err != nil {
 						log.Fatalf("rank %d persist: %v", i, err)
 					}
-					if _, err := c.VolatileApply(cp); err != nil {
+					if _, _, err := c.Merge(cp); err != nil {
 						log.Fatalf("rank %d merge: %v", i, err)
 					}
 				}

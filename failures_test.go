@@ -146,7 +146,7 @@ func matrixClientCrash(t *testing.T, cons policy.Consistency, dur policy.Durabil
 			if err != nil || n != matrixFiles {
 				t.Fatalf("recover = %d, %v; want %d", n, err, matrixFiles)
 			}
-			if _, err := c.VolatileApply(p); err != nil {
+			if _, _, err := c.Merge(p); err != nil {
 				t.Fatalf("merge after recovery: %v", err)
 			}
 			assertAllVisible(t, cl, "despite local durability")
@@ -230,7 +230,7 @@ func matrixMDSCrash(t *testing.T, cons policy.Consistency, dur policy.Durability
 		}
 		c.Unmount(p)
 		c.Mount(p)
-		n, err := c.VolatileApply(p)
+		n, _, err := c.Merge(p)
 		if err != nil || n != matrixFiles {
 			t.Fatalf("merge after MDS recovery = %d, %v; want %d", n, err, matrixFiles)
 		}
@@ -312,7 +312,7 @@ func TestInterfererCannotDestroyDecoupledResults(t *testing.T) {
 		if _, err := intr.Create(p, root, "result", 0444); err != nil {
 			t.Fatalf("interferer create: %v", err)
 		}
-		if _, err := owner.VolatileApply(p); err != nil {
+		if _, _, err := owner.Merge(p); err != nil {
 			t.Fatalf("merge: %v", err)
 		}
 		in, err := cl.MDS().Store().Resolve("/exp/result")

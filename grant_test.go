@@ -60,7 +60,7 @@ func TestGrantNeverReissued(t *testing.T) {
 					}
 				}
 				merge3 := func(c *Client) {
-					if n, err := c.VolatileApply(p); err != nil || n != 3 {
+					if n, _, err := c.Merge(p); err != nil || n != 3 {
 						t.Fatalf("%s merge applied %d, %v; want 3", c.Name(), n, err)
 					}
 				}

@@ -275,7 +275,7 @@ func (ds decoupledStorm) run(s *session) (decoupledResult, error) {
 					cp.Sleep(time.Duration(i) * ds.stagger)
 				}
 				start := cp.Now()
-				if _, err := c.VolatileApply(cp); err != nil {
+				if _, _, err := c.Merge(cp); err != nil {
 					return err
 				}
 				res.latency[i] = (cp.Now() - start).Seconds()

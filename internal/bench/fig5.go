@@ -87,7 +87,7 @@ func Fig5(opts Options) (*Result, error) {
 				}
 				t.global = (p.Now() - start).Seconds()
 				start = p.Now()
-				if _, err := c.VolatileApply(p); err != nil {
+				if _, _, err := c.Merge(p); err != nil {
 					return err
 				}
 				t.volatile = (p.Now() - start).Seconds()

@@ -27,7 +27,7 @@ var mergeScaleModes = []string{"all-at-once", "staggered", "chunked-fair"}
 // mergeScaleOut is one run's measurements across its clients.
 type mergeScaleOut struct {
 	slowest      float64 // latest merge completion (job seconds)
-	meanMerge    float64 // mean per-client VolatileApply latency (s)
+	meanMerge    float64 // mean per-client merge latency (s)
 	doneSpread   float64 // latest minus earliest completion (s)
 	peakBytes    uint64  // largest client-side transfer buffer
 	backpressure uint64  // MDS backpressure replies (opens + chunks)

@@ -107,9 +107,17 @@ func newCellsBurst(opts Options, run string, cons policy.Consistency, dur policy
 						return fmt.Errorf("burst: rpc create %s: %w", name(i), err)
 					}
 				}
-			case cudele.ConsSpeculative:
+			default:
 				root, _ := c.DecoupledRoot()
 				for i := 0; i < n; i++ {
+					// The blind-merge cells pre-validate each name; the
+					// speculative cell leaves that to the merge.
+					if cons != cudele.ConsSpeculative {
+						out.burstRPC++
+						if _, err := c.Lookup(p, job, name(i)); err == nil {
+							continue // taken by the interferer
+						}
+					}
 					if _, err := c.LocalCreate(p, root, name(i), 0644); err != nil {
 						return err
 					}
@@ -117,35 +125,12 @@ func newCellsBurst(opts Options, run string, cons policy.Consistency, dur policy
 				if err := newCellsPersist(p, c, cons, dur); err != nil {
 					return err
 				}
-				_, conflicts, err := c.SpeculativeApply(p)
+				_, conflicts, err := c.Merge(p)
 				if err != nil {
 					return err
 				}
-				if len(conflicts) != (n+9)/10 {
+				if cons == cudele.ConsSpeculative && len(conflicts) != (n+9)/10 {
 					return fmt.Errorf("burst: %d conflicts, want %d", len(conflicts), (n+9)/10)
-				}
-			default: // blind-merge cells pre-validate each name
-				root, _ := c.DecoupledRoot()
-				for i := 0; i < n; i++ {
-					out.burstRPC++
-					if _, err := c.Lookup(p, job, name(i)); err == nil {
-						continue // taken by the interferer
-					}
-					if _, err := c.LocalCreate(p, root, name(i), 0644); err != nil {
-						return err
-					}
-				}
-				if err := newCellsPersist(p, c, cons, dur); err != nil {
-					return err
-				}
-				var err error
-				if cons == cudele.ConsStrongEventual {
-					_, err = c.ConvergeApply(p)
-				} else {
-					_, err = c.VolatileApply(p)
-				}
-				if err != nil {
-					return err
 				}
 			}
 			out.burstSec = (p.Now() - start).Seconds()
@@ -212,34 +197,21 @@ func newCellsStorm(opts Options, run string, cons policy.Consistency, dur policy
 				if err := newCellsPersist(p, c, cons, dur); err != nil {
 					return err
 				}
-				switch cons {
-				case cudele.ConsStrongEventual:
-					evs, err := c.JournalEvents()
-					if err != nil {
-						return err
-					}
-					if _, err := c.ConvergeApply(p); err != nil {
-						return err
-					}
+				evs, err := c.JournalEvents()
+				if err != nil {
+					return err
+				}
+				if _, _, err := c.Merge(p); err != nil {
+					return err
+				}
+				if cons == cudele.ConsStrongEventual {
 					// The retransmit: replaying the same batch through the
 					// resolver is a no-op on the image.
 					if _, err := s.cl.MDS().ConvergeApply(p, evs, int64(len(evs))*evBytes); err != nil {
 						return err
 					}
-				case cudele.ConsSpeculative:
-					if _, _, err := c.SpeculativeApply(p); err != nil {
-						return err
-					}
-					if err := verify(p, b); err != nil {
-						return err
-					}
-				default:
-					if _, err := c.VolatileApply(p); err != nil {
-						return err
-					}
-					if err := verify(p, b); err != nil {
-						return err
-					}
+				} else if err := verify(p, b); err != nil {
+					return err
 				}
 			}
 			out.stormSec = (p.Now() - start).Seconds()

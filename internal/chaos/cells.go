@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"cudele"
-	"cudele/internal/mds"
 	"cudele/internal/namespace"
 	"cudele/internal/policy"
 	"cudele/internal/runtime"
@@ -35,17 +33,6 @@ type slot struct {
 	op    func(*driver, runtime.Task)
 }
 
-// mergeFn is a client-side merge: events applied, rejected indices, error.
-type mergeFn func(*cudele.Client, runtime.Task) (int, []int, error)
-
-// blind adapts a merge that cannot reject ops.
-func blind(f func(*cudele.Client, runtime.Task) (int, error)) mergeFn {
-	return func(c *cudele.Client, p runtime.Task) (int, []int, error) {
-		n, err := f(c, p)
-		return n, nil, err
-	}
-}
-
 // cell is one row of the cell table: everything that differs between
 // consistency levels, and nothing else. Durability is the second axis
 // and lives in opPersist.
@@ -59,12 +46,6 @@ type cell struct {
 	// provisional: a journal ack does not displace an acked RPC twin in
 	// the phantom bound (oracle.ackJournal).
 	provisional bool
-	// merge is the client's merge call, mode the MDS-side apply a
-	// recovered global image re-merges through. MergeSpeculative also
-	// means the oracle predicts the rejected set (oracle.specMirror).
-	merge     mergeFn
-	mergeName string // the merge's name in violation text
-	mode      mds.MergeMode
 	// adopts: re-merging an acked global image makes its accepted ops
 	// visible. Not so through the CRDT resolver — an op superseded by a
 	// later merged tombstone stays dead; the image's ops stay in the
@@ -96,14 +77,14 @@ var cells = [policy.NumConsistencies]cell{
 		label: "local", fileTag: "f", dirTag: "d",
 		// Invisible subtrees never merge mid-run — that is the contract
 		// under test — so the merge weight falls through to create.
-		mix:   []slot{{0.55, (*driver).opCreate}, {0.70, (*driver).opMkdir}, {0.85, (*driver).opPersist}, {1, (*driver).opCreate}},
-		merge: blind((*cudele.Client).VolatileApply), mergeName: "volatile apply", mode: mds.MergeBlind, adopts: true,
+		mix:       []slot{{0.55, (*driver).opCreate}, {0.70, (*driver).opMkdir}, {0.85, (*driver).opPersist}, {1, (*driver).opCreate}},
+		adopts:    true,
 		contracts: with("invisible"),
 	},
 	policy.ConsWeak: {
 		label: "local", fileTag: "f", dirTag: "d",
-		mix:   []slot{{0.55, (*driver).opCreate}, {0.70, (*driver).opMkdir}, {0.85, (*driver).opPersist}, {1, (*driver).opMerge}},
-		merge: blind((*cudele.Client).VolatileApply), mergeName: "volatile apply", mode: mds.MergeBlind, adopts: true,
+		mix:       []slot{{0.55, (*driver).opCreate}, {0.70, (*driver).opMkdir}, {0.85, (*driver).opPersist}, {1, (*driver).opMerge}},
+		adopts:    true,
 		contracts: with(),
 	},
 	policy.ConsStrong: {
@@ -115,14 +96,14 @@ var cells = [policy.NumConsistencies]cell{
 		label: "speculative", fileTag: "f", dirTag: "d", provisional: true,
 		mix: []slot{{0.40, (*driver).opCreate}, {0.50, (*driver).opMkdir}, {0.50 + interfere, (*driver).opInterfere},
 			{0.60 + interfere, (*driver).opPersist}, {1, (*driver).opMerge}},
-		merge: (*cudele.Client).SpeculativeApply, mergeName: "speculative apply", mode: mds.MergeSpeculative, adopts: true,
+		adopts:    true,
 		contracts: with("exact-rollback"),
 	},
 	policy.ConsStrongEventual: {
 		label: "strong-eventual", fileTag: "s", dirTag: "t", place: rootOnly,
 		mix: []slot{{0.45, (*driver).opCreate}, {0.58, (*driver).opMkdir}, {0.73, (*driver).opUnlink},
 			{0.87, (*driver).opPersist}, {1, (*driver).opMerge}},
-		merge: blind((*cudele.Client).ConvergeApply), mergeName: "converge apply", mode: mds.MergeConverge, captures: true,
+		captures:  true,
 		contracts: with("permutation-convergence"),
 	},
 }

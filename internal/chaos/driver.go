@@ -148,13 +148,13 @@ func (d *driver) run() Result {
 	if d.inj != nil {
 		d.res.WriteFaults = d.inj.Fired()
 	}
-	if err := d.cl.Engine().LeakCheck(); err != nil {
+	if err := d.cl.Runtime().LeakCheck(); err != nil {
 		d.violate("%v", err)
 	}
 	if !d.res.Passed() {
 		d.res.FlightDump = d.fl.Dump()
 	}
-	d.cl.Engine().Shutdown()
+	d.cl.Runtime().Shutdown()
 	return d.res
 }
 
@@ -573,38 +573,38 @@ func (d *driver) opFlush(p runtime.Task) {
 // mirror of the MDS's validation where the cell validates, nothing where
 // it merges blind or through the CRDT.
 func (d *driver) predict(batch []update) []int {
-	if d.cell.mode != mds.MergeSpeculative {
+	if d.plan.Cons != policy.ConsSpeculative {
 		return nil
 	}
 	return d.o.specMirror(batch, mainPath)
 }
 
-// opMerge ships the client journal through the cell's merge and holds it
-// to the contract: the rejected set equals the oracle's prediction, every
-// other op applied, and the post-merge contracts hold.
+// opMerge has the client merge its journal in the registered cell and
+// holds the merge to the contract: the rejected set equals the oracle's
+// prediction, every other op applied, and the post-merge contracts hold.
 func (d *driver) opMerge(p runtime.Task) {
 	batch, expect := d.o.journal, d.predict(d.o.journal)
 	var evs []*journal.Event
 	if d.cell.captures {
 		var err error
 		if evs, err = d.c.JournalEvents(); err != nil {
-			d.violate("%s: snapshot journal: %v", d.cell.mergeName, err)
+			d.violate("%v merge: snapshot journal: %v", d.plan.Cons, err)
 			return
 		}
 	}
-	applied, rejected, err := d.cell.merge(d.c, p)
+	applied, rejected, err := d.c.Merge(p)
 	d.res.Merges++
 	if err != nil {
-		d.violate("%s: %v", d.cell.mergeName, err)
+		d.violate("%v merge: %v", d.plan.Cons, err)
 		return
 	}
 	if !slices.Equal(rejected, expect) {
-		d.violate("%s rejected %v, oracle predicted %v", d.cell.mergeName, rejected, expect)
+		d.violate("%v merge rejected %v, oracle predicted %v", d.plan.Cons, rejected, expect)
 		return
 	}
 	if applied != len(batch)-len(rejected) {
-		d.violate("%s: applied %d, want %d of %d events",
-			d.cell.mergeName, applied, len(batch)-len(rejected), len(batch))
+		d.violate("%v merge: applied %d, want %d of %d events",
+			d.plan.Cons, applied, len(batch)-len(rejected), len(batch))
 	}
 	if len(evs) > 0 {
 		d.batches = append(d.batches, evs)
@@ -642,7 +642,7 @@ func (d *driver) runBG(p runtime.Task) {
 			d.ackIno(uint64(ino), bgPath+"/"+name)
 			d.bgSet[bgPath+"/"+name] = uint64(ino)
 		}
-		if _, err := d.bg.VolatileApply(p); err != nil {
+		if _, _, err := d.bg.Merge(p); err != nil {
 			d.violate("background merge: %v", err)
 			return
 		}
@@ -762,7 +762,7 @@ func (d *driver) verifyGlobal(p runtime.Task) {
 	}
 	evs, err := d.c.FetchGlobalJournal(p, d.c.Name())
 	remerge := func() *mds.MergeReply {
-		return d.mds().Post(p, &mds.MergeMsg{Source: journal.CursorOver(evs), Mode: d.cell.mode,
+		return d.mds().Post(p, &mds.MergeMsg{Source: journal.CursorOver(evs), Cell: d.plan.Cons,
 			NominalBytes: int64(len(evs)) * int64(d.cl.Config().JournalEventBytes),
 		}).(*mds.MergeReply)
 	}

@@ -141,10 +141,9 @@ type decoupled struct {
 	// mapping from the local image's inode numbers to granted inode
 	// numbers is 1:1 — local creates draw from the grant directly.
 
-	// mode is the subtree's consistency cell; it selects the merge path
-	// (blind, speculative, or convergent). The zero value ConsInvisible
-	// merges blind, so pre-existing flows are untouched.
-	mode policy.Consistency
+	// cell is the consistency cell the subtree was registered in; Merge
+	// merges in it (blind, validated, or converging).
+	cell policy.Consistency
 	// undo holds, in ConsSpeculative, one pre-image per journaled op,
 	// index for index with the journal: nil for a create or mkdir, a copy
 	// of the inode an unlink removed. Rollback puts the rejected unlinks'
@@ -282,7 +281,7 @@ func (c *Client) Restart(p runtime.Task) error {
 	if old == nil {
 		return nil
 	}
-	if err := c.AdoptGrant(p, old.path, namespace.Ino(old.grantLo), old.grantN, old.mode); err != nil {
+	if err := c.AdoptGrant(p, old.path, namespace.Ino(old.grantLo), old.grantN, old.cell); err != nil {
 		return err
 	}
 	c.dec.next = old.next

@@ -62,7 +62,7 @@ func TestLocalUnlinkAndReadDir(t *testing.T) {
 		}
 		// The journal records create a, create b, unlink a; after merge
 		// only b exists.
-		if _, err := c.VolatileApply(p); err != nil {
+		if _, _, err := c.Merge(p); err != nil {
 			t.Errorf("merge: %v", err)
 		}
 		if _, err := cl.srv.Store().Resolve("/j/a"); err == nil {
@@ -95,7 +95,7 @@ func TestLocalMkdirDeepNesting(t *testing.T) {
 			cur = next
 		}
 		c.LocalCreate(p, cur, "leaf", 0644)
-		if _, err := c.VolatileApply(p); err != nil {
+		if _, _, err := c.Merge(p); err != nil {
 			t.Errorf("merge: %v", err)
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -172,14 +173,34 @@ func decouplePolicy(cons policy.Consistency, dur policy.Durability, inodes int) 
 	return &policy.Policy{Consistency: cons, Durability: dur, AllocatedInodes: inodes}
 }
 
+// nextGrant is each test cluster's next unissued grant slot.
+var nextGrant struct {
+	sync.Mutex
+	next map[*mds.Cluster]uint64
+}
+
 // decouple registers pol on the subtree at path for c the way the monitor
-// does, with a DecoupleMsg to the owning rank, and attaches the grant.
+// does, with an AttachMsg to the owning rank, and adopts the grant: the
+// monitor's arithmetic (2^24-inode slots in the rank's band at 2^40 +
+// rank<<34) over a slot counter the test cluster keeps.
 func decouple(p runtime.Task, c *Client, path string, pol *policy.Policy) error {
-	r := c.svc.Post(p, &mds.DecoupleMsg{Path: path, Policy: pol, Client: c.name}).(*mds.DecoupleReply)
-	if r.Err != nil {
-		return r.Err
+	n := uint64(pol.AllocatedInodes)
+	if pol.AllocatedInodes <= 0 {
+		n = uint64(c.cfg.AllocatedInodesDefault)
 	}
-	return c.AdoptGrant(p, path, r.Lo, r.N, pol.Consistency)
+	nextGrant.Lock()
+	if nextGrant.next == nil {
+		nextGrant.next = make(map[*mds.Cluster]uint64)
+	}
+	slot := nextGrant.next[c.svc]
+	nextGrant.next[c.svc] = slot + (n+1<<24-1)>>24
+	nextGrant.Unlock()
+	lo := namespace.Ino(1<<40 + uint64(c.svc.Table().RankFor(path))<<34 + slot<<24)
+	if err := c.svc.Post(p, &mds.AttachMsg{Path: path, Policy: pol, Client: c.name,
+		Lo: lo, N: n}).(*mds.AttachReply).Err; err != nil {
+		return err
+	}
+	return c.AdoptGrant(p, path, lo, n, pol.Consistency)
 }
 
 func TestDecoupleLocalCreate(t *testing.T) {
@@ -248,7 +269,7 @@ func TestNotDecoupledErrors(t *testing.T) {
 		if _, err := c.LocalCreate(p, namespace.RootIno, "f", 0644); !errors.Is(err, ErrNotDecoupled) {
 			t.Errorf("local create err = %v", err)
 		}
-		if _, err := c.VolatileApply(p); !errors.Is(err, ErrNotDecoupled) {
+		if _, _, err := c.Merge(p); !errors.Is(err, ErrNotDecoupled) {
 			t.Errorf("volatile apply err = %v", err)
 		}
 		if err := c.LocalPersist(p); !errors.Is(err, ErrNotDecoupled) {
@@ -278,7 +299,7 @@ func TestVolatileApplyMergesIntoGlobal(t *testing.T) {
 			c.LocalCreate(p, root, fmt.Sprintf("f%d", i), 0644)
 		}
 		c.LocalCreate(p, sub, "deep", 0644)
-		n, err := c.VolatileApply(p)
+		n, _, err := c.Merge(p)
 		if err != nil || n != 22 {
 			t.Errorf("volatile apply = %d, %v", n, err)
 			return
@@ -323,7 +344,7 @@ func TestLocalPersistRecover(t *testing.T) {
 			return
 		}
 		// The recovered journal can now be merged.
-		if n, err := c.VolatileApply(p); err != nil || n != 10 {
+		if n, _, err := c.Merge(p); err != nil || n != 10 {
 			t.Errorf("post-recovery merge = %d, %v", n, err)
 		}
 	})

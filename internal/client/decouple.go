@@ -22,9 +22,9 @@ const ClientJournalPool = "cudele_client_journals"
 // processing, on the policy and inode grant the monitor registered on the
 // client's behalf (paper §III-C): the client starts an in-memory journal,
 // and subsequent Local* operations run entirely client-side via Append
-// Client Journal. mode is the subtree's consistency cell, which selects
-// the merge path (blind, speculative, or convergent).
-func (c *Client) AdoptGrant(p runtime.Task, path string, lo namespace.Ino, n uint64, mode policy.Consistency) error {
+// Client Journal. cell is the consistency cell the subtree was registered
+// in; Merge merges in it.
+func (c *Client) AdoptGrant(p runtime.Task, path string, lo namespace.Ino, n uint64, cell policy.Consistency) error {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
 	root, err := c.Resolve(p, path)
@@ -38,7 +38,7 @@ func (c *Client) AdoptGrant(p runtime.Task, path string, lo namespace.Ino, n uin
 		grantLo: uint64(lo),
 		grantN:  n,
 		store:   namespace.NewStore(),
-		mode:    mode,
+		cell:    cell,
 	}
 	c.sync = syncState{}
 	return nil
@@ -138,7 +138,7 @@ func (c *Client) appendEvent(p runtime.Task, ev *journal.Event, pre *namespace.I
 	if _, err := c.dec.jrnl.Append(ev); err != nil {
 		return err
 	}
-	if c.dec.mode == policy.ConsSpeculative {
+	if c.dec.cell == policy.ConsSpeculative {
 		c.dec.undo = append(c.dec.undo, pre)
 	}
 	c.stats.Appends++
@@ -241,39 +241,34 @@ func (c *Client) LocalReadDir(dir namespace.Ino) ([]string, error) {
 
 // --- Mechanisms (paper §III-A) ---
 
-// VolatileApply ships the client journal to the MDS and replays it onto
-// the in-memory metadata store. On success the journal is cleared (the
-// updates now live in the global namespace).
+// Merge ships the client journal to the MDS and merges it in the
+// consistency cell the subtree was registered in (AdoptGrant): blind —
+// Table I's Volatile Apply — in the invisible, weak and strong cells,
+// validated in the speculative cell, and through the CRDT resolver in
+// the strong-eventual cell. applied counts the events merged (a
+// converging merge counts every event, tie-break losers too); rejected
+// lists the journal indices a validated merge refused, which Merge has
+// rolled back from the local image, newest first. Only then are the
+// journal and its pre-images cleared; an error leaves both as they were.
 //
-// With MergeChunkEvents 0 (the calibrated default) the journal goes as
-// one message and merges as one job — the paper's all-at-once arrival
-// model. A positive chunk size streams it instead: chunks flow through
-// the MDS merge scheduler under windowed flow control, and peak transfer
-// memory is one chunk, not the journal.
-func (c *Client) VolatileApply(p runtime.Task) (int, error) {
-	r := c.merge(p, mds.MergeBlind)
-	return r.Applied, r.Err
-}
-
-// merge is the one merge mechanism behind VolatileApply, SpeculativeApply
-// and ConvergeApply: ship the journal in the given mode, undo locally
-// whatever the MDS rejected, and only then clear the journal and its
-// pre-images. An error leaves both as they were.
-func (c *Client) merge(p runtime.Task, mode mds.MergeMode) *mds.MergeReply {
+// A blind merge with MergeChunkEvents 0 (the calibrated default) ships
+// the journal as one message and merges it as one job — the paper's
+// all-at-once arrival model. A positive chunk size streams it instead:
+// chunks flow through the MDS merge scheduler under windowed flow
+// control, and peak transfer memory is one chunk, not the journal.
+func (c *Client) Merge(p runtime.Task) (applied int, rejected []int, err error) {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
 	if c.dec == nil {
-		return &mds.MergeReply{Err: ErrNotDecoupled}
-	}
-	if mode == mds.MergeSpeculative && c.dec.mode != policy.ConsSpeculative {
-		return &mds.MergeReply{Err: fmt.Errorf("client: speculative apply in %v mode", c.dec.mode)}
+		return 0, nil, ErrNotDecoupled
 	}
 	ops := c.dec.jrnl.Len()
 	var r *mds.MergeReply
-	if chunk := c.cfg.MergeChunkEvents; mode == mds.MergeBlind && chunk > 0 && ops > 0 {
+	if chunk, cell := c.cfg.MergeChunkEvents, c.dec.cell; chunk > 0 && ops > 0 &&
+		cell != policy.ConsSpeculative && cell != policy.ConsStrongEventual {
 		r = c.streamJournal(p, chunk)
 	} else {
-		r = c.shipJournal(p, mode)
+		r = c.shipJournal(p)
 	}
 	if r.Err == nil {
 		r.Err = c.rollbackSpec(ops, r.Conflicts)
@@ -281,14 +276,14 @@ func (c *Client) merge(p runtime.Task, mode mds.MergeMode) *mds.MergeReply {
 	if r.Err == nil {
 		c.dec.clearJournal()
 	}
-	return r
+	return r.Applied, r.Conflicts, r.Err
 }
 
 // shipJournal is the one-shot arrival model: the whole journal in one
-// MergeMsg, applied by the MDS in the given mode. The MDS pulls the
+// MergeMsg, applied by the MDS in the registered cell. The MDS pulls the
 // events through a cursor while the call blocks, so no flat copy of the
 // journal is made.
-func (c *Client) shipJournal(p runtime.Task, mode mds.MergeMode) *mds.MergeReply {
+func (c *Client) shipJournal(p runtime.Task) *mds.MergeReply {
 	bytes := c.JournalNominalBytes()
 	c.noteTransfer(bytes)
 	var r *mds.MergeReply
@@ -298,7 +293,7 @@ func (c *Client) shipJournal(p runtime.Task, mode mds.MergeMode) *mds.MergeReply
 		r = c.svc.Post(p, &mds.MergeMsg{
 			Source:       c.dec.jrnl.InlineCursor(),
 			NominalBytes: bytes,
-			Mode:         mode,
+			Cell:         c.dec.cell,
 			Route:        c.dec.path,
 		}).(*mds.MergeReply)
 		return r.Err
@@ -425,14 +420,14 @@ func (c *Client) RecoverLocal(p runtime.Task) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Speculative mode rebuilds the local image and the pre-images from
+	// The speculative cell rebuilds the local image and the pre-images from
 	// the recovered journal itself: the ops are the record. The rebuild
 	// runs on a copy of the context, installed whole only once it
 	// succeeds, so a failed recovery leaves the context as it found it
 	// rather than a journal beside fewer pre-images.
 	next := *c.dec
 	next.jrnl = j
-	if next.mode == policy.ConsSpeculative {
+	if next.cell == policy.ConsSpeculative {
 		if err := next.rebuildSpeculative(); err != nil {
 			return 0, err
 		}
@@ -731,8 +726,8 @@ func (c *Client) runMechanism(p runtime.Task, m policy.Mechanism) error {
 		// Stream state is set for the whole composition by
 		// RunComposition before any step runs.
 		return nil
-	case policy.MechVolatileApply:
-		_, err := c.VolatileApply(p)
+	case policy.MechVolatileApply, policy.MechSpeculativeApply, policy.MechConvergeApply:
+		_, _, err := c.Merge(p)
 		return err
 	case policy.MechNonvolatileApply:
 		_, err := c.NonvolatileApply(p)
@@ -741,12 +736,6 @@ func (c *Client) runMechanism(p runtime.Task, m policy.Mechanism) error {
 		return c.LocalPersist(p)
 	case policy.MechGlobalPersist:
 		return c.GlobalPersist(p)
-	case policy.MechSpeculativeApply:
-		_, _, err := c.SpeculativeApply(p)
-		return err
-	case policy.MechConvergeApply:
-		_, err := c.ConvergeApply(p)
-		return err
 	}
 	return fmt.Errorf("client: unknown mechanism %v", m)
 }

@@ -4,33 +4,23 @@ import (
 	"fmt"
 
 	"cudele/internal/journal"
-	"cudele/internal/mds"
 	"cudele/internal/namespace"
 	"cudele/internal/policy"
-	"cudele/internal/runtime"
 )
 
 // The client halves of the two policy cells beyond the paper's Table I.
 //
 // ConsSpeculative: Local* ops apply optimistically against the client's
 // predicted view, and beside each journaled op the client keeps its
-// pre-image in memory; SpeculativeApply ships the journal, the MDS
-// validates every prediction against the live global namespace, and the
-// client rolls back exactly the rejected ops. The pre-images are
+// pre-image in memory; Merge ships the journal, the MDS validates every
+// prediction against the live global namespace, and the client rolls
+// back exactly the rejected ops. The pre-images are
 // derivable from the journal, so recovery rebuilds them and nothing but
 // the journal is ever persisted.
 //
-// ConsStrongEventual: ConvergeApply ships the journal through the MDS's
-// CRDT resolver, so concurrent clients can merge in any order and the
-// global namespace converges.
-
-// MergeMode reports the decoupled subtree's consistency cell.
-func (c *Client) MergeMode() policy.Consistency {
-	if c.dec == nil {
-		return policy.ConsInvisible
-	}
-	return c.dec.mode
-}
+// ConsStrongEventual: Merge ships the journal through the MDS's CRDT
+// resolver, so concurrent clients can merge in any order and the global
+// namespace converges.
 
 // FailRollbackAfter arms the mid-rollback crash hook: the next rollback
 // errors out after n undos, leaving the journal and pre-images un-reset,
@@ -40,22 +30,12 @@ func (c *Client) FailRollbackAfter(n int) {
 	c.failRollback = &n
 }
 
-// SpeculativeApply ships the journal for validated merge. The MDS
-// applies every op whose prediction still holds and reports the rejected
-// indices; the client undoes exactly those ops against its local image,
-// newest first, then clears the journal and its pre-images. The returned
-// slice is the rejected indices (nil when every prediction held).
-func (c *Client) SpeculativeApply(p runtime.Task) (int, []int, error) {
-	r := c.merge(p, mds.MergeSpeculative)
-	return r.Applied, r.Conflicts, r.Err
-}
-
 // rollbackSpec undoes the ops at the given indices of the journal just
 // shipped (ops events long) from the client-local image, newest first so
 // a rejected mkdir's rejected children are gone before the directory
 // itself is removed. A create or mkdir is undone by removing its dentry;
 // an unlink by putting its pre-image back. The journal and pre-images are
-// left intact on error (the mid-rollback crash shape); merge resets them
+// left intact on error (the mid-rollback crash shape); Merge resets them
 // only after a complete rollback.
 func (c *Client) rollbackSpec(ops int, conflicts []int) error {
 	if len(conflicts) == 0 {
@@ -147,18 +127,9 @@ func (d *decoupled) applyLocal(ev *journal.Event) (pre *namespace.Inode, err err
 // preImage copies in for rollback in the speculative cell; every other
 // cell gets nil and allocates nothing.
 func (d *decoupled) preImage(in *namespace.Inode) *namespace.Inode {
-	if d.mode != policy.ConsSpeculative {
+	if d.cell != policy.ConsSpeculative {
 		return nil
 	}
 	v := *in
 	return &v
-}
-
-// ConvergeApply ships the journal through the MDS's strong-eventual CRDT
-// resolver. Applied counts every event processed — absorbing a tie-break
-// loser is a successful merge — so it equals the journal length on
-// success. On success the journal is cleared.
-func (c *Client) ConvergeApply(p runtime.Task) (int, error) {
-	r := c.merge(p, mds.MergeConverge)
-	return r.Applied, r.Err
 }

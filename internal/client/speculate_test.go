@@ -167,7 +167,7 @@ func specRollbackRun(t *testing.T, seed int64, crash bool, rejected map[journal.
 			if len(c.dec.undo) != len(events) {
 				t.Fatalf("seed %d batch %d: %d pre-images for %d journaled ops", seed, batch, len(c.dec.undo), len(events))
 			}
-			_, rej, err := c.SpeculativeApply(p)
+			_, rej, err := c.Merge(p)
 			if err != nil {
 				t.Fatalf("seed %d batch %d: merge: %v", seed, batch, err)
 			}
@@ -214,7 +214,7 @@ func TestFailedRecoverLocalLeavesContext(t *testing.T) {
 		if _, err := c.LocalCreate(p, root, "a", 0644); err != nil {
 			t.Fatalf("local create a: %v", err)
 		}
-		if _, rej, err := c.SpeculativeApply(p); err != nil || len(rej) != 0 {
+		if _, rej, err := c.Merge(p); err != nil || len(rej) != 0 {
 			t.Fatalf("first merge rejected %v, %v", rej, err)
 		}
 		if _, err := c.LocalCreate(p, root, "b", 0644); err != nil {
@@ -245,7 +245,7 @@ func TestFailedRecoverLocalLeavesContext(t *testing.T) {
 		if _, err := c.LocalCreate(p, root, "c", 0644); err != nil {
 			t.Fatalf("local create c: %v", err)
 		}
-		if n, rej, err := c.SpeculativeApply(p); err != nil || n != 1 || len(rej) != 0 {
+		if n, rej, err := c.Merge(p); err != nil || n != 1 || len(rej) != 0 {
 			t.Fatalf("merge after the failed recovery = %d applied, rejected %v, %v; want 1 applied", n, rej, err)
 		}
 	})

@@ -101,7 +101,7 @@ func TestVolatileApplyChunkedMatchesOneShot(t *testing.T) {
 	var appliedA int
 	oneshot.run(t, func(p runtime.Task) {
 		decoupledWorkload(t, p, a, files)
-		n, err := a.VolatileApply(p)
+		n, _, err := a.Merge(p)
 		if err != nil {
 			t.Errorf("one-shot apply: %v", err)
 		}
@@ -113,7 +113,7 @@ func TestVolatileApplyChunkedMatchesOneShot(t *testing.T) {
 	var appliedB int
 	streamed.run(t, func(p runtime.Task) {
 		decoupledWorkload(t, p, b, files)
-		n, err := b.VolatileApply(p)
+		n, _, err := b.Merge(p)
 		if err != nil {
 			t.Errorf("chunked apply: %v", err)
 		}
@@ -352,7 +352,7 @@ func TestVolatileApplyChunkedAbortOnShutdown(t *testing.T) {
 		decoupledWorkload(t, p, c, 100) // 102 events: 13 chunks
 		g := cl.eng.NewGroup()
 		g.Go("apply", func(sp runtime.Task) {
-			_, applyErr = c.VolatileApply(sp)
+			_, _, applyErr = c.Merge(sp)
 		})
 		g.Go("kill", func(sp runtime.Task) {
 			for cl.srv.Metrics().MergeChunks < 3 {
@@ -413,8 +413,8 @@ func TestConcurrentVolatileApplyDeterministicAndFair(t *testing.T) {
 				return
 			}
 			g := cl.eng.NewGroup()
-			g.Go("merge.a", func(sp runtime.Task) { nA, errA = a.VolatileApply(sp) })
-			g.Go("merge.b", func(sp runtime.Task) { nB, errB = b.VolatileApply(sp) })
+			g.Go("merge.a", func(sp runtime.Task) { nA, _, errA = a.Merge(sp) })
+			g.Go("merge.b", func(sp runtime.Task) { nB, _, errB = b.Merge(sp) })
 			g.Wait(p)
 		})
 		if errA != nil || nA != filesA {

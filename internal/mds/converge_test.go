@@ -10,10 +10,10 @@ import (
 
 // TestConvergeAfterRPCRemakesParent: the strong-eventual merger keeps the
 // inode each summarized directory is rendered at from one merge to the
-// next, and RPC handlers write the same store in between. Here one
-// removes the directory a merge rendered into and makes a new one at the
-// same path; the next merge's files must land in the new directory, not
-// in the inode the merger remembered.
+// next, and RPC handlers write the same store in between. Here the
+// directory a merge rendered into is removed and an RPC makes a new one
+// at the same path; the next merge's files must land in the new
+// directory, not in the inode the merger remembered.
 func TestConvergeAfterRPCRemakesParent(t *testing.T) {
 	eng, s := newTestServer()
 	s.OpenSession("c0")
@@ -35,7 +35,9 @@ func TestConvergeAfterRPCRemakesParent(t *testing.T) {
 			t.Fatalf("first merge: %v", err)
 		}
 		rpc(&Request{Op: OpUnlink, Parent: old, Name: "a"})
-		rpc(&Request{Op: OpRmdir, Parent: namespace.RootIno, Name: "job"})
+		if err := s.Store().Rmdir(namespace.RootIno, "job"); err != nil {
+			t.Fatalf("rmdir /job: %v", err)
+		}
 		renewed := rpc(&Request{Op: OpMkdir, Parent: namespace.RootIno, Name: "job", Mode: 0755}).Ino
 		if _, err := s.ConvergeApply(p, []*journal.Event{create(1, "b")}, 0); err != nil {
 			t.Fatalf("merge after the directory was remade: %v", err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"cudele/internal/journal"
+	"cudele/internal/policy"
 	"cudele/internal/runtime"
 )
 
@@ -37,15 +38,16 @@ func (v validated) ApplyEvent(ev *journal.Event) error {
 	return v.s.store.ApplyEvent(ev)
 }
 
-// mergeStep returns the per-event step for mode. Blind replay resolves
-// conflicting creates in favor of the decoupled namespace (interfere
-// "allow" semantics); the converge step absorbs tie-break losers, so
-// every event counts as applied regardless of race outcomes.
-func (s *Server) mergeStep(mode MergeMode) journal.Target {
-	switch mode {
-	case MergeSpeculative:
+// mergeStep returns the per-event step of a consistency cell. Blind
+// replay — the invisible, weak and strong cells — resolves conflicting
+// creates in favor of the decoupled namespace (interfere "allow"
+// semantics); the converge step absorbs tie-break losers, so every event
+// counts as applied regardless of race outcomes.
+func (s *Server) mergeStep(cell policy.Consistency) journal.Target {
+	switch cell {
+	case policy.ConsSpeculative:
 		return validated{s}
-	case MergeConverge:
+	case policy.ConsStrongEventual:
 		return s.seMerger()
 	}
 	return s.store
@@ -57,12 +59,12 @@ func (s *Server) mergeStep(mode MergeMode) journal.Target {
 // count, rejected indices (base is the run's offset in its journal) and
 // first error into r. The step is resolved after the last yield, so a
 // Crash mid-merge is seen by the very next event.
-func (s *Server) applyRun(p runtime.Task, mode MergeMode, run []*journal.Event, base int, r *MergeReply) {
+func (s *Server) applyRun(p runtime.Task, cell policy.Consistency, run []*journal.Event, base int, r *MergeReply) {
 	per := s.mergeApplyCost()
 	s.cpu.Acquire(p)
 	defer s.cpu.Release()
 	p.Sleep(per * runtime.Duration(len(run)))
-	step := s.mergeStep(mode)
+	step := s.mergeStep(cell)
 	for i, ev := range run {
 		switch err := step.ApplyEvent(ev); err {
 		case nil:
@@ -78,7 +80,7 @@ func (s *Server) applyRun(p runtime.Task, mode MergeMode, run []*journal.Event, 
 	}
 }
 
-// mergeOneShot is the MergeMsg handler body for all three modes. The
+// mergeOneShot is the MergeMsg handler body for every cell. The
 // whole journal crosses the fabric in a single transfer and the job stays
 // active — inflating every concurrent merge's per-event cost — until its
 // last event applies. Nothing is durable until a separate durability
@@ -105,7 +107,7 @@ func (s *Server) mergeOneShot(p runtime.Task, m *MergeMsg) *MergeReply {
 	r := &MergeReply{}
 	for base := 0; r.Err == nil && src.Remaining() > 0; {
 		run := src.Next(applyRunLen)
-		s.applyRun(p, m.Mode, run, base, r)
+		s.applyRun(p, m.Cell, run, base, r)
 		base += len(run)
 	}
 	if s.heat != nil && r.Applied > 0 {
@@ -129,25 +131,25 @@ func (s *Server) mergeApplyCost() runtime.Duration {
 func (s *Server) MergeQueue() int { return s.mergeQueue }
 
 // VolatileApply, SpeculativeApply and ConvergeApply post a one-shot merge
-// of events to this rank's own endpoint, blocking the caller until it
-// completes. nominalBytes is the journal's transfer footprint (events x
-// ~2.5 KB). SpeculativeApply also returns the indices of the rejected
-// predictions.
+// of events in the weak, speculative or strong-eventual cell to this
+// rank's own endpoint, blocking the caller until it completes.
+// nominalBytes is the journal's transfer footprint (events x ~2.5 KB).
+// SpeculativeApply also returns the indices of the rejected predictions.
 func (s *Server) VolatileApply(p runtime.Task, events []*journal.Event, nominalBytes int64) (int, error) {
-	r := s.postMerge(p, events, nominalBytes, MergeBlind)
+	r := s.postMerge(p, events, nominalBytes, policy.ConsWeak)
 	return r.Applied, r.Err
 }
 
 func (s *Server) SpeculativeApply(p runtime.Task, events []*journal.Event, nominalBytes int64) (int, []int, error) {
-	r := s.postMerge(p, events, nominalBytes, MergeSpeculative)
+	r := s.postMerge(p, events, nominalBytes, policy.ConsSpeculative)
 	return r.Applied, r.Conflicts, r.Err
 }
 
 func (s *Server) ConvergeApply(p runtime.Task, events []*journal.Event, nominalBytes int64) (int, error) {
-	r := s.postMerge(p, events, nominalBytes, MergeConverge)
+	r := s.postMerge(p, events, nominalBytes, policy.ConsStrongEventual)
 	return r.Applied, r.Err
 }
 
-func (s *Server) postMerge(p runtime.Task, events []*journal.Event, nominalBytes int64, mode MergeMode) *MergeReply {
-	return s.ep.Post(p, &MergeMsg{Source: journal.CursorOver(events), NominalBytes: nominalBytes, Mode: mode}).(*MergeReply)
+func (s *Server) postMerge(p runtime.Task, events []*journal.Event, nominalBytes int64, cell policy.Consistency) *MergeReply {
+	return s.ep.Post(p, &MergeMsg{Source: journal.CursorOver(events), NominalBytes: nominalBytes, Cell: cell}).(*MergeReply)
 }

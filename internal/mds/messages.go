@@ -2,7 +2,6 @@ package mds
 
 import (
 	"cudele/internal/journal"
-	"cudele/internal/namespace"
 	"cudele/internal/policy"
 	"cudele/internal/runtime"
 	"cudele/internal/transport"
@@ -36,25 +35,7 @@ type refusable interface {
 	refused(err error) any
 }
 
-// MergeMode selects how a MergeMsg's events are applied. The zero value
-// is the paper's blind Volatile Apply, so every pre-existing sender and
-// committed baseline is untouched.
-type MergeMode uint8
-
-const (
-	// MergeBlind is Table I's Volatile Apply: replay with no checks,
-	// conflicts resolved in favor of the decoupled namespace.
-	MergeBlind MergeMode = iota
-	// MergeSpeculative validates each event against the current global
-	// view; conflicting predictions are skipped and reported back by
-	// index so the client can roll them back (ConsSpeculative).
-	MergeSpeculative
-	// MergeConverge merges through the strong-eventual CRDT resolver,
-	// so concurrent merges commute (ConsStrongEventual).
-	MergeConverge
-)
-
-// MergeMsg ships a decoupled client's journal for Volatile Apply in one
+// MergeMsg ships a decoupled client's journal for a merge in one
 // message (the calibrated all-at-once arrival model). Source is a
 // bounded-memory cursor over the journal rather than a flat event copy,
 // since the handler runs synchronously in the sender's process; a flat
@@ -62,8 +43,10 @@ const (
 type MergeMsg struct {
 	Source       *journal.Cursor
 	NominalBytes int64
-	// Mode selects blind, speculative, or convergent apply.
-	Mode MergeMode
+	// Cell is the registered consistency cell, which picks the apply
+	// step (mergeStep): validated in the speculative cell, converging in
+	// the strong-eventual cell, blind in every other.
+	Cell policy.Consistency
 	// Route is the decoupled subtree's path, used by the routing layer
 	// to find the owning rank.
 	Route string
@@ -169,25 +152,6 @@ type MergeAbortMsg struct {
 func (m *MergeAbortMsg) label() string                       { return "merge.abort" }
 func (m *MergeAbortMsg) route() string                       { return m.Route }
 func (m *MergeAbortMsg) serve(s *Server, p runtime.Task) any { return s.merge.abort(p, m.ID) }
-
-// DecoupleMsg attaches a policy to a subtree and reserves its inode
-// grant (sent by the monitor on a client's behalf).
-type DecoupleMsg struct {
-	Path   string
-	Policy *policy.Policy
-	Client string
-}
-
-func (m *DecoupleMsg) label() string                       { return "decouple" }
-func (m *DecoupleMsg) route() string                       { return m.Path }
-func (m *DecoupleMsg) serve(s *Server, p runtime.Task) any { return s.decouple(p, m) }
-
-// DecoupleReply answers a DecoupleMsg.
-type DecoupleReply struct {
-	Lo  namespace.Ino
-	N   uint64
-	Err error
-}
 
 // RecoupleMsg clears a subtree's policy and owner registration.
 type RecoupleMsg struct {

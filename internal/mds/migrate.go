@@ -177,11 +177,12 @@ func (m *ImportAbortMsg) label() string                       { return "import.a
 func (m *ImportAbortMsg) route() string                       { return "" }
 func (m *ImportAbortMsg) serve(s *Server, p runtime.Task) any { return s.imports.abort(p, m.ID) }
 
-// AttachMsg installs a subtree's policy, owner, and an exact inode
-// grant on a rank without allocating a fresh range — the re-attach path
-// after a migration or a rank restart, where the client must keep the
-// grant it already holds. It is a control message: it bypasses the
-// freeze/ownership bounce.
+// AttachMsg installs a subtree's policy, owner, and the exact inode
+// grant the monitor issued on a rank — both when the monitor registers
+// the subtree and when it re-attaches it after a rank restart, where the
+// client keeps the grant it already holds. A rank never picks a grant
+// itself. It is a control message: it bypasses the freeze/ownership
+// bounce.
 type AttachMsg struct {
 	Path   string
 	Policy *policy.Policy

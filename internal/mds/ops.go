@@ -30,7 +30,6 @@ var opTable = [opMax]opInfo{
 	OpSetAttr: {name: "setattr", mutates: true, handler: handleSetAttr},
 	OpReadDir: {name: "readdir", lookup: true, handler: handleReadDir},
 	OpUnlink:  {name: "unlink", mutates: true, handler: handleUnlink},
-	OpRmdir:   {name: "rmdir", mutates: true, handler: handleRmdir},
 	OpRename:  {name: "rename", mutates: true, handler: handleRename},
 	OpResolve: {name: "resolve", lookup: true, handler: handleResolve},
 }
@@ -103,10 +102,6 @@ func handleUnlink(s *Server, p runtime.Task, req *Request) error {
 	}
 	s.updateCaps(p, req.Parent, req.Client, &req.reply)
 	return nil
-}
-
-func handleRmdir(s *Server, p runtime.Task, req *Request) error {
-	return s.store.Rmdir(req.Parent, req.Name)
 }
 
 func handleRename(s *Server, p runtime.Task, req *Request) error {

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"cudele/internal/namespace"
+	"cudele/internal/policy"
 	"cudele/internal/runtime"
 	"cudele/internal/transport"
 )
@@ -376,7 +377,7 @@ func (s *Server) mergeService(p runtime.Task, job *streamJob, sc transport.Strea
 	rec := s.eng.Tracer()
 	span := rec.Begin(int64(p.Now()), s.ep.Name(), "mds", "merge.apply")
 	var r MergeReply
-	s.applyRun(p, MergeBlind, chunk.Events, 0, &r)
+	s.applyRun(p, policy.ConsWeak, chunk.Events, 0, &r)
 	job.done, job.err = job.done+r.Applied, r.Err
 	rec.End(span, int64(p.Now()))
 	if s.heat != nil && r.Applied > 0 {

@@ -48,7 +48,6 @@ const (
 	OpSetAttr
 	OpReadDir
 	OpUnlink
-	OpRmdir
 	OpRename
 	OpResolve
 	opMax
@@ -183,7 +182,7 @@ type Server struct {
 	merge, imports *streamSched
 
 	// se is the lazily created strong-eventual merge resolver over
-	// store; nil until the first MergeConverge message, wiped with the
+	// store; nil until the first strong-eventual merge, wiped with the
 	// store on Crash.
 	se *namespace.SEMerger
 
@@ -208,13 +207,6 @@ type Server struct {
 	// Recover replayed; Restart offsets the fresh journal's object names
 	// past them so the rank's on-store series stays append-only.
 	recoveredSegs int
-
-	// grantSlot is the next unissued slot of this rank's client-grant
-	// band (grantAt). It only grows: the ranges a rank has handed out are
-	// a durable registry, like recoveredSegs — a recouple, an export or a
-	// Crash forgets the owner, not that a client may still hold inodes
-	// drawn from the range.
-	grantSlot uint64
 
 	// ep is the rank's wire endpoint (network latency on Call).
 	ep *transport.Wire
@@ -581,16 +573,6 @@ func (s *Server) checkInterfere(p runtime.Task, req *Request) error {
 	return fmt.Errorf("mds: subtree decoupled by %s: %w", owner, namespace.ErrBusy)
 }
 
-// grantSlots is how many grant slots fit in one rank's band.
-const grantSlots = 1 << 10
-
-// grantAt is the first inode of slot in this rank's client-grant band:
-// far from server-assigned numbers, like CephFS prealloc ranges, 2^34
-// inodes per rank in slots of 2^24.
-func (s *Server) grantAt(slot uint64) namespace.Ino {
-	return namespace.Ino(uint64(1)<<40 + uint64(s.rank)<<34 + slot<<24)
-}
-
 // onSubtree is how the control-plane handlers that name a subtree by path
 // run: holding the rank's CPU, one resolve charged, fn on the subtree's
 // root inode.
@@ -605,33 +587,11 @@ func (s *Server) onSubtree(p runtime.Task, path string, fn func(root namespace.I
 	return fn(in.Ino)
 }
 
-// decouple is the DecoupleMsg handler body.
-func (s *Server) decouple(p runtime.Task, m *DecoupleMsg) *DecoupleReply {
-	r := &DecoupleReply{}
-	r.Err = s.onSubtree(p, m.Path, func(root namespace.Ino) error {
-		grant := m.Policy.AllocatedInodes
-		if grant <= 0 {
-			grant = s.cfg.AllocatedInodesDefault
-		}
-		lo, n := s.grantAt(s.grantSlot), uint64(grant)
-		if lo+namespace.Ino(n) > s.grantAt(grantSlots) {
-			return fmt.Errorf("mds: rank %d grant band: %w", s.rank, namespace.ErrNoSpace)
-		}
-		if err := s.adopt(root, m.Policy, m.Client, lo, n); err != nil {
-			return err
-		}
-		r.Lo, r.N = lo, n
-		return nil
-	})
-	return r
-}
-
 // adopt is everything a rank takes on about a decoupled subtree, whether
-// it decouples it (decouple), imports it (importCommit) or gets it back
-// after a restart (attach): the policy in the root's large inode, the
-// client's inode grant reserved in the allocator, and the owner for the
-// interfere check. A grant inside this rank's own band also moves
-// grantSlot past it, so no later decouple here can be handed the range.
+// the monitor registers it or re-attaches it after a restart (attach) or
+// the rank imports it (importCommit): the policy in the root's large
+// inode, the client's inode grant — which the monitor issued — reserved
+// in the allocator, and the owner for the interfere check.
 func (s *Server) adopt(root namespace.Ino, pol *policy.Policy, owner string, lo namespace.Ino, n uint64) error {
 	if pol != nil {
 		if err := s.store.SetPolicy(root, pol); err != nil {
@@ -641,9 +601,6 @@ func (s *Server) adopt(root namespace.Ino, pol *policy.Policy, owner string, lo 
 	if lo != 0 && n > 0 {
 		if err := s.store.ReserveRange(lo, n); err != nil {
 			return err
-		}
-		if base := s.grantAt(0); lo >= base && lo < s.grantAt(grantSlots) {
-			s.grantSlot = max(s.grantSlot, uint64(lo+namespace.Ino(n)-1-base)>>24+1)
 		}
 	}
 	if owner != "" {

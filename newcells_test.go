@@ -60,7 +60,7 @@ func TestSpeculativeRollbackCrashRecovery(t *testing.T) {
 		// Crash mid-rollback: the hook kills the rollback after one undo,
 		// leaving the journal and its pre-images un-reset.
 		c.FailRollbackAfter(0)
-		if _, _, err := c.SpeculativeApply(p); err == nil {
+		if _, _, err := c.Merge(p); err == nil {
 			t.Fatal("mid-rollback crash hook did not surface an error")
 		}
 		c.Crash(p)
@@ -74,7 +74,7 @@ func TestSpeculativeRollbackCrashRecovery(t *testing.T) {
 		// The recovered journal re-merges: every op now conflicts (the
 		// accepted four already exist on the MDS, f2 belongs to the
 		// interferer) and all five are rolled back from the local image.
-		_, conflicts, err := c.SpeculativeApply(p)
+		_, conflicts, err := c.Merge(p)
 		if err != nil {
 			t.Fatalf("re-merge after recovery: %v", err)
 		}
@@ -188,7 +188,7 @@ func TestSpeculativeMergeDuringMigration(t *testing.T) {
 			}
 			p.Sleep(time.Microsecond)
 		}
-		applied, conflicts, err := c.SpeculativeApply(p)
+		applied, conflicts, err := c.Merge(p)
 		if err != nil {
 			t.Errorf("speculative apply across migration: %v", err)
 			return
@@ -267,7 +267,7 @@ func TestStrongEventualMergeOrderPermutations(t *testing.T) {
 				t.Fatalf("batch %d snapshot: %v", i, err)
 			}
 			batches = append(batches, evs)
-			if _, err := rc.ConvergeApply(p); err != nil {
+			if _, _, err := rc.Merge(p); err != nil {
 				t.Fatalf("batch %d merge: %v", i, err)
 			}
 		}

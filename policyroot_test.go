@@ -10,9 +10,10 @@ import (
 
 // TestCompositionConsistencyPicksItsCell: a policies file may spell its
 // consistency as a mechanism composition instead of a level name. The
-// client must then merge by the cell that composition implements — a
-// speculative composition validates, it does not run in the default
-// strong cell (where SpeculativeApply refuses to start).
+// registration must then carry the cell that composition implements — the
+// cell the client adopts and merges in (a speculative composition
+// validates, it does not merge blind in the default strong cell) — and
+// the composition must run in it.
 func TestCompositionConsistencyPicksItsCell(t *testing.T) {
 	for _, tc := range []struct {
 		cons string
@@ -33,8 +34,8 @@ func TestCompositionConsistencyPicksItsCell(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: decouple: %v", tc.cons, err)
 			}
-			if got := c.MergeMode(); got != tc.want {
-				t.Errorf("%s: client merges as %v, want %v", tc.cons, got, tc.want)
+			if got := e.Policy.Consistency; got != tc.want {
+				t.Errorf("%s: registered in the %v cell, want %v", tc.cons, got, tc.want)
 			}
 			root, _ := c.DecoupledRoot()
 			if _, err := c.LocalCreate(p, root, "f", 0644); err != nil {
