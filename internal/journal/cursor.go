@@ -1,14 +1,14 @@
 package journal
 
-// Cursor iterates a journal's untrimmed events in append order without
+// Cursor iterates a journal's events in append order without
 // materializing the flat copy Events() builds. Consumers pull
 // fixed-size runs with Next, so a journal of any length can be merged or
 // exported with memory bounded by the run size — the streaming-pipeline
 // contract the durability mechanisms rely on.
 //
 // A cursor is a read-only view: it walks the journal's live segments, so
-// the journal must not be appended to, trimmed, or reset while the
-// cursor is in use. That matches every call site — the mechanisms run a
+// the journal must not be appended to or reset while the cursor is in
+// use. That matches every call site — the mechanisms run a
 // merge or persist to completion before touching the journal again.
 type Cursor struct {
 	j   *Journal
@@ -26,9 +26,9 @@ type Cursor struct {
 	enc Encoder // amortizes Export's payload staging across runs
 }
 
-// Cursor returns a cursor positioned at the journal's first untrimmed
-// event. Each Next call returns a freshly allocated slice, safe to hand
-// to a receiver that retains it (a flow-control window).
+// Cursor returns a cursor positioned at the journal's first event. Each
+// Next call returns a freshly allocated slice, safe to hand to a receiver
+// that retains it (a flow-control window).
 func (j *Journal) Cursor() *Cursor { return &Cursor{j: j} }
 
 // InlineCursor returns a cursor whose Next reuses one internal gather

@@ -2,25 +2,22 @@ package journal
 
 import "fmt"
 
-// Segment is a group of journal events that is dispatched to the object
-// store as a unit. The MDS tunables "segment size" and "dispatch size"
-// (paper §II-A, Fig 3a) operate on these.
+// Segment is a group of journal events sealed together once it holds the
+// journal's segment size (the MDS's "segment size" tunable, paper §II-A,
+// Fig 3a).
 type Segment struct {
-	Index  int
 	Events []*Event
 }
 
 // Journal is an in-memory, append-ordered metadata journal divided into
 // segments. It is a "pile system": writes are cheap appends; readers must
-// replay state (paper §IV-B). Both decoupled clients and the MDS keep one.
+// replay state (paper §IV-B). A decoupled client keeps one; an MDS rank
+// keeps its journal as encoded segments instead.
 type Journal struct {
 	segSize  int
-	segments []*Segment // sealed, not yet trimmed
+	segments []*Segment // sealed
 	cur      *Segment
-	nextIdx  int
 	nextSeq  uint64
-	trimmed  uint64 // events discarded by Trim
-	total    uint64 // events ever appended
 }
 
 // New creates a journal whose segments seal after segSize events.
@@ -40,13 +37,11 @@ func (j *Journal) Append(ev *Event) (*Segment, error) {
 	}
 	ev.Seq = j.nextSeq
 	j.nextSeq++
-	j.total++
 	if j.cur == nil {
 		// Sized once: a segment fills to segSize, and growing to it by
 		// doubling allocates twice the slots. The cap bounds what a
 		// journal with huge segments pays for a segment it may not fill.
-		j.cur = &Segment{Index: j.nextIdx, Events: make([]*Event, 0, min(j.segSize, 1024))}
-		j.nextIdx++
+		j.cur = &Segment{Events: make([]*Event, 0, min(j.segSize, 1024))}
 	}
 	j.cur.Events = append(j.cur.Events, ev)
 	if len(j.cur.Events) >= j.segSize {
@@ -70,11 +65,11 @@ func (j *Journal) Seal() *Segment {
 	return j.seal()
 }
 
-// Segments returns the sealed, untrimmed segments in order.
+// Segments returns the sealed segments in order.
 func (j *Journal) Segments() []*Segment { return j.segments }
 
-// Events returns all untrimmed events (sealed segments plus the current
-// one) in append order. The returned slice is freshly allocated.
+// Events returns all events (sealed segments plus the current one) in
+// append order. The returned slice is freshly allocated.
 func (j *Journal) Events() []*Event {
 	var out []*Event
 	for _, s := range j.segments {
@@ -86,7 +81,7 @@ func (j *Journal) Events() []*Event {
 	return out
 }
 
-// Len returns the number of untrimmed events.
+// Len returns the number of events.
 func (j *Journal) Len() int {
 	n := 0
 	for _, s := range j.segments {
@@ -98,39 +93,15 @@ func (j *Journal) Len() int {
 	return n
 }
 
-// Total returns the number of events ever appended, including trimmed.
-func (j *Journal) Total() uint64 { return j.total }
-
-// Trimmed returns the number of events discarded by Trim.
-func (j *Journal) Trimmed() uint64 { return j.trimmed }
-
-// Trim discards sealed segments with Index <= through, modeling the MDS
-// expiring journal segments once their updates are applied to the metadata
-// store.
-func (j *Journal) Trim(through int) {
-	keep := j.segments[:0]
-	for _, s := range j.segments {
-		if s.Index <= through {
-			j.trimmed += uint64(len(s.Events))
-			continue
-		}
-		keep = append(keep, s)
-	}
-	j.segments = keep
-}
-
 // Reset discards all events and restarts sequence numbering, modeling a
 // client clearing its in-memory journal after a successful sync/merge.
 func (j *Journal) Reset() {
 	j.segments = nil
 	j.cur = nil
-	j.nextIdx = 0
 	j.nextSeq = 0
-	j.trimmed = 0
-	j.total = 0
 }
 
-// Export encodes all untrimmed events as a complete journal image,
+// Export encodes all events as a complete journal image,
 // exactly sized up front, with no intermediate flat copy of the event
 // slice: one cursor run as long as the journal.
 func (j *Journal) Export() ([]byte, error) {

@@ -44,7 +44,7 @@ func (s *Server) FillMetrics(reg *trace.Registry) {
 	reg.Counter("cudele_mds_dir_listings_total", "Ordered directory listings: readdir requests, tree walks, directory-object encodes, scrubs.", float64(lists.Listings), daemon)
 	reg.Counter("cudele_mds_dir_listing_rebuilds_total", "Listings of a directory that changed since its last one, which collected and sorted its names again.", float64(lists.Rebuilds), daemon)
 
-	reg.Gauge("cudele_mds_journal_events", "Untrimmed events in the MDS journal.", float64(s.stream.jrnl.Len()), daemon)
+	reg.Gauge("cudele_mds_journal_events", "Untrimmed events in the MDS journal.", float64(s.stream.events()), daemon)
 	reg.Gauge("cudele_mds_merge_queue_depth", "Client journals queued for Volatile Apply.", float64(s.mergeQueue), daemon)
 	reg.Gauge("cudele_mds_merge_active_jobs", "Streamed merges admitted by the scheduler at collection time.", float64(len(s.merge.jobs)), daemon)
 	reg.Gauge("cudele_mds_merge_peak_jobs", "Most streamed merges ever admitted at once.", float64(s.merge.peakJobs), daemon)

@@ -325,13 +325,17 @@ func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeR
 
 	// The journal tail: every untrimmed event of this rank's journal
 	// that touches the subtree ships with the manifest, so the importer's
-	// own journal series covers the subtree's recent history.
+	// own journal series covers the subtree's recent history. The events
+	// are decoded from the segment bytes, so the importer's journaling
+	// never reaches this rank's segments.
 	var tail []*journal.Event
 	if s.streamOn.Load() {
-		for _, ev := range s.stream.jrnl.Events() {
-			if inos[namespace.Ino(ev.Parent)] || inos[namespace.Ino(ev.Ino)] {
-				tail = append(tail, ev)
-			}
+		var err error
+		tail, err = s.stream.tail(func(ev *journal.Event) bool {
+			return inos[namespace.Ino(ev.Parent)] || inos[namespace.Ino(ev.Ino)]
+		})
+		if err != nil {
+			return &ExportFreezeReply{Err: err}
 		}
 	}
 
@@ -532,7 +536,7 @@ func (s *Server) importCommit(p runtime.Task, m *ImportCommitMsg) *ImportCommitR
 		s.cpu.Acquire(p)
 		for _, ev := range man.Tail {
 			p.Sleep(s.cfg.MDSJournalOpTime)
-			s.stream.journalEvent(ev)
+			s.stream.journalEvent(*ev)
 		}
 		s.cpu.Release()
 	}

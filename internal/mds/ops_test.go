@@ -41,11 +41,11 @@ func TestOpTableComplete(t *testing.T) {
 		}
 		// Every mutating op must journal: requestEvent is the stream
 		// mechanism's view of the table.
-		ev := requestEvent(&Request{Op: op, Name: "x", NewName: "y"}, &Reply{})
-		if info.mutates && ev == nil {
+		_, ok := requestEvent(&Request{Op: op, Name: "x", NewName: "y"}, &Reply{})
+		if info.mutates && !ok {
 			t.Errorf("mutating op %s produces no journal event", info.name)
 		}
-		if !info.mutates && ev != nil {
+		if !info.mutates && ok {
 			t.Errorf("read-only op %s produces a journal event", info.name)
 		}
 	}

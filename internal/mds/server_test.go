@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -315,17 +316,47 @@ func TestStreamDispatchAndFlush(t *testing.T) {
 	s.SetStream(true)
 	// Small segments so several dispatches happen.
 	s.cfg.SegmentEvents = 100
-	s.stream.jrnl = journal.New(100)
 	const n = 950
+	var objs [][]byte
 	run(t, eng, func(p runtime.Task) {
 		for i := 0; i < n; i++ {
 			s.Submit(p, &Request{Op: OpCreate, Client: "c0", Parent: namespace.RootIno, Name: fmt.Sprintf("f%d", i)})
 		}
 		s.FlushJournal(p)
+		striper := rados.NewStriper(s.obj)
+		for idx := 0; ; idx++ {
+			data, err := striper.Read(p, JournalPool, journalObjectName(0, idx))
+			if err != nil {
+				break
+			}
+			objs = append(objs, data)
+		}
 	})
 	m := s.Metrics()
 	if m.Dispatches != 10 { // 9 sealed + 1 final partial
 		t.Fatalf("dispatches = %d, want 10", m.Dispatches)
+	}
+	// Every create is in the objects, in submit order and numbered from
+	// zero, and each object is exactly journal.Encode of its events: the
+	// segment bytes the rank kept are the on-store format.
+	seq := 0
+	for idx, data := range objs {
+		evs, err := journal.Decode(data)
+		if err != nil {
+			t.Fatalf("segment %d: %v", idx, err)
+		}
+		for _, ev := range evs {
+			if want := fmt.Sprintf("f%d", seq); ev.Type != journal.EvCreate || ev.Name != want || ev.Seq != uint64(seq) {
+				t.Fatalf("segment %d record %s %q seq %d, want create %q seq %d", idx, ev.Type, ev.Name, ev.Seq, want, seq)
+			}
+			seq++
+		}
+		if enc, err := journal.Encode(evs); err != nil || !bytes.Equal(enc, data) {
+			t.Fatalf("segment %d is not journal.Encode of its %d events (err %v)", idx, len(evs), err)
+		}
+	}
+	if seq != n {
+		t.Fatalf("segment objects hold %d creates, want %d", seq, n)
 	}
 	if s.JournalLen() != n {
 		t.Fatalf("journal len = %d, want %d", s.JournalLen(), n)
@@ -333,6 +364,53 @@ func TestStreamDispatchAndFlush(t *testing.T) {
 	s.TrimJournal()
 	if s.JournalLen() != 0 {
 		t.Fatalf("journal len after trim = %d", s.JournalLen())
+	}
+}
+
+// submitCreateAllocs measures what one create Submit costs the heap on a
+// warm simulated rank, with journal streaming on or off. The warm creates
+// grow the maps a create adds to, and fill and dispatch a segment, so
+// their amortised growth rounds away.
+func submitCreateAllocs(t *testing.T, stream bool) float64 {
+	t.Helper()
+	eng, s := newTestServer()
+	s.OpenSession("c0")
+	s.SetStream(stream)
+	const warm, runs = 2000, 2000
+	names := make([]string, warm+runs+1)
+	for i := range names {
+		names[i] = fmt.Sprintf("f%06d", i)
+	}
+	var allocs float64
+	run(t, eng, func(p runtime.Task) {
+		next := 0
+		req := &Request{Op: OpCreate, Client: "c0", Parent: namespace.RootIno, Mode: 0644}
+		create := func() {
+			req.Name = names[next]
+			if r := s.Submit(p, req); r.Err != nil {
+				t.Errorf("create %s: %v", req.Name, r.Err)
+			}
+			next++
+		}
+		for next < warm {
+			create()
+		}
+		allocs = testing.AllocsPerRun(runs, create)
+	})
+	if stream && s.JournalLen() != warm+runs+1 {
+		t.Fatalf("journal holds %d events, want %d", s.JournalLen(), warm+runs+1)
+	}
+	return allocs
+}
+
+// TestStreamedCreateAllocations pins what journaling costs a create: no
+// object at all. The event is built on the stack and encoded straight
+// into the open segment, so a streamed create allocates what an
+// unstreamed one does, the inode.
+func TestStreamedCreateAllocations(t *testing.T) {
+	off, on := submitCreateAllocs(t, false), submitCreateAllocs(t, true)
+	if off != 1 || on != off {
+		t.Fatalf("a create Submit allocates %.0f objects with the stream off and %.0f with it on, want 1 and 1", off, on)
 	}
 }
 

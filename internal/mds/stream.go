@@ -27,15 +27,28 @@ func journalObjectName(rank, index int) string {
 // metadata update and streams sealed segments into the object store. The
 // two tunables from the paper (§II-A, Fig 3a) are the segment size
 // (events per segment) and the dispatch size (segments pushed at once).
+//
+// The rank's journal is the bytes its segment objects hold: a mutation is
+// encoded once, into the open segment, and no event object outlives the
+// request that made it.
 type streamState struct {
 	s *Server
 
-	jrnl  *journal.Journal
-	queue []*journal.Segment // sealed, awaiting dispatch
+	// open is the open segment: the journal header, then one record per
+	// event journaled since the last seal; openEvents counts them.
+	open       []byte
+	openEvents int
+	// segCap sizes each new open segment: the last full segment's length
+	// plus an eighth, so a segment does not regrow by doubling.
+	segCap  int
+	nextIdx int    // index of the open segment
+	nextSeq uint64 // sequence number of the next event
 
-	// enc amortizes the payload scratch buffer across every segment this
-	// rank dispatches. Sharing it between segwrite tasks is safe: they
-	// run in the rank's domain and Encode never yields.
+	sealed []segment // sealed, untrimmed, in index order
+	queue  []segment // sealed, awaiting dispatch
+
+	// enc amortizes the payload scratch buffer across every event this
+	// rank journals. Every append runs in the rank's domain.
 	enc journal.Encoder
 
 	dispatching bool
@@ -49,22 +62,26 @@ type streamState struct {
 	segBase int
 }
 
-func newStreamState(s *Server) *streamState {
-	return &streamState{
-		s:          s,
-		jrnl:       journal.New(s.cfg.SegmentEvents),
-		flushedSeg: -1,
-	}
+// segment is one sealed journal segment: its index in this journal, its
+// event count, and its encoded image, which is the segment object's
+// content byte for byte.
+type segment struct {
+	index  int
+	events int
+	data   []byte
 }
 
-// record converts a successful mutation into a journal event and
-// journals it. Runs in the requesting client's process, off the MDS CPU.
-// A create or mkdir carries the inode the rank assigned: replay
-// reinstalls it and never allocates, so every later event naming that
-// inode as its parent still finds it.
+func newStreamState(s *Server) *streamState {
+	return &streamState{s: s, flushedSeg: -1}
+}
+
+// record journals a successful mutation. Runs in the requesting client's
+// process, off the MDS CPU. A create or mkdir carries the inode the rank
+// assigned: replay reinstalls it and never allocates, so every later
+// event naming that inode as its parent still finds it.
 func (st *streamState) record(p runtime.Task, req *Request, reply *Reply) {
-	ev := requestEvent(req, reply)
-	if ev == nil || !st.journalEvent(ev) {
+	ev, ok := requestEvent(req, reply)
+	if !ok || !st.journalEvent(ev) {
 		return
 	}
 	if rec := p.Runtime().Tracer(); rec != nil {
@@ -72,49 +89,107 @@ func (st *streamState) record(p runtime.Task, req *Request, reply *Reply) {
 	}
 }
 
-// journalEvent appends ev to the rank's journal, counts it, and queues
-// the segment the append sealed, if any, for dispatch. It is the one
-// journal append on a rank. An invalid event is not journaled, and it
-// reports false.
-func (st *streamState) journalEvent(ev *journal.Event) bool {
-	seg, err := st.jrnl.Append(ev)
+// journalEvent stamps ev with the rank's next sequence number, encodes it
+// into the open segment, counts it, and seals and queues the segment for
+// dispatch when it reaches SegmentEvents. It is the one journal append on
+// a rank. An invalid event is not journaled, and it reports false.
+func (st *streamState) journalEvent(ev journal.Event) bool {
+	if st.open == nil {
+		st.open = journal.AppendHeader(make([]byte, 0, max(st.segCap, journal.MagicLen)))
+	}
+	ev.Seq = st.nextSeq
+	data, err := st.enc.AppendEvent(st.open, &ev)
 	if err != nil {
 		return false
 	}
+	st.open = data
+	st.openEvents++
+	st.nextSeq++
 	st.s.metrics.Journaled++
-	if seg != nil {
-		st.queue = append(st.queue, seg)
+	if st.openEvents >= st.s.cfg.SegmentEvents {
+		st.segCap = len(st.open) + len(st.open)/8
+		st.seal()
 		st.kick()
 	}
 	return true
 }
 
+// seal closes the open segment, if it holds any event, and queues it for
+// dispatch.
+func (st *streamState) seal() {
+	if st.openEvents == 0 {
+		return
+	}
+	seg := segment{index: st.nextIdx, events: st.openEvents, data: st.open}
+	st.sealed = append(st.sealed, seg)
+	st.queue = append(st.queue, seg)
+	st.open, st.openEvents = nil, 0
+	st.nextIdx++
+}
+
+// events returns the number of untrimmed events.
+func (st *streamState) events() int {
+	n := st.openEvents
+	for _, seg := range st.sealed {
+		n += seg.events
+	}
+	return n
+}
+
+// tail decodes the untrimmed journal, sealed segments then the open one,
+// and returns the events keep accepts, in journal order. The events are
+// fresh copies: nothing a caller does to them reaches the segment bytes.
+// Decoding never yields, so virtual time does not move.
+func (st *streamState) tail(keep func(*journal.Event) bool) ([]*journal.Event, error) {
+	var out []*journal.Event
+	for i := 0; i <= len(st.sealed); i++ {
+		data := st.open
+		if i < len(st.sealed) {
+			data = st.sealed[i].data
+		}
+		if data == nil {
+			continue
+		}
+		evs, err := journal.Decode(data)
+		if err != nil {
+			return nil, err
+		}
+		for _, ev := range evs {
+			if keep(ev) {
+				out = append(out, ev)
+			}
+		}
+	}
+	return out, nil
+}
+
 // requestEvent maps an RPC and its successful reply to the journal event.
-func requestEvent(req *Request, reply *Reply) *journal.Event {
+// It reports false for an op that does not mutate.
+func requestEvent(req *Request, reply *Reply) (journal.Event, bool) {
 	switch req.Op {
 	case OpCreate, OpMkdir:
 		t := journal.EvCreate
 		if req.Op == OpMkdir {
 			t = journal.EvMkdir
 		}
-		return &journal.Event{
+		return journal.Event{
 			Type: t, Client: req.Client,
 			Parent: uint64(req.Parent), Name: req.Name, Ino: uint64(reply.Ino),
 			Mode: req.Mode, UID: req.UID, GID: req.GID,
-		}
+		}, true
 	case OpUnlink:
-		return &journal.Event{Type: journal.EvUnlink, Client: req.Client,
-			Parent: uint64(req.Parent), Name: req.Name}
+		return journal.Event{Type: journal.EvUnlink, Client: req.Client,
+			Parent: uint64(req.Parent), Name: req.Name}, true
 	case OpRename:
-		return &journal.Event{Type: journal.EvRename, Client: req.Client,
+		return journal.Event{Type: journal.EvRename, Client: req.Client,
 			Parent: uint64(req.Parent), Name: req.Name,
-			NewParent: uint64(req.NewParent), NewName: req.NewName}
+			NewParent: uint64(req.NewParent), NewName: req.NewName}, true
 	case OpSetAttr:
-		return &journal.Event{Type: journal.EvSetAttr, Client: req.Client,
+		return journal.Event{Type: journal.EvSetAttr, Client: req.Client,
 			Ino: uint64(req.Ino), Mode: req.Mode, UID: req.UID, GID: req.GID,
-			Size: req.Size, Mtime: req.Mtime}
+			Size: req.Size, Mtime: req.Mtime}, true
 	}
-	return nil
+	return journal.Event{}, false
 }
 
 // kick starts the dispatcher process if it is not already running.
@@ -156,12 +231,8 @@ func (st *streamState) dispatchLoop(p runtime.Task) {
 		for _, seg := range batch {
 			seg := seg
 			g.Go("mds.segwrite", func(wp runtime.Task) {
-				name := journalObjectName(st.s.rank, st.segBase+seg.Index)
-				nominal := int64(len(seg.Events)) * int64(st.s.cfg.JournalEventBytes)
-				data, err := st.enc.Encode(seg.Events)
-				if err != nil {
-					return
-				}
+				name := journalObjectName(st.s.rank, st.segBase+seg.index)
+				nominal := int64(seg.events) * int64(st.s.cfg.JournalEventBytes)
 				rec := wp.Runtime().Tracer()
 				span := trace.SpanID(-1)
 				if rec != nil {
@@ -171,7 +242,7 @@ func (st *streamState) dispatchLoop(p runtime.Task) {
 				}
 				// Charge the paper's 2.5 KB/event footprint; store
 				// the real bytes.
-				werr := striper.WriteBilled(wp, JournalPool, name, data, nominal)
+				werr := striper.WriteBilled(wp, JournalPool, name, seg.data, nominal)
 				rec.End(span, int64(wp.Now()))
 				if werr != nil {
 					// The segment is not safely down: leave flushedSeg
@@ -181,8 +252,8 @@ func (st *streamState) dispatchLoop(p runtime.Task) {
 				}
 				st.s.metrics.Dispatches++
 				st.s.metrics.JournalBytes += uint64(nominal)
-				if seg.Index > st.flushedSeg {
-					st.flushedSeg = seg.Index
+				if seg.index > st.flushedSeg {
+					st.flushedSeg = seg.index
 				}
 			})
 		}
@@ -196,9 +267,7 @@ func (st *streamState) dispatchLoop(p runtime.Task) {
 func (s *Server) FlushJournal(p runtime.Task) {
 	s.dom.Enter(p)
 	defer s.dom.Leave(p)
-	if seg := s.stream.jrnl.Seal(); seg != nil {
-		s.stream.queue = append(s.stream.queue, seg)
-	}
+	s.stream.seal()
 	s.stream.kick()
 	// Wait for the dispatcher to drain.
 	for s.stream.dispatching {
@@ -208,12 +277,13 @@ func (s *Server) FlushJournal(p runtime.Task) {
 
 // JournalLen returns the number of events in the MDS journal that have
 // not been trimmed.
-func (s *Server) JournalLen() int { return s.stream.jrnl.Len() }
+func (s *Server) JournalLen() int { return s.stream.events() }
 
 // TrimJournal expires segments that are safe in the object store and
 // whose updates have been applied to the metadata store.
 func (s *Server) TrimJournal() {
-	s.stream.jrnl.Trim(s.stream.flushedSeg)
+	st := s.stream
+	st.sealed = slices.DeleteFunc(st.sealed, func(seg segment) bool { return seg.index <= st.flushedSeg })
 }
 
 // SaveStore applies the in-memory metadata store to its RADOS
