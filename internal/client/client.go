@@ -92,11 +92,11 @@ type Client struct {
 
 	// paths remembers the full path of directories the client has
 	// resolved or created, and files maps each file it created to its
-	// parent's path and its name, so requests carry a route hint for the
-	// rank-routing layer. A file's path is joined only when a request
-	// routes by it. Unknown inodes route to rank 0.
+	// parent directory, so requests carry a route hint for the
+	// rank-routing layer: a file routes by its parent's path. Unknown
+	// inodes route to rank 0.
 	paths map[namespace.Ino]string
-	files map[namespace.Ino]fileHint
+	files map[namespace.Ino]namespace.Ino
 
 	// Decoupled-namespace state.
 	dec *decoupled
@@ -183,15 +183,7 @@ func (c *Client) dropCaches() {
 	c.shared = make(map[namespace.Ino]bool)
 	c.dcache = make(map[namespace.Ino]map[string]namespace.Ino)
 	c.paths = map[namespace.Ino]string{namespace.RootIno: "/"}
-	c.files = make(map[namespace.Ino]fileHint)
-}
-
-// fileHint is a created file's route hint: its parent directory and its
-// name, joined into a path only when a request addressed to the file
-// routes by it.
-type fileHint struct {
-	dir  namespace.Ino
-	name string
+	c.files = make(map[namespace.Ino]namespace.Ino)
 }
 
 // Name returns the client's session name.
@@ -295,20 +287,44 @@ func (c *Client) notePath(ino namespace.Ino, path string) {
 	}
 }
 
-// pathOf returns the known path of an inode, "" when unknown. A created
-// file's is its parent's path joined with its name.
+// pathOf returns the path a request addressed to ino routes by, "" when
+// unknown. A created file routes by its parent's path: a file is never a
+// placement root (mds.Cluster.Place refuses one), so the longest placed
+// prefix — the owning rank, the heat cell, a migration freeze — of the
+// parent and of the file are the same.
 func (c *Client) pathOf(ino namespace.Ino) string {
 	if p, ok := c.paths[ino]; ok {
 		return p
 	}
-	if h, ok := c.files[ino]; ok {
-		return c.childPath(h.dir, h.name)
+	if dir, ok := c.files[ino]; ok {
+		return c.paths[dir]
 	}
 	return ""
 }
 
-// childPath joins a known directory path with a child name; unknown
-// parents yield "" (route to rank 0).
+// movePaths follows a renamed directory: the known path of dir and of
+// every directory under it is rewritten to the new prefix, or dropped
+// (routing to rank 0) when newPath is unknown. The files under them
+// route by their parents, so they follow too.
+func (c *Client) movePaths(dir namespace.Ino, newPath string) {
+	old, ok := c.paths[dir]
+	if !ok {
+		c.notePath(dir, newPath)
+		return
+	}
+	for ino, p := range c.paths {
+		switch {
+		case !transport.HasPathPrefix(p, old):
+		case newPath == "":
+			delete(c.paths, ino)
+		default:
+			c.paths[ino] = newPath + p[len(old):]
+		}
+	}
+}
+
+// childPath joins a known directory path with the name of a directory
+// in it; unknown parents yield "" (route to rank 0).
 func (c *Client) childPath(dir namespace.Ino, name string) string {
 	base := c.paths[dir]
 	if base == "" {
@@ -439,7 +455,7 @@ func (c *Client) Create(p runtime.Task, dir namespace.Ino, name string, mode uin
 	c.stats.Creates++
 	c.cacheDentry(dir, name, r.Ino)
 	if route != "" { // a file under an unknown parent keeps routing to rank 0
-		c.files[r.Ino] = fileHint{dir, name}
+		c.files[r.Ino] = dir
 	}
 	return r.Ino, nil
 }
@@ -548,22 +564,37 @@ func (c *Client) Unlink(p runtime.Task, dir namespace.Ino, name string) error {
 	r := c.submit(p, req)
 	if r.Err == nil {
 		delete(c.dcache[dir], name)
+		delete(c.files, r.Ino)
 	}
 	return r.Err
 }
 
 // Rename moves a dentry via RPC. Cross-rank renames are not supported:
-// the request routes by the source parent's subtree.
+// the request routes by the source parent's subtree. The route hints
+// follow the moved inode the reply names: a moved directory's known paths
+// move with it, and a moved file routes by its new parent.
 func (c *Client) Rename(p runtime.Task, dir namespace.Ino, name string, newDir namespace.Ino, newName string) error {
 	req := c.enter(p)
 	defer c.leave(p, req)
 	req.Op, req.Parent, req.Name, req.NewParent, req.NewName, req.Route = mds.OpRename, dir, name, newDir, newName, c.pathOf(dir)
 	r := c.submit(p, req)
-	if r.Err == nil {
-		delete(c.dcache[dir], name)
-		c.cacheDentry(newDir, newName, 0)
+	if r.Err != nil {
+		return r.Err
 	}
-	return r.Err
+	delete(c.dcache[dir], name)
+	if replaced, ok := c.dcache[newDir][newName]; ok && replaced != r.Ino {
+		delete(c.files, replaced)
+	}
+	c.cacheDentry(newDir, newName, r.Ino)
+	switch {
+	case r.IsDir:
+		c.movePaths(r.Ino, c.childPath(newDir, newName))
+	case c.paths[newDir] != "":
+		c.files[r.Ino] = newDir
+	default:
+		delete(c.files, r.Ino)
+	}
+	return nil
 }
 
 // SetAttr updates attributes via RPC.

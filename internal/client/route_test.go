@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	gopath "path"
 	"testing"
@@ -9,18 +10,18 @@ import (
 	"cudele/internal/model"
 	"cudele/internal/namespace"
 	"cudele/internal/rados"
+	"cudele/internal/realrt"
 	"cudele/internal/runtime"
 	"cudele/internal/sim"
 )
 
-// TestRouteFileHintsJoinOnDemand: a created file's route hint is its
-// parent and its name, joined only when a call addressed to the file
-// routes by it. On a two-rank cluster, under the root and under a
-// subtree placed on rank 1, the joined hint is byte-equal to the
-// path.Join of parent path and name that used to be stored at the create,
-// and SetAttr and Stat reach the rank that path routes to. A file created
-// under a parent whose path the client does not know routes to rank 0.
-func TestRouteFileHintsJoinOnDemand(t *testing.T) {
+// TestRouteFileHintsByParent: a created file's route hint is its parent
+// directory, and a call addressed to the file routes by the parent's
+// path. On a two-rank cluster, under the root and under a subtree placed
+// on rank 1, the file's route is its parent's path, and SetAttr and Stat
+// reach the rank the file's own path routes to. A file created under a
+// parent whose path the client does not know routes to rank 0.
+func TestRouteFileHintsByParent(t *testing.T) {
 	eng := sim.NewEngine(5)
 	cfg := model.Default()
 	obj := rados.New(eng, cfg)
@@ -99,8 +100,8 @@ func TestRouteFileHintsJoinOnDemand(t *testing.T) {
 					return
 				}
 				want := gopath.Join(dirPath, name)
-				if got := c.pathOf(ino); got != want {
-					t.Errorf("route of %s/%s = %q, want %q", dirPath, name, got, want)
+				if got := c.pathOf(ino); got != dirPath {
+					t.Errorf("route of %s = %q, want its parent's %q", want, got, dirPath)
 				}
 				rank := mc.Table().RankFor(want)
 				if got := reaches(p, ino); got != rank {
@@ -159,11 +160,11 @@ func createAllocs(t *testing.T, shared bool) float64 {
 
 // TestCapHeldCreateAllocations pins what one RPC create costs the heap
 // when the client holds the directory's capability: the inode, and
-// nothing else — the rank answers inside the request, and the request is
-// the client's reused buffer. A request or reply allocated per RPC, a
-// route joined per create (a buffer and a string) or an escaping
-// errors.As target per RPC shows up here (DESIGN.md, "What one RPC costs
-// on the real backend").
+// nothing else — the rank answers inside the request, the request is the
+// client's reused buffer, and the file's route hint is its parent's inode
+// number. A request or reply allocated per RPC, a route joined per create
+// (a buffer and a string) or an escaping errors.As target per RPC shows
+// up here (DESIGN.md, "What one RPC costs on the real backend").
 func TestCapHeldCreateAllocations(t *testing.T) {
 	if allocs := createAllocs(t, false); allocs != 1 {
 		t.Fatalf("a cap-held Create allocates %.0f objects, want 1", allocs)
@@ -172,11 +173,148 @@ func TestCapHeldCreateAllocations(t *testing.T) {
 
 // TestCapLessCreateAllocations pins a Create in a shared directory — a
 // lookup RPC, then the create RPC, in the one request buffer: the
-// lookup's not-found error, the errors.As target the redirect check
-// declares for it, and the inode. A request or reply per RPC, or a dentry
-// cached for the shared directory, shows up here.
+// lookup's not-found error and the inode. A request or reply per RPC, an
+// errors.As target the redirect check declares for the not-found error,
+// or a dentry cached for the shared directory shows up here.
 func TestCapLessCreateAllocations(t *testing.T) {
-	if allocs := createAllocs(t, true); allocs != 3 {
-		t.Fatalf("a cap-less Create allocates %.0f objects, want 3", allocs)
+	if allocs := createAllocs(t, true); allocs != 2 {
+		t.Fatalf("a cap-less Create allocates %.0f objects, want 2", allocs)
 	}
+}
+
+// onTwoRanks runs body with client c0 mounted on a two-rank cluster of
+// the simulator and of the real backend.
+func onTwoRanks(t *testing.T, body func(t *testing.T, eng runtime.Runtime, mc *mds.Cluster, c *Client)) {
+	for _, backend := range []string{"sim", "real"} {
+		t.Run(backend, func(t *testing.T) {
+			var eng runtime.Runtime = sim.NewEngine(23)
+			if backend == "real" {
+				re := realrt.New(23)
+				t.Cleanup(func() { re.Shutdown() })
+				eng = re
+			}
+			cfg := model.Default()
+			obj := rados.New(eng, cfg)
+			mc := mds.NewCluster(eng, cfg, obj, 2)
+			c := New(eng, cfg, "c0", mc, obj)
+			c.Mount(nil)
+			body(t, eng, mc, c)
+		})
+	}
+}
+
+// TestRenameMovesRouteHints: a route hint follows its inode through a
+// rename. A file moved from /a to /b, and a directory /a/d moved to /b/d
+// with a directory e under it, are reached at their new place once /b is
+// placed on rank 1: the setattr of the file, and creates in d and in e,
+// land on rank 1, the owner, and rank 0's stale copy sees none of them.
+// With a stale hint each went to rank 0, which acknowledged it while the
+// owner kept the old state. Moved under a directory whose path the client
+// does not know, the hints are dropped and route to rank 0.
+func TestRenameMovesRouteHints(t *testing.T) {
+	onTwoRanks(t, func(t *testing.T, eng runtime.Runtime, mc *mds.Cluster, c *Client) {
+		eng.Spawn("test", func(p runtime.Task) {
+			a, errA := c.MkdirAll(p, "/a", 0755)
+			b, errB := c.MkdirAll(p, "/b", 0755)
+			f, errF := c.Create(p, a, "f", 0644)
+			d, errD := c.Mkdir(p, a, "d", 0755)
+			e, errE := c.Mkdir(p, d, "e", 0755)
+			if err := errors.Join(errA, errB, errF, errD, errE); err != nil {
+				t.Errorf("setup: %v", err)
+				return
+			}
+			if err := errors.Join(c.Rename(p, a, "f", b, "f"), c.Rename(p, a, "d", b, "d")); err != nil {
+				t.Errorf("rename: %v", err)
+				return
+			}
+			for ino, want := range map[namespace.Ino]string{f: "/b", d: "/b/d", e: "/b/d/e"} {
+				if got := c.pathOf(ino); got != want {
+					t.Errorf("after the renames inode %d routes by %q, want %q", ino, got, want)
+				}
+			}
+			if err := mc.Place(p, "/b", 1); err != nil {
+				t.Errorf("place: %v", err)
+				return
+			}
+			if err := c.SetAttr(p, f, 0600, 0, 0, 0, 0); err != nil {
+				t.Errorf("setattr: %v", err)
+			}
+			_, errG := c.Create(p, d, "g", 0644)
+			_, errH := c.Create(p, e, "h", 0644)
+			if err := errors.Join(errG, errH); err != nil {
+				t.Errorf("create in the moved directories: %v", err)
+			}
+			owner, stale := mc.Rank(1).Store(), mc.Rank(0).Store()
+			if in, err := owner.Resolve("/b/f"); err != nil || in.Mode != 0600 {
+				t.Errorf("owner's /b/f: %+v, %v; want mode 0600", in, err)
+			}
+			if in, err := stale.Resolve("/b/f"); err != nil || in.Mode != 0644 {
+				t.Errorf("rank 0's stale /b/f: %+v, %v; want mode 0644 untouched", in, err)
+			}
+			for _, path := range []string{"/b/d/g", "/b/d/e/h"} {
+				if _, err := owner.Resolve(path); err != nil {
+					t.Errorf("owner has no %s: %v", path, err)
+				}
+				if _, err := stale.Resolve(path); err == nil {
+					t.Errorf("rank 0's stale copy has %s", path)
+				}
+			}
+
+			// Moved under a directory with no known path, the hints drop.
+			x, err := c.MkdirAll(p, "/b/x", 0755)
+			if err != nil {
+				t.Errorf("mkdir /b/x: %v", err)
+				return
+			}
+			delete(c.paths, x)
+			if err := errors.Join(c.Rename(p, b, "f", x, "f"), c.Rename(p, b, "d", x, "d")); err != nil {
+				t.Errorf("rename under /b/x: %v", err)
+				return
+			}
+			for _, ino := range []namespace.Ino{f, d, e} {
+				if got := c.pathOf(ino); got != "" {
+					t.Errorf("inode %d moved under an unknown path routes by %q, want none", ino, got)
+				}
+			}
+		})
+		eng.RunAll()
+	})
+}
+
+// TestRouteHintsEndWithUnlink: each created file costs the client one
+// route-hint entry, and unlinking the file removes it, so create/unlink
+// cycles leave the hint map empty — also when one file is renamed over
+// another before the unlinks, which ends the replaced file.
+func TestRouteHintsEndWithUnlink(t *testing.T) {
+	cl := newCluster()
+	c := cl.client("c0")
+	cl.run(t, func(p runtime.Task) {
+		dir, err := c.MkdirAll(p, "/d", 0755)
+		if err != nil {
+			t.Errorf("mkdir: %v", err)
+			return
+		}
+		for cycle := 0; cycle < 3; cycle++ {
+			for i := 0; i < 100; i++ {
+				if _, err := c.Create(p, dir, fmt.Sprintf("f%d", i), 0644); err != nil {
+					t.Errorf("create: %v", err)
+					return
+				}
+			}
+			if len(c.files) != 100 {
+				t.Errorf("cycle %d: %d route hints after 100 creates, want 100", cycle, len(c.files))
+			}
+			if err := c.Rename(p, dir, "f0", dir, "f1"); err != nil {
+				t.Errorf("rename: %v", err)
+			}
+			for i := 1; i < 100; i++ {
+				if err := c.Unlink(p, dir, fmt.Sprintf("f%d", i)); err != nil {
+					t.Errorf("unlink: %v", err)
+				}
+			}
+			if len(c.files) != 0 {
+				t.Errorf("cycle %d: %d route hints after unlinking every file, want 0", cycle, len(c.files))
+			}
+		}
+	})
 }

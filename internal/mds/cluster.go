@@ -137,6 +137,8 @@ func (c *Cluster) SetHeat(h *obs.Heat) {
 // new owner — exactly how CephFS subtree exports hand off authority. The
 // copy and the table flip happen in one step with both ranks and the
 // control plane held together, so no request is served between them.
+// A file is never placed, on either branch: a request addressed to a
+// file routes by its parent directory's path (client.Client.pathOf).
 func (c *Cluster) Place(p runtime.Task, path string, rank int) error {
 	if rank < 0 || rank >= len(c.ranks) {
 		return fmt.Errorf("mds: place %s: rank %d out of range [0,%d)", path, rank, len(c.ranks))
@@ -148,11 +150,13 @@ func (c *Cluster) Place(p runtime.Task, path string, rank int) error {
 	var err error
 	c.eng.Together(p, []runtime.Domain{c.dom, src.dom, dst.dom}, func() {
 		if src != dst {
-			if err = exportSubtree(src.store, dst.store, path); err != nil {
-				return
-			}
+			err = exportSubtree(src.store, dst.store, path)
+		} else if in, rerr := src.store.Resolve(path); rerr == nil && !in.IsDir() {
+			err = fmt.Errorf("subtree %q: %w", path, namespace.ErrNotDir)
 		}
-		c.table.Place(path, rank)
+		if err == nil {
+			c.table.Place(path, rank)
+		}
 	})
 	if err != nil {
 		return fmt.Errorf("mds: place %s on rank %d: %w", path, rank, err)

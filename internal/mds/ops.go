@@ -96,18 +96,24 @@ func handleSetAttr(s *Server, p runtime.Task, req *Request) error {
 	return nil
 }
 
+// handleUnlink and handleRename name the inode whose dentry they remove or
+// move in reply.Ino and IsDir, so the client's route hint follows it.
 func handleUnlink(s *Server, p runtime.Task, req *Request) error {
+	in := s.store.Child(req.Parent, req.Name)
 	if err := s.store.Unlink(req.Parent, req.Name); err != nil {
 		return err
 	}
+	req.reply.Ino, req.reply.IsDir = in.Ino, in.IsDir()
 	s.updateCaps(p, req.Parent, req.Client, &req.reply)
 	return nil
 }
 
 func handleRename(s *Server, p runtime.Task, req *Request) error {
+	in := s.store.Child(req.Parent, req.Name)
 	if err := s.store.Rename(req.Parent, req.Name, req.NewParent, req.NewName); err != nil {
 		return err
 	}
+	req.reply.Ino, req.reply.IsDir = in.Ino, in.IsDir()
 	s.updateCaps(p, req.Parent, req.Client, &req.reply)
 	return nil
 }

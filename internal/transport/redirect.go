@@ -1,9 +1,6 @@
 package transport
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // WrongRankError is the typed redirect a metadata rank answers when a
 // request lands on a rank that does not own the path — it was routed
@@ -30,16 +27,28 @@ func (e *WrongRankError) Error() string {
 }
 
 // IsRedirect reports whether err is (or wraps) a WrongRankError and
-// returns it. A nil err — every served RPC — returns before the errors.As
-// target is declared: the target escapes, so declaring it costs a heap
-// allocation.
+// returns it. It walks the chain errors.As walks — Unwrap() error, and
+// Unwrap() []error depth first — with a type assertion per link, so it
+// allocates nothing: an errors.As target escapes, which cost a heap
+// allocation for every non-nil err (a cap-less create's not-found
+// lookup). An As method is not consulted; no error here has one.
 func IsRedirect(err error) (*WrongRankError, bool) {
-	if err == nil {
-		return nil, false
-	}
-	var wr *WrongRankError
-	if errors.As(err, &wr) {
-		return wr, true
+	for err != nil {
+		switch e := err.(type) {
+		case *WrongRankError:
+			return e, true
+		case interface{ Unwrap() error }:
+			err = e.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, inner := range e.Unwrap() {
+				if wr, ok := IsRedirect(inner); ok {
+					return wr, true
+				}
+			}
+			return nil, false
+		default:
+			return nil, false
+		}
 	}
 	return nil, false
 }

@@ -120,11 +120,51 @@ func TestWrongRankError(t *testing.T) {
 	}
 }
 
-// TestRouteIsRedirectNilDoesNotAllocate: every served RPC asks whether
-// its reply error is a redirect, and a nil error must cost nothing.
-func TestRouteIsRedirectNilDoesNotAllocate(t *testing.T) {
-	if n := testing.AllocsPerRun(100, func() { IsRedirect(nil) }); n != 0 {
-		t.Fatalf("IsRedirect(nil) allocates %.1f objects, want 0", n)
+// redirectCases are errors IsRedirect must classify as errors.As does:
+// nil, plain, a redirect bare, wrapped, doubly wrapped, joined (first,
+// last and nested), a typed nil, and chains with no redirect in them.
+func redirectCases() []error {
+	moved := &WrongRankError{Path: "/job", Rank: 2}
+	frozen := &WrongRankError{Path: "/job", Frozen: true}
+	plain := errors.New("plain")
+	return []error{
+		nil,
+		plain,
+		moved,
+		fmt.Errorf("rpc: %w", frozen),
+		fmt.Errorf("outer: %w", fmt.Errorf("rpc: %w", moved)),
+		fmt.Errorf("rpc: %v", moved), // formatted, not wrapped
+		errors.Join(moved, plain),
+		errors.Join(plain, frozen),
+		errors.Join(plain, fmt.Errorf("x: %w", errors.Join(plain, moved))),
+		fmt.Errorf("two: %w, %w", plain, frozen),
+		errors.Join(plain, fmt.Errorf("x: %w", plain)),
+		fmt.Errorf("typed nil: %w", (*WrongRankError)(nil)),
+	}
+}
+
+// TestRouteIsRedirectMatchesErrorsAs: IsRedirect's own walk of the unwrap
+// chain finds the same redirect errors.As finds, or none when it finds
+// none.
+func TestRouteIsRedirectMatchesErrorsAs(t *testing.T) {
+	for i, err := range redirectCases() {
+		var want *WrongRankError
+		wantOK := errors.As(err, &want)
+		got, ok := IsRedirect(err)
+		if ok != wantOK || got != want {
+			t.Errorf("case %d: IsRedirect(%v) = %v, %v; errors.As gives %v, %v", i, err, got, ok, want, wantOK)
+		}
+	}
+}
+
+// TestRouteIsRedirectDoesNotAllocate: every RPC asks whether its reply
+// error is a redirect, and the check costs nothing whatever the error —
+// nil for a served RPC, a not-found lookup for a cap-less create.
+func TestRouteIsRedirectDoesNotAllocate(t *testing.T) {
+	for i, err := range redirectCases() {
+		if n := testing.AllocsPerRun(100, func() { IsRedirect(err) }); n != 0 {
+			t.Errorf("case %d: IsRedirect(%v) allocates %.1f objects, want 0", i, err, n)
+		}
 	}
 }
 
