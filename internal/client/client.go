@@ -84,7 +84,7 @@ type Client struct {
 	// existence check, which a shared directory never takes again.
 	caps   map[namespace.Ino]bool
 	shared map[namespace.Ino]bool
-	dcache map[namespace.Ino]map[string]namespace.Ino
+	dcache map[namespace.Ino]*namespace.Dentries
 
 	// req is the request buffer an RPC method fills in place (enter,
 	// leave); nil while one holds it.
@@ -181,7 +181,7 @@ func New(eng runtime.Runtime, cfg model.Config, name string, svc *mds.Cluster, o
 func (c *Client) dropCaches() {
 	c.caps = make(map[namespace.Ino]bool)
 	c.shared = make(map[namespace.Ino]bool)
-	c.dcache = make(map[namespace.Ino]map[string]namespace.Ino)
+	c.dcache = make(map[namespace.Ino]*namespace.Dentries)
 	c.paths = map[namespace.Ino]string{namespace.RootIno: "/"}
 	c.files = make(map[namespace.Ino]namespace.Ino)
 }
@@ -407,12 +407,12 @@ func (c *Client) cacheDentry(dir namespace.Ino, name string, ino namespace.Ino) 
 	if c.shared[dir] {
 		return
 	}
-	m := c.dcache[dir]
-	if m == nil {
-		m = make(map[string]namespace.Ino)
-		c.dcache[dir] = m
+	d := c.dcache[dir]
+	if d == nil {
+		d = new(namespace.Dentries)
+		c.dcache[dir] = d
 	}
-	m[name] = ino
+	d.Set(name, ino)
 }
 
 // Create makes a regular file via the RPCs mechanism. Per the paper's
@@ -430,7 +430,7 @@ func (c *Client) Create(p runtime.Task, dir namespace.Ino, name string, mode uin
 	if c.caps[dir] && !c.shared[dir] {
 		// Local existence check against the cached dentries.
 		c.stats.LocalLookups++
-		if _, exists := c.dcache[dir][name]; exists {
+		if _, exists := c.dcache[dir].Get(name); exists {
 			return 0, fmt.Errorf("create %q: %w", name, namespace.ErrExist)
 		}
 	} else {
@@ -563,7 +563,7 @@ func (c *Client) Unlink(p runtime.Task, dir namespace.Ino, name string) error {
 	req.Op, req.Parent, req.Name, req.Route = mds.OpUnlink, dir, name, c.pathOf(dir)
 	r := c.submit(p, req)
 	if r.Err == nil {
-		delete(c.dcache[dir], name)
+		c.dcache[dir].Delete(name)
 		delete(c.files, r.Ino)
 	}
 	return r.Err
@@ -581,8 +581,8 @@ func (c *Client) Rename(p runtime.Task, dir namespace.Ino, name string, newDir n
 	if r.Err != nil {
 		return r.Err
 	}
-	delete(c.dcache[dir], name)
-	if replaced, ok := c.dcache[newDir][newName]; ok && replaced != r.Ino {
+	c.dcache[dir].Delete(name)
+	if replaced, ok := c.dcache[newDir].Get(newName); ok && replaced != r.Ino {
 		delete(c.files, replaced)
 	}
 	c.cacheDentry(newDir, newName, r.Ino)

@@ -225,8 +225,8 @@ func TestSharedDirectoryNotCached(t *testing.T) {
 			return
 		}
 		a.Create(p, dir, "f0", 0644)
-		if !a.HoldsCap(dir) || len(a.dcache[dir]) != 1 {
-			t.Errorf("single writer: cap %v, %d cached dentries; want the cap and 1", a.HoldsCap(dir), len(a.dcache[dir]))
+		if !a.HoldsCap(dir) || a.dcache[dir].Len() != 1 {
+			t.Errorf("single writer: cap %v, %d cached dentries; want the cap and 1", a.HoldsCap(dir), a.dcache[dir].Len())
 			return
 		}
 		b.Create(p, dir, "intruder", 0644)

@@ -68,8 +68,11 @@ func (t EventType) Valid() bool { return t > EvInvalid && t < evMax }
 //	  Parent the source rank, NewParent the destination rank, Seq the
 //	  monitor-assigned migration sequence. Written as the export-commit
 //	  record; a namespace store treats it as a no-op on replay.
+//
+// Type sits after GID, in the padding the three 32-bit fields leave, so
+// the struct is 109 bytes of fields in the 112-byte size class rather
+// than 128 (TestEventSize).
 type Event struct {
-	Type      EventType
 	Seq       uint64 // per-producer sequence number
 	Client    string // issuing client (session) id
 	Ino       uint64
@@ -80,6 +83,7 @@ type Event struct {
 	Mode      uint32
 	UID       uint32
 	GID       uint32
+	Type      EventType
 	Size      uint64
 	Mtime     int64 // virtual nanoseconds
 }

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 	"unsafe"
+
+	"cudele/internal/journal"
 )
 
 // TestInodeSize pins Inode at 80 bytes, the top of its allocator size
@@ -19,8 +21,29 @@ func TestInodeSize(t *testing.T) {
 	}
 }
 
+// TestEventSize pins journal.Event at 112 bytes: Type sits in the padding
+// after GID. With it first, the struct is 120 bytes and every event a
+// decoupled client journals or a merge decodes is allocated in the
+// 128-byte class.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(journal.Event{}); got != 112 {
+		t.Fatalf("unsafe.Sizeof(journal.Event{}) = %d, want 112: keep the 8-bit Type beside the 32-bit fields", got)
+	}
+}
+
+// TestSEEntrySize pins the strong-eventual summary at 128 bytes, so a
+// slab of 8 KB carves 63 of them (seSlab); at 160 bytes it carved 51.
+func TestSEEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(seEntry{}); got != 128 {
+		t.Fatalf("unsafe.Sizeof(seEntry{}) = %d, want 128", got)
+	}
+	if seSlab != 63 {
+		t.Fatalf("seSlab = %d, want 63", seSlab)
+	}
+}
+
 // checkListings lists every directory of s and compares each listing with
-// the sorted keys of the directory's dentry map, so it both verifies the
+// the sorted names of the directory's dentry table, so it both verifies the
 // snapshots and leaves every directory with one for the next mutation to
 // invalidate.
 func checkListings(t *testing.T, s *Store, step string) {
@@ -32,7 +55,7 @@ func checkListings(t *testing.T, s *Store, step string) {
 		}
 		want := make([]string, 0, in.frag.len())
 		if in.frag != nil {
-			for name := range in.frag.ents {
+			for name := range in.frag.ents.All() {
 				want = append(want, name)
 			}
 		}
@@ -46,14 +69,14 @@ func checkListings(t *testing.T, s *Store, step string) {
 				step, ino, len(got), cap(got))
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s: ReadDir(%d) = %v, dentry map has %v", step, ino, got, want)
+			t.Fatalf("%s: ReadDir(%d) = %v, dentry table has %v", step, ino, got, want)
 		}
 	})
 }
 
 // TestListingFollowsEveryMutation drives random mutations of every kind
-// that edits a dentry map and, after each one, compares every directory's
-// listing with its map. Every directory holds a snapshot when the next
+// that edits a dentry table and, after each one, compares every directory's
+// listing with its table. Every directory holds a snapshot when the next
 // step runs, so a mutation that forgot to drop one is caught at once.
 func TestListingFollowsEveryMutation(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e", "f"}

@@ -3,6 +3,7 @@ package namespace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"testing"
 )
@@ -101,5 +102,46 @@ func FuzzDecodeDir(f *testing.F) {
 		if err != nil || !bytes.Equal(img, img2) {
 			t.Fatalf("directory %d re-encodes differently (%v):\n%x\n%x", obj.Ino, err, img, img2)
 		}
+	})
+}
+
+// FuzzDentries runs a name table and a map[string]Ino through the same
+// operations and requires them to agree after each. Each input byte is an
+// operation: the low two bits pick set, get, delete or a full comparison,
+// and the rest pick one of 64 names, so inputs revisit names, free and
+// reuse positions, leave tombstones and cross the small-directory
+// threshold in both directions.
+func FuzzDentries(f *testing.F) {
+	f.Add([]byte{0, 4, 8, 12, 3, 5, 1, 3})
+	grow := make([]byte, 0, 256)
+	for i := 0; i < 64; i++ {
+		grow = append(grow, byte(i<<2))
+	}
+	for i := 0; i < 64; i += 2 {
+		grow = append(grow, byte(i<<2|2))
+	}
+	f.Add(append(grow, 3))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		d := new(Dentries)
+		model := make(map[string]Ino)
+		for i, op := range ops {
+			name := fmt.Sprintf("n%d", op>>2)
+			switch op & 3 {
+			case 0:
+				d.Set(name, Ino(i+2))
+				model[name] = Ino(i + 2)
+			case 1:
+				got, ok := d.Get(name)
+				if want, has := model[name]; ok != has || got != want {
+					t.Fatalf("op %d: Get(%q) = %d, %v; map has %d, %v", i, name, got, ok, want, has)
+				}
+			case 2:
+				d.Delete(name)
+				delete(model, name)
+			default:
+				checkDentries(t, d, model, fmt.Sprintf("op %d", i))
+			}
+		}
+		checkDentries(t, d, model, "end")
 	})
 }

@@ -99,25 +99,25 @@ func (in *Inode) IsDir() bool { return in.Type == TypeDir }
 // NumChildren returns the number of dentries of a directory inode.
 func (in *Inode) NumChildren() int { return in.frag.len() }
 
-// dirFrag is a directory's fragment: the dentry map and, once the
+// dirFrag is a directory's fragment: the dentry table and, once the
 // directory has been listed, an ordered snapshot of its names.
 //
-// The snapshot is immutable. link and unlink — the only writers of the
-// map — drop it and the next listing builds a new one, so a slice handed
-// out earlier keeps describing the directory as it was. It is never
+// The snapshot is immutable. link, add and unlink — the only writers of
+// the table — drop it and the next listing builds a new one, so a slice
+// handed out earlier keeps describing the directory as it was. It is never
 // edited in place: a sorted insert would make a create O(n) in its
 // directory, and a directory nobody lists should pay nothing for being
 // listable. It lives and dies with its inode; a table keyed by Ino would
 // outlive PruneSubtree and serve a stale listing when a migration brings
 // the same inode numbers back.
 type dirFrag struct {
-	ents map[string]Ino
+	ents Dentries
 	// names is the sorted dentry names with cap == len, nil when the
 	// directory changed since it was last listed (or never was).
 	names []string
 }
 
-func newDirFrag() *dirFrag { return &dirFrag{ents: make(map[string]Ino)} }
+func newDirFrag() *dirFrag { return &dirFrag{} }
 
 // dentries returns the inode's fragment for writing, creating it when a
 // hand-built or repaired inode has none.
@@ -132,27 +132,41 @@ func (f *dirFrag) len() int {
 	if f == nil {
 		return 0
 	}
-	return len(f.ents)
+	return f.ents.Len()
 }
 
 func (f *dirFrag) lookup(name string) (Ino, bool) {
 	if f == nil {
 		return 0, false
 	}
-	ino, ok := f.ents[name]
-	return ino, ok
+	return f.ents.Get(name)
 }
 
-// link adds or repoints dentry name. With unlink it is the only code
-// that writes a dentry map, so no mutation can forget the invalidation.
+// link adds or repoints dentry name. With add and unlink it is the only
+// code that writes a dentry table, so no mutation can forget the
+// invalidation.
 func (f *dirFrag) link(name string, ino Ino) {
-	f.ents[name] = ino
+	f.ents.Set(name, ino)
+	f.names = nil
+}
+
+// absent reports whether the fragment lacks name, and where add puts it,
+// so that a create looks its name up once.
+func (f *dirFrag) absent(name string) (probe, bool) {
+	e, _, pr := f.ents.find(name)
+	return pr, e == nil
+}
+
+// add links name, which absent just reported missing with pr; nothing
+// may have written the fragment in between.
+func (f *dirFrag) add(pr probe, name string, ino Ino) {
+	f.ents.insert(pr, name, ino)
 	f.names = nil
 }
 
 // unlink removes dentry name.
 func (f *dirFrag) unlink(name string) {
-	delete(f.ents, name)
+	f.ents.Delete(name)
 	f.names = nil
 }
 
@@ -174,8 +188,8 @@ func (f *dirFrag) list(st *ListStats) []string {
 	}
 	if f.names == nil {
 		st.Rebuilds++
-		names := make([]string, 0, len(f.ents))
-		for name := range f.ents {
+		names := make([]string, 0, f.ents.Len())
+		for name := range f.ents.All() {
 			names = append(names, name)
 		}
 		sort.Strings(names)
@@ -189,7 +203,8 @@ func (f *dirFrag) list(st *ListStats) []string {
 // taken at entry.
 func (f *dirFrag) each(st *ListStats, fn func(name string, ino Ino) error) error {
 	for _, name := range f.list(st) {
-		if err := fn(name, f.ents[name]); err != nil {
+		ino, _ := f.ents.Get(name)
+		if err := fn(name, ino); err != nil {
 			return err
 		}
 	}
@@ -492,7 +507,9 @@ func (s *Store) createCommon(parent Ino, name string, typ FileType, attrs Create
 	if !dir.IsDir() {
 		return nil, fmt.Errorf("create %q in inode %d: %w", name, parent, ErrNotDir)
 	}
-	if _, exists := dir.frag.lookup(name); exists {
+	frag := dir.dentries()
+	pr, ok := frag.absent(name)
+	if !ok {
 		return nil, fmt.Errorf("create %q in inode %d: %w", name, parent, ErrExist)
 	}
 	ino := attrs.Ino
@@ -514,7 +531,9 @@ func (s *Store) createCommon(parent Ino, name string, typ FileType, attrs Create
 	if typ == TypeDir {
 		in.frag = newDirFrag()
 	}
-	s.insertChild(dir, in)
+	frag.add(pr, name, ino)
+	s.inodes.put(in)
+	s.version++
 	return in, nil
 }
 

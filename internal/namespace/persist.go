@@ -163,6 +163,10 @@ func DecodeDir(data []byte) (*DirObject, error) {
 	if d.Name, err = r.str(); err != nil {
 		return nil, err
 	}
+	if d.Ino != RootIno && (d.Name == "" || strings.Contains(d.Name, "/")) {
+		// InstallDir links a directory it materializes under this name.
+		return nil, fmt.Errorf("decode dir %d: bad name %q: %w", d.Ino, d.Name, ErrInval)
+	}
 	if v, err = r.uvar(); err != nil {
 		return nil, err
 	}
@@ -246,7 +250,7 @@ func (s *Store) InstallDir(d *DirObject) error {
 		incoming[e.Name] = e
 	}
 	frag := dir.dentries()
-	for name, ci := range frag.ents {
+	for name, ci := range frag.ents.All() {
 		if _, ok := incoming[name]; !ok {
 			child, _ := s.Get(ci)
 			if child != nil && child.IsDir() {
@@ -292,7 +296,7 @@ func (s *Store) Dirs() []Ino {
 			continue
 		}
 		var subdirs []Ino
-		for _, ci := range dir.frag.ents {
+		for _, ci := range dir.frag.ents.All() {
 			if child, _ := s.Get(ci); child != nil && child.IsDir() {
 				subdirs = append(subdirs, ci)
 			}

@@ -73,30 +73,24 @@ func (t SETag) After(o SETag) bool {
 	return t.Seq > o.Seq
 }
 
-// seFile is the payload of the winning file create for a dentry.
-type seFile struct {
-	ino   Ino
-	mode  uint32
-	uid   uint32
-	gid   uint32
-	mtime int64
-}
-
 // seEntry is the CRDT summary for one name in one logical directory.
 // Each component only ever max-merges, so applying the same events in any
 // order or any number of times yields the same summary. An entry with
 // nothing summarized is a placeholder on the way to a deeper directory
 // node; it is never rendered.
+//
+// The winning file create's payload is ino, mode, uid and gid; its mtime
+// is fileTag.Mtime. The struct is 128 bytes (TestSEEntrySize): the three
+// flags share one word with the payload's 32-bit fields.
 type seEntry struct {
-	hasFile bool
 	fileTag SETag
-	file    seFile
-
-	hasDir bool
-	dirTag SETag
-
-	hasTomb bool
+	dirTag  SETag
 	tombTag SETag
+
+	ino            Ino
+	mode, uid, gid uint32
+
+	hasFile, hasDir, hasTomb bool
 
 	// sub is the directory node at this entry's path, nil until a mkdir
 	// or a store directory names it.
@@ -137,8 +131,8 @@ func (m *SEMerger) entry(d *seDir, name string) *seEntry {
 // seSlab is how many summaries one slab allocation carves: summaries are
 // never freed, so carving them from shared arrays loses nothing. A slab
 // plus the 8-byte header the allocator puts on a pointerful object over
-// 512 bytes fills one 8 KB size class (51 summaries of 160 bytes); 64
-// would spill into the 10 880-byte class and waste 10 bytes a summary.
+// 512 bytes fills one 8 KB size class (63 summaries of 128 bytes); 64
+// would spill into the 9 472-byte class and waste 20 bytes a summary.
 const seSlab = (8<<10 - 8) / int(unsafe.Sizeof(seEntry{}))
 
 // dir returns the node of the directory that e, the entry for name in
@@ -295,7 +289,7 @@ func (m *SEMerger) ApplyEvent(ev *journal.Event) error {
 			}
 			if !e.hasFile || tag.After(e.fileTag) {
 				e.hasFile, e.fileTag = true, tag
-				e.file = seFile{ino: Ino(ev.Ino), mode: ev.Mode, uid: ev.UID, gid: ev.GID, mtime: ev.Mtime}
+				e.ino, e.mode, e.uid, e.gid = Ino(ev.Ino), ev.Mode, ev.UID, ev.GID
 			}
 		default:
 			if !e.hasTomb || tag.After(e.tombTag) {
@@ -357,7 +351,7 @@ func (m *SEMerger) materialize(dir *seDir, name string, e *seEntry) error {
 		return m.removeRendered(dir, name, cur, pin)
 	case seIsFile:
 		if cur != nil {
-			if !cur.IsDir() && cur.Ino == e.file.ino {
+			if !cur.IsDir() && cur.Ino == e.ino {
 				return nil // already the winning create
 			}
 			if err := m.removeRendered(dir, name, cur, pin); err != nil {
@@ -365,8 +359,8 @@ func (m *SEMerger) materialize(dir *seDir, name string, e *seEntry) error {
 			}
 		}
 		_, err := m.store.Create(pin, name, CreateAttrs{
-			Ino: e.file.ino, Mode: e.file.mode, UID: e.file.uid,
-			GID: e.file.gid, Mtime: e.file.mtime,
+			Ino: e.ino, Mode: e.mode, UID: e.uid,
+			GID: e.gid, Mtime: e.fileTag.Mtime,
 		})
 		m.wrote()
 		return err
@@ -431,21 +425,42 @@ func (m *SEMerger) removeRendered(dir *seDir, name string, cur *Inode, parent In
 // converged state), files with their client-assigned inode and
 // attributes. Two stores merged from any permutations of the same client
 // journals must render byte-identical images.
+//
+// The image is written in two walks, the first only measuring it, so it
+// is one allocation of its exact size: grown by doubling and then copied
+// into a string, it held up to three times its size at once, in the
+// largest contiguous blocks a convergence check allocates.
 func SEImageOf(st *Store, root Ino) (string, error) {
-	var b []byte
+	var line []byte
+	size := 0
 	err := st.Walk(root, func(p string, in *Inode) error {
-		b = append(b, p...)
-		if in.IsDir() {
-			b = append(b, "/\n"...)
-			return nil
-		}
-		b = strconv.AppendUint(append(b, " ino="...), uint64(in.Ino), 10)
-		b = strconv.AppendUint(append(b, " mode="...), uint64(in.Mode), 8)
-		b = strconv.AppendUint(append(b, " uid="...), uint64(in.UID), 10)
-		b = strconv.AppendUint(append(b, " gid="...), uint64(in.GID), 10)
-		b = strconv.AppendInt(append(b, " mtime="...), in.Mtime, 10)
-		b = append(b, '\n')
+		line = appendSEImageLine(line[:0], p, in)
+		size += len(line)
 		return nil
 	})
-	return string(b), err
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	b.Grow(size)
+	err = st.Walk(root, func(p string, in *Inode) error {
+		line = appendSEImageLine(line[:0], p, in)
+		b.Write(line)
+		return nil
+	})
+	return b.String(), err
+}
+
+// appendSEImageLine appends the image line of in, at path p, to b.
+func appendSEImageLine(b []byte, p string, in *Inode) []byte {
+	b = append(b, p...)
+	if in.IsDir() {
+		return append(b, "/\n"...)
+	}
+	b = strconv.AppendUint(append(b, " ino="...), uint64(in.Ino), 10)
+	b = strconv.AppendUint(append(b, " mode="...), uint64(in.Mode), 8)
+	b = strconv.AppendUint(append(b, " uid="...), uint64(in.UID), 10)
+	b = strconv.AppendUint(append(b, " gid="...), uint64(in.GID), 10)
+	b = strconv.AppendInt(append(b, " mtime="...), in.Mtime, 10)
+	return append(b, '\n')
 }

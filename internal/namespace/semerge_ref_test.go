@@ -129,7 +129,7 @@ func (m *refSEMerger) ApplyEvent(ev *journal.Event) error {
 			}
 			if !e.hasFile || tag.After(e.fileTag) {
 				e.hasFile, e.fileTag = true, tag
-				e.file = seFile{ino: Ino(ev.Ino), mode: ev.Mode, uid: ev.UID, gid: ev.GID, mtime: ev.Mtime}
+				e.ino, e.mode, e.uid, e.gid = Ino(ev.Ino), ev.Mode, ev.UID, ev.GID
 			}
 		}
 		m.link(pp, ev.Name)
@@ -180,7 +180,7 @@ func (m *refSEMerger) materialize(key string) error {
 		return m.removeRendered(key, cur, pin.Ino, name)
 	case seIsFile:
 		if cur != nil {
-			if !cur.IsDir() && cur.Ino == e.file.ino {
+			if !cur.IsDir() && cur.Ino == e.ino {
 				return nil // already the winning create
 			}
 			if err := m.removeRendered(key, cur, pin.Ino, name); err != nil {
@@ -188,8 +188,8 @@ func (m *refSEMerger) materialize(key string) error {
 			}
 		}
 		_, err := m.store.Create(pin.Ino, name, CreateAttrs{
-			Ino: e.file.ino, Mode: e.file.mode, UID: e.file.uid,
-			GID: e.file.gid, Mtime: e.file.mtime,
+			Ino: e.ino, Mode: e.mode, UID: e.uid,
+			GID: e.gid, Mtime: e.fileTag.Mtime,
 		})
 		return err
 	case seIsDir:

@@ -188,3 +188,71 @@ func BenchmarkSEMergeApply(b *testing.B) {
 		}
 	}
 }
+
+// The name-table benchmarks set a Dentries beside the map[string]Ino it
+// replaced, at a directory of benchDir names. Fill is one name into a
+// table that grows from empty, so its B/op is the table's bytes per name
+// counting growth; Hit and Miss are one Get of a present and an absent
+// name in a full one.
+const benchDir = 1000
+
+func benchNames(prefix string) []string {
+	names := make([]string, benchDir)
+	for i := range names {
+		names[i] = fmt.Sprintf("%s%06d", prefix, i)
+	}
+	return names
+}
+
+func BenchmarkDentriesFill(b *testing.B) {
+	names := benchNames("file")
+	b.Run("table", func(b *testing.B) {
+		var d *Dentries
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i % benchDir
+			if k == 0 {
+				d = new(Dentries)
+				dentriesSink = d
+			}
+			d.Set(names[k], Ino(k+2))
+		}
+	})
+	b.Run("map", func(b *testing.B) {
+		var m map[string]Ino
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i % benchDir
+			if k == 0 {
+				m = make(map[string]Ino)
+				mapSink = m
+			}
+			m[names[k]] = Ino(k + 2)
+		}
+	})
+}
+
+func BenchmarkDentriesHit(b *testing.B)  { benchDentriesGet(b, "file") }
+func BenchmarkDentriesMiss(b *testing.B) { benchDentriesGet(b, "absent") }
+
+var benchIno Ino
+
+func benchDentriesGet(b *testing.B, prefix string) {
+	names, probes := benchNames("file"), benchNames(prefix)
+	rand.New(rand.NewSource(1)).Shuffle(len(probes), func(i, j int) { probes[i], probes[j] = probes[j], probes[i] })
+	d, m := new(Dentries), make(map[string]Ino)
+	for i, nm := range names {
+		d.Set(nm, Ino(i+2))
+		m[nm] = Ino(i + 2)
+	}
+	b.Run("table", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchIno, _ = d.Get(probes[i%benchDir])
+		}
+	})
+	b.Run("map", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchIno = m[probes[i%benchDir]]
+		}
+	})
+}
