@@ -132,7 +132,8 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 // determinism contract: the merged trace and metrics dump are
 // byte-identical whether the grid ran sequentially or on a worker pool,
 // because exports sort runs by name and each run is itself
-// deterministic.
+// deterministic. fig5 runs Nonvolatile Apply, whose final directory
+// writes once followed map order and so differed from run to run.
 func TestSinkDeterministicAcrossWorkers(t *testing.T) {
 	exportAt := func(id string, workers int) (string, string) {
 		opts := Options{Scale: 0.002, Seed: 1, Workers: workers, Sink: NewSink()}
@@ -148,7 +149,7 @@ func TestSinkDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return tb.String(), mb.String()
 	}
-	for _, id := range []string{"multimds", "fig6a"} {
+	for _, id := range []string{"multimds", "fig6a", "fig5"} {
 		seqTrace, seqMetrics := exportAt(id, 1)
 		parTrace, parMetrics := exportAt(id, 4)
 		if seqTrace != parTrace {

@@ -72,8 +72,10 @@ type Client struct {
 	obj  *rados.Cluster
 
 	// localDisk models the node's own disk (Local Persist target).
-	localDisk  runtime.Pipe
-	localFiles map[string][]byte
+	localDisk runtime.Pipe
+	// localJournal is the journal image Local Persist last wrote, nil
+	// before the first.
+	localJournal []byte
 	// localDir, when set, makes Local Persist write a real fsynced
 	// file under it instead of charging localDisk (see localstore.go).
 	localDir string
@@ -162,15 +164,14 @@ func (d *decoupled) clearJournal() {
 // its messages by the placement table, and to the object store.
 func New(eng runtime.Runtime, cfg model.Config, name string, svc *mds.Cluster, obj *rados.Cluster) *Client {
 	c := &Client{
-		eng:        eng,
-		dom:        eng.NewDomain(name),
-		cfg:        cfg,
-		name:       name,
-		svc:        svc,
-		obj:        obj,
-		localDisk:  eng.NewPipe(name+".disk", cfg.LocalDiskBandwidth),
-		localFiles: make(map[string][]byte),
-		req:        new(mds.Request),
+		eng:       eng,
+		dom:       eng.NewDomain(name),
+		cfg:       cfg,
+		name:      name,
+		svc:       svc,
+		obj:       obj,
+		localDisk: eng.NewPipe(name+".disk", cfg.LocalDiskBandwidth),
+		req:       new(mds.Request),
 	}
 	c.dropCaches()
 	return c

@@ -374,7 +374,7 @@ func TestLocalPersistFileSurvivesFailedPersist(t *testing.T) {
 		}
 		recovered := func(when string, want int) {
 			t.Helper()
-			delete(c.localFiles, "journal") // only the file on disk is left
+			c.localJournal = nil // only the file on disk is left
 			if n, err := c.RecoverLocal(p); err != nil || n != want {
 				t.Errorf("%s: recovered %d events, %v; want %d", when, n, err, want)
 			}

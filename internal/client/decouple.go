@@ -383,15 +383,14 @@ func (c *Client) LocalPersist(p runtime.Task) error {
 	if err := c.persistLocal(p, data); err != nil {
 		return err
 	}
-	c.localFiles["journal"] = data
+	c.localJournal = data
 	return nil
 }
 
 // LocalJournalFile returns the bytes written by LocalPersist, as a
 // recovering client would read them back.
 func (c *Client) LocalJournalFile() ([]byte, bool) {
-	b, ok := c.localFiles["journal"]
-	return b, ok
+	return c.localJournal, c.localJournal != nil
 }
 
 // RecoverLocal reloads a persisted journal from local disk into a fresh
@@ -411,7 +410,7 @@ func (c *Client) RecoverLocal(p runtime.Task) (int, error) {
 		return 0, err
 	}
 	if !ok {
-		if data, ok = c.localFiles["journal"]; !ok {
+		if data = c.localJournal; data == nil {
 			return 0, errors.New("client: no persisted journal")
 		}
 	}
@@ -592,13 +591,21 @@ func (c *Client) NonvolatileApply(p runtime.Task) (int, error) {
 		}
 	}
 
-	// Materialize the final directory objects for recovery.
-	for ino := range touched {
-		data, err := shadow.EncodeDir(ino)
-		if err != nil {
-			continue // removed by the journal, or touched only as a file's parent
+	// Materialize the final directory objects for recovery, parents
+	// first. A touched directory the journal removed is not in the walk.
+	dirs, _, err := shadow.Subtree("/")
+	if err != nil {
+		return applied, fmt.Errorf("nonvolatile apply: %w", err)
+	}
+	for _, ino := range dirs {
+		if !touched[ino] {
+			continue
 		}
-		if err := pl.Write(p, dirObject(ino), data); err != nil {
+		data, err := shadow.EncodeDir(ino)
+		if err == nil {
+			err = pl.Write(p, dirObject(ino), data)
+		}
+		if err != nil {
 			return applied, fmt.Errorf("nonvolatile apply: %w", err)
 		}
 	}
@@ -635,13 +642,13 @@ const maxChainDepth = 4096
 
 // loadChain materializes directory ino in the shadow store from its
 // object, first loading any missing ancestors. The walk is iterative:
-// objects are collected leaf-to-root, then installed root-first, so chain
-// depth costs no stack. Only a leaf with no object is an empty start (the
-// journal is about to create it): replaying over a directory that failed
-// to read or decode would end by writing back an image without the
-// entries it held, so that is an error, as are a missing ancestor, a
-// cycle in Parent pointers (corrupt objects) and a chain past
-// maxChainDepth.
+// objects are collected leaf-to-root, then InstallDirs installs them
+// root-first, so chain depth costs no stack. Only a leaf with no object
+// is an empty start (the journal is about to create it): replaying over
+// a directory that failed to read or decode would end by writing back an
+// image without the entries it held, so that is an error, as are a
+// missing ancestor, a cycle in Parent pointers (corrupt objects) and a
+// chain past maxChainDepth.
 func (c *Client) loadChain(p runtime.Task, shadow *namespace.Store, ino namespace.Ino) error {
 	var chain []*namespace.DirObject
 	seen := map[namespace.Ino]bool{}
@@ -674,12 +681,7 @@ func (c *Client) loadChain(p runtime.Task, shadow *namespace.Store, ino namespac
 		}
 		ino = obj.Parent
 	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		if err := shadow.InstallDir(chain[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return shadow.InstallDirs(chain)
 }
 
 // RunComposition executes a policy composition: steps in sequence,

@@ -12,7 +12,7 @@ import (
 // directory is configured (SetLocalDir), the client journal is written
 // to a real file with the write→fsync→rename protocol of the object
 // store's FileStore, instead of charging the simulated disk pipe.
-// The in-memory copy (localFiles) stays authoritative for lookups;
+// The in-memory copy (localJournal) stays authoritative for lookups;
 // the file is what survives a process kill, which is exactly the
 // paper's definition of local durability.
 

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"cudele/internal/model"
+	"cudele/internal/namespace"
 	"cudele/internal/policy"
 	"cudele/internal/rados"
 	"cudele/internal/realrt"
 	"cudele/internal/runtime"
+	"cudele/internal/trace"
 )
 
 // jobWithJournal is the state Nonvolatile Apply starts from in these
@@ -252,4 +256,54 @@ func TestNonvolatileApplyFailedFlush(t *testing.T) {
 			t.Errorf("journal holds %d events (%v) after the failed Flush, want 3", len(evs), err)
 		}
 	})
+}
+
+// TestNonvolatileApplyWritesParentsFirst: the final pass writes every
+// touched directory object once, parents before children, in the order
+// Subtree walks the namespace. Iterating the touched set itself gave the
+// writes in map order, so a trace or an object log differed from run to
+// run; ten rounds leave map order no chance to pass by luck.
+func TestNonvolatileApplyWritesParentsFirst(t *testing.T) {
+	want := []string{"/", "/job", "/job/a", "/job/a/x", "/job/a/y", "/job/b", "/job/c"}
+	for round := 0; round < 10; round++ {
+		cl := newCluster()
+		c := cl.client("c0")
+		cl.run(t, func(p runtime.Task) {
+			if !jobWithJournal(t, cl, c, p, 0) {
+				return
+			}
+			root, _ := c.DecoupledRoot()
+			inos := map[string]namespace.Ino{"/": namespace.RootIno, "/job": root}
+			// Made out of name order, so inode order is not the walk's.
+			for _, d := range []string{"/job/b", "/job/a", "/job/c", "/job/a/y", "/job/a/x"} {
+				ino, err := c.LocalMkdir(p, inos[path.Dir(d)], path.Base(d), 0755)
+				if err != nil {
+					t.Errorf("local mkdir %s: %v", d, err)
+					return
+				}
+				inos[d] = ino
+			}
+			rec := trace.New()
+			cl.eng.SetTracer(rec)
+			_, err := c.NonvolatileApply(p)
+			cl.eng.SetTracer(nil)
+			if err != nil {
+				t.Errorf("nonvolatile apply: %v", err)
+				return
+			}
+			var writes []string
+			for _, sp := range rec.Spans() {
+				if sp.Name == "rados.write" {
+					writes = append(writes, sp.Args[0].Val)
+				}
+			}
+			var wantObjs []string
+			for _, d := range want {
+				wantObjs = append(wantObjs, dirObject(inos[d]).String())
+			}
+			if len(writes) < len(want) || !slices.Equal(writes[len(writes)-len(want):], wantObjs) {
+				t.Errorf("round %d: the final pass wrote ...%v, want %v (%v)", round, writes[max(0, len(writes)-len(want)):], wantObjs, want)
+			}
+		})
+	}
 }

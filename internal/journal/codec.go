@@ -28,14 +28,8 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-func putUvarint(b []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(b, tmp[:n]...)
-}
-
 func putString(b []byte, s string) []byte {
-	b = putUvarint(b, uint64(len(s)))
+	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
@@ -85,21 +79,21 @@ func (e *Encoder) AppendEvent(b []byte, ev *Event) ([]byte, error) {
 	}
 	payload := e.scratch[:0]
 	payload = append(payload, byte(ev.Type))
-	payload = putUvarint(payload, ev.Seq)
+	payload = binary.AppendUvarint(payload, ev.Seq)
 	payload = putString(payload, ev.Client)
-	payload = putUvarint(payload, ev.Ino)
-	payload = putUvarint(payload, ev.Parent)
+	payload = binary.AppendUvarint(payload, ev.Ino)
+	payload = binary.AppendUvarint(payload, ev.Parent)
 	payload = putString(payload, ev.Name)
-	payload = putUvarint(payload, ev.NewParent)
+	payload = binary.AppendUvarint(payload, ev.NewParent)
 	payload = putString(payload, ev.NewName)
-	payload = putUvarint(payload, uint64(ev.Mode))
-	payload = putUvarint(payload, uint64(ev.UID))
-	payload = putUvarint(payload, uint64(ev.GID))
-	payload = putUvarint(payload, ev.Size)
-	payload = putUvarint(payload, zigzag(ev.Mtime))
+	payload = binary.AppendUvarint(payload, uint64(ev.Mode))
+	payload = binary.AppendUvarint(payload, uint64(ev.UID))
+	payload = binary.AppendUvarint(payload, uint64(ev.GID))
+	payload = binary.AppendUvarint(payload, ev.Size)
+	payload = binary.AppendUvarint(payload, zigzag(ev.Mtime))
 	e.scratch = payload
 
-	b = putUvarint(b, uint64(len(payload)))
+	b = binary.AppendUvarint(b, uint64(len(payload)))
 	b = append(b, payload...)
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload, castagnoli))

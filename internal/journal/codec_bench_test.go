@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 )
@@ -168,7 +169,7 @@ func TestRecordSizeExact(t *testing.T) {
 
 func TestUvarintLen(t *testing.T) {
 	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1 << 35, 1<<64 - 1} {
-		b := putUvarint(nil, v)
+		b := binary.AppendUvarint(nil, v)
 		if got := uvarintLen(v); got != len(b) {
 			t.Errorf("uvarintLen(%d) = %d, want %d", v, got, len(b))
 		}

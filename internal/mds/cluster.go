@@ -180,7 +180,7 @@ func (c *Cluster) Migrations() int { return int(c.migrations.Load()) }
 // the path resolves, from src to dst via the serialized directory-object
 // form.
 func exportSubtree(src, dst *namespace.Store, path string) error {
-	dirs, err := src.SubtreeDirs(path)
+	dirs, _, err := src.Subtree(path)
 	if err != nil {
 		return err
 	}

@@ -202,7 +202,7 @@ type AttachReply struct{ Err error }
 
 // exportState is one live export session on the source rank.
 type exportState struct {
-	dirs     []namespace.Ino // namespace.Store.SubtreeDirs: install order
+	dirs     []namespace.Ino // namespace.Store.Subtree: install order
 	manifest ExportManifest
 }
 
@@ -249,7 +249,7 @@ func (s *Server) exportBusy(path string) error {
 
 // exportWalk snapshots the subtree at path as an export session and the
 // set of inodes under it. It never yields. The session streams the
-// ancestor chain ahead of the subtree's own directories (SubtreeDirs);
+// ancestor chain ahead of the subtree's own directories (Subtree);
 // ancestors are not part of the export itself — they stay owned by this
 // rank and are outside the inode set, cap revocation, and the prune.
 func (s *Server) exportWalk(path string) (*exportState, map[namespace.Ino]bool, error) {
@@ -260,13 +260,13 @@ func (s *Server) exportWalk(path string) (*exportState, map[namespace.Ino]bool, 
 	if !root.IsDir() || root.Ino == namespace.RootIno {
 		return nil, nil, fmt.Errorf("mds: export %s: %w", path, namespace.ErrInval)
 	}
-	inos, err := s.store.SubtreeInos(path)
+	dirs, inos, err := s.store.Subtree(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	dirs, err := s.store.SubtreeDirs(path)
-	if err != nil {
-		return nil, nil, err
+	set := make(map[namespace.Ino]bool, len(inos))
+	for _, ino := range inos {
+		set[ino] = true
 	}
 	return &exportState{dirs: dirs, manifest: ExportManifest{
 		Path:   path,
@@ -274,7 +274,7 @@ func (s *Server) exportWalk(path string) (*exportState, map[namespace.Ino]bool, 
 		Dirs:   len(dirs),
 		Policy: root.Policy,
 		Owner:  s.owners[root.Ino],
-	}}, inos, nil
+	}}, set, nil
 }
 
 // exportFreeze is the ExportFreezeMsg handler: quiesce and snapshot the

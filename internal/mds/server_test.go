@@ -465,7 +465,8 @@ func TestSaveStoreCommitsOnce(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if n, err := s.saveDirs(p, s.Store().Dirs()); err == nil || n != 0 {
+		dirs, _, _ := s.Store().Subtree("/")
+		if n, err := s.saveDirs(p, dirs); err == nil || n != 0 {
 			t.Errorf("save with the data dir gone = %d, %v; want 0 and the Flush's error", n, err)
 		}
 	})

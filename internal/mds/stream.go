@@ -1,7 +1,6 @@
 package mds
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -292,7 +291,11 @@ func (s *Server) TrimJournal() {
 func (s *Server) SaveStore(p runtime.Task) error {
 	s.dom.Enter(p)
 	defer s.dom.Leave(p)
-	if _, err := s.saveDirs(p, s.store.Dirs()); err != nil {
+	dirs, _, err := s.store.Subtree("/")
+	if err == nil {
+		_, err = s.saveDirs(p, dirs)
+	}
+	if err != nil {
 		return fmt.Errorf("mds save: %w", err)
 	}
 	s.TrimJournal()
@@ -332,13 +335,10 @@ func (s *Server) Recover(p runtime.Task) error {
 	defer s.dom.Leave(p)
 	fresh := newRankStore(s.rank)
 
-	// Load directory objects and install parents before children: an
-	// object's depth is the length of its chain of Parent links that are
-	// objects too. The root is its own parent; a chain longer than the
-	// listing is a cycle, whose members sort last and fail to install.
+	// Load directory objects in listing order; InstallDirs puts parents
+	// before children.
 	names := s.obj.List(p, namespace.ObjectPool)
 	objs := make([]*namespace.DirObject, 0, len(names))
-	byIno := make(map[namespace.Ino]*namespace.DirObject, len(names))
 	for _, name := range names {
 		data, err := s.obj.Read(p, rados.ObjectID{Pool: namespace.ObjectPool, Name: name})
 		if err != nil {
@@ -349,21 +349,9 @@ func (s *Server) Recover(p runtime.Task) error {
 			return fmt.Errorf("mds recover: object %s: %w", name, err)
 		}
 		objs = append(objs, obj)
-		byIno[obj.Ino] = obj
 	}
-	depth := make(map[*namespace.DirObject]int, len(objs))
-	for _, obj := range objs {
-		d := 0
-		for a := obj; a.Parent != a.Ino && byIno[a.Parent] != nil && d <= len(objs); a = byIno[a.Parent] {
-			d++
-		}
-		depth[obj] = d
-	}
-	slices.SortStableFunc(objs, func(a, b *namespace.DirObject) int { return cmp.Compare(depth[a], depth[b]) })
-	for _, obj := range objs {
-		if err := fresh.InstallDir(obj); err != nil {
-			return fmt.Errorf("mds recover: orphan directory object %s: %w", namespace.DirObjectName(obj.Ino), err)
-		}
+	if err := fresh.InstallDirs(objs); err != nil {
+		return fmt.Errorf("mds recover: %w", err)
 	}
 
 	// Replay streamed journal segments from the object store.

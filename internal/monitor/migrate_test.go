@@ -77,7 +77,7 @@ func TestMigrateMovesOwnership(t *testing.T) {
 
 // TestMigrateAndPlaceLandTheSameImage: an online migration and a set-up
 // placement carry a subtree through the same directory objects in the
-// same order (namespace.Store.SubtreeDirs), so the image each lands on
+// same order (namespace.Store.Subtree), so the image each lands on
 // the destination rank is the same — over a tree wider than one migration
 // chunk, with nested and sibling directories.
 func TestMigrateAndPlaceLandTheSameImage(t *testing.T) {

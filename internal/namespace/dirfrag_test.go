@@ -85,7 +85,7 @@ func TestListingFollowsEveryMutation(t *testing.T) {
 		s := NewStore()
 		pick := func() string { return names[rng.Intn(len(names))] }
 		dir := func() Ino {
-			dirs := s.Dirs()
+			dirs, _, _ := s.Subtree("/")
 			return dirs[rng.Intn(len(dirs))]
 		}
 		checkListings(t, s, "empty store")

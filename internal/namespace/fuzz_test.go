@@ -52,7 +52,8 @@ func FuzzDecodeDir(f *testing.F) {
 	if _, err := s.Create(proj.Ino, "README", CreateAttrs{Mode: 0444}); err != nil {
 		f.Fatal(err)
 	}
-	for _, ino := range s.Dirs() {
+	dirs, _, _ := s.Subtree("/")
+	for _, ino := range dirs {
 		img, err := s.EncodeDir(ino)
 		if err != nil {
 			f.Fatal(err)

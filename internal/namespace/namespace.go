@@ -737,19 +737,16 @@ func (s *Store) walk(p string, ino Ino, fn func(string, *Inode) error) error {
 // migration commits: the subtree's inodes now live on the importer. The
 // inode count removed is returned; pruning the root is refused.
 func (s *Store) PruneSubtree(p string) (int, error) {
-	root, err := s.Resolve(p)
+	_, victims, err := s.Subtree(p)
+	if err != nil {
+		return 0, err
+	}
+	root, err := s.Get(victims[0])
 	if err != nil {
 		return 0, err
 	}
 	if root.Ino == RootIno {
 		return 0, fmt.Errorf("prune %q: %w", p, ErrInval)
-	}
-	var victims []Ino
-	if err := s.Walk(root.Ino, func(_ string, in *Inode) error {
-		victims = append(victims, in.Ino)
-		return nil
-	}); err != nil {
-		return 0, err
 	}
 	parent, err := s.Get(root.Parent)
 	if err != nil {
@@ -763,39 +760,25 @@ func (s *Store) PruneSubtree(p string) (int, error) {
 	return len(victims), nil
 }
 
-// SubtreeInos returns the inode numbers of every inode at or under the
-// directory rooted at absolute path p.
-func (s *Store) SubtreeInos(p string) (map[Ino]bool, error) {
-	root, err := s.Resolve(p)
-	if err != nil {
-		return nil, err
-	}
-	set := make(map[Ino]bool)
-	err = s.Walk(root.Ino, func(_ string, in *Inode) error {
-		set[in.Ino] = true
-		return nil
-	})
-	return set, err
-}
-
-// SubtreeDirs returns the directories whose objects carry the subtree at
-// absolute path p into another store, in install order: the ancestor
+// Subtree walks the directory at absolute path p once and returns the two
+// things a subtree's directory objects are made from. dirs is the order
+// they carry it into another store in, and the only one: the ancestor
 // chain from the namespace root down to the subtree's parent — the other
 // store may never have seen the ancestry, and InstallDir needs each
 // directory's parent in place — then the subtree's own directories in
-// Walk order, parents before children.
-func (s *Store) SubtreeDirs(p string) ([]Ino, error) {
+// Walk order, parents before children. inos is every inode at or under p
+// in Walk order, the subtree root first.
+func (s *Store) Subtree(p string) (dirs, inos []Ino, err error) {
 	root, err := s.Resolve(p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !root.IsDir() {
-		return nil, fmt.Errorf("subtree %q: %w", p, ErrNotDir)
+		return nil, nil, fmt.Errorf("subtree %q: %w", p, ErrNotDir)
 	}
-	var dirs []Ino
 	for in := root; in.Ino != RootIno; {
 		if in, err = s.Get(in.Parent); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		dirs = append(dirs, in.Ino)
 	}
@@ -804,9 +787,10 @@ func (s *Store) SubtreeDirs(p string) ([]Ino, error) {
 		if in.IsDir() {
 			dirs = append(dirs, in.Ino)
 		}
+		inos = append(inos, in.Ino)
 		return nil
 	})
-	return dirs, err
+	return dirs, inos, err
 }
 
 // ApplyEvent implements journal.Target: it replays one journal event onto

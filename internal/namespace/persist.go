@@ -1,10 +1,11 @@
 package namespace
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -50,14 +51,8 @@ type DirObject struct {
 	Entries []DirEntry
 }
 
-func putUvar(b []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(b, tmp[:n]...)
-}
-
 func putStr(b []byte, s string) []byte {
-	b = putUvar(b, uint64(len(s)))
+	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
@@ -71,24 +66,24 @@ func (s *Store) EncodeDir(ino Ino) ([]byte, error) {
 		return nil, fmt.Errorf("encode dir %d: %w", ino, ErrNotDir)
 	}
 	body := make([]byte, 0, 64+32*dir.NumChildren())
-	body = putUvar(body, uint64(dir.Ino))
-	body = putUvar(body, uint64(dir.Parent))
+	body = binary.AppendUvarint(body, uint64(dir.Ino))
+	body = binary.AppendUvarint(body, uint64(dir.Parent))
 	body = putStr(body, dir.Name)
-	body = putUvar(body, uint64(dir.Mode))
-	body = putUvar(body, uint64(dir.NumChildren()))
+	body = binary.AppendUvarint(body, uint64(dir.Mode))
+	body = binary.AppendUvarint(body, uint64(dir.NumChildren()))
 	err = dir.frag.each(&s.lists, func(name string, ci Ino) error {
 		child, err := s.Get(ci)
 		if err != nil {
 			return err
 		}
 		body = putStr(body, name)
-		body = putUvar(body, uint64(child.Ino))
+		body = binary.AppendUvarint(body, uint64(child.Ino))
 		body = append(body, byte(child.Type))
-		body = putUvar(body, uint64(child.Mode))
-		body = putUvar(body, uint64(child.UID))
-		body = putUvar(body, uint64(child.GID))
-		body = putUvar(body, child.Size)
-		body = putUvar(body, uint64(child.Mtime))
+		body = binary.AppendUvarint(body, uint64(child.Mode))
+		body = binary.AppendUvarint(body, uint64(child.UID))
+		body = binary.AppendUvarint(body, uint64(child.GID))
+		body = binary.AppendUvarint(body, child.Size)
+		body = binary.AppendUvarint(body, uint64(child.Mtime))
 		return nil
 	})
 	if err != nil {
@@ -281,30 +276,36 @@ func (s *Store) InstallDir(d *DirObject) error {
 	return nil
 }
 
-// Dirs returns the inode numbers of every directory, root first then
-// breadth-first sorted, the order in which directory objects must be
-// loaded during recovery.
-func (s *Store) Dirs() []Ino {
-	var out []Ino
-	queue := []Ino{RootIno}
-	for len(queue) > 0 {
-		ino := queue[0]
-		queue = queue[1:]
-		out = append(out, ino)
-		dir, err := s.Get(ino)
-		if err != nil || dir.frag == nil {
-			continue
-		}
-		var subdirs []Ino
-		for _, ci := range dir.frag.ents.All() {
-			if child, _ := s.Get(ci); child != nil && child.IsDir() {
-				subdirs = append(subdirs, ci)
+// InstallDirs installs decoded directory objects parents first, whatever
+// order they arrive in — the restart reads them in pool listing order, a
+// client its ancestor chain leaf first. An object's depth is the length
+// of its chain of Parent links to other objects in objs; objs is sorted
+// in place by depth, stably, and installed in that order. A chain that
+// loops fails before anything is installed; an object whose parent is
+// neither in objs nor in the store fails at its install. Either error
+// names the object.
+func (s *Store) InstallDirs(objs []*DirObject) error {
+	byIno := make(map[Ino]*DirObject, len(objs))
+	for _, obj := range objs {
+		byIno[obj.Ino] = obj
+	}
+	depth := make(map[*DirObject]int, len(objs))
+	for _, obj := range objs {
+		d := 0
+		for a := obj; a.Ino != RootIno && byIno[a.Parent] != nil; a = byIno[a.Parent] {
+			if d++; d > len(objs) {
+				return fmt.Errorf("directory object %s: parent cycle: %w", DirObjectName(obj.Ino), ErrInval)
 			}
 		}
-		sort.Slice(subdirs, func(i, j int) bool { return subdirs[i] < subdirs[j] })
-		queue = append(queue, subdirs...)
+		depth[obj] = d
 	}
-	return out
+	slices.SortStableFunc(objs, func(a, b *DirObject) int { return cmp.Compare(depth[a], depth[b]) })
+	for _, obj := range objs {
+		if err := s.InstallDir(obj); err != nil {
+			return fmt.Errorf("orphan directory object %s: %w", DirObjectName(obj.Ino), err)
+		}
+	}
+	return nil
 }
 
 // Equal reports whether two stores describe the same namespace: the same

@@ -1,6 +1,10 @@
 package namespace
 
 import (
+	"errors"
+	"math/rand"
+	"path"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -91,8 +95,12 @@ func TestInstallDirRecovery(t *testing.T) {
 	// Flush every directory of a built store to objects, then recover
 	// into a fresh store and compare.
 	src := buildSample(t)
+	dirs, _, err := src.Subtree("/")
+	if err != nil {
+		t.Fatal(err)
+	}
 	images := make(map[Ino][]byte)
-	for _, ino := range src.Dirs() {
+	for _, ino := range dirs {
 		data, err := src.EncodeDir(ino)
 		if err != nil {
 			t.Fatalf("encode %d: %v", ino, err)
@@ -101,7 +109,7 @@ func TestInstallDirRecovery(t *testing.T) {
 	}
 
 	dst := NewStore()
-	for _, ino := range src.Dirs() { // root-first order
+	for _, ino := range dirs { // root-first order
 		obj, err := DecodeDir(images[ino])
 		if err != nil {
 			t.Fatalf("decode %d: %v", ino, err)
@@ -134,10 +142,86 @@ func TestInstallDirReplacesStaleFiles(t *testing.T) {
 	}
 }
 
+// TestInstallDirs: a store's directory objects installed in any order
+// rebuild it, parents first; a Parent cycle and an orphan each fail,
+// naming the object, and a cycle fails before anything is installed.
+func TestInstallDirs(t *testing.T) {
+	src := NewStore()
+	for _, dir := range []string{"/a/b/c/d", "/a/x", "/e/f", "/g"} {
+		if _, err := src.MkdirAll(dir, CreateAttrs{Mode: 0755}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, file := range []string{"/a/b/c/d/leaf", "/a/one", "/e/f/two"} {
+		dir, _ := src.Resolve(path.Dir(file))
+		if _, err := src.Create(dir.Ino, path.Base(file), CreateAttrs{Mode: 0644}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirs, _, err := src.Subtree("/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects := func() []*DirObject {
+		objs := make([]*DirObject, len(dirs))
+		for i, ino := range dirs {
+			data, err := src.EncodeDir(ino)
+			if err == nil {
+				objs[i], err = DecodeDir(data)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return objs
+	}
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 20; round++ {
+		objs := objects()
+		rng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
+		dst := NewStore()
+		if err := dst.InstallDirs(objs); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if !Equal(src, dst) {
+			t.Fatalf("round %d: the store installed from shuffled objects differs from the source", round)
+		}
+	}
+
+	b, _ := src.Resolve("/a/b")
+	c, _ := src.Resolve("/a/b/c")
+	byIno := func(objs []*DirObject, ino Ino) *DirObject {
+		for _, obj := range objs {
+			if obj.Ino == ino {
+				return obj
+			}
+		}
+		t.Fatalf("no object for %d", ino)
+		return nil
+	}
+	objs := objects()
+	byIno(objs, b.Ino).Parent = c.Ino // b -> c -> b
+	dst := NewStore()
+	err = dst.InstallDirs(objs)
+	if want := "directory object " + DirObjectName(b.Ino) + ": parent cycle"; !errors.Is(err, ErrInval) || !strings.Contains(err.Error(), want) {
+		t.Errorf("install with a Parent cycle = %v, want %q (ErrInval)", err, want)
+	}
+	if dst.Len() != 1 {
+		t.Errorf("a failed cycle check installed %d inodes, want only the root", dst.Len()-1)
+	}
+
+	objs = objects()
+	objs = slices.DeleteFunc(objs, func(obj *DirObject) bool { return obj.Ino == b.Ino })
+	err = NewStore().InstallDirs(objs)
+	if want := "orphan directory object " + DirObjectName(c.Ino); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("install without /a/b's object = %v, want %q", err, want)
+	}
+}
+
 func TestDirsOrder(t *testing.T) {
 	s := buildSample(t)
-	dirs := s.Dirs()
-	if len(dirs) != 3 || dirs[0] != RootIno {
+	dirs, _, err := s.Subtree("/")
+	if err != nil || len(dirs) != 3 || dirs[0] != RootIno {
 		t.Fatalf("dirs = %v", dirs)
 	}
 	// Parents come before children.

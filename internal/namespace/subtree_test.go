@@ -2,7 +2,6 @@ package namespace
 
 import (
 	"errors"
-	"maps"
 	"path"
 	"slices"
 	"testing"
@@ -97,12 +96,13 @@ func TestClearPolicy(t *testing.T) {
 	}
 }
 
-// TestSubtreeDirsOrder: SubtreeDirs is the one order directory objects
-// carry a subtree to another store in — the ancestor chain root-first,
-// then the subtree's directories depth-first in sorted order — and
-// installing exactly those objects, in that order, into an empty store
-// reproduces the subtree and nothing beside it.
-func TestSubtreeDirsOrder(t *testing.T) {
+// TestSubtree: Subtree's dirs are the one order directory objects carry
+// a subtree to another store in — the ancestor chain root-first, then
+// the subtree's directories depth-first in sorted order — and installing
+// exactly those objects, in that order, into an empty store reproduces
+// the subtree and nothing beside it. Its inos are the inodes a Walk of
+// the subtree visits.
+func TestSubtree(t *testing.T) {
 	src := NewStore()
 	for _, dir := range []string{
 		"/top/job/b/deep", "/top/job/a/x", "/top/job/a/y", "/top/job/c",
@@ -118,8 +118,25 @@ func TestSubtreeDirsOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	walked := func(s *Store, p string, dirsOnly bool) []Ino {
+		t.Helper()
+		root, err := s.Resolve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []Ino
+		if err := s.Walk(root.Ino, func(_ string, in *Inode) error {
+			if !dirsOnly || in.IsDir() {
+				out = append(out, in.Ino)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 
-	dirs, err := src.SubtreeDirs("/top/job")
+	dirs, inos, err := src.Subtree("/top/job")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +148,10 @@ func TestSubtreeDirsOrder(t *testing.T) {
 	want := []string{"/", "/top", // ancestors, root first
 		"/top/job", "/top/job/a", "/top/job/a/x", "/top/job/a/y", "/top/job/b", "/top/job/b/deep", "/top/job/c"}
 	if !slices.Equal(got, want) {
-		t.Fatalf("SubtreeDirs(/top/job) =\n %v\nwant\n %v", got, want)
+		t.Fatalf("Subtree(/top/job) dirs =\n %v\nwant\n %v", got, want)
+	}
+	if w := walked(src, "/top/job", false); !slices.Equal(inos, w) {
+		t.Fatalf("Subtree(/top/job) inos = %v, a Walk visits %v", inos, w)
 	}
 
 	dst := NewStore()
@@ -151,12 +171,7 @@ func TestSubtreeDirsOrder(t *testing.T) {
 	// The ancestors' objects name their other children too: those arrive
 	// as empty dentries, which is what a stale, unreachable copy is. Under
 	// the subtree root the two stores must agree inode for inode.
-	inos, err := src.SubtreeInos("/top/job")
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved, err := dst.SubtreeInos("/top/job")
-	if err != nil || !maps.Equal(inos, moved) {
+	if _, moved, err := dst.Subtree("/top/job"); err != nil || !slices.Equal(inos, moved) {
 		t.Fatalf("installed subtree holds inodes %v (%v), source %v", moved, err, inos)
 	}
 	if _, err := src.PruneSubtree("/top/sibling"); err != nil {
@@ -171,16 +186,20 @@ func TestSubtreeDirsOrder(t *testing.T) {
 		}
 	}
 	if !Equal(src, dst) {
-		t.Error("the store filled from SubtreeDirs' objects differs from the source subtree")
+		t.Error("the store filled from Subtree's objects differs from the source subtree")
 	}
 
-	if dirs, err := src.SubtreeDirs("/"); err != nil || len(dirs) != len(src.Dirs()) || dirs[0] != RootIno {
-		t.Errorf("SubtreeDirs(/) = %v, %v; want every directory, root first", dirs, err)
+	if dirs, inos, err := src.Subtree("/"); err != nil || !slices.Equal(dirs, walked(src, "/", true)) ||
+		!slices.Equal(inos, walked(src, "/", false)) || dirs[0] != RootIno {
+		t.Errorf("Subtree(/) = %v, %v, %v; want every directory and inode in Walk order, root first", dirs, inos, err)
 	}
-	if _, err := src.SubtreeDirs("/top/job/f"); !errors.Is(err, ErrNotDir) {
-		t.Errorf("SubtreeDirs of a file = %v, want ErrNotDir", err)
+	if _, _, err := src.Subtree("/top/job/f"); !errors.Is(err, ErrNotDir) {
+		t.Errorf("Subtree of a file = %v, want ErrNotDir", err)
 	}
-	if _, err := src.SubtreeDirs("/nope"); !errors.Is(err, ErrNotExist) {
-		t.Errorf("SubtreeDirs of a missing path = %v, want ErrNotExist", err)
+	if _, _, err := src.Subtree("/nope"); !errors.Is(err, ErrNotExist) {
+		t.Errorf("Subtree of a missing path = %v, want ErrNotExist", err)
+	}
+	if _, err := src.PruneSubtree("/"); !errors.Is(err, ErrInval) {
+		t.Errorf("PruneSubtree(/) = %v, want ErrInval", err)
 	}
 }
