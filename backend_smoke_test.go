@@ -553,6 +553,68 @@ func TestBackendSmokeMultiRankStress(t *testing.T) {
 	}
 }
 
+// TestPlaceWhileScraping: on the real backend Place's copy-and-flip, an
+// Exclusive section a task takes, interleaves with admin scrapes, which
+// take Exclusive from outside any task. Two subtrees move back and forth
+// between the ranks while a goroutine scrapes /metrics the whole time:
+// the run must end with no deadlock, and under -race no scrape may read
+// what a placement writes. Every file must still resolve afterwards.
+func TestPlaceWhileScraping(t *testing.T) {
+	cl := NewCluster(WithSeed(5), WithMDSRanks(2), WithBackend(BackendReal))
+	defer cl.Close()
+	src := cl.AdminSource()
+	quit, done := make(chan struct{}), make(chan struct{})
+	scrapes := 0
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			if _, err := src.Metrics(); err != nil {
+				t.Errorf("scrape: %v", err)
+				return
+			}
+			scrapes++
+		}
+	}()
+	c := cl.NewClient("c0")
+	dirs := []string{"/a", "/b"}
+	const rounds = 40
+	cl.Run(func(p Proc) {
+		for _, d := range dirs {
+			ino, err := c.MkdirAll(p, d, 0755)
+			if err == nil {
+				_, err = c.Create(p, ino, "f", 0644)
+			}
+			if err != nil {
+				t.Errorf("populate %s: %v", d, err)
+				return
+			}
+		}
+		for i := 0; i < rounds; i++ {
+			for j, d := range dirs {
+				if err := cl.Monitor().Place(p, d, (i+j)%2); err != nil {
+					t.Errorf("place %s: %v", d, err)
+					return
+				}
+			}
+		}
+		for _, d := range dirs {
+			if _, err := c.Resolve(p, d+"/f"); err != nil {
+				t.Errorf("resolve %s/f after %d placements: %v", d, rounds, err)
+			}
+		}
+	})
+	close(quit)
+	<-done
+	if scrapes == 0 {
+		t.Error("no scrape ran during the placements")
+	}
+}
+
 // TestBackendSmokeListWhileMutating is the shared-snapshot race test: on
 // the real backend one client lists a directory in a loop while a second
 // creates, renames (onto new and onto existing names) and unlinks in it.
@@ -601,6 +663,15 @@ func TestBackendSmokeListWhileMutating(t *testing.T) {
 	cl.Go("lister", func(p Proc) {
 		var prev []string
 		for {
+			// The final listing must start after the mutator is done: a
+			// listing taken before its last op and checked after would
+			// miss that op.
+			final := false
+			select {
+			case <-done:
+				final = true
+			default:
+			}
 			names, err := lister.ReadDir(p, dir)
 			if err != nil {
 				t.Errorf("readdir: %v", err)
@@ -612,13 +683,11 @@ func TestBackendSmokeListWhileMutating(t *testing.T) {
 			}
 			prev = names
 			listings++
-			select {
-			case <-done:
+			if final {
 				if len(names) != kept+rounds/2 {
 					t.Errorf("final listing has %d entries, want %d", len(names), kept+rounds/2)
 				}
 				return
-			default:
 			}
 			if t.Failed() {
 				return

@@ -74,9 +74,10 @@ type (
 		// being true when the admin endpoint brought a goroutine that
 		// is not a task: a scrape reads the same state under
 		// Runtime.Exclusive. Both sides take this lock, a scrape inside
-		// Exclusive. It cannot be Exclusive on both sides: a caller that
-		// is itself a task holds its domain, and Exclusive would wait
-		// for that lock forever.
+		// Exclusive. It cannot be Exclusive on both sides: set-up code
+		// has no task handle to pass, and a caller that is itself a task
+		// holds its domain, which Exclusive(nil, …) would wait for
+		// forever.
 		setup sync.Mutex
 
 		clients map[string]*client.Client

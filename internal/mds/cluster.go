@@ -135,20 +135,17 @@ func (c *Cluster) SetHeat(h *obs.Heat) {
 // same serialized form that recovery uses; the source rank keeps its
 // copy, which becomes stale and unreachable once routing points at the
 // new owner — exactly how CephFS subtree exports hand off authority. The
-// copy and the table flip happen in one step with both ranks and the
-// control plane held together, so no request is served between them.
+// copy and the table flip happen in one Exclusive section, so no request
+// is served between them.
 // A file is never placed, on either branch: a request addressed to a
 // file routes by its parent directory's path (client.Client.pathOf).
 func (c *Cluster) Place(p runtime.Task, path string, rank int) error {
 	if rank < 0 || rank >= len(c.ranks) {
 		return fmt.Errorf("mds: place %s: rank %d out of range [0,%d)", path, rank, len(c.ranks))
 	}
-	c.dom.Enter(p)
-	defer c.dom.Leave(p)
-	src := c.ranks[c.table.RankFor(path)]
-	dst := c.ranks[rank]
 	var err error
-	c.eng.Together(p, []runtime.Domain{c.dom, src.dom, dst.dom}, func() {
+	c.eng.Exclusive(p, func() {
+		src, dst := c.ranks[c.table.RankFor(path)], c.ranks[rank]
 		if src != dst {
 			err = exportSubtree(src.store, dst.store, path)
 		} else if in, rerr := src.store.Resolve(path); rerr == nil && !in.IsDir() {

@@ -36,7 +36,7 @@ var ErrNotExporting = errors.New("mds: no export session for subtree")
 
 // ExportFreezeMsg freezes the subtree at Path on the owning rank:
 // requests into it bounce with a Frozen redirect, its caps are revoked,
-// and an export session (directory list, journal tail) is prepared.
+// and an export session (its directory list) is prepared.
 type ExportFreezeMsg struct{ Path string }
 
 func (m *ExportFreezeMsg) label() string                       { return "export.freeze" }
@@ -52,7 +52,6 @@ type ExportManifest struct {
 	Owner   string // decoupling client, "" when not decoupled
 	GrantLo namespace.Ino
 	GrantN  uint64
-	Tail    []*journal.Event // journal events touching the subtree
 }
 
 // ExportFreezeReply answers an ExportFreezeMsg.
@@ -150,9 +149,10 @@ func (m *ImportChunkMsg) route() string                       { return m.Path }
 func (m *ImportChunkMsg) serve(s *Server, p runtime.Task) any { return s.imports.push(p, m) }
 
 // ImportCommitMsg completes an import: waits for buffered chunks to
-// drain, installs the subtree's policy/owner/grant verbatim (so the
-// grant a client already holds stays valid across the move), and
-// appends the shipped journal tail to the importer's own journal.
+// drain and installs the subtree's policy/owner/grant verbatim (so the
+// grant a client already holds stays valid across the move). It ships
+// no journal: ExportSave has already made every event the exporter
+// journaled for the subtree durable in its directory objects.
 type ImportCommitMsg struct {
 	ID       uint64
 	Manifest ExportManifest
@@ -323,23 +323,6 @@ func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeR
 		return &ExportFreezeReply{Err: err}
 	}
 
-	// The journal tail: every untrimmed event of this rank's journal
-	// that touches the subtree ships with the manifest, so the importer's
-	// own journal series covers the subtree's recent history. The events
-	// are decoded from the segment bytes, so the importer's journaling
-	// never reaches this rank's segments.
-	var tail []*journal.Event
-	if s.streamOn.Load() {
-		var err error
-		tail, err = s.stream.tail(func(ev *journal.Event) bool {
-			return inos[namespace.Ino(ev.Parent)] || inos[namespace.Ino(ev.Ino)]
-		})
-		if err != nil {
-			return &ExportFreezeReply{Err: err}
-		}
-	}
-
-	ex.manifest.Tail = tail
 	if s.frozen == nil {
 		s.frozen = make(map[string]bool)
 	}
@@ -351,7 +334,7 @@ func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeR
 	s.metrics.Exports++
 	if fl := s.eng.Flight(); fl != nil {
 		fl.Record(int64(p.Now()), s.ep.Name(), "mds", "export.freeze",
-			fmt.Sprintf("%s dirs=%d caps=%d tail=%d", path, len(ex.dirs), revoked, len(tail)))
+			fmt.Sprintf("%s dirs=%d caps=%d", path, len(ex.dirs), revoked))
 	}
 	return &ExportFreezeReply{Manifest: ex.manifest}
 }
@@ -509,8 +492,8 @@ func (s *Server) importService(p runtime.Task, job *streamJob, sc transport.Stre
 }
 
 // importCommit is the ImportCommitMsg handler: wait for the install
-// proc to drain the job, then adopt the subtree's policy, owner, grant,
-// and journal tail.
+// proc to drain the job, then adopt the subtree's policy, owner and
+// grant.
 func (s *Server) importCommit(p runtime.Task, m *ImportCommitMsg) *ImportCommitReply {
 	installed, err := s.imports.wait(p, m.ID)
 	if err == nil && s.stopped {
@@ -528,21 +511,9 @@ func (s *Server) importCommit(p runtime.Task, m *ImportCommitMsg) *ImportCommitR
 	if err != nil {
 		return &ImportCommitReply{Installed: installed, Err: err}
 	}
-	// Append the shipped journal tail to this rank's own journal series,
-	// charging the usual per-event journaling CPU. Replay after a crash
-	// tolerates these (the saved directory objects already contain the
-	// same state).
-	if s.streamOn.Load() && len(man.Tail) > 0 {
-		s.cpu.Acquire(p)
-		for _, ev := range man.Tail {
-			p.Sleep(s.cfg.MDSJournalOpTime)
-			s.stream.journalEvent(*ev)
-		}
-		s.cpu.Release()
-	}
 	if fl := s.eng.Flight(); fl != nil {
 		fl.Record(int64(p.Now()), s.ep.Name(), "mds", "import.commit",
-			fmt.Sprintf("%s dirs=%d tail=%d", man.Path, installed, len(man.Tail)))
+			fmt.Sprintf("%s dirs=%d", man.Path, installed))
 	}
 	return &ImportCommitReply{Installed: installed}
 }

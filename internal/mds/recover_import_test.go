@@ -11,10 +11,10 @@ import (
 )
 
 // TestRestartAfterImportKeepsAckedInodes: rank 1 imports a subtree whose
-// source journal still held its creates (a non-empty tail), serves more
-// creates, flushes, crashes and restarts. Every path — shipped in the
-// tail or created on rank 1 — must resolve to the inode its create
-// acked: replaying the tail over the imported image must not re-allocate.
+// source journal still held its creates, serves more creates, flushes,
+// crashes and restarts. Every path must resolve to the inode its create
+// acked. The migration ships no journal: /job/a comes back from the
+// image the export saved, the rest from rank 1's own journal.
 func TestRestartAfterImportKeepsAckedInodes(t *testing.T) {
 	cl := cudele.NewCluster(cudele.WithMDSRanks(2))
 	for r := 0; r < 2; r++ {
@@ -64,13 +64,13 @@ func TestRestartAfterImportKeepsAckedInodes(t *testing.T) {
 	}
 }
 
-// TestExportedTailKeepsExporterSeqs: the journal tail an export ships is
-// a copy. Rank 1 journals an imported /other and three creates first, so
-// when /job's tail (its mkdir and three creates) arrives, rank 1 stamps it
-// with sequence numbers 4-7. Rank 0's open segment still holds those four
-// records when it flushes afterwards, and its object must carry rank 0's
-// own numbers: every record's Seq is its index.
-func TestExportedTailKeepsExporterSeqs(t *testing.T) {
+// TestExporterSegmentKeepsOwnSeqs: migrations leave the exporter's
+// journal its own. Rank 1 imports /other and journals three creates in
+// it; then /job, whose mkdir and three creates rank 0 journaled, moves
+// to rank 1 too. Rank 0's open segment still holds its five records when
+// it flushes afterwards, and its object must carry exactly those, with
+// rank 0's own numbers: every record's Seq is its index.
+func TestExporterSegmentKeepsOwnSeqs(t *testing.T) {
 	for _, backend := range []cudele.Backend{cudele.BackendSim, cudele.BackendReal} {
 		t.Run(fmt.Sprint(backend), func(t *testing.T) {
 			cl := cudele.NewCluster(cudele.WithMDSRanks(2), cudele.WithBackend(backend))

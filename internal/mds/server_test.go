@@ -414,6 +414,62 @@ func TestStreamedCreateAllocations(t *testing.T) {
 	}
 }
 
+// TestReplayOverNewerSavedImage: a rank that journals, saves its store
+// and crashes restarts from an image that already holds the journal's
+// outcome, and replays the whole journal over it. The create of a meets
+// its inode already named b, the rename meets no a, the create of c
+// meets nothing and the unlink of c removes it again; the first two are
+// benign, and every acked path must come back with its acked inode.
+func TestReplayOverNewerSavedImage(t *testing.T) {
+	eng, s := newTestServer()
+	s.OpenSession("c0")
+	s.SetStream(true)
+	acked := map[string]namespace.Ino{}
+	run(t, eng, func(p runtime.Task) {
+		submit := func(req *Request) *Reply {
+			r := s.Submit(p, req)
+			if r.Err != nil {
+				t.Errorf("%v %s: %v", req.Op, req.Name, r.Err)
+			}
+			return r
+		}
+		d := submit(&Request{Op: OpMkdir, Client: "c0", Parent: namespace.RootIno, Name: "d", Mode: 0755})
+		acked["/d"] = d.Ino
+		a := submit(&Request{Op: OpCreate, Client: "c0", Parent: d.Ino, Name: "a", Mode: 0644})
+		submit(&Request{Op: OpRename, Client: "c0", Parent: d.Ino, Name: "a", NewParent: d.Ino, NewName: "b"})
+		acked["/d/b"] = a.Ino
+		submit(&Request{Op: OpCreate, Client: "c0", Parent: d.Ino, Name: "c", Mode: 0644})
+		submit(&Request{Op: OpUnlink, Client: "c0", Parent: d.Ino, Name: "c"})
+		e := submit(&Request{Op: OpCreate, Client: "c0", Parent: d.Ino, Name: "e", Mode: 0644})
+		acked["/d/e"] = e.Ino
+		s.FlushJournal(p)
+		if err := s.SaveStore(p); err != nil {
+			t.Errorf("save: %v", err)
+			return
+		}
+		s.Crash(p)
+		if err := s.Restart(p); err != nil {
+			t.Errorf("restart: %v", err)
+		}
+	})
+	if s.recoveredSegs == 0 {
+		t.Fatal("restart replayed no journal segment")
+	}
+	for path, want := range acked {
+		if in, err := s.Store().Resolve(path); err != nil || in.Ino != want {
+			t.Errorf("%s after restart: %v, %v; acked inode %d", path, in, err, want)
+		}
+	}
+	for _, gone := range []string{"/d/a", "/d/c"} {
+		if _, err := s.Store().Resolve(gone); !errors.Is(err, namespace.ErrNotExist) {
+			t.Errorf("%s after restart: %v, want ErrNotExist", gone, err)
+		}
+	}
+	if probs := s.Store().Check(); len(probs) != 0 {
+		t.Errorf("store after restart: %v", probs)
+	}
+}
+
 // TestSaveStoreCommitsOnce: on a data dir SaveStore's N directory objects
 // are N log records and one wait for the disk, a second server over the
 // same directory recovers the namespace from them, and a save whose Flush

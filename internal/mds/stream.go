@@ -135,33 +135,6 @@ func (st *streamState) events() int {
 	return n
 }
 
-// tail decodes the untrimmed journal, sealed segments then the open one,
-// and returns the events keep accepts, in journal order. The events are
-// fresh copies: nothing a caller does to them reaches the segment bytes.
-// Decoding never yields, so virtual time does not move.
-func (st *streamState) tail(keep func(*journal.Event) bool) ([]*journal.Event, error) {
-	var out []*journal.Event
-	for i := 0; i <= len(st.sealed); i++ {
-		data := st.open
-		if i < len(st.sealed) {
-			data = st.sealed[i].data
-		}
-		if data == nil {
-			continue
-		}
-		evs, err := journal.Decode(data)
-		if err != nil {
-			return nil, err
-		}
-		for _, ev := range evs {
-			if keep(ev) {
-				out = append(out, ev)
-			}
-		}
-	}
-	return out, nil
-}
-
 // requestEvent maps an RPC and its successful reply to the journal event.
 // It reports false for an op that does not mutate.
 func requestEvent(req *Request, reply *Reply) (journal.Event, bool) {

@@ -108,8 +108,8 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 		}
 	}
 
-	// 5. Destination adopts the subtree's policy, owner, grant, and
-	// journal tail. Routing still points at the source. The source rank
+	// 5. Destination adopts the subtree's policy, owner and grant.
+	// Routing still points at the source. The source rank
 	// knows who owns a decoupled subtree but not which inode range that
 	// client was granted; the registry does, and the importer's allocator
 	// must reserve the range the client still draws from (zero when the

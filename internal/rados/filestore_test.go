@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cudele/internal/model"
 	"cudele/internal/realrt"
@@ -217,6 +218,50 @@ func TestKillDuringGlobalPersist(t *testing.T) {
 	})
 	eng3.RunAll()
 	eng3.Shutdown()
+}
+
+// TestStriperMissWithFileStoreSkipsOpLatency: with a durable store
+// attached, real operations carry their own cost and no object op sleeps
+// the modelled OSD round trip — a striped read that misses included.
+// Recovery and FetchGlobalJournal both end their segment loops on such
+// a miss. With an hour's round trip configured, the read and the miss
+// must come back at once.
+func TestStriperMissWithFileStoreSkipsOpLatency(t *testing.T) {
+	eng := realrt.New(1)
+	cfg := model.Default()
+	cfg.OSDOpLatency = time.Hour
+	c := New(eng, cfg)
+	fs, err := OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AttachStore(fs); err != nil {
+		t.Fatal(err)
+	}
+	st := NewStriper(c)
+	eng.Spawn("reader", func(p runtime.Task) {
+		if err := st.Write(p, "journals", "seg.0", []byte("events")); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		if got, err := st.Read(p, "journals", "seg.0"); err != nil || string(got) != "events" {
+			t.Errorf("read = %q, %v", got, err)
+		}
+		if _, err := st.Read(p, "journals", "seg.1"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("read of a missing object = %v, want ErrNotFound", err)
+		}
+	})
+	done := make(chan struct{})
+	go func() {
+		eng.RunAll()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Error("striped reads over a FileStore slept the modelled round trip")
+	}
+	eng.Shutdown()
+	<-done
 }
 
 // TestFileStoreConcurrentPuts hammers the store from many goroutines;

@@ -106,7 +106,7 @@ func (s *Striper) Read(p runtime.Task, pool, name string) ([]byte, error) {
 		n++
 	}
 	if n == 0 {
-		p.Sleep(s.c.cfg.OSDOpLatency)
+		s.c.opLatency(p) // a miss still costs a round trip
 		return nil, fmt.Errorf("striper read %s/%s: %w", pool, name, ErrNotFound)
 	}
 	chunks := make([][]byte, n)

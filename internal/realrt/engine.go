@@ -25,8 +25,8 @@
 // lock per task there is no lock order to violate, and every
 // cross-daemon call is a yield point: the state of the domain a task
 // left may have changed when it returns — as it may across any Sleep in
-// the simulator. The two operations that need several domains at once,
-// Together and Exclusive, take them in creation order.
+// the simulator. Exclusive, the one operation that needs several
+// domains at once, takes them all in creation order.
 //
 // Signals, groups, resources and pipes are fired and waited across
 // domains, so each carries its own small lock; no task waits for a
@@ -100,8 +100,8 @@ type Engine struct {
 
 	// root is the domain of tasks spawned through Engine.Spawn.
 	root *Domain
-	// domains lists every domain in creation order, the order Together
-	// and Exclusive lock in.
+	// domains lists every domain in creation order, the order Exclusive
+	// locks in.
 	domains []*Domain
 
 	live map[*Task]struct{}
@@ -287,54 +287,19 @@ func (d *Domain) Rand() *rand.Rand { return d.rng }
 // domain.
 func (e *Engine) Spawn(name string, fn func(t runtime.Task)) { e.root.Spawn(name, fn) }
 
-// byCreation returns doms as concrete domains, deduplicated and in
-// creation order.
-func byCreation(doms []runtime.Domain) []*Domain {
-	out := make([]*Domain, 0, len(doms))
-	for _, rd := range doms {
-		d, ok := rd.(*Domain)
-		if !ok {
-			panic(fmt.Sprintf("realrt: domain %T is not a real-backend domain", rd))
-		}
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	n := 0
-	for i, d := range out {
-		if i == 0 || d != out[i-1] {
-			out[n] = d
-			n++
-		}
-	}
-	return out[:n]
-}
-
-// Together implements runtime.Runtime.
-func (e *Engine) Together(t runtime.Task, doms []runtime.Domain, fn func()) {
-	tt := task(t)
-	tt.mayYield("Together")
-	set := byCreation(doms)
-	cur := tt.cur()
-	cur.mu.Unlock()
-	for _, d := range set {
-		d.mu.Lock()
-	}
-	tt.together = true
-	defer func() {
-		tt.together = false
-		for _, d := range set {
-			d.mu.Unlock()
-		}
-		cur.mu.Lock()
-	}()
-	fn()
-}
-
 // Exclusive implements runtime.Runtime: fn runs holding every domain
-// lock, so no task executes protocol code concurrently. For external
-// callers (admin scrape goroutines), never from task context — a task
-// already holds a domain lock and would deadlock.
-func (e *Engine) Exclusive(fn func()) {
+// lock, so no other task executes protocol code concurrently. A task
+// gives up its own domain first and takes it back afterwards; a nil t is
+// an outside caller (an admin scrape goroutine) that holds none.
+func (e *Engine) Exclusive(t runtime.Task, fn func()) {
+	if t != nil {
+		tt := task(t)
+		tt.mayYield("Exclusive")
+		cur := tt.cur()
+		cur.mu.Unlock()
+		tt.exclusive = true
+		defer func() { tt.exclusive = false; cur.mu.Lock() }()
+	}
 	var held []*Domain
 	for {
 		// Domains created while earlier ones were being locked come
@@ -462,9 +427,9 @@ type Task struct {
 	// for the usual nesting depth.
 	doms  []*Domain
 	stack [8]*Domain
-	// together is set while the task runs a Together body, which holds
-	// several domain locks and therefore must not yield.
-	together bool
+	// exclusive is set while the task runs an Exclusive body, which
+	// holds every domain lock and therefore must not yield.
+	exclusive bool
 	// timer is reused by every Sleep of spinBelow or longer.
 	timer *time.Timer
 	// resume carries wakeups. Capacity 1: a park is sent one token, by
@@ -491,11 +456,11 @@ func (t *Task) Runtime() runtime.Runtime { return t.eng }
 // cur returns the domain the task is in.
 func (t *Task) cur() *Domain { return t.doms[len(t.doms)-1] }
 
-// mayYield panics when the task is about to give up its domain inside a
-// Together body, which holds several.
+// mayYield panics when the task is about to give up its domain inside an
+// Exclusive body, which holds them all.
 func (t *Task) mayYield(op string) {
-	if t.together {
-		panic(fmt.Sprintf("realrt: %s calls %s inside Together", t.name, op))
+	if t.exclusive {
+		panic(fmt.Sprintf("realrt: %s calls %s inside Exclusive", t.name, op))
 	}
 }
 

@@ -261,7 +261,7 @@ func TestExclusiveExcludesEveryDomain(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for k := 0; k < 50; k++ {
-			e.Exclusive(func() {
+			e.Exclusive(nil, func() {
 				if n := inside.Load(); n != 0 {
 					t.Errorf("%d tasks inside a domain during Exclusive", n)
 				}
@@ -284,13 +284,14 @@ func TestExclusiveExcludesEveryDomain(t *testing.T) {
 	assertAllFree(t, e)
 }
 
-// TestTogether holds two domains at once from a third, whatever order
-// they are listed in, and refuses to yield inside.
-func TestTogether(t *testing.T) {
+// TestExclusiveFromTask: a task's Exclusive holds every domain, its own
+// included, and gives the task back the domain it was in — the root, or
+// one it entered — and refuses to yield inside.
+func TestExclusiveFromTask(t *testing.T) {
 	e := New(1)
 	a, b := e.newDomain("a"), e.newDomain("b")
 	const rounds = 200
-	var x, y int
+	var x, y, back int
 	a.Spawn("a", func(p runtime.Task) {
 		for i := 0; i < rounds; i++ {
 			x++
@@ -306,25 +307,35 @@ func TestTogether(t *testing.T) {
 	var sleepPanicked bool
 	e.Spawn("mover", func(p runtime.Task) {
 		for i := 0; i < rounds; i++ {
-			e.Together(p, []runtime.Domain{b, a, b}, func() {
+			if i%2 == 1 {
+				a.Enter(p)
+			}
+			e.Exclusive(p, func() {
 				x, y = y, x
-				if lockFree(a) || lockFree(b) || !lockFree(e.root) {
-					t.Error("Together does not hold exactly the listed domains")
+				for _, d := range e.domains {
+					if lockFree(d) {
+						t.Errorf("Exclusive does not hold domain %q", d.name)
+					}
 				}
 			})
+			if i%2 == 1 {
+				x++ // back in a: the race detector checks it
+				back++
+				a.Leave(p)
+			}
 		}
-		e.Together(p, []runtime.Domain{a}, func() {
+		e.Exclusive(p, func() {
 			defer func() { sleepPanicked = recover() != nil }()
 			p.Sleep(0)
 		})
 	})
 	e.RunAll()
 	e.Shutdown()
-	if x+y != 2*rounds {
-		t.Fatalf("x+y = %d, want %d", x+y, 2*rounds)
+	if x+y != 2*rounds+back {
+		t.Fatalf("x+y = %d, want %d", x+y, 2*rounds+back)
 	}
 	if !sleepPanicked {
-		t.Fatal("Sleep inside Together did not panic")
+		t.Fatal("Sleep inside Exclusive did not panic")
 	}
 	assertAllFree(t, e)
 }

@@ -522,9 +522,10 @@ func TestContractDomainNesting(t *testing.T) {
 	})
 }
 
-// TestContractTogether: the body runs once, with both domains' state
-// its own, and the task is back where it was afterwards.
-func TestContractTogether(t *testing.T) {
+// TestContractExclusiveFromTask: a task's Exclusive body runs once, with
+// every domain's state its own, and the task is back where it was
+// afterwards.
+func TestContractExclusiveFromTask(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
 		a, b := rt.NewDomain("a"), rt.NewDomain("b")
 		var x, y, moved int
@@ -542,7 +543,7 @@ func TestContractTogether(t *testing.T) {
 		})
 		rt.Spawn("mover", func(p runtime.Task) {
 			for i := 0; i < 20; i++ {
-				rt.Together(p, []runtime.Domain{b, a}, func() { x, y = y, x })
+				rt.Exclusive(p, func() { x, y = y, x })
 				moved++
 				p.Sleep(time.Microsecond)
 			}

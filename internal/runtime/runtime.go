@@ -127,14 +127,6 @@ type Runtime interface {
 	// NewDomain creates a lock domain (see Domain). The simulator returns
 	// one shared no-op.
 	NewDomain(name string) Domain
-	// Together runs fn with every listed domain held at once — for the
-	// few control-plane steps that touch two daemons' state in one move
-	// (subtree placement copies between two ranks' stores). The real
-	// backend releases t's current domain, takes the listed ones in
-	// creation order (the order Exclusive uses, so the two cannot
-	// deadlock) and restores t's domain afterwards; fn must not sleep,
-	// park or enter a domain. The simulator calls fn inline.
-	Together(t Task, doms []Domain, fn func())
 	// NewSignal creates a one-shot condition.
 	NewSignal() Signal
 	// NewGroup creates a task completion group whose tasks start in the
@@ -145,13 +137,18 @@ type Runtime interface {
 	// NewPipe creates a bandwidth pipe (rate in bytes per second).
 	NewPipe(name string, rate float64) Pipe
 
-	// Exclusive runs fn from OUTSIDE task context with no task inside any
-	// domain while fn runs. The real backend takes every domain lock, in
-	// creation order, around fn; the simulator calls fn inline (and
-	// panics if the event loop is running, since external callers cannot
-	// interleave with it safely). The admin endpoint uses this to scrape
-	// live cluster state from an HTTP handler goroutine.
-	Exclusive(fn func())
+	// Exclusive runs fn with no other task inside any domain — for the
+	// few steps that touch several daemons' state in one move (subtree
+	// placement copies between two ranks' stores and flips the routing
+	// table) and for the admin endpoint, which scrapes live cluster
+	// state from an HTTP handler goroutine. t is the calling task, nil
+	// for a caller outside any task, as for Domain.Enter. The real
+	// backend releases t's domain, takes every domain in creation order
+	// around fn and gives t its domain back; fn must not sleep, park or
+	// enter a domain. The simulator calls fn inline, and panics when t
+	// is nil and the event loop is running, since an outside caller
+	// cannot interleave with it safely.
+	Exclusive(t Task, fn func())
 
 	// RunAll drives the runtime until no task can make further
 	// progress and returns the final time. On the simulator that means

@@ -169,11 +169,12 @@ func (e *Engine) Flight() *obs.Flight { return e.flight }
 func (e *Engine) SetFlight(f *obs.Flight) { e.flight = f }
 
 // Exclusive implements runtime.Runtime. The simulator serializes
-// everything through the event loop, so fn runs inline — but only from
-// outside the loop; an external caller cannot safely interleave with a
-// running simulation.
-func (e *Engine) Exclusive(fn func()) {
-	if e.running {
+// everything through the event loop, so fn runs inline: a process
+// already has every domain to itself, and a caller outside any process
+// may only call from outside the loop, since it cannot safely
+// interleave with a running simulation.
+func (e *Engine) Exclusive(t runtime.Task, fn func()) {
+	if t == nil && e.running {
 		panic("sim: Engine.Exclusive called while the event loop is running")
 	}
 	fn()
@@ -259,10 +260,6 @@ func (d *domain) Spawn(name string, fn func(t runtime.Task)) {
 
 // NewDomain implements runtime.Runtime.
 func (e *Engine) NewDomain(string) runtime.Domain { return (*domain)(e) }
-
-// Together implements runtime.Runtime: one process runs at a time, so
-// fn already has every domain to itself.
-func (e *Engine) Together(_ runtime.Task, _ []runtime.Domain, fn func()) { fn() }
 
 // NewSignal implements runtime.Runtime.
 func (e *Engine) NewSignal() runtime.Signal { return NewSignal(e) }

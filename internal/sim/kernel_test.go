@@ -315,7 +315,7 @@ func TestProcPanicSurfacesInRun(t *testing.T) {
 		e.RunAll()
 		t.Fatal("RunAll returned")
 	}()
-	e.Exclusive(func() {}) // panics if Run left the loop marked running
+	e.Exclusive(nil, func() {}) // panics if Run left the loop marked running
 	if s := r.Snapshot(); s.At != 5 || s.BusyArea != Time(5).Seconds() {
 		t.Fatalf("accounting not finalized: at %d, busyArea %v", s.At, s.BusyArea)
 	}
@@ -345,5 +345,5 @@ func TestProcGoexitEndsRunCaller(t *testing.T) {
 	if returned || e.LiveProcs() != 0 {
 		t.Fatalf("RunAll returned %v, live %d", returned, e.LiveProcs())
 	}
-	e.Exclusive(func() {})
+	e.Exclusive(nil, func() {})
 }

@@ -127,14 +127,14 @@ type adminSource struct{ cl *Cluster }
 // Metrics implements obs.Source: a fresh pull-time collection per scrape.
 func (s adminSource) Metrics() (*trace.Registry, error) {
 	var reg *trace.Registry
-	s.cl.rt.Exclusive(func() { reg = s.cl.CollectMetrics() })
+	s.cl.rt.Exclusive(nil, func() { reg = s.cl.CollectMetrics() })
 	return reg, nil
 }
 
 // Heat implements obs.Source: the cluster's current HeatReport.
 func (s adminSource) Heat() (obs.HeatReport, error) {
 	var rep obs.HeatReport
-	s.cl.rt.Exclusive(func() {
+	s.cl.rt.Exclusive(nil, func() {
 		s.cl.setup.Lock()
 		defer s.cl.setup.Unlock()
 		rep = s.cl.HeatReport()
