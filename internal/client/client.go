@@ -443,7 +443,7 @@ func (c *Client) Create(p runtime.Task, dir namespace.Ino, name string, mode uin
 			return 0, fmt.Errorf("create %q: %w", name, namespace.ErrExist)
 		}
 		if !errors.Is(lk.Err, namespace.ErrNotExist) {
-			return 0, lk.Err
+			return 0, lookupErr(dir, name, lk.Err)
 		}
 	}
 	route := c.pathOf(dir)
@@ -498,7 +498,7 @@ func (c *Client) MkdirAll(p runtime.Task, path string, mode uint32) (namespace.I
 			continue
 		}
 		if !errors.Is(lk.Err, namespace.ErrNotExist) {
-			return 0, lk.Err
+			return 0, lookupErr(cur, comp, lk.Err)
 		}
 		req.Op, req.Mode = mds.OpMkdir, mode
 		mk := c.submit(p, req)
@@ -521,12 +521,23 @@ func (c *Client) Lookup(p runtime.Task, dir namespace.Ino, name string) (namespa
 	req.Op, req.Parent, req.Name, req.Route = mds.OpLookup, dir, name, c.pathOf(dir)
 	r := c.submit(p, req)
 	if r.Err != nil {
-		return 0, r.Err
+		return 0, lookupErr(dir, name, r.Err)
 	}
 	if r.IsDir {
 		c.notePath(r.Ino, c.childPath(dir, name))
 	}
 	return r.Ino, nil
+}
+
+// lookupErr names the entry in a lookup RPC's miss, which the rank
+// answers with the bare sentinel (ErrNotExist, or ErrNotDir for a parent
+// that is no directory) so that a miss nobody reports allocates nothing.
+// Any other error passes unchanged.
+func lookupErr(dir namespace.Ino, name string, err error) error {
+	if err == namespace.ErrNotExist || err == namespace.ErrNotDir {
+		return namespace.LookupError(dir, name, err)
+	}
+	return err
 }
 
 // Resolve walks a path on the server.

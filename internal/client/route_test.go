@@ -172,14 +172,60 @@ func TestCapHeldCreateAllocations(t *testing.T) {
 }
 
 // TestCapLessCreateAllocations pins a Create in a shared directory — a
-// lookup RPC, then the create RPC, in the one request buffer: the
-// lookup's not-found error and the inode. A request or reply per RPC, an
-// errors.As target the redirect check declares for the not-found error,
+// lookup RPC, then the create RPC, in the one request buffer: the inode,
+// and nothing else. The rank answers the lookup's miss with the bare
+// ErrNotExist and the existence check drops it, so the miss builds no
+// error. A request or reply per RPC, an errors.As target the redirect
+// check declares for the not-found error, a lookup error built per miss,
 // or a dentry cached for the shared directory shows up here.
 func TestCapLessCreateAllocations(t *testing.T) {
-	if allocs := createAllocs(t, true); allocs != 2 {
-		t.Fatalf("a cap-less Create allocates %.0f objects, want 2", allocs)
+	if allocs := createAllocs(t, true); allocs != 1 {
+		t.Fatalf("a cap-less Create allocates %.0f objects, want 1", allocs)
 	}
+}
+
+// TestLookupMissNamesEntry: a lookup RPC that misses reaches the caller
+// as an error naming the entry and the parent inode, though the rank
+// answers it with the bare sentinel. Under the root (rank 0) and under a
+// subtree placed on rank 1, a missing name is ErrNotExist; a name under a
+// file is ErrNotDir, from Lookup and from Create's existence check alike;
+// under an inode the rank does not have, the error names that inode.
+func TestLookupMissNamesEntry(t *testing.T) {
+	onTwoRanks(t, func(t *testing.T, eng runtime.Runtime, mc *mds.Cluster, c *Client) {
+		eng.Spawn("test", func(p runtime.Task) {
+			a, err := c.MkdirAll(p, "/a", 0755)
+			if err == nil {
+				err = mc.Place(p, "/a", 1)
+			}
+			var f namespace.Ino
+			if err == nil {
+				f, err = c.Create(p, a, "f", 0644)
+			}
+			if err != nil {
+				t.Errorf("setup: %v", err)
+				return
+			}
+			check := func(op string, err, want error, text string) {
+				if !errors.Is(err, want) || err.Error() != text {
+					t.Errorf("%s: err = %v, want %q wrapping %v", op, err, text, want)
+				}
+			}
+			for _, dir := range []namespace.Ino{namespace.RootIno, a} {
+				_, err := c.Lookup(p, dir, "missing")
+				check("lookup", err, namespace.ErrNotExist,
+					fmt.Sprintf("lookup %q in inode %d: %v", "missing", dir, namespace.ErrNotExist))
+			}
+			notDir := fmt.Sprintf("lookup %q in inode %d: %v", "x", f, namespace.ErrNotDir)
+			_, err = c.Lookup(p, f, "x")
+			check("lookup under a file", err, namespace.ErrNotDir, notDir)
+			_, err = c.Create(p, f, "x", 0644)
+			check("create under a file", err, namespace.ErrNotDir, notDir)
+			_, err = c.Lookup(p, 999, "x")
+			check("lookup under no inode", err, namespace.ErrNotExist,
+				fmt.Sprintf("inode 999: %v", namespace.ErrNotExist))
+		})
+		eng.RunAll()
+	})
 }
 
 // onTwoRanks runs body with client c0 mounted on a two-rank cluster of

@@ -45,8 +45,21 @@ func (o Op) String() string {
 // journals, and is subject to the interfere policy).
 func (o Op) Mutates() bool { return o < opMax && opTable[o].mutates }
 
+// handleLookup answers a miss with the bare sentinel, ErrNotExist or
+// ErrNotDir, so a missed existence check builds no error: the client
+// names the entry when it hands the miss to its caller.
 func handleLookup(s *Server, p runtime.Task, req *Request) error {
-	return req.reply.inode(s.store.Lookup(req.Parent, req.Name))
+	if in := s.store.Child(req.Parent, req.Name); in != nil {
+		return req.reply.inode(in, nil)
+	}
+	dir, err := s.store.Get(req.Parent)
+	switch {
+	case err != nil:
+		return err
+	case !dir.IsDir():
+		return namespace.ErrNotDir
+	}
+	return namespace.ErrNotExist
 }
 
 func handleResolve(s *Server, p runtime.Task, req *Request) error {

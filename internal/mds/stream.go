@@ -43,8 +43,8 @@ type streamState struct {
 	nextIdx int    // index of the open segment
 	nextSeq uint64 // sequence number of the next event
 
-	sealed []segment // sealed, untrimmed, in index order
-	queue  []segment // sealed, awaiting dispatch
+	sealed []segment // sealed, untrimmed, in index order: counts only
+	queue  []queued  // sealed, awaiting dispatch, with their bytes
 
 	// enc amortizes the payload scratch buffer across every event this
 	// rank journals. Every append runs in the rank's domain.
@@ -61,13 +61,19 @@ type streamState struct {
 	segBase int
 }
 
-// segment is one sealed journal segment: its index in this journal, its
-// event count, and its encoded image, which is the segment object's
-// content byte for byte.
+// segment is one sealed journal segment: its index in this journal and
+// its event count.
 type segment struct {
 	index  int
 	events int
-	data   []byte
+}
+
+// queued is a sealed segment awaiting dispatch with its encoded image,
+// which is the segment object's content byte for byte. The queue holds
+// the image until its write is sent; the object store owns it after that.
+type queued struct {
+	segment
+	data []byte
 }
 
 func newStreamState(s *Server) *streamState {
@@ -119,9 +125,9 @@ func (st *streamState) seal() {
 	if st.openEvents == 0 {
 		return
 	}
-	seg := segment{index: st.nextIdx, events: st.openEvents, data: st.open}
+	seg := segment{index: st.nextIdx, events: st.openEvents}
 	st.sealed = append(st.sealed, seg)
-	st.queue = append(st.queue, seg)
+	st.queue = append(st.queue, queued{seg, st.open})
 	st.open, st.openEvents = nil, 0
 	st.nextIdx++
 }
@@ -218,8 +224,9 @@ func (st *streamState) dispatchLoop(p runtime.Task) {
 				rec.End(span, int64(wp.Now()))
 				if werr != nil {
 					// The segment is not safely down: leave flushedSeg
-					// alone so trimming never drops its events, and keep
-					// the in-memory journal as the source of truth.
+					// alone so trimming never drops its count. Nothing
+					// re-sends a failed write, so the rank keeps no copy
+					// of its bytes; the object store is their only owner.
 					return
 				}
 				st.s.metrics.Dispatches++

@@ -278,11 +278,11 @@ func (s *Store) Lookup(parent Ino, name string) (*Inode, error) {
 		return nil, err
 	}
 	if !dir.IsDir() {
-		return nil, &lookupError{name, parent, ErrNotDir}
+		return nil, LookupError(parent, name, ErrNotDir)
 	}
 	ci, ok := dir.frag.lookup(name)
 	if !ok {
-		return nil, &lookupError{name, parent, ErrNotExist}
+		return nil, LookupError(parent, name, ErrNotExist)
 	}
 	return s.Get(ci)
 }
@@ -302,9 +302,16 @@ func (s *Store) Child(parent Ino, name string) *Inode {
 	return s.inodes.get(ci)
 }
 
+// LookupError is the error Lookup returns when directory parent has no
+// dentry name (err is ErrNotExist) or parent is no directory (ErrNotDir).
+// A caller that learns of the miss as the bare sentinel, a client from
+// its lookup RPC, names the entry with it.
+func LookupError(parent Ino, name string, err error) error {
+	return &lookupError{name, parent, err}
+}
+
 // lookupError is a failed Lookup. Its text is rendered only when someone
-// prints it: the frequent caller, a client's existence check before a
-// create, asks errors.Is(err, ErrNotExist) and drops the error.
+// prints it.
 type lookupError struct {
 	name   string
 	parent Ino

@@ -248,9 +248,9 @@ func applyRecord(objs map[ObjectID]*object, body []byte) error {
 	}
 	switch kind {
 	case recPut:
-		o.data, o.omap = append(o.data[:0], body...), kv
+		o.data, o.omap = append([]byte(nil), body...), kv
 	case recWrite:
-		o.data = append(o.data[:0], body...)
+		o.data = append([]byte(nil), body...)
 	case recOmapSet:
 		if o.omap == nil {
 			o.omap = make(map[string][]byte, len(kv))

@@ -179,10 +179,11 @@ func (c *Cluster) opLatency(p runtime.Task) {
 // Cluster method of the same name does, and returns without waiting for
 // the disk. Nothing made through a pipeline is acknowledged before its
 // Flush returns nil; a crash before that leaves a prefix of the staged
-// records, never a gap. A handle belongs to one task. The one thing
-// deferral asks of the caller: a payload of largeRecord bytes or more is
-// written from the caller's slice, so it stays unchanged until Flush
-// returns. The Cluster's own mutating methods are pipelines of one.
+// records, never a gap. A handle belongs to one task. A written payload
+// is the store's from the call on, as with Cluster.Write, so deferral asks
+// nothing more of the caller: the log may write a large payload from that
+// same slice at Flush. The Cluster's own mutating methods are pipelines
+// of one.
 type Pipeline struct {
 	c   *Cluster
 	lsn int64 // of the last record staged through this handle
@@ -248,7 +249,9 @@ func (c *Cluster) getOrCreate(oid ObjectID) *object {
 }
 
 // Write stores data as the full contents of oid, creating it if needed:
-// a WriteBilled that bills what it stores.
+// a WriteBilled that bills what it stores. The store keeps data itself,
+// not a copy: once written, the bytes are the store's, and the caller
+// must not change them.
 func (c *Cluster) Write(p runtime.Task, oid ObjectID, data []byte) error {
 	return c.WriteBilled(p, oid, data, 0)
 }
@@ -263,7 +266,10 @@ func (pl *Pipeline) Write(p runtime.Task, oid ObjectID, data []byte) error {
 // footprint (paper §V-A) dwarfs its information content; billing lets the
 // simulation carry the paper's transfer costs without materializing
 // padding. An armed fault injector may fail the write cleanly (nothing
-// persisted) or tear it (a prefix persisted, then an error).
+// persisted) or tear it (a prefix persisted, then an error). Either way
+// the store may keep data, or a prefix of it, without copying: the caller
+// gives the slice up. The store never writes into an object's bytes; a
+// later write replaces them, and Read hands out a copy.
 func (c *Cluster) WriteBilled(p runtime.Task, oid ObjectID, data []byte, billed int64) error {
 	pl := Pipeline{c: c}
 	return pl.ack(p, pl.WriteBilled(p, oid, data, billed))
@@ -290,12 +296,12 @@ func (pl *Pipeline) WriteBilled(p runtime.Task, oid ObjectID, data []byte, bille
 		c.writeFaults++
 		c.recordFault(p, "torn-write", oid)
 		o := c.getOrCreate(oid)
-		o.data = append(o.data[:0], data[:torn]...)
-		pl.log(recWrite, oid, nil, data[:torn]) // the torn prefix is what was stored; the fault is the error
+		o.data = data[:torn:torn]
+		pl.log(recWrite, oid, nil, o.data) // the torn prefix is what was stored; the fault is the error
 		return faultErrf("torn write", oid)
 	}
 	o := c.getOrCreate(oid)
-	o.data = append(o.data[:0], data...)
+	o.data = data
 	return pl.log(recWrite, oid, nil, data)
 }
 

@@ -3,6 +3,8 @@ package rados
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	goruntime "runtime"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +80,94 @@ func TestReadReturnsCopy(t *testing.T) {
 			t.Errorf("mutating a read corrupted the store: %q", again)
 		}
 	})
+}
+
+// TestWriteKeepsCallerSlice: a write hands its slice to the store. A
+// Write of n fresh bytes to the memory store allocates fewer than n bytes
+// — it copies nothing — and a later write to the object, whole or torn,
+// replaces its bytes instead of writing into them, so every slice handed
+// over earlier still reads as it did.
+func TestWriteKeepsCallerSlice(t *testing.T) {
+	const n = 1 << 20
+	e, c := newTestCluster(t)
+	oid := ObjectID{Pool: "meta", Name: "obj"}
+	run(t, e, func(p runtime.Task) {
+		if err := c.Write(p, oid, []byte("seed")); err != nil {
+			t.Errorf("write: %v", err)
+			return
+		}
+		first := bytes.Repeat([]byte{'a'}, n)
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		err := c.Write(p, oid, first)
+		goruntime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; err != nil || got >= n {
+			t.Errorf("a write of %d fresh bytes allocated %d bytes (err %v), want fewer", n, got, err)
+		}
+		torn := bytes.Repeat([]byte{'b'}, n)
+		inj := NewFaultInjector(1)
+		inj.TornWriteProb, inj.MaxFaults = 1, 1
+		c.SetFaults(inj)
+		if err := c.Write(p, oid, torn); !errors.Is(err, ErrIO) {
+			t.Errorf("torn write err = %v, want ErrIO", err)
+		}
+		if err := c.Write(p, oid, []byte("c")); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		if !bytes.Equal(first, bytes.Repeat([]byte{'a'}, n)) || !bytes.Equal(torn, bytes.Repeat([]byte{'b'}, n)) {
+			t.Errorf("a later write changed the bytes an earlier write handed over")
+		}
+		if got, _ := c.Read(p, oid); string(got) != "c" {
+			t.Errorf("read = %q, want c", got)
+		}
+	})
+}
+
+// TestWriteKeepsCallerSliceParallel: on the real backend, with a log
+// attached, tasks in parallel hand fresh slices, small and large, to one
+// shared object and to one of their own, and read the shared one back
+// while the others overwrite it. Every read is one writer's payload
+// whole, and no handed-over slice changes. Run it under -race: a store
+// that wrote into an object's bytes, or a log that wrote a large payload
+// after its writer had moved on, is a data race here.
+func TestWriteKeepsCallerSliceParallel(t *testing.T) {
+	c, fs := newLogCluster(t, 45, t.TempDir())
+	const tasks, rounds = 4, 25
+	shared := ObjectID{Pool: "meta", Name: "shared"}
+	for w := 0; w < tasks; w++ {
+		own := ObjectID{Pool: "meta", Name: fmt.Sprint("own.", w)}
+		c.eng.Spawn(fmt.Sprint("writer", w), func(p runtime.Task) {
+			var given [][]byte
+			for r := 0; r < rounds; r++ {
+				b := bytes.Repeat([]byte{byte(w*rounds + r)}, 1+r%3*testLargeRecord)
+				given = append(given, b)
+				oid := own
+				if r%2 == 0 {
+					oid = shared
+				}
+				if err := c.Write(p, oid, b); err != nil {
+					t.Errorf("write %v: %v", oid, err)
+					return
+				}
+				got, err := c.Read(p, shared)
+				if err == nil && (len(got) == 0 || !bytes.Equal(got, bytes.Repeat(got[:1], len(got)))) {
+					err = fmt.Errorf("read %d bytes that no one writer wrote", len(got))
+				}
+				if err != nil {
+					t.Errorf("read %v: %v", shared, err)
+				}
+			}
+			for r, b := range given {
+				if !bytes.Equal(b, bytes.Repeat([]byte{byte(w*rounds + r)}, len(b))) {
+					t.Errorf("writer %d: the slice of round %d changed after its write", w, r)
+				}
+			}
+		})
+	}
+	c.eng.RunAll()
+	if st := fs.Stats(); st.Records != tasks*rounds {
+		t.Fatalf("the log staged %d records, want %d", st.Records, tasks*rounds)
+	}
 }
 
 func TestRemoveAndExists(t *testing.T) {

@@ -27,7 +27,9 @@ func stripeName(name string, idx int) string {
 // Write stores data under the logical name, striped into unit-sized
 // objects written in parallel. It blocks p until every stripe is durable
 // and reports the first stripe failure, if any — later stripes may have
-// landed regardless, exactly like a real parallel push.
+// landed regardless, exactly like a real parallel push. Each stripe
+// object keeps its sub-slice of data: the caller gives data up, as with
+// Cluster.Write.
 func (s *Striper) Write(p runtime.Task, pool, name string, data []byte) error {
 	s.c.dom.Enter(p)
 	defer s.c.dom.Leave(p)
@@ -58,7 +60,8 @@ func (s *Striper) Write(p runtime.Task, pool, name string, data []byte) error {
 // devices for billed bytes, striped and pushed in parallel exactly as
 // Write would stripe billed bytes. The real payload lands in the first
 // stripe; the remaining stripes exist only to carry their share of the
-// transfer cost, so Read reassembles the payload unchanged.
+// transfer cost, so Read reassembles the payload unchanged. The first
+// stripe keeps data itself.
 func (s *Striper) WriteBilled(p runtime.Task, pool, name string, data []byte, billed int64) error {
 	s.c.dom.Enter(p)
 	defer s.c.dom.Leave(p)
