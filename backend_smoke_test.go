@@ -553,12 +553,13 @@ func TestBackendSmokeMultiRankStress(t *testing.T) {
 	}
 }
 
-// TestPlaceWhileScraping: on the real backend Place's copy-and-flip, an
-// Exclusive section a task takes, interleaves with admin scrapes, which
-// take Exclusive from outside any task. Two subtrees move back and forth
-// between the ranks while a goroutine scrapes /metrics the whole time:
-// the run must end with no deadlock, and under -race no scrape may read
-// what a placement writes. Every file must still resolve afterwards.
+// TestPlaceWhileScraping: on the real backend placements, each a
+// handoff that freezes, streams and prunes a subtree across two ranks'
+// domains, interleave with admin scrapes, which take Exclusive from
+// outside any task. Two subtrees move back and forth between the ranks
+// while a goroutine scrapes /metrics the whole time: the run must end
+// with no deadlock, and under -race no scrape may read what a placement
+// writes. Every file must still resolve afterwards.
 func TestPlaceWhileScraping(t *testing.T) {
 	cl := NewCluster(WithSeed(5), WithMDSRanks(2), WithBackend(BackendReal))
 	defer cl.Close()

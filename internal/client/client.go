@@ -290,7 +290,7 @@ func (c *Client) notePath(ino namespace.Ino, path string) {
 
 // pathOf returns the path a request addressed to ino routes by, "" when
 // unknown. A created file routes by its parent's path: a file is never a
-// placement root (mds.Cluster.Place refuses one), so the longest placed
+// placement root (the monitor's Place refuses one), so the longest placed
 // prefix — the owning rank, the heat cell, a migration freeze — of the
 // parent and of the file are the same.
 func (c *Client) pathOf(ino namespace.Ino) string {

@@ -8,24 +8,34 @@ import (
 
 	"cudele/internal/mds"
 	"cudele/internal/model"
+	"cudele/internal/monitor"
 	"cudele/internal/namespace"
 	"cudele/internal/rados"
 	"cudele/internal/realrt"
 	"cudele/internal/runtime"
 	"cudele/internal/sim"
+	"cudele/internal/transport"
 )
+
+// isRedirect reports whether err is a bounce to another rank.
+func isRedirect(err error) bool {
+	_, ok := transport.IsRedirect(err)
+	return ok
+}
 
 // TestRouteFileHintsByParent: a created file's route hint is its parent
 // directory, and a call addressed to the file routes by the parent's
 // path. On a two-rank cluster, under the root and under a subtree placed
 // on rank 1, the file's route is its parent's path, and SetAttr and Stat
 // reach the rank the file's own path routes to. A file created under a
-// parent whose path the client does not know routes to rank 0.
+// parent whose path the client does not know routes to rank 0, also
+// once its subtree has moved to rank 1, where rank 0 refuses it.
 func TestRouteFileHintsByParent(t *testing.T) {
 	eng := sim.NewEngine(5)
 	cfg := model.Default()
 	obj := rados.New(eng, cfg)
 	mc := mds.NewCluster(eng, cfg, obj, 2)
+	mon := monitor.New(eng, mc)
 	c := New(eng, cfg, "c0", mc, obj)
 	c.Mount(nil)
 
@@ -59,12 +69,8 @@ func TestRouteFileHintsByParent(t *testing.T) {
 			t.Errorf("mkdir /a/b: %v", err)
 			return
 		}
-		if err := mc.Place(p, "/a/b", 1); err != nil {
-			t.Errorf("place: %v", err)
-			return
-		}
-
 		// A parent the client knows no path for: today's hint was none.
+		// The file is created before the Place, while rank 0 owns /a/b.
 		delete(c.paths, a)
 		blind, err := c.Create(p, a, "blind", 0644)
 		if err != nil {
@@ -74,8 +80,31 @@ func TestRouteFileHintsByParent(t *testing.T) {
 		if got := c.pathOf(blind); got != "" {
 			t.Errorf("file under an unknown parent has route %q, want none", got)
 		}
+		if err := mon.Place(p, "/a/b", 1); err != nil {
+			t.Errorf("place: %v", err)
+			return
+		}
+		// Rank 1 now owns the file, and rank 0 keeps only the bound /a
+		// lists. Sent with no route, Stat and SetAttr reach rank 0, which
+		// cannot place the inode and answers ENOENT; a create under the
+		// parent is bounced by rank 0, whose bound names the owner, until
+		// the client gives up. No rank acknowledges either.
 		if got := reaches(p, blind); got != 0 {
 			t.Errorf("file under an unknown parent: SetAttr+Stat reached rank %d, want 0", got)
+		}
+		if _, err := c.Stat(p, blind); !errors.Is(err, namespace.ErrNotExist) {
+			t.Errorf("stat of a moved file by inode alone: %v, want ENOENT", err)
+		}
+		if err := c.SetAttr(p, blind, 0600, 1, 1, 0, 0); !errors.Is(err, namespace.ErrNotExist) {
+			t.Errorf("setattr of a moved file by inode alone: %v, want ENOENT", err)
+		}
+		if _, err := c.Create(p, a, "late", 0644); !isRedirect(err) {
+			t.Errorf("create under a moved parent by inode alone: %v, want a redirect", err)
+		}
+		for r := range 2 {
+			if _, err := mc.Rank(r).Store().Resolve("/a/b/late"); err == nil {
+				t.Errorf("rank %d holds /a/b/late", r)
+			}
 		}
 		// Learning the parent's path later gives the file none either.
 		c.notePath(a, "/a/b")
@@ -195,7 +224,7 @@ func TestLookupMissNamesEntry(t *testing.T) {
 		eng.Spawn("test", func(p runtime.Task) {
 			a, err := c.MkdirAll(p, "/a", 0755)
 			if err == nil {
-				err = mc.Place(p, "/a", 1)
+				err = monitor.New(eng, mc).Place(p, "/a", 1)
 			}
 			var f namespace.Ino
 			if err == nil {
@@ -253,9 +282,9 @@ func onTwoRanks(t *testing.T, body func(t *testing.T, eng runtime.Runtime, mc *m
 // rename. A file moved from /a to /b, and a directory /a/d moved to /b/d
 // with a directory e under it, are reached at their new place once /b is
 // placed on rank 1: the setattr of the file, and creates in d and in e,
-// land on rank 1, the owner, and rank 0's stale copy sees none of them.
-// With a stale hint each went to rank 0, which acknowledged it while the
-// owner kept the old state. Moved under a directory whose path the client
+// land on rank 1, the owner, and rank 0 has pruned /b down to the
+// bound its root lists. With a stale hint
+// each went to rank 0. Moved under a directory whose path the client
 // does not know, the hints are dropped and route to rank 0.
 func TestRenameMovesRouteHints(t *testing.T) {
 	onTwoRanks(t, func(t *testing.T, eng runtime.Runtime, mc *mds.Cluster, c *Client) {
@@ -278,7 +307,7 @@ func TestRenameMovesRouteHints(t *testing.T) {
 					t.Errorf("after the renames inode %d routes by %q, want %q", ino, got, want)
 				}
 			}
-			if err := mc.Place(p, "/b", 1); err != nil {
+			if err := monitor.New(eng, mc).Place(p, "/b", 1); err != nil {
 				t.Errorf("place: %v", err)
 				return
 			}
@@ -294,15 +323,12 @@ func TestRenameMovesRouteHints(t *testing.T) {
 			if in, err := owner.Resolve("/b/f"); err != nil || in.Mode != 0600 {
 				t.Errorf("owner's /b/f: %+v, %v; want mode 0600", in, err)
 			}
-			if in, err := stale.Resolve("/b/f"); err != nil || in.Mode != 0644 {
-				t.Errorf("rank 0's stale /b/f: %+v, %v; want mode 0644 untouched", in, err)
+			if in, err := stale.Resolve("/b"); err != nil || in.NumChildren() != 0 {
+				t.Errorf("rank 0's /b after the handoff: %v; want only the bound / lists", err)
 			}
 			for _, path := range []string{"/b/d/g", "/b/d/e/h"} {
 				if _, err := owner.Resolve(path); err != nil {
 					t.Errorf("owner has no %s: %v", path, err)
-				}
-				if _, err := stale.Resolve(path); err == nil {
-					t.Errorf("rank 0's stale copy has %s", path)
 				}
 			}
 

@@ -38,10 +38,9 @@ type Cluster struct {
 	table  *transport.Table
 	router *transport.Router
 
-	// migrations counts committed online migrations. While it is zero
-	// the ranks skip the routed-before-commit ownership check, keeping
-	// never-migrated (calibrated) runs byte-identical. Rank handlers read
-	// it from their own domains, hence atomic.
+	// migrations counts committed handoffs, for reports only. The
+	// monitor commits them from its domain while reports read from
+	// anywhere, hence atomic.
 	migrations atomic.Int64
 }
 
@@ -129,70 +128,49 @@ func (c *Cluster) SetHeat(h *obs.Heat) {
 	}
 }
 
-// Place exports the subtree rooted at path to the given rank and
-// records the placement in the table. The subtree's directory objects
-// (plus the ancestor chain, so the path resolves) are copied through the
-// same serialized form that recovery uses; the source rank keeps its
-// copy, which becomes stale and unreachable once routing points at the
-// new owner — exactly how CephFS subtree exports hand off authority. The
-// copy and the table flip happen in one Exclusive section, so no request
-// is served between them.
-// A file is never placed, on either branch: a request addressed to a
-// file routes by its parent directory's path (client.Client.pathOf).
-func (c *Cluster) Place(p runtime.Task, path string, rank int) error {
-	if rank < 0 || rank >= len(c.ranks) {
-		return fmt.Errorf("mds: place %s: rank %d out of range [0,%d)", path, rank, len(c.ranks))
+// Pin records the subtree at path in the table on rank, which must own
+// it now: a placement that moves nothing (a placement onto another rank
+// is an online migration, monitor.Migrate's handoff). The pin still
+// matters, because heat cells key by placed subtrees. A file is refused,
+// as a migration refuses one, and leaves the table as it was: a request
+// addressed to a file routes by its parent directory's path
+// (client.Client.pathOf), so a file is never a placement root. The checks
+// and the pin run inside rank's lock domain, so no request rank serves
+// lands between them. A subtree that is not rank's by then, or that rank
+// has frozen for a handoff, is refused with namespace.ErrBusy: the
+// caller's view of the owner is stale, and pinning would either move the
+// subtree without its inodes or be undone by the handoff's flip.
+func (c *Cluster) Pin(p runtime.Task, path string, rank int) error {
+	s := c.ranks[rank]
+	s.dom.Enter(p)
+	defer s.dom.Leave(p)
+	if c.table.RankFor(path) != rank || s.frozenCovers(transport.Clean(path)) {
+		return fmt.Errorf("mds: pin %s on rank %d: %w", path, rank, namespace.ErrBusy)
 	}
-	var err error
-	c.eng.Exclusive(p, func() {
-		src, dst := c.ranks[c.table.RankFor(path)], c.ranks[rank]
-		if src != dst {
-			err = exportSubtree(src.store, dst.store, path)
-		} else if in, rerr := src.store.Resolve(path); rerr == nil && !in.IsDir() {
-			err = fmt.Errorf("subtree %q: %w", path, namespace.ErrNotDir)
-		}
-		if err == nil {
-			c.table.Place(path, rank)
-		}
-	})
-	if err != nil {
-		return fmt.Errorf("mds: place %s on rank %d: %w", path, rank, err)
+	if in, err := s.store.Resolve(path); err == nil && !in.IsDir() {
+		return fmt.Errorf("mds: pin %s on rank %d: %w", path, rank, namespace.ErrNotDir)
 	}
+	c.table.Place(path, rank)
 	return nil
 }
 
-// CommitMigration finalizes a committed online migration in the table:
-// routing repoints at the new rank. The monitor calls this once the
-// export-commit record has landed.
-func (c *Cluster) CommitMigration(path string, rank int) {
-	c.table.Place(path, rank)
+// CommitMigration finalizes a committed handoff of the subtree at path
+// from rank src to rank dst in the table: routing repoints the subtree,
+// and every subtree placed under it on src, at dst. The source exported
+// and pruned all it held under path, nested pins included; a subtree
+// placed under it on a third rank was not the source's to move. The
+// monitor calls this once the export-commit record has landed.
+func (c *Cluster) CommitMigration(path string, src, dst int) {
+	path = transport.Clean(path)
+	for _, sub := range c.table.Paths() {
+		if sub != path && transport.HasPathPrefix(sub, path) && c.table.RankFor(sub) == src {
+			c.table.Place(sub, dst)
+		}
+	}
+	c.table.Place(path, dst)
 	c.migrations.Add(1)
 }
 
-// Migrations reports the number of committed subtree migrations across
-// the cluster's lifetime.
+// Migrations reports the number of committed handoffs across the
+// cluster's lifetime: migrations and placements onto another rank.
 func (c *Cluster) Migrations() int { return int(c.migrations.Load()) }
-
-// exportSubtree copies the subtree at path, led by its ancestor chain so
-// the path resolves, from src to dst via the serialized directory-object
-// form.
-func exportSubtree(src, dst *namespace.Store, path string) error {
-	dirs, _, err := src.Subtree(path)
-	if err != nil {
-		return err
-	}
-	for _, ino := range dirs {
-		data, err := src.EncodeDir(ino)
-		if err != nil {
-			return err
-		}
-		obj, err := namespace.DecodeDir(data)
-		if err != nil {
-			return err
-		}
-		if err := dst.InstallDir(obj); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -95,12 +95,14 @@ type ExportSaveReply struct {
 }
 
 // ExportCommitMsg finishes the source side: the rank writes the
-// journaled export-commit record and, on success, prunes the subtree
-// and thaws routing state. A failed (or torn) record write leaves the
-// subtree frozen and intact; the monitor then aborts the migration.
+// journaled export-commit record and, on success, prunes the subtree.
+// A failed (or torn) record write leaves the subtree frozen and intact;
+// the monitor then aborts the migration. A handoff that keeps nothing
+// durable (a placement off a rank that does not stream) sends Seq 0 and
+// the rank prunes without a record.
 type ExportCommitMsg struct {
 	Path string
-	Seq  uint64 // monitor-assigned migration sequence
+	Seq  uint64 // monitor-assigned migration sequence; 0 writes no record
 	Dst  int    // destination rank, recorded for the audit trail
 }
 
@@ -228,6 +230,42 @@ func (s *Server) frozenCovers(path string) bool {
 	return false
 }
 
+// owns reports whether this rank holds inode ino and the table gives it
+// this rank. A directory it holds but does not own is a bound: the empty
+// inode its parent lists (namespace.Store.PruneExport), or a copy an
+// import's ancestor chain brought.
+func (s *Server) owns(ino namespace.Ino) bool {
+	path, err := s.store.PathOf(ino)
+	return err == nil && s.c.table.RankFor(path) == s.rank
+}
+
+// bound reports whether in is a directory this rank holds as a bound.
+func (s *Server) bound(in *namespace.Inode) bool {
+	return in != nil && in.IsDir() && !s.owns(in.Ino)
+}
+
+// ownDirs returns dirs — the directory objects of the subtree at path,
+// led by its ancestor chain (namespace.Store.Subtree) — without the
+// directories under path in a subtree the table places on another rank:
+// the objects this rank may save. It holds such a directory only as a
+// bound or a stale copy, and writing that over the owner's object would
+// drop the owner's entries. (A handoff still streams them, so that the
+// importer reaches what lies below; the importer skips any it owns.)
+func (s *Server) ownDirs(path string, dirs []namespace.Ino) []namespace.Ino {
+	if s.c.table.Empty() {
+		return dirs
+	}
+	home := s.c.table.SubtreeFor(path)
+	kept := make([]namespace.Ino, 0, len(dirs))
+	for _, ino := range dirs {
+		dir, _ := s.store.PathOf(ino)
+		if !transport.HasPathPrefix(dir, path) || s.c.table.SubtreeFor(dir) == home || s.c.table.RankFor(dir) == s.rank {
+			kept = append(kept, ino)
+		}
+	}
+	return kept
+}
+
 // exportBusy is the reason the subtree at path cannot freeze right now,
 // nil when it can. A merge applied mid-export would corrupt the streamed
 // image, so freezing refuses while any Volatile Apply is in flight — a
@@ -257,10 +295,10 @@ func (s *Server) exportWalk(path string) (*exportState, map[namespace.Ino]bool, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if !root.IsDir() || root.Ino == namespace.RootIno {
+	if root.Ino == namespace.RootIno {
 		return nil, nil, fmt.Errorf("mds: export %s: %w", path, namespace.ErrInval)
 	}
-	dirs, inos, err := s.store.Subtree(path)
+	dirs, inos, err := s.store.Subtree(path) // refuses a file: ErrNotDir
 	if err != nil {
 		return nil, nil, err
 	}
@@ -347,7 +385,7 @@ func (s *Server) exportSave(p runtime.Task, m *ExportSaveMsg) *ExportSaveReply {
 	if ex == nil {
 		return &ExportSaveReply{Err: ErrNotExporting}
 	}
-	saved, err := s.saveDirs(p, ex.dirs)
+	saved, err := s.saveDirs(p, s.ownDirs(ex.manifest.Path, ex.dirs))
 	if err != nil {
 		err = fmt.Errorf("export save: %w", err)
 	}
@@ -403,26 +441,21 @@ func (s *Server) exportCommit(p runtime.Task, m *ExportCommitMsg) *ExportCommitR
 	if ex == nil {
 		return &ExportCommitReply{Err: ErrNotExporting}
 	}
-	rec := &journal.Event{
-		Type:      journal.EvExport,
-		Seq:       m.Seq,
-		Name:      path,
-		Ino:       uint64(ex.manifest.Root),
-		Parent:    uint64(s.rank),
-		NewParent: uint64(m.Dst),
+	if m.Seq != 0 {
+		var enc journal.Encoder
+		data, err := enc.Encode([]*journal.Event{{Type: journal.EvExport, Seq: m.Seq, Name: path,
+			Ino: uint64(ex.manifest.Root), Parent: uint64(s.rank), NewParent: uint64(m.Dst)}})
+		if err == nil {
+			err = s.obj.Write(p, rados.ObjectID{Pool: MigrationPool, Name: ExportRecordName(m.Seq)}, data)
+		}
+		if err != nil {
+			// The record is not durably down: leave the subtree frozen
+			// and intact so the monitor's abort path restores service
+			// here.
+			return &ExportCommitReply{Err: fmt.Errorf("export commit record: %w", err)}
+		}
 	}
-	var enc journal.Encoder
-	data, err := enc.Encode([]*journal.Event{rec})
-	if err != nil {
-		return &ExportCommitReply{Err: err}
-	}
-	oid := rados.ObjectID{Pool: MigrationPool, Name: ExportRecordName(m.Seq)}
-	if err := s.obj.Write(p, oid, data); err != nil {
-		// The record is not durably down: leave the subtree frozen and
-		// intact so the monitor's abort path restores service here.
-		return &ExportCommitReply{Err: fmt.Errorf("export commit record: %w", err)}
-	}
-	pruned, err := s.store.PruneSubtree(path)
+	pruned, err := s.store.PruneExport(path)
 	if err != nil {
 		return &ExportCommitReply{Err: err}
 	}
@@ -479,8 +512,13 @@ func (s *Server) importService(p runtime.Task, job *streamJob, sc transport.Stre
 	defer s.cpu.Release()
 	for _, data := range objs {
 		p.Sleep(s.migrateDirCPU())
+		// A directory this rank holds and owns is skipped: the exporter
+		// streams a stale copy of it, from the ancestor chain or from a
+		// subtree placed under the export, and installing that would drop
+		// the entries made here since. The export's own directories route
+		// to the exporter until the flip, so they always install.
 		obj, err := namespace.DecodeDir(data)
-		if err == nil {
+		if err == nil && !s.owns(obj.Ino) {
 			err = s.store.InstallDir(obj)
 		}
 		if err != nil {

@@ -113,14 +113,17 @@ func TestFreezeExportsDirMadeMeanwhile(t *testing.T) {
 	}
 }
 
-// TestRestartedRankKeepsAckedInodes: a rank other than 0 journals a
-// create, a mkdir and a create inside the new directory, flushes, crashes
-// and restarts. Every path must resolve to the inode the rank acked:
-// replay reinstalls journaled inodes instead of allocating, and the
-// recovered store allocates from the rank's own band.
+// TestRestartedRankKeepsAckedInodes: a rank other than 0, owning the
+// whole namespace, journals a create, a mkdir and a create inside the
+// new directory, flushes, crashes and restarts. Every path must resolve
+// to the inode the rank acked: replay reinstalls journaled inodes instead
+// of allocating, and the recovered store allocates from the rank's own
+// band.
 func TestRestartedRankKeepsAckedInodes(t *testing.T) {
 	eng := sim.NewEngine(17)
-	s := NewCluster(eng, model.Default(), rados.New(eng, model.Default()), 2).Rank(1)
+	cl := NewCluster(eng, model.Default(), rados.New(eng, model.Default()), 2)
+	cl.Table().Place("/", 1)
+	s := cl.Rank(1)
 	s.OpenSession("c0")
 	s.SetStream(true)
 	acked := map[string]namespace.Ino{}

@@ -123,6 +123,16 @@ func handleUnlink(s *Server, p runtime.Task, req *Request) error {
 
 func handleRename(s *Server, p runtime.Task, req *Request) error {
 	in := s.store.Child(req.Parent, req.Name)
+	// A directory another rank owns is only a bound here: renaming it,
+	// over it or into it would leave the owner's subtree under a path
+	// the table no longer names, or the entry where no one serves it.
+	// POSIX refuses to rename a mount point the same way. Only a
+	// directory can replace one, and a rename within one directory moves
+	// into a directory this rank serves.
+	if !s.c.table.Empty() && in != nil && (s.bound(in) || in.IsDir() && s.bound(s.store.Child(req.NewParent, req.NewName)) ||
+		req.NewParent != req.Parent && !s.owns(req.NewParent)) {
+		return fmt.Errorf("rename %q: %w", req.Name, namespace.ErrBusy)
+	}
 	if err := s.store.Rename(req.Parent, req.Name, req.NewParent, req.NewName); err != nil {
 		return err
 	}

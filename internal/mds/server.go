@@ -23,6 +23,7 @@
 package mds
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -320,34 +321,33 @@ func (s *Server) handle(p runtime.Task, msg any) any {
 	return m.serve(s, p)
 }
 
-// bounce is the redirect for a workload message addressed to a subtree
-// this rank has frozen for export — or, once any migration has happened,
-// does not own at all (routed before a migration committed, served after)
-// — nil when the rank should serve it. The check costs no simulated time
-// and, on a cluster that has never migrated, reduces to the cluster's
-// migration count and one map-length test, so calibrated runs are
-// untouched.
+// bounce is the redirect for a workload message this rank must not
+// serve, nil when it should serve it. One rule covers every handoff: the
+// rank serves a message only if the subtree it addresses is not frozen
+// here and the table says this rank owns it. A request that carries no
+// route is placed by the path of its parent, else of its inode, when
+// this rank holds that inode; one the rank can place nowhere is served.
+// The check costs no simulated time, and while nothing is placed or
+// frozen rank 0 owns everything, so a one-rank run pays three tests.
 func (s *Server) bounce(msg refusable) error {
-	migrated := s.c.migrations.Load() != 0
-	if len(s.frozen) == 0 && !migrated {
+	if s.rank == 0 && len(s.frozen) == 0 && s.c.table.Empty() {
 		return nil
 	}
 	route := msg.route()
-	if req, ok := msg.(*Request); ok && route == "" && req.Parent != 0 {
-		// Routed by parent-inode hint only: recover the path server-side
-		// so the ownership check still applies.
-		route, _ = s.store.PathOf(req.Parent)
+	if req, ok := msg.(*Request); ok && route == "" {
+		if ino := cmp.Or(req.Parent, req.Ino); ino != 0 {
+			route, _ = s.store.PathOf(ino) // "" if not held here
+		}
 	}
 	if route == "" {
 		return nil
 	}
-	frozen := s.frozenCovers(transport.Clean(route))
+	frozen := len(s.frozen) != 0 && s.frozenCovers(transport.Clean(route))
 	rank := s.rank
-	if migrated && !frozen {
-		rank = s.c.table.RankFor(route)
-	}
-	if !frozen && rank == s.rank {
-		return nil
+	if !frozen {
+		if rank = s.c.table.RankFor(route); rank == s.rank {
+			return nil
+		}
 	}
 	werr := &transport.WrongRankError{Path: route, Rank: rank, Frozen: frozen}
 	s.metrics.Bounced++

@@ -273,7 +273,7 @@ func (s *Server) SaveStore(p runtime.Task) error {
 	defer s.dom.Leave(p)
 	dirs, _, err := s.store.Subtree("/")
 	if err == nil {
-		_, err = s.saveDirs(p, dirs)
+		_, err = s.saveDirs(p, s.ownDirs("/", dirs))
 	}
 	if err != nil {
 		return fmt.Errorf("mds save: %w", err)

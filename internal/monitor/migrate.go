@@ -9,38 +9,68 @@ import (
 	"cudele/internal/transport"
 )
 
-// Online subtree migration, orchestrated by the monitor. The protocol
+// A subtree changes hands one way: the handoff below, which an online
+// migration (Migrate), a placement onto another rank (Place) and a
+// registration's mds_rank move (RegisterPolicy) all run. The protocol
 // (mds/migrate.go holds the rank side):
 //
 //	freeze (src)  → save (src, durable)  → open (dst, admission)
 //	→ chunk loop: read (src) / chunk (dst, windowed)
-//	→ import commit (dst)  → export commit (src, journaled record)
+//	→ import commit (dst)  → export commit (src, journaled record, prune)
 //	→ epoch++ / table flip (monitor)
 //
 // Routing changes only at the flip — that is the linearization point. A
 // failure anywhere before the export-commit record lands aborts both
 // sides: the source thaws and stays authoritative; the destination keeps
 // whatever it installed as an unreachable stale copy, exactly like a
-// crash before the flip.
+// crash before the flip. Either way one rank owns the subtree, and a
+// rank serves only what the table says it owns (mds.Server.bounce).
 
 // Migrate moves ownership of the subtree at path to rank dst online:
 // clients keep operating (requests into the frozen subtree bounce with a
 // redirect) and every update acknowledged before the freeze is durable
 // on both sides before ownership flips. Migrating a subtree onto its
-// current owner is a no-op. A refused freeze (merges in flight) or any
-// mid-stream failure aborts the migration, leaving the source
-// authoritative; the caller may retry later.
+// current owner is a no-op. A file is refused (namespace.ErrNotDir). A
+// refused freeze (merges in flight) or any mid-stream failure aborts the
+// migration, leaving the source authoritative; the caller may retry
+// later.
 func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 	m.dom.Enter(p)
 	defer m.dom.Leave(p)
-	if dst < 0 || dst >= m.cl.Ranks() {
-		return fmt.Errorf("monitor: migrate %s: rank %d out of range [0,%d)",
-			path, dst, m.cl.Ranks())
+	if err := m.checkRank("migrate", path, dst); err != nil {
+		return err
 	}
 	srcRank := m.cl.Table().RankFor(path)
 	if srcRank == dst {
 		return nil
 	}
+	return m.handoff(p, path, srcRank, dst, true)
+}
+
+// checkRank refuses a rank the cluster does not have.
+func (m *Monitor) checkRank(op, path string, rank int) error {
+	if rank < 0 || rank >= m.cl.Ranks() {
+		return fmt.Errorf("monitor: %s %s: rank %d out of range [0,%d)", op, path, rank, m.cl.Ranks())
+	}
+	return nil
+}
+
+// handoff moves the subtree at path from its owner, rank srcRank, to rank
+// dst: freeze, save, stream, import commit, export-commit record and
+// prune, then one commit latency, one epoch and the table flip. The
+// caller holds the monitor's domain and has checked that dst is another
+// rank of the cluster.
+//
+// Unless durable is set the handoff neither saves the frozen image nor
+// writes the record, so it writes nothing to the object store. Migrate
+// always sets it: the chaos oracle takes the save as the point where
+// every pre-freeze ack is durable on both sides, in every cell. A
+// placement sets it when the source streams its journal, which holds
+// pre-freeze acks and does not move. A source that does not stream has
+// made nothing durable since its last save, whose objects stay in the
+// pool for whichever rank recovers, so a placement off it keeps the
+// subtree exactly as durable as it was.
+func (m *Monitor) handoff(p runtime.Task, path string, srcRank, dst int, durable bool) error {
 	src, dstEp := m.cl.Rank(srcRank), m.cl.Rank(dst)
 	retry := m.cl.Config().MigrateRetryDelay
 	st := m.record(path)
@@ -76,8 +106,10 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 
 	// 2. Make the frozen image durable: after this, pre-freeze acks
 	// survive a crash of either rank.
-	if sv := src.Post(p, &mds.ExportSaveMsg{Path: path}).(*mds.ExportSaveReply); sv.Err != nil {
-		return abort(0, sv.Err)
+	if durable {
+		if sv := src.Post(p, &mds.ExportSaveMsg{Path: path}).(*mds.ExportSaveReply); sv.Err != nil {
+			return abort(0, sv.Err)
+		}
 	}
 
 	// 3. Open the import session (bounded admission on the destination).
@@ -123,8 +155,12 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 	// 6. Source writes the journaled export-commit record and prunes. A
 	// failed (or torn) record leaves the source frozen and intact; abort
 	// restores service there and strands a harmless copy on dst.
-	m.migSeq++
-	ec := src.Post(p, &mds.ExportCommitMsg{Path: path, Seq: m.migSeq, Dst: dst}).(*mds.ExportCommitReply)
+	var seq uint64 // 0: no record
+	if durable {
+		m.migSeq++
+		seq = m.migSeq
+	}
+	ec := src.Post(p, &mds.ExportCommitMsg{Path: path, Seq: seq, Dst: dst}).(*mds.ExportCommitReply)
 	if ec.Err != nil {
 		return abort(or.ID, ec.Err)
 	}
@@ -132,7 +168,7 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 	// 7. Flip the routing table: the linearization point.
 	p.Sleep(commitLatency)
 	m.epoch++
-	m.cl.CommitMigration(path, dst)
+	m.cl.CommitMigration(path, srcRank, dst)
 	m.placed(path)
 	st.Moves++
 	// Thaw the source last: its freeze outlived the prune so that
@@ -142,7 +178,7 @@ func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
 	if fl := m.eng.Flight(); fl != nil {
 		fl.Record(int64(p.Now()), "monitor", "monitor", "migrate.commit",
 			fmt.Sprintf("%s rank %d -> %d seq=%d epoch=%d dirs=%d",
-				path, srcRank, dst, m.migSeq, m.epoch, fr.Manifest.Dirs))
+				path, srcRank, dst, seq, m.epoch, fr.Manifest.Dirs))
 	}
 	return nil
 }

@@ -27,12 +27,24 @@ func populate(t *testing.T, eng runtime.Runtime, srv *mds.Server, dir string, fi
 	})
 }
 
+// heldAsBound reports whether st holds path only as the bound its parent
+// lists after a handoff: an empty directory (namespace.Store.PruneExport).
+func heldAsBound(st *namespace.Store, path string) bool {
+	in, err := st.Resolve(path)
+	return err == nil && in.IsDir() && in.NumChildren() == 0
+}
+
 // TestMigrateMovesOwnership is the tentpole's core contract: after an
 // online migration the destination serves the subtree, the source has
-// pruned it, and the ownership entity records the move under a new
-// epoch.
+// pruned it down to the bound its parent lists, and the ownership entity records the move under a new
+// epoch. The subtree is wider than one migration chunk, with nested and
+// sibling directories, and its deepest file lands too.
 func TestMigrateMovesOwnership(t *testing.T) {
 	eng, cl, m := newTestCluster(2)
+	populate(t, eng, cl.Rank(0), "/a/keep", 2)
+	for i := 0; i < 20; i++ {
+		populate(t, eng, cl.Rank(0), fmt.Sprintf("/a/job/d%02d/leaf", i), 3)
+	}
 	populate(t, eng, cl.Rank(0), "/a/job", 7)
 	epoch0 := m.Epoch()
 	run(t, eng, func(p runtime.Task) {
@@ -49,7 +61,13 @@ func TestMigrateMovesOwnership(t *testing.T) {
 	if _, err := cl.Rank(1).Store().Resolve("/a/job/f00"); err != nil {
 		t.Errorf("dst resolve: %v", err)
 	}
-	if _, err := cl.Rank(0).Store().Resolve("/a/job"); !errors.Is(err, namespace.ErrNotExist) {
+	if in, err := cl.Rank(1).Store().Resolve("/a/job/d19/leaf/f20"); err != nil || in.IsDir() {
+		t.Errorf("dst lacks the deepest file: %v", err)
+	}
+	if !heldAsBound(cl.Rank(0).Store(), "/a/job") {
+		t.Error("src holds more of /a/job than the bound /a lists")
+	}
+	if _, err := cl.Rank(0).Store().Resolve("/a/job/f00"); !errors.Is(err, namespace.ErrNotExist) {
 		t.Errorf("src resolve after prune = %v, want ErrNotExist", err)
 	}
 	// The ancestor chain stays on the source (only the subtree moved).
@@ -72,36 +90,6 @@ func TestMigrateMovesOwnership(t *testing.T) {
 	// Neither side is left frozen.
 	if cl.Rank(0).Frozen("/a/job") || cl.Rank(1).Frozen("/a/job") {
 		t.Errorf("subtree still frozen after commit")
-	}
-}
-
-// TestMigrateAndPlaceLandTheSameImage: an online migration and a set-up
-// placement carry a subtree through the same directory objects in the
-// same order (namespace.Store.Subtree), so the image each lands on
-// the destination rank is the same — over a tree wider than one migration
-// chunk, with nested and sibling directories.
-func TestMigrateAndPlaceLandTheSameImage(t *testing.T) {
-	landed := func(move func(p runtime.Task, cl *mds.Cluster, m *Monitor) error) *namespace.Store {
-		eng, cl, m := newTestCluster(2)
-		populate(t, eng, cl.Rank(0), "/a/keep", 2)
-		for i := 0; i < 20; i++ {
-			populate(t, eng, cl.Rank(0), fmt.Sprintf("/a/job/d%02d/leaf", i), 3)
-		}
-		populate(t, eng, cl.Rank(0), "/a/job", 5)
-		run(t, eng, func(p runtime.Task) {
-			if err := move(p, cl, m); err != nil {
-				t.Fatalf("move: %v", err)
-			}
-		})
-		return cl.Rank(1).Store()
-	}
-	migrated := landed(func(p runtime.Task, cl *mds.Cluster, m *Monitor) error { return m.Migrate(p, "/a/job", 1) })
-	placed := landed(func(p runtime.Task, cl *mds.Cluster, m *Monitor) error { return cl.Place(p, "/a/job", 1) })
-	if in, err := migrated.Resolve("/a/job/d19/leaf/f20"); err != nil || in.IsDir() {
-		t.Fatalf("migrated image lacks the deepest file: %v", err)
-	}
-	if !namespace.Equal(migrated, placed) {
-		t.Error("Monitor.Migrate and Cluster.Place landed different images of the same subtree")
 	}
 }
 

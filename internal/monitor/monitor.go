@@ -159,25 +159,23 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 		}
 	}()
 	lo := grantAt(target, slot)
-	p.Sleep(commitLatency)
-	m.epoch++
+	if oldRank := m.cl.Table().RankFor(path); target != oldRank {
+		// The subtree moves. Clear its registration on the old owner
+		// first, so the handoff carries no policy the new one replaces;
+		// the handoff's flip is the registration's one epoch.
+		if _, had := m.Lookup(path); had {
+			if err := m.cl.Rank(oldRank).Post(p, &mds.RecoupleMsg{Path: path}).(*mds.RecoupleReply).Err; err != nil {
+				return nil, err
+			}
+		}
+		if err := m.handoff(p, path, oldRank, target, m.cl.Rank(oldRank).StreamEnabled()); err != nil {
+			return nil, err
+		}
+	} else {
+		p.Sleep(commitLatency)
+		m.epoch++
+	}
 	pol.Version = m.epoch
-
-	oldRank := m.cl.Table().RankFor(path)
-	if _, had := m.Lookup(path); had && target != oldRank {
-		// The subtree moves: clear its registration on the old owner
-		// before the export, so a single rank never holds a policy for
-		// a subtree it no longer serves.
-		if err := m.cl.Rank(oldRank).Post(p, &mds.RecoupleMsg{Path: path}).(*mds.RecoupleReply).Err; err != nil {
-			return nil, err
-		}
-	}
-	if target != oldRank {
-		if err := m.cl.Place(p, path, target); err != nil {
-			return nil, err
-		}
-		m.placed(path)
-	}
 	if err := m.cl.Rank(target).Post(p, &mds.AttachMsg{Path: path, Policy: pol,
 		Client: owner, Lo: lo, N: n}).(*mds.AttachReply).Err; err != nil {
 		return nil, err
@@ -209,12 +207,23 @@ func (m *Monitor) Unregister(p runtime.Task, path string) error {
 
 // Place pins the subtree at path to a metadata rank without touching its
 // policy — the explicit placement knob (ceph.dir.pin in CephFS terms).
+// Onto another rank it is a migration with no load, the same handoff as
+// Migrate; onto the current owner it only records the pin, under one
+// commit latency and one epoch. Either way a file is refused
+// (namespace.ErrNotDir) and the table stays as it was, and so is a
+// subtree a concurrent handoff has frozen or moved (namespace.ErrBusy).
 func (m *Monitor) Place(p runtime.Task, path string, rank int) error {
 	m.dom.Enter(p)
 	defer m.dom.Leave(p)
+	if err := m.checkRank("place", path, rank); err != nil {
+		return err
+	}
+	if owner := m.cl.Table().RankFor(path); owner != rank {
+		return m.handoff(p, path, owner, rank, m.cl.Rank(owner).StreamEnabled())
+	}
 	p.Sleep(commitLatency)
 	m.epoch++
-	if err := m.cl.Place(p, path, rank); err != nil {
+	if err := m.cl.Pin(p, path, rank); err != nil {
 		return err
 	}
 	m.placed(path)

@@ -197,8 +197,9 @@ func TestReRegisterMovesRankAndPropagates(t *testing.T) {
 		if got := cl.Table().RankFor("/d"); got != 1 {
 			t.Errorf("cluster table routes /d to rank %d", got)
 		}
-		// The MDS ranks see the handoff: rank 1 owns the subtree's
-		// policy, rank 0 no longer does.
+		// The MDS ranks see the handoff: rank 1 owns the subtree and its
+		// policy, and rank 0 has pruned both,
+		// keeping only the bound its root lists.
 		in1, err := cl.Rank(1).Store().Resolve("/d")
 		if err != nil {
 			t.Fatalf("subtree not exported to rank 1: %v", err)
@@ -206,11 +207,10 @@ func TestReRegisterMovesRankAndPropagates(t *testing.T) {
 		if owner, ok := cl.Rank(1).Owner(in1.Ino); !ok || owner != "c0" {
 			t.Errorf("rank 1 owner = %q, %v", owner, ok)
 		}
-		in0, err := cl.Rank(0).Store().Resolve("/d")
-		if err != nil {
-			t.Fatalf("rank 0 lost its (stale) copy: %v", err)
+		if !heldAsBound(cl.Rank(0).Store(), "/d") {
+			t.Error("rank 0 holds more of /d than the bound / lists after the handoff")
 		}
-		if _, ok := cl.Rank(0).Owner(in0.Ino); ok {
+		if _, ok := cl.Rank(0).Owner(in1.Ino); ok {
 			t.Error("rank 0 still registered as the subtree's policy owner")
 		}
 	})

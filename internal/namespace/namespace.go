@@ -108,7 +108,7 @@ func (in *Inode) NumChildren() int { return in.frag.len() }
 // edited in place: a sorted insert would make a create O(n) in its
 // directory, and a directory nobody lists should pay nothing for being
 // listable. It lives and dies with its inode; a table keyed by Ino would
-// outlive PruneSubtree and serve a stale listing when a migration brings
+// outlive PruneExport and serve a stale listing when a migration brings
 // the same inode numbers back.
 type dirFrag struct {
 	ents Dentries
@@ -739,10 +739,38 @@ func (s *Store) walk(p string, ino Ino, fn func(string, *Inode) error) error {
 	})
 }
 
+// PruneExport removes every inode under the directory at absolute path p
+// and leaves p an empty directory with no policy. The exporting rank calls
+// this when a handoff commits: the subtree's inodes now live on the
+// importer, but p's dentry belongs to its parent's directory, which stays
+// here, and a directory object names each entry with its attributes. So
+// p's own inode stays as the bound of the parent's listing, just as the
+// ancestor chain an importer installs names the directories beside the
+// subtree. The inode count removed is returned; pruning the root is
+// refused.
+func (s *Store) PruneExport(p string) (int, error) {
+	_, victims, err := s.Subtree(p)
+	if err != nil {
+		return 0, err
+	}
+	root, err := s.Get(victims[0])
+	if err != nil {
+		return 0, err
+	}
+	if root.Ino == RootIno {
+		return 0, fmt.Errorf("prune %q: %w", p, ErrInval)
+	}
+	for _, ino := range victims[1:] {
+		s.inodes.del(ino)
+	}
+	root.frag, root.Policy = newDirFrag(), nil
+	s.version++
+	return len(victims) - 1, nil
+}
+
 // PruneSubtree detaches the directory at absolute path p from its parent
-// and removes every inode under it. The exporting rank calls this after a
-// migration commits: the subtree's inodes now live on the importer. The
-// inode count removed is returned; pruning the root is refused.
+// and removes every inode under it, the way a merge removes a directory.
+// The inode count removed is returned; pruning the root is refused.
 func (s *Store) PruneSubtree(p string) (int, error) {
 	_, victims, err := s.Subtree(p)
 	if err != nil {

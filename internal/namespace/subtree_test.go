@@ -203,3 +203,52 @@ func TestSubtree(t *testing.T) {
 		t.Errorf("PruneSubtree(/) = %v, want ErrInval", err)
 	}
 }
+
+// TestPruneExport: the exporter's prune removes everything under the
+// subtree root and keeps the root itself, empty and with no policy, so
+// its parent still lists it, a create of its name is refused, and the
+// store checks clean. The root of the namespace and a file are refused.
+func TestPruneExport(t *testing.T) {
+	s := NewStore()
+	for _, dir := range []string{"/top/job/a/x", "/top/job/b", "/top/sibling"} {
+		if _, err := s.MkdirAll(dir, CreateAttrs{Mode: 0755}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job, _ := s.Resolve("/top/job")
+	if _, err := s.Create(job.Ino, "f", CreateAttrs{Mode: 0644}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetPolicy(job.Ino, &policy.Policy{}); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Len()
+
+	n, err := s.PruneExport("/top/job")
+	if err != nil || n != 4 || s.Len() != before-4 {
+		t.Fatalf("PruneExport = %d, %v; store %d -> %d inodes, want 4 removed", n, err, before, s.Len())
+	}
+	in, err := s.Resolve("/top/job")
+	if err != nil || in.Ino != job.Ino || !in.IsDir() || in.NumChildren() != 0 || in.Policy != nil {
+		t.Fatalf("pruned root = %+v, %v; want the same empty directory with no policy", in, err)
+	}
+	top, _ := s.Resolve("/top")
+	if names, _ := s.ReadDir(top.Ino); !slices.Equal(names, []string{"job", "sibling"}) {
+		t.Errorf("parent lists %v after the prune, want [job sibling]", names)
+	}
+	if _, err := s.Mkdir(top.Ino, "job", CreateAttrs{}); !errors.Is(err, ErrExist) {
+		t.Errorf("mkdir of the pruned root's name = %v, want ErrExist", err)
+	}
+	if probs := s.Check(); len(probs) != 0 {
+		t.Errorf("store after the prune: %v", probs)
+	}
+	if _, err := s.PruneExport("/"); !errors.Is(err, ErrInval) {
+		t.Errorf("PruneExport(/) = %v, want ErrInval", err)
+	}
+	if _, err := s.Create(top.Ino, "file", CreateAttrs{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PruneExport("/top/file"); !errors.Is(err, ErrNotDir) {
+		t.Errorf("PruneExport of a file = %v, want ErrNotDir", err)
+	}
+}

@@ -115,6 +115,9 @@ func (t *Table) SubtreeFor(path string) string {
 	return "/"
 }
 
+// Empty reports whether nothing is placed: every path routes to rank 0.
+func (t *Table) Empty() bool { return len(t.snap.Load().places) == 0 }
+
 // Paths returns the placed paths in sorted order, for display.
 func (t *Table) Paths() []string {
 	places := t.snap.Load().places

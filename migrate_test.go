@@ -324,8 +324,9 @@ func TestMigrateUnderStormReal(t *testing.T) {
 	if err := cl.Runtime().LeakCheck(); err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.Metadata().Migrations(); got != 2 {
-		t.Errorf("migrations = %d, want 2", got)
+	// The set-up Place of /s1 onto rank 1 is a handoff too.
+	if got := cl.Metadata().Migrations(); got != 3 {
+		t.Errorf("migrations = %d, want 3", got)
 	}
 	for i := range clients {
 		path := fmt.Sprintf("/s%d", i)

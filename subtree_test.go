@@ -11,8 +11,9 @@ import (
 
 // TestSubtreeRecordIsOneAndCurrent: the monitor keeps one record per
 // subtree. A registration is that record, its epoch is the epoch of the
-// change that last touched it, its move count counts committed
-// migrations, and its rank is whatever the routing table says.
+// change that last touched it, its move count counts committed handoffs
+// (a migration, or a Place onto another rank), and its rank is whatever
+// the routing table says.
 func TestSubtreeRecordIsOneAndCurrent(t *testing.T) {
 	cl := NewCluster(WithMDSRanks(2))
 	c := cl.NewClient("client.0")
@@ -65,11 +66,11 @@ func TestSubtreeRecordIsOneAndCurrent(t *testing.T) {
 		if err := mon.Place(p, "/a/dec", 0); err != nil {
 			t.Fatalf("place /a/dec: %v", err)
 		}
-		check("place", reg, 0)
+		check("place", reg, 1)
 		if err := cl.Migrate(p, "/a/dec", 1); err != nil {
 			t.Fatalf("migrate: %v", err)
 		}
-		check("migrate", reg, 1)
+		check("migrate", reg, 2)
 		if got := table.RankFor("/a/dec"); got != 1 {
 			t.Errorf("table routes /a/dec to rank %d after the migration, want 1", got)
 		}
@@ -80,8 +81,8 @@ func TestSubtreeRecordIsOneAndCurrent(t *testing.T) {
 		if _, ok := mon.Lookup("/a/dec"); ok {
 			t.Error("Lookup still finds a registration after Unregister")
 		}
-		if st, ok := mon.Subtree("/a/dec"); !ok || st.State != monitor.SubtreeOwned || st.Epoch != mon.Epoch() || st.Moves != 1 {
-			t.Errorf("record after Unregister = %+v, %v; want kept, owned, at the monitor's epoch %d, 1 move",
+		if st, ok := mon.Subtree("/a/dec"); !ok || st.State != monitor.SubtreeOwned || st.Epoch != mon.Epoch() || st.Moves != 2 {
+			t.Errorf("record after Unregister = %+v, %v; want kept, owned, at the monitor's epoch %d, 2 moves",
 				st, ok, mon.Epoch())
 		}
 		if err := cl.Reattach(p, "/a/dec"); !errors.Is(err, monitor.ErrUnknownSubtree) {
