@@ -38,53 +38,55 @@ func (p Problem) String() string {
 func (s *Store) Check() []Problem {
 	var problems []Problem
 
-	// Walk the tree from the root, validating dentries.
+	// Walk the tree from the root, validating dentries. A path is built
+	// for each directory descended into and each problem reported, not
+	// for every dentry: visit gets the entry's directory path and name,
+	// and the root is visit(root, "/", "").
 	reachable := make(map[Ino]bool, s.inodes.len())
 	var walk func(dir *Inode, path string)
-	walk = func(dir *Inode, path string) {
-		if reachable[dir.Ino] {
+	visit := func(in *Inode, dirPath, name string) {
+		if reachable[in.Ino] {
 			problems = append(problems, Problem{
-				Kind: "dup-ino", Ino: dir.Ino, Path: path,
+				Kind: "dup-ino", Ino: in.Ino, Path: joinPath(dirPath, name),
 				Info: "inode reachable through multiple dentries",
 			})
 			return
 		}
-		reachable[dir.Ino] = true
-		if !dir.IsDir() {
-			if dir.NumChildren() > 0 {
+		reachable[in.Ino] = true
+		if !in.IsDir() {
+			if in.NumChildren() > 0 {
 				problems = append(problems, Problem{
-					Kind: "file-children", Ino: dir.Ino, Path: path,
-					Info: fmt.Sprintf("regular file with %d dentries", dir.NumChildren()),
+					Kind: "file-children", Ino: in.Ino, Path: joinPath(dirPath, name),
+					Info: fmt.Sprintf("regular file with %d dentries", in.NumChildren()),
 				})
 			}
 			return
 		}
+		walk(in, joinPath(dirPath, name))
+	}
+	walk = func(dir *Inode, path string) {
 		_ = dir.frag.each(&s.lists, func(name string, ci Ino) error {
-			childPath := path + "/" + name
-			if path == "/" {
-				childPath = "/" + name
-			}
 			child := s.inodes.get(ci)
 			if child == nil {
 				problems = append(problems, Problem{
-					Kind: "dangling-dentry", Ino: ci, Path: childPath,
+					Kind: "dangling-dentry", Ino: ci, Path: joinPath(path, name),
 					Info: "dentry references missing inode",
 				})
 				return nil
 			}
 			if child.Parent != dir.Ino {
 				problems = append(problems, Problem{
-					Kind: "bad-parent", Ino: ci, Path: childPath,
+					Kind: "bad-parent", Ino: ci, Path: joinPath(path, name),
 					Info: fmt.Sprintf("inode says parent=%d, dentry in %d", child.Parent, dir.Ino),
 				})
 			}
 			if child.Name != name {
 				problems = append(problems, Problem{
-					Kind: "bad-name", Ino: ci, Path: childPath,
+					Kind: "bad-name", Ino: ci, Path: joinPath(path, name),
 					Info: fmt.Sprintf("inode says name=%q, dentry says %q", child.Name, name),
 				})
 			}
-			walk(child, childPath)
+			visit(child, path, name)
 			return nil
 		})
 	}
@@ -92,7 +94,7 @@ func (s *Store) Check() []Problem {
 	if root == nil {
 		return []Problem{{Kind: "no-root", Ino: RootIno, Info: "store has no root inode"}}
 	}
-	walk(root, "/")
+	visit(root, "/", "")
 
 	// Anything not reached is orphaned.
 	var orphans []*Inode

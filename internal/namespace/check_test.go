@@ -102,6 +102,50 @@ func TestCheckDupIno(t *testing.T) {
 	}
 }
 
+// TestCheckProblemsInOrder pins Check's whole report — order, paths and
+// text, which Repair and `cudele scrub` print — for a store with every
+// kind of damage at once: a directory reached through a second dentry
+// first, so the damage under it is reported at that path and the
+// directory's own dentry is the duplicate. Check builds a path only for
+// a directory it descends into or a problem it reports.
+func TestCheckProblemsInOrder(t *testing.T) {
+	s := buildSample(t)
+	a, _ := s.Resolve("/proj/data/a.dat")
+	a.Parent, a.Name = RootIno, "WRONG"
+	readme, _ := s.Resolve("/proj/README")
+	readme.dentries().link("impossible", 5)
+	data, _ := s.Resolve("/proj/data")
+	s.Root().frag.link("hardlinkish", data.Ino)
+	data.frag.link("zz", 777)
+	s.inodes.put(&Inode{Ino: 999, Parent: RootIno, Name: "ghost", Type: TypeFile})
+	s.ReserveRange(100, 50)
+	s.ReserveRange(120, 50)
+	want := []string{
+		"bad-parent         ino=3      /hardlinkish                   inode says parent=2, dentry in 1",
+		"bad-name           ino=3      /hardlinkish                   inode says name=\"data\", dentry says \"hardlinkish\"",
+		"bad-parent         ino=4      /hardlinkish/a.dat             inode says parent=1, dentry in 3",
+		"bad-name           ino=4      /hardlinkish/a.dat             inode says name=\"WRONG\", dentry says \"a.dat\"",
+		"dangling-dentry    ino=777    /hardlinkish/zz                dentry references missing inode",
+		"file-children      ino=6      /proj/README                   regular file with 1 dentries",
+		"dup-ino            ino=3      /proj/data                     inode reachable through multiple dentries",
+		"orphan-inode       ino=999                                   name=\"ghost\" parent=1 not reachable from root",
+		"reserved-overlap   ino=120                                   grant [120,170) overlaps [100,150)",
+	}
+	got := s.Check()
+	for i := range max(len(got), len(want)) {
+		var g, w string
+		if i < len(got) {
+			g = got[i].String()
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			t.Errorf("problem %d = %q, want %q", i, g, w)
+		}
+	}
+}
+
 func TestCheckReservedOverlap(t *testing.T) {
 	s := NewStore()
 	s.ReserveRange(100, 50)

@@ -48,8 +48,9 @@ type dentry struct {
 }
 
 // Dentries is a name table mapping dentry names to inode numbers: a
-// directory fragment's dentries and a client's dentry cache for one
-// directory. The zero value is an empty table, and a nil *Dentries reads
+// directory fragment's dentries, a client's dentry cache for one
+// directory, and the numbers of the strong-eventual merger's summaries
+// of one directory (SEMerger.entry). The zero value is an empty table, and a nil *Dentries reads
 // as one. Names must not be empty.
 //
 // Every entry has a position, handed out in order and reused through a

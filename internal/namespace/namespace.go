@@ -150,14 +150,18 @@ func (f *dirFrag) link(name string, ino Ino) {
 	f.names = nil
 }
 
-// absent reports whether the fragment lacks name, and where add puts it,
-// so that a create looks its name up once.
-func (f *dirFrag) absent(name string) (probe, bool) {
+// find looks name up once: the inode it names and whether it is there,
+// and where add puts it when it is not, so that a create looks its name
+// up once. name must not be empty.
+func (f *dirFrag) find(name string) (Ino, probe, bool) {
 	e, _, pr := f.ents.find(name)
-	return pr, e == nil
+	if e == nil {
+		return 0, pr, false
+	}
+	return e.ino, pr, true
 }
 
-// add links name, which absent just reported missing with pr; nothing
+// add links name, which find just reported missing with pr; nothing
 // may have written the fragment in between.
 func (f *dirFrag) add(pr probe, name string, ino Ino) {
 	f.ents.insert(pr, name, ino)
@@ -514,11 +518,17 @@ func (s *Store) createCommon(parent Ino, name string, typ FileType, attrs Create
 	if !dir.IsDir() {
 		return nil, fmt.Errorf("create %q in inode %d: %w", name, parent, ErrNotDir)
 	}
-	frag := dir.dentries()
-	pr, ok := frag.absent(name)
-	if !ok {
+	_, pr, found := dir.dentries().find(name)
+	if found {
 		return nil, fmt.Errorf("create %q in inode %d: %w", name, parent, ErrExist)
 	}
+	return s.add(dir, pr, name, typ, attrs)
+}
+
+// add creates the typ inode name in directory dir, linking it at pr,
+// where dir's fragment's find just reported name missing; nothing may
+// have written the fragment in between.
+func (s *Store) add(dir *Inode, pr probe, name string, typ FileType, attrs CreateAttrs) (*Inode, error) {
 	ino := attrs.Ino
 	if ino == 0 {
 		ino = s.AllocIno()
@@ -527,7 +537,7 @@ func (s *Store) createCommon(parent Ino, name string, typ FileType, attrs Create
 	}
 	in := &Inode{
 		Ino:    ino,
-		Parent: parent,
+		Parent: dir.Ino,
 		Name:   name,
 		Type:   typ,
 		Mode:   attrs.Mode,
@@ -538,10 +548,28 @@ func (s *Store) createCommon(parent Ino, name string, typ FileType, attrs Create
 	if typ == TypeDir {
 		in.frag = newDirFrag()
 	}
-	frag.add(pr, name, ino)
+	dir.frag.add(pr, name, ino)
 	s.inodes.put(in)
 	s.version++
 	return in, nil
+}
+
+// probeChild looks dentry name of directory parent up once, for a caller
+// that may go on to create it: the inode the dentry names, nil when there
+// is none, and, when name is absent (absent true), the directory and
+// where add links the name. A parent that is no directory and a dentry
+// naming no inode are never absent: createCommon says why. name must not
+// be empty.
+func (s *Store) probeChild(parent Ino, name string) (cur, dir *Inode, pr probe, absent bool) {
+	dir = s.inodes.get(parent)
+	if dir == nil || !dir.IsDir() {
+		return nil, nil, probe{}, false
+	}
+	ino, pr, found := dir.dentries().find(name)
+	if found {
+		return s.inodes.get(ino), nil, probe{}, false
+	}
+	return nil, dir, pr, true
 }
 
 // Create adds a regular file dentry to directory parent.
@@ -731,12 +759,16 @@ func (s *Store) walk(p string, ino Ino, fn func(string, *Inode) error) error {
 		return nil
 	}
 	return in.frag.each(&s.lists, func(name string, child Ino) error {
-		cp := p + "/" + name
-		if p == "/" {
-			cp = "/" + name
-		}
-		return s.walk(cp, child, fn)
+		return s.walk(joinPath(p, name), child, fn)
 	})
+}
+
+// joinPath is the path of the entry name in the directory at path dir.
+func joinPath(dir, name string) string {
+	if dir == "/" {
+		return "/" + name
+	}
+	return dir + "/" + name
 }
 
 // PruneExport removes every inode under the directory at absolute path p
@@ -818,13 +850,23 @@ func (s *Store) Subtree(p string) (dirs, inos []Ino, err error) {
 		dirs = append(dirs, in.Ino)
 	}
 	slices.Reverse(dirs)
-	err = s.Walk(root.Ino, func(_ string, in *Inode) error {
-		if in.IsDir() {
-			dirs = append(dirs, in.Ino)
-		}
+	// Walk's order, without the paths Walk would build for every inode.
+	var visit func(in *Inode) error
+	visit = func(in *Inode) error {
 		inos = append(inos, in.Ino)
-		return nil
-	})
+		if !in.IsDir() {
+			return nil
+		}
+		dirs = append(dirs, in.Ino)
+		return in.frag.each(&s.lists, func(_ string, ci Ino) error {
+			child, err := s.Get(ci)
+			if err != nil {
+				return err
+			}
+			return visit(child)
+		})
+	}
+	err = visit(root)
 	return dirs, inos, err
 }
 

@@ -32,7 +32,7 @@
 // The summaries are kept per logical directory (seDir), in a tree that
 // mirrors the paths ever named, and an event's parent inode leads straight
 // to its directory's node: merging an event looks one short name up in one
-// map and reads the rendered parent's inode off the node, where it stays
+// name table and reads the rendered parent's inode off the node, where it stays
 // pinned until someone else writes the store or the merger prunes a
 // directory; it builds, splits and hashes no path. semerge_ref_test.go
 // keeps the path-keyed merger this replaced as the reference the tests
@@ -80,32 +80,63 @@ func (t SETag) After(o SETag) bool {
 // node; it is never rendered.
 //
 // The winning file create's payload is ino, mode, uid and gid; its mtime
-// is fileTag.Mtime. The struct is 128 bytes (TestSEEntrySize): the three
-// flags share one word with the payload's 32-bit fields.
+// is fileTag.Mtime. Most names only ever see file creates, so the
+// directory and tombstone tags and the directory node live in extra,
+// allocated for the few names that need them: the struct is 64 bytes
+// (TestSEEntrySize), half of what it was with every tag inline.
 type seEntry struct {
 	fileTag SETag
-	dirTag  SETag
-	tombTag SETag
 
 	ino            Ino
 	mode, uid, gid uint32
+	hasFile        bool
 
-	hasFile, hasDir, hasTomb bool
+	// extra is nil until a mkdir or a tombstone is summarized under
+	// the name or a directory node hangs off it.
+	extra *seExtra
+}
+
+// seExtra is the part of a summary a file create does not use.
+type seExtra struct {
+	dirTag  SETag
+	tombTag SETag
+
+	hasDir, hasTomb bool
 
 	// sub is the directory node at this entry's path, nil until a mkdir
 	// or a store directory names it.
 	sub *seDir
 }
 
-func (e *seEntry) summarized() bool { return e.hasFile || e.hasDir || e.hasTomb }
+// withExtra returns e.extra, allocating it on first use.
+func (e *seEntry) withExtra() *seExtra {
+	if e.extra == nil {
+		e.extra = new(seExtra)
+	}
+	return e.extra
+}
+
+// sub returns the directory node at e's path, nil when there is none.
+func (e *seEntry) sub() *seDir {
+	if e.extra == nil {
+		return nil
+	}
+	return e.extra.sub
+}
+
+func (e *seEntry) summarized() bool {
+	return e.hasFile || e.extra != nil && (e.extra.hasDir || e.extra.hasTomb)
+}
 
 // seDir is one logical directory: the summaries of every name merged
 // under it. Its path is its identity — renames are unsupported, so a path
 // never comes to mean another directory — and is built once, when the
 // node is: no event joins, splits or hashes a path.
 type seDir struct {
-	path    string
-	entries map[string]*seEntry
+	path string
+	// entries numbers the summary of every name merged under the
+	// directory (see SEMerger.at).
+	entries Dentries
 
 	// pin is the inode the directory was rendered at when the merger's
 	// epoch was pinEpoch; 0 when not looked up in that epoch.
@@ -113,35 +144,43 @@ type seDir struct {
 	pinEpoch uint64
 }
 
-// entry returns name's summary in d, an empty one from the merger's slab
-// when name is new.
+// entry returns name's summary in d, a new empty one when name is new.
+// name must not be empty.
 func (m *SEMerger) entry(d *seDir, name string) *seEntry {
-	e := d.entries[name]
-	if e == nil {
-		if len(m.slab) == 0 {
-			m.slab = make([]seEntry, seSlab)
-		}
-		e = &m.slab[0]
-		m.slab = m.slab[1:]
-		d.entries[name] = e
+	de, _, pr := d.entries.find(name)
+	if de != nil {
+		return m.at(de.ino)
 	}
-	return e
+	n := m.n
+	if int(n)%seSlab == 0 {
+		m.slabs = append(m.slabs, make([]seEntry, seSlab))
+	}
+	m.n++
+	d.entries.insert(pr, name, n)
+	return m.at(n)
+}
+
+// at returns summary number n.
+func (m *SEMerger) at(n Ino) *seEntry {
+	i := int(n)
+	return &m.slabs[i/seSlab][i%seSlab]
 }
 
 // seSlab is how many summaries one slab allocation carves: summaries are
 // never freed, so carving them from shared arrays loses nothing. A slab
 // plus the 8-byte header the allocator puts on a pointerful object over
-// 512 bytes fills one 8 KB size class (63 summaries of 128 bytes); 64
-// would spill into the 9 472-byte class and waste 20 bytes a summary.
+// 512 bytes fills one 8 KB size class (127 summaries of 64 bytes); 128
+// would spill into the 9 472-byte class.
 const seSlab = (8<<10 - 8) / int(unsafe.Sizeof(seEntry{}))
 
 // dir returns the node of the directory that e, the entry for name in
 // parent, stands for.
 func (e *seEntry) dir(parent *seDir, name string) *seDir {
-	if e.sub == nil {
-		e.sub = &seDir{path: seJoin(parent.path, name), entries: make(map[string]*seEntry)}
+	x := e.withExtra()
+	if x.sub == nil {
+		x.sub = &seDir{path: joinPath(parent.path, name)}
 	}
-	return e.sub
+	return x.sub
 }
 
 type seKind uint8
@@ -156,8 +195,9 @@ const (
 func (e *seEntry) decide() seKind {
 	best := SETag{}
 	kind := seAbsent
-	if e.hasDir {
-		best, kind = e.dirTag, seIsDir
+	x := e.extra
+	if x != nil && x.hasDir {
+		best, kind = x.dirTag, seIsDir
 	}
 	if e.hasFile && (kind == seAbsent || e.fileTag.After(best)) {
 		best, kind = e.fileTag, seIsFile
@@ -165,7 +205,7 @@ func (e *seEntry) decide() seKind {
 	if kind == seAbsent {
 		return seAbsent
 	}
-	if e.hasTomb && !best.After(e.tombTag) {
+	if x != nil && x.hasTomb && !best.After(x.tombTag) {
 		return seAbsent
 	}
 	return kind
@@ -194,46 +234,55 @@ type SEMerger struct {
 	// a pin names.
 	epoch, ver uint64
 
-	slab []seEntry // summaries not yet handed out (entry)
+	// slabs holds every summary, numbered in the order entry made them.
+	slabs [][]seEntry
+	n     Ino // summaries made
 }
 
-// NewSEMerger wraps st for strong-eventual merging. Directories already
-// in the store are registered so merged events can reference them as
-// parents.
+// NewSEMerger wraps st for strong-eventual merging. Every directory
+// already in the store is registered, so merged events can reference it
+// as a parent in any merge order: registered only when an event first
+// names it, a directory another journal's file create had already pruned
+// would be "never seen" in that order alone. Registering is one pass over
+// the inode table that makes a node and a path for each directory: it
+// builds no file's path and sorts no listing, so what it allocates
+// depends on the directories alone, however many files they hold.
 func NewSEMerger(st *Store) *SEMerger {
 	m := &SEMerger{
 		store: st,
-		root:  &seDir{path: "/", entries: make(map[string]*seEntry)},
+		root:  &seDir{path: "/"},
 		dirs:  make(map[Ino]*seDir),
 		ver:   st.Version(),
 	}
-	st.Walk(RootIno, func(p string, in *Inode) error {
+	m.dirs[RootIno] = m.root
+	st.inodes.each(func(in *Inode) {
 		if in.IsDir() {
-			m.dirs[in.Ino] = m.dirAt(p)
+			m.node(in)
 		}
-		return nil
 	})
 	return m
 }
 
-func seJoin(parent, name string) string {
-	if parent == "/" {
-		return "/" + name
+// node returns the node of in, a store directory, registered under its
+// inode: the node at the path its Parent and Name fields spell, as PathOf
+// reads them. It creates, and registers, the nodes of the ancestors on
+// the way, and returns nil when in's ancestry does not reach the root
+// through directories.
+func (m *SEMerger) node(in *Inode) *seDir {
+	if d := m.dirs[in.Ino]; d != nil {
+		return d
 	}
-	return parent + "/" + name
-}
-
-// dirAt returns the node of the directory at absolute path p, creating it
-// and, as placeholders, the entries that lead to it.
-func (m *SEMerger) dirAt(p string) *seDir {
-	d := m.root
-	for it := SplitIter(p); ; {
-		comp, ok := it.Next()
-		if !ok {
-			return d
-		}
-		d = m.entry(d, comp).dir(d, comp)
+	parent := m.store.inodes.get(in.Parent)
+	if parent == nil || !parent.IsDir() {
+		return nil
 	}
+	pd := m.node(parent)
+	if pd == nil {
+		return nil
+	}
+	d := m.entry(pd, in.Name).dir(pd, in.Name)
+	m.dirs[in.Ino] = d
+	return d
 }
 
 // parentDir resolves an event's parent inode to its logical directory,
@@ -243,17 +292,11 @@ func (m *SEMerger) parentDir(ino Ino) *seDir {
 	if d := m.dirs[ino]; d != nil {
 		return d
 	}
-	in, err := m.store.Get(ino)
-	if err != nil || !in.IsDir() {
+	in := m.store.inodes.get(ino)
+	if in == nil || !in.IsDir() {
 		return nil
 	}
-	p, err := m.store.PathOf(ino)
-	if err != nil {
-		return nil
-	}
-	d := m.dirAt(p)
-	m.dirs[ino] = d
-	return d
+	return m.node(in)
 }
 
 // ApplyEvent merges one journal event. It implements journal.Target, so the
@@ -269,7 +312,7 @@ func (m *SEMerger) ApplyEvent(ev *journal.Event) error {
 			return fmt.Errorf("converge %s %q: parent inode %d never seen: %w",
 				ev.Type, ev.Name, ev.Parent, ErrNotExist)
 		}
-		if strings.Contains(ev.Name, "/") {
+		if ev.Name == "" || strings.Contains(ev.Name, "/") {
 			return fmt.Errorf("converge %s %q: %w", ev.Type, ev.Name, ErrInval)
 		}
 		tag := SETag{Mtime: ev.Mtime, Client: ev.Client, Seq: ev.Seq}
@@ -279,8 +322,8 @@ func (m *SEMerger) ApplyEvent(ev *journal.Event) error {
 			if ev.Ino != 0 {
 				m.dirs[Ino(ev.Ino)] = e.dir(dir, ev.Name)
 			}
-			if !e.hasDir || tag.After(e.dirTag) {
-				e.hasDir, e.dirTag = true, tag
+			if x := e.withExtra(); !x.hasDir || tag.After(x.dirTag) {
+				x.hasDir, x.dirTag = true, tag
 			}
 		case journal.EvCreate:
 			if ev.Ino == 0 {
@@ -292,8 +335,8 @@ func (m *SEMerger) ApplyEvent(ev *journal.Event) error {
 				e.ino, e.mode, e.uid, e.gid = Ino(ev.Ino), ev.Mode, ev.UID, ev.GID
 			}
 		default:
-			if !e.hasTomb || tag.After(e.tombTag) {
-				e.hasTomb, e.tombTag = true, tag
+			if x := e.withExtra(); !x.hasTomb || tag.After(x.tombTag) {
+				x.hasTomb, x.tombTag = true, tag
 			}
 		}
 		return m.materialize(dir, ev.Name, e)
@@ -342,62 +385,59 @@ func (m *SEMerger) materialize(dir *seDir, name string, e *seEntry) error {
 	if !ok {
 		return nil
 	}
-	cur := m.store.Child(pin, name)
-	switch e.decide() {
-	case seAbsent:
-		if cur == nil {
+	kind := e.decide()
+	cur, parent, pr, absent := m.store.probeChild(pin, name)
+	if cur != nil {
+		if kind == seIsFile && !cur.IsDir() && cur.Ino == e.ino || kind == seIsDir && cur.IsDir() {
+			// Already the winning create, or a rendered directory the
+			// structural merge keeps.
 			return nil
 		}
-		return m.removeRendered(dir, name, cur, pin)
-	case seIsFile:
-		if cur != nil {
-			if !cur.IsDir() && cur.Ino == e.ino {
-				return nil // already the winning create
-			}
-			if err := m.removeRendered(dir, name, cur, pin); err != nil {
-				return err
-			}
-		}
-		_, err := m.store.Create(pin, name, CreateAttrs{
-			Ino: e.ino, Mode: e.mode, UID: e.uid,
-			GID: e.gid, Mtime: e.fileTag.Mtime,
-		})
-		m.wrote()
-		return err
-	case seIsDir:
-		if cur != nil && cur.IsDir() {
-			return nil // structural merge: keep the rendered directory
-		}
-		if cur != nil {
-			if err := m.removeRendered(dir, name, cur, pin); err != nil {
-				return err
-			}
-		}
-		// Directory inodes are rendered with server-assigned numbers:
-		// the directory's identity is its path, not its inode.
-		_, err := m.store.Mkdir(pin, name, CreateAttrs{Mode: 0755})
-		m.wrote()
-		if err != nil {
+		if err := m.removeRendered(dir, name, cur, pin); err != nil {
 			return err
 		}
-		if e.sub == nil {
-			return nil
-		}
-		// Resurrect surviving children, in sorted order so the store's
-		// mutation sequence stays deterministic.
-		names := make([]string, 0, len(e.sub.entries))
-		for cn, ce := range e.sub.entries {
-			if ce.summarized() {
-				names = append(names, cn)
-			}
-		}
-		sort.Strings(names)
-		for _, cn := range names {
-			if err := m.materialize(e.sub, cn, e.sub.entries[cn]); err != nil {
-				return err
-			}
-		}
+	}
+	var typ FileType
+	var attrs CreateAttrs
+	switch kind {
+	case seAbsent:
 		return nil
+	case seIsFile:
+		typ, attrs = TypeFile, CreateAttrs{
+			Ino: e.ino, Mode: e.mode, UID: e.uid,
+			GID: e.gid, Mtime: e.fileTag.Mtime,
+		}
+	default:
+		// Directory inodes are rendered with server-assigned numbers:
+		// the directory's identity is its path, not its inode.
+		typ, attrs = TypeDir, CreateAttrs{Mode: 0755}
+	}
+	// A create that follows a removal probes again, and one that cannot
+	// link the name reports why.
+	var err error
+	if absent {
+		_, err = m.store.add(parent, pr, name, typ, attrs)
+	} else {
+		_, err = m.store.createCommon(pin, name, typ, attrs)
+	}
+	m.wrote()
+	sub := e.sub()
+	if err != nil || typ == TypeFile || sub == nil {
+		return err
+	}
+	// Resurrect surviving children, in sorted order so the store's
+	// mutation sequence stays deterministic.
+	names := make([]string, 0, sub.entries.Len())
+	for cn, n := range sub.entries.All() {
+		if m.at(n).summarized() {
+			names = append(names, cn)
+		}
+	}
+	sort.Strings(names)
+	for _, cn := range names {
+		if err := m.materialize(sub, cn, m.entry(sub, cn)); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -412,7 +452,7 @@ func (m *SEMerger) removeRendered(dir *seDir, name string, cur *Inode, parent In
 	if !cur.IsDir() {
 		err = m.store.Unlink(parent, name)
 	} else {
-		_, err = m.store.PruneSubtree(seJoin(dir.path, name))
+		_, err = m.store.PruneSubtree(joinPath(dir.path, name))
 		m.epoch++
 	}
 	m.wrote()

@@ -3,8 +3,10 @@ package namespace
 // The path-keyed strong-eventual merger as it stood before the
 // directory-node rewrite of semerge.go, kept verbatim (only the type and
 // constructor are renamed) as the reference TestSEMergeMatchesReference
-// drives the real one against. It shares SETag, seEntry, decide and seJoin
-// with semerge.go; it is deliberately not maintained for speed.
+// drives the real one against. It shares SETag, seKind and joinPath with
+// semerge.go, and keeps its own copy of the summary as it stood then
+// (refEntry), so the split layout of seEntry is checked against the
+// summary it replaced. It is deliberately not maintained for speed.
 
 import (
 	"fmt"
@@ -14,6 +16,37 @@ import (
 	"cudele/internal/journal"
 )
 
+// refEntry is the CRDT summary for one dentry path, every tag inline.
+type refEntry struct {
+	fileTag SETag
+	dirTag  SETag
+	tombTag SETag
+
+	ino            Ino
+	mode, uid, gid uint32
+
+	hasFile, hasDir, hasTomb bool
+}
+
+// decide resolves the summary to the rendered state of the dentry.
+func (e *refEntry) decide() seKind {
+	best := SETag{}
+	kind := seAbsent
+	if e.hasDir {
+		best, kind = e.dirTag, seIsDir
+	}
+	if e.hasFile && (kind == seAbsent || e.fileTag.After(best)) {
+		best, kind = e.fileTag, seIsFile
+	}
+	if kind == seAbsent {
+		return seAbsent
+	}
+	if e.hasTomb && !best.After(e.tombTag) {
+		return seAbsent
+	}
+	return kind
+}
+
 // refSEMerger merges decoupled client journals into a Store with
 // strong-eventual (commutative, convergent) semantics.
 type refSEMerger struct {
@@ -21,7 +54,7 @@ type refSEMerger struct {
 
 	// entries maps a dentry's absolute path to its CRDT summary. Paths
 	// are stable identities here because renames are unsupported.
-	entries map[string]*seEntry
+	entries map[string]*refEntry
 
 	// children maps a directory path to the set of child names ever
 	// summarized under it, so a resurrected directory can re-render its
@@ -40,7 +73,7 @@ type refSEMerger struct {
 func newRefSEMerger(st *Store) *refSEMerger {
 	m := &refSEMerger{
 		store:    st,
-		entries:  make(map[string]*seEntry),
+		entries:  make(map[string]*refEntry),
 		children: make(map[string]map[string]bool),
 		paths:    make(map[Ino]string),
 	}
@@ -81,10 +114,10 @@ func (m *refSEMerger) parentPath(ino Ino) (string, bool) {
 	return p, true
 }
 
-func (m *refSEMerger) entry(key string) *seEntry {
+func (m *refSEMerger) entry(key string) *refEntry {
 	e := m.entries[key]
 	if e == nil {
-		e = &seEntry{}
+		e = &refEntry{}
 		m.entries[key] = e
 	}
 	return e
@@ -112,7 +145,7 @@ func (m *refSEMerger) ApplyEvent(ev *journal.Event) error {
 			return fmt.Errorf("converge %s %q: parent inode %d never seen: %w",
 				ev.Type, ev.Name, ev.Parent, ErrNotExist)
 		}
-		key := seJoin(pp, ev.Name)
+		key := joinPath(pp, ev.Name)
 		tag := SETag{Mtime: ev.Mtime, Client: ev.Client, Seq: ev.Seq}
 		e := m.entry(key)
 		if ev.Type == journal.EvMkdir {
@@ -140,7 +173,7 @@ func (m *refSEMerger) ApplyEvent(ev *journal.Event) error {
 			return fmt.Errorf("converge %s %q: parent inode %d never seen: %w",
 				ev.Type, ev.Name, ev.Parent, ErrNotExist)
 		}
-		key := seJoin(pp, ev.Name)
+		key := joinPath(pp, ev.Name)
 		tag := SETag{Mtime: ev.Mtime, Client: ev.Client, Seq: ev.Seq}
 		e := m.entry(key)
 		if !e.hasTomb || tag.After(e.tombTag) {
@@ -214,7 +247,7 @@ func (m *refSEMerger) materialize(key string) error {
 		}
 		sort.Strings(names)
 		for _, cn := range names {
-			if err := m.materialize(seJoin(key, cn)); err != nil {
+			if err := m.materialize(joinPath(key, cn)); err != nil {
 				return err
 			}
 		}

@@ -224,11 +224,125 @@ func TestSEMergeRejectsRename(t *testing.T) {
 	// A name no dentry can carry is refused before it is summarized: a
 	// summary that can never render would fail its directory's every
 	// resurrection.
-	err = m.ApplyEvent(&journal.Event{
-		Type: journal.EvCreate, Client: "client.a", Parent: 1, Name: "a/b", Ino: 100,
-	})
-	if !errors.Is(err, ErrInval) || len(m.root.entries) != 0 {
-		t.Fatalf("create of \"a/b\": err = %v with %d names summarized, want ErrInval and none", err, len(m.root.entries))
+	for _, ev := range []*journal.Event{
+		{Type: journal.EvCreate, Client: "client.a", Parent: 1, Name: "a/b", Ino: 100},
+		{Type: journal.EvCreate, Client: "client.a", Parent: 1, Name: "", Ino: 100},
+		{Type: journal.EvUnlink, Client: "client.a", Parent: 1, Name: ""},
+	} {
+		err = m.ApplyEvent(ev)
+		if !errors.Is(err, ErrInval) || m.root.entries.Len() != 0 {
+			t.Fatalf("%v of %q: err = %v with %d names summarized, want ErrInval and none", ev.Type, ev.Name, err, m.root.entries.Len())
+		}
+	}
+}
+
+// TestSEMergeNativeDirPrunedFirst is why NewSEMerger registers every
+// directory of the store up front. /se/X is a directory the store held
+// before the merger was built. Journal A creates a file X in /se, whose
+// tag beats a directory with no summary, so it prunes /se/X; journal B
+// creates f in /se/X. Merged A first, B names a parent that is gone from
+// the store: registered only when first named, it would be "never seen"
+// in that order alone, and both orders must give one image.
+func TestSEMergeNativeDirPrunedFirst(t *testing.T) {
+	merge := func(order ...[]*journal.Event) string {
+		t.Helper()
+		st := NewStore()
+		if _, err := st.MkdirAll("/se/X", CreateAttrs{Mode: 0755}); err != nil {
+			t.Fatal(err)
+		}
+		m := NewSEMerger(st)
+		for _, evs := range order {
+			for _, ev := range evs {
+				if err := m.ApplyEvent(ev); err != nil {
+					t.Fatalf("apply %v %q: %v", ev.Type, ev.Name, err)
+				}
+			}
+		}
+		img, err := SEImageOf(st, RootIno)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	base := NewStore()
+	se, _ := base.MkdirAll("/se", CreateAttrs{Mode: 0755})
+	x, _ := base.MkdirAll("/se/X", CreateAttrs{Mode: 0755})
+	a := []*journal.Event{{Type: journal.EvCreate, Client: "client.a", Parent: uint64(se.Ino), Name: "X", Ino: 100, Mode: 0644, Mtime: 10}}
+	b := []*journal.Event{{Type: journal.EvCreate, Client: "client.b", Parent: uint64(x.Ino), Name: "f", Ino: 200, Mode: 0644, Mtime: 20}}
+	ab, ba := merge(a, b), merge(b, a)
+	if ab != ba {
+		t.Fatalf("merge orders diverge:\n--- A, B ---\n%s--- B, A ---\n%s", ab, ba)
+	}
+	if want := "//\n/se/\n/se/X ino=100 mode=644 uid=0 gid=0 mtime=10\n"; ab != want {
+		t.Fatalf("image = %q, want %q", ab, want)
+	}
+}
+
+// seDirStore builds a store of dirs directories, some nested, holding
+// files files spread over them, with a directory and some files removed
+// on the way so the inode table has holes.
+func seDirStore(t testing.TB, rng *rand.Rand, dirs, files int) *Store {
+	st := NewStore()
+	ds := []Ino{RootIno}
+	for i := 0; i < dirs; i++ {
+		d, err := st.Mkdir(ds[rng.Intn(len(ds))], fmt.Sprintf("d%02d", i), CreateAttrs{Mode: 0755})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds = append(ds, d.Ino)
+	}
+	if _, err := st.Mkdir(RootIno, "gone", CreateAttrs{Mode: 0755}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Rmdir(RootIno, "gone"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < files; i++ {
+		parent := ds[1+rng.Intn(dirs)]
+		name := fmt.Sprintf("f%06d", i)
+		if _, err := st.Create(parent, name, CreateAttrs{Mode: 0644}); err != nil {
+			t.Fatal(err)
+		}
+		if i%97 == 0 {
+			if err := st.Unlink(parent, name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return st
+}
+
+// TestNewSEMergerCostsDirectories holds NewSEMerger to the store's
+// directories: it allocates the same over 64 directories holding 10 000
+// files as over the same directories holding 100 000, where registering
+// through Walk built a path for every file. Every directory is registered
+// at the path Walk names it by, and nothing else is.
+func TestNewSEMergerCostsDirectories(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		st := seDirStore(t, rand.New(rand.NewSource(seed)), 64, 2000)
+		want := map[Ino]string{}
+		st.Walk(RootIno, func(p string, in *Inode) error {
+			if in.IsDir() {
+				want[in.Ino] = p
+			}
+			return nil
+		})
+		m := NewSEMerger(st)
+		if len(m.dirs) != len(want) {
+			t.Fatalf("seed %d: %d directories registered, the store holds %d", seed, len(m.dirs), len(want))
+		}
+		for ino, p := range want {
+			if d := m.dirs[ino]; d == nil || d.path != p {
+				t.Fatalf("seed %d: directory %d (%s) registered as %v", seed, ino, p, d)
+			}
+		}
+	}
+	allocs := func(files int) float64 {
+		st := seDirStore(t, rand.New(rand.NewSource(1)), 64, files)
+		return testing.AllocsPerRun(5, func() { NewSEMerger(st) })
+	}
+	if small, big := allocs(10_000), allocs(100_000); small != big {
+		t.Fatalf("NewSEMerger allocates %v times over 10 000 files and %v over 100 000 in the same 64 directories", small, big)
 	}
 }
 

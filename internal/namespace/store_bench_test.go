@@ -189,6 +189,24 @@ func BenchmarkSEMergeApply(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSEMerger is the set-up of a strong-eventual merge into a
+// rank that already holds a namespace: 64 directories holding 35 000
+// files, about what real_io's rank holds when its strong-eventual cell
+// merges. Its cost follows the directories alone (see
+// TestNewSEMergerCostsDirectories).
+func BenchmarkNewSEMerger(b *testing.B) {
+	st := seDirStore(b, rand.New(rand.NewSource(1)), 64, 35_000)
+	var m *SEMerger
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m = NewSEMerger(st)
+	}
+	if len(m.dirs) != 65 {
+		b.Fatalf("%d directories registered, want 65", len(m.dirs))
+	}
+}
+
 // The name-table benchmarks set a Dentries beside the map[string]Ino it
 // replaced, at a directory of benchDir names. Fill is one name into a
 // table that grows from empty, so its B/op is the table's bytes per name

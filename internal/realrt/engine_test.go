@@ -541,3 +541,25 @@ func TestEnableLoopbackTwice(t *testing.T) {
 		t.Fatalf("%d pooled connections survived Shutdown", pooled)
 	}
 }
+
+// TestLoopbackRoundTripAllocatesNothing: a round trip over a pooled
+// connection sends and receives the connection's own frame. A frame on
+// NetRoundTrip's stack escaped through net.Conn.Write, so every loopback
+// Call allocated 64 bytes.
+func TestLoopbackRoundTripAllocatesNothing(t *testing.T) {
+	e := New(1)
+	if err := e.EnableLoopback(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Shutdown()
+	if on, err := e.NetRoundTrip(); !on || err != nil { // dials the pooled connection
+		t.Fatalf("first round trip = %v, %v", on, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.NetRoundTrip(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a round trip over a pooled connection allocates %v times, want 0", allocs)
+	}
+}

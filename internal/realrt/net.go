@@ -28,7 +28,16 @@ type loopback struct {
 	trips atomic.Uint64 // completed round trips
 
 	mu    sync.Mutex
-	conns []net.Conn
+	conns []*lbConn
+}
+
+// lbConn is a pooled client connection and the frame its round trips
+// send and receive, allocated once with the connection: a frame on
+// NetRoundTrip's stack would escape through net.Conn.Write and cost an
+// allocation per round trip.
+type lbConn struct {
+	net.Conn
+	frame [frameSize]byte
 }
 
 // EnableLoopback starts a loopback-TCP echo listener and routes every
@@ -80,12 +89,11 @@ func (e *Engine) NetRoundTrip() (bool, error) {
 	if err != nil {
 		return true, err
 	}
-	var frame [frameSize]byte
-	if _, err := c.Write(frame[:]); err != nil {
+	if _, err := c.Write(c.frame[:]); err != nil {
 		c.Close()
 		return true, err
 	}
-	if _, err := io.ReadFull(c, frame[:]); err != nil {
+	if _, err := io.ReadFull(c, c.frame[:]); err != nil {
 		c.Close()
 		return true, err
 	}
@@ -126,7 +134,7 @@ func (lb *loopback) serve() {
 	}
 }
 
-func (lb *loopback) get() (net.Conn, error) {
+func (lb *loopback) get() (*lbConn, error) {
 	lb.mu.Lock()
 	if n := len(lb.conns); n > 0 {
 		c := lb.conns[n-1]
@@ -135,10 +143,14 @@ func (lb *loopback) get() (net.Conn, error) {
 		return c, nil
 	}
 	lb.mu.Unlock()
-	return net.Dial("tcp", lb.ln.Addr().String())
+	c, err := net.Dial("tcp", lb.ln.Addr().String())
+	if err != nil {
+		return nil, err
+	}
+	return &lbConn{Conn: c}, nil
 }
 
-func (lb *loopback) put(c net.Conn) {
+func (lb *loopback) put(c *lbConn) {
 	lb.mu.Lock()
 	lb.conns = append(lb.conns, c)
 	lb.mu.Unlock()
