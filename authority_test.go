@@ -159,3 +159,51 @@ func TestPlacedSubtreeStaysListed(t *testing.T) {
 		})
 	}
 }
+
+// TestRenameOverPlacedSubtreeRefused: /a/b is placed on rank 1, so rank
+// 0 holds b only as a bound under /a. Renaming /a would move the bound to
+// /z/b while rank 1 and the table still serve /a/b: /z/b/x would not
+// exist and /a/b/x, a path gone from the namespace, would still resolve.
+// The rename is refused with EBUSY and everything stays where it was. On
+// both backends.
+func TestRenameOverPlacedSubtreeRefused(t *testing.T) {
+	for _, backend := range []Backend{BackendSim, BackendReal} {
+		t.Run(fmt.Sprint(backend), func(t *testing.T) {
+			cl := NewCluster(WithSeed(3), WithMDSRanks(2), WithBackend(backend))
+			defer cl.Close()
+			c := cl.NewClient("c1")
+			cl.Run(func(p Proc) {
+				_, err := c.MkdirAll(p, "/a/b", 0755)
+				if err == nil {
+					err = cl.Monitor().Place(p, "/a/b", 1)
+				}
+				var x Ino
+				if err == nil {
+					x, err = c.MkdirAll(p, "/a/b/x", 0755)
+				}
+				if err != nil {
+					t.Fatalf("setup: %v", err)
+				}
+				if err := c.Rename(p, RootIno, "a", RootIno, "z"); !errors.Is(err, namespace.ErrBusy) {
+					t.Errorf("rename of /a over the placed /a/b = %v, want EBUSY", err)
+				}
+				if got, err := c.Resolve(p, "/a/b/x"); err != nil || got != x {
+					t.Errorf("resolve /a/b/x after the refused rename = %d, %v; want %d", got, err, x)
+				}
+				if _, err := c.Resolve(p, "/z"); !errors.Is(err, namespace.ErrNotExist) {
+					t.Errorf("resolve /z after the refused rename = %v, want ENOENT", err)
+				}
+				if names, err := c.ReadDir(p, RootIno); err != nil || !slices.Equal(names, []string{"a"}) {
+					t.Errorf("ls / = %v, %v; want [a]", names, err)
+				}
+				// A directory beside the placed subtree still renames.
+				if _, err := c.MkdirAll(p, "/c/d", 0755); err != nil {
+					t.Fatalf("mkdir -p /c/d: %v", err)
+				}
+				if err := c.Rename(p, RootIno, "c", RootIno, "e"); err != nil {
+					t.Errorf("rename of /c = %v, want success", err)
+				}
+			})
+		})
+	}
+}

@@ -244,6 +244,21 @@ func (s *Server) bound(in *namespace.Inode) bool {
 	return in != nil && in.IsDir() && !s.owns(in.Ino)
 }
 
+// holdsBound reports whether directory in has, strictly under it, a
+// subtree the table places on another rank.
+func (s *Server) holdsBound(in *namespace.Inode) bool {
+	path, err := s.store.PathOf(in.Ino)
+	if err != nil {
+		return false
+	}
+	for _, placed := range s.c.table.Paths() {
+		if placed != path && transport.HasPathPrefix(placed, path) && s.c.table.RankFor(placed) != s.rank {
+			return true
+		}
+	}
+	return false
+}
+
 // ownDirs returns dirs — the directory objects of the subtree at path,
 // led by its ancestor chain (namespace.Store.Subtree) — without the
 // directories under path in a subtree the table places on another rank:

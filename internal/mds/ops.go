@@ -128,9 +128,10 @@ func handleRename(s *Server, p runtime.Task, req *Request) error {
 	// the table no longer names, or the entry where no one serves it.
 	// POSIX refuses to rename a mount point the same way. Only a
 	// directory can replace one, and a rename within one directory moves
-	// into a directory this rank serves.
+	// into a directory this rank serves. Renaming a directory that holds
+	// such a bound further down would move it just the same.
 	if !s.c.table.Empty() && in != nil && (s.bound(in) || in.IsDir() && s.bound(s.store.Child(req.NewParent, req.NewName)) ||
-		req.NewParent != req.Parent && !s.owns(req.NewParent)) {
+		req.NewParent != req.Parent && !s.owns(req.NewParent) || in.IsDir() && s.holdsBound(in)) {
 		return fmt.Errorf("rename %q: %w", req.Name, namespace.ErrBusy)
 	}
 	if err := s.store.Rename(req.Parent, req.Name, req.NewParent, req.NewName); err != nil {

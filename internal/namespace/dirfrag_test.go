@@ -3,6 +3,7 @@ package namespace
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -216,7 +217,8 @@ func TestListingIsASnapshot(t *testing.T) {
 	}
 }
 
-// TestListingAllocations: a warm listing allocates nothing, and the
+// TestListingAllocations: a warm listing allocates nothing, a cold one
+// allocates its snapshot and nothing else (the sort is in place), and the
 // fragment did not make a create dearer than it was with a bare map in
 // the inode (one Inode plus the amortized map growth).
 func TestListingAllocations(t *testing.T) {
@@ -238,7 +240,19 @@ func TestListingAllocations(t *testing.T) {
 		t.Fatalf("102 listings of an unchanged directory: %+v, want 1 rebuild", st)
 	}
 
-	next := 1000
+	s.Create(dir.Ino, names[1000], CreateAttrs{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.ReadDir(dir.Ino)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 1 {
+		t.Fatalf("cold ReadDir after one create allocates %d times, want 1 (the snapshot)", n)
+	}
+	if st := s.ListStats(); st.Rebuilds != 2 {
+		t.Fatalf("a listing after a create was not rebuilt: %+v", st)
+	}
+
+	next := 1001
 	avg := testing.AllocsPerRun(1000, func() {
 		s.Create(dir.Ino, names[next], CreateAttrs{})
 		next++

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"path"
 	"slices"
-	"sort"
 	"strings"
 
 	"cudele/internal/journal"
@@ -196,7 +195,7 @@ func (f *dirFrag) list(st *ListStats) []string {
 		for name := range f.ents.All() {
 			names = append(names, name)
 		}
-		sort.Strings(names)
+		sortNames(names)
 		f.names = names[:len(names):len(names)]
 	}
 	return f.names

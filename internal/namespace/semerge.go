@@ -46,7 +46,6 @@ package namespace
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -433,7 +432,7 @@ func (m *SEMerger) materialize(dir *seDir, name string, e *seEntry) error {
 			names = append(names, cn)
 		}
 	}
-	sort.Strings(names)
+	sortNames(names)
 	for _, cn := range names {
 		if err := m.materialize(sub, cn, m.entry(sub, cn)); err != nil {
 			return err
