@@ -382,6 +382,11 @@ func (c *Client) call(p runtime.Task, req *mds.Request) (*mds.Reply, runtime.Tim
 	c.followRedirects(p, func() error {
 		c.stats.RPCs++
 		reply = c.svc.Call(p, req).(*mds.Reply)
+		// A retry goes by the route the redirect names: for a request
+		// sent without one, the path the bouncing rank placed it by.
+		if wr, ok := transport.IsRedirect(reply.Err); ok {
+			req.Route = wr.Path
+		}
 		return reply.Err
 	})
 	// One reading ends both the span and the histogram's interval: on the

@@ -14,14 +14,7 @@ import (
 	"cudele/internal/realrt"
 	"cudele/internal/runtime"
 	"cudele/internal/sim"
-	"cudele/internal/transport"
 )
-
-// isRedirect reports whether err is a bounce to another rank.
-func isRedirect(err error) bool {
-	_, ok := transport.IsRedirect(err)
-	return ok
-}
 
 // TestRouteFileHintsByParent: a created file's route hint is its parent
 // directory, and a call addressed to the file routes by the parent's
@@ -29,7 +22,8 @@ func isRedirect(err error) bool {
 // on rank 1, the file's route is its parent's path, and SetAttr and Stat
 // reach the rank the file's own path routes to. A file created under a
 // parent whose path the client does not know routes to rank 0, also
-// once its subtree has moved to rank 1, where rank 0 refuses it.
+// once its subtree has moved to rank 1, where rank 0 refuses it; a create
+// under that parent is redirected once and lands on rank 1.
 func TestRouteFileHintsByParent(t *testing.T) {
 	eng := sim.NewEngine(5)
 	cfg := model.Default()
@@ -86,9 +80,9 @@ func TestRouteFileHintsByParent(t *testing.T) {
 		}
 		// Rank 1 now owns the file, and rank 0 keeps only the bound /a
 		// lists. Sent with no route, Stat and SetAttr reach rank 0, which
-		// cannot place the inode and answers ENOENT; a create under the
-		// parent is bounced by rank 0, whose bound names the owner, until
-		// the client gives up. No rank acknowledges either.
+		// cannot place the inode and answers ENOENT. A create under the
+		// parent is bounced by rank 0, whose bound names the owner and
+		// the parent's path, and the client re-sends it by that path.
 		if got := reaches(p, blind); got != 0 {
 			t.Errorf("file under an unknown parent: SetAttr+Stat reached rank %d, want 0", got)
 		}
@@ -98,12 +92,17 @@ func TestRouteFileHintsByParent(t *testing.T) {
 		if err := c.SetAttr(p, blind, 0600, 1, 1, 0, 0); !errors.Is(err, namespace.ErrNotExist) {
 			t.Errorf("setattr of a moved file by inode alone: %v, want ENOENT", err)
 		}
-		if _, err := c.Create(p, a, "late", 0644); !isRedirect(err) {
-			t.Errorf("create under a moved parent by inode alone: %v, want a redirect", err)
+		before := c.Stats()
+		if _, err := c.Create(p, a, "late", 0644); err != nil {
+			t.Errorf("create under a moved parent by inode alone: %v", err)
 		}
-		for r := range 2 {
-			if _, err := mc.Rank(r).Store().Resolve("/a/b/late"); err == nil {
-				t.Errorf("rank %d holds /a/b/late", r)
+		rpcs, redirects := c.Stats().RPCs-before.RPCs, c.Stats().Redirects-before.Redirects
+		if redirects == 0 || rpcs != 2*redirects {
+			t.Errorf("create under a moved parent: %d sends, %d redirected; want each RPC redirected once", rpcs, redirects)
+		}
+		for r, want := range []bool{false, true} {
+			if _, err := mc.Rank(r).Store().Resolve("/a/b/late"); (err == nil) != want {
+				t.Errorf("rank %d holds /a/b/late: %v, want %v", r, err == nil, want)
 			}
 		}
 		// Learning the parent's path later gives the file none either.

@@ -34,9 +34,8 @@ type Cluster struct {
 
 	// table is the placement map — the one record of which rank owns a
 	// subtree. The ranks check ownership against it, and the monitor and
-	// every client route through router, which reads it.
-	table  *transport.Table
-	router *transport.Router
+	// every client route by it (Call, Post).
+	table *transport.Table
 
 	// migrations counts committed handoffs, for reports only. The
 	// monitor commits them from its domain while reports read from
@@ -55,13 +54,9 @@ func NewCluster(eng runtime.Runtime, cfg model.Config, obj *rados.Cluster, n int
 		dom:   eng.NewDomain("monitor"),
 		table: transport.NewTable(),
 	}
-	eps := make([]transport.Endpoint, n)
 	for i := 0; i < n; i++ {
-		s := newRank(c, i)
-		c.ranks = append(c.ranks, s)
-		eps[i] = s.ep
+		c.ranks = append(c.ranks, newRank(c, i))
 	}
-	c.router = transport.NewRouter("mds", c.table, eps, RouteOf)
 	return c
 }
 
@@ -80,15 +75,29 @@ func (c *Cluster) Table() *transport.Table { return c.table }
 // Domain returns the control-plane lock domain, which the monitor shares.
 func (c *Cluster) Domain() runtime.Domain { return c.dom }
 
-// Name implements transport.Endpoint: the cluster is the client's routed
-// endpoint, so a client routes by the same table the ranks check.
-func (c *Cluster) Name() string { return c.router.Name() }
+// Call sends msg to the rank that owns it and waits for the reply,
+// charging one network round trip: the RPCs mechanism. A client routes by
+// the same table the ranks check.
+func (c *Cluster) Call(p runtime.Task, msg any) any { return c.rankOf(msg).ep.Call(p, msg) }
 
-// Call implements transport.Endpoint.
-func (c *Cluster) Call(p runtime.Task, msg any) any { return c.router.Call(p, msg) }
+// Post hands msg to the rank that owns it without charging wire latency;
+// the handler charges its own calibrated costs (bulk merges, control
+// traffic). It implements transport.Endpoint for windowed streams.
+func (c *Cluster) Post(p runtime.Task, msg any) any { return c.rankOf(msg).ep.Post(p, msg) }
 
-// Post implements transport.Endpoint.
-func (c *Cluster) Post(p runtime.Task, msg any) any { return c.router.Post(p, msg) }
+// rankOf is the rank a message goes to: the table's owner of the
+// message's route. A message without a route, anything that is not a
+// message, and a rank the cluster lacks all go to rank 0.
+func (c *Cluster) rankOf(msg any) *Server {
+	route := ""
+	if m, ok := msg.(message); ok {
+		route = m.route()
+	}
+	if r := c.table.RankFor(route); r > 0 && r < len(c.ranks) {
+		return c.ranks[r]
+	}
+	return c.ranks[0]
+}
 
 // Mount opens the client's session on every rank, from the client's
 // task, inside each rank's domain: a mounted client may touch any

@@ -7,20 +7,22 @@ import (
 	"cudele/internal/transport"
 )
 
-// The metadata service speaks messages over a transport.Endpoint. RPCs
-// (*Request) go through Endpoint.Call, which charges wire latency both
-// ways; the control and bulk messages below go through Endpoint.Post and
-// charge their own calibrated costs (a journal merge's network cost is
-// its byte transfer, not an RPC round trip).
+// The metadata service speaks messages over its ranks' wires, routed by
+// the cluster (Cluster.Call, Cluster.Post). RPCs (*Request) go through
+// Call, which charges wire latency both ways; the control and bulk
+// messages below go through Post and charge their own calibrated costs (a
+// journal merge's network cost is its byte transfer, not an RPC round
+// trip).
 
 // message is what every endpoint message knows about itself, declared
 // next to its type: adding a message is one type in one place.
 type message interface {
 	// label names the message's span and flight-recorder event.
 	label() string
-	// route is the namespace path a router picks the owning rank by;
-	// empty routes to rank 0. Migration control messages are posted to
-	// explicit rank endpoints, so theirs only shows in flight dumps.
+	// route is the namespace path the cluster picks the owning rank by
+	// (Cluster.rankOf); empty routes to rank 0. Migration control
+	// messages are posted to explicit ranks, so theirs only shows in
+	// flight dumps.
 	route() string
 	// serve runs the message's handler on rank s.
 	serve(s *Server, p runtime.Task) any
@@ -167,14 +169,4 @@ func (m *RecoupleMsg) serve(s *Server, p runtime.Task) any {
 // RecoupleReply answers a RecoupleMsg.
 type RecoupleReply struct {
 	Err error
-}
-
-// RouteOf extracts the routing path from a metadata message; it is the
-// key function a transport.Router uses to pick the owning rank. Messages
-// without a route (empty string) belong to rank 0.
-func RouteOf(msg any) string {
-	if m, ok := msg.(message); ok {
-		return m.route()
-	}
-	return ""
 }

@@ -86,7 +86,7 @@ func TestMessageTable(t *testing.T) {
 		}
 		labels[m.label()] = name
 
-		// RouteOf is the type's Route field, or its Path field when it has
+		// route is the type's Route field, or its Path field when it has
 		// no Route, or empty when it has neither.
 		want := ""
 		v := reflect.ValueOf(g.msg).Elem()
@@ -102,8 +102,8 @@ func TestMessageTable(t *testing.T) {
 				break
 			}
 		}
-		if got := RouteOf(g.msg); got != want {
-			t.Errorf("RouteOf(*%s) = %q, want %q", name, got, want)
+		if got := m.route(); got != want {
+			t.Errorf("*%s route = %q, want %q", name, got, want)
 		}
 
 		if r, ok := g.msg.(refusable); ok {
@@ -122,14 +122,11 @@ func TestMessageTable(t *testing.T) {
 		t.Errorf("rename request label = %q", got)
 	}
 
-	// Something that is not a message still gets a typed answer, a label
-	// and no route.
+	// Something that is not a message still gets a typed answer and a
+	// label.
 	type stranger struct{}
 	if got := labelOf(stranger{}); got != "msg.mds.stranger" {
 		t.Errorf("label of a non-message = %q", got)
-	}
-	if got := RouteOf(stranger{}); got != "" {
-		t.Errorf("route of a non-message = %q", got)
 	}
 	eng, s := newTestServer()
 	run(t, eng, func(p runtime.Task) {

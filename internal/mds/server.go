@@ -240,10 +240,7 @@ func newRank(c *Cluster, rank int) *Server {
 	s.stream = newStreamState(s)
 	s.merge = newMergeSched(s)
 	s.imports = newImportSched(s)
-	// The tracing interceptor wraps the whole message dispatcher, so
-	// every RPC and Post is spanned on the rank's track without any op
-	// handler knowing about it; with tracing off it is one nil check.
-	s.ep = transport.NewWire(name, c.cfg.NetLatency, transport.Tracing(name, labelOf)(s.handle))
+	s.ep = transport.NewWire(name, c.cfg.NetLatency, s.handle)
 	s.ep.Bind(s.dom)
 	return s
 }
@@ -266,7 +263,10 @@ func flightDetail(msg any) string {
 		}
 		return m.Client
 	}
-	return RouteOf(msg)
+	if m, ok := msg.(message); ok {
+		return m.route()
+	}
+	return ""
 }
 
 // heatSubtree resolves a route to its heat cell key: the placed subtree
@@ -288,15 +288,9 @@ func newRankStore(r int) *namespace.Store {
 	return st
 }
 
-// Name implements transport.Endpoint.
-func (s *Server) Name() string { return s.ep.Name() }
-
-// Call implements transport.Endpoint: one network hop in, pipeline
-// service, one network hop back.
-func (s *Server) Call(p runtime.Task, msg any) any { return s.ep.Call(p, msg) }
-
-// Post implements transport.Endpoint: the message handler charges its
-// own calibrated costs (bulk merges, control traffic).
+// Post hands msg to this rank without charging wire latency: the message
+// handler charges its own calibrated costs (bulk merges, control
+// traffic). It implements transport.Endpoint.
 func (s *Server) Post(p runtime.Task, msg any) any { return s.ep.Post(p, msg) }
 
 // InjectFaults composes a fault interceptor around the rank's wire, so a
@@ -304,8 +298,23 @@ func (s *Server) Post(p runtime.Task, msg any) any { return s.ep.Post(p, msg) }
 // Never called on calibrated runs — the wire is untouched by default.
 func (s *Server) InjectFaults(ic transport.Interceptor) { s.ep.Wrap(ic) }
 
-// handle is the rank's message dispatcher behind the wire.
+// handle is the rank's message dispatcher behind the wire. It spans every
+// RPC and Post on the rank's track without any op handler knowing about
+// it; with tracing off that costs one nil check and no label is built.
 func (s *Server) handle(p runtime.Task, msg any) any {
+	rec := s.eng.Tracer()
+	if rec == nil {
+		return s.dispatch(p, msg)
+	}
+	span := rec.Begin(int64(p.Now()), s.ep.Name(), "transport", labelOf(msg))
+	reply := s.dispatch(p, msg)
+	rec.End(span, int64(p.Now()))
+	return reply
+}
+
+// dispatch serves one message: a bounced workload message gets its
+// redirect, anything else its handler's reply.
+func (s *Server) dispatch(p runtime.Task, msg any) any {
 	if fl := s.eng.Flight(); fl != nil {
 		fl.Record(int64(p.Now()), s.ep.Name(), "mds", labelOf(msg), flightDetail(msg))
 	}

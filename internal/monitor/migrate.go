@@ -194,7 +194,6 @@ func (m *Monitor) Reattach(p runtime.Task, path string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSubtree, path)
 	}
-	rank := m.cl.Table().RankFor(path)
-	return m.cl.Rank(rank).Post(p, &mds.AttachMsg{Path: path, Policy: st.Policy,
+	return m.cl.Post(p, &mds.AttachMsg{Path: path, Policy: st.Policy,
 		Client: st.Owner, Lo: st.GrantLo, N: st.GrantN}).(*mds.AttachReply).Err
 }

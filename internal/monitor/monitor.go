@@ -176,7 +176,7 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 		m.epoch++
 	}
 	pol.Version = m.epoch
-	if err := m.cl.Rank(target).Post(p, &mds.AttachMsg{Path: path, Policy: pol,
+	if err := m.cl.Post(p, &mds.AttachMsg{Path: path, Policy: pol,
 		Client: owner, Lo: lo, N: n}).(*mds.AttachReply).Err; err != nil {
 		return nil, err
 	}

@@ -190,19 +190,24 @@ func TestContractResourceFIFO(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
 		res := rt.NewResource("disk", 1)
 		var order []int
-		// Holder takes the unit first; contenders then queue in spawn
-		// order (they arrive separated by sleeps so arrival is ordered
-		// on both backends).
+		// Holder takes the unit first; contender i queues once it sees the
+		// unit held and i contenders queued ahead of it, so arrival follows
+		// spawn order on both backends however the host schedules them. The
+		// holder keeps the unit a while after the last arrival, so every
+		// waiter has parked by the first grant.
 		rt.Spawn("holder", func(p runtime.Task) {
 			res.Acquire(p)
-			p.Sleep(30 * time.Millisecond)
+			for res.Snapshot().QueueLen < 3 {
+				p.Sleep(time.Microsecond)
+			}
+			p.Sleep(10 * time.Millisecond)
 			res.Release()
 		})
 		for i := 0; i < 3; i++ {
-			i := i
-			delay := time.Duration(i+1) * 5 * time.Millisecond
 			rt.Spawn("contender", func(p runtime.Task) {
-				p.Sleep(delay)
+				for s := res.Snapshot(); s.InUse == 0 || s.QueueLen != i; s = res.Snapshot() {
+					p.Sleep(time.Microsecond)
+				}
 				res.Acquire(p)
 				order = append(order, i)
 				res.Release()
@@ -690,19 +695,34 @@ func TestContractGroupAfterZero(t *testing.T) {
 // TestContractQueueAccounting: a resource reports through Snapshot alone.
 // While a task queues, the queue and the held unit show in it; once the
 // resource drains, it holds both acquires, the queued one's wait and the
-// busy time of both holds.
+// busy time of both holds. The first user keeps the unit until the probe
+// has looked, and the second queues (inside Use) only once the unit is
+// held, so the probe sees one of each however late the host runs it.
 func TestContractQueueAccounting(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
 		res := rt.NewResource("cpu", 1)
 		const hold = 10 * time.Millisecond
-		for i := 0; i < 2; i++ {
-			rt.Spawn("user", func(p runtime.Task) { res.Use(p, hold) })
-		}
+		looked := rt.NewSignal()
+		rt.Spawn("holder", func(p runtime.Task) {
+			res.Acquire(p)
+			looked.Wait(p)
+			p.Sleep(hold)
+			res.Release()
+		})
+		rt.Spawn("user", func(p runtime.Task) {
+			for res.Snapshot().InUse == 0 {
+				p.Sleep(time.Microsecond)
+			}
+			res.Use(p, hold)
+		})
 		rt.Spawn("probe", func(p runtime.Task) {
-			p.Sleep(hold / 2) // one user holds the unit, the other queues
+			for res.Snapshot().QueueLen == 0 {
+				p.Sleep(time.Microsecond)
+			}
 			if s := res.Snapshot(); s.QueueLen != 1 || s.InUse != 1 || s.Acquires != 2 || s.WaitTotal != 0 {
 				t.Errorf("mid-run snapshot %+v, want one queued, one in use, two acquires, no wait yet", s)
 			}
+			looked.Fire(nil)
 		})
 		rt.RunAll()
 		if err := rt.LeakCheck(); err != nil {

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"cudele/internal/runtime"
 )
 
 // Table maps namespace subtrees to metadata ranks. A metadata cluster
@@ -157,37 +155,3 @@ func HasPathPrefix(path, prefix string) bool {
 	}
 	return len(path) == len(prefix) || path[len(prefix)] == '/'
 }
-
-// Router is an Endpoint that forwards each message to the rank owning
-// its route key.
-type Router struct {
-	name  string
-	table *Table
-	ranks []Endpoint
-	key   func(msg any) string
-}
-
-// NewRouter builds a router over the given rank endpoints. key extracts
-// the routing path from a message; messages with an empty route go to
-// rank 0.
-func NewRouter(name string, table *Table, ranks []Endpoint, key func(msg any) string) *Router {
-	return &Router{name: name, table: table, ranks: ranks, key: key}
-}
-
-// Name implements Endpoint.
-func (r *Router) Name() string { return r.name }
-
-// pick resolves the owning rank's endpoint for a message.
-func (r *Router) pick(msg any) Endpoint {
-	rank := r.table.RankFor(r.key(msg))
-	if rank < 0 || rank >= len(r.ranks) {
-		rank = 0
-	}
-	return r.ranks[rank]
-}
-
-// Call implements Endpoint.
-func (r *Router) Call(p runtime.Task, msg any) any { return r.pick(msg).Call(p, msg) }
-
-// Post implements Endpoint.
-func (r *Router) Post(p runtime.Task, msg any) any { return r.pick(msg).Post(p, msg) }

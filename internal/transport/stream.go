@@ -2,9 +2,10 @@
 //
 // A logical payload (a client journal) is split into chunk messages that
 // travel through the ordinary Endpoint.Post path, so every chunk passes
-// the receiver's interceptor chain — tracing spans each chunk without
-// the stream code knowing about it — and the receiver's handler charges
-// the per-chunk wire cost (latency plus bytes on the shared fabric).
+// the receiver's interceptor chain and dispatcher — a rank's dispatcher
+// spans each chunk without the stream code knowing about it — and the
+// receiver's handler charges the per-chunk wire cost (latency plus bytes
+// on the shared fabric).
 //
 // Flow control is credit-free and deterministic: the receiver keeps a
 // bounded Window of buffered chunks per stream; a chunk that arrives

@@ -1,13 +1,13 @@
-// Package transport is the metadata RPC fabric: a message-based endpoint
-// abstraction over the simulated network, a composable interceptor chain
-// for cross-cutting server concerns (admission, accounting, journaling,
-// interference checks), and a routing layer that maps namespace paths to
-// metadata ranks.
+// Package transport is the metadata RPC fabric: the Wire that carries a
+// message into one server's lock domain across the simulated network (or
+// a loopback round trip), a composable interceptor chain a fault harness
+// slides under a wire, the placement Table that maps namespace subtrees
+// to metadata ranks, the redirect a rank answers for a path it does not
+// serve, and chunked streams with windowed flow control.
 //
-// Clients never hold a concrete server; they talk to an Endpoint: a
-// Router that picks the owning rank's Wire from the cluster's placement
-// Table, whatever the number of ranks (with one, every message lands on
-// rank 0).
+// Routing is not here: the metadata cluster (mds.Cluster) picks the
+// owning rank's Wire from its Table for each message, and the rank's own
+// dispatcher spans every message it serves.
 package transport
 
 import (
@@ -34,35 +34,10 @@ func Chain(h Handler, interceptors ...Interceptor) Handler {
 	return h
 }
 
-// Tracing returns an interceptor that records one span per message on
-// the engine's trace recorder, on the track named proc (the endpoint,
-// e.g. "mds.0"). label names the span from the message and is only
-// invoked when tracing is enabled, so the disabled path costs one nil
-// check and allocates nothing. Placed outermost around an endpoint's
-// dispatcher it spans every RPC and Post without touching op handlers.
-func Tracing(proc string, label func(msg any) string) Interceptor {
-	return func(next Handler) Handler {
-		return func(p runtime.Task, msg any) any {
-			rec := p.Runtime().Tracer()
-			if rec == nil {
-				return next(p, msg)
-			}
-			id := rec.Begin(int64(p.Now()), proc, "transport", label(msg))
-			reply := next(p, msg)
-			rec.End(id, int64(p.Now()))
-			return reply
-		}
-	}
-}
-
-// Endpoint is where clients send metadata messages.
+// Endpoint is what a windowed sender posts to (SendWindowed): a Wire, a
+// metadata rank, or the metadata cluster, which routes each message to
+// its rank.
 type Endpoint interface {
-	// Name identifies the endpoint ("mds.0", "mds").
-	Name() string
-	// Call sends a request and waits for the reply, charging one network
-	// round trip (the RPCs mechanism): a modeled hop each way around the
-	// handler, or a real wire's round trip ahead of it.
-	Call(p runtime.Task, msg any) any
 	// Post hands a message to the endpoint without charging wire
 	// latency; the handler manages all timing itself. Bulk transfers
 	// (journal merges, decouple control traffic) use Post so their
@@ -107,7 +82,7 @@ func NewWire(name string, lat runtime.Duration, h Handler) *Wire {
 	return w
 }
 
-// Name implements Endpoint.
+// Name identifies the wire's server ("mds.0").
 func (w *Wire) Name() string { return w.name }
 
 // Bind makes d the domain handlers run in. A server binds its own
@@ -147,8 +122,9 @@ type netHopper interface {
 	NetHop(t runtime.Task)
 }
 
-// Call implements Endpoint: request on the wire, handler, reply on the
-// wire. A real wire makes its one round trip before the handler, not
+// Call sends a request and waits for the reply, charging one network
+// round trip (the RPCs mechanism): request on the wire, handler, reply on
+// the wire. A real wire makes its one round trip before the handler, not
 // around it: a reply cannot leave before the handler has finished, so
 // overlapping the two would under-report the Call.
 func (w *Wire) Call(p runtime.Task, msg any) any {

@@ -49,6 +49,21 @@ func TestChainShortCircuit(t *testing.T) {
 	}
 }
 
+// TestChainEmpty pins the degenerate compositions: no interceptors
+// returns the handler itself, and a nil interceptor slice behaves the
+// same (Chain is variadic, so both arise in practice when a server's
+// interceptor pipeline is configuration-dependent).
+func TestChainEmpty(t *testing.T) {
+	h := Handler(func(p runtime.Task, msg any) any { return msg.(int) * 2 })
+	if out := Chain(h)(nil, 21); out != 42 {
+		t.Fatalf("empty chain reply = %v, want 42", out)
+	}
+	var none []Interceptor
+	if out := Chain(h, none...)(nil, 21); out != 42 {
+		t.Fatalf("nil-slice chain reply = %v, want 42", out)
+	}
+}
+
 func TestWireTiming(t *testing.T) {
 	eng := sim.NewEngine(1)
 	lat := runtime.Duration(50 * time.Microsecond)
@@ -159,35 +174,5 @@ func TestTableLongestPrefix(t *testing.T) {
 		if got := tb.RankFor(c.path); got != c.want {
 			t.Errorf("RankFor(%q) = %d, want %d", c.path, got, c.want)
 		}
-	}
-}
-
-func TestRouterPicksOwningRank(t *testing.T) {
-	type msg struct{ route string }
-	var hits [2][]string
-	mk := func(rank int) Endpoint {
-		return NewWire("mds."+string(rune('0'+rank)), 0, func(p runtime.Task, m any) any {
-			hits[rank] = append(hits[rank], m.(*msg).route)
-			return rank
-		})
-	}
-	tb := NewTable()
-	tb.Place("/b", 1)
-	r := NewRouter("mds", tb, []Endpoint{mk(0), mk(1)}, func(m any) string { return m.(*msg).route })
-	eng := sim.NewEngine(1)
-	eng.Spawn("t", func(p runtime.Task) {
-		if out := r.Call(p, &msg{route: "/a/f"}); out != 0 {
-			t.Errorf("/a/f went to rank %v", out)
-		}
-		if out := r.Call(p, &msg{route: "/b/f"}); out != 1 {
-			t.Errorf("/b/f went to rank %v", out)
-		}
-		if out := r.Post(p, &msg{route: ""}); out != 0 {
-			t.Errorf("unrouted post went to rank %v", out)
-		}
-	})
-	eng.RunAll()
-	if len(hits[0]) != 2 || len(hits[1]) != 1 {
-		t.Fatalf("hits = %v / %v", hits[0], hits[1])
 	}
 }
