@@ -168,9 +168,10 @@ perf-counts:
 
 # fuzz-short runs every decode-boundary fuzzer — the journal's, the object
 # log's, the directory objects' and the policies file's — the dentry name
-# table's model fuzzer and the listing sort's fuzzer against slices.Sort
-# for a bounded burst each: long enough to hit mutated corpus inputs,
-# short enough for CI (seven targets, about 70 s).
+# table's model fuzzer, the listing sort's fuzzer against slices.Sort and
+# the scrub's fuzzer, which holds Check's scan to its report, for a
+# bounded burst each: long enough to hit mutated corpus inputs, short
+# enough for CI (eight targets, about 80 s).
 fuzz-short:
 	$(GO) test ./internal/journal -run='^FuzzDecode$$' -fuzz=FuzzDecode -fuzztime=10s
 	$(GO) test ./internal/journal -run='^FuzzCursorExport$$' -fuzz=FuzzCursorExport -fuzztime=10s
@@ -178,6 +179,7 @@ fuzz-short:
 	$(GO) test ./internal/namespace -run='^FuzzDecodeDir$$' -fuzz=FuzzDecodeDir -fuzztime=10s
 	$(GO) test ./internal/namespace -run='^FuzzDentries$$' -fuzz=FuzzDentries -fuzztime=10s
 	$(GO) test ./internal/namespace -run='^FuzzSortNames$$' -fuzz=FuzzSortNames -fuzztime=10s
+	$(GO) test ./internal/namespace -run='^FuzzCheck$$' -fuzz=FuzzCheck -fuzztime=10s
 	$(GO) test ./internal/policy -run='^FuzzParseFile$$' -fuzz=FuzzParseFile -fuzztime=10s
 
 # chaos runs the seeded fault-injection harness — 1 500 consecutive

@@ -41,7 +41,7 @@ func (s *Server) FillMetrics(reg *trace.Registry) {
 	// Served-from-snapshot listings are the difference of the two; both
 	// restart with the rank's in-memory store (Crash, Recover).
 	lists := s.store.ListStats()
-	reg.Counter("cudele_mds_dir_listings_total", "Ordered directory listings: readdir requests, tree walks, directory-object encodes, scrubs.", float64(lists.Listings), daemon)
+	reg.Counter("cudele_mds_dir_listings_total", "Ordered directory listings: readdir requests, tree walks, directory-object encodes and the report of a scrub that found damage (a healthy scrub lists nothing).", float64(lists.Listings), daemon)
 	reg.Counter("cudele_mds_dir_listing_rebuilds_total", "Listings of a directory that changed since its last one, which collected and sorted its names again.", float64(lists.Rebuilds), daemon)
 
 	reg.Gauge("cudele_mds_journal_events", "Untrimmed events in the MDS journal.", float64(s.stream.events()), daemon)

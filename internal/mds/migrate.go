@@ -3,6 +3,7 @@ package mds
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cudele/internal/journal"
 	"cudele/internal/namespace"
@@ -300,26 +301,22 @@ func (s *Server) exportBusy(path string) error {
 	return nil
 }
 
-// exportWalk snapshots the subtree at path as an export session and the
-// set of inodes under it. It never yields. The session streams the
-// ancestor chain ahead of the subtree's own directories (Subtree);
-// ancestors are not part of the export itself — they stay owned by this
-// rank and are outside the inode set, cap revocation, and the prune.
-func (s *Server) exportWalk(path string) (*exportState, map[namespace.Ino]bool, error) {
+// exportWalk snapshots the subtree at path as an export session. It
+// never yields. The session streams the ancestor chain ahead of the
+// subtree's own directories (Subtree); ancestors are not part of the
+// export itself — they stay owned by this rank and are outside cap
+// revocation and the prune.
+func (s *Server) exportWalk(path string) (*exportState, error) {
 	root, err := s.store.Resolve(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if root.Ino == namespace.RootIno {
-		return nil, nil, fmt.Errorf("mds: export %s: %w", path, namespace.ErrInval)
+		return nil, fmt.Errorf("mds: export %s: %w", path, namespace.ErrInval)
 	}
-	dirs, inos, err := s.store.Subtree(path) // refuses a file: ErrNotDir
+	dirs, _, err := s.store.Subtree(path) // refuses a file: ErrNotDir
 	if err != nil {
-		return nil, nil, err
-	}
-	set := make(map[namespace.Ino]bool, len(inos))
-	for _, ino := range inos {
-		set[ino] = true
+		return nil, err
 	}
 	return &exportState{dirs: dirs, manifest: ExportManifest{
 		Path:   path,
@@ -327,7 +324,7 @@ func (s *Server) exportWalk(path string) (*exportState, map[namespace.Ino]bool, 
 		Dirs:   len(dirs),
 		Policy: root.Policy,
 		Owner:  s.owners[root.Ino],
-	}}, set, nil
+	}}, nil
 }
 
 // exportFreeze is the ExportFreezeMsg handler: quiesce and snapshot the
@@ -349,18 +346,23 @@ func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeR
 	// read-caching caps mid-freeze and re-acquire them from the new
 	// owner after the handoff. Revocation is real MDS work, so each one
 	// yields; walk again until a pass revokes nothing, and that walk is
-	// current.
+	// current. Caps are per directory (updateCaps), so a cap is under the
+	// subtree when its inode is one of the subtree's own directories.
 	var ex *exportState
-	var inos map[namespace.Ino]bool
 	revoked := 0
 	for {
 		var err error
-		if ex, inos, err = s.exportWalk(path); err != nil {
+		if ex, err = s.exportWalk(path); err != nil {
 			return &ExportFreezeReply{Err: err}
+		}
+		own := ex.dirs[slices.Index(ex.dirs, ex.manifest.Root):]
+		under := make(map[namespace.Ino]bool, len(own))
+		for _, d := range own {
+			under[d] = true
 		}
 		before := revoked
 		for ino, dc := range s.caps {
-			if !inos[ino] || (dc.holder == "" && !dc.shared) {
+			if !under[ino] || (dc.holder == "" && !dc.shared) {
 				continue
 			}
 			p.Sleep(s.cfg.MDSCapRevokeTime)

@@ -34,72 +34,100 @@ func (p Problem) String() string {
 //	file-children     a regular file carrying dentries
 //	reserved-overlap  overlapping client inode-range grants
 //
-// A healthy store returns an empty slice.
+// A healthy store returns nil. It is proved healthy by one scan of the
+// tree in dentry position order, which lists no directory and looks no
+// name up; only a store the scan fails is walked again, in sorted order,
+// to report what is wrong in an order that does not depend on the
+// dentry tables' histories.
 func (s *Store) Check() []Problem {
-	var problems []Problem
-
-	// Walk the tree from the root, validating dentries. A path is built
-	// for each directory descended into and each problem reported, not
-	// for every dentry: visit gets the entry's directory path and name,
-	// and the root is visit(root, "/", "").
-	reachable := make(map[Ino]bool, s.inodes.len())
-	var walk func(dir *Inode, path string)
-	visit := func(in *Inode, dirPath, name string) {
-		if reachable[in.Ino] {
-			problems = append(problems, Problem{
-				Kind: "dup-ino", Ino: in.Ino, Path: joinPath(dirPath, name),
-				Info: "inode reachable through multiple dentries",
-			})
-			return
-		}
-		reachable[in.Ino] = true
-		if !in.IsDir() {
-			if in.NumChildren() > 0 {
-				problems = append(problems, Problem{
-					Kind: "file-children", Ino: in.Ino, Path: joinPath(dirPath, name),
-					Info: fmt.Sprintf("regular file with %d dentries", in.NumChildren()),
-				})
-			}
-			return
-		}
-		walk(in, joinPath(dirPath, name))
-	}
-	walk = func(dir *Inode, path string) {
-		_ = dir.frag.each(&s.lists, func(name string, ci Ino) error {
-			child := s.inodes.get(ci)
-			if child == nil {
-				problems = append(problems, Problem{
-					Kind: "dangling-dentry", Ino: ci, Path: joinPath(path, name),
-					Info: "dentry references missing inode",
-				})
-				return nil
-			}
-			if child.Parent != dir.Ino {
-				problems = append(problems, Problem{
-					Kind: "bad-parent", Ino: ci, Path: joinPath(path, name),
-					Info: fmt.Sprintf("inode says parent=%d, dentry in %d", child.Parent, dir.Ino),
-				})
-			}
-			if child.Name != name {
-				problems = append(problems, Problem{
-					Kind: "bad-name", Ino: ci, Path: joinPath(path, name),
-					Info: fmt.Sprintf("inode says name=%q, dentry says %q", child.Name, name),
-				})
-			}
-			visit(child, path, name)
-			return nil
-		})
-	}
 	root := s.inodes.get(RootIno)
 	if root == nil {
 		return []Problem{{Kind: "no-root", Ino: RootIno, Info: "store has no root inode"}}
 	}
-	visit(root, "/", "")
+	if s.scan(root) {
+		return nil
+	}
+	return s.report(root)
+}
+
+// scan reports whether the store is healthy: every dentry reached from
+// root names an inode that names it back, no inode is reached twice, no
+// file has dentries, every inode is reached, and no two grants overlap.
+func (s *Store) scan(root *Inode) bool {
+	seen := newInoSet(len(s.inodes.pages))
+	seen.add(root.Ino)
+	return s.scanDir(root, &seen) && seen.n == s.inodes.len() && s.grantOverlaps() == nil
+}
+
+// scanDir scans the entries under in, which seen holds, in position
+// order, and reports whether they are sound.
+func (s *Store) scanDir(in *Inode, seen *inoSet) bool {
+	if !in.IsDir() {
+		return in.NumChildren() == 0
+	}
+	if in.frag == nil {
+		return true
+	}
+	for name, ci := range in.frag.ents.All() {
+		child := s.inodes.get(ci)
+		if child == nil || child.Parent != in.Ino || child.Name != name || !seen.add(ci) || !s.scanDir(child, seen) {
+			return false
+		}
+	}
+	return true
+}
+
+// report walks the tree from root in sorted order and returns every
+// problem, in the order `cudele scrub` prints them. A path is built only
+// for a problem reported: the walk holds the rest in its buffer.
+func (s *Store) report(root *Inode) []Problem {
+	var problems []Problem
+	reachable := newInoSet(len(s.inodes.pages))
+	_ = s.walkSorted("/", root, func(p []byte, dir *Inode, name string, ino Ino, in *Inode) (bool, error) {
+		if dir != nil {
+			if in == nil {
+				problems = append(problems, Problem{
+					Kind: "dangling-dentry", Ino: ino, Path: string(p),
+					Info: "dentry references missing inode",
+				})
+				return false, nil
+			}
+			if in.Parent != dir.Ino {
+				problems = append(problems, Problem{
+					Kind: "bad-parent", Ino: ino, Path: string(p),
+					Info: fmt.Sprintf("inode says parent=%d, dentry in %d", in.Parent, dir.Ino),
+				})
+			}
+			if in.Name != name {
+				problems = append(problems, Problem{
+					Kind: "bad-name", Ino: ino, Path: string(p),
+					Info: fmt.Sprintf("inode says name=%q, dentry says %q", in.Name, name),
+				})
+			}
+		}
+		if !reachable.add(in.Ino) {
+			problems = append(problems, Problem{
+				Kind: "dup-ino", Ino: in.Ino, Path: string(p),
+				Info: "inode reachable through multiple dentries",
+			})
+			return false, nil
+		}
+		if !in.IsDir() {
+			if in.NumChildren() > 0 {
+				problems = append(problems, Problem{
+					Kind: "file-children", Ino: in.Ino, Path: string(p),
+					Info: fmt.Sprintf("regular file with %d dentries", in.NumChildren()),
+				})
+			}
+			return false, nil
+		}
+		return true, nil
+	})
 
 	// Anything not reached is orphaned.
 	var orphans []*Inode
 	s.inodes.each(func(in *Inode) {
-		if !reachable[in.Ino] {
+		if !reachable.has(in.Ino) {
 			orphans = append(orphans, in)
 		}
 	})
@@ -111,8 +139,14 @@ func (s *Store) Check() []Problem {
 		})
 	}
 
-	// Overlapping inode grants would let two decoupled clients mint the
-	// same inode numbers.
+	return append(problems, s.grantOverlaps()...)
+}
+
+// grantOverlaps reports each grant that overlaps the one before it in
+// order of first inode. Overlapping grants would let two decoupled
+// clients mint the same inode numbers.
+func (s *Store) grantOverlaps() []Problem {
+	var problems []Problem
 	ranges := append([]inoRange(nil), s.reserved...)
 	sort.Slice(ranges, func(i, j int) bool { return ranges[i].lo < ranges[j].lo })
 	for i := 1; i < len(ranges); i++ {
@@ -125,6 +159,54 @@ func (s *Store) Check() []Problem {
 		}
 	}
 	return problems
+}
+
+// inoSet is a set of inode numbers: a bitmap word per inode-index page
+// (ino >> pageBits), found through a map by the page's key, and the word
+// touched last remembered, so the next number of a run costs a shift, a
+// compare and a bit test.
+type inoSet struct {
+	index   map[Ino]int // word of each page key
+	words   []uint64
+	lastKey Ino
+	last    int
+	n       int // numbers held
+}
+
+// newInoSet returns an empty set sized for numbers on pages pages.
+func newInoSet(pages int) inoSet {
+	return inoSet{index: make(map[Ino]int, pages), words: make([]uint64, 0, pages), lastKey: noPage}
+}
+
+// word returns the index of ino's word, adding a zero word for a page the
+// set has not seen.
+func (b *inoSet) word(ino Ino) int {
+	if key := ino >> pageBits; key != b.lastKey {
+		w, ok := b.index[key]
+		if !ok {
+			w = len(b.words)
+			b.words = append(b.words, 0)
+			b.index[key] = w
+		}
+		b.lastKey, b.last = key, w
+	}
+	return b.last
+}
+
+// add puts ino in the set and reports whether it was absent.
+func (b *inoSet) add(ino Ino) bool {
+	w, bit := b.word(ino), uint64(1)<<(ino%pageSize)
+	if b.words[w]&bit != 0 {
+		return false
+	}
+	b.words[w] |= bit
+	b.n++
+	return true
+}
+
+// has reports whether ino is in the set.
+func (b *inoSet) has(ino Ino) bool {
+	return b.words[b.word(ino)]&(1<<(ino%pageSize)) != 0
 }
 
 // MustHealthy panics if the store has inconsistencies; tests and

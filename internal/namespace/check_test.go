@@ -3,6 +3,7 @@ package namespace
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -219,4 +220,143 @@ func TestReplayedStoresHealthyQuick(t *testing.T) {
 
 func nameFor(op int) string {
 	return fmt.Sprintf("n%03d", op)
+}
+
+// FuzzCheck holds Check's scan to its report: it builds a small tree from
+// the fuzzer's shape bytes, applies the damage its damage bytes choose —
+// every kind of problem Check names, and none — and asserts that the scan
+// passes exactly when the sorted report finds nothing, and that Check
+// returns that report.
+func FuzzCheck(f *testing.F) {
+	for kind := range byte(checkDamageKinds) {
+		f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, []byte{kind, 3, 1})
+	}
+	f.Add([]byte{0, 0, 0, 0}, []byte{})
+	f.Add([]byte{0, 1, 0, 1, 2}, []byte{5, 0, 4, 2, 1, 1, 7, 200, 3, 7, 200, 9})
+	f.Fuzz(func(t *testing.T, shape, damage []byte) {
+		s := NewStore()
+		ins := []*Inode{s.Root()}
+		for i, b := range shape[:min(len(shape), 64)] {
+			dir := ins[int(b>>1)%len(ins)]
+			if !dir.IsDir() {
+				dir = s.Root()
+			}
+			mk := s.Create
+			if b&1 == 0 {
+				mk = s.Mkdir
+			}
+			in, err := mk(dir.Ino, fmt.Sprintf("n%d", i), CreateAttrs{Mode: 0644})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins = append(ins, in)
+		}
+		if !s.scan(s.Root()) || len(s.report(s.Root())) != 0 {
+			t.Fatal("a store built by creates is not healthy")
+		}
+		for i := 0; i+2 < len(damage) && i < 24; i += 3 {
+			a, b := ins[int(damage[i+1])%len(ins)], ins[int(damage[i+2])%len(ins)]
+			applyCheckDamage(s, damage[i], a, b, Ino(damage[i+1]), uint64(damage[i+2]))
+		}
+		root := s.Root() // no damage removes the root
+		report := s.report(root)
+		if healthy := s.scan(root); healthy != (len(report) == 0) {
+			t.Fatalf("scan says healthy=%v, report = %v", healthy, report)
+		}
+		if got := s.Check(); !slices.Equal(got, report) && len(got)+len(report) != 0 {
+			t.Fatalf("Check = %v, report = %v", got, report)
+		}
+	})
+}
+
+const checkDamageKinds = 9
+
+// applyCheckDamage damages s by kind, on inodes a and b and the numbers
+// x and y.
+func applyCheckDamage(s *Store, kind byte, a, b *Inode, x Ino, y uint64) {
+	switch kind % checkDamageKinds {
+	case 1: // orphan-inode: an inode no dentry names
+		s.inodes.put(&Inode{Ino: 1000 + x, Parent: a.Ino, Name: "ghost", Type: TypeFile})
+	case 2: // orphan-inode: a's dentry unlinked, a and its subtree left
+		if p := s.inodes.get(a.Parent); p != nil && p.frag != nil && a.Ino != RootIno {
+			p.frag.unlink(a.Name)
+		}
+	case 3: // bad-parent, or none when b is a's parent
+		a.Parent = b.Ino
+	case 4: // bad-name
+		a.Name += "x"
+	case 5: // dangling-dentry: a deleted, or a dentry to a missing number
+		if a.Ino != RootIno {
+			s.inodes.del(a.Ino)
+		} else {
+			a.dentries().link("zz", 5000+x)
+		}
+	case 6: // dup-ino: a second dentry naming a, perhaps in a's own subtree
+		if b.IsDir() {
+			b.dentries().link(fmt.Sprintf("dup%d", x), a.Ino)
+		}
+	case 7: // file-children
+		if !a.IsDir() {
+			a.dentries().link("impossible", b.Ino)
+		}
+	case 8: // reserved-overlap, or none when the grants are disjoint
+		s.ReserveRange(1+x*16, 1+y%32)
+	}
+}
+
+// TestHealthyCheckIsAScan holds a healthy scrub to one scan: it lists no
+// directory — so it sorts nothing — and its allocations follow the inode
+// pages (inodes/64), not the inodes.
+func TestHealthyCheckIsAScan(t *testing.T) {
+	s := NewStore()
+	for d := range 10 {
+		dir, err := s.Mkdir(RootIno, fmt.Sprintf("d%d", d), CreateAttrs{Mode: 0755})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range 999 {
+			if _, err := s.Create(dir.Ino, fmt.Sprintf("f%04d", i), CreateAttrs{Mode: 0644}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.ReserveRange(1<<40, 1<<24)
+	s.ReserveRange(1<<41, 1<<24)
+	if s.Len() != 10_001 {
+		t.Fatalf("store holds %d inodes", s.Len())
+	}
+	before := s.ListStats()
+	allocs := testing.AllocsPerRun(10, func() {
+		if problems := s.Check(); problems != nil {
+			t.Fatalf("healthy store reported %v", problems)
+		}
+	})
+	if after := s.ListStats(); after != before {
+		t.Fatalf("a healthy scrub moved ListStats from %+v to %+v", before, after)
+	}
+	if limit := float64(s.Len() / 64); allocs > limit {
+		t.Fatalf("a healthy scrub of %d inodes allocates %.0f times, want at most %.0f", s.Len(), allocs, limit)
+	}
+}
+
+func TestInoSet(t *testing.T) {
+	set := newInoSet(0)
+	rng := rand.New(rand.NewSource(1))
+	ref := make(map[Ino]bool)
+	for range 5000 {
+		ino := Ino(rng.Intn(1 << 12))
+		if rng.Intn(4) == 0 {
+			ino += 1 << 40
+		}
+		if set.has(ino) != ref[ino] {
+			t.Fatalf("has(%d) = %v before add", ino, !ref[ino])
+		}
+		if set.add(ino) == ref[ino] {
+			t.Fatalf("add(%d) disagrees with the map", ino)
+		}
+		ref[ino] = true
+	}
+	if set.n != len(ref) {
+		t.Fatalf("set holds %d numbers, want %d", set.n, len(ref))
+	}
 }

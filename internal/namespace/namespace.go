@@ -174,7 +174,8 @@ func (f *dirFrag) unlink(name string) {
 }
 
 // ListStats counts ordered directory listings: every ReadDir, Walk step,
-// EncodeDir and Check visit is one listing, and a rebuild is a listing
+// EncodeDir and directory Check reports on is one listing (a healthy
+// store's Check lists nothing), and a rebuild is a listing
 // that found no snapshot and had to collect and sort the names. The
 // difference is the listings served from a snapshot.
 type ListStats struct {
@@ -743,23 +744,70 @@ func (s *Store) Walk(root Ino, fn func(p string, in *Inode) error) error {
 	if err != nil {
 		return err
 	}
-	return s.walk(base, root, fn)
+	return s.walk(base, s.inodes.get(root), func(p []byte, in *Inode) error {
+		return fn(string(p), in)
+	})
 }
 
-func (s *Store) walk(p string, ino Ino, fn func(string, *Inode) error) error {
-	in, err := s.Get(ino)
-	if err != nil {
-		return err
-	}
-	if err := fn(p, in); err != nil {
-		return err
-	}
-	if !in.IsDir() {
-		return nil
-	}
-	return in.frag.each(&s.lists, func(name string, child Ino) error {
-		return s.walk(joinPath(p, name), child, fn)
+// walk runs fn over in, at path base, and every inode under it in Walk's
+// order. fn gets each inode's path in the walk's buffer, valid only until
+// it returns. A dentry naming no inode ends the walk with Get's error.
+func (s *Store) walk(base string, in *Inode, fn func(p []byte, in *Inode) error) error {
+	return s.walkSorted(base, in, func(p []byte, _ *Inode, _ string, ino Ino, in *Inode) (bool, error) {
+		if in == nil {
+			_, err := s.Get(ino)
+			return false, err
+		}
+		return in.IsDir(), fn(p, in)
 	})
+}
+
+// walkVisit is called for each entry a sorted walk reaches. p is the
+// entry's absolute path, valid only until visit returns: the walk keeps
+// every path in one buffer, extended by a name on the way down and cut
+// back on the way up, so it builds no string. dir and name are the
+// directory and dentry the entry was reached through (nil and "" for the
+// walk's root), ino the dentry's inode number and in that inode, nil when
+// the store has none. visit returns whether to descend into in, which it
+// may only do for a directory.
+type walkVisit func(p []byte, dir *Inode, name string, ino Ino, in *Inode) (bool, error)
+
+// walkSorted is the package's one depth-first walk in sorted name order:
+// Walk, Subtree, SEImageOf and Check's report run on it. It visits in, at
+// path base, and then the entries under each directory visit descends
+// into, each directory listed once from its snapshot, and stops at the
+// first error.
+func (s *Store) walkSorted(base string, in *Inode, visit walkVisit) error {
+	p := append(make([]byte, 0, 256), base...)
+	descend, err := visit(p, nil, "", in.Ino, in)
+	if err != nil || !descend {
+		return err
+	}
+	return s.walkDir(&p, in, visit)
+}
+
+// walkDir visits the entries of dir, whose path is *p, and descends as
+// visit says. It leaves *p as it found it, perhaps in a larger buffer.
+func (s *Store) walkDir(p *[]byte, dir *Inode, visit walkVisit) error {
+	n := len(*p)
+	for _, name := range dir.frag.list(&s.lists) {
+		ino, _ := dir.frag.ents.Get(name)
+		path := (*p)[:n]
+		if n > 1 {
+			path = append(path, '/')
+		}
+		*p = append(path, name...)
+		in := s.inodes.get(ino)
+		descend, err := visit(*p, dir, name, ino, in)
+		if err == nil && descend {
+			err = s.walkDir(p, in, visit)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	*p = (*p)[:n]
+	return nil
 }
 
 // joinPath is the path of the entry name in the directory at path dir.
@@ -849,23 +897,13 @@ func (s *Store) Subtree(p string) (dirs, inos []Ino, err error) {
 		dirs = append(dirs, in.Ino)
 	}
 	slices.Reverse(dirs)
-	// Walk's order, without the paths Walk would build for every inode.
-	var visit func(in *Inode) error
-	visit = func(in *Inode) error {
+	err = s.walk(p, root, func(_ []byte, in *Inode) error {
 		inos = append(inos, in.Ino)
-		if !in.IsDir() {
-			return nil
+		if in.IsDir() {
+			dirs = append(dirs, in.Ino)
 		}
-		dirs = append(dirs, in.Ino)
-		return in.frag.each(&s.lists, func(_ string, ci Ino) error {
-			child, err := s.Get(ci)
-			if err != nil {
-				return err
-			}
-			return visit(child)
-		})
-	}
-	err = visit(root)
+		return nil
+	})
 	return dirs, inos, err
 }
 

@@ -465,16 +465,21 @@ func (m *SEMerger) removeRendered(dir *seDir, name string, cur *Inode, parent In
 // attributes. Two stores merged from any permutations of the same client
 // journals must render byte-identical images.
 //
-// The image is written in two walks, the first only measuring it, so it
-// is one allocation of its exact size: grown by doubling and then copied
-// into a string, it held up to three times its size at once, in the
-// largest contiguous blocks a convergence check allocates.
+// The image is written in two walks, the first only adding up line
+// lengths, so it is one allocation of its exact size: grown by doubling
+// and then copied into a string, it held up to three times its size at
+// once, in the largest contiguous blocks a convergence check allocates.
+// Neither walk builds a path string: each line is written from the walk's
+// path buffer.
 func SEImageOf(st *Store, root Ino) (string, error) {
-	var line []byte
+	base, err := st.PathOf(root)
+	if err != nil {
+		return "", err
+	}
+	in := st.inodes.get(root)
 	size := 0
-	err := st.Walk(root, func(p string, in *Inode) error {
-		line = appendSEImageLine(line[:0], p, in)
-		size += len(line)
+	err = st.walk(base, in, func(p []byte, in *Inode) error {
+		size += seImageLineLen(len(p), in)
 		return nil
 	})
 	if err != nil {
@@ -482,7 +487,8 @@ func SEImageOf(st *Store, root Ino) (string, error) {
 	}
 	var b strings.Builder
 	b.Grow(size)
-	err = st.Walk(root, func(p string, in *Inode) error {
+	var line []byte
+	err = st.walk(base, in, func(p []byte, in *Inode) error {
 		line = appendSEImageLine(line[:0], p, in)
 		b.Write(line)
 		return nil
@@ -490,8 +496,31 @@ func SEImageOf(st *Store, root Ino) (string, error) {
 	return b.String(), err
 }
 
+// seImageLineLen is the length of in's image line at a path of n bytes,
+// len(appendSEImageLine(nil, p, in)) without writing it.
+func seImageLineLen(n int, in *Inode) int {
+	if in.IsDir() {
+		return n + len("/\n")
+	}
+	mtime := digits(uint64(in.Mtime), 10)
+	if in.Mtime < 0 {
+		mtime = 1 + digits(-uint64(in.Mtime), 10)
+	}
+	return n + len(" ino= mode= uid= gid= mtime=\n") + digits(uint64(in.Ino), 10) +
+		digits(uint64(in.Mode), 8) + digits(uint64(in.UID), 10) + digits(uint64(in.GID), 10) + mtime
+}
+
+// digits is the number of digits of u in base.
+func digits(u, base uint64) int {
+	n := 1
+	for ; u >= base; u /= base {
+		n++
+	}
+	return n
+}
+
 // appendSEImageLine appends the image line of in, at path p, to b.
-func appendSEImageLine(b []byte, p string, in *Inode) []byte {
+func appendSEImageLine(b, p []byte, in *Inode) []byte {
 	b = append(b, p...)
 	if in.IsDir() {
 		return append(b, "/\n"...)

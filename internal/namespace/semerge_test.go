@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cudele/internal/journal"
@@ -402,5 +403,71 @@ func TestSEMergeConvergesAllPermutations(t *testing.T) {
 			}
 			assertConverges(t, journals)
 		})
+	}
+}
+
+// TestSEImageOfMatchesWalk holds SEImageOf, which writes each line from
+// its walk's path buffer and sizes the image from digit counts, to an
+// image built line by line from Walk's path strings and fmt, on a store
+// of nested directories whose files carry large, zero and negative
+// attributes — of the whole store and of a subtree.
+func TestSEImageOfMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	s := NewStore()
+	dirs := []*Inode{s.Root()}
+	next := Ino(1)<<40 - 3
+	for i := range 400 {
+		parent := dirs[rng.Intn(len(dirs))]
+		attrs := CreateAttrs{Mode: uint32(rng.Intn(1 << 12)), UID: uint32(rng.Int63()), GID: uint32(rng.Intn(3))}
+		switch rng.Intn(4) {
+		case 0:
+			attrs.Mtime = -rng.Int63()
+		case 1:
+			attrs.Mtime = rng.Int63()
+		}
+		if i%5 == 0 {
+			in, err := s.Mkdir(parent.Ino, fmt.Sprintf("d%d", i), attrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dirs = append(dirs, in)
+			continue
+		}
+		next++
+		attrs.Ino = next
+		if _, err := s.Create(parent.Ino, fmt.Sprintf("f%d", i), attrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	minInt := &Inode{Ino: ^Ino(0), Mode: ^uint32(0), UID: ^uint32(0), GID: ^uint32(0), Mtime: -1 << 63}
+	if got, want := seImageLineLen(3, minInt), len(appendSEImageLine(nil, []byte("/ab"), minInt)); got != want {
+		t.Fatalf("line length of extreme attributes = %d, want %d", got, want)
+	}
+	reference := func(root Ino) string {
+		var b strings.Builder
+		if err := s.Walk(root, func(p string, in *Inode) error {
+			if in.IsDir() {
+				fmt.Fprintf(&b, "%s/\n", p)
+			} else {
+				fmt.Fprintf(&b, "%s ino=%d mode=%o uid=%d gid=%d mtime=%d\n", p, in.Ino, in.Mode, in.UID, in.GID, in.Mtime)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	deep := dirs[len(dirs)-1]
+	for deep.Parent != RootIno && deep.NumChildren() < 2 {
+		deep = s.inodes.get(deep.Parent)
+	}
+	for _, root := range []Ino{RootIno, dirs[1].Ino, deep.Ino} {
+		got, err := SEImageOf(s, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := reference(root); got != want {
+			t.Fatalf("SEImageOf(%d) differs from the Walk reference:\n--- want ---\n%s--- got ---\n%s", root, want, got)
+		}
 	}
 }

@@ -274,3 +274,58 @@ func benchDentriesGet(b *testing.B, prefix string) {
 		}
 	})
 }
+
+// scrubTree returns a store shaped like real_rpc_read's prefilled tree:
+// 100 directories at depth 3, filled one after another with 1 000 files
+// each under server-assigned numbers.
+func scrubTree(b *testing.B) *Store {
+	s := NewStore()
+	for d := range 100 {
+		dir, err := s.MkdirAll(fmt.Sprintf("/tree/g%d/d%d", d/10, d%10), CreateAttrs{Mode: 0755})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for f := range 1000 {
+			if _, err := s.Create(dir.Ino, fmt.Sprintf("f%06d", f), CreateAttrs{Mode: 0644}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return s
+}
+
+// BenchmarkCheck is one scrub of a healthy store: real_rpc_read's tree,
+// and benchTree's, whose directories take turns at a grant's numbers so
+// that every dentry of a directory is on another inode page.
+func BenchmarkCheck(b *testing.B) {
+	b.Run("rpc_read", func(b *testing.B) { benchCheck(b, scrubTree(b)) })
+	b.Run("round_robin", func(b *testing.B) {
+		s, _ := benchTree(b, 100)
+		benchCheck(b, s)
+	})
+}
+
+func benchCheck(b *testing.B, s *Store) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if problems := s.Check(); len(problems) != 0 {
+			b.Fatalf("healthy store reported %v", problems)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.Len()), "ns/inode")
+}
+
+// BenchmarkSEImageOf renders the convergence image of real_rpc_read's tree.
+func BenchmarkSEImageOf(b *testing.B) {
+	s := scrubTree(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		img, err := SEImageOf(s, RootIno)
+		if err != nil || len(img) == 0 {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.Len()), "ns/inode")
+}

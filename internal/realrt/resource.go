@@ -47,10 +47,12 @@ func (r *Resource) Acquire(t runtime.Task) {
 	r.mu.Unlock()
 }
 
-// Release returns one unit and hands it to the head waiter, if any.
+// Release returns one unit and hands it to the head waiter, if any. It
+// reads the clock only when the unit goes idle: a hand-off keeps it busy,
+// so there is no accounting edge to time.
 func (r *Resource) Release() {
 	r.mu.Lock()
-	if r.Vacate(r.eng.Now()) {
+	if !r.Queued() && r.Vacate(r.eng.Now()) {
 		r.mu.Unlock()
 		return
 	}

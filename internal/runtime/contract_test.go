@@ -329,6 +329,25 @@ func TestContractShutdownReapsSleepers(t *testing.T) {
 	})
 }
 
+// TestContractShutdownCountsReblockingOnce: a task whose deferred
+// function blocks again while it unwinds is one task reaped.
+func TestContractShutdownCountsReblockingOnce(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
+		sig := rt.NewSignal() // never fired
+		rt.Spawn("stubborn", func(p runtime.Task) {
+			defer sig.Wait(p) // blocks again during the unwind
+			sig.Wait(p)
+		})
+		rt.RunAll()
+		if n := rt.Shutdown(); n != 1 {
+			t.Fatalf("Shutdown reaped %d tasks, want 1", n)
+		}
+		if err := rt.LeakCheck(); err != nil {
+			t.Fatalf("LeakCheck after Shutdown: %v", err)
+		}
+	})
+}
+
 func TestContractRandDeterministicPerSeed(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
 		a := rt.Rand().Intn(1 << 30)

@@ -124,8 +124,9 @@ func (g *group) Wait(t Task) {
 // Ledger is a Resource's state — units in use, the FIFO of waiters, the
 // busy-time integral — and every reporting method of the Resource
 // interface. A backend's Resource embeds one and adds the queueing calls,
-// built from Request, Enqueue, Waited, Vacate and HandOff; those take the
-// time from the caller and expect the caller to hold the ledger's lock.
+// built from Request, Enqueue, Waited, Queued, Vacate and HandOff; those
+// take the time from the caller and expect the caller to hold the
+// ledger's lock.
 type Ledger struct {
 	clock    Clock
 	lock     sync.Locker
@@ -184,6 +185,10 @@ func (l *Ledger) Vacate(now Time) bool {
 	}
 	return false
 }
+
+// Queued reports whether a task queues for a unit, so that Release will
+// hand its unit off rather than vacate it.
+func (l *Ledger) Queued() bool { return len(l.queue) > 0 }
 
 // HandOff passes the caller's unit straight to the head waiter — inUse
 // stays constant, so there is no accounting edge — and returns that task

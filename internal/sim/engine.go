@@ -332,16 +332,16 @@ var errProcKilled = new(int)
 // (never from a simulation process) and is the intended way to discard an
 // engine — especially when many engines run back to back, where parked
 // coroutines would otherwise accumulate. It returns the number of
-// processes reaped; a well-formed, fully drained simulation returns 0.
+// processes that were live when reaping began, each counted once however
+// many kills it takes; a well-formed, fully drained simulation returns 0.
 func (e *Engine) Shutdown() int {
 	if e.running {
 		panic("sim: Engine.Shutdown called from inside Run")
 	}
 	e.stopped = true
-	reaped := 0
+	reaped := len(e.live)
 	for len(e.live) > 0 {
 		for p := range e.live {
-			reaped++
 			if !p.started {
 				// Its coroutine was never created; just unregister.
 				p.done = true

@@ -60,7 +60,8 @@ func TestShutdownNeverStartedProc(t *testing.T) {
 }
 
 // TestShutdownKillsReblockingDefer: a deferred function that blocks again
-// during the unwind is killed again rather than deadlocking Shutdown.
+// during the unwind is killed again rather than deadlocking Shutdown, and
+// the process is counted once, not once per kill.
 func TestShutdownKillsReblockingDefer(t *testing.T) {
 	e := NewEngine(1)
 	e.Go("stubborn", func(p *Proc) {
@@ -69,7 +70,9 @@ func TestShutdownKillsReblockingDefer(t *testing.T) {
 	})
 	e.Go("stopper", func(p *Proc) { e.Stop() })
 	e.RunAll()
-	e.Shutdown()
+	if got := e.Shutdown(); got != 1 {
+		t.Fatalf("Shutdown reaped %d, want 1", got)
+	}
 	if e.LiveProcs() != 0 {
 		t.Fatalf("live procs = %d", e.LiveProcs())
 	}
