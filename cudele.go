@@ -4,10 +4,13 @@
 //
 // Cudele lets administrators assign consistency (invisible, weak, strong)
 // and durability (none, local, global) policies to subtrees of a single
-// global file-system namespace. Policies are compositions of six
+// global file-system namespace. Policies are compositions of the
 // mechanisms — RPCs, Append Client Journal, Volatile Apply, Nonvolatile
 // Apply, Stream, Local Persist, Global Persist — so one namespace can host
 // POSIX-strict subtrees next to BatchFS/DeltaFS-style decoupled subtrees.
+// A subtree's registered composition is what it means: the MDS streams
+// the RPC updates of a subtree whose composition contains Stream, and
+// the client runs the completion-time mechanisms with RunComposition.
 //
 // This package is the public facade over a complete, deterministic,
 // discrete-event-simulated CephFS-like cluster: a replicated object store
@@ -22,14 +25,13 @@
 //	cl := cudele.NewCluster()
 //	c := cl.NewClient("client.0")
 //	cl.Run(func(p *cudele.Proc) {
-//		dir, _ := c.MkdirAll(p, "/home/alice/job", 0755)
-//		cl.Decouple(p, c, "/home/alice/job",
+//		c.MkdirAll(p, "/home/alice/job", 0755)
+//		e, _ := cl.Decouple(p, c, "/home/alice/job",
 //			"consistency: weak\ndurability: local\nallocated_inodes: 100000\n")
 //		root, _ := c.DecoupledRoot()
 //		c.LocalCreate(p, root, "ckpt.0", 0644)
-//		c.RunComposition(p, cudele.MustComposition(
-//			"local_persist+volatile_apply"))
-//		_ = dir
+//		comp, _ := e.Policy.Composition() // append_client_journal+local_persist+volatile_apply
+//		c.RunComposition(p, comp)
 //	})
 package cudele
 

@@ -157,10 +157,14 @@ func TestAllTableICellsEndToEnd(t *testing.T) {
 							t.Errorf("global durability did not persist the journal: %v", err)
 						}
 					}
-					if dur == DurGlobal && cons == ConsStrong {
-						if !cl.MDS().StreamEnabled() {
-							t.Error("strong/global did not enable Stream")
-						}
+					// Stream is the subtree's: the rank journals the RPC
+					// updates of /job exactly when its composition streams.
+					want := uint64(0)
+					if comp.Contains(policy.MechStream) {
+						want = 10
+					}
+					if got := cl.MDS().Metrics().Journaled; got != want {
+						t.Errorf("%d updates journaled, want %d", got, want)
 					}
 				})
 			})

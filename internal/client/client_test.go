@@ -590,17 +590,30 @@ func TestRunCompositionParallelStep(t *testing.T) {
 }
 
 func TestRunCompositionStreamToggle(t *testing.T) {
+	// The switch is what a mutation no registered root governs follows;
+	// a governed one follows its root's composition either way.
 	cl := newCluster()
 	c := cl.client("c0")
 	cl.run(t, func(p runtime.Task) {
-		comp, _ := policy.ParseComposition("rpcs+stream")
-		if err := c.RunComposition(p, comp); err != nil {
-			t.Errorf("composition: %v", err)
+		loose, _ := c.MkdirAll(p, "/loose", 0755)
+		local, _ := c.MkdirAll(p, "/local", 0755)
+		if err := decouple(p, c, "/local", decouplePolicy(policy.ConsStrong, policy.DurLocal, 100)); err != nil {
+			t.Fatalf("register /local: %v", err)
+		}
+		for _, on := range []bool{true, false} {
+			cl.srv.SetStream(on)
+			before := cl.srv.Metrics().Journaled
+			c.Create(p, loose, fmt.Sprintf("f%v", on), 0644)
+			c.Create(p, local, fmt.Sprintf("f%v", on), 0644)
+			want := uint64(0)
+			if on {
+				want = 1
+			}
+			if got := cl.srv.Metrics().Journaled - before; got != want {
+				t.Errorf("switch %v: %d creates journaled, want %d (the ungoverned one)", on, got, want)
+			}
 		}
 	})
-	if !cl.srv.StreamEnabled() {
-		t.Fatal("stream not enabled by composition")
-	}
 }
 
 func TestNamespaceSync(t *testing.T) {

@@ -685,15 +685,14 @@ func (c *Client) loadChain(p runtime.Task, shadow *namespace.Store, ino namespac
 }
 
 // RunComposition executes a policy composition: steps in sequence,
-// mechanisms within a step in parallel (paper §III-B). RPCs and Append
-// Client Journal are workload-time mechanisms, not completion-time ones,
-// so they are no-ops here; Stream is an MDS-side setting owned by the
-// composition — set on iff the composition contains it, so a previous
-// streaming composition cannot leak journaling into this one.
+// mechanisms within a step in parallel (paper §III-B). What each
+// mechanism does is its row in the policy's mechanism table. RPCs, Append
+// Client Journal and Stream act per operation, not at completion, so they
+// are no-ops here: Stream is the subtree's, and the rank journals the RPC
+// updates of every subtree whose registered composition contains it.
 func (c *Client) RunComposition(p runtime.Task, comp policy.Composition) error {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
-	c.svc.SetStream(comp.Contains(policy.MechStream))
 	for _, step := range comp {
 		if len(step.Parallel) == 1 {
 			if err := c.runMechanism(p, step.Parallel[0]); err != nil {
@@ -704,40 +703,36 @@ func (c *Client) RunComposition(p runtime.Task, comp policy.Composition) error {
 		g := c.dom.NewGroup()
 		errs := make([]error, len(step.Parallel))
 		for i, m := range step.Parallel {
-			i, m := i, m
 			g.Go("mech."+m.String(), func(sp runtime.Task) {
 				errs[i] = c.runMechanism(sp, m)
 			})
 		}
 		g.Wait(p)
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
+		if err := errors.Join(errs...); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// runMechanism runs one completion-time mechanism by what its table row
+// says it does: a merge into the object store (Nonvolatile Apply) or into
+// the registered cell, or a persist at the durability it gives.
 func (c *Client) runMechanism(p runtime.Task, m policy.Mechanism) error {
-	switch m {
-	case policy.MechRPCs, policy.MechAppendClientJournal:
-		// Workload-time mechanisms; nothing to do at completion time.
+	merges, dur, atCompletion := m.Completion()
+	switch {
+	case !m.Valid():
+		return fmt.Errorf("client: unknown mechanism %v", m)
+	case !atCompletion:
 		return nil
-	case policy.MechStream:
-		// Stream state is set for the whole composition by
-		// RunComposition before any step runs.
-		return nil
-	case policy.MechVolatileApply, policy.MechSpeculativeApply, policy.MechConvergeApply:
-		_, _, err := c.Merge(p)
-		return err
-	case policy.MechNonvolatileApply:
+	case merges && dur == policy.DurGlobal:
 		_, err := c.NonvolatileApply(p)
 		return err
-	case policy.MechLocalPersist:
+	case merges:
+		_, _, err := c.Merge(p)
+		return err
+	case dur == policy.DurLocal:
 		return c.LocalPersist(p)
-	case policy.MechGlobalPersist:
-		return c.GlobalPersist(p)
 	}
-	return fmt.Errorf("client: unknown mechanism %v", m)
+	return c.GlobalPersist(p)
 }

@@ -64,27 +64,40 @@ func decoupledWorkload(t *testing.T, p runtime.Task, c *Client, files int) {
 }
 
 func TestRunCompositionStreamReset(t *testing.T) {
-	// Stream is owned by the composition: a streaming composition turns
-	// it on, and the next composition without the mechanism must turn it
-	// back off rather than inherit it.
+	// Stream is the subtree's: the rank journals the RPC updates of a
+	// subtree whose registered composition streams and no other's, and
+	// running a composition — streaming or not — moves neither.
 	cl := newCluster()
 	c := cl.client("c0")
 	cl.run(t, func(p runtime.Task) {
-		comp, _ := policy.ParseComposition("rpcs+stream")
-		if err := c.RunComposition(p, comp); err != nil {
-			t.Errorf("streaming composition: %v", err)
-			return
+		creates := func(dir namespace.Ino, prefix string) uint64 {
+			before := cl.srv.Metrics().Journaled
+			for i := 0; i < 5; i++ {
+				if _, err := c.Create(p, dir, fmt.Sprintf("%s%d", prefix, i), 0644); err != nil {
+					t.Fatalf("create: %v", err)
+				}
+			}
+			return cl.srv.Metrics().Journaled - before
 		}
-		if !cl.srv.StreamEnabled() {
-			t.Error("stream not enabled by streaming composition")
+		global, _ := c.MkdirAll(p, "/global", 0755)
+		none, _ := c.MkdirAll(p, "/none", 0755)
+		if err := decouple(p, c, "/global", decouplePolicy(policy.ConsStrong, policy.DurGlobal, 100)); err != nil {
+			t.Fatalf("register /global: %v", err)
 		}
-		comp, _ = policy.ParseComposition("rpcs")
-		if err := c.RunComposition(p, comp); err != nil {
-			t.Errorf("rpcs composition: %v", err)
-			return
+		for _, dsl := range []string{"rpcs+stream", "rpcs", "append_client_journal+local_persist"} {
+			comp, _ := policy.ParseComposition(dsl)
+			if err := c.RunComposition(p, comp); err != nil {
+				t.Fatalf("RunComposition(%s): %v", dsl, err)
+			}
+			if n := creates(global, dsl); n != 5 {
+				t.Errorf("after %s: %d of 5 creates in the streaming subtree journaled", dsl, n)
+			}
+			if n := creates(none, dsl); n != 0 {
+				t.Errorf("after %s: %d creates journaled where nothing streams", dsl, n)
+			}
 		}
 		if cl.srv.StreamEnabled() {
-			t.Error("stream leaked past its composition")
+			t.Error("a composition flipped the rank's switch")
 		}
 	})
 }

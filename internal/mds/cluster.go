@@ -120,14 +120,6 @@ func (c *Cluster) Unmount(p runtime.Task, client string) {
 	}
 }
 
-// SetStream toggles journal streaming on every rank (the Stream
-// mechanism is a namespace-level durability setting).
-func (c *Cluster) SetStream(on bool) {
-	for _, s := range c.ranks {
-		s.SetStream(on)
-	}
-}
-
 // SetHeat installs one heat accountant on every rank, keyed by the
 // cluster's placement table so cells aggregate per placed subtree. Pass
 // nil to disable accounting.

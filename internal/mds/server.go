@@ -173,9 +173,10 @@ type Server struct {
 	owners map[namespace.Ino]string
 
 	stream *streamState
-	// streamOn is the Stream mechanism's switch. It is atomic, not part
-	// of the domain, because clients flip it from their own tasks at the
-	// start of a composition and set-up code flips it with no task.
+	// streamOn is the Stream switch for mutations no registered subtree
+	// root governs; a governed one streams by its root's composition. It
+	// is atomic, not part of the domain, because set-up code flips it
+	// with no task.
 	streamOn atomic.Bool
 
 	// merge and imports are the rank's two windowed-stream schedulers:
@@ -376,10 +377,12 @@ func (s *Server) CPU() runtime.Resource { return s.cpu }
 // Metrics returns a snapshot of the server counters.
 func (s *Server) Metrics() Metrics { return s.metrics }
 
-// SetStream turns MDS journal streaming (the Stream mechanism) on or off.
+// SetStream turns MDS journal streaming (the Stream mechanism) on or off
+// for mutations that no registered subtree root governs.
 func (s *Server) SetStream(on bool) { s.streamOn.Store(on) }
 
-// StreamEnabled reports whether journal streaming is on.
+// StreamEnabled reports whether journal streaming is on for mutations
+// that no registered subtree root governs.
 func (s *Server) StreamEnabled() bool { return s.streamOn.Load() }
 
 // Shutdown makes the server reject future requests.
@@ -524,8 +527,19 @@ func (s *Server) serveRPC(p runtime.Task, req *Request) *Reply {
 	}
 	p.Sleep(s.serviceTime(req.Op))
 	var err error
+	stream := s.streamOn.Load()
 	if req.Op.Mutates() {
-		err = s.checkInterfere(p, req)
+		// One PolicyRoot walk per mutation: the registered root that
+		// governs the parent decides Stream and the interfere check; a
+		// mutation no registered root governs follows the switch.
+		var root *namespace.Inode
+		if req.Parent != 0 {
+			root, _ = s.store.PolicyRoot(req.Parent)
+		}
+		if root != nil && root.Policy != nil {
+			stream = root.Policy.Streams()
+		}
+		err = s.checkInterfere(p, req, root)
 	}
 	switch {
 	case err != nil: // rejected by an interfere-block policy
@@ -537,11 +551,11 @@ func (s *Server) serveRPC(p runtime.Task, req *Request) *Reply {
 	reply.Err = err
 	s.cpu.Release()
 
-	// A successful mutation is appended to the MDS journal after the op
-	// completes: encoding and segment bookkeeping steal MDS CPU
-	// (MDSJournalOpTime), and the client additionally waits for the safe
-	// ack (MDSJournalLatency, latency only).
-	if err == nil && s.streamOn.Load() && req.Op.Mutates() {
+	// A successful mutation in a streaming subtree is appended to the MDS
+	// journal after the op completes: encoding and segment bookkeeping
+	// steal MDS CPU (MDSJournalOpTime), and the client additionally waits
+	// for the safe ack (MDSJournalLatency, latency only).
+	if err == nil && stream && req.Op.Mutates() {
 		s.cpu.Acquire(p)
 		p.Sleep(s.cfg.MDSJournalOpTime)
 		s.stream.record(p, req, reply)
@@ -561,14 +575,10 @@ func (r *Reply) inode(in *namespace.Inode, err error) error {
 	return err
 }
 
-// checkInterfere rejects mutations into a blocked decoupled subtree.
-func (s *Server) checkInterfere(p runtime.Task, req *Request) error {
-	parent := req.Parent
-	if parent == 0 {
-		return nil
-	}
-	root, err := s.store.PolicyRoot(parent)
-	if err != nil || root.Ino == namespace.RootIno {
+// checkInterfere rejects mutations into a blocked decoupled subtree,
+// given the policy root that governs the request (nil for none).
+func (s *Server) checkInterfere(p runtime.Task, req *Request, root *namespace.Inode) error {
+	if root == nil || root.Ino == namespace.RootIno {
 		return nil
 	}
 	owner, ok := s.owners[root.Ino]

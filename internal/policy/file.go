@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -18,22 +19,13 @@ const (
 	InterfereBlock
 )
 
-func (i Interfere) String() string {
-	if i == InterfereBlock {
-		return "block"
-	}
-	return "allow"
-}
+var interfereNames = [...]string{InterfereAllow: "allow", InterfereBlock: "block"}
+
+func (i Interfere) String() string { return levelName(interfereNames[:], i, "Interfere") }
 
 // ParseInterfere recognizes "allow" and "block".
 func ParseInterfere(s string) (Interfere, error) {
-	switch s {
-	case "allow":
-		return InterfereAllow, nil
-	case "block":
-		return InterfereBlock, nil
-	}
-	return 0, fmt.Errorf("%w: interfere %q", ErrParse, s)
+	return parseLevel[Interfere](interfereNames[:], "interfere", s)
 }
 
 // DefaultAllocatedInodes is the default inode grant for a decoupled
@@ -53,8 +45,9 @@ type Policy struct {
 
 	// ConsistencyComp and DurabilityComp, when non-nil, override the
 	// compiled compositions (the policies-file values may be raw DSL).
-	// ParseFile then sets Consistency to the cell a consistency
-	// composition implements, since a client merges by that level.
+	// ParseFile then sets Consistency and Durability to the levels the
+	// composition implements: a client merges by the one, and the
+	// other is what the subtree's updates survive.
 	ConsistencyComp Composition
 	DurabilityComp  Composition
 
@@ -88,19 +81,25 @@ func Default() *Policy {
 // explicit compositions when set, otherwise the Table I compilation of the
 // semantic levels.
 func (p *Policy) Composition() (Composition, error) {
-	if p.ConsistencyComp != nil || p.DurabilityComp != nil {
-		comp := append(Composition{}, p.ConsistencyComp...)
-		comp = append(comp, p.DurabilityComp...)
-		if err := ValidateComposition(comp); err != nil {
-			return nil, err
-		}
-		return comp, nil
+	if p.ConsistencyComp == nil && p.DurabilityComp == nil {
+		return Compile(p.Consistency, p.Durability)
 	}
-	comp, err := Compile(p.Consistency, p.Durability)
-	if err != nil {
+	comp := slices.Concat(p.ConsistencyComp, p.DurabilityComp)
+	if err := ValidateComposition(comp); err != nil {
 		return nil, err
 	}
 	return comp, nil
+}
+
+// Streams reports whether the policy's composition contains Stream: the
+// rank journals the RPC updates in the subtree the policy governs. It
+// allocates nothing, since a rank asks it for every mutation.
+func (p *Policy) Streams() bool {
+	if p.ConsistencyComp != nil || p.DurabilityComp != nil {
+		return p.ConsistencyComp.Contains(MechStream) || p.DurabilityComp.Contains(MechStream)
+	}
+	return p.Consistency < consMax && p.Durability < durMax &&
+		slices.Contains(tableI[p.Consistency][p.Durability], MechStream)
 }
 
 // Validate checks the policy for consistency. A zero inode grant is
@@ -166,25 +165,13 @@ func ParseFile(text string) (*Policy, error) {
 		value = strings.TrimSpace(value)
 		switch key {
 		case "consistency":
-			if c, err := ParseConsistency(value); err == nil {
-				p.Consistency = c
-				break
-			}
-			comp, err := ParseComposition(value)
-			if err != nil {
+			if err := levelOrComposition(value, ParseConsistency, &p.Consistency, &p.ConsistencyComp); err != nil {
 				return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
 			}
-			p.ConsistencyComp, p.Consistency = comp, cellOf(comp)
 		case "durability":
-			if d, err := ParseDurability(value); err == nil {
-				p.Durability = d
-				break
-			}
-			comp, err := ParseComposition(value)
-			if err != nil {
+			if err := levelOrComposition(value, ParseDurability, &p.Durability, &p.DurabilityComp); err != nil {
 				return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
 			}
-			p.DurabilityComp = comp
 		case "allocated_inodes":
 			n, err := strconv.Atoi(value)
 			if err != nil || n <= 0 {
@@ -210,5 +197,22 @@ func ParseFile(text string) (*Policy, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	// A compiled cell's levels are its own (TestValidateEveryOrderedSequence).
+	comp, _ := p.Composition()
+	p.Consistency, p.Durability = cellOf(comp), durabilityOf(comp)
 	return p, nil
+}
+
+// levelOrComposition sets *level from a level name, or else *comp from
+// the mechanism DSL.
+func levelOrComposition[L any](value string, parse func(string) (L, error), level *L, comp *Composition) error {
+	if l, err := parse(value); err == nil {
+		*level = l
+		return nil
+	}
+	c, err := ParseComposition(value)
+	if err == nil {
+		*comp = c
+	}
+	return err
 }

@@ -1,10 +1,14 @@
 package policy
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // FuzzParseFile guards the policies-file parser, the decode boundary of
 // every decouple: ParseFile must never panic, and a policy it accepts
-// must pass Validate and compile to a mechanism composition.
+// must pass Validate, compile to a mechanism composition whose levels are
+// the policy's, and print as a policies file that parses back to it.
 func FuzzParseFile(f *testing.F) {
 	// Seeds: the policies texts the tests and examples decouple with,
 	// every key, explicit mechanism DSL, and the error shapes the parser
@@ -26,6 +30,9 @@ func FuzzParseFile(f *testing.F) {
 		"mds_rank: -1",
 		"favourite_colour: blue",
 		"consistency: rpcs\ndurability: local_persist||stream\n",
+		"consistency: rpcs\ndurability: stream\n",
+		"consistency: append_client_journal\ndurability: local_persist+nonvolatile_apply\n",
+		"consistency: rpcs+global_persist\n",
 		Default().String(),
 		(&Policy{Consistency: ConsInvisible, Durability: DurLocal, AllocatedInodes: DefaultAllocatedInodes}).String(),
 	} {
@@ -40,8 +47,17 @@ func FuzzParseFile(f *testing.F) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("accepted policy fails Validate: %v\n%q", err, text)
 		}
-		if _, err := p.Composition(); err != nil {
+		comp, err := p.Composition()
+		if err != nil {
 			t.Fatalf("accepted policy does not compile: %v\n%q", err, text)
+		}
+		if c, d := cellOf(comp), durabilityOf(comp); c != p.Consistency || d != p.Durability {
+			t.Fatalf("policy registers %v/%v, its composition %q implements %v/%v\n%q",
+				p.Consistency, p.Durability, comp, c, d, text)
+		}
+		again, err := ParseFile(p.String())
+		if err != nil || !reflect.DeepEqual(again, p) {
+			t.Fatalf("String() does not parse back: %+v, %v\n%q", again, err, p.String())
 		}
 	})
 }

@@ -14,6 +14,7 @@ package policy
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -46,7 +47,7 @@ const (
 // knows; exhaustiveness tests iterate [0, NumConsistencies).
 const NumConsistencies = int(consMax)
 
-var consNames = map[Consistency]string{
+var consNames = [consMax]string{
 	ConsInvisible:      "invisible",
 	ConsWeak:           "weak",
 	ConsStrong:         "strong",
@@ -55,29 +56,13 @@ var consNames = map[Consistency]string{
 }
 
 // AllConsistencies returns every consistency level in enum order.
-func AllConsistencies() []Consistency {
-	out := make([]Consistency, 0, NumConsistencies)
-	for c := Consistency(0); c < consMax; c++ {
-		out = append(out, c)
-	}
-	return out
-}
+func AllConsistencies() []Consistency { return levels[Consistency](consMax) }
 
-func (c Consistency) String() string {
-	if s, ok := consNames[c]; ok {
-		return s
-	}
-	return fmt.Sprintf("Consistency(%d)", uint8(c))
-}
+func (c Consistency) String() string { return levelName(consNames[:], c, "Consistency") }
 
 // ParseConsistency recognizes the five consistency names.
 func ParseConsistency(s string) (Consistency, error) {
-	for c, name := range consNames {
-		if name == s {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: consistency %q", ErrParse, s)
+	return parseLevel[Consistency](consNames[:], "consistency", s)
 }
 
 // Durability is the failure-survival level of a subtree's updates.
@@ -98,38 +83,42 @@ const (
 const NumDurabilities = int(durMax)
 
 // AllDurabilities returns every durability level in enum order.
-func AllDurabilities() []Durability {
-	out := make([]Durability, 0, NumDurabilities)
-	for d := Durability(0); d < durMax; d++ {
-		out = append(out, d)
+func AllDurabilities() []Durability { return levels[Durability](durMax) }
+
+var durNames = [durMax]string{DurNone: "none", DurLocal: "local", DurGlobal: "global"}
+
+func (d Durability) String() string { return levelName(durNames[:], d, "Durability") }
+
+// ParseDurability recognizes the three durability names.
+func ParseDurability(s string) (Durability, error) {
+	return parseLevel[Durability](durNames[:], "durability", s)
+}
+
+// levels lists the n levels of an enum in order.
+func levels[L ~uint8](n L) []L {
+	out := make([]L, n)
+	for i := range out {
+		out[i] = L(i)
 	}
 	return out
 }
 
-var durNames = map[Durability]string{
-	DurNone:   "none",
-	DurLocal:  "local",
-	DurGlobal: "global",
-}
-
-func (d Durability) String() string {
-	if s, ok := durNames[d]; ok {
-		return s
+func levelName[L ~uint8](names []string, l L, kind string) string {
+	if int(l) < len(names) {
+		return names[l]
 	}
-	return fmt.Sprintf("Durability(%d)", uint8(d))
+	return fmt.Sprintf("%s(%d)", kind, uint8(l))
 }
 
-// ParseDurability recognizes the three durability names.
-func ParseDurability(s string) (Durability, error) {
-	for d, name := range durNames {
-		if name == s {
-			return d, nil
-		}
+func parseLevel[L ~uint8](names []string, kind, s string) (L, error) {
+	if i := slices.Index(names, s); i >= 0 {
+		return L(i), nil
 	}
-	return 0, fmt.Errorf("%w: durability %q", ErrParse, s)
+	return 0, fmt.Errorf("%w: %s %q", ErrParse, kind, s)
 }
 
-// Mechanism is one of the six building blocks of Figure 4.
+// Mechanism is one of the building blocks of Figure 4 (and the two
+// post-paper merges). What each one means is its row in mechs.
 type Mechanism uint8
 
 const (
@@ -167,27 +156,60 @@ const (
 	mechMax
 )
 
-var mechNames = map[Mechanism]string{
-	MechRPCs:                "rpcs",
-	MechAppendClientJournal: "append_client_journal",
-	MechVolatileApply:       "volatile_apply",
-	MechNonvolatileApply:    "nonvolatile_apply",
-	MechStream:              "stream",
-	MechLocalPersist:        "local_persist",
-	MechGlobalPersist:       "global_persist",
-	MechSpeculativeApply:    "speculative_apply",
-	MechConvergeApply:       "converge_apply",
+// record is where a subtree's updates are kept between an operation and
+// the job's completion.
+type record string
+
+const (
+	recNone    record = ""
+	recMDS     record = "RPC updates at the MDS" // applied at the metadata server, one RPC each
+	recJournal record = "the client journal"     // appended to the client's journal
+)
+
+// held is the durability updates have where they are recorded: what an
+// RPC applied at the MDS survives a client crash, the client's journal
+// survives nothing.
+var held = map[record]Durability{recMDS: DurLocal, recJournal: DurNone}
+
+// noCell marks a mechanism that gives the updates no consistency level.
+const noCell = consMax
+
+// mechRow is everything one mechanism means. Parsing, printing, Table I,
+// the levels a composition implements, the compositions refused as
+// senseless and what a client runs at completion are all read from it.
+type mechRow struct {
+	name    string
+	aliases []string
+	perOp   bool // acts as each operation runs, not when the job completes
+	// records is where a recorder keeps the updates; consumes is the
+	// record a mechanism reads.
+	records, consumes record
+	// cell is the consistency the mechanism gives: a recorder's when
+	// nothing merges, the merge's otherwise.
+	cell Consistency
+	dur  Durability
 }
 
-var mechAliases = map[string]Mechanism{
-	"append":     MechAppendClientJournal,
-	"rpc":        MechRPCs,
-	"crdt_merge": MechConvergeApply,
+// merges reports whether the row replays the client journal into the
+// global namespace at completion — which leaves the journal empty.
+func (r *mechRow) merges() bool { return !r.perOp && r.cell != noCell }
+
+var mechs = [mechMax]mechRow{
+	MechInvalid:             {cell: noCell},
+	MechRPCs:                {name: "rpcs", aliases: []string{"rpc"}, perOp: true, records: recMDS, cell: ConsStrong},
+	MechAppendClientJournal: {name: "append_client_journal", aliases: []string{"append"}, perOp: true, records: recJournal, cell: ConsInvisible},
+	MechVolatileApply:       {name: "volatile_apply", consumes: recJournal, cell: ConsWeak},
+	MechNonvolatileApply:    {name: "nonvolatile_apply", consumes: recJournal, cell: ConsWeak, dur: DurGlobal},
+	MechStream:              {name: "stream", perOp: true, consumes: recMDS, cell: noCell, dur: DurGlobal},
+	MechLocalPersist:        {name: "local_persist", consumes: recJournal, cell: noCell, dur: DurLocal},
+	MechGlobalPersist:       {name: "global_persist", consumes: recJournal, cell: noCell, dur: DurGlobal},
+	MechSpeculativeApply:    {name: "speculative_apply", consumes: recJournal, cell: ConsSpeculative},
+	MechConvergeApply:       {name: "converge_apply", aliases: []string{"crdt_merge"}, consumes: recJournal, cell: ConsStrongEventual},
 }
 
 func (m Mechanism) String() string {
-	if s, ok := mechNames[m]; ok {
-		return s
+	if m.Valid() {
+		return mechs[m].name
 	}
 	return fmt.Sprintf("Mechanism(%d)", uint8(m))
 }
@@ -195,15 +217,22 @@ func (m Mechanism) String() string {
 // Valid reports whether m is a known mechanism.
 func (m Mechanism) Valid() bool { return m > MechInvalid && m < mechMax }
 
+// Completion says what m does when its composition completes: nothing
+// (ok false) for a mechanism that acts per operation; otherwise whether
+// it merges the client journal, and the durability it gives.
+func (m Mechanism) Completion() (merges bool, dur Durability, ok bool) {
+	if !m.Valid() || mechs[m].perOp {
+		return false, DurNone, false
+	}
+	return mechs[m].merges(), mechs[m].dur, true
+}
+
 // ParseMechanism recognizes mechanism names and aliases.
 func ParseMechanism(s string) (Mechanism, error) {
-	for m, name := range mechNames {
-		if name == s {
+	for m := MechInvalid + 1; m < mechMax; m++ {
+		if mechs[m].name == s || slices.Contains(mechs[m].aliases, s) {
 			return m, nil
 		}
-	}
-	if m, ok := mechAliases[s]; ok {
-		return m, nil
 	}
 	return MechInvalid, fmt.Errorf("%w: mechanism %q", ErrParse, s)
 }
@@ -232,14 +261,7 @@ func (c Composition) String() string {
 
 // Contains reports whether m appears anywhere in the composition.
 func (c Composition) Contains(m Mechanism) bool {
-	for _, st := range c {
-		for _, x := range st.Parallel {
-			if x == m {
-				return true
-			}
-		}
-	}
-	return false
+	return slices.ContainsFunc(c, func(st Step) bool { return slices.Contains(st.Parallel, m) })
 }
 
 // Errors reported by parsing and validation.
@@ -250,27 +272,19 @@ var (
 
 // ParseComposition parses the DSL: mechanisms joined by "+" (serial) and
 // "||" (parallel), e.g. "append_client_journal+local_persist||volatile_apply".
+// An empty composition or step is an unknown (empty) mechanism name.
 func ParseComposition(s string) (Composition, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, fmt.Errorf("%w: empty composition", ErrParse)
-	}
 	var comp Composition
-	for _, stepStr := range strings.Split(s, "+") {
-		stepStr = strings.TrimSpace(stepStr)
-		if stepStr == "" {
-			return nil, fmt.Errorf("%w: empty step in %q", ErrParse, s)
-		}
-		var step Step
-		for _, mechStr := range strings.Split(stepStr, "||") {
-			mechStr = strings.TrimSpace(mechStr)
-			m, err := ParseMechanism(mechStr)
+	for _, step := range strings.Split(s, "+") {
+		var st Step
+		for _, name := range strings.Split(step, "||") {
+			m, err := ParseMechanism(strings.TrimSpace(name))
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%w in %q", err, s)
 			}
-			step.Parallel = append(step.Parallel, m)
+			st.Parallel = append(st.Parallel, m)
 		}
-		comp = append(comp, step)
+		comp = append(comp, st)
 	}
 	return comp, nil
 }
@@ -284,70 +298,94 @@ func seq(ms ...Mechanism) Composition {
 	return c
 }
 
+// tableI is Table I, built from the rows: a cell is its recorder (the
+// one whose level it is, or the client journal), then the one mechanism
+// that gives its durability and is not refused beside that recorder,
+// then the merge whose level it is and that gives no durability of its
+// own.
+var tableI = func() (t [consMax][durMax][]Mechanism) {
+	for c := range consMax {
+		rec, merge := MechAppendClientJournal, MechInvalid
+		for m, r := range mechs {
+			switch {
+			case r.records != recNone && r.cell == c:
+				rec = Mechanism(m)
+			case r.merges() && r.cell == c && r.dur == DurNone:
+				merge = Mechanism(m)
+			}
+		}
+		// Each candidate durability mechanism, MechInvalid for none.
+		for m, r := range mechs {
+			ms := slices.DeleteFunc([]Mechanism{rec, Mechanism(m), merge},
+				func(m Mechanism) bool { return m == MechInvalid })
+			d := durabilityOf(seq(ms...))
+			if r.records == recNone && !r.merges() && t[c][d] == nil && ValidateComposition(seq(ms...)) == nil {
+				t[c][d] = ms
+			}
+		}
+	}
+	return t
+}()
+
 // Compile is Table I: it returns the mechanism composition that implements
 // consistency c with durability d.
 func Compile(c Consistency, d Durability) (Composition, error) {
-	switch {
-	case c == ConsStrong && d == DurNone:
-		return seq(MechRPCs), nil
-	case c == ConsStrong && d == DurLocal:
-		return seq(MechRPCs, MechLocalPersist), nil
-	case c == ConsStrong && d == DurGlobal:
-		return seq(MechRPCs, MechStream), nil
-	case c == ConsInvisible && d == DurNone:
-		return seq(MechAppendClientJournal), nil
-	case c == ConsInvisible && d == DurLocal:
-		return seq(MechAppendClientJournal, MechLocalPersist), nil
-	case c == ConsInvisible && d == DurGlobal:
-		return seq(MechAppendClientJournal, MechGlobalPersist), nil
-	case c == ConsWeak && d == DurNone:
-		return seq(MechAppendClientJournal, MechVolatileApply), nil
-	case c == ConsWeak && d == DurLocal:
-		return seq(MechAppendClientJournal, MechLocalPersist, MechVolatileApply), nil
-	case c == ConsWeak && d == DurGlobal:
-		return seq(MechAppendClientJournal, MechGlobalPersist, MechVolatileApply), nil
-	case c == ConsSpeculative && d == DurNone:
-		return seq(MechAppendClientJournal, MechSpeculativeApply), nil
-	case c == ConsSpeculative && d == DurLocal:
-		return seq(MechAppendClientJournal, MechLocalPersist, MechSpeculativeApply), nil
-	case c == ConsSpeculative && d == DurGlobal:
-		return seq(MechAppendClientJournal, MechGlobalPersist, MechSpeculativeApply), nil
-	case c == ConsStrongEventual && d == DurNone:
-		return seq(MechAppendClientJournal, MechConvergeApply), nil
-	case c == ConsStrongEventual && d == DurLocal:
-		return seq(MechAppendClientJournal, MechLocalPersist, MechConvergeApply), nil
-	case c == ConsStrongEventual && d == DurGlobal:
-		return seq(MechAppendClientJournal, MechGlobalPersist, MechConvergeApply), nil
+	if c >= consMax || d >= durMax {
+		return nil, fmt.Errorf("%w: (%v, %v)", ErrParse, c, d)
 	}
-	return nil, fmt.Errorf("%w: (%v, %v)", ErrParse, c, d)
+	return seq(tableI[c][d]...), nil
 }
 
-// cellOf is Compile's inverse on the consistency axis: the level a
-// composition implements, read off the mechanism that merges (or does
-// not merge) the subtree's updates. A client picks its merge path by it.
-func cellOf(c Composition) Consistency {
-	switch {
-	case c.Contains(MechSpeculativeApply):
-		return ConsSpeculative
-	case c.Contains(MechConvergeApply):
-		return ConsStrongEventual
-	case c.Contains(MechVolatileApply) || c.Contains(MechNonvolatileApply):
-		return ConsWeak
-	case c.Contains(MechRPCs):
-		return ConsStrong
+// cellOf is Compile's inverse on the consistency axis: the level of the
+// mechanism that merges the subtree's updates, or, when none does, of the
+// one that records them. A client picks its merge path by it.
+func cellOf(comp Composition) Consistency {
+	cell := ConsInvisible
+	for _, st := range comp {
+		for _, m := range st.Parallel {
+			switch {
+			case !m.Valid():
+			case mechs[m].merges():
+				return mechs[m].cell
+			case mechs[m].records != recNone:
+				cell = mechs[m].cell
+			}
+		}
 	}
-	return ConsInvisible
+	return cell
 }
 
-// ValidateComposition rejects compositions the paper calls out as making
-// no sense: RPCs combined with the client journal (both record the same
-// updates), and Stream combined with Local Persist (global durability
-// subsumes local).
-func ValidateComposition(c Composition) error {
-	if len(c) == 0 {
+// durabilityOf is Compile's inverse on the durability axis: the
+// strongest durability any of the composition's mechanisms gives.
+func durabilityOf(comp Composition) Durability {
+	d := DurNone
+	for _, st := range comp {
+		for _, m := range st.Parallel {
+			if m.Valid() {
+				d = max(d, mechs[m].dur)
+			}
+		}
+	}
+	return d
+}
+
+// ValidateComposition refuses, with ErrSenseless and the reason, a
+// composition whose mechanisms do not mean one thing together. Each
+// mechanism runs once; exactly one records the updates (RPCs, or the
+// client journal — both would record them twice) and at most one merges
+// them; what acts per operation is listed before what runs at
+// completion; every mechanism reads what the recorder keeps, except that
+// Local Persist beside RPCs names the local durability the MDS already
+// gives (Table I's strong/local, which against a rank crash is
+// strong/none); and nothing reads the client journal once a merge has
+// emptied it.
+func ValidateComposition(comp Composition) error {
+	if len(comp) == 0 {
 		return fmt.Errorf("%w: empty", ErrSenseless)
 	}
-	for _, st := range c {
+	var at [mechMax]int // 1 + the step a mechanism runs in; 0 when absent
+	var rec, merge, done Mechanism
+	for i, st := range comp {
 		if len(st.Parallel) == 0 {
 			return fmt.Errorf("%w: empty step", ErrSenseless)
 		}
@@ -355,25 +393,45 @@ func ValidateComposition(c Composition) error {
 			if !m.Valid() {
 				return fmt.Errorf("%w: invalid mechanism", ErrSenseless)
 			}
+			r := &mechs[m]
+			switch {
+			case at[m] != 0:
+				return fmt.Errorf("%w: %v runs twice", ErrSenseless, m)
+			case r.records != recNone && rec != MechInvalid:
+				return fmt.Errorf("%w: %v and %v both record the updates", ErrSenseless, rec, m)
+			case r.merges() && merge != MechInvalid:
+				return fmt.Errorf("%w: %v and %v both merge the client journal", ErrSenseless, merge, m)
+			case r.records != recNone:
+				rec = m
+			case r.merges():
+				merge = m
+			}
+			if at[m] = i + 1; !r.perOp && done == MechInvalid {
+				done = m
+			}
 		}
 	}
-	if c.Contains(MechRPCs) && c.Contains(MechAppendClientJournal) {
-		return fmt.Errorf("%w: append_client_journal with rpcs records updates twice", ErrSenseless)
+	if rec == MechInvalid {
+		return fmt.Errorf("%w: nothing records the updates (rpcs or append_client_journal)", ErrSenseless)
 	}
-	if c.Contains(MechStream) && c.Contains(MechLocalPersist) {
-		return fmt.Errorf("%w: stream already provides stronger durability than local_persist", ErrSenseless)
-	}
-	applies := 0
-	for _, m := range []Mechanism{MechVolatileApply, MechNonvolatileApply, MechSpeculativeApply, MechConvergeApply} {
-		if c.Contains(m) {
-			applies++
+	kept, dur := mechs[rec].records, durabilityOf(comp)
+	for m, step := range at {
+		switch r := &mechs[m]; {
+		case step == 0:
+		case r.perOp && done != MechInvalid && step >= at[done]:
+			return fmt.Errorf("%w: %v acts per operation, so it cannot run beside or after %v, which runs at completion",
+				ErrSenseless, Mechanism(m), done)
+		case r.consumes == recNone:
+		case r.consumes != kept && (r.merges() || r.dur > held[kept]):
+			return fmt.Errorf("%w: %v reads %s, but %v records %s",
+				ErrSenseless, Mechanism(m), r.consumes, rec, kept)
+		case r.consumes != kept && r.dur < dur:
+			return fmt.Errorf("%w: %v only names the %v durability %v already gives, and the composition gives %v",
+				ErrSenseless, Mechanism(m), r.dur, rec, dur)
+		case kept == recJournal && merge != MechInvalid && Mechanism(m) != merge && step >= at[merge]:
+			return fmt.Errorf("%w: %v reads the client journal once %v has emptied it",
+				ErrSenseless, Mechanism(m), merge)
 		}
-	}
-	if applies > 1 {
-		return fmt.Errorf("%w: more than one apply mechanism replays the same updates twice", ErrSenseless)
-	}
-	if c.Contains(MechRPCs) && (c.Contains(MechSpeculativeApply) || c.Contains(MechConvergeApply)) {
-		return fmt.Errorf("%w: rpcs leave no client journal for an apply mechanism to merge", ErrSenseless)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"errors"
+	"regexp"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -118,10 +119,17 @@ func TestCompileTableI(t *testing.T) {
 
 func TestValidateCompositionRejectsSenseless(t *testing.T) {
 	bad := []string{
-		"append_client_journal+rpcs",       // same updates twice (paper §III-B)
-		"stream+local_persist",             // global subsumes local (paper §III-B)
-		"volatile_apply+nonvolatile_apply", // double apply
-		"rpcs||append_client_journal",      // parallel variant
+		"append_client_journal+rpcs",                          // same updates twice (paper §III-B)
+		"stream+local_persist",                                // global subsumes local (paper §III-B)
+		"volatile_apply+nonvolatile_apply",                    // double apply
+		"rpcs||append_client_journal",                         // parallel variant
+		"stream",                                              // nothing records the RPCs it journals
+		"rpcs+volatile_apply",                                 // rpcs leave no client journal to merge
+		"rpcs+global_persist",                                 // ...nor one to persist
+		"append_client_journal+volatile_apply+local_persist",  // the merge emptied the journal
+		"append_client_journal+local_persist||volatile_apply", // ...or may have, beside it
+		"local_persist+append_client_journal",                 // per-op after completion
+		"rpcs+stream+local_persist",                           // local names less than stream gives
 	}
 	for _, dsl := range bad {
 		comp, err := ParseComposition(dsl)
@@ -387,5 +395,126 @@ func TestMechanismStringUnknown(t *testing.T) {
 	}
 	if Mechanism(99).Valid() {
 		t.Fatal("mechanism 99 reported valid")
+	}
+}
+
+// TestParseFileLevelsFollowComposition: a raw composition registers the
+// levels it implements — the durability as well as the consistency —
+// and one that means nothing is refused at parse time.
+func TestParseFileLevelsFollowComposition(t *testing.T) {
+	for text, want := range map[string][2]int{
+		"consistency: append_client_journal\ndurability: local_persist\n":                 {int(ConsInvisible), int(DurLocal)},
+		"consistency: rpcs\ndurability: local_persist\n":                                  {int(ConsStrong), int(DurLocal)},
+		"consistency: rpcs\ndurability: stream\n":                                         {int(ConsStrong), int(DurGlobal)},
+		"consistency: rpcs\n":                                                             {int(ConsStrong), int(DurNone)},
+		"consistency: append_client_journal+volatile_apply\n":                             {int(ConsWeak), int(DurNone)},
+		"consistency: append_client_journal\ndurability: global_persist+converge_apply\n": {int(ConsStrongEventual), int(DurGlobal)},
+		"consistency: append_client_journal+nonvolatile_apply\n":                          {int(ConsWeak), int(DurGlobal)},
+	} {
+		p, err := ParseFile(text)
+		if err != nil {
+			t.Errorf("ParseFile(%q): %v", text, err)
+			continue
+		}
+		if got := [2]int{int(p.Consistency), int(p.Durability)}; got != want {
+			t.Errorf("ParseFile(%q) registers %v/%v, want %v/%v", text,
+				p.Consistency, p.Durability, Consistency(want[0]), Durability(want[1]))
+		}
+	}
+	for _, text := range []string{
+		"consistency: stream\n",
+		"consistency: rpcs+volatile_apply\n",
+		"consistency: rpcs\ndurability: global_persist\n",
+		"consistency: append_client_journal+volatile_apply\ndurability: global_persist\n",
+	} {
+		if _, err := ParseFile(text); !errors.Is(err, ErrSenseless) {
+			t.Errorf("ParseFile(%q) = %v, want ErrSenseless", text, err)
+		}
+	}
+}
+
+// TestPolicyStreams: a policy streams exactly when its composition
+// contains Stream, whether compiled or written out, and asking costs no
+// allocation (a rank asks for every mutation).
+func TestPolicyStreams(t *testing.T) {
+	for _, c := range AllConsistencies() {
+		for _, d := range AllDurabilities() {
+			p := &Policy{Consistency: c, Durability: d}
+			comp, _ := p.Composition()
+			if got, want := p.Streams(), comp.Contains(MechStream); got != want {
+				t.Errorf("%v/%v: Streams() = %v, composition %q", c, d, got, comp)
+			}
+		}
+	}
+	p, err := ParseFile("consistency: rpcs\ndurability: stream\n")
+	if err != nil || !p.Streams() {
+		t.Fatalf("raw rpcs+stream: Streams() = %v, %v", p != nil && p.Streams(), err)
+	}
+	strong := Default()
+	if n := testing.AllocsPerRun(100, func() { _ = strong.Streams() || p.Streams() }); n != 0 {
+		t.Fatalf("Streams allocates %v times", n)
+	}
+}
+
+// admittedRE states, apart from the mechanism table, every composition of
+// distinct mechanisms one per step that means one thing: RPCs alone, with
+// Stream in either order, or followed by Local Persist (strong/local);
+// or the client journal, then Local and Global Persist in any order or
+// neither, then at most one merge.
+var admittedRE = regexp.MustCompile(`^(rpcs|rpcs\+stream|stream\+rpcs|rpcs\+local_persist|` +
+	`append_client_journal(\+local_persist(\+global_persist)?|\+global_persist(\+local_persist)?)?` +
+	`(\+(volatile_apply|nonvolatile_apply|speculative_apply|converge_apply))?)$`)
+
+// TestValidateEveryOrderedSequence runs ValidateComposition over every
+// ordered sequence of distinct mechanisms, one per step — 986 409 of
+// them — and holds the accepted set to admittedRE: 29 sequences, 23
+// mechanism sets, Table I's 15 cells among them. Every refusal names its
+// reason.
+func TestValidateEveryOrderedSequence(t *testing.T) {
+	const total, accepted = 986409, 29
+	var ms [mechMax - 1]Mechanism
+	var steps [mechMax - 1]Step
+	for i := range steps {
+		steps[i].Parallel = ms[i : i+1]
+	}
+	var used [mechMax]bool
+	seen, ok := 0, 0
+	var walk func(n int)
+	walk = func(n int) {
+		if n > 0 {
+			seen++
+			comp := Composition(steps[:n])
+			err := ValidateComposition(comp)
+			if want := admittedRE.MatchString(comp.String()); (err == nil) != want {
+				t.Errorf("ValidateComposition(%q) = %v, admitted %v", comp, err, want)
+			}
+			if err == nil {
+				ok++
+			} else if !errors.Is(err, ErrSenseless) || !strings.HasPrefix(err.Error(), ErrSenseless.Error()+": ") {
+				t.Errorf("ValidateComposition(%q) = %v: no reason", comp, err)
+			}
+		}
+		for m := MechInvalid + 1; m < mechMax; m++ {
+			if !used[m] {
+				used[m], ms[n] = true, m
+				walk(n + 1)
+				used[m] = false
+			}
+		}
+	}
+	walk(0)
+	if seen != total || ok != accepted {
+		t.Errorf("%d sequences, %d accepted; want %d, %d", seen, ok, total, accepted)
+	}
+	for _, c := range AllConsistencies() {
+		for _, d := range AllDurabilities() {
+			comp, err := Compile(c, d)
+			if err == nil {
+				err = ValidateComposition(comp)
+			}
+			if err != nil || cellOf(comp) != c || durabilityOf(comp) != d {
+				t.Errorf("Compile(%v, %v) = %q (%v): levels %v/%v", c, d, comp, err, cellOf(comp), durabilityOf(comp))
+			}
+		}
 	}
 }
