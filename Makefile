@@ -196,8 +196,10 @@ chaos:
 # change moved shows as a differing row. It builds cmd/cudele-bench from
 # the working tree and from PARENT (default HEAD, exported with git
 # archive into a temp dir), runs the 1 500-seed sweep with each build, and
-# fails unless the two reports are byte-identical, printing the first
-# differing rows.
+# fails unless the two reports are byte-identical. On a difference it
+# prints the first differing rows, how many rows differ and how many of
+# them in a column other than virt(s), and each cell's verdict counts on
+# both sides.
 PARENT ?= HEAD
 chaos-cmp:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
@@ -208,6 +210,18 @@ chaos-cmp:
 	"$$tmp/change-bench" -chaos 1500 -seed 1 > "$$tmp/change.txt"; \
 	if ! cmp -s "$$tmp/parent.txt" "$$tmp/change.txt"; then \
 		diff "$$tmp/parent.txt" "$$tmp/change.txt" | head -n 20; \
+		awk 'FNR == 1 { f++ } /^[0-9]/ { \
+				row = $$0; $$8 = ""; \
+				if (f == 1) { full[$$1] = row; rest[$$1] = $$0; next } \
+				if (full[$$1] != row) { n++; if (rest[$$1] != $$0) m++ } \
+			} \
+			END { printf "chaos-cmp: %d rows differ, %d of them in a column other than virt(s)\n", n, m }' \
+			"$$tmp/parent.txt" "$$tmp/change.txt"; \
+		echo "chaos-cmp: verdicts per cell ($(PARENT) | working tree):"; \
+		awk 'FNR == 1 { f++ } /^[0-9]/ { cell[$$2] = 1; if ($$9 == "ok") ok[f, $$2]++; else bad[f, $$2]++ } \
+			END { for (c in cell) printf "  %-24s %4d ok %4d failed | %4d ok %4d failed\n", \
+				c, ok[1, c], bad[1, c], ok[2, c], bad[2, c] }' \
+			"$$tmp/parent.txt" "$$tmp/change.txt" | sort; \
 		echo "chaos-cmp: the chaos report differs from $(PARENT)'s"; exit 1; \
 	fi; \
 	echo "chaos-cmp: the chaos report is byte-identical to $(PARENT)'s ($$(tail -n 1 "$$tmp/change.txt"))"

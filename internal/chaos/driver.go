@@ -54,7 +54,8 @@ const maxParents = 6
 // the final contract verification.
 type driver struct {
 	plan *Plan
-	cell *cell // the plan's row of the cell table
+	cell *cell          // the plan's row of the cell table
+	pol  *policy.Policy // the main subtree's registration
 	cl   *cudele.Cluster
 	srv  *mds.Server
 	c    *cudele.Client
@@ -116,8 +117,14 @@ func newDriver(plan *Plan) *driver {
 	}
 	cl := cudele.NewCluster(opts...)
 	d := &driver{
-		plan:    plan,
-		cell:    &cells[plan.Cons],
+		plan: plan,
+		cell: &cells[plan.Cons],
+		pol: &policy.Policy{
+			Consistency:     plan.Cons,
+			Durability:      plan.Dur,
+			AllocatedInodes: chaosGrant,
+			Interfere:       policy.InterfereAllow,
+		},
 		cl:      cl,
 		srv:     cl.MDS(),
 		c:       cl.NewClient("chaos-main"),
@@ -194,10 +201,10 @@ func (d *driver) midMigration() bool {
 	return ok && st.State != monitor.SubtreeOwned
 }
 
-// streamOn reports whether RPC updates are journaled by the MDS.
-func (d *driver) streamOn() bool {
-	return d.cell.place == rpcDirs && d.plan.Dur == policy.DurGlobal
-}
+// streamOn reports whether the owning rank journals the main subtree's
+// RPC updates: whether its registered composition streams, the rank's
+// own reading of the mechanism table.
+func (d *driver) streamOn() bool { return d.pol.Streams() }
 
 // main is the schedule's script process.
 func (d *driver) main(p runtime.Task) {
@@ -254,22 +261,7 @@ func (d *driver) setup(p runtime.Task) bool {
 		d.violate("setup: save store: %v", err)
 		return false
 	}
-	if d.streamOn() {
-		d.srv.SetStream(true)
-		// The subtree may migrate to any rank; journal streaming must be
-		// armed wherever its RPC updates could land.
-		for r := 1; r < d.cl.Metadata().Ranks(); r++ {
-			d.cl.Metadata().Rank(r).SetStream(true)
-		}
-	}
-
-	pol := &policy.Policy{
-		Consistency:     d.plan.Cons,
-		Durability:      d.plan.Dur,
-		AllocatedInodes: chaosGrant,
-		Interfere:       policy.InterfereAllow,
-	}
-	if _, err := d.cl.DecouplePolicy(p, d.c, mainPath, pol); err != nil {
+	if _, err := d.cl.DecouplePolicy(p, d.c, mainPath, d.pol); err != nil {
 		d.violate("setup: decouple %s: %v", mainPath, err)
 		return false
 	}

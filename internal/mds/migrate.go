@@ -53,6 +53,10 @@ type ExportManifest struct {
 	Owner   string // decoupling client, "" when not decoupled
 	GrantLo namespace.Ino
 	GrantN  uint64
+	// Unsaved says whether the source's journal holds events that no
+	// SaveStore has written since (streamState.unsaved). The journal
+	// stays with the source, so a handoff must then save the subtree.
+	Unsaved bool
 }
 
 // ExportFreezeReply answers an ExportFreezeMsg.
@@ -99,8 +103,8 @@ type ExportSaveReply struct {
 // journaled export-commit record and, on success, prunes the subtree.
 // A failed (or torn) record write leaves the subtree frozen and intact;
 // the monitor then aborts the migration. A handoff that keeps nothing
-// durable (a placement off a rank that does not stream) sends Seq 0 and
-// the rank prunes without a record.
+// durable (a placement off a source whose journal holds nothing unsaved)
+// sends Seq 0 and the rank prunes without a record.
 type ExportCommitMsg struct {
 	Path string
 	Seq  uint64 // monitor-assigned migration sequence; 0 writes no record
@@ -260,28 +264,6 @@ func (s *Server) holdsBound(in *namespace.Inode) bool {
 	return false
 }
 
-// ownDirs returns dirs — the directory objects of the subtree at path,
-// led by its ancestor chain (namespace.Store.Subtree) — without the
-// directories under path in a subtree the table places on another rank:
-// the objects this rank may save. It holds such a directory only as a
-// bound or a stale copy, and writing that over the owner's object would
-// drop the owner's entries. (A handoff still streams them, so that the
-// importer reaches what lies below; the importer skips any it owns.)
-func (s *Server) ownDirs(path string, dirs []namespace.Ino) []namespace.Ino {
-	if s.c.table.Empty() {
-		return dirs
-	}
-	home := s.c.table.SubtreeFor(path)
-	kept := make([]namespace.Ino, 0, len(dirs))
-	for _, ino := range dirs {
-		dir, _ := s.store.PathOf(ino)
-		if !transport.HasPathPrefix(dir, path) || s.c.table.SubtreeFor(dir) == home || s.c.table.RankFor(dir) == s.rank {
-			kept = append(kept, ino)
-		}
-	}
-	return kept
-}
-
 // exportBusy is the reason the subtree at path cannot freeze right now,
 // nil when it can. A merge applied mid-export would corrupt the streamed
 // image, so freezing refuses while any Volatile Apply is in flight — a
@@ -319,11 +301,12 @@ func (s *Server) exportWalk(path string) (*exportState, error) {
 		return nil, err
 	}
 	return &exportState{dirs: dirs, manifest: ExportManifest{
-		Path:   path,
-		Root:   root.Ino,
-		Dirs:   len(dirs),
-		Policy: root.Policy,
-		Owner:  s.owners[root.Ino],
+		Path:    path,
+		Root:    root.Ino,
+		Dirs:    len(dirs),
+		Policy:  root.Policy,
+		Owner:   s.owners[root.Ino],
+		Unsaved: s.stream.unsaved,
 	}}, nil
 }
 
@@ -402,7 +385,7 @@ func (s *Server) exportSave(p runtime.Task, m *ExportSaveMsg) *ExportSaveReply {
 	if ex == nil {
 		return &ExportSaveReply{Err: ErrNotExporting}
 	}
-	saved, err := s.saveDirs(p, s.ownDirs(ex.manifest.Path, ex.dirs))
+	saved, err := s.saveDirs(p, ex.dirs)
 	if err != nil {
 		err = fmt.Errorf("export save: %w", err)
 	}

@@ -381,10 +381,6 @@ func (s *Server) Metrics() Metrics { return s.metrics }
 // for mutations that no registered subtree root governs.
 func (s *Server) SetStream(on bool) { s.streamOn.Store(on) }
 
-// StreamEnabled reports whether journal streaming is on for mutations
-// that no registered subtree root governs.
-func (s *Server) StreamEnabled() bool { return s.streamOn.Load() }
-
 // Shutdown makes the server reject future requests.
 func (s *Server) Shutdown() { s.stopped = true }
 
@@ -529,13 +525,11 @@ func (s *Server) serveRPC(p runtime.Task, req *Request) *Reply {
 	var err error
 	stream := s.streamOn.Load()
 	if req.Op.Mutates() {
-		// One PolicyRoot walk per mutation: the registered root that
-		// governs the parent decides Stream and the interfere check; a
+		// One PolicyRoot walk per mutation, from the parent or, for a
+		// mutation without one (setattr), the inode: the registered root
+		// that governs it decides Stream and the interfere check; a
 		// mutation no registered root governs follows the switch.
-		var root *namespace.Inode
-		if req.Parent != 0 {
-			root, _ = s.store.PolicyRoot(req.Parent)
-		}
+		root, _ := s.store.PolicyRoot(cmp.Or(req.Parent, req.Ino))
 		if root != nil && root.Policy != nil {
 			stream = root.Policy.Streams()
 		}

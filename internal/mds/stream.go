@@ -53,6 +53,11 @@ type streamState struct {
 	dispatching bool
 	flushedSeg  int // highest segment index safely in the object store
 
+	// unsaved is set by every event journaled, or replayed by Recover,
+	// since the rank's last SaveStore: the journal then holds records
+	// the directory objects do not.
+	unsaved bool
+
 	// segBase offsets this journal's segment indices into the rank's
 	// object-name series. It is zero for a rank's first life; a
 	// crash-restart starts a fresh journal whose indices begin at zero
@@ -110,6 +115,7 @@ func (st *streamState) journalEvent(ev journal.Event) bool {
 	st.open = data
 	st.openEvents++
 	st.nextSeq++
+	st.unsaved = true
 	st.s.metrics.Journaled++
 	if st.openEvents >= st.s.cfg.SegmentEvents {
 		st.segCap = len(st.open) + len(st.open)/8
@@ -273,11 +279,12 @@ func (s *Server) SaveStore(p runtime.Task) error {
 	defer s.dom.Leave(p)
 	dirs, _, err := s.store.Subtree("/")
 	if err == nil {
-		_, err = s.saveDirs(p, s.ownDirs("/", dirs))
+		_, err = s.saveDirs(p, dirs)
 	}
 	if err != nil {
 		return fmt.Errorf("mds save: %w", err)
 	}
+	s.stream.unsaved = false
 	s.TrimJournal()
 	return nil
 }
@@ -285,14 +292,24 @@ func (s *Server) SaveStore(p runtime.Task) error {
 // saveDirs writes the directory objects of dirs to the metadata pool, in
 // order, through one pipeline — one wait for the disk, not one per
 // directory — and reports how many are durable: those written before the
-// first error, none if the Flush that covers them failed.
+// first error, none if the Flush that covers them failed. A directory
+// this rank holds but does not own (Server.owns: a bound, an ancestor an
+// import brought, a stale copy) is written only where the pool has no
+// object for it (rados.Pipeline.Create): never over its owner's object,
+// which would drop the owner's entries, yet always present, so that a
+// recovery finds the parent of every directory object it installs.
 func (s *Server) saveDirs(p runtime.Task, dirs []namespace.Ino) (saved int, err error) {
+	all := s.rank == 0 && s.c.table.Empty() // nothing is placed: rank 0 owns every directory
 	pl := s.obj.Pipeline()
 	for _, ino := range dirs {
 		var data []byte
 		if data, err = s.store.EncodeDir(ino); err == nil {
 			oid := rados.ObjectID{Pool: namespace.ObjectPool, Name: namespace.DirObjectName(ino)}
-			err = pl.Write(p, oid, data)
+			if all || s.owns(ino) {
+				err = pl.Write(p, oid, data)
+			} else {
+				err = pl.Create(p, oid, data)
+			}
 		}
 		if err != nil {
 			break
@@ -366,6 +383,7 @@ func (s *Server) Recover(p runtime.Task) error {
 	s.se = nil // the resolver rendered into the replaced store
 	s.caps = make(map[namespace.Ino]*dirCaps)
 	s.recoveredSegs = nseg
+	s.stream.unsaved = s.stream.unsaved || nseg > 0
 	return nil
 }
 

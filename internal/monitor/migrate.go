@@ -61,15 +61,16 @@ func (m *Monitor) checkRank(op, path string, rank int) error {
 // caller holds the monitor's domain and has checked that dst is another
 // rank of the cluster.
 //
-// Unless durable is set the handoff neither saves the frozen image nor
-// writes the record, so it writes nothing to the object store. Migrate
-// always sets it: the chaos oracle takes the save as the point where
-// every pre-freeze ack is durable on both sides, in every cell. A
-// placement sets it when the source streams its journal, which holds
-// pre-freeze acks and does not move. A source that does not stream has
-// made nothing durable since its last save, whose objects stay in the
-// pool for whichever rank recovers, so a placement off it keeps the
-// subtree exactly as durable as it was.
+// The handoff saves the frozen image and writes the record when durable
+// is set or the freeze's manifest says the source's journal holds
+// events its last save did not write (mds.ExportManifest.Unsaved): that
+// journal may hold pre-freeze acks, and it does not move. Migrate always
+// sets durable: the chaos oracle takes the save as the point where every
+// pre-freeze ack is durable on both sides, in every cell. Otherwise the
+// source has made nothing durable since its last save, whose objects
+// stay in the pool for whichever rank recovers, so the handoff writes
+// nothing to the object store and keeps the subtree exactly as durable
+// as it was.
 func (m *Monitor) handoff(p runtime.Task, path string, srcRank, dst int, durable bool) error {
 	src, dstEp := m.cl.Rank(srcRank), m.cl.Rank(dst)
 	retry := m.cl.Config().MigrateRetryDelay
@@ -103,6 +104,7 @@ func (m *Monitor) handoff(p runtime.Task, path string, srcRank, dst int, durable
 		st.State = SubtreeOwned
 		return fmt.Errorf("monitor: migrate %s to rank %d: %w", path, dst, fr.Err)
 	}
+	durable = durable || fr.Manifest.Unsaved
 
 	// 2. Make the frozen image durable: after this, pre-freeze acks
 	// survive a crash of either rank.

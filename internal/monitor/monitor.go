@@ -168,7 +168,7 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 				return nil, err
 			}
 		}
-		if err := m.handoff(p, path, oldRank, target, m.cl.Rank(oldRank).StreamEnabled()); err != nil {
+		if err := m.handoff(p, path, oldRank, target, false); err != nil {
 			return nil, err
 		}
 	} else {
@@ -219,7 +219,7 @@ func (m *Monitor) Place(p runtime.Task, path string, rank int) error {
 		return err
 	}
 	if owner := m.cl.Table().RankFor(path); owner != rank {
-		return m.handoff(p, path, owner, rank, m.cl.Rank(owner).StreamEnabled())
+		return m.handoff(p, path, owner, rank, false)
 	}
 	p.Sleep(commitLatency)
 	m.epoch++

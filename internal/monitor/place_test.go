@@ -231,17 +231,24 @@ func TestAbortedImportCopyRedirects(t *testing.T) {
 
 // TestPlaceKeepsSourceDurability: a Place onto another rank is the
 // handoff Migrate runs, as durable as its source keeps the subtree. Off a
-// rank that does not stream its journal it writes no object; off one
-// that streams it saves the frozen image and writes the export-commit
-// record. Either way the subtree moves and the source prunes it down to
-// the bound its parent lists.
+// rank whose journal holds nothing its last save missed it writes no
+// object; off one that streamed a create since, it saves the frozen
+// image and writes the export-commit record. Either way the subtree
+// moves and the source prunes it down to the bound its parent lists.
 func TestPlaceKeepsSourceDurability(t *testing.T) {
 	for _, stream := range []bool{false, true} {
 		eng, obj, cl, m := newPlaceCluster(5, 2)
 		populate(t, eng, cl.Rank(0), "/a/job", 3)
 		cl.Rank(0).SetStream(stream)
-		writes0 := obj.Stats().Writes
 		var recErr error
+		run(t, eng, func(p runtime.Task) {
+			job, _ := cl.Rank(0).Store().Resolve("/a/job")
+			if err := cl.Call(p, &mds.Request{Op: mds.OpCreate, Client: "c0", Route: "/a/job",
+				Parent: job.Ino, Name: "streamed", Mode: 0644}).(*mds.Reply).Err; err != nil {
+				t.Fatalf("stream %v: create: %v", stream, err)
+			}
+		})
+		writes0 := obj.Stats().Writes
 		run(t, eng, func(p runtime.Task) {
 			if err := m.Place(p, "/a/job", 1); err != nil {
 				t.Fatalf("stream %v: place: %v", stream, err)

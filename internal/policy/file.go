@@ -152,6 +152,7 @@ func (p *Policy) String() string {
 // subtree that behaves like the existing CephFS implementation.
 func ParseFile(text string) (*Policy, error) {
 	p := Default()
+	var consLevel, durLevel bool // whether the key's value is a level name
 	for lineNo, raw := range strings.Split(text, "\n") {
 		line := strings.TrimSpace(raw)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -163,13 +164,14 @@ func ParseFile(text string) (*Policy, error) {
 		}
 		key = strings.TrimSpace(key)
 		value = strings.TrimSpace(value)
+		var err error
 		switch key {
 		case "consistency":
-			if err := levelOrComposition(value, ParseConsistency, &p.Consistency, &p.ConsistencyComp); err != nil {
+			if consLevel, err = levelOrComposition(value, ParseConsistency, &p.Consistency, &p.ConsistencyComp); err != nil {
 				return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
 			}
 		case "durability":
-			if err := levelOrComposition(value, ParseDurability, &p.Durability, &p.DurabilityComp); err != nil {
+			if durLevel, err = levelOrComposition(value, ParseDurability, &p.Durability, &p.DurabilityComp); err != nil {
 				return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
 			}
 		case "allocated_inodes":
@@ -198,21 +200,33 @@ func ParseFile(text string) (*Policy, error) {
 		return nil, err
 	}
 	// A compiled cell's levels are its own (TestValidateEveryOrderedSequence).
+	// Beside a raw composition on the other key a level name is not
+	// composed (Composition), so one the composition does not implement
+	// would be dropped.
 	comp, _ := p.Composition()
-	p.Consistency, p.Durability = cellOf(comp), durabilityOf(comp)
+	c, d := cellOf(comp), durabilityOf(comp)
+	switch {
+	case consLevel && p.Consistency != c:
+		return nil, fmt.Errorf("%w: consistency %s would be dropped beside the raw durability composition %s, which implements %s; write it as mechanisms",
+			ErrParse, p.Consistency, p.DurabilityComp, c)
+	case durLevel && p.Durability != d:
+		return nil, fmt.Errorf("%w: durability %s would be dropped beside the raw consistency composition %s, which implements %s; write it as mechanisms",
+			ErrParse, p.Durability, p.ConsistencyComp, d)
+	}
+	p.Consistency, p.Durability = c, d
 	return p, nil
 }
 
-// levelOrComposition sets *level from a level name, or else *comp from
-// the mechanism DSL.
-func levelOrComposition[L any](value string, parse func(string) (L, error), level *L, comp *Composition) error {
+// levelOrComposition sets *level from a level name, clearing *comp, or
+// else *comp from the mechanism DSL, and reports which it was.
+func levelOrComposition[L any](value string, parse func(string) (L, error), level *L, comp *Composition) (bool, error) {
 	if l, err := parse(value); err == nil {
-		*level = l
-		return nil
+		*level, *comp = l, nil
+		return true, nil
 	}
 	c, err := ParseComposition(value)
 	if err == nil {
 		*comp = c
 	}
-	return err
+	return false, err
 }

@@ -1,14 +1,18 @@
 package policy
 
 import (
+	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
 // FuzzParseFile guards the policies-file parser, the decode boundary of
 // every decouple: ParseFile must never panic, and a policy it accepts
-// must pass Validate, compile to a mechanism composition whose levels are
-// the policy's, and print as a policies file that parses back to it.
+// must carry every key's value (writtenReaches), pass Validate, compile
+// to a mechanism composition whose levels are the policy's, and print as
+// a policies file that parses back to it.
 func FuzzParseFile(f *testing.F) {
 	// Seeds: the policies texts the tests and examples decouple with,
 	// every key, explicit mechanism DSL, and the error shapes the parser
@@ -33,6 +37,9 @@ func FuzzParseFile(f *testing.F) {
 		"consistency: rpcs\ndurability: stream\n",
 		"consistency: append_client_journal\ndurability: local_persist+nonvolatile_apply\n",
 		"consistency: rpcs+global_persist\n",
+		"consistency: append_client_journal\ndurability: global\n",
+		"durability: stream\nconsistency: strong\n",
+		"consistency: rpcs\nconsistency: weak\ndurability: local\n",
 		Default().String(),
 		(&Policy{Consistency: ConsInvisible, Durability: DurLocal, AllocatedInodes: DefaultAllocatedInodes}).String(),
 	} {
@@ -43,6 +50,9 @@ func FuzzParseFile(f *testing.F) {
 		p, err := ParseFile(text)
 		if err != nil {
 			return // rejected input; only panics are bugs here
+		}
+		if err := writtenReaches(text, p); err != nil {
+			t.Fatalf("%v\n%q", err, text)
 		}
 		if err := p.Validate(); err != nil {
 			t.Fatalf("accepted policy fails Validate: %v\n%q", err, text)
@@ -60,4 +70,49 @@ func FuzzParseFile(f *testing.F) {
 			t.Fatalf("String() does not parse back: %+v, %v\n%q", again, err, p.String())
 		}
 	})
+}
+
+// writtenReaches checks that the last value text writes for each key is
+// in the policy p parsed from it: a level name is the key's level with
+// no raw composition beside it, raw mechanisms are the key's
+// composition, and a number or interfere mode is its field.
+func writtenReaches(text string, p *Policy) error {
+	last := map[string]string{}
+	for _, line := range strings.Split(text, "\n") {
+		if key, value, ok := strings.Cut(strings.TrimSpace(line), ":"); ok && !strings.HasPrefix(key, "#") {
+			last[strings.TrimSpace(key)] = strings.TrimSpace(value)
+		}
+	}
+	for key, value := range last {
+		n, err := strconv.Atoi(value)
+		reached := false
+		switch key {
+		case "consistency":
+			reached = reaches(value, ParseConsistency, p.Consistency, p.ConsistencyComp)
+		case "durability":
+			reached = reaches(value, ParseDurability, p.Durability, p.DurabilityComp)
+		case "allocated_inodes":
+			reached = err == nil && n == p.AllocatedInodes
+		case "mds_rank":
+			reached = err == nil && n == p.Rank
+		case "interfere":
+			i, err := ParseInterfere(value)
+			reached = err == nil && i == p.Interfere
+		}
+		if !reached {
+			return fmt.Errorf("%s: %q did not reach the parsed policy %+v", key, value, p)
+		}
+	}
+	return nil
+}
+
+// reaches reports whether value, written for one of the two levelled
+// keys, is what the policy holds there: its level, with no raw
+// composition beside it, or its composition.
+func reaches[L comparable](value string, parse func(string) (L, error), level L, comp Composition) bool {
+	if l, err := parse(value); err == nil {
+		return comp == nil && l == level
+	}
+	want, err := ParseComposition(value)
+	return err == nil && comp.String() == want.String()
 }

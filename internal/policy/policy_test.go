@@ -433,6 +433,38 @@ func TestParseFileLevelsFollowComposition(t *testing.T) {
 	}
 }
 
+// TestParseFileRefusesLevelBesideRawComposition: a raw composition is
+// the subtree's whole mechanism list, so a level name written for the
+// other key is never composed. One the composition does not implement
+// would be dropped: the file is refused, and the reason names the key.
+// One it does implement is accepted, and so is the composition alone,
+// which then decides both levels. A key written twice takes its last
+// value, a level or a composition.
+func TestParseFileRefusesLevelBesideRawComposition(t *testing.T) {
+	for text, dropped := range map[string]string{
+		"consistency: append_client_journal\ndurability: global\n":   "durability global",
+		"durability: local\nconsistency: append_client_journal\n":    "durability local",
+		"consistency: weak\ndurability: rpcs+stream\n":               "consistency weak",
+		"consistency: rpcs\ndurability: local\n":                     "durability local",
+		"consistency: rpcs\ndurability: none\n":                      "",
+		"consistency: strong\ndurability: rpcs+stream\n":             "",
+		"durability: stream\nconsistency: weak\nconsistency: rpcs\n": "",
+		"consistency: rpcs\nconsistency: weak\ndurability: local\n":  "",
+	} {
+		_, err := ParseFile(text)
+		switch {
+		case dropped == "" && err != nil:
+			t.Errorf("ParseFile(%q): %v", text, err)
+		case dropped != "" && (!errors.Is(err, ErrParse) || err == nil || !strings.Contains(err.Error(), dropped+" would be dropped")):
+			t.Errorf("ParseFile(%q) = %v, want a parse error naming %q", text, err, dropped)
+		}
+	}
+	p, err := ParseFile("consistency: append_client_journal\n")
+	if err != nil || p.Consistency != ConsInvisible || p.Durability != DurNone {
+		t.Errorf("raw consistency alone: %+v, %v; want invisible/none", p, err)
+	}
+}
+
 // TestPolicyStreams: a policy streams exactly when its composition
 // contains Stream, whether compiled or written out, and asking costs no
 // allocation (a rank asks for every mutation).

@@ -186,3 +186,33 @@ func TestPipelineOnTheSimulator(t *testing.T) {
 		t.Fatalf("pipelined run ended at %v with %+v, synchronous at %v with %+v", pipeEnd, pipeStats, syncEnd, syncStats)
 	}
 }
+
+// TestPipelineCreateKeepsExistingObject: Create writes an object that is
+// absent, like Write, and leaves one that exists untouched, charging one
+// round trip and counting no write.
+func TestPipelineCreateKeepsExistingObject(t *testing.T) {
+	oid := ObjectID{"meta", "dir.1"}
+	eng := sim.NewEngine(7)
+	cfg := model.Default()
+	c := New(eng, cfg)
+	eng.Spawn("saver", func(p runtime.Task) {
+		pl := c.Pipeline()
+		if err := pl.Create(p, oid, []byte("first")); err != nil {
+			t.Fatalf("create absent: %v", err)
+		}
+		writes, start := c.Stats().Writes, p.Now()
+		if err := pl.Create(p, oid, []byte("second")); err != nil {
+			t.Fatalf("create existing: %v", err)
+		}
+		if err := pl.Flush(p); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		if got, err := c.Read(p, oid); err != nil || string(got) != "first" {
+			t.Errorf("after a second Create %v holds %q, %v; want %q", oid, got, err, "first")
+		}
+		if c.Stats().Writes != writes || runtime.Duration(p.Now()-start) < cfg.OSDOpLatency {
+			t.Errorf("a Create over an existing object counted %d writes in %v", c.Stats().Writes-writes, p.Now()-start)
+		}
+	})
+	eng.RunAll()
+}

@@ -277,9 +277,29 @@ func (c *Cluster) WriteBilled(p runtime.Task, oid ObjectID, data []byte, billed 
 
 // WriteBilled is Cluster.WriteBilled, durable at Flush.
 func (pl *Pipeline) WriteBilled(p runtime.Task, oid ObjectID, data []byte, billed int64) error {
+	pl.c.dom.Enter(p)
+	defer pl.c.dom.Leave(p)
+	return pl.write(p, oid, data, billed)
+}
+
+// Create is Write for an object that does not exist yet, durable at
+// Flush: an exclusive create carrying the object's first contents, as
+// librados runs create(exclusive) and a full write in one op. It leaves
+// an existing object as it is, at the cost of one round trip.
+func (pl *Pipeline) Create(p runtime.Task, oid ObjectID, data []byte) error {
 	c := pl.c
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
+	if c.get(oid) != nil {
+		c.opLatency(p)
+		return nil
+	}
+	return pl.write(p, oid, data, 0)
+}
+
+// write is the body of WriteBilled; the caller holds the store's domain.
+func (pl *Pipeline) write(p runtime.Task, oid ObjectID, data []byte, billed int64) error {
+	c := pl.c
 	if billed < int64(len(data)) {
 		billed = int64(len(data))
 	}
