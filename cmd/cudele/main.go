@@ -313,7 +313,7 @@ func execute(cl *cudele.Cluster, c *cudele.Client, p cudele.Proc, line string) e
 		}
 		comp, _ := e.Policy.Composition()
 		fmt.Printf("decoupled %s epoch=%d inodes=[%d,+%d) %s\n",
-			e.Path, e.Epoch, e.GrantLo, e.GrantN, comp)
+			e.Path, e.Epoch, e.Policy.GrantLo, e.Policy.GrantN, comp)
 	case "lcreate", "lmkdir":
 		if err := need(1); err != nil {
 			return err

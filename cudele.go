@@ -118,8 +118,10 @@ type (
 	Ino = namespace.Ino
 
 	// Subtree is the monitor's one record of a subtree: its lifecycle
-	// state, epoch and migration count, and its policy registration (nil
-	// Policy when it is only placed or migrated). Its rank is
+	// state, epoch and migration count, and its registration — the
+	// monitor's copy of the registered Policy, stamped with its Version,
+	// Owner and inode grant [GrantLo, GrantLo+GrantN); nil when the
+	// subtree is only placed or migrated. Its rank is
 	// Metadata().Table().RankFor(path).
 	Subtree = monitor.Subtree
 
@@ -367,7 +369,7 @@ func (cl *Cluster) DecouplePolicy(p Proc, c *Client, path string, pol *Policy) (
 	if err != nil {
 		return nil, err
 	}
-	if err := c.AdoptGrant(p, path, e.GrantLo, e.GrantN, pol.Consistency); err != nil {
+	if err := c.AdoptGrant(p, path, e.Policy); err != nil {
 		return nil, err
 	}
 	return e, nil

@@ -28,8 +28,8 @@ func TestQuickstartFlow(t *testing.T) {
 			t.Errorf("decouple: %v", err)
 			return
 		}
-		if entry.GrantN != 1000 {
-			t.Errorf("grant = %d", entry.GrantN)
+		if entry.Policy.GrantN != 1000 {
+			t.Errorf("grant = %d", entry.Policy.GrantN)
 		}
 		root, _ := c.DecoupledRoot()
 		for i := 0; i < 100; i++ {

@@ -42,7 +42,7 @@ interfere: block
 		}
 		comp, _ := entry.Policy.Composition()
 		fmt.Printf("[%8.3fs] decoupled %s -> %s (inode grant [%d,+%d))\n",
-			p.Now().Seconds(), entry.Path, comp, entry.GrantLo, entry.GrantN)
+			p.Now().Seconds(), entry.Path, comp, entry.Policy.GrantLo, entry.Policy.GrantN)
 
 		// 3. Work locally at memory speed: ~11,000 creates/s instead of
 		// ~650/s, no RPCs at all.

@@ -69,6 +69,7 @@ func TestGrantNeverReissued(t *testing.T) {
 				if err != nil {
 					t.Fatalf("decouple /a: %v", err)
 				}
+				ga := ea.Policy // a recouple clears the record, not a's grant
 				create3(a, "x")
 				if !tc.aMergesLate {
 					merge3(a)
@@ -79,9 +80,10 @@ func TestGrantNeverReissued(t *testing.T) {
 				if err != nil {
 					t.Fatalf("decouple /b: %v", err)
 				}
-				if eb.GrantLo < ea.GrantLo+Ino(ea.GrantN) && ea.GrantLo < eb.GrantLo+Ino(eb.GrantN) {
+				gb := eb.Policy
+				if gb.GrantLo < ga.GrantLo+ga.GrantN && ga.GrantLo < gb.GrantLo+gb.GrantN {
 					t.Fatalf("b was granted [%d,+%d), overlapping a's [%d,+%d)",
-						eb.GrantLo, eb.GrantN, ea.GrantLo, ea.GrantN)
+						gb.GrantLo, gb.GrantN, ga.GrantLo, ga.GrantN)
 				}
 				create3(b, "y")
 				merge3(b)

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"cudele/internal/runtime"
+	"cudele/internal/sim"
 )
 
 // TestSmoke runs a batch of consecutive seeds — ten per cell of the
@@ -68,6 +71,62 @@ func TestMigrationSchedules(t *testing.T) {
 	}
 	if committed == 0 {
 		t.Errorf("no migration committed across %d schedules", len(seeds))
+	}
+}
+
+// shiftedPastSetup is seed's plan with every crash and migration time
+// moved later by the clock at the end of the driver's set-up. Set-up arms
+// the crash plan only when it ends, so unshifted every planned crash has
+// passed by then and all of them fire together after the first op. The
+// end of set-up does not depend on the crash plan or the migrations, so a
+// probe run of set-up alone measures it.
+func shiftedPastSetup(seed int64) *Plan {
+	probe := NewPlan(seed)
+	probe.Faults.Faults, probe.MigrateAt = nil, nil
+	d := newDriver(probe)
+	var end sim.Time
+	d.cl.Go("setup", func(p runtime.Task) {
+		d.setup(p)
+		end = p.Now()
+	})
+	d.cl.RunAll()
+	d.cl.Runtime().Shutdown()
+	plan := NewPlan(seed)
+	for i := range plan.Faults.Faults {
+		plan.Faults.Faults[i].At += end
+	}
+	for i := range plan.MigrateAt {
+		plan.MigrateAt[i] += end
+	}
+	return plan
+}
+
+// TestRecoveredAcksStayVisible runs five speculative plans with their
+// crashes and migrations shifted past set-up. In each, a migration's save
+// writes interfering RPC creates, which the policy does not make
+// durable, into the directory objects, and then the owning rank crashes
+// and recovers them. They stay visible, so the next merge's conflicts
+// with them must be the oracle's prediction.
+func TestRecoveredAcksStayVisible(t *testing.T) {
+	for _, seed := range []int64{669, 866, 1209, 1225, 1285} {
+		if r := newDriver(shiftedPastSetup(seed)).run(); !r.Passed() {
+			var buf bytes.Buffer
+			Report(&buf, []Result{r})
+			t.Errorf("seed %d shifted past set-up:\n%s", seed, buf.String())
+		}
+	}
+}
+
+// TestFlightDumpShowsHandoffSave: a handoff's save is in the flight dump,
+// with the directories it wrote, between the freeze and the commit.
+// Seed 669, shifted past set-up, saves /chaos/main before its torn
+// export-commit record aborts the migration.
+func TestFlightDumpShowsHandoffSave(t *testing.T) {
+	forceViolation = true
+	defer func() { forceViolation = false }()
+	dump := newDriver(shiftedPastSetup(669)).run().FlightDump
+	if !strings.Contains(dump, "export.save /chaos/main dirs=3") {
+		t.Errorf("flight dump has no export.save event:\n%s", dump)
 	}
 }
 

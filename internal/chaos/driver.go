@@ -391,8 +391,12 @@ func (d *driver) crashMDS(p runtime.Task) {
 		rank = d.cl.Metadata().Table().RankFor(mainPath)
 	}
 	srv.Crash(p)
-	d.o.mdsCrash()
-	if err := srv.Restart(p); err != nil {
+	err := srv.Restart(p)
+	d.o.mdsCrash(func(u update) bool {
+		in, err := srv.Store().Resolve(u.path)
+		return err == nil && uint64(in.Ino) == u.ino
+	})
+	if err != nil {
 		d.violate("mds restart: %v", err)
 		return
 	}
@@ -869,7 +873,7 @@ func (d *driver) checkPhantoms() {
 func (d *driver) checkGrants() {
 	inRange := func(what, path string, ino uint64, subtree string) {
 		e, _ := d.cl.Monitor().Lookup(subtree)
-		if lo, hi := uint64(e.GrantLo), uint64(e.GrantLo)+e.GrantN; ino < lo || ino >= hi {
+		if lo, hi := e.Policy.GrantLo, e.Policy.GrantLo+e.Policy.GrantN; ino < lo || ino >= hi {
 			d.violate("%s %s ino %d outside grant [%d,%d)", what, path, ino, lo, hi)
 		}
 	}

@@ -54,7 +54,8 @@ const (
 //
 // Faults move updates between homes exactly as the contracts allow: a
 // client crash empties journal, an MDS crash resets mdsMem to
-// mdsDurable, recovery paths restore from the images.
+// mdsDurable plus whatever visible update the rank recovered anyway,
+// recovery paths restore from the images.
 type oracle struct {
 	// pset is every update ever acked, by path. The phantom bound: the
 	// real namespace may never hold a subtree entry outside pset.
@@ -192,9 +193,18 @@ func (o *oracle) clientCrash() {
 }
 
 // mdsCrash loses the MDS's volatile state: in-memory merges and any
-// unflushed journal tail. Recovery replays the durable set.
-func (o *oracle) mdsCrash() {
-	o.mdsMem = make(map[string]update, len(o.mdsDurable))
+// unflushed journal tail. Recovery replays the durable set, which must
+// be visible again. A visible update the policy did not make durable may
+// be recovered too — a handoff's save writes every ack the source holds
+// into the directory objects — and recovered reports whether the
+// restarted rank holds u under its acked inode: such an update stays
+// visible, so the merge validation that meets it is predicted.
+func (o *oracle) mdsCrash(recovered func(u update) bool) {
+	for p, u := range o.mdsMem {
+		if _, durable := o.mdsDurable[p]; !durable && !recovered(u) {
+			delete(o.mdsMem, p)
+		}
+	}
 	for p, u := range o.mdsDurable {
 		o.mdsMem[p] = u
 	}

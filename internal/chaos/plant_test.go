@@ -122,7 +122,7 @@ var plants = map[string]plant{
 			// An acked, journaled, never-merged create shows up globally.
 			reg, _ := d.cl.Monitor().Lookup(mainPath)
 			root := mainRoot(t, d)
-			u := update{path: mainPath + "/planted", ino: uint64(reg.GrantLo) + reg.GrantN - 1,
+			u := update{path: mainPath + "/planted", ino: reg.Policy.GrantLo + reg.Policy.GrantN - 1,
 				parent: uint64(root), name: "planted", granted: true}
 			d.o.ackJournal(u, false)
 			_, err := d.mds().Store().Create(root, u.name, namespace.CreateAttrs{Ino: namespace.Ino(u.ino)})
@@ -146,7 +146,7 @@ var plants = map[string]plant{
 			// never part of the registration's grant.
 			reg, _ := d.cl.Monitor().Lookup(mainPath)
 			path := mainPath + "/lost"
-			d.o.pset[path] = update{path: path, ino: uint64(reg.GrantLo) + reg.GrantN, granted: true}
+			d.o.pset[path] = update{path: path, ino: reg.Policy.GrantLo + reg.Policy.GrantN, granted: true}
 		},
 	},
 	"no-duplicate-inode": {

@@ -131,21 +131,20 @@ type Client struct {
 
 // decoupled holds the client's decoupled subtree context.
 type decoupled struct {
-	path    string
-	root    namespace.Ino
-	jrnl    *journal.Journal
-	grantLo uint64
-	grantN  uint64
-	next    uint64
+	path string
+	root namespace.Ino
+	jrnl *journal.Journal
+	// reg is the registration the client decoupled under: its inode
+	// grant, which next walks, and its consistency cell, which Merge
+	// merges in (blind, validated, or converging).
+	reg  *policy.Policy
+	next uint64
 	// localDirs tracks directories created inside the decoupled
 	// namespace (name resolution happens client-side).
 	store *namespace.Store // client-local image of the subtree
 	// mapping from the local image's inode numbers to granted inode
 	// numbers is 1:1 — local creates draw from the grant directly.
 
-	// cell is the consistency cell the subtree was registered in; Merge
-	// merges in it (blind, validated, or converging).
-	cell policy.Consistency
 	// undo holds, in ConsSpeculative, one pre-image per journaled op,
 	// index for index with the journal: nil for a create or mkdir, a copy
 	// of the inode an unlink removed. Rollback puts the rejected unlinks'
@@ -274,7 +273,7 @@ func (c *Client) Restart(p runtime.Task) error {
 	if old == nil {
 		return nil
 	}
-	if err := c.AdoptGrant(p, old.path, namespace.Ino(old.grantLo), old.grantN, old.cell); err != nil {
+	if err := c.AdoptGrant(p, old.path, old.reg); err != nil {
 		return err
 	}
 	c.dec.next = old.next

@@ -195,12 +195,12 @@ func decouple(p runtime.Task, c *Client, path string, pol *policy.Policy) error 
 	slot := nextGrant.next[c.svc]
 	nextGrant.next[c.svc] = slot + (n+1<<24-1)>>24
 	nextGrant.Unlock()
-	lo := namespace.Ino(1<<40 + uint64(c.svc.Table().RankFor(path))<<34 + slot<<24)
-	if err := c.svc.Post(p, &mds.AttachMsg{Path: path, Policy: pol, Client: c.name,
-		Lo: lo, N: n}).(*mds.AttachReply).Err; err != nil {
+	reg := *pol
+	reg.Owner, reg.GrantLo, reg.GrantN = c.name, 1<<40+uint64(c.svc.Table().RankFor(path))<<34+slot<<24, n
+	if err := c.svc.Post(p, &mds.AttachMsg{Path: path, Policy: &reg}).(*mds.AttachReply).Err; err != nil {
 		return err
 	}
-	return c.AdoptGrant(p, path, lo, n, pol.Consistency)
+	return c.AdoptGrant(p, path, &reg)
 }
 
 func TestDecoupleLocalCreate(t *testing.T) {

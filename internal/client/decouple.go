@@ -19,12 +19,12 @@ import (
 const ClientJournalPool = "cudele_client_journals"
 
 // AdoptGrant detaches the subtree at path for exclusive local
-// processing, on the policy and inode grant the monitor registered on the
-// client's behalf (paper §III-C): the client starts an in-memory journal,
-// and subsequent Local* operations run entirely client-side via Append
-// Client Journal. cell is the consistency cell the subtree was registered
-// in; Merge merges in it.
-func (c *Client) AdoptGrant(p runtime.Task, path string, lo namespace.Ino, n uint64, cell policy.Consistency) error {
+// processing, on the registration the monitor made on the client's behalf
+// (paper §III-C): the client starts an in-memory journal, and subsequent
+// Local* operations run entirely client-side via Append Client Journal,
+// drawing inodes from reg's grant. Merge merges in reg's consistency
+// cell.
+func (c *Client) AdoptGrant(p runtime.Task, path string, reg *policy.Policy) error {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
 	root, err := c.Resolve(p, path)
@@ -32,13 +32,11 @@ func (c *Client) AdoptGrant(p runtime.Task, path string, lo namespace.Ino, n uin
 		return err
 	}
 	c.dec = &decoupled{
-		path:    path,
-		root:    root,
-		jrnl:    journal.New(c.cfg.SegmentEvents),
-		grantLo: uint64(lo),
-		grantN:  n,
-		store:   namespace.NewStore(),
-		cell:    cell,
+		path:  path,
+		root:  root,
+		jrnl:  journal.New(c.cfg.SegmentEvents),
+		reg:   reg,
+		store: namespace.NewStore(),
 	}
 	c.sync = syncState{}
 	return nil
@@ -82,10 +80,10 @@ func (c *Client) JournalEvents() ([]*journal.Event, error) {
 
 // allocIno draws the next inode number from the subtree grant.
 func (d *decoupled) allocIno() (uint64, error) {
-	if d.next >= d.grantN {
-		return 0, fmt.Errorf("%w: %d inodes used", ErrNoInodes, d.grantN)
+	if d.next >= d.reg.GrantN {
+		return 0, fmt.Errorf("%w: %d inodes used", ErrNoInodes, d.reg.GrantN)
 	}
-	ino := d.grantLo + d.next
+	ino := d.reg.GrantLo + d.next
 	d.next++
 	return ino, nil
 }
@@ -95,7 +93,7 @@ func (c *Client) InodesLeft() uint64 {
 	if c.dec == nil {
 		return 0
 	}
-	return c.dec.grantN - c.dec.next
+	return c.dec.reg.GrantN - c.dec.next
 }
 
 // localParent maps a decoupled-namespace inode to the client-local image:
@@ -138,7 +136,7 @@ func (c *Client) appendEvent(p runtime.Task, ev *journal.Event, pre *namespace.I
 	if _, err := c.dec.jrnl.Append(ev); err != nil {
 		return err
 	}
-	if c.dec.cell == policy.ConsSpeculative {
+	if c.dec.reg.Consistency == policy.ConsSpeculative {
 		c.dec.undo = append(c.dec.undo, pre)
 	}
 	c.stats.Appends++
@@ -264,7 +262,7 @@ func (c *Client) Merge(p runtime.Task) (applied int, rejected []int, err error) 
 	}
 	ops := c.dec.jrnl.Len()
 	var r *mds.MergeReply
-	if chunk, cell := c.cfg.MergeChunkEvents, c.dec.cell; chunk > 0 && ops > 0 &&
+	if chunk, cell := c.cfg.MergeChunkEvents, c.dec.reg.Consistency; chunk > 0 && ops > 0 &&
 		cell != policy.ConsSpeculative && cell != policy.ConsStrongEventual {
 		r = c.streamJournal(p, chunk)
 	} else {
@@ -293,7 +291,7 @@ func (c *Client) shipJournal(p runtime.Task) *mds.MergeReply {
 		r = c.svc.Post(p, &mds.MergeMsg{
 			Source:       c.dec.jrnl.InlineCursor(),
 			NominalBytes: bytes,
-			Cell:         c.dec.cell,
+			Cell:         c.dec.reg.Consistency,
 			Route:        c.dec.path,
 		}).(*mds.MergeReply)
 		return r.Err
@@ -426,7 +424,7 @@ func (c *Client) RecoverLocal(p runtime.Task) (int, error) {
 	// rather than a journal beside fewer pre-images.
 	next := *c.dec
 	next.jrnl = j
-	if next.cell == policy.ConsSpeculative {
+	if next.reg.Consistency == policy.ConsSpeculative {
 		if err := next.rebuildSpeculative(); err != nil {
 			return 0, err
 		}

@@ -127,7 +127,7 @@ func (d *decoupled) applyLocal(ev *journal.Event) (pre *namespace.Inode, err err
 // preImage copies in for rollback in the speculative cell; every other
 // cell gets nil and allocates nothing.
 func (d *decoupled) preImage(in *namespace.Inode) *namespace.Inode {
-	if d.cell != policy.ConsSpeculative {
+	if d.reg.Consistency != policy.ConsSpeculative {
 		return nil
 	}
 	v := *in

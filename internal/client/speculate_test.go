@@ -179,7 +179,7 @@ func specRollbackRun(t *testing.T, seed int64, crash bool, rejected map[journal.
 				}
 				accepted = append(accepted, ev)
 			}
-			replay := &decoupled{root: root, store: namespace.NewStore()}
+			replay := &decoupled{root: root, reg: &policy.Policy{}, store: namespace.NewStore()}
 			for _, ev := range accepted {
 				if _, err := replay.applyLocal(ev); err != nil {
 					t.Fatalf("seed %d batch %d: replaying accepted %v: %v", seed, batch, ev, err)

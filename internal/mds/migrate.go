@@ -46,17 +46,25 @@ func (m *ExportFreezeMsg) serve(s *Server, p runtime.Task) any { return s.export
 
 // ExportManifest summarizes a frozen subtree for the importer.
 type ExportManifest struct {
-	Path    string
-	Root    namespace.Ino
-	Dirs    int // directory objects to stream
-	Policy  *policy.Policy
-	Owner   string // decoupling client, "" when not decoupled
-	GrantLo namespace.Ino
-	GrantN  uint64
+	Path string
+	Root namespace.Ino
+	Dirs int // directory objects to stream
+	// Registered is every registered root among the subtree's own
+	// directories, the subtree root included, in walk order: the importer
+	// adopts each one, so a registration nested under the subtree moves
+	// with it.
+	Registered []Registration
 	// Unsaved says whether the source's journal holds events that no
 	// SaveStore has written since (streamState.unsaved). The journal
 	// stays with the source, so a handoff must then save the subtree.
 	Unsaved bool
+}
+
+// Registration is one registered subtree root: its inode and the
+// registration the monitor stamped on its policy (owner and grant).
+type Registration struct {
+	Ino    namespace.Ino
+	Policy *policy.Policy
 }
 
 // ExportFreezeReply answers an ExportFreezeMsg.
@@ -156,8 +164,8 @@ func (m *ImportChunkMsg) route() string                       { return m.Path }
 func (m *ImportChunkMsg) serve(s *Server, p runtime.Task) any { return s.imports.push(p, m) }
 
 // ImportCommitMsg completes an import: waits for buffered chunks to
-// drain and installs the subtree's policy/owner/grant verbatim (so the
-// grant a client already holds stays valid across the move). It ships
+// drain and adopts every registration the manifest lists verbatim (so
+// the grant a client already holds stays valid across the move). It ships
 // no journal: ExportSave has already made every event the exporter
 // journaled for the subtree durable in its directory objects.
 type ImportCommitMsg struct {
@@ -184,18 +192,15 @@ func (m *ImportAbortMsg) label() string                       { return "import.a
 func (m *ImportAbortMsg) route() string                       { return "" }
 func (m *ImportAbortMsg) serve(s *Server, p runtime.Task) any { return s.imports.abort(p, m.ID) }
 
-// AttachMsg installs a subtree's policy, owner, and the exact inode
-// grant the monitor issued on a rank — both when the monitor registers
-// the subtree and when it re-attaches it after a rank restart, where the
-// client keeps the grant it already holds. A rank never picks a grant
-// itself. It is a control message: it bypasses the freeze/ownership
-// bounce.
+// AttachMsg installs a subtree's registration on a rank: the policy the
+// monitor stamped with its owner and the exact inode grant it issued —
+// both when the monitor registers the subtree and when it re-attaches it
+// after a rank restart, where the client keeps the grant it already
+// holds. A rank never picks a grant itself. It is a control message: it
+// bypasses the freeze/ownership bounce.
 type AttachMsg struct {
 	Path   string
 	Policy *policy.Policy
-	Client string
-	Lo     namespace.Ino
-	N      uint64
 }
 
 func (m *AttachMsg) label() string                       { return "attach" }
@@ -287,7 +292,7 @@ func (s *Server) exportBusy(path string) error {
 // never yields. The session streams the ancestor chain ahead of the
 // subtree's own directories (Subtree); ancestors are not part of the
 // export itself — they stay owned by this rank and are outside cap
-// revocation and the prune.
+// revocation, the manifest's registrations and the prune.
 func (s *Server) exportWalk(path string) (*exportState, error) {
 	root, err := s.store.Resolve(path)
 	if err != nil {
@@ -300,13 +305,18 @@ func (s *Server) exportWalk(path string) (*exportState, error) {
 	if err != nil {
 		return nil, err
 	}
+	var reg []Registration
+	for _, d := range dirs[slices.Index(dirs, root.Ino):] {
+		if in, err := s.store.Get(d); err == nil && in.Policy != nil {
+			reg = append(reg, Registration{d, in.Policy})
+		}
+	}
 	return &exportState{dirs: dirs, manifest: ExportManifest{
-		Path:    path,
-		Root:    root.Ino,
-		Dirs:    len(dirs),
-		Policy:  root.Policy,
-		Owner:   s.owners[root.Ino],
-		Unsaved: s.stream.unsaved,
+		Path:       path,
+		Root:       root.Ino,
+		Dirs:       len(dirs),
+		Registered: reg,
+		Unsaved:    s.stream.unsaved,
 	}}, nil
 }
 
@@ -381,15 +391,19 @@ func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeR
 // directory objects durably to the metadata pool. After this, every
 // update acknowledged before the freeze is crash-safe on both sides.
 func (s *Server) exportSave(p runtime.Task, m *ExportSaveMsg) *ExportSaveReply {
-	ex := s.exports[transport.Clean(m.Path)]
+	path := transport.Clean(m.Path)
+	ex := s.exports[path]
 	if ex == nil {
 		return &ExportSaveReply{Err: ErrNotExporting}
 	}
 	saved, err := s.saveDirs(p, ex.dirs)
 	if err != nil {
-		err = fmt.Errorf("export save: %w", err)
+		return &ExportSaveReply{Saved: saved, Err: fmt.Errorf("export save: %w", err)}
 	}
-	return &ExportSaveReply{Saved: saved, Err: err}
+	if fl := s.eng.Flight(); fl != nil {
+		fl.Record(int64(p.Now()), s.ep.Name(), "mds", "export.save", fmt.Sprintf("%s dirs=%d", path, saved))
+	}
+	return &ExportSaveReply{Saved: saved}
 }
 
 // exportRead is the ExportReadMsg handler: encode the next chunk of
@@ -459,7 +473,6 @@ func (s *Server) exportCommit(p runtime.Task, m *ExportCommitMsg) *ExportCommitR
 	if err != nil {
 		return &ExportCommitReply{Err: err}
 	}
-	delete(s.owners, ex.manifest.Root)
 	delete(s.exports, path)
 	// The freeze deliberately persists: routing points at this rank
 	// until the monitor flips the table, and a request served from the
@@ -530,8 +543,8 @@ func (s *Server) importService(p runtime.Task, job *streamJob, sc transport.Stre
 }
 
 // importCommit is the ImportCommitMsg handler: wait for the install
-// proc to drain the job, then adopt the subtree's policy, owner and
-// grant.
+// proc to drain the job, then adopt every registration the manifest
+// lists.
 func (s *Server) importCommit(p runtime.Task, m *ImportCommitMsg) *ImportCommitReply {
 	installed, err := s.imports.wait(p, m.ID)
 	if err == nil && s.stopped {
@@ -542,12 +555,10 @@ func (s *Server) importCommit(p runtime.Task, m *ImportCommitMsg) *ImportCommitR
 	}
 
 	man := m.Manifest
-	root, err := s.store.Resolve(man.Path)
-	if err == nil {
-		err = s.adopt(root.Ino, man.Policy, man.Owner, man.GrantLo, man.GrantN)
-	}
-	if err != nil {
-		return &ImportCommitReply{Installed: installed, Err: err}
+	for _, r := range man.Registered {
+		if err := s.adopt(r.Ino, r.Policy); err != nil {
+			return &ImportCommitReply{Installed: installed, Err: err}
+		}
 	}
 	if fl := s.eng.Flight(); fl != nil {
 		fl.Record(int64(p.Now()), s.ep.Name(), "mds", "import.commit",
@@ -564,7 +575,7 @@ func (s *Server) attach(p runtime.Task, m *AttachMsg) *AttachReply {
 		return &AttachReply{Err: ErrShutdown}
 	}
 	return &AttachReply{Err: s.onSubtree(p, m.Path, func(root namespace.Ino) error {
-		return s.adopt(root, m.Policy, m.Client, m.Lo, m.N)
+		return s.adopt(root, m.Policy)
 	})}
 }
 

@@ -168,10 +168,6 @@ type Server struct {
 
 	caps map[namespace.Ino]*dirCaps
 
-	// owners maps a decoupled subtree's policy-root inode to the client
-	// that decoupled it, for interfere-policy enforcement.
-	owners map[namespace.Ino]string
-
 	stream *streamState
 	// streamOn is the Stream switch for mutations no registered subtree
 	// root governs; a governed one streams by its root's composition. It
@@ -236,7 +232,6 @@ func newRank(c *Cluster, rank int) *Server {
 		cpu:      c.eng.NewResource(cpuName, 1),
 		sessions: make(map[string]bool),
 		caps:     make(map[namespace.Ino]*dirCaps),
-		owners:   make(map[namespace.Ino]string),
 	}
 	s.stream = newStreamState(s)
 	s.merge = newMergeSched(s)
@@ -385,11 +380,12 @@ func (s *Server) SetStream(on bool) { s.streamOn.Store(on) }
 func (s *Server) Shutdown() { s.stopped = true }
 
 // Crash models the rank dying: every piece of volatile state — sessions,
-// capabilities, the owner map, the unflushed journal tail, buffered merge
-// chunks — is lost, while objects already in RADOS survive. The server
-// rejects requests until Restart. Streamed merges in flight are flagged
-// aborted so the scheduler retires them, freeing their admission slots
-// and unblocking any client parked in MergeWait with an error.
+// capabilities, the registrations its inodes hold, the unflushed journal
+// tail, buffered merge chunks — is lost, while objects already in RADOS
+// survive. The server rejects requests until Restart. Streamed merges in
+// flight are flagged aborted so the scheduler retires them, freeing their
+// admission slots and unblocking any client parked in MergeWait with an
+// error.
 func (s *Server) Crash(p runtime.Task) {
 	s.dom.Enter(p)
 	defer s.dom.Leave(p)
@@ -399,7 +395,6 @@ func (s *Server) Crash(p runtime.Task) {
 	s.stopped = true
 	s.sessions = make(map[string]bool)
 	s.caps = make(map[namespace.Ino]*dirCaps)
-	s.owners = make(map[namespace.Ino]string)
 	s.store = newRankStore(s.rank)
 	s.se = nil // the CRDT summaries rendered into the lost store die with it
 
@@ -575,8 +570,8 @@ func (s *Server) checkInterfere(p runtime.Task, req *Request, root *namespace.In
 	if root == nil || root.Ino == namespace.RootIno {
 		return nil
 	}
-	owner, ok := s.owners[root.Ino]
-	if !ok || owner == req.Client || root.Policy.Interfere != policy.InterfereBlock {
+	owner := root.Policy.Owner
+	if owner == "" || owner == req.Client || root.Policy.Interfere != policy.InterfereBlock {
 		return nil
 	}
 	// Rejecting still costs cycles; when the MDS is underloaded this
@@ -600,38 +595,31 @@ func (s *Server) onSubtree(p runtime.Task, path string, fn func(root namespace.I
 	return fn(in.Ino)
 }
 
-// adopt is everything a rank takes on about a decoupled subtree, whether
-// the monitor registers it or re-attaches it after a restart (attach) or
-// the rank imports it (importCommit): the policy in the root's large
-// inode, the client's inode grant — which the monitor issued — reserved
-// in the allocator, and the owner for the interfere check.
-func (s *Server) adopt(root namespace.Ino, pol *policy.Policy, owner string, lo namespace.Ino, n uint64) error {
-	if pol != nil {
-		if err := s.store.SetPolicy(root, pol); err != nil {
-			return err
-		}
+// adopt is everything a rank takes on about a registered subtree,
+// whether the monitor registers it or re-attaches it after a restart
+// (attach) or the rank imports it (importCommit): the registration in
+// the root's large inode — the policy, and the owner the interfere check
+// reads — and the client's inode grant, which the monitor issued,
+// reserved in the allocator.
+func (s *Server) adopt(root namespace.Ino, pol *policy.Policy) error {
+	if err := s.store.SetPolicy(root, pol); err != nil || pol.GrantN == 0 {
+		return err
 	}
-	if lo != 0 && n > 0 {
-		if err := s.store.ReserveRange(lo, n); err != nil {
-			return err
-		}
-	}
-	if owner != "" {
-		s.owners[root] = owner
-	}
-	return nil
+	return s.store.ReserveRange(namespace.Ino(pol.GrantLo), pol.GrantN)
 }
 
 // recouple is the RecoupleMsg handler body.
 func (s *Server) recouple(p runtime.Task, path string) error {
 	return s.onSubtree(p, path, func(root namespace.Ino) error {
-		delete(s.owners, root)
 		return s.store.SetPolicy(root, nil)
 	})
 }
 
 // Owner returns the client that decoupled the subtree rooted at ino.
 func (s *Server) Owner(ino namespace.Ino) (string, bool) {
-	o, ok := s.owners[ino]
-	return o, ok
+	in, err := s.store.Get(ino)
+	if err != nil || in.Policy == nil || in.Policy.Owner == "" {
+		return "", false
+	}
+	return in.Policy.Owner, true
 }

@@ -47,11 +47,12 @@ func decouple(p runtime.Task, s *Server, path string, pol *policy.Policy, client
 	slot := nextGrant.next[s.c]
 	nextGrant.next[s.c] = slot + (n+1<<24-1)>>24
 	nextGrant.Unlock()
-	lo := namespace.Ino(1<<40 + uint64(s.rank)<<34 + slot<<24)
-	if err := s.Post(p, &AttachMsg{Path: path, Policy: pol, Client: client, Lo: lo, N: n}).(*AttachReply).Err; err != nil {
+	reg := *pol
+	reg.Owner, reg.GrantLo, reg.GrantN = client, 1<<40+uint64(s.rank)<<34+slot<<24, n
+	if err := s.Post(p, &AttachMsg{Path: path, Policy: &reg}).(*AttachReply).Err; err != nil {
 		return 0, 0, err
 	}
-	return lo, n, nil
+	return namespace.Ino(reg.GrantLo), n, nil
 }
 
 func run(t *testing.T, eng runtime.Runtime, fn func(p runtime.Task)) {

@@ -142,13 +142,8 @@ func (m *Monitor) handoff(p runtime.Task, path string, srcRank, dst int, durable
 		}
 	}
 
-	// 5. Destination adopts the subtree's policy, owner and grant.
-	// Routing still points at the source. The source rank
-	// knows who owns a decoupled subtree but not which inode range that
-	// client was granted; the registry does, and the importer's allocator
-	// must reserve the range the client still draws from (zero when the
-	// subtree is not registered).
-	fr.Manifest.GrantLo, fr.Manifest.GrantN = st.GrantLo, st.GrantN
+	// 5. The destination adopts every registration the manifest lists.
+	// Routing still points at the source.
 	ic := dstEp.Post(p, &mds.ImportCommitMsg{ID: or.ID, Manifest: fr.Manifest}).(*mds.ImportCommitReply)
 	if ic.Err != nil {
 		return abort(or.ID, ic.Err)
@@ -185,10 +180,10 @@ func (m *Monitor) handoff(p runtime.Task, path string, srcRank, dst int, durable
 	return nil
 }
 
-// Reattach re-installs a registered subtree's policy, owner, and exact
-// inode grant on its current owning rank — the recovery path after that
-// rank restarted and lost its volatile registrations. The grant the
-// client already holds stays valid.
+// Reattach re-installs a subtree's registration — its policy, owner and
+// exact inode grant — on its current owning rank: the recovery path
+// after that rank restarted and lost its volatile registrations. The
+// grant the client already holds stays valid.
 func (m *Monitor) Reattach(p runtime.Task, path string) error {
 	m.dom.Enter(p)
 	defer m.dom.Leave(p)
@@ -196,6 +191,5 @@ func (m *Monitor) Reattach(p runtime.Task, path string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSubtree, path)
 	}
-	return m.cl.Post(p, &mds.AttachMsg{Path: path, Policy: st.Policy,
-		Client: st.Owner, Lo: st.GrantLo, N: st.GrantN}).(*mds.AttachReply).Err
+	return m.cl.Post(p, &mds.AttachMsg{Path: path, Policy: st.Policy}).(*mds.AttachReply).Err
 }

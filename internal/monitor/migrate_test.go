@@ -241,9 +241,9 @@ func TestMigratePreservesRegistration(t *testing.T) {
 	if in.Policy == nil {
 		t.Errorf("dst lost the policy")
 	}
-	if got, _ := m.Lookup("/a/dec"); got != e || cl.Table().RankFor("/a/dec") != 1 || got.GrantLo != e.GrantLo {
+	if got, _ := m.Lookup("/a/dec"); got != e || cl.Table().RankFor("/a/dec") != 1 || got.Policy.GrantLo != e.Policy.GrantLo {
 		t.Errorf("record = %+v at rank %d, want the registered record at rank 1 with grant %d",
-			got, cl.Table().RankFor("/a/dec"), e.GrantLo)
+			got, cl.Table().RankFor("/a/dec"), e.Policy.GrantLo)
 	}
 	// Crash + restart the new owner; Reattach restores the registration.
 	run(t, eng, func(p runtime.Task) {
@@ -291,7 +291,7 @@ func TestGrantsNeverRepeat(t *testing.T) {
 			t.Errorf("%s: %v", label, err)
 			return
 		}
-		grants = append(grants, grant{cl.Table().RankFor(path), e.GrantLo, e.GrantN, label})
+		grants = append(grants, grant{cl.Table().RankFor(path), namespace.Ino(e.Policy.GrantLo), e.Policy.GrantN, label})
 	}
 	run(t, eng, func(p runtime.Task) {
 		register(p, "register /a", "/a", weak)

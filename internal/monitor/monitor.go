@@ -80,12 +80,10 @@ type Subtree struct {
 	Epoch uint64       // cluster-map epoch of the record's last change
 	Moves int          // committed migrations of this subtree
 
-	// The registration; a nil Policy means the subtree is only placed or
-	// migrated.
-	Policy  *policy.Policy
-	Owner   string
-	GrantLo namespace.Ino
-	GrantN  uint64
+	// Policy is the registration: the monitor's own copy of the
+	// registered policy, stamped with its epoch, owner and inode grant. A
+	// nil Policy means the subtree is only placed or migrated.
+	Policy *policy.Policy
 }
 
 // Monitor manages cluster state changes. Its state, together with the
@@ -118,14 +116,15 @@ func New(eng runtime.Runtime, cl *mds.Cluster) *Monitor {
 // Epoch returns the current cluster-map epoch, bumped on every change.
 func (m *Monitor) Epoch() uint64 { return m.epoch }
 
-// RegisterPolicy stamps pol (a parsed policies.yml, §III-C) with a new
-// epoch, installs it on the rank that serves path, and issues the
-// subtree's inode grant: the policy's allocated_inodes, or the cluster
-// default, from the next slots of that rank's band. Registering the same
-// path again replaces its policy and issues a fresh grant. One
-// registration is one cluster-map change: the epoch is bumped exactly
-// once, covering the policy distribution and any subtree placement it
-// implies.
+// RegisterPolicy registers pol (a parsed policies.yml, §III-C) for path
+// on behalf of owner: it issues the subtree's inode grant — the policy's
+// allocated_inodes, or the cluster default, from the next slots of that
+// rank's band — stamps a copy of pol with the new epoch, the owner and
+// the grant, and installs that copy on the rank that serves path. pol
+// itself is never written. Registering the same path again replaces its
+// registration and issues a fresh grant. One registration is one
+// cluster-map change: the epoch is bumped exactly once, covering the
+// policy distribution and any subtree placement it implies.
 func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy, owner string) (_ *Subtree, err error) {
 	m.dom.Enter(p)
 	defer m.dom.Leave(p)
@@ -158,11 +157,11 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 			m.nextSlot[target] = slot
 		}
 	}()
-	lo := grantAt(target, slot)
 	if oldRank := m.cl.Table().RankFor(path); target != oldRank {
 		// The subtree moves. Clear its registration on the old owner
-		// first, so the handoff carries no policy the new one replaces;
-		// the handoff's flip is the registration's one epoch.
+		// first, so the handoff carries no registration the new one
+		// replaces and the new owner reserves only the new grant; the
+		// handoff's flip is the registration's one epoch.
 		if _, had := m.Lookup(path); had {
 			if err := m.cl.Rank(oldRank).Post(p, &mds.RecoupleMsg{Path: path}).(*mds.RecoupleReply).Err; err != nil {
 				return nil, err
@@ -175,13 +174,13 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 		p.Sleep(commitLatency)
 		m.epoch++
 	}
-	pol.Version = m.epoch
-	if err := m.cl.Post(p, &mds.AttachMsg{Path: path, Policy: pol,
-		Client: owner, Lo: lo, N: n}).(*mds.AttachReply).Err; err != nil {
+	reg := *pol
+	reg.Version, reg.Owner, reg.GrantLo, reg.GrantN = m.epoch, owner, uint64(grantAt(target, slot)), n
+	if err := m.cl.Post(p, &mds.AttachMsg{Path: path, Policy: &reg}).(*mds.AttachReply).Err; err != nil {
 		return nil, err
 	}
 	st := m.record(path)
-	st.Policy, st.Owner, st.GrantLo, st.GrantN, st.Epoch = pol, owner, lo, n, m.epoch
+	st.Policy, st.Epoch = &reg, m.epoch
 	return st, nil
 }
 
@@ -201,7 +200,7 @@ func (m *Monitor) Unregister(p runtime.Task, path string) error {
 	if err := m.cl.Post(p, &mds.RecoupleMsg{Path: path}).(*mds.RecoupleReply).Err; err != nil {
 		return err
 	}
-	st.Policy, st.Owner, st.GrantLo, st.GrantN, st.Epoch = nil, "", 0, 0, m.epoch
+	st.Policy, st.Epoch = nil, m.epoch
 	return nil
 }
 
@@ -287,7 +286,7 @@ func (m *Monitor) Describe() string {
 	for _, st := range reg {
 		comp, _ := st.Policy.Composition()
 		fmt.Fprintf(&b, "  %-20s owner=%-10s epoch=%-3d rank=%d inodes=[%d,+%d) %s\n",
-			st.Path, st.Owner, st.Epoch, m.cl.Table().RankFor(st.Path), st.GrantLo, st.GrantN, comp)
+			st.Path, st.Policy.Owner, st.Epoch, m.cl.Table().RankFor(st.Path), st.Policy.GrantLo, st.Policy.GrantN, comp)
 	}
 	for _, path := range m.cl.Table().Paths() {
 		if _, ok := m.Lookup(path); !ok {

@@ -62,8 +62,8 @@ func TestRegisterParsesAndGrants(t *testing.T) {
 			t.Errorf("register: %v", err)
 			return
 		}
-		if e.GrantN != 5000 || e.GrantLo == 0 {
-			t.Errorf("grant = [%d,+%d)", e.GrantLo, e.GrantN)
+		if e.Policy.GrantN != 5000 || e.Policy.GrantLo == 0 {
+			t.Errorf("grant = [%d,+%d)", e.Policy.GrantLo, e.Policy.GrantN)
 		}
 		if e.Epoch != 1 || e.Policy.Version != 1 {
 			t.Errorf("epoch = %d, version = %d", e.Epoch, e.Policy.Version)
@@ -85,6 +85,51 @@ func TestRegisterParsesAndGrants(t *testing.T) {
 	}
 }
 
+// TestOnePolicyTwoRegistrations: one *Policy registered at two paths for
+// two owners makes two registrations. Each record keeps its own Version,
+// owner and grant, each rank inode names its own owner, and the caller's
+// policy is never written.
+func TestOnePolicyTwoRegistrations(t *testing.T) {
+	eng, srv, m := newTestMonitor()
+	mkdirs(t, eng, srv, "/a")
+	mkdirs(t, eng, srv, "/b")
+	pol := parse(t, "consistency: weak\ndurability: none\ninterfere: block\n")
+	var ea, eb *Subtree
+	run(t, eng, func(p runtime.Task) {
+		var err error
+		if ea, err = m.RegisterPolicy(p, "/a", pol, "c0"); err != nil {
+			t.Fatalf("register /a: %v", err)
+		}
+		if eb, err = m.RegisterPolicy(p, "/b", pol, "c1"); err != nil {
+			t.Fatalf("register /b: %v", err)
+		}
+	})
+	for _, c := range []struct {
+		e       *Subtree
+		version uint64
+		owner   string
+	}{{ea, 1, "c0"}, {eb, 2, "c1"}} {
+		reg := c.e.Policy
+		if reg.Version != c.version || c.e.Epoch != c.version || reg.Owner != c.owner {
+			t.Errorf("%s: version %d, epoch %d, owner %q; want %d, %d, %q",
+				c.e.Path, reg.Version, c.e.Epoch, reg.Owner, c.version, c.version, c.owner)
+		}
+		in, err := srv.Store().Resolve(c.e.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner, ok := srv.Owner(in.Ino); !ok || owner != c.owner {
+			t.Errorf("%s: rank owner = %q, %v; want %q", c.e.Path, owner, ok, c.owner)
+		}
+	}
+	if a, b := ea.Policy, eb.Policy; a.GrantLo == b.GrantLo || a.GrantN != 100 || b.GrantN != 100 {
+		t.Errorf("grants [%d,+%d) and [%d,+%d), want two distinct 100-inode grants", a.GrantLo, a.GrantN, b.GrantLo, b.GrantN)
+	}
+	if pol.Version != 0 || pol.Owner != "" || pol.GrantN != 0 {
+		t.Errorf("the caller's policy was stamped: %+v", pol)
+	}
+}
+
 func TestRegisterEmptyPoliciesFileIsCephFS(t *testing.T) {
 	// Paper §III-C: decoupling with an empty policies file gives the
 	// application 100 inodes but stock CephFS behaviour.
@@ -96,8 +141,8 @@ func TestRegisterEmptyPoliciesFileIsCephFS(t *testing.T) {
 			t.Errorf("register: %v", err)
 			return
 		}
-		if e.GrantN != 100 {
-			t.Errorf("default grant = %d, want 100", e.GrantN)
+		if e.Policy.GrantN != 100 {
+			t.Errorf("default grant = %d, want 100", e.Policy.GrantN)
 		}
 		comp, _ := e.Policy.Composition()
 		if comp.String() != "rpcs+stream" {

@@ -214,8 +214,10 @@ func DecodeDir(data []byte) (*DirObject, error) {
 }
 
 // InstallDir materializes a decoded directory object into the store,
-// replacing the directory's current dentries. Missing parent directories
-// cause ErrNotExist; callers load objects root-first.
+// replacing the directory's current dentries and dropping its policy: an
+// object carries no registration, so the directory has none until its
+// rank adopts one. Missing parent directories cause ErrNotExist; callers
+// load objects root-first.
 func (s *Store) InstallDir(d *DirObject) error {
 	dir, err := s.Get(d.Ino)
 	if err != nil {
@@ -238,6 +240,7 @@ func (s *Store) InstallDir(d *DirObject) error {
 		}
 		s.insertChild(parent, dir)
 	}
+	dir.Policy = nil
 	// Drop stale file dentries, keep subdirectory dentries that still
 	// appear, then install the decoded entries.
 	incoming := make(map[string]DirEntry, len(d.Entries))

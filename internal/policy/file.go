@@ -62,8 +62,17 @@ type Policy struct {
 	// fresh cluster is rank 0 — the single-MDS behavior.
 	Rank int
 
-	// Version is stamped by the monitor when the policy is distributed.
+	// Version, Owner, GrantLo and GrantN are stamped by the monitor on
+	// its own copy of the policy when it registers a subtree: the
+	// registration's epoch, the client that decoupled the subtree, and
+	// the inode grant [GrantLo, GrantLo+GrantN) it issued. That copy is
+	// the registration everywhere: a rank keeps it in the subtree root's
+	// large inode, a handoff carries it, and the client allocates from
+	// it.
 	Version uint64
+	Owner   string
+	GrantLo uint64
+	GrantN  uint64
 }
 
 // Default returns the paper's default policy: strong consistency over

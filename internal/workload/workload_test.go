@@ -38,7 +38,7 @@ func (h *harness) decouple(t *testing.T, p runtime.Task, c *client.Client, path 
 	t.Helper()
 	st, err := h.mon.RegisterPolicy(p, path, pol, c.Name())
 	if err == nil {
-		err = c.AdoptGrant(p, path, st.GrantLo, st.GrantN, pol.Consistency)
+		err = c.AdoptGrant(p, path, st.Policy)
 	}
 	if err != nil {
 		t.Errorf("decouple %s: %v", path, err)

@@ -75,8 +75,8 @@ func TestNestedRegistrationsNearestRootGoverns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("register /a/b: %v", err)
 		}
-		if want := uint64(DefaultConfig().AllocatedInodesDefault); eb.GrantN != want {
-			t.Errorf("/a/b grant = %d inodes, want the cluster default %d", eb.GrantN, want)
+		if want := uint64(DefaultConfig().AllocatedInodesDefault); eb.Policy.GrantN != want {
+			t.Errorf("/a/b grant = %d inodes, want the cluster default %d", eb.Policy.GrantN, want)
 		}
 		if _, err := c3.Create(p, b, "x", 0644); err != nil {
 			t.Errorf("create in /a/b (interfere allow): %v", err)

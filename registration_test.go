@@ -1,0 +1,148 @@
+package cudele
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"cudele/internal/mds"
+	"cudele/internal/namespace"
+	"cudele/internal/policy"
+	"cudele/internal/rados"
+)
+
+// TestNestedRegistrationMovesWithAncestor: /a/job is registered
+// strong/global (rpcs+stream) with interfere: block for c0, and then its
+// ancestor /a moves to rank 1 — by Place, by Migrate, and by a
+// registration of /a with mds_rank: 1. The registration of /a/job must
+// move with /a: rank 1 names c0 as its owner, reserves its grant, refuses
+// c1's create in /a/job with EBUSY and journals c0's. On both backends.
+func TestNestedRegistrationMovesWithAncestor(t *testing.T) {
+	moves := []struct {
+		name string
+		move func(p Proc, cl *Cluster) error
+		// ranges is the grants rank 1 reserves: /a/job's, and /a's own
+		// when /a is registered.
+		ranges int
+	}{
+		{"place", func(p Proc, cl *Cluster) error { return cl.Monitor().Place(p, "/a", 1) }, 1},
+		{"migrate", func(p Proc, cl *Cluster) error { return cl.Migrate(p, "/a", 1) }, 1},
+		{"mds_rank", func(p Proc, cl *Cluster) error {
+			pol, err := policy.ParseFile("mds_rank: 1\n")
+			if err == nil {
+				_, err = cl.Monitor().RegisterPolicy(p, "/a", pol, "c2")
+			}
+			return err
+		}, 2},
+	}
+	for _, backend := range []Backend{BackendSim, BackendReal} {
+		for _, mv := range moves {
+			t.Run(fmt.Sprintf("%v/%s", backend, mv.name), func(t *testing.T) {
+				cl := NewCluster(WithSeed(3), WithMDSRanks(2), WithBackend(backend))
+				defer cl.Close()
+				c0, c1 := cl.NewClient("c0"), cl.NewClient("c1")
+				pol, err := policy.ParseFile("consistency: strong\ndurability: global\ninterfere: block\n")
+				if err != nil {
+					t.Fatal(err)
+				}
+				cl.Run(func(p Proc) {
+					if _, err := c0.MkdirAll(p, "/a/job", 0755); err != nil {
+						t.Fatalf("mkdir: %v", err)
+					}
+					if _, err := cl.Monitor().RegisterPolicy(p, "/a/job", pol, c0.Name()); err != nil {
+						t.Fatalf("register /a/job: %v", err)
+					}
+					if err := mv.move(p, cl); err != nil {
+						t.Fatalf("move /a: %v", err)
+					}
+				})
+				meta := cl.Metadata()
+				if rank := meta.Table().RankFor("/a/job"); rank != 1 {
+					t.Fatalf("/a/job is on rank %d, want 1", rank)
+				}
+				r1 := meta.Rank(1)
+				in, err := r1.Store().Resolve("/a/job")
+				if err != nil {
+					t.Fatalf("rank 1 resolve /a/job: %v", err)
+				}
+				if owner, ok := r1.Owner(in.Ino); !ok || owner != c0.Name() {
+					t.Errorf("rank 1 owner of /a/job = %q, %v; want %s", owner, ok, c0.Name())
+				}
+				if got := r1.Store().ReservedRanges(); got != mv.ranges {
+					t.Errorf("rank 1 reserves %d grants, want %d", got, mv.ranges)
+				}
+				journaled := r1.Metrics().Journaled
+				cl.Run(func(p Proc) {
+					job, err := c1.Resolve(p, "/a/job")
+					if err != nil {
+						t.Fatalf("c1 resolve: %v", err)
+					}
+					if _, err := c1.Create(p, job, "intruder", 0644); !errors.Is(err, namespace.ErrBusy) {
+						t.Errorf("interferer's create = %v, want EBUSY", err)
+					}
+					if job, err = c0.Resolve(p, "/a/job"); err != nil {
+						t.Fatalf("c0 resolve: %v", err)
+					}
+					if _, err := c0.Create(p, job, "f", 0644); err != nil {
+						t.Errorf("owner's create: %v", err)
+					}
+				})
+				if got := r1.Metrics().Journaled - journaled; got != 1 {
+					t.Errorf("rank 1 journaled %d events for the owner's create, want 1", got)
+				}
+			})
+		}
+	}
+}
+
+// TestRecoupleOutlivesAbortedImport: a migration of the registered /a
+// fails its export-commit record after rank 1 adopted the registration,
+// so rank 1 keeps an unreachable copy of /a that still holds it. /a is
+// recoupled and then migrates to rank 1 for good. The import installs
+// over the stale copy, and the registration must not come back with it:
+// rank 1 names no owner and serves an interferer's create.
+func TestRecoupleOutlivesAbortedImport(t *testing.T) {
+	cl := NewCluster(WithSeed(3), WithMDSRanks(2))
+	defer cl.Close()
+	c0, c1 := cl.NewClient("c0"), cl.NewClient("c1")
+	pol, err := policy.ParseFile("interfere: block\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(func(p Proc) {
+		if _, err := c0.MkdirAll(p, "/a", 0755); err != nil {
+			t.Fatalf("mkdir: %v", err)
+		}
+		if _, err := cl.Monitor().RegisterPolicy(p, "/a", pol, c0.Name()); err != nil {
+			t.Fatalf("register /a: %v", err)
+		}
+		inj := rados.NewFaultInjector(1)
+		inj.WriteErrorProb, inj.MaxFaults = 1, 1
+		inj.Match = func(oid rados.ObjectID) bool { return oid.Pool == mds.MigrationPool }
+		cl.Objects().SetFaults(inj)
+		if err := cl.Migrate(p, "/a", 1); err == nil {
+			t.Fatal("migrate with a failing export-commit record committed")
+		}
+		if err := cl.Recouple(p, "/a"); err != nil {
+			t.Fatalf("recouple: %v", err)
+		}
+		if err := cl.Migrate(p, "/a", 1); err != nil {
+			t.Fatalf("migrate: %v", err)
+		}
+		a, err := c1.Resolve(p, "/a")
+		if err == nil {
+			_, err = c1.Create(p, a, "x", 0644)
+		}
+		if err != nil {
+			t.Errorf("create in the recoupled /a on rank 1: %v", err)
+		}
+	})
+	r1 := cl.Metadata().Rank(1)
+	in, err := r1.Store().Resolve("/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if owner, ok := r1.Owner(in.Ino); ok {
+		t.Errorf("rank 1 names %s the owner of the recoupled /a", owner)
+	}
+}
