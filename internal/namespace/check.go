@@ -51,26 +51,38 @@ func (s *Store) Check() []Problem {
 }
 
 // scan reports whether the store is healthy: every dentry reached from
-// root names an inode that names it back, no inode is reached twice, no
-// file has dentries, every inode is reached, and no two grants overlap.
+// root names an inode other than the root that names it back, no file has
+// dentries, as many inodes are reached as the store holds, and no two
+// grants overlap. Counting is enough, with no set of the inodes reached:
+// an inode names one directory and one name in it (Parent, Name), a
+// directory holds a name once, and the root is reached only as the start,
+// so the first inode reached twice would be reached twice through one
+// dentry — whose directory was then reached twice before it.
 func (s *Store) scan(root *Inode) bool {
-	seen := newInoSet(len(s.inodes.pages))
-	seen.add(root.Ino)
-	return s.scanDir(root, &seen) && seen.n == s.inodes.len() && s.grantOverlaps() == nil
+	reached := 1
+	return s.scanDir(root, &reached) && reached == s.inodes.len() && s.grantOverlaps() == nil
 }
 
-// scanDir scans the entries under in, which seen holds, in position
-// order, and reports whether they are sound.
-func (s *Store) scanDir(in *Inode, seen *inoSet) bool {
-	if !in.IsDir() {
+// scanDir scans in and the entries under it in position order, adds the
+// inodes it reaches below in to *reached, and reports whether they are
+// sound.
+func (s *Store) scanDir(in *Inode, reached *int) bool {
+	if !in.IsDir() || in.frag == nil {
 		return in.NumChildren() == 0
-	}
-	if in.frag == nil {
-		return true
 	}
 	for name, ci := range in.frag.ents.All() {
 		child := s.inodes.get(ci)
-		if child == nil || child.Parent != in.Ino || child.Name != name || !seen.add(ci) || !s.scanDir(child, seen) {
+		if ci == RootIno || child == nil || child.Parent != in.Ino || child.Name != name {
+			return false
+		}
+		*reached++
+		// A file is checked here, not by a call: the scan is one
+		// dependent load per inode, and a call per file doubled it.
+		if child.IsDir() {
+			if !s.scanDir(child, reached) {
+				return false
+			}
+		} else if child.NumChildren() != 0 {
 			return false
 		}
 	}
@@ -82,7 +94,7 @@ func (s *Store) scanDir(in *Inode, seen *inoSet) bool {
 // for a problem reported: the walk holds the rest in its buffer.
 func (s *Store) report(root *Inode) []Problem {
 	var problems []Problem
-	reachable := newInoSet(len(s.inodes.pages))
+	reachable := newInoSet(&s.inodes)
 	_ = s.walkSorted("/", root, func(p []byte, dir *Inode, name string, ino Ino, in *Inode) (bool, error) {
 		if dir != nil {
 			if in == nil {
@@ -161,52 +173,48 @@ func (s *Store) grantOverlaps() []Problem {
 	return problems
 }
 
-// inoSet is a set of inode numbers: a bitmap word per inode-index page
-// (ino >> pageBits), found through a map by the page's key, and the word
-// touched last remembered, so the next number of a run costs a shift, a
-// compare and a bit test.
+// inoSet is a set of numbers of inodes a table holds: a bitmap word per
+// page slot of the table, laid out run by run like the table's pages, so
+// a number's word is found by the table's own search and two indexes. The
+// table must not change while the set is in use.
 type inoSet struct {
-	index   map[Ino]int // word of each page key
-	words   []uint64
-	lastKey Ino
-	last    int
-	n       int // numbers held
+	tab   *inoTable
+	words [][]uint64 // words[i][off] is the word of page tab.runs[i].lo+off
 }
 
-// newInoSet returns an empty set sized for numbers on pages pages.
-func newInoSet(pages int) inoSet {
-	return inoSet{index: make(map[Ino]int, pages), words: make([]uint64, 0, pages), lastKey: noPage}
-}
-
-// word returns the index of ino's word, adding a zero word for a page the
-// set has not seen.
-func (b *inoSet) word(ino Ino) int {
-	if key := ino >> pageBits; key != b.lastKey {
-		w, ok := b.index[key]
-		if !ok {
-			w = len(b.words)
-			b.words = append(b.words, 0)
-			b.index[key] = w
-		}
-		b.lastKey, b.last = key, w
+// newInoSet returns an empty set of numbers of inodes t holds.
+func newInoSet(t *inoTable) inoSet {
+	slots := 0
+	for _, r := range t.runs {
+		slots += len(r.pages)
 	}
-	return b.last
+	all, words := make([]uint64, slots), make([][]uint64, len(t.runs))
+	for i, r := range t.runs {
+		words[i], all = all[:len(r.pages):len(r.pages)], all[len(r.pages):]
+	}
+	return inoSet{tab: t, words: words}
+}
+
+// word returns the word of ino, the number of an inode the table holds.
+func (b *inoSet) word(ino Ino) *uint64 {
+	key := ino >> pageBits
+	i := b.tab.search(key) - 1
+	return &b.words[i][key-b.tab.runs[i].lo]
 }
 
 // add puts ino in the set and reports whether it was absent.
 func (b *inoSet) add(ino Ino) bool {
 	w, bit := b.word(ino), uint64(1)<<(ino%pageSize)
-	if b.words[w]&bit != 0 {
+	if *w&bit != 0 {
 		return false
 	}
-	b.words[w] |= bit
-	b.n++
+	*w |= bit
 	return true
 }
 
 // has reports whether ino is in the set.
 func (b *inoSet) has(ino Ino) bool {
-	return b.words[b.word(ino)]&(1<<(ino%pageSize)) != 0
+	return *b.word(ino)&(1<<(ino%pageSize)) != 0
 }
 
 // MustHealthy panics if the store has inconsistencies; tests and

@@ -340,14 +340,25 @@ func TestHealthyCheckIsAScan(t *testing.T) {
 }
 
 func TestInoSet(t *testing.T) {
-	set := newInoSet(0)
 	rng := rand.New(rand.NewSource(1))
-	ref := make(map[Ino]bool)
-	for range 5000 {
-		ino := Ino(rng.Intn(1 << 12))
-		if rng.Intn(4) == 0 {
-			ino += 1 << 40
+	pick := func() Ino {
+		switch rng.Intn(8) {
+		case 0:
+			return Ino(rng.Uint64()) // a run of its own
+		case 1, 2:
+			return 1<<40 + Ino(rng.Intn(1<<12))
 		}
+		return Ino(rng.Intn(1 << 12))
+	}
+	tab := newInoTable()
+	inos := make([]Ino, 5000)
+	for i := range inos {
+		inos[i] = pick()
+		tab.put(&Inode{Ino: inos[i]})
+	}
+	set := newInoSet(&tab)
+	ref := make(map[Ino]bool)
+	for _, ino := range inos {
 		if set.has(ino) != ref[ino] {
 			t.Fatalf("has(%d) = %v before add", ino, !ref[ino])
 		}
@@ -356,7 +367,9 @@ func TestInoSet(t *testing.T) {
 		}
 		ref[ino] = true
 	}
-	if set.n != len(ref) {
-		t.Fatalf("set holds %d numbers, want %d", set.n, len(ref))
+	for ino := range ref {
+		if !set.has(ino) {
+			t.Fatalf("has(%d) = false after add", ino)
+		}
 	}
 }

@@ -45,10 +45,10 @@ func TestSEEntrySize(t *testing.T) {
 	}
 }
 
-// checkListings lists every directory of s and compares each listing with
-// the sorted names of the directory's dentry table, so it both verifies the
-// snapshots and leaves every directory with one for the next mutation to
-// invalidate.
+// checkListings lists every directory of s and compares each listing, and
+// its inode column, with the directory's dentry table, so it both verifies
+// the snapshots and leaves every directory with one and its column for the
+// next mutation to invalidate.
 func checkListings(t *testing.T, s *Store, step string) {
 	t.Helper()
 	s.inodes.each(func(in *Inode) {
@@ -73,6 +73,12 @@ func checkListings(t *testing.T, s *Store, step string) {
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: ReadDir(%d) = %v, dentry table has %v", step, ino, got, want)
+		}
+		names, inos := in.frag.column(&s.lists)
+		for i, name := range names {
+			if want, _ := in.frag.ents.Get(name); inos[i] != want {
+				t.Fatalf("%s: the inode column of %d says %s is %d, dentry table has %d", step, ino, name, inos[i], want)
+			}
 		}
 	})
 }
@@ -214,6 +220,71 @@ func TestListingIsASnapshot(t *testing.T) {
 	grown[0] = "clobbered"
 	if third, _ := s.ReadDir(RootIno); fmt.Sprint(third) != "[a b z]" {
 		t.Fatalf("append to a returned listing changed the snapshot: %v", third)
+	}
+}
+
+// TestWalkSeesMidIterationChanges: a walk and EncodeDir read each name's
+// inode from the snapshot's column, but a callback that links or unlinks
+// in the directory being walked drops the column, and the names after it
+// are looked up again — even when a nested walk has built a new column in
+// the meantime.
+func TestWalkSeesMidIterationChanges(t *testing.T) {
+	s := NewStore()
+	for _, n := range []string{"a", "b", "c", "d"} {
+		if _, err := s.Create(RootIno, n, CreateAttrs{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, _ := s.Lookup(RootIno, "a")
+	b, _ := s.Lookup(RootIno, "b")
+	c, _ := s.Lookup(RootIno, "c")
+	d, _ := s.Lookup(RootIno, "d")
+	root := s.Root()
+	walk := func() { s.Walk(RootIno, func(string, *Inode) error { return nil }) }
+	walk()
+	if root.frag.inos == nil {
+		t.Fatal("a walk built no inode column")
+	}
+
+	got := make(map[string]Ino)
+	err := root.frag.each(&s.lists, func(name string, ino Ino) error {
+		got[name] = ino
+		if name == "a" {
+			// Unlink b, point c at d's inode, and walk the changed
+			// directory so that it holds a new snapshot and column.
+			s.Unlink(RootIno, "b")
+			root.frag.link("c", d.Ino)
+			walk()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got["b"] != 0 || got["c"] != d.Ino || got["d"] != d.Ino {
+		t.Fatalf("after a mid-iteration unlink and relink each saw b=%d c=%d d=%d, want 0, %d, %d (b was %d, c %d)",
+			got["b"], got["c"], got["d"], d.Ino, d.Ino, b.Ino, c.Ino)
+	}
+
+	// The same through the sorted walk: a name linked under the cursor's
+	// feet names the inode it links to when the walk reaches it.
+	e, _ := s.Create(RootIno, "e", CreateAttrs{})
+	var seen []string
+	err = s.walkSorted("/", root, func(p []byte, dir *Inode, name string, ino Ino, in *Inode) (bool, error) {
+		if dir == nil {
+			return true, nil
+		}
+		seen = append(seen, fmt.Sprintf("%s=%d", name, ino))
+		if name == "a" {
+			root.frag.link("d", e.Ino)
+		}
+		return false, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("[a=%d c=%d d=%d e=%d]", a.Ino, d.Ino, e.Ino, e.Ino); fmt.Sprint(seen) != want {
+		t.Fatalf("walk with a relink under it saw %v, want %s", seen, want)
 	}
 }
 
