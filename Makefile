@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check loc surface bench bench-seq bench-check bench-real perf perf-counts fuzz-short chaos chaos-cmp ci
+.PHONY: all build test race vet fmt-check loc surface traffic bench bench-seq bench-check bench-real perf perf-counts fuzz-short chaos chaos-cmp ci
 
 all: build test
 
@@ -93,6 +93,38 @@ surface:
 		exit 1; \
 	fi; \
 	echo "surface: $$(wc -l < "$$tmp/unlinked") of $$(wc -l < "$$tmp/decls") functions ($$(awk '{ n += $$2 } END { print n + 0 }' "$$tmp/unlinked") lines) and $$(wc -l < "$$tmp/unlinkedvars") of $$(wc -l < "$$tmp/vars") package-level vars under internal/ are linked by no main, each listed with its reason in results/SURFACE_KEEP.txt"
+
+# traffic lists the functions under internal/ that no run of the repo's
+# programs reaches. It builds every main with coverage of the whole module
+# into a temp dir and runs the fifteen experiments at -scale 0.05, the
+# 1 500-seed chaos sweep, one second of each benchmark workload, the four
+# examples, the cmd/cudele golden session and journal-tool's demo, inspect
+# and dump, then prints each internal/ function none of them executed
+# (0.0 % in go tool cover -func). It writes nothing in the checkout and
+# fails only when a build or a run fails; what it prints is the code a
+# simplification may ask about (~40 s on two cores).
+WORKLOADS = sim_storm real_rpc_write real_rpc_read real_decoupled real_io
+traffic:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && repo=$$PWD && \
+	for m in $(MAINS); do \
+		$(GO) build -cover -coverpkg=cudele/... -o "$$tmp/bin/$$(basename $$m)" ./$$m || exit 1; \
+	done; \
+	mkdir "$$tmp/cov" && export GOCOVERDIR="$$tmp/cov" && cd "$$tmp" && \
+	bin/cudele-bench -scale 0.05 all > /dev/null && \
+	bin/cudele-bench -chaos 1500 -seed 1 > /dev/null && \
+	for w in $(WORKLOADS); do \
+		bin/benchmark --workload $$w --seed 1 --seconds 1 --trace 0 --out "$$tmp/out" > /dev/null || exit 1; \
+	done && \
+	for e in $(notdir $(filter examples/%,$(MAINS))); do bin/$$e > /dev/null || exit 1; done && \
+	bin/cudele "$$repo/cmd/cudele/testdata/session.txt" > /dev/null && \
+	bin/journal-tool demo j > /dev/null && bin/journal-tool inspect j > /dev/null && \
+	bin/journal-tool dump j > /dev/null && \
+	cd "$$repo" && $(GO) tool covdata textfmt -i="$$tmp/cov" -o "$$tmp/cov.txt" && \
+	$(GO) tool cover -func="$$tmp/cov.txt" > "$$tmp/func.txt" || exit 1; \
+	awk '$$1 ~ /^cudele\/internal\// && $$NF == "0.0%" { print $$1, $$2 }' "$$tmp/func.txt" | \
+		sed 's|^cudele/||' > "$$tmp/cold"; \
+	cat "$$tmp/cold"; \
+	echo "traffic: $$(wc -l < "$$tmp/cold") of $$(grep -c '^cudele/internal/' "$$tmp/func.txt") functions under internal/ are reached by no run"
 
 # bench regenerates every table at a CI-friendly scale, in parallel, and
 # refreshes the machine-readable baselines under results/. The tables are

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cudele/internal/namespace"
-	"cudele/internal/policy"
 )
 
 // TestPlacedSubtreeUpdateNotLost: c1 creates /a/b/f and /a/b is placed
@@ -51,18 +50,18 @@ func TestPlacedSubtreeUpdateNotLost(t *testing.T) {
 	}
 }
 
-// TestRegistrationSweepLosesNoCreate: c1 creates /d/f while c0 registers
-// /d with mds_rank: 1, the registration starting 0–4 ms after the create
-// in 5 µs steps. In each of the 800 runs a create the cluster
-// acknowledged must resolve on the rank that owns /d afterwards: a
-// request the source was already serving when the subtree moved must not
-// land in a copy the source no longer owns.
+// TestRegistrationSweepLosesNoCreate: c1 creates /d/f while /d is placed
+// on rank 1, the placement starting 0–4 ms after the create in 5 µs
+// steps. In each of the 800 runs a create the cluster acknowledged must
+// resolve on the rank that owns /d afterwards: a request the source was
+// already serving when the subtree moved must not land in a copy the
+// source no longer owns.
 func TestRegistrationSweepLosesNoCreate(t *testing.T) {
 	const steps, step = 800, 5 * time.Microsecond
 	lost := 0
 	for i := 0; i < steps; i++ {
 		cl := NewCluster(WithSeed(1), WithMDSRanks(2))
-		c0, c1 := cl.NewClient("c0"), cl.NewClient("c1")
+		c1 := cl.NewClient("c1")
 		var dir Ino
 		cl.Run(func(p Proc) {
 			var err error
@@ -70,16 +69,12 @@ func TestRegistrationSweepLosesNoCreate(t *testing.T) {
 				t.Fatalf("mkdir: %v", err)
 			}
 		})
-		pol, err := policy.ParseFile("mds_rank: 1\n")
-		if err != nil {
-			t.Fatal(err)
-		}
 		var createErr error
 		cl.Go("create", func(p Proc) { _, createErr = c1.Create(p, dir, "f", 0644) })
-		cl.Go("register", func(p Proc) {
+		cl.Go("place", func(p Proc) {
 			p.Sleep(time.Duration(i) * step)
-			if _, err := cl.Monitor().RegisterPolicy(p, "/d", pol, c0.Name()); err != nil {
-				t.Errorf("start %v: register: %v", time.Duration(i)*step, err)
+			if err := cl.Monitor().Place(p, "/d", 1); err != nil {
+				t.Errorf("start %v: place: %v", time.Duration(i)*step, err)
 			}
 		})
 		cl.RunAll()

@@ -371,9 +371,13 @@ func stressWorkload(t *testing.T, cl *Cluster, during func() (stop func())) []st
 				t.Errorf("mkdir %s: %v", path, err)
 				return
 			}
+			if err := cl.Monitor().Place(p, path, j%2); err != nil {
+				t.Errorf("place %s: %v", path, err)
+				return
+			}
 			if _, err := cl.DecouplePolicy(p, c, path, &Policy{
 				Consistency: stressModes[j], Durability: DurNone,
-				AllocatedInodes: 4 * localOps, Interfere: InterfereAllow, Rank: j % 2,
+				AllocatedInodes: 4 * localOps, Interfere: InterfereAllow,
 			}); err != nil {
 				t.Errorf("decouple %s: %v", path, err)
 				return

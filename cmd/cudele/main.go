@@ -11,8 +11,7 @@
 //	stat <path>                  print inode attributes
 //	rm <path>                    unlink a file
 //	decouple <path> [k=v ...]    register a subtree (consistency=weak
-//	                             durability=local inodes=1000 interfere=block
-//	                             rank=1)
+//	                             durability=local inodes=1000 interfere=block)
 //	pin <path> <rank>            place a subtree on a metadata rank
 //	migrate <path> <rank>        online-export a subtree to another rank
 //	lcreate <name>               create in the decoupled subtree
@@ -446,11 +445,6 @@ func policiesText(kvs []string) (string, error) {
 				return "", fmt.Errorf("bad inodes %q", v)
 			}
 			fmt.Fprintf(&b, "allocated_inodes: %s\n", v)
-		case "rank":
-			if _, err := strconv.Atoi(v); err != nil {
-				return "", fmt.Errorf("bad rank %q", v)
-			}
-			fmt.Fprintf(&b, "mds_rank: %s\n", v)
 		default:
 			return "", fmt.Errorf("unknown policy key %q", k)
 		}

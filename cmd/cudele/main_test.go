@@ -112,6 +112,7 @@ func TestPoliciesText(t *testing.T) {
 		{"consistency"}, // no '='
 		{"inodes=lots"}, // non-integer
 		{"colour=blue"}, // unknown key
+		{"rank=1"},      // placement is the pin command, not a policy
 	} {
 		if _, err := policiesText(bad); err == nil {
 			t.Errorf("policiesText(%v) accepted", bad)

@@ -202,7 +202,7 @@ func WithConfig(cfg Config) Option { return func(o *clusterOpts) { o.cfg = cfg }
 
 // WithMDSRanks sets the number of metadata ranks. The default is 1, the
 // paper's deployment; more ranks partition the namespace by subtree
-// placement (mds_rank in a policies file, or Monitor.Place).
+// placement (Monitor.Place, or Migrate), which no policies file sets.
 func WithMDSRanks(n int) Option { return func(o *clusterOpts) { o.ranks = n } }
 
 // WithBackend selects the execution backend. The default, BackendSim,

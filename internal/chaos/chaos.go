@@ -96,7 +96,9 @@ type Plan struct {
 	TornProb       float64
 	MaxWriteFaults int
 
-	// Faults is the crash schedule.
+	// Faults is the crash schedule. Its times, like MigrateAt's, count
+	// from the end of the driver's set-up, which adds that clock to them
+	// before it arms the plan.
 	Faults sim.FaultPlan
 
 	// Migrate runs the schedule on a two-rank cluster with a migrator

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cudele/internal/policy"
 	"cudele/internal/runtime"
 	"cudele/internal/sim"
 )
@@ -74,57 +75,111 @@ func TestMigrationSchedules(t *testing.T) {
 	}
 }
 
-// shiftedPastSetup is seed's plan with every crash and migration time
-// moved later by the clock at the end of the driver's set-up. Set-up arms
-// the crash plan only when it ends, so unshifted every planned crash has
-// passed by then and all of them fire together after the first op. The
-// end of set-up does not depend on the crash plan or the migrations, so a
-// probe run of set-up alone measures it.
-func shiftedPastSetup(seed int64) *Plan {
-	probe := NewPlan(seed)
-	probe.Faults.Faults, probe.MigrateAt = nil, nil
-	d := newDriver(probe)
-	var end sim.Time
-	d.cl.Go("setup", func(p runtime.Task) {
-		d.setup(p)
-		end = p.Now()
-	})
-	d.cl.RunAll()
-	d.cl.Runtime().Shutdown()
-	plan := NewPlan(seed)
-	for i := range plan.Faults.Faults {
-		plan.Faults.Faults[i].At += end
+// TestFaultsStrikeTheWorkload: a plan's crashes and migrations count
+// from the end of set-up, so none of them has fired or started when the
+// workload's first op begins, and each fires at its planned offset past
+// set-up, not all of them together at the first op. Over the first 150
+// seeds, whose plans crash and migrate in every cell.
+func TestFaultsStrikeTheWorkload(t *testing.T) {
+	var crashes, migrations int
+	for seed := int64(1); seed <= 150; seed++ {
+		plan := NewPlan(seed)
+		want := make([]sim.Time, 0, len(plan.Faults.Faults)+len(plan.MigrateAt))
+		for _, f := range plan.Faults.Faults {
+			want = append(want, f.At)
+		}
+		want = append(want, plan.MigrateAt...)
+		crashes += len(plan.Faults.Faults)
+		migrations += len(plan.MigrateAt)
+		d := newDriver(plan)
+		d.cl.Go("probe", func(p runtime.Task) {
+			if !d.setup(p) {
+				t.Errorf("seed %d: set-up failed: %v", seed, d.res.Violations)
+				return
+			}
+			end := sim.Time(p.Now())
+			at := make([]sim.Time, 0, len(want))
+			for _, f := range d.plan.Faults.Faults {
+				at = append(at, f.At)
+			}
+			at = append(at, d.plan.MigrateAt...)
+			for i := range want {
+				if at[i] != end+want[i] {
+					t.Errorf("seed %d: event %d at %v, want %v past set-up's end %v", seed, i, at[i], want[i], end)
+				}
+			}
+			if plan.Migrate {
+				d.startMigrator()
+			}
+			p.Sleep(1) // let anything due now fire
+			if len(d.pending) != 0 || d.midMigration() || d.res.Migrations != 0 {
+				t.Errorf("seed %d: %d crash(es) fired and migration started=%v before the first op",
+					seed, len(d.pending), d.midMigration() || d.res.Migrations != 0)
+			}
+		})
+		d.cl.RunAll()
+		d.cl.Runtime().Shutdown()
 	}
-	for i := range plan.MigrateAt {
-		plan.MigrateAt[i] += end
+	if crashes == 0 || migrations == 0 {
+		t.Fatalf("seeds 1-150 plan %d crashes and %d migrations", crashes, migrations)
 	}
-	return plan
 }
 
-// TestRecoveredAcksStayVisible runs five speculative plans with their
-// crashes and migrations shifted past set-up. In each, a migration's save
-// writes interfering RPC creates, which the policy does not make
-// durable, into the directory objects, and then the owning rank crashes
-// and recovers them. They stay visible, so the next merge's conflicts
-// with them must be the oracle's prediction.
+// TestRedeliveredCreateStaysBuried: in the strong-eventual cell a merge
+// lands a create and, later in the same batch, its unlink; a client
+// crash then recovers a Local Persist image from before the unlink, and
+// the next merge delivers the create again with its original tag. The
+// resolver keeps the entry dead, because the merged tombstone is later,
+// so the oracle must not expect it visible — but it stays in the phantom
+// bound. An MDS crash takes the resolver's summaries with it, and a
+// delivery after it lands again. A cell that does not converge makes
+// every accepted create visible.
+func TestRedeliveredCreateStaysBuried(t *testing.T) {
+	create := update{path: "/chaos/main/s000008", ino: 1<<40 + 8, name: "s000008"}
+	unlink := update{path: create.path, name: create.name, unlink: true}
+	for _, seed := range []int64{13, 4} { // strong-eventual/local, weak/local
+		d := newDriver(NewPlan(seed))
+		d.cl.Runtime().Shutdown()
+		o, converges := d.o, d.plan.Cons == policy.ConsStrongEventual
+		o.land([]update{create, unlink}, nil, true)
+		o.land([]update{create}, nil, true)
+		if _, visible := o.mdsMem[create.path]; visible == converges {
+			t.Errorf("%s: the create delivered again after its merged unlink is visible=%v", d.plan.Cell(), visible)
+		}
+		if _, ok := o.pset[create.path]; !ok {
+			t.Errorf("%s: the create delivered again left the phantom bound", d.plan.Cell())
+		}
+		o.mdsCrash(func(update) bool { return false })
+		o.land([]update{create}, nil, true)
+		if _, visible := o.mdsMem[create.path]; !visible {
+			t.Errorf("%s: the create delivered after an MDS crash is not visible", d.plan.Cell())
+		}
+	}
+}
+
+// TestRecoveredAcksStayVisible runs five speculative plans. In each, a
+// migration's save writes interfering RPC creates, which the policy does
+// not make durable, into the directory objects, and then the owning rank
+// crashes and recovers them. They stay visible, so the next merge's
+// conflicts with them must be the oracle's prediction.
 func TestRecoveredAcksStayVisible(t *testing.T) {
 	for _, seed := range []int64{669, 866, 1209, 1225, 1285} {
-		if r := newDriver(shiftedPastSetup(seed)).run(); !r.Passed() {
+		if r := Run(seed); !r.Passed() {
 			var buf bytes.Buffer
 			Report(&buf, []Result{r})
-			t.Errorf("seed %d shifted past set-up:\n%s", seed, buf.String())
+			t.Errorf("seed %d:\n%s", seed, buf.String())
 		}
 	}
 }
 
 // TestFlightDumpShowsHandoffSave: a handoff's save is in the flight dump,
 // with the directories it wrote, between the freeze and the commit.
-// Seed 669, shifted past set-up, saves /chaos/main before its torn
-// export-commit record aborts the migration.
+// Seed 669 saves /chaos/main before its torn export-commit record
+// aborts the migration.
 func TestFlightDumpShowsHandoffSave(t *testing.T) {
 	forceViolation = true
 	defer func() { forceViolation = false }()
-	dump := newDriver(shiftedPastSetup(669)).run().FlightDump
+	dump := Run(669).FlightDump
 	if !strings.Contains(dump, "export.save /chaos/main dirs=3") {
 		t.Errorf("flight dump has no export.save event:\n%s", dump)
 	}

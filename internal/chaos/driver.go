@@ -129,7 +129,7 @@ func newDriver(plan *Plan) *driver {
 		srv:     cl.MDS(),
 		c:       cl.NewClient("chaos-main"),
 		rng:     rand.New(rand.NewSource(plan.Seed ^ 0x6368616f73)), // decorrelated from plan generation
-		o:       newOracle(),
+		o:       newOracle(plan.Cons == policy.ConsStrongEventual),
 		bgSet:   make(map[string]uint64),
 		seenIno: make(map[uint64]string),
 		res: Result{
@@ -181,9 +181,6 @@ func (d *driver) violate(format string, args ...any) {
 // recovered-journal merges, namespace sweeps) must talk to. Ownership is
 // fixed at rank 0 unless the plan schedules migrations.
 func (d *driver) mds() *mds.Server {
-	if !d.plan.Migrate {
-		return d.srv
-	}
 	meta := d.cl.Metadata()
 	return meta.Rank(meta.Table().RankFor(mainPath))
 }
@@ -194,9 +191,6 @@ func (d *driver) mds() *mds.Server {
 // pruned while routing still points at it), so store-reading checks
 // defer to the next op boundary after the handoff commits or aborts.
 func (d *driver) midMigration() bool {
-	if !d.plan.Migrate {
-		return false
-	}
 	st, ok := d.cl.Monitor().Subtree(mainPath)
 	return ok && st.State != monitor.SubtreeOwned
 }
@@ -244,8 +238,9 @@ func (d *driver) main(p runtime.Task) {
 
 // setup builds the workload subtrees, makes their roots durable,
 // registers the decoupled policies, and only then arms the fault
-// injectors — so setup itself always succeeds and the calibrated
-// baseline of the protocol stack is what the faults strike.
+// injectors, moving the plan's crash and migration times on by the
+// clock — so setup itself always succeeds and the calibrated baseline of
+// the protocol stack is what the faults strike.
 func (d *driver) setup(p runtime.Task) bool {
 	if _, err := d.c.MkdirAll(p, mainPath, 0o755); err != nil {
 		d.violate("setup: mkdir %s: %v", mainPath, err)
@@ -324,6 +319,15 @@ func (d *driver) setup(p runtime.Task) bool {
 			return ok && !req.Op.Mutates()
 		}))
 	}
+	// The plan's crash and migration times count from here, so each
+	// strikes the workload rather than all of them its first op.
+	end := sim.Time(p.Now())
+	for i := range d.plan.Faults.Faults {
+		d.plan.Faults.Faults[i].At += end
+	}
+	for i := range d.plan.MigrateAt {
+		d.plan.MigrateAt[i] += end
+	}
 	d.plan.Faults.Arm(d.cl.Engine(), func(f sim.Fault) {
 		d.pending = append(d.pending, f)
 	})
@@ -385,11 +389,7 @@ func (d *driver) crashClient(p runtime.Task) {
 // (routing has not flipped yet), one after commit strikes the importer.
 func (d *driver) crashMDS(p runtime.Task) {
 	d.mdsCrashed = true
-	srv := d.mds()
-	rank := 0
-	if d.plan.Migrate {
-		rank = d.cl.Metadata().Table().RankFor(mainPath)
-	}
+	srv, rank := d.mds(), d.cl.Metadata().Table().RankFor(mainPath)
 	srv.Crash(p)
 	err := srv.Restart(p)
 	d.o.mdsCrash(func(u update) bool {

@@ -70,13 +70,23 @@ type oracle struct {
 	mdsMem     map[string]update
 	mdsTail    []update
 	mdsDurable map[string]update
+
+	// converges: merges go through the CRDT resolver (the
+	// strong-eventual cell), which keeps an entry a merged unlink removed
+	// dead against a later delivery of its create. buried is, by path,
+	// the inode each merged unlink removed since the last MDS crash, whose
+	// resolver summaries die with the rank.
+	converges bool
+	buried    map[string]uint64
 }
 
-func newOracle() *oracle {
+func newOracle(converges bool) *oracle {
 	return &oracle{
 		pset:       make(map[string]update),
 		mdsMem:     make(map[string]update),
 		mdsDurable: make(map[string]update),
+		converges:  converges,
+		buried:     make(map[string]uint64),
 	}
 }
 
@@ -111,7 +121,10 @@ func (o *oracle) ackRPC(u update, journaled bool) {
 // change nothing visible; with scrub set (a client merge, not a
 // re-merged image) they also leave the phantom bound — their paths must
 // never appear in the namespace, unless an interfering twin with a
-// different inode owns the path.
+// different inode owns the path. Where merges converge, a create
+// delivered again after a merged unlink removed its inode (a recovered
+// Local Persist image from before the unlink) stays dead: its tag is
+// older than the tombstone. It stays in the phantom bound.
 func (o *oracle) land(batch []update, rejected []int, scrub bool) {
 	for i, u := range batch {
 		switch {
@@ -120,10 +133,15 @@ func (o *oracle) land(batch []update, rejected []int, scrub bool) {
 				delete(o.pset, u.path)
 			}
 		case u.unlink:
+			if cur, ok := o.mdsMem[u.path]; ok && o.converges {
+				o.buried[u.path] = cur.ino
+			}
 			delete(o.mdsMem, u.path)
 		default:
 			o.pset[u.path] = u
-			o.mdsMem[u.path] = u
+			if ino, ok := o.buried[u.path]; !ok || ino != u.ino {
+				o.mdsMem[u.path] = u
+			}
 		}
 	}
 }
@@ -209,6 +227,7 @@ func (o *oracle) mdsCrash(recovered func(u update) bool) {
 		o.mdsMem[p] = u
 	}
 	o.mdsTail = nil
+	clear(o.buried)
 }
 
 // sortedKeys returns m's keys sorted, so violation output is

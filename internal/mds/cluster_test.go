@@ -57,7 +57,7 @@ func TestClusterRoutesByTable(t *testing.T) {
 		{&probeMsg{to: "/"}, 0},
 		{&probeMsg{}, 0},
 		{&Request{Op: OpGetAttr, Client: "c0", Ino: namespace.RootIno}, 0},
-		{&RecoupleMsg{Path: "/a/b/c"}, 2},
+		{&AttachMsg{Path: "/a/b/c"}, 2},
 		{stranger{}, 0},
 		{&probeMsg{to: "/gone/x"}, 0},
 	}

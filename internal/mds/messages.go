@@ -154,19 +154,3 @@ type MergeAbortMsg struct {
 func (m *MergeAbortMsg) label() string                       { return "merge.abort" }
 func (m *MergeAbortMsg) route() string                       { return m.Route }
 func (m *MergeAbortMsg) serve(s *Server, p runtime.Task) any { return s.merge.abort(p, m.ID) }
-
-// RecoupleMsg clears a subtree's policy and owner registration.
-type RecoupleMsg struct {
-	Path string
-}
-
-func (m *RecoupleMsg) label() string { return "recouple" }
-func (m *RecoupleMsg) route() string { return m.Path }
-func (m *RecoupleMsg) serve(s *Server, p runtime.Task) any {
-	return &RecoupleReply{Err: s.recouple(p, m.Path)}
-}
-
-// RecoupleReply answers a RecoupleMsg.
-type RecoupleReply struct {
-	Err error
-}

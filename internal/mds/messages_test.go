@@ -32,7 +32,6 @@ func TestMessageTable(t *testing.T) {
 		"MergeChunkMsg":   {&MergeChunkMsg{}, "merge.chunk"},
 		"MergeWaitMsg":    {&MergeWaitMsg{}, "merge.wait"},
 		"MergeAbortMsg":   {&MergeAbortMsg{}, "merge.abort"},
-		"RecoupleMsg":     {&RecoupleMsg{}, "recouple"},
 		"ExportFreezeMsg": {&ExportFreezeMsg{}, "export.freeze"},
 		"ExportSaveMsg":   {&ExportSaveMsg{}, "export.save"},
 		"ExportReadMsg":   {&ExportReadMsg{}, "export.read"},

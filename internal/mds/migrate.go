@@ -49,10 +49,11 @@ type ExportManifest struct {
 	Path string
 	Root namespace.Ino
 	Dirs int // directory objects to stream
-	// Registered is every registered root among the subtree's own
-	// directories, the subtree root included, in walk order: the importer
-	// adopts each one, so a registration nested under the subtree moves
-	// with it.
+	// Registered is every registered root among the directories the
+	// session streams, the ancestor chain and the subtree root included,
+	// in walk order: the importer adopts each one, so a registration
+	// nested under the subtree moves with it, and one above it governs
+	// the subtree on the importer as it did on the source.
 	Registered []Registration
 	// Unsaved says whether the source's journal holds events that no
 	// SaveStore has written since (streamState.unsaved). The journal
@@ -196,8 +197,9 @@ func (m *ImportAbortMsg) serve(s *Server, p runtime.Task) any { return s.imports
 // monitor stamped with its owner and the exact inode grant it issued —
 // both when the monitor registers the subtree and when it re-attaches it
 // after a rank restart, where the client keeps the grant it already
-// holds. A rank never picks a grant itself. It is a control message: it
-// bypasses the freeze/ownership bounce.
+// holds. A nil Policy clears the registration (recouple). A rank never
+// picks a grant itself. It is a control message: it bypasses the
+// freeze/ownership bounce.
 type AttachMsg struct {
 	Path   string
 	Policy *policy.Policy
@@ -292,7 +294,9 @@ func (s *Server) exportBusy(path string) error {
 // never yields. The session streams the ancestor chain ahead of the
 // subtree's own directories (Subtree); ancestors are not part of the
 // export itself — they stay owned by this rank and are outside cap
-// revocation, the manifest's registrations and the prune.
+// revocation and the prune. The manifest lists the registration of every
+// directory streamed, ancestors included: a registered ancestor governs
+// the subtree on the importer too.
 func (s *Server) exportWalk(path string) (*exportState, error) {
 	root, err := s.store.Resolve(path)
 	if err != nil {
@@ -306,7 +310,7 @@ func (s *Server) exportWalk(path string) (*exportState, error) {
 		return nil, err
 	}
 	var reg []Registration
-	for _, d := range dirs[slices.Index(dirs, root.Ino):] {
+	for _, d := range dirs {
 		if in, err := s.store.Get(d); err == nil && in.Policy != nil {
 			reg = append(reg, Registration{d, in.Policy})
 		}

@@ -600,19 +600,14 @@ func (s *Server) onSubtree(p runtime.Task, path string, fn func(root namespace.I
 // (attach) or the rank imports it (importCommit): the registration in
 // the root's large inode — the policy, and the owner the interfere check
 // reads — and the client's inode grant, which the monitor issued,
-// reserved in the allocator.
+// reserved in the allocator. A nil registration recouples the subtree:
+// the root keeps no policy, and the grant stays reserved, since the
+// client may still hold inodes drawn from it.
 func (s *Server) adopt(root namespace.Ino, pol *policy.Policy) error {
-	if err := s.store.SetPolicy(root, pol); err != nil || pol.GrantN == 0 {
+	if err := s.store.SetPolicy(root, pol); err != nil || pol == nil || pol.GrantN == 0 {
 		return err
 	}
 	return s.store.ReserveRange(namespace.Ino(pol.GrantLo), pol.GrantN)
-}
-
-// recouple is the RecoupleMsg handler body.
-func (s *Server) recouple(p runtime.Task, path string) error {
-	return s.onSubtree(p, path, func(root namespace.Ino) error {
-		return s.store.SetPolicy(root, nil)
-	})
 }
 
 // Owner returns the client that decoupled the subtree rooted at ino.

@@ -744,8 +744,8 @@ func TestDecoupleAndInterfereBlock(t *testing.T) {
 		if r.Err != nil {
 			t.Errorf("owner create err = %v", r.Err)
 		}
-		// Recouple clears the block.
-		if err := s.Post(p, &RecoupleMsg{Path: "/mine"}).(*RecoupleReply).Err; err != nil {
+		// Recouple (an attach of no registration) clears the block.
+		if err := s.Post(p, &AttachMsg{Path: "/mine"}).(*AttachReply).Err; err != nil {
 			t.Errorf("recouple: %v", err)
 		}
 		r = s.Submit(p, &Request{Op: OpCreate, Client: "intruder", Parent: d.Ino, Name: "x"})
@@ -787,7 +787,7 @@ func TestDecoupleErrors(t *testing.T) {
 		if _, _, err := decouple(p, s, "/missing", pol, "c"); !errors.Is(err, namespace.ErrNotExist) {
 			t.Errorf("decouple missing path err = %v", err)
 		}
-		if err := s.Post(p, &RecoupleMsg{Path: "/missing"}).(*RecoupleReply).Err; !errors.Is(err, namespace.ErrNotExist) {
+		if err := s.Post(p, &AttachMsg{Path: "/missing"}).(*AttachReply).Err; !errors.Is(err, namespace.ErrNotExist) {
 			t.Errorf("recouple missing path err = %v", err)
 		}
 	})

@@ -12,7 +12,8 @@ import (
 )
 
 // TestHandoffDurabilityMatrix runs every way a subtree changes hands —
-// Migrate, Place, an mds_rank registration — over eight ways rank 0 may
+// Migrate, Place, and Place followed by a registration there, which is
+// how a registered subtree is put on a rank — over eight ways rank 0 may
 // or may not journal or save the ten flushed creates made in /a/job
 // before the move, and two crashes after the flip: of the destination,
 // and of the source followed by the destination, so that only the object
@@ -93,7 +94,9 @@ func TestHandoffDurabilityMatrix(t *testing.T) {
 							if su.moved == "/a/job" {
 								reg = cmp.Or(su.rereg, su.reg)
 							}
-							err = register(p, m, su.moved, reg+"mds_rank: 1\n")
+							if err = m.Place(p, su.moved, 1); err == nil {
+								err = register(p, m, su.moved, reg)
+							}
 						}
 						if err != nil || cl.Table().RankFor(su.moved) != 1 {
 							t.Fatalf("%s %s onto rank 1: %v", move, su.moved, err)

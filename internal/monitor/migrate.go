@@ -10,8 +10,8 @@ import (
 )
 
 // A subtree changes hands one way: the handoff below, which an online
-// migration (Migrate), a placement onto another rank (Place) and a
-// registration's mds_rank move (RegisterPolicy) all run. The protocol
+// migration (Migrate) and a placement onto another rank (Place) both
+// run; a registration never moves its subtree. The protocol
 // (mds/migrate.go holds the rank side):
 //
 //	freeze (src)  → save (src, durable)  → open (dst, admission)
@@ -181,8 +181,8 @@ func (m *Monitor) handoff(p runtime.Task, path string, srcRank, dst int, durable
 }
 
 // Reattach re-installs a subtree's registration — its policy, owner and
-// exact inode grant — on its current owning rank: the recovery path
-// after that rank restarted and lost its volatile registrations. The
+// exact inode grant — on every rank that holds its root: the recovery
+// path after a rank restarted and lost its volatile registrations. The
 // grant the client already holds stays valid.
 func (m *Monitor) Reattach(p runtime.Task, path string) error {
 	m.dom.Enter(p)
@@ -191,5 +191,5 @@ func (m *Monitor) Reattach(p runtime.Task, path string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSubtree, path)
 	}
-	return m.cl.Post(p, &mds.AttachMsg{Path: path, Policy: st.Policy}).(*mds.AttachReply).Err
+	return m.deliver(p, path, st.Policy)
 }

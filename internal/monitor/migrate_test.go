@@ -241,6 +241,9 @@ func TestMigratePreservesRegistration(t *testing.T) {
 	if in.Policy == nil {
 		t.Errorf("dst lost the policy")
 	}
+	if owner, ok := cl.Rank(0).Owner(in.Ino); ok {
+		t.Errorf("src still names %q the owner of the bound it keeps", owner)
+	}
 	if got, _ := m.Lookup("/a/dec"); got != e || cl.Table().RankFor("/a/dec") != 1 || got.Policy.GrantLo != e.Policy.GrantLo {
 		t.Errorf("record = %+v at rank %d, want the registered record at rank 1 with grant %d",
 			got, cl.Table().RankFor("/a/dec"), e.Policy.GrantLo)
@@ -316,7 +319,10 @@ func TestGrantsNeverRepeat(t *testing.T) {
 			}
 		}
 		register(p, "register /a after the round trip", "/a", weak)
-		register(p, "register /b on rank 1", "/b", weak+"mds_rank: 1\n")
+		if err := m.Place(p, "/b", 1); err != nil {
+			t.Fatalf("place /b on rank 1: %v", err)
+		}
+		register(p, "register /b on rank 1", "/b", weak)
 	})
 	if got, want := grants[0].lo, namespace.Ino(1<<40); got != want {
 		t.Errorf("first grant on rank 0 = %d, want %d", got, want)
@@ -348,9 +354,9 @@ func TestGrantsNeverRepeat(t *testing.T) {
 			t.Errorf("refused attach spent slots %d-%d", slot, m.nextSlot[0]-1)
 		}
 		left := bandSlots - m.nextSlot[1]
-		register(p, "fill rank 1", "/b", fmt.Sprintf("%smds_rank: 1\nallocated_inodes: %d\n", weak, left<<24))
+		register(p, "fill rank 1", "/b", fmt.Sprintf("%sallocated_inodes: %d\n", weak, left<<24))
 		epoch := m.Epoch()
-		if _, err := m.RegisterPolicy(p, "/b", parse(t, weak+"mds_rank: 1\n"), "c0"); !errors.Is(err, namespace.ErrNoSpace) {
+		if _, err := m.RegisterPolicy(p, "/b", parse(t, weak), "c0"); !errors.Is(err, namespace.ErrNoSpace) {
 			t.Errorf("register on a full band: err = %v, want ErrNoSpace", err)
 		}
 		if m.nextSlot[1] != bandSlots || m.Epoch() != epoch {

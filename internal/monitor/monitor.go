@@ -2,9 +2,9 @@
 // users present a directory path and a policies configuration; the monitor
 // versions it, distributes it to the metadata servers, and issues the
 // subtree's inode grant. In a multi-rank cluster the monitor
-// also owns subtree placement: a policy's mds_rank pins the subtree to a
-// metadata rank in the cluster's routing table, the one table the ranks
-// check and every client routes by.
+// also owns subtree placement, apart from any policy: Place and Migrate
+// move a subtree to a metadata rank in the cluster's routing table, the
+// one table the ranks check and every client routes by.
 package monitor
 
 import (
@@ -118,13 +118,13 @@ func (m *Monitor) Epoch() uint64 { return m.epoch }
 
 // RegisterPolicy registers pol (a parsed policies.yml, §III-C) for path
 // on behalf of owner: it issues the subtree's inode grant — the policy's
-// allocated_inodes, or the cluster default, from the next slots of that
-// rank's band — stamps a copy of pol with the new epoch, the owner and
-// the grant, and installs that copy on the rank that serves path. pol
-// itself is never written. Registering the same path again replaces its
-// registration and issues a fresh grant. One registration is one
-// cluster-map change: the epoch is bumped exactly once, covering the
-// policy distribution and any subtree placement it implies.
+// allocated_inodes, or the cluster default, from the next slots of the
+// band of the rank that serves path — stamps a copy of pol with the new
+// epoch, the owner and the grant, and installs that copy on every rank
+// that holds path's root. pol itself is never written. Registering the
+// same path again replaces its registration and issues a fresh grant. A
+// registration never moves its subtree (Place does that): it is one
+// commit latency and one cluster-map epoch.
 func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy, owner string) (_ *Subtree, err error) {
 	m.dom.Enter(p)
 	defer m.dom.Leave(p)
@@ -132,13 +132,6 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 		return nil, err
 	}
 	target := m.cl.Table().RankFor(path)
-	if pol.Rank != 0 {
-		if pol.Rank >= m.cl.Ranks() {
-			return nil, fmt.Errorf("monitor: mds_rank %d out of range: cluster has %d rank(s)",
-				pol.Rank, m.cl.Ranks())
-		}
-		target = pol.Rank
-	}
 	n := uint64(m.cl.Config().AllocatedInodesDefault)
 	if pol.AllocatedInodes > 0 {
 		n = uint64(pol.AllocatedInodes)
@@ -157,26 +150,11 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 			m.nextSlot[target] = slot
 		}
 	}()
-	if oldRank := m.cl.Table().RankFor(path); target != oldRank {
-		// The subtree moves. Clear its registration on the old owner
-		// first, so the handoff carries no registration the new one
-		// replaces and the new owner reserves only the new grant; the
-		// handoff's flip is the registration's one epoch.
-		if _, had := m.Lookup(path); had {
-			if err := m.cl.Rank(oldRank).Post(p, &mds.RecoupleMsg{Path: path}).(*mds.RecoupleReply).Err; err != nil {
-				return nil, err
-			}
-		}
-		if err := m.handoff(p, path, oldRank, target, false); err != nil {
-			return nil, err
-		}
-	} else {
-		p.Sleep(commitLatency)
-		m.epoch++
-	}
+	p.Sleep(commitLatency)
+	m.epoch++
 	reg := *pol
 	reg.Version, reg.Owner, reg.GrantLo, reg.GrantN = m.epoch, owner, uint64(grantAt(target, slot)), n
-	if err := m.cl.Post(p, &mds.AttachMsg{Path: path, Policy: &reg}).(*mds.AttachReply).Err; err != nil {
+	if err := m.deliver(p, path, &reg); err != nil {
 		return nil, err
 	}
 	st := m.record(path)
@@ -197,10 +175,31 @@ func (m *Monitor) Unregister(p runtime.Task, path string) error {
 	}
 	p.Sleep(commitLatency)
 	m.epoch++
-	if err := m.cl.Post(p, &mds.RecoupleMsg{Path: path}).(*mds.RecoupleReply).Err; err != nil {
+	if err := m.deliver(p, path, nil); err != nil {
 		return err
 	}
 	st.Policy, st.Epoch = nil, m.epoch
+	return nil
+}
+
+// deliver installs the registration reg of the subtree at path, or
+// clears it when reg is nil, on every rank that holds the subtree's root:
+// the owner first, then each rank that owns a placement under path, since
+// the ancestor chain that rank imported holds the root, and its interfere
+// check and Stream decision read the registration there.
+func (m *Monitor) deliver(p runtime.Task, path string, reg *policy.Policy) error {
+	t, path := m.cl.Table(), transport.Clean(path)
+	holders := []int{t.RankFor(path)}
+	for _, placed := range t.Paths() {
+		if r := t.RankFor(placed); transport.HasPathPrefix(placed, path) && !slices.Contains(holders, r) {
+			holders = append(holders, r)
+		}
+	}
+	for _, r := range holders {
+		if err := m.cl.Rank(r).Post(p, &mds.AttachMsg{Path: path, Policy: reg}).(*mds.AttachReply).Err; err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -218,56 +218,13 @@ func TestLookup(t *testing.T) {
 	}
 }
 
-func TestReRegisterMovesRankAndPropagates(t *testing.T) {
-	// Satellite of the multi-rank refactor: re-registering the same path
-	// with a new mds_rank is ONE cluster-map change — the epoch bumps
-	// exactly once, and the new placement reaches the routing table and
-	// the metadata ranks.
-	eng, cl, m := newTestCluster(2)
-	mkdirs(t, eng, cl.Rank(0), "/d")
-	run(t, eng, func(p runtime.Task) {
-		if _, err := m.RegisterPolicy(p, "/d", parse(t, "consistency: weak\ndurability: none"), "c0"); err != nil {
-			t.Fatalf("register: %v", err)
-		}
-		if m.Epoch() != 1 {
-			t.Fatalf("epoch after first register = %d", m.Epoch())
-		}
-		e, err := m.RegisterPolicy(p, "/d", parse(t, "consistency: weak\ndurability: none\nmds_rank: 1"), "c0")
-		if err != nil {
-			t.Fatalf("re-register: %v", err)
-		}
-		if m.Epoch() != 2 || e.Epoch != 2 {
-			t.Errorf("epoch after re-register = %d (entry %d), want exactly 2", m.Epoch(), e.Epoch)
-		}
-		if got := cl.Table().RankFor("/d"); got != 1 {
-			t.Errorf("cluster table routes /d to rank %d", got)
-		}
-		// The MDS ranks see the handoff: rank 1 owns the subtree and its
-		// policy, and rank 0 has pruned both,
-		// keeping only the bound its root lists.
-		in1, err := cl.Rank(1).Store().Resolve("/d")
-		if err != nil {
-			t.Fatalf("subtree not exported to rank 1: %v", err)
-		}
-		if owner, ok := cl.Rank(1).Owner(in1.Ino); !ok || owner != "c0" {
-			t.Errorf("rank 1 owner = %q, %v", owner, ok)
-		}
-		if !heldAsBound(cl.Rank(0).Store(), "/d") {
-			t.Error("rank 0 holds more of /d than the bound / lists after the handoff")
-		}
-		if _, ok := cl.Rank(0).Owner(in1.Ino); ok {
-			t.Error("rank 0 still registered as the subtree's policy owner")
-		}
-	})
-}
-
-// TestRegistrationWindowRoutesToOwner: a create routed as soon as a
-// registration's mds_rank move shows in the cluster's table — after the
-// placement, before the registration has returned — lands on the new
-// owner. It fails if a client routes by anything that lags the cluster's
-// table, such as a copy refreshed only when the registration ends: rank 0
-// then serves and acknowledges the create from its stale copy of /d.
-func TestRegistrationWindowRoutesToOwner(t *testing.T) {
+// TestPlaceWindowRoutesToOwner: a create routed as soon as a placement
+// shows in the cluster's table — after the flip, before Place has
+// returned — lands on the new owner. It fails if a client routes by
+// anything that lags the cluster's table, such as a copy refreshed only
+// when the placement ends: rank 0 then serves and acknowledges the
+// create from its stale copy of /d.
+func TestPlaceWindowRoutesToOwner(t *testing.T) {
 	eng, cl, m := newTestCluster(2)
 	mkdirs(t, eng, cl.Rank(0), "/d")
 	in, err := cl.Rank(0).Store().Resolve("/d")
@@ -278,9 +235,9 @@ func TestRegistrationWindowRoutesToOwner(t *testing.T) {
 		cl.Rank(r).OpenSession("c0")
 	}
 	var reply *mds.Reply
-	eng.Spawn("register", func(p runtime.Task) {
-		if _, err := m.RegisterPolicy(p, "/d", parse(t, "mds_rank: 1"), "c0"); err != nil {
-			t.Errorf("register: %v", err)
+	eng.Spawn("place", func(p runtime.Task) {
+		if err := m.Place(p, "/d", 1); err != nil {
+			t.Errorf("place: %v", err)
 		}
 	})
 	eng.Spawn("create", func(p runtime.Task) {
@@ -296,7 +253,7 @@ func TestRegistrationWindowRoutesToOwner(t *testing.T) {
 	})
 	eng.RunAll()
 	if reply == nil || reply.Err != nil {
-		t.Fatalf("create in the registration window: %+v", reply)
+		t.Fatalf("create in the placement window: %+v", reply)
 	}
 	if _, err := cl.Rank(1).Store().Lookup(in.Ino, "f"); err != nil {
 		t.Errorf("acknowledged create is missing from the owner, rank 1: %v", err)
@@ -304,19 +261,6 @@ func TestRegistrationWindowRoutesToOwner(t *testing.T) {
 	if _, err := cl.Rank(0).Store().Lookup(in.Ino, "f"); err == nil {
 		t.Error("acknowledged create landed in rank 0's stale copy of /d")
 	}
-}
-
-func TestRegisterRankOutOfRange(t *testing.T) {
-	eng, cl, m := newTestCluster(1)
-	mkdirs(t, eng, cl.Rank(0), "/d")
-	run(t, eng, func(p runtime.Task) {
-		if _, err := m.RegisterPolicy(p, "/d", parse(t, "mds_rank: 3"), "c0"); err == nil {
-			t.Error("mds_rank 3 accepted by a 1-rank cluster")
-		}
-		if m.Epoch() != 0 {
-			t.Errorf("failed register bumped epoch to %d", m.Epoch())
-		}
-	})
 }
 
 func TestReRegisterReplacesPolicy(t *testing.T) {

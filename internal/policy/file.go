@@ -57,11 +57,6 @@ type Policy struct {
 	// Interfere is the subtree's interference policy.
 	Interfere Interfere
 
-	// Rank pins the subtree to a metadata rank (multi-MDS clusters).
-	// Zero keeps the subtree wherever it already lives, which for a
-	// fresh cluster is rank 0 — the single-MDS behavior.
-	Rank int
-
 	// Version, Owner, GrantLo and GrantN are stamped by the monitor on
 	// its own copy of the policy when it registers a subtree: the
 	// registration's epoch, the client that decoupled the subtree, and
@@ -114,14 +109,9 @@ func (p *Policy) Streams() bool {
 // Validate checks the policy for consistency. A zero inode grant is
 // allowed and means the cluster's default grant (AllocatedInodesDefault);
 // a nested subtree never takes its parent's.
-// The rank's upper bound depends on the cluster size, so the monitor
-// checks it at registration time.
 func (p *Policy) Validate() error {
 	if p.AllocatedInodes < 0 {
 		return fmt.Errorf("%w: allocated_inodes %d", ErrParse, p.AllocatedInodes)
-	}
-	if p.Rank < 0 {
-		return fmt.Errorf("%w: mds_rank %d", ErrParse, p.Rank)
 	}
 	_, err := p.Composition()
 	return err
@@ -142,9 +132,6 @@ func (p *Policy) String() string {
 	}
 	fmt.Fprintf(&b, "allocated_inodes: %d\n", p.AllocatedInodes)
 	fmt.Fprintf(&b, "interfere: %s\n", p.Interfere)
-	if p.Rank != 0 {
-		fmt.Fprintf(&b, "mds_rank: %d\n", p.Rank)
-	}
 	return b.String()
 }
 
@@ -155,7 +142,6 @@ func (p *Policy) String() string {
 //	durability:       none | local | global | <mechanism DSL>
 //	allocated_inodes: positive integer
 //	interfere:        allow | block
-//	mds_rank:         non-negative integer (subtree placement)
 //
 // Missing keys take the paper's defaults, so an empty file yields a
 // subtree that behaves like the existing CephFS implementation.
@@ -195,12 +181,6 @@ func ParseFile(text string) (*Policy, error) {
 				return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
 			}
 			p.Interfere = i
-		case "mds_rank":
-			n, err := strconv.Atoi(value)
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("%w: line %d: mds_rank %q", ErrParse, lineNo+1, value)
-			}
-			p.Rank = n
 		default:
 			return nil, fmt.Errorf("%w: line %d: unknown key %q", ErrParse, lineNo+1, key)
 		}

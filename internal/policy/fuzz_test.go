@@ -26,7 +26,7 @@ func FuzzParseFile(f *testing.F) {
 		"\nconsistency: invisible\ndurability: local\nallocated_inodes: 10\n",
 		"\n# BatchFS-style subtree\nconsistency: weak\ndurability: local\nallocated_inodes: 200000\ninterfere: block\n",
 		"consistency: append_client_journal\ndurability: global_persist||local_persist\n",
-		"consistency: weak\ndurability: global\nallocated_inodes: 100\nmds_rank: 3\n",
+		"consistency: weak\ndurability: global\nallocated_inodes: 100\n",
 		"interfere: block\n",
 		"consistency weak",
 		"consistency: sorta",
@@ -93,8 +93,6 @@ func writtenReaches(text string, p *Policy) error {
 			reached = reaches(value, ParseDurability, p.Durability, p.DurabilityComp)
 		case "allocated_inodes":
 			reached = err == nil && n == p.AllocatedInodes
-		case "mds_rank":
-			reached = err == nil && n == p.Rank
 		case "interfere":
 			i, err := ParseInterfere(value)
 			reached = err == nil && i == p.Interfere

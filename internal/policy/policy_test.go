@@ -256,6 +256,11 @@ func TestParseFileErrors(t *testing.T) {
 			t.Errorf("ParseFile(%q) accepted", text)
 		}
 	}
+	// Placement is not a policy: a subtree moves by Monitor.Place or
+	// Migrate, so the file has no rank key.
+	if _, err := ParseFile("mds_rank: 1\n"); err == nil || !strings.Contains(err.Error(), `unknown key "mds_rank"`) {
+		t.Errorf(`ParseFile("mds_rank: 1") = %v, want an unknown-key error`, err)
+	}
 }
 
 func TestPolicyStringRoundTrip(t *testing.T) {

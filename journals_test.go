@@ -31,14 +31,14 @@ func streamingJob(t *testing.T, p Proc, cl *Cluster, c *Client, n int) {
 	}
 }
 
-// TestMovedStreamingSubtreeKeepsFlushedCreates: a placement and an
-// mds_rank re-registration move a registered rpcs + stream subtree to
-// rank 1 after ten flushed, journaled creates. Its journal stays on rank
-// 0, so the handoff must save the subtree: all ten files survive the new
-// owner's crash, as they do after a Migrate.
+// TestMovedStreamingSubtreeKeepsFlushedCreates: a placement and a
+// migration move a registered rpcs + stream subtree to rank 1 after ten
+// flushed, journaled creates. Its journal stays on rank 0, so the
+// handoff must save the subtree: all ten files survive the new owner's
+// crash.
 func TestMovedStreamingSubtreeKeepsFlushedCreates(t *testing.T) {
 	const n = 10
-	for _, move := range []string{"place", "mds_rank"} {
+	for _, move := range []string{"place", "migrate"} {
 		t.Run(move, func(t *testing.T) {
 			cl := NewCluster(WithSeed(1), WithMDSRanks(2))
 			c := cl.NewClient("c0")
@@ -48,7 +48,7 @@ func TestMovedStreamingSubtreeKeepsFlushedCreates(t *testing.T) {
 				if move == "place" {
 					err = cl.Monitor().Place(p, "/job", 1)
 				} else {
-					_, err = cl.Decouple(p, c, "/job", "consistency: rpcs\ndurability: stream\nmds_rank: 1\n")
+					err = cl.Migrate(p, "/job", 1)
 				}
 				if err != nil || cl.Metadata().Table().RankFor("/job") != 1 {
 					t.Fatalf("%s onto rank 1: %v", move, err)

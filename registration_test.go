@@ -13,27 +13,17 @@ import (
 
 // TestNestedRegistrationMovesWithAncestor: /a/job is registered
 // strong/global (rpcs+stream) with interfere: block for c0, and then its
-// ancestor /a moves to rank 1 — by Place, by Migrate, and by a
-// registration of /a with mds_rank: 1. The registration of /a/job must
-// move with /a: rank 1 names c0 as its owner, reserves its grant, refuses
-// c1's create in /a/job with EBUSY and journals c0's. On both backends.
+// ancestor /a moves to rank 1 — by Place and by Migrate. The registration
+// of /a/job must move with /a: rank 1 names c0 as its owner, reserves its
+// grant, refuses c1's create in /a/job with EBUSY and journals c0's. On
+// both backends.
 func TestNestedRegistrationMovesWithAncestor(t *testing.T) {
 	moves := []struct {
 		name string
 		move func(p Proc, cl *Cluster) error
-		// ranges is the grants rank 1 reserves: /a/job's, and /a's own
-		// when /a is registered.
-		ranges int
 	}{
-		{"place", func(p Proc, cl *Cluster) error { return cl.Monitor().Place(p, "/a", 1) }, 1},
-		{"migrate", func(p Proc, cl *Cluster) error { return cl.Migrate(p, "/a", 1) }, 1},
-		{"mds_rank", func(p Proc, cl *Cluster) error {
-			pol, err := policy.ParseFile("mds_rank: 1\n")
-			if err == nil {
-				_, err = cl.Monitor().RegisterPolicy(p, "/a", pol, "c2")
-			}
-			return err
-		}, 2},
+		{"place", func(p Proc, cl *Cluster) error { return cl.Monitor().Place(p, "/a", 1) }},
+		{"migrate", func(p Proc, cl *Cluster) error { return cl.Migrate(p, "/a", 1) }},
 	}
 	for _, backend := range []Backend{BackendSim, BackendReal} {
 		for _, mv := range moves {
@@ -68,8 +58,8 @@ func TestNestedRegistrationMovesWithAncestor(t *testing.T) {
 				if owner, ok := r1.Owner(in.Ino); !ok || owner != c0.Name() {
 					t.Errorf("rank 1 owner of /a/job = %q, %v; want %s", owner, ok, c0.Name())
 				}
-				if got := r1.Store().ReservedRanges(); got != mv.ranges {
-					t.Errorf("rank 1 reserves %d grants, want %d", got, mv.ranges)
+				if got := r1.Store().ReservedRanges(); got != 1 {
+					t.Errorf("rank 1 reserves %d grants, want /a/job's", got)
 				}
 				journaled := r1.Metrics().Journaled
 				cl.Run(func(p Proc) {
@@ -90,6 +80,74 @@ func TestNestedRegistrationMovesWithAncestor(t *testing.T) {
 				if got := r1.Metrics().Journaled - journaled; got != 1 {
 					t.Errorf("rank 1 journaled %d events for the owner's create, want 1", got)
 				}
+			})
+		}
+	}
+}
+
+// TestAncestorRegistrationGovernsMovedChild: /a is registered
+// strong/global (rpcs+stream) with interfere: block for c0, and its child
+// /a/job goes to rank 1 — registered then placed, registered then
+// migrated, or placed then registered. Rank 1 holds /a only in the
+// ancestor chain of its import, and that copy must carry /a's
+// registration: rank 1 refuses c1's create in /a/job with EBUSY and
+// journals c0's. Once /a is unregistered, c1's create goes through. On
+// both backends.
+func TestAncestorRegistrationGovernsMovedChild(t *testing.T) {
+	pol, err := policy.ParseFile("consistency: strong\ndurability: global\ninterfere: block\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []Backend{BackendSim, BackendReal} {
+		for _, order := range [][2]string{{"register", "place"}, {"register", "migrate"}, {"place", "register"}} {
+			t.Run(fmt.Sprintf("%v/%s-%s", backend, order[0], order[1]), func(t *testing.T) {
+				cl := NewCluster(WithSeed(3), WithMDSRanks(2), WithBackend(backend))
+				defer cl.Close()
+				c0, c1 := cl.NewClient("c0"), cl.NewClient("c1")
+				var job Ino
+				cl.Run(func(p Proc) {
+					var err error
+					if job, err = c0.MkdirAll(p, "/a/job", 0755); err != nil {
+						t.Fatalf("mkdir: %v", err)
+					}
+					for _, step := range order {
+						switch step {
+						case "register":
+							_, err = cl.Monitor().RegisterPolicy(p, "/a", pol, c0.Name())
+						case "place":
+							err = cl.Monitor().Place(p, "/a/job", 1)
+						case "migrate":
+							err = cl.Migrate(p, "/a/job", 1)
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", step, err)
+						}
+					}
+				})
+				if rank := cl.Metadata().Table().RankFor("/a/job"); rank != 1 {
+					t.Fatalf("/a/job is on rank %d, want 1", rank)
+				}
+				r1 := cl.Metadata().Rank(1)
+				journaled := r1.Metrics().Journaled
+				cl.Run(func(p Proc) {
+					if _, err := c1.Create(p, job, "intruder", 0644); !errors.Is(err, namespace.ErrBusy) {
+						t.Errorf("interferer's create = %v, want EBUSY", err)
+					}
+					if _, err := c0.Create(p, job, "f", 0644); err != nil {
+						t.Errorf("owner's create: %v", err)
+					}
+				})
+				if got := r1.Metrics().Journaled - journaled; got != 1 {
+					t.Errorf("rank 1 journaled %d events for the owner's create, want 1", got)
+				}
+				cl.Run(func(p Proc) {
+					if err := cl.Monitor().Unregister(p, "/a"); err != nil {
+						t.Fatalf("unregister /a: %v", err)
+					}
+					if _, err := c1.Create(p, job, "after", 0644); err != nil {
+						t.Errorf("interferer's create after /a is unregistered: %v", err)
+					}
+				})
 			})
 		}
 	}
