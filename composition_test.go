@@ -57,7 +57,7 @@ func TestRegisteredStreamJournalsFromTheFirstRPC(t *testing.T) {
 			t.Errorf("journaled %d events, want %d", got, n)
 		}
 		cl.MDS().Crash(p)
-		if err := cl.MDS().Restart(p); err != nil {
+		if err := cl.Monitor().Restart(p, 0); err != nil {
 			t.Fatalf("restart: %v", err)
 		}
 		if got := countVisible(cl, n); got != n {
@@ -249,7 +249,7 @@ func TestEveryAcceptedMechanismSetRuns(t *testing.T) {
 					t.Errorf("%v durability: %d of %d updates survive a client crash", dur, got, n)
 				}
 				cl.MDS().Crash(p)
-				if err := cl.MDS().Restart(p); err != nil {
+				if err := cl.Monitor().Restart(p, 0); err != nil {
 					t.Fatalf("rank restart: %v", err)
 				}
 				got := survivors()

@@ -388,13 +388,6 @@ func (cl *Cluster) Migrate(p Proc, path string, dst int) error {
 	return cl.mon.Migrate(p, path, dst)
 }
 
-// Reattach re-installs a registered subtree's policy, owner, and exact
-// inode grant on its current owning rank — the recovery step after that
-// rank restarted.
-func (cl *Cluster) Reattach(p Proc, path string) error {
-	return cl.mon.Reattach(p, path)
-}
-
 // StartBalancer spawns the monitor's heat-driven balancer, which
 // periodically samples the heat map and exports subtrees off overloaded
 // ranks. EnableHeat must have been called first. The balancer runs

@@ -193,7 +193,7 @@ func matrixMDSCrash(t *testing.T, cons policy.Consistency, dur policy.Durability
 				cl.MDS().FlushJournal(p)
 			}
 			cl.MDS().Crash(p)
-			if err := cl.MDS().Restart(p); err != nil {
+			if err := cl.Monitor().Restart(p, 0); err != nil {
 				t.Fatalf("mds restart: %v", err)
 			}
 			c.Unmount(p)
@@ -216,17 +216,13 @@ func matrixMDSCrash(t *testing.T, cons policy.Consistency, dur policy.Durability
 	cl.Run(func(p cudele.Proc) {
 		setupDecoupled(t, p, cl, c, cons, dur)
 		// The unmerged journal lives on the client, so an MDS crash
-		// cannot touch it — at any durability level. After the MDS
-		// recovers and the monitor re-attaches the registration with the
-		// grant the client holds, the merge lands. (A fresh Decouple
-		// would be handed a range never issued before: see
-		// TestGrantNeverReissued.)
+		// cannot touch it — at any durability level. The monitor hands
+		// the restarting MDS the registration with the grant the client
+		// holds, so the merge lands. (A fresh Decouple would be handed a
+		// range never issued before: see TestGrantNeverReissued.)
 		cl.MDS().Crash(p)
-		if err := cl.MDS().Restart(p); err != nil {
+		if err := cl.Monitor().Restart(p, 0); err != nil {
 			t.Fatalf("mds restart: %v", err)
-		}
-		if err := cl.Reattach(p, "/job"); err != nil {
-			t.Fatalf("re-attach: %v", err)
 		}
 		c.Unmount(p)
 		c.Mount(p)

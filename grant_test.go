@@ -9,7 +9,8 @@ import (
 // across everything that makes a rank forget a subtree's owner: client a
 // decouples /a and merges files drawn from its grant; then the owner
 // registration leaves rank 0 — by recouple, by migrating /a away, by a
-// rank crash — and client b decouples /b on the same rank. b must be
+// rank crash until the restart hands it back — and client b decouples /b
+// on the same rank. b must be
 // granted a range a never held: a's inodes are in the namespace (or, in
 // the crash case, about to merge into it), and a grant that reuses them
 // makes b's merge fail with "inode ...: file exists".
@@ -19,7 +20,7 @@ func TestGrantNeverReissued(t *testing.T) {
 		name   string
 		forget func(t *testing.T, p Proc, cl *Cluster)
 		// aMergesLate: a's journal is still client-held when b decouples,
-		// and merges after the registration is re-attached.
+		// and merges after the rank it registered on restarted.
 		aMergesLate bool
 	}{
 		{name: "recouple", forget: func(t *testing.T, p Proc, cl *Cluster) {
@@ -34,7 +35,7 @@ func TestGrantNeverReissued(t *testing.T) {
 		}},
 		{name: "crash-restart", aMergesLate: true, forget: func(t *testing.T, p Proc, cl *Cluster) {
 			cl.MDS().Crash(p)
-			if err := cl.MDS().Restart(p); err != nil {
+			if err := cl.Monitor().Restart(p, 0); err != nil {
 				t.Fatalf("mds restart: %v", err)
 			}
 		}},
@@ -88,9 +89,6 @@ func TestGrantNeverReissued(t *testing.T) {
 				create3(b, "y")
 				merge3(b)
 				if tc.aMergesLate {
-					if err := cl.Reattach(p, "/a"); err != nil {
-						t.Fatalf("reattach /a: %v", err)
-					}
 					a.Unmount(p)
 					a.Mount(p)
 					merge3(a)

@@ -383,15 +383,18 @@ func (d *driver) crashClient(p runtime.Task) {
 	}
 }
 
-// crashMDS kills and restarts the rank owning the main subtree and
-// re-attaches that rank's registrations. On migration schedules
-// the crash follows ownership — a crash mid-handoff strikes the source
-// (routing has not flipped yet), one after commit strikes the importer.
+// crashMDS kills the rank owning the main subtree and restarts it
+// through the monitor, which hands it back every registration whose root
+// it holds, with the grants the client already holds (a fresh Decouple
+// would, rightly, be handed a range never issued before). On migration
+// schedules the crash follows ownership — a crash mid-handoff strikes
+// the source (routing has not flipped yet), one after commit strikes the
+// importer.
 func (d *driver) crashMDS(p runtime.Task) {
 	d.mdsCrashed = true
 	srv, rank := d.mds(), d.cl.Metadata().Table().RankFor(mainPath)
 	srv.Crash(p)
-	err := srv.Restart(p)
+	err := d.cl.Monitor().Restart(p, rank)
 	d.o.mdsCrash(func(u update) bool {
 		in, err := srv.Store().Resolve(u.path)
 		return err == nil && uint64(in.Ino) == u.ino
@@ -399,21 +402,6 @@ func (d *driver) crashMDS(p runtime.Task) {
 	if err != nil {
 		d.violate("mds restart: %v", err)
 		return
-	}
-	paths := []string{mainPath}
-	if d.plan.Background {
-		paths = append(paths, bgPath)
-	}
-	for _, path := range paths {
-		if d.cl.Metadata().Table().RankFor(path) != rank {
-			continue // registration lives on a rank that did not crash
-		}
-		// Re-install the registration with the grant the client already
-		// holds. A fresh Decouple would, rightly, be handed a range never
-		// issued before.
-		if err := d.cl.Reattach(p, path); err != nil {
-			d.violate("re-attach %s: %v", path, err)
-		}
 	}
 	// The client survived but its session and caps died with the MDS.
 	d.c.Unmount(p)

@@ -194,12 +194,12 @@ func (m *ImportAbortMsg) route() string                       { return "" }
 func (m *ImportAbortMsg) serve(s *Server, p runtime.Task) any { return s.imports.abort(p, m.ID) }
 
 // AttachMsg installs a subtree's registration on a rank: the policy the
-// monitor stamped with its owner and the exact inode grant it issued —
-// both when the monitor registers the subtree and when it re-attaches it
-// after a rank restart, where the client keeps the grant it already
-// holds. A nil Policy clears the registration (recouple). A rank never
-// picks a grant itself. It is a control message: it bypasses the
-// freeze/ownership bounce.
+// monitor stamped with its owner and the exact inode grant it issued. A
+// nil Policy clears the registration (recouple). A rank never picks a
+// grant itself. It is a control message: it bypasses the
+// freeze/ownership bounce. A restarting rank is handed the same values
+// as Restart's argument, not as messages, so it adopts them before it
+// serves; the client keeps the grant it already holds.
 type AttachMsg struct {
 	Path   string
 	Policy *policy.Policy

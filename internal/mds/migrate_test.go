@@ -141,7 +141,7 @@ func TestRestartedRankKeepsAckedInodes(t *testing.T) {
 		submit("/d/g", OpCreate, d, "g")
 		s.FlushJournal(p)
 		s.Crash(p)
-		if err := s.Restart(p); err != nil {
+		if err := s.Restart(p, nil); err != nil {
 			t.Errorf("restart: %v", err)
 			return
 		}

@@ -49,7 +49,7 @@ func TestRestartAfterImportKeepsAckedInodes(t *testing.T) {
 		owner := cl.Metadata().Rank(1)
 		owner.FlushJournal(p)
 		owner.Crash(p)
-		if err := owner.Restart(p); err != nil {
+		if err := owner.Restart(p, nil); err != nil {
 			t.Fatalf("restart: %v", err)
 		}
 	})

@@ -465,7 +465,7 @@ func TestStreamCrashRetiresJobs(t *testing.T) {
 			if r := k.sched(s).open(p); !errors.Is(r.Err, ErrShutdown) {
 				t.Errorf("open on crashed rank = %+v, want ErrShutdown", r)
 			}
-			if err := s.Restart(p); err != nil {
+			if err := s.Restart(p, nil); err != nil {
 				t.Fatalf("restart: %v", err)
 			}
 			ss = k.sched(s)

@@ -382,7 +382,8 @@ func (s *Server) Shutdown() { s.stopped = true }
 // Crash models the rank dying: every piece of volatile state — sessions,
 // capabilities, the registrations its inodes hold, the unflushed journal
 // tail, buffered merge chunks — is lost, while objects already in RADOS
-// survive. The server rejects requests until Restart. Streamed merges in
+// survive. The server rejects requests until Restart, which is handed the
+// registrations back (monitor.Monitor.Restart). Streamed merges in
 // flight are flagged aborted so the scheduler retires them, freeing their
 // admission slots and unblocking any client parked in MergeWait with an
 // error.
@@ -417,10 +418,15 @@ func (s *Server) Crash(p runtime.Task) {
 }
 
 // Restart brings a crashed rank back: the metadata store is rebuilt from
-// RADOS (directory objects plus streamed journal replay) and the rank
-// accepts requests again. The fresh journal's segment objects continue
-// the rank's series after the recovered ones instead of overwriting them.
-func (s *Server) Restart(p runtime.Task) error {
+// RADOS (directory objects plus streamed journal replay), the rank adopts
+// regs — the registrations whose roots it holds, which no object or
+// journal event carries — and only then accepts requests again, so it
+// never serves a registered subtree without its policy, owner and grant.
+// A registered root the recovered store does not hold (a directory that
+// died with the rank unsaved) is skipped, and nothing else changes. The
+// fresh journal's segment objects continue the rank's series after the
+// recovered ones instead of overwriting them.
+func (s *Server) Restart(p runtime.Task, regs []AttachMsg) error {
 	s.dom.Enter(p)
 	defer s.dom.Leave(p)
 	if fl := s.eng.Flight(); fl != nil {
@@ -428,6 +434,13 @@ func (s *Server) Restart(p runtime.Task) error {
 	}
 	if err := s.Recover(p); err != nil {
 		return err
+	}
+	for _, reg := range regs {
+		if in, err := s.store.Resolve(reg.Path); err == nil {
+			if err := s.adopt(in.Ino, reg.Policy); err != nil {
+				return err
+			}
+		}
 	}
 	s.stream.segBase = s.recoveredSegs
 	s.stopped = false
@@ -596,13 +609,13 @@ func (s *Server) onSubtree(p runtime.Task, path string, fn func(root namespace.I
 }
 
 // adopt is everything a rank takes on about a registered subtree,
-// whether the monitor registers it or re-attaches it after a restart
-// (attach) or the rank imports it (importCommit): the registration in
-// the root's large inode — the policy, and the owner the interfere check
-// reads — and the client's inode grant, which the monitor issued,
-// reserved in the allocator. A nil registration recouples the subtree:
-// the root keeps no policy, and the grant stays reserved, since the
-// client may still hold inodes drawn from it.
+// whether the monitor registers it (attach), hands it back to the
+// restarting rank (Restart) or the rank imports it (importCommit): the
+// registration in the root's large inode — the policy, and the owner the
+// interfere check reads — and the client's inode grant, which the
+// monitor issued, reserved in the allocator. A nil registration
+// recouples the subtree: the root keeps no policy, and the grant stays
+// reserved, since the client may still hold inodes drawn from it.
 func (s *Server) adopt(root namespace.Ino, pol *policy.Policy) error {
 	if err := s.store.SetPolicy(root, pol); err != nil || pol == nil || pol.GrantN == 0 {
 		return err

@@ -449,7 +449,7 @@ func TestReplayOverNewerSavedImage(t *testing.T) {
 			return
 		}
 		s.Crash(p)
-		if err := s.Restart(p); err != nil {
+		if err := s.Restart(p, nil); err != nil {
 			t.Errorf("restart: %v", err)
 		}
 	})

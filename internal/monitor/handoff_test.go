@@ -75,7 +75,7 @@ func TestHandoffDurabilityMatrix(t *testing.T) {
 						switch su.after {
 						case "restart":
 							cl.Rank(0).Crash(p)
-							err = cl.Rank(0).Restart(p)
+							err = m.Restart(p, 0)
 						case "save":
 							err = cl.Rank(0).SaveStore(p)
 						}
@@ -112,7 +112,7 @@ func TestHandoffDurabilityMatrix(t *testing.T) {
 						}
 						for _, r := range order {
 							cl.Rank(r).Crash(p)
-							if err := cl.Rank(r).Restart(p); err != nil {
+							if err := m.Restart(p, r); err != nil {
 								t.Fatalf("restart rank %d: %v", r, err)
 							}
 						}

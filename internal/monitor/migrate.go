@@ -179,17 +179,3 @@ func (m *Monitor) handoff(p runtime.Task, path string, srcRank, dst int, durable
 	}
 	return nil
 }
-
-// Reattach re-installs a subtree's registration — its policy, owner and
-// exact inode grant — on every rank that holds its root: the recovery
-// path after a rank restarted and lost its volatile registrations. The
-// grant the client already holds stays valid.
-func (m *Monitor) Reattach(p runtime.Task, path string) error {
-	m.dom.Enter(p)
-	defer m.dom.Leave(p)
-	st, ok := m.Lookup(path)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownSubtree, path)
-	}
-	return m.deliver(p, path, st.Policy)
-}

@@ -214,8 +214,8 @@ func TestMigrateSameSubtreeTwiceAtOnce(t *testing.T) {
 }
 
 // TestMigratePreservesRegistration: a decoupled subtree's policy, owner,
-// and exact inode grant move with it, and Reattach re-installs them
-// after the new owner restarts.
+// and exact inode grant move with it, and the monitor hands them back to
+// the new owner when it restarts.
 func TestMigratePreservesRegistration(t *testing.T) {
 	eng, cl, m := newTestCluster(2)
 	populate(t, eng, cl.Rank(0), "/a/dec", 3)
@@ -248,14 +248,11 @@ func TestMigratePreservesRegistration(t *testing.T) {
 		t.Errorf("record = %+v at rank %d, want the registered record at rank 1 with grant %d",
 			got, cl.Table().RankFor("/a/dec"), e.Policy.GrantLo)
 	}
-	// Crash + restart the new owner; Reattach restores the registration.
+	// Crash + restart the new owner; the restart restores the registration.
 	run(t, eng, func(p runtime.Task) {
 		cl.Rank(1).Crash(p)
-		if err := cl.Rank(1).Restart(p); err != nil {
+		if err := m.Restart(p, 1); err != nil {
 			t.Fatalf("restart: %v", err)
-		}
-		if err := m.Reattach(p, "/a/dec"); err != nil {
-			t.Fatalf("reattach: %v", err)
 		}
 	})
 	in, err = cl.Rank(1).Store().Resolve("/a/dec")
@@ -263,14 +260,18 @@ func TestMigratePreservesRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	if owner, ok := cl.Rank(1).Owner(in.Ino); !ok || owner != "client.7" {
-		t.Errorf("owner after reattach = %q, %v", owner, ok)
+		t.Errorf("owner after the restart = %q, %v", owner, ok)
+	}
+	if in.Policy != e.Policy || cl.Rank(1).Store().ReservedRanges() != 1 {
+		t.Errorf("after the restart rank 1 holds policy %p and %d grants, want the record's %p and its grant",
+			in.Policy, cl.Rank(1).Store().ReservedRanges(), e.Policy)
 	}
 }
 
 // TestGrantsNeverRepeat: the monitor issues every inode grant from the
 // next slots of the registering rank's band, and nothing that happens to
 // a subtree afterwards — a recouple, a re-registration, a rank crash and
-// re-attach, a migration away and back — hands a range out twice, nor do
+// restart, a migration away and back — hands a range out twice, nor do
 // two registrations in flight on one rank at once. A grant larger than a
 // slot spends several, and a band with no slot left refuses the
 // registration without spending one.
@@ -306,11 +307,8 @@ func TestGrantsNeverRepeat(t *testing.T) {
 			t.Fatalf("save rank 0: %v", err)
 		}
 		cl.Rank(0).Crash(p)
-		if err := cl.Rank(0).Restart(p); err != nil {
+		if err := m.Restart(p, 0); err != nil {
 			t.Fatalf("restart rank 0: %v", err)
-		}
-		if err := m.Reattach(p, "/a"); err != nil {
-			t.Fatalf("reattach /a: %v", err)
 		}
 		register(p, "register /a after the restart", "/a", weak)
 		for _, dst := range []int{1, 0} {

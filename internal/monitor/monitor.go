@@ -183,11 +183,24 @@ func (m *Monitor) Unregister(p runtime.Task, path string) error {
 }
 
 // deliver installs the registration reg of the subtree at path, or
-// clears it when reg is nil, on every rank that holds the subtree's root:
-// the owner first, then each rank that owns a placement under path, since
-// the ancestor chain that rank imported holds the root, and its interfere
-// check and Stream decision read the registration there.
+// clears it when reg is nil, on every rank that holds the subtree's root
+// (holders). A holder that is down answers ErrShutdown, and the caller
+// then records nothing, so the restart hands that rank the registration
+// the monitor still lists.
 func (m *Monitor) deliver(p runtime.Task, path string, reg *policy.Policy) error {
+	for _, r := range m.holders(path) {
+		if err := m.cl.Rank(r).Post(p, &mds.AttachMsg{Path: path, Policy: reg}).(*mds.AttachReply).Err; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// holders lists the ranks that hold the root of the subtree at path: the
+// owner first, then each rank that owns a placement under path, since the
+// ancestor chain that rank imported holds the root, and its interfere
+// check and Stream decision read the registration there.
+func (m *Monitor) holders(path string) []int {
 	t, path := m.cl.Table(), transport.Clean(path)
 	holders := []int{t.RankFor(path)}
 	for _, placed := range t.Paths() {
@@ -195,12 +208,27 @@ func (m *Monitor) deliver(p runtime.Task, path string, reg *policy.Policy) error
 			holders = append(holders, r)
 		}
 	}
-	for _, r := range holders {
-		if err := m.cl.Rank(r).Post(p, &mds.AttachMsg{Path: path, Policy: reg}).(*mds.AttachReply).Err; err != nil {
-			return err
+	return holders
+}
+
+// Restart brings the crashed rank back (mds.Server.Restart) with every
+// registration whose root it holds, in path order, so the rank serves no
+// request without them; the clients keep the grants they hold. It is the
+// only way a rank gets its registrations back. A RegisterPolicy or
+// Unregister that overlaps the restart cannot leave the monitor and the
+// rank disagreeing: until the rank serves, its deliver there fails
+// (ErrShutdown) and records nothing, so the list handed here stays the
+// monitor's.
+func (m *Monitor) Restart(p runtime.Task, rank int) error {
+	m.dom.Enter(p)
+	defer m.dom.Leave(p)
+	var regs []mds.AttachMsg
+	for _, st := range m.registered() {
+		if slices.Contains(m.holders(st.Path), rank) {
+			regs = append(regs, mds.AttachMsg{Path: st.Path, Policy: st.Policy})
 		}
 	}
-	return nil
+	return m.cl.Rank(rank).Restart(p, regs)
 }
 
 // Place pins the subtree at path to a metadata rank without touching its

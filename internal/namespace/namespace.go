@@ -514,9 +514,9 @@ func (s *Store) inReserved(ino Ino) bool {
 
 // ReserveRange records [lo, lo+n) as granted to a decoupled client so the
 // server-side allocator skips it. Recording a range the store already
-// holds is a no-op: a re-attach, a retried import or a subtree migrating
-// home re-installs the grant its client held all along. Any other
-// overlap is kept, and Check reports it.
+// holds is a no-op: a retried import or a subtree migrating home
+// re-installs the grant its client held all along. Any other overlap is
+// kept, and Check reports it.
 func (s *Store) ReserveRange(lo Ino, n uint64) error {
 	if lo == 0 || n == 0 {
 		return fmt.Errorf("reserve [%d,+%d): %w", lo, n, ErrInval)

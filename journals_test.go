@@ -55,7 +55,7 @@ func TestMovedStreamingSubtreeKeepsFlushedCreates(t *testing.T) {
 				}
 				r1 := cl.Metadata().Rank(1)
 				r1.Crash(p)
-				if err := r1.Restart(p); err != nil {
+				if err := cl.Monitor().Restart(p, 1); err != nil {
 					t.Fatalf("restart rank 1: %v", err)
 				}
 				survived := 0
@@ -105,7 +105,7 @@ func TestHandoffBackKeepsOwnersSavedEntry(t *testing.T) {
 			t.Fatalf("setup: %v", err)
 		}
 		cl.MDS().Crash(p)
-		if err := cl.MDS().Restart(p); err != nil {
+		if err := cl.Monitor().Restart(p, 0); err != nil {
 			t.Fatalf("restart rank 0: %v", err)
 		}
 		for _, path := range []string{"/a/late", "/a/job/f"} {
@@ -147,7 +147,7 @@ func TestSetAttrJournaledInStreamingSubtree(t *testing.T) {
 		}
 		cl.MDS().FlushJournal(p)
 		cl.MDS().Crash(p)
-		if err := cl.MDS().Restart(p); err != nil {
+		if err := cl.Monitor().Restart(p, 0); err != nil {
 			t.Fatalf("restart: %v", err)
 		}
 		if in, err := cl.MDS().Store().Resolve("/job/f"); err != nil || in.Mode != 0600 {
@@ -212,7 +212,7 @@ func TestPlaceOffUnsavedRankRestarts(t *testing.T) {
 		for r, path := range []string{"/a", "/a/job/f"} {
 			rank := cl.Metadata().Rank(r)
 			rank.Crash(p)
-			if err := rank.Restart(p); err != nil {
+			if err := cl.Monitor().Restart(p, r); err != nil {
 				t.Fatalf("restart rank %d: %v", r, err)
 			}
 			if _, err := rank.Store().Resolve(path); err != nil {

@@ -204,3 +204,87 @@ func TestRecoupleOutlivesAbortedImport(t *testing.T) {
 		t.Errorf("rank 1 names %s the owner of the recoupled /a", owner)
 	}
 }
+
+// TestRestartRedeliversRegistrations: a strong/global (rpcs+stream)
+// registration with interfere: block for c0 survives a crash and restart
+// of a rank that holds its root, because the monitor hands the restarting
+// rank every such registration. The rank restarts as /job's owner on a
+// one-rank cluster, or, on two ranks, as the holder of /a only in the
+// ancestor chain of /a/job, which was placed there. After the restart and
+// remount the rank refuses c1's create with EBUSY, journals all of c0's,
+// and keeps c0's grant reserved. On both backends.
+func TestRestartRedeliversRegistrations(t *testing.T) {
+	pol, err := policy.ParseFile("consistency: rpcs\ndurability: stream\ninterfere: block\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	cases := []struct {
+		name            string
+		ranks           int
+		registered, dir string
+		place           bool // place dir on rank 1 before the restart
+		rank            int  // the rank that restarts
+	}{
+		{"owner", 1, "/job", "/job", false, 0},
+		{"ancestor-copy", 2, "/a", "/a/job", true, 1},
+	}
+	for _, backend := range []Backend{BackendSim, BackendReal} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%v/%s", backend, tc.name), func(t *testing.T) {
+				cl := NewCluster(WithSeed(3), WithMDSRanks(tc.ranks), WithBackend(backend))
+				defer cl.Close()
+				c0, c1 := cl.NewClient("c0"), cl.NewClient("c1")
+				rank := cl.Metadata().Rank(tc.rank)
+				cl.Run(func(p Proc) {
+					_, err := c0.MkdirAll(p, tc.dir, 0755)
+					if err == nil {
+						err = cl.MDS().SaveStore(p)
+					}
+					if err == nil {
+						_, err = cl.Monitor().RegisterPolicy(p, tc.registered, pol, c0.Name())
+					}
+					if err == nil && tc.place {
+						err = cl.Monitor().Place(p, tc.dir, 1)
+					}
+					if err != nil {
+						t.Fatalf("setup: %v", err)
+					}
+					rank.Crash(p)
+					if err := cl.Monitor().Restart(p, tc.rank); err != nil {
+						t.Fatalf("restart rank %d: %v", tc.rank, err)
+					}
+					for _, c := range []*Client{c0, c1} {
+						c.Unmount(p)
+						c.Mount(p)
+					}
+				})
+				journaled := rank.Metrics().Journaled
+				cl.Run(func(p Proc) {
+					dir, err := c1.Resolve(p, tc.dir)
+					if err != nil {
+						t.Fatalf("c1 resolve: %v", err)
+					}
+					if _, err := c1.Create(p, dir, "intruder", 0644); !errors.Is(err, namespace.ErrBusy) {
+						t.Errorf("interferer's create after the restart = %v, want EBUSY", err)
+					}
+					if dir, err = c0.Resolve(p, tc.dir); err != nil {
+						t.Fatalf("c0 resolve: %v", err)
+					}
+					for i := range n {
+						if _, err := c0.Create(p, dir, fmt.Sprintf("f%d", i), 0644); err != nil {
+							t.Errorf("owner's create %d: %v", i, err)
+						}
+					}
+					rank.FlushJournal(p)
+				})
+				if got := rank.Metrics().Journaled - journaled; got != n {
+					t.Errorf("rank %d journaled %d of the owner's %d creates after the restart", tc.rank, got, n)
+				}
+				if got := rank.Store().ReservedRanges(); got != 1 {
+					t.Errorf("rank %d reserves %d grants after the restart, want c0's", tc.rank, got)
+				}
+			})
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package cudele
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,7 +15,7 @@ import (
 // the routing table says.
 func TestSubtreeRecordIsOneAndCurrent(t *testing.T) {
 	cl := NewCluster(WithMDSRanks(2))
-	c := cl.NewClient("client.0")
+	c, other := cl.NewClient("client.0"), cl.NewClient("client.1")
 	mon, table := cl.Monitor(), cl.Metadata().Table()
 	record := func(path string) *Subtree {
 		t.Helper()
@@ -57,7 +56,7 @@ func TestSubtreeRecordIsOneAndCurrent(t *testing.T) {
 		}
 
 		reg, err := cl.DecouplePolicy(p, c, "/a/dec", &Policy{
-			Consistency: ConsWeak, Durability: DurNone, AllocatedInodes: 100,
+			Consistency: ConsWeak, Durability: DurNone, AllocatedInodes: 100, Interfere: InterfereBlock,
 		})
 		if err != nil {
 			t.Fatalf("decouple: %v", err)
@@ -85,8 +84,24 @@ func TestSubtreeRecordIsOneAndCurrent(t *testing.T) {
 			t.Errorf("record after Unregister = %+v, %v; want kept, owned, at the monitor's epoch %d, 2 moves",
 				st, ok, mon.Epoch())
 		}
-		if err := cl.Reattach(p, "/a/dec"); !errors.Is(err, monitor.ErrUnknownSubtree) {
-			t.Errorf("Reattach after Unregister = %v, want ErrUnknownSubtree", err)
+
+		// A restart after Unregister hands the rank nothing for /a/dec:
+		// the root keeps no policy, and another client's create goes
+		// through the block the registration had.
+		r1 := cl.Metadata().Rank(1)
+		r1.Crash(p)
+		if err := mon.Restart(p, 1); err != nil {
+			t.Fatalf("restart rank 1: %v", err)
+		}
+		if in, err := r1.Store().Resolve("/a/dec"); err != nil || in.Policy != nil {
+			t.Errorf("rank 1 after the restart: /a/dec = %+v, %v; want it there without a policy", in, err)
+		}
+		dec, err := other.Resolve(p, "/a/dec")
+		if err == nil {
+			_, err = other.Create(p, dec, "after-restart", 0644)
+		}
+		if err != nil {
+			t.Errorf("another client's create in /a/dec after Unregister and a restart: %v", err)
 		}
 	})
 }
