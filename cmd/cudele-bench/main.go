@@ -59,6 +59,14 @@
 // bind an ephemeral port (the bound address prints on stdout).
 // -admin-linger DUR keeps the endpoint serving that long after the last
 // experiment finishes, so CI can scrape a completed run.
+//
+// -cpuprofile FILE writes a CPU profile of the whole process (experiments
+// or chaos schedules, either backend) with every sample labelled by its
+// owner: proc is the task, client or daemon (mds.N, monitor, sim.kernel)
+// and, inside a rank's handler or a monitor operation, op names the
+// message or operation, so `go tool pprof -tags FILE` prints the shares
+// per owner. Like -trace it is passive: tables are byte-identical with
+// it on.
 package main
 
 import (
@@ -108,6 +116,7 @@ func main() {
 	heat := flag.Bool("heat", false, "enable per-subtree heat accounting on every run (passive: tables are byte-identical)")
 	adminAddr := flag.String("admin", "", "real backend: serve /metrics, /heat, /healthz, /debug/pprof on this address (:0 for an ephemeral port)")
 	adminLinger := flag.Duration("admin-linger", 0, "keep the -admin endpoint serving this long after the last experiment")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file, every sample labelled with its owner: proc (task, client or daemon) and, inside a metadata rank or the monitor, op (passive: tables are byte-identical)")
 	flag.Parse()
 
 	backend, err := cudele.ParseBackend(*backendName)
@@ -136,11 +145,28 @@ func main() {
 		os.Exit(2)
 	}
 
+	// exitWith ends the CPU profile, when one is being taken, before the
+	// process goes.
+	stopProfile := func() error { return nil }
+	if *cpuProfile != "" {
+		if stopProfile, err = obs.StartCPUProfile(*cpuProfile); err != nil {
+			fmt.Fprintf(os.Stderr, "cudele-bench: cpuprofile: %v\n", err)
+			os.Exit(1)
+		}
+	}
+	exitWith := func(code int) {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintf(os.Stderr, "cudele-bench: cpuprofile: %v\n", err)
+			code = 1
+		}
+		os.Exit(code)
+	}
+
 	if replay {
-		os.Exit(reportChaos(chaos.RunMany(chaos.Seeds(*chaosReplay, 1), 1), true, *chaosDumps))
+		exitWith(reportChaos(chaos.RunMany(chaos.Seeds(*chaosReplay, 1), 1), true, *chaosDumps))
 	}
 	if *chaosN > 0 {
-		os.Exit(reportChaos(chaos.RunMany(chaos.Seeds(*seed, *chaosN), *parallel), false, *chaosDumps))
+		exitWith(reportChaos(chaos.RunMany(chaos.Seeds(*seed, *chaosN), *parallel), false, *chaosDumps))
 	}
 
 	if *list {
@@ -152,7 +178,7 @@ func main() {
 			}
 			fmt.Printf("%-12s %s%s\n", id, e.Title, mark)
 		}
-		return
+		exitWith(0)
 	}
 
 	// Under -backend=real the universe of experiments shrinks to the
@@ -185,7 +211,7 @@ func main() {
 		admin, err = obs.NewAdmin(*adminAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cudele-bench: admin: %v\n", err)
-			os.Exit(1)
+			exitWith(1)
 		}
 		fmt.Printf("admin: listening on http://%s (endpoints: /metrics /heat /healthz /debug/pprof/)\n", admin.Addr())
 		opts.Admin = admin
@@ -196,7 +222,7 @@ func main() {
 			dir, err := os.MkdirTemp("", "cudele-bench-*")
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "cudele-bench: %v\n", err)
-				os.Exit(1)
+				exitWith(1)
 			}
 			tmpDataDir = dir
 			*dataDir = dir
@@ -261,7 +287,7 @@ func main() {
 	if tmpDataDir != "" {
 		os.RemoveAll(tmpDataDir)
 	}
-	os.Exit(exit)
+	exitWith(exit)
 }
 
 // reportChaos prints the verdicts of fault-injection schedules and

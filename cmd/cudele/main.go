@@ -31,6 +31,9 @@
 // -trace FILE writes a Chrome trace-event JSON (Perfetto-loadable) of
 // the session's spans on simulated time; -metrics FILE writes a
 // Prometheus text dump of every daemon's counters and utilizations.
+// -cpuprofile FILE writes a CPU profile of the session whose samples are
+// labelled by owner (proc, and op inside a rank or the monitor), for `go
+// tool pprof -tags FILE`.
 //
 // -backend selects the execution backend: "sim" (the default; virtual
 // time, deterministic, objects in memory) or "real" (goroutines and
@@ -63,6 +66,7 @@ import (
 
 	"cudele"
 	"cudele/internal/namespace"
+	"cudele/internal/obs"
 )
 
 // options is the parsed command line.
@@ -75,6 +79,7 @@ type options struct {
 	rebalance   bool
 	tracePath   string
 	metricsPath string
+	cpuProfile  string
 	scripts     []string
 }
 
@@ -90,6 +95,7 @@ func parseFlags(argv []string) (*options, error) {
 	fs.BoolVar(&o.rebalance, "rebalance", false, "run the heat-driven subtree balancer during the session (default off; prints its convergence table at exit)")
 	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the session to this file")
 	fs.StringVar(&o.metricsPath, "metrics", "", "write a Prometheus text dump of daemon metrics to this file")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the session to this file, every sample labelled with its owner (proc, and op inside a metadata rank or the monitor)")
 	if err := fs.Parse(argv); err != nil {
 		return nil, err
 	}
@@ -136,6 +142,14 @@ func main() {
 		os.Exit(1)
 	}
 
+	stopProfile := func() error { return nil }
+	if opts.cpuProfile != "" {
+		if stopProfile, err = obs.StartCPUProfile(opts.cpuProfile); err != nil {
+			fmt.Fprintf(os.Stderr, "cudele: cpuprofile: %v\n", err)
+			os.Exit(1)
+		}
+	}
+
 	copts := []cudele.Option{cudele.WithSeed(*seed), cudele.WithMDSRanks(*ranks)}
 	if opts.backend == cudele.BackendReal {
 		copts = append(copts, cudele.WithBackend(cudele.BackendReal))
@@ -153,6 +167,7 @@ func main() {
 		a, err := cl.ServeAdmin(opts.adminAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cudele: admin: %v\n", err)
+			_ = stopProfile() // exiting with the admin error; a profile error adds nothing
 			os.Exit(1)
 		}
 		admin = a
@@ -194,6 +209,10 @@ func main() {
 		admin.Close()
 	}
 	cl.Close()
+	if err := stopProfile(); err != nil {
+		fmt.Fprintf(os.Stderr, "cudele: cpuprofile: %v\n", err)
+		exit = 1
+	}
 	os.Exit(exit)
 }
 

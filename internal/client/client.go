@@ -93,12 +93,11 @@ type Client struct {
 	req *mds.Request
 
 	// paths remembers the full path of directories the client has
-	// resolved or created, and files maps each file it created to its
-	// parent directory, so requests carry a route hint for the
-	// rank-routing layer: a file routes by its parent's path. Unknown
-	// inodes route to rank 0.
+	// resolved or created, so a request addressed to one carries a route
+	// hint for the rank-routing layer. A request addressed to a file (a
+	// stat or setattr) or to a directory of unknown path carries none:
+	// the cluster sends it by its inode's band (mds.Cluster.rankOf).
 	paths map[namespace.Ino]string
-	files map[namespace.Ino]namespace.Ino
 
 	// Decoupled-namespace state.
 	dec *decoupled
@@ -183,7 +182,6 @@ func (c *Client) dropCaches() {
 	c.shared = make(map[namespace.Ino]bool)
 	c.dcache = make(map[namespace.Ino]*namespace.Dentries)
 	c.paths = map[namespace.Ino]string{namespace.RootIno: "/"}
-	c.files = make(map[namespace.Ino]namespace.Ino)
 }
 
 // Name returns the client's session name.
@@ -287,25 +285,13 @@ func (c *Client) notePath(ino namespace.Ino, path string) {
 	}
 }
 
-// pathOf returns the path a request addressed to ino routes by, "" when
-// unknown. A created file routes by its parent's path: a file is never a
-// placement root (the monitor's Place refuses one), so the longest placed
-// prefix — the owning rank, the heat cell, a migration freeze — of the
-// parent and of the file are the same.
-func (c *Client) pathOf(ino namespace.Ino) string {
-	if p, ok := c.paths[ino]; ok {
-		return p
-	}
-	if dir, ok := c.files[ino]; ok {
-		return c.paths[dir]
-	}
-	return ""
-}
+// pathOf returns the path a request addressed to ino routes by: a known
+// directory's, "" for anything else.
+func (c *Client) pathOf(ino namespace.Ino) string { return c.paths[ino] }
 
 // movePaths follows a renamed directory: the known path of dir and of
 // every directory under it is rewritten to the new prefix, or dropped
-// (routing to rank 0) when newPath is unknown. The files under them
-// route by their parents, so they follow too.
+// (routing by inode band) when newPath is unknown.
 func (c *Client) movePaths(dir namespace.Ino, newPath string) {
 	old, ok := c.paths[dir]
 	if !ok {
@@ -450,8 +436,7 @@ func (c *Client) Create(p runtime.Task, dir namespace.Ino, name string, mode uin
 			return 0, lookupErr(dir, name, lk.Err)
 		}
 	}
-	route := c.pathOf(dir)
-	req.Op, req.Parent, req.Name, req.Mode, req.Route = mds.OpCreate, dir, name, mode, route
+	req.Op, req.Parent, req.Name, req.Mode, req.Route = mds.OpCreate, dir, name, mode, c.pathOf(dir)
 	var r *mds.Reply
 	r, end = c.call(p, req)
 	if r.Err != nil {
@@ -459,9 +444,6 @@ func (c *Client) Create(p runtime.Task, dir namespace.Ino, name string, mode uin
 	}
 	c.stats.Creates++
 	c.cacheDentry(dir, name, r.Ino)
-	if route != "" { // a file under an unknown parent keeps routing to rank 0
-		c.files[r.Ino] = dir
-	}
 	return r.Ino, nil
 }
 
@@ -580,15 +562,13 @@ func (c *Client) Unlink(p runtime.Task, dir namespace.Ino, name string) error {
 	r := c.submit(p, req)
 	if r.Err == nil {
 		c.dcache[dir].Delete(name)
-		delete(c.files, r.Ino)
 	}
 	return r.Err
 }
 
 // Rename moves a dentry via RPC. Cross-rank renames are not supported:
-// the request routes by the source parent's subtree. The route hints
-// follow the moved inode the reply names: a moved directory's known paths
-// move with it, and a moved file routes by its new parent.
+// the request routes by the source parent's subtree. A moved directory's
+// known paths move with it; a file has no route hint to move.
 func (c *Client) Rename(p runtime.Task, dir namespace.Ino, name string, newDir namespace.Ino, newName string) error {
 	req := c.enter(p)
 	defer c.leave(p, req)
@@ -598,17 +578,9 @@ func (c *Client) Rename(p runtime.Task, dir namespace.Ino, name string, newDir n
 		return r.Err
 	}
 	c.dcache[dir].Delete(name)
-	if replaced, ok := c.dcache[newDir].Get(newName); ok && replaced != r.Ino {
-		delete(c.files, replaced)
-	}
 	c.cacheDentry(newDir, newName, r.Ino)
-	switch {
-	case r.IsDir:
+	if r.IsDir {
 		c.movePaths(r.Ino, c.childPath(newDir, newName))
-	case c.paths[newDir] != "":
-		c.files[r.Ino] = newDir
-	default:
-		delete(c.files, r.Ino)
 	}
 	return nil
 }
@@ -623,19 +595,18 @@ func (c *Client) SetAttr(p runtime.Task, ino namespace.Ino, mode, uid, gid uint3
 	return r.Err
 }
 
-// Stat fetches attributes via RPC.
-func (c *Client) Stat(p runtime.Task, ino namespace.Ino) (*mds.Reply, error) {
+// Stat fetches attributes via RPC. The reply is returned by value: the
+// rank answers in the request buffer, which the client's next RPC fills
+// again.
+func (c *Client) Stat(p runtime.Task, ino namespace.Ino) (mds.Reply, error) {
 	req := c.enter(p)
 	defer c.leave(p, req)
 	req.Op, req.Ino, req.Route = mds.OpGetAttr, ino, c.pathOf(ino)
 	r := c.submit(p, req)
 	if r.Err != nil {
-		return nil, r.Err
+		return mds.Reply{}, r.Err
 	}
-	// A copy: the reply lives in the request buffer, which the client's
-	// next RPC fills again.
-	reply := *r
-	return &reply, nil
+	return *r, nil
 }
 
 // HoldsCap reports whether the client believes it holds the read cap on

@@ -155,7 +155,7 @@ func TestRequestBufferDuplicateDelivery(t *testing.T) {
 				}
 				st, err := c.Stat(p, ino)
 				want := mds.Reply{Ino: ino, Mode: in.Mode, UID: in.UID, GID: in.GID, Size: in.Size, Mtime: in.Mtime}
-				if err != nil || !reflect.DeepEqual(*st, want) {
+				if err != nil || !reflect.DeepEqual(st, want) {
 					t.Errorf("stat %s = %+v, %v; want %+v", name, st, err, want)
 				}
 				if got, err := c.Lookup(p, dir, name); got != ino || err != nil {
@@ -181,8 +181,10 @@ func TestRequestBufferDuplicateDelivery(t *testing.T) {
 	})
 }
 
-// TestRequestBufferStatCopy: the reply Stat returns is the caller's, not
-// the request buffer's, so the client's next RPCs do not change it.
+// TestRequestBufferStatCopy: the reply Stat returns is the caller's
+// value, not the request buffer's, so the client's next RPCs do not
+// change it: after them it still holds the file's attributes as the rank
+// answered them.
 func TestRequestBufferStatCopy(t *testing.T) {
 	onBackends(t, func(t *testing.T, cl *cluster) {
 		c := cl.client("c0")
@@ -198,12 +200,17 @@ func TestRequestBufferStatCopy(t *testing.T) {
 				t.Errorf("stat: %v", err)
 				return
 			}
-			want := *st
+			in, err := cl.srv.Store().Get(f)
+			if err != nil {
+				t.Errorf("store: %v", err)
+				return
+			}
+			want := mds.Reply{Ino: f, Mode: in.Mode, UID: in.UID, GID: in.GID, Size: in.Size, Mtime: in.Mtime}
 			c.Stat(p, dir)
 			c.Lookup(p, dir, "missing")
 			c.SetAttr(p, f, 0644, 1, 1, 7, 0)
-			if !reflect.DeepEqual(*st, want) {
-				t.Errorf("a Stat reply changed under later RPCs: %+v, was %+v", *st, want)
+			if !reflect.DeepEqual(st, want) {
+				t.Errorf("a Stat reply after later RPCs: %+v, want %+v", st, want)
 			}
 		})
 	})

@@ -16,14 +16,16 @@ import (
 	"cudele/internal/sim"
 )
 
-// TestRouteFileHintsByParent: a created file's route hint is its parent
-// directory, and a call addressed to the file routes by the parent's
-// path. On a two-rank cluster, under the root and under a subtree placed
-// on rank 1, the file's route is its parent's path, and SetAttr and Stat
-// reach the rank the file's own path routes to. A file created under a
-// parent whose path the client does not know routes to rank 0, also
-// once its subtree has moved to rank 1, where rank 0 refuses it; a create
-// under that parent is redirected once and lands on rank 1.
+// TestRouteFileHintsByParent: a file carries no route hint; a request
+// addressed to it by inode goes to the rank whose band allocated the inode
+// (mds.Cluster.rankOf), which serves it or redirects it once to the owner.
+// On a two-rank cluster, under the root and under a subtree placed on
+// rank 1, SetAttr and Stat of each created file reach the rank the file's
+// own path routes to, at the first send. A file created under a parent
+// whose path the client does not know, before that subtree moves to rank
+// 1, is reached on rank 1 too: rank 0's export record redirects each
+// request once, by the moved root's path. A create under that parent is
+// redirected once by rank 0's bound and lands on rank 1.
 func TestRouteFileHintsByParent(t *testing.T) {
 	eng := sim.NewEngine(5)
 	cfg := model.Default()
@@ -43,18 +45,22 @@ func TestRouteFileHintsByParent(t *testing.T) {
 		return n
 	}
 	// reaches has c stat and setattr ino and reports the one rank that
-	// served both, -1 when they split or went nowhere.
-	reaches := func(p runtime.Task, ino namespace.Ino) int {
-		before := served()
-		c.Stat(p, ino)
-		c.SetAttr(p, ino, 0600, 1, 1, 0, 0)
+	// served both, -1 when they split or went nowhere, and how many of the
+	// two were redirected.
+	reaches := func(p runtime.Task, ino namespace.Ino) (int, uint64) {
+		before, redirects := served(), c.Stats().Redirects
+		_, errS := c.Stat(p, ino)
+		errA := c.SetAttr(p, ino, 0600, 1, 1, 0, 0)
+		if err := errors.Join(errS, errA); err != nil {
+			t.Errorf("stat and setattr of inode %d: %v", ino, err)
+		}
 		after := served()
 		for r := range after {
 			if after[r]-before[r] == 2 {
-				return r
+				return r, c.Stats().Redirects - redirects
 			}
 		}
-		return -1
+		return -1, c.Stats().Redirects - redirects
 	}
 
 	eng.Spawn("test", func(p runtime.Task) {
@@ -63,8 +69,8 @@ func TestRouteFileHintsByParent(t *testing.T) {
 			t.Errorf("mkdir /a/b: %v", err)
 			return
 		}
-		// A parent the client knows no path for: today's hint was none.
-		// The file is created before the Place, while rank 0 owns /a/b.
+		// A parent the client knows no path for. The file is created
+		// before the Place, while rank 0 owns /a/b.
 		delete(c.paths, a)
 		blind, err := c.Create(p, a, "blind", 0644)
 		if err != nil {
@@ -79,18 +85,13 @@ func TestRouteFileHintsByParent(t *testing.T) {
 			return
 		}
 		// Rank 1 now owns the file, and rank 0 keeps only the bound /a
-		// lists. Sent with no route, Stat and SetAttr reach rank 0, which
-		// cannot place the inode and answers ENOENT. A create under the
-		// parent is bounced by rank 0, whose bound names the owner and
-		// the parent's path, and the client re-sends it by that path.
-		if got := reaches(p, blind); got != 0 {
-			t.Errorf("file under an unknown parent: SetAttr+Stat reached rank %d, want 0", got)
-		}
-		if _, err := c.Stat(p, blind); !errors.Is(err, namespace.ErrNotExist) {
-			t.Errorf("stat of a moved file by inode alone: %v, want ENOENT", err)
-		}
-		if err := c.SetAttr(p, blind, 0600, 1, 1, 0, 0); !errors.Is(err, namespace.ErrNotExist) {
-			t.Errorf("setattr of a moved file by inode alone: %v, want ENOENT", err)
+		// lists and the record of the export. Sent with no route, Stat and
+		// SetAttr go to rank 0, the file's band, which redirects each once
+		// by /a/b, and rank 1 serves them. A create under the parent is
+		// bounced by rank 0, whose bound names the owner and the parent's
+		// path, and the client re-sends it by that path.
+		if got, redirects := reaches(p, blind); got != 1 || redirects != 2 {
+			t.Errorf("file moved by a Place: SetAttr+Stat reached rank %d after %d redirects, want rank 1 after 2", got, redirects)
 		}
 		before := c.Stats()
 		if _, err := c.Create(p, a, "late", 0644); err != nil {
@@ -105,13 +106,13 @@ func TestRouteFileHintsByParent(t *testing.T) {
 				t.Errorf("rank %d holds /a/b/late: %v, want %v", r, err == nil, want)
 			}
 		}
-		// Learning the parent's path later gives the file none either.
+		// Learning the parent's path later gives the file no route either.
 		c.notePath(a, "/a/b")
 		if got := c.pathOf(blind); got != "" {
 			t.Errorf("file created under a then unknown parent has route %q, want none", got)
 		}
-		if got := reaches(p, blind); got != 0 {
-			t.Errorf("file created under a then unknown parent: SetAttr+Stat reached rank %d, want 0", got)
+		if got, _ := reaches(p, blind); got != 1 {
+			t.Errorf("file created under a then unknown parent: SetAttr+Stat reached rank %d, want 1", got)
 		}
 
 		for _, dirPath := range []string{"/", "/a", "/a/b"} {
@@ -128,12 +129,12 @@ func TestRouteFileHintsByParent(t *testing.T) {
 					return
 				}
 				want := gopath.Join(dirPath, name)
-				if got := c.pathOf(ino); got != dirPath {
-					t.Errorf("route of %s = %q, want its parent's %q", want, got, dirPath)
+				if got := c.pathOf(ino); got != "" {
+					t.Errorf("route of %s = %q, want none", want, got)
 				}
 				rank := mc.Table().RankFor(want)
-				if got := reaches(p, ino); got != rank {
-					t.Errorf("%s: SetAttr+Stat reached rank %d, want %d", want, got, rank)
+				if got, redirects := reaches(p, ino); got != rank || redirects != 0 {
+					t.Errorf("%s: SetAttr+Stat reached rank %d after %d redirects, want %d at the first send", want, got, redirects, rank)
 				}
 			}
 		}
@@ -142,6 +143,85 @@ func TestRouteFileHintsByParent(t *testing.T) {
 	if err := eng.LeakCheck(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMovedFileReachesOwner: item 20(a)'s two reproductions, on both
+// backends. c0 creates /job/f and /a/b/blind on rank 0, and the cluster
+// then moves /job (Migrate) and /a/b (Place) to rank 1. Another client,
+// c1, which created neither file, resolves each and stats and setattrs
+// it by inode: each request goes to rank 0, the inode's band, which no
+// longer holds it and redirects it once by the moved root's path, and
+// rank 1 serves it. A file that never moved is served at the first send.
+// Rank 0's export records are volatile: once it has crashed and
+// restarted, an inode-only request for the placed file (whose subtree
+// was never saved, so the restarted rank does not hold it) is served
+// there and answers ENOENT — the limit a cold restart that replays the
+// export-commit records would lift (ROADMAP item 3).
+func TestMovedFileReachesOwner(t *testing.T) {
+	onTwoRanks(t, func(t *testing.T, eng runtime.Runtime, mc *mds.Cluster, c0 *Client) {
+		obj := rados.New(eng, model.Default())
+		c1 := New(eng, model.Default(), "c1", mc, obj)
+		c1.Mount(nil)
+		mon := monitor.New(eng, mc)
+		eng.Spawn("test", func(p runtime.Task) {
+			job, errJ := c0.MkdirAll(p, "/job", 0755)
+			ab, errA := c0.MkdirAll(p, "/a/b", 0755)
+			still, errS := c0.MkdirAll(p, "/still", 0755)
+			var errs []error
+			for _, dir := range []namespace.Ino{job, ab, still} {
+				_, err := c0.Create(p, dir, "f", 0644)
+				errs = append(errs, err)
+			}
+			errs = append(errs, errJ, errA, errS, mon.Migrate(p, "/job", 1), mon.Place(p, "/a/b", 1))
+			if err := errors.Join(errs...); err != nil {
+				t.Errorf("setup: %v", err)
+				return
+			}
+			for path, wantRedirects := range map[string]uint64{"/job/f": 1, "/a/b/f": 1, "/still/f": 0} {
+				ino, err := c1.Resolve(p, path)
+				if err != nil {
+					t.Errorf("resolve %s: %v", path, err)
+					continue
+				}
+				owner := mc.Table().RankFor(path)
+				for _, op := range []string{"stat", "setattr"} {
+					before, served := c1.Stats().Redirects, mc.Rank(owner).Metrics().Requests
+					if op == "stat" {
+						var st mds.Reply
+						if st, err = c1.Stat(p, ino); err == nil && st.Ino != ino {
+							err = fmt.Errorf("stat answered inode %d", st.Ino)
+						}
+					} else {
+						err = c1.SetAttr(p, ino, 0600, 7, 0, 0, 0)
+					}
+					if redirects := c1.Stats().Redirects - before; err != nil || redirects != wantRedirects {
+						t.Errorf("%s %s by inode: %v after %d redirects, want success after %d", op, path, err, redirects, wantRedirects)
+					}
+					if got := mc.Rank(owner).Metrics().Requests - served; got != 1 {
+						t.Errorf("%s %s: the owner, rank %d, served %d requests, want 1", op, path, owner, got)
+					}
+				}
+				if in, err := mc.Rank(owner).Store().Resolve(path); err != nil || in.UID != 7 {
+					t.Errorf("owner's %s after the setattr: %+v, %v; want uid 7", path, in, err)
+				}
+			}
+
+			blind, err := c1.Resolve(p, "/a/b/f")
+			if err != nil {
+				t.Errorf("resolve /a/b/f: %v", err)
+				return
+			}
+			mc.Rank(0).Crash(p)
+			if err := mon.Restart(p, 0); err != nil {
+				t.Errorf("restart rank 0: %v", err)
+				return
+			}
+			if _, err := c1.Stat(p, blind); !errors.Is(err, namespace.ErrNotExist) {
+				t.Errorf("stat of the placed file after its source restarted: %v, want ENOENT", err)
+			}
+		})
+		eng.RunAll()
+	})
 }
 
 // createAllocs measures what one RPC create into a fresh directory costs
@@ -277,14 +357,15 @@ func onTwoRanks(t *testing.T, body func(t *testing.T, eng runtime.Runtime, mc *m
 	}
 }
 
-// TestRenameMovesRouteHints: a route hint follows its inode through a
-// rename. A file moved from /a to /b, and a directory /a/d moved to /b/d
-// with a directory e under it, are reached at their new place once /b is
-// placed on rank 1: the setattr of the file, and creates in d and in e,
-// land on rank 1, the owner, and rank 0 has pruned /b down to the
-// bound its root lists. With a stale hint
-// each went to rank 0. Moved under a directory whose path the client
-// does not know, the hints are dropped and route to rank 0.
+// TestRenameMovesRouteHints: a directory's route hint follows it through
+// a rename, and a file, which has none, is found by its inode's band. A
+// file moved from /a to /b, and a directory /a/d moved to /b/d with a
+// directory e under it, are reached at their new place once /b is placed
+// on rank 1: the setattr of the file (redirected once by rank 0's export
+// record) and creates in d and in e land on rank 1, the owner, and rank 0
+// has pruned /b down to the bound its root lists. With a stale directory
+// hint each create went to rank 0. Moved under a directory whose path the
+// client does not know, the directories' hints are dropped.
 func TestRenameMovesRouteHints(t *testing.T) {
 	onTwoRanks(t, func(t *testing.T, eng runtime.Runtime, mc *mds.Cluster, c *Client) {
 		eng.Spawn("test", func(p runtime.Task) {
@@ -301,7 +382,7 @@ func TestRenameMovesRouteHints(t *testing.T) {
 				t.Errorf("rename: %v", err)
 				return
 			}
-			for ino, want := range map[namespace.Ino]string{f: "/b", d: "/b/d", e: "/b/d/e"} {
+			for ino, want := range map[namespace.Ino]string{f: "", d: "/b/d", e: "/b/d/e"} {
 				if got := c.pathOf(ino); got != want {
 					t.Errorf("after the renames inode %d routes by %q, want %q", ino, got, want)
 				}
@@ -310,8 +391,12 @@ func TestRenameMovesRouteHints(t *testing.T) {
 				t.Errorf("place: %v", err)
 				return
 			}
+			redirects := c.Stats().Redirects
 			if err := c.SetAttr(p, f, 0600, 0, 0, 0, 0); err != nil {
 				t.Errorf("setattr: %v", err)
+			}
+			if got := c.Stats().Redirects - redirects; got != 1 {
+				t.Errorf("setattr of the moved file: %d redirects, want 1", got)
 			}
 			_, errG := c.Create(p, d, "g", 0644)
 			_, errH := c.Create(p, e, "h", 0644)
@@ -349,43 +434,5 @@ func TestRenameMovesRouteHints(t *testing.T) {
 			}
 		})
 		eng.RunAll()
-	})
-}
-
-// TestRouteHintsEndWithUnlink: each created file costs the client one
-// route-hint entry, and unlinking the file removes it, so create/unlink
-// cycles leave the hint map empty — also when one file is renamed over
-// another before the unlinks, which ends the replaced file.
-func TestRouteHintsEndWithUnlink(t *testing.T) {
-	cl := newCluster()
-	c := cl.client("c0")
-	cl.run(t, func(p runtime.Task) {
-		dir, err := c.MkdirAll(p, "/d", 0755)
-		if err != nil {
-			t.Errorf("mkdir: %v", err)
-			return
-		}
-		for cycle := 0; cycle < 3; cycle++ {
-			for i := 0; i < 100; i++ {
-				if _, err := c.Create(p, dir, fmt.Sprintf("f%d", i), 0644); err != nil {
-					t.Errorf("create: %v", err)
-					return
-				}
-			}
-			if len(c.files) != 100 {
-				t.Errorf("cycle %d: %d route hints after 100 creates, want 100", cycle, len(c.files))
-			}
-			if err := c.Rename(p, dir, "f0", dir, "f1"); err != nil {
-				t.Errorf("rename: %v", err)
-			}
-			for i := 1; i < 100; i++ {
-				if err := c.Unlink(p, dir, fmt.Sprintf("f%d", i)); err != nil {
-					t.Errorf("unlink: %v", err)
-				}
-			}
-			if len(c.files) != 0 {
-				t.Errorf("cycle %d: %d route hints after unlinking every file, want 0", cycle, len(c.files))
-			}
-		}
 	})
 }

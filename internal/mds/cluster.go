@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"cmp"
 	"fmt"
 	"sync/atomic"
 
@@ -86,14 +87,21 @@ func (c *Cluster) Call(p runtime.Task, msg any) any { return c.rankOf(msg).ep.Ca
 func (c *Cluster) Post(p runtime.Task, msg any) any { return c.rankOf(msg).ep.Post(p, msg) }
 
 // rankOf is the rank a message goes to: the table's owner of the
-// message's route. A message without a route, anything that is not a
-// message, and a rank the cluster lacks all go to rank 0.
+// message's route. An RPC without a route — one addressed to a file, or
+// to a directory whose path the client does not know — goes to the rank
+// whose band allocated the inode it addresses (rankInoFloor): that rank
+// holds the inode, or redirects to the owner by a path it still knows
+// (Server.bounce). Anything that is not a message, any other message
+// without a route, and a rank the cluster lacks (a grant inode's band,
+// 2^40 and up) all go to rank 0.
 func (c *Cluster) rankOf(msg any) *Server {
-	route := ""
-	if m, ok := msg.(message); ok {
-		route = m.route()
+	r := 0
+	if req, ok := msg.(*Request); ok && req.Route == "" {
+		r = int(uint64(cmp.Or(req.Parent, req.Ino)) >> 32)
+	} else if m, ok := msg.(message); ok {
+		r = c.table.RankFor(m.route())
 	}
-	if r := c.table.RankFor(route); r > 0 && r < len(c.ranks) {
+	if r > 0 && r < len(c.ranks) {
 		return c.ranks[r]
 	}
 	return c.ranks[0]
@@ -133,9 +141,9 @@ func (c *Cluster) SetHeat(h *obs.Heat) {
 // it now: a placement that moves nothing (a placement onto another rank
 // is an online migration, monitor.Migrate's handoff). The pin still
 // matters, because heat cells key by placed subtrees. A file is refused,
-// as a migration refuses one, and leaves the table as it was: a request
-// addressed to a file routes by its parent directory's path
-// (client.Client.pathOf), so a file is never a placement root. The checks
+// as a migration refuses one, and leaves the table as it was, so a file is
+// never a placement root: its path and its directory's name the same
+// owner, heat cell and freeze. The checks
 // and the pin run inside rank's lock domain, so no request rank serves
 // lands between them. A subtree that is not rank's by then, or that rank
 // has frozen for a handoff, is refused with namespace.ErrBusy: the

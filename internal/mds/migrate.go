@@ -1,8 +1,10 @@
 package mds
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	gopath "path"
 	"slices"
 
 	"cudele/internal/journal"
@@ -213,6 +215,44 @@ func (m *AttachMsg) serve(s *Server, p runtime.Task) any { return s.attach(p, m)
 type AttachReply struct{ Err error }
 
 // --- exporting rank ---
+
+// exportedPath is the path this rank places a request for ino by when it
+// does not hold ino, "" when no export of this rank took ino away: ino's
+// path when it left, rebuilt from the names and parents its committed
+// exports recorded (Server.exported) up to the nearest ancestor the rank
+// holds. An export keeps its root as a bound, so the walk ends there at
+// the latest. The table names the owner of that path however often the
+// subtree has moved since, and a part of it that moved on from there is
+// redirected again by that rank's own records.
+func (s *Server) exportedPath(ino namespace.Ino) string {
+	var names []string
+	for range len(s.exported) {
+		i, ok := slices.BinarySearchFunc(s.exported, ino, func(e namespace.Pruned, ino namespace.Ino) int {
+			return cmp.Compare(e.Ino, ino)
+		})
+		if !ok {
+			return ""
+		}
+		names = append(names, s.exported[i].Name)
+		ino = s.exported[i].Parent
+		if dir, err := s.store.PathOf(ino); err == nil {
+			slices.Reverse(names)
+			return gopath.Join(append([]string{dir}, names...)...)
+		}
+	}
+	return ""
+}
+
+// trimExported drops from the export records every inode the rank holds
+// again: an import that brings a subtree home — all of it, or all but a
+// part placed on a third rank meanwhile — ends the records it answers
+// for.
+func (s *Server) trimExported() {
+	s.exported = slices.DeleteFunc(s.exported, func(e namespace.Pruned) bool {
+		_, err := s.store.Get(e.Ino)
+		return err == nil
+	})
+}
 
 // exportState is one live export session on the source rank.
 type exportState struct {
@@ -478,6 +518,8 @@ func (s *Server) exportCommit(p runtime.Task, m *ExportCommitMsg) *ExportCommitR
 		return &ExportCommitReply{Err: err}
 	}
 	delete(s.exports, path)
+	s.exported = append(s.exported, pruned...)
+	slices.SortFunc(s.exported, func(a, b namespace.Pruned) int { return cmp.Compare(a.Ino, b.Ino) })
 	// The freeze deliberately persists: routing points at this rank
 	// until the monitor flips the table, and a request served from the
 	// pruned store would see a spurious ErrNotExist. The monitor thaws
@@ -485,9 +527,9 @@ func (s *Server) exportCommit(p runtime.Task, m *ExportCommitMsg) *ExportCommitR
 	// request routed before it bounces with the new owner instead.
 	if fl := s.eng.Flight(); fl != nil {
 		fl.Record(int64(p.Now()), s.ep.Name(), "mds", "export.commit",
-			fmt.Sprintf("%s seq=%d pruned=%d -> rank %d", path, m.Seq, pruned, m.Dst))
+			fmt.Sprintf("%s seq=%d pruned=%d -> rank %d", path, m.Seq, len(pruned), m.Dst))
 	}
-	return &ExportCommitReply{Pruned: pruned}
+	return &ExportCommitReply{Pruned: len(pruned)}
 }
 
 // exportAbort is the ExportAbortMsg handler: thaw and keep everything.
@@ -559,6 +601,7 @@ func (s *Server) importCommit(p runtime.Task, m *ImportCommitMsg) *ImportCommitR
 	}
 
 	man := m.Manifest
+	s.trimExported()
 	for _, r := range man.Registered {
 		if err := s.adopt(r.Ino, r.Policy); err != nil {
 			return &ImportCommitReply{Installed: installed, Err: err}

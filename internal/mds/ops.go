@@ -109,18 +109,17 @@ func handleSetAttr(s *Server, p runtime.Task, req *Request) error {
 	return nil
 }
 
-// handleUnlink and handleRename name the inode whose dentry they remove or
-// move in reply.Ino and IsDir, so the client's route hint follows it.
 func handleUnlink(s *Server, p runtime.Task, req *Request) error {
-	in := s.store.Child(req.Parent, req.Name)
 	if err := s.store.Unlink(req.Parent, req.Name); err != nil {
 		return err
 	}
-	req.reply.Ino, req.reply.IsDir = in.Ino, in.IsDir()
 	s.updateCaps(p, req.Parent, req.Client, &req.reply)
 	return nil
 }
 
+// handleRename names the inode whose dentry it moves in reply.Ino and
+// IsDir, so the client's dentry cache and, for a directory, its known
+// paths follow it.
 func handleRename(s *Server, p runtime.Task, req *Request) error {
 	in := s.store.Child(req.Parent, req.Name)
 	// A directory another rank owns is only a bound here: renaming it,

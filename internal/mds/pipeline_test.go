@@ -134,3 +134,38 @@ func TestServeRPCReadsClockOnlyForHeat(t *testing.T) {
 		}
 	})
 }
+
+// TestDispatcherLabelPath: with the label plane off, the rank's dispatcher
+// pays one nil check for labels: a served RPC allocates nothing and reads
+// no clock. With the plane on, the first RPC of an op builds the rank's
+// label set for it, and every later one switches to that set and back
+// without allocating either.
+func TestDispatcherLabelPath(t *testing.T) {
+	eng, s := newTestServer()
+	s.OpenSession("c0")
+	s.cpu = countedCPU{s.cpu}
+	req := &Request{Op: OpLookup, Client: "c0", Parent: namespace.RootIno, Name: "nope"}
+	run(t, eng, func(p runtime.Task) {
+		counted := &clockCounter{Task: p}
+		serve := func() {
+			if r := s.handle(counted, req).(*Reply); !errors.Is(r.Err, namespace.ErrNotExist) {
+				t.Fatalf("lookup of a missing name: %v", r.Err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, serve); n != 0 || counted.reads != 0 {
+			t.Errorf("labels off: an RPC allocates %.0f objects and reads the clock %d times, want 0 and 0", n, counted.reads)
+		}
+		if s.rpcLabels[OpLookup] != nil {
+			t.Error("labels off: the rank built a label set")
+		}
+		disable := obs.EnableLabels()
+		defer disable()
+		serve()
+		if s.rpcLabels[OpLookup] == nil {
+			t.Error("labels on: the rank built no label set for the lookup")
+		}
+		if n := testing.AllocsPerRun(100, serve); n != 0 {
+			t.Errorf("labels on: a labelled RPC allocates %.0f objects, want 0", n)
+		}
+	})
+}

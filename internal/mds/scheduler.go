@@ -269,6 +269,7 @@ func (ss *streamSched) pick() *streamJob {
 // of this kind, so an idle rank leaks no goroutine (sim.Engine.LeakCheck
 // stays clean).
 func (ss *streamSched) run(p runtime.Task) {
+	ss.s.labelSelf(ss.name)
 	for {
 		ss.retireAborted(p)
 		job := ss.pick()

@@ -24,6 +24,7 @@ package mds
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -59,9 +60,9 @@ type Request struct {
 	Op     Op
 	Client string
 
-	// Route is the request's path hint for the routing layer: the
-	// parent directory's path when the client knows it, empty otherwise
-	// (empty routes to rank 0).
+	// Route is the request's path hint for the routing layer: the path
+	// of the directory it addresses when the client knows it, empty
+	// otherwise (empty routes by the inode's band, Cluster.rankOf).
 	Route string
 
 	Parent namespace.Ino
@@ -192,12 +193,21 @@ type Server struct {
 	// wipes them.
 	frozen  map[string]bool
 	exports map[string]*exportState
+	// exported records, for every inode an export this rank committed
+	// took away and it has not held again since, its name and the
+	// directory that held it, in ascending inode order (exportedPath).
+	// Volatile too.
+	exported []namespace.Pruned
 
 	metrics Metrics
 
 	// heat is the per-subtree load accountant; nil (the default) means
 	// heat accounting is off and the record sites cost one nil check.
 	heat *obs.Heat
+
+	// rpcLabels holds the pprof label set of each RPC op on this rank,
+	// built the first time the label plane labels one (Server.labels).
+	rpcLabels [opMax]context.Context
 
 	stopped bool
 
@@ -296,16 +306,51 @@ func (s *Server) InjectFaults(ic transport.Interceptor) { s.ep.Wrap(ic) }
 
 // handle is the rank's message dispatcher behind the wire. It spans every
 // RPC and Post on the rank's track without any op handler knowing about
-// it; with tracing off that costs one nil check and no label is built.
+// it, and with the label plane on it charges the handler's CPU samples to
+// {proc: mds.N, op: labelOf(msg)}, giving the calling task its own label
+// back on return. With tracing and labels off that costs two nil checks
+// and no label is built.
 func (s *Server) handle(p runtime.Task, msg any) any {
-	rec := s.eng.Tracer()
-	if rec == nil {
-		return s.dispatch(p, msg)
+	l := obs.ProfLabels()
+	if l != nil {
+		obs.Switch(s.labels(l, msg))
 	}
-	span := rec.Begin(int64(p.Now()), s.ep.Name(), "transport", labelOf(msg))
-	reply := s.dispatch(p, msg)
-	rec.End(span, int64(p.Now()))
+	var reply any
+	if rec := s.eng.Tracer(); rec == nil {
+		reply = s.dispatch(p, msg)
+	} else {
+		span := rec.Begin(int64(p.Now()), s.ep.Name(), "transport", labelOf(msg))
+		reply = s.dispatch(p, msg)
+		rec.End(span, int64(p.Now()))
+	}
+	if l != nil {
+		obs.Switch(l.Proc(p.Name()))
+	}
 	return reply
+}
+
+// labels is the prebuilt label set msg's handler runs under: an RPC's
+// comes from the rank's per-op table, built on first use, so a labelled
+// RPC builds nothing; any other message's from the plane's own cache.
+func (s *Server) labels(l *obs.Labels, msg any) context.Context {
+	req, ok := msg.(*Request)
+	if !ok || req.Op >= opMax {
+		return l.Op(s.ep.Name(), labelOf(msg))
+	}
+	if s.rpcLabels[req.Op] == nil {
+		s.rpcLabels[req.Op] = l.Op(s.ep.Name(), req.label())
+	}
+	return s.rpcLabels[req.Op]
+}
+
+// labelSelf labels the calling task's samples {proc: mds.N, op} from now
+// on: a rank's background loop — a stream scheduler, the journal
+// dispatcher — names itself this way. With the label plane off it is one
+// nil check.
+func (s *Server) labelSelf(op string) {
+	if l := obs.ProfLabels(); l != nil {
+		obs.Switch(l.Op(s.ep.Name(), op))
+	}
 }
 
 // dispatch serves one message: a bounced workload message gets its
@@ -329,20 +374,18 @@ func (s *Server) dispatch(p runtime.Task, msg any) any {
 // bounce is the redirect for a workload message this rank must not
 // serve, nil when it should serve it. One rule covers every handoff: the
 // rank serves a message only if the subtree it addresses is not frozen
-// here and the table says this rank owns it. A request that carries no
-// route is placed by the path of its parent, else of its inode, when
-// this rank holds that inode; one the rank can place nowhere is served.
-// The check costs no simulated time, and while nothing is placed or
-// frozen rank 0 owns everything, so a one-rank run pays three tests.
+// here and the table says this rank owns it. A request is placed by its
+// route, or without one by a path this rank knows for it (placement);
+// one the rank can place nowhere is served, and answers ENOENT. The
+// check costs no simulated time, and while nothing is placed or frozen
+// rank 0 owns everything, so a one-rank run pays three tests.
 func (s *Server) bounce(msg refusable) error {
 	if s.rank == 0 && len(s.frozen) == 0 && s.c.table.Empty() {
 		return nil
 	}
 	route := msg.route()
-	if req, ok := msg.(*Request); ok && route == "" {
-		if ino := cmp.Or(req.Parent, req.Ino); ino != 0 {
-			route, _ = s.store.PathOf(ino) // "" if not held here
-		}
+	if req, ok := msg.(*Request); ok {
+		route = s.placement(req)
 	}
 	if route == "" {
 		return nil
@@ -360,6 +403,34 @@ func (s *Server) bounce(msg refusable) error {
 		fl.Record(int64(s.eng.Now()), s.ep.Name(), "mds", "bounce", werr.Error())
 	}
 	return werr
+}
+
+// placement is the path bounce places req by. A request without a route
+// — addressed to a file, or to a directory the client knows no path for —
+// is placed by the path of its parent, else of its inode, when this rank
+// holds that inode, and by the inode's path when it left when an export
+// of this rank took it away (exportedPath). A request addressed to an
+// inode this rank does not hold is placed that way over its route too:
+// another rank's record gave that route, and the inode has moved on from
+// under it since.
+func (s *Server) placement(req *Request) string {
+	if req.Route != "" {
+		if req.Ino == 0 || len(s.exported) == 0 {
+			return req.Route
+		}
+		if _, err := s.store.Get(req.Ino); err == nil {
+			return req.Route
+		}
+		return cmp.Or(s.exportedPath(req.Ino), req.Route)
+	}
+	ino := cmp.Or(req.Parent, req.Ino)
+	if ino == 0 {
+		return ""
+	}
+	if path, err := s.store.PathOf(ino); err == nil {
+		return path
+	}
+	return s.exportedPath(ino)
 }
 
 // Store exposes the in-memory metadata store. Benchmarks and the monitor
@@ -410,6 +481,7 @@ func (s *Server) Crash(p runtime.Task) {
 	// session and aborts).
 	s.frozen = nil
 	s.exports = nil
+	s.exported = nil
 
 	// Retire in-flight streamed merges and imports on the old schedulers,
 	// then start fresh.
@@ -524,9 +596,11 @@ func (s *Server) serveRPC(p runtime.Task, req *Request) *Reply {
 	s.cpu.Acquire(p)
 	if s.heat != nil {
 		// Queue wait is the time spent behind other requests for the
-		// rank's CPU — the saturation signal a balancer watches.
+		// rank's CPU — the saturation signal a balancer watches. A request
+		// without a route is counted where bounce places it: a file's
+		// setattr heats its directory's cell.
 		now := p.Now()
-		s.heat.RecordOp(int64(now), s.heatSubtree(req.Route), s.rank,
+		s.heat.RecordOp(int64(now), s.heatSubtree(s.placement(req)), s.rank,
 			req.Op.Mutates(), runtime.Duration(now-arrive))
 	}
 	p.Sleep(s.serviceTime(req.Op))
@@ -596,11 +670,17 @@ func (s *Server) checkInterfere(p runtime.Task, req *Request, root *namespace.In
 
 // onSubtree is how the control-plane handlers that name a subtree by path
 // run: holding the rank's CPU, one resolve charged, fn on the subtree's
-// root inode.
+// root inode. The CPU wait and the charge yield, and a crash meanwhile
+// swaps the store for an empty one: the handler then answers
+// ErrShutdown, as it would have before the wait, not a miss in the
+// crashed rank's empty store.
 func (s *Server) onSubtree(p runtime.Task, path string, fn func(root namespace.Ino) error) error {
 	s.cpu.Acquire(p)
 	defer s.cpu.Release()
 	p.Sleep(s.serviceTime(OpResolve))
+	if s.stopped {
+		return ErrShutdown
+	}
 	in, err := s.store.Resolve(path)
 	if err != nil {
 		return err

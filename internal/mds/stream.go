@@ -192,6 +192,7 @@ func (st *streamState) kick() {
 // off the request-processing CPU, which is why large dispatch sizes
 // degrade performance under load (Fig 3a).
 func (st *streamState) dispatchLoop(p runtime.Task) {
+	st.s.labelSelf("journal.dispatch")
 	for len(st.queue) > 0 {
 		k := st.s.cfg.DispatchSize
 		if k > len(st.queue) {
@@ -215,6 +216,7 @@ func (st *streamState) dispatchLoop(p runtime.Task) {
 		for _, seg := range batch {
 			seg := seg
 			g.Go("mds.segwrite", func(wp runtime.Task) {
+				st.s.labelSelf("journal.segwrite")
 				name := journalObjectName(st.s.rank, st.segBase+seg.index)
 				nominal := int64(seg.events) * int64(st.s.cfg.JournalEventBytes)
 				rec := wp.Runtime().Tracer()

@@ -35,8 +35,8 @@ import (
 // migration, leaving the source authoritative; the caller may retry
 // later.
 func (m *Monitor) Migrate(p runtime.Task, path string, dst int) error {
-	m.dom.Enter(p)
-	defer m.dom.Leave(p)
+	m.enter(p, "migrate")
+	defer m.leave(p)
 	if err := m.checkRank("migrate", path, dst); err != nil {
 		return err
 	}

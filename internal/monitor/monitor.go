@@ -17,6 +17,7 @@ import (
 
 	"cudele/internal/mds"
 	"cudele/internal/namespace"
+	"cudele/internal/obs"
 	"cudele/internal/policy"
 	"cudele/internal/runtime"
 	"cudele/internal/transport"
@@ -126,8 +127,8 @@ func (m *Monitor) Epoch() uint64 { return m.epoch }
 // registration never moves its subtree (Place does that): it is one
 // commit latency and one cluster-map epoch.
 func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy, owner string) (_ *Subtree, err error) {
-	m.dom.Enter(p)
-	defer m.dom.Leave(p)
+	m.enter(p, "register")
+	defer m.leave(p)
 	if err := pol.Validate(); err != nil {
 		return nil, err
 	}
@@ -167,8 +168,8 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 // rank is orthogonal to its consistency/durability policy, so the record
 // stays, without a registration.
 func (m *Monitor) Unregister(p runtime.Task, path string) error {
-	m.dom.Enter(p)
-	defer m.dom.Leave(p)
+	m.enter(p, "unregister")
+	defer m.leave(p)
 	st, ok := m.Lookup(path)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSubtree, path)
@@ -220,8 +221,8 @@ func (m *Monitor) holders(path string) []int {
 // (ErrShutdown) and records nothing, so the list handed here stays the
 // monitor's.
 func (m *Monitor) Restart(p runtime.Task, rank int) error {
-	m.dom.Enter(p)
-	defer m.dom.Leave(p)
+	m.enter(p, "restart")
+	defer m.leave(p)
 	var regs []mds.AttachMsg
 	for _, st := range m.registered() {
 		if slices.Contains(m.holders(st.Path), rank) {
@@ -239,8 +240,8 @@ func (m *Monitor) Restart(p runtime.Task, rank int) error {
 // (namespace.ErrNotDir) and the table stays as it was, and so is a
 // subtree a concurrent handoff has frozen or moved (namespace.ErrBusy).
 func (m *Monitor) Place(p runtime.Task, path string, rank int) error {
-	m.dom.Enter(p)
-	defer m.dom.Leave(p)
+	m.enter(p, "place")
+	defer m.leave(p)
 	if err := m.checkRank("place", path, rank); err != nil {
 		return err
 	}
@@ -254,6 +255,26 @@ func (m *Monitor) Place(p runtime.Task, path string, rank int) error {
 	}
 	m.placed(path)
 	return nil
+}
+
+// enter moves p into the monitor's domain for the operation op and, with
+// the label plane on, charges p's CPU samples to {proc: monitor, op}
+// until leave, which undoes both. A rank that serves one of the
+// operation's messages gives p its own label back, so the monitor's work
+// after that message is charged to p.
+func (m *Monitor) enter(p runtime.Task, op string) {
+	m.dom.Enter(p)
+	if l := obs.ProfLabels(); l != nil && p != nil {
+		obs.Switch(l.Op("monitor", op))
+	}
+}
+
+// leave is enter's inverse.
+func (m *Monitor) leave(p runtime.Task) {
+	if l := obs.ProfLabels(); l != nil && p != nil {
+		obs.Switch(l.Proc(p.Name()))
+	}
+	m.dom.Leave(p)
 }
 
 // record returns path's subtree record, creating an owned one on first

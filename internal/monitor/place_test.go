@@ -77,13 +77,43 @@ func TestClusterRoutesPlacedSubtree(t *testing.T) {
 	})
 }
 
+// reachByInode sends a GetAttr of ino with no route through the cluster
+// and, as a client does, re-sends it by the path each redirect names. It
+// returns the reply, the rank that served it (-1 for none) and the
+// redirects it took.
+func reachByInode(p runtime.Task, cl *mds.Cluster, ino namespace.Ino) (*mds.Reply, int, int) {
+	served := func(r int) uint64 { return cl.Rank(r).Metrics().ByOp[mds.OpGetAttr] }
+	before := make([]uint64, cl.Ranks())
+	for r := range before {
+		before[r] = served(r)
+	}
+	req := &mds.Request{Op: mds.OpGetAttr, Client: "c0", Ino: ino}
+	reply := cl.Call(p, req).(*mds.Reply)
+	redirects := 0
+	for wr, ok := transport.IsRedirect(reply.Err); ok && redirects < 8; wr, ok = transport.IsRedirect(reply.Err) {
+		redirects++
+		req.Route = wr.Path
+		reply = cl.Call(p, req).(*mds.Reply)
+	}
+	for r := range before {
+		if served(r) != before[r] {
+			return reply, r, redirects
+		}
+	}
+	return reply, -1, redirects
+}
+
 // TestRoutePlaceRefusesFilesAndFilesRouteByParent: over generated trees
 // and placements on a three-rank cluster, Place refuses a path that
 // resolves to a file, on the same-rank branch and the cross-rank one,
 // and leaves the table as it was; so a file is never a placement root,
 // and every file's path and its parent's give the same RankFor and
-// SubtreeFor — which is why a client routes a file's requests by its
-// parent.
+// SubtreeFor — a file's owner and heat cell are its directory's. And a
+// request that names a file by inode alone, which goes to the inode's
+// band (rank 0 here, which made every file), reaches the file's owner
+// after every placement, redirected at most once: rank 0 holds the file
+// or the records of the exports that took it away, and either gives the
+// file's path, which the table places.
 func TestRoutePlaceRefusesFilesAndFilesRouteByParent(t *testing.T) {
 	const ranks = 3
 	for seed := int64(1); seed <= 20; seed++ {
@@ -91,6 +121,7 @@ func TestRoutePlaceRefusesFilesAndFilesRouteByParent(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		dirs := []string{"/"}
 		var files []string
+		fileIno := make(map[string]namespace.Ino)
 		st := cl.Rank(0).Store()
 		for i := 0; i < 24; i++ {
 			parent := dirs[rng.Intn(len(dirs))]
@@ -107,10 +138,12 @@ func TestRoutePlaceRefusesFilesAndFilesRouteByParent(t *testing.T) {
 				t.Fatal(err)
 			}
 			name := fmt.Sprintf("f%d", i)
-			if _, err := st.Create(dir.Ino, name, namespace.CreateAttrs{Mode: 0644}); err != nil {
+			in, err := st.Create(dir.Ino, name, namespace.CreateAttrs{Mode: 0644})
+			if err != nil {
 				t.Fatal(err)
 			}
 			files = append(files, gopath.Join(parent, name))
+			fileIno[files[len(files)-1]] = in.Ino
 		}
 		if len(files) == 0 {
 			continue
@@ -142,10 +175,48 @@ func TestRoutePlaceRefusesFilesAndFilesRouteByParent(t *testing.T) {
 					if a, b := tb.SubtreeFor(dir), tb.SubtreeFor(f); a != b {
 						t.Errorf("seed %d, placements %v: SubtreeFor(%s) = %s, SubtreeFor(%s) = %s", seed, tb.Paths(), dir, a, f, b)
 					}
+					reply, rank, redirects := reachByInode(p, cl, fileIno[f])
+					if owner := tb.RankFor(f); reply.Err != nil || reply.Ino != fileIno[f] || rank != owner || redirects > 1 {
+						t.Errorf("seed %d, placements %v: getattr of %s by inode: %v from rank %d after %d redirects, want its attributes from rank %d after at most 1",
+							seed, tb.Paths(), f, reply.Err, rank, redirects, owner)
+					}
 				}
 			}
 		})
 	}
+}
+
+// TestInodeRequestFollowsRenamedMove: rank 0 makes /a/x/f and places /a
+// on rank 1, which renames /a/x to /a/y and places /a/y on rank 2. A
+// getattr of f by inode alone goes to rank 0, the inode's band, whose
+// export record knows f by the path it left with, /a/x/f; the table gives
+// that path to rank 1, which does not hold f either and places it by its
+// own record, /a/y/f, on rank 2: two redirects, and rank 2 answers.
+func TestInodeRequestFollowsRenamedMove(t *testing.T) {
+	eng, _, cl, m := newPlaceCluster(5, 3)
+	populate(t, eng, cl.Rank(0), "/a/x", 1)
+	f, err := cl.Rank(0).Store().Resolve("/a/x/f00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(t, eng, func(p runtime.Task) {
+		err := m.Place(p, "/a", 1)
+		if err == nil {
+			a, _ := cl.Rank(1).Store().Resolve("/a")
+			err = cl.Call(p, &mds.Request{Op: mds.OpRename, Client: "c0", Route: "/a",
+				Parent: a.Ino, Name: "x", NewParent: a.Ino, NewName: "y"}).(*mds.Reply).Err
+		}
+		if err == nil {
+			err = m.Place(p, "/a/y", 2)
+		}
+		if err != nil {
+			t.Fatalf("setup: %v", err)
+		}
+		reply, rank, redirects := reachByInode(p, cl, f.Ino)
+		if reply.Err != nil || reply.Ino != f.Ino || rank != 2 || redirects != 2 {
+			t.Errorf("getattr of /a/y/f00 by inode: %v from rank %d after %d redirects, want its attributes from rank 2 after 2", reply.Err, rank, redirects)
+		}
+	})
 }
 
 // TestPlaceOnOwnerPinsWithoutExport: a Place onto the rank that owns the

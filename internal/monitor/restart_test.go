@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"cudele/internal/mds"
 	"cudele/internal/namespace"
@@ -165,4 +166,57 @@ func registrationMismatch(cl *mds.Cluster, m *Monitor) string {
 		}
 	}
 	return ""
+}
+
+// TestAttachRacingCrashIsShutdown: /a/job is placed on rank 1, and rank 1
+// crashes 2.0–2.2 ms into a RegisterPolicy of /a, in 5 µs steps — while
+// the registration's AttachMsg to rank 1, which holds /a as the ancestor
+// of its placement, waits for the rank's CPU or pays its resolve. The
+// attach then answers ErrShutdown, never a miss in the crashed rank's
+// empty store, so the monitor records nothing and the restart hands rank
+// 1 no registration: it holds no policy on /a. A registration delivered
+// before the crash is handed back by the restart. (What the owner, rank
+// 0, keeps of a registration whose second delivery failed is another
+// matter, not checked here.)
+func TestAttachRacingCrashIsShutdown(t *testing.T) {
+	const from, to, step = 2 * time.Millisecond, 2200 * time.Microsecond, 5 * time.Microsecond
+	shutdowns := 0
+	for at := from; at < to; at += step {
+		eng, _, cl, m := newPlaceCluster(5, 2)
+		populate(t, eng, cl.Rank(0), "/a/job", 2)
+		var regErr, restartErr error
+		run(t, eng, func(p runtime.Task) {
+			if err := errors.Join(cl.Rank(0).SaveStore(p), m.Place(p, "/a/job", 1)); err != nil {
+				t.Fatalf("setup: %v", err)
+			}
+			eng.Spawn("register", func(p runtime.Task) { regErr = register(p, m, "/a", "interfere: block\n") })
+			eng.Spawn("crash", func(p runtime.Task) {
+				p.Sleep(at)
+				cl.Rank(1).Crash(p)
+				restartErr = m.Restart(p, 1)
+			})
+		})
+		if restartErr != nil {
+			t.Fatalf("crash at %v: restart: %v", at, restartErr)
+		}
+		in, err := cl.Rank(1).Store().Resolve("/a")
+		if err != nil {
+			t.Fatalf("crash at %v: rank 1 lost /a: %v", at, err)
+		}
+		st, listed := m.Lookup("/a")
+		switch {
+		case errors.Is(regErr, mds.ErrShutdown):
+			shutdowns++
+			if listed && st.Policy != nil || in.Policy != nil {
+				t.Errorf("crash at %v: a refused registration left the monitor listing %v and rank 1 holding %+v", at, listed, in.Policy)
+			}
+		case regErr != nil:
+			t.Errorf("crash at %v: register = %v, want success or ErrShutdown", at, regErr)
+		case in.Policy != st.Policy:
+			t.Errorf("crash at %v: rank 1 holds %+v after the restart, want the monitor's registration", at, in.Policy)
+		}
+	}
+	if shutdowns == 0 {
+		t.Error("no crash time landed inside the registration's attach")
+	}
 }

@@ -19,6 +19,7 @@
 package namespace
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"path"
@@ -866,26 +867,39 @@ func joinPath(dir, name string) string {
 // here, and a directory object names each entry with its attributes. So
 // p's own inode stays as the bound of the parent's listing, just as the
 // ancestor chain an importer installs names the directories beside the
-// subtree. The inode count removed is returned; pruning the root is
-// refused.
-func (s *Store) PruneExport(p string) (int, error) {
+// subtree. Each removed inode is returned with its name and the directory
+// that held it, in ascending inode order (the exporter keeps them to
+// redirect a request that names one); pruning the root is refused.
+func (s *Store) PruneExport(p string) ([]Pruned, error) {
 	_, victims, err := s.Subtree(p)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	root, err := s.Get(victims[0])
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if root.Ino == RootIno {
-		return 0, fmt.Errorf("prune %q: %w", p, ErrInval)
+		return nil, fmt.Errorf("prune %q: %w", p, ErrInval)
 	}
+	pruned := make([]Pruned, 0, len(victims)-1)
 	for _, ino := range victims[1:] {
+		if in := s.inodes.get(ino); in != nil {
+			pruned = append(pruned, Pruned{Ino: ino, Parent: in.Parent, Name: in.Name})
+		}
 		s.inodes.del(ino)
 	}
 	root.frag, root.Policy = newDirFrag(), nil
 	s.version++
-	return len(victims) - 1, nil
+	slices.SortFunc(pruned, func(a, b Pruned) int { return cmp.Compare(a.Ino, b.Ino) })
+	return pruned, nil
+}
+
+// Pruned is one inode PruneExport removed: its number, the directory that
+// held it and its name there.
+type Pruned struct {
+	Ino, Parent Ino
+	Name        string
 }
 
 // PruneSubtree detaches the directory at absolute path p from its parent

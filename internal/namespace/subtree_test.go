@@ -205,7 +205,9 @@ func TestSubtree(t *testing.T) {
 }
 
 // TestPruneExport: the exporter's prune removes everything under the
-// subtree root and keeps the root itself, empty and with no policy, so
+// subtree root, returning those inodes with their parents and names in
+// ascending inode order, and keeps the
+// root itself, empty and with no policy, so
 // its parent still lists it, a create of its name is refused, and the
 // store checks clean. The root of the namespace and a file are refused.
 func TestPruneExport(t *testing.T) {
@@ -224,9 +226,15 @@ func TestPruneExport(t *testing.T) {
 	}
 	before := s.Len()
 
-	n, err := s.PruneExport("/top/job")
-	if err != nil || n != 4 || s.Len() != before-4 {
-		t.Fatalf("PruneExport = %d, %v; store %d -> %d inodes, want 4 removed", n, err, before, s.Len())
+	var want []Pruned
+	for _, path := range []string{"/top/job/a", "/top/job/a/x", "/top/job/b", "/top/job/f"} {
+		in, _ := s.Resolve(path)
+		want = append(want, Pruned{Ino: in.Ino, Parent: in.Parent, Name: in.Name})
+	}
+	slices.SortFunc(want, func(a, b Pruned) int { return int(a.Ino) - int(b.Ino) })
+	pruned, err := s.PruneExport("/top/job")
+	if err != nil || !slices.Equal(pruned, want) || s.Len() != before-4 {
+		t.Fatalf("PruneExport = %v, %v; store %d -> %d inodes, want %v removed, in order", pruned, err, before, s.Len(), want)
 	}
 	in, err := s.Resolve("/top/job")
 	if err != nil || in.Ino != job.Ino || !in.IsDir() || in.NumChildren() != 0 || in.Policy != nil {

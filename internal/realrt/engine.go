@@ -254,6 +254,9 @@ func (d *Domain) Spawn(name string, fn func(t runtime.Task)) {
 	e.live[t] = struct{}{}
 	e.state.Unlock()
 	go func() {
+		if l := obs.ProfLabels(); l != nil {
+			obs.Switch(l.Proc(name))
+		}
 		d.mu.Lock()
 		defer func() {
 			r := recover()

@@ -12,6 +12,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"iter"
 	"math/rand"
@@ -200,6 +201,9 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		p.started = true
 		next, _ := iter.Pull(func(yield func(struct{}) bool) {
 			p.yield = yield
+			if l := obs.ProfLabels(); l != nil {
+				obs.Switch(l.Proc(name))
+			}
 			defer func() {
 				p.done = true
 				e.procs--
@@ -285,10 +289,20 @@ func (e *Engine) Run(until Time) Time {
 		panic("sim: Engine.Run re-entered")
 	}
 	e.running, e.until = true, until
-	// Deferred so both still happen when a process panic passes through.
+	// With the label plane on, the loop's own samples are the kernel's;
+	// each process switches to its own label when it starts.
+	l := obs.ProfLabels()
+	if l != nil {
+		obs.Switch(l.Proc("sim.kernel"))
+	}
+	// Deferred so all of it still happens when a process panic passes
+	// through.
 	defer func() {
 		e.running = false
 		e.finalizeAccounting()
+		if l != nil {
+			obs.Switch(context.Background())
+		}
 	}()
 	for len(e.queue) > 0 && !e.stopped {
 		if e.queue[0].at > until {
