@@ -42,10 +42,11 @@
 // policy-contract checker instead of the experiments, and exits non-zero
 // if any schedule violates its contract. A failing seed reproduces
 // exactly with -chaos-replay SEED, which runs that one schedule and
-// prints its fault plan — and, since every schedule carries a flight
-// recorder, the failure report includes the last events (ops, faults,
-// crashes) each daemon saw before the violation. -chaos-dumps DIR
-// additionally writes one flight-dump file per failing seed.
+// prints its fault plan — and, since every schedule is traced, the
+// failure report includes the trace's tail: the last events (RPC spans,
+// faults, crashes, handoff phases) each daemon saw before the violation.
+// -chaos-dumps DIR additionally writes one flight-dump file per failing
+// seed.
 //
 // -heat enables per-subtree heat accounting on every run of every
 // experiment (heatskew and rebalance read heat themselves and keep their
@@ -110,7 +111,7 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write a Prometheus text dump of every run's daemon metrics to this file")
 	chaosN := flag.Int("chaos", 0, "run N fault-injection schedules (seeds -seed..-seed+N-1) instead of experiments")
 	chaosReplay := flag.Int64("chaos-replay", 0, "replay one fault-injection schedule by seed and print its plan")
-	chaosDumps := flag.String("chaos-dumps", "", "chaos mode: write one flight-recorder dump file per failing seed into this directory")
+	chaosDumps := flag.String("chaos-dumps", "", "chaos mode: write one flight dump (the trace's tail) per failing seed into this directory")
 	backendName := flag.String("backend", "sim", "execution backend: sim (deterministic simulator) or real (goroutines, wall clock, fsync)")
 	dataDir := flag.String("datadir", "", "real backend: directory for the fsynced object log (default: a fresh temp dir)")
 	heat := flag.Bool("heat", false, "enable per-subtree heat accounting on every run (passive: tables are byte-identical)")
@@ -294,7 +295,7 @@ func main() {
 // returns the exit code. With verbose set (replay mode) the plan prints
 // even on success, so a passing replay still shows what was exercised.
 // With dumpDir set, each failing seed's fault plan, violations, and
-// flight-recorder dump are written to chaos-flight-<seed>.txt there (the
+// flight dump are written to chaos-flight-<seed>.txt there (the
 // CI failure artifact).
 func reportChaos(results []chaos.Result, verbose bool, dumpDir string) int {
 	if verbose {

@@ -198,10 +198,11 @@ type Result struct {
 	Violations  []string
 	PlanText    string
 
-	// FlightDump is the flight recorder's rendering of the last events
-	// before the first violation — per-daemon rings of ops, faults,
-	// crashes, and merges — captured only for failed schedules so a
-	// `-chaos-replay <seed>` report shows what led up to the breakage.
+	// FlightDump is the schedule's trace's tail (trace.Recorder.Dump):
+	// each daemon's last spans and points — RPCs with their client and
+	// route, faults, crashes, handoff phases — captured only for failed
+	// schedules so a `-chaos-replay <seed>` report shows what led up to
+	// the breakage.
 	FlightDump string
 }
 

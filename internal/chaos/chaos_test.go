@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -182,6 +183,25 @@ func TestFlightDumpShowsHandoffSave(t *testing.T) {
 	dump := Run(669).FlightDump
 	if !strings.Contains(dump, "export.save /chaos/main dirs=3") {
 		t.Errorf("flight dump has no export.save event:\n%s", dump)
+	}
+}
+
+// TestFlightDumpShowsMigrationSpans: a failing migrating schedule's dump
+// is the trace's tail, so it holds the monitor's commit point and, on the
+// rank the subtree moved to, the transport spans of the client's RPCs
+// with their client and route. Seed 56 moves /chaos/main from rank 0 to
+// rank 1 once, and the client keeps creating in it there.
+func TestFlightDumpShowsMigrationSpans(t *testing.T) {
+	forceViolation = true
+	defer func() { forceViolation = false }()
+	dump := Run(56).FlightDump
+	if !strings.Contains(dump, "monitor migrate.commit /chaos/main rank 0 -> 1 ") {
+		t.Errorf("flight dump has no migrate.commit point:\n%s", dump)
+	}
+	_, rank1, _ := strings.Cut(dump, "[mds.1]\n")
+	rank1, _, _ = strings.Cut(rank1, "\n[")
+	if !regexp.MustCompile(`(?m)^  t=\S+ +transport rpc\.create chaos-main /chaos/main \[[^]]+\]$`).MatchString(rank1) {
+		t.Errorf("rank 1's dump has no rpc.create span with its client and route:\n%s", rank1)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"cudele/internal/mds"
 	"cudele/internal/monitor"
 	"cudele/internal/namespace"
-	"cudele/internal/obs"
 	"cudele/internal/policy"
 	"cudele/internal/rados"
 	"cudele/internal/runtime"
@@ -26,6 +25,10 @@ import (
 // dump capture and report rendering — without hunting for a genuinely
 // broken seed.
 var forceViolation bool
+
+// dumpEvents is how many of each track's last events a failing
+// schedule's flight dump shows: spans and points of the whole trace.
+const dumpEvents = 128
 
 // Workload subtrees. Both are created and made durable (SaveStore)
 // before any fault can fire, so recovery always has roots to attach to.
@@ -62,7 +65,7 @@ type driver struct {
 	bg   *cudele.Client
 	rng  *rand.Rand
 	o    *oracle
-	fl   *obs.Flight
+	rec  *cudele.Recorder
 	res  Result
 
 	inj     *rados.FaultInjector
@@ -142,10 +145,10 @@ func newDriver(plan *Plan) *driver {
 	if plan.Background {
 		d.bg = cl.NewClient("chaos-bg")
 	}
-	// The flight recorder rides along on every schedule: fixed-size rings
-	// that never touch virtual time or the engine's rand stream, dumped
-	// only when a contract breaks.
-	d.fl = cl.EnableFlightRecorder(obs.DefaultFlightEvents)
+	// Every schedule is traced: recording never touches virtual time or
+	// the engine's rand stream, and the trace's tail is dumped only when
+	// a contract breaks.
+	d.rec = cl.EnableTracing()
 	return d
 }
 
@@ -159,7 +162,7 @@ func (d *driver) run() Result {
 		d.violate("%v", err)
 	}
 	if !d.res.Passed() {
-		d.res.FlightDump = d.fl.Dump()
+		d.res.FlightDump = d.rec.Dump(dumpEvents)
 	}
 	d.cl.Runtime().Shutdown()
 	return d.res
@@ -171,9 +174,9 @@ func (d *driver) violate(format string, args ...any) {
 	}
 	msg := fmt.Sprintf(format, args...)
 	d.res.Violations = append(d.res.Violations, msg)
-	// Stamp the violation into the ring so the dump shows it in sequence
+	// Stamp the violation into the trace so the dump shows it in sequence
 	// with the ops and faults that preceded it.
-	d.fl.Record(int64(d.cl.Runtime().Now()), "chaos", "oracle", "violation", msg)
+	d.rec.Record(int64(d.cl.Runtime().Now()), "chaos", "oracle", "violation", msg)
 }
 
 // mds returns the rank currently owning the main workload subtree — the
@@ -342,7 +345,7 @@ func (d *driver) drain(p runtime.Task) {
 		f := d.pending[0]
 		d.pending = d.pending[1:]
 		d.res.CrashFaults++
-		d.fl.Record(int64(p.Now()), "chaos", "fault", f.Kind, f.Target)
+		d.rec.Record(int64(p.Now()), "chaos", "fault", f.Kind, f.Target)
 		switch f.Kind {
 		case FaultClientCrash:
 			d.crashClient(p)
@@ -653,11 +656,11 @@ func (d *driver) startMigrator() {
 			src := meta.Table().RankFor(mainPath)
 			dst := 1 - src
 			if err := d.cl.Migrate(p, mainPath, dst); err != nil {
-				d.fl.Record(int64(p.Now()), "chaos", "migrate", "abort", err.Error())
+				d.rec.Record(int64(p.Now()), "chaos", "migrate", "abort", err.Error())
 				continue
 			}
 			d.res.Migrations++
-			d.fl.Record(int64(p.Now()), "chaos", "migrate", "commit",
+			d.rec.Record(int64(p.Now()), "chaos", "migrate", "commit",
 				fmt.Sprintf("%s rank %d -> %d", mainPath, src, dst))
 		}
 	})

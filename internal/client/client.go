@@ -241,9 +241,7 @@ func (c *Client) Unmount(p runtime.Task) {
 func (c *Client) Crash(p runtime.Task) {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
-	if fl := c.eng.Flight(); fl != nil {
-		fl.Record(int64(c.eng.Now()), c.name, "client", "crash", "")
-	}
+	c.eng.Tracer().Record(int64(c.eng.Now()), c.name, "client", "crash", "")
 	c.svc.Unmount(p, c.name)
 	c.dropCaches()
 	if c.dec != nil {
@@ -262,9 +260,7 @@ func (c *Client) Crash(p runtime.Task) {
 func (c *Client) Restart(p runtime.Task) error {
 	c.dom.Enter(p)
 	defer c.dom.Leave(p)
-	if fl := c.eng.Flight(); fl != nil {
-		fl.Record(int64(p.Now()), c.name, "client", "restart", "")
-	}
+	c.eng.Tracer().Record(int64(p.Now()), c.name, "client", "restart", "")
 	c.Mount(p)
 	old := c.crashed
 	c.crashed = nil

@@ -17,12 +17,12 @@ import (
 // message is what every endpoint message knows about itself, declared
 // next to its type: adding a message is one type in one place.
 type message interface {
-	// label names the message's span and flight-recorder event.
+	// label names the message's span and CPU-profile op.
 	label() string
 	// route is the namespace path the cluster picks the owning rank by
 	// (Cluster.rankOf); empty routes to rank 0. Migration control
-	// messages are posted to explicit ranks, so theirs only shows in
-	// flight dumps.
+	// messages are posted to explicit ranks, so theirs only shows as
+	// their span's detail.
 	route() string
 	// serve runs the message's handler on rank s.
 	serve(s *Server, p runtime.Task) any

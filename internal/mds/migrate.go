@@ -424,8 +424,8 @@ func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeR
 	s.frozen[path] = true
 	s.exports[path] = ex
 	s.metrics.Exports++
-	if fl := s.eng.Flight(); fl != nil {
-		fl.Record(int64(p.Now()), s.ep.Name(), "mds", "export.freeze",
+	if rec := s.eng.Tracer(); rec != nil {
+		rec.Record(int64(p.Now()), s.ep.Name(), "mds", "export.freeze",
 			fmt.Sprintf("%s dirs=%d caps=%d", path, len(ex.dirs), revoked))
 	}
 	return &ExportFreezeReply{Manifest: ex.manifest}
@@ -444,8 +444,8 @@ func (s *Server) exportSave(p runtime.Task, m *ExportSaveMsg) *ExportSaveReply {
 	if err != nil {
 		return &ExportSaveReply{Saved: saved, Err: fmt.Errorf("export save: %w", err)}
 	}
-	if fl := s.eng.Flight(); fl != nil {
-		fl.Record(int64(p.Now()), s.ep.Name(), "mds", "export.save", fmt.Sprintf("%s dirs=%d", path, saved))
+	if rec := s.eng.Tracer(); rec != nil {
+		rec.Record(int64(p.Now()), s.ep.Name(), "mds", "export.save", fmt.Sprintf("%s dirs=%d", path, saved))
 	}
 	return &ExportSaveReply{Saved: saved}
 }
@@ -525,8 +525,8 @@ func (s *Server) exportCommit(p runtime.Task, m *ExportCommitMsg) *ExportCommitR
 	// pruned store would see a spurious ErrNotExist. The monitor thaws
 	// the subtree (ExportAbortMsg) right after the flip; from then on a
 	// request routed before it bounces with the new owner instead.
-	if fl := s.eng.Flight(); fl != nil {
-		fl.Record(int64(p.Now()), s.ep.Name(), "mds", "export.commit",
+	if rec := s.eng.Tracer(); rec != nil {
+		rec.Record(int64(p.Now()), s.ep.Name(), "mds", "export.commit",
 			fmt.Sprintf("%s seq=%d pruned=%d -> rank %d", path, m.Seq, len(pruned), m.Dst))
 	}
 	return &ExportCommitReply{Pruned: len(pruned)}
@@ -538,9 +538,7 @@ func (s *Server) exportAbort(p runtime.Task, m *ExportAbortMsg) *ExportAbortRepl
 	path := transport.Clean(m.Path)
 	delete(s.frozen, path)
 	delete(s.exports, path)
-	if fl := s.eng.Flight(); fl != nil {
-		fl.Record(int64(p.Now()), s.ep.Name(), "mds", "export.abort", path)
-	}
+	s.eng.Tracer().Record(int64(p.Now()), s.ep.Name(), "mds", "export.abort", path)
 	return &ExportAbortReply{}
 }
 
@@ -607,8 +605,8 @@ func (s *Server) importCommit(p runtime.Task, m *ImportCommitMsg) *ImportCommitR
 			return &ImportCommitReply{Installed: installed, Err: err}
 		}
 	}
-	if fl := s.eng.Flight(); fl != nil {
-		fl.Record(int64(p.Now()), s.ep.Name(), "mds", "import.commit",
+	if rec := s.eng.Tracer(); rec != nil {
+		rec.Record(int64(p.Now()), s.ep.Name(), "mds", "import.commit",
 			fmt.Sprintf("%s dirs=%d", man.Path, installed))
 	}
 	return &ImportCommitReply{Installed: installed}

@@ -35,6 +35,7 @@ import (
 	"cudele/internal/policy"
 	"cudele/internal/rados"
 	"cudele/internal/runtime"
+	"cudele/internal/trace"
 	"cudele/internal/transport"
 )
 
@@ -251,8 +252,8 @@ func newRank(c *Cluster, rank int) *Server {
 	return s
 }
 
-// labelOf names the span and flight-recorder event for one endpoint
-// message. Only called when tracing or the flight recorder is enabled.
+// labelOf names the span and CPU-profile op for one endpoint message.
+// Only called when tracing or the label plane is enabled.
 func labelOf(msg any) string {
 	if m, ok := msg.(message); ok {
 		return m.label()
@@ -260,19 +261,22 @@ func labelOf(msg any) string {
 	return fmt.Sprintf("msg.%T", msg)
 }
 
-// flightDetail is the flight-recorder detail string for one endpoint
-// message. Only called when the flight recorder is enabled.
-func flightDetail(msg any) string {
+// spanArgs is the transport span's one arg for an endpoint message, its
+// "detail": an RPC's client and route, any other message's route; none
+// when that is empty. Only called when tracing is enabled.
+func spanArgs(msg any) []trace.KV {
+	detail := ""
 	if m, ok := msg.(*Request); ok {
-		if m.Route != "" {
-			return m.Client + " " + m.Route
+		if detail = m.Client; m.Route != "" {
+			detail += " " + m.Route
 		}
-		return m.Client
+	} else if m, ok := msg.(message); ok {
+		detail = m.route()
 	}
-	if m, ok := msg.(message); ok {
-		return m.route()
+	if detail == "" {
+		return nil
 	}
-	return ""
+	return []trace.KV{{Key: "detail", Val: detail}}
 }
 
 // heatSubtree resolves a route to its heat cell key: the placed subtree
@@ -305,8 +309,9 @@ func (s *Server) Post(p runtime.Task, msg any) any { return s.ep.Post(p, msg) }
 func (s *Server) InjectFaults(ic transport.Interceptor) { s.ep.Wrap(ic) }
 
 // handle is the rank's message dispatcher behind the wire. It spans every
-// RPC and Post on the rank's track without any op handler knowing about
-// it, and with the label plane on it charges the handler's CPU samples to
+// RPC and Post on the rank's track, with the message's client and route as
+// the span's detail, without any op handler knowing about it, and with
+// the label plane on it charges the handler's CPU samples to
 // {proc: mds.N, op: labelOf(msg)}, giving the calling task its own label
 // back on return. With tracing and labels off that costs two nil checks
 // and no label is built.
@@ -319,7 +324,7 @@ func (s *Server) handle(p runtime.Task, msg any) any {
 	if rec := s.eng.Tracer(); rec == nil {
 		reply = s.dispatch(p, msg)
 	} else {
-		span := rec.Begin(int64(p.Now()), s.ep.Name(), "transport", labelOf(msg))
+		span := rec.Begin(int64(p.Now()), s.ep.Name(), "transport", labelOf(msg), spanArgs(msg)...)
 		reply = s.dispatch(p, msg)
 		rec.End(span, int64(p.Now()))
 	}
@@ -356,9 +361,6 @@ func (s *Server) labelSelf(op string) {
 // dispatch serves one message: a bounced workload message gets its
 // redirect, anything else its handler's reply.
 func (s *Server) dispatch(p runtime.Task, msg any) any {
-	if fl := s.eng.Flight(); fl != nil {
-		fl.Record(int64(p.Now()), s.ep.Name(), "mds", labelOf(msg), flightDetail(msg))
-	}
 	m, ok := msg.(message)
 	if !ok {
 		return &Reply{Err: fmt.Errorf("mds: unknown message %T: %w", msg, namespace.ErrInval)}
@@ -399,8 +401,8 @@ func (s *Server) bounce(msg refusable) error {
 	}
 	werr := &transport.WrongRankError{Path: route, Rank: rank, Frozen: frozen}
 	s.metrics.Bounced++
-	if fl := s.eng.Flight(); fl != nil {
-		fl.Record(int64(s.eng.Now()), s.ep.Name(), "mds", "bounce", werr.Error())
+	if rec := s.eng.Tracer(); rec != nil {
+		rec.Record(int64(s.eng.Now()), s.ep.Name(), "mds", "bounce", werr.Error())
 	}
 	return werr
 }
@@ -461,9 +463,7 @@ func (s *Server) Shutdown() { s.stopped = true }
 func (s *Server) Crash(p runtime.Task) {
 	s.dom.Enter(p)
 	defer s.dom.Leave(p)
-	if fl := s.eng.Flight(); fl != nil {
-		fl.Record(int64(s.eng.Now()), s.ep.Name(), "mds", "crash", "")
-	}
+	s.eng.Tracer().Record(int64(s.eng.Now()), s.ep.Name(), "mds", "crash", "")
 	s.stopped = true
 	s.sessions = make(map[string]bool)
 	s.caps = make(map[namespace.Ino]*dirCaps)
@@ -501,9 +501,7 @@ func (s *Server) Crash(p runtime.Task) {
 func (s *Server) Restart(p runtime.Task, regs []AttachMsg) error {
 	s.dom.Enter(p)
 	defer s.dom.Leave(p)
-	if fl := s.eng.Flight(); fl != nil {
-		fl.Record(int64(p.Now()), s.ep.Name(), "mds", "restart", "")
-	}
+	s.eng.Tracer().Record(int64(p.Now()), s.ep.Name(), "mds", "restart", "")
 	if err := s.Recover(p); err != nil {
 		return err
 	}

@@ -95,7 +95,7 @@ func (st *streamState) record(p runtime.Task, req *Request, reply *Reply) {
 		return
 	}
 	if rec := p.Runtime().Tracer(); rec != nil {
-		rec.Instant(int64(p.Now()), st.s.ep.Name(), "journal", "journal.append")
+		rec.Record(int64(p.Now()), st.s.ep.Name(), "journal", "journal.append", "")
 	}
 }
 

@@ -90,8 +90,8 @@ func (m *Monitor) handoff(p runtime.Task, path string, srcRank, dst int, durable
 		}
 		src.Post(p, &mds.ExportAbortMsg{Path: path})
 		st.State = SubtreeOwned
-		if fl := m.eng.Flight(); fl != nil {
-			fl.Record(int64(p.Now()), "monitor", "monitor", "migrate.abort",
+		if rec := m.eng.Tracer(); rec != nil {
+			rec.Record(int64(p.Now()), "monitor", "monitor", "migrate.abort",
 				fmt.Sprintf("%s rank %d -> %d: %v", path, srcRank, dst, cause))
 		}
 		return fmt.Errorf("monitor: migrate %s to rank %d: %w", path, dst, cause)
@@ -172,8 +172,8 @@ func (m *Monitor) handoff(p runtime.Task, path string, srcRank, dst int, durable
 	// requests arriving before the flip bounced as Frozen instead of
 	// being served ErrNotExist from the pruned store.
 	src.Post(p, &mds.ExportAbortMsg{Path: path})
-	if fl := m.eng.Flight(); fl != nil {
-		fl.Record(int64(p.Now()), "monitor", "monitor", "migrate.commit",
+	if rec := m.eng.Tracer(); rec != nil {
+		rec.Record(int64(p.Now()), "monitor", "monitor", "migrate.commit",
 			fmt.Sprintf("%s rank %d -> %d seq=%d epoch=%d dirs=%d",
 				path, srcRank, dst, seq, m.epoch, fr.Manifest.Dirs))
 	}

@@ -155,7 +155,7 @@ func (m *Monitor) RegisterPolicy(p runtime.Task, path string, pol *policy.Policy
 	m.epoch++
 	reg := *pol
 	reg.Version, reg.Owner, reg.GrantLo, reg.GrantN = m.epoch, owner, uint64(grantAt(target, slot)), n
-	if err := m.deliver(p, path, &reg); err != nil {
+	if err := m.deliver(p, m.holders(path), path, &reg); err != nil {
 		return nil, err
 	}
 	st := m.record(path)
@@ -176,7 +176,7 @@ func (m *Monitor) Unregister(p runtime.Task, path string) error {
 	}
 	p.Sleep(commitLatency)
 	m.epoch++
-	if err := m.deliver(p, path, nil); err != nil {
+	if err := m.deliver(p, m.holders(path), path, nil); err != nil {
 		return err
 	}
 	st.Policy, st.Epoch = nil, m.epoch
@@ -184,13 +184,19 @@ func (m *Monitor) Unregister(p runtime.Task, path string) error {
 }
 
 // deliver installs the registration reg of the subtree at path, or
-// clears it when reg is nil, on every rank that holds the subtree's root
-// (holders). A holder that is down answers ErrShutdown, and the caller
-// then records nothing, so the restart hands that rank the registration
-// the monitor still lists.
-func (m *Monitor) deliver(p runtime.Task, path string, reg *policy.Policy) error {
-	for _, r := range m.holders(path) {
+// clears it when reg is nil, on each of holders, the ranks that hold the
+// subtree's root (Monitor.holders). A holder that refuses fails the
+// change, and the caller then records nothing: the holders already done
+// are handed back the registration the monitor still lists, and a
+// refusing holder that is down (ErrShutdown) gets it from its restart.
+func (m *Monitor) deliver(p runtime.Task, holders []int, path string, reg *policy.Policy) error {
+	for i, r := range holders {
 		if err := m.cl.Rank(r).Post(p, &mds.AttachMsg{Path: path, Policy: reg}).(*mds.AttachReply).Err; err != nil {
+			var listed *policy.Policy
+			if st, ok := m.Subtree(path); ok {
+				listed = st.Policy
+			}
+			_ = m.deliver(p, holders[:i], path, listed) // a rank that refuses it gets it at its restart
 			return err
 		}
 	}

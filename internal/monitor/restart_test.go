@@ -9,6 +9,7 @@ import (
 
 	"cudele/internal/mds"
 	"cudele/internal/namespace"
+	"cudele/internal/policy"
 	"cudele/internal/runtime"
 	"cudele/internal/transport"
 )
@@ -175,9 +176,9 @@ func registrationMismatch(cl *mds.Cluster, m *Monitor) string {
 // attach then answers ErrShutdown, never a miss in the crashed rank's
 // empty store, so the monitor records nothing and the restart hands rank
 // 1 no registration: it holds no policy on /a. A registration delivered
-// before the crash is handed back by the restart. (What the owner, rank
-// 0, keeps of a registration whose second delivery failed is another
-// matter, not checked here.)
+// before the crash is handed back by the restart. What the owner, rank 0,
+// keeps of a change whose second delivery failed is
+// TestFailedDeliveryRollsBackOwner's.
 func TestAttachRacingCrashIsShutdown(t *testing.T) {
 	const from, to, step = 2 * time.Millisecond, 2200 * time.Microsecond, 5 * time.Microsecond
 	shutdowns := 0
@@ -218,5 +219,81 @@ func TestAttachRacingCrashIsShutdown(t *testing.T) {
 	}
 	if shutdowns == 0 {
 		t.Error("no crash time landed inside the registration's attach")
+	}
+}
+
+// TestFailedDeliveryRollsBackOwner: /a/job is placed on rank 1, so a
+// change to /a's registration goes to rank 0, the owner, and then to rank
+// 1; rank 1 crashes 2.0–2.2 ms in, in 5 µs steps. When the change fails
+// at rank 1, rank 0 has already taken it, and must be handed back what
+// the monitor lists: nothing for a first registration, the old policy
+// for a replacement, the registration itself for an Unregister. Whatever
+// the crash time, both ranks end holding exactly the monitor's record.
+func TestFailedDeliveryRollsBackOwner(t *testing.T) {
+	const from, to, step = 2 * time.Millisecond, 2200 * time.Microsecond, 5 * time.Microsecond
+	for _, tc := range []struct {
+		name   string
+		before string // /a's registration before the change; "" for none
+		change func(p runtime.Task, m *Monitor) error
+	}{
+		{"register", "", func(p runtime.Task, m *Monitor) error { return register(p, m, "/a", "interfere: block\n") }},
+		{"replace", "interfere: allow\n", func(p runtime.Task, m *Monitor) error { return register(p, m, "/a", "interfere: block\n") }},
+		{"unregister", "interfere: block\n", func(p runtime.Task, m *Monitor) error { return m.Unregister(p, "/a") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			failed := 0
+			for at := from; at < to; at += step {
+				eng, _, cl, m := newPlaceCluster(5, 2)
+				populate(t, eng, cl.Rank(0), "/a/job", 2)
+				var changeErr, restartErr error
+				var old *policy.Policy
+				run(t, eng, func(p runtime.Task) {
+					if err := errors.Join(cl.Rank(0).SaveStore(p), m.Place(p, "/a/job", 1)); err != nil {
+						t.Fatalf("setup: %v", err)
+					}
+					if tc.before != "" {
+						if err := register(p, m, "/a", tc.before); err != nil {
+							t.Fatalf("setup: %v", err)
+						}
+						st, _ := m.Lookup("/a")
+						old = st.Policy
+					}
+					eng.Spawn("change", func(p runtime.Task) { changeErr = tc.change(p, m) })
+					eng.Spawn("crash", func(p runtime.Task) {
+						p.Sleep(at)
+						cl.Rank(1).Crash(p)
+						restartErr = m.Restart(p, 1)
+					})
+				})
+				if restartErr != nil {
+					t.Fatalf("crash at %v: restart: %v", at, restartErr)
+				}
+				var listed *policy.Policy
+				if st, ok := m.Lookup("/a"); ok {
+					listed = st.Policy
+				}
+				if changeErr != nil {
+					failed++
+					if !errors.Is(changeErr, mds.ErrShutdown) {
+						t.Errorf("crash at %v: change = %v, want success or ErrShutdown", at, changeErr)
+					}
+					if listed != old {
+						t.Errorf("crash at %v: a failed change left the monitor listing %+v, want %+v", at, listed, old)
+					}
+				}
+				for r := 0; r < 2; r++ {
+					in, err := cl.Rank(r).Store().Resolve("/a")
+					if err != nil {
+						t.Fatalf("crash at %v: rank %d lost /a: %v", at, r, err)
+					}
+					if in.Policy != listed {
+						t.Errorf("crash at %v (change error %v): rank %d enforces %+v on /a, the monitor lists %+v", at, changeErr, r, in.Policy, listed)
+					}
+				}
+			}
+			if failed == 0 {
+				t.Error("no crash time failed the change at rank 1")
+			}
+		})
 	}
 }

@@ -1,140 +1,13 @@
 package obs
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"time"
-)
+import "cudele/internal/trace"
 
-// FlightEvent is one entry in a daemon's flight-recorder ring.
-type FlightEvent struct {
-	At     int64 // runtime nanoseconds
-	Proc   string
-	Cat    string
-	Name   string
-	Detail string
-}
+// Flight is the trace recorder under its old name. A chaos dump is the
+// tail of the trace (trace.Recorder.Dump), so nothing in the program
+// records here; the alias and NewFlight remain only because the host
+// benchmark's obs.flight_record_ns probe row calls them, and go when that
+// row is dropped (ROADMAP item 4).
+type Flight = trace.Recorder
 
-// flightRing is a fixed-size overwrite ring of events for one daemon.
-type flightRing struct {
-	buf  []FlightEvent
-	next int
-	full bool
-}
-
-func (r *flightRing) record(ev FlightEvent) {
-	r.buf[r.next] = ev
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// events returns the ring's contents oldest-first.
-func (r *flightRing) events() []FlightEvent {
-	if !r.full {
-		return append([]FlightEvent(nil), r.buf[:r.next]...)
-	}
-	out := make([]FlightEvent, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Flight is the chaos flight recorder: per-daemon fixed-size rings of
-// the most recent protocol events, kept so that when a chaos oracle
-// flags a violation, the last-N events before it can be dumped next to
-// the failing fault plan. A nil *Flight is the disabled recorder —
-// Record no-ops — so the hot paths pay one nil check when it is off.
-//
-// Recording only overwrites ring slots (no growth after the first lap),
-// reads only the caller-supplied clock, and never touches engine
-// randomness, so enabling it cannot change a deterministic schedule.
-type Flight struct {
-	mu      sync.Mutex
-	perProc int
-	rings   map[string]*flightRing
-}
-
-// DefaultFlightEvents is the per-daemon ring size used when NewFlight is
-// given a non-positive one.
-const DefaultFlightEvents = 32
-
-// NewFlight returns a recorder keeping the last perProc events per
-// daemon (non-positive means DefaultFlightEvents).
-func NewFlight(perProc int) *Flight {
-	if perProc <= 0 {
-		perProc = DefaultFlightEvents
-	}
-	return &Flight{perProc: perProc, rings: make(map[string]*flightRing)}
-}
-
-// Record appends one event to proc's ring, evicting the oldest once the
-// ring is full. Nil-safe.
-func (f *Flight) Record(at int64, proc, cat, name, detail string) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	r := f.rings[proc]
-	if r == nil {
-		r = &flightRing{buf: make([]FlightEvent, f.perProc)}
-		f.rings[proc] = r
-	}
-	r.record(FlightEvent{At: at, Proc: proc, Cat: cat, Name: name, Detail: detail})
-	f.mu.Unlock()
-}
-
-// Events returns proc's recorded events oldest-first; nil for an
-// unknown daemon or a nil recorder.
-func (f *Flight) Events(proc string) []FlightEvent {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r := f.rings[proc]
-	if r == nil {
-		return nil
-	}
-	return r.events()
-}
-
-// Procs returns the daemons with recorded events, sorted.
-func (f *Flight) Procs() []string {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.rings))
-	for p := range f.rings {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Dump renders every daemon's ring, daemons sorted by name and events
-// oldest-first, as the text block a chaos failure report embeds.
-func (f *Flight) Dump() string {
-	if f == nil {
-		return ""
-	}
-	var b strings.Builder
-	for _, proc := range f.Procs() {
-		fmt.Fprintf(&b, "[%s]\n", proc)
-		for _, ev := range f.Events(proc) {
-			line := fmt.Sprintf("  t=%-12s %s %s", time.Duration(ev.At), ev.Cat, ev.Name)
-			if ev.Detail != "" {
-				line += " " + ev.Detail
-			}
-			b.WriteString(line)
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}
+// NewFlight returns an enabled trace recorder; the size is ignored.
+func NewFlight(int) *Flight { return trace.New() }

@@ -1,14 +1,15 @@
 // Package obs is the live observability plane: per-subtree heat
-// accounting (the load signal a dynamic balancer consumes), a fixed-size
-// flight recorder for chaos post-mortems, and the real-backend HTTP
-// admin endpoint that serves both alongside the metric registry.
+// accounting (the load signal a dynamic balancer consumes), the CPU
+// profile label plane, and the real-backend HTTP admin endpoint that
+// serves heat alongside the metric registry. Events — spans and protocol
+// points, and the tail a chaos post-mortem dumps — are internal/trace's.
 //
 // Everything here follows the codebase's observation contract: disabled
 // observers are nil and cost one pointer check on the hot path, enabled
 // observers read the runtime clock but never charge time, never consume
 // engine randomness, and never change control flow — so a simulated run
-// with heat accounting or the flight recorder on stays byte-identical
-// to one without (see bench.TestHeatDoesNotPerturb).
+// with heat accounting on stays byte-identical to one without (see
+// bench.TestHeatDoesNotPerturb).
 package obs
 
 import (

@@ -96,7 +96,7 @@ func faultErrf(kind string, oid ObjectID) error {
 // which object writes failed just before a violation. One nil check when
 // the recorder is off.
 func (c *Cluster) recordFault(p runtime.Task, kind string, oid ObjectID) {
-	if fl := c.eng.Flight(); fl != nil {
-		fl.Record(int64(p.Now()), "rados", "rados", "fault."+kind, oid.String())
+	if rec := c.eng.Tracer(); rec != nil {
+		rec.Record(int64(p.Now()), "rados", "rados", "fault."+kind, oid.String())
 	}
 }

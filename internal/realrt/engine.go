@@ -96,7 +96,6 @@ type Engine struct {
 	start  time.Time
 	rng    *rand.Rand
 	tracer *trace.Recorder
-	flight *obs.Flight
 
 	// root is the domain of tasks spawned through Engine.Spawn.
 	root *Domain
@@ -178,13 +177,6 @@ func (e *Engine) Tracer() *trace.Recorder { return e.tracer }
 // SetTracer installs a span recorder. Install before spawning tasks;
 // the recorder itself is safe for concurrent use.
 func (e *Engine) SetTracer(r *trace.Recorder) { e.tracer = r }
-
-// Flight returns the chaos flight recorder; nil means recording is off.
-func (e *Engine) Flight() *obs.Flight { return e.flight }
-
-// SetFlight installs a flight recorder. Install before spawning tasks;
-// the recorder itself is safe for concurrent use.
-func (e *Engine) SetFlight(f *obs.Flight) { e.flight = f }
 
 // Domain is one lock domain of the real backend.
 type Domain struct {

@@ -38,7 +38,6 @@ import (
 	"math/rand"
 	"time"
 
-	"cudele/internal/obs"
 	"cudele/internal/trace"
 )
 
@@ -113,12 +112,6 @@ type Runtime interface {
 	Tracer() *trace.Recorder
 	// SetTracer installs a span recorder (nil disables tracing).
 	SetTracer(r *trace.Recorder)
-	// Flight returns the chaos flight recorder; nil means recording is
-	// disabled (a nil *obs.Flight drops every Record call).
-	Flight() *obs.Flight
-	// SetFlight installs a flight recorder (nil disables recording).
-	// Like SetTracer, install it before spawning tasks.
-	SetFlight(f *obs.Flight)
 
 	// Spawn starts a new task executing fn in the root domain — the
 	// domain of harness code, so tasks spawned from outside any daemon

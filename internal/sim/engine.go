@@ -123,11 +123,6 @@ type Engine struct {
 	// components already share.
 	tracer *trace.Recorder
 
-	// flight is the chaos flight recorder; nil (the default) disables
-	// it, and recording follows the same never-perturb contract as the
-	// tracer.
-	flight *obs.Flight
-
 	// resources registers every Resource (and Pipe) created on this
 	// engine so Run can finalize their busy-time integrals when the
 	// event loop stops — without it, accounting is only updated on
@@ -160,14 +155,6 @@ func (e *Engine) Tracer() *trace.Recorder { return e.tracer }
 // Recording charges no virtual time and consumes no randomness, so a
 // traced engine executes the exact same schedule as an untraced one.
 func (e *Engine) SetTracer(r *trace.Recorder) { e.tracer = r }
-
-// Flight returns the chaos flight recorder; nil means recording is off.
-func (e *Engine) Flight() *obs.Flight { return e.flight }
-
-// SetFlight installs a flight recorder. Pass nil to disable it. Like
-// the tracer, recording charges no virtual time and consumes no
-// randomness, so schedules stay byte-identical with it on.
-func (e *Engine) SetFlight(f *obs.Flight) { e.flight = f }
 
 // Exclusive implements runtime.Runtime. The simulator serializes
 // everything through the event loop, so fn runs inline: a process

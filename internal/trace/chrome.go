@@ -59,6 +59,14 @@ func kvMap(kvs []KV) map[string]string {
 	return m
 }
 
+// detailArgs is a point event's args: its detail, when it has one.
+func detailArgs(detail string) map[string]string {
+	if detail == "" {
+		return nil
+	}
+	return map[string]string{"detail": detail}
+}
+
 // WriteChrome writes the recorder's contents as a Chrome trace-event
 // JSON object. A nil recorder writes a valid, empty trace.
 func (r *Recorder) WriteChrome(w io.Writer) error {
@@ -127,7 +135,7 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 	for _, in := range instants {
 		enc.add(chromeEvent{
 			Name: in.Name, Cat: in.Cat, Ph: "i", Scope: "t",
-			Ts: usec(in.At), Pid: procs[in.Proc], Tid: 0, Args: kvMap(in.Args),
+			Ts: usec(in.At), Pid: procs[in.Proc], Tid: 0, Args: detailArgs(in.Detail),
 		})
 	}
 	if enc.err != nil {

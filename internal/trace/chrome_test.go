@@ -44,7 +44,7 @@ func TestWriteChromeBasics(t *testing.T) {
 	r.Add(1_000, 3_000, "mds.0", "transport", "rpc.create", KV{"client", "client.0"})
 	r.Add(2_000, 2_500, "mds.0", "journal", "journal.append")
 	r.Add(0, 4_000, "client.0", "transport", "rpc.create")
-	r.Instant(1_500, "mds.0", "mds", "cap.revoke")
+	r.Record(1_500, "mds.0", "mds", "cap.revoke", "")
 
 	out := chromeString(r)
 	doc := parseChrome(t, out)
@@ -115,7 +115,7 @@ func TestChromeDeterministic(t *testing.T) {
 		r := New()
 		r.Add(5, 9, "b", "x", "s1", KV{"k", "v"}, KV{"a", "b"})
 		r.Add(1, 4, "a", "x", "s2")
-		r.Instant(2, "c", "y", "i1")
+		r.Record(2, "c", "y", "i1", "")
 		return chromeString(r)
 	}
 	if a, b := build(), build(); a != b {
@@ -146,4 +146,32 @@ func chromeString(r *Recorder) string {
 		return fmt.Sprintf("trace: %v", err)
 	}
 	return b.String()
+}
+
+// TestChromePointDetail: a point's detail is its "detail" arg, and a point
+// without one has no args.
+func TestChromePointDetail(t *testing.T) {
+	r := New()
+	r.Record(1_000, "monitor", "monitor", "migrate.commit", "/a rank 0 -> 1")
+	r.Record(2_000, "mds.0", "mds", "crash", "")
+	doc := parseChrome(t, chromeString(r))
+	seen := 0
+	for _, ev := range doc.TraceEvents {
+		switch {
+		case ev.Ph != "i":
+		case ev.Name == "migrate.commit":
+			seen++
+			if len(ev.Args) != 1 || ev.Args["detail"] != "/a rank 0 -> 1" {
+				t.Errorf("migrate.commit args = %v", ev.Args)
+			}
+		case ev.Name == "crash":
+			seen++
+			if ev.Args != nil {
+				t.Errorf("crash has args %v, want none", ev.Args)
+			}
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("found %d of 2 points:\n%s", seen, chromeString(r))
+	}
 }

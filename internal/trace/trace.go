@@ -1,5 +1,5 @@
 // Package trace is the deterministic observability substrate: spans and
-// instant events recorded on *simulated* time, and metric registries with
+// point events recorded on *simulated* time, and metric registries with
 // Prometheus-style text export. It sits below the simulation kernel in
 // the import graph (it knows nothing about sim), so every layer — engine,
 // transport, metadata service, object store, clients — can record into
@@ -10,11 +10,20 @@
 // and the disabled path (a nil *Recorder) is a single pointer comparison
 // with zero allocations, so a traced run and an untraced run execute the
 // exact same event schedule. The exporters (Chrome trace-event JSON for
-// Perfetto, Prometheus text) sort everything they emit, so output bytes
-// do not depend on map iteration or goroutine completion order.
+// Perfetto, Prometheus text, and Dump, the per-daemon tail a failing
+// chaos schedule reports) sort everything they emit, so output bytes do
+// not depend on map iteration or goroutine completion order.
 package trace
 
-import "sync"
+import (
+	"cmp"
+	"fmt"
+	"maps"
+	"slices"
+	"strings"
+	"sync"
+	"time"
+)
 
 // Time is a point in virtual time in nanoseconds since simulation start.
 // It mirrors sim.Time (also an int64 nanosecond count); the two convert
@@ -44,13 +53,15 @@ const openEnd Time = -1
 // Open reports whether the span is still open (never ended).
 func (s *Span) Open() bool { return s.End == openEnd }
 
-// Instant is a point event with no duration.
+// Instant is a point event with no duration: a protocol step (a crash,
+// a restart, a migration commit, an injected fault) or a journal append.
 type Instant struct {
-	Proc string
-	Cat  string
-	Name string
-	At   Time
-	Args []KV
+	Proc   string
+	Cat    string
+	Name   string
+	At     Time
+	Detail string // free text; exported as the "detail" arg when set
+	spans  int    // spans recorded before it: Dump's order at equal times
 }
 
 // SpanID refers to an in-flight span; -1 is the no-op id handed out by a
@@ -112,14 +123,14 @@ func (r *Recorder) Add(begin, end Time, proc, cat, name string, args ...KV) {
 	r.spans = append(r.spans, Span{Proc: proc, Cat: cat, Name: name, Begin: begin, End: end, Args: args})
 }
 
-// Instant records a point event.
-func (r *Recorder) Instant(at Time, proc, cat, name string, args ...KV) {
+// Record records a point event with an optional free-text detail.
+func (r *Recorder) Record(at Time, proc, cat, name, detail string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.instants = append(r.instants, Instant{Proc: proc, Cat: cat, Name: name, At: at, Args: args})
+	r.instants = append(r.instants, Instant{Proc: proc, Cat: cat, Name: name, At: at, Detail: detail, spans: len(r.spans)})
 }
 
 // Spans returns a snapshot of the recorded spans in recording order.
@@ -167,12 +178,14 @@ func (r *Recorder) Merge(other *Recorder, prefix string) {
 	spans, instants := other.Spans(), other.Instants()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	base := len(r.spans)
 	for _, s := range spans {
 		s.Proc = prefix + s.Proc
 		r.spans = append(r.spans, s)
 	}
 	for _, i := range instants {
 		i.Proc = prefix + i.Proc
+		i.spans += base
 		r.instants = append(r.instants, i)
 	}
 }
@@ -194,4 +207,79 @@ func (r *Recorder) Cats() map[string]int {
 		out[i.Cat]++
 	}
 	return out
+}
+
+// Dump renders the last n events of every track (all of them when n <= 0),
+// tracks sorted by name and spans and points interleaved by time, as the
+// text block a failing chaos schedule reports:
+//
+//	[mds.0]
+//	  t=2.1ms        transport rpc.create chaos-main /chaos/main [14µs]
+//	  t=2.3ms        mds crash
+//
+// A point shows its detail; a span its args (a "detail" arg bare, any
+// other as key=value) and its duration, or [open] when it never ended —
+// its daemon crashed inside it. A nil recorder dumps "".
+func (r *Recorder) Dump(n int) string {
+	if r == nil {
+		return ""
+	}
+	// Events at one time keep their recording order. A span sorts by its
+	// index (kind 1), a point by the count of spans recorded before it
+	// (kind 0): the point recorded after k spans falls between span k-1
+	// and span k, and points with one count keep their order (the sort is
+	// stable).
+	type event struct {
+		at          Time
+		order, kind int
+		span        *Span
+		point       *Instant
+	}
+	spans, points := r.Spans(), r.Instants()
+	byProc := map[string][]event{}
+	for i := range spans {
+		s := &spans[i]
+		byProc[s.Proc] = append(byProc[s.Proc], event{at: s.Begin, order: i, kind: 1, span: s})
+	}
+	for i := range points {
+		p := &points[i]
+		byProc[p.Proc] = append(byProc[p.Proc], event{at: p.At, order: p.spans, point: p})
+	}
+	var b strings.Builder
+	for _, proc := range slices.Sorted(maps.Keys(byProc)) {
+		evs := byProc[proc]
+		slices.SortStableFunc(evs, func(x, y event) int {
+			return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.order, y.order), cmp.Compare(x.kind, y.kind))
+		})
+		if n > 0 && len(evs) > n {
+			evs = evs[len(evs)-n:]
+		}
+		fmt.Fprintf(&b, "[%s]\n", proc)
+		for _, ev := range evs {
+			fmt.Fprintf(&b, "  t=%-12s ", time.Duration(ev.at))
+			if p := ev.point; p != nil {
+				b.WriteString(p.Cat + " " + p.Name)
+				if p.Detail != "" {
+					b.WriteString(" " + p.Detail)
+				}
+			} else {
+				s := ev.span
+				b.WriteString(s.Cat + " " + s.Name)
+				for _, kv := range s.Args {
+					if kv.Key == "detail" {
+						b.WriteString(" " + kv.Val)
+					} else {
+						b.WriteString(" " + kv.Key + "=" + kv.Val)
+					}
+				}
+				if s.Open() {
+					b.WriteString(" [open]")
+				} else {
+					fmt.Fprintf(&b, " [%v]", time.Duration(s.End-s.Begin))
+				}
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
 }

@@ -2,13 +2,16 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
 
-// TestRecorderConcurrentRecording records spans and instants from many
+// TestRecorderConcurrentRecording records spans and points from many
 // goroutines at once — the shape the real execution backend produces —
-// and checks nothing is dropped. Run with -race to prove the locking.
+// and checks nothing is dropped and each track's tail dumps in the order
+// its goroutine recorded it. Run with -race to prove the locking.
 func TestRecorderConcurrentRecording(t *testing.T) {
 	r := New()
 	const workers = 8
@@ -18,10 +21,11 @@ func TestRecorderConcurrentRecording(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			proc := fmt.Sprintf("proc.%d", w)
 			for i := 0; i < perWorker; i++ {
-				id := r.Begin(Time(i), "proc", "cat", "op")
+				id := r.Begin(Time(i), proc, "cat", "op")
 				r.End(id, Time(i+1))
-				r.Instant(Time(i), "proc", "cat", "event")
+				r.Record(Time(i), proc, "cat", "event", fmt.Sprintf("i=%d", i))
 			}
 		}(w)
 	}
@@ -35,6 +39,13 @@ func TestRecorderConcurrentRecording(t *testing.T) {
 	for _, s := range r.Spans() {
 		if s.Open() {
 			t.Fatalf("span left open: %+v", s)
+		}
+	}
+	dump := r.Dump(2)
+	for w := 0; w < workers; w++ {
+		want := fmt.Sprintf("[proc.%d]\n  t=499ns        cat op [1ns]\n  t=499ns        cat event i=499\n", w)
+		if !strings.Contains(dump, want) {
+			t.Fatalf("dump lacks %q:\n%s", want, dump)
 		}
 	}
 }

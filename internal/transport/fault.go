@@ -35,22 +35,22 @@ func NewFaultInterceptor(seed int64, duplicateOK func(msg any) bool) Interceptor
 	rng := rand.New(rand.NewSource(seed))
 	return func(next Handler) Handler {
 		return func(p runtime.Task, msg any) any {
-			fl := p.Runtime().Flight()
+			rec := p.Runtime().Tracer()
 			for i := 0; i < maxRetransmits && rng.Float64() < dropProb; i++ {
-				if fl != nil {
-					fl.Record(int64(p.Now()), p.Name(), "net", "drop", fmt.Sprintf("%T", msg))
+				if rec != nil {
+					rec.Record(int64(p.Now()), p.Name(), "net", "drop", fmt.Sprintf("%T", msg))
 				}
 				p.Sleep(retransmitDelay)
 			}
 			if rng.Float64() < delayProb {
-				if fl != nil {
-					fl.Record(int64(p.Now()), p.Name(), "net", "delay", fmt.Sprintf("%T", msg))
+				if rec != nil {
+					rec.Record(int64(p.Now()), p.Name(), "net", "delay", fmt.Sprintf("%T", msg))
 				}
 				p.Sleep(runtime.Duration(rng.Int63n(int64(maxExtraDelay)) + 1))
 			}
 			if duplicateOK != nil && duplicateOK(msg) && rng.Float64() < duplicateProb {
-				if fl != nil {
-					fl.Record(int64(p.Now()), p.Name(), "net", "duplicate", fmt.Sprintf("%T", msg))
+				if rec != nil {
+					rec.Record(int64(p.Now()), p.Name(), "net", "duplicate", fmt.Sprintf("%T", msg))
 				}
 				// First delivery; its reply is the one the network lost.
 				next(p, msg)

@@ -20,15 +20,14 @@ type Registry = trace.Registry
 // Heat is the per-subtree, per-rank load accountant; see internal/obs.
 type Heat = obs.Heat
 
-// Flight is the chaos flight recorder; see internal/obs.
-type Flight = obs.Flight
-
 // Admin is the real-backend HTTP admin listener; see internal/obs.
 type Admin = obs.Admin
 
 // EnableTracing attaches a trace recorder to the cluster's runtime and
 // returns it. Every RPC, journal operation, RADOS round trip, and
-// capability revocation records a span on the shared virtual clock.
+// capability revocation records a span on the shared virtual clock, and
+// every protocol step (crash, restart, handoff phase, bounce, injected
+// fault) a point; its Dump is the tail a failing chaos schedule reports.
 // Tracing never charges virtual time and never consumes randomness, so
 // a traced run produces byte-identical results to an untraced one.
 // Call before Run; call at most once per cluster.
@@ -100,23 +99,6 @@ func (cl *Cluster) HeatReport() obs.HeatReport {
 	}
 	return obs.NewReport(cl.heat.Snapshot(int64(cl.rt.Now())), cl.meta.Ranks())
 }
-
-// EnableFlightRecorder attaches a chaos flight recorder to the cluster's
-// runtime and returns it: every daemon keeps a fixed-size ring of its
-// most recent protocol events (perDaemon entries; non-positive means
-// obs.DefaultFlightEvents) so a chaos-oracle failure can dump the last-N
-// events before the violation. Free when off (one nil check per record
-// site); recording never charges time or consumes randomness. Call
-// before Run; call at most once per cluster.
-func (cl *Cluster) EnableFlightRecorder(perDaemon int) *Flight {
-	f := obs.NewFlight(perDaemon)
-	cl.rt.SetFlight(f)
-	return f
-}
-
-// Flight returns the cluster's flight recorder, nil when recording is
-// off.
-func (cl *Cluster) Flight() *Flight { return cl.rt.Flight() }
 
 // adminSource adapts a Cluster to obs.Source. Scrapes run under
 // Runtime.Exclusive, so an HTTP handler goroutine reads cluster state
