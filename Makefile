@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check loc surface traffic bench bench-seq bench-check bench-real perf perf-counts fuzz-short chaos chaos-cmp ci
+.PHONY: all build test race vet fmt-check loc traffic bench bench-seq bench-check bench-real perf perf-counts fuzz-short chaos chaos-cmp ci
 
 all: build test
 
@@ -39,30 +39,57 @@ loc:
 	@echo "sim + realrt + runtime: $$($(call LOC,sim realrt runtime))"
 	@echo "bench: $$($(call LOC,bench))"
 
-# surface holds the internal packages to the API the binaries link. It
-# builds every main with inlining off, so each function a main reaches is
-# a symbol of it, and lists every top-level func declared outside tests
-# under internal/ as go tool nm names it (type parameters dropped). A
-# second pass lists every top-level var (single and var (...) forms): the
-# linker drops a statically initialised var nothing references, so nm
-# names one only when some main links it. A var whose initializer runs
-# code (errors.New, a func literal called in place) is always kept by its
-# package's init, so this check cannot flag it. A declared function or
-# var no main links must be in results/SURFACE_KEEP.txt ("symbol reason"
-# per line) and every entry there must be such a declaration: a
-# difference in either direction fails, so a deletion and a new unlinked
-# function or var both show up here.
+# traffic is the API gate: every function under internal/ runs in some
+# main's run, or it is deleted, or it is listed with its class and reason
+# in results/TRAFFIC_KEEP.txt ("symbol (class) reason" per line). It
+# builds every main with coverage of the whole module and inlining off
+# into a temp dir and runs: the fifteen experiments at -scale 0.05; a
+# traced, profiled, heat-accounted CSV run of fig3a, multimds and
+# mergescale; the real backend's heatskew; the 1 500-seed chaos sweep;
+# one second of each benchmark workload, and real_io's traced pass with
+# its probes; the four examples; the cmd/cudele golden session on two
+# ranks beside the balancer; and journal-tool's demo, inspect, dump,
+# erase and roundtrip. A function none of them executed (0.0 % in go tool
+# cover -func) is named as go tool nm names it
+# (cudele/internal/pkg.(*Recv).Name), by joining cover's file:line to the
+# func declarations under internal/. A second pass lists every top-level
+# var declared under internal/ (single and var (...) forms) that no main
+# links: with inlining off the linker drops a statically initialised var
+# nothing references, so go tool nm on the same binaries names one only
+# when some main links it (a var whose initializer runs code is always
+# kept by its package's init, so this check cannot flag it). The cold
+# functions and unlinked vars must equal the keep file's entries: a
+# difference in either direction fails, so a new function no run reaches
+# and a listed one that now runs or is gone both show (~65 s on two
+# cores).
 MAINS = cmd/cudele cmd/cudele-bench cmd/journal-tool benchmark \
 	examples/homedirs examples/quickstart examples/checkpoint examples/partialresults
-surface:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+WORKLOADS = sim_storm real_rpc_write real_rpc_read real_decoupled real_io
+traffic:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && repo=$$PWD && \
 	for m in $(MAINS); do \
-		$(GO) build -gcflags=all=-l -o "$$tmp/main" ./$$m && $(GO) tool nm "$$tmp/main" >> "$$tmp/nm" || exit 1; \
+		$(GO) build -cover -coverpkg=cudele/... -gcflags=all=-l -o "$$tmp/bin/$$(basename $$m)" ./$$m && \
+		$(GO) tool nm "$$tmp/bin/$$(basename $$m)" >> "$$tmp/nm" || exit 1; \
 	done; \
-	awk '$$NF ~ /^cudele\/internal\// { print $$NF }' "$$tmp/nm" | \
-		sed -e ':a' -e 's/\[[^][]*\]//g' -e 'ta' -e 's/\.init\.[0-9]*$$/.init/' | sort -u > "$$tmp/linked"; \
+	mkdir "$$tmp/cov" && export GOCOVERDIR="$$tmp/cov" && cd "$$tmp" && \
+	bin/cudele-bench -scale 0.05 all > /dev/null && \
+	bin/cudele-bench -scale 0.005 -trace t.json -metrics m.txt -cpuprofile c.prof -heat -csv \
+		fig3a multimds mergescale > /dev/null && \
+	bin/cudele-bench -backend real -scale 0.002 heatskew > /dev/null && \
+	bin/cudele-bench -chaos 1500 -seed 1 > /dev/null && \
+	for w in $(WORKLOADS); do \
+		bin/benchmark --workload $$w --seed 1 --seconds 1 --trace 0 --out out > /dev/null || exit 1; \
+	done && \
+	bin/benchmark --workload real_io --seed 1 --seconds 1 --trace 1 --out out > /dev/null && \
+	for e in $(notdir $(filter examples/%,$(MAINS))); do bin/$$e > /dev/null || exit 1; done && \
+	bin/cudele -ranks 2 -rebalance "$$repo/cmd/cudele/testdata/session.txt" > /dev/null && \
+	bin/journal-tool demo j > /dev/null && bin/journal-tool inspect j > /dev/null && \
+	bin/journal-tool dump j > /dev/null && bin/journal-tool erase j 1 2 > /dev/null && \
+	bin/journal-tool roundtrip j > /dev/null && \
+	cd "$$repo" && $(GO) tool covdata textfmt -i="$$tmp/cov" -o "$$tmp/cov.txt" && \
+	$(GO) tool cover -func="$$tmp/cov.txt" > "$$tmp/func.txt" || exit 1; \
+	srcs=$$(ls internal/*/*.go | grep -v _test.go); \
 	awk 'FNR == 1 { dir = FILENAME; sub(/\/[^\/]*$$/, "", dir) } \
-		name != "" && /^}/ { print name, FNR - start + 1; name = "" } \
 		/^func / { \
 			s = $$0; sub(/^func /, "", s); recv = ""; \
 			if (s ~ /^\(/) { \
@@ -70,9 +97,12 @@ surface:
 				sub(/^[^)]*\) */, "", s); \
 				recv = recv ~ /^\*/ ? "(" recv ")." : recv "."; \
 			} \
-			sub(/[^A-Za-z0-9_].*/, "", s); name = "cudele/" dir "." recv s; start = FNR; \
-			if ($$0 ~ /}$$/) { print name, 1; name = "" } \
-		}' $$(ls internal/*/*.go | grep -v _test.go) | sort -u -k1,1 > "$$tmp/decls"; \
+			sub(/[^A-Za-z0-9_].*/, "", s); print "cudele/" FILENAME ":" FNR ":", "cudele/" dir "." recv s; \
+		}' $$srcs > "$$tmp/decls"; \
+	awk -v nfile="$$tmp/nfuncs" 'NR == FNR { key[$$1] = $$2; next } \
+		$$1 ~ /^cudele\/internal\// { n++; if ($$NF == "0.0%") print ($$1 in key ? key[$$1] : "undeclared:" $$1) } \
+		END { print n + 0 > nfile }' "$$tmp/decls" "$$tmp/func.txt" | sort > "$$tmp/cold"; \
+	awk '$$NF ~ /^cudele\/internal\// { print $$NF }' "$$tmp/nm" | sort -u > "$$tmp/linked"; \
 	awk 'FNR == 1 { dir = FILENAME; sub(/\/[^\/]*$$/, "", dir); blk = 0 } \
 		blk && /^\)/ { blk = 0 } \
 		/^var \($$/ { blk = 1; next } \
@@ -82,49 +112,16 @@ surface:
 				n = split(substr(s, 1, RLENGTH), v, /, /); \
 				for (i = 1; i <= n; i++) if (v[i] != "_") print "cudele/" dir "." v[i]; \
 			} \
-		}' $$(ls internal/*/*.go | grep -v _test.go) | sort -u > "$$tmp/vars"; \
-	awk 'NR == FNR { linked[$$1] = 1; next } !($$1 in linked)' "$$tmp/linked" "$$tmp/decls" > "$$tmp/unlinked"; \
+		}' $$srcs | sort -u > "$$tmp/vars"; \
 	awk 'NR == FNR { linked[$$1] = 1; next } !($$1 in linked)' "$$tmp/linked" "$$tmp/vars" > "$$tmp/unlinkedvars"; \
-	grep -v '^#' results/SURFACE_KEEP.txt | cut -d' ' -f1 | sort > "$$tmp/keep"; \
-	cut -d' ' -f1 "$$tmp/unlinked" "$$tmp/unlinkedvars" | sort > "$$tmp/found"; \
-	if ! diff -u --label results/SURFACE_KEEP.txt --label unlinked "$$tmp/keep" "$$tmp/found"; then \
-		echo "surface: the functions and vars no main links differ from results/SURFACE_KEEP.txt"; \
-		echo "  (-: listed but linked or gone, so drop the line; +: unlinked, so delete it or list it with its reason)"; \
+	sort "$$tmp/cold" "$$tmp/unlinkedvars" > "$$tmp/found"; \
+	grep -v '^#' results/TRAFFIC_KEEP.txt | cut -d' ' -f1 | sort > "$$tmp/keep"; \
+	if ! diff -u --label results/TRAFFIC_KEEP.txt --label cold "$$tmp/keep" "$$tmp/found"; then \
+		echo "traffic: the functions no run reaches and the vars no main links differ from results/TRAFFIC_KEEP.txt"; \
+		echo "  (-: listed but run, linked or gone, so drop the line; +: cold, so delete it or list it with its reason)"; \
 		exit 1; \
 	fi; \
-	echo "surface: $$(wc -l < "$$tmp/unlinked") of $$(wc -l < "$$tmp/decls") functions ($$(awk '{ n += $$2 } END { print n + 0 }' "$$tmp/unlinked") lines) and $$(wc -l < "$$tmp/unlinkedvars") of $$(wc -l < "$$tmp/vars") package-level vars under internal/ are linked by no main, each listed with its reason in results/SURFACE_KEEP.txt"
-
-# traffic lists the functions under internal/ that no run of the repo's
-# programs reaches. It builds every main with coverage of the whole module
-# into a temp dir and runs the fifteen experiments at -scale 0.05, the
-# 1 500-seed chaos sweep, one second of each benchmark workload, the four
-# examples, the cmd/cudele golden session and journal-tool's demo, inspect
-# and dump, then prints each internal/ function none of them executed
-# (0.0 % in go tool cover -func). It writes nothing in the checkout and
-# fails only when a build or a run fails; what it prints is the code a
-# simplification may ask about (~40 s on two cores).
-WORKLOADS = sim_storm real_rpc_write real_rpc_read real_decoupled real_io
-traffic:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && repo=$$PWD && \
-	for m in $(MAINS); do \
-		$(GO) build -cover -coverpkg=cudele/... -o "$$tmp/bin/$$(basename $$m)" ./$$m || exit 1; \
-	done; \
-	mkdir "$$tmp/cov" && export GOCOVERDIR="$$tmp/cov" && cd "$$tmp" && \
-	bin/cudele-bench -scale 0.05 all > /dev/null && \
-	bin/cudele-bench -chaos 1500 -seed 1 > /dev/null && \
-	for w in $(WORKLOADS); do \
-		bin/benchmark --workload $$w --seed 1 --seconds 1 --trace 0 --out "$$tmp/out" > /dev/null || exit 1; \
-	done && \
-	for e in $(notdir $(filter examples/%,$(MAINS))); do bin/$$e > /dev/null || exit 1; done && \
-	bin/cudele "$$repo/cmd/cudele/testdata/session.txt" > /dev/null && \
-	bin/journal-tool demo j > /dev/null && bin/journal-tool inspect j > /dev/null && \
-	bin/journal-tool dump j > /dev/null && \
-	cd "$$repo" && $(GO) tool covdata textfmt -i="$$tmp/cov" -o "$$tmp/cov.txt" && \
-	$(GO) tool cover -func="$$tmp/cov.txt" > "$$tmp/func.txt" || exit 1; \
-	awk '$$1 ~ /^cudele\/internal\// && $$NF == "0.0%" { print $$1, $$2 }' "$$tmp/func.txt" | \
-		sed 's|^cudele/||' > "$$tmp/cold"; \
-	cat "$$tmp/cold"; \
-	echo "traffic: $$(wc -l < "$$tmp/cold") of $$(grep -c '^cudele/internal/' "$$tmp/func.txt") functions under internal/ are reached by no run"
+	echo "traffic: $$(wc -l < "$$tmp/cold") of $$(cat "$$tmp/nfuncs") functions under internal/ run in no main's run and $$(wc -l < "$$tmp/unlinkedvars") of $$(wc -l < "$$tmp/vars") package-level vars are linked by no main, each listed with its reason in results/TRAFFIC_KEEP.txt"
 
 # bench regenerates every table at a CI-friendly scale, in parallel, and
 # refreshes the machine-readable baselines under results/. The tables are

@@ -392,7 +392,7 @@ func stressWorkload(t *testing.T, cl *Cluster, during func() (stop func())) []st
 		stop = during()
 	}
 
-	bal := cl.StartBalancer(BalancerConfig{Interval: 300 * time.Microsecond, Rounds: 12})
+	cl.StartBalancer(BalancerConfig{Interval: 300 * time.Microsecond, Rounds: 12})
 	for i, c := range rpc {
 		i, c := i, c
 		cl.Go(c.Name(), func(p Proc) {
@@ -465,7 +465,6 @@ func stressWorkload(t *testing.T, cl *Cluster, during func() (stop func())) []st
 		}
 		t.Errorf("migrate /r0: %v", err)
 	})
-	cl.Go("balancer.wait", func(p Proc) { bal.Wait(p) })
 	cl.RunAll()
 	stop()
 

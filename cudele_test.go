@@ -206,8 +206,8 @@ func TestDynamicSemanticsChange(t *testing.T) {
 			t.Errorf("names = %d, want 11", len(names))
 		}
 	})
-	if cl.Monitor().Epoch() != 2 {
-		t.Fatalf("epoch = %d", cl.Monitor().Epoch())
+	if epoch, _ := cl.CollectMetrics().Value("cudele_mon_epoch"); epoch != 2 {
+		t.Fatalf("epoch = %v", epoch)
 	}
 }
 

@@ -93,7 +93,7 @@ func TestRealBackendSinkParity(t *testing.T) {
 	if _, err := RunReal("fig3a", opts); err != nil {
 		t.Fatal(err)
 	}
-	if n := opts.Sink.Runs(); n < 2*len(realClientCounts)*3 {
+	if n := len(opts.Sink.runs); n < 2*len(realClientCounts)*3 {
 		t.Fatalf("sink registered %d runs, want %d (sim + real per grid point)",
 			n, 2*len(realClientCounts)*3)
 	}

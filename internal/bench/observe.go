@@ -72,27 +72,17 @@ func (s *Sink) names() []string {
 	return out
 }
 
-// Runs reports how many runs registered with the sink.
-func (s *Sink) Runs() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.runs)
-}
-
-// WriteChrome merges every run's spans into one Chrome trace-event
+// WriteChrome writes every run's spans as one Chrome trace-event
 // document, prefixing each track with its run name so Perfetto shows one
 // process group per simulation.
 func (s *Sink) WriteChrome(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	merged := trace.New()
+	var runs []trace.Run
 	for _, name := range s.names() {
-		merged.Merge(s.runs[name].rec, name+":")
+		runs = append(runs, trace.Run{Prefix: name + ":", Rec: s.runs[name].rec})
 	}
-	return merged.WriteChrome(w)
+	return trace.WriteChrome(w, runs)
 }
 
 // WriteMetrics writes every run's metrics as one Prometheus text dump,
@@ -105,16 +95,4 @@ func (s *Sink) WriteMetrics(w io.Writer) error {
 		out.Append(s.runs[name].reg, trace.KV{Key: "run", Val: name})
 	}
 	return out.WritePrometheus(w)
-}
-
-// Merged returns one recorder holding every run's spans (run-name
-// prefixed), for callers that want the data rather than the JSON.
-func (s *Sink) Merged() *trace.Recorder {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	merged := trace.New()
-	for _, name := range s.names() {
-		merged.Merge(s.runs[name].rec, name+":")
-	}
-	return merged
 }

@@ -3,10 +3,12 @@ package bench
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"cudele"
+	"cudele/internal/trace"
 )
 
 // TestSessionReapsFailedRun drives a run whose client task fails partway:
@@ -41,8 +43,8 @@ func TestSessionReapsFailedRun(t *testing.T) {
 	if made != 2 {
 		t.Errorf("%d of the healthy clients finished, want 2", made)
 	}
-	if sink.Runs() != 1 {
-		t.Fatalf("sink holds %d runs, want the failed one", sink.Runs())
+	if len(sink.runs) != 1 {
+		t.Fatalf("sink holds %d runs, want the failed one", len(sink.runs))
 	}
 	var mb bytes.Buffer
 	if err := sink.WriteMetrics(&mb); err != nil {
@@ -51,7 +53,7 @@ func TestSessionReapsFailedRun(t *testing.T) {
 	if !strings.Contains(mb.String(), `run="t/failed"`) {
 		t.Error("the failed run's metrics were not pulled")
 	}
-	if sink.Merged().Cats()["client"] == 0 {
+	if !slices.ContainsFunc(sink.runs["t/failed"].rec.Spans(), func(s trace.Span) bool { return s.Cat == "client" }) {
 		t.Error("the failed run's trace holds no client spans")
 	}
 }

@@ -56,7 +56,7 @@ func TestLocalUnlinkAndReadDir(t *testing.T) {
 		if err := c.LocalUnlink(p, root, "ghost"); !errors.Is(err, namespace.ErrNotExist) {
 			t.Errorf("missing unlink err = %v", err)
 		}
-		names, err := c.LocalReadDir(root)
+		names, err := c.dec.store.ReadDir(c.dec.localParent(root))
 		if err != nil || len(names) != 1 || names[0] != "b" {
 			t.Errorf("local readdir = %v, %v", names, err)
 		}

@@ -16,6 +16,7 @@ import (
 	"cudele/internal/policy"
 	"cudele/internal/rados"
 	"cudele/internal/runtime"
+	"cudele/internal/trace"
 )
 
 // cluster is a one-rank metadata service; srv is its rank.
@@ -229,15 +230,15 @@ func TestDecoupleLocalCreate(t *testing.T) {
 		if rate < 10000 || rate > 12000 {
 			t.Errorf("local create rate = %.0f/s, want ~11000", rate)
 		}
-		if c.InodesLeft() != 500 {
-			t.Errorf("inodes left = %d", c.InodesLeft())
+		if left := c.dec.reg.GrantN - c.dec.next; left != 500 {
+			t.Errorf("inodes left = %d", left)
 		}
 		j, _ := c.Journal()
 		if j.Len() != 500 {
 			t.Errorf("journal len = %d", j.Len())
 		}
 		// Local reads need no RPC.
-		names, err := c.LocalReadDir(root)
+		names, err := c.dec.store.ReadDir(c.dec.localParent(root))
 		if err != nil || len(names) != 500 {
 			t.Errorf("local readdir = %d names, %v", len(names), err)
 		}
@@ -722,7 +723,9 @@ func TestUnmountDropsState(t *testing.T) {
 			t.Error("cap survived unmount")
 		}
 	})
-	if cl.srv.Sessions() != 0 {
-		t.Fatalf("sessions = %d", cl.srv.Sessions())
+	reg := trace.NewRegistry()
+	cl.srv.FillMetrics(reg)
+	if n, _ := reg.Value("cudele_mds_sessions", trace.KV{Key: "daemon", Val: "mds.0"}); n != 0 {
+		t.Fatalf("sessions = %v", n)
 	}
 }

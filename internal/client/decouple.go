@@ -88,14 +88,6 @@ func (d *decoupled) allocIno() (uint64, error) {
 	return ino, nil
 }
 
-// InodesLeft returns the unused portion of the inode grant.
-func (c *Client) InodesLeft() uint64 {
-	if c.dec == nil {
-		return 0
-	}
-	return c.dec.reg.GrantN - c.dec.next
-}
-
 // localParent maps a decoupled-namespace inode to the client-local image:
 // the subtree root maps to the local root; locally created directories
 // map to themselves (they use granted global numbers in both).
@@ -225,16 +217,6 @@ func (c *Client) LocalLookup(dir namespace.Ino, name string) (namespace.Ino, err
 		return 0, err
 	}
 	return in.Ino, nil
-}
-
-// LocalReadDir lists a decoupled directory from the client-local image —
-// no RPC needed. The slice is the local store's listing snapshot, under
-// the same read-only contract as ReadDir's.
-func (c *Client) LocalReadDir(dir namespace.Ino) ([]string, error) {
-	if c.dec == nil {
-		return nil, ErrNotDecoupled
-	}
-	return c.dec.store.ReadDir(c.dec.localParent(dir))
 }
 
 // --- Mechanisms (paper §III-A) ---

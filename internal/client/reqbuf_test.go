@@ -62,7 +62,7 @@ func TestRequestBufferParkedRPC(t *testing.T) {
 			}
 			cpu := cl.srv.CPU()
 			cpu.Acquire(p)
-			g := p.Runtime().NewGroup()
+			g := p.Runtime().NewDomain("lookups").NewGroup()
 			for i := range got {
 				g.Go(fmt.Sprintf("lookup%d", i), func(p runtime.Task) {
 					var err error

@@ -361,7 +361,7 @@ func TestVolatileApplyChunkedAbortOnShutdown(t *testing.T) {
 	var applyErr error
 	cl.run(t, func(p runtime.Task) {
 		decoupledWorkload(t, p, c, 100) // 102 events: 13 chunks
-		g := cl.eng.NewGroup()
+		g := cl.eng.NewDomain("merge").NewGroup()
 		g.Go("apply", func(sp runtime.Task) {
 			_, _, applyErr = c.Merge(sp)
 		})
@@ -423,7 +423,7 @@ func TestConcurrentVolatileApplyDeterministicAndFair(t *testing.T) {
 				t.Errorf("seed b: %v", err)
 				return
 			}
-			g := cl.eng.NewGroup()
+			g := cl.eng.NewDomain("merge").NewGroup()
 			g.Go("merge.a", func(sp runtime.Task) { nA, _, errA = a.Merge(sp) })
 			g.Go("merge.b", func(sp runtime.Task) { nB, _, errB = b.Merge(sp) })
 			g.Wait(p)

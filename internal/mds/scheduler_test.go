@@ -288,7 +288,7 @@ func TestStreamWindowRaceBackpressure(t *testing.T) {
 				k.chunk(t, open.ID, 1, "y", 1<<42, 1, false, false),
 			}
 			var replies [2]*StreamChunkReply
-			g := eng.NewGroup()
+			g := eng.NewDomain("group").NewGroup()
 			for i := range msgs {
 				i := i
 				g.Go(fmt.Sprintf("send%d", i), func(sp runtime.Task) {
@@ -376,7 +376,7 @@ func TestStreamAbortDuringWireYield(t *testing.T) {
 			ss := k.sched(s)
 			open := ss.open(p)
 			var r *StreamChunkReply
-			g := eng.NewGroup()
+			g := eng.NewDomain("group").NewGroup()
 			g.Go("send", func(sp runtime.Task) {
 				r = ss.push(sp, k.chunk(t, open.ID, 0, "a", 1<<41, 64, false, true))
 			})
@@ -449,7 +449,7 @@ func TestStreamCrashRetiresJobs(t *testing.T) {
 				t.Fatalf("chunk = %+v", r)
 			}
 			var waitErr error
-			g := eng.NewGroup()
+			g := eng.NewDomain("group").NewGroup()
 			g.Go("wait", func(sp runtime.Task) { _, waitErr = ss.wait(sp, open.ID) })
 			g.Go("crash", func(sp runtime.Task) {
 				sp.Sleep(runtime.Duration(5 * time.Millisecond))

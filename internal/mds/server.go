@@ -535,9 +535,6 @@ func (s *Server) CloseSession(client string) {
 	}
 }
 
-// Sessions returns the number of active client sessions.
-func (s *Server) Sessions() int { return len(s.sessions) }
-
 // serviceTime is the MDS CPU cost of one request, with uniform noise of
 // +-MDSOpJitter to model cache misses and allocator variance. The noise
 // is drawn from the rank's domain source: on the simulator that is the

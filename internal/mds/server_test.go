@@ -25,6 +25,14 @@ import (
 
 func newTestServer() (runtime.Runtime, *Server) { return newTestServerCfg(model.Default()) }
 
+// gauge reads one of the rank's exported gauges, the way a scrape does.
+func gauge(s *Server, name string) int {
+	reg := trace.NewRegistry()
+	s.FillMetrics(reg)
+	v, _ := reg.Value(name, trace.KV{Key: "daemon", Val: s.ep.Name()})
+	return int(v)
+}
+
 // nextGrant is each test cluster's next unissued grant slot.
 var nextGrant struct {
 	sync.Mutex
@@ -232,7 +240,7 @@ func TestMDSSaturation(t *testing.T) {
 	eng, s := newTestServer()
 	const clients = 20
 	const per = 1000
-	g := eng.NewGroup()
+	g := eng.NewDomain("clients").NewGroup()
 	for c := 0; c < clients; c++ {
 		name := fmt.Sprintf("c%d", c)
 		s.OpenSession(name)
@@ -306,8 +314,8 @@ func TestCloseSessionDropsCaps(t *testing.T) {
 			t.Fatal("cap survived session close")
 		}
 	})
-	if s.Sessions() != 0 {
-		t.Fatalf("sessions = %d", s.Sessions())
+	if n := gauge(s, "cudele_mds_sessions"); n != 0 {
+		t.Fatalf("sessions = %d", n)
 	}
 }
 
@@ -359,12 +367,12 @@ func TestStreamDispatchAndFlush(t *testing.T) {
 	if seq != n {
 		t.Fatalf("segment objects hold %d creates, want %d", seq, n)
 	}
-	if s.JournalLen() != n {
-		t.Fatalf("journal len = %d, want %d", s.JournalLen(), n)
+	if got := gauge(s, "cudele_mds_journal_events"); got != n {
+		t.Fatalf("journal len = %d, want %d", got, n)
 	}
 	s.TrimJournal()
-	if s.JournalLen() != 0 {
-		t.Fatalf("journal len after trim = %d", s.JournalLen())
+	if got := gauge(s, "cudele_mds_journal_events"); got != 0 {
+		t.Fatalf("journal len after trim = %d", got)
 	}
 }
 
@@ -398,8 +406,8 @@ func submitCreateAllocs(t *testing.T, stream bool) float64 {
 		}
 		allocs = testing.AllocsPerRun(runs, create)
 	})
-	if stream && s.JournalLen() != warm+runs+1 {
-		t.Fatalf("journal holds %d events, want %d", s.JournalLen(), warm+runs+1)
+	if got := gauge(s, "cudele_mds_journal_events"); stream && got != warm+runs+1 {
+		t.Fatalf("journal holds %d events, want %d", got, warm+runs+1)
 	}
 	return allocs
 }
@@ -833,7 +841,7 @@ func TestMergeCongestion(t *testing.T) {
 		obj := rados.New(eng, model.Default())
 		s := NewCluster(eng, model.Default(), obj, 1).Rank(0)
 		const per = 5000
-		g := eng.NewGroup()
+		g := sim.NewGroup(eng)
 		for c := 0; c < jobs; c++ {
 			c := c
 			g.Go("merge", func(p runtime.Task) {

@@ -262,10 +262,6 @@ func (s *Server) FlushJournal(p runtime.Task) {
 	}
 }
 
-// JournalLen returns the number of events in the MDS journal that have
-// not been trimmed.
-func (s *Server) JournalLen() int { return s.stream.events() }
-
 // TrimJournal expires segments that are safe in the object store and
 // whose updates have been applied to the metadata store.
 func (s *Server) TrimJournal() {

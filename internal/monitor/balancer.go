@@ -72,24 +72,20 @@ type Balancer struct {
 	mon     *Monitor
 	heat    *obs.Heat
 	cfg     BalancerConfig
-	done    runtime.Signal
 	samples []BalanceSample
 	events  []BalanceEvent
 }
 
 // StartBalancer spawns the balancer proc consuming the given heat
-// accountant. It runs cfg.Rounds rounds and stops; Wait blocks until
-// then. The heat accountant must be the one the cluster records into
-// (cudele.EnableHeat installs it).
+// accountant. It runs cfg.Rounds rounds and stops. The heat accountant
+// must be the one the cluster records into (cudele.EnableHeat installs
+// it).
 func (m *Monitor) StartBalancer(h *obs.Heat, cfg BalancerConfig) *Balancer {
 	cfg.defaults()
-	b := &Balancer{mon: m, heat: h, cfg: cfg, done: m.eng.NewSignal()}
+	b := &Balancer{mon: m, heat: h, cfg: cfg}
 	m.dom.Spawn("monitor.balancer", b.run)
 	return b
 }
-
-// Wait blocks until the balancer's rounds are exhausted.
-func (b *Balancer) Wait(p runtime.Task) { b.done.Wait(p) }
 
 // Samples returns the per-round balance observations, oldest first.
 func (b *Balancer) Samples() []BalanceSample { return b.samples }
@@ -98,7 +94,6 @@ func (b *Balancer) Samples() []BalanceSample { return b.samples }
 func (b *Balancer) Events() []BalanceEvent { return b.events }
 
 func (b *Balancer) run(p runtime.Task) {
-	defer b.done.Fire(nil)
 	for round := 0; round < b.cfg.Rounds; round++ {
 		p.Sleep(b.cfg.Interval)
 		cells := b.heat.Snapshot(int64(p.Now()))

@@ -46,7 +46,7 @@ func TestMigrateMovesOwnership(t *testing.T) {
 		populate(t, eng, cl.Rank(0), fmt.Sprintf("/a/job/d%02d/leaf", i), 3)
 	}
 	populate(t, eng, cl.Rank(0), "/a/job", 7)
-	epoch0 := m.Epoch()
+	epoch0 := m.epoch
 	run(t, eng, func(p runtime.Task) {
 		if err := m.Migrate(p, "/a/job", 1); err != nil {
 			t.Fatalf("migrate: %v", err)
@@ -55,8 +55,8 @@ func TestMigrateMovesOwnership(t *testing.T) {
 	if got := cl.Table().RankFor("/a/job/f00"); got != 1 {
 		t.Errorf("RankFor after migrate = %d, want 1", got)
 	}
-	if m.Epoch() != epoch0+1 {
-		t.Errorf("epoch = %d, want %d", m.Epoch(), epoch0+1)
+	if m.epoch != epoch0+1 {
+		t.Errorf("epoch = %d, want %d", m.epoch, epoch0+1)
 	}
 	if _, err := cl.Rank(1).Store().Resolve("/a/job/f00"); err != nil {
 		t.Errorf("dst resolve: %v", err)
@@ -75,8 +75,8 @@ func TestMigrateMovesOwnership(t *testing.T) {
 		t.Errorf("src parent resolve: %v", err)
 	}
 	st, ok := m.Subtree("/a/job")
-	if !ok || st.State != SubtreeOwned || st.Moves != 1 || st.Epoch != m.Epoch() {
-		t.Errorf("record = %+v, want owned, 1 move, epoch %d", st, m.Epoch())
+	if !ok || st.State != SubtreeOwned || st.Moves != 1 || st.Epoch != m.epoch {
+		t.Errorf("record = %+v, want owned, 1 move, epoch %d", st, m.epoch)
 	}
 	if cl.Migrations() != 1 {
 		t.Errorf("migrations = %d, want 1", cl.Migrations())
@@ -98,14 +98,14 @@ func TestMigrateMovesOwnership(t *testing.T) {
 func TestMigrateToOwnerIsNoop(t *testing.T) {
 	eng, cl, m := newTestCluster(2)
 	populate(t, eng, cl.Rank(0), "/a/job", 2)
-	epoch0 := m.Epoch()
+	epoch0 := m.epoch
 	run(t, eng, func(p runtime.Task) {
 		if err := m.Migrate(p, "/a/job", 0); err != nil {
 			t.Fatalf("self-migrate: %v", err)
 		}
 	})
-	if m.Epoch() != epoch0 {
-		t.Errorf("epoch moved on a no-op: %d -> %d", epoch0, m.Epoch())
+	if m.epoch != epoch0 {
+		t.Errorf("epoch moved on a no-op: %d -> %d", epoch0, m.epoch)
 	}
 	if cl.Migrations() != 0 {
 		t.Errorf("migrations = %d, want 0", cl.Migrations())
@@ -353,12 +353,12 @@ func TestGrantsNeverRepeat(t *testing.T) {
 		}
 		left := bandSlots - m.nextSlot[1]
 		register(p, "fill rank 1", "/b", fmt.Sprintf("%sallocated_inodes: %d\n", weak, left<<24))
-		epoch := m.Epoch()
+		epoch := m.epoch
 		if _, err := m.RegisterPolicy(p, "/b", parse(t, weak), "c0"); !errors.Is(err, namespace.ErrNoSpace) {
 			t.Errorf("register on a full band: err = %v, want ErrNoSpace", err)
 		}
-		if m.nextSlot[1] != bandSlots || m.Epoch() != epoch {
-			t.Errorf("refused register spent slot %d of %d, epoch %d -> %d", m.nextSlot[1], bandSlots, epoch, m.Epoch())
+		if m.nextSlot[1] != bandSlots || m.epoch != epoch {
+			t.Errorf("refused register spent slot %d of %d, epoch %d -> %d", m.nextSlot[1], bandSlots, epoch, m.epoch)
 		}
 	})
 

@@ -61,16 +61,6 @@ const (
 	SubtreeExporting
 )
 
-func (st SubtreeState) String() string {
-	switch st {
-	case SubtreeOwned:
-		return "owned"
-	case SubtreeExporting:
-		return "exporting"
-	}
-	return fmt.Sprintf("SubtreeState(%d)", uint8(st))
-}
-
 // Subtree is the monitor's one record of a subtree: the unit of
 // placement, migration, balancing and policy registration. Which rank
 // owns it is not stored here — the routing table (Table().RankFor) is
@@ -113,9 +103,6 @@ func New(eng runtime.Runtime, cl *mds.Cluster) *Monitor {
 		nextSlot: make([]uint64, cl.Ranks()),
 	}
 }
-
-// Epoch returns the current cluster-map epoch, bumped on every change.
-func (m *Monitor) Epoch() uint64 { return m.epoch }
 
 // RegisterPolicy registers pol (a parsed policies.yml, §III-C) for path
 // on behalf of owner: it issues the subtree's inode grant — the policy's

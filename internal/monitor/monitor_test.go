@@ -72,8 +72,8 @@ func TestRegisterParsesAndGrants(t *testing.T) {
 			t.Errorf("interfere = %v", e.Policy.Interfere)
 		}
 	})
-	if m.Epoch() != 1 {
-		t.Fatalf("epoch = %d", m.Epoch())
+	if m.epoch != 1 {
+		t.Fatalf("epoch = %d", m.epoch)
 	}
 	// The MDS now enforces the policy.
 	in, err := srv.Store().Resolve("/msevilla/mydir")
@@ -179,8 +179,8 @@ func TestUnregister(t *testing.T) {
 	if _, ok := m.Lookup("/d"); ok {
 		t.Fatal("unregistered subtree still registered")
 	}
-	if m.Epoch() != 2 {
-		t.Fatalf("epoch = %d, want 2", m.Epoch())
+	if m.epoch != 2 {
+		t.Fatalf("epoch = %d, want 2", m.epoch)
 	}
 }
 

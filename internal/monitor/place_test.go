@@ -226,7 +226,7 @@ func TestInodeRequestFollowsRenamedMove(t *testing.T) {
 func TestPlaceOnOwnerPinsWithoutExport(t *testing.T) {
 	eng, obj, cl, m := newPlaceCluster(5, 2)
 	populate(t, eng, cl.Rank(0), "/a/job", 3)
-	epoch0, writes0 := m.Epoch(), obj.Stats().Writes
+	epoch0, writes0 := m.epoch, obj.Stats().Writes
 	run(t, eng, func(p runtime.Task) {
 		start := p.Now()
 		if err := m.Place(p, "/a/job", 0); err != nil {
@@ -236,7 +236,7 @@ func TestPlaceOnOwnerPinsWithoutExport(t *testing.T) {
 			t.Errorf("place on the owner took %v, want one commit latency %v", took, commitLatency)
 		}
 	})
-	if got := m.Epoch(); got != epoch0+1 {
+	if got := m.epoch; got != epoch0+1 {
 		t.Errorf("epoch = %d, want %d", got, epoch0+1)
 	}
 	if got := cl.Table().Paths(); !slices.Equal(got, []string{"/a/job"}) || cl.Table().RankFor("/a/job") != 0 {

@@ -2,8 +2,8 @@ package namespace
 
 import (
 	"fmt"
+	"path"
 	"sort"
-	"strings"
 )
 
 // This file implements namespace consistency checking — the forward scrub
@@ -217,18 +217,6 @@ func (b *inoSet) has(ino Ino) bool {
 	return *b.word(ino)&(1<<(ino%pageSize)) != 0
 }
 
-// MustHealthy panics if the store has inconsistencies; tests and
-// assertions use it after merges.
-func (s *Store) MustHealthy() {
-	if problems := s.Check(); len(problems) > 0 {
-		lines := make([]string, len(problems))
-		for i, p := range problems {
-			lines[i] = p.String()
-		}
-		panic("namespace: unhealthy store:\n" + strings.Join(lines, "\n"))
-	}
-}
-
 // Repair fixes the problems Check can fix mechanically and returns what it
 // did:
 //
@@ -254,29 +242,21 @@ func (s *Store) Repair() []string {
 			}
 			// Find the dentry that references it along the reported
 			// path.
-			parts := SplitPath(p.Path)
-			if len(parts) == 0 {
-				continue
-			}
-			parentPath := "/" + strings.Join(parts[:len(parts)-1], "/")
-			parent, err := s.Resolve(parentPath)
-			if err != nil {
+			dir, name := path.Split(p.Path)
+			parent, err := s.Resolve(dir)
+			if name == "" || err != nil {
 				continue
 			}
 			in.Parent = parent.Ino
-			in.Name = parts[len(parts)-1]
+			in.Name = name
 			actions = append(actions, fmt.Sprintf("relinked ino %d as %s", p.Ino, p.Path))
 		case "dangling-dentry":
-			parts := SplitPath(p.Path)
-			if len(parts) == 0 {
+			dir, name := path.Split(p.Path)
+			parent, err := s.Resolve(dir)
+			if name == "" || err != nil {
 				continue
 			}
-			parentPath := "/" + strings.Join(parts[:len(parts)-1], "/")
-			parent, err := s.Resolve(parentPath)
-			if err != nil {
-				continue
-			}
-			parent.frag.unlink(parts[len(parts)-1])
+			parent.frag.unlink(name)
 			actions = append(actions, fmt.Sprintf("removed dangling dentry %s", p.Path))
 		case "file-children":
 			in := s.inodes.get(p.Ino)

@@ -16,7 +16,14 @@ func TestCheckHealthyStore(t *testing.T) {
 	if problems := s.Check(); len(problems) != 0 {
 		t.Fatalf("healthy store reported %v", problems)
 	}
-	s.MustHealthy() // must not panic
+}
+
+// mustHealthy fails the test when the scrub finds anything wrong with s.
+func mustHealthy(t *testing.T, s *Store) {
+	t.Helper()
+	if problems := s.Check(); len(problems) > 0 {
+		t.Fatalf("unhealthy store: %v", problems)
+	}
 }
 
 func countKind(problems []Problem, kind string) int {
@@ -44,7 +51,7 @@ func TestCheckOrphan(t *testing.T) {
 	if _, err := s.Resolve("/lost+found/ino-999"); err != nil {
 		t.Fatalf("orphan not rescued: %v", err)
 	}
-	s.MustHealthy()
+	mustHealthy(t, s)
 }
 
 func TestCheckDanglingDentry(t *testing.T) {
@@ -56,7 +63,7 @@ func TestCheckDanglingDentry(t *testing.T) {
 		t.Fatalf("problems = %v", problems)
 	}
 	s.Repair()
-	s.MustHealthy()
+	mustHealthy(t, s)
 	if _, ok := root.frag.lookup("phantom"); ok {
 		t.Fatal("dangling dentry survived repair")
 	}
@@ -72,7 +79,7 @@ func TestCheckBadParentAndName(t *testing.T) {
 		t.Fatalf("problems = %v", problems)
 	}
 	s.Repair()
-	s.MustHealthy()
+	mustHealthy(t, s)
 	proj, _ := s.Resolve("/proj")
 	if in.Parent != proj.Ino || in.Name != "README" {
 		t.Fatalf("repair wrote %d/%q", in.Parent, in.Name)
@@ -88,7 +95,7 @@ func TestCheckFileWithChildren(t *testing.T) {
 		t.Fatalf("problems = %v", problems)
 	}
 	s.Repair()
-	s.MustHealthy()
+	mustHealthy(t, s)
 }
 
 func TestCheckDupIno(t *testing.T) {
@@ -166,17 +173,6 @@ func TestCheckNoRoot(t *testing.T) {
 	if len(problems) != 1 || problems[0].Kind != "no-root" {
 		t.Fatalf("problems = %v", problems)
 	}
-}
-
-func TestMustHealthyPanics(t *testing.T) {
-	s := buildSample(t)
-	s.inodes.put(&Inode{Ino: 999, Name: "ghost", Type: TypeFile})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustHealthy did not panic on unhealthy store")
-		}
-	}()
-	s.MustHealthy()
 }
 
 func TestProblemString(t *testing.T) {

@@ -161,7 +161,7 @@ func TestListingFollowsEveryMutation(t *testing.T) {
 				orphan := s.AllocIno()
 				s.inodes.put(&Inode{Ino: orphan, Parent: 1 << 41, Name: "orphan"})
 				s.Repair()
-				s.MustHealthy()
+				mustHealthy(t, s)
 			case 11:
 				// Migrate a subtree away and back: prune it, then import
 				// the same inode numbers, with the subtree root emptied.
@@ -186,7 +186,7 @@ func TestListingFollowsEveryMutation(t *testing.T) {
 			}
 			checkListings(t, s, fmt.Sprintf("seed %d step %d (%s)", seed, i, step))
 		}
-		s.MustHealthy()
+		mustHealthy(t, s)
 	}
 }
 

@@ -369,21 +369,10 @@ func (e *lookupError) Error() string {
 
 func (e *lookupError) Unwrap() error { return e.err }
 
-// SplitPath cleans p and splits it into components. The root is the empty
-// list.
-func SplitPath(p string) []string {
-	p = path.Clean("/" + p)
-	if p == "/" {
-		return nil
-	}
-	return strings.Split(p[1:], "/")
-}
-
 // PathParts iterates the components of an absolute path without
 // allocating: every component is a substring of the (cleaned) input.
-// It replaces SplitPath on the resolution hot paths, where the
-// per-lookup []string from strings.Split was a measurable share of the
-// simulation's allocations.
+// It is how every resolution splits a path: a per-lookup []string from
+// strings.Split was a measurable share of the simulation's allocations.
 type PathParts struct {
 	rest string
 }
@@ -391,7 +380,8 @@ type PathParts struct {
 // SplitIter returns an iterator over p's components. Paths already in
 // clean form ("/a/b/c") — the common case, since clients build paths with
 // path.Join — cost no allocation at all; unclean input falls back to one
-// path.Clean. Component order and content match SplitPath exactly.
+// path.Clean. The components are those of strings.Split on the cleaned
+// path, without its leading slash.
 func SplitIter(p string) PathParts {
 	if !isCleanPath(p) {
 		p = path.Clean("/" + p)

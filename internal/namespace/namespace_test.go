@@ -209,14 +209,14 @@ func TestSplitPath(t *testing.T) {
 		"/./a":    {"a"},
 	}
 	for in, want := range cases {
-		got := SplitPath(in)
+		got := collect(in)
 		if len(got) != len(want) {
-			t.Errorf("SplitPath(%q) = %v, want %v", in, got, want)
+			t.Errorf("SplitIter(%q) = %v, want %v", in, got, want)
 			continue
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("SplitPath(%q) = %v, want %v", in, got, want)
+				t.Errorf("SplitIter(%q) = %v, want %v", in, got, want)
 			}
 		}
 	}

@@ -2,10 +2,22 @@ package namespace
 
 import (
 	"fmt"
+	"path"
+	"strings"
 	"testing"
 )
 
-// collect drains an iterator into a slice for comparison with SplitPath.
+// splitPath is the allocating reference SplitIter must agree with: clean
+// p, then split it into components; the root is the empty list.
+func splitPath(p string) []string {
+	p = path.Clean("/" + p)
+	if p == "/" {
+		return nil
+	}
+	return strings.Split(p[1:], "/")
+}
+
+// collect drains an iterator into a slice for comparison with splitPath.
 func collect(p string) []string {
 	var out []string
 	for it := SplitIter(p); ; {
@@ -17,7 +29,7 @@ func collect(p string) []string {
 	}
 }
 
-// TestSplitIterMatchesSplitPath: the iterator must agree with SplitPath
+// TestSplitIterMatchesSplitPath: the iterator must agree with splitPath
 // on every input shape, clean or not.
 func TestSplitIterMatchesSplitPath(t *testing.T) {
 	cases := []string{
@@ -26,10 +38,10 @@ func TestSplitIterMatchesSplitPath(t *testing.T) {
 		"/very/deep/path/with/many/components/inside",
 	}
 	for _, p := range cases {
-		want := SplitPath(p)
+		want := splitPath(p)
 		got := collect(p)
 		if len(got) != len(want) {
-			t.Errorf("SplitIter(%q) = %v, SplitPath = %v", p, got, want)
+			t.Errorf("SplitIter(%q) = %v, splitPath = %v", p, got, want)
 			continue
 		}
 		for i := range want {

@@ -331,9 +331,6 @@ func (e *Engine) Blocking(fn func()) {
 // NewSignal implements runtime.Runtime.
 func (e *Engine) NewSignal() runtime.Signal { return runtime.NewSignal(new(sync.Mutex)) }
 
-// NewGroup implements runtime.Runtime.
-func (e *Engine) NewGroup() runtime.Group { return e.root.NewGroup() }
-
 // NewResource implements runtime.Runtime.
 func (e *Engine) NewResource(name string, capacity int) runtime.Resource {
 	return newResource(e, name, capacity)
@@ -518,9 +515,6 @@ func (t *Task) Blocking(fn func()) {
 	defer cur.mu.Lock()
 	fn()
 }
-
-// String implements fmt.Stringer.
-func (t *Task) String() string { return fmt.Sprintf("task(%s)", t.name) }
 
 // MayPark is the check a task makes before it queues itself on a signal
 // or resource: a task Shutdown is reaping unwinds instead. With Park and

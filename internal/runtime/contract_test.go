@@ -138,7 +138,7 @@ func TestContractSignalWaitAfterFire(t *testing.T) {
 
 func TestContractGroup(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
-		g := rt.NewGroup()
+		g := rt.NewDomain("group").NewGroup()
 		var done atomic.Int64
 		for i := 0; i < 5; i++ {
 			d := time.Duration(i+1) * time.Millisecond
@@ -657,7 +657,7 @@ func TestContractMisusePanics(t *testing.T) {
 		for name, fn := range map[string]func(){
 			"second Fire":        func() { sig.Fire("second") },
 			"Release below zero": rt.NewResource("idle", 1).Release,
-			"group below zero":   func() { rt.NewGroup().Add(-1) },
+			"group below zero":   func() { rt.NewDomain("group").NewGroup().Add(-1) },
 			"capacity 0":         func() { rt.NewResource("none", 0) },
 			"rate 0":             func() { rt.NewPipe("none", 0) },
 			"rate < 0":           func() { rt.NewPipe("none", -1) },
@@ -689,7 +689,7 @@ func TestContractMisusePanics(t *testing.T) {
 // second time (a double Fire would panic in Done) nor parks a waiter.
 func TestContractGroupAfterZero(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, rt runtime.Runtime) {
-		g := rt.NewGroup()
+		g := rt.NewDomain("group").NewGroup()
 		rounds := 0
 		rt.Spawn("driver", func(p runtime.Task) {
 			g.Wait(p) // never used: nothing pending
@@ -770,7 +770,6 @@ func TestContractOneImplementation(t *testing.T) {
 	defer r.Shutdown()
 	for _, pair := range [][2]any{
 		{s.NewSignal(), r.NewSignal()},
-		{s.NewGroup(), r.NewGroup()},
 		{s.NewDomain("d").NewGroup(), r.NewDomain("d").NewGroup()},
 		{s.NewPipe("p", 1), r.NewPipe("p", 1)},
 	} {

@@ -122,9 +122,6 @@ type Runtime interface {
 	NewDomain(name string) Domain
 	// NewSignal creates a one-shot condition.
 	NewSignal() Signal
-	// NewGroup creates a task completion group whose tasks start in the
-	// root domain.
-	NewGroup() Group
 	// NewResource creates a FIFO server with the given capacity.
 	NewResource(name string, capacity int) Resource
 	// NewPipe creates a bandwidth pipe (rate in bytes per second).

@@ -255,9 +255,6 @@ func (e *Engine) NewDomain(string) runtime.Domain { return (*domain)(e) }
 // NewSignal implements runtime.Runtime.
 func (e *Engine) NewSignal() runtime.Signal { return NewSignal(e) }
 
-// NewGroup implements runtime.Runtime.
-func (e *Engine) NewGroup() runtime.Group { return NewGroup(e) }
-
 // NewResource implements runtime.Runtime.
 func (e *Engine) NewResource(name string, capacity int) runtime.Resource {
 	return NewResource(e, name, capacity)
@@ -363,14 +360,6 @@ func (e *Engine) Shutdown() int {
 	return reaped
 }
 
-// Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// LiveProcs reports the number of processes that have been spawned and not
-// yet finished. After RunAll on a well-formed simulation this is the number
-// of processes blocked forever (normally zero).
-func (e *Engine) LiveProcs() int { return e.procs }
-
 // LeakCheck returns nil when no processes are live, and otherwise an
 // error naming the leaked processes. Call it after the simulation drains
 // (and before Shutdown, which reaps the leaks it reports) to assert that
@@ -452,6 +441,3 @@ func (p *Proc) Sleep(d Duration) {
 // Blocking implements runtime.Task. The simulator has no real I/O to
 // overlap, so fn runs inline; it must not touch simulation state.
 func (p *Proc) Blocking(fn func()) { fn() }
-
-// String implements fmt.Stringer.
-func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }

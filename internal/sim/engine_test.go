@@ -48,8 +48,8 @@ func TestProcSleep(t *testing.T) {
 	if wake != Time(5*time.Millisecond) {
 		t.Fatalf("woke at %v, want 5ms", wake)
 	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("leaked %d procs", e.LiveProcs())
+	if e.procs != 0 {
+		t.Fatalf("leaked %d procs", e.procs)
 	}
 }
 
@@ -89,8 +89,8 @@ func TestRunUntil(t *testing.T) {
 	if ran != 1 {
 		t.Fatalf("ran %d events before deadline, want 1", ran)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if len(e.queue) != 1 {
+		t.Fatalf("pending = %d, want 1", len(e.queue))
 	}
 	e.RunAll()
 	if ran != 2 {

@@ -1,10 +1,8 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -173,25 +171,4 @@ func (h *Histogram) Merge(other *Histogram) {
 			break
 		}
 	}
-}
-
-// Reset clears the histogram.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		atomic.StoreUint64(&h.counts[i], 0)
-	}
-	atomic.StoreUint64(&h.total, 0)
-	atomic.StoreInt64(&h.sum, 0)
-	atomic.StoreInt64(&h.max, 0)
-}
-
-// String summarizes count/mean/p50/p99/max.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d mean=%v p50=%v p99=%v max=%v",
-		h.Count(), h.Mean().Round(time.Microsecond),
-		h.Quantile(0.5).Round(time.Microsecond),
-		h.Quantile(0.99).Round(time.Microsecond),
-		h.Max().Round(time.Microsecond))
-	return b.String()
 }

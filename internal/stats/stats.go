@@ -3,10 +3,7 @@
 // counters.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Mean returns the arithmetic mean of vals, or 0 for an empty slice.
 func Mean(vals []float64) float64 {
@@ -62,11 +59,6 @@ func (s *Series) Rates() *Series {
 		out.Add(s.T[i], (s.V[i]-s.V[i-1])/dt)
 	}
 	return out
-}
-
-// String renders the series compactly for debugging.
-func (s *Series) String() string {
-	return fmt.Sprintf("series(%d samples)", s.Len())
 }
 
 // Slowdown converts a duration into a slowdown factor relative to base,

@@ -50,9 +50,6 @@ func TestSeriesRates(t *testing.T) {
 	if s.Rates().Len() != 2 {
 		t.Fatal("zero-dt interval not skipped")
 	}
-	if s.String() == "" {
-		t.Fatal("empty string")
-	}
 }
 
 // Property: StdDev is translation-invariant and non-negative.

@@ -3,7 +3,9 @@ package trace
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // This file renders a Recorder as Chrome trace-event JSON — the
@@ -70,47 +72,66 @@ func detailArgs(detail string) map[string]string {
 // WriteChrome writes the recorder's contents as a Chrome trace-event
 // JSON object. A nil recorder writes a valid, empty trace.
 func (r *Recorder) WriteChrome(w io.Writer) error {
-	var spans []Span
-	var instants []Instant
-	if r != nil {
-		spans, instants = r.Spans(), r.Instants()
-	}
+	return WriteChrome(w, []Run{{Rec: r}})
+}
 
-	// Collect tracks and assign pids in sorted order.
-	procs := map[string]int{}
-	for _, s := range spans {
-		procs[s.Proc] = 0
+// Run is one recorder of a many-run trace document; each of its tracks is
+// named Prefix + Span.Proc.
+type Run struct {
+	Prefix string
+	Rec    *Recorder
+}
+
+// WriteChrome writes runs as one Chrome trace-event JSON object, each run
+// its own process group: pids follow the sorted order of every prefixed
+// track name, the metadata records come first, then each track's spans,
+// then every point, run by run. It copies one run's events at a time,
+// never the whole document's.
+func WriteChrome(w io.Writer, runs []Run) error {
+	type track struct {
+		name, proc string
+		run        int
 	}
-	for _, i := range instants {
-		procs[i.Proc] = 0
+	var tracks []track
+	for i, run := range runs {
+		for _, proc := range run.Rec.procs() {
+			tracks = append(tracks, track{name: run.Prefix + proc, proc: proc, run: i})
+		}
 	}
-	names := make([]string, 0, len(procs))
-	for name := range procs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for i, name := range names {
-		procs[name] = i + 1 // pids start at 1
+	slices.SortFunc(tracks, func(a, b track) int { return strings.Compare(a.name, b.name) })
+	pids := make([]map[string]int, len(runs)) // per run: proc -> pid
+	for i, t := range tracks {
+		if pids[t.run] == nil {
+			pids[t.run] = map[string]int{}
+		}
+		pids[t.run][t.proc] = i + 1 // pids start at 1
 	}
 
 	if _, err := io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
 		return err
 	}
 	enc := newEventWriter(w)
-	for _, name := range names {
+	for i, t := range tracks {
 		enc.add(chromeMeta{
-			Name: "process_name", Ph: "M", Pid: procs[name], Tid: 0,
-			Args: map[string]string{"name": name},
+			Name: "process_name", Ph: "M", Pid: i + 1, Tid: 0,
+			Args: map[string]string{"name": t.name},
 		})
 	}
 
-	// Group span indices by track, preserving recording order within.
-	byProc := make(map[string][]int, len(procs))
-	for i, s := range spans {
-		byProc[s.Proc] = append(byProc[s.Proc], i)
-	}
-	for _, name := range names {
-		idx := byProc[name]
+	// Each track's spans, in recording order within the track, from a
+	// copy of its run's spans taken when the walk reaches the run.
+	run := -1
+	var spans []Span
+	var byProc map[string][]int
+	for pid, t := range tracks {
+		if t.run != run {
+			run, spans = t.run, runs[t.run].Rec.Spans()
+			byProc = map[string][]int{}
+			for i, s := range spans {
+				byProc[s.Proc] = append(byProc[s.Proc], i)
+			}
+		}
+		idx := byProc[t.proc]
 		// Sort by begin time, longest-first on ties, recording order
 		// last, so lane packing is a pure function of the span set.
 		sort.SliceStable(idx, func(a, b int) bool {
@@ -128,15 +149,18 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 			enc.add(chromeEvent{
 				Name: s.Name, Cat: s.Cat, Ph: "X",
 				Ts: usec(s.Begin), Dur: usec(end - s.Begin),
-				Pid: procs[s.Proc], Tid: tid, Args: kvMap(s.Args),
+				Pid: pid + 1, Tid: tid, Args: kvMap(s.Args),
 			})
 		}
 	}
-	for _, in := range instants {
-		enc.add(chromeEvent{
-			Name: in.Name, Cat: in.Cat, Ph: "i", Scope: "t",
-			Ts: usec(in.At), Pid: procs[in.Proc], Tid: 0, Args: detailArgs(in.Detail),
-		})
+	spans, byProc = nil, nil // the last run's copy goes before the points are copied
+	for i, run := range runs {
+		for _, in := range run.Rec.Instants() {
+			enc.add(chromeEvent{
+				Name: in.Name, Cat: in.Cat, Ph: "i", Scope: "t",
+				Ts: usec(in.At), Pid: pids[i][in.Proc], Tid: 0, Args: detailArgs(in.Detail),
+			})
+		}
 	}
 	if enc.err != nil {
 		return enc.err

@@ -83,6 +83,40 @@ func TestWriteChromeBasics(t *testing.T) {
 
 // TestLanePackingNestsAndSeparates checks that nested spans share a lane
 // while overlapping non-nested spans are pushed to separate lanes.
+// TestMergePrefixesTracks: runs written as one document render byte for
+// byte as one recorder holding every run's events, in run order, under
+// prefixed track names — pids in sorted prefixed-name order, whatever the
+// run order — and a nil run adds nothing.
+func TestMergePrefixesTracks(t *testing.T) {
+	b, a := New(), New()
+	b.Add(0, 10, "mds.0", "transport", "rpc.create")
+	b.Record(5, "mon", "mds", "epoch", "e=1")
+	a.Add(2, 4, "mds.0", "journal", "journal.append")
+	a.Add(0, 8, "mds.0", "transport", "rpc.mkdir")
+	a.Record(3, "client.0", "client", "crash", "")
+	one := New()
+	one.Add(0, 10, "b:mds.0", "transport", "rpc.create")
+	one.Record(5, "b:mon", "mds", "epoch", "e=1")
+	one.Add(2, 4, "a:mds.0", "journal", "journal.append")
+	one.Add(0, 8, "a:mds.0", "transport", "rpc.mkdir")
+	one.Record(3, "a:client.0", "client", "crash", "")
+
+	var got strings.Builder
+	if err := WriteChrome(&got, []Run{{"b:", b}, {"nil:", nil}, {"a:", a}}); err != nil {
+		t.Fatal(err)
+	}
+	if want := chromeString(one); got.String() != want {
+		t.Fatalf("runs rendered\n%s\nwant\n%s", got.String(), want)
+	}
+	if doc := parseChrome(t, got.String()); doc.TraceEvents[0].Args["name"] != "a:client.0" {
+		t.Fatalf("pid 1 is %q, want a:client.0", doc.TraceEvents[0].Args["name"])
+	}
+	// The sources are untouched.
+	if b.Spans()[0].Proc != "mds.0" || a.Instants()[0].Proc != "client.0" {
+		t.Fatal("a source recorder was renamed")
+	}
+}
+
 func TestLanePackingNestsAndSeparates(t *testing.T) {
 	r := New()
 	r.Add(0, 100, "mds.0", "transport", "outer")

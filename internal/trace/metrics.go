@@ -103,9 +103,6 @@ func (reg *Registry) Append(other *Registry, labels ...KV) {
 	}
 }
 
-// Len returns the number of recorded series.
-func (reg *Registry) Len() int { return len(reg.samples) }
-
 // Value returns the value of the first series matching name and labels,
 // for tests and table cells. The bool reports whether it was found.
 func (reg *Registry) Value(name string, labels ...KV) (float64, bool) {

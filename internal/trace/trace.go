@@ -167,46 +167,22 @@ func (r *Recorder) Len() int {
 	return len(r.spans)
 }
 
-// Merge appends other's spans and instants, prefixing every track name
-// with prefix (e.g. "fig3a/run03:"). It is how the bench harness folds
-// many per-run recorders into one Perfetto file: each run becomes its own
-// process group. Merging a nil or empty recorder is a no-op.
-func (r *Recorder) Merge(other *Recorder, prefix string) {
-	if r == nil || other == nil {
-		return
-	}
-	spans, instants := other.Spans(), other.Instants()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	base := len(r.spans)
-	for _, s := range spans {
-		s.Proc = prefix + s.Proc
-		r.spans = append(r.spans, s)
-	}
-	for _, i := range instants {
-		i.Proc = prefix + i.Proc
-		i.spans += base
-		r.instants = append(r.instants, i)
-	}
-}
-
-// Cats returns the distinct span categories recorded, for coverage
-// assertions ("did this run produce transport, journal, and rados
-// spans?").
-func (r *Recorder) Cats() map[string]int {
-	out := make(map[string]int)
+// procs returns the distinct tracks of the recorded spans and points, in
+// sorted order.
+func (r *Recorder) procs() []string {
 	if r == nil {
-		return out
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, s := range r.spans {
-		out[s.Cat]++
+	seen := map[string]bool{}
+	for i := range r.spans {
+		seen[r.spans[i].Proc] = true
 	}
-	for _, i := range r.instants {
-		out[i.Cat]++
+	for i := range r.instants {
+		seen[r.instants[i].Proc] = true
 	}
-	return out
+	return slices.Sorted(maps.Keys(seen))
 }
 
 // Dump renders the last n events of every track (all of them when n <= 0),

@@ -80,31 +80,9 @@ func TestRecorderExportWhileRecording(t *testing.T) {
 					t.Errorf("WriteChrome: %v", err)
 					return
 				}
-				_ = r.Cats()
+				_ = r.Dump(8)
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// TestRecorderConcurrentMerge folds recorders into one sink from
-// several goroutines at once.
-func TestRecorderConcurrentMerge(t *testing.T) {
-	sink := New()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		src := New()
-		for i := 0; i < 100; i++ {
-			src.Add(Time(i), Time(i+1), "p", "c", "op")
-		}
-		wg.Add(1)
-		go func(src *Recorder) {
-			defer wg.Done()
-			sink.Merge(src, "run:")
-		}(src)
-	}
-	wg.Wait()
-	if got, want := sink.Len(), 400; got != want {
-		t.Fatalf("merged spans = %d, want %d", got, want)
-	}
 }

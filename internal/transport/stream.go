@@ -64,7 +64,6 @@ type windowEntry struct {
 type Window struct {
 	limit int
 	q     []windowEntry
-	peak  int
 }
 
 // NewWindow returns a window that buffers at most limit chunks; limit
@@ -83,9 +82,6 @@ func (w *Window) TryPush(now runtime.Time, payload any) bool {
 		return false
 	}
 	w.q = append(w.q, windowEntry{payload: payload, at: now})
-	if len(w.q) > w.peak {
-		w.peak = len(w.q)
-	}
 	return true
 }
 
@@ -108,6 +104,3 @@ func (w *Window) Len() int { return len(w.q) }
 
 // Limit returns the window size.
 func (w *Window) Limit() int { return w.limit }
-
-// Peak returns the maximum buffered depth ever reached.
-func (w *Window) Peak() int { return w.peak }

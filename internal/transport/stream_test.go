@@ -16,8 +16,8 @@ func TestWindowBoundsAndWaitAccounting(t *testing.T) {
 	if w.TryPush(runtime.Time(300), "c") {
 		t.Fatal("push beyond the limit must fail")
 	}
-	if w.Len() != 2 || w.Peak() != 2 || w.Limit() != 2 {
-		t.Fatalf("len=%d peak=%d limit=%d", w.Len(), w.Peak(), w.Limit())
+	if w.Len() != 2 || w.Limit() != 2 {
+		t.Fatalf("len=%d limit=%d", w.Len(), w.Limit())
 	}
 	payload, waited, ok := w.Pop(runtime.Time(350))
 	if !ok || payload != "a" || waited != runtime.Duration(250) {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cudele/internal/obs"
+	"cudele/internal/trace"
 )
 
 // TestBackendSmokeObservability drives the full live observability plane
@@ -172,7 +173,7 @@ func TestNewClientWhileScraping(t *testing.T) {
 	if n := <-scraped; n == 0 {
 		t.Error("no scrape completed")
 	}
-	if got := cl.MDS().Sessions(); got != 50 {
-		t.Errorf("rank 0 has %d sessions, want 50", got)
+	if got, _ := cl.CollectMetrics().Value("cudele_mds_sessions", trace.KV{Key: "daemon", Val: "mds.0"}); got != 50 {
+		t.Errorf("rank 0 has %v sessions, want 50", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cudele/internal/monitor"
+	"cudele/internal/trace"
 )
 
 // TestSubtreeRecordIsOneAndCurrent: the monitor keeps one record per
@@ -27,19 +28,25 @@ func TestSubtreeRecordIsOneAndCurrent(t *testing.T) {
 		t.Fatalf("no record for %s", path)
 		return nil
 	}
+	epoch := func() uint64 {
+		reg := trace.NewRegistry()
+		mon.FillMetrics(reg)
+		v, _ := reg.Value("cudele_mon_epoch")
+		return uint64(v)
+	}
 	check := func(step string, reg *Subtree, moves int) {
 		t.Helper()
 		if got, ok := mon.Lookup("/a/dec"); !ok || got != reg || record("/a/dec") != reg {
 			t.Errorf("after %s: Lookup = %p, %v and the listed record is %p; want the registration %p",
 				step, got, ok, record("/a/dec"), reg)
 		}
-		if reg.Epoch != mon.Epoch() {
-			t.Errorf("after %s: record epoch %d, monitor epoch %d", step, reg.Epoch, mon.Epoch())
+		if reg.Epoch != epoch() {
+			t.Errorf("after %s: record epoch %d, monitor epoch %d", step, reg.Epoch, epoch())
 		}
 		if reg.Moves != moves {
 			t.Errorf("after %s: record moves %d, want %d", step, reg.Moves, moves)
 		}
-		want := fmt.Sprintf("epoch=%-3d rank=%d ", mon.Epoch(), table.RankFor("/a/dec"))
+		want := fmt.Sprintf("epoch=%-3d rank=%d ", epoch(), table.RankFor("/a/dec"))
 		if desc := mon.Describe(); !strings.Contains(desc, want) {
 			t.Errorf("after %s: Describe lacks %q (the monitor's epoch, the table's rank):\n%s", step, want, desc)
 		}
@@ -51,8 +58,8 @@ func TestSubtreeRecordIsOneAndCurrent(t *testing.T) {
 		if err := mon.Place(p, "/a", 1); err != nil {
 			t.Fatalf("place /a: %v", err)
 		}
-		if st := record("/a"); st.Epoch != mon.Epoch() {
-			t.Errorf("after place: /a record epoch %d, monitor epoch %d", st.Epoch, mon.Epoch())
+		if st := record("/a"); st.Epoch != epoch() {
+			t.Errorf("after place: /a record epoch %d, monitor epoch %d", st.Epoch, epoch())
 		}
 
 		reg, err := cl.DecouplePolicy(p, c, "/a/dec", &Policy{
@@ -80,9 +87,9 @@ func TestSubtreeRecordIsOneAndCurrent(t *testing.T) {
 		if _, ok := mon.Lookup("/a/dec"); ok {
 			t.Error("Lookup still finds a registration after Unregister")
 		}
-		if st, ok := mon.Subtree("/a/dec"); !ok || st.State != monitor.SubtreeOwned || st.Epoch != mon.Epoch() || st.Moves != 2 {
+		if st, ok := mon.Subtree("/a/dec"); !ok || st.State != monitor.SubtreeOwned || st.Epoch != epoch() || st.Moves != 2 {
 			t.Errorf("record after Unregister = %+v, %v; want kept, owned, at the monitor's epoch %d, 2 moves",
-				st, ok, mon.Epoch())
+				st, ok, epoch())
 		}
 
 		// A restart after Unregister hands the rank nothing for /a/dec:
