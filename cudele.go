@@ -61,7 +61,6 @@ type (
 	// clients, all sharing one deterministic virtual clock.
 	Cluster struct {
 		rt  runtime.Runtime
-		eng *sim.Engine // non-nil only on the sim backend
 		cfg model.Config
 
 		dataDir string
@@ -91,9 +90,6 @@ type (
 	// Proc is a task handle — a simulation process or, on the real
 	// backend, a goroutine; all cluster operations take one.
 	Proc = runtime.Task
-
-	// Engine is the discrete-event simulation engine.
-	Engine = sim.Engine
 
 	// Runtime is the execution backend a cluster runs on.
 	Runtime = runtime.Runtime
@@ -238,7 +234,6 @@ func NewCluster(opts ...Option) *Cluster {
 		panic(fmt.Sprintf("cudele: invalid config: %v", err))
 	}
 	var rt runtime.Runtime
-	var eng *sim.Engine
 	switch o.backend {
 	case BackendReal:
 		re := realrt.New(o.seed)
@@ -249,8 +244,7 @@ func NewCluster(opts ...Option) *Cluster {
 		}
 		rt = re
 	default:
-		eng = sim.NewEngine(o.seed)
-		rt = eng
+		rt = sim.NewEngine(o.seed)
 	}
 	obj := rados.New(rt, o.cfg)
 	if o.backend == BackendReal && o.dataDir != "" {
@@ -265,7 +259,6 @@ func NewCluster(opts ...Option) *Cluster {
 	meta := mds.NewCluster(rt, o.cfg, obj, o.ranks)
 	return &Cluster{
 		rt:      rt,
-		eng:     eng,
 		cfg:     o.cfg,
 		dataDir: o.dataDir,
 		objects: obj,
@@ -274,11 +267,6 @@ func NewCluster(opts ...Option) *Cluster {
 		clients: make(map[string]*client.Client),
 	}
 }
-
-// Engine returns the simulation engine, nil on the real backend. It is
-// the sim-only escape hatch (chaos schedules, Run(until) windows);
-// backend-agnostic code uses Runtime instead.
-func (cl *Cluster) Engine() *Engine { return cl.eng }
 
 // Runtime returns the execution backend the cluster runs on.
 func (cl *Cluster) Runtime() Runtime { return cl.rt }

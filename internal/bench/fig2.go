@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"cudele"
-	"cudele/internal/sim"
+	"cudele/internal/runtime"
 	"cudele/internal/workload"
 )
 
@@ -61,7 +61,7 @@ func fig2Run(opts Options) ([]fig2PhaseRow, error) {
 				cl.MDS().FlushJournal(p)
 				cpuMark := cl.MDS().CPU().UtilizationMark()
 				netMark := cl.Objects().Net().UtilizationMark()
-				diskMarks := make([]sim.ResourceMark, 0, len(cl.Objects().OSDs()))
+				diskMarks := make([]runtime.ResourceMark, 0, len(cl.Objects().OSDs()))
 				for _, osd := range cl.Objects().OSDs() {
 					diskMarks = append(diskMarks, osd.Disk.UtilizationMark())
 				}

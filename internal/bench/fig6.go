@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"cudele"
-	"cudele/internal/sim"
+	"cudele/internal/runtime"
 	"cudele/internal/stats"
 )
 
@@ -171,7 +171,7 @@ func Fig6c(opts Options) (*Result, error) {
 					if _, err := c.LocalCreate(p, root, fmt.Sprintf("f%07d", i), 0644); err != nil {
 						return err
 					}
-					if p.Now()-lastSync >= sim.Time(step) {
+					if p.Now()-lastSync >= runtime.Time(step) {
 						_, k, err := c.SyncNow(p)
 						if err != nil {
 							return err

@@ -41,13 +41,13 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
+	goruntime "runtime"
 	"sort"
 	"strings"
 	"sync"
 
 	"cudele/internal/policy"
-	"cudele/internal/sim"
+	"cudele/internal/runtime"
 )
 
 // Fault kinds a Plan can schedule. The driver quantizes both to
@@ -59,6 +59,14 @@ const (
 	FaultClientCrash = "client-crash"
 	FaultMDSCrash    = "mds-crash"
 )
+
+// Fault is one planned crash: At past the end of the driver's set-up,
+// Kind strikes Target. The driver applies it at the first op boundary
+// whose clock has reached that time.
+type Fault struct {
+	At           runtime.Time
+	Kind, Target string
+}
 
 // Plan is everything a chaos schedule needs, derived deterministically
 // from its seed. Plans are data: printable for bug reports and
@@ -96,10 +104,9 @@ type Plan struct {
 	TornProb       float64
 	MaxWriteFaults int
 
-	// Faults is the crash schedule. Its times, like MigrateAt's, count
-	// from the end of the driver's set-up, which adds that clock to them
-	// before it arms the plan.
-	Faults sim.FaultPlan
+	// Faults is the crash schedule, sorted by time. Its times, like
+	// MigrateAt's, count from the end of the driver's set-up.
+	Faults []Fault
 
 	// Migrate runs the schedule on a two-rank cluster with a migrator
 	// proc exporting the main subtree back and forth at MigrateAt, so
@@ -108,7 +115,7 @@ type Plan struct {
 	Migrate bool
 	// MigrateAt are the virtual times the migrator fires, drawn from the
 	// same window as the crash schedule so the two overlap.
-	MigrateAt []sim.Time
+	MigrateAt []runtime.Time
 	// TornCommit additionally arms the RADOS write-fault injector over
 	// the migration-record pool, so some export-commit records tear; a
 	// torn record must abort the migration with the source authoritative.
@@ -144,14 +151,14 @@ func NewPlan(seed int64) *Plan {
 			kind, target = FaultMDSCrash, "mds:0"
 			mdsCrash = true
 		}
-		p.Faults.Faults = append(p.Faults.Faults, sim.Fault{
-			At:     sim.Time(500e3 + rng.Int63n(8e6)),
+		p.Faults = append(p.Faults, Fault{
+			At:     runtime.Time(500e3 + rng.Int63n(8e6)),
 			Kind:   kind,
 			Target: target,
 		})
 	}
-	sort.SliceStable(p.Faults.Faults, func(i, j int) bool {
-		return p.Faults.Faults[i].At < p.Faults.Faults[j].At
+	sort.SliceStable(p.Faults, func(i, j int) bool {
+		return p.Faults[i].At < p.Faults[j].At
 	})
 	p.Background = p.Chunked && !mdsCrash
 	// Migration draws come after every other draw, so a seed's ops and
@@ -159,7 +166,7 @@ func NewPlan(seed int64) *Plan {
 	p.Migrate = rng.Float64() < 0.25
 	if p.Migrate {
 		for i, n := 0, 1+rng.Intn(2); i < n; i++ {
-			p.MigrateAt = append(p.MigrateAt, sim.Time(500e3+rng.Int63n(8e6)))
+			p.MigrateAt = append(p.MigrateAt, runtime.Time(500e3+rng.Int63n(8e6)))
 		}
 		sort.SliceStable(p.MigrateAt, func(i, j int) bool {
 			return p.MigrateAt[i] < p.MigrateAt[j]
@@ -174,15 +181,24 @@ func (p *Plan) Cell() string { return p.Cons.String() + "/" + p.Dur.String() }
 
 // String renders the plan for failure reports.
 func (p *Plan) String() string {
-	s := fmt.Sprintf(
+	var b strings.Builder
+	fmt.Fprintf(&b,
 		"seed=%d cell=%s ops=%d chunked=%v background=%v transport=%v "+
-			"rados(err=%.2f torn=%.2f max=%d)\n%s\n",
+			"rados(err=%.2f torn=%.2f max=%d)\n",
 		p.Seed, p.Cell(), p.Ops, p.Chunked, p.Background, p.Transport,
-		p.WriteErrProb, p.TornProb, p.MaxWriteFaults, p.Faults.String())
-	if p.Migrate {
-		s += fmt.Sprintf("migrate: at=%v torn-commit=%v\n", p.MigrateAt, p.TornCommit)
+		p.WriteErrProb, p.TornProb, p.MaxWriteFaults)
+	if len(p.Faults) == 0 {
+		b.WriteString("fault plan: (empty)\n")
+	} else {
+		fmt.Fprintf(&b, "fault plan: %d faults\n", len(p.Faults))
 	}
-	return s
+	for i, f := range p.Faults {
+		fmt.Fprintf(&b, "  [%d] t=%dns %s %s\n", i, int64(f.At), f.Kind, f.Target)
+	}
+	if p.Migrate {
+		fmt.Fprintf(&b, "migrate: at=%v torn-commit=%v\n", p.MigrateAt, p.TornCommit)
+	}
+	return b.String()
 }
 
 // Result is one schedule's verdict.
@@ -229,7 +245,7 @@ func Run(seed int64) Result { return newDriver(NewPlan(seed)).run() }
 // simulation, so the verdicts are byte-identical at any worker count.
 func RunMany(seeds []int64, workers int) []Result {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = goruntime.GOMAXPROCS(0)
 	}
 	out := make([]Result, len(seeds))
 	idx := make(chan int)

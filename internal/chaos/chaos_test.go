@@ -8,7 +8,6 @@ import (
 
 	"cudele/internal/policy"
 	"cudele/internal/runtime"
-	"cudele/internal/sim"
 )
 
 // TestSmoke runs a batch of consecutive seeds — ten per cell of the
@@ -25,6 +24,12 @@ func TestSmoke(t *testing.T) {
 	var buf bytes.Buffer
 	if failed := Report(&buf, results); failed > 0 {
 		t.Errorf("%d schedules failed:\n%s", failed, buf.String())
+	}
+	// Every planned crash lands exactly once.
+	for _, r := range results {
+		if want := len(NewPlan(r.Seed).Faults); r.CrashFaults != want {
+			t.Errorf("seed %d: %d crashes applied, plan has %d", r.Seed, r.CrashFaults, want)
+		}
 	}
 }
 
@@ -49,7 +54,7 @@ func TestMigrationSchedules(t *testing.T) {
 		if p.TornCommit {
 			withTorn++
 		}
-		for _, f := range p.Faults.Faults {
+		for _, f := range p.Faults {
 			if f.Kind == FaultMDSCrash {
 				withCrash++
 				break
@@ -77,20 +82,16 @@ func TestMigrationSchedules(t *testing.T) {
 }
 
 // TestFaultsStrikeTheWorkload: a plan's crashes and migrations count
-// from the end of set-up, so none of them has fired or started when the
-// workload's first op begins, and each fires at its planned offset past
-// set-up, not all of them together at the first op. Over the first 150
-// seeds, whose plans crash and migrate in every cell.
+// from the end of set-up, so none of them is due or has started when
+// the workload's first op begins, and each strikes at its planned offset
+// past set-up, not all of them together at the first op; set-up leaves
+// the plan as generated. Over the first 150 seeds, whose plans crash
+// and migrate in every cell.
 func TestFaultsStrikeTheWorkload(t *testing.T) {
 	var crashes, migrations int
 	for seed := int64(1); seed <= 150; seed++ {
 		plan := NewPlan(seed)
-		want := make([]sim.Time, 0, len(plan.Faults.Faults)+len(plan.MigrateAt))
-		for _, f := range plan.Faults.Faults {
-			want = append(want, f.At)
-		}
-		want = append(want, plan.MigrateAt...)
-		crashes += len(plan.Faults.Faults)
+		crashes += len(plan.Faults)
 		migrations += len(plan.MigrateAt)
 		d := newDriver(plan)
 		d.cl.Go("probe", func(p runtime.Task) {
@@ -98,24 +99,21 @@ func TestFaultsStrikeTheWorkload(t *testing.T) {
 				t.Errorf("seed %d: set-up failed: %v", seed, d.res.Violations)
 				return
 			}
-			end := sim.Time(p.Now())
-			at := make([]sim.Time, 0, len(want))
-			for _, f := range d.plan.Faults.Faults {
-				at = append(at, f.At)
+			if d.start != p.Now() {
+				t.Errorf("seed %d: offsets count from %v, set-up ended at %v", seed, d.start, p.Now())
 			}
-			at = append(at, d.plan.MigrateAt...)
-			for i := range want {
-				if at[i] != end+want[i] {
-					t.Errorf("seed %d: event %d at %v, want %v past set-up's end %v", seed, i, at[i], want[i], end)
-				}
+			if d.plan.String() != NewPlan(seed).String() {
+				t.Errorf("seed %d: set-up rewrote the plan:\n%s", seed, d.plan)
 			}
 			if plan.Migrate {
 				d.startMigrator()
 			}
-			p.Sleep(1) // let anything due now fire
-			if len(d.pending) != 0 || d.midMigration() || d.res.Migrations != 0 {
-				t.Errorf("seed %d: %d crash(es) fired and migration started=%v before the first op",
-					seed, len(d.pending), d.midMigration() || d.res.Migrations != 0)
+			p.Sleep(1) // let anything due now start
+			if len(plan.Faults) > 0 && d.start+plan.Faults[0].At <= p.Now() {
+				t.Errorf("seed %d: crash at offset %v due before the first op", seed, plan.Faults[0].At)
+			}
+			if d.midMigration() || d.res.Migrations != 0 {
+				t.Errorf("seed %d: migration started before the first op", seed)
 			}
 		})
 		d.cl.RunAll()
@@ -123,6 +121,53 @@ func TestFaultsStrikeTheWorkload(t *testing.T) {
 	}
 	if crashes == 0 || migrations == 0 {
 		t.Fatalf("seeds 1-150 plan %d crashes and %d migrations", crashes, migrations)
+	}
+}
+
+// TestCrashDueAtBoundary: a crash due exactly at an op boundary's clock
+// lands at that boundary, and one due a nanosecond later does not: it
+// lands the next time drain reads the clock. A crash's restart moves the
+// clock on, so a second crash due during it lands right after it, in
+// the same drain; one due past the drain's end waits for the next
+// boundary.
+func TestCrashDueAtBoundary(t *testing.T) {
+	plan := NewPlan(1)
+	plan.Faults, plan.Migrate, plan.Background = nil, false, false
+	d := newDriver(plan)
+	defer d.cl.Close()
+	crash := func(at runtime.Time) Fault {
+		return Fault{At: at - d.start, Kind: FaultClientCrash, Target: "client:main"}
+	}
+	d.cl.Go("probe", func(p runtime.Task) {
+		if !d.setup(p) {
+			t.Errorf("set-up failed: %v", d.res.Violations)
+			return
+		}
+		d.step(p)
+		at := p.Now()
+		d.plan.Faults = []Fault{crash(at), crash(at + 1)}
+		d.drain(p)
+		end := p.Now()
+		d.plan.Faults = append(d.plan.Faults, crash(end+1))
+		d.drain(p)
+		if d.res.CrashFaults != 2 {
+			t.Errorf("%d crashes applied by the first boundary, want 2", d.res.CrashFaults)
+		}
+		p.Sleep(1)
+		d.drain(p)
+		var landed []runtime.Time
+		for _, in := range d.rec.Instants() {
+			if in.Cat == "fault" {
+				landed = append(landed, runtime.Time(in.At))
+			}
+		}
+		if len(landed) != 3 || landed[0] != at || landed[1] <= at || landed[1] > end || landed[2] != end+1 {
+			t.Errorf("boundary at %v, drain ended at %v: crashes landed at %v", at, end, landed)
+		}
+	})
+	d.cl.RunAll()
+	if !d.res.Passed() {
+		t.Errorf("violations: %v", d.res.Violations)
 	}
 }
 
@@ -253,8 +298,8 @@ func TestPlanStringLines(t *testing.T) {
 	var empty, faults, migrate bool
 	for _, seed := range Seeds(0, 200) {
 		p := NewPlan(seed)
-		empty = empty || len(p.Faults.Faults) == 0
-		faults = faults || len(p.Faults.Faults) > 0
+		empty = empty || len(p.Faults) == 0
+		faults = faults || len(p.Faults) > 0
 		migrate = migrate || p.Migrate
 		for _, line := range strings.Split(p.String(), "\n") {
 			if i := strings.Index(line, "migrate:"); i > 0 {

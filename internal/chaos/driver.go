@@ -16,7 +16,6 @@ import (
 	"cudele/internal/policy"
 	"cudele/internal/rados"
 	"cudele/internal/runtime"
-	"cudele/internal/sim"
 	"cudele/internal/transport"
 )
 
@@ -75,7 +74,9 @@ type driver struct {
 	bgRoot  namespace.Ino
 	bgSet   map[string]uint64 // background client's acked updates
 
-	pending    []sim.Fault // faults waiting for the next op boundary
+	// start is the clock at the end of set-up, which the plan's crash
+	// and migration times count from.
+	start      runtime.Time
 	bgDone     runtime.Signal
 	migDone    runtime.Signal
 	mdsCrashed bool
@@ -222,10 +223,10 @@ func (d *driver) main(p runtime.Task) {
 		d.step(p)
 	}
 	d.drain(p)
-	// Run past every scheduled fault so late crashes still get their
+	// Run past every planned crash so late ones still get their
 	// recovery verified.
-	if last := d.plan.Faults.Last(); last > 0 {
-		if now := p.Now(); now <= last {
+	if n := len(d.plan.Faults); n > 0 {
+		if last, now := d.start+d.plan.Faults[n-1].At, p.Now(); now <= last {
 			p.Sleep(runtime.Duration(last-now) + runtime.Duration(1e6))
 		}
 	}
@@ -241,9 +242,9 @@ func (d *driver) main(p runtime.Task) {
 
 // setup builds the workload subtrees, makes their roots durable,
 // registers the decoupled policies, and only then arms the fault
-// injectors, moving the plan's crash and migration times on by the
-// clock — so setup itself always succeeds and the calibrated baseline of
-// the protocol stack is what the faults strike.
+// injectors and starts the clock the plan's crash and migration times
+// count from — so setup itself always succeeds and the calibrated
+// baseline of the protocol stack is what the faults strike.
 func (d *driver) setup(p runtime.Task) bool {
 	if _, err := d.c.MkdirAll(p, mainPath, 0o755); err != nil {
 		d.violate("setup: mkdir %s: %v", mainPath, err)
@@ -324,26 +325,18 @@ func (d *driver) setup(p runtime.Task) bool {
 	}
 	// The plan's crash and migration times count from here, so each
 	// strikes the workload rather than all of them its first op.
-	end := sim.Time(p.Now())
-	for i := range d.plan.Faults.Faults {
-		d.plan.Faults.Faults[i].At += end
-	}
-	for i := range d.plan.MigrateAt {
-		d.plan.MigrateAt[i] += end
-	}
-	d.plan.Faults.Arm(d.cl.Engine(), func(f sim.Fault) {
-		d.pending = append(d.pending, f)
-	})
+	d.start = p.Now()
 	return true
 }
 
-// drain applies every fault that has fired since the last op boundary —
-// crash plus immediate restart and recovery, one at a time — then
-// checks the op-boundary contracts.
+// drain applies, in plan order, every planned crash whose time has come
+// since the last op boundary — crash plus immediate restart and
+// recovery, one at a time — then checks the op-boundary contracts.
 func (d *driver) drain(p runtime.Task) {
-	for len(d.pending) > 0 {
-		f := d.pending[0]
-		d.pending = d.pending[1:]
+	for _, f := range d.plan.Faults[d.res.CrashFaults:] {
+		if d.start+f.At > p.Now() {
+			break
+		}
 		d.res.CrashFaults++
 		d.rec.Record(int64(p.Now()), "chaos", "fault", f.Kind, f.Target)
 		switch f.Kind {
@@ -650,8 +643,8 @@ func (d *driver) startMigrator() {
 		defer d.migDone.Fire(nil)
 		meta := d.cl.Metadata()
 		for _, at := range d.plan.MigrateAt {
-			if now := p.Now(); now < at {
-				p.Sleep(runtime.Duration(at - now))
+			if now := p.Now(); now < d.start+at {
+				p.Sleep(runtime.Duration(d.start + at - now))
 			}
 			src := meta.Table().RankFor(mainPath)
 			dst := 1 - src

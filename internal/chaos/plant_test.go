@@ -26,7 +26,7 @@ func finish(t *testing.T, seed int64) *driver {
 	d := newDriver(NewPlan(seed))
 	d.cl.Go("chaos.main", d.main)
 	d.cl.RunAll()
-	t.Cleanup(func() { d.cl.Engine().Shutdown() })
+	t.Cleanup(func() { d.cl.Close() })
 	return d
 }
 

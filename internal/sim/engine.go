@@ -113,8 +113,7 @@ type Engine struct {
 	running bool
 	until   Time // bound of the Run in progress; Sleep's inline advance stays inside it
 
-	procs   int // live process count, for leak detection
-	live    map[*Proc]struct{}
+	live    map[*Proc]struct{} // live processes, for leak detection
 	stopped bool
 
 	// tracer is the span recorder every layer records into; nil (the
@@ -182,7 +181,6 @@ func (e *Engine) Schedule(d Duration, fn func()) {
 // next reaches the current virtual time in its event loop.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name}
-	e.procs++
 	e.live[p] = struct{}{}
 	e.Schedule(0, func() {
 		p.started = true
@@ -193,7 +191,6 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 			}
 			defer func() {
 				p.done = true
-				e.procs--
 				delete(e.live, p)
 				// iter.Pull re-raises this in whoever called next, so a
 				// process panic surfaces in Run's caller, naming the process.
@@ -343,7 +340,6 @@ func (e *Engine) Shutdown() int {
 			if !p.started {
 				// Its coroutine was never created; just unregister.
 				p.done = true
-				e.procs--
 				delete(e.live, p)
 				continue
 			}
@@ -366,7 +362,7 @@ func (e *Engine) Shutdown() int {
 // no process was abandoned mid-blocking — the check harnesses and the
 // bench worker pool use it so runs cannot mask leaks.
 func (e *Engine) LeakCheck() error {
-	if e.procs == 0 {
+	if len(e.live) == 0 {
 		return nil
 	}
 	names := make([]string, 0, len(e.live))
@@ -374,7 +370,7 @@ func (e *Engine) LeakCheck() error {
 		names = append(names, p.name)
 	}
 	sort.Strings(names)
-	return fmt.Errorf("sim: %d leaked process(es): %s", e.procs, strings.Join(names, ", "))
+	return fmt.Errorf("sim: %d leaked process(es): %s", len(e.live), strings.Join(names, ", "))
 }
 
 // Proc is a simulation process: a coroutine that alternates control with

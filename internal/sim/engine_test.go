@@ -48,8 +48,8 @@ func TestProcSleep(t *testing.T) {
 	if wake != Time(5*time.Millisecond) {
 		t.Fatalf("woke at %v, want 5ms", wake)
 	}
-	if e.procs != 0 {
-		t.Fatalf("leaked %d procs", e.procs)
+	if len(e.live) != 0 {
+		t.Fatalf("leaked %d procs", len(e.live))
 	}
 }
 

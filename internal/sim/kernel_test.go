@@ -185,11 +185,11 @@ func TestSleepInlineAdvanceEdges(t *testing.T) {
 			woke = p.Now()
 			p.Sleep(time.Millisecond) // inside the second Run's bound
 		})
-		if now := e.Run(Time(4 * time.Millisecond)); now > Time(4*time.Millisecond) || woke != 0 || e.procs != 1 || len(e.queue) != 1 {
-			t.Fatalf("Run(4ms) = %v, woke %v, live %d, pending %d", now, woke, e.procs, len(e.queue))
+		if now := e.Run(Time(4 * time.Millisecond)); now > Time(4*time.Millisecond) || woke != 0 || len(e.live) != 1 || len(e.queue) != 1 {
+			t.Fatalf("Run(4ms) = %v, woke %v, live %d, pending %d", now, woke, len(e.live), len(e.queue))
 		}
-		if now := e.Run(Time(20 * time.Millisecond)); now != Time(11*time.Millisecond) || woke != Time(10*time.Millisecond) || e.procs != 0 {
-			t.Fatalf("Run(20ms) = %v, woke %v, live %d", now, woke, e.procs)
+		if now := e.Run(Time(20 * time.Millisecond)); now != Time(11*time.Millisecond) || woke != Time(10*time.Millisecond) || len(e.live) != 0 {
+			t.Fatalf("Run(20ms) = %v, woke %v, live %d", now, woke, len(e.live))
 		}
 	})
 	t.Run("after Stop", func(t *testing.T) {
@@ -201,8 +201,8 @@ func TestSleepInlineAdvanceEdges(t *testing.T) {
 			p.Sleep(time.Millisecond)
 			resumed = true
 		})
-		if now := e.RunAll(); now != Time(time.Millisecond) || resumed || e.procs != 1 {
-			t.Fatalf("RunAll = %v, resumed %v, live %d", now, resumed, e.procs)
+		if now := e.RunAll(); now != Time(time.Millisecond) || resumed || len(e.live) != 1 {
+			t.Fatalf("RunAll = %v, resumed %v, live %d", now, resumed, len(e.live))
 		}
 		if got := e.Shutdown(); got != 1 || resumed {
 			t.Fatalf("Shutdown reaped %d, resumed %v", got, resumed)
@@ -276,8 +276,8 @@ func TestRunFromTwoGoroutines(t *testing.T) {
 	}
 	first := make(chan Time)
 	go func() { first <- e.Run(Time(2500 * time.Microsecond)) }()
-	if now := <-first; now != Time(2*time.Millisecond) || e.procs != 2 {
-		t.Fatalf("first Run = %v, live %d", now, e.procs)
+	if now := <-first; now != Time(2*time.Millisecond) || len(e.live) != 2 {
+		t.Fatalf("first Run = %v, live %d", now, len(e.live))
 	}
 	e.RunAll()
 	sameLog(t, log, []string{"a@1", "b@2", "a@3", "b@4", "a@5", "b@6"})
@@ -319,8 +319,8 @@ func TestProcPanicSurfacesInRun(t *testing.T) {
 	if s := r.Snapshot(); s.At != 5 || s.BusyArea != Time(5).Seconds() {
 		t.Fatalf("accounting not finalized: at %d, busyArea %v", s.At, s.BusyArea)
 	}
-	if e.Now() != 5 || e.procs != 1 {
-		t.Fatalf("now %v, live %d", e.Now(), e.procs)
+	if e.Now() != 5 || len(e.live) != 1 {
+		t.Fatalf("now %v, live %d", e.Now(), len(e.live))
 	}
 	if got := e.Shutdown(); got != 1 {
 		t.Fatalf("Shutdown reaped %d, want 1", got)
@@ -342,8 +342,8 @@ func TestProcGoexitEndsRunCaller(t *testing.T) {
 		returned = true
 	}()
 	<-done
-	if returned || e.procs != 0 {
-		t.Fatalf("RunAll returned %v, live %d", returned, e.procs)
+	if returned || len(e.live) != 0 {
+		t.Fatalf("RunAll returned %v, live %d", returned, len(e.live))
 	}
 	e.Exclusive(nil, func() {})
 }

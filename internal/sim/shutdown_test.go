@@ -23,8 +23,8 @@ func TestShutdownReapsBlockedProcs(t *testing.T) {
 		e.Stop()
 	})
 	e.RunAll()
-	if e.procs != 5 {
-		t.Fatalf("live procs after Stop = %d, want 5", e.procs)
+	if len(e.live) != 5 {
+		t.Fatalf("live procs after Stop = %d, want 5", len(e.live))
 	}
 	if err := e.LeakCheck(); err == nil || !strings.Contains(err.Error(), "sleeper") {
 		t.Fatalf("LeakCheck = %v, want error naming sleeper", err)
@@ -35,8 +35,8 @@ func TestShutdownReapsBlockedProcs(t *testing.T) {
 	if unwound != 5 {
 		t.Fatalf("unwound %d sleeper stacks, want 5", unwound)
 	}
-	if e.procs != 0 {
-		t.Fatalf("live procs after Shutdown = %d", e.procs)
+	if len(e.live) != 0 {
+		t.Fatalf("live procs after Shutdown = %d", len(e.live))
 	}
 	if err := e.LeakCheck(); err != nil {
 		t.Fatalf("LeakCheck after Shutdown: %v", err)
@@ -54,8 +54,8 @@ func TestShutdownNeverStartedProc(t *testing.T) {
 	if got := e.Shutdown(); got != 1 {
 		t.Fatalf("Shutdown reaped %d, want 1", got)
 	}
-	if e.procs != 0 {
-		t.Fatalf("live procs = %d", e.procs)
+	if len(e.live) != 0 {
+		t.Fatalf("live procs = %d", len(e.live))
 	}
 }
 
@@ -73,8 +73,8 @@ func TestShutdownKillsReblockingDefer(t *testing.T) {
 	if got := e.Shutdown(); got != 1 {
 		t.Fatalf("Shutdown reaped %d, want 1", got)
 	}
-	if e.procs != 0 {
-		t.Fatalf("live procs = %d", e.procs)
+	if len(e.live) != 0 {
+		t.Fatalf("live procs = %d", len(e.live))
 	}
 }
 
