@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check loc traffic bench bench-seq bench-check bench-real perf perf-counts fuzz-short chaos chaos-cmp ci
+.PHONY: all build test race vet fmt-check loc traffic bench bench-check bench-real perf perf-counts fuzz-short chaos chaos-cmp ci
 
 all: build test
 
@@ -44,8 +44,8 @@ loc:
 # in results/TRAFFIC_KEEP.txt ("symbol (class) reason" per line). It
 # builds every main with coverage of the whole module and inlining off
 # into a temp dir and runs: the fifteen experiments at -scale 0.05; a
-# traced, profiled, heat-accounted CSV run of fig3a, multimds and
-# mergescale; the real backend's heatskew; the 1 500-seed chaos sweep;
+# traced and profiled run of fig3a, multimds and mergescale; the real
+# backend's heatskew; the 1 500-seed chaos sweep;
 # one second of each benchmark workload, and real_io's traced pass with
 # its probes; the four examples; the cmd/cudele golden session on two
 # ranks beside the balancer; and journal-tool's demo, inspect, dump,
@@ -73,7 +73,7 @@ traffic:
 	done; \
 	mkdir "$$tmp/cov" && export GOCOVERDIR="$$tmp/cov" && cd "$$tmp" && \
 	bin/cudele-bench -scale 0.05 all > /dev/null && \
-	bin/cudele-bench -scale 0.005 -trace t.json -metrics m.txt -cpuprofile c.prof -heat -csv \
+	bin/cudele-bench -scale 0.005 -trace t.json -metrics m.txt -cpuprofile c.prof \
 		fig3a multimds mergescale > /dev/null && \
 	bin/cudele-bench -backend real -scale 0.002 heatskew > /dev/null && \
 	bin/cudele-bench -chaos 1500 -seed 1 > /dev/null && \
@@ -124,27 +124,25 @@ traffic:
 	echo "traffic: $$(wc -l < "$$tmp/cold") of $$(cat "$$tmp/nfuncs") functions under internal/ run in no main's run and $$(wc -l < "$$tmp/unlinkedvars") of $$(wc -l < "$$tmp/vars") package-level vars are linked by no main, each listed with its reason in results/TRAFFIC_KEEP.txt"
 
 # bench regenerates every table at a CI-friendly scale, in parallel, and
-# refreshes the machine-readable baselines under results/. The tables are
-# byte-identical to bench-seq (see internal/bench/runner.go).
+# refreshes the machine-readable baselines under results/. A baseline
+# holds only what the seed and scale reproduce, so the files are
+# byte-identical at any -parallel (see internal/bench/runner.go).
 bench:
 	$(GO) run ./cmd/cudele-bench -scale 0.05 -json -outdir results all
 
-bench-seq:
-	$(GO) run ./cmd/cudele-bench -scale 0.05 -parallel 1 -json -outdir results all
-
 # bench-check is the refactoring gate: regenerate every table into a temp
 # dir at the baselines' scale and diff each BENCH_*.json against results/,
-# ignoring only the wall_clock_seconds line. Any other difference — a
-# simulated-time cell, a counter, a note, a missing or extra table — fails.
+# exactly. Any difference — a simulated-time cell, a counter, a note, a
+# missing or extra table — fails.
 bench-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/cudele-bench -scale 0.05 -json -outdir "$$tmp" all > /dev/null && \
 	fail=0 && \
 	for f in $$( (cd results && ls BENCH_*.json; cd "$$tmp" && ls BENCH_*.json) | sort -u); do \
-		if ! diff -u -I '"wall_clock_seconds"' results/$$f "$$tmp/$$f"; then fail=1; fi; \
+		if ! diff -u results/$$f "$$tmp/$$f"; then fail=1; fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then echo "bench-check: tables differ from results/"; exit 1; fi; \
-	echo "bench-check: all $$(ls results/BENCH_*.json | wc -l) tables byte-identical to results/ (wall_clock_seconds aside)"
+	echo "bench-check: all $$(ls results/BENCH_*.json | wc -l) tables byte-identical to results/"
 
 # bench-real runs fig3a on the real backend (goroutines, wall clocks,
 # an fsynced object log) side by side with its simulated prediction. The
@@ -214,11 +212,12 @@ fuzz-short:
 # chaos runs the seeded fault-injection harness — 1 500 consecutive
 # seeds, a hundred per cell of the fifteen-cell consistency x durability
 # wheel, about 400 of them migrating the subtree mid-run — with the race
-# detector on (~10 s on two cores). A failing seed prints its fault plan,
-# leaves a flight dump in chaos-dumps/, and reproduces exactly with:
+# detector on (~10 s on two cores). A failing seed's section of the
+# report prints its fault plan, violations and flight dump (the trace's
+# tail), and the command that reproduces it exactly:
 # go run ./cmd/cudele-bench -chaos-replay SEED
 chaos:
-	$(GO) run -race ./cmd/cudele-bench -chaos 1500 -seed 1 -chaos-dumps chaos-dumps
+	$(GO) run -race ./cmd/cudele-bench -chaos 1500 -seed 1
 
 # chaos-cmp is a refactor's byte-identity check on the fault schedules:
 # the chaos report is a pure function of the code, so any schedule a

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	cudele-bench [-scale 1.0] [-seed 1] [-parallel 0] [-csv] [-json] [experiment ...]
+//	cudele-bench [-scale 1.0] [-seed 1] [-parallel 0] [-json] [experiment ...]
 //
 // With no arguments (or the id "all") it runs every experiment; see
 // -list for the registry. Scale 1.0 is paper scale (100K creates/client,
@@ -14,8 +14,10 @@
 // its own engine and seed, so the output is byte-identical for any value.
 //
 // -json additionally writes one BENCH_<id>.json per experiment (into
-// -outdir) with the wall clock and the full table — the machine-readable
-// baseline `make bench` commits under results/.
+// -outdir) holding the experiment's id, title, scale, seed and full table
+// — the machine-readable baseline `make bench` commits under results/.
+// The file holds only what the seed and scale reproduce: the wall clock
+// prints on stdout beside the table, and -parallel is not recorded.
 //
 // -trace FILE records every simulation run as spans on the shared virtual
 // clock and writes one Chrome trace-event JSON, loadable in Perfetto
@@ -44,20 +46,16 @@
 // exactly with -chaos-replay SEED, which runs that one schedule and
 // prints its fault plan — and, since every schedule is traced, the
 // failure report includes the trace's tail: the last events (RPC spans,
-// faults, crashes, handoff phases) each daemon saw before the violation.
-// -chaos-dumps DIR additionally writes one flight-dump file per failing
-// seed.
-//
-// -heat enables per-subtree heat accounting on every run of every
-// experiment (heatskew and rebalance read heat themselves and keep their
-// own half-life). Like -trace and -metrics it is passive: tables are
-// byte-identical with it on.
+// faults, crashes, handoff phases) each daemon saw before the violation,
+// and the seed's replay command. That report is a failing seed's whole
+// artifact.
 //
 // -admin ADDR (real backend only) serves a live admin endpoint while the
 // experiments run: /metrics (Prometheus text), /heat (the decayed
 // per-subtree heat map as JSON), /healthz, and /debug/pprof. Each real
-// run installs itself as the scrape source for its duration; use :0 to
-// bind an ephemeral port (the bound address prints on stdout).
+// run installs itself as the scrape source for its duration, with heat
+// accounting on so /heat has something to serve; use :0 to bind an
+// ephemeral port (the bound address prints on stdout).
 // -admin-linger DUR keeps the endpoint serving that long after the last
 // experiment finishes, so CI can scrape a completed run.
 //
@@ -88,22 +86,19 @@ import (
 
 // benchJSON is the schema of a BENCH_<id>.json baseline file.
 type benchJSON struct {
-	ID               string     `json:"id"`
-	Title            string     `json:"title"`
-	Scale            float64    `json:"scale"`
-	Seed             int64      `json:"seed"`
-	Parallel         int        `json:"parallel"`
-	WallClockSeconds float64    `json:"wall_clock_seconds"`
-	Columns          []string   `json:"columns"`
-	Rows             [][]string `json:"rows"`
-	Notes            []string   `json:"notes,omitempty"`
+	ID      string     `json:"id"`
+	Title   string     `json:"title"`
+	Scale   float64    `json:"scale"`
+	Seed    int64      `json:"seed"`
+	Columns []string   `json:"columns"`
+	Rows    [][]string `json:"rows"`
+	Notes   []string   `json:"notes,omitempty"`
 }
 
 func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale (1.0 = paper scale)")
 	seed := flag.Int64("seed", 1, "deterministic simulation seed")
 	parallel := flag.Int("parallel", 0, "concurrent simulation runs per experiment (0 = GOMAXPROCS, 1 = sequential)")
-	csv := flag.Bool("csv", false, "emit CSV instead of tables")
 	jsonOut := flag.Bool("json", false, "also write BENCH_<id>.json per experiment")
 	outdir := flag.String("outdir", ".", "directory for -json output")
 	list := flag.Bool("list", false, "list experiments and exit")
@@ -111,10 +106,8 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write a Prometheus text dump of every run's daemon metrics to this file")
 	chaosN := flag.Int("chaos", 0, "run N fault-injection schedules (seeds -seed..-seed+N-1) instead of experiments")
 	chaosReplay := flag.Int64("chaos-replay", 0, "replay one fault-injection schedule by seed and print its plan")
-	chaosDumps := flag.String("chaos-dumps", "", "chaos mode: write one flight dump (the trace's tail) per failing seed into this directory")
 	backendName := flag.String("backend", "sim", "execution backend: sim (deterministic simulator) or real (goroutines, wall clock, fsync)")
 	dataDir := flag.String("datadir", "", "real backend: directory for the fsynced object log (default: a fresh temp dir)")
-	heat := flag.Bool("heat", false, "enable per-subtree heat accounting on every run (passive: tables are byte-identical)")
 	adminAddr := flag.String("admin", "", "real backend: serve /metrics, /heat, /healthz, /debug/pprof on this address (:0 for an ephemeral port)")
 	adminLinger := flag.Duration("admin-linger", 0, "keep the -admin endpoint serving this long after the last experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file, every sample labelled with its owner: proc (task, client or daemon) and, inside a metadata rank or the monitor, op (passive: tables are byte-identical)")
@@ -141,10 +134,6 @@ func main() {
 	// flag's presence, not a non-zero value.
 	replay := false
 	flag.Visit(func(f *flag.Flag) { replay = replay || f.Name == "chaos-replay" })
-	if *chaosDumps != "" && *chaosN == 0 && !replay {
-		fmt.Fprintln(os.Stderr, "cudele-bench: -chaos-dumps requires -chaos or -chaos-replay")
-		os.Exit(2)
-	}
 
 	// exitWith ends the CPU profile, when one is being taken, before the
 	// process goes.
@@ -164,10 +153,10 @@ func main() {
 	}
 
 	if replay {
-		exitWith(reportChaos(chaos.RunMany(chaos.Seeds(*chaosReplay, 1), 1), true, *chaosDumps))
+		exitWith(reportChaos(os.Stdout, chaos.RunMany(chaos.Seeds(*chaosReplay, 1), 1), true))
 	}
 	if *chaosN > 0 {
-		exitWith(reportChaos(chaos.RunMany(chaos.Seeds(*seed, *chaosN), *parallel), false, *chaosDumps))
+		exitWith(reportChaos(os.Stdout, chaos.RunMany(chaos.Seeds(*seed, *chaosN), *parallel), false))
 	}
 
 	if *list {
@@ -203,7 +192,7 @@ func main() {
 		}
 		ids = expanded
 	}
-	opts := bench.Options{Scale: *scale, Seed: *seed, Workers: *parallel, Heat: *heat}
+	opts := bench.Options{Scale: *scale, Seed: *seed, Workers: *parallel}
 	if *tracePath != "" || *metricsPath != "" {
 		opts.Sink = bench.NewSink()
 	}
@@ -253,14 +242,10 @@ func main() {
 			exit = 1
 			continue
 		}
-		if *csv {
-			fmt.Print(res.CSV())
-		} else {
-			fmt.Print(res.Render())
-			fmt.Printf("(%s wall clock)\n\n", wall.Round(time.Millisecond))
-		}
+		fmt.Print(res.Render())
+		fmt.Printf("(%s wall clock)\n\n", wall.Round(time.Millisecond))
 		if *jsonOut {
-			if err := writeJSON(*outdir, res, opts, wall); err != nil {
+			if err := writeJSON(*outdir, res, opts); err != nil {
 				fmt.Fprintf(os.Stderr, "cudele-bench: %s: %v\n", id, err)
 				exit = 1
 			}
@@ -291,53 +276,22 @@ func main() {
 	exitWith(exit)
 }
 
-// reportChaos prints the verdicts of fault-injection schedules and
+// reportChaos writes the verdicts of fault-injection schedules to w and
 // returns the exit code. With verbose set (replay mode) the plan prints
 // even on success, so a passing replay still shows what was exercised.
-// With dumpDir set, each failing seed's fault plan, violations, and
-// flight dump are written to chaos-flight-<seed>.txt there (the
-// CI failure artifact).
-func reportChaos(results []chaos.Result, verbose bool, dumpDir string) int {
+// A failing seed's section of the report holds its fault plan,
+// violations, flight dump and replay command: it is the CI failure
+// artifact.
+func reportChaos(w io.Writer, results []chaos.Result, verbose bool) int {
 	if verbose {
 		for _, r := range results {
-			fmt.Printf("%s\n", r.PlanText)
+			fmt.Fprintf(w, "%s\n", r.PlanText)
 		}
 	}
-	failed := chaos.Report(os.Stdout, results)
-	if dumpDir != "" && failed > 0 {
-		if err := writeChaosDumps(dumpDir, results); err != nil {
-			fmt.Fprintf(os.Stderr, "cudele-bench: chaos dumps: %v\n", err)
-		}
-	}
-	if failed > 0 {
+	if chaos.Report(w, results) > 0 {
 		return 1
 	}
 	return 0
-}
-
-// writeChaosDumps writes one flight-dump file per failing schedule.
-func writeChaosDumps(dir string, results []chaos.Result) error {
-	if err := os.MkdirAll(dir, 0755); err != nil {
-		return err
-	}
-	for _, r := range results {
-		if r.Passed() {
-			continue
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s\n", r.PlanText)
-		for _, v := range r.Violations {
-			fmt.Fprintf(&b, "violation: %s\n", v)
-		}
-		fmt.Fprintf(&b, "\nflight recorder (last events before the violation):\n%s", r.FlightDump)
-		fmt.Fprintf(&b, "\nreproduce: %s\n", r.ReplayCommand())
-		path := filepath.Join(dir, fmt.Sprintf("chaos-flight-%d.txt", r.Seed))
-		if err := os.WriteFile(path, []byte(b.String()), 0644); err != nil {
-			return err
-		}
-		fmt.Printf("chaos: wrote %s\n", path)
-	}
-	return nil
 }
 
 // writeSink streams one sink export into path.
@@ -353,15 +307,14 @@ func writeSink(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-func writeJSON(dir string, res *bench.Result, opts bench.Options, wall time.Duration) error {
+func writeJSON(dir string, res *bench.Result, opts bench.Options) error {
 	if err := os.MkdirAll(dir, 0755); err != nil {
 		return err
 	}
 	out := benchJSON{
 		ID: res.ID, Title: res.Title,
-		Scale: opts.Scale, Seed: opts.Seed, Parallel: opts.Workers,
-		WallClockSeconds: wall.Seconds(),
-		Columns:          res.Columns, Rows: res.Rows, Notes: res.Notes,
+		Scale: opts.Scale, Seed: opts.Seed,
+		Columns: res.Columns, Rows: res.Rows, Notes: res.Notes,
 	}
 	data, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {

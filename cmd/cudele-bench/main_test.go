@@ -66,38 +66,55 @@ func TestChaosReplaySeedZero(t *testing.T) {
 	}
 }
 
-// TestChaosFailureExitsOneAndDumps: a schedule with a violation makes the
-// command exit 1 and, with -chaos-dumps, leaves one flight-dump file
-// whose replay line is the one the report prints.
-func TestChaosFailureExitsOneAndDumps(t *testing.T) {
+// TestChaosFailureExitsOneAndReports: a schedule with a violation makes
+// the command exit 1, and the report alone is the failure's artifact: it
+// holds the seed's fault plan, its violation, the trace's tail and the
+// replay line.
+func TestChaosFailureExitsOneAndReports(t *testing.T) {
 	failed := chaos.Result{
 		Seed: 7, Cell: "weak/local", PlanText: chaos.NewPlan(7).String(),
 		Violations: []string{"example violation"}, FlightDump: "[chaos]\n  t=1ms oracle violation\n",
 	}
 	passed := chaos.Result{Seed: 8, Cell: "strong/local"}
-	dir := t.TempDir()
-	if code := reportChaos([]chaos.Result{failed, passed}, false, dir); code != 1 {
+	var report bytes.Buffer
+	if code := reportChaos(&report, []chaos.Result{failed, passed}, false); code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*"))
-	if len(files) != 1 || filepath.Base(files[0]) != "chaos-flight-7.txt" {
-		t.Fatalf("dump directory holds %v, want only chaos-flight-7.txt", files)
-	}
-	dump, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report bytes.Buffer
-	chaos.Report(&report, []chaos.Result{failed})
-	replay := "reproduce: " + failed.ReplayCommand()
-	for name, text := range map[string]string{"dump": string(dump), "report": report.String()} {
-		if !strings.Contains(text, replay) {
-			t.Errorf("%s misses the replay line %q:\n%s", name, replay, text)
+	for _, want := range []string{
+		failed.PlanText, "violation: example violation", "oracle violation",
+		"reproduce: " + failed.ReplayCommand(), "chaos: 1/2 schedules FAILED",
+	} {
+		if !strings.Contains(report.String(), want) {
+			t.Errorf("report misses %q:\n%s", want, report.String())
 		}
 	}
-	for _, want := range []string{"example violation", "oracle violation", "seed=7"} {
-		if !strings.Contains(string(dump), want) {
-			t.Errorf("dump misses %q:\n%s", want, dump)
+}
+
+// TestJSONIdenticalAtAnyParallel: a BENCH_<id>.json holds only what the
+// seed and scale reproduce, so the files written with -parallel 1 and
+// -parallel 2 are byte-identical.
+func TestJSONIdenticalAtAnyParallel(t *testing.T) {
+	ids := []string{"table1", "fig5"}
+	dirs := make([]string, 2)
+	for i, parallel := range []string{"1", "2"} {
+		dirs[i] = t.TempDir()
+		args := append([]string{"-scale", "0.002", "-parallel", parallel, "-json", "-outdir", dirs[i]}, ids...)
+		if out, err := exec.Command(benchBin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("-parallel %s: %v\n%s", parallel, err, out)
+		}
+	}
+	for _, id := range ids {
+		name := "BENCH_" + id + ".json"
+		seq, err := os.ReadFile(filepath.Join(dirs[0], name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := os.ReadFile(filepath.Join(dirs[1], name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(seq, par) {
+			t.Errorf("%s differs between -parallel 1 and -parallel 2:\n--- 1 ---\n%s\n--- 2 ---\n%s", name, seq, par)
 		}
 	}
 }

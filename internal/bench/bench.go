@@ -33,14 +33,10 @@ type Options struct {
 	// is passive: tables are byte-identical with or without a sink.
 	Sink *Sink
 
-	// Heat, when true, enables per-subtree heat accounting on every run
-	// (the -heat flag). Like the sink, heat accounting is passive:
-	// tables stay byte-identical with it on (TestHeatDoesNotPerturb).
-	Heat bool
-
 	// Admin, when non-nil, is the live admin endpoint (-admin): each
-	// real-backend run installs itself as the endpoint's scrape source
-	// while it executes, so /metrics and /heat serve that run live.
+	// real-backend run installs itself as the endpoint's scrape source,
+	// with heat accounting on, while it executes, so /metrics and /heat
+	// serve that run live.
 	Admin *obs.Admin
 
 	// DataDir, when non-empty, roots the real backend's durability: each
@@ -116,32 +112,6 @@ func (r *Result) Render() string {
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
-	}
-	return b.String()
-}
-
-// CSV renders the result as comma-separated values (header + rows).
-func (r *Result) CSV() string {
-	var b strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	cols := make([]string, len(r.Columns))
-	for i, c := range r.Columns {
-		cols[i] = esc(c)
-	}
-	b.WriteString(strings.Join(cols, ","))
-	b.WriteByte('\n')
-	for _, row := range r.Rows {
-		cells := make([]string, len(row))
-		for i, c := range row {
-			cells[i] = esc(c)
-		}
-		b.WriteString(strings.Join(cells, ","))
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

