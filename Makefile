@@ -60,7 +60,7 @@ loc:
 # kept by its package's init, so this check cannot flag it). The cold
 # functions and unlinked vars must equal the keep file's entries: a
 # difference in either direction fails, so a new function no run reaches
-# and a listed one that now runs or is gone both show (~65 s on two
+# and a listed one that now runs or is gone both show (~60 s on two
 # cores).
 MAINS = cmd/cudele cmd/cudele-bench cmd/journal-tool benchmark \
 	examples/homedirs examples/quickstart examples/checkpoint examples/partialresults

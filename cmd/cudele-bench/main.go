@@ -32,11 +32,11 @@
 // -backend real executes the workload on real goroutines, wall clocks,
 // and (with -datadir, default a temp dir) an fsynced object log instead
 // of the simulator, side by side with the simulated prediction for the
-// same grid point. Only fig3a supports real mode; "all" under
-// -backend=real means "all real-capable experiments". Real tables carry
-// machine-dependent wall-clock columns, so they are reported (and, with
-// -json, written as BENCH_fig3a-real.json) but never replace the
-// committed sim baselines.
+// same grid point. fig3a and heatskew support real mode (bench.RealIDs);
+// "all" under -backend=real means "all real-capable experiments". Real
+// tables carry machine-dependent wall-clock columns, so they are reported
+// (and, with -json, written as BENCH_fig3a-real.json and
+// BENCH_heatskew-real.json) but never replace the committed sim baselines.
 //
 // -chaos N runs N seeded fault-injection schedules (starting at -seed,
 // walking all fifteen consistency x durability cells — Table I plus

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -124,8 +126,32 @@ func TestFig3aShape(t *testing.T) {
 	}
 }
 
+// The interference figures share one simulation of each, run into one
+// sink: Fig 6b is Fig 3b's grid plus its block column, so together they
+// must register fig3b's 37 runs and fig6b's 55, none twice.
+var (
+	interfOnce sync.Once
+	interfFig3 *Result
+	interfFig6 *Result
+	interfRuns int
+	interfErr  error
+)
+
+func interferenceFigs() (fig3b, fig6b *Result, runs int, err error) {
+	interfOnce.Do(func() {
+		opts := tiny
+		opts.Sink = NewSink()
+		if interfFig3, interfErr = Run("fig3b", opts); interfErr != nil {
+			return
+		}
+		interfFig6, interfErr = Run("fig6b", opts)
+		interfRuns = len(opts.Sink.runs)
+	})
+	return interfFig3, interfFig6, interfRuns, interfErr
+}
+
 func TestFig3bInterferenceHurts(t *testing.T) {
-	r, err := Run("fig3b", tiny)
+	r, _, _, err := interferenceFigs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +159,31 @@ func TestFig3bInterferenceHurts(t *testing.T) {
 	noInterf, interf := cell(t, last[1]), cell(t, last[3])
 	if interf <= noInterf {
 		t.Errorf("interference slowdown %.2f not above no-interference %.2f", interf, noInterf)
+	}
+}
+
+// TestFig6bBlockHelps also pins that Fig 6b's table is Fig 3b's plus the
+// block column and that each figure simulates its grid once.
+func TestFig6bBlockHelps(t *testing.T) {
+	r3, r6, runs, err := interferenceFigs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := r6.Rows[len(r6.Rows)-1]
+	interf, block := cell(t, last[3]), cell(t, last[5])
+	if block >= interf {
+		t.Errorf("block slowdown %.2f not below interference %.2f", block, interf)
+	}
+	if r6.Title != r3.Title || !slices.Equal(r6.Columns[:5], r3.Columns) || len(r6.Rows) != len(r3.Rows) {
+		t.Fatalf("fig6b's table does not extend fig3b's:\n%s\n%s", r3.Render(), r6.Render())
+	}
+	for i, row := range r3.Rows {
+		if !slices.Equal(r6.Rows[i][:5], row) {
+			t.Errorf("row %d: fig6b %v, fig3b %v", i, r6.Rows[i][:5], row)
+		}
+	}
+	if runs != 37+55 {
+		t.Errorf("sink registered %d runs, want 37 (fig3b) + 55 (fig6b)", runs)
 	}
 }
 
@@ -196,18 +247,6 @@ func TestFig6aOrdering(t *testing.T) {
 	// a wide margin even at tiny scale.
 	if create/rpc < 10 {
 		t.Errorf("create/rpc ratio = %.1f, want >10", create/rpc)
-	}
-}
-
-func TestFig6bBlockHelps(t *testing.T) {
-	r, err := Run("fig6b", tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := r.Rows[len(r.Rows)-1]
-	interf, block := cell(t, last[3]), cell(t, last[5])
-	if block >= interf {
-		t.Errorf("block slowdown %.2f not below interference %.2f", block, interf)
 	}
 }
 

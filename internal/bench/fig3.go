@@ -38,8 +38,8 @@ var fig3aConfigs = []fig3aConfig{
 // Fig3a scales parallel creates under the fig3aConfigs journal
 // configurations. The y-value is the slowest client's slowdown,
 // normalized to 1 client with journaling off (~654 creates/s). The grid —
-// the baseline plus clientCounts x configs in row-major order — runs on
-// the worker pool.
+// clientCounts x configs in row-major order, so run 0, 1 client with no
+// journal, is the baseline — runs on the worker pool.
 func Fig3a(opts Options) (*Result, error) {
 	perClient := opts.scaled(100_000, 200)
 	segEvents := opts.scaled(1024, 64)
@@ -49,7 +49,7 @@ func Fig3a(opts Options) (*Result, error) {
 		clients int
 		cfg     fig3aConfig
 	}
-	specs := []spec{{clients: 1}} // index 0: 1-client journal-off baseline
+	var specs []spec
 	for _, n := range clientCounts {
 		for _, cfg := range configs {
 			specs = append(specs, spec{clients: n, cfg: cfg})
@@ -57,13 +57,10 @@ func Fig3a(opts Options) (*Result, error) {
 	}
 	times, err := runGrid(opts, len(specs), func(i int) (float64, error) {
 		sp := specs[i]
-		jc := jobConfig{clients: sp.clients, perClient: perClient}
-		if i > 0 {
-			jc.journal = sp.cfg.journal
-			jc.dispatch = sp.cfg.dispatch
-			jc.segEvents = segEvents
-		}
-		res, err := runCreateJob(opts, runSpec{name: fmt.Sprintf("fig3a/run%03d", i), seed: opts.Seed}, jc)
+		res, err := runCreateJob(opts, runSpec{name: fmt.Sprintf("fig3a/run%03d", i), seed: opts.Seed}, jobConfig{
+			clients: sp.clients, perClient: perClient,
+			journal: sp.cfg.journal, dispatch: sp.cfg.dispatch, segEvents: segEvents,
+		})
 		if err != nil {
 			return 0, err
 		}
@@ -84,7 +81,7 @@ func Fig3a(opts Options) (*Result, error) {
 	for ni, n := range clientCounts {
 		row := []string{fmt.Sprintf("%d", n)}
 		for ci, cfg := range configs {
-			s := stats.Slowdown(times[1+ni*len(configs)+ci], baseline)
+			s := stats.Slowdown(times[ni*len(configs)+ci], baseline)
 			slow[cfg.label] = append(slow[cfg.label], s)
 			row = append(row, f2x(s))
 		}
@@ -99,32 +96,38 @@ func Fig3a(opts Options) (*Result, error) {
 	return r, nil
 }
 
-// fig3bConfig is the paper's Fig 3b setup: journal on (dispatch 40),
-// strong consistency, an interferer creating files in every private
-// directory at t=interfereAt. The grid is the baseline plus
-// clientCounts x 3 trials x {no-interference, interference} in row-major
-// order.
-func fig3bRuns(opts Options, blockPolicy bool) (noInterf, interf map[int][]float64, baseline float64, err error) {
+// fig3bColumns name the interference grid's columns in grid order; Fig 3b
+// reads the first two, Fig 6b all three.
+var fig3bColumns = []string{"no interference", "interference", "block interference"}
+
+// fig3bTable runs the interference grid of Fig 3b (§V-B) and renders its
+// table, which Fig 6b extends by the block column: journal on (dispatch
+// 40), strong consistency, and an interferer creating files in every
+// private directory at t=interfereAt. Run 0 is the isolated 1-client
+// baseline; then, per client count and trial, come the no-interference
+// run, the interference run and, with block, the interference run on
+// private directories registered interfere: block. Each row is a client
+// count's mean slowdown and sd over the trials per column; slope and sd
+// return each column's mean per-client slowdown and mean sd over the
+// client counts, for the figures' notes.
+func fig3bTable(opts Options, id string, block bool) (r *Result, slope, sd []float64, err error) {
 	perClient := opts.scaled(100_000, 200)
 	perDir := opts.scaled(1000, 10)
 	segEvents := opts.scaled(1024, 64)
 	interfereAt := 0.15 * float64(perClient) / 549.0
 
-	type spec struct {
-		clients   int
-		trial     int
-		interfere bool
+	cols := fig3bColumns[:2]
+	if block {
+		cols = fig3bColumns
 	}
+	type spec struct{ clients, trial, col int }
 	specs := []spec{{clients: 1}} // index 0: isolated 1-client baseline
 	for _, n := range clientCounts {
 		for trial := 0; trial < 3; trial++ {
-			specs = append(specs, spec{clients: n, trial: trial, interfere: false})
-			specs = append(specs, spec{clients: n, trial: trial, interfere: true})
+			for col := range cols {
+				specs = append(specs, spec{clients: n, trial: trial, col: col})
+			}
 		}
-	}
-	id := "fig3b"
-	if blockPolicy {
-		id = "fig6b"
 	}
 	times, err := runGrid(opts, len(specs), func(i int) (float64, error) {
 		sp := specs[i]
@@ -135,10 +138,10 @@ func fig3bRuns(opts Options, blockPolicy bool) (noInterf, interf map[int][]float
 		if i > 0 {
 			jc.jitter = time.Second
 		}
-		if sp.interfere {
+		if sp.col > 0 {
 			jc.interfereAt = interfereAt
 			jc.interferePerDir = perDir
-			jc.blockPolicy = blockPolicy
+			jc.blockPolicy = sp.col == 2
 		}
 		res, err := runCreateJob(opts, runSpec{
 			name: fmt.Sprintf("%s/run%03d", id, i), seed: opts.Seed + int64(sp.trial)*101,
@@ -149,51 +152,55 @@ func fig3bRuns(opts Options, blockPolicy bool) (noInterf, interf map[int][]float
 		return res.slowest(), nil
 	})
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, nil, err
 	}
-	baseline = times[0]
+	baseline := times[0]
+	slowdowns := make([]map[int][]float64, len(cols)) // per column, per client count: the trials
+	for col := range slowdowns {
+		slowdowns[col] = make(map[int][]float64)
+	}
+	for i, sp := range specs[1:] {
+		slowdowns[sp.col][sp.clients] = append(slowdowns[sp.col][sp.clients], stats.Slowdown(times[1+i], baseline))
+	}
 
-	noInterf = make(map[int][]float64)
-	interf = make(map[int][]float64)
-	i := 1
-	for _, n := range clientCounts {
-		for trial := 0; trial < 3; trial++ {
-			noInterf[n] = append(noInterf[n], stats.Slowdown(times[i], baseline))
-			interf[n] = append(interf[n], stats.Slowdown(times[i+1], baseline))
-			i += 2
-		}
+	r = &Result{
+		ID:      id,
+		Title:   fmt.Sprintf("slowdown of slowest client (3 trials), normalized to 1 isolated client (%.0f creates/s)", float64(perClient)/baseline),
+		Columns: []string{"clients"},
 	}
-	return noInterf, interf, baseline, nil
+	for _, name := range cols {
+		r.Columns = append(r.Columns, name, "sd")
+	}
+	for _, n := range clientCounts {
+		row := []string{fmt.Sprintf("%d", n)}
+		for _, s := range slowdowns {
+			row = append(row, f2x(stats.Mean(s[n])), f2(stats.StdDev(s[n])))
+		}
+		r.AddRow(row...)
+	}
+	for _, s := range slowdowns {
+		var slopes, sds []float64
+		for _, n := range clientCounts {
+			slopes = append(slopes, stats.Mean(s[n])/float64(n))
+			sds = append(sds, stats.StdDev(s[n]))
+		}
+		slope = append(slope, stats.Mean(slopes))
+		sd = append(sd, stats.Mean(sds))
+	}
+	return r, slope, sd, nil
 }
 
 // Fig3b reports the slowdown of the slowest client with and without an
 // interfering client, over three trials, normalized to 1 client in
 // isolation (~513-549 creates/s with journaling on).
 func Fig3b(opts Options) (*Result, error) {
-	noInterf, interf, baseline, err := fig3bRuns(opts, false)
+	r, slope, sd, err := fig3bTable(opts, "fig3b", false)
 	if err != nil {
 		return nil, err
 	}
-	perClient := opts.scaled(100_000, 200)
-	r := &Result{
-		ID:      "fig3b",
-		Title:   fmt.Sprintf("slowdown of slowest client (3 trials), normalized to 1 isolated client (%.0f creates/s)", float64(perClient)/baseline),
-		Columns: []string{"clients", "no interference", "sd", "interference", "sd"},
-	}
-	var slopeNo, slopeIn, sdNo, sdIn []float64
-	for _, n := range clientCounts {
-		a, b := noInterf[n], interf[n]
-		r.AddRow(fmt.Sprintf("%d", n),
-			f2x(stats.Mean(a)), f2(stats.StdDev(a)),
-			f2x(stats.Mean(b)), f2(stats.StdDev(b)))
-		slopeNo = append(slopeNo, stats.Mean(a)/float64(n))
-		slopeIn = append(slopeIn, stats.Mean(b)/float64(n))
-		sdNo = append(sdNo, stats.StdDev(a))
-		sdIn = append(sdIn, stats.StdDev(b))
-	}
 	r.Notef("paper: interference raises the per-client slowdown (1.67x vs 1.42x) and variability (sd 0.44 vs 0.06); the MDS handles at most ~18 clients of this workload")
 	r.Notef("measured: per-client slowdown %.2fx (no interference) vs %.2fx (interference); mean sd %.2f vs %.2f",
-		stats.Mean(slopeNo), stats.Mean(slopeIn), stats.Mean(sdNo), stats.Mean(sdIn))
+		slope[0], slope[1], sd[0], sd[1])
 	return r, nil
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"cudele"
 	"cudele/internal/runtime"
-	"cudele/internal/stats"
 )
 
 func init() {
@@ -23,40 +22,32 @@ func Fig6a(opts Options) (*Result, error) {
 	perClient := opts.scaled(100_000, 200)
 	segEvents := opts.scaled(1024, 64)
 
-	// Grid: index 0 is the 1-client RPC baseline; then per client count the
-	// three semantics (rpcs, create+merge, create) in row-major order.
+	// Grid: per client count the three semantics (rpcs, create+merge,
+	// create) in row-major order. Run 0, 1 client over RPCs, is also the
+	// baseline: its slowest client sets the normalizing rate.
 	const perRow = 3
-	rpcs := func(spec runSpec, clients int) (*jobResult, error) {
-		return runCreateJob(opts, spec, jobConfig{clients: clients, perClient: perClient,
-			journal: true, dispatch: 40, segEvents: segEvents})
-	}
-	runs, err := runGrid(opts, 1+perRow*len(clientCounts), func(i int) (float64, error) {
+	type run struct{ total, slowest float64 }
+	runs, err := runGrid(opts, perRow*len(clientCounts), func(i int) (run, error) {
 		spec := runSpec{name: fmt.Sprintf("fig6a/run%03d", i), seed: opts.Seed}
-		if i == 0 {
-			base, err := rpcs(spec, 1)
+		n := clientCounts[i/perRow]
+		if i%perRow == 0 {
+			rpc, err := runCreateJob(opts, spec, jobConfig{clients: n, perClient: perClient,
+				journal: true, dispatch: 40, segEvents: segEvents})
 			if err != nil {
-				return 0, err
+				return run{}, err
 			}
-			return base.slowest(), nil
-		}
-		n := clientCounts[(i-1)/perRow]
-		if (i-1)%perRow == 0 {
-			rpc, err := rpcs(spec, n)
-			if err != nil {
-				return 0, err
-			}
-			return rpc.total, nil
+			return run{rpc.total, rpc.slowest()}, nil
 		}
 		// Journals land the moment the creates finish: the paper's
 		// pessimistic arrival model.
-		storm := decoupledStorm{clients: n, perClient: perClient, journal: true, merge: (i-1)%perRow == 1}
+		storm := decoupledStorm{clients: n, perClient: perClient, journal: true, merge: i%perRow == 1}
 		res, err := runSession(opts, spec, storm.run)
-		return res.total, err
+		return run{total: res.total}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	baseRate := float64(perClient) / runs[0]
+	baseRate := float64(perClient) / runs[0].slowest
 
 	r := &Result{
 		ID:      "fig6a",
@@ -65,10 +56,10 @@ func Fig6a(opts Options) (*Result, error) {
 	}
 	var rpcsAt, mergeAt, createAt []float64
 	for ni, n := range clientCounts {
-		row := runs[1+ni*perRow : 1+(ni+1)*perRow]
-		rpcSpeed := float64(n*perClient) / row[0] / baseRate
-		mergeSpeed := float64(n*perClient) / row[1] / baseRate
-		createSpeed := float64(n*perClient) / row[2] / baseRate
+		row := runs[ni*perRow : (ni+1)*perRow]
+		rpcSpeed := float64(n*perClient) / row[0].total / baseRate
+		mergeSpeed := float64(n*perClient) / row[1].total / baseRate
+		createSpeed := float64(n*perClient) / row[2].total / baseRate
 
 		rpcsAt = append(rpcsAt, rpcSpeed)
 		mergeAt = append(mergeAt, mergeSpeed)
@@ -85,44 +76,15 @@ func Fig6a(opts Options) (*Result, error) {
 
 // Fig6b adds the interfere-block policy to the Fig 3b experiment: one
 // subtree allows interference, the other returns -EBUSY, isolating the
-// owners' performance.
+// owners' performance. It is Fig 3b's grid with the block column.
 func Fig6b(opts Options) (*Result, error) {
-	noInterf, interf, baseline, err := fig3bRuns(opts, false)
+	r, slope, sd, err := fig3bTable(opts, "fig6b", true)
 	if err != nil {
 		return nil, err
 	}
-	_, blocked, _, err := fig3bRuns(opts, true)
-	if err != nil {
-		return nil, err
-	}
-	perClient := opts.scaled(100_000, 200)
-	r := &Result{
-		ID:    "fig6b",
-		Title: fmt.Sprintf("slowdown of slowest client (3 trials), normalized to 1 isolated client (%.0f creates/s)", float64(perClient)/baseline),
-		Columns: []string{"clients", "no interference", "sd", "interference", "sd",
-			"block interference", "sd"},
-	}
-	summary := func(m map[int][]float64) (slope, sd float64) {
-		var slopes, sds []float64
-		for _, n := range clientCounts {
-			slopes = append(slopes, stats.Mean(m[n])/float64(n))
-			sds = append(sds, stats.StdDev(m[n]))
-		}
-		return stats.Mean(slopes), stats.Mean(sds)
-	}
-	for _, n := range clientCounts {
-		a, b, c := noInterf[n], interf[n], blocked[n]
-		r.AddRow(fmt.Sprintf("%d", n),
-			f2x(stats.Mean(a)), f2(stats.StdDev(a)),
-			f2x(stats.Mean(b)), f2(stats.StdDev(b)),
-			f2x(stats.Mean(c)), f2(stats.StdDev(c)))
-	}
-	sa, da := summary(noInterf)
-	sb, db := summary(interf)
-	sc, dc := summary(blocked)
 	r.Notef("paper: no interference 1.42x/client sd 0.06; interference 1.67x/client sd 0.44; block 1.34x/client sd 0.09 (block ~ no interference, with visible reject overhead at small clusters)")
 	r.Notef("measured per-client slowdown (sd): no interference %.2fx (%.2f); interference %.2fx (%.2f); block %.2fx (%.2f)",
-		sa, da, sb, db, sc, dc)
+		slope[0], sd[0], slope[1], sd[1], slope[2], sd[2])
 	return r, nil
 }
 

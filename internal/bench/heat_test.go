@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -61,39 +60,30 @@ func TestHeatSkewExposesImbalance(t *testing.T) {
 // TestRealBackendSinkParity is the -trace/-metrics-under-real parity
 // test: RunReal with a sink must register both the simulated prediction
 // runs and the real measurement runs, with run-labeled metrics and a
-// parseable merged trace — observation is backend-agnostic.
+// parseable merged trace — observation is backend-agnostic. It reads the
+// real fig3a run that TestFig3aRealSmoke shares.
 func TestRealBackendSinkParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-backend runs take wall-clock seconds")
 	}
-	opts := Options{Scale: 0.001, Seed: 1, DataDir: t.TempDir(), Sink: NewSink()}
-	if _, err := RunReal("fig3a", opts); err != nil {
+	if _, err := realFig3a(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(opts.Sink.runs); n < 2*len(realClientCounts)*3 {
+	if n := realRuns; n < 2*len(realClientCounts)*3 {
 		t.Fatalf("sink registered %d runs, want %d (sim + real per grid point)",
 			n, 2*len(realClientCounts)*3)
 	}
-	var mb bytes.Buffer
-	if err := opts.Sink.WriteMetrics(&mb); err != nil {
-		t.Fatal(err)
-	}
-	dump := mb.String()
 	for _, want := range []string{
 		`run="fig3a-real/sim/run00"`,
 		`run="fig3a-real/real/run00"`,
 		"cudele_mds_requests_total",
 	} {
-		if !strings.Contains(dump, want) {
+		if !strings.Contains(realMetrics, want) {
 			t.Errorf("metrics dump missing %q", want)
 		}
 	}
-	var tb bytes.Buffer
-	if err := opts.Sink.WriteChrome(&tb); err != nil {
-		t.Fatal(err)
-	}
 	var doc chromeDoc
-	if err := json.Unmarshal(tb.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(realTrace, &doc); err != nil {
 		t.Fatalf("trace JSON does not parse: %v", err)
 	}
 	if len(doc.TraceEvents) == 0 {

@@ -2,7 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -16,6 +18,41 @@ func TestRunRealUnsupported(t *testing.T) {
 	}
 }
 
+// realFig3a runs the side-by-side fig3a once for every test that reads
+// it: the run takes wall-clock seconds. The sink's metrics dump and
+// Chrome trace are written before the run's data dir is removed.
+var (
+	realOnce    sync.Once
+	realRes     *Result
+	realRuns    int
+	realMetrics string
+	realTrace   []byte
+	realErr     error
+)
+
+func realFig3a() (*Result, error) {
+	realOnce.Do(func() {
+		dir, err := os.MkdirTemp("", "fig3a-real")
+		if err != nil {
+			realErr = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		opts := Options{Scale: 0.001, Seed: 1, DataDir: dir, Sink: NewSink()}
+		if realRes, realErr = RunReal("fig3a", opts); realErr != nil {
+			return
+		}
+		realRuns = len(opts.Sink.runs)
+		var mb, tb bytes.Buffer
+		if realErr = opts.Sink.WriteMetrics(&mb); realErr != nil {
+			return
+		}
+		realErr = opts.Sink.WriteChrome(&tb)
+		realMetrics, realTrace = mb.String(), tb.Bytes()
+	})
+	return realRes, realErr
+}
+
 // TestFig3aRealSmoke runs the side-by-side fig3a at the smallest
 // meaningful scale — the CI real-backend smoke. It asserts shape and
 // sanity (positive timings), not absolute latency: real measurements
@@ -24,26 +61,20 @@ func TestFig3aRealSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-backend smoke takes wall-clock seconds")
 	}
-	opts := Options{Scale: 0.001, Seed: 1, DataDir: t.TempDir(), Sink: NewSink()}
-	res, err := RunReal("fig3a", opts)
+	res, err := realFig3a()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The measured runs have a data dir, so their export carries the
 	// object log's counters; the simulated predictions beside them do not.
-	var mb bytes.Buffer
-	if err := opts.Sink.WriteMetrics(&mb); err != nil {
-		t.Fatal(err)
-	}
-	dump := mb.String()
 	for _, name := range []string{
 		"cudele_rados_log_records_total", "cudele_rados_log_commits_total", "cudele_rados_log_bytes_total",
 		"cudele_rados_log_checkpoints_total", "cudele_rados_log_size_bytes",
 	} {
-		if !strings.Contains(dump, name+`{run="fig3a-real/real/`) {
+		if !strings.Contains(realMetrics, name+`{run="fig3a-real/real/`) {
 			t.Errorf("metrics dump of the real runs is missing %s", name)
 		}
-		if strings.Contains(dump, name+`{run="fig3a-real/sim/`) {
+		if strings.Contains(realMetrics, name+`{run="fig3a-real/sim/`) {
 			t.Errorf("a simulated prediction exports %s", name)
 		}
 	}
