@@ -39,29 +39,30 @@ loc:
 	@echo "sim + realrt + runtime: $$($(call LOC,sim realrt runtime))"
 	@echo "bench: $$($(call LOC,bench))"
 
-# traffic is the API gate: every function under internal/ runs in some
-# main's run, or it is deleted, or it is listed with its class and reason
-# in results/TRAFFIC_KEEP.txt ("symbol (class) reason" per line). It
-# builds every main with coverage of the whole module and inlining off
-# into a temp dir and runs: the fifteen experiments at -scale 0.05; a
-# traced and profiled run of fig3a, multimds and mergescale; the real
-# backend's heatskew; the 1 500-seed chaos sweep;
-# one second of each benchmark workload, and real_io's traced pass with
-# its probes; the four examples; the cmd/cudele golden session on two
-# ranks beside the balancer; and journal-tool's demo, inspect, dump,
-# erase and roundtrip. A function none of them executed (0.0 % in go tool
-# cover -func) is named as go tool nm names it
-# (cudele/internal/pkg.(*Recv).Name), by joining cover's file:line to the
-# func declarations under internal/. A second pass lists every top-level
-# var declared under internal/ (single and var (...) forms) that no main
-# links: with inlining off the linker drops a statically initialised var
-# nothing references, so go tool nm on the same binaries names one only
-# when some main links it (a var whose initializer runs code is always
-# kept by its package's init, so this check cannot flag it). The cold
-# functions and unlinked vars must equal the keep file's entries: a
-# difference in either direction fails, so a new function no run reaches
-# and a listed one that now runs or is gone both show (~60 s on two
-# cores).
+# traffic is the API gate: every function under internal/ or in the root
+# package (the cudele facade) runs in some main's run, or it is deleted,
+# or it is listed with its class and reason in results/TRAFFIC_KEEP.txt
+# ("symbol (class) reason" per line). It builds every main with coverage
+# of the whole module and inlining off into a temp dir and runs: the
+# fifteen experiments at -scale 0.05; a traced and profiled run of
+# fig3a, multimds and mergescale; the real backend's heatskew; the
+# 1 500-seed chaos sweep; one second of each benchmark workload, and
+# real_io's traced pass with its probes; the four examples; the
+# cmd/cudele golden session on two ranks beside the balancer, and on the
+# real backend serving -admin; and journal-tool's demo, inspect, dump,
+# erase and roundtrip. A function none of them executed (0.0 % in go
+# tool cover -func) is named as go tool nm names it
+# (cudele/internal/pkg.(*Recv).Name, cudele.(*Recv).Name), by joining
+# cover's file:line to the func declarations in those files. A second
+# pass lists every top-level var declared there (single and var (...)
+# forms) that no main links: with inlining off the linker drops a
+# statically initialised var nothing references, so go tool nm on the
+# same binaries names one only when some main links it (a var whose
+# initializer runs code is always kept by its package's init, so this
+# check cannot flag it). The cold functions and unlinked vars must equal
+# the keep file's entries: a difference in either direction fails, so a
+# new function no run reaches and a listed one that now runs or is gone
+# both show (~60 s on two cores).
 MAINS = cmd/cudele cmd/cudele-bench cmd/journal-tool benchmark \
 	examples/homedirs examples/quickstart examples/checkpoint examples/partialresults
 WORKLOADS = sim_storm real_rpc_write real_rpc_read real_decoupled real_io
@@ -83,13 +84,14 @@ traffic:
 	bin/benchmark --workload real_io --seed 1 --seconds 1 --trace 1 --out out > /dev/null && \
 	for e in $(notdir $(filter examples/%,$(MAINS))); do bin/$$e > /dev/null || exit 1; done && \
 	bin/cudele -ranks 2 -rebalance "$$repo/cmd/cudele/testdata/session.txt" > /dev/null && \
+	bin/cudele -backend real -admin 127.0.0.1:0 "$$repo/cmd/cudele/testdata/session.txt" > /dev/null && \
 	bin/journal-tool demo j > /dev/null && bin/journal-tool inspect j > /dev/null && \
 	bin/journal-tool dump j > /dev/null && bin/journal-tool erase j 1 2 > /dev/null && \
 	bin/journal-tool roundtrip j > /dev/null && \
 	cd "$$repo" && $(GO) tool covdata textfmt -i="$$tmp/cov" -o "$$tmp/cov.txt" && \
 	$(GO) tool cover -func="$$tmp/cov.txt" > "$$tmp/func.txt" || exit 1; \
-	srcs=$$(ls internal/*/*.go | grep -v _test.go); \
-	awk 'FNR == 1 { dir = FILENAME; sub(/\/[^\/]*$$/, "", dir) } \
+	srcs=$$(ls *.go internal/*/*.go | grep -v _test.go); \
+	awk 'FNR == 1 { pkg = "cudele/" FILENAME; sub(/\/[^\/]*$$/, "", pkg) } \
 		/^func / { \
 			s = $$0; sub(/^func /, "", s); recv = ""; \
 			if (s ~ /^\(/) { \
@@ -97,20 +99,20 @@ traffic:
 				sub(/^[^)]*\) */, "", s); \
 				recv = recv ~ /^\*/ ? "(" recv ")." : recv "."; \
 			} \
-			sub(/[^A-Za-z0-9_].*/, "", s); print "cudele/" FILENAME ":" FNR ":", "cudele/" dir "." recv s; \
+			sub(/[^A-Za-z0-9_].*/, "", s); print "cudele/" FILENAME ":" FNR ":", pkg "." recv s; \
 		}' $$srcs > "$$tmp/decls"; \
 	awk -v nfile="$$tmp/nfuncs" 'NR == FNR { key[$$1] = $$2; next } \
-		$$1 ~ /^cudele\/internal\// { n++; if ($$NF == "0.0%") print ($$1 in key ? key[$$1] : "undeclared:" $$1) } \
+		$$1 ~ /^cudele\/(internal\/|[^\/]*:)/ { n++; if ($$NF == "0.0%") print ($$1 in key ? key[$$1] : "undeclared:" $$1) } \
 		END { print n + 0 > nfile }' "$$tmp/decls" "$$tmp/func.txt" | sort > "$$tmp/cold"; \
-	awk '$$NF ~ /^cudele\/internal\// { print $$NF }' "$$tmp/nm" | sort -u > "$$tmp/linked"; \
-	awk 'FNR == 1 { dir = FILENAME; sub(/\/[^\/]*$$/, "", dir); blk = 0 } \
+	awk '$$NF ~ /^cudele(\/internal\/|\.)/ { print $$NF }' "$$tmp/nm" | sort -u > "$$tmp/linked"; \
+	awk 'FNR == 1 { pkg = "cudele/" FILENAME; sub(/\/[^\/]*$$/, "", pkg); blk = 0 } \
 		blk && /^\)/ { blk = 0 } \
 		/^var \($$/ { blk = 1; next } \
 		/^var / || (blk && /^\t[A-Za-z_]/) { \
 			s = $$0; sub(/^(var |\t)/, "", s); \
 			if (match(s, /^[A-Za-z_][A-Za-z0-9_]*(, [A-Za-z_][A-Za-z0-9_]*)*/)) { \
 				n = split(substr(s, 1, RLENGTH), v, /, /); \
-				for (i = 1; i <= n; i++) if (v[i] != "_") print "cudele/" dir "." v[i]; \
+				for (i = 1; i <= n; i++) if (v[i] != "_") print pkg "." v[i]; \
 			} \
 		}' $$srcs | sort -u > "$$tmp/vars"; \
 	awk 'NR == FNR { linked[$$1] = 1; next } !($$1 in linked)' "$$tmp/linked" "$$tmp/vars" > "$$tmp/unlinkedvars"; \
@@ -121,14 +123,15 @@ traffic:
 		echo "  (-: listed but run, linked or gone, so drop the line; +: cold, so delete it or list it with its reason)"; \
 		exit 1; \
 	fi; \
-	echo "traffic: $$(wc -l < "$$tmp/cold") of $$(cat "$$tmp/nfuncs") functions under internal/ run in no main's run and $$(wc -l < "$$tmp/unlinkedvars") of $$(wc -l < "$$tmp/vars") package-level vars are linked by no main, each listed with its reason in results/TRAFFIC_KEEP.txt"
+	echo "traffic: $$(wc -l < "$$tmp/cold") of $$(cat "$$tmp/nfuncs") functions under internal/ and in the root package run in no main's run and $$(wc -l < "$$tmp/unlinkedvars") of $$(wc -l < "$$tmp/vars") package-level vars are linked by no main, each listed with its reason in results/TRAFFIC_KEEP.txt"
 
-# bench regenerates every table at a CI-friendly scale, in parallel, and
-# refreshes the machine-readable baselines under results/. A baseline
-# holds only what the seed and scale reproduce, so the files are
-# byte-identical at any -parallel (see internal/bench/runner.go).
+# bench regenerates every table at a CI-friendly scale, each experiment's
+# runs on GOMAXPROCS goroutines, and refreshes the machine-readable
+# baselines under results/. A baseline holds only what the seed and scale
+# reproduce, so the files are byte-identical at any GOMAXPROCS (see
+# internal/bench/runner.go).
 bench:
-	$(GO) run ./cmd/cudele-bench -scale 0.05 -json -outdir results all
+	$(GO) run ./cmd/cudele-bench -scale 0.05 -json results all
 
 # bench-check is the refactoring gate: regenerate every table into a temp
 # dir at the baselines' scale and diff each BENCH_*.json against results/,
@@ -136,7 +139,7 @@ bench:
 # missing or extra table — fails.
 bench-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run ./cmd/cudele-bench -scale 0.05 -json -outdir "$$tmp" all > /dev/null && \
+	$(GO) run ./cmd/cudele-bench -scale 0.05 -json "$$tmp" all > /dev/null && \
 	fail=0 && \
 	for f in $$( (cd results && ls BENCH_*.json; cd "$$tmp" && ls BENCH_*.json) | sort -u); do \
 		if ! diff -u results/$$f "$$tmp/$$f"; then fail=1; fi; \
@@ -150,7 +153,7 @@ bench-check:
 # results/real/ and is not a committed baseline.
 bench-real:
 	$(GO) run ./cmd/cudele-bench -backend real -scale 0.01 \
-		-datadir results/real/objects -json -outdir results/real fig3a
+		-datadir results/real/objects -json results/real fig3a
 
 # perf runs the repo's host-performance benchmark (BENCHMARK.json) the way
 # the driver does — one untraced 12-second run per workload — and prints

@@ -2,22 +2,22 @@
 //
 // Usage:
 //
-//	cudele-bench [-scale 1.0] [-seed 1] [-parallel 0] [-json] [experiment ...]
+//	cudele-bench [-scale 1.0] [-seed 1] [-json DIR] [experiment ...]
 //
 // With no arguments (or the id "all") it runs every experiment; see
 // -list for the registry. Scale 1.0 is paper scale (100K creates/client,
 // 1M updates for fig6c); smaller scales preserve the normalized shapes
 // and run much faster.
 //
-// -parallel sets how many of an experiment's independent simulation runs
-// execute concurrently (0 = GOMAXPROCS, 1 = sequential). Every run owns
-// its own engine and seed, so the output is byte-identical for any value.
+// An experiment's independent simulation runs execute on GOMAXPROCS
+// goroutines (GOMAXPROCS=1 runs them one at a time). Every run owns its
+// own engine and seed, so the output is byte-identical for any value.
 //
-// -json additionally writes one BENCH_<id>.json per experiment (into
-// -outdir) holding the experiment's id, title, scale, seed and full table
-// — the machine-readable baseline `make bench` commits under results/.
-// The file holds only what the seed and scale reproduce: the wall clock
-// prints on stdout beside the table, and -parallel is not recorded.
+// -json DIR additionally writes one BENCH_<id>.json per experiment into
+// DIR, holding the experiment's id, title, scale, seed and full table —
+// the machine-readable baseline `make bench` commits under results/. The
+// file holds only what the seed and scale reproduce: the wall clock
+// prints on stdout beside the table.
 //
 // -trace FILE records every simulation run as spans on the shared virtual
 // clock and writes one Chrome trace-event JSON, loadable in Perfetto
@@ -35,7 +35,7 @@
 // same grid point. fig3a and heatskew support real mode (bench.RealIDs);
 // "all" under -backend=real means "all real-capable experiments". Real
 // tables carry machine-dependent wall-clock columns, so they are reported
-// (and, with -json, written as BENCH_fig3a-real.json and
+// (and, with -json DIR, written as BENCH_fig3a-real.json and
 // BENCH_heatskew-real.json) but never replace the committed sim baselines.
 //
 // -chaos N runs N seeded fault-injection schedules (starting at -seed,
@@ -98,9 +98,7 @@ type benchJSON struct {
 func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale (1.0 = paper scale)")
 	seed := flag.Int64("seed", 1, "deterministic simulation seed")
-	parallel := flag.Int("parallel", 0, "concurrent simulation runs per experiment (0 = GOMAXPROCS, 1 = sequential)")
-	jsonOut := flag.Bool("json", false, "also write BENCH_<id>.json per experiment")
-	outdir := flag.String("outdir", ".", "directory for -json output")
+	jsonDir := flag.String("json", "", "also write BENCH_<id>.json per experiment into this directory")
 	list := flag.Bool("list", false, "list experiments and exit")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of every simulation run to this file")
 	metricsPath := flag.String("metrics", "", "write a Prometheus text dump of every run's daemon metrics to this file")
@@ -153,20 +151,16 @@ func main() {
 	}
 
 	if replay {
-		exitWith(reportChaos(os.Stdout, chaos.RunMany(chaos.Seeds(*chaosReplay, 1), 1), true))
+		exitWith(reportChaos(os.Stdout, chaos.RunMany(chaos.Seeds(*chaosReplay, 1)), true))
 	}
 	if *chaosN > 0 {
-		exitWith(reportChaos(os.Stdout, chaos.RunMany(chaos.Seeds(*seed, *chaosN), *parallel), false))
+		exitWith(reportChaos(os.Stdout, chaos.RunMany(chaos.Seeds(*seed, *chaosN)), false))
 	}
 
 	if *list {
 		for _, id := range bench.IDs() {
 			e, _ := bench.Lookup(id)
-			mark := ""
-			if e.Utilization {
-				mark = "  [utilization columns]"
-			}
-			fmt.Printf("%-12s %s%s\n", id, e.Title, mark)
+			fmt.Printf("%-12s %s\n", id, e.Title)
 		}
 		exitWith(0)
 	}
@@ -192,9 +186,9 @@ func main() {
 		}
 		ids = expanded
 	}
-	opts := bench.Options{Scale: *scale, Seed: *seed, Workers: *parallel}
+	opts := bench.Options{Scale: *scale, Seed: *seed}
 	if *tracePath != "" || *metricsPath != "" {
-		opts.Sink = bench.NewSink()
+		opts.Sink = bench.NewSink(*tracePath != "")
 	}
 	var admin *obs.Admin
 	if *adminAddr != "" {
@@ -244,8 +238,8 @@ func main() {
 		}
 		fmt.Print(res.Render())
 		fmt.Printf("(%s wall clock)\n\n", wall.Round(time.Millisecond))
-		if *jsonOut {
-			if err := writeJSON(*outdir, res, opts); err != nil {
+		if *jsonDir != "" {
+			if err := writeJSON(*jsonDir, res, opts); err != nil {
 				fmt.Fprintf(os.Stderr, "cudele-bench: %s: %v\n", id, err)
 				exit = 1
 			}

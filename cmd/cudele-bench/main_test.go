@@ -91,16 +91,17 @@ func TestChaosFailureExitsOneAndReports(t *testing.T) {
 }
 
 // TestJSONIdenticalAtAnyParallel: a BENCH_<id>.json holds only what the
-// seed and scale reproduce, so the files written with -parallel 1 and
-// -parallel 2 are byte-identical.
+// seed and scale reproduce, so the files written with GOMAXPROCS=1 (one
+// run at a time) and GOMAXPROCS=2 are byte-identical.
 func TestJSONIdenticalAtAnyParallel(t *testing.T) {
 	ids := []string{"table1", "fig5"}
 	dirs := make([]string, 2)
-	for i, parallel := range []string{"1", "2"} {
+	for i, procs := range []string{"1", "2"} {
 		dirs[i] = t.TempDir()
-		args := append([]string{"-scale", "0.002", "-parallel", parallel, "-json", "-outdir", dirs[i]}, ids...)
-		if out, err := exec.Command(benchBin, args...).CombinedOutput(); err != nil {
-			t.Fatalf("-parallel %s: %v\n%s", parallel, err, out)
+		cmd := exec.Command(benchBin, append([]string{"-scale", "0.002", "-json", dirs[i]}, ids...)...)
+		cmd.Env = append(os.Environ(), "GOMAXPROCS="+procs)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("GOMAXPROCS=%s: %v\n%s", procs, err, out)
 		}
 	}
 	for _, id := range ids {
@@ -114,7 +115,7 @@ func TestJSONIdenticalAtAnyParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(seq, par) {
-			t.Errorf("%s differs between -parallel 1 and -parallel 2:\n--- 1 ---\n%s\n--- 2 ---\n%s", name, seq, par)
+			t.Errorf("%s differs between GOMAXPROCS=1 and GOMAXPROCS=2:\n--- 1 ---\n%s\n--- 2 ---\n%s", name, seq, par)
 		}
 	}
 }

@@ -158,8 +158,9 @@ func main() {
 		}
 	}
 	cl := cudele.NewCluster(copts...)
+	var rec *cudele.Recorder
 	if *tracePath != "" {
-		cl.EnableTracing()
+		rec = cl.EnableTracing()
 	}
 	var admin *cudele.Admin
 	if opts.adminAddr != "" {
@@ -194,7 +195,7 @@ func main() {
 		fmt.Print(balancer.String())
 	}
 	if *tracePath != "" {
-		if err := writeFile(*tracePath, cl.Tracer().WriteChrome); err != nil {
+		if err := writeFile(*tracePath, rec.WriteChrome); err != nil {
 			fmt.Fprintf(os.Stderr, "cudele: trace: %v\n", err)
 			exit = 1
 		}

@@ -309,12 +309,6 @@ func (cl *Cluster) NewClient(name string) *Client {
 	return c
 }
 
-// Client returns a previously created client by name.
-func (cl *Cluster) Client(name string) (*Client, bool) {
-	c, ok := cl.clients[name]
-	return c, ok
-}
-
 // Go spawns a task; on the sim backend it will not run until
 // Run/RunAll, on the real backend it starts immediately.
 func (cl *Cluster) Go(name string, fn func(p Proc)) { cl.rt.Spawn(name, fn) }
@@ -329,10 +323,6 @@ func (cl *Cluster) Run(fn func(p Proc)) float64 {
 
 // RunAll drives all previously spawned tasks to completion.
 func (cl *Cluster) RunAll() float64 { return cl.rt.RunAll().Seconds() }
-
-// Now returns the current time in seconds (virtual on sim, wall on
-// real).
-func (cl *Cluster) Now() float64 { return cl.rt.Now().Seconds() }
 
 // Close reaps every task so no goroutine outlives the cluster; call it
 // when discarding a cluster (especially real-backend ones, whose tasks
@@ -392,21 +382,8 @@ func (cl *Cluster) StartBalancer(cfg BalancerConfig) *Balancer {
 // placed, sorted by path.
 func (cl *Cluster) Subtrees() []*Subtree { return cl.mon.Subtrees() }
 
-// MustComposition parses a mechanism-composition DSL string and panics on
-// error; it is a convenience for examples and tests.
-func MustComposition(dsl string) Composition {
-	comp, err := policy.ParseComposition(dsl)
-	if err != nil {
-		panic(err)
-	}
-	return comp
-}
-
 // CompileTableI returns the Table I composition for a consistency and
 // durability level.
 func CompileTableI(c policy.Consistency, d policy.Durability) (Composition, error) {
 	return policy.Compile(c, d)
 }
-
-// ParsePolicies parses a policies file (§III-C).
-func ParsePolicies(text string) (*Policy, error) { return policy.ParseFile(text) }

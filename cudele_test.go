@@ -256,31 +256,6 @@ func TestInvalidConfigPanics(t *testing.T) {
 	NewCluster(WithConfig(cfg))
 }
 
-func TestClientRegistry(t *testing.T) {
-	cl := NewCluster()
-	c := cl.NewClient("x")
-	got, ok := cl.Client("x")
-	if !ok || got != c {
-		t.Fatal("client registry broken")
-	}
-	if _, ok := cl.Client("y"); ok {
-		t.Fatal("phantom client")
-	}
-}
-
-func TestMustComposition(t *testing.T) {
-	comp := MustComposition("rpcs+stream")
-	if comp.String() != "rpcs+stream" {
-		t.Fatalf("comp = %q", comp)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad DSL did not panic")
-		}
-	}()
-	MustComposition("nope")
-}
-
 func TestRecoupleUnknown(t *testing.T) {
 	cl := NewCluster()
 	cl.Run(func(p Proc) {
@@ -307,12 +282,5 @@ func TestCompileTableIExport(t *testing.T) {
 	comp, err := CompileTableI(ConsWeak, DurLocal)
 	if err != nil || comp.String() != "append_client_journal+local_persist+volatile_apply" {
 		t.Fatalf("compile = %q, %v", comp, err)
-	}
-}
-
-func TestParsePoliciesExport(t *testing.T) {
-	pol, err := ParsePolicies("interfere: block\n")
-	if err != nil || pol.Interfere != InterfereBlock {
-		t.Fatalf("parse = %+v, %v", pol, err)
 	}
 }

@@ -22,15 +22,10 @@ type Options struct {
 	Scale float64
 	Seed  int64
 
-	// Workers caps how many of an experiment's independent runs execute
-	// concurrently (the -parallel flag). 0 means GOMAXPROCS; 1 forces
-	// sequential execution. Every run owns its engine, so rendered
-	// tables are byte-identical for any value.
-	Workers int
-
-	// Sink, when non-nil, collects a trace recorder and metric registry
-	// from every simulation run (the -trace/-metrics flags). Observation
-	// is passive: tables are byte-identical with or without a sink.
+	// Sink, when non-nil, collects every run's metric registry and, when
+	// it traces, its trace recorder (the -metrics/-trace flags).
+	// Observation is passive: tables are byte-identical with or without a
+	// sink.
 	Sink *Sink
 
 	// Admin, when non-nil, is the live admin endpoint (-admin): each
@@ -40,9 +35,10 @@ type Options struct {
 	Admin *obs.Admin
 
 	// DataDir, when non-empty, roots the real backend's durability: each
-	// real run gets its own subdirectory for its fsynced object log and
-	// client journals. Only RunReal reads it; the registered experiments
-	// are all pure simulations.
+	// real run gets the subdirectory named after it (recovery would
+	// otherwise reload an earlier run's objects) for its fsynced object
+	// log and client journals. Only RunReal's runs use it; the registered
+	// experiments are all pure simulations.
 	DataDir string
 }
 
@@ -121,10 +117,6 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(Options) (*Result, error)
-
-	// Utilization marks experiments whose tables include device
-	// utilization columns (surfaced by cudele-bench -list).
-	Utilization bool
 }
 
 var registry = map[string]*Experiment{}
@@ -132,10 +124,6 @@ var registry = map[string]*Experiment{}
 func register(id, title string, run func(Options) (*Result, error)) {
 	registry[id] = &Experiment{ID: id, Title: title, Run: run}
 }
-
-// markUtilization flags a registered experiment as emitting utilization
-// columns.
-func markUtilization(id string) { registry[id].Utilization = true }
 
 // IDs lists registered experiment ids in order.
 func IDs() []string {

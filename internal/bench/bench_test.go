@@ -140,7 +140,7 @@ var (
 func interferenceFigs() (fig3b, fig6b *Result, runs int, err error) {
 	interfOnce.Do(func() {
 		opts := tiny
-		opts.Sink = NewSink()
+		opts.Sink = NewSink(false)
 		if interfFig3, interfErr = Run("fig3b", opts); interfErr != nil {
 			return
 		}

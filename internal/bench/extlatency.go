@@ -24,14 +24,14 @@ func ExtLatency(opts Options) (*Result, error) {
 	regimes := []struct{ interfere, block bool }{
 		{false, false}, {true, false}, {true, true},
 	}
-	hists, err := runGrid(opts, len(regimes), func(i int) (*stats.Histogram, error) {
+	hists, err := runGrid(opts, "ext-latency", len(regimes), func(i int, run runSpec) (*stats.Histogram, error) {
 		jc := jobConfig{clients: nClients, perClient: perClient, journal: true, blockPolicy: regimes[i].block}
 		if regimes[i].interfere {
 			jc.interfereAt = 2 // seconds
 			jc.interfereFixed = true
 			jc.interferePerDir = perDir
 		}
-		res, err := runCreateJob(opts, runSpec{name: fmt.Sprintf("ext-latency/run%03d", i), seed: opts.Seed}, jc)
+		res, err := runCreateJob(opts, run, jc)
 		if err != nil {
 			return nil, err
 		}

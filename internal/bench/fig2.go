@@ -10,7 +10,6 @@ import (
 
 func init() {
 	register("fig2", "MDS resource utilization while compiling in a CephFS mount (Fig 2)", Fig2)
-	markUtilization("fig2")
 }
 
 type fig2PhaseRow struct {
@@ -26,19 +25,21 @@ type fig2PhaseRow struct {
 // claim: the create-heavy untar phase has the highest combined resource
 // usage because of consistency/durability demands.
 func Fig2(opts Options) (*Result, error) {
-	rows, err := fig2Run(opts)
+	rows, err := runGrid(opts, "fig2", 1, func(_ int, spec runSpec) ([]fig2PhaseRow, error) {
+		return fig2Run(opts, spec)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return fig2Render(rows)
+	return fig2Render(rows[0])
 }
 
-func fig2Run(opts Options) ([]fig2PhaseRow, error) {
-	spec := runSpec{name: "fig2/run000", seed: opts.Seed, config: func(cfg *cudele.Config) {
+func fig2Run(opts Options, spec runSpec) ([]fig2PhaseRow, error) {
+	spec.config = func(cfg *cudele.Config) {
 		// Scale the segment size with the workload so journal segments seal
 		// (and stream to the object store) at a proportional rate.
 		cfg.SegmentEvents = opts.scaled(1024, 64)
-	}}
+	}
 	return runSession(opts, spec, func(s *session) ([]fig2PhaseRow, error) {
 		cl := s.cl
 		cl.MDS().SetStream(true)

@@ -55,9 +55,9 @@ func Fig3a(opts Options) (*Result, error) {
 			specs = append(specs, spec{clients: n, cfg: cfg})
 		}
 	}
-	times, err := runGrid(opts, len(specs), func(i int) (float64, error) {
+	times, err := runGrid(opts, "fig3a", len(specs), func(i int, run runSpec) (float64, error) {
 		sp := specs[i]
-		res, err := runCreateJob(opts, runSpec{name: fmt.Sprintf("fig3a/run%03d", i), seed: opts.Seed}, jobConfig{
+		res, err := runCreateJob(opts, run, jobConfig{
 			clients: sp.clients, perClient: perClient,
 			journal: sp.cfg.journal, dispatch: sp.cfg.dispatch, segEvents: segEvents,
 		})
@@ -129,7 +129,7 @@ func fig3bTable(opts Options, id string, block bool) (r *Result, slope, sd []flo
 			}
 		}
 	}
-	times, err := runGrid(opts, len(specs), func(i int) (float64, error) {
+	times, err := runGrid(opts, id, len(specs), func(i int, run runSpec) (float64, error) {
 		sp := specs[i]
 		jc := jobConfig{
 			clients: sp.clients, perClient: perClient,
@@ -143,9 +143,8 @@ func fig3bTable(opts Options, id string, block bool) (r *Result, slope, sd []flo
 			jc.interferePerDir = perDir
 			jc.blockPolicy = sp.col == 2
 		}
-		res, err := runCreateJob(opts, runSpec{
-			name: fmt.Sprintf("%s/run%03d", id, i), seed: opts.Seed + int64(sp.trial)*101,
-		}, jc)
+		run.seed += int64(sp.trial) * 101
+		res, err := runCreateJob(opts, run, jc)
 		if err != nil {
 			return 0, err
 		}
@@ -222,7 +221,7 @@ func Fig3c(opts Options) (*Result, error) {
 	interfereAt := 0.15 * float64(perClient) / 549.0
 	sampleEvery := interfereAt / 4.0
 
-	runTraced := func(run int, interfere bool) (*fig3cSampled, error) {
+	traces, err := runGrid(opts, "fig3c", 2, func(i int, run runSpec) (*fig3cSampled, error) {
 		out := &fig3cSampled{requests: &stats.Series{}, lookups: &stats.Series{}}
 		jc := jobConfig{
 			clients: nClients, perClient: perClient,
@@ -236,17 +235,13 @@ func Fig3c(opts Options) (*Result, error) {
 				}
 			},
 		}
-		if interfere {
+		if i == 1 {
 			jc.interfereAt = interfereAt
 			jc.interfereFixed = true
 			jc.interferePerDir = perDir
 		}
-		_, err := runCreateJob(opts, runSpec{name: fmt.Sprintf("fig3c/run%03d", run), seed: opts.Seed}, jc)
+		_, err := runCreateJob(opts, run, jc)
 		return out, err
-	}
-
-	traces, err := runGrid(opts, 2, func(i int) (*fig3cSampled, error) {
-		return runTraced(i, i == 1)
 	})
 	if err != nil {
 		return nil, err

@@ -14,8 +14,8 @@ func init() {
 // withDecoupledJournal runs fn on a cluster with one decoupled client that
 // has already appended n creates to its journal; appendSecs is what the
 // appends took.
-func withDecoupledJournal(opts Options, run string, n int, fn func(c *cudele.Client, p cudele.Proc, appendSecs float64) error) error {
-	_, err := runSession(opts, runSpec{name: run, seed: opts.Seed}, func(s *session) (float64, error) {
+func withDecoupledJournal(opts Options, spec runSpec, n int, fn func(c *cudele.Client, p cudele.Proc, appendSecs float64) error) error {
+	_, err := runSession(opts, spec, func(s *session) (float64, error) {
 		c := s.clients(1)[0]
 		return s.phase("main", func(p cudele.Proc) error {
 			if _, err := c.MkdirAll(p, "/job", 0755); err != nil {
@@ -44,20 +44,9 @@ func withDecoupledJournal(opts Options, run string, n int, fn func(c *cudele.Cli
 	return err
 }
 
-// rpcCreateTime runs n RPC creates on a fresh cluster and returns the
-// elapsed seconds.
-func rpcCreateTime(opts Options, run string, n, segEvents int, journal bool) (float64, error) {
-	res, err := runCreateJob(opts, runSpec{name: run, seed: opts.Seed},
-		jobConfig{clients: 1, perClient: n, journal: journal, dispatch: 40, segEvents: segEvents})
-	if err != nil {
-		return 0, err
-	}
-	return res.slowest(), nil
-}
-
 // fig5Times holds the timings one grid run produces; unset fields stay 0.
 type fig5Times struct {
-	append_, volatile, local, global, nonvol, rpc, rpcJournal float64
+	append_, volatile, local, global, nonvol, rpc float64
 }
 
 // Fig5 measures the time each mechanism needs to process n create events,
@@ -69,9 +58,8 @@ func Fig5(opts Options) (*Result, error) {
 	n := opts.scaled(100_000, 500)
 	segEvents := opts.scaled(1024, 64)
 
-	parts, err := runGrid(opts, 4, func(i int) (fig5Times, error) {
+	parts, err := runGrid(opts, "fig5", 4, func(i int, run runSpec) (fig5Times, error) {
 		var t fig5Times
-		run := fmt.Sprintf("fig5/run%03d", i)
 		switch i {
 		case 0: // non-destructive persists, then volatile apply
 			err := withDecoupledJournal(opts, run, n, func(c *cudele.Client, p cudele.Proc, appendSecs float64) error {
@@ -104,14 +92,14 @@ func Fig5(opts Options) (*Result, error) {
 				return nil
 			})
 			return t, err
-		case 2:
-			var err error
-			t.rpc, err = rpcCreateTime(opts, run, n, segEvents, false)
-			return t, err
-		default:
-			var err error
-			t.rpcJournal, err = rpcCreateTime(opts, run, n, segEvents, true)
-			return t, err
+		default: // n RPC creates, journaling off (2) and on (3)
+			res, err := runCreateJob(opts, run,
+				jobConfig{clients: 1, perClient: n, journal: i == 3, dispatch: 40, segEvents: segEvents})
+			if err != nil {
+				return t, err
+			}
+			t.rpc = res.slowest()
+			return t, nil
 		}
 	})
 	if err != nil {
@@ -120,7 +108,7 @@ func Fig5(opts Options) (*Result, error) {
 	tAppend, tLocal, tGlobal, tVolatile := parts[0].append_, parts[0].local, parts[0].global, parts[0].volatile
 	tNonvol := parts[1].nonvol
 	tRPC := parts[2].rpc
-	tRPCJournal := parts[3].rpcJournal
+	tRPCJournal := parts[3].rpc
 	tStream := tRPCJournal - tRPC
 
 	r := &Result{

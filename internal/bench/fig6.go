@@ -27,8 +27,7 @@ func Fig6a(opts Options) (*Result, error) {
 	// baseline: its slowest client sets the normalizing rate.
 	const perRow = 3
 	type run struct{ total, slowest float64 }
-	runs, err := runGrid(opts, perRow*len(clientCounts), func(i int) (run, error) {
-		spec := runSpec{name: fmt.Sprintf("fig6a/run%03d", i), seed: opts.Seed}
+	runs, err := runGrid(opts, "fig6a", perRow*len(clientCounts), func(i int, spec runSpec) (run, error) {
 		n := clientCounts[i/perRow]
 		if i%perRow == 0 {
 			rpc, err := runCreateJob(opts, spec, jobConfig{clients: n, perClient: perClient,
@@ -110,9 +109,8 @@ func Fig6c(opts Options) (*Result, error) {
 		pauses  int
 		shipped int
 	}
-	syncRuns, err := runGrid(opts, len(intervals), func(gi int) (syncRun, error) {
+	syncRuns, err := runGrid(opts, "fig6c", len(intervals), func(gi int, spec runSpec) (syncRun, error) {
 		step := time.Duration(intervals[gi] * 1e9)
-		spec := runSpec{name: fmt.Sprintf("fig6c/run%03d", gi), seed: opts.Seed}
 		return runSession(opts, spec, func(s *session) (syncRun, error) {
 			c := s.clients(1)[0]
 			var sr syncRun

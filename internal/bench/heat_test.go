@@ -31,7 +31,7 @@ func TestHeatSkewDeterministic(t *testing.T) {
 // on one of four ranks ≈ 2.5x even).
 func TestHeatSkewExposesImbalance(t *testing.T) {
 	opts := Options{Scale: 0.002, Seed: 1}
-	out, err := heatSkewRun(opts, runSpec{}, opts.scaled(20_000, 200), 0)
+	out, err := heatSkewRun(opts, runSpec{seed: opts.Seed}, opts.scaled(20_000, 200), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +73,10 @@ func TestRealBackendSinkParity(t *testing.T) {
 		t.Fatalf("sink registered %d runs, want %d (sim + real per grid point)",
 			n, 2*len(realClientCounts)*3)
 	}
+	// Runs 000-008 are the predictions, 009-017 the measurements.
 	for _, want := range []string{
-		`run="fig3a-real/sim/run00"`,
-		`run="fig3a-real/real/run00"`,
+		`run="fig3a-real/run000"`,
+		`run="fig3a-real/run009"`,
 		"cudele_mds_requests_total",
 	} {
 		if !strings.Contains(realMetrics, want) {

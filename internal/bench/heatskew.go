@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -49,10 +48,9 @@ type heatSample struct {
 // imbalance factor at that period, so the table can show the skew
 // building as the hot rank's backlog outlives the cold ranks'. The
 // sampler mutates shared state without locks, so it is sim-only; real
-// runs pass 0. The spec names the run, its backend and its data dir; the
-// ranks and the half-life are the experiment's.
+// runs pass 0. The spec names and seeds the run and sets its backend;
+// the ranks and the half-life are the experiment's.
 func heatSkewRun(opts Options, spec runSpec, perClient int, sampleEvery time.Duration) (heatSkewOut, error) {
-	spec.seed = opts.Seed
 	spec.ranks = heatSkewRanks
 	spec.halfLife = 10 * time.Minute
 	var out heatSkewOut
@@ -103,10 +101,13 @@ func HeatSkew(opts Options) (*Result, error) {
 	// dominates), so a per-create sampling period keeps the trajectory at
 	// roughly ten points at any scale.
 	sampleEvery := time.Duration(perClient) * 200 * time.Microsecond
-	out, err := heatSkewRun(opts, runSpec{name: "heatskew"}, perClient, sampleEvery)
+	outs, err := runGrid(opts, "heatskew", 1, func(_ int, spec runSpec) (heatSkewOut, error) {
+		return heatSkewRun(opts, spec, perClient, sampleEvery)
+	})
 	if err != nil {
 		return nil, err
 	}
+	out := outs[0]
 
 	r := &Result{
 		ID: "heatskew",
@@ -154,19 +155,18 @@ func addHeatRows(r *Result, out heatSkewOut) {
 	}
 }
 
-// heatSkewReal runs the skewed create storm on both backends: the sim
-// run is the prediction, the real run the measurement — and, when an
-// admin endpoint is armed, the live /heat source while it executes.
+// heatSkewReal runs the skewed create storm on both backends, one after
+// the other: the sim run (run000) is the prediction, the real run
+// (run001) the measurement — and, when an admin endpoint is armed, the
+// live /heat source while it executes.
 func heatSkewReal(opts Options) (*Result, error) {
 	perClient := opts.scaled(20_000, 200)
-	sim, err := heatSkewRun(opts, runSpec{name: "heatskew-real/sim"}, perClient, 0)
+	sim, err := heatSkewRun(opts, opts.run("heatskew-real", 0), perClient, 0)
 	if err != nil {
 		return nil, err
 	}
-	spec := runSpec{name: "heatskew-real/real", backend: cudele.BackendReal}
-	if opts.DataDir != "" {
-		spec.dataDir = filepath.Join(opts.DataDir, "heatskew")
-	}
+	spec := opts.run("heatskew-real", 1)
+	spec.backend = cudele.BackendReal
 	real, err := heatSkewRun(opts, spec, perClient, 0)
 	if err != nil {
 		return nil, err

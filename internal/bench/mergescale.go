@@ -35,9 +35,8 @@ type mergeScaleOut struct {
 	waitJobs     int     // streamed jobs the spread covers
 }
 
-func mergeScaleRun(opts Options, n, perClient int, mode string) (mergeScaleOut, error) {
+func mergeScaleRun(opts Options, spec runSpec, n, perClient int, mode string) (mergeScaleOut, error) {
 	storm := decoupledStorm{clients: n, perClient: perClient, merge: true}
-	spec := runSpec{name: fmt.Sprintf("mergescale/n%d/%s", n, mode), seed: opts.Seed}
 	switch mode {
 	case "chunked-fair":
 		spec.config = func(cfg *cudele.Config) {
@@ -83,9 +82,8 @@ func MergeScale(opts Options) (*Result, error) {
 	perClient := opts.scaled(10_000, 500)
 
 	perRow := len(mergeScaleModes)
-	outs, err := runGrid(opts, perRow*len(mergeScaleClients), func(i int) (mergeScaleOut, error) {
-		n := mergeScaleClients[i/perRow]
-		return mergeScaleRun(opts, n, perClient, mergeScaleModes[i%perRow])
+	outs, err := runGrid(opts, "mergescale", perRow*len(mergeScaleClients), func(i int, spec runSpec) (mergeScaleOut, error) {
+		return mergeScaleRun(opts, spec, mergeScaleClients[i/perRow], perClient, mergeScaleModes[i%perRow])
 	})
 	if err != nil {
 		return nil, err

@@ -11,11 +11,11 @@ func TestMergeScaleChunkedBeatsAllAtOnce(t *testing.T) {
 	const perClient = 500
 	const evBytes = 2500
 	for _, n := range []int{4, 8, 16} {
-		oneshot, err := mergeScaleRun(Options{Seed: 1}, n, perClient, "all-at-once")
+		oneshot, err := mergeScaleRun(Options{}, runSpec{seed: 1}, n, perClient, "all-at-once")
 		if err != nil {
 			t.Fatalf("all-at-once n=%d: %v", n, err)
 		}
-		chunked, err := mergeScaleRun(Options{Seed: 1}, n, perClient, "chunked-fair")
+		chunked, err := mergeScaleRun(Options{}, runSpec{seed: 1}, n, perClient, "chunked-fair")
 		if err != nil {
 			t.Fatalf("chunked-fair n=%d: %v", n, err)
 		}

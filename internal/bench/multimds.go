@@ -4,7 +4,6 @@ import "fmt"
 
 func init() {
 	register("multimds", "RPC create throughput vs metadata ranks (subtree partitioning)", MultiMDS)
-	markUtilization("multimds")
 }
 
 // multiMDSRanks are the cluster sizes the experiment sweeps.
@@ -20,12 +19,12 @@ type multiMDSOut struct {
 // multiMDSRun drives `clients` RPC clients, each creating perClient files
 // in a private subtree pinned round-robin across `ranks` metadata ranks,
 // and returns the total job seconds and mean MDS CPU utilization.
-func multiMDSRun(opts Options, ranks, clients, perClient int) (multiMDSOut, error) {
+func multiMDSRun(opts Options, spec runSpec, ranks, clients, perClient int) (multiMDSOut, error) {
 	storm := placedStorm{placement: make([]int, clients), perClient: perClient}
 	for i := range storm.placement {
 		storm.placement[i] = i % ranks
 	}
-	spec := runSpec{name: fmt.Sprintf("multimds/r%d", ranks), seed: opts.Seed, ranks: ranks}
+	spec.ranks = ranks
 	return runSession(opts, spec, func(s *session) (multiMDSOut, error) {
 		total, _, err := storm.run(s)
 		// Mean CPU busy fraction across ranks: with round-robin subtree
@@ -54,8 +53,8 @@ func MultiMDS(opts Options) (*Result, error) {
 		Title:   fmt.Sprintf("aggregate RPC create throughput, %d clients x %d creates, subtrees pinned round-robin", clients, perClient),
 		Columns: []string{"mds ranks", "runtime (s)", "creates/s", "speedup", "mean MDS CPU"},
 	}
-	outs, err := runGrid(opts, len(multiMDSRanks), func(i int) (multiMDSOut, error) {
-		return multiMDSRun(opts, multiMDSRanks[i], clients, perClient)
+	outs, err := runGrid(opts, "multimds", len(multiMDSRanks), func(i int, spec runSpec) (multiMDSOut, error) {
+		return multiMDSRun(opts, spec, multiMDSRanks[i], clients, perClient)
 	})
 	if err != nil {
 		return nil, err

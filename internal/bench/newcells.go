@@ -83,9 +83,9 @@ func newCellsPersist(p cudele.Proc, c *cudele.Client, cons policy.Consistency,
 // all N optimistically and ships one validated merge: the MDS rejects
 // exactly the stolen names in the reply and the client rolls them back,
 // with no per-op round trip and no quiescent-interferer assumption.
-func newCellsBurst(opts Options, run string, cons policy.Consistency, dur policy.Durability,
+func newCellsBurst(opts Options, spec runSpec, cons policy.Consistency, dur policy.Durability,
 	n int) (newCellsOut, error) {
-	return runSession(opts, runSpec{name: run, seed: opts.Seed}, func(s *session) (newCellsOut, error) {
+	return runSession(opts, spec, func(s *session) (newCellsOut, error) {
 		c, intr, job, err := newCellsSetup(s, cons, dur, n+16)
 		if err != nil {
 			return newCellsOut{}, err
@@ -151,9 +151,9 @@ func newCellsBurst(opts Options, run string, cons policy.Consistency, dur policy
 // verdict was in the lost reply, so they sweep too. Strong-eventual just
 // retransmits the whole batch: converging merges are idempotent, so the
 // re-send costs one more merge and zero per-op round trips.
-func newCellsStorm(opts Options, run string, cons policy.Consistency, dur policy.Durability,
+func newCellsStorm(opts Options, spec runSpec, cons policy.Consistency, dur policy.Durability,
 	batches, perBatch int) (newCellsOut, error) {
-	return runSession(opts, runSpec{name: run, seed: opts.Seed}, func(s *session) (newCellsOut, error) {
+	return runSession(opts, spec, func(s *session) (newCellsOut, error) {
 		c, _, job, err := newCellsSetup(s, cons, dur, batches*perBatch+16)
 		if err != nil {
 			return newCellsOut{}, err
@@ -240,9 +240,8 @@ func NewCells(opts Options) (*Result, error) {
 
 	// Each cell is two runs, burst then storm, adjacent in the grid.
 	perRow := len(newCellsDur)
-	runs, err := runGrid(opts, 2*len(newCellsCons)*perRow, func(i int) (newCellsOut, error) {
+	runs, err := runGrid(opts, "newcells", 2*len(newCellsCons)*perRow, func(i int, run runSpec) (newCellsOut, error) {
 		cons, dur := newCellsCons[i/2/perRow], newCellsDur[i/2%perRow]
-		run := fmt.Sprintf("newcells/run%03d", i)
 		if i%2 == 0 {
 			return newCellsBurst(opts, run, cons, dur, burstN)
 		}

@@ -2,7 +2,8 @@ package bench
 
 import (
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"cudele"
@@ -10,12 +11,14 @@ import (
 )
 
 // Sink collects observability output from an experiment's runs. Each run
-// registers under a deterministic name ("fig3a/run007"); the sink
-// attaches a trace recorder to the run's cluster and, when the run
-// drains, pulls its metric registry. Runs execute concurrently on the
-// grid worker pool, so registration is serialized under a mutex, and
-// every export walks the runs in name order — output is byte-identical
-// for any worker count, like the tables themselves.
+// registers under its deterministic name ("fig3a/run007"); when the run
+// drains, the sink appends the run's metric registry, every series
+// labeled with the run name, into its one registry, and a tracing sink
+// also keeps the trace recorder it attached to the run's cluster. Runs
+// execute concurrently on the grid's worker pool, so registration is
+// serialized under a mutex; the metrics dump sorts families and series
+// and the trace walks the runs in name order, so output is byte-identical
+// for any GOMAXPROCS, like the tables themselves.
 //
 // A nil *Sink is the disabled sink: both hooks are no-ops, so run
 // helpers call them unconditionally. Observation never charges virtual
@@ -23,64 +26,58 @@ import (
 // byte-identical to an unsinked one (see TestTracingDoesNotPerturb).
 type Sink struct {
 	mu   sync.Mutex
-	runs map[string]*runObs
+	runs []string                   // every registered run name, in start order
+	reg  *trace.Registry            // every drained run's metrics
+	recs map[string]*trace.Recorder // by run name; nil unless the sink traces
 }
 
-type runObs struct {
-	rec *trace.Recorder
-	reg *trace.Registry
+// NewSink returns an empty sink. Only a tracing sink attaches a recorder
+// to each run, and holds its spans until WriteChrome: a caller that
+// writes no trace passes false.
+func NewSink(tracing bool) *Sink {
+	s := &Sink{reg: trace.NewRegistry()}
+	if tracing {
+		s.recs = make(map[string]*trace.Recorder)
+	}
+	return s
 }
 
-// NewSink returns an empty sink.
-func NewSink() *Sink { return &Sink{runs: make(map[string]*runObs)} }
-
-// start enables tracing on a freshly built cluster, registering it under
-// the run name. Call before the cluster runs; nil-safe.
+// start registers a freshly built cluster under the run name and, on a
+// tracing sink, enables tracing on it. Call before the cluster runs;
+// nil-safe.
 func (s *Sink) start(name string, cl *cudele.Cluster) {
 	if s == nil {
 		return
 	}
-	rec := cl.EnableTracing()
 	s.mu.Lock()
-	s.runs[name] = &runObs{rec: rec}
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	s.runs = append(s.runs, name)
+	if s.recs != nil {
+		s.recs[name] = cl.EnableTracing()
+	}
 }
 
-// finish pulls the run's metrics after the simulation drains (and before
-// the engine shuts down, so device snapshots still work); nil-safe.
+// finish appends the run's metrics after the simulation drains (and
+// before the engine shuts down, so device snapshots still work); nil-safe.
 func (s *Sink) finish(name string, cl *cudele.Cluster) {
 	if s == nil {
 		return
 	}
 	reg := cl.CollectMetrics()
 	s.mu.Lock()
-	if r := s.runs[name]; r != nil {
-		r.reg = reg
-	} else {
-		s.runs[name] = &runObs{reg: reg}
-	}
+	s.reg.Append(reg, trace.KV{Key: "run", Val: name})
 	s.mu.Unlock()
 }
 
-// names returns registered run names in sorted order.
-func (s *Sink) names() []string {
-	out := make([]string, 0, len(s.runs))
-	for name := range s.runs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// WriteChrome writes every run's spans as one Chrome trace-event
+// WriteChrome writes every traced run's spans as one Chrome trace-event
 // document, prefixing each track with its run name so Perfetto shows one
 // process group per simulation.
 func (s *Sink) WriteChrome(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var runs []trace.Run
-	for _, name := range s.names() {
-		runs = append(runs, trace.Run{Prefix: name + ":", Rec: s.runs[name].rec})
+	runs := make([]trace.Run, 0, len(s.recs))
+	for _, name := range slices.Sorted(maps.Keys(s.recs)) {
+		runs = append(runs, trace.Run{Prefix: name + ":", Rec: s.recs[name]})
 	}
 	return trace.WriteChrome(w, runs)
 }
@@ -90,9 +87,5 @@ func (s *Sink) WriteChrome(w io.Writer) error {
 func (s *Sink) WriteMetrics(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := trace.NewRegistry()
-	for _, name := range s.names() {
-		out.Append(s.runs[name].reg, trace.KV{Key: "run", Val: name})
-	}
-	return out.WritePrometheus(w)
+	return s.reg.WritePrometheus(w)
 }

@@ -22,7 +22,7 @@ type chromeDoc struct {
 }
 
 // tinyOpts is the scale the non-perturbation test sweeps every table at.
-var tinyOpts = Options{Scale: 0.002, Seed: 1, Workers: 2}
+var tinyOpts = Options{Scale: 0.002, Seed: 1}
 
 // TestTracingDoesNotPerturb is the tentpole invariant: observation must
 // not change the simulation. Every experiment, same seed, same scale,
@@ -40,7 +40,7 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 			t.Fatalf("%s: %v", id, err)
 		}
 		opts := tinyOpts
-		opts.Sink = NewSink()
+		opts.Sink = NewSink(true)
 		observed, err := Run(id, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
@@ -116,15 +116,19 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 }
 
 // TestSinkDeterministicAcrossWorkers pins the export side of the
-// determinism contract: the merged trace and metrics dump are
-// byte-identical whether the grid ran sequentially or on a worker pool,
-// because exports sort runs by name and each run is itself
-// deterministic. fig5 runs Nonvolatile Apply, whose final directory
-// writes once followed map order and so differed from run to run.
+// determinism contract: the table, the merged trace and the metrics dump
+// are byte-identical whether the grid ran sequentially (GOMAXPROCS=1) or
+// on a worker pool, although the pool drains runs into the sink in
+// completion order: exports sort runs by name and series by label, and
+// each run is itself deterministic. fig5 runs Nonvolatile Apply, whose
+// final directory writes once followed map order and so differed from
+// run to run.
 func TestSinkDeterministicAcrossWorkers(t *testing.T) {
-	exportAt := func(id string, workers int) (string, string) {
-		opts := Options{Scale: 0.002, Seed: 1, Workers: workers, Sink: NewSink()}
-		if _, err := Run(id, opts); err != nil {
+	exportAt := func(id string, procs int) [3]string {
+		withProcs(t, procs)
+		opts := Options{Scale: 0.002, Seed: 1, Sink: NewSink(true)}
+		res, err := Run(id, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
 		var tb, mb bytes.Buffer
@@ -134,16 +138,14 @@ func TestSinkDeterministicAcrossWorkers(t *testing.T) {
 		if err := opts.Sink.WriteMetrics(&mb); err != nil {
 			t.Fatal(err)
 		}
-		return tb.String(), mb.String()
+		return [3]string{res.Render(), tb.String(), mb.String()}
 	}
 	for _, id := range []string{"multimds", "fig6a", "fig5"} {
-		seqTrace, seqMetrics := exportAt(id, 1)
-		parTrace, parMetrics := exportAt(id, 4)
-		if seqTrace != parTrace {
-			t.Errorf("%s: trace JSON differs between sequential and parallel execution", id)
-		}
-		if seqMetrics != parMetrics {
-			t.Errorf("%s: metrics dump differs between sequential and parallel execution", id)
+		seq, par := exportAt(id, 1), exportAt(id, 4)
+		for i, what := range []string{"table", "trace JSON", "metrics dump"} {
+			if seq[i] != par[i] {
+				t.Errorf("%s: %s differs between GOMAXPROCS=1 and GOMAXPROCS=4", id, what)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"cudele"
@@ -63,14 +62,10 @@ func fig3aReal(opts Options) (*Result, error) {
 		}
 	}
 
-	job := func(i int, backend cudele.Backend) (float64, error) {
+	// Grid point i's prediction is run i, its measurement run
+	// len(specs)+i.
+	job := func(i int, run runSpec) (float64, error) {
 		sp := specs[i]
-		run := runSpec{name: fmt.Sprintf("fig3a-real/%s/run%02d", backend, i), seed: opts.Seed, backend: backend}
-		if backend == cudele.BackendReal && opts.DataDir != "" {
-			// Each run owns a fresh subdirectory: recovery would
-			// otherwise reload the previous run's objects.
-			run.dataDir = filepath.Join(opts.DataDir, fmt.Sprintf("run%02d", i))
-		}
 		res, err := runCreateJob(opts, run, jobConfig{
 			clients: sp.clients, perClient: perClient,
 			journal: sp.cfg.journal, dispatch: sp.cfg.dispatch, segEvents: segEvents,
@@ -83,16 +78,16 @@ func fig3aReal(opts Options) (*Result, error) {
 
 	// Predictions can use the worker pool (independent simulations);
 	// real runs are strictly sequential.
-	predicted, err := runGrid(opts, len(specs), func(i int) (float64, error) {
-		return job(i, cudele.BackendSim)
-	})
+	predicted, err := runGrid(opts, "fig3a-real", len(specs), job)
 	if err != nil {
 		return nil, err
 	}
 	measured := make([]float64, len(specs))
 	wallStart := time.Now()
 	for i := range specs {
-		m, err := job(i, cudele.BackendReal)
+		run := opts.run("fig3a-real", len(specs)+i)
+		run.backend = cudele.BackendReal
+		m, err := job(i, run)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"sync"
@@ -38,7 +39,7 @@ func realFig3a() (*Result, error) {
 			return
 		}
 		defer os.RemoveAll(dir)
-		opts := Options{Scale: 0.001, Seed: 1, DataDir: dir, Sink: NewSink()}
+		opts := Options{Scale: 0.001, Seed: 1, DataDir: dir, Sink: NewSink(true)}
 		if realRes, realErr = RunReal("fig3a", opts); realErr != nil {
 			return
 		}
@@ -65,17 +66,20 @@ func TestFig3aRealSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The measured runs have a data dir, so their export carries the
-	// object log's counters; the simulated predictions beside them do not.
+	// The measured runs (run009-run017) have a data dir, so their export
+	// carries the object log's counters; the simulated predictions beside
+	// them (run000-run008) do not.
+	points := len(realClientCounts) * 3
 	for _, name := range []string{
 		"cudele_rados_log_records_total", "cudele_rados_log_commits_total", "cudele_rados_log_bytes_total",
 		"cudele_rados_log_checkpoints_total", "cudele_rados_log_size_bytes",
 	} {
-		if !strings.Contains(realMetrics, name+`{run="fig3a-real/real/`) {
-			t.Errorf("metrics dump of the real runs is missing %s", name)
-		}
-		if strings.Contains(realMetrics, name+`{run="fig3a-real/sim/`) {
-			t.Errorf("a simulated prediction exports %s", name)
+		for i := 0; i < 2*points; i++ {
+			series := fmt.Sprintf(`%s{run="fig3a-real/run%03d"}`, name, i)
+			if measured := i >= points; strings.Contains(realMetrics, series) != measured {
+				t.Errorf("%s: exported %v, want %v (runs %03d-%03d are the measurements)",
+					series, !measured, measured, points, 2*points-1)
+			}
 		}
 	}
 	if res.ID != "fig3a-real" {

@@ -40,7 +40,7 @@ type rebalanceOut struct {
 // in-flight requests bounce with a redirect and retry transparently.
 // Without it, the run is the frozen control the convergence is judged
 // against.
-func rebalanceRun(opts Options, run string, perClient int, balance bool) (rebalanceOut, error) {
+func rebalanceRun(opts Options, spec runSpec, perClient int, balance bool) (rebalanceOut, error) {
 	const interval = 40 * time.Millisecond
 	storm := placedStorm{placement: make([]int, rebalanceSubtrees), perClient: perClient}
 	if balance {
@@ -50,7 +50,7 @@ func rebalanceRun(opts Options, run string, perClient int, balance bool) (rebala
 			MaxMoves: 2,
 		}
 	}
-	spec := runSpec{name: run, seed: opts.Seed, ranks: rebalanceRanks, halfLife: 3 * interval}
+	spec.ranks, spec.halfLife = rebalanceRanks, 3*interval
 	return runSession(opts, spec, func(s *session) (rebalanceOut, error) {
 		total, bal, err := storm.run(s)
 		if err != nil {
@@ -80,11 +80,8 @@ func rebalanceRun(opts Options, run string, perClient int, balance bool) (rebala
 // storm looks like with the balancer off.
 func Rebalance(opts Options) (*Result, error) {
 	perClient := opts.scaled(20_000, 480)
-	outs, err := runGrid(opts, 2, func(i int) (rebalanceOut, error) {
-		if i == 0 {
-			return rebalanceRun(opts, "rebalance/balanced", perClient, true)
-		}
-		return rebalanceRun(opts, "rebalance/frozen", perClient, false)
+	outs, err := runGrid(opts, "rebalance", 2, func(i int, spec runSpec) (rebalanceOut, error) {
+		return rebalanceRun(opts, spec, perClient, i == 0)
 	})
 	if err != nil {
 		return nil, err

@@ -39,13 +39,15 @@ func TestRebalanceConverges(t *testing.T) {
 
 // TestRebalanceDeterministic asserts the experiment — whose table
 // embeds the balancer's own sampled loads — renders byte-identically
-// across runs and worker counts.
+// across runs and GOMAXPROCS values.
 func TestRebalanceDeterministic(t *testing.T) {
-	a, err := Run("rebalance", Options{Scale: 0.01, Seed: 1, Workers: 1})
+	withProcs(t, 1)
+	a, err := Run("rebalance", Options{Scale: 0.01, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run("rebalance", Options{Scale: 0.01, Seed: 1, Workers: 2})
+	withProcs(t, 2)
+	b, err := Run("rebalance", Options{Scale: 0.01, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,61 +1,38 @@
 package bench
 
 import (
-	"runtime"
-	"sync"
+	"fmt"
+
+	"cudele/internal/runtime"
 )
 
-// This file is the parallel run scheduler. Every experiment is a grid of
-// fully independent deterministic simulations (each run is one session:
-// its own cluster and sim.Engine from an explicit seed, see session.go), so cross-run parallelism
-// cannot perturb any simulated result: runGrid executes the grid on a
-// worker pool and reassembles results in grid order, making rendered
-// tables byte-identical for every worker count. In-run parallelism would
-// NOT be safe — a sim.Engine is single-threaded by construction — which
-// is why the unit of scheduling is the whole run.
+// This file is the run scheduler. Every experiment is a grid of fully
+// independent deterministic simulations (each run is one session: its own
+// cluster and sim.Engine from an explicit seed, see session.go), so
+// cross-run parallelism cannot perturb any simulated result: runGrid
+// executes the grid on runtime.Parallel's pool, sized by GOMAXPROCS, and
+// reassembles results in grid order, making rendered tables
+// byte-identical for every GOMAXPROCS.
 
-// workerCount resolves Options.Workers: 0 (the default) uses GOMAXPROCS,
-// 1 forces sequential execution (-parallel 1), n > len(grid) is clamped
-// by runGrid.
-func (o Options) workerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
+// run is the one naming rule: grid point i of experiment id is the run
+// "<id>/run%03d", seeded with the experiment's seed. Names are stable —
+// the metrics dump labels every series with one, and a dashboard or a
+// diff of two dumps keys on them.
+func (o Options) run(id string, i int) runSpec {
+	return runSpec{name: fmt.Sprintf("%s/run%03d", id, i), seed: o.Seed}
 }
 
-// runGrid executes n independent runs across the options' worker pool and
-// returns their results indexed by grid position. The first error in grid
-// order wins, so error reporting is deterministic too.
-func runGrid[T any](opts Options, n int, run func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
+// runGrid executes n independent runs of experiment id on the worker pool,
+// handing grid point i its named, seeded spec, and returns their results
+// indexed by grid position. The first error in grid order wins, so error
+// reporting is deterministic too.
+func runGrid[T any](opts Options, id string, n int, cell func(i int, spec runSpec) (T, error)) ([]T, error) {
 	errs := make([]error, n)
-	workers := opts.workerCount()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			out[i], errs[i] = run(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					out[i], errs[i] = run(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	out := runtime.Parallel(n, func(i int) T {
+		v, err := cell(i, opts.run(id, i))
+		errs[i] = err
+		return v
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -15,9 +16,8 @@ import (
 // runSpec is what one run asks of the harness beyond the experiment's
 // Options.
 type runSpec struct {
-	// name registers the run with the sink ("fig3a/run007"). Names are
-	// stable: the metrics dump labels every series with one, and a
-	// dashboard or a diff of two dumps keys on them.
+	// name registers the run with the sink ("fig3a/run007"); Options.run
+	// sets it and the seed.
 	name string
 	seed int64
 
@@ -25,10 +25,7 @@ type runSpec struct {
 	config func(*cudele.Config)
 	ranks  int // metadata ranks; 0 means the paper's single MDS
 
-	// backend's zero value is the simulator; dataDir, on the real backend,
-	// roots this run's fsynced object log.
-	backend cudele.Backend
-	dataDir string
+	backend cudele.Backend // the zero value is the simulator
 
 	// halfLife, when positive, is the heat half-life the experiment itself
 	// reads heat at. EnableHeat is once per cluster, so it replaces the
@@ -56,9 +53,13 @@ func runSession[T any](opts Options, spec runSpec, body func(*session) (T, error
 	if spec.config != nil {
 		spec.config(&cfg)
 	}
+	var dataDir string // a real run's fsynced object log; the simulator has none
+	if opts.DataDir != "" {
+		dataDir = filepath.Join(opts.DataDir, spec.name)
+	}
 	cl := cudele.NewCluster(cudele.WithSeed(spec.seed), cudele.WithConfig(cfg),
 		cudele.WithMDSRanks(max(spec.ranks, 1)),
-		cudele.WithBackend(spec.backend), cudele.WithDataDir(spec.dataDir))
+		cudele.WithBackend(spec.backend), cudele.WithDataDir(dataDir))
 	opts.Sink.start(spec.name, cl)
 	admin := opts.Admin != nil && spec.backend == cudele.BackendReal
 	if spec.halfLife > 0 {

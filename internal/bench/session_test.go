@@ -18,7 +18,7 @@ import (
 // is the one an operator most wants to look at.
 func TestSessionReapsFailedRun(t *testing.T) {
 	boom := errors.New("client.1 gave up")
-	sink := NewSink()
+	sink := NewSink(true)
 	made, err := runSession(Options{Sink: sink}, runSpec{name: "t/failed", seed: 1}, func(s *session) (int, error) {
 		made := 0
 		cs := s.clients(3)
@@ -53,7 +53,7 @@ func TestSessionReapsFailedRun(t *testing.T) {
 	if !strings.Contains(mb.String(), `run="t/failed"`) {
 		t.Error("the failed run's metrics were not pulled")
 	}
-	if !slices.ContainsFunc(sink.runs["t/failed"].rec.Spans(), func(s trace.Span) bool { return s.Cat == "client" }) {
+	if !slices.ContainsFunc(sink.recs["t/failed"].Spans(), func(s trace.Span) bool { return s.Cat == "client" }) {
 		t.Error("the failed run's trace holds no client spans")
 	}
 }

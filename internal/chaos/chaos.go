@@ -32,7 +32,7 @@
 // named contracts the cell carries.
 //
 // Schedules are fully deterministic: the same seed produces a
-// byte-identical plan, schedule, and verdict at any worker count, so a
+// byte-identical plan, schedule, and verdict at any GOMAXPROCS, so a
 // failing seed from CI reproduces exactly with
 // `cudele-bench -chaos-replay <seed>`.
 package chaos
@@ -41,10 +41,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	goruntime "runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"cudele/internal/policy"
 	"cudele/internal/runtime"
@@ -240,31 +238,11 @@ func (r Result) ReplayCommand() string {
 // so concurrent Runs never share state.
 func Run(seed int64) Result { return newDriver(NewPlan(seed)).run() }
 
-// RunMany executes the schedule of every seed on a worker pool and
-// returns results in seed order. Each schedule is an independent
-// simulation, so the verdicts are byte-identical at any worker count.
-func RunMany(seeds []int64, workers int) []Result {
-	if workers <= 0 {
-		workers = goruntime.GOMAXPROCS(0)
-	}
-	out := make([]Result, len(seeds))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(seeds)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i] = Run(seeds[i])
-			}
-		}()
-	}
-	for i := range seeds {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return out
+// RunMany executes the schedule of every seed on runtime.Parallel's pool
+// and returns results in seed order. Each schedule is an independent
+// simulation, so the verdicts are byte-identical at any GOMAXPROCS.
+func RunMany(seeds []int64) []Result {
+	return runtime.Parallel(len(seeds), func(i int) Result { return Run(seeds[i]) })
 }
 
 // Seeds returns n consecutive seeds starting at base — the harness

@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"regexp"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestSmoke(t *testing.T) {
 	if testing.Short() {
 		n = 30
 	}
-	results := RunMany(Seeds(1, n), 0)
+	results := RunMany(Seeds(1, n))
 	var buf bytes.Buffer
 	if failed := Report(&buf, results); failed > 0 {
 		t.Errorf("%d schedules failed:\n%s", failed, buf.String())
@@ -65,7 +66,7 @@ func TestMigrationSchedules(t *testing.T) {
 		t.Fatalf("coverage hole in %d migration plans: %d with an MDS crash, %d with a torn commit record",
 			len(seeds), withCrash, withTorn)
 	}
-	results := RunMany(seeds, 0)
+	results := RunMany(seeds)
 	var buf bytes.Buffer
 	if failed := Report(&buf, results); failed > 0 {
 		t.Errorf("%d migration schedules failed:\n%s", failed, buf.String())
@@ -251,19 +252,23 @@ func TestFlightDumpShowsMigrationSpans(t *testing.T) {
 }
 
 // TestDeterministicAcrossWorkers asserts the harness's core reproduction
-// promise: the same seeds yield a byte-identical report at any worker
-// count, so a CI failure replays exactly on a laptop.
+// promise: the same seeds yield a byte-identical report at any
+// GOMAXPROCS, which sizes the worker pool, so a CI failure replays
+// exactly on a laptop.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	seeds := Seeds(1, 27)
+	procs := []int{1, 4, 16}
 	var reports []string
-	for _, w := range []int{1, 4, 16} {
+	for _, n := range procs {
+		old := goruntime.GOMAXPROCS(n)
+		t.Cleanup(func() { goruntime.GOMAXPROCS(old) })
 		var buf bytes.Buffer
-		Report(&buf, RunMany(seeds, w))
+		Report(&buf, RunMany(seeds))
 		reports = append(reports, buf.String())
 	}
 	for i := 1; i < len(reports); i++ {
 		if reports[i] != reports[0] {
-			t.Fatalf("report differs between 1 worker and %d workers", []int{1, 4, 16}[i])
+			t.Fatalf("report differs between GOMAXPROCS=1 and GOMAXPROCS=%d", procs[i])
 		}
 	}
 }
@@ -345,7 +350,7 @@ func TestReportFailureBlock(t *testing.T) {
 // offset in the header and in every row, whatever the cell name's length.
 func TestReportColumnsAlign(t *testing.T) {
 	var buf bytes.Buffer
-	Report(&buf, RunMany(Seeds(1, 15), 0))
+	Report(&buf, RunMany(Seeds(1, 15)))
 	lines := strings.Split(buf.String(), "\n")
 	want := strings.Index(lines[0], "verdict")
 	for _, line := range lines[1:16] {

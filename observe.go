@@ -37,9 +37,6 @@ func (cl *Cluster) EnableTracing() *Recorder {
 	return rec
 }
 
-// Tracer returns the cluster's trace recorder, nil when tracing is off.
-func (cl *Cluster) Tracer() *Recorder { return cl.rt.Tracer() }
-
 // CollectMetrics gathers every daemon's counters, histograms, and
 // device-utilization accounting into a fresh registry: all MDS ranks,
 // the object store (per-OSD disks, fabric), the monitor, and every
