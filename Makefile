@@ -48,8 +48,8 @@ loc:
 # fig3a, multimds and mergescale; the real backend's heatskew; the
 # 1 500-seed chaos sweep; one second of each benchmark workload, and
 # real_io's traced pass with its probes; the four examples; the
-# cmd/cudele golden session on two ranks beside the balancer, and on the
-# real backend serving -admin; and journal-tool's demo, inspect, dump,
+# cmd/cudele golden session on two ranks, and on the real backend serving
+# -admin; and journal-tool's demo, inspect, dump,
 # erase and roundtrip. A function none of them executed (0.0 % in go
 # tool cover -func) is named as go tool nm names it
 # (cudele/internal/pkg.(*Recv).Name, cudele.(*Recv).Name), by joining
@@ -83,7 +83,7 @@ traffic:
 	done && \
 	bin/benchmark --workload real_io --seed 1 --seconds 1 --trace 1 --out out > /dev/null && \
 	for e in $(notdir $(filter examples/%,$(MAINS))); do bin/$$e > /dev/null || exit 1; done && \
-	bin/cudele -ranks 2 -rebalance "$$repo/cmd/cudele/testdata/session.txt" > /dev/null && \
+	bin/cudele -ranks 2 "$$repo/cmd/cudele/testdata/session.txt" > /dev/null && \
 	bin/cudele -backend real -admin 127.0.0.1:0 "$$repo/cmd/cudele/testdata/session.txt" > /dev/null && \
 	bin/journal-tool demo j > /dev/null && bin/journal-tool inspect j > /dev/null && \
 	bin/journal-tool dump j > /dev/null && bin/journal-tool erase j 1 2 > /dev/null && \
@@ -148,12 +148,12 @@ bench-check:
 	echo "bench-check: all $$(ls results/BENCH_*.json | wc -l) tables byte-identical to results/"
 
 # bench-real runs fig3a on the real backend (goroutines, wall clocks,
-# an fsynced object log) side by side with its simulated prediction. The
-# wall-clock columns are machine-dependent, so the output goes to
-# results/real/ and is not a committed baseline.
+# an fsynced object log in each run's own temp dir) side by side with its
+# simulated prediction. The wall-clock columns are machine-dependent, so
+# the output goes to results/real/ and is not a committed baseline.
 bench-real:
 	$(GO) run ./cmd/cudele-bench -backend real -scale 0.01 \
-		-datadir results/real/objects -json results/real fig3a
+		-json results/real fig3a
 
 # perf runs the repo's host-performance benchmark (BENCHMARK.json) the way
 # the driver does — one untraced 12-second run per workload — and prints

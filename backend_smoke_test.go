@@ -568,7 +568,7 @@ func TestBackendSmokeMultiRankStress(t *testing.T) {
 func TestPlaceWhileScraping(t *testing.T) {
 	cl := NewCluster(WithSeed(5), WithMDSRanks(2), WithBackend(BackendReal))
 	defer cl.Close()
-	src := cl.AdminSource()
+	src := adminSource{cl: cl}
 	quit, done := make(chan struct{}), make(chan struct{})
 	scrapes := 0
 	go func() {

@@ -30,13 +30,17 @@
 // or off.
 //
 // -backend real executes the workload on real goroutines, wall clocks,
-// and (with -datadir, default a temp dir) an fsynced object log instead
-// of the simulator, side by side with the simulated prediction for the
-// same grid point. fig3a and heatskew support real mode (bench.RealIDs);
-// "all" under -backend=real means "all real-capable experiments". Real
-// tables carry machine-dependent wall-clock columns, so they are reported
-// (and, with -json DIR, written as BENCH_fig3a-real.json and
-// BENCH_heatskew-real.json) but never replace the committed sim baselines.
+// and an fsynced object log (each real run's own temp dir, removed when
+// the run ends) instead of the simulator, side by side with the
+// simulated prediction for the same grid point. fig3a and heatskew
+// support real mode (bench.RealIDs); "all" under -backend=real means
+// "all real-capable experiments". Real tables carry machine-dependent
+// wall-clock columns, so they are reported (and, with -json DIR, written
+// as BENCH_fig3a-real.json and BENCH_heatskew-real.json) but never
+// replace the committed sim baselines. A bench run serves no live
+// endpoint: its metrics come from -metrics, its profile from
+// -cpuprofile, and its heat shares from the heatskew table (the
+// cudele shell's -admin serves a live cluster).
 //
 // -chaos N runs N seeded fault-injection schedules (starting at -seed,
 // walking all fifteen consistency x durability cells — Table I plus
@@ -49,15 +53,6 @@
 // faults, crashes, handoff phases) each daemon saw before the violation,
 // and the seed's replay command. That report is a failing seed's whole
 // artifact.
-//
-// -admin ADDR (real backend only) serves a live admin endpoint while the
-// experiments run: /metrics (Prometheus text), /heat (the decayed
-// per-subtree heat map as JSON), /healthz, and /debug/pprof. Each real
-// run installs itself as the scrape source for its duration, with heat
-// accounting on so /heat has something to serve; use :0 to bind an
-// ephemeral port (the bound address prints on stdout).
-// -admin-linger DUR keeps the endpoint serving that long after the last
-// experiment finishes, so CI can scrape a completed run.
 //
 // -cpuprofile FILE writes a CPU profile of the whole process (experiments
 // or chaos schedules, either backend) with every sample labelled by its
@@ -105,27 +100,12 @@ func main() {
 	chaosN := flag.Int("chaos", 0, "run N fault-injection schedules (seeds -seed..-seed+N-1) instead of experiments")
 	chaosReplay := flag.Int64("chaos-replay", 0, "replay one fault-injection schedule by seed and print its plan")
 	backendName := flag.String("backend", "sim", "execution backend: sim (deterministic simulator) or real (goroutines, wall clock, fsync)")
-	dataDir := flag.String("datadir", "", "real backend: directory for the fsynced object log (default: a fresh temp dir)")
-	adminAddr := flag.String("admin", "", "real backend: serve /metrics, /heat, /healthz, /debug/pprof on this address (:0 for an ephemeral port)")
-	adminLinger := flag.Duration("admin-linger", 0, "keep the -admin endpoint serving this long after the last experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file, every sample labelled with its owner: proc (task, client or daemon) and, inside a metadata rank or the monitor, op (passive: tables are byte-identical)")
 	flag.Parse()
 
 	backend, err := cudele.ParseBackend(*backendName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cudele-bench: %v\n", err)
-		os.Exit(2)
-	}
-	if *dataDir != "" && backend != cudele.BackendReal {
-		fmt.Fprintln(os.Stderr, "cudele-bench: -datadir requires -backend=real")
-		os.Exit(2)
-	}
-	if *adminAddr != "" && backend != cudele.BackendReal {
-		fmt.Fprintln(os.Stderr, "cudele-bench: -admin requires -backend=real (the simulator has no wall clock to serve on)")
-		os.Exit(2)
-	}
-	if *adminLinger != 0 && *adminAddr == "" {
-		fmt.Fprintln(os.Stderr, "cudele-bench: -admin-linger requires -admin")
 		os.Exit(2)
 	}
 	// Seed 0 is a schedule like any other, so "replay requested" is the
@@ -190,29 +170,6 @@ func main() {
 	if *tracePath != "" || *metricsPath != "" {
 		opts.Sink = bench.NewSink(*tracePath != "")
 	}
-	var admin *obs.Admin
-	if *adminAddr != "" {
-		admin, err = obs.NewAdmin(*adminAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cudele-bench: admin: %v\n", err)
-			exitWith(1)
-		}
-		fmt.Printf("admin: listening on http://%s (endpoints: /metrics /heat /healthz /debug/pprof/)\n", admin.Addr())
-		opts.Admin = admin
-	}
-	var tmpDataDir string
-	if backend == cudele.BackendReal {
-		if *dataDir == "" {
-			dir, err := os.MkdirTemp("", "cudele-bench-*")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cudele-bench: %v\n", err)
-				exitWith(1)
-			}
-			tmpDataDir = dir
-			*dataDir = dir
-		}
-		opts.DataDir = *dataDir
-	}
 
 	exit := 0
 	for _, id := range ids {
@@ -256,16 +213,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cudele-bench: metrics: %v\n", err)
 			exit = 1
 		}
-	}
-	if admin != nil {
-		if *adminLinger > 0 {
-			fmt.Printf("admin: lingering %s on http://%s (last run stays scrapeable)\n", *adminLinger, admin.Addr())
-			time.Sleep(*adminLinger)
-		}
-		admin.Close()
-	}
-	if tmpDataDir != "" {
-		os.RemoveAll(tmpDataDir)
 	}
 	exitWith(exit)
 }

@@ -45,13 +45,6 @@
 // endpoint while the session runs: /metrics, /heat, /healthz, and
 // /debug/pprof. The bound address prints on stdout (use :0 for an
 // ephemeral port).
-//
-// -rebalance (default off) enables per-subtree heat accounting and runs
-// the heat-driven balancer alongside the session: overloaded ranks
-// export subtrees to cold ones automatically, and the balancer's
-// convergence table prints when the session ends. Off by default so
-// scripted sessions (and committed baselines) never see a migration
-// they did not ask for.
 package main
 
 import (
@@ -76,7 +69,6 @@ type options struct {
 	backend     cudele.Backend
 	dataDir     string
 	adminAddr   string
-	rebalance   bool
 	tracePath   string
 	metricsPath string
 	cpuProfile  string
@@ -92,7 +84,6 @@ func parseFlags(argv []string) (*options, error) {
 	backend := fs.String("backend", "sim", "execution backend: sim (deterministic simulator) or real (goroutines, wall clock)")
 	fs.StringVar(&o.dataDir, "datadir", "", "real backend only: directory for the fsynced object log (RADOS object state survives across runs)")
 	fs.StringVar(&o.adminAddr, "admin", "", "real backend only: serve /metrics, /heat, /healthz, /debug/pprof on this address (:0 for an ephemeral port)")
-	fs.BoolVar(&o.rebalance, "rebalance", false, "run the heat-driven subtree balancer during the session (default off; prints its convergence table at exit)")
 	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the session to this file")
 	fs.StringVar(&o.metricsPath, "metrics", "", "write a Prometheus text dump of daemon metrics to this file")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the session to this file, every sample labelled with its owner (proc, and op inside a metadata rank or the monitor)")
@@ -174,13 +165,6 @@ func main() {
 		admin = a
 		fmt.Printf("admin: listening on http://%s (endpoints: /metrics /heat /healthz /debug/pprof/)\n", admin.Addr())
 	}
-	var balancer *cudele.Balancer
-	if opts.rebalance {
-		if cl.Heat() == nil {
-			cl.EnableHeat(0)
-		}
-		balancer = cl.StartBalancer(cudele.BalancerConfig{})
-	}
 	c := cl.NewClient("client.0")
 	exit := 0
 	cl.Run(func(p cudele.Proc) {
@@ -191,9 +175,6 @@ func main() {
 			}
 		}
 	})
-	if balancer != nil {
-		fmt.Print(balancer.String())
-	}
 	if *tracePath != "" {
 		if err := writeFile(*tracePath, rec.WriteChrome); err != nil {
 			fmt.Fprintf(os.Stderr, "cudele: trace: %v\n", err)

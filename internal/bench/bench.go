@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"cudele/internal/obs"
 )
 
 // Options scales experiments. Scale 1.0 is paper scale (100K creates per
@@ -27,19 +25,6 @@ type Options struct {
 	// Observation is passive: tables are byte-identical with or without a
 	// sink.
 	Sink *Sink
-
-	// Admin, when non-nil, is the live admin endpoint (-admin): each
-	// real-backend run installs itself as the endpoint's scrape source,
-	// with heat accounting on, while it executes, so /metrics and /heat
-	// serve that run live.
-	Admin *obs.Admin
-
-	// DataDir, when non-empty, roots the real backend's durability: each
-	// real run gets the subdirectory named after it (recovery would
-	// otherwise reload an earlier run's objects) for its fsynced object
-	// log and client journals. Only RunReal's runs use it; the registered
-	// experiments are all pure simulations.
-	DataDir string
 }
 
 // scaled returns n scaled down, with a floor to keep workloads

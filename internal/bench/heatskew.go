@@ -157,8 +157,7 @@ func addHeatRows(r *Result, out heatSkewOut) {
 
 // heatSkewReal runs the skewed create storm on both backends, one after
 // the other: the sim run (run000) is the prediction, the real run
-// (run001) the measurement — and, when an admin endpoint is armed, the
-// live /heat source while it executes.
+// (run001) the measurement.
 func heatSkewReal(opts Options) (*Result, error) {
 	perClient := opts.scaled(20_000, 200)
 	sim, err := heatSkewRun(opts, opts.run("heatskew-real", 0), perClient, 0)
@@ -191,7 +190,7 @@ func heatSkewReal(opts Options) (*Result, error) {
 			pct(share(real.requests[rank], realTot)), pct(realShares[rank]))
 	}
 	r.Notef("heat imbalance: sim %s, real %s (max/mean rank load)", f2x(sim.report.Imbalance), f2x(real.report.Imbalance))
-	r.Notef("sim %.2fs virtual, real %.2fs wall; with -admin, /heat served the real run's live heat map while it executed", sim.total, real.total)
+	r.Notef("sim %.2fs virtual, real %.2fs wall", sim.total, real.total)
 	return r, nil
 }
 

@@ -14,8 +14,8 @@ import (
 // honest about what the two numbers mean: the protocol work (RPCs,
 // journal events, capability churn) is identical; the simulator charges
 // calibrated device costs in virtual time while the real backend pays
-// actual sleeps, goroutine scheduling, and — with a data dir — real
-// fsyncs. Real runs execute strictly sequentially so one run's load
+// actual sleeps, goroutine scheduling, and real fsyncs to the run's own
+// object log. Real runs execute strictly sequentially so one run's load
 // never distorts another's wall clock, and the grid is reduced (three
 // client counts, three journal configs) because real time is paid for
 // real.
@@ -31,8 +31,8 @@ func RealIDs() []string { return []string{"fig3a", "heatskew"} }
 // and the one whose workload shape (create storms under journal
 // configurations) exercises every runtime seam — transport, journal
 // streaming, object store, client caps. heatskew is the observability
-// workload: a skewed create storm whose live /heat map (with -admin)
-// must match the post-run tables.
+// workload: a skewed create storm whose heat shares must track its
+// request shares on both backends.
 func RunReal(id string, opts Options) (*Result, error) {
 	switch id {
 	case "fig3a":
@@ -109,8 +109,7 @@ func fig3aReal(opts Options) (*Result, error) {
 		r.AddRow(fmt.Sprintf("%d", sp.clients), sp.cfg.label,
 			fmt.Sprintf("%.3f", predicted[i]), fmt.Sprintf("%.3f", measured[i]), f2x(ratio))
 	}
-	r.Notef("identical protocol work per cell; sim charges calibrated device costs in virtual time, real pays actual sleeps and goroutine scheduling%s",
-		map[bool]string{true: " plus fsync (data dir set)", false: ""}[opts.DataDir != ""])
+	r.Notef("identical protocol work per cell; sim charges calibrated device costs in virtual time, real pays actual sleeps, goroutine scheduling and fsync")
 	r.Notef("real runs executed sequentially in %.1fs wall; real-backend timing varies run to run (the sim column is the reproducible one)", realWall.Seconds())
 	return r, nil
 }

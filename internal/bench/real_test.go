@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -20,8 +19,7 @@ func TestRunRealUnsupported(t *testing.T) {
 }
 
 // realFig3a runs the side-by-side fig3a once for every test that reads
-// it: the run takes wall-clock seconds. The sink's metrics dump and
-// Chrome trace are written before the run's data dir is removed.
+// it: the run takes wall-clock seconds.
 var (
 	realOnce    sync.Once
 	realRes     *Result
@@ -33,13 +31,7 @@ var (
 
 func realFig3a() (*Result, error) {
 	realOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "fig3a-real")
-		if err != nil {
-			realErr = err
-			return
-		}
-		defer os.RemoveAll(dir)
-		opts := Options{Scale: 0.001, Seed: 1, DataDir: dir, Sink: NewSink(true)}
+		opts := Options{Scale: 0.001, Seed: 1, Sink: NewSink(true)}
 		if realRes, realErr = RunReal("fig3a", opts); realErr != nil {
 			return
 		}
@@ -66,9 +58,9 @@ func TestFig3aRealSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The measured runs (run009-run017) have a data dir, so their export
-	// carries the object log's counters; the simulated predictions beside
-	// them (run000-run008) do not.
+	// The measured runs (run009-run017) each own a data dir, so their
+	// export carries the object log's counters; the simulated predictions
+	// beside them (run000-run008) do not.
 	points := len(realClientCounts) * 3
 	for _, name := range []string{
 		"cudele_rados_log_records_total", "cudele_rados_log_commits_total", "cudele_rados_log_bytes_total",

@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"path/filepath"
+	"os"
 	"sync"
 	"time"
 
@@ -27,9 +27,8 @@ type runSpec struct {
 
 	backend cudele.Backend // the zero value is the simulator
 
-	// halfLife, when positive, is the heat half-life the experiment itself
-	// reads heat at. EnableHeat is once per cluster, so it replaces the
-	// default accountant a live admin endpoint would attach.
+	// halfLife, when positive, turns heat accounting on at the half-life
+	// the experiment reads heat at.
 	halfLife time.Duration
 }
 
@@ -41,34 +40,34 @@ type session struct {
 	err error      // the first error a task returned
 }
 
-// runSession builds the run's cluster, attaches the sink, the heat
-// accountant when something reads heat (the run itself, at its own
-// half-life, or a real run's live admin endpoint, whose /heat serves it)
-// and the live admin source, runs body, and then — whether body failed
-// or not — pulls the run's metrics, checks for leaked tasks and shuts
-// the runtime down, so a failed run neither parks its tasks on a grid
-// worker nor drops out of the trace.
+// runSession builds the run's cluster — on the real backend over a fresh
+// data dir of its own, so recovery never reloads another run's objects —
+// attaches the sink and, when the run reads heat, the heat accountant,
+// runs body, and then — whether body failed or not — pulls the run's
+// metrics, checks for leaked tasks, shuts the runtime down and removes
+// the data dir, so a failed run neither parks its tasks on a grid worker
+// nor drops out of the trace nor leaves its objects behind.
 func runSession[T any](opts Options, spec runSpec, body func(*session) (T, error)) (T, error) {
 	cfg := cudele.DefaultConfig()
 	if spec.config != nil {
 		spec.config(&cfg)
 	}
 	var dataDir string // a real run's fsynced object log; the simulator has none
-	if opts.DataDir != "" {
-		dataDir = filepath.Join(opts.DataDir, spec.name)
+	if spec.backend == cudele.BackendReal {
+		dir, err := os.MkdirTemp("", "cudele-run-*")
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		defer os.RemoveAll(dir) // after Shutdown: deferred calls run last
+		dataDir = dir
 	}
 	cl := cudele.NewCluster(cudele.WithSeed(spec.seed), cudele.WithConfig(cfg),
 		cudele.WithMDSRanks(max(spec.ranks, 1)),
 		cudele.WithBackend(spec.backend), cudele.WithDataDir(dataDir))
 	opts.Sink.start(spec.name, cl)
-	admin := opts.Admin != nil && spec.backend == cudele.BackendReal
 	if spec.halfLife > 0 {
 		cl.EnableHeat(spec.halfLife)
-	} else if admin {
-		cl.EnableHeat(0)
-	}
-	if admin {
-		opts.Admin.SetSource(cl.AdminSource())
 	}
 
 	out, err := body(&session{cl: cl})

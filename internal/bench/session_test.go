@@ -3,6 +3,9 @@ package bench
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -76,5 +79,39 @@ func TestSessionReportsLeakBesideError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "parked") {
 		t.Errorf("err = %v, want the leaked task named", err)
+	}
+}
+
+// TestRealSessionOwnsDataDir: a real-backend run keeps its fsynced object
+// log in a data dir of its own, which exists while the body runs, feeds
+// the run's object-log export, and is gone once the session returns.
+func TestRealSessionOwnsDataDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	sink := NewSink(false)
+	spec := runSpec{name: "t/real", seed: 1, backend: cudele.BackendReal}
+	_, err := runSession(Options{Sink: sink}, spec, func(s *session) (struct{}, error) {
+		if dirs, _ := filepath.Glob(filepath.Join(tmp, "*", "objects")); len(dirs) != 1 {
+			return struct{}{}, fmt.Errorf("object logs under TMPDIR while the run executes: %v, want one", dirs)
+		}
+		c := s.clients(1)[0]
+		_, err := s.phase("create", func(p cudele.Proc) error {
+			_, err := c.Create(p, cudele.RootIno, "f", 0644)
+			return err
+		})
+		return struct{}{}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Errorf("TMPDIR holds %d entries after the session, want the data dir removed", len(left))
+	}
+	var mb bytes.Buffer
+	if err := sink.WriteMetrics(&mb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(mb.String(), `cudele_rados_log_records_total{run="t/real"}`) {
+		t.Error("the real run's export carries no object-log counters")
 	}
 }

@@ -1,8 +1,6 @@
 package monitor
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"cudele/internal/obs"
@@ -172,18 +170,4 @@ func (b *Balancer) balance(p runtime.Task, cells []obs.HeatCell, loads []float64
 		loads[cold] += pick.Load
 		pick.Rank = cold
 	}
-}
-
-// String renders a convergence table for operators and bench output.
-func (b *Balancer) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "balancer: %d sample(s), %d action(s)\n", len(b.samples), len(b.events))
-	for _, s := range b.samples {
-		fmt.Fprintf(&sb, "  t=%8.1fms imbalance=%.3f loads=%v\n", s.TimeMS, s.Imbalance, s.Loads)
-	}
-	for _, e := range b.events {
-		fmt.Fprintf(&sb, "  t=%8.1fms migrate %s rank %d -> %d (imb %.3f) %s\n",
-			e.TimeMS, e.Path, e.From, e.To, e.Imbalance, e.Err)
-	}
-	return sb.String()
 }

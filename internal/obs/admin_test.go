@@ -47,11 +47,11 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestAdminEndpoints drives a real listener through its lifecycle:
-// healthz always up, data endpoints 503 before a source is installed and
-// live afterwards, metrics freshly collected per scrape.
+// TestAdminEndpoints drives a real listener: healthz up, the data
+// endpoints serving the source, metrics freshly collected per scrape.
 func TestAdminEndpoints(t *testing.T) {
-	a, err := NewAdmin("127.0.0.1:0")
+	src := &fakeSource{}
+	a, err := NewAdmin("127.0.0.1:0", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,15 +61,6 @@ func TestAdminEndpoints(t *testing.T) {
 	if code, body := get(t, base+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz = %d %q, want 200 ok", code, body)
 	}
-	if code, _ := get(t, base+"/metrics"); code != http.StatusServiceUnavailable {
-		t.Errorf("/metrics without source = %d, want 503", code)
-	}
-	if code, _ := get(t, base+"/heat"); code != http.StatusServiceUnavailable {
-		t.Errorf("/heat without source = %d, want 503", code)
-	}
-
-	src := &fakeSource{}
-	a.SetSource(src)
 	if code, body := get(t, base+"/metrics"); code != 200 || !strings.Contains(body, "cudele_test_scrapes_total 1") {
 		t.Errorf("/metrics = %d %q, want scrape 1", code, body)
 	}
@@ -98,39 +89,19 @@ func TestAdminEndpoints(t *testing.T) {
 // TestAdminSourceErrors asserts scrape errors surface as 500s rather
 // than empty 200s.
 func TestAdminSourceErrors(t *testing.T) {
-	a, err := NewAdmin("127.0.0.1:0")
+	a, err := NewAdmin("127.0.0.1:0", &fakeSource{heatErr: errors.New("engine busy")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.SetSource(&fakeSource{heatErr: errors.New("engine busy")})
 	if code, body := get(t, "http://"+a.Addr()+"/heat"); code != 500 || !strings.Contains(body, "engine busy") {
 		t.Errorf("/heat with failing source = %d %q, want 500 engine busy", code, body)
 	}
 }
 
-// TestAdminSwappableSource asserts SetSource replaces the scrape target
-// while the listener keeps serving — the bench process runs many
-// clusters back to back through one endpoint.
-func TestAdminSwappableSource(t *testing.T) {
-	a, err := NewAdmin("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	first, second := &fakeSource{}, &fakeSource{}
-	a.SetSource(first)
-	get(t, "http://"+a.Addr()+"/metrics")
-	a.SetSource(second)
-	get(t, "http://"+a.Addr()+"/metrics")
-	if first.scrapes != 1 || second.scrapes != 1 {
-		t.Errorf("scrapes = %d/%d, want 1/1", first.scrapes, second.scrapes)
-	}
-}
-
 // TestAdminCloseStopsServing asserts Close tears the listener down.
 func TestAdminCloseStopsServing(t *testing.T) {
-	a, err := NewAdmin("127.0.0.1:0")
+	a, err := NewAdmin("127.0.0.1:0", &fakeSource{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,7 +216,7 @@ func TestBalancerConverges(t *testing.T) {
 	})
 	cl.RunAll()
 	if len(b.Events()) == 0 {
-		t.Fatalf("balancer took no action on a fully skewed cluster\n%s", b)
+		t.Fatalf("balancer took no action on a fully skewed cluster: samples %+v", b.Samples())
 	}
 	moved := 0
 	for _, st := range cl.Subtrees() {
@@ -225,12 +225,12 @@ func TestBalancerConverges(t *testing.T) {
 		}
 	}
 	if moved == 0 {
-		t.Errorf("no subtree ended up on rank 1\n%s", b)
+		t.Errorf("no subtree ended up on rank 1: events %+v", b.Events())
 	}
 	samples := b.Samples()
 	last := samples[len(samples)-1]
 	if last.Imbalance >= 1.5 {
-		t.Errorf("final imbalance = %.3f, want < 1.5\n%s", last.Imbalance, b)
+		t.Errorf("final imbalance = %.3f, want < 1.5: events %+v", last.Imbalance, b.Events())
 	}
 }
 

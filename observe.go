@@ -83,9 +83,6 @@ func (cl *Cluster) EnableHeat(halfLife time.Duration) *Heat {
 	return h
 }
 
-// Heat returns the cluster's heat accountant, nil when accounting is off.
-func (cl *Cluster) Heat() *Heat { return cl.heat }
-
 // HeatReport snapshots the heat accountant at the current runtime time
 // and aggregates it over every metadata rank into per-rank loads and the
 // imbalance factor the balancer acts on. The zero report is returned
@@ -121,17 +118,6 @@ func (s adminSource) Heat() (obs.HeatReport, error) {
 	return rep, nil
 }
 
-// AdminSource returns the cluster as an admin-endpoint scrape source,
-// for installing into an obs.Admin that outlives individual clusters.
-// Real backend only: scrapes serialize against running tasks via the
-// lock domains, which the simulator cannot offer concurrent callers.
-func (cl *Cluster) AdminSource() obs.Source {
-	if cl.Backend() != BackendReal {
-		panic("cudele: AdminSource requires BackendReal")
-	}
-	return adminSource{cl: cl}
-}
-
 // ServeAdmin binds an HTTP admin listener on addr (":0" picks a free
 // port) serving /healthz, /metrics, /heat, and /debug/pprof/, sourced
 // from this cluster. Real backend only. Close the returned Admin when
@@ -140,10 +126,5 @@ func (cl *Cluster) ServeAdmin(addr string) (*Admin, error) {
 	if cl.Backend() != BackendReal {
 		return nil, fmt.Errorf("cudele: ServeAdmin requires BackendReal")
 	}
-	a, err := obs.NewAdmin(addr)
-	if err != nil {
-		return nil, err
-	}
-	a.SetSource(cl.AdminSource())
-	return a, nil
+	return obs.NewAdmin(addr, adminSource{cl: cl})
 }

@@ -121,7 +121,11 @@ func TestBackendSmokeObservability(t *testing.T) {
 	if code != 200 || len(body) == 0 {
 		t.Errorf("post-run /metrics = %d with %d bytes", code, len(body))
 	}
-	// The engine's wait counters need no option: a real run always has them.
+	// The ranks' request counters carry labels; the engine's wait
+	// counters need no option: a real run always has them.
+	if !bytes.Contains(body, []byte("\ncudele_mds_requests_total{")) {
+		t.Error("/metrics on the real backend has no cudele_mds_requests_total sample")
+	}
 	for _, name := range []string{"cudele_realrt_parks_total", "cudele_realrt_parks_blocked_total"} {
 		if !bytes.Contains(body, []byte("\n"+name+" ")) {
 			t.Errorf("/metrics on the real backend has no %s sample", name)
