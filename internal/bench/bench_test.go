@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -128,13 +129,15 @@ func TestFig3aShape(t *testing.T) {
 
 // The interference figures share one simulation of each, run into one
 // sink: Fig 6b is Fig 3b's grid plus its block column, so together they
-// must register fig3b's 37 runs and fig6b's 55, none twice.
+// must register fig3b's 37 runs and fig6b's 55, none twice. interfMetrics
+// is the sink's metrics dump after fig3b, before fig6b.
 var (
-	interfOnce sync.Once
-	interfFig3 *Result
-	interfFig6 *Result
-	interfRuns int
-	interfErr  error
+	interfOnce    sync.Once
+	interfFig3    *Result
+	interfFig6    *Result
+	interfRuns    int
+	interfMetrics string
+	interfErr     error
 )
 
 func interferenceFigs() (fig3b, fig6b *Result, runs int, err error) {
@@ -144,6 +147,11 @@ func interferenceFigs() (fig3b, fig6b *Result, runs int, err error) {
 		if interfFig3, interfErr = Run("fig3b", opts); interfErr != nil {
 			return
 		}
+		var dump strings.Builder
+		if interfErr = opts.Sink.WriteMetrics(&dump); interfErr != nil {
+			return
+		}
+		interfMetrics = dump.String()
 		interfFig6, interfErr = Run("fig6b", opts)
 		interfRuns = len(opts.Sink.runs)
 	})
@@ -184,6 +192,49 @@ func TestFig6bBlockHelps(t *testing.T) {
 	}
 	if runs != 37+55 {
 		t.Errorf("sink registered %d runs, want 37 (fig3b) + 55 (fig6b)", runs)
+	}
+}
+
+// metricSum sums every series of the family name in a Prometheus dump.
+func metricSum(t *testing.T, dump, name string) float64 {
+	t.Helper()
+	sum := 0.0
+	for _, line := range strings.Split(dump, "\n") {
+		if rest, ok := strings.CutPrefix(line, name+"{"); ok {
+			sum += cell(t, rest[strings.LastIndexByte(rest, ' ')+1:])
+		}
+	}
+	return sum
+}
+
+// TestFig3bKernelCounts pins what Fig 3b costs the simulator at this
+// scale, from the kernel's counters in the metrics: the events its loop
+// pops per client RPC, and processes run on a small fraction of a
+// coroutine each (the ones that return hand theirs on). The counters are
+// plain adds that decide nothing, so the table with metrics on is the
+// table without.
+func TestFig3bKernelCounts(t *testing.T) {
+	r, _, _, err := interferenceFigs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := metricSum(t, interfMetrics, "cudele_sim_events_total")
+	rpcs := metricSum(t, interfMetrics, "cudele_client_rpcs_total")
+	procs := metricSum(t, interfMetrics, "cudele_sim_procs_total")
+	coroutines := metricSum(t, interfMetrics, "cudele_sim_coroutines_total")
+	t.Logf("%.0f events for %.0f RPCs; %.0f coroutines for %.0f procs", events, rpcs, coroutines, procs)
+	if got := fmt.Sprintf("%.3f", events/rpcs); got != "5.311" {
+		t.Errorf("%s events per RPC, want 5.311", got)
+	}
+	if procs == 0 || coroutines*20 > procs {
+		t.Errorf("%.0f coroutines for %.0f procs, want at most one per 20", coroutines, procs)
+	}
+	plain, err := Run("fig3b", tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Render() != r.Render() {
+		t.Errorf("counting moved the table:\n--- metrics off ---\n%s\n--- metrics on ---\n%s", plain.Render(), r.Render())
 	}
 }
 

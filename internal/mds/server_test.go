@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -420,6 +421,50 @@ func TestStreamedCreateAllocations(t *testing.T) {
 	off, on := submitCreateAllocs(t, false), submitCreateAllocs(t, true)
 	if off != 1 || on != off {
 		t.Fatalf("a create Submit allocates %.0f objects with the stream off and %.0f with it on, want 1 and 1", off, on)
+	}
+}
+
+// TestSealedSegmentExactLength: a rank encodes every segment into the one
+// open buffer it owns and queues an exact-length copy at each seal, so
+// every queued segment's capacity is its length, no later segment
+// overwrites an earlier one, and after the first seal a segment's worth
+// of appends allocates only the sealed copy.
+func TestSealedSegmentExactLength(t *testing.T) {
+	_, s := newTestServer()
+	st := s.stream
+	const seg, segs = 100, 12
+	s.cfg.SegmentEvents = seg
+	st.dispatching = true // no dispatcher drains the queue
+	evs := make([]journal.Event, seg*segs)
+	for i := range evs {
+		evs[i] = journal.Event{Type: journal.EvCreate, Client: "c0",
+			Parent: uint64(namespace.RootIno), Name: fmt.Sprintf("f%06d", i), Ino: 1<<20 + uint64(i), Mode: 0644}
+	}
+	next := 0
+	segment := func() {
+		for range seg {
+			if !st.journalEvent(evs[next]) {
+				t.Fatalf("event %d not journaled", next)
+			}
+			next++
+		}
+	}
+	segment()
+	st.queue, st.sealed = slices.Grow(st.queue, segs), slices.Grow(st.sealed, segs)
+	if allocs := testing.AllocsPerRun(segs-2, segment); allocs != 1 {
+		t.Fatalf("a segment of appends allocates %v times, want 1 (the sealed copy)", allocs)
+	}
+	if len(st.queue) != segs {
+		t.Fatalf("%d segments queued, want %d", len(st.queue), segs)
+	}
+	for i, q := range st.queue {
+		if cap(q.data) != len(q.data) {
+			t.Errorf("segment %d: cap %d, len %d", i, cap(q.data), len(q.data))
+		}
+		got, err := journal.Decode(q.data)
+		if err != nil || len(got) != seg || got[0].Seq != uint64(i*seg) || got[0].Name != evs[i*seg].Name {
+			t.Fatalf("segment %d decodes to %d events (err %v), not events %d.. of the journal", i, len(got), err, i*seg)
+		}
 	}
 }
 

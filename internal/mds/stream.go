@@ -34,14 +34,14 @@ type streamState struct {
 	s *Server
 
 	// open is the open segment: the journal header, then one record per
-	// event journaled since the last seal; openEvents counts them.
+	// event journaled since the last seal; openEvents counts them. The
+	// rank owns this one buffer and encodes every segment into it: a seal
+	// copies the segment out at its exact length and truncates open, so
+	// the buffer is sized once, when the first event arrives.
 	open       []byte
 	openEvents int
-	// segCap sizes each new open segment: the last full segment's length
-	// plus an eighth, so a segment does not regrow by doubling.
-	segCap  int
-	nextIdx int    // index of the open segment
-	nextSeq uint64 // sequence number of the next event
+	nextIdx    int    // index of the open segment
+	nextSeq    uint64 // sequence number of the next event
 
 	sealed []segment // sealed, untrimmed, in index order: counts only
 	queue  []queued  // sealed, awaiting dispatch, with their bytes
@@ -104,10 +104,17 @@ func (st *streamState) record(p runtime.Task, req *Request, reply *Reply) {
 // dispatch when it reaches SegmentEvents. It is the one journal append on
 // a rank. An invalid event is not journaled, and it reports false.
 func (st *streamState) journalEvent(ev journal.Event) bool {
-	if st.open == nil {
-		st.open = journal.AppendHeader(make([]byte, 0, max(st.segCap, journal.MagicLen)))
-	}
 	ev.Seq = st.nextSeq
+	if st.open == nil {
+		// Room for a segment of records the size of the first, up to the
+		// event count journal.Journal.Append also caps its slice at, so a
+		// huge SegmentEvents does not reserve a segment it never fills.
+		n := journal.RecordSize(&ev) * min(max(st.s.cfg.SegmentEvents, 1), 1024)
+		st.open = make([]byte, 0, journal.MagicLen+n)
+	}
+	if st.openEvents == 0 {
+		st.open = journal.AppendHeader(st.open[:0])
+	}
 	data, err := st.enc.AppendEvent(st.open, &ev)
 	if err != nil {
 		return false
@@ -118,23 +125,27 @@ func (st *streamState) journalEvent(ev journal.Event) bool {
 	st.unsaved = true
 	st.s.metrics.Journaled++
 	if st.openEvents >= st.s.cfg.SegmentEvents {
-		st.segCap = len(st.open) + len(st.open)/8
 		st.seal()
 		st.kick()
 	}
 	return true
 }
 
-// seal closes the open segment, if it holds any event, and queues it for
-// dispatch.
+// seal closes the open segment, if it holds any event, and queues an
+// exact-length copy of it for dispatch; the open buffer is kept for the
+// next segment.
 func (st *streamState) seal() {
 	if st.openEvents == 0 {
 		return
 	}
 	seg := segment{index: st.nextIdx, events: st.openEvents}
 	st.sealed = append(st.sealed, seg)
-	st.queue = append(st.queue, queued{seg, st.open})
-	st.open, st.openEvents = nil, 0
+	// make and copy, not slices.Clone, whose append rounds the capacity
+	// up to the allocator's size class.
+	data := make([]byte, len(st.open))
+	copy(data, st.open)
+	st.queue = append(st.queue, queued{seg, data})
+	st.open, st.openEvents = st.open[:0], 0
 	st.nextIdx++
 }
 

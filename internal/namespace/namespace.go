@@ -25,6 +25,7 @@ import (
 	"path"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"cudele/internal/journal"
 	"cudele/internal/policy"
@@ -446,27 +447,33 @@ func (s *Store) Resolve(p string) (*Inode, error) {
 	}
 }
 
-// PathOf reconstructs the absolute path of ino by walking parents.
+// PathOf reconstructs the absolute path of ino by walking parents: once
+// to size the path, then again to fill one exact-length buffer from its
+// end, so the path is the one allocation.
 func (s *Store) PathOf(ino Ino) (string, error) {
 	if ino == RootIno {
 		return "/", nil
 	}
-	var parts []string
-	cur, err := s.Get(ino)
+	in, err := s.Get(ino)
 	if err != nil {
 		return "", err
 	}
-	for cur.Ino != RootIno {
-		parts = append(parts, cur.Name)
-		cur, err = s.Get(cur.Parent)
-		if err != nil {
+	n := 0
+	for cur := in; cur.Ino != RootIno; {
+		n += 1 + len(cur.Name)
+		if cur, err = s.Get(cur.Parent); err != nil {
 			return "", err
 		}
 	}
-	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-		parts[i], parts[j] = parts[j], parts[i]
+	buf := make([]byte, n)
+	for cur := in; cur.Ino != RootIno; cur = s.inodes.get(cur.Parent) {
+		n -= len(cur.Name)
+		copy(buf[n:], cur.Name)
+		n--
+		buf[n] = '/'
 	}
-	return "/" + strings.Join(parts, "/"), nil
+	// buf is never written again, as in strings.Builder.String.
+	return unsafe.String(unsafe.SliceData(buf), len(buf)), nil
 }
 
 // AllocIno returns a fresh server-assigned inode number, skipping ranges

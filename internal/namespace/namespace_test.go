@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -532,5 +534,70 @@ func TestDirectVsReplayQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pathOfJoin is PathOf as it was before it sized its one buffer: the
+// names collected leaf first, reversed and joined.
+func pathOfJoin(s *Store, ino Ino) (string, error) {
+	if ino == RootIno {
+		return "/", nil
+	}
+	var parts []string
+	cur, err := s.Get(ino)
+	if err != nil {
+		return "", err
+	}
+	for cur.Ino != RootIno {
+		parts = append(parts, cur.Name)
+		if cur, err = s.Get(cur.Parent); err != nil {
+			return "", err
+		}
+	}
+	slices.Reverse(parts)
+	return "/" + strings.Join(parts, "/"), nil
+}
+
+// TestPathOfMatchesJoin: on random trees PathOf names every inode as the
+// join of its ancestors' names did, errs where it did, and allocates only
+// the path once the path has two components or more.
+func TestPathOfMatchesJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for tree := 0; tree < 20; tree++ {
+		s := NewStore()
+		dirs := []Ino{RootIno}
+		var all []Ino
+		for i := 0; i < 300; i++ {
+			parent := dirs[rng.Intn(len(dirs))]
+			name := strings.Repeat(string(rune('a'+rng.Intn(26))), 1+rng.Intn(12)) + fmt.Sprint(i)
+			if rng.Intn(3) == 0 {
+				in, err := s.Create(parent, name, CreateAttrs{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				all = append(all, in.Ino)
+				continue
+			}
+			in, err := s.Mkdir(parent, name, CreateAttrs{Mode: 0755})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dirs = append(dirs, in.Ino)
+			all = append(all, in.Ino)
+		}
+		all = append(all, RootIno, 1<<50) // the root, and an inode that does not exist
+		for _, ino := range all {
+			got, gerr := s.PathOf(ino)
+			want, werr := pathOfJoin(s, ino)
+			if got != want || (gerr == nil) != (werr == nil) {
+				t.Fatalf("tree %d ino %d: PathOf = %q, %v; join gives %q, %v", tree, ino, got, gerr, want, werr)
+			}
+			if gerr != nil || strings.Count(got, "/") < 2 {
+				continue
+			}
+			if allocs := testing.AllocsPerRun(10, func() { s.PathOf(ino) }); allocs != 1 {
+				t.Fatalf("PathOf(%q) allocates %v times, want 1", got, allocs)
+			}
+		}
 	}
 }

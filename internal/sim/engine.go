@@ -6,9 +6,10 @@
 // daemons, monitor) is modeled as sim processes that execute the real
 // metadata code paths while charging virtual time to simulated devices.
 //
-// Only one process runs at a time: each is an iter.Pull coroutine that the
-// event loop switches into and that switches back when it blocks, so
-// simulations are fully deterministic for a given seed and schedule.
+// Only one process runs at a time: each runs on an iter.Pull coroutine
+// that the event loop switches into and that switches back when it
+// blocks, so simulations are fully deterministic for a given seed and
+// schedule. A coroutine whose process returned runs the next one spawned.
 package sim
 
 import (
@@ -115,6 +116,10 @@ type Engine struct {
 
 	live    map[*Proc]struct{} // live processes, for leak detection
 	stopped bool
+	// idle holds the workers whose process returned, to run the next
+	// spawn; Run stops them all when it returns.
+	idle  []*worker
+	stats Stats
 
 	// tracer is the span recorder every layer records into; nil (the
 	// default) disables tracing with zero overhead. It lives on the
@@ -128,6 +133,32 @@ type Engine struct {
 	// state changes and a resource still held (or long idle) at the end
 	// of a run reports a stale busyArea to raw snapshot readers.
 	resources []*Resource
+}
+
+// Stats counts the kernel's own work since NewEngine. One process runs
+// at a time, so each count is a plain add on the path it counts.
+type Stats struct {
+	Events        uint64 // events Run popped
+	Tied          uint64 // popped events due at the clock's current time
+	SleepsInline  uint64 // Sleeps that advanced the clock in place, with no switch
+	SleepsBlocked uint64 // Sleeps that queued a wake and switched out
+	Spawned       uint64 // processes spawned by Go
+	Coroutines    uint64 // iter.Pull coroutines made to run them
+}
+
+// Stats returns the kernel's counts so far.
+func (e *Engine) Stats() Stats { return e.stats }
+
+// FillMetrics exports the kernel's counts. It reads counters only, so a
+// run with metrics on keeps the schedule of one without.
+func (e *Engine) FillMetrics(reg *trace.Registry) {
+	s := e.Stats()
+	reg.Counter("cudele_sim_events_total", "Events the simulator's event loop popped.", float64(s.Events))
+	reg.Counter("cudele_sim_tied_events_total", "Popped events due at the current virtual time, which advanced no clock.", float64(s.Tied))
+	reg.Counter("cudele_sim_sleeps_inline_total", "Sleeps that advanced the virtual clock in place, with no coroutine switch.", float64(s.SleepsInline))
+	reg.Counter("cudele_sim_sleeps_blocked_total", "Sleeps that queued a wake and switched out of the process.", float64(s.SleepsBlocked))
+	reg.Counter("cudele_sim_procs_total", "Simulated processes spawned.", float64(s.Spawned))
+	reg.Counter("cudele_sim_coroutines_total", "Coroutines made to run the simulated processes.", float64(s.Coroutines))
 }
 
 // NewEngine returns an engine whose clock starts at 0 and whose random
@@ -178,32 +209,78 @@ func (e *Engine) Schedule(d Duration, fn func()) {
 }
 
 // Go spawns a new process executing fn. The process starts when the engine
-// next reaches the current virtual time in its event loop.
+// next reaches the current virtual time in its event loop, on an idle
+// worker if one is left from a process that returned, else on a new one.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name}
+	p := &Proc{eng: e, name: name, fn: fn}
 	e.live[p] = struct{}{}
+	e.stats.Spawned++
 	e.Schedule(0, func() {
+		var w *worker
+		if n := len(e.idle); n > 0 {
+			w, e.idle = e.idle[n-1], e.idle[:n-1]
+		} else {
+			w = e.newWorker()
+		}
+		w.proc = p
 		p.started = true
-		next, _ := iter.Pull(func(yield func(struct{}) bool) {
-			p.yield = yield
-			if l := obs.ProfLabels(); l != nil {
-				obs.Switch(l.Proc(name))
-			}
-			defer func() {
-				p.done = true
-				delete(e.live, p)
-				// iter.Pull re-raises this in whoever called next, so a
-				// process panic surfaces in Run's caller, naming the process.
-				if r := recover(); r != nil && r != errProcKilled {
-					panic(&ProcPanic{Proc: name, Value: r, Stack: debug.Stack()})
-				}
-			}()
-			fn(p)
-		})
-		p.wake = func() { next() }
+		p.wake = w.wake
 		p.wake()
 	})
 	return p
+}
+
+// worker is one iter.Pull coroutine that runs processes one after
+// another: a process that returns hands its coroutine back to the engine's
+// idle list, so a simulation makes one coroutine per process it runs at
+// once, not one per process it spawns. A process that panics, calls
+// runtime.Goexit or is killed by Shutdown ends its worker's coroutine.
+type worker struct {
+	proc *Proc  // the process it runs, or ran last while idle
+	wake func() // continues the coroutine; built once per worker
+	stop func()
+}
+
+func (e *Engine) newWorker() *worker {
+	e.stats.Coroutines++
+	w := &worker{}
+	next, stop := iter.Pull(func(yield func(struct{}) bool) {
+		for {
+			p := w.proc
+			p.yield = yield
+			if !e.runProc(p) {
+				return
+			}
+			e.idle = append(e.idle, w)
+			if !yield(struct{}{}) {
+				return // stopped while idle
+			}
+		}
+	})
+	w.wake = func() { next() }
+	w.stop = stop
+	return w
+}
+
+// runProc runs p's function on the calling worker and reports whether
+// the worker may run another process: false when Shutdown killed p.
+func (e *Engine) runProc(p *Proc) bool {
+	if l := obs.ProfLabels(); l != nil {
+		obs.Switch(l.Proc(p.name))
+	}
+	defer func() {
+		p.done = true
+		delete(e.live, p)
+		// iter.Pull re-raises this in whoever called next, so a
+		// process panic surfaces in Run's caller, naming the process.
+		if r := recover(); r != nil && r != errProcKilled {
+			panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
+		}
+	}()
+	fn := p.fn
+	p.fn = nil
+	fn(p)
+	return !p.killed
 }
 
 // ProcPanic is the value Run panics with when a process panicked: iter.Pull
@@ -280,6 +357,11 @@ func (e *Engine) Run(until Time) Time {
 	// through.
 	defer func() {
 		e.running = false
+		for _, w := range e.idle {
+			w.stop()
+		}
+		clear(e.idle)
+		e.idle = e.idle[:0]
 		e.finalizeAccounting()
 		if l != nil {
 			obs.Switch(context.Background())
@@ -291,8 +373,11 @@ func (e *Engine) Run(until Time) Time {
 			break
 		}
 		ev := e.queue.pop()
+		e.stats.Events++
 		if ev.at > e.now {
 			e.now = ev.at
+		} else {
+			e.stats.Tied++
 		}
 		ev.fn()
 	}
@@ -378,9 +463,12 @@ func (e *Engine) LeakCheck() error {
 type Proc struct {
 	eng  *Engine
 	name string
+	fn   func(p *Proc) // until it starts
 	// wake continues the parked process from engine context (inside an
-	// event) and returns when it blocks again or finishes. It is built
-	// once, at start, so scheduling it allocates nothing.
+	// event) and returns when it blocks again or finishes. It is its
+	// worker's, built once per coroutine, so scheduling it allocates
+	// nothing; a process is woken once per park, so no wake meant for it
+	// reaches the worker's next process.
 	wake func()
 	// yield parks the process and switches back to whoever called wake.
 	yield   func(struct{}) bool
@@ -428,8 +516,10 @@ func (p *Proc) Sleep(d Duration) {
 	if !e.stopped && at <= e.until && (len(e.queue) == 0 || e.queue[0].at > at) {
 		e.seq++
 		e.now = at
+		e.stats.SleepsInline++
 		return
 	}
+	e.stats.SleepsBlocked++
 	e.Schedule(d, p.wake)
 	p.block()
 }

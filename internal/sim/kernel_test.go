@@ -289,8 +289,11 @@ func TestRunFromTwoGoroutines(t *testing.T) {
 // TestProcPanicSurfacesInRun: a panicking process used to re-panic on its
 // own goroutine and take the test binary down; now the panic arrives in
 // Run's caller, names the process, keeps the original value, and leaves
-// the engine stopped cleanly with the other processes still reapable.
+// the engine stopped cleanly with the other processes still reapable. The
+// process panics on the coroutine of one that returned before it started,
+// as it would on a fresh one.
 func TestProcPanicSurfacesInRun(t *testing.T) {
+	before := goruntime.NumGoroutine()
 	e := NewEngine(1)
 	r := NewResource(e, "cpu", 1)
 	boom := errors.New("boom")
@@ -298,11 +301,12 @@ func TestProcPanicSurfacesInRun(t *testing.T) {
 		r.Acquire(p)
 		p.Sleep(time.Hour)
 	})
-	e.Go("ticker", func(p *Proc) { p.Sleep(3) })
+	e.Go("early", func(p *Proc) {}) // returns at once; "bad" takes its coroutine
 	e.Go("bad", func(p *Proc) {
 		p.Sleep(5) // the ticker's wake is due first, so this one switches
 		panic(boom)
 	})
+	e.Go("ticker", func(p *Proc) { p.Sleep(3) })
 	func() {
 		defer func() {
 			pp, ok := recover().(*ProcPanic)
@@ -315,6 +319,9 @@ func TestProcPanicSurfacesInRun(t *testing.T) {
 		e.RunAll()
 		t.Fatal("RunAll returned")
 	}()
+	if st := e.Stats(); st.Spawned != 4 || st.Coroutines != 3 {
+		t.Fatalf("%d coroutines for %d procs, want 3 for 4", st.Coroutines, st.Spawned)
+	}
 	e.Exclusive(nil, func() {}) // panics if Run left the loop marked running
 	if s := r.Snapshot(); s.At != 5 || s.BusyArea != Time(5).Seconds() {
 		t.Fatalf("accounting not finalized: at %d, busyArea %v", s.At, s.BusyArea)
@@ -325,25 +332,95 @@ func TestProcPanicSurfacesInRun(t *testing.T) {
 	if got := e.Shutdown(); got != 1 {
 		t.Fatalf("Shutdown reaped %d, want 1", got)
 	}
+	goroutinesBackTo(t, before)
 }
 
 // TestProcGoexitEndsRunCaller: runtime.Goexit in a process (t.Fatal is
-// one) ends the goroutine driving Run, not an anonymous one.
+// one) ends the goroutine driving Run, not an anonymous one, on a fresh
+// coroutine and on a reused one.
 func TestProcGoexitEndsRunCaller(t *testing.T) {
-	e := NewEngine(1)
-	e.Go("fatal", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		goruntime.Goexit()
+	freshAndReused(t, func(t *testing.T, reused bool) {
+		before := goruntime.NumGoroutine()
+		e := NewEngine(1)
+		reusedCheck := spawnOn(e, reused, 1, func() {
+			e.Go("fatal", func(p *Proc) {
+				p.Sleep(time.Millisecond)
+				goruntime.Goexit()
+			})
+		})
+		returned, done := false, make(chan struct{})
+		go func() {
+			defer close(done)
+			e.RunAll()
+			returned = true
+		}()
+		<-done
+		if returned || len(e.live) != 0 {
+			t.Fatalf("RunAll returned %v, live %d", returned, len(e.live))
+		}
+		reusedCheck(t)
+		e.Exclusive(nil, func() {})
+		goroutinesBackTo(t, before)
 	})
-	returned, done := false, make(chan struct{})
-	go func() {
-		defer close(done)
-		e.RunAll()
-		returned = true
-	}()
-	<-done
-	if returned || len(e.live) != 0 {
-		t.Fatalf("RunAll returned %v, live %d", returned, len(e.live))
+}
+
+// goid returns the calling goroutine's id, from its stack header.
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:goruntime.Stack(buf[:], false)]))[1]
+}
+
+// TestReturnedProcsCoroutineRunsNext: a process spawned after another
+// returned runs on that one's coroutine, so a run makes one coroutine per
+// process running at once, not one per spawn; each process still has its
+// own Proc and name.
+func TestReturnedProcsCoroutineRunsNext(t *testing.T) {
+	e := NewEngine(1)
+	gids := map[string]string{}
+	procs := map[string]*Proc{}
+	record := func(p *Proc) { gids[p.Name()], procs[p.Name()] = goid(), p }
+	e.Go("a", func(p *Proc) { record(p); p.Sleep(1) })
+	e.Go("b", func(p *Proc) {
+		record(p)
+		p.Sleep(2) // a has returned
+		e.Go("c", func(p *Proc) {
+			record(p)
+			p.Sleep(2) // b has returned
+			e.Go("d", func(p *Proc) { record(p) })
+			p.Sleep(1)
+		})
+		p.Sleep(1)
+	})
+	e.RunAll()
+	if gids["a"] == gids["b"] || gids["c"] != gids["a"] || gids["d"] != gids["b"] {
+		t.Fatalf("goroutines %v, want c on a's and d on b's", gids)
 	}
-	e.Exclusive(nil, func() {})
+	if procs["c"] == procs["a"] || procs["c"].Name() != "c" || !procs["a"].done || !procs["c"].done {
+		t.Fatalf("c shares a's Proc, or a process is not done")
+	}
+	if st := e.Stats(); st.Spawned != 4 || st.Coroutines != 2 {
+		t.Fatalf("%d coroutines for %d procs, want 2 for 4", st.Coroutines, st.Spawned)
+	}
+}
+
+// TestRunLeavesNoGoroutine: Run stops the coroutines its returned
+// processes left idle, so after it the goroutine count is what it was
+// before, and a later Run makes new ones.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	e := NewEngine(1)
+	for i := 0; i < 50; i++ {
+		e.Go("wave", func(p *Proc) { p.Sleep(Duration(i % 5)) })
+	}
+	e.RunAll()
+	goroutinesBackTo(t, before)
+	e.Go("later", func(p *Proc) { p.Sleep(1) })
+	e.RunAll()
+	if st := e.Stats(); st.Spawned != 51 || st.Coroutines != 51 {
+		t.Fatalf("%d coroutines for %d procs, want 51 for 51", st.Coroutines, st.Spawned)
+	}
+	goroutinesBackTo(t, before)
+	if err := e.LeakCheck(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -58,8 +58,8 @@ func (cl *Cluster) CollectMetrics() *Registry {
 	for _, name := range names {
 		cl.clients[name].FillMetrics(reg)
 	}
-	// Last, and only a runtime with a real wire has any: the simulator's
-	// export keeps its order.
+	// Last: the runtime's own counts, the simulator's kernel counters or
+	// the real engine's waits.
 	if rt, ok := cl.rt.(interface{ FillMetrics(*trace.Registry) }); ok {
 		rt.FillMetrics(reg)
 	}
