@@ -45,7 +45,7 @@ loc:
 # ("symbol (class) reason" per line). It builds every main with coverage
 # of the whole module and inlining off into a temp dir and runs: the
 # fifteen experiments at -scale 0.05; a traced and profiled run of
-# fig3a, multimds and mergescale; the real backend's heatskew; the
+# fig3a, multimds and mergescale; the real backend's heatskew-real; the
 # 1 500-seed chaos sweep; one second of each benchmark workload, and
 # real_io's traced pass with its probes; the four examples; the
 # cmd/cudele golden session on two ranks, and on the real backend serving
@@ -76,7 +76,7 @@ traffic:
 	bin/cudele-bench -scale 0.05 all > /dev/null && \
 	bin/cudele-bench -scale 0.005 -trace t.json -metrics m.txt -cpuprofile c.prof \
 		fig3a multimds mergescale > /dev/null && \
-	bin/cudele-bench -backend real -scale 0.002 heatskew > /dev/null && \
+	bin/cudele-bench -scale 0.002 heatskew-real > /dev/null && \
 	bin/cudele-bench -chaos 1500 -seed 1 > /dev/null && \
 	for w in $(WORKLOADS); do \
 		bin/benchmark --workload $$w --seed 1 --seconds 1 --trace 0 --out out > /dev/null || exit 1; \
@@ -147,13 +147,12 @@ bench-check:
 	if [ $$fail -ne 0 ]; then echo "bench-check: tables differ from results/"; exit 1; fi; \
 	echo "bench-check: all $$(ls results/BENCH_*.json | wc -l) tables byte-identical to results/"
 
-# bench-real runs fig3a on the real backend (goroutines, wall clocks,
-# an fsynced object log in each run's own temp dir) side by side with its
-# simulated prediction. The wall-clock columns are machine-dependent, so
+# bench-real runs fig3a-real: fig3a on the real backend (goroutines, wall
+# clocks, an fsynced object log in each run's own temp dir) side by side
+# with its simulated prediction. The wall-clock columns are machine-dependent, so
 # the output goes to results/real/ and is not a committed baseline.
 bench-real:
-	$(GO) run ./cmd/cudele-bench -backend real -scale 0.01 \
-		-json results/real fig3a
+	$(GO) run ./cmd/cudele-bench -scale 0.01 -json results/real fig3a-real
 
 # perf runs the repo's host-performance benchmark (BENCHMARK.json) the way
 # the driver does — one untraced 12-second run per workload — and prints
@@ -218,7 +217,7 @@ fuzz-short:
 # detector on (~10 s on two cores). A failing seed's section of the
 # report prints its fault plan, violations and flight dump (the trace's
 # tail), and the command that reproduces it exactly:
-# go run ./cmd/cudele-bench -chaos-replay SEED
+# go run ./cmd/cudele-bench -chaos 1 -seed SEED
 chaos:
 	$(GO) run -race ./cmd/cudele-bench -chaos 1500 -seed 1
 

@@ -4,10 +4,10 @@
 //
 //	cudele-bench [-scale 1.0] [-seed 1] [-json DIR] [experiment ...]
 //
-// With no arguments (or the id "all") it runs every experiment; see
-// -list for the registry. Scale 1.0 is paper scale (100K creates/client,
-// 1M updates for fig6c); smaller scales preserve the normalized shapes
-// and run much faster.
+// With no arguments (or the id "all") it runs every simulated
+// experiment; see -list for the registry. Scale 1.0 is paper scale (100K
+// creates/client, 1M updates for fig6c); smaller scales preserve the
+// normalized shapes and run much faster.
 //
 // An experiment's independent simulation runs execute on GOMAXPROCS
 // goroutines (GOMAXPROCS=1 runs them one at a time). Every run owns its
@@ -29,30 +29,28 @@
 // Observation is passive: tables are byte-identical with these flags on
 // or off.
 //
-// -backend real executes the workload on real goroutines, wall clocks,
-// and an fsynced object log (each real run's own temp dir, removed when
-// the run ends) instead of the simulator, side by side with the
-// simulated prediction for the same grid point. fig3a and heatskew
-// support real mode (bench.RealIDs); "all" under -backend=real means
-// "all real-capable experiments". Real tables carry machine-dependent
-// wall-clock columns, so they are reported (and, with -json DIR, written
-// as BENCH_fig3a-real.json and BENCH_heatskew-real.json) but never
-// replace the committed sim baselines. A bench run serves no live
-// endpoint: its metrics come from -metrics, its profile from
-// -cpuprofile, and its heat shares from the heatskew table (the
-// cudele shell's -admin serves a live cluster).
+// fig3a-real and heatskew-real are the real-backend tables: each runs its
+// workload on real goroutines, wall clocks and an fsynced object log (each
+// real run's own temp dir, removed when the run ends) side by side with
+// the simulated prediction for the same grid point. Their wall-clock
+// columns are machine-dependent, so they run only when named — "all"
+// leaves them out — and, with -json DIR, are written as
+// BENCH_fig3a-real.json and BENCH_heatskew-real.json but never replace
+// the committed sim baselines. A bench run serves no live endpoint: its
+// metrics come from -metrics, its profile from -cpuprofile, and its heat
+// shares from the heatskew tables (the cudele shell's -admin serves a live
+// cluster).
 //
 // -chaos N runs N seeded fault-injection schedules (starting at -seed,
 // walking all fifteen consistency x durability cells — Table I plus
 // speculative and strong-eventual — every fifteen seeds) against the
 // policy-contract checker instead of the experiments, and exits non-zero
 // if any schedule violates its contract. A failing seed reproduces
-// exactly with -chaos-replay SEED, which runs that one schedule and
-// prints its fault plan — and, since every schedule is traced, the
-// failure report includes the trace's tail: the last events (RPC spans,
-// faults, crashes, handoff phases) each daemon saw before the violation,
-// and the seed's replay command. That report is a failing seed's whole
-// artifact.
+// exactly with -chaos 1 -seed SEED: a run of one schedule prints its
+// fault plan first — and, since every schedule is traced, the failure
+// report includes the trace's tail: the last events (RPC spans, faults,
+// crashes, handoff phases) each daemon saw before the violation, and the
+// seed's replay command. That report is a failing seed's whole artifact.
 //
 // -cpuprofile FILE writes a CPU profile of the whole process (experiments
 // or chaos schedules, either backend) with every sample labelled by its
@@ -68,12 +66,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
-	"cudele"
 	"cudele/internal/bench"
 	"cudele/internal/chaos"
 	"cudele/internal/obs"
@@ -98,25 +95,19 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of every simulation run to this file")
 	metricsPath := flag.String("metrics", "", "write a Prometheus text dump of every run's daemon metrics to this file")
 	chaosN := flag.Int("chaos", 0, "run N fault-injection schedules (seeds -seed..-seed+N-1) instead of experiments")
-	chaosReplay := flag.Int64("chaos-replay", 0, "replay one fault-injection schedule by seed and print its plan")
-	backendName := flag.String("backend", "sim", "execution backend: sim (deterministic simulator) or real (goroutines, wall clock, fsync)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file, every sample labelled with its owner: proc (task, client or daemon) and, inside a metadata rank or the monitor, op (passive: tables are byte-identical)")
 	flag.Parse()
 
-	backend, err := cudele.ParseBackend(*backendName)
-	if err != nil {
+	if err := checkFlags(*scale, *chaosN); err != nil {
 		fmt.Fprintf(os.Stderr, "cudele-bench: %v\n", err)
 		os.Exit(2)
 	}
-	// Seed 0 is a schedule like any other, so "replay requested" is the
-	// flag's presence, not a non-zero value.
-	replay := false
-	flag.Visit(func(f *flag.Flag) { replay = replay || f.Name == "chaos-replay" })
 
 	// exitWith ends the CPU profile, when one is being taken, before the
 	// process goes.
 	stopProfile := func() error { return nil }
 	if *cpuProfile != "" {
+		var err error
 		if stopProfile, err = obs.StartCPUProfile(*cpuProfile); err != nil {
 			fmt.Fprintf(os.Stderr, "cudele-bench: cpuprofile: %v\n", err)
 			os.Exit(1)
@@ -130,41 +121,30 @@ func main() {
 		os.Exit(code)
 	}
 
-	if replay {
-		exitWith(reportChaos(os.Stdout, chaos.RunMany(chaos.Seeds(*chaosReplay, 1)), true))
-	}
 	if *chaosN > 0 {
-		exitWith(reportChaos(os.Stdout, chaos.RunMany(chaos.Seeds(*seed, *chaosN)), false))
+		exitWith(reportChaos(os.Stdout, chaos.RunMany(chaos.Seeds(*seed, *chaosN))))
 	}
 
 	if *list {
-		for _, id := range bench.IDs() {
-			e, _ := bench.Lookup(id)
-			fmt.Printf("%-12s %s\n", id, e.Title)
+		for _, e := range bench.Experiments() {
+			fmt.Printf("%-14s %s\n", e.ID, e.Title)
 		}
 		exitWith(0)
 	}
 
-	// Under -backend=real the universe of experiments shrinks to the
-	// real-capable set; "all" (and an empty list) means exactly that set.
-	universe := bench.IDs()
-	if backend == cudele.BackendReal {
-		universe = bench.RealIDs()
+	// "all", and an empty list, mean every simulated experiment; a
+	// real-backend table runs only when named.
+	args := flag.Args()
+	if len(args) == 0 {
+		args = []string{"all"}
 	}
-	ids := flag.Args()
-	if len(ids) == 0 {
-		ids = universe
-	} else {
-		// "all" anywhere in the list expands to the full universe.
-		expanded := make([]string, 0, len(ids))
-		for _, id := range ids {
-			if id == "all" {
-				expanded = append(expanded, universe...)
-			} else {
-				expanded = append(expanded, id)
-			}
+	var ids []string
+	for _, id := range args {
+		if id == "all" {
+			ids = append(ids, bench.IDs()...)
+		} else {
+			ids = append(ids, id)
 		}
-		ids = expanded
 	}
 	opts := bench.Options{Scale: *scale, Seed: *seed}
 	if *tracePath != "" || *metricsPath != "" {
@@ -173,20 +153,8 @@ func main() {
 
 	exit := 0
 	for _, id := range ids {
-		if _, ok := bench.Lookup(id); !ok {
-			fmt.Fprintf(os.Stderr, "cudele-bench: unknown experiment %q\nvalid ids: all %s\n",
-				id, strings.Join(bench.IDs(), " "))
-			exit = 1
-			continue
-		}
 		start := time.Now()
-		var res *bench.Result
-		var err error
-		if backend == cudele.BackendReal {
-			res, err = bench.RunReal(id, opts)
-		} else {
-			res, err = bench.Run(id, opts)
-		}
+		res, err := bench.Run(id, opts)
 		wall := time.Since(start)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cudele-bench: %s: %v\n", id, err)
@@ -217,17 +185,29 @@ func main() {
 	exitWith(exit)
 }
 
+// checkFlags refuses a -scale or -chaos value that would run something
+// other than what it asks for: a scale must be a positive finite number
+// (bench.Options maps a zero scale to paper scale, and NaN to every
+// workload's floor), and a schedule count must not be negative.
+func checkFlags(scale float64, chaosN int) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("-scale %v: want a positive finite number", scale)
+	}
+	if chaosN < 0 {
+		return fmt.Errorf("-chaos %d: want a count of schedules, 0 or more", chaosN)
+	}
+	return nil
+}
+
 // reportChaos writes the verdicts of fault-injection schedules to w and
-// returns the exit code. With verbose set (replay mode) the plan prints
-// even on success, so a passing replay still shows what was exercised.
-// A failing seed's section of the report holds its fault plan,
-// violations, flight dump and replay command: it is the CI failure
-// artifact.
-func reportChaos(w io.Writer, results []chaos.Result, verbose bool) int {
-	if verbose {
-		for _, r := range results {
-			fmt.Fprintf(w, "%s\n", r.PlanText)
-		}
+// returns the exit code. A run of one schedule — a failing seed's replay —
+// prints its plan first, even on success, so a passing replay still shows
+// what was exercised. A failing seed's section of the report holds its
+// fault plan, violations, flight dump and replay command: it is the CI
+// failure artifact.
+func reportChaos(w io.Writer, results []chaos.Result) int {
+	if len(results) == 1 {
+		fmt.Fprintf(w, "%s\n", results[0].PlanText)
 	}
 	if chaos.Report(w, results) > 0 {
 		return 1

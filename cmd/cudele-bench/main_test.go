@@ -51,18 +51,56 @@ func TestChaosModeCoversTheWheel(t *testing.T) {
 	}
 }
 
-// TestChaosReplaySeedZero: seed 0 is a schedule like any other, so
-// -chaos-replay 0 must replay it — not fall through to the experiments
-// because the flag's value equals its default.
+// TestChaosReplaySeedZero: a failing seed replays as -chaos 1 -seed S,
+// which prints the schedule's plan before its verdict; seed 0 is a
+// schedule like any other.
 func TestChaosReplaySeedZero(t *testing.T) {
-	out, err := exec.Command(benchBin, "-chaos-replay", "0").CombinedOutput()
+	out, err := exec.Command(benchBin, "-chaos", "1", "-seed", "0").CombinedOutput()
 	if err != nil {
-		t.Fatalf("-chaos-replay 0: %v\n%s", err, out)
+		t.Fatalf("-chaos 1 -seed 0: %v\n%s", err, out)
 	}
 	for _, want := range []string{"seed=0 cell=", "fault plan:", "chaos: 1/1 schedules passed"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("replay output misses %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestListNamesRealTables: -list names every registered table, the
+// real-backend ones that "all" leaves out included.
+func TestListNamesRealTables(t *testing.T) {
+	out, err := exec.Command(benchBin, "-list").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-list: %v\n%s", err, out)
+	}
+	for _, id := range []string{"fig3a", "fig3a-real", "heatskew", "heatskew-real"} {
+		if !strings.Contains("\n"+string(out), "\n"+id+" ") {
+			t.Errorf("-list does not name %s:\n%s", id, out)
+		}
+	}
+}
+
+// TestBadInputIsRefused: a -scale or -chaos value that would run something
+// other than what it asks for is refused with exit code 2, before any
+// run. So is an unknown experiment, with exit code 1.
+func TestBadInputIsRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scale", "0", "table1"},
+		{"-scale=-1", "table1"},
+		{"-scale", "NaN", "table1"},
+		{"-scale", "+Inf", "table1"},
+		{"-chaos=-1"},
+	} {
+		out, err := exec.Command(benchBin, args...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("%v: %v, want exit status 2\n%s", args, err, out)
+		} else if strings.Contains(string(out), "==") {
+			t.Errorf("%v printed a table:\n%s", args, out)
+		}
+	}
+	out, err := exec.Command(benchBin, "-scale", "0.002", "nope").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(string(out), `unknown experiment "nope"`) {
+		t.Errorf("unknown experiment: %v, want exit status 1 naming it\n%s", err, out)
 	}
 }
 
@@ -77,7 +115,7 @@ func TestChaosFailureExitsOneAndReports(t *testing.T) {
 	}
 	passed := chaos.Result{Seed: 8, Cell: "strong/local"}
 	var report bytes.Buffer
-	if code := reportChaos(&report, []chaos.Result{failed, passed}, false); code != 1 {
+	if code := reportChaos(&report, []chaos.Result{failed, passed}); code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
 	for _, want := range []string{

@@ -114,8 +114,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cudele: %v\n", err)
 		os.Exit(2)
 	}
-	seed, ranks := &opts.seed, &opts.ranks
-	tracePath, metricsPath := &opts.tracePath, &opts.metricsPath
 
 	var in io.Reader = os.Stdin
 	if len(opts.scripts) > 0 {
@@ -141,7 +139,7 @@ func main() {
 		}
 	}
 
-	copts := []cudele.Option{cudele.WithSeed(*seed), cudele.WithMDSRanks(*ranks)}
+	copts := []cudele.Option{cudele.WithSeed(opts.seed), cudele.WithMDSRanks(opts.ranks)}
 	if opts.backend == cudele.BackendReal {
 		copts = append(copts, cudele.WithBackend(cudele.BackendReal))
 		if opts.dataDir != "" {
@@ -150,7 +148,7 @@ func main() {
 	}
 	cl := cudele.NewCluster(copts...)
 	var rec *cudele.Recorder
-	if *tracePath != "" {
+	if opts.tracePath != "" {
 		rec = cl.EnableTracing()
 	}
 	var admin *cudele.Admin
@@ -175,14 +173,14 @@ func main() {
 			}
 		}
 	})
-	if *tracePath != "" {
-		if err := writeFile(*tracePath, rec.WriteChrome); err != nil {
+	if opts.tracePath != "" {
+		if err := writeFile(opts.tracePath, rec.WriteChrome); err != nil {
 			fmt.Fprintf(os.Stderr, "cudele: trace: %v\n", err)
 			exit = 1
 		}
 	}
-	if *metricsPath != "" {
-		if err := writeFile(*metricsPath, cl.CollectMetrics().WritePrometheus); err != nil {
+	if opts.metricsPath != "" {
+		if err := writeFile(opts.metricsPath, cl.CollectMetrics().WritePrometheus); err != nil {
 			fmt.Fprintf(os.Stderr, "cudele: metrics: %v\n", err)
 			exit = 1
 		}

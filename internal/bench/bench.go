@@ -110,27 +110,39 @@ func register(id, title string, run func(Options) (*Result, error)) {
 	registry[id] = &Experiment{ID: id, Title: title, Run: run}
 }
 
-// IDs lists registered experiment ids in order.
-func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
-		out = append(out, id)
+// Experiments lists every registered experiment in id order, the
+// real-backend tables included.
+func Experiments() []*Experiment {
+	out := make([]*Experiment, 0, len(registry))
+	for _, e := range registry {
+		out = append(out, e)
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// Lookup returns a registered experiment.
-func Lookup(id string) (*Experiment, bool) {
-	e, ok := registry[id]
-	return e, ok
+// IDs lists the simulated experiments in order: the tables a seed and a
+// scale reproduce byte for byte, each committed as results/BENCH_<id>.json,
+// which "all" runs.
+func IDs() []string {
+	var out []string
+	for _, e := range Experiments() {
+		if !strings.HasSuffix(e.ID, realSuffix) {
+			out = append(out, e.ID)
+		}
+	}
+	return out
 }
 
 // Run executes the experiment with the given options.
 func Run(id string, opts Options) (*Result, error) {
 	e, ok := registry[id]
 	if !ok {
-		return nil, fmt.Errorf("bench: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
+		var have []string
+		for _, e := range Experiments() {
+			have = append(have, e.ID)
+		}
+		return nil, fmt.Errorf("bench: unknown experiment %q (have %s)", id, strings.Join(have, ", "))
 	}
 	return e.Run(opts)
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -24,18 +25,18 @@ func cell(t *testing.T, s string) float64 {
 }
 
 func TestRegistry(t *testing.T) {
-	ids := IDs()
-	want := []string{"ext-latency", "fig2", "fig3a", "fig3b", "fig3c", "fig5", "fig6a", "fig6b", "fig6c", "heatskew", "mergescale", "multimds", "newcells", "rebalance", "table1"}
-	if len(ids) != len(want) {
-		t.Fatalf("ids = %v", ids)
+	// "all" runs exactly the committed baselines, so a wall-clock table
+	// can never slip into bench-check.
+	files, err := filepath.Glob("../../results/BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("ids = %v, want %v", ids, want)
-		}
+	var want []string
+	for _, f := range files {
+		want = append(want, strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json"))
 	}
-	if _, ok := Lookup("fig5"); !ok {
-		t.Fatal("lookup fig5 failed")
+	if ids := IDs(); len(want) == 0 || !slices.Equal(ids, want) {
+		t.Fatalf("IDs() = %v, want the committed baselines %v", ids, want)
 	}
 	if _, err := Run("nope", tiny); err == nil {
 		t.Fatal("unknown experiment accepted")

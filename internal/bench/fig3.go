@@ -35,36 +35,44 @@ var fig3aConfigs = []fig3aConfig{
 	{"40 segments", true, 40},
 }
 
+// fig3aJobs is a Fig 3a grid at opts' scale: one create storm per client
+// count and journal configuration, in row-major order.
+func fig3aJobs(opts Options, counts []int, configs []fig3aConfig) []jobConfig {
+	perClient := opts.scaled(100_000, 200)
+	segEvents := opts.scaled(1024, 64)
+	var jobs []jobConfig
+	for _, n := range counts {
+		for _, cfg := range configs {
+			jobs = append(jobs, jobConfig{
+				clients: n, perClient: perClient,
+				journal: cfg.journal, dispatch: cfg.dispatch, segEvents: segEvents,
+			})
+		}
+	}
+	return jobs
+}
+
+// fig3aTime runs one Fig 3a grid point as spec and reads its time: Fig 3a
+// reads the slowest client's, fig3a-real the whole job's.
+func fig3aTime(opts Options, spec runSpec, jc jobConfig, read func(*jobResult) float64) (float64, error) {
+	res, err := runCreateJob(opts, spec, jc)
+	if err != nil {
+		return 0, err
+	}
+	return read(res), nil
+}
+
 // Fig3a scales parallel creates under the fig3aConfigs journal
 // configurations. The y-value is the slowest client's slowdown,
 // normalized to 1 client with journaling off (~654 creates/s). The grid —
 // clientCounts x configs in row-major order, so run 0, 1 client with no
 // journal, is the baseline — runs on the worker pool.
 func Fig3a(opts Options) (*Result, error) {
-	perClient := opts.scaled(100_000, 200)
-	segEvents := opts.scaled(1024, 64)
-
 	configs := fig3aConfigs
-	type spec struct {
-		clients int
-		cfg     fig3aConfig
-	}
-	var specs []spec
-	for _, n := range clientCounts {
-		for _, cfg := range configs {
-			specs = append(specs, spec{clients: n, cfg: cfg})
-		}
-	}
-	times, err := runGrid(opts, "fig3a", len(specs), func(i int, run runSpec) (float64, error) {
-		sp := specs[i]
-		res, err := runCreateJob(opts, run, jobConfig{
-			clients: sp.clients, perClient: perClient,
-			journal: sp.cfg.journal, dispatch: sp.cfg.dispatch, segEvents: segEvents,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.slowest(), nil
+	jobs := fig3aJobs(opts, clientCounts, configs)
+	perClient := jobs[0].perClient
+	times, err := runGrid(opts, "fig3a", len(jobs), func(i int, run runSpec) (float64, error) {
+		return fig3aTime(opts, run, jobs[i], (*jobResult).slowest)
 	})
 	if err != nil {
 		return nil, err

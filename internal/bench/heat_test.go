@@ -58,7 +58,7 @@ func TestHeatSkewExposesImbalance(t *testing.T) {
 }
 
 // TestRealBackendSinkParity is the -trace/-metrics-under-real parity
-// test: RunReal with a sink must register both the simulated prediction
+// test: fig3a-real with a sink must register both the simulated prediction
 // runs and the real measurement runs, with run-labeled metrics and a
 // parseable merged trace — observation is backend-agnostic. It reads the
 // real fig3a run that TestFig3aRealSmoke shares.

@@ -7,7 +7,8 @@ import (
 	"cudele"
 )
 
-// This file is the real-backend bench path: the same create-heavy
+// This file registers the real-backend tables, fig3a-real and
+// heatskew-real (heatskew.go). fig3a-real is the same create-heavy
 // workload as Fig 3a executed twice per grid point — once on the
 // simulator (the prediction) and once on real goroutines and wall
 // clocks (the measurement) — rendered side by side. The comparison is
@@ -20,72 +21,42 @@ import (
 // client counts, three journal configs) because real time is paid for
 // real.
 
+func init() {
+	register("fig3a-real", "fig3a on the real backend: sim-predicted vs wall-clock-measured job time", fig3aReal)
+	register("heatskew-real", "heatskew on the real backend: sim vs real per-rank heat shares", heatSkewReal)
+}
+
+// realSuffix ends the id of every real-backend table. Its wall-clock
+// columns differ run to run, so it is never a committed baseline: IDs, and
+// so "all", leave it out, and it runs only when named.
+const realSuffix = "-real"
+
 // realClientCounts is the reduced x-axis for real-backend runs.
 var realClientCounts = []int{1, 2, 5}
-
-// RealIDs lists the experiments RunReal supports.
-func RealIDs() []string { return []string{"fig3a", "heatskew"} }
-
-// RunReal executes an experiment on the real backend, side by side with
-// its simulated prediction. fig3a is the paper's central scaling figure
-// and the one whose workload shape (create storms under journal
-// configurations) exercises every runtime seam — transport, journal
-// streaming, object store, client caps. heatskew is the observability
-// workload: a skewed create storm whose heat shares must track its
-// request shares on both backends.
-func RunReal(id string, opts Options) (*Result, error) {
-	switch id {
-	case "fig3a":
-		return fig3aReal(opts)
-	case "heatskew":
-		return heatSkewReal(opts)
-	}
-	return nil, fmt.Errorf("bench: experiment %q has no real-backend mode (supported: %v)", id, RealIDs())
-}
 
 // fig3aReal runs the Fig 3a create workload on both backends and
 // reports predicted vs measured seconds per grid point.
 func fig3aReal(opts Options) (*Result, error) {
-	perClient := opts.scaled(100_000, 200)
-	segEvents := opts.scaled(1024, 64)
-
 	// Three of Fig 3a's five journal configurations.
 	configs := []fig3aConfig{fig3aConfigs[0], fig3aConfigs[1], fig3aConfigs[3]}
-	type spec struct {
-		clients int
-		cfg     fig3aConfig
-	}
-	var specs []spec
-	for _, n := range realClientCounts {
-		for _, cfg := range configs {
-			specs = append(specs, spec{clients: n, cfg: cfg})
-		}
-	}
+	jobs := fig3aJobs(opts, realClientCounts, configs)
 
 	// Grid point i's prediction is run i, its measurement run
-	// len(specs)+i.
+	// len(jobs)+i.
 	job := func(i int, run runSpec) (float64, error) {
-		sp := specs[i]
-		res, err := runCreateJob(opts, run, jobConfig{
-			clients: sp.clients, perClient: perClient,
-			journal: sp.cfg.journal, dispatch: sp.cfg.dispatch, segEvents: segEvents,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.total, nil
+		return fig3aTime(opts, run, jobs[i], func(res *jobResult) float64 { return res.total })
 	}
 
 	// Predictions can use the worker pool (independent simulations);
 	// real runs are strictly sequential.
-	predicted, err := runGrid(opts, "fig3a-real", len(specs), job)
+	predicted, err := runGrid(opts, "fig3a-real", len(jobs), job)
 	if err != nil {
 		return nil, err
 	}
-	measured := make([]float64, len(specs))
+	measured := make([]float64, len(jobs))
 	wallStart := time.Now()
-	for i := range specs {
-		run := opts.run("fig3a-real", len(specs)+i)
+	for i := range jobs {
+		run := opts.run("fig3a-real", len(jobs)+i)
 		run.backend = cudele.BackendReal
 		m, err := job(i, run)
 		if err != nil {
@@ -98,15 +69,15 @@ func fig3aReal(opts Options) (*Result, error) {
 	r := &Result{
 		ID: "fig3a-real",
 		Title: fmt.Sprintf("fig3a on the real backend: sim-predicted vs wall-clock-measured job time, %d creates/client",
-			perClient),
+			jobs[0].perClient),
 		Columns: []string{"clients", "config", "sim predicted (s)", "real measured (s)", "real/sim"},
 	}
-	for i, sp := range specs {
+	for i, jc := range jobs {
 		ratio := 0.0
 		if predicted[i] > 0 {
 			ratio = measured[i] / predicted[i]
 		}
-		r.AddRow(fmt.Sprintf("%d", sp.clients), sp.cfg.label,
+		r.AddRow(fmt.Sprintf("%d", jc.clients), configs[i%len(configs)].label,
 			fmt.Sprintf("%.3f", predicted[i]), fmt.Sprintf("%.3f", measured[i]), f2x(ratio))
 	}
 	r.Notef("identical protocol work per cell; sim charges calibrated device costs in virtual time, real pays actual sleeps, goroutine scheduling and fsync")

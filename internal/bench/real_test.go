@@ -8,16 +8,6 @@ import (
 	"testing"
 )
 
-// TestRunRealUnsupported checks the error contract for experiments with
-// no real-backend mode.
-func TestRunRealUnsupported(t *testing.T) {
-	if _, err := RunReal("fig2", Options{Scale: 0.01, Seed: 1}); err == nil {
-		t.Fatal("RunReal(fig2) = nil error, want unsupported")
-	} else if !strings.Contains(err.Error(), "fig3a") {
-		t.Fatalf("error %q does not name the supported set", err)
-	}
-}
-
 // realFig3a runs the side-by-side fig3a once for every test that reads
 // it: the run takes wall-clock seconds.
 var (
@@ -32,7 +22,7 @@ var (
 func realFig3a() (*Result, error) {
 	realOnce.Do(func() {
 		opts := Options{Scale: 0.001, Seed: 1, Sink: NewSink(true)}
-		if realRes, realErr = RunReal("fig3a", opts); realErr != nil {
+		if realRes, realErr = Run("fig3a-real", opts); realErr != nil {
 			return
 		}
 		realRuns = len(opts.Sink.runs)

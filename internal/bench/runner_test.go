@@ -98,7 +98,7 @@ func TestRunGridConcurrency(t *testing.T) {
 	}
 }
 
-// TestRunNamesFollowTheGrid sweeps every registered experiment with a
+// TestRunNamesFollowTheGrid sweeps every simulated experiment with a
 // sink: the grid names every run "<id>/run%03d", and no name repeats — a
 // repeated name would merge two runs' series in the metrics dump and
 // replace one run's trace with the other's.
@@ -176,7 +176,7 @@ func benchGrid(b *testing.B, procs int) {
 func BenchmarkGridSequential(b *testing.B) { benchGrid(b, 1) }
 func BenchmarkGridParallel(b *testing.B)   { benchGrid(b, runtime.NumCPU()) }
 
-// BenchmarkExperiments times each registered experiment end to end at a
+// BenchmarkExperiments times each simulated experiment end to end at a
 // small scale — the wall-clock figures cudele-bench prints beside each
 // table.
 func BenchmarkExperiments(b *testing.B) {

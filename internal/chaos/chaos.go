@@ -34,7 +34,7 @@
 // Schedules are fully deterministic: the same seed produces a
 // byte-identical plan, schedule, and verdict at any GOMAXPROCS, so a
 // failing seed from CI reproduces exactly with
-// `cudele-bench -chaos-replay <seed>`.
+// `cudele-bench -chaos 1 -seed <seed>`.
 package chaos
 
 import (
@@ -215,7 +215,7 @@ type Result struct {
 	// FlightDump is the schedule's trace's tail (trace.Recorder.Dump):
 	// each daemon's last spans and points — RPCs with their client and
 	// route, faults, crashes, handoff phases — captured only for failed
-	// schedules so a `-chaos-replay <seed>` report shows what led up to
+	// schedules so a `-chaos 1 -seed <seed>` report shows what led up to
 	// the breakage.
 	FlightDump string
 }
@@ -230,7 +230,7 @@ const maxViolations = 16
 
 // ReplayCommand is the command line that reproduces the schedule.
 func (r Result) ReplayCommand() string {
-	return fmt.Sprintf("cudele-bench -chaos-replay %d", r.Seed)
+	return fmt.Sprintf("cudele-bench -chaos 1 -seed %d", r.Seed)
 }
 
 // Run executes one chaos schedule and returns its verdict. Everything —

@@ -274,7 +274,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestPlanDeterministic asserts a plan is a pure function of its seed —
-// the property that makes -chaos-replay trustworthy.
+// the property that makes a one-seed replay trustworthy.
 func TestPlanDeterministic(t *testing.T) {
 	for _, seed := range []int64{0, 1, 7, 42, 1 << 40} {
 		a, b := NewPlan(seed), NewPlan(seed)
@@ -337,7 +337,7 @@ func TestReportFailureBlock(t *testing.T) {
 	for _, want := range []string{
 		"seed 99 FAILED",
 		"violation: example violation",
-		"reproduce: cudele-bench -chaos-replay 99",
+		"reproduce: cudele-bench -chaos 1 -seed 99",
 		"fault plan:",
 	} {
 		if !strings.Contains(out, want) {
@@ -363,7 +363,7 @@ func TestReportColumnsAlign(t *testing.T) {
 // TestFlightDumpOnFailure forces a violation and asserts the failed
 // result carries a flight-recorder dump naming the daemons, recent ops,
 // and the violation itself — the "last events before the breakage" block
-// a -chaos-replay report shows.
+// a one-seed replay's report shows.
 func TestFlightDumpOnFailure(t *testing.T) {
 	forceViolation = true
 	defer func() { forceViolation = false }()
