@@ -1,5 +1,5 @@
 // Command cudele is a small scripted shell over a simulated Cudele
-// cluster: it reads one command per line (from files or stdin) and
+// cluster: it reads one command per line (from a file or stdin) and
 // executes them against a fresh cluster, printing results. It exists so
 // the framework can be poked interactively without writing Go.
 //
@@ -72,7 +72,7 @@ type options struct {
 	tracePath   string
 	metricsPath string
 	cpuProfile  string
-	scripts     []string
+	script      string // empty: read stdin
 }
 
 // parseFlags parses argv (without the program name) into options.
@@ -104,7 +104,10 @@ func parseFlags(argv []string) (*options, error) {
 	if o.adminAddr != "" && o.backend != cudele.BackendReal {
 		return nil, fmt.Errorf("-admin requires -backend=real (the simulator has no wall clock to serve on)")
 	}
-	o.scripts = fs.Args()
+	if fs.NArg() > 1 {
+		return nil, fmt.Errorf("one script at most, got %d: %s", fs.NArg(), strings.Join(fs.Args(), " "))
+	}
+	o.script = fs.Arg(0)
 	return o, nil
 }
 
@@ -116,8 +119,8 @@ func main() {
 	}
 
 	var in io.Reader = os.Stdin
-	if len(opts.scripts) > 0 {
-		f, err := os.Open(opts.scripts[0])
+	if opts.script != "" {
+		f, err := os.Open(opts.script)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cudele: %v\n", err)
 			os.Exit(1)

@@ -70,7 +70,7 @@ func TestGoldenSession(t *testing.T) {
 // TestParseFlags smoke-tests the command line surface.
 func TestParseFlags(t *testing.T) {
 	o, err := parseFlags(nil)
-	if err != nil || o.seed != 1 || o.ranks != 1 || o.backend != cudele.BackendSim || len(o.scripts) != 0 {
+	if err != nil || o.seed != 1 || o.ranks != 1 || o.backend != cudele.BackendSim || o.script != "" {
 		t.Fatalf("defaults = %+v, %v", o, err)
 	}
 	o, err = parseFlags([]string{"-seed", "7", "-ranks", "2", "-trace", "t.json", "-metrics", "m.prom", "script.txt"})
@@ -78,7 +78,7 @@ func TestParseFlags(t *testing.T) {
 		t.Fatalf("parse: %v", err)
 	}
 	if o.seed != 7 || o.ranks != 2 || o.tracePath != "t.json" ||
-		o.metricsPath != "m.prom" || len(o.scripts) != 1 || o.scripts[0] != "script.txt" {
+		o.metricsPath != "m.prom" || o.script != "script.txt" {
 		t.Fatalf("parsed = %+v", o)
 	}
 	o, err = parseFlags([]string{"-backend", "real", "-datadir", "/tmp/objs"})
@@ -91,6 +91,7 @@ func TestParseFlags(t *testing.T) {
 		{"-bogus"},                // unknown flag
 		{"-backend", "warp"},      // unknown backend
 		{"-datadir", "/tmp/objs"}, // datadir without -backend=real
+		{"a.txt", "b.txt"},        // a second script would go unread
 	} {
 		if _, err := parseFlags(bad); err == nil {
 			t.Errorf("parseFlags(%v) accepted", bad)

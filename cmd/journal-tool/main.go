@@ -7,11 +7,12 @@
 //	journal-tool inspect <file>           summarize a journal
 //	journal-tool dump <file>              print every event
 //	journal-tool erase <file> <from> <to> splice out events by seq
-//	journal-tool roundtrip <file>         decode + re-encode (format check)
+//	journal-tool roundtrip <file>         decode + re-encode; exit 1 unless the bytes match
 //	journal-tool demo <file>              write a small demo journal
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"strconv"
@@ -124,6 +125,9 @@ func roundtrip(path string) error {
 	}
 	fmt.Printf("decoded %d event(s), re-encoded %d bytes (original %d)\n",
 		len(events), len(again), len(data))
+	if !bytes.Equal(again, data) {
+		return fmt.Errorf("%s: the re-encoded image differs from the file", path)
+	}
 	return nil
 }
 

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"cudele/internal/journal"
 )
 
 // TestGoldenSession runs the full tool workflow — demo, inspect, dump,
@@ -112,5 +116,33 @@ func TestCorruptFile(t *testing.T) {
 	}
 	if err := inspect(path); err == nil {
 		t.Error("corrupt file inspected")
+	}
+}
+
+// TestRoundtripRefusesNonMinimalImage: Decode accepts a field written as
+// a longer varint than Encode writes, so an image holding one, its CRC
+// recomputed, decodes to events that re-encode shorter, and roundtrip
+// reports the mismatch.
+func TestRoundtripRefusesNonMinimalImage(t *testing.T) {
+	ev := &journal.Event{Type: journal.EvCreate, Seq: 1, Client: "client.0", Parent: 1, Name: "f", Ino: 2, Mode: 0644}
+	img, err := journal.Encode([]*journal.Event{ev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One record: a one-byte length, then the payload — the type byte,
+	// then Seq's one-byte varint — then the CRC.
+	payload := img[journal.MagicLen+1 : len(img)-4]
+	long := append([]byte{payload[0], payload[1] | 0x80, 0}, payload[2:]...) // Seq in two bytes
+	bad := append(append(img[:journal.MagicLen:journal.MagicLen], byte(len(long))), long...)
+	bad = binary.LittleEndian.AppendUint32(bad, crc32.Checksum(long, crc32.MakeTable(crc32.Castagnoli)))
+	if events, err := journal.Decode(bad); err != nil || len(events) != 1 || events[0].Seq != 1 {
+		t.Fatalf("hand-built image decodes to %v, %v; want the one event", events, err)
+	}
+	path := filepath.Join(t.TempDir(), "long.journal")
+	if err := os.WriteFile(path, bad, 0644); err != nil {
+		t.Fatal(err)
+	}
+	if err := roundtrip(path); err == nil {
+		t.Fatal("roundtrip accepted an image that re-encodes to other bytes")
 	}
 }

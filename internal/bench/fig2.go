@@ -44,6 +44,15 @@ func fig2Run(opts Options, spec runSpec) ([]fig2PhaseRow, error) {
 		cl := s.cl
 		cl.MDS().SetStream(true)
 		c := s.clients(1)[0]
+		// snapshot reads the resources Fig 2 charts: the MDS CPU, the
+		// fabric, then each OSD's disk.
+		snapshot := func() []runtime.ResourceSnapshot {
+			snaps := []runtime.ResourceSnapshot{cl.MDS().CPU().Snapshot(), cl.Objects().Net().Snapshot()}
+			for _, osd := range cl.Objects().OSDs() {
+				snaps = append(snaps, osd.Disk.Snapshot())
+			}
+			return snaps
+		}
 
 		var rows []fig2PhaseRow
 		_, err := s.phase("main", func(p cudele.Proc) error {
@@ -60,30 +69,23 @@ func fig2Run(opts Options, spec runSpec) ([]fig2PhaseRow, error) {
 					return err
 				}
 				cl.MDS().FlushJournal(p)
-				cpuMark := cl.MDS().CPU().UtilizationMark()
-				netMark := cl.Objects().Net().UtilizationMark()
-				diskMarks := make([]runtime.ResourceMark, 0, len(cl.Objects().OSDs()))
-				for _, osd := range cl.Objects().OSDs() {
-					diskMarks = append(diskMarks, osd.Disk.UtilizationMark())
-				}
-				start := p.Now()
+				before := snapshot()
 
 				ops, err := workload.RunPhase(p, c, phaseDir, ph)
 				if err != nil {
 					return fmt.Errorf("phase %s: %w", ph.Name, err)
 				}
 
-				secs := (p.Now() - start).Seconds()
+				after := snapshot()
+				util := func(i int) float64 { return after[i].UtilizationSince(before[i]) }
 				disk := 0.0
-				for i, osd := range cl.Objects().OSDs() {
-					disk += osd.Disk.UtilizationSince(diskMarks[i])
+				for i := 2; i < len(after); i++ {
+					disk += util(i)
 				}
-				disk /= float64(len(cl.Objects().OSDs()))
+				disk /= float64(len(after) - 2)
 				rows = append(rows, fig2PhaseRow{
-					name: ph.Name, ops: ops, secs: secs,
-					cpu:  cl.MDS().CPU().UtilizationSince(cpuMark),
-					net:  cl.Objects().Net().UtilizationSince(netMark),
-					disk: disk,
+					name: ph.Name, ops: ops, secs: (after[0].At - before[0].At).Seconds(),
+					cpu: util(0), net: util(1), disk: disk,
 				})
 			}
 			return nil

@@ -44,11 +44,7 @@ func rebalanceRun(opts Options, spec runSpec, perClient int, balance bool) (reba
 	const interval = 40 * time.Millisecond
 	storm := placedStorm{placement: make([]int, rebalanceSubtrees), perClient: perClient}
 	if balance {
-		storm.balancer = &cudele.BalancerConfig{
-			Interval: interval,
-			Rounds:   12,
-			MaxMoves: 2,
-		}
+		storm.balancer = &cudele.BalancerConfig{Interval: interval, Rounds: 12}
 	}
 	spec.ranks, spec.halfLife = rebalanceRanks, 3*interval
 	return runSession(opts, spec, func(s *session) (rebalanceOut, error) {

@@ -59,11 +59,12 @@ const (
 )
 
 // Fault is one planned crash: At past the end of the driver's set-up,
-// Kind strikes Target. The driver applies it at the first op boundary
+// Kind strikes the main client or the rank that owns the workload's
+// subtree at that moment. The driver applies it at the first op boundary
 // whose clock has reached that time.
 type Fault struct {
-	At           runtime.Time
-	Kind, Target string
+	At   runtime.Time
+	Kind string
 }
 
 // Plan is everything a chaos schedule needs, derived deterministically
@@ -144,16 +145,12 @@ func NewPlan(seed int64) *Plan {
 	}
 	mdsCrash := false
 	for i, n := 0, rng.Intn(4); i < n; i++ {
-		kind, target := FaultClientCrash, "client:main"
+		kind := FaultClientCrash
 		if rng.Float64() < 0.4 {
-			kind, target = FaultMDSCrash, "mds:0"
+			kind = FaultMDSCrash
 			mdsCrash = true
 		}
-		p.Faults = append(p.Faults, Fault{
-			At:     runtime.Time(500e3 + rng.Int63n(8e6)),
-			Kind:   kind,
-			Target: target,
-		})
+		p.Faults = append(p.Faults, Fault{At: runtime.Time(500e3 + rng.Int63n(8e6)), Kind: kind})
 	}
 	sort.SliceStable(p.Faults, func(i, j int) bool {
 		return p.Faults[i].At < p.Faults[j].At
@@ -191,7 +188,7 @@ func (p *Plan) String() string {
 		fmt.Fprintf(&b, "fault plan: %d faults\n", len(p.Faults))
 	}
 	for i, f := range p.Faults {
-		fmt.Fprintf(&b, "  [%d] t=%dns %s %s\n", i, int64(f.At), f.Kind, f.Target)
+		fmt.Fprintf(&b, "  [%d] t=%dns %s\n", i, int64(f.At), f.Kind)
 	}
 	if p.Migrate {
 		fmt.Fprintf(&b, "migrate: at=%v torn-commit=%v\n", p.MigrateAt, p.TornCommit)

@@ -137,7 +137,7 @@ func TestCrashDueAtBoundary(t *testing.T) {
 	d := newDriver(plan)
 	defer d.cl.Close()
 	crash := func(at runtime.Time) Fault {
-		return Fault{At: at - d.start, Kind: FaultClientCrash, Target: "client:main"}
+		return Fault{At: at - d.start, Kind: FaultClientCrash}
 	}
 	d.cl.Go("probe", func(p runtime.Task) {
 		if !d.setup(p) {
@@ -298,14 +298,21 @@ func TestSeedsCoverMatrix(t *testing.T) {
 }
 
 // TestPlanStringLines asserts every part of a printed plan sits on its
-// own line, with and without crash faults and migrations.
+// own line, with and without crash faults and migrations, and that no
+// plan names a rank: on a migrating plan an MDS crash strikes whichever
+// rank owns the workload's subtree when it lands.
 func TestPlanStringLines(t *testing.T) {
-	var empty, faults, migrate bool
+	rank := regexp.MustCompile(`mds:?[0-9]`)
+	var empty, faults, migrate, migratingMDSCrash bool
 	for _, seed := range Seeds(0, 200) {
 		p := NewPlan(seed)
 		empty = empty || len(p.Faults) == 0
 		faults = faults || len(p.Faults) > 0
 		migrate = migrate || p.Migrate
+		migratingMDSCrash = migratingMDSCrash || p.Migrate && strings.Contains(p.String(), FaultMDSCrash)
+		if rank.MatchString(p.String()) {
+			t.Fatalf("seed %d: plan text names a rank:\n%s", seed, p.String())
+		}
 		for _, line := range strings.Split(p.String(), "\n") {
 			if i := strings.Index(line, "migrate:"); i > 0 {
 				t.Fatalf("seed %d: migrate: glued onto %q", seed, line)
@@ -315,8 +322,9 @@ func TestPlanStringLines(t *testing.T) {
 			t.Fatalf("seed %d: plan text does not end its last line:\n%q", seed, p.String())
 		}
 	}
-	if !empty || !faults || !migrate {
-		t.Fatalf("200 seeds missed a shape: empty=%v faults=%v migrate=%v", empty, faults, migrate)
+	if !empty || !faults || !migrate || !migratingMDSCrash {
+		t.Fatalf("200 seeds missed a shape: empty=%v faults=%v migrate=%v migrating MDS crash=%v",
+			empty, faults, migrate, migratingMDSCrash)
 	}
 }
 

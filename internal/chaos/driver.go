@@ -338,7 +338,7 @@ func (d *driver) drain(p runtime.Task) {
 			break
 		}
 		d.res.CrashFaults++
-		d.rec.Record(int64(p.Now()), "chaos", "fault", f.Kind, f.Target)
+		d.rec.Record(int64(p.Now()), "chaos", "fault", f.Kind, "")
 		switch f.Kind {
 		case FaultClientCrash:
 			d.crashClient(p)

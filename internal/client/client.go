@@ -72,7 +72,7 @@ type Client struct {
 	obj  *rados.Cluster
 
 	// localDisk models the node's own disk (Local Persist target).
-	localDisk runtime.Pipe
+	localDisk *runtime.Pipe
 	// localJournal is the journal image Local Persist last wrote, nil
 	// before the first.
 	localJournal []byte

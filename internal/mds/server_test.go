@@ -886,7 +886,7 @@ func TestMergeCongestion(t *testing.T) {
 		obj := rados.New(eng, model.Default())
 		s := NewCluster(eng, model.Default(), obj, 1).Rank(0)
 		const per = 5000
-		g := sim.NewGroup(eng)
+		g := eng.NewDomain("").NewGroup()
 		for c := 0; c < jobs; c++ {
 			c := c
 			g.Go("merge", func(p runtime.Task) {

@@ -19,10 +19,11 @@ import (
 // The balancer's fixed policy. It acts when the imbalance factor (max
 // rank load / mean rank load) reaches imbalanceThreshold and the hot-cold
 // load difference reaches minLoadGap — below it migration overhead
-// outweighs the spread.
+// outweighs the spread — and exports at most maxMoves cells per round.
 const (
 	imbalanceThreshold = 1.25
 	minLoadGap         = 1
+	maxMoves           = 2
 )
 
 // BalancerConfig tunes one balancer run. Zero values select defaults.
@@ -30,10 +31,8 @@ type BalancerConfig struct {
 	// Interval between heat samples. Default 1s.
 	Interval time.Duration
 	// Rounds bounds the proc's lifetime so a simulated run drains; each
-	// round is one sample plus at most MaxMoves actions. Default 8.
+	// round is one sample plus at most maxMoves actions. Default 8.
 	Rounds int
-	// MaxMoves caps migrations per round. Default 1.
-	MaxMoves int
 }
 
 func (c *BalancerConfig) defaults() {
@@ -42,9 +41,6 @@ func (c *BalancerConfig) defaults() {
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = 8
-	}
-	if c.MaxMoves <= 0 {
-		c.MaxMoves = 1
 	}
 }
 
@@ -116,10 +112,10 @@ func movable(subtree string) bool {
 	return subtree != "" && subtree != "/"
 }
 
-// balance performs up to MaxMoves exports from the hottest rank to the
+// balance performs up to maxMoves exports from the hottest rank to the
 // coldest, and stops when no movable cell fits.
 func (b *Balancer) balance(p runtime.Task, cells []obs.HeatCell, loads []float64, imb float64) {
-	for move := 0; move < b.cfg.MaxMoves; move++ {
+	for move := 0; move < maxMoves; move++ {
 		hot, cold := 0, 0
 		for r, l := range loads {
 			if l > loads[hot] {

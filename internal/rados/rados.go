@@ -42,7 +42,7 @@ type object struct {
 // OSD is one simulated object storage daemon with its own disk channel.
 type OSD struct {
 	ID   int
-	Disk runtime.Pipe
+	Disk *runtime.Pipe
 }
 
 // Cluster is the simulated object store. Its state belongs to one lock
@@ -53,7 +53,7 @@ type Cluster struct {
 	dom  runtime.Domain
 	cfg  model.Config
 	osds []*OSD
-	net  runtime.Pipe
+	net  *runtime.Pipe
 	pgs  uint32
 
 	objects map[ObjectID]*object
@@ -95,7 +95,7 @@ func New(e runtime.Runtime, cfg model.Config) *Cluster {
 func (c *Cluster) OSDs() []*OSD { return c.osds }
 
 // Net returns the shared fabric pipe.
-func (c *Cluster) Net() runtime.Pipe { return c.net }
+func (c *Cluster) Net() *runtime.Pipe { return c.net }
 
 // SetFaults installs (or, with nil, removes) a write-fault injector.
 func (c *Cluster) SetFaults(f *FaultInjector) { c.faults = f }

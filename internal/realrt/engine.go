@@ -337,8 +337,8 @@ func (e *Engine) NewResource(name string, capacity int) runtime.Resource {
 }
 
 // NewPipe implements runtime.Runtime.
-func (e *Engine) NewPipe(name string, rate float64) runtime.Pipe {
-	return runtime.NewPipe(newResource(e, name, 1), rate)
+func (e *Engine) NewPipe(name string, rate float64) *runtime.Pipe {
+	return runtime.NewPipe(newResource(e, name, 1), name, rate)
 }
 
 // RunAll blocks until every task has finished or the remaining tasks

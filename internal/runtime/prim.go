@@ -122,8 +122,8 @@ func (g *group) Wait(t Task) {
 }
 
 // Ledger is a Resource's state — units in use, the FIFO of waiters, the
-// busy-time integral — and every reporting method of the Resource
-// interface. A backend's Resource embeds one and adds the queueing calls,
+// busy-time integral — and Snapshot, the Resource interface's one
+// report. A backend's Resource embeds one and adds the queueing calls,
 // built from Request, Enqueue, Waited, Queued, Vacate and HandOff; those
 // take the time from the caller and expect the caller to hold the
 // ledger's lock.
@@ -150,7 +150,7 @@ func (l *Ledger) Init(clock Clock, lock sync.Locker, name string, capacity int) 
 }
 
 // Account folds the time since the last change into the busy integral.
-// Only a change of inUse and the utilization reports call it: every extra
+// Only a change of inUse and Snapshot call it: every extra
 // call splits a float sum, and BusyArea is compared bit for bit.
 func (l *Ledger) Account(now Time) {
 	l.busyArea += float64(l.inUse) * (now - l.lastChange).Seconds()
@@ -202,25 +202,6 @@ func (l *Ledger) HandOff() Parker {
 	return next
 }
 
-// Name returns the resource name.
-func (l *Ledger) Name() string { return l.name }
-
-// UtilizationMark snapshots the accounting state at the current time.
-func (l *Ledger) UtilizationMark() ResourceMark {
-	s := l.Snapshot()
-	return ResourceMark{At: s.At, BusyArea: s.BusyArea}
-}
-
-// UtilizationSince returns the mean busy fraction between mark and now.
-func (l *Ledger) UtilizationSince(mark ResourceMark) float64 {
-	s := l.Snapshot()
-	dt := (s.At - mark.At).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return (s.BusyArea - mark.BusyArea) / (dt * float64(l.capacity))
-}
-
 // Snapshot brings the busy-time integral up to the current time and
 // returns a copy of the accounting state, so the interval between the
 // last state change and now is never undercounted.
@@ -245,27 +226,31 @@ func (l *Ledger) Snapshot() ResourceSnapshot {
 	return s
 }
 
-type pipe struct {
+// Pipe models a store-and-forward link or device with fixed bandwidth
+// in bytes per second; transfers serialize FIFO through its resource.
+type Pipe struct {
 	res  Resource
 	rate float64 // bytes per second
 }
 
-// NewPipe returns a Pipe that serializes transfers through res, a
-// capacity-1 resource of the same backend; rate must be positive.
-func NewPipe(res Resource, rate float64) Pipe {
+// NewPipe returns a pipe that serializes transfers through res, a
+// capacity-1 resource of the same backend named name; rate must be
+// positive.
+func NewPipe(res Resource, name string, rate float64) *Pipe {
 	if rate <= 0 {
-		panic(fmt.Sprintf("runtime: pipe %q rate %v <= 0", res.Name(), rate))
+		panic(fmt.Sprintf("runtime: pipe %q rate %v <= 0", name, rate))
 	}
-	return &pipe{res: res, rate: rate}
+	return &Pipe{res: res, rate: rate}
 }
 
-func (pp *pipe) Transfer(t Task, n int64) {
+// Transfer moves n bytes through the pipe, blocking t for queueing plus
+// n/rate seconds of service time.
+func (pp *Pipe) Transfer(t Task, n int64) {
 	if n < 0 {
 		panic("runtime: negative transfer size")
 	}
 	pp.res.Use(t, Duration(float64(n)/pp.rate*1e9))
 }
 
-func (pp *pipe) UtilizationMark() ResourceMark           { return pp.res.UtilizationMark() }
-func (pp *pipe) UtilizationSince(m ResourceMark) float64 { return pp.res.UtilizationSince(m) }
-func (pp *pipe) Snapshot() ResourceSnapshot              { return pp.res.Snapshot() }
+// Snapshot returns the accounting state of the pipe's resource.
+func (pp *Pipe) Snapshot() ResourceSnapshot { return pp.res.Snapshot() }

@@ -27,7 +27,7 @@
 //
 // The blocking primitives are written once, here (prim.go): Signal,
 // Group, Pipe, and the Ledger that is a Resource's queue, busy-time
-// integral and reporting methods. What a backend writes is the kernel
+// integral and Snapshot. What a backend writes is the kernel
 // under them — a Clock, a sync.Locker per object (NoLock where one task
 // runs at a time), its tasks' Parker methods — plus Domain, Spawn and the
 // two queueing calls of its Resource, which stay per backend so that
@@ -125,7 +125,7 @@ type Runtime interface {
 	// NewResource creates a FIFO server with the given capacity.
 	NewResource(name string, capacity int) Resource
 	// NewPipe creates a bandwidth pipe (rate in bytes per second).
-	NewPipe(name string, rate float64) Pipe
+	NewPipe(name string, rate float64) *Pipe
 
 	// Exclusive runs fn with no other task inside any domain — for the
 	// few steps that touch several daemons' state in one move (subtree
@@ -211,37 +211,16 @@ type Group interface {
 
 // Resource is a server with integer capacity and a FIFO queue; it
 // tracks busy time so utilization can be reported. Snapshot carries every
-// counter: capacity, units in use, queue length, acquires, total wait and
-// mean utilization.
+// counter: name, capacity, units in use, queue length, acquires, total
+// wait and mean utilization.
 type Resource interface {
-	Name() string
 	// Acquire takes one unit, blocking t in FIFO order until one frees.
 	Acquire(t Task)
 	// Release returns one unit, handing it to the head waiter if any.
 	Release()
 	// Use acquires, holds for service duration d, then releases.
 	Use(t Task, d Duration)
-	UtilizationMark() ResourceMark
-	UtilizationSince(mark ResourceMark) float64
 	Snapshot() ResourceSnapshot
-}
-
-// Pipe models a store-and-forward link or device with fixed bandwidth
-// in bytes per second; transfers serialize FIFO through it.
-type Pipe interface {
-	// Transfer moves n bytes through the pipe, blocking t for queueing
-	// plus n/rate seconds of service time.
-	Transfer(t Task, n int64)
-	UtilizationMark() ResourceMark
-	UtilizationSince(mark ResourceMark) float64
-	Snapshot() ResourceSnapshot
-}
-
-// ResourceMark is a snapshot of resource accounting, for windowed
-// utilization measurements.
-type ResourceMark struct {
-	At       Time
-	BusyArea float64
 }
 
 // ResourceSnapshot is a copy of a resource's utilization accounting at
@@ -257,4 +236,14 @@ type ResourceSnapshot struct {
 	WaitTotal   Duration
 	Utilization float64 // mean busy fraction since runtime start
 	At          Time    // when the snapshot was taken
+}
+
+// UtilizationSince returns the mean busy fraction between an earlier
+// snapshot of the same resource and s.
+func (s ResourceSnapshot) UtilizationSince(prev ResourceSnapshot) float64 {
+	dt := (s.At - prev.At).Seconds()
+	if dt <= 0 {
+		return 0
+	}
+	return (s.BusyArea - prev.BusyArea) / (dt * float64(s.Capacity))
 }

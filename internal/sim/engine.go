@@ -317,7 +317,7 @@ type domain Engine
 
 func (d *domain) Enter(runtime.Task)      {}
 func (d *domain) Leave(runtime.Task)      {}
-func (d *domain) NewGroup() runtime.Group { return NewGroup((*Engine)(d)) }
+func (d *domain) NewGroup() runtime.Group { return runtime.NewGroup(runtime.NoLock{}, d) }
 func (d *domain) Rand() *rand.Rand        { return d.rng }
 func (d *domain) Spawn(name string, fn func(t runtime.Task)) {
 	(*Engine)(d).Spawn(name, fn)
@@ -327,7 +327,7 @@ func (d *domain) Spawn(name string, fn func(t runtime.Task)) {
 func (e *Engine) NewDomain(string) runtime.Domain { return (*domain)(e) }
 
 // NewSignal implements runtime.Runtime.
-func (e *Engine) NewSignal() runtime.Signal { return NewSignal(e) }
+func (e *Engine) NewSignal() runtime.Signal { return runtime.NewSignal(runtime.NoLock{}) }
 
 // NewResource implements runtime.Runtime.
 func (e *Engine) NewResource(name string, capacity int) runtime.Resource {
@@ -335,8 +335,8 @@ func (e *Engine) NewResource(name string, capacity int) runtime.Resource {
 }
 
 // NewPipe implements runtime.Runtime.
-func (e *Engine) NewPipe(name string, rate float64) runtime.Pipe {
-	return NewPipe(e, name, rate)
+func (e *Engine) NewPipe(name string, rate float64) *runtime.Pipe {
+	return runtime.NewPipe(NewResource(e, name, 1), name, rate)
 }
 
 // Run drives the event loop until the queue is empty or the clock passes

@@ -100,7 +100,7 @@ func TestRunUntil(t *testing.T) {
 
 func TestSignal(t *testing.T) {
 	e := NewEngine(1)
-	s := NewSignal(e)
+	s := e.NewSignal()
 	var got interface{}
 	var at Time
 	e.Go("waiter", func(p *Proc) {
@@ -122,7 +122,7 @@ func TestSignal(t *testing.T) {
 
 func TestSignalPreFired(t *testing.T) {
 	e := NewEngine(1)
-	s := NewSignal(e)
+	s := e.NewSignal()
 	s.Fire("x")
 	var got interface{}
 	e.Go("waiter", func(p *Proc) { got = s.Wait(p) })
@@ -134,7 +134,7 @@ func TestSignalPreFired(t *testing.T) {
 
 func TestSignalDoubleFirePanics(t *testing.T) {
 	e := NewEngine(1)
-	s := NewSignal(e)
+	s := e.NewSignal()
 	s.Fire(nil)
 	defer func() {
 		if recover() == nil {
@@ -213,7 +213,7 @@ func TestResourceReleaseBelowZeroPanics(t *testing.T) {
 
 func TestPipeTransferTime(t *testing.T) {
 	e := NewEngine(1)
-	pipe := NewPipe(e, "nic", 100e6) // 100 MB/s
+	pipe := e.NewPipe("nic", 100e6) // 100 MB/s
 	var done Time
 	e.Go("xfer", func(p *Proc) {
 		pipe.Transfer(p, 50e6) // 50 MB -> 0.5 s
@@ -230,7 +230,7 @@ func TestPipeTransferTime(t *testing.T) {
 
 func TestPipeSerializes(t *testing.T) {
 	e := NewEngine(1)
-	pipe := NewPipe(e, "nic", 1e6)
+	pipe := e.NewPipe("nic", 1e6)
 	var finish []Time
 	for i := 0; i < 2; i++ {
 		e.Go("xfer", func(p *Proc) {
@@ -246,7 +246,7 @@ func TestPipeSerializes(t *testing.T) {
 
 func TestGroupWait(t *testing.T) {
 	e := NewEngine(1)
-	g := NewGroup(e)
+	g := e.NewDomain("").NewGroup()
 	var doneAt Time
 	for i := 1; i <= 3; i++ {
 		d := time.Duration(i) * time.Millisecond
@@ -289,17 +289,19 @@ func TestDeterminism(t *testing.T) {
 func TestUtilizationWindow(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "cpu", 1)
-	var mark ResourceMark
-	var winU float64
+	var before, after runtime.ResourceSnapshot
 	e.Go("w", func(p *Proc) {
 		p.Sleep(10 * time.Millisecond) // idle prefix
-		mark = r.UtilizationMark()
+		before = r.Snapshot()
 		r.Use(p, 10*time.Millisecond)
-		winU = r.UtilizationSince(mark)
+		after = r.Snapshot()
 	})
 	e.RunAll()
-	if winU < 0.99 || winU > 1.01 {
+	if winU := after.UtilizationSince(before); winU < 0.99 || winU > 1.01 {
 		t.Fatalf("windowed utilization = %v, want 1.0", winU)
+	}
+	if u := before.UtilizationSince(before); u != 0 {
+		t.Fatalf("utilization over an empty window = %v, want 0", u)
 	}
 	total := r.Snapshot().Utilization
 	if total < 0.49 || total > 0.51 {

@@ -113,16 +113,16 @@ func TestNewPipeBadRatePanics(t *testing.T) {
 			t.Fatal("rate 0 did not panic")
 		}
 	}()
-	NewPipe(e, "x", 0)
+	e.NewPipe("x", 0)
 }
 
 func TestPipeAccessorsAndNegativeTransfer(t *testing.T) {
 	e := NewEngine(1)
-	pp := NewPipe(e, "nic", 1e6)
-	mark := pp.UtilizationMark()
+	pp := e.NewPipe("nic", 1e6)
+	before := pp.Snapshot()
 	e.Go("w", func(p *Proc) {
 		pp.Transfer(p, 1e6)
-		if u := pp.UtilizationSince(mark); u < 0.99 {
+		if u := pp.Snapshot().UtilizationSince(before); u < 0.99 {
 			t.Errorf("windowed pipe utilization = %v", u)
 		}
 	})
@@ -143,7 +143,7 @@ func TestPipeAccessorsAndNegativeTransfer(t *testing.T) {
 
 func TestGroupNegativeCounterPanics(t *testing.T) {
 	e := NewEngine(1)
-	g := NewGroup(e)
+	g := e.NewDomain("").NewGroup()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative group counter did not panic")
@@ -154,7 +154,7 @@ func TestGroupNegativeCounterPanics(t *testing.T) {
 
 func TestGroupWaitAfterDone(t *testing.T) {
 	e := NewEngine(1)
-	g := NewGroup(e)
+	g := e.NewDomain("").NewGroup()
 	g.Go("w", func(p runtime.Task) { p.Sleep(time.Millisecond) })
 	waited := 0
 	e.Go("late", func(p *Proc) {
@@ -163,7 +163,7 @@ func TestGroupWaitAfterDone(t *testing.T) {
 		waited++
 	})
 	e.Go("never-registered", func(p *Proc) {
-		fresh := NewGroup(e)
+		fresh := e.NewDomain("").NewGroup()
 		fresh.Wait(p) // empty group: returns immediately
 		waited++
 	})

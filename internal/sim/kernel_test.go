@@ -27,9 +27,9 @@ func randomProgramHash(t *testing.T, seed int64, slice Duration) uint64 {
 	log := func(who, step string) { fmt.Fprintf(h, "%d %s %s\n", int64(e.Now()), who, step) }
 
 	res := []*Resource{NewResource(e, "r0", 1), NewResource(e, "r1", 2), NewResource(e, "r2", 1)}
-	sigs := make([]Signal, 24)
+	sigs := make([]runtime.Signal, 24)
 	for i := range sigs {
-		sigs[i] = NewSignal(e)
+		sigs[i] = e.NewSignal()
 	}
 	// Durations come from a small set so equal-time events are common.
 	dur := func() Duration { return Duration(rng.Intn(6)) * 500 * time.Nanosecond }
@@ -47,9 +47,9 @@ func randomProgramHash(t *testing.T, seed int64, slice Duration) uint64 {
 					p.Sleep(0)
 					log(name, "yield")
 				case k < 5:
-					r := res[rng.Intn(len(res))]
-					r.Use(p, dur())
-					log(name, "use "+r.Name())
+					j := rng.Intn(len(res))
+					res[j].Use(p, dur())
+					log(name, fmt.Sprintf("use r%d", j))
 				case k == 5:
 					j := rng.Intn(len(sigs))
 					v := sigs[j].Wait(p)
@@ -60,7 +60,7 @@ func randomProgramHash(t *testing.T, seed int64, slice Duration) uint64 {
 					log(name, "schedule")
 				default:
 					if depth == 0 {
-						g := NewGroup(e)
+						g := e.NewDomain("").NewGroup()
 						for c := 0; c < 2; c++ {
 							child := fmt.Sprintf("%s.%d.%d", name, i, c)
 							g.Go(child, body(child, 1, 1+rng.Intn(6)))
@@ -136,7 +136,7 @@ func TestRandomProgramGolden(t *testing.T) {
 func TestShutdownReleasesCoroutines(t *testing.T) {
 	before := goruntime.NumGoroutine()
 	e := NewEngine(1)
-	never := NewSignal(e)
+	never := e.NewSignal()
 	for i := 0; i < 1000; i++ {
 		e.Go("parked", func(p *Proc) { never.Wait(p) })
 	}

@@ -17,28 +17,6 @@ func task(t runtime.Task) *Proc {
 	return p
 }
 
-// The blocking primitives are internal/runtime's, over this kernel: the
-// engine's clock, runtime.NoLock (one process runs at a time) and Proc's
-// MayPark, Park and Wake.
-type (
-	Signal           = runtime.Signal
-	Group            = runtime.Group
-	Pipe             = runtime.Pipe
-	ResourceMark     = runtime.ResourceMark
-	ResourceSnapshot = runtime.ResourceSnapshot
-)
-
-// NewSignal creates a one-shot condition for processes of e.
-func NewSignal(*Engine) Signal { return runtime.NewSignal(runtime.NoLock{}) }
-
-// NewGroup creates an empty completion group whose processes run on e.
-func NewGroup(e *Engine) Group { return runtime.NewGroup(runtime.NoLock{}, (*domain)(e)) }
-
-// NewPipe creates a bandwidth pipe. rate must be positive (bytes/second).
-func NewPipe(e *Engine, name string, rate float64) Pipe {
-	return runtime.NewPipe(NewResource(e, name, 1), rate)
-}
-
 // Resource is a server with integer capacity and a FIFO queue. A Resource
 // with capacity 1 models an exclusive device (one CPU core, one disk
 // head); higher capacities model pools. State and reporting are the

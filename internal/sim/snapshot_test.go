@@ -95,7 +95,7 @@ func TestSnapshotQueueAndWaits(t *testing.T) {
 // TestPipeSnapshot checks pipes re-export their inner resource snapshot.
 func TestPipeSnapshot(t *testing.T) {
 	e := NewEngine(1)
-	pp := NewPipe(e, "net", 1e6) // 1 MB/s
+	pp := e.NewPipe("net", 1e6) // 1 MB/s
 	e.Go("xfer", func(p *Proc) {
 		pp.Transfer(p, 500_000) // 0.5 s of service
 	})

@@ -209,11 +209,7 @@ func TestBalancerConverges(t *testing.T) {
 			p.Sleep(2 * time.Millisecond)
 		}
 	})
-	b := cl.StartBalancer(BalancerConfig{
-		Interval: 10 * time.Millisecond,
-		Rounds:   8,
-		MaxMoves: 2,
-	})
+	b := cl.StartBalancer(BalancerConfig{Interval: 10 * time.Millisecond, Rounds: 8})
 	cl.RunAll()
 	if len(b.Events()) == 0 {
 		t.Fatalf("balancer took no action on a fully skewed cluster: samples %+v", b.Samples())
